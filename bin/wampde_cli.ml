@@ -1030,7 +1030,7 @@ let history_gate_cmd =
   let run dir filter last nsigma prev fresh threshold =
     match fresh with
     | Some fresh_path -> (
-      (* bench-gate mode: the scripts/bench_trend.py decision, natively *)
+      (* bench-gate mode: the CI krylov-speedup verdict *)
       match resolve_bench fresh_path with
       | None ->
         Printf.eprintf "history gate: no BENCH_*.json at %s\n" fresh_path;
@@ -1092,8 +1092,8 @@ let history_gate_cmd =
   in
   let doc =
     "CI regression gate with a typed exit code: 0 pass (or no usable baseline), 1 regression, \
-     2 unusable fresh data.  With $(b,--fresh) (and optionally $(b,--prev)) it reproduces the \
-     bench_trend.py krylov-speedup check over BENCH_*.json manifests; without it, it gates \
+     2 unusable fresh data.  With $(b,--fresh) (and optionally $(b,--prev)) it runs the CI \
+     krylov-speedup check over BENCH_*.json manifests; without it, it gates \
      each key's newest wall time against the median of its own history."
   in
   Cmd.v (Cmd.info "gate" ~doc)

@@ -74,52 +74,26 @@ type result = {
   options : options;
 }
 
-(* Flat unknown layout per step: y.(j * n + i) = component i at t1 grid
-   point j; y.(n1 * n) = omega. *)
+let semidisc dae options =
+  let d =
+    match options.differentiation with
+    | `Spectral -> Fourier.Series.diff_matrix options.n1
+    | `Fd4 -> Fourier.Series.diff_matrix_fd ~order:4 options.n1
+  in
+  let row = Phase.row options.phase ~n1:options.n1 ~n:dae.Dae.dim ~d in
+  Dae.Semidisc.make dae ~d ~omega:(Dae.Semidisc.Unknown row) ~forcing:None
 
-let diff_matrix options =
-  match options.differentiation with
-  | `Spectral -> Fourier.Series.diff_matrix options.n1
-  | `Fd4 -> Fourier.Series.diff_matrix_fd ~order:4 options.n1
+(* Flat unknown layout per step (see [Dae.Semidisc]): y.(j * n + i) =
+   component i at t1 grid point j; y.(n1 * n) = omega. *)
+let pack states omega = Array.concat (Array.to_list states @ [ [| omega |] ])
+let unpack sd y = (Dae.Semidisc.unpack sd y ~off:0, y.(Dae.Semidisc.size sd - 1))
 
-(* g_{j,i}(X, omega, t2) = omega (D Q)_{j,i} + f(t2, X_j)_i : the
-   "spatial" part of the WaMPDE residual at one collocation point.
-   [qs] receives the per-point charges q(X_j) as a side effect so
-   residual assembly can reuse them. *)
-let eval_g_into dae ~n1 ~d ~t2 ~states ~qs ~dst omega =
-  let n = dae.Dae.dim in
-  for j = 0 to n1 - 1 do
-    qs.(j) <- dae.Dae.q states.(j)
-  done;
-  for j = 0 to n1 - 1 do
-    let fj = dae.Dae.f ~t:t2 states.(j) in
-    let dj = d.(j) in
-    for i = 0 to n - 1 do
-      let s = ref 0. in
-      for k = 0 to n1 - 1 do
-        s := !s +. (dj.(k) *. qs.(k).(i))
-      done;
-      dst.((j * n) + i) <- (omega *. !s) +. fj.(i)
-    done
-  done
+(* g at an accepted grid: the theta step's explicit part *)
+let eval_g sd ~t2 states omega = Dae.Semidisc.g sd ~t2 (pack states omega)
 
-let eval_g dae ~n1 ~d ~t2 states omega =
-  let n = dae.Dae.dim in
-  let qs = Array.make n1 [||] in
-  let g = Array.make (n1 * n) 0. in
-  eval_g_into dae ~n1 ~d ~t2 ~states ~qs ~dst:g omega;
-  g
-
-let unpack ~n1 ~n y = (Array.init n1 (fun j -> Array.sub y (j * n) n), y.(n1 * n))
-
-(* Preallocated per-run buffers for the step's hot loops: residual and
-   Jacobian evaluation reuse these instead of re-allocating state
-   slices, charge tables and residual vectors on every Newton
-   iteration. *)
+(* Preallocated per-run Newton vectors, reused across iterations and
+   steps instead of re-allocating residuals and iterates. *)
 type scratch = {
-  sc_states : Vec.t array;  (* n1 unpack buffers of length n *)
-  sc_qs : Vec.t array;  (* q(X_j) at the last residual point *)
-  sc_g : Vec.t;  (* spatial residual, n1 * n *)
   sc_r : Vec.t;  (* accepted residual, n1 * n + 1 *)
   sc_rt : Vec.t;  (* trial residual *)
   sc_y : Vec.t;  (* current iterate *)
@@ -129,9 +103,6 @@ type scratch = {
 let make_scratch ~n1 ~n =
   let nd = n1 * n in
   {
-    sc_states = Array.init n1 (fun _ -> Array.make n 0.);
-    sc_qs = Array.make n1 [||];
-    sc_g = Array.make nd 0.;
     sc_r = Array.make (nd + 1) 0.;
     sc_rt = Array.make (nd + 1) 0.;
     sc_y = Array.make (nd + 1) 0.;
@@ -144,18 +115,14 @@ let make_scratch ~n1 ~n =
    automatically when the iteration stops contracting.  The Krylov
    path instead rebuilds its cheap structured operator every iteration
    (true Newton-Krylov). *)
-type krylov_op = {
-  kop : Structured.op;
-  kborder_col : Vec.t;
-  kbordered : Structured.bordered;
-}
+type krylov_op = { klin : Dae.Semidisc.lin; kbordered : Structured.bordered }
 
 type jac_cache = { mutable lu : Lu.t option }
 
 let new_cache () = { lu = None }
 
 (* One theta step of size h2 from (states0, omega0, g0) at t2_new. *)
-let step dae ~options ~cache ~scratch ~d ~phase_row ~t2_new ~h2 ~states0 ~g0 ~omega0 =
+let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
   Obs.Span.span
     ~attrs:[ ("t2", Obs.Span.Float t2_new); ("h2", Obs.Span.Float h2) ]
     "envelope.step"
@@ -163,82 +130,19 @@ let step dae ~options ~cache ~scratch ~d ~phase_row ~t2_new ~h2 ~states0 ~g0 ~om
   (* the inner (chord Newton) layer: leaf counters bumped from here —
      lu.factor, gmres.iterations — are billed to the envelope's Newton *)
   Obs.Scope.with_scope "envelope.newton" @@ fun () ->
-  let n = dae.Dae.dim in
   let n1 = options.n1 in
+  let n = Array.length states0.(0) in
   let theta = options.theta in
   let nd = n1 * n in
-  let q0 = Array.map dae.Dae.q states0 in
-  let unpack_scratch y =
-    for j = 0 to n1 - 1 do
-      Array.blit y (j * n) scratch.sc_states.(j) 0 n
-    done;
-    y.(nd)
-  in
-  (* Writes the step residual at [y] into [dst]; leaves [sc_states] and
-     [sc_qs] holding the unpacked states and charges at [y]. *)
+  let sys = Dae.Semidisc.step sd ~t2:t2_new ~h:h2 ~theta ~states0 ~g0 in
   let residual_into y dst =
-    let omega = unpack_scratch y in
-    eval_g_into dae ~n1 ~d ~t2:t2_new ~states:scratch.sc_states ~qs:scratch.sc_qs ~dst:scratch.sc_g
-      omega;
-    let g = scratch.sc_g in
-    for j = 0 to n1 - 1 do
-      let qj = scratch.sc_qs.(j) in
-      let q0j = q0.(j) in
-      for i = 0 to n - 1 do
-        let idx = (j * n) + i in
-        dst.(idx) <-
-          qj.(i) -. q0j.(i)
-          +. (h2 *. theta *. g.(idx))
-          +. (if theta < 1. then h2 *. (1. -. theta) *. g0.(idx) else 0.)
-      done
-    done;
-    (* phase condition row *)
-    let s = ref 0. in
-    for idx = 0 to nd - 1 do
-      s := !s +. (phase_row.(idx) *. y.(idx))
-    done;
-    dst.(nd) <- !s;
+    Dae.Semidisc.step_residual_into sys y dst;
     if Fault.armed () then begin
       Fault.maybe_stall ();
       if Fault.fire Fault.Nan_residual then dst.(0) <- Float.nan
     end
   in
-  let jacobian y =
-    let omega = unpack_scratch y in
-    let states = scratch.sc_states in
-    let qs = Array.map dae.Dae.q states in
-    let cs = Array.map dae.Dae.dq states in
-    let dim = nd + 1 in
-    let jac = Mat.zeros dim dim in
-    for j = 0 to n1 - 1 do
-      let gj = dae.Dae.df ~t:t2_new states.(j) in
-      let dj = d.(j) in
-      for k = 0 to n1 - 1 do
-        let djk = dj.(k) in
-        let fast = h2 *. theta *. omega *. djk in
-        for i = 0 to n - 1 do
-          let row = (j * n) + i in
-          for l = 0 to n - 1 do
-            let v = ref (fast *. cs.(k).(i).(l)) in
-            if j = k then v := !v +. cs.(j).(i).(l) +. (h2 *. theta *. gj.(i).(l));
-            if !v <> 0. then jac.(row).((k * n) + l) <- jac.(row).((k * n) + l) +. !v
-          done
-        done
-      done;
-      (* d/d omega: h2 theta (D Q)_j *)
-      for i = 0 to n - 1 do
-        let s = ref 0. in
-        for k = 0 to n1 - 1 do
-          s := !s +. (dj.(k) *. qs.(k).(i))
-        done;
-        jac.((j * n) + i).(nd) <- h2 *. theta *. !s
-      done
-    done;
-    for idx = 0 to nd - 1 do
-      jac.(nd).(idx) <- phase_row.(idx)
-    done;
-    jac
-  in
+  let jacobian y = Dae.Semidisc.dense (Dae.Semidisc.step_linearize sys y) in
   let tol = options.newton.Nonlin.Newton.residual_tol in
   let max_iterations = Int.max 40 options.newton.Nonlin.Newton.max_iterations in
   let iters = ref 0 in
@@ -270,27 +174,9 @@ let step dae ~options ~cache ~scratch ~d ~phase_row ~t2_new ~h2 ~states0 ~g0 ~om
      cached operator stays valid while [scratch] mutates.  Returns
      [None] if the preconditioner degenerates. *)
   let refresh_krylov y =
-    let omega = unpack_scratch y in
-    let states = scratch.sc_states in
-    let cs = Array.map dae.Dae.dq states in
-    let qs = Array.map dae.Dae.q states in
-    let b_blocks =
-      Array.init n1 (fun j ->
-          let gj = dae.Dae.df ~t:t2_new states.(j) in
-          Mat.init n n (fun i l -> cs.(j).(i).(l) +. (h2 *. theta *. gj.(i).(l))))
-    in
-    let op = Structured.make_op ~alpha:(h2 *. theta *. omega) ~d ~c_blocks:cs ~b_blocks in
-    let border_col = Array.make nd 0. in
-    for j = 0 to n1 - 1 do
-      let dj = d.(j) in
-      for i = 0 to n - 1 do
-        let s = ref 0. in
-        for k = 0 to n1 - 1 do
-          s := !s +. (dj.(k) *. qs.(k).(i))
-        done;
-        border_col.((j * n) + i) <- h2 *. theta *. !s
-      done
-    done;
+    let lin = Dae.Semidisc.step_linearize sys y in
+    let op = lin.Dae.Semidisc.op in
+    let { Dae.Semidisc.col = border_col; row = phase_row } = Option.get lin.Dae.Semidisc.border in
     match
       let pc =
         match options.precond_cache with
@@ -303,7 +189,7 @@ let step dae ~options ~cache ~scratch ~d ~phase_row ~t2_new ~h2 ~states0 ~g0 ~om
              preconditioner — GMRES still solves the fresh operator *)
           let key =
             Printf.sprintf "%s|n1=%d|w=%d|a=%d" prefix n1
-              (Structured.log_bucket omega)
+              (Structured.log_bucket y.(nd))
               (Structured.log_bucket (h2 *. theta))
           in
           Structured.make_precond_cached ~dft:Fourier.Fft.structured_dft ~key op
@@ -315,7 +201,7 @@ let step dae ~options ~cache ~scratch ~d ~phase_row ~t2_new ~h2 ~states0 ~g0 ~om
         Structured.make_bordered ~gmin:1e-9 pc ~border_col ~border_row:phase_row
     with
     | exception (Cx.Clu.Singular _ | Structured.Bordered_singular _ | Failure _) -> None
-    | bordered -> Some { kop = op; kborder_col = border_col; kbordered = bordered }
+    | bordered -> Some { klin = lin; kbordered = bordered }
   in
   (* GMRES solve against a (possibly stale) cached operator.  The inner
      tolerance is the inexact-Newton forcing term: the chord iteration
@@ -324,8 +210,7 @@ let step dae ~options ~cache ~scratch ~d ~phase_row ~t2_new ~h2 ~states0 ~g0 ~om
   let krylov_solve kc r =
     let buf = Array.make (nd + 1) 0. in
     let matvec v =
-      Structured.apply_bordered_into kc.kop ~border_col:kc.kborder_col ~border_row:phase_row v
-        buf;
+      Dae.Semidisc.apply_into kc.klin v buf;
       Array.copy buf
     in
     let res =
@@ -337,10 +222,7 @@ let step dae ~options ~cache ~scratch ~d ~phase_row ~t2_new ~h2 ~states0 ~g0 ~om
   in
   let y = ref scratch.sc_y and trial = ref scratch.sc_trial in
   let r = ref scratch.sc_r and rt = ref scratch.sc_rt in
-  for j = 0 to n1 - 1 do
-    Array.blit states0.(j) 0 !y (j * n) n
-  done;
-  !y.(nd) <- omega0;
+  Array.blit (pack states0 omega0) 0 !y 0 (nd + 1);
   residual_into !y !r;
   let rnorm = ref (Vec.norm_inf !r) in
   history := [ !rnorm ];
@@ -449,7 +331,7 @@ let step dae ~options ~cache ~scratch ~d ~phase_row ~t2_new ~h2 ~states0 ~g0 ~om
        in
        Obs.Health.note_newton ~t:t2_new ~iterations:!iters ~rate ()
      | [] -> ());
-  let states, omega = unpack ~n1 ~n !y in
+  let states, omega = unpack sd !y in
   (states, omega, !iters)
   in
   if not options.rescue then run_chord ()
@@ -464,22 +346,17 @@ let step dae ~options ~cache ~scratch ~d ~phase_row ~t2_new ~h2 ~states0 ~g0 ~om
         residual_into yv dst;
         dst
       in
-      let y0 = Array.make (nd + 1) 0. in
-      for j = 0 to n1 - 1 do
-        Array.blit states0.(j) 0 y0 (j * n) n
-      done;
-      y0.(nd) <- omega0;
       let outcome =
         Nonlin.Polyalg.solve
           ~options:{ options.newton with Nonlin.Newton.residual_tol = tol }
           ~label:"envelope.rescue"
           ~cascade:[ Nonlin.Polyalg.Trust_region; Nonlin.Polyalg.Pseudo_transient ]
-          ~jacobian ~residual y0
+          ~jacobian ~residual (pack states0 omega0)
       in
       let report = outcome.Nonlin.Polyalg.report in
       if report.Nonlin.Newton.converged then begin
         Obs.Metrics.incr c_rescues;
-        let states, omega = unpack ~n1 ~n report.Nonlin.Newton.x in
+        let states, omega = unpack sd report.Nonlin.Newton.x in
         (states, omega, !iters + report.Nonlin.Newton.iterations)
       end
       else raise chord_failure
@@ -546,28 +423,27 @@ let simulate dae ~options ~t2_end ~h2 ~init =
   Obs.Scope.with_scope "envelope.outer" @@ fun () ->
   let init = align_init options init in
   let n1 = options.n1 and n = dae.Dae.dim in
-  let d = diff_matrix options in
-  let phase_row = Phase.row options.phase ~n1 ~n ~d in
+  let sd = semidisc dae options in
   let t2s = ref [ 0. ] in
   let omegas = ref [ init.Steady.Oscillator.omega ] in
   let slices = ref [ Array.map Array.copy init.Steady.Oscillator.grid ] in
   let iter_count = ref 0 in
   let t2 = ref 0. in
   let states = ref init.Steady.Oscillator.grid and omega = ref init.Steady.Oscillator.omega in
-  let g = ref (eval_g dae ~n1 ~d ~t2:0. !states !omega) in
+  let g = ref (eval_g sd ~t2:0. !states !omega) in
   let cache = new_cache () in
   let scratch = make_scratch ~n1 ~n in
   while !t2 < t2_end -. (1e-9 *. t2_end) do
     let h = Float.min h2 (t2_end -. !t2) in
     let t2_new = !t2 +. h in
     let states', omega', iters =
-      step dae ~options ~cache ~scratch ~d ~phase_row ~t2_new ~h2:h ~states0:!states ~g0:!g
+      step sd ~options ~cache ~scratch ~t2_new ~h2:h ~states0:!states ~g0:!g
         ~omega0:!omega
     in
     iter_count := !iter_count + iters;
     states := states';
     omega := omega';
-    g := eval_g dae ~n1 ~d ~t2:t2_new states' omega';
+    g := eval_g sd ~t2:t2_new states' omega';
     Obs.Metrics.incr c_env_steps;
     Obs.Health.note_decision ~t:!t2 ~outcome:`Accept ();
     note_spectral_health ~t:t2_new states';
@@ -636,8 +512,7 @@ let simulate_controlled dae ~options ~control ?h2_init ?checkpoint ?resume ?on_a
     else { control with Step_control.h_max = t2_end /. 2. }
   in
   let denom = Step_control.richardson_denom ~order in
-  let d = diff_matrix options in
-  let phase_row = Phase.row options.phase ~n1 ~n ~d in
+  let sd = semidisc dae options in
   let t2s = ref [] and omegas = ref [] and slices = ref [] in
   let t2 = ref 0. in
   let states = ref init.Steady.Oscillator.grid and omega = ref init.Steady.Oscillator.omega in
@@ -675,7 +550,7 @@ let simulate_controlled dae ~options ~control ?h2_init ?checkpoint ?resume ?on_a
      t2s := List.rev (Array.to_list (Checkpoint.vector ck "hist_t2"));
      omegas := List.rev (Array.to_list (Checkpoint.vector ck "hist_omega"));
      slices := List.rev_map (Array.map Array.copy) (Array.to_list (Checkpoint.tensor ck "hist_slices")));
-  let g = ref (eval_g dae ~n1 ~d ~t2:!t2 !states !omega) in
+  let g = ref (eval_g sd ~t2:!t2 !states !omega) in
   let cache = new_cache () in
   let scratch = make_scratch ~n1 ~n in
   let since_ckpt = ref 0 in
@@ -691,17 +566,17 @@ let simulate_controlled dae ~options ~control ?h2_init ?checkpoint ?resume ?on_a
     cache.lu <- None;
     let attempt () =
       let full, om_full, it1 =
-        step dae ~options:opts_now ~cache ~scratch ~d ~phase_row ~t2_new:(!t2 +. hstep)
+        step sd ~options:opts_now ~cache ~scratch ~t2_new:(!t2 +. hstep)
           ~h2:hstep ~states0:!states ~g0:!g ~omega0:!omega
       in
       let mid, om_mid, it2 =
-        step dae ~options:opts_now ~cache ~scratch ~d ~phase_row
+        step sd ~options:opts_now ~cache ~scratch
           ~t2_new:(!t2 +. (hstep /. 2.)) ~h2:(hstep /. 2.) ~states0:!states ~g0:!g
           ~omega0:!omega
       in
-      let g_mid = eval_g dae ~n1 ~d ~t2:(!t2 +. (hstep /. 2.)) mid om_mid in
+      let g_mid = eval_g sd ~t2:(!t2 +. (hstep /. 2.)) mid om_mid in
       let fine, om_fine, it3 =
-        step dae ~options:opts_now ~cache ~scratch ~d ~phase_row ~t2_new:(!t2 +. hstep)
+        step sd ~options:opts_now ~cache ~scratch ~t2_new:(!t2 +. hstep)
           ~h2:(hstep /. 2.) ~states0:mid ~g0:g_mid ~omega0:om_mid
       in
       iter_count := !iter_count + it1 + it2 + it3;
@@ -749,7 +624,7 @@ let simulate_controlled dae ~options ~control ?h2_init ?checkpoint ?resume ?on_a
          t2 := !t2 +. hstep;
          states := fine;
          omega := om_fine;
-         g := eval_g dae ~n1 ~d ~t2:!t2 fine om_fine;
+         g := eval_g sd ~t2:!t2 fine om_fine;
          Obs.Metrics.incr c_env_steps;
          note_spectral_health ~t:!t2 fine;
          if Obs.Events.active () then
@@ -793,13 +668,6 @@ let simulate_controlled dae ~options ~control ?h2_init ?checkpoint ?resume ?on_a
     newton_iterations = !iter_count;
     options;
   }
-
-let simulate_adaptive dae ?(h2_min = 1e-9) ?h2_max ~options ~t2_end ~h2_init ~tol ~init () =
-  let h_max = match h2_max with Some h -> h | None -> t2_end /. 5. in
-  let control =
-    Step_control.default_options ~rtol:tol ~atol:(tol /. 1000.) ~h_min:h2_min ~h_max ()
-  in
-  simulate_controlled dae ~options ~control ~h2_init ~t2_end ~init ()
 
 (* ---------- post-processing ---------- *)
 

@@ -54,6 +54,12 @@ val default_options :
   unit ->
   options
 
+(** [semidisc dae options] is the [t1] discretization [options]
+    selects: its [n1]-point grid and differentiation scheme, with
+    [omega] unknown and closed by [options.phase].  {!Quasiperiodic}
+    builds its periodic system on it. *)
+val semidisc : Dae.t -> options -> Dae.Semidisc.t
+
 type step_failure = {
   t2 : float;  (** slow time of the failed step *)
   h2 : float;  (** attempted slow step size *)
@@ -66,7 +72,7 @@ type step_failure = {
 }
 
 (** Raised by {!simulate} when a step's Newton iteration fails;
-    {!simulate_adaptive} catches it internally and retries with a
+    {!simulate_controlled} catches it internally and retries with a
     smaller step.  Mirrors [Transient.Step_failure]. *)
 exception Step_failure of step_failure
 
@@ -132,24 +138,6 @@ val simulate_controlled :
   ?on_accept:(t2:float -> omega:float -> unit) ->
   ?preempt:(t2:float -> bool) ->
   t2_end:float ->
-  init:Steady.Oscillator.orbit ->
-  unit ->
-  result
-
-(** [simulate_adaptive dae ~options ~t2_end ~h2_init ?h2_min ?h2_max ~tol ~init]
-    adapts the slow step by step-halving comparison of the state
-    slices.  Thin wrapper over {!simulate_controlled} with
-    [rtol = tol], [atol = tol / 1000], so legacy callers keep their
-    signature.  Raises [Step_control.Underflow] if the step collapses
-    below [h2_min]. *)
-val simulate_adaptive :
-  Dae.t ->
-  ?h2_min:float ->
-  ?h2_max:float ->
-  options:options ->
-  t2_end:float ->
-  h2_init:float ->
-  tol:float ->
   init:Steady.Oscillator.orbit ->
   unit ->
   result

@@ -5,102 +5,24 @@ type solution = { p2 : float; t2 : Vec.t; omega : Vec.t; slices : Vec.t array ar
 
 type linear_solver = [ `Dense | `Gmres | `Krylov ]
 
-(* Unknown layout: for slice m in 0..n2-1, block of size (n1 * n + 1):
+exception Solve_failure of Nonlin.Newton.report
+
+let () =
+  Printexc.register_printer (function
+    | Solve_failure report ->
+      Some
+        (Printf.sprintf
+           "Wampde.Quasiperiodic.Solve_failure: Newton did not converge (residual %.3e after %d \
+            iterations)"
+           report.Nonlin.Newton.residual_norm report.Nonlin.Newton.iterations)
+    | _ -> None)
+
+(* The periodic-in-t2 system on the envelope's t1 discretization.
+   Unknown layout: for slice m in 0..n2-1, block of size (n1 * n + 1):
    y.((m * bs) + (j * n) + i) = component i at (t1_j, t2_m);
    y.((m * bs) + n1 * n) = omega at t2_m. *)
-
-let diff1 (options : Envelope.options) =
-  match options.Envelope.differentiation with
-  | `Spectral -> Fourier.Series.diff_matrix options.Envelope.n1
-  | `Fd4 -> Fourier.Series.diff_matrix_fd ~order:4 options.Envelope.n1
-
-let residual_fn dae ~(options : Envelope.options) ~p2 ~n2 ~d1 ~d2 ~phase_row y =
-  let n = dae.Dae.dim in
-  let n1 = options.Envelope.n1 in
-  let bs = (n1 * n) + 1 in
-  let state m j = Array.sub y ((m * bs) + (j * n)) n in
-  let omega m = y.((m * bs) + (n1 * n)) in
-  (* precompute q at every grid point *)
-  let qs = Array.init n2 (fun m -> Array.init n1 (fun j -> dae.Dae.q (state m j))) in
-  let res = Array.make (n2 * bs) 0. in
-  for m = 0 to n2 - 1 do
-    let t2m = p2 *. float_of_int m /. float_of_int n2 in
-    let om = omega m in
-    for j = 0 to n1 - 1 do
-      let fj = dae.Dae.f ~t:t2m (state m j) in
-      for i = 0 to n - 1 do
-        let fast = ref 0. in
-        for k = 0 to n1 - 1 do
-          fast := !fast +. (d1.(j).(k) *. qs.(m).(k).(i))
-        done;
-        let slow = ref 0. in
-        for p = 0 to n2 - 1 do
-          slow := !slow +. (d2.(m).(p) *. qs.(p).(j).(i))
-        done;
-        res.((m * bs) + (j * n) + i) <- (om *. !fast) +. (!slow /. p2) +. fj.(i)
-      done
-    done;
-    (* phase row for slice m *)
-    let s = ref 0. in
-    for idx = 0 to (n1 * n) - 1 do
-      s := !s +. (phase_row.(idx) *. y.((m * bs) + idx))
-    done;
-    res.((m * bs) + (n1 * n)) <- !s
-  done;
-  res
-
-(* Dense Jacobian assembly. *)
-let jacobian_fn dae ~(options : Envelope.options) ~p2 ~n2 ~d1 ~d2 ~phase_row y =
-  let n = dae.Dae.dim in
-  let n1 = options.Envelope.n1 in
-  let bs = (n1 * n) + 1 in
-  let dim = n2 * bs in
-  let state m j = Array.sub y ((m * bs) + (j * n)) n in
-  let omega m = y.((m * bs) + (n1 * n)) in
-  let qs = Array.init n2 (fun m -> Array.init n1 (fun j -> dae.Dae.q (state m j))) in
-  let cs = Array.init n2 (fun m -> Array.init n1 (fun j -> dae.Dae.dq (state m j))) in
-  let jac = Mat.zeros dim dim in
-  for m = 0 to n2 - 1 do
-    let t2m = p2 *. float_of_int m /. float_of_int n2 in
-    let om = omega m in
-    for j = 0 to n1 - 1 do
-      let gj = dae.Dae.df ~t:t2m (state m j) in
-      for i = 0 to n - 1 do
-        let row = (m * bs) + (j * n) + i in
-        (* fast-derivative and local f terms: within slice m *)
-        for k = 0 to n1 - 1 do
-          let djk = d1.(j).(k) in
-          for l = 0 to n - 1 do
-            let v = ref (om *. djk *. cs.(m).(k).(i).(l)) in
-            if k = j then v := !v +. gj.(i).(l);
-            if !v <> 0. then
-              jac.(row).((m * bs) + (k * n) + l) <- jac.(row).((m * bs) + (k * n) + l) +. !v
-          done
-        done;
-        (* slow-derivative coupling: same grid point j across slices *)
-        for p = 0 to n2 - 1 do
-          let dmp = d2.(m).(p) /. p2 in
-          if dmp <> 0. then
-            for l = 0 to n - 1 do
-              let v = dmp *. cs.(p).(j).(i).(l) in
-              if v <> 0. then
-                jac.(row).((p * bs) + (j * n) + l) <- jac.(row).((p * bs) + (j * n) + l) +. v
-            done
-        done;
-        (* d / d omega_m *)
-        let s = ref 0. in
-        for k = 0 to n1 - 1 do
-          s := !s +. (d1.(j).(k) *. qs.(m).(k).(i))
-        done;
-        jac.(row).((m * bs) + (n1 * n)) <- !s
-      done
-    done;
-    let prow = (m * bs) + (n1 * n) in
-    for idx = 0 to (n1 * n) - 1 do
-      jac.(prow).((m * bs) + idx) <- phase_row.(idx)
-    done
-  done;
-  jac
+let system dae ~options ~p2 ~n2 =
+  Dae.Semidisc.periodic (Envelope.semidisc dae options) ~p2 ~d2:(Fourier.Series.diff_matrix n2)
 
 let pack sol =
   let n2 = Array.length sol.slices in
@@ -111,11 +33,13 @@ let pack sol =
       let m = idx / bs and r = idx mod bs in
       if r = n1 * n then sol.omega.(m) else sol.slices.(m).(r / n).(r mod n))
 
+let slice_times ~p2 ~n2 = Vec.init n2 (fun m -> p2 *. float_of_int m /. float_of_int n2)
+
 let unpack ~p2 ~n1 ~n ~n2 y =
   let bs = (n1 * n) + 1 in
   {
     p2;
-    t2 = Vec.init n2 (fun m -> p2 *. float_of_int m /. float_of_int n2);
+    t2 = slice_times ~p2 ~n2;
     omega = Vec.init n2 (fun m -> y.((m * bs) + (n1 * n)));
     slices =
       Array.init n2 (fun m -> Array.init n1 (fun j -> Array.sub y ((m * bs) + (j * n)) n));
@@ -134,163 +58,80 @@ let solve dae ?(linear_solver = `Dense) ?(max_iterations = 25) ?(tol = 1e-8)
     "quasiperiodic.solve"
   @@ fun () ->
   Obs.Scope.with_scope "quasiperiodic" @@ fun () ->
-  let d1 = diff1 options in
-  let d2 = Fourier.Series.diff_matrix n2 in
-  let phase_row = Phase.row options.Envelope.phase ~n1 ~n ~d:d1 in
-  let residual y = residual_fn dae ~options ~p2 ~n2 ~d1 ~d2 ~phase_row y in
+  let sys = system dae ~options ~p2 ~n2 in
   let bs = (n1 * n) + 1 in
-  let y = ref (pack guess) in
-  let r = ref (residual !y) in
-  let rnorm = ref (Vec.norm_inf !r) in
-  let iters = ref 0 in
-  (* Fully matrix-free Newton direction: per-slice structured
-     operators (fast derivative + local df), explicit cross-slice slow
-     coupling through blockdiag(dq), per-slice omega columns and phase
-     rows.  Preconditioned by the per-slice bordered FFT-block inverse
-     (the slow d2/p2 coupling is weak against the omega-scaled fast
-     term and is left to GMRES).  Returns [None] when the
-     preconditioner degenerates or GMRES stalls. *)
+  let dense y = Dae.Semidisc.periodic_dense sys (Dae.Semidisc.periodic_linearize sys y) in
+  (* slice-diagonal preconditioners: [f m] acts on slice m alone *)
+  let per_slice f v = Array.concat (List.init n2 (fun m -> f m (Array.sub v (m * bs) bs))) in
+  (* Fully matrix-free Newton direction: the per-slice structured
+     operators and cross-slice slow coupling of [Dae.Semidisc],
+     preconditioned by the per-slice bordered FFT-block inverse (the
+     slow d2/p2 coupling is weak against the omega-scaled fast term and
+     is left to GMRES).  Returns [None] when the preconditioner
+     degenerates or GMRES stalls. *)
   let krylov_dir y r =
-    let state m j = Array.sub y ((m * bs) + (j * n)) n in
-    let nd = n1 * n in
-    let qs = Array.init n2 (fun m -> Array.init n1 (fun j -> dae.Dae.q (state m j))) in
-    let cs = Array.init n2 (fun m -> Array.init n1 (fun j -> dae.Dae.dq (state m j))) in
-    let gs =
-      Array.init n2 (fun m ->
-          let t2m = p2 *. float_of_int m /. float_of_int n2 in
-          Array.init n1 (fun j -> dae.Dae.df ~t:t2m (state m j)))
-    in
-    let dqcols =
-      Array.init n2 (fun m ->
-          Vec.init nd (fun idx ->
-              let j = idx / n and i = idx mod n in
-              let s = ref 0. in
-              for k = 0 to n1 - 1 do
-                s := !s +. (d1.(j).(k) *. qs.(m).(k).(i))
-              done;
-              !s))
-    in
-    let ops =
-      Array.init n2 (fun m ->
-          Structured.make_op
-            ~alpha:y.((m * bs) + nd)
-            ~d:d1 ~c_blocks:cs.(m) ~b_blocks:gs.(m))
-    in
+    let lins = Dae.Semidisc.periodic_linearize sys y in
     match
-      Array.init n2 (fun m ->
-          let pc = Structured.make_precond ~dft:Fourier.Fft.structured_dft ops.(m) in
-          try Structured.make_bordered pc ~border_col:dqcols.(m) ~border_row:phase_row
+      Array.map
+        (fun lin ->
+          let pc = Structured.make_precond ~dft:Fourier.Fft.structured_dft lin.Dae.Semidisc.op in
+          let { Dae.Semidisc.col = border_col; row = border_row } =
+            Option.get lin.Dae.Semidisc.border
+          in
+          try Structured.make_bordered pc ~border_col ~border_row
           with Structured.Bordered_singular _ ->
-            Structured.make_bordered ~gmin:1e-9 pc ~border_col:dqcols.(m) ~border_row:phase_row)
+            Structured.make_bordered ~gmin:1e-9 pc ~border_col ~border_row)
+        lins
     with
     | exception (Cx.Clu.Singular _ | Structured.Bordered_singular _ | Failure _) -> None
     | borders ->
-      let vseg = Array.make bs 0. and oseg = Array.make nd 0. in
-      let cu = Array.make (n2 * nd) 0. in
-      let matvec v =
-        let out = Array.make (n2 * bs) 0. in
-        for m = 0 to n2 - 1 do
-          Array.blit v (m * bs) vseg 0 nd;
-          Structured.block_mul_into cs.(m) ~src:vseg ~dst:oseg;
-          Array.blit oseg 0 cu (m * nd) nd
-        done;
-        for m = 0 to n2 - 1 do
-          Array.blit v (m * bs) vseg 0 nd;
-          Structured.apply_into ops.(m) vseg oseg;
-          Array.blit oseg 0 out (m * bs) nd;
-          for p = 0 to n2 - 1 do
-            let dmp = d2.(m).(p) /. p2 in
-            if dmp <> 0. then begin
-              let src = p * nd and dst = m * bs in
-              for idx = 0 to nd - 1 do
-                out.(dst + idx) <- out.(dst + idx) +. (dmp *. cu.(src + idx))
-              done
-            end
-          done;
-          let zeta = v.((m * bs) + nd) in
-          if zeta <> 0. then
-            for idx = 0 to nd - 1 do
-              out.((m * bs) + idx) <- out.((m * bs) + idx) +. (zeta *. dqcols.(m).(idx))
-            done;
-          let s = ref 0. in
-          for idx = 0 to nd - 1 do
-            s := !s +. (phase_row.(idx) *. v.((m * bs) + idx))
-          done;
-          out.((m * bs) + nd) <- !s
-        done;
-        out
-      in
-      let m_inv v =
-        let out = Array.make (n2 * bs) 0. in
-        for m = 0 to n2 - 1 do
-          Array.blit v (m * bs) vseg 0 bs;
-          let z = Structured.bordered_apply borders.(m) vseg in
-          Array.blit z 0 out (m * bs) bs
-        done;
-        out
-      in
+      let m_inv = per_slice (fun m -> Structured.bordered_apply borders.(m)) in
+      let matvec = Dae.Semidisc.periodic_apply sys lins in
       let result = Gmres.solve ~matvec ~m_inv ~restart:60 ~max_iter:300 ~tol:1e-10 r in
       if result.Gmres.converged then Some result.Gmres.x else None
   in
-  while !rnorm > tol && !iters < max_iterations do
-    let dense () =
-      let jac = jacobian_fn dae ~options ~p2 ~n2 ~d1 ~d2 ~phase_row !y in
-      Lu.solve (Lu.factor jac) !r
-    in
-    let dy =
-      match linear_solver with
-      | `Dense -> dense ()
-      | `Gmres ->
-        let jac = jacobian_fn dae ~options ~p2 ~n2 ~d1 ~d2 ~phase_row !y in
-        (* block-Jacobi preconditioner: LU of each slice-diagonal block *)
-        let blocks =
-          Array.init n2 (fun m ->
-              Lu.factor (Mat.init bs bs (fun a b -> jac.((m * bs) + a).((m * bs) + b))))
-        in
-        let m_inv v =
-          let out = Array.make (n2 * bs) 0. in
-          for m = 0 to n2 - 1 do
-            let seg = Array.sub v (m * bs) bs in
-            let sol = Lu.solve blocks.(m) seg in
-            Array.blit sol 0 out (m * bs) bs
-          done;
-          out
-        in
-        let result =
-          Gmres.solve ~matvec:(fun v -> Mat.matvec jac v) ~m_inv ~restart:60 ~tol:1e-10 !r
-        in
-        if not result.Gmres.converged then
-          failwith "Quasiperiodic.solve: GMRES failed to converge";
-        result.Gmres.x
-      | `Krylov -> (
-        match krylov_dir !y !r with
-        | Some dy -> dy
-        | None ->
-          Structured.fallback_to_dense ();
-          dense ())
-    in
-    (* damped update *)
-    let rec try_step lambda =
-      if lambda < 1e-3 then failwith "Quasiperiodic.solve: line search failed"
-      else begin
-        let trial = Array.mapi (fun i yi -> yi -. (lambda *. dy.(i))) !y in
-        let rt = residual trial in
-        let nt = Vec.norm_inf rt in
-        if Float.is_finite nt && (nt < !rnorm || nt <= tol) then (trial, rt, nt)
-        else try_step (lambda /. 2.)
-      end
-    in
-    let trial, rt, nt = try_step 1. in
-    y := trial;
-    r := rt;
-    rnorm := nt;
-    incr iters
-  done;
-  if !rnorm > tol then
-    failwith
-      (Printf.sprintf "Quasiperiodic.solve: no convergence (residual %.3e after %d iterations)"
-         !rnorm !iters);
-  let sol = unpack ~p2 ~n1 ~n ~n2 !y in
+  let linear_solve y r =
+    match linear_solver with
+    | `Dense -> Lu.solve (Lu.factor (dense y)) r
+    | `Gmres ->
+      let jac = dense y in
+      (* block-Jacobi preconditioner: LU of each slice-diagonal block *)
+      let blocks =
+        Array.init n2 (fun m ->
+            Lu.factor (Mat.init bs bs (fun a b -> jac.((m * bs) + a).((m * bs) + b))))
+      in
+      let result =
+        Gmres.solve
+          ~matvec:(fun v -> Mat.matvec jac v)
+          ~m_inv:(per_slice (fun m -> Lu.solve blocks.(m)))
+          ~restart:60 ~tol:1e-10 r
+      in
+      if not result.Gmres.converged then
+        raise (Nonlin.Newton.Linear_solve_failed "Quasiperiodic.solve: GMRES failed to converge");
+      result.Gmres.x
+    | `Krylov -> (
+      match krylov_dir y r with
+      | Some dy -> dy
+      | None ->
+        Structured.fallback_to_dense ();
+        Lu.solve (Lu.factor (dense y)) r)
+  in
+  let report =
+    Nonlin.Newton.solve_with
+      ~options:
+        {
+          Nonlin.Newton.default_options with
+          max_iterations;
+          residual_tol = tol;
+          min_damping = 1e-3;
+          step_tol = 0.;
+        }
+      ~label:"quasiperiodic" ~linear_solve
+      ~residual:(Dae.Semidisc.periodic_residual sys)
+      (pack guess)
+  in
+  if not report.Nonlin.Newton.converged then raise (Solve_failure report);
+  let sol = unpack ~p2 ~n1 ~n ~n2 report.Nonlin.Newton.x in
   (if Obs.enabled () then begin
      (* worst-case t1 resolution over the n2 slow slices *)
      let stol = (Obs.Health.thresholds ()).Obs.Health.spectral_tol in
@@ -307,50 +148,31 @@ let solve dae ?(linear_solver = `Dense) ?(max_iterations = 25) ?(tol = 1e-8)
   sol
 
 let guess_from_envelope (result : Envelope.result) ~p2 ~n2 ~t_from =
-  let n1 = Array.length result.Envelope.slices.(0) in
-  let n = Array.length result.Envelope.slices.(0).(0) in
-  let sample_at t =
-    (* locate nearest envelope step *)
-    let m = Array.length result.Envelope.t2 in
+  (* the accepted envelope step nearest to each slice time *)
+  let nearest t =
+    let t2 = result.Envelope.t2 in
     let best = ref 0 in
-    for i = 1 to m - 1 do
-      if
-        Float.abs (result.Envelope.t2.(i) -. t) < Float.abs (result.Envelope.t2.(!best) -. t)
-      then best := i
-    done;
+    Array.iteri (fun i ti -> if Float.abs (ti -. t) < Float.abs (t2.(!best) -. t) then best := i)
+      t2;
     !best
   in
-  let slices =
-    Array.init n2 (fun m ->
-        let t = t_from +. (p2 *. float_of_int m /. float_of_int n2) in
-        let idx = sample_at t in
-        Array.init n1 (fun j -> Array.copy result.Envelope.slices.(idx).(j)))
-  in
-  let omega =
-    Vec.init n2 (fun m ->
-        let t = t_from +. (p2 *. float_of_int m /. float_of_int n2) in
-        result.Envelope.omega.(sample_at t))
-  in
-  ignore n;
+  let idx = Array.map (fun t -> nearest (t_from +. t)) (slice_times ~p2 ~n2) in
   {
     p2;
-    t2 = Vec.init n2 (fun m -> p2 *. float_of_int m /. float_of_int n2);
-    omega;
-    slices;
+    t2 = slice_times ~p2 ~n2;
+    omega = Array.map (fun i -> result.Envelope.omega.(i)) idx;
+    slices = Array.map (fun i -> Array.map Array.copy result.Envelope.slices.(i)) idx;
   }
 
 let residual_norm dae ~(options : Envelope.options) sol =
   let n = dae.Dae.dim in
-  let n1 = options.Envelope.n1 in
   let n2 = Array.length sol.slices in
-  let d1 = diff1 options in
-  let d2 = Fourier.Series.diff_matrix n2 in
-  let phase_row = Phase.row options.Envelope.phase ~n1 ~n ~d:d1 in
-  let res = residual_fn dae ~options ~p2:sol.p2 ~n2 ~d1 ~d2 ~phase_row (pack sol) in
-  let bs = (n1 * n) + 1 in
+  let sys = system dae ~options ~p2:sol.p2 ~n2 in
+  let res = Dae.Semidisc.periodic_residual sys (pack sol) in
+  let bs = (options.Envelope.n1 * n) + 1 in
   let worst = ref 0. in
   Array.iteri
-    (fun idx v -> if idx mod bs <> n1 * n then worst := Float.max !worst (Float.abs v))
+    (fun idx v -> if idx mod bs <> bs - 1 then worst := Float.max !worst (Float.abs v))
     res;
   !worst
 

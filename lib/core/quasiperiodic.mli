@@ -9,9 +9,11 @@
     slice (eq. (20) holding at every [t2]), and Newton on the coupled
     system of [n2 (n1 n + 1)] unknowns.
 
-    The linear systems may be solved densely (LU) or matrix-free with
-    GMRES and a block-Jacobi (slice-diagonal) preconditioner — the
-    paper's pointer to iterative methods [Saa96] for large systems. *)
+    The system is the periodic-in-[t2] wrapper of {!Dae.Semidisc} on
+    the envelope's [t1] discretization.  The linear systems may be
+    solved densely (LU) or matrix-free with GMRES and a block-Jacobi
+    (slice-diagonal) preconditioner — the paper's pointer to iterative
+    methods [Saa96] for large systems. *)
 
 open Linalg
 
@@ -29,13 +31,21 @@ type solution = {
     preconditioning (falling back to dense on stall). *)
 type linear_solver = [ `Dense | `Gmres | `Krylov ]
 
+exception Solve_failure of Nonlin.Newton.report
+(** {!solve}'s Newton iteration failed; the report says why
+    ([Non_finite_residual], [Iteration_limit], [Line_search_failed], or
+    [Singular_jacobian] — also a [`Gmres] stall).  A printer is
+    registered. *)
+
 (** [solve dae ~options ~p2 ~n2 ~guess ()] solves the two-periodic
     WaMPDE.  [options] supplies [n1], the phase condition and the
     differentiation scheme (its [theta] is ignored — there is no
     time-stepping here).  [guess] provides initial slices and
     frequencies, most naturally a settled {!Envelope} run sampled over
-    one slow period (see {!guess_from_envelope}).  Raises [Failure] if
-    Newton does not converge. *)
+    one slow period (see {!guess_from_envelope}).  Newton is
+    {!Nonlin.Newton.solve_with} (damping floor [1e-3]); raises
+    {!Solve_failure} if it does not converge, including on a non-finite
+    residual. *)
 val solve :
   Dae.t ->
   ?linear_solver:linear_solver ->

@@ -1,0 +1,256 @@
+open Linalg
+
+type omega = Unknown of Vec.t | Fixed of float
+
+(* Per-slice scratch: the unpacked grid states, the charges q(X_j) and
+   their t1 derivative (D Q) at the last evaluated point. *)
+type buf = { states : Vec.t array; qs : Vec.t array; q_t1 : Vec.t }
+
+type t = {
+  dae : System.t;
+  n : int;
+  n1 : int;
+  nd : int;
+  d : Mat.t;
+  omega : omega;
+  forcing : (int -> t2:float -> Vec.t) option;
+  buf : buf;
+  g : Vec.t;  (* scratch: g at the last theta-step residual point *)
+}
+
+let new_buf ~n1 ~n =
+  {
+    states = Array.init n1 (fun _ -> Array.make n 0.);
+    qs = Array.make n1 [||];
+    q_t1 = Array.make (n1 * n) 0.;
+  }
+
+let make dae ~d ~omega ~forcing =
+  let n = dae.System.dim and n1 = Mat.rows d in
+  (match omega with
+   | Unknown row when Array.length row <> n1 * n ->
+     invalid_arg "Dae.Semidisc.make: phase row length differs from n1 * dim"
+   | _ -> ());
+  { dae; n; n1; nd = n1 * n; d; omega; forcing; buf = new_buf ~n1 ~n; g = Array.make (n1 * n) 0. }
+
+let size t = match t.omega with Unknown _ -> t.nd + 1 | Fixed _ -> t.nd
+let omega_at t y ~off = match t.omega with Unknown _ -> y.(off + t.nd) | Fixed w -> w
+let unpack t y ~off = Array.init t.n1 (fun j -> Array.sub y (off + (j * t.n)) t.n)
+
+let load t buf y ~off =
+  for j = 0 to t.n1 - 1 do
+    Array.blit y (off + (j * t.n)) buf.states.(j) 0 t.n
+  done
+
+(* buf.qs <- q(X_j); buf.q_t1 <- (D (x) I) Q *)
+let charges t buf =
+  for j = 0 to t.n1 - 1 do
+    buf.qs.(j) <- t.dae.System.q buf.states.(j)
+  done;
+  for j = 0 to t.n1 - 1 do
+    let dj = t.d.(j) in
+    for i = 0 to t.n - 1 do
+      let s = ref 0. in
+      for k = 0 to t.n1 - 1 do
+        s := !s +. (dj.(k) *. buf.qs.(k).(i))
+      done;
+      buf.q_t1.((j * t.n) + i) <- !s
+    done
+  done
+
+(* dst.(dst_off + j n + i) <- omega (D Q)_{j,i} + f(t2, X_j)_i [+ b_j,i]
+   for the slice at y.(off); leaves the slice's charges in [buf]. *)
+let g_at t buf ~t2 y ~off dst ~dst_off =
+  load t buf y ~off;
+  charges t buf;
+  let om = omega_at t y ~off in
+  for j = 0 to t.n1 - 1 do
+    let fj = t.dae.System.f ~t:t2 buf.states.(j) in
+    let base = j * t.n in
+    match t.forcing with
+    | None ->
+      for i = 0 to t.n - 1 do
+        dst.(dst_off + base + i) <- (om *. buf.q_t1.(base + i)) +. fj.(i)
+      done
+    | Some b ->
+      let bj = b j ~t2 in
+      for i = 0 to t.n - 1 do
+        dst.(dst_off + base + i) <- (om *. buf.q_t1.(base + i)) +. fj.(i) +. bj.(i)
+      done
+  done
+
+let phase_at t y ~off dst ~dst_off =
+  match t.omega with
+  | Fixed _ -> ()
+  | Unknown row ->
+    let s = ref 0. in
+    for idx = 0 to t.nd - 1 do
+      s := !s +. (row.(idx) *. y.(off + idx))
+    done;
+    dst.(dst_off + t.nd) <- !s
+
+let g t ~t2 y =
+  let dst = Array.make t.nd 0. in
+  g_at t t.buf ~t2 y ~off:0 dst ~dst_off:0;
+  dst
+
+(* ---------- linearization ---------- *)
+
+type border = { col : Vec.t; row : Vec.t }
+type lin = { op : Structured.op; c_blocks : Mat.t array; border : border option }
+
+(* [scale] d/d(X, omega) of g, plus blockdiag(C) when [with_c]:
+   op = scale omega (D (x) C) + blockdiag([C +] scale G), border column
+   scale (D Q). *)
+let linearize_at t buf ~t2 ~scale ~with_c y ~off =
+  load t buf y ~off;
+  let cs = Array.map t.dae.System.dq buf.states in
+  let border =
+    match t.omega with
+    | Fixed _ -> None
+    | Unknown row ->
+      charges t buf;
+      Some { col = Array.map (fun s -> scale *. s) buf.q_t1; row }
+  in
+  let b_blocks =
+    Array.init t.n1 (fun j ->
+        let gj = t.dae.System.df ~t:t2 buf.states.(j) in
+        if with_c then Mat.init t.n t.n (fun i l -> cs.(j).(i).(l) +. (scale *. gj.(i).(l)))
+        else gj)
+  in
+  let alpha = scale *. omega_at t y ~off in
+  { op = Structured.make_op ~alpha ~d:t.d ~c_blocks:cs ~b_blocks; c_blocks = cs; border }
+
+let linearize t ~t2 y = linearize_at t t.buf ~t2 ~scale:1. ~with_c:false y ~off:0
+
+let dense lin =
+  match lin.border with
+  | None -> Structured.to_dense lin.op
+  | Some b -> Structured.to_dense_bordered lin.op ~border_col:b.col ~border_row:b.row
+
+let apply_into lin v out =
+  match lin.border with
+  | None -> Structured.apply_into lin.op v out
+  | Some b -> Structured.apply_bordered_into lin.op ~border_col:b.col ~border_row:b.row v out
+
+(* ---------- theta step in t2 ---------- *)
+
+type step = { sys : t; t2 : float; h : float; theta : float; q0 : Vec.t array; g0 : Vec.t }
+
+let step t ~t2 ~h ~theta ~states0 ~g0 =
+  { sys = t; t2; h; theta; q0 = Array.map t.dae.System.q states0; g0 }
+
+let step_residual_into st y dst =
+  let t = st.sys in
+  g_at t t.buf ~t2:st.t2 y ~off:0 t.g ~dst_off:0;
+  let h = st.h and theta = st.theta in
+  for j = 0 to t.n1 - 1 do
+    let qj = t.buf.qs.(j) and q0j = st.q0.(j) in
+    for i = 0 to t.n - 1 do
+      let idx = (j * t.n) + i in
+      dst.(idx) <-
+        qj.(i) -. q0j.(i)
+        +. (h *. theta *. t.g.(idx))
+        +. (if theta < 1. then h *. (1. -. theta) *. st.g0.(idx) else 0.)
+    done
+  done;
+  phase_at t y ~off:0 dst ~dst_off:0
+
+let step_residual st y =
+  let dst = Array.make (size st.sys) 0. in
+  step_residual_into st y dst;
+  dst
+
+let step_linearize st y =
+  linearize_at st.sys st.sys.buf ~t2:st.t2 ~scale:(st.h *. st.theta) ~with_c:true y ~off:0
+
+(* ---------- periodic in t2 ---------- *)
+
+type periodic = { psys : t; p2 : float; n2 : int; d2 : Mat.t; bufs : buf array }
+
+let periodic t ~p2 ~d2 =
+  let n2 = Mat.rows d2 in
+  { psys = t; p2; n2; d2; bufs = Array.init n2 (fun _ -> new_buf ~n1:t.n1 ~n:t.n) }
+
+let slice_t2 p m = p.p2 *. float_of_int m /. float_of_int p.n2
+
+let periodic_residual p y =
+  let t = p.psys in
+  let bs = size t in
+  let res = Array.make (p.n2 * bs) 0. in
+  for m = 0 to p.n2 - 1 do
+    g_at t p.bufs.(m) ~t2:(slice_t2 p m) y ~off:(m * bs) res ~dst_off:(m * bs);
+    phase_at t y ~off:(m * bs) res ~dst_off:(m * bs)
+  done;
+  (* slow derivative: (1/p2) sum_q d2_mq q(X^q_j), grid point j across slices *)
+  for m = 0 to p.n2 - 1 do
+    let d2m = p.d2.(m) in
+    for j = 0 to t.n1 - 1 do
+      for i = 0 to t.n - 1 do
+        let s = ref 0. in
+        for q = 0 to p.n2 - 1 do
+          s := !s +. (d2m.(q) *. p.bufs.(q).qs.(j).(i))
+        done;
+        let idx = (m * bs) + (j * t.n) + i in
+        res.(idx) <- res.(idx) +. (!s /. p.p2)
+      done
+    done
+  done;
+  res
+
+let periodic_linearize p y =
+  let t = p.psys in
+  Array.init p.n2 (fun m ->
+      linearize_at t p.bufs.(m) ~t2:(slice_t2 p m) ~scale:1. ~with_c:false y ~off:(m * size t))
+
+let periodic_dense p lins =
+  let t = p.psys in
+  let bs = size t and n = t.n in
+  let jac = Mat.zeros (p.n2 * bs) (p.n2 * bs) in
+  Array.iteri
+    (fun m lin ->
+      let blk = dense lin in
+      for r = 0 to bs - 1 do
+        Array.blit blk.(r) 0 jac.((m * bs) + r) (m * bs) bs
+      done)
+    lins;
+  for m = 0 to p.n2 - 1 do
+    for q = 0 to p.n2 - 1 do
+      let dmq = p.d2.(m).(q) /. p.p2 in
+      if dmq <> 0. then
+        for j = 0 to t.n1 - 1 do
+          let cj = lins.(q).c_blocks.(j) in
+          for i = 0 to n - 1 do
+            let row = jac.((m * bs) + (j * n) + i) in
+            for l = 0 to n - 1 do
+              let col = (q * bs) + (j * n) + l in
+              row.(col) <- row.(col) +. (dmq *. cj.(i).(l))
+            done
+          done
+        done
+    done
+  done;
+  jac
+
+let periodic_apply p lins v =
+  let bs = size p.psys and nd = p.psys.nd in
+  let slice m = Array.sub v (m * bs) bs in
+  let cu =
+    Array.init p.n2 (fun q ->
+        let c = Array.make nd 0. in
+        Structured.block_mul_into lins.(q).c_blocks ~src:(slice q) ~dst:c;
+        c)
+  in
+  let out = Array.make (p.n2 * bs) 0. and oseg = Array.make bs 0. in
+  for m = 0 to p.n2 - 1 do
+    apply_into lins.(m) (slice m) oseg;
+    Array.blit oseg 0 out (m * bs) bs;
+    for q = 0 to p.n2 - 1 do
+      let dmq = p.d2.(m).(q) /. p.p2 in
+      if dmq <> 0. then
+        for idx = 0 to nd - 1 do
+          out.((m * bs) + idx) <- out.((m * bs) + idx) +. (dmq *. cu.(q).(idx))
+        done
+    done
+  done;
+  out

@@ -1,0 +1,101 @@
+(** The [t1] semi-discretization of the WaMPDE (paper eq. (16)), shared
+    by the envelope, quasiperiodic and MPDE solvers.
+
+    Collocation on an odd uniform [t1] grid of period 1 turns eq. (16)
+    into [dQ/dt2 + g(X, omega, t2) = 0] with
+
+    [g_j = omega (D Q)_j + f(t2, X_j) [+ b_j]],  [Q_j = q(X_j)]
+
+    for the differentiation matrix [D].  [omega] is either an unknown
+    closed by a phase condition (eq. (20)) or fixed: the plain MPDE is
+    [omega = 1 / p1].  Two [t2] treatments are built on [g]: a theta
+    step (envelope) and periodic collocation (quasiperiodic).
+
+    Unknown layout of a slice: [y.(j * n + i)] is component [i] at grid
+    point [j], then [omega] in [y.(n1 * n)] when it is unknown; a
+    periodic system stacks [n2] slices.  Values hold mutable scratch:
+    use each from one domain at a time. *)
+
+open Linalg
+
+type omega =
+  | Unknown of Vec.t  (** trailing unknown, closed by this length-[n1 n] phase row *)
+  | Fixed of float
+
+type t
+
+(** [make dae ~d ~omega ~forcing]: [forcing j ~t2] is the extra term
+    [b_j].  Raises [Invalid_argument] on a phase row of the wrong
+    length. *)
+val make :
+  System.t -> d:Mat.t -> omega:omega -> forcing:(int -> t2:float -> Vec.t) option -> t
+
+(** Unknowns per slice: [n1 n], plus one when [omega] is unknown. *)
+val size : t -> int
+
+(** [unpack t y ~off] copies the grid states of the slice at [y.(off)]. *)
+val unpack : t -> Vec.t -> off:int -> Vec.t array
+
+(** [g t ~t2 y] (fresh, length [n1 n]); [q] is evaluated once per grid
+    point. *)
+val g : t -> t2:float -> Vec.t -> Vec.t
+
+(** {1 Linearization} *)
+
+type border = { col : Vec.t  (** [d/d omega] *); row : Vec.t  (** phase row *) }
+
+(** The slice Jacobian [[J col] [row 0]], [J = alpha (D (x) C) +
+    blockdiag(B)] as one {!Structured.op}. *)
+type lin = {
+  op : Structured.op;
+  c_blocks : Mat.t array;  (** [C_j = dq(X_j)] *)
+  border : border option;  (** [None] when [omega] is fixed *)
+}
+
+(** Jacobian of {!g}: [alpha = omega], [B_j = df(X_j)], [col = D Q]. *)
+val linearize : t -> t2:float -> Vec.t -> lin
+
+(** [dense lin] assembles [lin]: the dense path factors the operator
+    the Krylov path applies. *)
+val dense : lin -> Mat.t
+
+(** [apply_into lin v out] writes [lin v] into [out] (no aliasing). *)
+val apply_into : lin -> Vec.t -> Vec.t -> unit
+
+(** {1 Theta step in t2} *)
+
+(** The system [q(X) - q0 + h theta g(y) + h (1 - theta) g0] plus the
+    phase row, for the step to [t2] from [states0] with [g0 = g] there. *)
+type step
+
+val step :
+  t -> t2:float -> h:float -> theta:float -> states0:Vec.t array -> g0:Vec.t -> step
+
+(** Writes the step residual into its last argument (length {!size}). *)
+val step_residual_into : step -> Vec.t -> Vec.t -> unit
+
+val step_residual : step -> Vec.t -> Vec.t
+
+(** [alpha = h theta omega], [B_j = C_j + h theta df(X_j)],
+    [col = h theta D Q]. *)
+val step_linearize : step -> Vec.t -> lin
+
+(** {1 Periodic in t2} *)
+
+(** [n2] slices at [t2_m = m p2 / n2], residual [g + (D2 Q) / p2]. *)
+type periodic
+
+(** [periodic t ~p2 ~d2]: [d2] differentiates over period 1. *)
+val periodic : t -> p2:float -> d2:Mat.t -> periodic
+
+(** Fresh; [q] is evaluated once per grid point. *)
+val periodic_residual : periodic -> Vec.t -> Vec.t
+
+(** Per-slice {!linearize}; the slices couple through
+    [(1/p2) d2_mq blockdiag(C^q)]. *)
+val periodic_linearize : periodic -> Vec.t -> lin array
+
+val periodic_dense : periodic -> lin array -> Mat.t
+
+(** Matrix-free product with the periodic Jacobian (fresh). *)
+val periodic_apply : periodic -> lin array -> Vec.t -> Vec.t

@@ -106,11 +106,9 @@ let apply_bordered op ~border_col ~border_row v =
   apply_bordered_into op ~border_col ~border_row v out;
   out
 
-(* Dense assembly of the block part, for tests and small fallbacks. *)
-let to_dense op =
+(* Dense assembly of the block part into the top-left corner of [jac]. *)
+let dense_into op jac =
   let n = op.n and n1 = op.n1 in
-  let dim = n1 * n in
-  let jac = Mat.zeros dim dim in
   for j = 0 to n1 - 1 do
     for k = 0 to n1 - 1 do
       let scale = op.alpha *. op.d.(j).(k) in
@@ -127,6 +125,20 @@ let to_dense op =
         jac.((j * n) + i).((j * n) + l) <- jac.((j * n) + i).((j * n) + l) +. bj.(i).(l)
       done
     done
+  done
+
+let to_dense op =
+  let jac = Mat.zeros (dim op) (dim op) in
+  dense_into op jac;
+  jac
+
+let to_dense_bordered op ~border_col ~border_row =
+  let nd = dim op in
+  let jac = Mat.zeros (nd + 1) (nd + 1) in
+  dense_into op jac;
+  for i = 0 to nd - 1 do
+    jac.(i).(nd) <- border_col.(i);
+    jac.(nd).(i) <- border_row.(i)
   done;
   jac
 

@@ -20,62 +20,26 @@ let c_steps = Obs.Metrics.counter "mpde.steps"
 let newton_options =
   { Nonlin.Newton.default_options with max_iterations = 50; residual_tol = 1e-9 }
 
-let unpack ~n1 ~n y = Array.init n1 (fun j -> Array.sub y (j * n) n)
-let pack grid =
-  let n1 = Array.length grid and n = Array.length grid.(0) in
-  Vec.init (n1 * n) (fun idx -> grid.(idx / n).(idx mod n))
+(* The MPDE is the WaMPDE with omega fixed at 1/p1 and the fast forcing
+   b_fast(t1_j, t2) added at each grid point. *)
+let semidisc sys ~n1 =
+  Dae.Semidisc.make sys.dae ~d:(Fourier.Series.diff_matrix n1)
+    ~omega:(Dae.Semidisc.Fixed (1. /. sys.p1))
+    ~forcing:
+      (Some (fun j ~t2 -> sys.b_fast ~t1:(sys.p1 *. float_of_int j /. float_of_int n1) ~t2))
 
-(* g_{j,i} = (1/p1) (D Q)_{j,i} + f(t2, X_j)_i + b_fast(t1_j, t2)_i *)
-let eval_g sys ~n1 ~d ~t2 states =
-  let dae = sys.dae in
-  let n = dae.Dae.dim in
-  let qs = Array.map dae.Dae.q states in
-  let g = Array.make (n1 * n) 0. in
-  for j = 0 to n1 - 1 do
-    let t1j = sys.p1 *. float_of_int j /. float_of_int n1 in
-    let fj = dae.Dae.f ~t:t2 states.(j) in
-    let bj = sys.b_fast ~t1:t1j ~t2 in
-    let dj = d.(j) in
-    for i = 0 to n - 1 do
-      let s = ref 0. in
-      for k = 0 to n1 - 1 do
-        s := !s +. (dj.(k) *. qs.(k).(i))
-      done;
-      g.((j * n) + i) <- (!s /. sys.p1) +. fj.(i) +. bj.(i)
-    done
-  done;
-  g
-
-let g_jacobian sys ~n1 ~d ~t2 states =
-  let dae = sys.dae in
-  let n = dae.Dae.dim in
-  let cs = Array.map dae.Dae.dq states in
-  let jac = Mat.zeros (n1 * n) (n1 * n) in
-  for j = 0 to n1 - 1 do
-    let gj = dae.Dae.df ~t:t2 states.(j) in
-    for k = 0 to n1 - 1 do
-      let djk = d.(j).(k) /. sys.p1 in
-      if djk <> 0. || j = k then
-        for i = 0 to n - 1 do
-          for l = 0 to n - 1 do
-            let v = (djk *. cs.(k).(i).(l)) +. (if j = k then gj.(i).(l) else 0.) in
-            if v <> 0. then
-              jac.((j * n) + i).((k * n) + l) <- jac.((j * n) + i).((k * n) + l) +. v
-          done
-        done
-    done
-  done;
-  jac
+let pack grid = Array.concat (Array.to_list grid)
 
 (* Matrix-free Newton direction through the structured collocation
-   operator; falls back to the dense Jacobian when GMRES stalls or the
+   operator; falls back to its dense assembly when GMRES stalls or the
    preconditioner degenerates. *)
-let structured_linear_solve ~build_op ~dense_jacobian x r =
+let structured_linear_solve ~linearize x r =
+  let lin = linearize x in
   let fallback () =
     Structured.fallback_to_dense ();
-    Lu.solve (Lu.factor (dense_jacobian x)) r
+    Lu.solve (Lu.factor (Dae.Semidisc.dense lin)) r
   in
-  match Structured.solve_op ~dft:Fourier.Fft.structured_dft (build_op x) r with
+  match Structured.solve_op ~dft:Fourier.Fft.structured_dft lin.Dae.Semidisc.op r with
   | res when res.Gmres.converged -> res.Gmres.x
   | _ -> fallback ()
   | exception (Cx.Clu.Singular _ | Failure _) -> fallback ()
@@ -87,31 +51,23 @@ let periodic_initial ?(solver = Structured.auto) sys ~n1 ~guess =
     "mpde.periodic_initial"
   @@ fun () ->
   Obs.Scope.with_scope "mpde" @@ fun () ->
-  let n = sys.dae.Dae.dim in
-  let d = Fourier.Series.diff_matrix n1 in
-  let residual y = eval_g sys ~n1 ~d ~t2:0. (unpack ~n1 ~n y) in
-  let jacobian y = g_jacobian sys ~n1 ~d ~t2:0. (unpack ~n1 ~n y) in
+  let sd = semidisc sys ~n1 in
+  let residual y = Dae.Semidisc.g sd ~t2:0. y in
+  let linearize y = Dae.Semidisc.linearize sd ~t2:0. y in
+  let jacobian y = Dae.Semidisc.dense (linearize y) in
+  let linear_solve =
+    if Structured.use_krylov solver ~dim:(Dae.Semidisc.size sd) then
+      Some (structured_linear_solve ~linearize)
+    else None
+  in
   let outcome =
-    if Structured.use_krylov solver ~dim:(n1 * n) then begin
-      (* J = (1/p1) (D (x) dq) + blockdiag(df) *)
-      let build_op y =
-        let st = unpack ~n1 ~n y in
-        Structured.make_op ~alpha:(1. /. sys.p1) ~d
-          ~c_blocks:(Array.map sys.dae.Dae.dq st)
-          ~b_blocks:(Array.map (fun x -> sys.dae.Dae.df ~t:0. x) st)
-      in
-      Nonlin.Polyalg.solve ~options:newton_options ~label:"mpde.initial"
-        ~linear_solve:(structured_linear_solve ~build_op ~dense_jacobian:jacobian)
-        ~jacobian ~residual (pack guess)
-    end
-    else
-      Nonlin.Polyalg.solve ~options:newton_options ~label:"mpde.initial" ~jacobian ~residual
-        (pack guess)
+    Nonlin.Polyalg.solve ~options:newton_options ~label:"mpde.initial" ?linear_solve ~jacobian
+      ~residual (pack guess)
   in
   let report = outcome.Nonlin.Polyalg.report in
   if not report.Nonlin.Newton.converged then
     raise (Solve_failure { stage = "Mpde.periodic_initial"; report });
-  unpack ~n1 ~n report.Nonlin.Newton.x
+  Dae.Semidisc.unpack sd report.Nonlin.Newton.x ~off:0
 
 let simulate ?(solver = Structured.auto) sys ~n1 ~t2_end ~h2 ~init =
   if n1 mod 2 = 0 then invalid_arg "Mpde.simulate: n1 must be odd";
@@ -125,14 +81,12 @@ let simulate ?(solver = Structured.auto) sys ~n1 ~t2_end ~h2 ~init =
     "mpde.simulate"
   @@ fun () ->
   Obs.Scope.with_scope "mpde" @@ fun () ->
-  let dae = sys.dae in
-  let n = dae.Dae.dim in
   if Array.length init <> n1 then invalid_arg "Mpde.simulate: init size <> n1";
-  let d = Fourier.Series.diff_matrix n1 in
+  let sd = semidisc sys ~n1 in
   let theta = 0.5 in
   let t2s = ref [ 0. ] and slices = ref [ Array.map Array.copy init ] in
   let t2 = ref 0. and states = ref init in
-  let g = ref (eval_g sys ~n1 ~d ~t2:0. !states) in
+  let g = ref (Dae.Semidisc.g sd ~t2:0. (pack !states)) in
   (* the march targets the fixed step [h2]; the controller only kicks
      in when Newton fails, halving the step and growing it back toward
      [h2] across subsequent accepted steps *)
@@ -145,65 +99,22 @@ let simulate ?(solver = Structured.auto) sys ~n1 ~t2_end ~h2 ~init =
   while !t2 < t2_end -. (1e-9 *. t2_end) do
     let h = Step_control.propose ctrl ~remaining:(t2_end -. !t2) in
     let t2_new = !t2 +. h in
-    let q0 = Array.map dae.Dae.q !states in
-    let g0 = !g in
-    let residual y =
-      let st = unpack ~n1 ~n y in
-      let gy = eval_g sys ~n1 ~d ~t2:t2_new st in
-      let res = Array.make (n1 * n) 0. in
-      for j = 0 to n1 - 1 do
-        let qj = dae.Dae.q st.(j) in
-        for i = 0 to n - 1 do
-          let idx = (j * n) + i in
-          res.(idx) <-
-            qj.(i) -. q0.(j).(i) +. (h *. theta *. gy.(idx)) +. (h *. (1. -. theta) *. g0.(idx))
-        done
-      done;
-      res
-    in
-    let jacobian y =
-      let st = unpack ~n1 ~n y in
-      let jg = g_jacobian sys ~n1 ~d ~t2:t2_new st in
-      let cs = Array.map dae.Dae.dq st in
-      let jac = Mat.zeros (n1 * n) (n1 * n) in
-      for j = 0 to n1 - 1 do
-        for i = 0 to n - 1 do
-          let row = (j * n) + i in
-          for k = 0 to n1 - 1 do
-            for l = 0 to n - 1 do
-              let col = (k * n) + l in
-              let v = (h *. theta *. jg.(row).(col)) +. (if j = k then cs.(j).(i).(l) else 0.) in
-              if v <> 0. then jac.(row).(col) <- jac.(row).(col) +. v
-            done
-          done
-        done
-      done;
-      jac
-    in
+    let st = Dae.Semidisc.step sd ~t2:t2_new ~h ~theta ~states0:!states ~g0:!g in
+    let residual = Dae.Semidisc.step_residual st in
+    let linearize = Dae.Semidisc.step_linearize st in
     let report =
-      if (not !escalated) && Structured.use_krylov solver ~dim:(n1 * n) then begin
-        (* J = (h theta / p1) (D (x) dq) + blockdiag(dq + h theta df) *)
-        let build_op y =
-          let st = unpack ~n1 ~n y in
-          let cs = Array.map dae.Dae.dq st in
-          let b_blocks =
-            Array.init n1 (fun j ->
-                let gj = dae.Dae.df ~t:t2_new st.(j) in
-                Mat.init n n (fun i l -> cs.(j).(i).(l) +. (h *. theta *. gj.(i).(l))))
-          in
-          Structured.make_op ~alpha:(h *. theta /. sys.p1) ~d ~c_blocks:cs ~b_blocks
-        in
+      if (not !escalated) && Structured.use_krylov solver ~dim:(Dae.Semidisc.size sd) then
         Nonlin.Newton.solve_with ~options:newton_options ~label:"mpde.step"
-          ~linear_solve:(structured_linear_solve ~build_op ~dense_jacobian:jacobian)
+          ~linear_solve:(structured_linear_solve ~linearize)
           ~residual (pack !states)
-      end
       else
         (* dense path (small systems, or after Krylov escalation): let
            the cascade rescue hard steps before the controller shrinks
            the step any further *)
         (Nonlin.Polyalg.solve ~options:newton_options ~label:"mpde.step"
            ~cascade:[ Nonlin.Polyalg.Damped; Nonlin.Polyalg.Trust_region ]
-           ~jacobian ~residual (pack !states))
+           ~jacobian:(fun y -> Dae.Semidisc.dense (linearize y))
+           ~residual (pack !states))
           .Nonlin.Polyalg.report
     in
     if not report.Nonlin.Newton.converged then begin
@@ -211,8 +122,8 @@ let simulate ?(solver = Structured.auto) sys ~n1 ~t2_end ~h2 ~init =
       if Step_control.should_escalate ctrl then escalated := true
     end
     else begin
-      states := unpack ~n1 ~n report.Nonlin.Newton.x;
-      g := eval_g sys ~n1 ~d ~t2:t2_new !states;
+      states := Dae.Semidisc.unpack sd report.Nonlin.Newton.x ~off:0;
+      g := Dae.Semidisc.g sd ~t2:t2_new report.Nonlin.Newton.x;
       Obs.Metrics.incr c_steps;
       Step_control.record_accept ctrl ~t:!t2 ~h_used:h;
       (if Obs.enabled () then begin
@@ -244,53 +155,23 @@ let quasiperiodic ?cascade sys ~n1 ~n2 ~p2 ~guess =
     "mpde.quasiperiodic"
   @@ fun () ->
   Obs.Scope.with_scope "mpde" @@ fun () ->
-  let dae = sys.dae in
-  let n = dae.Dae.dim in
   if Array.length guess <> n2 then invalid_arg "Mpde.quasiperiodic: guess size <> n2";
-  let d1 = Fourier.Series.diff_matrix n1 in
-  let d2 = Fourier.Series.diff_matrix n2 in
-  let block = n1 * n in
-  let dim = n2 * block in
-  let pack2 () =
-    Vec.init dim (fun idx ->
-        let m = idx / block and r = idx mod block in
-        guess.(m).(r / n).(r mod n))
-  in
-  let unpack2 y =
-    Array.init n2 (fun m -> Array.init n1 (fun j -> Array.sub y ((m * block) + (j * n)) n))
-  in
-  let residual y =
-    let st = unpack2 y in
-    let res = Array.make dim 0. in
-    for m = 0 to n2 - 1 do
-      let t2m = p2 *. float_of_int m /. float_of_int n2 in
-      let gm = eval_g sys ~n1 ~d:d1 ~t2:t2m st.(m) in
-      (* slow derivative: (1/p2) sum_p d2.(m).(p) q(X^p_j) *)
-      let qs = Array.map (fun slice -> Array.map dae.Dae.q slice) st in
-      for j = 0 to n1 - 1 do
-        for i = 0 to n - 1 do
-          let s = ref 0. in
-          for p = 0 to n2 - 1 do
-            s := !s +. (d2.(m).(p) *. qs.(p).(j).(i))
-          done;
-          res.((m * block) + (j * n) + i) <- gm.((j * n) + i) +. (!s /. p2)
-        done
-      done
-    done;
-    res
-  in
+  let sd = semidisc sys ~n1 in
+  let qp = Dae.Semidisc.periodic sd ~p2 ~d2:(Fourier.Series.diff_matrix n2) in
   let outcome =
     Nonlin.Polyalg.solve
       ~options:{ newton_options with max_iterations = 80 }
-      ?cascade ~label:"mpde.quasiperiodic" ~residual (pack2 ())
+      ?cascade ~label:"mpde.quasiperiodic" ~residual:(Dae.Semidisc.periodic_residual qp)
+      (Array.concat (Array.to_list (Array.map pack guess)))
   in
   let report = outcome.Nonlin.Polyalg.report in
   if not report.Nonlin.Newton.converged then
     raise (Solve_failure { stage = "Mpde.quasiperiodic"; report });
-  let st = unpack2 report.Nonlin.Newton.x in
+  let block = Dae.Semidisc.size sd in
   {
     t2 = Vec.init n2 (fun m -> p2 *. float_of_int m /. float_of_int n2);
-    slices = st;
+    slices =
+      Array.init n2 (fun m -> Dae.Semidisc.unpack sd report.Nonlin.Newton.x ~off:(m * block));
     p1 = sys.p1;
   }
 

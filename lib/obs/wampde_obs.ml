@@ -2823,12 +2823,12 @@ module History = struct
     Float.is_finite m && Float.is_finite v
     && Float.abs (v -. m) > Float.max floor (nsigma *. 1.4826 *. d)
 
-  (* ---------- bench speedup gate (see scripts/bench_trend.py) ---------- *)
+  (* ---------- bench speedup gate (CI: history gate --prev --fresh) ---------- *)
 
   let speedup_prefix = "bench.krylov.speedup.n1_"
 
   (* BENCH_*.json is a JSON array of {"id","wall_s","metrics"} entries;
-     collect n1 -> max speedup over entries, as bench_trend.py does *)
+     collect n1 -> max speedup over entries *)
   let bench_speedups (j : Json.t) =
     match j with
     | Json.Arr entries ->
@@ -2866,7 +2866,7 @@ module History = struct
   (* Decision quantity: the speedup at the largest n1 common to both
      runs — the size the paper's scaling claim rests on.  Baseline
      problems (absent, empty, schema drift) degrade to an
-     informational pass, exactly like bench_trend.py. *)
+     informational pass. *)
   let speedup_gate ?(threshold = 0.75) ~prev ~fresh () =
     match bench_speedups fresh with
     | [] -> Gate_data_error (Printf.sprintf "no %s* gauges in the fresh bench data" speedup_prefix)

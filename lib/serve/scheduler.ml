@@ -376,7 +376,8 @@ let classify = function
   | Step_control.Underflow { t; h } ->
     ("step-underflow", Printf.sprintf "step control drove h2 below minimum at t2 = %g (h2 = %g)" t h)
   | Checkpoint.Corrupt msg -> ("corrupt-checkpoint", msg)
-  | Nonlin.Polyalg.Solve_failed _ as e -> ("solve-failed", Printexc.to_string e)
+  | (Nonlin.Polyalg.Solve_failed _ | Wampde.Quasiperiodic.Solve_failure _) as e ->
+    ("solve-failed", Printexc.to_string e)
   | Nonlin.Polyalg.Non_finite _ as e -> ("non-finite", Printexc.to_string e)
   | Nonlin.Continuation.Step_underflow _ as e -> ("continuation-underflow", Printexc.to_string e)
   | Steady.Oscillator.Nonphysical msg -> ("nonphysical", msg)

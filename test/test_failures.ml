@@ -97,6 +97,43 @@ let tests =
         in
         check_invalid "even n2" (fun () ->
             Wampde.Quasiperiodic.solve dae ~options ~p2:40. ~n2:10 ~guess:fake ()));
+    Alcotest.test_case "quasiperiodic Newton failures are typed, NaN included" `Quick (fun () ->
+        let p = Circuit.Vco.vco_a () in
+        let dae = Circuit.Vco.build p in
+        let n1 = 9 and n2 = 3 in
+        let options = Wampde.Envelope.default_options ~n1 () in
+        let p0 = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
+        let orbit =
+          Steady.Oscillator.find (Circuit.Vco.build p0) ~n1 ~period_hint:1.333
+            (Circuit.Vco.initial_state p0)
+        in
+        let guess grid =
+          {
+            Wampde.Quasiperiodic.p2 = 40.;
+            t2 = Array.make n2 0.;
+            omega = Array.make n2 orbit.Steady.Oscillator.omega;
+            slices = Array.make n2 grid;
+          }
+        in
+        let failure ?max_iterations grid =
+          match
+            Wampde.Quasiperiodic.solve dae ?max_iterations ~options ~p2:40. ~n2
+              ~guess:(guess grid) ()
+          with
+          | _ -> None
+          | exception Wampde.Quasiperiodic.Solve_failure report -> Some report
+        in
+        (match failure (Array.make n1 (Array.make 4 Float.nan)) with
+         | Some ({ Nonlin.Newton.reason = Some Nonlin.Newton.Non_finite_residual; iterations = 0; _ }
+                 as report) ->
+           let shown = Printexc.to_string (Wampde.Quasiperiodic.Solve_failure report) in
+           Alcotest.(check string) "printer" "Wampde.Quasiperiodic.Solve_failure"
+             (String.sub shown 0 (String.index shown ':'))
+         | _ -> Alcotest.fail "a NaN guess must raise Solve_failure (non-finite residual)");
+        match failure ~max_iterations:1 orbit.Steady.Oscillator.grid with
+        | Some { Nonlin.Newton.converged = false; iterations; _ } ->
+          Alcotest.(check bool) "at most one iteration" true (iterations <= 1)
+        | _ -> Alcotest.fail "max_iterations:1 must raise Solve_failure");
     Alcotest.test_case "warp rejects zero or negative rates" `Quick (fun () ->
         check_invalid "zero" (fun () ->
             Sigproc.Warp.of_samples ~times:[| 0.; 1. |] ~omega:[| 1.; 0. |]);

@@ -222,7 +222,7 @@ let bench ~speedups =
 
 let gate_tests =
   [
-    Alcotest.test_case "the checked-in manifests reproduce the bench_trend verdict" `Quick
+    Alcotest.test_case "the checked-in manifests reproduce the history gate verdict" `Quick
       (fun () ->
         (* BENCH_2026-08-07 n1=161: 4.891; BENCH_2026-08-09: 4.161 —
            ratio 0.85 is above the 0.75 gate *)

@@ -1,0 +1,159 @@
+(* The shared t1 semi-discretization (Dae.Semidisc): every analytic
+   linearization must agree with finite differences of the residual it
+   linearizes, and its structured operator with its dense assembly. *)
+
+open Linalg
+module Sd = Dae.Semidisc
+
+let n1 = 7
+let n2 = 3
+
+(* VCO-A (n = 4): random states around the oscillator's amplitude, with
+   the varactor gap kept positive *)
+let vco_a =
+  let p = Circuit.Vco.vco_a () in
+  let x0 = Circuit.Vco.initial_state p in
+  ( "vco-a",
+    Circuit.Vco.build p,
+    fun rng ->
+      Array.mapi
+        (fun i xi ->
+          let u = Random.State.float rng 2. -. 1. in
+          if i = Circuit.Vco.idx_gap then xi *. (1. +. (0.2 *. u)) else xi +. (0.5 *. u))
+        x0 )
+
+(* the sinh-limited one-pole system of the MPDE cascade benchmark *)
+let sinh_system =
+  let beta = 5. in
+  ( "sinh",
+    Dae.of_ode ~dim:1
+      ~rhs:(fun ~t:_ x -> [| -.sinh (beta *. x.(0)) /. beta |])
+      ~drhs:(fun ~t:_ x -> [| [| -.cosh (beta *. x.(0)) |] |])
+      (),
+    fun rng -> [| Random.State.float rng 1. -. 0.5 |] )
+
+let forcing dae j ~t2 =
+  Vec.init dae.Dae.dim (fun i -> sin (float_of_int (j + i) +. t2))
+
+type omega_case = Derivative | Fourier | Fixed
+
+let omega_name = function Derivative -> "derivative" | Fourier -> "fourier" | Fixed -> "fixed"
+
+let make_sd dae ~d ~omega_case ~omega =
+  let n = dae.Dae.dim in
+  match omega_case with
+  | Derivative ->
+    Sd.make dae ~d ~omega:(Sd.Unknown (Wampde.Phase.row (Wampde.Phase.Derivative 0) ~n1 ~n ~d))
+      ~forcing:None
+  | Fourier ->
+    let phase = Wampde.Phase.Fourier { component = 0; harmonic = 1 } in
+    Sd.make dae ~d ~omega:(Sd.Unknown (Wampde.Phase.row phase ~n1 ~n ~d)) ~forcing:None
+  | Fixed -> Sd.make dae ~d ~omega:(Sd.Fixed omega) ~forcing:(Some (forcing dae))
+
+(* one slice of unknowns: drawn states, then omega when it is unknown *)
+let draw_slice sd draw rng ~omega =
+  let states = Array.init n1 (fun _ -> draw rng) in
+  let y = Array.make (Sd.size sd) omega in
+  Array.iteri (fun j x -> Array.blit x 0 y (j * Array.length x) (Array.length x)) states;
+  (states, y)
+
+(* [fd] may lack the constant phase rows [dense] carries (g alone) *)
+let close ~tol dense fd =
+  let ok = ref true in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j v -> if Float.abs (v -. dense.(i).(j)) > tol *. (1. +. Float.abs v) then ok := false)
+        row)
+    fd;
+  !ok
+
+let vec_close ~tol a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Float.abs (x -. y) <= tol *. (1. +. Float.abs x)) a b
+
+(* dense Jacobian vs central differences, plus operator vs dense matvec *)
+let check_lin ~residual ~dense ~apply y rng =
+  let fd = Nonlin.Fdjac.jacobian_central residual y in
+  let v = Vec.init (Array.length y) (fun _ -> Random.State.float rng 2. -. 1.) in
+  close ~tol:1e-5 dense fd && vec_close ~tol:1e-10 (Mat.matvec dense v) (apply v)
+
+let lin_apply (lin : Sd.lin) v =
+  match lin.Sd.border with
+  | None -> Structured.apply lin.Sd.op v
+  | Some { Sd.col; row } -> Structured.apply_bordered lin.Sd.op ~border_col:col ~border_row:row v
+
+let prop (name, dae, draw) (dname, d) omega_case =
+  let open QCheck in
+  Test.make ~count:8
+    ~name:(Printf.sprintf "%s %s %s: linearizations match finite differences" name dname
+             (omega_name omega_case))
+    (triple (int_bound 1_000_000) (float_range 0.5 1.5) (float_range 0.01 1.))
+    (fun (seed, omega, h2) ->
+      let rng = Random.State.make [| seed |] in
+      let sd = make_sd dae ~d ~omega_case ~omega in
+      let t2 = Random.State.float rng 3. in
+      (* g, as in the frozen-t2 MPDE steady state *)
+      let _, y = draw_slice sd draw rng ~omega in
+      let lin = Sd.linearize sd ~t2 y in
+      let g_ok =
+        check_lin ~residual:(Sd.g sd ~t2) ~dense:(Sd.dense lin) ~apply:(lin_apply lin) y rng
+      in
+      (* theta step from a drawn accepted grid *)
+      let states0, y0 = draw_slice sd draw rng ~omega in
+      let st = Sd.step sd ~t2 ~h:h2 ~theta:0.5 ~states0 ~g0:(Sd.g sd ~t2:(t2 -. h2) y0) in
+      let _, y = draw_slice sd draw rng ~omega in
+      let lin = Sd.step_linearize st y in
+      let step_ok =
+        check_lin ~residual:(Sd.step_residual st) ~dense:(Sd.dense lin) ~apply:(lin_apply lin) y
+          rng
+      in
+      (* periodic in t2 over n2 slices *)
+      let p = Sd.periodic sd ~p2:(10. *. h2) ~d2:(Fourier.Series.diff_matrix n2) in
+      let slice m = snd (draw_slice sd draw rng ~omega:(omega +. (0.1 *. float_of_int m))) in
+      let y = Array.concat (List.init n2 slice) in
+      let lins = Sd.periodic_linearize p y in
+      let periodic_ok =
+        check_lin ~residual:(Sd.periodic_residual p) ~dense:(Sd.periodic_dense p lins)
+          ~apply:(Sd.periodic_apply p lins) y rng
+      in
+      g_ok && step_ok && periodic_ok)
+
+let prop_tests =
+  List.concat_map
+    (fun system ->
+      List.concat_map
+        (fun d ->
+          List.map
+            (fun omega_case -> QCheck_alcotest.to_alcotest (prop system d omega_case))
+            [ Derivative; Fourier; Fixed ])
+        [
+          ("spectral", Fourier.Series.diff_matrix n1);
+          ("fd4", Fourier.Series.diff_matrix_fd ~order:4 n1);
+        ])
+    [ vco_a; sinh_system ]
+
+let unit_tests =
+  [
+    Alcotest.test_case "periodic residual evaluates q once per grid point" `Quick (fun () ->
+        let q_calls = ref 0 in
+        let _, dae, draw = sinh_system in
+        let dae = { dae with Dae.q = (fun x -> incr q_calls; dae.Dae.q x) } in
+        let d = Fourier.Series.diff_matrix n1 in
+        let sd = Sd.make dae ~d ~omega:(Sd.Fixed 1.) ~forcing:None in
+        let p = Sd.periodic sd ~p2:20. ~d2:(Fourier.Series.diff_matrix n2) in
+        let rng = Random.State.make [| 7 |] in
+        let y = Array.concat (List.init n2 (fun _ -> snd (draw_slice sd draw rng ~omega:1.))) in
+        ignore (Sd.periodic_residual p y);
+        Alcotest.(check int) "q calls" (n1 * n2) !q_calls);
+    Alcotest.test_case "make rejects a phase row of the wrong length" `Quick (fun () ->
+        let _, dae, _ = vco_a in
+        Alcotest.check_raises "row"
+          (Invalid_argument "Dae.Semidisc.make: phase row length differs from n1 * dim")
+          (fun () ->
+            ignore
+              (Sd.make dae ~d:(Fourier.Series.diff_matrix n1) ~omega:(Sd.Unknown [| 1. |])
+                 ~forcing:None)));
+  ]
+
+let suites = [ ("semidisc", unit_tests @ prop_tests) ]

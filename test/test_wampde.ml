@@ -180,8 +180,11 @@ let envelope_tests =
         let options = Wampde.Envelope.default_options ~n1:25 () in
         let fixed = Wampde.Envelope.simulate dae ~options ~t2_end:12. ~h2:0.1 ~init:orbit in
         let adaptive =
-          Wampde.Envelope.simulate_adaptive dae ~options ~t2_end:12. ~h2_init:0.5 ~tol:1e-6
-            ~init:orbit ()
+          Wampde.Envelope.simulate_controlled dae ~options
+            ~control:
+              (Step_control.default_options ~rtol:1e-6 ~atol:1e-9 ~h_min:1e-9 ~h_max:(12. /. 5.)
+                 ())
+            ~h2_init:0.5 ~t2_end:12. ~init:orbit ()
         in
         let last a = a.(Array.length a - 1) in
         let rel =
