@@ -1,7 +1,9 @@
 (* Bechamel microbenchmarks for the linear-algebra kernels behind the
    matrix-free Newton-Krylov path: dense LU factorization (what the
    Krylov path avoids), the structured collocation matvec, and one
-   application of the FFT-diagonalized block preconditioner.
+   application of the FFT-diagonalized block preconditioner.  Next to
+   them, the circuit kernel every solver calls: one [f] plus one [q]
+   evaluation of the compiled VCO-A netlist.
 
    Run with `dune exec bench/micro.exe`; built by `dune build @bench`. *)
 
@@ -52,11 +54,19 @@ let tests =
           (Staged.stage (fun () -> Structured.precond_apply pc v));
       ])
     sizes
+  @ [
+      (let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
+       let x = [| 1.3; -0.2; 0.9; 0.1 |] in
+       Test.make ~name:"circuit_f_q_vco_a"
+         (Staged.stage (fun () ->
+              ignore (Sys.opaque_identity (dae.Dae.f ~t:7. x));
+              dae.Dae.q x)));
+    ]
 
 let () =
   let open Bechamel in
   let open Toolkit in
-  Printf.printf "== linalg kernel microbenchmarks (ns/run) ==\n%!";
+  Printf.printf "== linalg and circuit kernel microbenchmarks (ns/run) ==\n%!";
   let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) () in
   let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
   List.iter

@@ -2,23 +2,47 @@ open Linalg
 
 let ground = 0
 
+(* One record per evaluation: the device bodies read [x] and [time] and
+   add into the requested accumulators ([[||]] when not requested);
+   [offset] is the first state slot of the device being stamped. *)
 type ctx = {
+  x : Vec.t;
   time : float;
-  v : int -> float;
-  s : int -> float;
-  qn : int -> float -> unit;
-  fn : int -> float -> unit;
-  qs : int -> float -> unit;
-  fs : int -> float -> unit;
-  dqn_dv : int -> int -> float -> unit;
-  dqn_ds : int -> int -> float -> unit;
-  dfn_dv : int -> int -> float -> unit;
-  dfn_ds : int -> int -> float -> unit;
-  dqs_dv : int -> int -> float -> unit;
-  dqs_ds : int -> int -> float -> unit;
-  dfs_dv : int -> int -> float -> unit;
-  dfs_ds : int -> int -> float -> unit;
+  mutable offset : int;
+  q_acc : Vec.t;
+  f_acc : Vec.t;
+  dq_acc : Mat.t;
+  df_acc : Mat.t;
 }
+
+let[@inline] time c = c.time
+let[@inline] v c id = if id = ground then 0. else c.x.(id - 1)
+let[@inline] s c k = c.x.(c.offset + k)
+let[@inline] add_vec a row value = if Array.length a > 0 then a.(row) <- a.(row) +. value
+
+let[@inline] add_mat m row col value =
+  if Array.length m > 0 then m.(row).(col) <- m.(row).(col) +. value
+
+(* Jacobian entry by (row, column) kind: node ids drop ground, local
+   state indices are shifted by the device's first slot *)
+let[@inline] node_node m r col value =
+  if r <> ground && col <> ground then add_mat m (r - 1) (col - 1) value
+
+let[@inline] node_state c m r k value = if r <> ground then add_mat m (r - 1) (c.offset + k) value
+let[@inline] state_node c m k col value =
+  if col <> ground then add_mat m (c.offset + k) (col - 1) value
+let[@inline] qn c id value = if id <> ground then add_vec c.q_acc (id - 1) value
+let[@inline] fn c id value = if id <> ground then add_vec c.f_acc (id - 1) value
+let[@inline] qs c k value = add_vec c.q_acc (c.offset + k) value
+let[@inline] fs c k value = add_vec c.f_acc (c.offset + k) value
+let[@inline] dqn_dv c r col value = node_node c.dq_acc r col value
+let[@inline] dqn_ds c r k value = node_state c c.dq_acc r k value
+let[@inline] dfn_dv c r col value = node_node c.df_acc r col value
+let[@inline] dfn_ds c r k value = node_state c c.df_acc r k value
+let[@inline] dqs_dv c k col value = state_node c c.dq_acc k col value
+let[@inline] dqs_ds c k j value = add_mat c.dq_acc (c.offset + k) (c.offset + j) value
+let[@inline] dfs_dv c k col value = state_node c c.df_acc k col value
+let[@inline] dfs_ds c k j value = add_mat c.df_acc (c.offset + k) (c.offset + j) value
 
 type device = {
   label : string;
@@ -49,126 +73,112 @@ let node t name =
 
 let add t device = t.devices <- device :: t.devices
 let node_count t = t.next_node - 1
-let devices_in_order t = List.rev t.devices
 
 (* Layout: x = [v_1 .. v_N; states of device 1; states of device 2; ...] *)
 let layout t =
-  let n_nodes = node_count t in
-  let devices = devices_in_order t in
-  let offsets = ref [] in
-  let pos = ref n_nodes in
-  List.iter
-    (fun d ->
-      offsets := (d, !pos) :: !offsets;
-      pos := !pos + Array.length d.state_names)
-    devices;
-  (n_nodes, List.rev !offsets, !pos)
-
-let make_ctx ~time ~x ~offset ~q_acc ~f_acc ~dq_acc ~df_acc =
-  let v id = if id = ground then 0. else x.(id - 1) in
-  let s k = x.(offset + k) in
-  let node_row id k f = if id <> ground then f (id - 1) k in
-  let acc_vec arr = fun row value -> arr.(row) <- arr.(row) +. value in
-  let nop_vec = fun _ _ -> () in
-  let acc_mat m = fun row col value -> m.(row).(col) <- m.(row).(col) +. value in
-  let nop_mat = fun _ _ _ -> () in
-  let qv = match q_acc with Some a -> acc_vec a | None -> nop_vec in
-  let fv = match f_acc with Some a -> acc_vec a | None -> nop_vec in
-  let dqm = match dq_acc with Some m -> acc_mat m | None -> nop_mat in
-  let dfm = match df_acc with Some m -> acc_mat m | None -> nop_mat in
-  {
-    time;
-    v;
-    s;
-    qn = (fun id value -> if id <> ground then qv (id - 1) value);
-    fn = (fun id value -> if id <> ground then fv (id - 1) value);
-    qs = (fun k value -> qv (offset + k) value);
-    fs = (fun k value -> fv (offset + k) value);
-    dqn_dv = (fun r c value -> if r <> ground && c <> ground then dqm (r - 1) (c - 1) value);
-    dqn_ds = (fun r c value -> node_row r c (fun row col -> dqm row (offset + col) value));
-    dfn_dv = (fun r c value -> if r <> ground && c <> ground then dfm (r - 1) (c - 1) value);
-    dfn_ds = (fun r c value -> node_row r c (fun row col -> dfm row (offset + col) value));
-    dqs_dv = (fun r c value -> if c <> ground then dqm (offset + r) (c - 1) value);
-    dqs_ds = (fun r c value -> dqm (offset + r) (offset + c) value);
-    dfs_dv = (fun r c value -> if c <> ground then dfm (offset + r) (c - 1) value);
-    dfs_ds = (fun r c value -> dfm (offset + r) (offset + c) value);
-  }
+  let pos = ref (node_count t) in
+  let placed =
+    Array.map
+      (fun d ->
+        let offset = !pos in
+        pos := offset + Array.length d.state_names;
+        (d, offset))
+      (Array.of_list (List.rev t.devices))
+  in
+  (placed, !pos)
 
 let compile t =
-  let n_nodes, offsets, dim = layout t in
-  let stamp_all ~time ~x ~q_acc ~f_acc ~dq_acc ~df_acc =
-    List.iter
-      (fun (d, offset) ->
-        let ctx = make_ctx ~time ~x ~offset ~q_acc ~f_acc ~dq_acc ~df_acc in
-        d.stamp ctx)
-      offsets
+  let placed, dim = layout t in
+  (* the record is per call, so concurrent evaluations share nothing *)
+  let stamp_all x time q_acc f_acc dq_acc df_acc =
+    let c = { x; time; offset = 0; q_acc; f_acc; dq_acc; df_acc } in
+    for k = 0 to Array.length placed - 1 do
+      let d, offset = placed.(k) in
+      c.offset <- offset;
+      d.stamp c
+    done
   in
-  ignore n_nodes;
   let q x =
     let acc = Array.make dim 0. in
-    stamp_all ~time:0. ~x ~q_acc:(Some acc) ~f_acc:None ~dq_acc:None ~df_acc:None;
+    stamp_all x 0. acc [||] [||] [||];
     acc
   in
   let f ~t x =
     let acc = Array.make dim 0. in
-    stamp_all ~time:t ~x ~q_acc:None ~f_acc:(Some acc) ~dq_acc:None ~df_acc:None;
+    stamp_all x t [||] acc [||] [||];
     acc
   in
   let dq x =
     let m = Mat.zeros dim dim in
-    stamp_all ~time:0. ~x ~q_acc:None ~f_acc:None ~dq_acc:(Some m) ~df_acc:None;
+    stamp_all x 0. [||] [||] m [||];
     m
   in
   let df ~t x =
     let m = Mat.zeros dim dim in
-    stamp_all ~time:t ~x ~q_acc:None ~f_acc:None ~dq_acc:None ~df_acc:(Some m);
+    stamp_all x t [||] [||] [||] m;
     m
   in
   let var_names = Array.make dim "" in
   Hashtbl.iter (fun name id -> var_names.(id - 1) <- Printf.sprintf "v(%s)" name) t.names;
-  List.iter
+  Array.iter
     (fun (d, offset) ->
       Array.iteri
         (fun k sn -> var_names.(offset + k) <- Printf.sprintf "%s.%s" d.label sn)
         d.state_names)
-    offsets;
+    placed;
   Dae.make ~dim ~q ~f ~dq ~df ~var_names ()
 
 let initial_guess t =
-  let _, offsets, dim = layout t in
+  let placed, dim = layout t in
   let x = Array.make dim 0. in
-  List.iter
+  Array.iter
     (fun (d, offset) -> Array.iteri (fun k v0 -> x.(offset + k) <- v0) d.initial_state)
-    offsets;
+    placed;
   x
 
 (* ---------- devices ---------- *)
 
 let two_terminal label stamp = { label; state_names = [||]; initial_state = [||]; stamp }
 
+(* current [i] pushed n1 -> n2, controlled by v cp - v cn with slope [di] *)
+let[@inline] controlled_current c n1 n2 cp cn i di =
+  fn c n1 i;
+  fn c n2 (-.i);
+  dfn_dv c n1 cp di;
+  dfn_dv c n1 cn (-.di);
+  dfn_dv c n2 cp (-.di);
+  dfn_dv c n2 cn di
+
+let[@inline] branch_current c n1 n2 i di = controlled_current c n1 n2 n1 n2 i di
+
+(* charge [q] on n1 (and -q on n2) with dq/d(v n1 - v n2) = [dq] *)
+let[@inline] branch_charge c n1 n2 q dq =
+  qn c n1 q;
+  qn c n2 (-.q);
+  dqn_dv c n1 n1 dq;
+  dqn_dv c n1 n2 (-.dq);
+  dqn_dv c n2 n1 (-.dq);
+  dqn_dv c n2 n2 dq
+
+(* the device's branch-current state 0 leaves n1 and enters n2 *)
+let[@inline] state_current c n1 n2 =
+  let i = s c 0 in
+  fn c n1 i;
+  fn c n2 (-.i);
+  dfn_ds c n1 0 1.;
+  dfn_ds c n2 0 (-1.)
+
 let resistor ~label ~r n1 n2 =
   if r = 0. then invalid_arg "Mna.resistor: r = 0";
   let g = 1. /. r in
   two_terminal label (fun c ->
-      let vb = c.v n1 -. c.v n2 in
-      let i = g *. vb in
-      c.fn n1 i;
-      c.fn n2 (-.i);
-      c.dfn_dv n1 n1 g;
-      c.dfn_dv n1 n2 (-.g);
-      c.dfn_dv n2 n1 (-.g);
-      c.dfn_dv n2 n2 g)
+      let vb = v c n1 -. v c n2 in
+      branch_current c n1 n2 (g *. vb) g)
 
 let capacitor ~label ~c:cap n1 n2 =
   two_terminal label (fun c ->
-      let vb = c.v n1 -. c.v n2 in
-      let q = cap *. vb in
-      c.qn n1 q;
-      c.qn n2 (-.q);
-      c.dqn_dv n1 n1 cap;
-      c.dqn_dv n1 n2 (-.cap);
-      c.dqn_dv n2 n1 (-.cap);
-      c.dqn_dv n2 n2 cap)
+      let vb = v c n1 -. v c n2 in
+      branch_charge c n1 n2 (cap *. vb) cap)
 
 let inductor ~label ~l n1 n2 =
   {
@@ -177,62 +187,49 @@ let inductor ~label ~l n1 n2 =
     initial_state = [| 0. |];
     stamp =
       (fun c ->
-        let i = c.s 0 in
-        (* node KCL: current i leaves n1, enters n2 *)
-        c.fn n1 i;
-        c.fn n2 (-.i);
-        c.dfn_ds n1 0 1.;
-        c.dfn_ds n2 0 (-1.);
+        state_current c n1 n2;
         (* branch: L di/dt - (v1 - v2) = 0 *)
-        c.qs 0 (l *. i);
-        c.dqs_ds 0 0 l;
-        c.fs 0 (c.v n2 -. c.v n1);
-        c.dfs_dv 0 n2 1.;
-        c.dfs_dv 0 n1 (-1.));
+        qs c 0 (l *. s c 0);
+        dqs_ds c 0 0 l;
+        fs c 0 (v c n2 -. v c n1);
+        dfs_dv c 0 n2 1.;
+        dfs_dv c 0 n1 (-1.));
   }
 
-let vsource ~label ~v n1 n2 =
+let vsource ~label ~v:source n1 n2 =
   {
     label;
     state_names = [| "i" |];
     initial_state = [| 0. |];
     stamp =
       (fun c ->
-        let i = c.s 0 in
-        c.fn n1 i;
-        c.fn n2 (-.i);
-        c.dfn_ds n1 0 1.;
-        c.dfn_ds n2 0 (-1.);
+        state_current c n1 n2;
         (* branch equation: v1 - v2 - v(t) = 0 *)
-        c.fs 0 (c.v n1 -. c.v n2 -. v c.time);
-        c.dfs_dv 0 n1 1.;
-        c.dfs_dv 0 n2 (-1.));
+        fs c 0 (v c n1 -. v c n2 -. source (time c));
+        dfs_dv c 0 n1 1.;
+        dfs_dv c 0 n2 (-1.));
   }
 
 let isource ~label ~i n1 n2 =
   two_terminal label (fun c ->
-      let cur = i c.time in
-      c.fn n1 cur;
-      c.fn n2 (-.cur))
+      let cur = i (time c) in
+      fn c n1 cur;
+      fn c n2 (-.cur))
 
 let cubic_conductance ~label ~g1 ~g3 n1 n2 =
   two_terminal label (fun c ->
-      let vb = c.v n1 -. c.v n2 in
+      let vb = v c n1 -. v c n2 in
       let i = (-.g1 *. vb) +. (g3 *. vb *. vb *. vb) in
       let di = -.g1 +. (3. *. g3 *. vb *. vb) in
-      c.fn n1 i;
-      c.fn n2 (-.i);
-      c.dfn_dv n1 n1 di;
-      c.dfn_dv n1 n2 (-.di);
-      c.dfn_dv n2 n1 (-.di);
-      c.dfn_dv n2 n2 di)
+      branch_current c n1 n2 i di)
 
 let diode ~label ?(is_ = 1e-12) ?(vt = 0.02585) n1 n2 =
+  if not (vt > 0.) then invalid_arg (Printf.sprintf "Mna.diode: vt = %g, must be > 0" vt);
   (* exponential limited linearly above vmax to keep Newton in range *)
   let vmax = 40. *. vt in
   let emax = exp (vmax /. vt) in
   two_terminal label (fun c ->
-      let vb = c.v n1 -. c.v n2 in
+      let vb = v c n1 -. v c n2 in
       let i, di =
         if vb <= vmax then begin
           let e = exp (vb /. vt) in
@@ -243,23 +240,12 @@ let diode ~label ?(is_ = 1e-12) ?(vt = 0.02585) n1 n2 =
           ((is_ *. (emax -. 1.)) +. (slope *. (vb -. vmax)), slope)
         end
       in
-      c.fn n1 i;
-      c.fn n2 (-.i);
-      c.dfn_dv n1 n1 di;
-      c.dfn_dv n1 n2 (-.di);
-      c.dfn_dv n2 n1 (-.di);
-      c.dfn_dv n2 n2 di)
+      branch_current c n1 n2 i di)
 
 let nonlinear_capacitor ~label ~q ~dq n1 n2 =
   two_terminal label (fun c ->
-      let vb = c.v n1 -. c.v n2 in
-      let qv = q vb and dqv = dq vb in
-      c.qn n1 qv;
-      c.qn n2 (-.qv);
-      c.dqn_dv n1 n1 dqv;
-      c.dqn_dv n1 n2 (-.dqv);
-      c.dqn_dv n2 n1 (-.dqv);
-      c.dqn_dv n2 n2 dqv)
+      let vb = v c n1 -. v c n2 in
+      branch_charge c n1 n2 (q vb) (dq vb))
 
 type varactor_params = {
   c0 : float;
@@ -283,29 +269,24 @@ let mems_varactor ~label ~params n1 n2 =
     initial_state = [| p.gap0; 0. |];
     stamp =
       (fun c ->
-        let vb = c.v n1 -. c.v n2 in
-        let g = c.s 0 and u = c.s 1 in
+        let vb = v c n1 -. v c n2 in
+        let g = s c 0 and u = s c 1 in
         (* electrical: plate charge q = c0 g0 v / g *)
         let cap = p.c0 *. p.gap0 /. g in
         let q = cap *. vb in
-        c.qn n1 q;
-        c.qn n2 (-.q);
-        c.dqn_dv n1 n1 cap;
-        c.dqn_dv n1 n2 (-.cap);
-        c.dqn_dv n2 n1 (-.cap);
-        c.dqn_dv n2 n2 cap;
+        branch_charge c n1 n2 q cap;
         let dq_dg = -.q /. g in
-        c.dqn_ds n1 0 dq_dg;
-        c.dqn_ds n2 0 (-.dq_dg);
+        dqn_ds c n1 0 dq_dg;
+        dqn_ds c n2 0 (-.dq_dg);
         (* mechanical state 0: dg/dt - u = 0 *)
-        c.qs 0 g;
-        c.dqs_ds 0 0 1.;
-        c.fs 0 (-.u);
-        c.dfs_ds 0 1 (-1.);
+        qs c 0 g;
+        dqs_ds c 0 0 1.;
+        fs c 0 (-.u);
+        dfs_ds c 0 1 (-1.);
         (* mechanical state 1:
            m du/dt + damping u + k (g - g_rest) + force = 0
            where force = force0 vc^2 / g^power pulls the gap closed. *)
-        let vc = p.control c.time in
+        let vc = p.control (time c) in
         let force, dforce_dg =
           match p.force_power with
           | 0 -> (p.force0 *. vc *. vc, 0.)
@@ -313,23 +294,16 @@ let mems_varactor ~label ~params n1 n2 =
             let f = p.force0 *. vc *. vc /. (g *. g) in
             (f, -2. *. f /. g)
         in
-        c.qs 1 (p.mass *. u);
-        c.dqs_ds 1 1 p.mass;
-        c.fs 1 ((p.damping *. u) +. (p.stiffness *. (g -. p.g_rest)) +. force);
-        c.dfs_ds 1 1 p.damping;
-        c.dfs_ds 1 0 (p.stiffness +. dforce_dg));
+        qs c 1 (p.mass *. u);
+        dqs_ds c 1 1 p.mass;
+        fs c 1 ((p.damping *. u) +. (p.stiffness *. (g -. p.g_rest)) +. force);
+        dfs_ds c 1 1 p.damping;
+        dfs_ds c 1 0 (p.stiffness +. dforce_dg));
   }
 
 let vccs ~label ~gm ncp ncn n1 n2 =
   two_terminal label (fun c ->
-      let vc = c.v ncp -. c.v ncn in
-      let i = gm *. vc in
-      c.fn n1 i;
-      c.fn n2 (-.i);
-      c.dfn_dv n1 ncp gm;
-      c.dfn_dv n1 ncn (-.gm);
-      c.dfn_dv n2 ncp (-.gm);
-      c.dfn_dv n2 ncn gm)
+      controlled_current c n1 n2 ncp ncn (gm *. (v c ncp -. v c ncn)) gm)
 
 let vcvs ~label ~gain ncp ncn n1 n2 =
   {
@@ -338,17 +312,13 @@ let vcvs ~label ~gain ncp ncn n1 n2 =
     initial_state = [| 0. |];
     stamp =
       (fun c ->
-        let i = c.s 0 in
-        c.fn n1 i;
-        c.fn n2 (-.i);
-        c.dfn_ds n1 0 1.;
-        c.dfn_ds n2 0 (-1.);
+        state_current c n1 n2;
         (* v1 - v2 - gain (vcp - vcn) = 0 *)
-        c.fs 0 (c.v n1 -. c.v n2 -. (gain *. (c.v ncp -. c.v ncn)));
-        c.dfs_dv 0 n1 1.;
-        c.dfs_dv 0 n2 (-1.);
-        c.dfs_dv 0 ncp (-.gain);
-        c.dfs_dv 0 ncn gain);
+        fs c 0 (v c n1 -. v c n2 -. (gain *. (v c ncp -. v c ncn)));
+        dfs_dv c 0 n1 1.;
+        dfs_dv c 0 n2 (-1.);
+        dfs_dv c 0 ncp (-.gain);
+        dfs_dv c 0 ncn gain);
   }
 
 (* Square-law n-channel MOSFET (level-1, no channel-length modulation).
@@ -370,32 +340,36 @@ let mosfet ~label ?(k = 1.) ?(vt = 0.6) ~drain ~gate ~source () =
     end
   in
   two_terminal label (fun c ->
-      let vd = c.v drain and vg = c.v gate and vs = c.v source in
+      let vd = v c drain and vg = v c gate and vs = v c source in
       let flip = vd < vs in
       let d, s = if flip then (source, drain) else (drain, source) in
       let vds = Float.abs (vd -. vs) in
-      let vgs = vg -. c.v s in
+      let vgs = vg -. v c s in
       let i, di_dvgs, di_dvds = ids vgs vds in
       let i_signed = if flip then -.i else i in
-      c.fn drain i_signed;
-      c.fn source (-.i_signed);
+      fn c drain i_signed;
+      fn c source (-.i_signed);
       (* d i / d node voltages in the (d, g, s) frame, then mapped back *)
       let dg = di_dvgs in
       let dd = di_dvds in
       let ds = -.di_dvgs -. di_dvds in
       let sign = if flip then -1. else 1. in
-      c.dfn_dv drain gate (sign *. dg);
-      c.dfn_dv drain d (sign *. dd);
-      c.dfn_dv drain s (sign *. ds);
-      c.dfn_dv source gate (-.sign *. dg);
-      c.dfn_dv source d (-.sign *. dd);
-      c.dfn_dv source s (-.sign *. ds))
+      dfn_dv c drain gate (sign *. dg);
+      dfn_dv c drain d (sign *. dd);
+      dfn_dv c drain s (sign *. ds);
+      dfn_dv c source gate (-.sign *. dg);
+      dfn_dv c source d (-.sign *. dd);
+      dfn_dv c source s (-.sign *. ds))
 
 (* Reverse-biased junction (varactor) diode capacitance:
    C(v) = c0 / (1 - v/vj)^m for v <= fc vj, with the standard SPICE
    linearized extension above fc vj to avoid the singularity at v = vj.
    Charge is the closed-form integral of C. *)
 let junction_capacitor ~label ?(c0 = 1.) ?(vj = 0.7) ?(m = 0.5) ?(fc = 0.5) n1 n2 =
+  let reject fmt = Printf.ksprintf (fun m -> invalid_arg ("Mna.junction_capacitor: " ^ m)) fmt in
+  if not (m < 1.) then reject "m = %g, must be < 1" m;
+  if not (vj > 0.) then reject "vj = %g, must be > 0" vj;
+  if not (fc >= 0. && fc < 1.) then reject "fc = %g, must be in [0, 1)" fc;
   let q_of v =
     if v <= fc *. vj then
       c0 *. vj /. (1. -. m) *. (1. -. ((1. -. (v /. vj)) ** (1. -. m)))
@@ -421,16 +395,16 @@ let junction_capacitor ~label ?(c0 = 1.) ?(vj = 0.7) ?(m = 0.5) ?(fc = 0.5) n1 n
 
 let multiplier ~label ~k (a1, a2) (b1, b2) n1 n2 =
   two_terminal label (fun c ->
-      let va = c.v a1 -. c.v a2 and vb = c.v b1 -. c.v b2 in
+      let va = v c a1 -. v c a2 and vb = v c b1 -. v c b2 in
       let i = k *. va *. vb in
-      c.fn n1 i;
-      c.fn n2 (-.i);
+      fn c n1 i;
+      fn c n2 (-.i);
       let dia = k *. vb and dib = k *. va in
-      c.dfn_dv n1 a1 dia;
-      c.dfn_dv n1 a2 (-.dia);
-      c.dfn_dv n1 b1 dib;
-      c.dfn_dv n1 b2 (-.dib);
-      c.dfn_dv n2 a1 (-.dia);
-      c.dfn_dv n2 a2 dia;
-      c.dfn_dv n2 b1 (-.dib);
-      c.dfn_dv n2 b2 dib)
+      dfn_dv c n1 a1 dia;
+      dfn_dv c n1 a2 (-.dia);
+      dfn_dv c n1 b1 dib;
+      dfn_dv c n1 b2 (-.dib);
+      dfn_dv c n2 a1 (-.dia);
+      dfn_dv c n2 a2 dia;
+      dfn_dv c n2 b1 (-.dib);
+      dfn_dv c n2 b2 dib)

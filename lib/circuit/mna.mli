@@ -15,28 +15,61 @@ open Linalg
 (** Ground node: always index 0, voltage identically zero. *)
 val ground : int
 
-(** Stamping context handed to a device's [stamp] function on every
-    evaluation.  Accessors [v] and [s] read node voltages and the
-    device's own (local) extra states; the [q*]/[f*] accumulators add
-    charge/current contributions; the [d*] accumulators add Jacobian
-    entries.  All accumulators silently drop ground rows/columns. *)
-type ctx = {
-  time : float;
-  v : int -> float;  (** node voltage (node id) *)
-  s : int -> float;  (** local extra state value (local index) *)
-  qn : int -> float -> unit;  (** add charge at node row *)
-  fn : int -> float -> unit;  (** add current at node row *)
-  qs : int -> float -> unit;  (** add to local state's q row *)
-  fs : int -> float -> unit;  (** add to local state's f row *)
-  dqn_dv : int -> int -> float -> unit;  (** d(node charge)/d(node voltage) *)
-  dqn_ds : int -> int -> float -> unit;  (** d(node charge)/d(local state) *)
-  dfn_dv : int -> int -> float -> unit;
-  dfn_ds : int -> int -> float -> unit;
-  dqs_dv : int -> int -> float -> unit;
-  dqs_ds : int -> int -> float -> unit;
-  dfs_dv : int -> int -> float -> unit;
-  dfs_ds : int -> int -> float -> unit;
-}
+(** {1 Stamping}
+
+    A device's [stamp] function receives a [ctx] on every evaluation
+    of the compiled circuit and talks to it only through the functions
+    below: [v] and [s] read node voltages and the device's own (local)
+    extra states, the [q*]/[f*] functions add charge/current
+    contributions and the [d*] functions add Jacobian entries.  All of
+    them silently drop ground rows and columns, and each call adds its
+    value to one accumulator entry ([acc.(row) <- acc.(row) +. value]).
+    Only the accumulators the current evaluation asked for are written
+    ([q] fills charges, [df] the current Jacobian, ...); calls aimed at
+    the others do nothing, so one body serves all four evaluations.
+
+    Each evaluation builds its own [ctx] and result, so a compiled
+    circuit holds no mutable state of its own and its [q]/[f]/[dq]/[df]
+    may run on several domains at once.  A [stamp] must keep that true:
+    it may not keep the [ctx] or share mutable scratch between calls. *)
+
+(** Stamping context: the unknown vector, the time, the requested
+    accumulators and where the current device's states start. *)
+type ctx
+
+(** [time c] is the evaluation time ([0.] for [q] and [dq]). *)
+val time : ctx -> float
+
+(** [v c node] is the voltage of [node] ([0.] for ground). *)
+val v : ctx -> int -> float
+
+(** [s c k] is the value of the device's local extra state [k]. *)
+val s : ctx -> int -> float
+
+(** [qn c node q] adds charge [q] at [node]'s row. *)
+val qn : ctx -> int -> float -> unit
+
+(** [fn c node i] adds current [i] leaving [node]. *)
+val fn : ctx -> int -> float -> unit
+
+(** [qs c k q] and [fs c k f] add to the [q] and [f] rows of local
+    state [k]. *)
+val qs : ctx -> int -> float -> unit
+val fs : ctx -> int -> float -> unit
+
+(** Jacobian entries: [dXr_dY c row col d] adds [d] to the entry
+    d(X row)/d(col).  [X] is the function ([q] or [f]); [r] says
+    whether [row] is a node id ([n]) or a local state index ([s]); [Y]
+    says the same of [col] ([v] a node voltage, [s] a local state).  So
+    [dfn_dv c n m g] adds [g] to d(current leaving n)/d(v m). *)
+val dqn_dv : ctx -> int -> int -> float -> unit
+val dqn_ds : ctx -> int -> int -> float -> unit
+val dfn_dv : ctx -> int -> int -> float -> unit
+val dfn_ds : ctx -> int -> int -> float -> unit
+val dqs_dv : ctx -> int -> int -> float -> unit
+val dqs_ds : ctx -> int -> int -> float -> unit
+val dfs_dv : ctx -> int -> int -> float -> unit
+val dfs_ds : ctx -> int -> int -> float -> unit
 
 type device = {
   label : string;
@@ -101,7 +134,7 @@ val cubic_conductance : label:string -> g1:float -> g3:float -> int -> int -> de
 
 (** [diode ~label ?is_ ?vt n1 n2] — exponential diode with current
     limiting for Newton robustness ([is_] saturation current, [vt]
-    thermal voltage). *)
+    thermal voltage).  Raises [Invalid_argument] unless [vt > 0]. *)
 val diode : label:string -> ?is_:float -> ?vt:float -> int -> int -> device
 
 (** [nonlinear_capacitor ~label ~q ~dq n1 n2] — charge [q v] with
@@ -148,7 +181,8 @@ val mosfet :
 (** [junction_capacitor ~label ?c0 ?vj ?m ?fc n1 n2] — junction
     (varactor-diode) capacitance [c0 / (1 - v/vj)^m] with the standard
     linearized extension above [fc vj]; the classic electrically tuned
-    capacitor alternative to the MEMS varactor. *)
+    capacitor alternative to the MEMS varactor.  Raises
+    [Invalid_argument] unless [m < 1], [vj > 0] and [0 <= fc < 1]. *)
 val junction_capacitor :
   label:string -> ?c0:float -> ?vj:float -> ?m:float -> ?fc:float -> int -> int -> device
 

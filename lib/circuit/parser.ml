@@ -130,64 +130,59 @@ let parse_string text =
           | [] -> ()
           | name :: rest ->
             let kind = Char.lowercase_ascii name.[0] in
-            (match kind, rest with
-             | 'r', [ n1; n2; v ] -> (
-               try Mna.add net (Mna.resistor ~label:name ~r:(parse_value v) (node n1) (node n2))
-               with Failure m -> fail lineno "%s" m)
-             | 'c', n1 :: n2 :: spec :: opts when String.lowercase_ascii spec = "junction" ->
-               let options = parse_options lineno opts in
-               Mna.add net
-                 (Mna.junction_capacitor ~label:name
-                    ~c0:(find_opt options "c0" 1.)
-                    ~vj:(find_opt options "vj" 0.7)
-                    ~m:(find_opt options "m" 0.5)
-                    ~fc:(find_opt options "fc" 0.5)
-                    (node n1) (node n2))
-             | 'c', [ n1; n2; v ] -> (
-               try Mna.add net (Mna.capacitor ~label:name ~c:(parse_value v) (node n1) (node n2))
-               with Failure m -> fail lineno "%s" m)
-             | 'l', [ n1; n2; v ] -> (
-               try Mna.add net (Mna.inductor ~label:name ~l:(parse_value v) (node n1) (node n2))
-               with Failure m -> fail lineno "%s" m)
-             | 'v', n1 :: n2 :: spec when spec <> [] ->
-               let source = parse_source lineno spec in
-               Mna.add net (Mna.vsource ~label:name ~v:source (node n1) (node n2))
-             | 'i', n1 :: n2 :: spec when spec <> [] ->
-               let source = parse_source lineno spec in
-               Mna.add net (Mna.isource ~label:name ~i:source (node n1) (node n2))
-             | 'd', n1 :: n2 :: opts ->
-               let options = parse_options lineno opts in
-               Mna.add net
-                 (Mna.diode ~label:name
-                    ~is_:(find_opt options "is" 1e-12)
-                    ~vt:(find_opt options "vt" 0.02585)
-                    (node n1) (node n2))
-             | 'g', [ n1; n2; nc1; nc2; gm ] -> (
-               try
+            (* constructors reject bad values with Failure (numbers) or
+               Invalid_argument (device parameters) *)
+            (try
+               match kind, rest with
+               | 'r', [ n1; n2; v ] ->
+                 Mna.add net (Mna.resistor ~label:name ~r:(parse_value v) (node n1) (node n2))
+               | 'c', n1 :: n2 :: spec :: opts when String.lowercase_ascii spec = "junction" ->
+                 let options = parse_options lineno opts in
+                 Mna.add net
+                   (Mna.junction_capacitor ~label:name
+                      ~c0:(find_opt options "c0" 1.)
+                      ~vj:(find_opt options "vj" 0.7)
+                      ~m:(find_opt options "m" 0.5)
+                      ~fc:(find_opt options "fc" 0.5)
+                      (node n1) (node n2))
+               | 'c', [ n1; n2; v ] ->
+                 Mna.add net (Mna.capacitor ~label:name ~c:(parse_value v) (node n1) (node n2))
+               | 'l', [ n1; n2; v ] ->
+                 Mna.add net (Mna.inductor ~label:name ~l:(parse_value v) (node n1) (node n2))
+               | 'v', n1 :: n2 :: spec when spec <> [] ->
+                 let source = parse_source lineno spec in
+                 Mna.add net (Mna.vsource ~label:name ~v:source (node n1) (node n2))
+               | 'i', n1 :: n2 :: spec when spec <> [] ->
+                 let source = parse_source lineno spec in
+                 Mna.add net (Mna.isource ~label:name ~i:source (node n1) (node n2))
+               | 'd', n1 :: n2 :: opts ->
+                 let options = parse_options lineno opts in
+                 Mna.add net
+                   (Mna.diode ~label:name
+                      ~is_:(find_opt options "is" 1e-12)
+                      ~vt:(find_opt options "vt" 0.02585)
+                      (node n1) (node n2))
+               | 'g', [ n1; n2; nc1; nc2; gm ] ->
                  Mna.add net
                    (Mna.vccs ~label:name ~gm:(parse_value gm) (node nc1) (node nc2) (node n1)
                       (node n2))
-               with Failure m -> fail lineno "%s" m)
-             | 'e', [ n1; n2; nc1; nc2; gain ] -> (
-               try
+               | 'e', [ n1; n2; nc1; nc2; gain ] ->
                  Mna.add net
                    (Mna.vcvs ~label:name ~gain:(parse_value gain) (node nc1) (node nc2)
                       (node n1) (node n2))
-               with Failure m -> fail lineno "%s" m)
-             | 'm', nd :: ng :: ns :: opts ->
-               let options = parse_options lineno opts in
-               Mna.add net
-                 (Mna.mosfet ~label:name
-                    ~k:(find_opt options "k" 1.)
-                    ~vt:(find_opt options "vt" 0.6)
-                    ~drain:(node nd) ~gate:(node ng) ~source:(node ns) ())
-             | 'n', [ n1; n2; g1; g3 ] -> (
-               try
+               | 'm', nd :: ng :: ns :: opts ->
+                 let options = parse_options lineno opts in
+                 Mna.add net
+                   (Mna.mosfet ~label:name
+                      ~k:(find_opt options "k" 1.)
+                      ~vt:(find_opt options "vt" 0.6)
+                      ~drain:(node nd) ~gate:(node ng) ~source:(node ns) ())
+               | 'n', [ n1; n2; g1; g3 ] ->
                  Mna.add net
                    (Mna.cubic_conductance ~label:name ~g1:(parse_value g1)
                       ~g3:(parse_value g3) (node n1) (node n2))
-               with Failure m -> fail lineno "%s" m)
-             | _ -> fail lineno "cannot parse device line %S" line_text)
+               | _ -> fail lineno "cannot parse device line %S" line_text
+             with Failure m | Invalid_argument m -> fail lineno "%s" m)
         end
       end)
     lines;

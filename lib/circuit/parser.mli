@@ -25,7 +25,8 @@
 exception Parse_error of { line : int; message : string }
 
 (** [parse_string text] parses a netlist deck.  Raises {!Parse_error}
-    with a 1-based line number on malformed input. *)
+    with a 1-based line number on malformed input, including device
+    parameters the constructor rejects (e.g. [R1 a 0 0]). *)
 val parse_string : string -> Mna.t
 
 (** [parse_file path] reads and parses a deck from disk. *)

@@ -103,6 +103,162 @@ let mna_tests =
         approx_tol 1e-12 "dq at v=2" 2.2 (dae.Dae.dq [| 2. |]).(0).(0));
   ]
 
+(* One netlist holding every device constructor, each on its own nodes,
+   with node voltages [x_all] chosen to put every device in a known
+   region away from its branch points. *)
+let all_devices () =
+  let net = Mna.create () in
+  let volts = ref [] in
+  let node name v =
+    volts := v :: !volts;
+    Mna.node net name
+  in
+  let a = node "a" 0.7 and b = node "b" (-0.3) and cn = node "c" 1.1 in
+  let add = Mna.add net in
+  add (Mna.resistor ~label:"R" ~r:2. a b);
+  add (Mna.capacitor ~label:"C" ~c:0.5 a b);
+  add (Mna.inductor ~label:"L" ~l:0.1 b cn);
+  add (Mna.vsource ~label:"V" ~v:(fun t -> 0.5 +. sin t) a Mna.ground);
+  add (Mna.isource ~label:"I" ~i:(fun t -> cos t) b Mna.ground);
+  add (Mna.cubic_conductance ~label:"N" ~g1:1. ~g3:0.3 cn Mna.ground);
+  (* exponential branch (0.5 < vmax = 4) and linear branch (5 > 4) *)
+  add (Mna.diode ~label:"D1" ~is_:1e-3 ~vt:0.1 (node "d1" 0.5) Mna.ground);
+  add (Mna.diode ~label:"D2" ~is_:1e-18 ~vt:0.1 (node "d2" 5.) Mna.ground);
+  add
+    (Mna.nonlinear_capacitor ~label:"CN"
+       ~q:(fun v -> v +. (0.1 *. v *. v *. v))
+       ~dq:(fun v -> 1. +. (0.3 *. v *. v))
+       a cn);
+  let varactor label force_power n =
+    let p = Vco.default_params ~force_power ~control:(fun t -> 1.5 +. (0.5 *. sin t)) () in
+    add (Mna.mems_varactor ~label ~params:p.Vco.varactor n Mna.ground)
+  in
+  varactor "CV0" 0 a;
+  varactor "CV2" 2 cn;
+  add (Mna.vccs ~label:"G" ~gm:0.4 a b cn (node "g" 0.2));
+  add (Mna.vcvs ~label:"E" ~gain:2. cn b (node "e" (-0.6)) Mna.ground);
+  (* vt = 0.6: cutoff (vgs 0.3), saturation (vov 0.8 <= vds 1.9),
+     triode (vds 0.3 < vov 1.1), flipped triode (vd < vs: vds 0.7 < vov 0.8) *)
+  let mosfet label vd vg vs =
+    add
+      (Mna.mosfet ~label ~vt:0.6
+         ~drain:(node (label ^ "d") vd)
+         ~gate:(node (label ^ "g") vg)
+         ~source:(node (label ^ "s") vs)
+         ())
+  in
+  mosfet "M1" 1. 0.3 0.;
+  mosfet "M2" 2. 1.5 0.1;
+  mosfet "M3" 0.4 1.8 0.1;
+  mosfet "M4" 0.2 1.6 0.9;
+  (* reverse bias (-1 <= fc vj = 0.35) and the linear extension (0.5 > 0.35) *)
+  add (Mna.junction_capacitor ~label:"J1" (node "j1" (-1.)) Mna.ground);
+  add (Mna.junction_capacitor ~label:"J2" (node "j2" 0.5) Mna.ground);
+  add (Mna.multiplier ~label:"X" ~k:0.7 (a, b) (cn, Mna.ground) b (node "x" 0.4));
+  let dae = Mna.compile net in
+  let v = Array.of_list (List.rev !volts) in
+  (* states: L, V and E currents, varactor gaps and velocities *)
+  let x =
+    Array.init dae.Dae.dim (fun k ->
+        if k < Array.length v then v.(k) else 0.7 +. (0.05 *. float_of_int k))
+  in
+  (dae, x)
+
+let bits a = Array.map Int64.bits_of_float a
+
+let stamp_tests =
+  [
+    Alcotest.test_case "analytic stamps of every device match central differences" `Quick
+      (fun () ->
+        let dae, x = all_devices () in
+        Alcotest.(check int) "dim" (Array.length dae.Dae.var_names) dae.Dae.dim;
+        let t = 0.3 in
+        let fd_dq = Nonlin.Fdjac.jacobian_central dae.Dae.q x in
+        let fd_df = Nonlin.Fdjac.jacobian_central (fun y -> dae.Dae.f ~t y) x in
+        let check name analytic fd =
+          Array.iteri
+            (fun i row ->
+              Array.iteri
+                (fun j d ->
+                  if Float.abs (d -. fd.(i).(j)) > 1e-6 *. (1. +. Float.abs d) then
+                    Alcotest.failf "%s (%s, %s): analytic %g, fd %g" name
+                      dae.Dae.var_names.(i) dae.Dae.var_names.(j) d fd.(i).(j))
+                row)
+            analytic
+        in
+        check "dq" (dae.Dae.dq x) fd_dq;
+        check "df" (dae.Dae.df ~t x) fd_df);
+    Alcotest.test_case "constructors reject parameters that evaluate to NaN" `Quick (fun () ->
+        let rejects name make =
+          match make () with
+          | (_ : Mna.device) -> Alcotest.failf "%s: expected Invalid_argument" name
+          | exception Invalid_argument _ -> ()
+        in
+        let n = 1 in
+        rejects "diode vt = 0" (fun () -> Mna.diode ~label:"D" ~vt:0. n 0);
+        rejects "diode vt < 0" (fun () -> Mna.diode ~label:"D" ~vt:(-0.02) n 0);
+        rejects "diode vt nan" (fun () -> Mna.diode ~label:"D" ~vt:Float.nan n 0);
+        let junction ?vj ?m ?fc () = Mna.junction_capacitor ~label:"C" ?vj ?m ?fc n 0 in
+        rejects "m = 1" (fun () -> junction ~m:1. ());
+        rejects "m > 1" (fun () -> junction ~m:1.5 ());
+        rejects "vj = 0" (fun () -> junction ~vj:0. ());
+        rejects "vj < 0" (fun () -> junction ~vj:(-0.7) ());
+        rejects "fc < 0" (fun () -> junction ~fc:(-0.1) ());
+        rejects "fc = 1" (fun () -> junction ~fc:1. ());
+        (* the edges of the valid ranges still build finite stamps *)
+        let net = Mna.create () in
+        let a = Mna.node net "a" in
+        Mna.add net (Mna.junction_capacitor ~label:"J" ~m:0.99 ~fc:0. a Mna.ground);
+        Mna.add net (Mna.diode ~label:"D" ~vt:1e-3 a Mna.ground);
+        let dae = Mna.compile net in
+        Alcotest.(check bool) "finite q" true (Float.is_finite (dae.Dae.q [| 0.2 |]).(0));
+        Alcotest.(check bool) "finite f" true (Float.is_finite (dae.Dae.f ~t:0. [| 0.02 |]).(0)));
+    Alcotest.test_case "f and q allocate at most 32 words per call" `Quick (fun () ->
+        (* one small context record and the result array per call; the
+           stamping itself must not box floats or build closures *)
+        let dae = Vco.build (Vco.vco_a ()) in
+        let x = [| 1.3; -0.2; 0.9; 0.1 |] in
+        let words_per_call eval =
+          ignore (Sys.opaque_identity (eval ()));
+          let calls = 1000 in
+          let w0 = Gc.minor_words () in
+          for _ = 1 to calls do
+            ignore (Sys.opaque_identity (eval ()))
+          done;
+          (Gc.minor_words () -. w0) /. float_of_int calls
+        in
+        let wf = words_per_call (fun () -> dae.Dae.f ~t:7. x) in
+        let wq = words_per_call (fun () -> dae.Dae.q x) in
+        Alcotest.(check bool) (Printf.sprintf "f: %.1f words/call <= 32" wf) true (wf <= 32.);
+        Alcotest.(check bool) (Printf.sprintf "q: %.1f words/call <= 32" wq) true (wq <= 32.));
+    Alcotest.test_case "concurrent evaluation from two domains matches serial bits" `Quick
+      (fun () ->
+        let dae, x0 = all_devices () in
+        let points =
+          Array.init 40 (fun k ->
+              let shift i = 0.01 *. float_of_int ((k * 7) + i) in
+              (0.1 *. float_of_int k, Array.mapi (fun i xi -> xi +. shift i) x0))
+        in
+        let eval (t, x) =
+          ( bits (dae.Dae.q x),
+            bits (dae.Dae.f ~t x),
+            Array.map bits (dae.Dae.dq x),
+            Array.map bits (dae.Dae.df ~t x) )
+        in
+        let serial = Array.map eval points in
+        let sweep () =
+          let ok = ref true in
+          for _ = 1 to 50 do
+            Array.iteri (fun k p -> if eval p <> serial.(k) then ok := false) points
+          done;
+          !ok
+        in
+        let other = Domain.spawn sweep in
+        let here = sweep () in
+        Alcotest.(check bool) "this domain" true here;
+        Alcotest.(check bool) "spawned domain" true (Domain.join other));
+  ]
+
 let vco_tests =
   [
     Alcotest.test_case "nominal frequency is 0.75 MHz" `Quick (fun () ->
@@ -220,5 +376,10 @@ let prop_tests =
   ]
 
 let suites =
-  [ ("circuit.mna", mna_tests); ("circuit.vco", vco_tests); ("circuit.properties", prop_tests) ]
+  [
+    ("circuit.mna", mna_tests);
+    ("circuit.stamps", stamp_tests);
+    ("circuit.vco", vco_tests);
+    ("circuit.properties", prop_tests);
+  ]
 

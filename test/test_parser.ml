@@ -68,6 +68,20 @@ let deck_tests =
              ignore (Parser.parse_string "R1 a 0 1\nbogus line here\n");
              false
            with Parser.Parse_error { line; _ } -> line = 2));
+    Alcotest.test_case "rejected device parameters are line-numbered parse errors" `Quick
+      (fun () ->
+        (* the constructors raise Invalid_argument; the parser must not
+           let it escape *)
+        let line_of deck =
+          match Parser.parse_string deck with
+          | _ -> Alcotest.failf "expected Parse_error for %S" deck
+          | exception Parser.Parse_error { line; _ } -> line
+        in
+        Alcotest.(check int) "r = 0" 2 (line_of "V1 a 0 1\nR1 a 0 0\n");
+        Alcotest.(check int) "diode vt = 0" 3 (line_of "V1 a 0 1\nR1 a b 1\nD1 b 0 vt=0\n");
+        Alcotest.(check int) "junction m = 1" 2 (line_of "R1 b 0 1\nC1 b 0 junction m=1\n");
+        Alcotest.(check int) "junction vj < 0" 1 (line_of "C1 b 0 junction vj=-0.7\n");
+        Alcotest.(check int) "junction fc = 1" 1 (line_of "C1 b 0 junction fc=1\n"));
     Alcotest.test_case "vccs deck: transconductance amplifier" `Quick (fun () ->
         let net = Parser.parse_string "V1 in 0 2\nG1 0 out in 0 0.5\nR1 out 0 4\n" in
         let dae = Mna.compile net in
