@@ -9,7 +9,8 @@
      dune exec bench/main.exe -- --csv        -- emit full series as CSV
      dune exec bench/main.exe -- --list       -- list experiment ids
      dune exec bench/main.exe -- --smoke      -- reduced problem sizes (CI)
-     dune exec bench/main.exe -- --check      -- exit 1 if krylov slower than dense
+     dune exec bench/main.exe -- --check      -- exit 1 if krylov slower than dense, or
+                                                 if the robust cascade outcome regresses
      dune exec bench/main.exe -- --jobs 4     -- domain-pool parallelism (adds the
                                                  strong-scaling rows to krylov/robust)
 
@@ -655,33 +656,47 @@ let robust () =
     in
     let n1 = 11 and n2 = 11 in
     let guess = Array.init n2 (fun _ -> Array.init n1 (fun _ -> [| 0. |])) in
-    let t0 = Sys.time () in
-    let outcome =
-      Obs.Metrics.with_isolated (fun () ->
-          Obs.set_enabled true;
-          let count name = Obs.Metrics.count (Obs.Metrics.counter name) in
-          match Mpde.quasiperiodic ?cascade sys ~n1 ~n2 ~p2 ~guess with
-          | _ ->
-            let winner =
-              List.find_opt
-                (fun s -> count ("newton.strategy." ^ Nonlin.Polyalg.strategy_name s) > 0)
-                (List.rev Nonlin.Polyalg.default_cascade)
-            in
-            let iters = count "newton.iterations" + count "trust_region.iterations"
-                        + count "ptc.iterations" in
-            `Solved (winner, iters)
-          | exception Mpde.Solve_failure _ -> `Failed)
+    (* the case's work is the counters' growth across it, so the
+       experiment footer and the --json entry keep every case's counts *)
+    let count name = Obs.Metrics.count (Obs.Metrics.counter name) in
+    let strategy_counter s = "newton.strategy." ^ Nonlin.Polyalg.strategy_name s in
+    let watched =
+      [ "newton.iterations"; "trust_region.iterations"; "ptc.iterations" ]
+      @ List.map strategy_counter Nonlin.Polyalg.default_cascade
     in
-    (outcome, Sys.time () -. t0)
+    let before = List.map (fun name -> (name, count name)) watched in
+    let grown name = count name - List.assoc name before in
+    let t0 = Unix.gettimeofday () in
+    let outcome =
+      match Mpde.quasiperiodic ?cascade sys ~n1 ~n2 ~p2 ~guess with
+      | _ ->
+        let winner =
+          List.find_opt
+            (fun s -> grown (strategy_counter s) > 0)
+            (List.rev Nonlin.Polyalg.default_cascade)
+        in
+        let iters =
+          grown "newton.iterations" + grown "trust_region.iterations" + grown "ptc.iterations"
+        in
+        `Solved (winner, iters)
+      | exception Mpde.Solve_failure _ -> `Failed
+    in
+    (outcome, Unix.gettimeofday () -. t0)
   in
   let betas = if !smoke then [ 200.; 500. ] else [ 100.; 200.; 300.; 400.; 500.; 600. ] in
   Printf.printf
     "robust | strong-modulation sinh quasiperiodic from cold start: plain Newton vs cascade\n";
-  Printf.printf "robust |   beta    plain Newton          cascade\n";
+  Printf.printf "robust |   beta    plain Newton          cascade                    (wall s)\n";
+  (* --check: plain Newton fails and trust region wins at beta = 500 *)
+  let check_ok = ref false in
   List.iter
     (fun beta ->
       let plain, t_plain = solve_case beta (Some [ Nonlin.Polyalg.Damped ]) in
       let full, t_full = solve_case beta None in
+      if beta = 500. then
+        check_ok :=
+          plain = `Failed
+          && (match full with `Solved (Some Nonlin.Polyalg.Trust_region, _) -> true | _ -> false);
       Printf.printf "robust |   %4.0f    %-18s  %s\n" beta
         (match plain with
         | `Failed -> "FAIL"
@@ -721,7 +736,18 @@ let robust () =
     end
   end;
   Printf.printf
-    "robust | (the cascade keeps solving after plain Newton starts failing; trust region wins)\n"
+    "robust | (the cascade keeps solving after plain Newton starts failing; trust region wins)\n";
+  if !check then begin
+    if not !check_ok then begin
+      Printf.eprintf
+        "robust check FAILED: at beta = 500 plain Newton must fail and trust region must win\n";
+      exit 1
+    end;
+    if Obs.Metrics.count (Obs.Metrics.counter "lu.factor") = 0 then begin
+      Printf.eprintf "robust check FAILED: no LU factorizations counted\n";
+      exit 1
+    end
+  end
 
 let health () =
   (* numerical-health monitors vs t1 resolution: the VCO-A envelope run

@@ -158,10 +158,12 @@ let quasiperiodic ?cascade sys ~n1 ~n2 ~p2 ~guess =
   if Array.length guess <> n2 then invalid_arg "Mpde.quasiperiodic: guess size <> n2";
   let sd = semidisc sys ~n1 in
   let qp = Dae.Semidisc.periodic sd ~p2 ~d2:(Fourier.Series.diff_matrix n2) in
+  let jacobian y = Dae.Semidisc.periodic_dense qp (Dae.Semidisc.periodic_linearize qp y) in
   let outcome =
     Nonlin.Polyalg.solve
       ~options:{ newton_options with max_iterations = 80 }
-      ?cascade ~label:"mpde.quasiperiodic" ~residual:(Dae.Semidisc.periodic_residual qp)
+      ?cascade ~label:"mpde.quasiperiodic" ~jacobian
+      ~residual:(Dae.Semidisc.periodic_residual qp)
       (Array.concat (Array.to_list (Array.map pack guess)))
   in
   let report = outcome.Nonlin.Polyalg.report in

@@ -65,9 +65,12 @@ val periodic_initial :
 (** [quasiperiodic sys ~n1 ~n2 ~p2 ~guess] solves the biperiodic
     steady state on an [n1 x n2] grid (both odd), with slow period
     [p2]: the AM-quasiperiodic solution of Section 3.  [guess] is an
-    [n2]-array of [n1]-arrays of states.  [cascade] overrides the
-    {!Nonlin.Polyalg.default_cascade} (e.g. [[Damped]] to benchmark
-    plain Newton); raises {!Solve_failure} when it is exhausted. *)
+    [n2]-array of [n1]-arrays of states.  Damped Newton, trust region
+    and PTC use the analytic periodic Jacobian
+    ({!Dae.Semidisc.periodic_dense}), dense and LU-factored.
+    [cascade] overrides the {!Nonlin.Polyalg.default_cascade} (e.g.
+    [[Damped]] to benchmark plain Newton); raises {!Solve_failure}
+    when it is exhausted. *)
 val quasiperiodic :
   ?cascade:Nonlin.Polyalg.strategy list ->
   system ->

@@ -34,7 +34,9 @@ let solve ?(options = Newton.default_options) ?(label = "ptc") ?jacobian ~residu
         (Obs.Events.Newton_done { solver = label; iterations; residual = !rnorm; converged });
     { Newton.x = !x; residual_norm = !rnorm; iterations; converged; reason }
   in
-  let rec iterate k =
+  (* [j] is the Jacobian at the current iterate when a step that left
+     the iterate in place already formed it: only the shift changes *)
+  let rec iterate k j =
     if not (Float.is_finite !rnorm) then
       finish ~iterations:k ~converged:false ~reason:(Some Newton.Non_finite_residual)
     else if !rnorm <= options.Newton.residual_tol then
@@ -45,7 +47,10 @@ let solve ?(options = Newton.default_options) ?(label = "ptc") ?jacobian ~residu
       finish ~iterations:k ~converged:false ~reason:(Some Newton.Singular_jacobian)
     else begin
       let j =
-        match jacobian with Some j -> j !x | None -> Fdjac.jacobian ~f0:!r residual !x
+        match (j, jacobian) with
+        | Some j, _ -> j
+        | None, Some jac -> jac !x
+        | None, None -> Fdjac.jacobian ~f0:!r residual !x
       in
       let shift = 1. /. !delta in
       let m = Mat.init n n (fun i l -> j.(i).(l) +. if i = l then shift else 0.) in
@@ -54,7 +59,7 @@ let solve ?(options = Newton.default_options) ?(label = "ptc") ?jacobian ~residu
         (* the shifted system should be well conditioned for small
            delta; shrink the pseudo step and retry *)
         delta := !delta /. 4.;
-        iterate (k + 1)
+        iterate (k + 1) (Some j)
       | dx ->
         Vec.scale_inplace (-1.) dx;
         let trial = Array.mapi (fun i xi -> xi +. dx.(i)) !x in
@@ -63,7 +68,7 @@ let solve ?(options = Newton.default_options) ?(label = "ptc") ?jacobian ~residu
         if not (Float.is_finite rtnorm) then begin
           (* stay put, take a smaller pseudo step *)
           delta := !delta /. 4.;
-          iterate (k + 1)
+          iterate (k + 1) (Some j)
         end
         else begin
           (* SER: grow the step inversely with residual progress *)
@@ -76,8 +81,8 @@ let solve ?(options = Newton.default_options) ?(label = "ptc") ?jacobian ~residu
             Obs.Events.emit
               (Obs.Events.Newton_iter
                  { solver = label; k = k + 1; residual = rtnorm; damping = 1. });
-          iterate (k + 1)
+          iterate (k + 1) None
         end
     end
   in
-  iterate 0
+  iterate 0 None

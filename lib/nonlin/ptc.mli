@@ -5,7 +5,11 @@
     [delta] grows as the residual falls, so the iteration morphs from
     regularized descent into full Newton near the solution.  The
     strategy of last numerical resort before homotopy in {!Polyalg} —
-    slow but very hard to stall. *)
+    slow but very hard to stall.
+
+    The Jacobian is formed once per iterate: when the shifted system
+    is singular or the trial residual is not finite, the iterate stays
+    put and only the shift and its LU are rebuilt. *)
 
 open Linalg
 

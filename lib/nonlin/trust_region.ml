@@ -9,8 +9,16 @@ module Obs = Wampde_obs
 
 let c_solves = Obs.Metrics.counter "trust_region.solves"
 let c_iters = Obs.Metrics.counter "trust_region.iterations"
+let c_rejected = Obs.Metrics.counter "trust_region.rejected"
 
 let merit r = 0.5 *. Vec.dot r r
+
+(* The quadratic model at the current iterate, minus the radius: the
+   Jacobian, the gradient g = J^T r, ||g||, ||J g||^2 and the Newton
+   point (None when J is singular).  A rejected step leaves x and r
+   unchanged, so the model is kept and only the dogleg is redone for the
+   smaller radius. *)
+type model = { j : Mat.t; g : Vec.t; gnorm : float; jg2 : float; p_newton : Vec.t option }
 
 let solve ?(options = Newton.default_options) ?(label = "trust_region") ?jacobian ~residual x0 =
   Obs.Span.span
@@ -31,7 +39,25 @@ let solve ?(options = Newton.default_options) ?(label = "trust_region") ?jacobia
         (Obs.Events.Newton_done { solver = label; iterations; residual = !rnorm; converged });
     { Newton.x = !x; residual_norm = !rnorm; iterations; converged; reason }
   in
-  let rec iterate k =
+  (* None when the gradient vanishes or is not finite *)
+  let build_model () =
+    let j = match jacobian with Some j -> j !x | None -> Fdjac.jacobian ~f0:!r residual !x in
+    let g = Mat.tmatvec j !r in
+    let gnorm = Vec.norm2 g in
+    if gnorm = 0. || not (Float.is_finite gnorm) then None
+    else begin
+      let jg = Mat.matvec j g in
+      let p_newton =
+        match Lu.solve (Lu.factor j) !r with
+        | dx ->
+          Vec.scale_inplace (-1.) dx;
+          if Float.is_finite (Vec.norm2 dx) then Some dx else None
+        | exception (Lu.Singular _ | Newton.Linear_solve_failed _) -> None
+      in
+      Some { j; g; gnorm; jg2 = Vec.dot jg jg; p_newton }
+    end
+  in
+  let rec iterate k model =
     if not (Float.is_finite !rnorm) then
       finish ~iterations:k ~converged:false ~reason:(Some Newton.Non_finite_residual)
     else if !rnorm <= options.Newton.residual_tol then
@@ -41,28 +67,14 @@ let solve ?(options = Newton.default_options) ?(label = "trust_region") ?jacobia
     else if !delta < delta_min then
       (* radius collapse: the model never agrees with the function *)
       finish ~iterations:k ~converged:false ~reason:(Some Newton.Line_search_failed)
-    else begin
-      let j =
-        match jacobian with Some j -> j !x | None -> Fdjac.jacobian ~f0:!r residual !x
-      in
-      let g = Mat.tmatvec j !r in
-      let gnorm = Vec.norm2 g in
-      if gnorm = 0. || not (Float.is_finite gnorm) then
-        finish ~iterations:k ~converged:false ~reason:(Some Newton.Singular_jacobian)
-      else begin
-        let jg = Mat.matvec j g in
-        let jg2 = Vec.dot jg jg in
+    else
+      match (match model with Some _ -> model | None -> build_model ()) with
+      | None -> finish ~iterations:k ~converged:false ~reason:(Some Newton.Singular_jacobian)
+      | Some ({ j; g; gnorm; jg2; p_newton } as m) ->
         (* steepest-descent minimizer of the model along -g *)
         let p_cauchy =
           if jg2 > 0. then Vec.scale (-.(gnorm *. gnorm) /. jg2) g
           else Vec.scale (-.(!delta) /. gnorm) g
-        in
-        let p_newton =
-          match Lu.solve (Lu.factor j) !r with
-          | dx ->
-            Vec.scale_inplace (-1.) dx;
-            if Float.is_finite (Vec.norm2 dx) then Some dx else None
-          | exception (Lu.Singular _ | Newton.Linear_solve_failed _) -> None
         in
         (* dogleg step for the current radius *)
         let dogleg delta =
@@ -109,10 +121,12 @@ let solve ?(options = Newton.default_options) ?(label = "trust_region") ?jacobia
           if Obs.Events.active () then
             Obs.Events.emit
               (Obs.Events.Newton_iter
-                 { solver = label; k = k + 1; residual = !rnorm; damping = 1. })
-        end;
-        iterate (k + 1)
-      end
-    end
+                 { solver = label; k = k + 1; residual = !rnorm; damping = 1. });
+          iterate (k + 1) None
+        end
+        else begin
+          Obs.Metrics.incr c_rejected;
+          iterate (k + 1) (Some m)
+        end
   in
-  iterate 0
+  iterate 0 None

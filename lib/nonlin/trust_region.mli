@@ -8,7 +8,10 @@
 
     The Jacobian is formed densely ([?jacobian] or forward differences)
     and factored with LU — a singular factorization degrades to the
-    Cauchy direction instead of aborting. *)
+    Cauchy direction instead of aborting.  Both happen once per
+    accepted iterate: a rejected step leaves the iterate in place, so
+    the model is kept and only the dogleg is redone for the smaller
+    radius (iterates are the same as rebuilding it). *)
 
 open Linalg
 
@@ -17,7 +20,8 @@ open Linalg
     unused.  Failure reasons: [Line_search_failed] encodes trust-radius
     collapse, [Non_finite_residual] a NaN/Inf residual at the current
     iterate.  Emits [Newton_iter]/[Newton_done] tagged [label] and
-    updates the [trust_region.*] counters. *)
+    updates the [trust_region.*] counters ([trust_region.rejected]
+    counts rejected dogleg steps). *)
 val solve :
   ?options:Newton.options ->
   ?label:string ->

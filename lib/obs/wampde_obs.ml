@@ -2047,6 +2047,8 @@ module Doctor = struct
     let escalations =
       counter counters "newton.strategy.escalations" +. counter counters "controller.escalations"
     in
+    (* a rejected dogleg step reuses the trust-region model *)
+    let rejected = counter counters "trust_region.rejected" in
     let newton =
       if escalations > 0. then
         Some
@@ -2054,7 +2056,12 @@ module Doctor = struct
             category = "solver_quality";
             severity = Warn;
             summary =
-              Printf.sprintf "globalization cascade escalated %.0f time(s)" escalations;
+              Printf.sprintf "globalization cascade escalated %.0f time(s)" escalations
+              ^
+              if rejected > 0. then
+                Printf.sprintf "; trust region rejected %.0f of %.0f steps (model reused)"
+                  rejected (counter counters "trust_region.iterations")
+              else "";
             suggestion =
               Some
                 "the base Newton strategy is mismatched to this regime; consider a smaller h2 or \

@@ -26,6 +26,37 @@ let powell_residual x =
 
 let rosenbrock_residual x = [| 10. *. (x.(1) -. (x.(0) *. x.(0))); 1. -. x.(0) |]
 
+let rosenbrock_jacobian x = [| [| -20. *. x.(0); 10. |]; [| -1.; 0. |] |]
+
+let powell_jacobian x =
+  [| [| 1e4 *. x.(1); 1e4 *. x.(0) |]; [| -.exp (-.x.(0)); -.exp (-.x.(1)) |] |]
+
+(* A Jacobian that records every point it is formed at. *)
+let recording jacobian =
+  let points = ref [] in
+  ((fun x -> points := Array.copy x :: !points; jacobian x), points)
+
+(* Reusing the model at an unchanged iterate must not move the
+   iteration: the reports are pinned bit for bit (as hex floats) to
+   those of the solvers that re-formed the Jacobian at every step. *)
+let check_pinned what (report : Nonlin.Newton.report) ~iterations ~residual_norm ~x =
+  let bits = Printf.sprintf "%h" in
+  Alcotest.(check int) (what ^ " iterations") iterations report.Nonlin.Newton.iterations;
+  Alcotest.(check string)
+    (what ^ " residual norm") (bits residual_norm)
+    (bits report.Nonlin.Newton.residual_norm);
+  Alcotest.(check (list string))
+    (what ^ " x")
+    (List.map bits (Array.to_list x))
+    (List.map bits (Array.to_list report.Nonlin.Newton.x))
+
+(* one Jacobian per iterate: no two calls at the same point *)
+let check_distinct what points =
+  Alcotest.(check int)
+    (what ^ " distinct Jacobian points")
+    (List.length !points)
+    (List.length (List.sort_uniq compare !points))
+
 let check_root what residual (x : Linalg.Vec.t) =
   let r = residual x in
   Array.iteri
@@ -49,6 +80,57 @@ let globalize_tests =
            let report = Nonlin.Trust_region.solve ~residual:powell_residual [| 0.; 1. |] in
            Alcotest.(check bool) "converged" true report.Nonlin.Newton.converged;
            check_root "powell" powell_residual report.Nonlin.Newton.x));
+    Alcotest.test_case "trust region forms one Jacobian per accepted iterate" `Quick
+      (with_counters (fun () ->
+           List.iter
+             (fun (what, residual, jacobian, x0, iterations, residual_norm, x) ->
+               let rejected0 = count "trust_region.rejected" in
+               let jacobian, points = recording jacobian in
+               let report = Nonlin.Trust_region.solve ~jacobian ~residual x0 in
+               let rejected = count "trust_region.rejected" - rejected0 in
+               Alcotest.(check bool) (what ^ " converged") true report.Nonlin.Newton.converged;
+               Alcotest.(check bool) (what ^ " steps rejected") true (rejected > 0);
+               (* the converged final iterate needs no Jacobian *)
+               Alcotest.(check int)
+                 (what ^ " Jacobians = accepted steps")
+                 (report.Nonlin.Newton.iterations - rejected)
+                 (List.length !points);
+               check_distinct what points;
+               check_pinned what report ~iterations ~residual_norm ~x)
+             [
+               ("rosenbrock", rosenbrock_residual, rosenbrock_jacobian, [| -3.; 8. |], 24, 0x0p+0,
+                [| 0x1p+0; 0x1p+0 |]);
+               ("powell", powell_residual, powell_jacobian, [| 0.; 1. |], 42, 0x1.e6p-45,
+                [| 0x1.707b2b0b09dafp-17; 0x1.23658dd90954fp+3 |]);
+             ]));
+    Alcotest.test_case "ptc keeps its Jacobian when the iterate stays put" `Quick
+      (with_counters (fun () ->
+           List.iter
+             (fun (what, residual, jacobian, jacobians, iterations, residual_norm, x) ->
+               let jacobian, points = recording jacobian in
+               let report = Nonlin.Ptc.solve ~jacobian ~residual [| 0. |] in
+               Alcotest.(check bool) (what ^ " converged") true report.Nonlin.Newton.converged;
+               Alcotest.(check int) (what ^ " Jacobians") jacobians (List.length !points);
+               check_distinct what points;
+               check_pinned what report ~iterations ~residual_norm ~x)
+             [
+               (* J(0) = -10 cancels the first shift 1/delta = 10: the
+                  shifted system is exactly singular once *)
+               ( "singular shift",
+                 (fun x -> [| (x.(0) *. x.(0) *. x.(0)) -. (10. *. x.(0)) -. 20. |]),
+                 (fun x -> [| [| (3. *. x.(0) *. x.(0)) -. 10. |] |]),
+                 13, 14, 0x1.868p-37, [| 0x1.f20cf4f72175bp+1 |] );
+               (* J(0) = -9.9 makes the first pseudo step 10x the
+                  residual; it leaves the domain |x| <= 10 once *)
+               ( "non-finite trial",
+                 (fun x ->
+                   [|
+                     (if Float.abs x.(0) > 10. then Float.nan
+                      else (x.(0) *. x.(0) *. x.(0)) -. (9.9 *. x.(0)) -. 5.);
+                   |]),
+                 (fun x -> [| [| (3. *. x.(0) *. x.(0)) -. 9.9 |] |]),
+                 33, 34, 0x1.8p-46, [| 0x1.afd65105db4b4p+1 |] );
+             ]));
     Alcotest.test_case "ptc solves a stiff sinh system from zero" `Quick
       (with_counters (fun () ->
            (* sinh cliff: full Newton from 0 overshoots catastrophically *)
@@ -155,10 +237,49 @@ let acceptance_tests =
            Alcotest.(check int) "damped failure counted" 1 (count "newton.strategy.failed");
            (* full cascade: converges, and the strategy counters name
               the winner (trust region for this regime) *)
-           let res = Mpde.quasiperiodic sys ~n1 ~n2 ~p2 ~guess in
+           let f_calls = Atomic.make 0 in
+           let dae = sys.Mpde.dae in
+           let counted =
+             {
+               sys with
+               Mpde.dae =
+                 { dae with Dae.f = (fun ~t x -> Atomic.incr f_calls; dae.Dae.f ~t x) };
+             }
+           in
+           let iterations () =
+             count "newton.iterations" + count "trust_region.iterations" + count "ptc.iterations"
+           in
+           let iterations0 = iterations () in
+           let res = Mpde.quasiperiodic counted ~n1 ~n2 ~p2 ~guess in
+           (* the analytic periodic Jacobian evaluates no residual, so an
+              iteration costs about two residuals of n1 n2 calls each; a
+              forward-difference Jacobian adds one residual per unknown *)
+           let iterations = iterations () - iterations0 in
+           Alcotest.(check bool)
+             (Printf.sprintf "%d f calls in %d iterations" (Atomic.get f_calls) iterations)
+             true
+             (Atomic.get f_calls < 20 * n1 * n2 * (iterations + 1));
            Alcotest.(check bool) "escalation recorded" true
              (count "newton.strategy.escalations" >= 1);
            Alcotest.(check int) "trust region won" 1 (count "newton.strategy.trust_region");
+           (* the doctor reports how often the trust-region model was reused *)
+           let findings =
+             match
+               Obs.Doctor.diagnose_string (Obs.Report.manifest ~git:"test" ~wall_s:1. ~steps:[] ())
+             with
+             | Ok findings -> findings
+             | Error e -> Alcotest.fail e
+           in
+           Alcotest.(check bool) "doctor names rejected steps" true
+             (List.exists
+                (fun f ->
+                  try
+                    ignore
+                      (Str.search_forward (Str.regexp_string "trust region rejected")
+                         f.Obs.Doctor.summary 0);
+                    true
+                  with Not_found -> false)
+                findings);
            Array.iter
              (Array.iter
                 (Array.iter (fun x ->
