@@ -384,7 +384,7 @@ let lock () =
     "lock | VCO-A FM-quasiperiodic steady state (periodic BCs): omega %.4f..%.4f MHz, mean %.4f\n"
     lo hi
     (Wampde.Quasiperiodic.mean_frequency sol);
-  Printf.printf "lock | residual %.2e; also solvable matrix-free (GMRES + block-Jacobi)\n"
+  Printf.printf "lock | residual %.2e (solver auto: matrix-free at this size)\n"
     (Wampde.Quasiperiodic.residual_norm dae ~options:(Lazy.force options) sol);
   (* special cases of eq. (24): omega0 = w2 (entrained) and w2/2 (divided) *)
   let w2 = 1. /. 40. in
@@ -559,30 +559,28 @@ let ablation_h2 () =
     "ablation-h2 | (trapezoidal error falls 4x per halving: order 2; BE only 2x: order 1)\n"
 
 let ablation_solver () =
-  (* dense LU vs matrix-free GMRES + block-Jacobi on the quasiperiodic
-     system, as n2 grows *)
+  (* dense LU vs matrix-free Krylov (per-slice bordered FFT-block
+     preconditioner) on the quasiperiodic system, as n2 grows *)
   let dae = Circuit.Vco.build (Lazy.force vco_a) in
   let env =
     Wampde.Envelope.simulate dae ~options:(Lazy.force options) ~t2_end:200. ~h2:0.5
       ~init:(Lazy.force orbit_a)
   in
-  Printf.printf "ablation-solver | quasiperiodic Newton: dense LU vs GMRES+block-Jacobi:\n";
+  Printf.printf "ablation-solver | quasiperiodic Newton: dense LU vs matrix-free Krylov:\n";
   List.iter
     (fun n2 ->
       let guess = Wampde.Quasiperiodic.guess_from_envelope env ~p2:40. ~n2 ~t_from:160. in
       let time solver =
+        let options = { (Lazy.force options) with Wampde.Envelope.solver } in
         let t0 = Sys.time () in
-        let _ =
-          Wampde.Quasiperiodic.solve dae ~linear_solver:solver ~options:(Lazy.force options)
-            ~p2:40. ~n2 ~guess ()
-        in
+        let _ = Wampde.Quasiperiodic.solve dae ~options ~p2:40. ~n2 ~guess () in
         Sys.time () -. t0
       in
-      let td = time `Dense and tg = time `Gmres in
+      let td = time Linalg.Structured.Dense and tk = time Linalg.Structured.Krylov in
       let unknowns = n2 * ((n1 * 4) + 1) in
       Printf.printf
-        "ablation-solver |   n2 = %2d (%4d unknowns): dense %6.2f s, gmres %6.2f s (%.1fx)\n" n2
-        unknowns td tg (td /. tg))
+        "ablation-solver |   n2 = %2d (%4d unknowns): dense %6.2f s, krylov %6.2f s (%.1fx)\n" n2
+        unknowns td tk (td /. tk))
     [ 7; 11; 15; 21 ];
   Printf.printf
     "ablation-solver | (iterative linear algebra scales as the paper's [Saa96] reference)\n"

@@ -462,7 +462,7 @@ let orbit_cmd =
   let doc = "unforced periodic steady state (collocation with unknown frequency)" in
   Cmd.v (Cmd.info "orbit" ~doc) Term.(const run $ obs_term $ which_arg $ n1_arg)
 
-let solver_arg =
+let solver_arg ~default =
   let doc =
     "Collocation linear solver: $(b,dense) (assembled Jacobian + LU), $(b,krylov) (matrix-free \
      GMRES with the FFT-diagonalized block preconditioner) or $(b,auto) (krylov once the system \
@@ -476,7 +476,7 @@ let solver_arg =
         ("auto", Linalg.Structured.auto);
       ]
   in
-  Arg.(value & opt kind Linalg.Structured.auto & info [ "solver" ] ~docv:"KIND" ~doc)
+  Arg.(value & opt kind default & info [ "solver" ] ~docv:"KIND" ~doc)
 
 (* ---------- adaptive-stepping flags (envelope subcommand) ---------- *)
 
@@ -583,8 +583,10 @@ let envelope_cmd =
   Cmd.v
     (Cmd.info "envelope" ~doc)
     Term.(
-      const run $ obs_term $ which_arg $ n1_arg $ t_end_arg $ h2_arg $ solver_arg $ rtol_arg
-      $ atol_arg $ h2min_arg $ h2max_arg $ checkpoint_arg $ checkpoint_every_arg $ resume_arg)
+      const run $ obs_term $ which_arg $ n1_arg $ t_end_arg $ h2_arg
+      $ solver_arg ~default:Linalg.Structured.auto
+      $ rtol_arg $ atol_arg $ h2min_arg $ h2max_arg $ checkpoint_arg $ checkpoint_every_arg
+      $ resume_arg)
 
 let transient_cmd =
   let pts_arg =
@@ -624,11 +626,7 @@ let quasi_cmd =
     let doc = "Number of slow-time collocation slices (odd)." in
     Arg.(value & opt int 15 & info [ "n2" ] ~docv:"N" ~doc)
   in
-  let gmres_arg =
-    let doc = "Use matrix-free GMRES with block-Jacobi preconditioning." in
-    Arg.(value & flag & info [ "gmres" ] ~doc)
-  in
-  let run obs n1 n2 gmres =
+  let run obs n1 n2 solver =
     (* the embedded envelope warmup integrates to t2 = 200 *)
     with_obs ~cmd:"quasi" ~total:200. ~circuit:"vco-a" ~n1 obs @@ fun () ->
     let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
@@ -636,8 +634,9 @@ let quasi_cmd =
     let options = Wampde.Envelope.default_options ~n1 () in
     let env = Wampde.Envelope.simulate dae ~options ~t2_end:200. ~h2:0.5 ~init:orbit in
     let guess = Wampde.Quasiperiodic.guess_from_envelope env ~p2:40. ~n2 ~t_from:160. in
-    let linear_solver = if gmres then `Gmres else `Dense in
-    let sol = Wampde.Quasiperiodic.solve dae ~linear_solver ~options ~p2:40. ~n2 ~guess () in
+    let sol =
+      Wampde.Quasiperiodic.solve dae ~options:{ options with solver } ~p2:40. ~n2 ~guess ()
+    in
     Printf.printf "# residual %.3e, mean frequency %.6f MHz\n"
       (Wampde.Quasiperiodic.residual_norm dae ~options sol)
       (Wampde.Quasiperiodic.mean_frequency sol);
@@ -647,7 +646,9 @@ let quasi_cmd =
       sol.Wampde.Quasiperiodic.t2
   in
   let doc = "quasiperiodic (periodic boundary conditions) WaMPDE solve of VCO-A" in
-  Cmd.v (Cmd.info "quasi" ~doc) Term.(const run $ obs_term $ n1_arg $ n2_arg $ gmres_arg)
+  Cmd.v
+    (Cmd.info "quasi" ~doc)
+    Term.(const run $ obs_term $ n1_arg $ n2_arg $ solver_arg ~default:Linalg.Structured.Dense)
 
 let waveform_cmd =
   let per_cycle_arg =

@@ -26,7 +26,8 @@ type options = {
   newton : Nonlin.Newton.options;
   solver : Structured.strategy;
       (** linear-solver path for the collocation Newton systems: dense
-          LU, matrix-free preconditioned GMRES, or size-based [Auto] *)
+          LU, matrix-free preconditioned GMRES, or size-based [Auto]
+          (also read by {!Quasiperiodic.solve}) *)
   rescue : bool;
       (** when the chord iteration fails a step, cold-start the
           {!Nonlin.Polyalg} trust-region/PTC cascade on the same step

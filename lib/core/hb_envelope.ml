@@ -301,7 +301,3 @@ let simulate ?(solver = Structured.auto) dae ~harmonics:m ?(phase_component = 0)
 
 let eval_coefficient result ~step ~component ~harmonic =
   result.coeffs.(step).(component).(result.harmonics + harmonic)
-
-let waveform_slice result ~step ~component ~n =
-  let c = result.coeffs.(step).(component) in
-  Vec.init n (fun j -> Fourier.Series.eval c ~period:1. (float_of_int j /. float_of_int n))

@@ -55,7 +55,3 @@ val simulate :
 (** [eval_coefficient result ~step ~component ~harmonic] reads one
     coefficient. *)
 val eval_coefficient : result -> step:int -> component:int -> harmonic:int -> Cx.c
-
-(** [waveform_slice result ~step ~component ~n] synthesizes the [t1]
-    waveform at an accepted step on an [n]-point grid. *)
-val waveform_slice : result -> step:int -> component:int -> n:int -> Vec.t

@@ -3,8 +3,6 @@ module Obs = Wampde_obs
 
 type solution = { p2 : float; t2 : Vec.t; omega : Vec.t; slices : Vec.t array array }
 
-type linear_solver = [ `Dense | `Gmres | `Krylov ]
-
 exception Solve_failure of Nonlin.Newton.report
 
 let () =
@@ -45,8 +43,8 @@ let unpack ~p2 ~n1 ~n ~n2 y =
       Array.init n2 (fun m -> Array.init n1 (fun j -> Array.sub y ((m * bs) + (j * n)) n));
   }
 
-let solve dae ?(linear_solver = `Dense) ?(max_iterations = 25) ?(tol = 1e-8)
-    ~(options : Envelope.options) ~p2 ~n2 ~guess () =
+let solve dae ?(max_iterations = 25) ?(tol = 1e-8) ~(options : Envelope.options) ~p2 ~n2
+    ~guess () =
   let n = dae.Dae.dim in
   let n1 = options.Envelope.n1 in
   if n1 mod 2 = 0 || n2 mod 2 = 0 then
@@ -60,9 +58,9 @@ let solve dae ?(linear_solver = `Dense) ?(max_iterations = 25) ?(tol = 1e-8)
   Obs.Scope.with_scope "quasiperiodic" @@ fun () ->
   let sys = system dae ~options ~p2 ~n2 in
   let bs = (n1 * n) + 1 in
-  let dense y = Dae.Semidisc.periodic_dense sys (Dae.Semidisc.periodic_linearize sys y) in
-  (* slice-diagonal preconditioners: [f m] acts on slice m alone *)
-  let per_slice f v = Array.concat (List.init n2 (fun m -> f m (Array.sub v (m * bs) bs))) in
+  let dense_dir y r =
+    Lu.solve (Lu.factor (Dae.Semidisc.periodic_dense sys (Dae.Semidisc.periodic_linearize sys y))) r
+  in
   (* Fully matrix-free Newton direction: the per-slice structured
      operators and cross-slice slow coupling of [Dae.Semidisc],
      preconditioned by the per-slice bordered FFT-block inverse (the
@@ -85,36 +83,22 @@ let solve dae ?(linear_solver = `Dense) ?(max_iterations = 25) ?(tol = 1e-8)
     with
     | exception (Cx.Clu.Singular _ | Structured.Bordered_singular _ | Failure _) -> None
     | borders ->
-      let m_inv = per_slice (fun m -> Structured.bordered_apply borders.(m)) in
+      let m_inv v =
+        Array.concat
+          (List.init n2 (fun m -> Structured.bordered_apply borders.(m) (Array.sub v (m * bs) bs)))
+      in
       let matvec = Dae.Semidisc.periodic_apply sys lins in
       let result = Gmres.solve ~matvec ~m_inv ~restart:60 ~max_iter:300 ~tol:1e-10 r in
       if result.Gmres.converged then Some result.Gmres.x else None
   in
-  let linear_solve y r =
-    match linear_solver with
-    | `Dense -> Lu.solve (Lu.factor (dense y)) r
-    | `Gmres ->
-      let jac = dense y in
-      (* block-Jacobi preconditioner: LU of each slice-diagonal block *)
-      let blocks =
-        Array.init n2 (fun m ->
-            Lu.factor (Mat.init bs bs (fun a b -> jac.((m * bs) + a).((m * bs) + b))))
-      in
-      let result =
-        Gmres.solve
-          ~matvec:(fun v -> Mat.matvec jac v)
-          ~m_inv:(per_slice (fun m -> Lu.solve blocks.(m)))
-          ~restart:60 ~tol:1e-10 r
-      in
-      if not result.Gmres.converged then
-        raise (Nonlin.Newton.Linear_solve_failed "Quasiperiodic.solve: GMRES failed to converge");
-      result.Gmres.x
-    | `Krylov -> (
+  let linear_solve =
+    if Structured.use_krylov options.Envelope.solver ~dim:(n2 * bs) then fun y r ->
       match krylov_dir y r with
       | Some dy -> dy
       | None ->
         Structured.fallback_to_dense ();
-        Lu.solve (Lu.factor (dense y)) r)
+        dense_dir y r
+    else dense_dir
   in
   let report =
     Nonlin.Newton.solve_with

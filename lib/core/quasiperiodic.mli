@@ -10,10 +10,10 @@
     system of [n2 (n1 n + 1)] unknowns.
 
     The system is the periodic-in-[t2] wrapper of {!Dae.Semidisc} on
-    the envelope's [t1] discretization.  The linear systems may be
-    solved densely (LU) or matrix-free with GMRES and a block-Jacobi
-    (slice-diagonal) preconditioner — the paper's pointer to iterative
-    methods [Saa96] for large systems. *)
+    the envelope's [t1] discretization.  The linear systems are solved
+    densely (LU) or matrix-free with GMRES and a per-slice bordered
+    FFT-block preconditioner — the paper's pointer to iterative methods
+    [Saa96] for large systems. *)
 
 open Linalg
 
@@ -24,23 +24,20 @@ type solution = {
   slices : Vec.t array array;  (** [slices.(m).(j)]: state at [(t1_j, t2_m)] *)
 }
 
-(** [`Dense] assembles and LU-factors the full Jacobian; [`Gmres]
-    assembles it but solves iteratively with a block-Jacobi
-    preconditioner; [`Krylov] never assembles it — structured
-    matrix-free products with per-slice bordered FFT-block
-    preconditioning (falling back to dense on stall). *)
-type linear_solver = [ `Dense | `Gmres | `Krylov ]
-
 exception Solve_failure of Nonlin.Newton.report
 (** {!solve}'s Newton iteration failed; the report says why
     ([Non_finite_residual], [Iteration_limit], [Line_search_failed], or
-    [Singular_jacobian] — also a [`Gmres] stall).  A printer is
-    registered. *)
+    [Singular_jacobian]).  A printer is registered. *)
 
 (** [solve dae ~options ~p2 ~n2 ~guess ()] solves the two-periodic
-    WaMPDE.  [options] supplies [n1], the phase condition and the
-    differentiation scheme (its [theta] is ignored — there is no
-    time-stepping here).  [guess] provides initial slices and
+    WaMPDE.  [options] supplies [n1], the phase condition, the
+    differentiation scheme and the linear-solver path (its [theta] is
+    ignored — there is no time-stepping here).  [options.solver] is
+    read as in {!Envelope}: {!Linalg.Structured.use_krylov} on the
+    [n2 (n1 n + 1)] unknowns picks dense LU, which assembles and
+    factors the full Jacobian, or matrix-free GMRES, which never
+    assembles it and falls back to dense LU when the preconditioner
+    degenerates or GMRES stalls.  [guess] provides initial slices and
     frequencies, most naturally a settled {!Envelope} run sampled over
     one slow period (see {!guess_from_envelope}).  Newton is
     {!Nonlin.Newton.solve_with} (damping floor [1e-3]); raises
@@ -48,7 +45,6 @@ exception Solve_failure of Nonlin.Newton.report
     residual. *)
 val solve :
   Dae.t ->
-  ?linear_solver:linear_solver ->
   ?max_iterations:int ->
   ?tol:float ->
   options:Envelope.options ->

@@ -548,14 +548,3 @@ let solve_op ?dft ?(restart = 80) ?max_iter ?(tol = 1e-10) op b =
       apply_into op v out;
       Array.copy out)
     ~m_inv:(precond_apply pc) ~restart ?max_iter ~tol b
-
-let solve_bordered ?dft ?(restart = 80) ?max_iter ?(tol = 1e-10) op ~border_col ~border_row b =
-  let pc = make_precond ?dft op in
-  let bp = make_bordered pc ~border_col ~border_row in
-  let nd = dim op in
-  let out = Array.make (nd + 1) 0. in
-  Gmres.solve
-    ~matvec:(fun v ->
-      apply_bordered_into op ~border_col ~border_row v out;
-      Array.copy out)
-    ~m_inv:(bordered_apply bp) ~restart ?max_iter ~tol b

@@ -191,16 +191,3 @@ val bordered_apply : bordered -> Vec.t -> Vec.t
     {!fallback_to_dense}) if it failed. *)
 val solve_op :
   ?dft:dft -> ?restart:int -> ?max_iter:int -> ?tol:float -> op -> Vec.t -> Gmres.result
-
-(** [solve_bordered op ~border_col ~border_row b] runs preconditioned
-    GMRES on the bordered system ([b] has length [dim + 1]). *)
-val solve_bordered :
-  ?dft:dft ->
-  ?restart:int ->
-  ?max_iter:int ->
-  ?tol:float ->
-  op ->
-  border_col:Vec.t ->
-  border_row:Vec.t ->
-  Vec.t ->
-  Gmres.result

@@ -17,7 +17,7 @@ type quasi_params = {
   p2 : float;
   t_warm : float;
   h2_warm : float;
-  linear_solver : Wampde.Quasiperiodic.linear_solver;
+  solver : Linalg.Structured.strategy;
 }
 
 type analysis = Envelope of envelope_params | Quasiperiodic of quasi_params
@@ -82,17 +82,14 @@ let id_ok s =
          || c = '-' || c = '_' || c = '.')
        s
 
-let parse_strategy = function
-  | None | Some "auto" -> Ok Linalg.Structured.auto
+(* "gmres" is the older name of the matrix-free path, kept so earlier
+   requests still parse *)
+let parse_strategy ~default = function
+  | None -> Ok default
+  | Some "auto" -> Ok Linalg.Structured.auto
   | Some "dense" -> Ok Linalg.Structured.Dense
-  | Some "krylov" -> Ok Linalg.Structured.Krylov
+  | Some ("krylov" | "gmres") -> Ok Linalg.Structured.Krylov
   | Some s -> err "bad-value" "unknown solver %S (use dense, krylov or auto)" s
-
-let parse_linear_solver = function
-  | None | Some "dense" -> Ok `Dense
-  | Some "gmres" -> Ok `Gmres
-  | Some "krylov" -> Ok `Krylov
-  | Some s -> err "bad-value" "unknown solver %S (use dense, gmres or krylov)" s
 
 let parse_envelope j =
   let* t_end = Result.bind (num_field "t_end" j) (required "t_end") in
@@ -116,7 +113,9 @@ let parse_envelope j =
   in
   let* n1 = num_field "n1" j in
   let* n1 = odd_int "n1" 3 201 (Option.value n1 ~default:25.) in
-  let* solver = Result.bind (str_field "solver" j) parse_strategy in
+  let* solver =
+    Result.bind (str_field "solver" j) (parse_strategy ~default:Linalg.Structured.auto)
+  in
   Ok (Envelope { t_end; h2; rtol; n1; solver })
 
 let parse_quasi j =
@@ -134,8 +133,10 @@ let parse_quasi j =
   in
   let* h2_warm = num_field "h2_warm" j in
   let* h2_warm = positive "h2_warm" (Option.value h2_warm ~default:0.5) in
-  let* linear_solver = Result.bind (str_field "solver" j) parse_linear_solver in
-  Ok (Quasiperiodic { n1; n2; p2; t_warm; h2_warm; linear_solver })
+  let* solver =
+    Result.bind (str_field "solver" j) (parse_strategy ~default:Linalg.Structured.Dense)
+  in
+  Ok (Quasiperiodic { n1; n2; p2; t_warm; h2_warm; solver })
 
 let parse_job j =
   let* id = Result.bind (str_field "id" j) (required "id") in

@@ -16,6 +16,9 @@
     {"type":"shutdown","drain":true}
     v}
 
+    ["solver"] is one of ["dense"], ["krylov"] or ["auto"] for both
+    analyses (["gmres"], an older name, reads as ["krylov"]).
+
     Responses are [hello], [accepted], [error] (protocol-level, with a
     stable [code]), per-job {!Wampde_obs.Stream} records (tagged with a
     leading ["job"] field), [result] (with an embedded
@@ -34,7 +37,7 @@ type envelope_params = {
   h2 : float option;  (** initial slow step ([None]: [t_end / 50]) *)
   rtol : float;  (** step-controller relative tolerance *)
   n1 : int;  (** odd fast-time collocation size *)
-  solver : Linalg.Structured.strategy;
+  solver : Linalg.Structured.strategy;  (** [auto] when the request names none *)
 }
 
 type quasi_params = {
@@ -43,7 +46,7 @@ type quasi_params = {
   p2 : float;  (** slow (forcing) period *)
   t_warm : float;  (** envelope warm-up horizon (must exceed [p2]) *)
   h2_warm : float;  (** fixed warm-up step *)
-  linear_solver : Wampde.Quasiperiodic.linear_solver;
+  solver : Linalg.Structured.strategy;  (** [Dense] when the request names none *)
 }
 
 type analysis = Envelope of envelope_params | Quasiperiodic of quasi_params

@@ -434,8 +434,8 @@ let exec_quasi t jr (p : Protocol.quasi_params) =
     Wampde.Quasiperiodic.guess_from_envelope env ~p2:p.p2 ~n2:p.n2 ~t_from:(p.t_warm -. p.p2)
   in
   let sol =
-    Wampde.Quasiperiodic.solve dae ~linear_solver:p.linear_solver ~options ~p2:p.p2 ~n2:p.n2 ~guess
-      ()
+    Wampde.Quasiperiodic.solve dae ~options:{ options with solver = p.solver } ~p2:p.p2 ~n2:p.n2
+      ~guess ()
   in
   Complete { t2_end = p.p2; omega_end = Wampde.Quasiperiodic.mean_frequency sol }
 

@@ -1,9 +1,20 @@
 (* Application-level integration tests: the analog multiplier, the
-   frequency-domain (Hbform) view of envelope runs, and PLL capture. *)
+   frequency-domain (harmonic-balance form, eq. (18)) view of envelope
+   runs, and PLL capture. *)
 open Linalg
 
 let approx_tol tol = Alcotest.(check (float tol))
 let two_pi = 2. *. Float.pi
+
+(* Fourier coefficient [harmonic] of component 0's [t1] waveform at
+   every accepted [t2] step of an envelope run *)
+let harmonic_track res harmonic =
+  Array.mapi
+    (fun index _ ->
+      Fourier.Series.harmonic
+        (Fourier.Series.coeffs (Wampde.Envelope.slice res ~index ~component:0))
+        harmonic)
+    res.Wampde.Envelope.slices
 
 let multiplier_tests =
   [
@@ -45,7 +56,7 @@ let hbform_tests =
         in
         let options = Wampde.Envelope.default_options ~n1:25 () in
         let res = Wampde.Envelope.simulate dae ~options ~t2_end:20. ~h2:0.4 ~init:orbit in
-        let fund = Wampde.Hbform.harmonic_magnitude res ~component:0 ~harmonic:1 in
+        let fund = Array.map Complex.norm (harmonic_track res 1) in
         let amp = Wampde.Envelope.amplitude_track res ~component:0 in
         Array.iteri
           (fun i a ->
@@ -68,19 +79,11 @@ let hbform_tests =
             ()
         in
         let res = Wampde.Envelope.simulate dae ~options ~t2_end:10. ~h2:0.4 ~init:orbit in
-        let residual = Wampde.Hbform.phase_condition_residual res ~component:0 ~harmonic:1 in
+        let residual = Array.map Cx.im (harmonic_track res 1) in
         (* the initial orbit used the derivative condition, so skip index 0 *)
         Array.iteri
           (fun i r -> if i > 0 then approx_tol 1e-7 "Im X1 = 0" 0. r)
           residual);
-    Alcotest.test_case "reconstruct matches slice samples" `Quick (fun () ->
-        let coeffs =
-          Fourier.Series.coeffs
-            (Vec.init 15 (fun j ->
-                 1. +. cos (two_pi *. float_of_int j /. 15.)
-                 -. (0.3 *. sin (2. *. two_pi *. float_of_int j /. 15.))))
-        in
-        approx_tol 1e-9 "value at 0" 2. (Wampde.Hbform.reconstruct coeffs 0.));
   ]
 
 let pll_tests =
@@ -152,13 +155,12 @@ let hb_envelope_tests =
           hb.Wampde.Hb_envelope.omega;
         (* fundamental coefficient track agrees too *)
         let m = Array.length hb.Wampde.Hb_envelope.t2 in
-        let tracks = Wampde.Hbform.coefficient_tracks td ~component:0 in
+        let track = harmonic_track td 1 in
         for step = 0 to m - 1 do
           let c_hb =
             Wampde.Hb_envelope.eval_coefficient hb ~step ~component:0 ~harmonic:1
           in
-          let c_td = Fourier.Series.harmonic tracks.(step) 1 in
-          approx_tol 1e-5 "Re X1" (Linalg.Cx.re c_td) (Linalg.Cx.re c_hb)
+          approx_tol 1e-5 "Re X1" (Cx.re track.(step)) (Cx.re c_hb)
         done);
     Alcotest.test_case "phase conditions now agree pointwise after alignment" `Quick
       (fun () ->

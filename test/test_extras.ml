@@ -1,43 +1,9 @@
-(* Tests for the extended numerical toolkit: QR/least squares,
-   polynomial roots, eigenvalues, sparse matrices, Hilbert transform,
-   RK4 and Floquet analysis. *)
+(* Tests for the extended numerical toolkit: polynomial roots,
+   eigenvalues, RK4 and Floquet analysis. *)
 open Linalg
 
 let approx_tol tol = Alcotest.(check (float tol))
 let two_pi = 2. *. Float.pi
-
-let qr_tests =
-  [
-    Alcotest.test_case "qr reproduces the matrix" `Quick (fun () ->
-        let a = Mat.init 5 3 (fun i j -> sin (float_of_int ((3 * i) + j)) +. 0.2) in
-        let qr = Qr.factor a in
-        let qm = Qr.q qr and rm = Qr.r qr in
-        Alcotest.(check bool) "QR = A" true (Mat.approx_equal ~tol:1e-10 (Mat.mul qm rm) a));
-    Alcotest.test_case "q has orthonormal columns" `Quick (fun () ->
-        let a = Mat.init 6 4 (fun i j -> cos (float_of_int ((2 * i) - j))) in
-        let qm = Qr.q (Qr.factor a) in
-        Alcotest.(check bool) "Q^T Q = I" true
-          (Mat.approx_equal ~tol:1e-10 (Mat.mul (Mat.transpose qm) qm) (Mat.identity 4)));
-    Alcotest.test_case "square solve matches lu" `Quick (fun () ->
-        let a = [| [| 2.; 1.; 0.5 |]; [| 1.; 3.; -1. |]; [| 0.; 1.; 4. |] |] in
-        let b = [| 1.; -2.; 3. |] in
-        Alcotest.(check bool) "same" true
-          (Vec.approx_equal ~tol:1e-10 (Qr.lstsq a b) (Lu.solve_dense a b)));
-    Alcotest.test_case "least squares residual is orthogonal to range" `Quick (fun () ->
-        let a = Mat.init 8 3 (fun i j -> float_of_int i ** float_of_int j) in
-        let b = Vec.init 8 (fun i -> sin (float_of_int i)) in
-        let x = Qr.lstsq a b in
-        let r = Vec.sub b (Mat.matvec a x) in
-        let atr = Mat.tmatvec a r in
-        Alcotest.(check bool) "A^T r = 0" true (Vec.norm_inf atr < 1e-9));
-    Alcotest.test_case "polyfit recovers exact polynomial" `Quick (fun () ->
-        let xs = Vec.linspace (-2.) 2. 9 in
-        let ys = Vec.map (fun x -> 1. -. (2. *. x) +. (0.5 *. x *. x)) xs in
-        let c = Qr.polyfit ~degree:2 xs ys in
-        approx_tol 1e-10 "c0" 1. c.(0);
-        approx_tol 1e-10 "c1" (-2.) c.(1);
-        approx_tol 1e-10 "c2" 0.5 c.(2));
-  ]
 
 let poly_tests =
   [
@@ -123,80 +89,6 @@ let eig_tests =
         Alcotest.(check bool) "vector" true (Vec.approx_equal ~tol:1e-6 av (Vec.scale 5. v)));
   ]
 
-let sparse_tests =
-  [
-    Alcotest.test_case "triplets sum duplicates" `Quick (fun () ->
-        let m = Sparse.of_triplets ~rows:2 ~cols:2 [ (0, 0, 1.); (0, 0, 2.); (1, 1, 5.) ] in
-        Alcotest.(check int) "nnz" 2 (Sparse.nnz m);
-        approx_tol 1e-12 "summed" 3. (Sparse.to_dense m).(0).(0));
-    Alcotest.test_case "matvec matches dense" `Quick (fun () ->
-        let a = Mat.init 5 4 (fun i j -> if (i + j) mod 3 = 0 then float_of_int (i - j) else 0.) in
-        let s = Sparse.of_dense a in
-        let v = [| 1.; -2.; 0.5; 3. |] in
-        Alcotest.(check bool) "Av" true
-          (Vec.approx_equal ~tol:1e-12 (Sparse.matvec s v) (Mat.matvec a v));
-        let w = [| 1.; 0.; -1.; 2.; 0.3 |] in
-        Alcotest.(check bool) "A^T w" true
-          (Vec.approx_equal ~tol:1e-12 (Sparse.tmatvec s w) (Mat.tmatvec a w)));
-    Alcotest.test_case "gmres with sparse jacobi preconditioner" `Quick (fun () ->
-        let n = 30 in
-        let a =
-          Mat.init n n (fun i j ->
-              if i = j then 5. +. float_of_int (i mod 3)
-              else if abs (i - j) = 1 then -1.
-              else 0.)
-        in
-        let s = Sparse.of_dense a in
-        let xref = Vec.init n (fun i -> sin (float_of_int i)) in
-        let b = Sparse.matvec s xref in
-        let r =
-          Gmres.solve
-            ~matvec:(fun v -> Sparse.matvec s v)
-            ~m_inv:(Sparse.jacobi_preconditioner s) ~tol:1e-12 b
-        in
-        Alcotest.(check bool) "converged" true r.Gmres.converged;
-        Alcotest.(check bool) "solution" true (Vec.approx_equal ~tol:1e-8 r.Gmres.x xref));
-    Alcotest.test_case "out of range rejected" `Quick (fun () ->
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore (Sparse.of_triplets ~rows:2 ~cols:2 [ (2, 0, 1.) ]);
-             false
-           with Invalid_argument _ -> true));
-  ]
-
-let hilbert_tests =
-  [
-    Alcotest.test_case "hilbert transform of cos is sin" `Quick (fun () ->
-        let n = 256 in
-        let x = Vec.init n (fun i -> cos (two_pi *. 8. *. float_of_int i /. float_of_int n)) in
-        let h = Fourier.Hilbert.transform x in
-        let expected =
-          Vec.init n (fun i -> sin (two_pi *. 8. *. float_of_int i /. float_of_int n))
-        in
-        Alcotest.(check bool) "H cos = sin" true (Vec.approx_equal ~tol:1e-8 h expected));
-    Alcotest.test_case "envelope of AM signal" `Quick (fun () ->
-        let n = 1024 in
-        let x =
-          Vec.init n (fun i ->
-              let t = float_of_int i /. float_of_int n in
-              (1. +. (0.4 *. cos (two_pi *. 3. *. t))) *. cos (two_pi *. 80. *. t))
-        in
-        let env = Fourier.Hilbert.envelope x in
-        (* check away from the ends *)
-        for i = 100 to n - 100 do
-          let t = float_of_int i /. float_of_int n in
-          let expected = 1. +. (0.4 *. cos (two_pi *. 3. *. t)) in
-          Alcotest.(check bool) "envelope tracks" true (Float.abs (env.(i) -. expected) < 0.02)
-        done);
-    Alcotest.test_case "instantaneous frequency of pure tone" `Quick (fun () ->
-        let n = 512 and f = 16. in
-        let x = Vec.init n (fun i -> sin (two_pi *. f *. float_of_int i /. float_of_int n)) in
-        let freqs = Fourier.Hilbert.instantaneous_frequency ~dt:(1. /. float_of_int n) x in
-        for i = 50 to Array.length freqs - 50 do
-          Alcotest.(check bool) "freq" true (Float.abs (freqs.(i) -. f) < 0.1)
-        done);
-  ]
-
 let rk4_tests =
   [
     Alcotest.test_case "rk4 is 4th order on decay" `Quick (fun () ->
@@ -251,57 +143,10 @@ let floquet_tests =
         approx_tol 1e-5 "e^-2" (exp (-2.)) m.(0).(0));
   ]
 
-let spectrogram_tests =
-  [
-    Alcotest.test_case "ridge tracks a linear chirp" `Quick (fun () ->
-        (* phase = 20 t + 10 t^2 -> frequency 20 + 20 t over [0, 1] *)
-        let fs = 2000. in
-        let n = 2048 in
-        let x =
-          Linalg.Vec.init n (fun i ->
-              let t = float_of_int i /. fs in
-              sin (two_pi *. ((20. *. t) +. (10. *. t *. t))))
-        in
-        let spec = Sigproc.Spectrogram.compute ~dt:(1. /. fs) ~window:256 ~hop:64 x in
-        let times, freqs = Sigproc.Spectrogram.ridge spec in
-        Array.iteri
-          (fun i t ->
-            let expected = 20. +. (20. *. t) in
-            Alcotest.(check bool) "ridge" true (Float.abs (freqs.(i) -. expected) < 2.))
-          times);
-    Alcotest.test_case "stft of the paper FM signal sweeps f0 +- k f2" `Quick (fun () ->
-        let f0 = 200. and f2 = 2. in
-        let k = 4. *. Float.pi in
-        let fs = 2000. in
-        let n = 4096 in
-        let x =
-          Linalg.Vec.init n (fun i ->
-              let t = float_of_int i /. fs in
-              cos ((two_pi *. f0 *. t) +. (k *. cos (two_pi *. f2 *. t))))
-        in
-        let spec = Sigproc.Spectrogram.compute ~dt:(1. /. fs) ~window:256 ~hop:32 x in
-        let _, freqs = Sigproc.Spectrogram.ridge spec in
-        let lo = Array.fold_left Float.min infinity freqs in
-        let hi = Array.fold_left Float.max neg_infinity freqs in
-        (* instantaneous frequency spans f0 +- k f2 = 200 +- 25.1 *)
-        Alcotest.(check bool) "sweep low" true (lo < 185.);
-        Alcotest.(check bool) "sweep high" true (hi > 215.));
-    Alcotest.test_case "too-short signal rejected" `Quick (fun () ->
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore (Sigproc.Spectrogram.compute ~dt:0.01 ~window:64 ~hop:8 (Linalg.Vec.zeros 10));
-             false
-           with Invalid_argument _ -> true));
-  ]
-
 let suites =
   [
-    ("linalg.qr", qr_tests);
     ("linalg.poly", poly_tests);
     ("linalg.eig", eig_tests);
-    ("linalg.sparse", sparse_tests);
-    ("fourier.hilbert", hilbert_tests);
     ("transient.rk4", rk4_tests);
     ("steady.floquet", floquet_tests);
-    ("sigproc.spectrogram", spectrogram_tests);
   ]

@@ -97,43 +97,6 @@ let lu_tests =
         Alcotest.(check bool) "AX = I" true (Mat.approx_equal (Mat.mul a x) (Mat.identity 2)));
   ]
 
-let tridiag_tests =
-  [
-    Alcotest.test_case "tridiagonal known" `Quick (fun () ->
-        (* [2 -1; -1 2 -1; -1 2] x = b against dense solve *)
-        let n = 5 in
-        let lower = Array.make (n - 1) (-1.)
-        and upper = Array.make (n - 1) (-1.)
-        and diag = Array.make n 2. in
-        let b = Vec.init n (fun i -> float_of_int (i + 1)) in
-        let x = Tridiag.solve ~lower ~diag ~upper b in
-        let a =
-          Mat.init n n (fun i j ->
-              if i = j then 2. else if abs (i - j) = 1 then -1. else 0.)
-        in
-        Alcotest.(check bool) "vs dense" true
-          (Vec.approx_equal ~tol:1e-10 x (Lu.solve_dense a b)));
-    Alcotest.test_case "cyclic tridiagonal vs dense" `Quick (fun () ->
-        let n = 7 in
-        let lower = Vec.init (n - 1) (fun i -> -1. +. (0.1 *. float_of_int i))
-        and upper = Vec.init (n - 1) (fun i -> -1.2 +. (0.05 *. float_of_int i))
-        and diag = Vec.init n (fun i -> 4. +. (0.3 *. float_of_int i)) in
-        let cl = 0.7 and ch = -0.4 in
-        let b = Vec.init n (fun i -> sin (float_of_int i)) in
-        let a =
-          Mat.init n n (fun i j ->
-              if i = j then diag.(i)
-              else if j = i + 1 then upper.(i)
-              else if j = i - 1 then lower.(j)
-              else if i = 0 && j = n - 1 then ch
-              else if i = n - 1 && j = 0 then cl
-              else 0.)
-        in
-        let x = Tridiag.solve_cyclic ~lower ~diag ~upper ~corner_low:cl ~corner_high:ch b in
-        Alcotest.(check bool) "vs dense" true
-          (Vec.approx_equal ~tol:1e-9 x (Lu.solve_dense a b)));
-  ]
-
 let gmres_tests =
   [
     Alcotest.test_case "gmres solves SPD system" `Quick (fun () ->
@@ -238,22 +201,6 @@ let prop_tests =
            Mat.approx_equal ~tol:1e-6
              (Mat.transpose (Mat.mul a b))
              (Mat.mul (Mat.transpose b) (Mat.transpose a))));
-    QCheck_alcotest.to_alcotest
-      (Test.make ~name:"tridiag matches dense" ~count:40
-         (make
-            (Gen.tup4 (vec_gen 9) (vec_gen 10) (vec_gen 9) (vec_gen 10)))
-         (fun (lower, diag, upper, b) ->
-           let diag = Array.map (fun x -> x +. 300.) diag in
-           let n = Array.length diag in
-           let a =
-             Mat.init n n (fun i j ->
-                 if i = j then diag.(i)
-                 else if j = i + 1 then upper.(i)
-                 else if j = i - 1 then lower.(j)
-                 else 0.)
-           in
-           let x = Tridiag.solve ~lower ~diag ~upper b in
-           Vec.approx_equal ~tol:1e-6 x (Lu.solve_dense a b)));
   ]
 
 let suites =
@@ -261,7 +208,6 @@ let suites =
     ("linalg.vec", vec_tests);
     ("linalg.mat", mat_tests);
     ("linalg.lu", lu_tests);
-    ("linalg.tridiag", tridiag_tests);
     ("linalg.gmres", gmres_tests);
     ("linalg.cx", cx_tests);
     ("linalg.properties", prop_tests);

@@ -1,4 +1,4 @@
-(* Tests for Newton, Broyden, finite-difference Jacobians and continuation. *)
+(* Tests for Newton, finite-difference Jacobians and continuation. *)
 open Linalg
 open Nonlin
 
@@ -66,26 +66,6 @@ let newton_tests =
         approx_tol 1e-10 "root" 3. r);
   ]
 
-let broyden_tests =
-  [
-    Alcotest.test_case "broyden solves rosenbrock" `Quick (fun () ->
-        let report = Broyden.solve ~residual:rosen_residual [| -1.2; 1. |] in
-        Alcotest.(check bool) "converged" true report.Newton.converged;
-        approx_tol 1e-7 "x0" 1. report.Newton.x.(0));
-    Alcotest.test_case "broyden matches newton on mildly nonlinear system" `Quick (fun () ->
-        let residual x =
-          [| (3. *. x.(0)) -. cos (x.(1) *. x.(2)) -. 0.5;
-             (x.(0) *. x.(0)) -. (81. *. ((x.(1) +. 0.1) ** 2.)) +. sin x.(2) +. 1.06;
-             exp (-.x.(0) *. x.(1)) +. (20. *. x.(2)) +. (((10. *. Float.pi) -. 3.) /. 3.) |]
-        in
-        let rb = Broyden.solve ~residual [| 0.1; 0.1; -0.1 |] in
-        let rn = Newton.solve ~residual [| 0.1; 0.1; -0.1 |] in
-        Alcotest.(check bool) "both converged" true
-          (rb.Newton.converged && rn.Newton.converged);
-        Alcotest.(check bool) "same root" true
-          (Vec.approx_equal ~tol:1e-6 rb.Newton.x rn.Newton.x));
-  ]
-
 let continuation_tests =
   [
     Alcotest.test_case "continuation tracks a folding-free branch" `Quick (fun () ->
@@ -125,7 +105,6 @@ let suites =
   [
     ("nonlin.fdjac", fdjac_tests);
     ("nonlin.newton", newton_tests);
-    ("nonlin.broyden", broyden_tests);
     ("nonlin.continuation", continuation_tests);
     ("nonlin.properties", prop_tests);
   ]

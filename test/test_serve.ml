@@ -101,9 +101,26 @@ let protocol_tests =
         | Ok (Protocol.Submit { analysis = Protocol.Quasiperiodic p; _ }) ->
           Alcotest.(check int) "n2" 7 p.n2;
           Alcotest.(check (float 1e-12)) "p2 default" 40. p.p2;
-          Alcotest.(check (float 1e-12)) "t_warm default" 200. p.t_warm
+          Alcotest.(check (float 1e-12)) "t_warm default" 200. p.t_warm;
+          Alcotest.(check bool) "solver default dense" true (p.solver = Linalg.Structured.Dense)
         | Ok _ -> Alcotest.fail "wrong request"
         | Error { message; _ } -> Alcotest.fail message);
+    Alcotest.test_case "quasi solver names parse to a strategy" `Quick (fun () ->
+        let quasi solver =
+          Printf.sprintf
+            "{\"type\":\"job\",\"id\":\"q\",\"circuit\":\"vco-a\",\"analysis\":\"quasiperiodic\",\"n2\":7,\"solver\":\"%s\"}"
+            solver
+        in
+        let strategy solver =
+          match Protocol.parse_request (quasi solver) with
+          | Ok (Protocol.Submit { analysis = Protocol.Quasiperiodic p; _ }) -> p.solver
+          | Ok _ -> Alcotest.fail "wrong request"
+          | Error { message; _ } -> Alcotest.fail message
+        in
+        (* "gmres" is the older name of the matrix-free path *)
+        Alcotest.(check bool) "gmres" true (strategy "gmres" = Linalg.Structured.Krylov);
+        Alcotest.(check bool) "auto" true (strategy "auto" = Linalg.Structured.auto);
+        check_error "bad-value" (quasi "lu"));
     Alcotest.test_case "control requests parse" `Quick (fun () ->
         (match Protocol.parse_request "{\"type\":\"cancel\",\"id\":\"x\"}" with
         | Ok (Protocol.Cancel "x") -> ()

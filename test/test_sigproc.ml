@@ -1,5 +1,5 @@
 (* Tests for signal processing: interpolation, zero crossings,
-   envelopes, bivariate forms and time warping. *)
+   bivariate forms and time warping. *)
 open Linalg
 open Sigproc
 
@@ -69,28 +69,6 @@ let zero_crossing_tests =
         let y = Vec.map (fun t -> sin (two_pi *. (t -. 0.1))) times in
         let pe = Zero_crossing.max_abs_phase_error ~reference:(times, x) ~test:(times, y) in
         approx_tol 1e-3 "0.1 cycle" 0.1 pe);
-  ]
-
-let envelope_tests =
-  [
-    Alcotest.test_case "peaks of AM signal trace the envelope" `Quick (fun () ->
-        let n = 50_000 in
-        let times = Vec.linspace 0. 1. n in
-        let x =
-          Vec.map (fun t -> (1. +. (0.5 *. sin (two_pi *. t))) *. sin (two_pi *. 50. *. t)) times
-        in
-        let lo, hi = Envelope.amplitude_range ~times x in
-        approx_tol 0.02 "min" 0.5 lo;
-        approx_tol 0.02 "max" 1.5 hi);
-    Alcotest.test_case "peak refinement beats grid resolution" `Quick (fun () ->
-        let n = 100 in
-        let times = Vec.linspace 0. 1. n in
-        let x = Vec.map (fun t -> cos (two_pi *. (t -. 0.30303))) times in
-        let ps = Envelope.peaks ~times x in
-        Alcotest.(check bool) "found" true (Array.length ps >= 1);
-        let tp, vp = ps.(0) in
-        approx_tol 2e-3 "location" 0.30303 tp;
-        approx_tol 2e-3 "value" 1. vp);
   ]
 
 let bivariate_tests =
@@ -200,7 +178,6 @@ let suites =
   [
     ("sigproc.interp1d", interp_tests);
     ("sigproc.zero_crossing", zero_crossing_tests);
-    ("sigproc.envelope", envelope_tests);
     ("sigproc.bivariate", bivariate_tests);
     ("sigproc.warp", warp_tests);
     ("sigproc.properties", prop_tests);

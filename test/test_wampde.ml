@@ -252,21 +252,26 @@ let quasi_tests =
         let crossings = Sigproc.Zero_crossing.cycle_count ~times vq in
         (* mean frequency ~0.69 MHz -> about 27-28 cycles in 40 us *)
         Alcotest.(check bool) "cycle count" true (crossings >= 25 && crossings <= 30));
-    Alcotest.test_case "gmres path equals dense path" `Slow (fun () ->
+    Alcotest.test_case "krylov path equals dense path" `Slow (fun () ->
         let dae, orbit = vco_a_setup () in
         let options = Wampde.Envelope.default_options ~n1:25 () in
         let env = Wampde.Envelope.simulate dae ~options ~t2_end:200. ~h2:0.5 ~init:orbit in
         let guess = Wampde.Quasiperiodic.guess_from_envelope env ~p2:40. ~n2:11 ~t_from:160. in
-        let dense = Wampde.Quasiperiodic.solve dae ~options ~p2:40. ~n2:11 ~guess () in
-        let gmres =
-          Wampde.Quasiperiodic.solve dae ~linear_solver:`Gmres ~options ~p2:40. ~n2:11 ~guess ()
+        (* the path comes from [options.solver]; the GMRES solve count
+           shows which one ran *)
+        let solve solver =
+          Wampde_obs.Metrics.with_isolated (fun () ->
+              Wampde_obs.set_enabled true;
+              let sol =
+                Wampde.Quasiperiodic.solve dae ~options:{ options with solver } ~p2:40. ~n2:11
+                  ~guess ()
+              in
+              (sol, Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter "gmres.solves")))
         in
-        approx_tol 1e-8 "mean freq"
-          (Wampde.Quasiperiodic.mean_frequency dense)
-          (Wampde.Quasiperiodic.mean_frequency gmres);
-        let krylov =
-          Wampde.Quasiperiodic.solve dae ~linear_solver:`Krylov ~options ~p2:40. ~n2:11 ~guess ()
-        in
+        let dense, dense_solves = solve Structured.Dense in
+        let krylov, krylov_solves = solve Structured.Krylov in
+        Alcotest.(check int) "dense runs no GMRES" 0 dense_solves;
+        Alcotest.(check bool) "krylov runs GMRES" true (krylov_solves > 0);
         approx_tol 1e-8 "mean freq (matrix-free)"
           (Wampde.Quasiperiodic.mean_frequency dense)
           (Wampde.Quasiperiodic.mean_frequency krylov));
