@@ -51,7 +51,7 @@ let tests =
           (Staged.stage (fun () -> Structured.apply_into op v out));
         Test.make
           ~name:(Printf.sprintf "precond_apply_%d" nd)
-          (Staged.stage (fun () -> Structured.precond_apply pc v));
+          (Staged.stage (fun () -> Structured.precond_apply_into pc v out));
       ])
     sizes
   @ [

@@ -92,13 +92,19 @@ let unpack sd y = (Dae.Semidisc.unpack sd y ~off:0, y.(Dae.Semidisc.size sd - 1)
 let eval_g sd ~t2 states omega = Dae.Semidisc.g sd ~t2 (pack states omega)
 
 (* Preallocated per-run Newton vectors, reused across iterations and
-   steps instead of re-allocating residuals and iterates. *)
+   steps instead of re-allocating residuals and iterates, and the GMRES
+   workspace of the Krylov path (built on first use, so dense runs never
+   pay for its basis). *)
 type scratch = {
   sc_r : Vec.t;  (* accepted residual, n1 * n + 1 *)
   sc_rt : Vec.t;  (* trial residual *)
   sc_y : Vec.t;  (* current iterate *)
   sc_trial : Vec.t;  (* trial iterate *)
+  sc_gmres : Gmres.workspace Lazy.t;
 }
+
+let gmres_restart = 60
+let gmres_max_iter = 240
 
 let make_scratch ~n1 ~n =
   let nd = n1 * n in
@@ -107,6 +113,8 @@ let make_scratch ~n1 ~n =
     sc_rt = Array.make (nd + 1) 0.;
     sc_y = Array.make (nd + 1) 0.;
     sc_trial = Array.make (nd + 1) 0.;
+    sc_gmres =
+      lazy (Gmres.workspace ~n:(nd + 1) ~restart:gmres_restart ~max_iter:gmres_max_iter ());
   }
 
 (* Jacobian cache for the chord (stale-Jacobian) Newton iteration on
@@ -208,15 +216,12 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
      only needs a direction accurate to well below its own contraction
      rate, not to machine precision. *)
   let krylov_solve kc r =
-    let buf = Array.make (nd + 1) 0. in
-    let matvec v =
-      Dae.Semidisc.apply_into kc.klin v buf;
-      Array.copy buf
-    in
     let res =
-      Gmres.solve ~matvec
-        ~m_inv:(Structured.bordered_apply kc.kbordered)
-        ~restart:60 ~max_iter:240 ~tol:1e-6 r
+      Gmres.solve
+        ~matvec:(Dae.Semidisc.apply_into kc.klin)
+        ~m_inv:(Structured.bordered_apply_into kc.kbordered)
+        ~ws:(Lazy.force scratch.sc_gmres) ~restart:gmres_restart ~max_iter:gmres_max_iter
+        ~tol:1e-6 r
     in
     if res.Gmres.converged then Some res.Gmres.x else None
   in

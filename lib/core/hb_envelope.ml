@@ -195,7 +195,7 @@ let simulate ?(solver = Structured.auto) dae ~harmonics:m ?(phase_component = 0)
         let jac = Nonlin.Fdjac.jacobian ~parallel:true ~f0:r residual y in
         Lu.solve (Lu.factor jac) r
       in
-      let matvec v = Nonlin.Fdjac.directional ~f0:r residual y v in
+      let matvec v out = Vec.blit ~src:(Nonlin.Fdjac.directional ~f0:r residual y v) ~dst:out in
       let precond =
         let c = coeffs_of_packed ~n ~m y in
         let om = y.(n * nn) in
@@ -212,8 +212,8 @@ let simulate ?(solver = Structured.auto) dae ~harmonics:m ?(phase_component = 0)
         | exception Cx.Clu.Singular _ -> None
         | blocks ->
             Some
-              (fun (rv : Vec.t) ->
-                let out = Array.copy rv in
+              (fun (rv : Vec.t) out ->
+                Vec.blit ~src:rv ~dst:out;
                 let rhs = Cx.Cvec.zeros n in
                 for i = 0 to m do
                   for v = 0 to n - 1 do
@@ -231,8 +231,7 @@ let simulate ?(solver = Structured.auto) dae ~harmonics:m ?(phase_component = 0)
                       out.(base + (2 * i)) <- Cx.im sol.(v)
                     end
                   done
-                done;
-                out)
+                done)
       in
       match precond with
       | None ->

@@ -61,6 +61,12 @@ let solve dae ?(max_iterations = 25) ?(tol = 1e-8) ~(options : Envelope.options)
   let dense_dir y r =
     Lu.solve (Lu.factor (Dae.Semidisc.periodic_dense sys (Dae.Semidisc.periodic_linearize sys y))) r
   in
+  (* GMRES workspace and one-slice preconditioner scratch, shared by
+     every Newton iteration of this solve *)
+  let krylov_scratch =
+    lazy
+      (Gmres.workspace ~n:(n2 * bs) ~restart:60 ~max_iter:300 (), Array.make bs 0., Array.make bs 0.)
+  in
   (* Fully matrix-free Newton direction: the per-slice structured
      operators and cross-slice slow coupling of [Dae.Semidisc],
      preconditioned by the per-slice bordered FFT-block inverse (the
@@ -83,12 +89,19 @@ let solve dae ?(max_iterations = 25) ?(tol = 1e-8) ~(options : Envelope.options)
     with
     | exception (Cx.Clu.Singular _ | Structured.Bordered_singular _ | Failure _) -> None
     | borders ->
-      let m_inv v =
-        Array.concat
-          (List.init n2 (fun m -> Structured.bordered_apply borders.(m) (Array.sub v (m * bs) bs)))
+      let ws, seg_in, seg_out = Lazy.force krylov_scratch in
+      let m_inv v out =
+        for m = 0 to n2 - 1 do
+          Array.blit v (m * bs) seg_in 0 bs;
+          Structured.bordered_apply_into borders.(m) seg_in seg_out;
+          Array.blit seg_out 0 out (m * bs) bs
+        done
       in
-      let matvec = Dae.Semidisc.periodic_apply sys lins in
-      let result = Gmres.solve ~matvec ~m_inv ~restart:60 ~max_iter:300 ~tol:1e-10 r in
+      let result =
+        Gmres.solve
+          ~matvec:(Dae.Semidisc.periodic_apply_into sys lins)
+          ~m_inv ~ws ~restart:60 ~max_iter:300 ~tol:1e-10 r
+      in
       if result.Gmres.converged then Some result.Gmres.x else None
   in
   let linear_solve =

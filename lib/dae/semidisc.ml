@@ -166,11 +166,29 @@ let step_linearize st y =
 
 (* ---------- periodic in t2 ---------- *)
 
-type periodic = { psys : t; p2 : float; n2 : int; d2 : Mat.t; bufs : buf array }
+type periodic = {
+  psys : t;
+  p2 : float;
+  n2 : int;
+  d2 : Mat.t;
+  bufs : buf array;
+  cu : Vec.t array;  (* per-slice blockdiag(C) v, for the product's slow coupling *)
+  seg_in : Vec.t;  (* one slice of the product's input ... *)
+  seg_out : Vec.t;  (* ... and of its output *)
+}
 
 let periodic t ~p2 ~d2 =
   let n2 = Mat.rows d2 in
-  { psys = t; p2; n2; d2; bufs = Array.init n2 (fun _ -> new_buf ~n1:t.n1 ~n:t.n) }
+  {
+    psys = t;
+    p2;
+    n2;
+    d2;
+    bufs = Array.init n2 (fun _ -> new_buf ~n1:t.n1 ~n:t.n);
+    cu = Array.init n2 (fun _ -> Array.make t.nd 0.);
+    seg_in = Array.make (size t) 0.;
+    seg_out = Array.make (size t) 0.;
+  }
 
 let slice_t2 p m = p.p2 *. float_of_int m /. float_of_int p.n2
 
@@ -232,18 +250,16 @@ let periodic_dense p lins =
   done;
   jac
 
-let periodic_apply p lins v =
+let periodic_apply_into p lins v out =
   let bs = size p.psys and nd = p.psys.nd in
-  let slice m = Array.sub v (m * bs) bs in
-  let cu =
-    Array.init p.n2 (fun q ->
-        let c = Array.make nd 0. in
-        Structured.block_mul_into lins.(q).c_blocks ~src:(slice q) ~dst:c;
-        c)
-  in
-  let out = Array.make (p.n2 * bs) 0. and oseg = Array.make bs 0. in
+  let cu = p.cu and seg = p.seg_in and oseg = p.seg_out in
+  for q = 0 to p.n2 - 1 do
+    Array.blit v (q * bs) seg 0 bs;
+    Structured.block_mul_into lins.(q).c_blocks ~src:seg ~dst:cu.(q)
+  done;
   for m = 0 to p.n2 - 1 do
-    apply_into lins.(m) (slice m) oseg;
+    Array.blit v (m * bs) seg 0 bs;
+    apply_into lins.(m) seg oseg;
     Array.blit oseg 0 out (m * bs) bs;
     for q = 0 to p.n2 - 1 do
       let dmq = p.d2.(m).(q) /. p.p2 in
@@ -252,5 +268,4 @@ let periodic_apply p lins v =
           out.((m * bs) + idx) <- out.((m * bs) + idx) +. (dmq *. cu.(q).(idx))
         done
     done
-  done;
-  out
+  done

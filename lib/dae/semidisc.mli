@@ -97,5 +97,7 @@ val periodic_linearize : periodic -> Vec.t -> lin array
 
 val periodic_dense : periodic -> lin array -> Mat.t
 
-(** Matrix-free product with the periodic Jacobian (fresh). *)
-val periodic_apply : periodic -> lin array -> Vec.t -> Vec.t
+(** [periodic_apply_into p lins v out] writes the matrix-free product
+    with the periodic Jacobian into [out] (no aliasing), copying one
+    slice at a time through scratch held in [p]. *)
+val periodic_apply_into : periodic -> lin array -> Vec.t -> Vec.t -> unit

@@ -21,14 +21,14 @@ let radix2_inplace re im sign =
       im.(i) <- im.(!j);
       im.(!j) <- ti
     end;
-    let rec carry m =
-      if m land !j <> 0 then begin
-        j := !j lxor m;
-        carry (m lsr 1)
-      end
-      else j := !j lor m
-    in
-    carry (n lsr 1)
+    (* reversed-order increment of j: clear the leading set bits,
+       then set the first clear one *)
+    let m = ref (n lsr 1) in
+    while !m land !j <> 0 do
+      j := !j lxor !m;
+      m := !m lsr 1
+    done;
+    j := !j lor !m
   done;
   (* butterflies *)
   let len = ref 2 in

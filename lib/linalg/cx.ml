@@ -139,25 +139,62 @@ module Clu = struct
     note_factor ~n;
     factor_quiet a
 
-  let solve { lu; perm } b =
+  (* Substitution on split re/im arrays: each update spells out
+     [Complex.sub s (Complex.mul l x)] and the final [Complex.div]
+     (Smith's algorithm) term by term, so the result is bitwise that of
+     the boxed form without allocating a [Complex.t] per operation. *)
+  let solve_into { lu; perm } ~b_re ~b_im ~x_re ~x_im =
     let n = Array.length lu in
-    if Array.length b <> n then invalid_arg "Cx.Clu.solve: dimension mismatch";
-    let x = Array.init n (fun i -> b.(perm.(i))) in
+    if
+      Array.length b_re <> n || Array.length b_im <> n || Array.length x_re <> n
+      || Array.length x_im <> n
+    then invalid_arg "Cx.Clu.solve_into: dimension mismatch";
+    for i = 0 to n - 1 do
+      x_re.(i) <- b_re.(perm.(i));
+      x_im.(i) <- b_im.(perm.(i))
+    done;
     for i = 1 to n - 1 do
-      let s = ref x.(i) in
+      let row = lu.(i) in
+      let sr = ref x_re.(i) and si = ref x_im.(i) in
       for j = 0 to i - 1 do
-        s := Complex.sub !s (Complex.mul lu.(i).(j) x.(j))
+        let l = row.(j) in
+        let xr = x_re.(j) and xi = x_im.(j) in
+        sr := !sr -. ((l.Complex.re *. xr) -. (l.Complex.im *. xi));
+        si := !si -. ((l.Complex.re *. xi) +. (l.Complex.im *. xr))
       done;
-      x.(i) <- !s
+      x_re.(i) <- !sr;
+      x_im.(i) <- !si
     done;
     for i = n - 1 downto 0 do
-      let s = ref x.(i) in
+      let row = lu.(i) in
+      let sr = ref x_re.(i) and si = ref x_im.(i) in
       for j = i + 1 to n - 1 do
-        s := Complex.sub !s (Complex.mul lu.(i).(j) x.(j))
+        let u = row.(j) in
+        let xr = x_re.(j) and xi = x_im.(j) in
+        sr := !sr -. ((u.Complex.re *. xr) -. (u.Complex.im *. xi));
+        si := !si -. ((u.Complex.re *. xi) +. (u.Complex.im *. xr))
       done;
-      x.(i) <- Complex.div !s lu.(i).(i)
-    done;
-    x
+      let dr = row.(i).Complex.re and di = row.(i).Complex.im in
+      if Float.abs dr >= Float.abs di then begin
+        let r = di /. dr in
+        let d = dr +. (r *. di) in
+        x_re.(i) <- (!sr +. (r *. !si)) /. d;
+        x_im.(i) <- (!si -. (r *. !sr)) /. d
+      end
+      else begin
+        let r = dr /. di in
+        let d = di +. (r *. dr) in
+        x_re.(i) <- ((r *. !sr) +. !si) /. d;
+        x_im.(i) <- ((r *. !si) -. !sr) /. d
+      end
+    done
+
+  let solve f b =
+    let n = Array.length f.lu in
+    if Array.length b <> n then invalid_arg "Cx.Clu.solve: dimension mismatch";
+    let x_re = Array.make n 0. and x_im = Array.make n 0. in
+    solve_into f ~b_re:(Array.map re b) ~b_im:(Array.map im b) ~x_re ~x_im;
+    Array.init n (fun i -> cx x_re.(i) x_im.(i))
 
   let solve_dense a b = solve (factor a) b
 end

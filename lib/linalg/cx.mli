@@ -86,6 +86,14 @@ module Clu : sig
       without performing it. *)
   val note_factor : n:int -> unit
 
+  (** [solve_into lu ~b_re ~b_im ~x_re ~x_im] solves [A x = b] on split
+      real/imaginary arrays, writing [x] and allocating nothing.  The
+      arithmetic is that of {!solve} ([Complex.mul]/[sub]/[div] spelled
+      out), so the two agree bitwise.  [x_re]/[x_im] must not alias
+      [b_re]/[b_im]; raises [Invalid_argument] on a length mismatch. *)
+  val solve_into : t -> b_re:Vec.t -> b_im:Vec.t -> x_re:Vec.t -> x_im:Vec.t -> unit
+
+  (** Allocating wrapper over {!solve_into} for boxed vectors. *)
   val solve : t -> Cvec.t -> Cvec.t
   val solve_dense : Cmat.t -> Cvec.t -> Cvec.t
 end

@@ -223,8 +223,16 @@ let spectral_blocks ~coeffs ~cbar ~bbar =
   Array.map (function Some f -> f | None -> assert false) out
 
 (* Per-worker apply scratch: one full-spectrum re/im pair for the
-   transforms, one wavenumber slice for the block solves. *)
-type pc_ws = { w_re : Vec.t; w_im : Vec.t; w_rhs : Cx.Cvec.t }
+   transforms, and the right-hand side and solution of one wavenumber
+   block solve as re/im pairs. *)
+type pc_ws = {
+  w_re : Vec.t;
+  w_im : Vec.t;
+  w_bre : Vec.t;
+  w_bim : Vec.t;
+  w_xre : Vec.t;
+  w_xim : Vec.t;
+}
 
 type precond = {
   pn : int;
@@ -247,7 +255,10 @@ let ensure_ws pc k =
             {
               w_re = Array.make pc.pn1 0.;
               w_im = Array.make pc.pn1 0.;
-              w_rhs = Cx.Cvec.zeros pc.pn;
+              w_bre = Array.make pc.pn 0.;
+              w_bim = Array.make pc.pn 0.;
+              w_xre = Array.make pc.pn 0.;
+              w_xim = Array.make pc.pn 0.;
             })
   end;
   pc.ws
@@ -292,11 +303,12 @@ let make_precond ?(dft = naive_dft) op =
 
 (* Apply M^{-1}: component-wise DFT across the blocks, one small
    complex solve per wavenumber, inverse DFT.  Only the first
-   [n1 * n] entries of [v] are read.  The input is real, so the
-   per-component spectra are conjugate-symmetric: components are
-   transformed two-per-complex-FFT, only wavenumbers 0..n1/2 are
-   solved, and the inverse transforms are paired the same way. *)
-let precond_apply pc v =
+   [n1 * n] entries of [v] are read and of [out] written.  The input
+   is real, so the per-component spectra are conjugate-symmetric:
+   components are transformed two-per-complex-FFT, only wavenumbers
+   0..n1/2 are solved, and the inverse transforms are paired the same
+   way. *)
+let precond_apply_into pc v out =
   Obs.Metrics.incr c_applies;
   let n = pc.pn and n1 = pc.pn1 and half = pc.half in
   let fwd_pair = fwd_pair_of pc.transform and inv_pair = inv_pair_of pc.transform in
@@ -348,15 +360,15 @@ let precond_apply pc v =
       let w = ws.(worker) in
       for l = lo to hi - 1 do
         for i = 0 to n - 1 do
-          w.w_rhs.(i) <- Cx.cx pc.hat_re.(i).(l) pc.hat_im.(i).(l)
+          w.w_bre.(i) <- pc.hat_re.(i).(l);
+          w.w_bim.(i) <- pc.hat_im.(i).(l)
         done;
-        let z = Cx.Clu.solve pc.blocks.(l) w.w_rhs in
+        Cx.Clu.solve_into pc.blocks.(l) ~b_re:w.w_bre ~b_im:w.w_bim ~x_re:w.w_xre ~x_im:w.w_xim;
         for i = 0 to n - 1 do
-          pc.hat_re.(i).(l) <- Cx.re z.(i);
-          pc.hat_im.(i).(l) <- Cx.im z.(i)
+          pc.hat_re.(i).(l) <- w.w_xre.(i);
+          pc.hat_im.(i).(l) <- w.w_xim.(i)
         done
       done);
-  let out = Array.make (n1 * n) 0. in
   Par.Pool.parallel_chunks npairs (fun ~worker ~lo ~hi ->
       let w = ws.(worker) in
       for p = lo to hi - 1 do
@@ -394,8 +406,7 @@ let precond_apply pc v =
             out.((k * n) + ia) <- w.w_re.(k)
           done
         end
-      done);
-  out
+      done)
 
 (* ------------------------------------------------------------------ *)
 (* Bordered (Schur) preconditioner for the omega column + phase row    *)
@@ -414,7 +425,8 @@ let dot_prefix a b n =
 
 let make_bordered ?(gmin = 0.) pc ~border_col ~border_row =
   let nd = pc.pn * pc.pn1 in
-  let z2 = precond_apply pc border_col in
+  let z2 = Array.make nd 0. in
+  precond_apply_into pc border_col z2;
   let pz2 = dot_prefix border_row z2 nd in
   if not (Float.is_finite pz2) then raise (Bordered_singular pz2);
   (* gmin regularization: shift the Schur scalar away from zero so the
@@ -426,17 +438,15 @@ let make_bordered ?(gmin = 0.) pc ~border_col ~border_row =
 
 (* Exact inverse of [[M b] [p 0]] given M^{-1}: z = M^{-1} r - zeta z2
    with z2 = M^{-1} b and zeta = (p . M^{-1} r - rho) / (p . z2). *)
-let bordered_apply bp v =
+let bordered_apply_into bp v out =
   let nd = bp.base.pn * bp.base.pn1 in
-  let z1 = precond_apply bp.base v in
+  precond_apply_into bp.base v out;
   let rho = v.(nd) in
-  let zeta = (dot_prefix bp.brow z1 nd -. rho) /. bp.pz2 in
-  let out = Array.make (nd + 1) 0. in
+  let zeta = (dot_prefix bp.brow out nd -. rho) /. bp.pz2 in
   for i = 0 to nd - 1 do
-    out.(i) <- z1.(i) -. (zeta *. bp.z2.(i))
+    out.(i) <- out.(i) -. (zeta *. bp.z2.(i))
   done;
-  out.(nd) <- zeta;
-  out
+  out.(nd) <- zeta
 
 (* ------------------------------------------------------------------ *)
 (* Cross-solve preconditioner cache                                    *)
@@ -542,9 +552,4 @@ let make_precond_cached ?dft ~key op =
 
 let solve_op ?dft ?(restart = 80) ?max_iter ?(tol = 1e-10) op b =
   let pc = make_precond ?dft op in
-  let out = Array.make (dim op) 0. in
-  Gmres.solve
-    ~matvec:(fun v ->
-      apply_into op v out;
-      Array.copy out)
-    ~m_inv:(precond_apply pc) ~restart ?max_iter ~tol b
+  Gmres.solve ~matvec:(apply_into op) ~m_inv:(precond_apply_into pc) ~restart ?max_iter ~tol b

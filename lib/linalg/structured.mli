@@ -19,11 +19,19 @@
 
     The per-block kernels (operator rows in {!apply_into}, the complex
     factorizations in {!spectral_blocks}, the paired transforms and
-    wavenumber solves in {!precond_apply}) run on the {!Par.Pool}
+    wavenumber solves in {!precond_apply_into}) run on the {!Par.Pool}
     domain pool when [--jobs] exceeds 1.  Every parallel region uses a
     fixed chunk assignment with disjoint writes and no cross-chunk
     reductions, so results are bitwise identical for every job
-    count. *)
+    count.
+
+    {b Into-contract.}  The [_into] functions write their result into
+    a caller-supplied output that must not alias the input; the
+    preconditioner applies are linear maps (as {!Gmres} requires of
+    [m_inv]).  A [precond] carries per-apply scratch, so one [precond]
+    (or a [bordered] built on it) is applied from one calling domain
+    at a time; pool workers only run inside an apply.  Steady-state
+    applies allocate a bounded number of words, independent of [n1]. *)
 
 (** How a caller should solve its collocation Newton systems. *)
 type strategy =
@@ -123,10 +131,11 @@ type precond
     resulting complex [n x n] blocks.  May raise [Cx.Clu.Singular]. *)
 val make_precond : ?dft:dft -> op -> precond
 
-(** [precond_apply pc v] applies the approximate inverse.  Only the
-    first [dim] entries of [v] are read; the result is freshly
-    allocated (safe to hand to {!Gmres}). *)
-val precond_apply : precond -> Vec.t -> Vec.t
+(** [precond_apply_into pc v out] writes the approximate inverse
+    applied to [v] into [out].  Only the first [dim] entries of [v] are
+    read and of [out] written, so bordered vectors can be passed.
+    [out] must not alias [v]. *)
+val precond_apply_into : precond -> Vec.t -> Vec.t -> unit
 
 (** {1 Cross-solve preconditioner cache}
 
@@ -180,9 +189,10 @@ exception Bordered_singular of float
 val make_bordered :
   ?gmin:float -> precond -> border_col:Vec.t -> border_row:Vec.t -> bordered
 
-(** [bordered_apply bp v] applies the bordered approximate inverse to a
-    length-[dim + 1] vector; the result is freshly allocated. *)
-val bordered_apply : bordered -> Vec.t -> Vec.t
+(** [bordered_apply_into bp v out] applies the bordered approximate
+    inverse to the length-[dim + 1] vector [v], writing all [dim + 1]
+    entries of [out] (which must not alias [v]). *)
+val bordered_apply_into : bordered -> Vec.t -> Vec.t -> unit
 
 (** {1 Packaged Newton-direction solves} *)
 

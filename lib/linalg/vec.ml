@@ -39,25 +39,39 @@ let axpy ~a ~x y =
     y.(i) <- y.(i) +. (a *. x.(i))
   done
 
-(* Kahan-compensated sum of f i for i in [0, n). *)
-let compensated_sum n f =
+(* The reductions below are written out as plain loops (no closure per
+   element), so they allocate nothing in the Krylov hot path.  [dot],
+   [norm1] and [sum] are Kahan-compensated, all in index order.  [dot]
+   is inlined so that [norm2] takes its square root unboxed. *)
+let[@inline] dot u v =
+  check_same_length "dot" u v;
   let s = ref 0. and c = ref 0. in
-  for i = 0 to n - 1 do
-    let y = f i -. !c in
+  for i = 0 to Array.length u - 1 do
+    let y = (u.(i) *. v.(i)) -. !c in
     let t = !s +. y in
     c := t -. !s -. y;
     s := t
   done;
   !s
 
-let dot u v =
-  check_same_length "dot" u v;
-  compensated_sum (Array.length u) (fun i -> u.(i) *. v.(i))
-
 let norm2 v = sqrt (dot v v)
 
-let norm_inf v = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0. v
-let norm1 v = compensated_sum (Array.length v) (fun i -> Float.abs v.(i))
+let norm_inf v =
+  let m = ref 0. in
+  for i = 0 to Array.length v - 1 do
+    m := Float.max !m (Float.abs v.(i))
+  done;
+  !m
+
+let norm1 v =
+  let s = ref 0. and c = ref 0. in
+  for i = 0 to Array.length v - 1 do
+    let y = Float.abs v.(i) -. !c in
+    let t = !s +. y in
+    c := t -. !s -. y;
+    s := t
+  done;
+  !s
 
 let rms v =
   let n = Array.length v in
@@ -85,7 +99,15 @@ let max_abs_index v =
   done;
   !best
 
-let sum v = compensated_sum (Array.length v) (fun i -> v.(i))
+let sum v =
+  let s = ref 0. and c = ref 0. in
+  for i = 0 to Array.length v - 1 do
+    let y = v.(i) -. !c in
+    let t = !s +. y in
+    c := t -. !s -. y;
+    s := t
+  done;
+  !s
 
 let mean v =
   let n = Array.length v in

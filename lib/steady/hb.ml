@@ -226,8 +226,8 @@ let krylov_dir dae ~period ~m z r =
         if k land 1 = 0 then Cx.re c.(k / 2) else Cx.im c.(k / 2))
   in
   let unpack (v : Vec.t) = Cx.Cvec.init dim (fun k -> Cx.cx v.(2 * k) v.((2 * k) + 1)) in
-  let matvec v = pack (cmatvec (unpack v)) in
-  let m_inv v = pack (cm_inv (unpack v)) in
+  let matvec v out = Vec.blit ~src:(pack (cmatvec (unpack v))) ~dst:out in
+  let m_inv v out = Vec.blit ~src:(pack (cm_inv (unpack v))) ~dst:out in
   let res = Gmres.solve ~matvec ~m_inv ~restart:60 ~max_iter:240 ~tol:1e-10 (pack r) in
   if res.Gmres.converged then Some (unpack res.Gmres.x) else None
 

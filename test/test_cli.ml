@@ -1,0 +1,67 @@
+(* The CLI's help pages.  Every subcommand (found by walking the
+   COMMANDS sections of the help pages themselves) must render its
+   --help=plain page: cmdliner reports a malformed doc string as a
+   "cmdliner error" at the top of the page instead of failing the
+   build. *)
+
+let cli_exe =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "wampde_cli.exe")
+
+(* stdout and stderr of [wampde_cli path... --help=plain], merged *)
+let help path =
+  let cmd =
+    String.concat " " (List.map Filename.quote ((cli_exe :: path) @ [ "--help=plain" ]))
+    ^ " 2>&1"
+  in
+  let ic = Unix.open_process_in cmd in
+  let out = In_channel.input_all ic in
+  ignore (Unix.close_process_in ic);
+  out
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* Command names listed in a page's COMMANDS section: lines indented by
+   exactly seven spaces whose first word is the name. *)
+let subcommands page =
+  let lines = String.split_on_char '\n' page in
+  let rec skip = function
+    | [] -> []
+    | l :: rest -> if String.trim l = "COMMANDS" then rest else skip rest
+  in
+  let rec take acc = function
+    | [] -> List.rev acc
+    | l :: rest ->
+      if String.length l > 0 && l.[0] <> ' ' then List.rev acc
+      else if String.length l > 7 && String.sub l 0 7 = "       " && l.[7] <> ' ' then
+        let name = List.hd (String.split_on_char ' ' (String.sub l 7 (String.length l - 7))) in
+        take (name :: acc) rest
+      else take acc rest
+  in
+  take [] (skip lines)
+
+let tests =
+  [
+    Alcotest.test_case "every subcommand's --help=plain renders without a cmdliner error" `Quick
+      (fun () ->
+        Alcotest.(check bool) ("CLI built at " ^ cli_exe) true (Sys.file_exists cli_exe);
+        let rec walk path =
+          let page = help path in
+          let name = String.concat " " ("wampde_cli" :: path) in
+          Alcotest.(check bool) (name ^ " --help=plain has a NAME section") true
+            (contains page "NAME");
+          Alcotest.(check bool) (name ^ " --help=plain has no cmdliner error") false
+            (contains page "cmdliner error");
+          List.fold_left (fun n sub -> n + walk (path @ [ sub ])) 1 (subcommands page)
+        in
+        Alcotest.(check bool) "top-level page lists the envelope command" true
+          (List.mem "envelope" (subcommands (help [])));
+        let pages = walk [] in
+        Alcotest.(check bool) (Printf.sprintf "%d help pages checked" pages) true (pages > 10));
+  ]
+
+let suites = [ ("cli", tests) ]

@@ -145,7 +145,7 @@ let tests =
         let n = 30 in
         let a = Mat.init n n (fun i j -> 1. /. (1. +. float_of_int (abs (i - j)))) in
         let b = Vec.init n (fun i -> float_of_int (i mod 2)) in
-        let r = Gmres.solve ~matvec:(fun v -> Mat.matvec a v) ~restart:2 ~max_iter:2 ~tol:1e-14 b in
+        let r = Gmres.solve ~matvec:(fun v dst -> Mat.matvec_into a v ~dst) ~restart:2 ~max_iter:2 ~tol:1e-14 b in
         Alcotest.(check bool) "flagged" false r.Gmres.converged);
     Alcotest.test_case "continuation reports step underflow" `Quick (fun () ->
         (* F(x, lambda) = x^2 + lambda has no real roots past lambda = 0 *)

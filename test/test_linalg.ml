@@ -107,7 +107,7 @@ let gmres_tests =
         in
         let xref = Vec.init n (fun i -> cos (float_of_int i)) in
         let b = Mat.matvec a xref in
-        let r = Gmres.solve_mat a ~tol:1e-12 b in
+        let r = Gmres.solve ~matvec:(fun v dst -> Mat.matvec_into a v ~dst) ~tol:1e-12 b in
         Alcotest.(check bool) "converged" true r.Gmres.converged;
         Alcotest.(check bool) "solution" true (Vec.approx_equal ~tol:1e-8 r.Gmres.x xref));
     Alcotest.test_case "gmres with preconditioner converges faster" `Quick (fun () ->
@@ -115,9 +115,9 @@ let gmres_tests =
         let d = Vec.init n (fun i -> 1. +. float_of_int i) in
         let a = Mat.init n n (fun i j -> if i = j then d.(i) else 0.01) in
         let b = Vec.init n (fun i -> float_of_int (i mod 3) -. 1.) in
-        let matvec v = Mat.matvec a v in
+        let matvec v dst = Mat.matvec_into a v ~dst in
         let plain = Gmres.solve ~matvec ~restart:10 ~tol:1e-10 b in
-        let m_inv v = Vec.init n (fun i -> v.(i) /. d.(i)) in
+        let m_inv v out = Array.iteri (fun i vi -> out.(i) <- vi /. d.(i)) v in
         let pre = Gmres.solve ~matvec ~m_inv ~restart:10 ~tol:1e-10 b in
         Alcotest.(check bool) "pre converged" true pre.Gmres.converged;
         Alcotest.(check bool) "fewer iters" true (pre.Gmres.iterations <= plain.Gmres.iterations));
@@ -125,8 +125,55 @@ let gmres_tests =
         let a = [| [| 1.; 2.; 0. |]; [| 0.; 3.; 4. |]; [| 5.; 0.; 6. |] |] in
         let xref = [| 1.; -1.; 2. |] in
         let b = Mat.matvec a xref in
-        let r = Gmres.solve_mat a ~tol:1e-13 b in
+        let r = Gmres.solve ~matvec:(fun v dst -> Mat.matvec_into a v ~dst) ~tol:1e-13 b in
         Alcotest.(check bool) "solution" true (Vec.approx_equal ~tol:1e-9 r.Gmres.x xref));
+    Alcotest.test_case "gmres workspace reuse is bitwise a fresh workspace" `Quick (fun () ->
+        (* nonsymmetric, weakly diagonal: restart 8 does not converge in
+           one cycle, so the restarting solve fills every Hessenberg
+           column and rotation before the shorter solves run *)
+        let n = 30 in
+        let a =
+          Mat.init n n (fun i j ->
+              if i = j then 2. +. (0.1 *. float_of_int i) else sin (float_of_int ((3 * i) + j)) /. 4.)
+        in
+        let matvec v dst = Mat.matvec_into a v ~dst in
+        let m_inv v out = Array.iteri (fun i vi -> out.(i) <- vi /. a.(i).(i)) v in
+        let rhs k = Vec.init n (fun i -> cos (float_of_int ((k * 17) + i))) in
+        (* every case has min restart max_iter = 8, the workspace shape *)
+        let cases =
+          [
+            ("restarting", rhs 1, 8, 200, None);
+            ("new rhs", rhs 2, 8, 200, None);
+            ("max_iter < restart", rhs 3, 20, 8, None);
+            ("initial guess", rhs 4, 8, 200, Some (rhs 5));
+            ("restarting again", rhs 1, 8, 200, None);
+          ]
+        in
+        let ws = Gmres.workspace ~n ~restart:8 ~max_iter:200 () in
+        List.iter
+          (fun (name, b, restart, max_iter, x0) ->
+            let solve ws = Gmres.solve ~matvec ~m_inv ?ws ?x0 ~restart ~max_iter ~tol:1e-12 b in
+            let fresh = solve None and reused = solve (Some ws) in
+            if name = "restarting" then
+              Alcotest.(check bool) "restarts" true (fresh.Gmres.iterations > restart);
+            Alcotest.(check bool) (name ^ ": x bitwise") true (fresh.Gmres.x = reused.Gmres.x);
+            Alcotest.(check int) (name ^ ": iterations") fresh.Gmres.iterations
+              reused.Gmres.iterations;
+            Alcotest.(check bool)
+              (name ^ ": residual bitwise")
+              true
+              (Int64.equal
+                 (Int64.bits_of_float fresh.Gmres.residual_norm)
+                 (Int64.bits_of_float reused.Gmres.residual_norm)))
+          cases;
+        let raises name f =
+          match f () with
+          | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+          | exception Invalid_argument _ -> ()
+        in
+        raises "wrong n" (fun () -> Gmres.solve ~matvec ~ws ~restart:8 (Vec.zeros (n + 1)));
+        raises "wrong restart" (fun () ->
+            Gmres.solve ~matvec ~ws ~restart:10 ~max_iter:200 (rhs 1)));
   ]
 
 let cx_tests =
@@ -143,6 +190,35 @@ let cx_tests =
         let b = Cmat.matvec a xref in
         let x = Clu.solve_dense a b in
         Alcotest.(check bool) "x" true (Cvec.approx_equal ~tol:1e-12 x xref));
+    Alcotest.test_case "split re/im solve is bitwise the boxed Complex arithmetic" `Quick
+      (fun () ->
+        (* 2 x 2 without a pivot swap (|a00| > |a10|): the boxed
+           elimination and substitution written out with Complex ops.
+           The two right-hand sides take both branches of Smith's
+           division in the final step. *)
+        let open Cx in
+        List.iter
+          (fun (a, b) ->
+            let l = Complex.div a.(1).(0) a.(0).(0) in
+            let u11 = Complex.sub a.(1).(1) (Complex.mul l a.(0).(1)) in
+            let y1 = Complex.sub b.(1) (Complex.mul l b.(0)) in
+            let x1 = Complex.div y1 u11 in
+            let x0 = Complex.div (Complex.sub b.(0) (Complex.mul a.(0).(1) x1)) a.(0).(0) in
+            let x_re = Array.make 2 0. and x_im = Array.make 2 0. in
+            Clu.solve_into (Clu.factor a) ~b_re:(Cvec.real_part b) ~b_im:(Cvec.imag_part b) ~x_re
+              ~x_im;
+            Alcotest.(check bool) "bitwise" true
+              (x_re = [| re x0; re x1 |] && x_im = [| im x0; im x1 |]))
+          [
+            ( [| [| cx 3.1 0.7; cx (-0.3) 1.9 |]; [| cx 0.4 (-1.1); cx 2.3 0.2 |] |],
+              [| cx 0.37 (-1.3); cx 2.9 0.41 |] );
+            ( [| [| cx 0.3 2.7; cx 1.3 0.9 |]; [| cx (-0.2) 0.5; cx 0.1 3.3 |] |],
+              [| cx (-1.7) 0.23; cx 0.61 1.9 |] );
+          ];
+        Alcotest.check_raises "length mismatch"
+          (Invalid_argument "Cx.Clu.solve_into: dimension mismatch") (fun () ->
+            let z = Array.make 3 0. in
+            Clu.solve_into (Clu.factor (Cmat.identity 2)) ~b_re:z ~b_im:z ~x_re:z ~x_im:z));
     Alcotest.test_case "cis and polar" `Quick (fun () ->
         let z = Cx.cis (Float.pi /. 2.) in
         approx "re" 0. (Cx.re z);
@@ -188,7 +264,7 @@ let prop_tests =
          (make (Gen.pair (mat_gen 6) (vec_gen 6)))
          (fun (a, b) ->
            let x_lu = Lu.solve_dense a b in
-           let r = Gmres.solve_mat a ~tol:1e-13 b in
+           let r = Gmres.solve ~matvec:(fun v dst -> Mat.matvec_into a v ~dst) ~tol:1e-13 b in
            Vec.approx_equal ~tol:1e-6 r.Gmres.x x_lu));
     QCheck_alcotest.to_alcotest
       (Test.make ~name:"vec: triangle inequality" ~count:100

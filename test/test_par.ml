@@ -139,12 +139,16 @@ let det_tests =
            let serial =
              with_jobs 1 (fun () ->
                  let pc = Structured.make_precond ~dft:Fourier.Fft.structured_dft op in
-                 (Structured.precond_apply pc v, Structured.apply op v))
+                 let z = Array.make (n1 * n) 0. in
+                 Structured.precond_apply_into pc v z;
+                 (z, Structured.apply op v))
            in
            let par =
              with_jobs jobs (fun () ->
                  let pc = Structured.make_precond ~dft:Fourier.Fft.structured_dft op in
-                 (Structured.precond_apply pc v, Structured.apply op v))
+                 let z = Array.make (n1 * n) 0. in
+                 Structured.precond_apply_into pc v z;
+                 (z, Structured.apply op v))
            in
            par = serial));
     QCheck_alcotest.to_alcotest
@@ -171,35 +175,129 @@ let det_tests =
            !ok));
   ]
 
+(* Steady-state allocation of the Krylov inner loop.  Each kernel is
+   warmed once (per-worker workspaces, Bluestein plans and scratch),
+   then measured: the words a call allocates on the calling domain must
+   be the same at every n1 (nothing per element or per block) and
+   small.  With a pool (WAMPDE_JOBS > 1) the count includes the fixed
+   cost of dispatching each parallel region. *)
+let alloc_n1s = [ 15; 25; 65 ]
+let alloc_cap = 1024.
+
+let words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let steady_words f =
+  f ();
+  words f
+
+let check_flat what per_n1 =
+  let counts = List.map snd per_n1 in
+  let label =
+    String.concat ", " (List.map (fun (n1, w) -> Printf.sprintf "n1=%d: %.0f" n1 w) per_n1)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s allocates the same words at every n1 (%s)" what label)
+    true
+    (List.for_all (fun w -> w = List.hd counts) counts);
+  Alcotest.(check bool)
+    (Printf.sprintf "%s allocates at most %.0f words (%s)" what alloc_cap label)
+    true
+    (List.hd counts <= alloc_cap)
+
+(* a VCO-sized (n = 4) bordered collocation system on n1 points *)
+let alloc_system n1 =
+  let n = 4 in
+  let d = Fourier.Series.diff_matrix n1 in
+  let c = Mat.identity n in
+  let b = Mat.init n n (fun i j -> if i = j then 4. else 0.5) in
+  let op =
+    Structured.make_op ~alpha:0.8 ~d ~c_blocks:(Array.make n1 c) ~b_blocks:(Array.make n1 b)
+  in
+  let nd = n1 * n in
+  let border_col = Array.init nd (fun i -> cos (0.3 *. float_of_int i)) in
+  let border_row = Array.init nd (fun i -> if i mod n = 0 then 1. else 0.) in
+  let pc = Structured.make_precond ~dft:Fourier.Fft.structured_dft op in
+  let bp = Structured.make_bordered pc ~border_col ~border_row in
+  (op, pc, bp, border_col, border_row)
+
 let alloc_tests =
   [
-    Alcotest.test_case "precond apply reuses hoisted scratch (no alloc growth)" `Quick
+    Alcotest.test_case "precond apply reuses hoisted scratch (bounded words at every n1)" `Quick
       (fun () ->
-        let n1 = 41 and n = 4 in
-        let d = Fourier.Series.diff_matrix n1 in
-        let c = Mat.identity n in
-        let b = Mat.init n n (fun i j -> if i = j then 4. else 0.5) in
-        let op =
-          Structured.make_op ~alpha:0.8 ~d ~c_blocks:(Array.make n1 c)
-            ~b_blocks:(Array.make n1 b)
-        in
-        let pc = Structured.make_precond ~dft:Fourier.Fft.structured_dft op in
-        let v = Array.init (n1 * n) (fun i -> sin (0.01 *. float_of_int i)) in
-        let words f =
-          let w0 = Gc.minor_words () in
-          ignore (f ());
-          Gc.minor_words () -. w0
-        in
-        (* first apply warms per-worker workspaces and FFT scratch;
-           steady-state applies must not allocate more than the warm-up *)
-        let first = words (fun () -> Structured.precond_apply pc v) in
-        let second = words (fun () -> Structured.precond_apply pc v) in
-        let third = words (fun () -> Structured.precond_apply pc v) in
-        Alcotest.(check bool)
-          (Printf.sprintf "steady-state alloc (%.0f, %.0f after %.0f warm-up)" second third
-             first)
-          true
-          (second <= first && third <= second +. 1024.));
+        check_flat "precond_apply_into"
+          (List.map
+             (fun n1 ->
+               let _, pc, _, _, _ = alloc_system n1 in
+               let v = Array.init (n1 * 4) (fun i -> sin (0.01 *. float_of_int i)) in
+               let out = Array.make (n1 * 4) 0. in
+               (n1, steady_words (fun () -> Structured.precond_apply_into pc v out)))
+             alloc_n1s));
+    Alcotest.test_case "bordered apply allocates bounded words at every n1" `Quick (fun () ->
+        check_flat "bordered_apply_into"
+          (List.map
+             (fun n1 ->
+               let _, _, bp, _, _ = alloc_system n1 in
+               let v = Array.init ((n1 * 4) + 1) (fun i -> sin (0.01 *. float_of_int i)) in
+               let out = Array.make ((n1 * 4) + 1) 0. in
+               (n1, steady_words (fun () -> Structured.bordered_apply_into bp v out)))
+             alloc_n1s));
+    Alcotest.test_case "bluestein pair fft allocates bounded words at every size" `Quick
+      (fun () ->
+        check_flat "fft_pair_inplace"
+          (List.map
+             (fun n1 ->
+               let re = Array.init n1 (fun i -> sin (float_of_int i)) in
+               let im = Array.init n1 (fun i -> cos (float_of_int i)) in
+               (n1, steady_words (fun () -> Fourier.Fft.fft_pair_inplace re im)))
+             alloc_n1s));
+    Alcotest.test_case "one more gmres iteration allocates bounded words at every n1" `Quick
+      (fun () ->
+        (* solves that stop on the iteration budget (tol is out of
+           reach): the difference between k + 1 and k iterations is the
+           cost of one iteration, matvec and preconditioner included *)
+        let k = 3 in
+        check_flat "one GMRES iteration"
+          (List.map
+             (fun n1 ->
+               let op, _, bp, border_col, border_row = alloc_system n1 in
+               let dim = (n1 * 4) + 1 in
+               let b = Array.init dim (fun i -> sin (0.7 *. float_of_int i)) in
+               let run iters =
+                 let ws = Gmres.workspace ~n:dim ~restart:10 ~max_iter:iters () in
+                 steady_words (fun () ->
+                     let res =
+                       Gmres.solve
+                         ~matvec:(Structured.apply_bordered_into op ~border_col ~border_row)
+                         ~m_inv:(Structured.bordered_apply_into bp) ~ws ~restart:10
+                         ~max_iter:iters ~tol:1e-300 b
+                     in
+                     assert (res.Gmres.iterations = iters))
+               in
+               (n1, run (k + 1) -. run k))
+             alloc_n1s));
+    Alcotest.test_case "vec reductions allocate nothing per element" `Quick (fun () ->
+        (* a call that returns a float boxes it (2 words); nothing else *)
+        List.iter
+          (fun (name, f) ->
+            check_flat name
+              (List.map
+                 (fun n1 ->
+                   let u = Array.init n1 (fun i -> sin (float_of_int i)) in
+                   let v = Array.init n1 (fun i -> cos (float_of_int i)) in
+                   (n1, steady_words (fun () -> ignore (Sys.opaque_identity (f u v)))))
+                 alloc_n1s);
+            let u = Array.make 65 1. in
+            let w = steady_words (fun () -> ignore (Sys.opaque_identity (f u u))) in
+            Alcotest.(check bool) (Printf.sprintf "%s: %.0f words <= 2" name w) true (w <= 2.))
+          [
+            ("Vec.dot", Vec.dot);
+            ("Vec.norm2", fun u _ -> Vec.norm2 u);
+            ("Vec.norm1", fun u _ -> Vec.norm1 u);
+            ("Vec.norm_inf", fun u _ -> Vec.norm_inf u);
+          ]);
   ]
 
 (* ---------- Bluestein plan cache under concurrent first use ---------- *)

@@ -115,7 +115,11 @@ let prop (name, dae, draw) (dname, d) omega_case =
       let lins = Sd.periodic_linearize p y in
       let periodic_ok =
         check_lin ~residual:(Sd.periodic_residual p) ~dense:(Sd.periodic_dense p lins)
-          ~apply:(Sd.periodic_apply p lins) y rng
+          ~apply:(fun v ->
+            let out = Array.make (Array.length v) 0. in
+            Sd.periodic_apply_into p lins v out;
+            out)
+          y rng
       in
       g_ok && step_ok && periodic_ok)
 
