@@ -9,8 +9,7 @@
      dune exec bench/main.exe -- --csv        -- emit full series as CSV
      dune exec bench/main.exe -- --list       -- list experiment ids
      dune exec bench/main.exe -- --smoke      -- reduced problem sizes (CI)
-     dune exec bench/main.exe -- --check      -- exit 1 if krylov slower than dense, or
-                                                 if the robust cascade outcome regresses
+     dune exec bench/main.exe -- --check      -- exit 1 if krylov slower than dense
      dune exec bench/main.exe -- --jobs 4     -- domain-pool parallelism (adds the
                                                  strong-scaling rows to krylov/robust)
 
@@ -21,7 +20,6 @@ module Obs = Wampde_obs
 let two_pi = 2. *. Float.pi
 
 let csv = ref false
-let json = ref false
 let smoke = ref false
 let check = ref false
 let only : string option ref = ref None
@@ -451,12 +449,7 @@ let krylov_bench () =
       let unknowns = (n1 * dae.Dae.dim) + 1 in
       Printf.printf
         "krylov |   n1 = %3d (%5d unknowns): dense %7.3f s (%d LU), krylov %7.3f s (%d LU, %d gmres iters), speedup %.2fx, omega rel err %.1e\n"
-        n1 unknowns t_dense lu_d t_krylov lu_k gm_k ratio !rel_err;
-      Obs.Metrics.set (Obs.Metrics.gauge (Printf.sprintf "bench.krylov.dense_s.n1_%d" n1)) t_dense;
-      Obs.Metrics.set
-        (Obs.Metrics.gauge (Printf.sprintf "bench.krylov.krylov_s.n1_%d" n1))
-        t_krylov;
-      Obs.Metrics.set (Obs.Metrics.gauge (Printf.sprintf "bench.krylov.speedup.n1_%d" n1)) ratio)
+        n1 unknowns t_dense lu_d t_krylov lu_k gm_k ratio !rel_err)
     sizes;
   Printf.printf "krylov | (dense work grows as n1^3 per factorization, krylov as n1 log n1)\n";
   (* Strong scaling of the krylov path on the domain pool: same sweep,
@@ -467,7 +460,6 @@ let krylov_bench () =
   if jobs > 1 then begin
     let scaling_sizes = if !smoke then [ 101 ] else [ 101; 161 ] in
     Printf.printf "krylov | strong scaling (krylov path, jobs 1 vs %d):\n" jobs;
-    Obs.Metrics.set (Obs.Metrics.gauge "bench.krylov.par_jobs") (float_of_int jobs);
     List.iter
       (fun n1 ->
         let frozen = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
@@ -494,11 +486,6 @@ let krylov_bench () =
           "krylov |   n1 = %3d: jobs 1 %7.3f s, jobs %d %7.3f s, speedup %.2fx, \
            bitwise-identical %b\n"
           n1 t_1 jobs t_j par_speedup identical;
-        Obs.Metrics.set
-          (Obs.Metrics.gauge (Printf.sprintf "bench.krylov.par_speedup.n1_%d" n1))
-          par_speedup;
-        Obs.Metrics.set (Obs.Metrics.gauge (Printf.sprintf "bench.krylov.par_s_jobs1.n1_%d" n1)) t_1;
-        Obs.Metrics.set (Obs.Metrics.gauge (Printf.sprintf "bench.krylov.par_s_jobsN.n1_%d" n1)) t_j;
         if not identical then begin
           Printf.eprintf "krylov check FAILED: --jobs %d output differs from serial at n1 = %d\n"
             jobs n1;
@@ -655,7 +642,7 @@ let robust () =
     let n1 = 11 and n2 = 11 in
     let guess = Array.init n2 (fun _ -> Array.init n1 (fun _ -> [| 0. |])) in
     (* the case's work is the counters' growth across it, so the
-       experiment footer and the --json entry keep every case's counts *)
+       experiment footer keeps every case's counts *)
     let count name = Obs.Metrics.count (Obs.Metrics.counter name) in
     let strategy_counter s = "newton.strategy." ^ Nonlin.Polyalg.strategy_name s in
     let watched =
@@ -685,16 +672,10 @@ let robust () =
   Printf.printf
     "robust | strong-modulation sinh quasiperiodic from cold start: plain Newton vs cascade\n";
   Printf.printf "robust |   beta    plain Newton          cascade                    (wall s)\n";
-  (* --check: plain Newton fails and trust region wins at beta = 500 *)
-  let check_ok = ref false in
   List.iter
     (fun beta ->
       let plain, t_plain = solve_case beta (Some [ Nonlin.Polyalg.Damped ]) in
       let full, t_full = solve_case beta None in
-      if beta = 500. then
-        check_ok :=
-          plain = `Failed
-          && (match full with `Solved (Some Nonlin.Polyalg.Trust_region, _) -> true | _ -> false);
       Printf.printf "robust |   %4.0f    %-18s  %s\n" beta
         (match plain with
         | `Failed -> "FAIL"
@@ -727,25 +708,13 @@ let robust () =
     Printf.printf "robust | strong scaling (beta = %.0f cascade): jobs 1 %.2fs, jobs %d %.2fs, \
                    speedup %.2fx, identical outcome %b\n"
       beta t_1 jobs t_j par_speedup (o_1 = o_j);
-    Obs.Metrics.set (Obs.Metrics.gauge "bench.robust.par_speedup") par_speedup;
     if o_1 <> o_j then begin
       Printf.eprintf "robust check FAILED: --jobs %d outcome differs from serial\n" jobs;
       exit 1
     end
   end;
   Printf.printf
-    "robust | (the cascade keeps solving after plain Newton starts failing; trust region wins)\n";
-  if !check then begin
-    if not !check_ok then begin
-      Printf.eprintf
-        "robust check FAILED: at beta = 500 plain Newton must fail and trust region must win\n";
-      exit 1
-    end;
-    if Obs.Metrics.count (Obs.Metrics.counter "lu.factor") = 0 then begin
-      Printf.eprintf "robust check FAILED: no LU factorizations counted\n";
-      exit 1
-    end
-  end
+    "robust | (the cascade keeps solving after plain Newton starts failing; trust region wins)\n"
 
 let health () =
   (* numerical-health monitors vs t1 resolution: the VCO-A envelope run
@@ -792,12 +761,7 @@ let health () =
         if Float.is_nan gmres_per_solve then "  dense" else Printf.sprintf "%7.1f" gmres_per_solve
       in
       Printf.printf "health |   %3d   %.3e        %2.0f / %-2.0f        %s          %d\n" n1 tail
-        needed avail gmres_col warnings;
-      let set name v = Obs.Metrics.set (Obs.Metrics.gauge (Printf.sprintf "bench.health.%s.n1_%d" name n1)) v in
-      set "tail_energy" tail;
-      set "effective_harmonics" needed;
-      set "gmres_iters_per_solve" gmres_per_solve;
-      set "warnings" (float_of_int warnings))
+        needed avail gmres_col warnings)
     sizes;
   Printf.printf
     "health | (tail energy falls exponentially with n1; the monitors flag both coarse and \
@@ -837,9 +801,6 @@ let () =
     | "--csv" :: rest ->
       csv := true;
       parse rest
-    | "--json" :: rest ->
-      json := true;
-      parse rest
     | "--smoke" :: rest ->
       smoke := true;
       parse rest
@@ -875,7 +836,6 @@ let () =
      each experiment, so shared lazy setups (orbits, envelope runs) are
      charged to the first experiment that forces them. *)
   Obs.set_enabled true;
-  let work = ref [] in
   List.iter
     (fun (id, run) ->
       Obs.Metrics.reset ();
@@ -884,20 +844,11 @@ let () =
       run ();
       let wall = Unix.gettimeofday () -. t0 in
       let gc1 = Gc.quick_stat () in
-      (* allocation gauges feed the trend script alongside the scoped
-         counters already embedded in the metrics snapshot *)
       let alloc_words =
         gc1.Gc.minor_words -. gc0.Gc.minor_words
         +. (gc1.Gc.major_words -. gc0.Gc.major_words)
         -. (gc1.Gc.promoted_words -. gc0.Gc.promoted_words)
       in
-      Obs.Metrics.set (Obs.Metrics.gauge "bench.alloc_words") alloc_words;
-      Obs.Metrics.set
-        (Obs.Metrics.gauge "bench.gc.minor_collections")
-        (float_of_int (gc1.Gc.minor_collections - gc0.Gc.minor_collections));
-      Obs.Metrics.set
-        (Obs.Metrics.gauge "bench.gc.major_collections")
-        (float_of_int (gc1.Gc.major_collections - gc0.Gc.major_collections));
       let c name = Obs.Metrics.count (Obs.Metrics.counter name) in
       Printf.printf
         "%s | solver work: %d newton iters, %d lu factors, %d gmres iters, %d rejects | wall \
@@ -905,27 +856,7 @@ let () =
         id (c "newton.iterations") (c "lu.factor") (c "gmres.iterations")
         (c "transient.rejects" + c "envelope.rejects")
         wall (alloc_words /. 1e6);
-      if !json then work := (id, wall, Obs.Metrics.to_json ()) :: !work;
       print_newline ())
     selected;
   Obs.set_enabled false;
-  if !json then begin
-    let tm = Unix.localtime (Unix.time ()) in
-    let fname =
-      Printf.sprintf "BENCH_%04d-%02d-%02d.json" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-        tm.Unix.tm_mday
-    in
-    let oc = open_out fname in
-    let entries = List.rev !work in
-    let last = List.length entries - 1 in
-    output_string oc "[\n";
-    List.iteri
-      (fun i (id, wall, metrics) ->
-        Printf.fprintf oc "  {\"id\":\"%s\",\"wall_s\":%.6f,\"metrics\":%s}%s\n" id wall metrics
-          (if i = last then "" else ","))
-      entries;
-    output_string oc "]\n";
-    close_out oc;
-    Printf.eprintf "wrote %s\n" fname
-  end;
   if !only = None && not !csv then kernel_timings ()

@@ -555,11 +555,10 @@ let envelope_cmd =
         exit 1
       | Step_control.Underflow { t; h } ->
         flight_dump ~kind:"step-underflow"
-          ~message:
-            (Printf.sprintf "step control drove h2 below minimum at t2 = %g (h2 = %g)" t h);
+          ~message:(Printf.sprintf "step control gave up at t2 = %g (h2 = %g)" t h);
         Printf.eprintf
-          "wampde_cli: adaptive step control drove h2 below the minimum at t2 = %.6g us (h2 \
-           = %.3g); relax --rtol or lower --h2min\n"
+          "wampde_cli: adaptive step control gave up at t2 = %.6g us (h2 = %.3g): h2 fell \
+           below the minimum or solver failures dominate the run; relax --rtol or lower --h2min\n"
           t h;
         exit 1
       | Checkpoint.Corrupt msg ->
@@ -965,6 +964,28 @@ let history_compare_cmd =
   let doc = "markdown delta of two stored runs: wall time, changed counters and gauges" in
   Cmd.v (Cmd.info "compare" ~doc) Term.(const run $ history_dir_arg $ a_pos $ b_pos)
 
+(* One key's trend window: its newest [last] finite wall times.  The
+   median and MAD are over the whole window, or over the runs before
+   the latest with [~before_latest:true].  None when no wall time is
+   finite. *)
+type wall_window = { size : int; latest : float; median : float; mad : float }
+
+let wall_window ?(before_latest = false) ~last (es : Obs.History.entry list) =
+  let walls = List.filter Float.is_finite (List.map (fun (e : Obs.History.entry) -> e.wall_s) es) in
+  let n = List.length walls in
+  let window = List.filteri (fun i _ -> i >= n - last) walls in
+  match List.rev window with
+  | [] -> None
+  | latest :: earlier ->
+    let base = if before_latest then earlier else window in
+    Some
+      {
+        size = List.length window;
+        latest;
+        median = Obs.History.median base;
+        mad = Obs.History.mad base;
+      }
+
 let history_trend_cmd =
   let run dir filter last nsigma =
     let entries = List.filter (fun (e : Obs.History.entry) -> matches_filter filter e.key) (load_history dir) in
@@ -972,25 +993,17 @@ let history_trend_cmd =
     else
       List.iter
         (fun (ks, es) ->
-          let walls =
-            List.filter Float.is_finite (List.map (fun (e : Obs.History.entry) -> e.wall_s) es)
-          in
-          let window =
-            let n = List.length walls in
-            if n <= last then walls else List.filteri (fun i _ -> i >= n - last) walls
-          in
-          match List.rev window with
-          | [] -> Printf.printf "%-52s runs=%d (no finite wall times)\n" ks (List.length es)
-          | latest :: _ ->
-            let med = Obs.History.median window and mad = Obs.History.mad window in
+          match wall_window ~last es with
+          | None -> Printf.printf "%-52s runs=%d (no finite wall times)\n" ks (List.length es)
+          | Some w ->
             let flag =
-              if List.length window >= 3 && Obs.History.is_outlier ~nsigma ~median:med ~mad latest
+              if w.size >= 3 && Obs.History.is_outlier ~nsigma ~median:w.median ~mad:w.mad w.latest
               then
-                if latest > med then "  << SLOWER than trend" else "  << faster than trend"
+                if w.latest > w.median then "  << SLOWER than trend" else "  << faster than trend"
               else ""
             in
             Printf.printf "%-52s runs=%d  median %.3f s  mad %.3f  latest %.3f s%s\n" ks
-              (List.length es) med mad latest flag)
+              (List.length es) w.median w.mad w.latest flag)
         (group_by_key entries)
   in
   let doc =
@@ -1000,107 +1013,43 @@ let history_trend_cmd =
   Cmd.v (Cmd.info "trend" ~doc)
     Term.(const run $ history_dir_arg $ key_filter_arg $ last_arg $ nsigma_arg)
 
-(* Resolve a --prev/--fresh operand to a bench manifest file: a file is
-   itself, a directory contributes its lexicographically newest
-   BENCH_*.json (the file names embed the date). *)
-let resolve_bench path =
-  if Sys.file_exists path && Sys.is_directory path then
-    Sys.readdir path |> Array.to_list
-    |> List.filter (fun f ->
-           String.length f > 6 && String.sub f 0 6 = "BENCH_" && Filename.check_suffix f ".json")
-    |> List.sort compare |> List.rev
-    |> function
-    | f :: _ -> Some (Filename.concat path f)
-    | [] -> None
-  else if Sys.file_exists path then Some path
-  else None
-
 let history_gate_cmd =
-  let prev_arg =
-    let doc = "Baseline bench manifest: a BENCH_*.json file or a directory holding one." in
-    Arg.(value & opt (some string) None & info [ "prev" ] ~docv:"PATH" ~doc)
-  in
-  let fresh_arg =
-    let doc = "Fresh bench manifest (file or directory).  Enables bench-gate mode." in
-    Arg.(value & opt (some string) None & info [ "fresh" ] ~docv:"PATH" ~doc)
-  in
-  let threshold_arg =
-    let doc = "Regression threshold on the fresh/baseline speedup ratio." in
-    Arg.(value & opt float 0.75 & info [ "threshold" ] ~docv:"R" ~doc)
-  in
-  let run dir filter last nsigma prev fresh threshold =
-    match fresh with
-    | Some fresh_path -> (
-      (* bench-gate mode: the CI krylov-speedup verdict *)
-      match resolve_bench fresh_path with
-      | None ->
-        Printf.eprintf "history gate: no BENCH_*.json at %s\n" fresh_path;
-        exit 2
-      | Some fresh_file -> (
-        match Obs.Json.parse (read_file_or_die fresh_file) with
-        | Error msg ->
-          Printf.eprintf "history gate: %s: %s\n" fresh_file msg;
-          exit 2
-        | Ok fresh_j -> (
-          let prev_j =
-            match Option.bind prev resolve_bench with
-            | None -> None
-            | Some f -> (
-              match Obs.Json.parse (read_file_or_die f) with Ok j -> Some j | Error _ -> None)
-          in
-          match Obs.History.speedup_gate ~threshold ~prev:prev_j ~fresh:fresh_j () with
-          | Obs.History.Gate_pass msg ->
-            Printf.printf "history gate: PASS: %s\n" msg
-          | Obs.History.Gate_no_baseline msg ->
-            Printf.printf "history gate: PASS (no baseline): %s\n" msg
-          | Obs.History.Gate_regression msg ->
-            Printf.eprintf "history gate: REGRESSION: %s\n" msg;
-            exit 1
-          | Obs.History.Gate_data_error msg ->
-            Printf.eprintf "history gate: DATA ERROR: %s\n" msg;
-            exit 2)))
-    | None ->
-      (* store mode: gate the newest run of each key against its own
-         median-of-last-K wall time *)
-      let entries =
-        List.filter (fun (e : Obs.History.entry) -> matches_filter filter e.key) (load_history dir)
-      in
-      if entries = [] then print_endline "history gate: PASS (no history)"
-      else begin
-        let regressions = ref 0 in
-        List.iter
-          (fun (ks, es) ->
-            let walls =
-              List.filter Float.is_finite (List.map (fun (e : Obs.History.entry) -> e.wall_s) es)
-            in
-            let n = List.length walls in
-            let window = if n <= last then walls else List.filteri (fun i _ -> i >= n - last) walls in
-            match List.rev window with
-            | latest :: (_ :: _ :: _ as rest) ->
-              let base = List.rev rest in
-              let med = Obs.History.median base and mad = Obs.History.mad base in
-              if Obs.History.is_outlier ~nsigma ~median:med ~mad latest && latest > med then begin
-                incr regressions;
-                Printf.eprintf
-                  "history gate: REGRESSION: %s: latest wall %.3f s vs median %.3f s (mad %.3f)\n"
-                  ks latest med mad
-              end
-              else Printf.printf "history gate: ok: %s: latest %.3f s, median %.3f s\n" ks latest med
-            | _ -> Printf.printf "history gate: ok: %s: too few runs to judge\n" ks)
-          (group_by_key entries);
-        if !regressions > 0 then exit 1
-      end
+  let run dir filter last nsigma =
+    (* gate the newest run of each key against the median of the
+       earlier runs in its window *)
+    let entries =
+      List.filter (fun (e : Obs.History.entry) -> matches_filter filter e.key) (load_history dir)
+    in
+    if entries = [] then print_endline "history gate: PASS (no history)"
+    else begin
+      let regressions = ref 0 in
+      List.iter
+        (fun (ks, es) ->
+          match wall_window ~before_latest:true ~last es with
+          | Some w when w.size >= 3 ->
+            if Obs.History.is_outlier ~nsigma ~median:w.median ~mad:w.mad w.latest
+               && w.latest > w.median
+            then begin
+              incr regressions;
+              Printf.eprintf
+                "history gate: REGRESSION: %s: latest wall %.3f s vs median %.3f s (mad %.3f)\n"
+                ks w.latest w.median w.mad
+            end
+            else
+              Printf.printf "history gate: ok: %s: latest %.3f s, median %.3f s\n" ks w.latest
+                w.median
+          | _ -> Printf.printf "history gate: ok: %s: too few runs to judge\n" ks)
+        (group_by_key entries);
+      if !regressions > 0 then exit 1
+    end
   in
   let doc =
-    "CI regression gate with a typed exit code: 0 pass (or no usable baseline), 1 regression, \
-     2 unusable fresh data.  With $(b,--fresh) (and optionally $(b,--prev)) it runs the CI \
-     krylov-speedup check over BENCH_*.json manifests; without it, it gates \
-     each key's newest wall time against the median of its own history."
+    "regression gate with a typed exit code: each key's newest wall time against the median \
+     of the earlier runs in its $(b,--last) window.  Exits 0 on pass or too little history \
+     (fewer than three runs), 1 on a regression."
   in
   Cmd.v (Cmd.info "gate" ~doc)
-    Term.(
-      const run $ history_dir_arg $ key_filter_arg $ last_arg $ nsigma_arg $ prev_arg $ fresh_arg
-      $ threshold_arg)
+    Term.(const run $ history_dir_arg $ key_filter_arg $ last_arg $ nsigma_arg)
 
 let history_cmd =
   let doc =

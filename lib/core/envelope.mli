@@ -127,7 +127,8 @@ val simulate :
     returns normally instead.
 
     Raises [Step_control.Underflow] when error control or failure
-    recovery would push the step below [control.h_min], and
+    recovery would push the step below [control.h_min] or solver
+    failures dominate the march (see {!Step_control.failure_retry}), and
     [Checkpoint.Corrupt] on an unreadable or mismatched resume file. *)
 val simulate_controlled :
   Dae.t ->

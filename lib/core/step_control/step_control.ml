@@ -34,8 +34,23 @@ let () =
     | Underflow { t; h } ->
       Some
         (Printf.sprintf
-           "Step_control.Underflow: step control drove h below h_min at t = %.6g (h = %.3g)" t h)
+           "Step_control.Underflow: step control gave up at t = %.6g (h = %.3g): the step fell \
+            below h_min or solver failures dominate the run"
+           t h)
     | _ -> None)
+
+(* Crawl give-up.  Under a storm of solver failures (NaN residuals or
+   failed linear solves at rates near 20 %) accepts interleave with
+   failures, so the failure streak never reaches [max_failures] and the
+   halved step never reaches [h_min]: the march crawls on at a tiny
+   step.  Failure recovery gives up once at least [crawl_retries]
+   failures have been booked and they are more than [crawl_share] of all
+   decisions.  On the VCO-A envelope under random fault schedules, runs
+   that recover book at most ~190 failures while crawls book thousands,
+   at 8-27 % of their decisions; the share keeps a long healthy run with
+   scattered failures from tripping it. *)
+let crawl_retries = 256
+let crawl_share = 0.05
 
 type t = {
   opts : options;
@@ -134,7 +149,11 @@ let failure_retry t ~t:t_now ~h_used ~reason =
   let h_retry = h_used /. 2. in
   if Obs.Events.active () then
     Obs.Events.emit (Obs.Events.Step_retry { t = t_now; h = h_used; h_next = h_retry; reason });
-  if h_retry < t.opts.h_min || t.failures > t.opts.max_failures then
+  let crawling =
+    t.retried >= crawl_retries
+    && float_of_int t.retried > crawl_share *. float_of_int (t.accepted + t.rejected + t.retried)
+  in
+  if h_retry < t.opts.h_min || t.failures > t.opts.max_failures || crawling then
     raise (Underflow { t = t_now; h = h_retry });
   t.h <- h_retry;
   Obs.Metrics.set g_h t.h;

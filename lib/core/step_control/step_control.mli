@@ -49,7 +49,8 @@ val default_options :
   options
 
 (** Raised when error control or failure recovery would push the step
-    below [h_min]: the problem is stiffer than the tolerances allow. *)
+    below [h_min] (the problem is stiffer than the tolerances allow), or
+    when solver failures dominate the run (see {!failure_retry}). *)
 exception Underflow of { t : float; h : float }
 
 (** Mutable controller state for one integration run. *)
@@ -108,7 +109,9 @@ val record_accept : t -> t:float -> h_used:float -> unit
     (Newton stall, singular factorization) on a step of size [h_used]:
     halves the step, bumps [step.retried], emits a [Step_retry] event
     and returns the new step.  Raises {!Underflow} when the halved step
-    falls below [h_min] or the failure streak exceeds [max_failures]. *)
+    falls below [h_min], the failure streak exceeds [max_failures], or
+    the run crawls: at least 256 failures booked, more than 5 % of all
+    accept, reject and retry decisions. *)
 val failure_retry : t -> t:float -> h_used:float -> reason:string -> float
 
 (** True once [>= 2] consecutive solver failures have been recorded:

@@ -2829,76 +2829,4 @@ module History = struct
   let is_outlier ?(nsigma = 4.) ?(floor = 1e-9) ~median:m ~mad:d v =
     Float.is_finite m && Float.is_finite v
     && Float.abs (v -. m) > Float.max floor (nsigma *. 1.4826 *. d)
-
-  (* ---------- bench speedup gate (CI: history gate --prev --fresh) ---------- *)
-
-  let speedup_prefix = "bench.krylov.speedup.n1_"
-
-  (* BENCH_*.json is a JSON array of {"id","wall_s","metrics"} entries;
-     collect n1 -> max speedup over entries *)
-  let bench_speedups (j : Json.t) =
-    match j with
-    | Json.Arr entries ->
-      let tbl : (int, float) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun e ->
-          match Option.bind (Json.member "metrics" e) (Json.member "gauges") with
-          | Some (Json.Obj gauges) ->
-            List.iter
-              (fun (name, v) ->
-                let pl = String.length speedup_prefix in
-                if String.length name > pl && String.sub name 0 pl = speedup_prefix then
-                  match
-                    ( int_of_string_opt (String.sub name pl (String.length name - pl)),
-                      Json.to_num v )
-                  with
-                  | Some n1, Some r ->
-                    let prev =
-                      match Hashtbl.find_opt tbl n1 with Some p -> p | None -> 0.
-                    in
-                    Hashtbl.replace tbl n1 (Float.max prev r)
-                  | _ -> ())
-              gauges
-          | _ -> ())
-        entries;
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare
-    | _ -> []
-
-  type verdict =
-    | Gate_pass of string
-    | Gate_no_baseline of string
-    | Gate_regression of string
-    | Gate_data_error of string
-
-  (* Decision quantity: the speedup at the largest n1 common to both
-     runs — the size the paper's scaling claim rests on.  Baseline
-     problems (absent, empty, schema drift) degrade to an
-     informational pass. *)
-  let speedup_gate ?(threshold = 0.75) ~prev ~fresh () =
-    match bench_speedups fresh with
-    | [] -> Gate_data_error (Printf.sprintf "no %s* gauges in the fresh bench data" speedup_prefix)
-    | fresh_s -> (
-      match prev with
-      | None -> Gate_no_baseline "no previous artifact; recording baseline and passing"
-      | Some prev_j -> (
-        match bench_speedups prev_j with
-        | [] ->
-          Gate_no_baseline
-            "previous artifact has no speedup gauges; recording baseline and passing"
-        | prev_s -> (
-          match List.rev (List.filter (fun (n1, _) -> List.mem_assoc n1 prev_s) fresh_s) with
-          | [] -> Gate_no_baseline "no common n1 sizes with the previous run; passing"
-          | (n1, f) :: _ ->
-            let p = List.assoc n1 prev_s in
-            let ratio = if p > 0. then f /. p else infinity in
-            let msg =
-              Printf.sprintf "n1=%d: previous speedup %.2fx, fresh %.2fx (%.2f of previous)" n1
-                p f ratio
-            in
-            if ratio < threshold then
-              Gate_regression
-                (Printf.sprintf
-                   "%s — krylov-vs-dense speedup regressed by more than %.0f%%" msg
-                   (100. *. (1. -. threshold)))
-            else Gate_pass msg)))
 end

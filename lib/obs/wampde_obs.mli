@@ -800,24 +800,4 @@ module History : sig
       with an absolute [floor] (default 1e-9) so a run of identical
       samples only flags genuinely different values. *)
   val is_outlier : ?nsigma:float -> ?floor:float -> median:float -> mad:float -> float -> bool
-
-  (** Gauge-name prefix carrying the krylov-vs-dense speedup in
-      BENCH_*.json files ("bench.krylov.speedup.n1_"). *)
-  val speedup_prefix : string
-
-  (** [n1 -> max speedup] pairs (sorted by n1) extracted from a parsed
-      BENCH_*.json array; empty when the shape is wrong. *)
-  val bench_speedups : Json.t -> (int * float) list
-
-  type verdict =
-    | Gate_pass of string
-    | Gate_no_baseline of string  (** missing/unusable baseline: informational pass *)
-    | Gate_regression of string
-    | Gate_data_error of string  (** the fresh data itself is unusable *)
-
-  (** The bench_trend.py decision, natively: compare fresh vs previous
-      krylov-vs-dense speedup at the largest common n1 and regress when
-      the ratio drops below [threshold] (default 0.75).  Baseline
-      problems degrade to {!Gate_no_baseline}. *)
-  val speedup_gate : ?threshold:float -> prev:Json.t option -> fresh:Json.t -> unit -> verdict
 end

@@ -374,7 +374,7 @@ let classify = function
         t2 h2 residual iterations )
   | Transient.Step_failure _ as e -> ("step-failure", Printexc.to_string e)
   | Step_control.Underflow { t; h } ->
-    ("step-underflow", Printf.sprintf "step control drove h2 below minimum at t2 = %g (h2 = %g)" t h)
+    ("step-underflow", Printf.sprintf "step control gave up at t2 = %g (h2 = %g)" t h)
   | Checkpoint.Corrupt msg -> ("corrupt-checkpoint", msg)
   | (Nonlin.Polyalg.Solve_failed _ | Wampde.Quasiperiodic.Solve_failure _) as e ->
     ("solve-failed", Printexc.to_string e)

@@ -1,24 +1,25 @@
-(* The CLI's help pages.  Every subcommand (found by walking the
-   COMMANDS sections of the help pages themselves) must render its
-   --help=plain page: cmdliner reports a malformed doc string as a
-   "cmdliner error" at the top of the page instead of failing the
-   build. *)
+(* The CLI's help pages and the history gate's exit codes.  Every
+   subcommand (found by walking the COMMANDS sections of the help pages
+   themselves) must render its --help=plain page: cmdliner reports a
+   malformed doc string as a "cmdliner error" at the top of the page
+   instead of failing the build. *)
 
 let cli_exe =
   Filename.concat
     (Filename.dirname (Filename.dirname Sys.executable_name))
     (Filename.concat "bin" "wampde_cli.exe")
 
-(* stdout and stderr of [wampde_cli path... --help=plain], merged *)
-let help path =
-  let cmd =
-    String.concat " " (List.map Filename.quote ((cli_exe :: path) @ [ "--help=plain" ]))
-    ^ " 2>&1"
-  in
+(* exit code and merged stdout/stderr of [wampde_cli args...] *)
+let run_cli args =
+  let cmd = String.concat " " (List.map Filename.quote (cli_exe :: args)) ^ " 2>&1" in
   let ic = Unix.open_process_in cmd in
   let out = In_channel.input_all ic in
-  ignore (Unix.close_process_in ic);
-  out
+  match Unix.close_process_in ic with
+  | Unix.WEXITED code -> (code, out)
+  | _ -> Alcotest.failf "%s: killed by a signal" cmd
+
+(* the merged output of [wampde_cli path... --help=plain] *)
+let help path = snd (run_cli (path @ [ "--help=plain" ]))
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -44,6 +45,26 @@ let subcommands page =
   in
   take [] (skip lines)
 
+(* [history gate --dir D] over a fresh store holding one key's runs
+   with the given wall times, oldest first *)
+let gate_over walls =
+  let dir = Filename.temp_dir "wampde-history-gate" "" in
+  let key =
+    { Wampde_obs.History.circuit = "vco-a"; analysis = "envelope"; n1 = 15; jobs = 1; git = "abc" }
+  in
+  List.iteri
+    (fun i wall ->
+      let manifest = Printf.sprintf "{\"unix_time\":%d,\"wall_s\":%g}" (1000 + i) wall in
+      match Wampde_obs.History.append ~dir ~key ~manifest () with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "append failed: %s" m)
+    walls;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> run_cli [ "history"; "gate"; "--dir"; dir ])
+
 let tests =
   [
     Alcotest.test_case "every subcommand's --help=plain renders without a cmdliner error" `Quick
@@ -62,6 +83,16 @@ let tests =
           (List.mem "envelope" (subcommands (help [])));
         let pages = walk [] in
         Alcotest.(check bool) (Printf.sprintf "%d help pages checked" pages) true (pages > 10));
+    Alcotest.test_case "history gate: 0 on steady walls, 1 on a slower latest run" `Quick
+      (fun () ->
+        let code, out = gate_over [ 1.0; 1.02; 0.98; 1.01; 1.0 ] in
+        Alcotest.(check int) ("steady walls pass: " ^ out) 0 code;
+        let code, out = gate_over [ 1.0; 1.02; 0.98; 1.01; 5.0 ] in
+        Alcotest.(check int) ("slower latest run fails: " ^ out) 1 code;
+        Alcotest.(check bool) "names the regression" true (contains out "REGRESSION");
+        let code, out = gate_over [ 1.0; 9.0 ] in
+        Alcotest.(check int) ("two runs pass: " ^ out) 0 code;
+        Alcotest.(check bool) "too few runs" true (contains out "too few runs to judge"));
   ]
 
 let suites = [ ("cli", tests) ]

@@ -179,6 +179,24 @@ let envelope_tests =
         match run_faulted ~spec:"linsolve%1" ~dae ~options ~control ~orbit with
         | `Recovered, _ -> Alcotest.fail "a 100% fault rate cannot be recovered"
         | `Typed _, _ -> ());
+    Alcotest.test_case "a fault storm that crawls ends in a typed underflow" `Quick (fun () ->
+        (* at these NaN rates accepts interleave with failures, so neither
+           h_min nor max_failures ends the march; the crawl give-up must,
+           well within the bound (about 0.4 s on a 2-vCPU host) *)
+        let dae, options, control, orbit = envelope_setup () in
+        let bound_s = 30. in
+        let t0 = Unix.gettimeofday () in
+        let on_accept ~t2 ~omega:_ =
+          if Unix.gettimeofday () -. t0 > bound_s then
+            Alcotest.failf "still marching at t2 = %g after %.0f s" t2 bound_s
+        in
+        Fault.with_armed "seed=720,nan%0.24,nan%0.11" (fun () ->
+            match
+              Wampde.Envelope.simulate_controlled dae ~options ~control ~h2_init:0.5 ~t2_end:3.
+                ~on_accept ~init:orbit ()
+            with
+            | _ -> Alcotest.fail "expected the crawl to end in Step_control.Underflow"
+            | exception Step_control.Underflow _ -> ()));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~count:8 ~name:"random fault schedules: recovery or typed error"
          (QCheck.make ~print:Fun.id fault_spec_gen)

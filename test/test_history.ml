@@ -1,9 +1,8 @@
 (* The run-history store: CRC-guarded round trips, typed corruption
    errors, degraded loads that never raise, compaction bounds and the
-   bench speedup gate. *)
+   robust statistics behind history trend and history gate. *)
 
 module Obs = Wampde_obs
-module Json = Obs.Json
 module History = Obs.History
 
 let dir_counter = ref 0
@@ -209,74 +208,5 @@ let stats_tests =
           (History.is_outlier ~median:med ~mad 2.0));
   ]
 
-(* a minimal BENCH_*.json shape: an array of per-case records whose
-   metrics.gauges carry the krylov speedup gauges *)
-let bench ~speedups =
-  let entries =
-    List.map
-      (fun (n1, s) ->
-        Printf.sprintf "{\"metrics\":{\"gauges\":{\"%s%d\":%g}}}" History.speedup_prefix n1 s)
-      speedups
-  in
-  Json.parse_exn ("[" ^ String.concat "," entries ^ "]")
-
-let gate_tests =
-  [
-    Alcotest.test_case "the checked-in manifests reproduce the history gate verdict" `Quick
-      (fun () ->
-        (* BENCH_2026-08-07 n1=161: 4.891; BENCH_2026-08-09: 4.161 —
-           ratio 0.85 is above the 0.75 gate *)
-        let prev = bench ~speedups:[ (81, 3.2); (161, 4.891) ] in
-        let fresh = bench ~speedups:[ (81, 3.0); (161, 4.161) ] in
-        match History.speedup_gate ~prev:(Some prev) ~fresh () with
-        | History.Gate_pass _ -> ()
-        | v ->
-          Alcotest.failf "expected pass, got %s"
-            (match v with
-             | History.Gate_pass m
-             | History.Gate_no_baseline m
-             | History.Gate_regression m
-             | History.Gate_data_error m -> m));
-    Alcotest.test_case "a speedup collapse below threshold regresses" `Quick (fun () ->
-        let prev = bench ~speedups:[ (161, 4.9) ] in
-        let fresh = bench ~speedups:[ (161, 2.0) ] in
-        match History.speedup_gate ~prev:(Some prev) ~fresh () with
-        | History.Gate_regression msg ->
-          Alcotest.(check bool) "message names the sizes" true (String.length msg > 0)
-        | _ -> Alcotest.fail "expected regression");
-    Alcotest.test_case "missing or unusable baseline degrades to informational pass" `Quick
-      (fun () ->
-        (match History.speedup_gate ~prev:None ~fresh:(bench ~speedups:[ (161, 4.0) ]) () with
-         | History.Gate_no_baseline _ -> ()
-         | _ -> Alcotest.fail "expected no-baseline");
-        (* baseline without speedup gauges *)
-        match
-          History.speedup_gate
-            ~prev:(Some (Json.parse_exn "[{}]"))
-            ~fresh:(bench ~speedups:[ (161, 4.0) ])
-            ()
-        with
-        | History.Gate_no_baseline _ -> ()
-        | _ -> Alcotest.fail "expected no-baseline for gauge-free prev");
-    Alcotest.test_case "unusable fresh data is a data error" `Quick (fun () ->
-        match
-          History.speedup_gate
-            ~prev:(Some (bench ~speedups:[ (161, 4.0) ]))
-            ~fresh:(Json.parse_exn "{\"not\":\"an array\"}")
-            ()
-        with
-        | History.Gate_data_error _ -> ()
-        | _ -> Alcotest.fail "expected data error");
-    Alcotest.test_case "no common n1 degrades to no-baseline" `Quick (fun () ->
-        match
-          History.speedup_gate
-            ~prev:(Some (bench ~speedups:[ (81, 3.0) ]))
-            ~fresh:(bench ~speedups:[ (161, 4.0) ])
-            ()
-        with
-        | History.Gate_no_baseline _ -> ()
-        | _ -> Alcotest.fail "expected no-baseline for disjoint sizes");
-  ]
-
 let suites =
-  [ ("history", store_tests @ concurrency_tests @ fuzz_tests @ stats_tests @ gate_tests) ]
+  [ ("history", store_tests @ concurrency_tests @ fuzz_tests @ stats_tests) ]
