@@ -35,6 +35,16 @@ let unforced_orbit damping force0 =
   Steady.Oscillator.find (Circuit.Vco.build frozen) ~n1 ~period_hint:(1. /. 0.75)
     (Circuit.Vco.initial_state frozen)
 
+(* [settled_orbit ()] settles the frozen VCO-A once and returns its
+   orbit at any n1: the n1 sweeps below share one warm-up transient. *)
+let settled_orbit () =
+  let frozen = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
+  let dae = Circuit.Vco.build frozen in
+  let settled =
+    Steady.Oscillator.settle dae ~period_hint:(1. /. 0.75) (Circuit.Vco.initial_state frozen)
+  in
+  fun n1 -> Steady.Oscillator.polish dae ~n1 settled
+
 let vco_a = lazy (Circuit.Vco.vco_a ())
 let vco_b = lazy (Circuit.Vco.vco_b ())
 let orbit_a = lazy (unforced_orbit 0.0785 4.3e-3)
@@ -420,13 +430,10 @@ let krylov_bench () =
     "krylov | envelope solves, dense LU vs matrix-free GMRES (t2_end = %g us, h2 = %g):\n"
     t2_end h2;
   let last_ratio = ref 0. in
+  let orbit_at = settled_orbit () in
   List.iter
     (fun n1 ->
-      let frozen = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
-      let orbit =
-        Steady.Oscillator.find (Circuit.Vco.build frozen) ~n1 ~period_hint:(1. /. 0.75)
-          (Circuit.Vco.initial_state frozen)
-      in
+      let orbit = orbit_at n1 in
       let count name = Obs.Metrics.count (Obs.Metrics.counter name) in
       let run solver =
         let lu0 = count "lu.factor" and gm0 = count "gmres.iterations" in
@@ -462,11 +469,7 @@ let krylov_bench () =
     Printf.printf "krylov | strong scaling (krylov path, jobs 1 vs %d):\n" jobs;
     List.iter
       (fun n1 ->
-        let frozen = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
-        let orbit =
-          Steady.Oscillator.find (Circuit.Vco.build frozen) ~n1 ~period_hint:(1. /. 0.75)
-            (Circuit.Vco.initial_state frozen)
-        in
+        let orbit = orbit_at n1 in
         let run j =
           Par.Pool.set_jobs j;
           let t0 = Unix.gettimeofday () in
@@ -506,20 +509,12 @@ let krylov_bench () =
 let ablation_n1 () =
   (* spectral collocation converges exponentially in n1; FD4 only
      algebraically -- the reason `Spectral is the default *)
-  let frozen = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
-  let dae = Circuit.Vco.build frozen in
-  let ref_orbit =
-    Steady.Oscillator.find dae ~n1:61 ~period_hint:(1. /. 0.75)
-      (Circuit.Vco.initial_state frozen)
-  in
-  let f_ref = ref_orbit.Steady.Oscillator.omega in
+  let orbit_at = settled_orbit () in
+  let f_ref = (orbit_at 61).Steady.Oscillator.omega in
   Printf.printf "ablation-n1 | unforced VCO frequency error vs collocation size (ref n1=61):\n";
   List.iter
     (fun n1 ->
-      let orbit =
-        Steady.Oscillator.find dae ~n1 ~period_hint:(1. /. 0.75)
-          (Circuit.Vco.initial_state frozen)
-      in
+      let orbit = orbit_at n1 in
       Printf.printf "ablation-n1 |   n1 = %2d -> |f - f_ref| = %.2e MHz\n" n1
         (Float.abs (orbit.Steady.Oscillator.omega -. f_ref)))
     [ 9; 13; 17; 21; 25; 31 ];
@@ -732,13 +727,10 @@ let health () =
     "health | VCO-A envelope t1-grid and solver health vs n1 (t2_end = %g us, h2 = %g us):\n"
     t2_end h2;
   Printf.printf "health |    n1   tail energy   harmonics used   gmres it/solve   warnings\n";
+  let orbit_at = settled_orbit () in
   List.iter
     (fun n1 ->
-      let frozen = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
-      let orbit =
-        Steady.Oscillator.find (Circuit.Vco.build frozen) ~n1 ~period_hint:(1. /. 0.75)
-          (Circuit.Vco.initial_state frozen)
-      in
+      let orbit = orbit_at n1 in
       (* the run's work is the counters' growth across it (as in
          [robust]), so the experiment footer keeps every run's counts *)
       let c name = Obs.Metrics.count (Obs.Metrics.counter name) in

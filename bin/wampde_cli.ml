@@ -462,11 +462,13 @@ let orbit_cmd =
   let doc = "unforced periodic steady state (collocation with unknown frequency)" in
   Cmd.v (Cmd.info "orbit" ~doc) Term.(const run $ obs_term $ which_arg $ n1_arg)
 
-let solver_arg ~default =
+let solver_arg =
   let doc =
-    "Collocation linear solver: $(b,dense) (assembled Jacobian + LU), $(b,krylov) (matrix-free \
-     GMRES with the FFT-diagonalized block preconditioner) or $(b,auto) (krylov once the system \
-     is large enough)."
+    Printf.sprintf
+      "Collocation linear solver: $(b,dense) (assembled Jacobian + LU), $(b,krylov) (matrix-free \
+       GMRES with the FFT-diagonalized block preconditioner) or $(b,auto) (krylov once the \
+       system has %d unknowns or more, dense below)."
+      Linalg.Structured.default_threshold
   in
   let kind =
     Arg.enum
@@ -476,7 +478,7 @@ let solver_arg ~default =
         ("auto", Linalg.Structured.auto);
       ]
   in
-  Arg.(value & opt kind default & info [ "solver" ] ~docv:"KIND" ~doc)
+  Arg.(value & opt kind Linalg.Structured.auto & info [ "solver" ] ~docv:"KIND" ~doc)
 
 (* ---------- adaptive-stepping flags (envelope subcommand) ---------- *)
 
@@ -583,7 +585,7 @@ let envelope_cmd =
     (Cmd.info "envelope" ~doc)
     Term.(
       const run $ obs_term $ which_arg $ n1_arg $ t_end_arg $ h2_arg
-      $ solver_arg ~default:Linalg.Structured.auto
+      $ solver_arg
       $ rtol_arg $ atol_arg $ h2min_arg $ h2max_arg $ checkpoint_arg $ checkpoint_every_arg
       $ resume_arg)
 
@@ -647,7 +649,7 @@ let quasi_cmd =
   let doc = "quasiperiodic (periodic boundary conditions) WaMPDE solve of VCO-A" in
   Cmd.v
     (Cmd.info "quasi" ~doc)
-    Term.(const run $ obs_term $ n1_arg $ n2_arg $ solver_arg ~default:Linalg.Structured.Dense)
+    Term.(const run $ obs_term $ n1_arg $ n2_arg $ solver_arg)
 
 let waveform_cmd =
   let per_cycle_arg =

@@ -84,8 +84,8 @@ let id_ok s =
 
 (* "gmres" is the older name of the matrix-free path, kept so earlier
    requests still parse *)
-let parse_strategy ~default = function
-  | None -> Ok default
+let parse_strategy = function
+  | None -> Ok Linalg.Structured.auto
   | Some "auto" -> Ok Linalg.Structured.auto
   | Some "dense" -> Ok Linalg.Structured.Dense
   | Some ("krylov" | "gmres") -> Ok Linalg.Structured.Krylov
@@ -113,9 +113,7 @@ let parse_envelope j =
   in
   let* n1 = num_field "n1" j in
   let* n1 = odd_int "n1" 3 201 (Option.value n1 ~default:25.) in
-  let* solver =
-    Result.bind (str_field "solver" j) (parse_strategy ~default:Linalg.Structured.auto)
-  in
+  let* solver = Result.bind (str_field "solver" j) parse_strategy in
   Ok (Envelope { t_end; h2; rtol; n1; solver })
 
 let parse_quasi j =
@@ -133,9 +131,7 @@ let parse_quasi j =
   in
   let* h2_warm = num_field "h2_warm" j in
   let* h2_warm = positive "h2_warm" (Option.value h2_warm ~default:0.5) in
-  let* solver =
-    Result.bind (str_field "solver" j) (parse_strategy ~default:Linalg.Structured.Dense)
-  in
+  let* solver = Result.bind (str_field "solver" j) parse_strategy in
   Ok (Quasiperiodic { n1; n2; p2; t_warm; h2_warm; solver })
 
 let parse_job j =

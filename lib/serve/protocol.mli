@@ -17,7 +17,8 @@
     v}
 
     ["solver"] is one of ["dense"], ["krylov"] or ["auto"] for both
-    analyses (["gmres"], an older name, reads as ["krylov"]).
+    analyses (["gmres"], an older name, reads as ["krylov"]); a
+    request without one gets ["auto"].
 
     Responses are [hello], [accepted], [error] (protocol-level, with a
     stable [code]), per-job {!Wampde_obs.Stream} records (tagged with a
@@ -46,7 +47,7 @@ type quasi_params = {
   p2 : float;  (** slow (forcing) period *)
   t_warm : float;  (** envelope warm-up horizon (must exceed [p2]) *)
   h2_warm : float;  (** fixed warm-up step *)
-  solver : Linalg.Structured.strategy;  (** [Dense] when the request names none *)
+  solver : Linalg.Structured.strategy;  (** [auto] when the request names none *)
 }
 
 type analysis = Envelope of envelope_params | Quasiperiodic of quasi_params

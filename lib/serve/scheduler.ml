@@ -87,7 +87,8 @@ type t = {
   breaker : Supervisor.Breaker.t;
   queue : string Queue.t;
   jobs : (string, jobrec) Hashtbl.t;
-  orbits : (string, Steady.Oscillator.orbit) Hashtbl.t;
+  settled : (string, Dae.t * Steady.Oscillator.settled) Hashtbl.t;  (* by circuit *)
+  orbits : (string, Steady.Oscillator.orbit) Hashtbl.t;  (* by (circuit, n1) *)
   mutable submitted : int;
   mutable completed : int;
   mutable failed : int;
@@ -127,6 +128,7 @@ let create ?(max_retries = 0) ?(retry_base_s = 0.1) ?(stall_timeout_s = Float.in
     breaker = Supervisor.Breaker.create ~threshold:breaker_threshold ~cooldown_s:breaker_cooldown_s;
     queue = Queue.create ();
     jobs = Hashtbl.create 32;
+    settled = Hashtbl.create 4;
     orbits = Hashtbl.create 8;
     submitted = 0;
     completed = 0;
@@ -249,8 +251,25 @@ let orbit_for t jr ~n1 =
     orbit
   | None ->
     Obs.Metrics.incr c_orbit_misses;
-    let dae, x0 = jr.entry.frozen () in
-    let orbit = Steady.Oscillator.find dae ~n1 ~period_hint:(1. /. 0.75) x0 in
+    (* the warm-up does not depend on n1: settle once per circuit,
+       polish per n1; the span is Oscillator.find's, so the ledger
+       still counts one find per miss *)
+    let orbit =
+      Obs.Span.span
+        ~attrs:[ ("n1", Obs.Span.Int n1); ("circuit", Obs.Span.Str jr.job.circuit) ]
+        "oscillator.find"
+      @@ fun () ->
+      let dae, settled =
+        match Hashtbl.find_opt t.settled jr.job.circuit with
+        | Some s -> s
+        | None ->
+          let dae, x0 = jr.entry.frozen () in
+          let s = (dae, Steady.Oscillator.settle dae ~period_hint:(1. /. 0.75) x0) in
+          Hashtbl.replace t.settled jr.job.circuit s;
+          s
+      in
+      Steady.Oscillator.polish dae ~n1 settled
+    in
     Hashtbl.replace t.orbits key orbit;
     Obs.Metrics.set g_orbit_entries (float_of_int (Hashtbl.length t.orbits));
     orbit

@@ -21,16 +21,19 @@
     fast-fails with ["breaker-open"] until a half-open probe
     succeeds.
 
-    Warm state shared across jobs: an unforced-orbit cache keyed by
-    [(circuit, n1)] ([cache.orbit.*] metrics; the Bluestein FFT plan
-    cache and the {!Linalg.Structured.Precond_cache} warm up
-    underneath).  Every accepted job terminates in exactly one
-    [result] record (carrying a ["wampde.run-report/1"] manifest) or
-    one typed [job-error] record — solver exceptions, including
-    injected {!Fault} storms, are mapped to stable [kind]s, and a
-    corrupt resume checkpoint restarts the job from scratch once
-    before failing it.  Scheduler traffic is instrumented as
-    [serve.*] counters and the [serve.queue_depth] gauge. *)
+    Warm state shared across jobs: each circuit's
+    {!Steady.Oscillator.settled} warm-up, computed once per circuit,
+    and the unforced orbit polished from it per [(circuit, n1)]
+    ([cache.orbit.*] metrics count the orbits; each miss runs under
+    one [oscillator.find] span).  The Bluestein FFT plan cache and
+    the {!Linalg.Structured.Precond_cache} warm up underneath.  Every
+    accepted job terminates in exactly one [result] record (carrying
+    a ["wampde.run-report/1"] manifest) or one typed [job-error]
+    record — solver exceptions, including injected {!Fault} storms,
+    are mapped to stable [kind]s, and a corrupt resume checkpoint
+    restarts the job from scratch once before failing it.  Scheduler
+    traffic is instrumented as [serve.*] counters and the
+    [serve.queue_depth] gauge. *)
 
 type t
 

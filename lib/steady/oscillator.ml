@@ -12,6 +12,13 @@ let () =
 
 let period orbit = 1. /. orbit.omega
 
+(* The warm-up integrates [warmup_cycles + 4] hinted periods at
+   [transient_steps_per_cycle] trapezoidal steps each; the phase
+   condition pins variable [phase_component]. *)
+let phase_component = 0
+let warmup_cycles = 30
+let transient_steps_per_cycle = 100
+
 (* Flat layout: y.(j * n + i) = variable i at grid point j; y.(n1 * n) = omega. *)
 let pack grid omega =
   let n1 = Array.length grid in
@@ -22,7 +29,7 @@ let pack grid omega =
 let unpack ~n1 ~n y = (Array.init n1 (fun j -> Array.sub y (j * n) n), y.(n1 * n))
 
 (* Autonomous system: f evaluated at t = 0 (no explicit slow forcing). *)
-let collocation_residual dae ~n1 ~d ~phase_component y =
+let collocation_residual dae ~n1 ~d y =
   let n = dae.Dae.dim in
   let states, omega = unpack ~n1 ~n y in
   let qs = Array.map dae.Dae.q states in
@@ -46,7 +53,7 @@ let collocation_residual dae ~n1 ~d ~phase_component y =
   res.(n1 * n) <- !s;
   res
 
-let collocation_jacobian dae ~n1 ~d ~phase_component y =
+let collocation_jacobian dae ~n1 ~d y =
   let n = dae.Dae.dim in
   let states, omega = unpack ~n1 ~n y in
   let qs = Array.map dae.Dae.q states in
@@ -83,8 +90,7 @@ let collocation_jacobian dae ~n1 ~d ~phase_component y =
   done;
   jac
 
-let solve dae ~n1 ~guess ~omega_guess ~phase_component =
-  if n1 mod 2 = 0 then invalid_arg "Oscillator.solve: n1 must be odd";
+let solve dae ~n1 ~guess ~omega_guess =
   Obs.Span.span
     ~attrs:[ ("n1", Obs.Span.Int n1); ("dim", Obs.Span.Int dae.Dae.dim) ]
     "oscillator.solve"
@@ -92,8 +98,8 @@ let solve dae ~n1 ~guess ~omega_guess ~phase_component =
   Obs.Scope.with_scope "oscillator" @@ fun () ->
   let n = dae.Dae.dim in
   let d = Fourier.Series.diff_matrix n1 in
-  let residual y = collocation_residual dae ~n1 ~d ~phase_component y in
-  let jacobian y = collocation_jacobian dae ~n1 ~d ~phase_component y in
+  let residual y = collocation_residual dae ~n1 ~d y in
+  let jacobian y = collocation_jacobian dae ~n1 ~d y in
   let options = { Nonlin.Newton.default_options with max_iterations = 80; residual_tol = 1e-9 } in
   let outcome =
     Nonlin.Polyalg.solve ~options ~label:"oscillator" ~jacobian ~residual (pack guess omega_guess)
@@ -107,12 +113,12 @@ let solve dae ~n1 ~guess ~omega_guess ~phase_component =
   if omega <= 0. then raise (Nonphysical "Oscillator.solve: converged to non-positive frequency");
   { omega; grid }
 
-let find dae ~n1 ?(phase_component = 0) ?(warmup_cycles = 30) ?(transient_steps_per_cycle = 100)
-    ~period_hint x0 =
-  Obs.Span.span
-    ~attrs:[ ("n1", Obs.Span.Int n1); ("dim", Obs.Span.Int dae.Dae.dim) ]
-    "oscillator.find"
-  @@ fun () ->
+(* [window] holds the warm-up samples that bracket every resampling
+   time in [t_start, t_start + period): interpolating in it gives the
+   same values, bit for bit, as interpolating in the whole trajectory. *)
+type settled = { period : float; t_start : float; window : Transient.trajectory }
+
+let settle dae ~period_hint x0 =
   Obs.Scope.with_scope "oscillator" @@ fun () ->
   let h = period_hint /. float_of_int transient_steps_per_cycle in
   let t_end = period_hint *. float_of_int (warmup_cycles + 4) in
@@ -120,20 +126,32 @@ let find dae ~n1 ?(phase_component = 0) ?(warmup_cycles = 30) ?(transient_steps_
   let comp = Transient.component traj phase_component in
   let mean = Vec.mean comp in
   let centered = Vec.map (fun x -> x -. mean) comp in
-  let crossings = Sigproc.Zero_crossing.upward ~times:traj.Transient.times centered in
+  let times = traj.Transient.times in
+  let crossings = Sigproc.Zero_crossing.upward ~times centered in
   let m = Array.length crossings in
-  if m < 4 then raise (Nonphysical "Oscillator.find: too few oscillation cycles in warm-up transient");
+  if m < 4 then
+    raise (Nonphysical "Oscillator.settle: too few oscillation cycles in warm-up transient");
   (* average the last few settled periods *)
   let avg_over = Int.min 5 (m - 1) in
   let period =
     (crossings.(m - 1) -. crossings.(m - 1 - avg_over)) /. float_of_int avg_over
   in
-  (* sample one period ending at the last crossing *)
-  let t_start = crossings.(m - 1) -. period in
+  (* one period ending at the last crossing, widened by one sample on
+     each side so no resampling time falls on the window's ends *)
+  let t_start = crossings.(m - 1) -. period and t_stop = crossings.(m - 1) in
+  let last = Array.length times - 1 in
+  let lo = ref 0 and hi = ref last in
+  while !lo < last && times.(!lo + 1) < t_start do incr lo done;
+  while !hi > 0 && times.(!hi - 1) > t_stop do decr hi done;
+  let keep a = Array.sub a !lo (!hi - !lo + 1) in
+  { period; t_start; window = { Transient.times = keep times; states = keep traj.Transient.states } }
+
+let polish dae ~n1 { period; t_start; window } =
+  if n1 mod 2 = 0 then invalid_arg "Oscillator.polish: n1 must be odd";
   let raw =
     Array.init n1 (fun j ->
         let t = t_start +. (period *. float_of_int j /. float_of_int n1) in
-        Vec.init dae.Dae.dim (fun i -> Transient.interpolate traj i t))
+        Vec.init dae.Dae.dim (fun i -> Transient.interpolate window i t))
   in
   (* rotate so the phase component peaks at grid index 0 *)
   let peak = ref 0 in
@@ -141,7 +159,13 @@ let find dae ~n1 ?(phase_component = 0) ?(warmup_cycles = 30) ?(transient_steps_
     if raw.(j).(phase_component) > raw.(!peak).(phase_component) then peak := j
   done;
   let guess = Array.init n1 (fun j -> raw.((j + !peak) mod n1)) in
-  solve dae ~n1 ~guess ~omega_guess:(1. /. period) ~phase_component
+  solve dae ~n1 ~guess ~omega_guess:(1. /. period)
+
+let find dae ~n1 ~period_hint x0 =
+  Obs.Span.span
+    ~attrs:[ ("n1", Obs.Span.Int n1); ("dim", Obs.Span.Int dae.Dae.dim) ]
+    "oscillator.find"
+  @@ fun () -> polish dae ~n1 (settle dae ~period_hint x0)
 
 let component orbit i = Array.map (fun s -> s.(i)) orbit.grid
 
@@ -159,6 +183,6 @@ let residual_norm dae orbit =
   let n1 = Array.length orbit.grid in
   let d = Fourier.Series.diff_matrix n1 in
   let y = pack orbit.grid orbit.omega in
-  let res = collocation_residual dae ~n1 ~d ~phase_component:0 y in
+  let res = collocation_residual dae ~n1 ~d y in
   (* exclude the phase row *)
   Vec.norm_inf (Array.sub res 0 (Array.length res - 1))

@@ -6,7 +6,7 @@
 
     Solves [omega (D Q)_j + f(x_j) = 0] (period-1 warped grid,
     [omega] in cycles per time unit) together with the phase condition
-    [d x_comp / d t1 (0) = 0] (the chosen component peaks at [t1 = 0]). *)
+    [d x_0 / d t1 (0) = 0] (variable 0 peaks at [t1 = 0]). *)
 
 open Linalg
 
@@ -23,31 +23,30 @@ exception Nonphysical of string
 (** [period orbit] is [1 / omega]. *)
 val period : orbit -> float
 
-(** [solve dae ~n1 ~guess ~omega_guess ~phase_component] polishes a
-    grid guess by the {!Nonlin.Polyalg} cascade on the collocation +
-    phase system.  Raises [Nonlin.Polyalg.Solve_failed] when the whole
-    cascade fails (e.g. the guess is not near a limit cycle) and
-    {!Nonphysical} when the converged frequency is non-positive. *)
-val solve :
-  Dae.t -> n1:int -> guess:Vec.t array -> omega_guess:float -> phase_component:int -> orbit
+(** The n1-independent part of {!find}: a warm-up transient and the
+    period estimated from it, reduced to the samples {!polish} reads.
+    One [settled] serves every resolution [n1]. *)
+type settled
 
-(** [find dae ~n1 ?phase_component ?warmup_cycles ?transient_steps_per_cycle
-     ~period_hint x0] runs the full pipeline: transient warm-up from
-    [x0] for [warmup_cycles] estimated periods, period estimation from
-    upward zero crossings of the phase component (after removing its
-    mean), resampling of the last cycle onto the grid, rotation so the
-    component peaks at [t1 = 0], and Newton polish.  [period_hint]
-    seeds the warm-up length.  Raises {!Nonphysical} when the warm-up
-    transient shows too few oscillation cycles. *)
-val find :
-  Dae.t ->
-  n1:int ->
-  ?phase_component:int ->
-  ?warmup_cycles:int ->
-  ?transient_steps_per_cycle:int ->
-  period_hint:float ->
-  Vec.t ->
-  orbit
+(** [settle dae ~period_hint x0] integrates the trapezoidal transient
+    from [x0] over 34 hinted periods at 100 steps each, estimates the
+    period from upward zero crossings of variable 0 (after removing
+    its mean) and keeps the samples of the last period.  Raises
+    {!Nonphysical} when the transient shows too few oscillation
+    cycles. *)
+val settle : Dae.t -> period_hint:float -> Vec.t -> settled
+
+(** [polish dae ~n1 settled] resamples the settled period onto the odd
+    [n1] grid, rotates it so variable 0 peaks at [t1 = 0], and solves
+    the collocation + phase system from that guess by the
+    {!Nonlin.Polyalg} cascade.  Raises [Nonlin.Polyalg.Solve_failed]
+    when the whole cascade fails and {!Nonphysical} when the converged
+    frequency is non-positive. *)
+val polish : Dae.t -> n1:int -> settled -> orbit
+
+(** [find dae ~n1 ~period_hint x0] is [polish dae ~n1 (settle dae
+    ~period_hint x0)] under one [oscillator.find] span. *)
+val find : Dae.t -> n1:int -> period_hint:float -> Vec.t -> orbit
 
 (** [eval orbit ~component t] evaluates the steady-state waveform at
     (unwarped) time [t >= 0], i.e. at warped phase [omega t]. *)

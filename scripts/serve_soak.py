@@ -12,6 +12,9 @@ service contract:
   * with repeated-circuit krylov jobs, the warm preconditioner cache
     reports hits in the final metrics record (skipped under --faults,
     where jobs may die before reaching the cache);
+  * in the clean pass, the quasiperiodic job without a "solver" (the
+    `auto` default) and its "dense" twin agree on omega_end within
+    1e-8 relative;
   * the `stats` request is answered with the grouped operational
     snapshot (cache / pool / health / serve);
   * every typed job-error (other than a cancellation) carries a
@@ -60,9 +63,12 @@ REQUESTS = [
     # a second circuit and the dense path
     {"type": "job", "id": "env-b1", "circuit": "vco-b", "analysis": "envelope",
      "t_end": 20, "rtol": 1e-3, "n1": 15},
-    # an atomic quasiperiodic job in the same session
+    # an atomic quasiperiodic job in the same session (no "solver":
+    # auto, matrix-free at 427 unknowns) and its dense twin
     {"type": "job", "id": "quasi-a1", "circuit": "vco-a",
      "analysis": "quasiperiodic", "n1": 15, "n2": 7},
+    {"type": "job", "id": "quasi-a1-dense", "circuit": "vco-a",
+     "analysis": "quasiperiodic", "n1": 15, "n2": 7, "solver": "dense"},
     # protocol garbage between valid jobs: the daemon must answer with
     # typed errors and keep serving
     "{this is not json",
@@ -82,6 +88,9 @@ SUBMITTED = [r["id"] for r in REQUESTS
              if isinstance(r, dict) and r.get("type") == "job"
              and r["id"] != "bad n1"]
 GARBAGE_LINES = 3  # two malformed lines + the rejected "bad n1" job
+# (default, dense) quasiperiodic twins whose omega_end must agree
+QUASI_TWINS = ("quasi-a1", "quasi-a1-dense")
+QUASI_RTOL = 1e-8
 
 
 def fail(msg):
@@ -295,6 +304,7 @@ def main():
 
     # exactly one terminal record per submitted job
     failures = 0
+    omega_end = {}
     for job_id in SUBMITTED:
         terminals = [r for r in records
                      if r.get("type") in ("result", "job-error")
@@ -319,6 +329,7 @@ def main():
                     args.out, f"flight-{job_id}.json"))
                 print(f"serve_soak: {job_id}: flight dump captured ({flight})")
         else:
+            omega_end[job_id] = term.get("omega_end")
             manifest_path = os.path.join(args.out, f"manifest-{job_id}.json")
             with open(manifest_path, "w") as f:
                 json.dump(term["manifest"], f)
@@ -374,6 +385,14 @@ def main():
                         "preconditioner cache hits")
         if counters.get("serve.preemptions", 0) <= 0:
             return fail("concurrent envelope jobs were never preempted")
+        auto_w, dense_w = (omega_end.get(j) for j in QUASI_TWINS)
+        if not (isinstance(auto_w, (int, float)) and isinstance(dense_w, (int, float))):
+            return fail(f"quasiperiodic twins lack omega_end: {auto_w!r}, {dense_w!r}")
+        if abs(auto_w - dense_w) > QUASI_RTOL * abs(dense_w):
+            return fail(f"default-solver quasiperiodic omega_end {auto_w!r} differs "
+                        f"from dense {dense_w!r} by more than {QUASI_RTOL:g} relative")
+        print(f"serve_soak: quasiperiodic default vs dense omega_end: "
+              f"{auto_w!r} vs {dense_w!r}")
 
     print("serve_soak: ok")
     return 0

@@ -64,15 +64,15 @@ let terminals_for id records =
     (fun j -> (typ j = "result" || typ j = "job-error") && str "id" j = Some id)
     records
 
-let tiny_envelope ?(id = "e") ?(circuit = "vco-a") ?(solver = "auto") ?deadline_ms () =
+let tiny_envelope ?(id = "e") ?(circuit = "vco-a") ?(n1 = 15) ?(solver = "auto") ?deadline_ms () =
   let deadline =
     match deadline_ms with
     | None -> ""
     | Some ms -> Printf.sprintf ",\"deadline_ms\":%g" ms
   in
   Printf.sprintf
-    "{\"type\":\"job\",\"id\":\"%s\",\"circuit\":\"%s\",\"analysis\":\"envelope\",\"t_end\":1.5,\"rtol\":1e-3,\"n1\":15,\"solver\":\"%s\"%s}"
-    id circuit solver deadline
+    "{\"type\":\"job\",\"id\":\"%s\",\"circuit\":\"%s\",\"analysis\":\"envelope\",\"t_end\":1.5,\"rtol\":1e-3,\"n1\":%d,\"solver\":\"%s\"%s}"
+    id circuit n1 solver deadline
 
 (* ---------- protocol parsing ---------- *)
 
@@ -102,7 +102,7 @@ let protocol_tests =
           Alcotest.(check int) "n2" 7 p.n2;
           Alcotest.(check (float 1e-12)) "p2 default" 40. p.p2;
           Alcotest.(check (float 1e-12)) "t_warm default" 200. p.t_warm;
-          Alcotest.(check bool) "solver default dense" true (p.solver = Linalg.Structured.Dense)
+          Alcotest.(check bool) "solver default auto" true (p.solver = Linalg.Structured.auto)
         | Ok _ -> Alcotest.fail "wrong request"
         | Error { message; _ } -> Alcotest.fail message);
     Alcotest.test_case "quasi solver names parse to a strategy" `Quick (fun () ->
@@ -452,6 +452,64 @@ let cache_tests =
         (* capacity restored after the session: golden runs stay uncached *)
         Alcotest.(check bool) "cache disabled after run" true
           (not (Linalg.Structured.Precond_cache.enabled ())));
+    Alcotest.test_case "one warm-up transient serves a circuit at every n1" `Slow (fun () ->
+        Obs.Metrics.with_isolated @@ fun () ->
+        let code, out =
+          run_server
+            [
+              tiny_envelope ~id:"n15" ~n1:15 ();
+              tiny_envelope ~id:"n17" ~n1:17 ();
+              tiny_envelope ~id:"n15-again" ~n1:15 ();
+              "{\"type\":\"shutdown\",\"drain\":true}";
+            ]
+        in
+        Alcotest.(check int) "exit code" 0 code;
+        let records = records_of out in
+        List.iter
+          (fun id ->
+            match terminals_for id records with
+            | [ r ] -> Alcotest.(check string) (id ^ " result") "result" (typ r)
+            | l -> Alcotest.failf "%s: %d terminals" id (List.length l))
+          [ "n15"; "n17"; "n15-again" ];
+        let counters = Obs.Metrics.counters () in
+        let count name = Option.value ~default:0 (List.assoc_opt name counters) in
+        (* 34 warm-up periods at 100 steps each, once for both n1 *)
+        Alcotest.(check int) "transient steps" 3400 (count "transient.steps");
+        Alcotest.(check int) "orbit misses, one per (circuit, n1)" 2 (count "cache.orbit.misses");
+        (* every other quantum (resumes and the repeat) hits *)
+        Alcotest.(check int) "orbit hits" (count "serve.quanta" - 2) (count "cache.orbit.hits"));
+    Alcotest.test_case "quasi job without a solver matches dense within 1e-8" `Slow (fun () ->
+        Obs.Metrics.with_isolated @@ fun () ->
+        let quasi ~id solver =
+          Printf.sprintf
+            "{\"type\":\"job\",\"id\":\"%s\",\"circuit\":\"vco-a\",\"analysis\":\"quasiperiodic\",\"n1\":15,\"n2\":7%s}"
+            id solver
+        in
+        let code, out =
+          run_server
+            [
+              quasi ~id:"q-default" "";
+              quasi ~id:"q-dense" ",\"solver\":\"dense\"";
+              "{\"type\":\"shutdown\",\"drain\":true}";
+            ]
+        in
+        Alcotest.(check int) "exit code" 0 code;
+        let records = records_of out in
+        let omega id =
+          match terminals_for id records with
+          | [ r ] when typ r = "result" -> (
+            match num "omega_end" r with Some w -> w | None -> Alcotest.failf "%s: no omega_end" id)
+          | l -> Alcotest.failf "%s: %d terminals" id (List.length l)
+        in
+        let w_default = omega "q-default" and w_dense = omega "q-dense" in
+        Alcotest.(check bool)
+          (Printf.sprintf "omega_end %.17g vs dense %.17g" w_default w_dense)
+          true
+          (Float.abs (w_default -. w_dense) <= 1e-8 *. Float.abs w_dense);
+        (* 427 unknowns: the default ran matrix-free, the dense twin factored *)
+        let counters = Obs.Metrics.counters () in
+        let count name = Option.value ~default:0 (List.assoc_opt name counters) in
+        Alcotest.(check bool) "default solve used GMRES" true (count "gmres.solves" > 0));
   ]
 
 (* ---------- fault storms ---------- *)

@@ -109,6 +109,25 @@ let oscillator_tests =
           approx_tol 1e-3 "x' = v" v dx;
           ignore x
         done);
+    Alcotest.test_case "one settle polishes to find's orbit at every n1, bitwise" `Quick
+      (fun () ->
+        let check_circuit name p n1s =
+          let dae = Vco.build p and x0 = Vco.initial_state p in
+          let settled = Steady.Oscillator.settle dae ~period_hint:(1. /. 0.75) x0 in
+          List.iter
+            (fun n1 ->
+              let polished = Steady.Oscillator.polish dae ~n1 settled in
+              let found = Steady.Oscillator.find dae ~n1 ~period_hint:(1. /. 0.75) x0 in
+              Alcotest.(check string)
+                (Printf.sprintf "%s n1 = %d" name n1)
+                (Marshal.to_string found [])
+                (Marshal.to_string polished []))
+            n1s
+        in
+        check_circuit "VCO-A" (Vco.default_params ~control:(fun _ -> 1.5) ()) [ 15; 17; 21; 25 ];
+        check_circuit "VCO-B"
+          (Vco.default_params ~damping:1.57 ~force0:4.0e-3 ~control:(fun _ -> 1.5) ())
+          [ 15 ]);
   ]
 
 let shooting_tests =
