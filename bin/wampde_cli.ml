@@ -151,7 +151,7 @@ let read_file_or_die file =
 (* Stable discriminant for a typed solver failure, matching the serve
    protocol's job-error kinds. *)
 let error_kind = function
-  | Wampde.Envelope.Step_failure _ | Transient.Step_failure _ -> "step-failure"
+  | Transient.Step_failure _ -> "step-failure"
   | Step_control.Underflow _ -> "step-underflow"
   | Checkpoint.Corrupt _ -> "corrupt-checkpoint"
   | Nonlin.Polyalg.Solve_failed _ -> "solve-failed"
@@ -181,7 +181,7 @@ let flight_dump ~kind ~message =
 let or_die f =
   try f ()
   with
-  | ( Wampde.Envelope.Step_failure _ | Transient.Step_failure _ | Step_control.Underflow _
+  | ( Transient.Step_failure _ | Step_control.Underflow _
     | Checkpoint.Corrupt _
     | Nonlin.Polyalg.Solve_failed _ | Nonlin.Polyalg.Non_finite _
     | Nonlin.Continuation.Step_underflow _ | Mpde.Solve_failure _
@@ -427,21 +427,46 @@ let find_orbit ?(n1 = 25) which =
   Steady.Oscillator.find (Circuit.Vco.build frozen) ~n1 ~period_hint:(1. /. 0.75)
     (Circuit.Vco.initial_state frozen)
 
+(* Value checks for the numeric flags, so that a value the solvers
+   cannot use (a zero, negative or NaN step that would hang or reverse
+   the march, an even grid) is a usage error naming the flag rather
+   than a hang or an uncaught exception. *)
+let checked_conv base ~what ok print =
+  let parse s =
+    match base s with
+    | Some x when ok x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "%S is not %s" s what))
+  in
+  Arg.conv (parse, print)
+
+let positive_float =
+  checked_conv float_of_string_opt ~what:"a positive finite number"
+    (fun x -> Float.is_finite x && x > 0.)
+    (fun ppf x -> Format.fprintf ppf "%g" x)
+
+let odd_int =
+  checked_conv int_of_string_opt ~what:"an odd integer >= 3"
+    (fun n -> n >= 3 && n mod 2 = 1)
+    Format.pp_print_int
+
+let positive_int =
+  checked_conv int_of_string_opt ~what:"an integer >= 1" (fun n -> n >= 1) Format.pp_print_int
+
 let which_arg =
   let doc = "Which VCO: $(b,a) (Figs. 7-9) or $(b,b) (Figs. 10-12)." in
   Arg.(value & opt which_conv A & info [ "vco"; "which" ] ~docv:"A|B" ~doc)
 
 let n1_arg =
   let doc = "Number of warped-time collocation points (odd)." in
-  Arg.(value & opt int 25 & info [ "n1" ] ~docv:"N" ~doc)
+  Arg.(value & opt odd_int 25 & info [ "n1" ] ~docv:"N" ~doc)
 
 let t_end_arg =
   let doc = "End of the slow-time window in microseconds (default depends on the VCO)." in
-  Arg.(value & opt (some float) None & info [ "t-end" ] ~docv:"US" ~doc)
+  Arg.(value & opt (some positive_float) None & info [ "t-end" ] ~docv:"US" ~doc)
 
 let h2_arg =
   let doc = "Slow time step in microseconds (default depends on the VCO)." in
-  Arg.(value & opt (some float) None & info [ "h2" ] ~docv:"US" ~doc)
+  Arg.(value & opt (some positive_float) None & info [ "h2" ] ~docv:"US" ~doc)
 
 let orbit_cmd =
   let run obs which n1 =
@@ -484,19 +509,19 @@ let solver_arg =
 
 let rtol_arg =
   let doc = "Relative tolerance for adaptive slow-time stepping (enables the adaptive path)." in
-  Arg.(value & opt (some float) None & info [ "rtol" ] ~docv:"TOL" ~doc)
+  Arg.(value & opt (some positive_float) None & info [ "rtol" ] ~docv:"TOL" ~doc)
 
 let atol_arg =
   let doc = "Absolute tolerance floor for adaptive stepping (default rtol / 1000)." in
-  Arg.(value & opt (some float) None & info [ "atol" ] ~docv:"TOL" ~doc)
+  Arg.(value & opt (some positive_float) None & info [ "atol" ] ~docv:"TOL" ~doc)
 
 let h2min_arg =
   let doc = "Smallest allowed slow step; going below it aborts the run." in
-  Arg.(value & opt (some float) None & info [ "h2min" ] ~docv:"US" ~doc)
+  Arg.(value & opt (some positive_float) None & info [ "h2min" ] ~docv:"US" ~doc)
 
 let h2max_arg =
   let doc = "Largest allowed slow step." in
-  Arg.(value & opt (some float) None & info [ "h2max" ] ~docv:"US" ~doc)
+  Arg.(value & opt (some positive_float) None & info [ "h2max" ] ~docv:"US" ~doc)
 
 let checkpoint_arg =
   let doc = "Write a binary checkpoint to $(docv) during the run (adaptive path only)." in
@@ -504,7 +529,7 @@ let checkpoint_arg =
 
 let checkpoint_every_arg =
   let doc = "Accepted steps between checkpoint writes." in
-  Arg.(value & opt int 10 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 10 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
 
 let resume_arg =
   let doc = "Resume an interrupted adaptive run from the checkpoint file $(docv)." in
@@ -513,6 +538,15 @@ let resume_arg =
 let envelope_cmd =
   let run obs which n1 t_end h2 solver rtol atol h2min h2max ckpt ckpt_every resume =
     let t_end = Option.value t_end ~default:(default_t_end which) in
+    let h_min = Option.value h2min ~default:1e-9 in
+    let h_max = Option.value h2max ~default:(t_end /. 2.) in
+    if h_min > h_max then begin
+      Printf.eprintf
+        "wampde_cli: option '--h2min': %g exceeds the largest step %g (--h2max, default \
+         t-end / 2)\n"
+        h_min h_max;
+      exit Cmd.Exit.cli_error
+    end;
     with_obs ~cmd:"envelope" ~total:t_end ~circuit:(circuit_name which) ~n1 obs @@ fun () ->
     let h2 = Option.value h2 ~default:(default_h2 which) in
     let orbit = find_orbit ~n1 which in
@@ -529,9 +563,7 @@ let envelope_cmd =
           let control =
             Step_control.default_options ~rtol
               ~atol:(Option.value atol ~default:(rtol /. 1000.))
-              ~h_min:(Option.value h2min ~default:1e-9)
-              ~h_max:(Option.value h2max ~default:(t_end /. 2.))
-              ()
+              ~h_min ~h_max ()
           in
           let checkpoint = Option.map (fun path -> (path, ckpt_every)) ckpt in
           Wampde.Envelope.simulate_controlled dae ~options ~control ~h2_init:h2 ?checkpoint
@@ -539,28 +571,13 @@ let envelope_cmd =
         end
         else Wampde.Envelope.simulate dae ~options ~t2_end:t_end ~h2 ~init:orbit
       with
-      | Wampde.Envelope.Step_failure { t2; h2; residual; iterations; residual_history } ->
-        flight_dump ~kind:"step-failure"
-          ~message:
-            (Printf.sprintf
-               "envelope Newton failed at t2 = %g (h2 = %g): residual %.3e after %d iterations"
-               t2 h2 residual iterations);
-        Printf.eprintf
-          "wampde_cli: envelope step failed at t2 = %.6g us (h2 = %.3g): Newton residual \
-           %.3e after %d iterations\n"
-          t2 h2 residual iterations;
-        if Array.length residual_history > 0 then begin
-          Printf.eprintf "  residual history:";
-          Array.iter (Printf.eprintf " %.3e") residual_history;
-          prerr_newline ()
-        end;
-        exit 1
       | Step_control.Underflow { t; h } ->
         flight_dump ~kind:"step-underflow"
           ~message:(Printf.sprintf "step control gave up at t2 = %g (h2 = %g)" t h);
         Printf.eprintf
-          "wampde_cli: adaptive step control gave up at t2 = %.6g us (h2 = %.3g): h2 fell \
-           below the minimum or solver failures dominate the run; relax --rtol or lower --h2min\n"
+          "wampde_cli: step control gave up at t2 = %.6g us (h2 = %.3g): h2 fell below the \
+           minimum or solver failures dominate the run; lower --h2, or relax --rtol or lower \
+           --h2min on the adaptive path\n"
           t h;
         exit 1
       | Checkpoint.Corrupt msg ->
@@ -592,11 +609,11 @@ let envelope_cmd =
 let transient_cmd =
   let pts_arg =
     let doc = "Time steps per nominal oscillation cycle." in
-    Arg.(value & opt int 100 & info [ "pts-per-cycle" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 100 & info [ "pts-per-cycle" ] ~docv:"N" ~doc)
   in
   let stride_arg =
     let doc = "Output every Nth sample." in
-    Arg.(value & opt int 10 & info [ "stride" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 10 & info [ "stride" ] ~docv:"N" ~doc)
   in
   let run obs which t_end pts stride =
     let t_end = Option.value t_end ~default:(default_t_end which) in
@@ -625,7 +642,7 @@ let transient_cmd =
 let quasi_cmd =
   let n2_arg =
     let doc = "Number of slow-time collocation slices (odd)." in
-    Arg.(value & opt int 15 & info [ "n2" ] ~docv:"N" ~doc)
+    Arg.(value & opt odd_int 15 & info [ "n2" ] ~docv:"N" ~doc)
   in
   let run obs n1 n2 solver =
     (* the embedded envelope warmup integrates to t2 = 200 *)
@@ -654,7 +671,7 @@ let quasi_cmd =
 let waveform_cmd =
   let per_cycle_arg =
     let doc = "Output samples per oscillation cycle." in
-    Arg.(value & opt int 20 & info [ "per-cycle" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 20 & info [ "per-cycle" ] ~docv:"N" ~doc)
   in
   let run obs which n1 t_end h2 per_cycle =
     let t_end = Option.value t_end ~default:(default_t_end which) in
@@ -682,11 +699,11 @@ let deck_cmd =
   in
   let t_end_pos =
     let doc = "Simulation end time." in
-    Arg.(value & opt float 10. & info [ "t-end" ] ~docv:"T" ~doc)
+    Arg.(value & opt positive_float 10. & info [ "t-end" ] ~docv:"T" ~doc)
   in
   let steps_arg =
     let doc = "Number of fixed time steps." in
-    Arg.(value & opt int 2000 & info [ "steps" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 2000 & info [ "steps" ] ~docv:"N" ~doc)
   in
   let run obs deck t_end steps =
     with_obs ~cmd:"deck" ~total:t_end ~circuit:(Filename.basename deck) obs @@ fun () ->

@@ -31,32 +31,9 @@ let default_options ?(n1 = 25) ?(phase = Phase.Derivative 0) ?(solver = Structur
     precond_cache;
   }
 
-type step_failure = {
-  t2 : float;
-  h2 : float;
-  residual : float;
-  iterations : int;
-  residual_history : float array;
-}
-
-exception Step_failure of step_failure
-
-let () =
-  Printexc.register_printer (function
-    | Step_failure { t2; h2; residual; iterations; residual_history } ->
-      let tail =
-        let n = Array.length residual_history in
-        let from = Int.max 0 (n - 4) in
-        Array.sub residual_history from (n - from)
-        |> Array.map (Printf.sprintf "%.3e")
-        |> Array.to_list |> String.concat " -> "
-      in
-      Some
-        (Printf.sprintf
-           "Wampde.Envelope.Step_failure: Newton failed at t2 = %.6g (h2 = %.3g, residual %.3e \
-            after %d iterations; history ... %s)"
-           t2 h2 residual iterations tail)
-    | _ -> None)
+(* A step's Newton iteration failed: the march retries at a smaller
+   step (see [run_march]). *)
+exception Newton_failed
 
 exception Preempted of { t2 : float }
 
@@ -84,19 +61,22 @@ let semidisc dae options =
   Dae.Semidisc.make dae ~d ~omega:(Dae.Semidisc.Unknown row) ~forcing:None
 
 (* Flat unknown layout per step (see [Dae.Semidisc]): y.(j * n + i) =
-   component i at t1 grid point j; y.(n1 * n) = omega. *)
-let pack states omega = Array.concat (Array.to_list states @ [ [| omega |] ])
-let unpack sd y = (Dae.Semidisc.unpack sd y ~off:0, y.(Dae.Semidisc.size sd - 1))
+   component i at t1 grid point j; y.(n1 * n) = omega when [sd] has an
+   omega slot (the WaMPDE), none when omega is fixed (the plain MPDE). *)
+let pack sd states omega =
+  let y = Array.make (Dae.Semidisc.size sd) omega in
+  Array.iteri (fun j s -> Array.blit s 0 y (j * Array.length s) (Array.length s)) states;
+  y
 
 (* g at an accepted grid: the theta step's explicit part *)
-let eval_g sd ~t2 states omega = Dae.Semidisc.g sd ~t2 (pack states omega)
+let eval_g sd ~t2 states omega = Dae.Semidisc.g sd ~t2 (pack sd states omega)
 
 (* Preallocated per-run Newton vectors, reused across iterations and
    steps instead of re-allocating residuals and iterates, and the GMRES
    workspace of the Krylov path (built on first use, so dense runs never
    pay for its basis). *)
 type scratch = {
-  sc_r : Vec.t;  (* accepted residual, n1 * n + 1 *)
+  sc_r : Vec.t;  (* accepted residual, Dae.Semidisc.size *)
   sc_rt : Vec.t;  (* trial residual *)
   sc_y : Vec.t;  (* current iterate *)
   sc_trial : Vec.t;  (* trial iterate *)
@@ -106,15 +86,13 @@ type scratch = {
 let gmres_restart = 60
 let gmres_max_iter = 240
 
-let make_scratch ~n1 ~n =
-  let nd = n1 * n in
+let make_scratch ~size =
   {
-    sc_r = Array.make (nd + 1) 0.;
-    sc_rt = Array.make (nd + 1) 0.;
-    sc_y = Array.make (nd + 1) 0.;
-    sc_trial = Array.make (nd + 1) 0.;
-    sc_gmres =
-      lazy (Gmres.workspace ~n:(nd + 1) ~restart:gmres_restart ~max_iter:gmres_max_iter ());
+    sc_r = Array.make size 0.;
+    sc_rt = Array.make size 0.;
+    sc_y = Array.make size 0.;
+    sc_trial = Array.make size 0.;
+    sc_gmres = lazy (Gmres.workspace ~n:size ~restart:gmres_restart ~max_iter:gmres_max_iter ());
   }
 
 (* Jacobian cache for the chord (stale-Jacobian) Newton iteration on
@@ -123,13 +101,14 @@ let make_scratch ~n1 ~n =
    automatically when the iteration stops contracting.  The Krylov
    path instead rebuilds its cheap structured operator every iteration
    (true Newton-Krylov). *)
-type krylov_op = { klin : Dae.Semidisc.lin; kbordered : Structured.bordered }
+type krylov_op = { klin : Dae.Semidisc.lin; m_inv : Vec.t -> Vec.t -> unit }
 
 type jac_cache = { mutable lu : Lu.t option }
 
 let new_cache () = { lu = None }
 
-(* One theta step of size h2 from (states0, omega0, g0) at t2_new. *)
+(* One theta step of size h2 from (states0, omega0, g0) at t2_new;
+   [omega0] is the fixed frequency when [sd] has no omega slot. *)
 let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
   Obs.Span.span
     ~attrs:[ ("t2", Obs.Span.Float t2_new); ("h2", Obs.Span.Float h2) ]
@@ -142,6 +121,8 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
   let n = Array.length states0.(0) in
   let theta = options.theta in
   let nd = n1 * n in
+  let size = Dae.Semidisc.size sd in
+  let omega_of y = if size > nd then y.(nd) else omega0 in
   let sys = Dae.Semidisc.step sd ~t2:t2_new ~h:h2 ~theta ~states0 ~g0 in
   let residual_into y dst =
     Dae.Semidisc.step_residual_into sys y dst;
@@ -154,20 +135,11 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
   let tol = options.newton.Nonlin.Newton.residual_tol in
   let max_iterations = Int.max 40 options.newton.Nonlin.Newton.max_iterations in
   let iters = ref 0 in
-  let history = ref [] in
-  let fail rnorm =
+  let fail () =
     Obs.Metrics.incr c_env_rejects;
     if Obs.Events.active () then
       Obs.Events.emit (Obs.Events.Step_reject { t = t2_new; h = h2; reason = "newton" });
-    raise
-      (Step_failure
-         {
-           t2 = t2_new;
-           h2;
-           residual = rnorm;
-           iterations = !iters;
-           residual_history = Array.of_list (List.rev !history);
-         })
+    raise Newton_failed
   in
   let refresh y =
     Obs.Metrics.incr c_jac_refresh;
@@ -175,16 +147,16 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
     cache.lu <- Some lu;
     lu
   in
-  let use_krylov = Structured.use_krylov options.solver ~dim:(nd + 1) in
+  let use_krylov = Structured.use_krylov options.solver ~dim:size in
   (* Build the matrix-free operator and its FFT-diagonalized
      averaged-block preconditioner at [y] (the Krylov analogue of
-     [refresh]).  The blocks are evaluated fresh from [y], so the
-     cached operator stays valid while [scratch] mutates.  Returns
-     [None] if the preconditioner degenerates. *)
+     [refresh]), bordered by the phase row when omega is unknown.  The
+     blocks are evaluated fresh from [y], so the cached operator stays
+     valid while [scratch] mutates.  Returns [None] if the
+     preconditioner degenerates. *)
   let refresh_krylov y =
     let lin = Dae.Semidisc.step_linearize sys y in
     let op = lin.Dae.Semidisc.op in
-    let { Dae.Semidisc.col = border_col; row = phase_row } = Option.get lin.Dae.Semidisc.border in
     match
       let pc =
         match options.precond_cache with
@@ -197,19 +169,25 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
              preconditioner — GMRES still solves the fresh operator *)
           let key =
             Printf.sprintf "%s|n1=%d|w=%d|a=%d" prefix n1
-              (Structured.log_bucket y.(nd))
+              (Structured.log_bucket (omega_of y))
               (Structured.log_bucket (h2 *. theta))
           in
           Structured.make_precond_cached ~dft:Fourier.Fft.structured_dft ~key op
       in
-      try Structured.make_bordered pc ~border_col ~border_row:phase_row
-      with Structured.Bordered_singular _ ->
-        (* degenerate phase border: regularize the Schur scalar rather
-           than dropping straight to the dense path *)
-        Structured.make_bordered ~gmin:1e-9 pc ~border_col ~border_row:phase_row
+      match lin.Dae.Semidisc.border with
+      | None -> Structured.precond_apply_into pc
+      | Some { Dae.Semidisc.col = border_col; row = phase_row } ->
+        let bordered =
+          try Structured.make_bordered pc ~border_col ~border_row:phase_row
+          with Structured.Bordered_singular _ ->
+            (* degenerate phase border: regularize the Schur scalar rather
+               than dropping straight to the dense path *)
+            Structured.make_bordered ~gmin:1e-9 pc ~border_col ~border_row:phase_row
+        in
+        Structured.bordered_apply_into bordered
     with
     | exception (Cx.Clu.Singular _ | Structured.Bordered_singular _ | Failure _) -> None
-    | bordered -> Some { klin = lin; kbordered = bordered }
+    | m_inv -> Some { klin = lin; m_inv }
   in
   (* GMRES solve against a (possibly stale) cached operator.  The inner
      tolerance is the inexact-Newton forcing term: the chord iteration
@@ -219,18 +197,17 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
     let res =
       Gmres.solve
         ~matvec:(Dae.Semidisc.apply_into kc.klin)
-        ~m_inv:(Structured.bordered_apply_into kc.kbordered)
-        ~ws:(Lazy.force scratch.sc_gmres) ~restart:gmres_restart ~max_iter:gmres_max_iter
-        ~tol:1e-6 r
+        ~m_inv:kc.m_inv ~ws:(Lazy.force scratch.sc_gmres) ~restart:gmres_restart
+        ~max_iter:gmres_max_iter ~tol:1e-6 r
     in
     if res.Gmres.converged then Some res.Gmres.x else None
   in
   let y = ref scratch.sc_y and trial = ref scratch.sc_trial in
   let r = ref scratch.sc_r and rt = ref scratch.sc_rt in
-  Array.blit (pack states0 omega0) 0 !y 0 (nd + 1);
+  Array.blit (pack sd states0 omega0) 0 !y 0 size;
   residual_into !y !r;
   let rnorm = ref (Vec.norm_inf !r) in
-  history := [ !rnorm ];
+  let r0 = !rnorm in
   let fresh = ref false in
   let accept () =
     let ty = !y and tr = !r in
@@ -243,9 +220,9 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
   (try
      (* a NaN/Inf initial residual would slip through [!rnorm > tol]
         (NaN compares false) and be returned as spuriously converged *)
-     if not (Float.is_finite !rnorm) then fail !rnorm;
+     if not (Float.is_finite !rnorm) then fail ();
      while !rnorm > tol do
-       if !iters >= max_iterations then fail !rnorm;
+       if !iters >= max_iterations then fail ();
        incr iters;
        Obs.Metrics.incr c_newton_iters;
        if Fault.armed () && Fault.fire Fault.Linear_solve then raise (Lu.Singular 0);
@@ -278,7 +255,7 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
        fresh := is_fresh;
        if Fault.armed () && Fault.fire Fault.Newton_diverge then Vec.scale_inplace 1e8 dy;
        let yv = !y and tv = !trial in
-       for i = 0 to nd do
+       for i = 0 to size - 1 do
          tv.(i) <- yv.(i) -. dy.(i)
        done;
        residual_into tv !rt;
@@ -286,7 +263,6 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
        if Float.is_finite rtnorm && (rtnorm <= tol || rtnorm < 0.7 *. !rnorm) then begin
          accept ();
          rnorm := rtnorm;
-         history := rtnorm :: !history;
          fresh := false;
          if Obs.Events.active () then
            Obs.Events.emit
@@ -301,18 +277,17 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
        else begin
          (* fresh Jacobian and still no contraction: damped line search *)
          let rec backtrack lambda =
-           if lambda < 1e-4 then fail !rnorm
+           if lambda < 1e-4 then fail ()
            else begin
              let yv = !y and tv = !trial in
-             for i = 0 to nd do
+             for i = 0 to size - 1 do
                tv.(i) <- yv.(i) -. (lambda *. dy.(i))
              done;
              residual_into tv !rt;
              let nl = Vec.norm_inf !rt in
              if Float.is_finite nl && nl < !rnorm then begin
                accept ();
-               rnorm := nl;
-               history := nl :: !history
+               rnorm := nl
              end
              else backtrack (lambda /. 2.)
            end
@@ -323,31 +298,25 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
          fresh := false
        end
      done
-   with Lu.Singular _ -> fail !rnorm);
-  (* estimated contraction rate from the residual trail (newest-first
-     history includes the initial residual) *)
-  (if !iters >= 1 then
-     match !history with
-     | last :: _ ->
-       let first = List.nth !history (List.length !history - 1) in
-       let rate =
-         if first > 0. && last >= 0. then (last /. first) ** (1. /. float_of_int !iters)
-         else nan
-       in
-       Obs.Health.note_newton ~t:t2_new ~iterations:!iters ~rate ()
-     | [] -> ());
-  let states, omega = unpack sd !y in
-  (states, omega, !iters)
+   with Lu.Singular _ -> fail ());
+  (* estimated contraction rate from the initial and final residuals *)
+  if !iters >= 1 then begin
+    let rate =
+      if r0 > 0. && !rnorm >= 0. then (!rnorm /. r0) ** (1. /. float_of_int !iters) else nan
+    in
+    Obs.Health.note_newton ~t:t2_new ~iterations:!iters ~rate ()
+  end;
+  (Dae.Semidisc.unpack sd !y ~off:0, omega_of !y, !iters)
   in
   if not options.rescue then run_chord ()
   else
     try run_chord ()
-    with Step_failure _ as chord_failure ->
+    with Newton_failed ->
       (* The chord iteration is lost.  Cold-start the globalization
          cascade on the same step system (dense Jacobian) before
          surfacing the failure to the step controller. *)
       let residual yv =
-        let dst = Array.make (nd + 1) 0. in
+        let dst = Array.make size 0. in
         residual_into yv dst;
         dst
       in
@@ -356,15 +325,13 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
           ~options:{ options.newton with Nonlin.Newton.residual_tol = tol }
           ~label:"envelope.rescue"
           ~cascade:[ Nonlin.Polyalg.Trust_region; Nonlin.Polyalg.Pseudo_transient ]
-          ~jacobian ~residual (pack states0 omega0)
+          ~jacobian ~residual (pack sd states0 omega0)
       in
       let report = outcome.Nonlin.Polyalg.report in
-      if report.Nonlin.Newton.converged then begin
-        Obs.Metrics.incr c_rescues;
-        let states, omega = unpack sd report.Nonlin.Newton.x in
-        (states, omega, !iters + report.Nonlin.Newton.iterations)
-      end
-      else raise chord_failure
+      if not report.Nonlin.Newton.converged then raise Newton_failed;
+      Obs.Metrics.incr c_rescues;
+      let x = report.Nonlin.Newton.x in
+      (Dae.Semidisc.unpack sd x ~off:0, omega_of x, !iters + report.Nonlin.Newton.iterations)
 
 let check_init options (init : Steady.Oscillator.orbit) =
   if Array.length init.Steady.Oscillator.grid <> options.n1 then
@@ -414,62 +381,7 @@ let note_spectral_health ~t states =
       ~available:r.Fourier.Series.available ()
   end
 
-let simulate dae ~options ~t2_end ~h2 ~init =
-  check_init options init;
-  Obs.Span.span
-    ~attrs:
-      [
-        ("n1", Obs.Span.Int options.n1);
-        ("dim", Obs.Span.Int dae.Dae.dim);
-        ("t2", Obs.Span.Float t2_end);
-      ]
-    "envelope.simulate"
-  @@ fun () ->
-  Obs.Scope.with_scope "envelope.outer" @@ fun () ->
-  let init = align_init options init in
-  let n1 = options.n1 and n = dae.Dae.dim in
-  let sd = semidisc dae options in
-  let t2s = ref [ 0. ] in
-  let omegas = ref [ init.Steady.Oscillator.omega ] in
-  let slices = ref [ Array.map Array.copy init.Steady.Oscillator.grid ] in
-  let iter_count = ref 0 in
-  let t2 = ref 0. in
-  let states = ref init.Steady.Oscillator.grid and omega = ref init.Steady.Oscillator.omega in
-  let g = ref (eval_g sd ~t2:0. !states !omega) in
-  let cache = new_cache () in
-  let scratch = make_scratch ~n1 ~n in
-  while !t2 < t2_end -. (1e-9 *. t2_end) do
-    let h = Float.min h2 (t2_end -. !t2) in
-    let t2_new = !t2 +. h in
-    let states', omega', iters =
-      step sd ~options ~cache ~scratch ~t2_new ~h2:h ~states0:!states ~g0:!g
-        ~omega0:!omega
-    in
-    iter_count := !iter_count + iters;
-    states := states';
-    omega := omega';
-    g := eval_g sd ~t2:t2_new states' omega';
-    Obs.Metrics.incr c_env_steps;
-    Obs.Health.note_decision ~t:!t2 ~outcome:`Accept ();
-    note_spectral_health ~t:t2_new states';
-    if Obs.Events.active () then begin
-      Obs.Events.emit (Obs.Events.Step_accept { t = !t2; h });
-      Obs.Events.emit (Obs.Events.Phase_condition { omega = omega'; t2 = t2_new })
-    end;
-    t2 := t2_new;
-    t2s := t2_new :: !t2s;
-    omegas := omega' :: !omegas;
-    slices := Array.map Array.copy states' :: !slices
-  done;
-  {
-    t2 = Array.of_list (List.rev !t2s);
-    omega = Array.of_list (List.rev !omegas);
-    slices = Array.of_list (List.rev !slices);
-    newton_iterations = !iter_count;
-    options;
-  }
-
-(* ---------- adaptive stepping with checkpoint/restart ---------- *)
+(* ---------- the t2 march, with checkpoint/restart ---------- *)
 
 let c_escalations = Obs.Metrics.counter "controller.escalations"
 
@@ -493,45 +405,29 @@ let checkpoint_sections ~options ~dim ~t2_end ~ctrl ~escalated ~t2 ~omega ~state
       Checkpoint.Tensor (Array.of_list (List.rev_map (Array.map Array.copy) slices)) );
   ]
 
-let simulate_controlled dae ~options ~control ?h2_init ?checkpoint ?resume ?on_accept ?preempt
-    ~t2_end ~init () =
-  check_init options init;
-  Obs.Span.span
-    ~attrs:
-      [
-        ("n1", Obs.Span.Int options.n1);
-        ("dim", Obs.Span.Int dae.Dae.dim);
-        ("t2", Obs.Span.Float t2_end);
-      ]
-    "envelope.simulate_controlled"
-  @@ fun () ->
+let check_span ~t2_end ~h2 =
+  let positive x = Float.is_finite x && x > 0. in
+  if not (positive t2_end) then invalid_arg "Wampde.Envelope: t2_end must be positive and finite";
+  if not (positive h2) then invalid_arg "Wampde.Envelope: h2 must be positive and finite"
+
+(* The one t2 march from (states, omega) at t2 = 0 (or a [resume]
+   checkpoint) to [t2_end], driven by [ctrl].  Only the attempt
+   differs: [richardson = false] takes one theta step of the proposed
+   size and books it with [record_accept] (the fixed march); [true]
+   takes it once whole and twice halved and lets [decide] judge the
+   Richardson difference.  Any step failure is booked with
+   [failure_retry] (halving the step, or raising [Underflow]), and
+   repeated failures on the Krylov path finish the run on dense LU. *)
+let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?preempt ~t2_end
+    ~states:states_init ~omega:omega_init () =
   Obs.Scope.with_scope "envelope.outer" @@ fun () ->
-  let init = align_init options init in
-  let n1 = options.n1 and n = dae.Dae.dim in
-  let nd = n1 * n in
-  (* the theta method's order decides the step-doubling denominator *)
-  let order = if options.theta < 1. then 2 else 1 in
-  let control = { control with Step_control.order } in
-  let control =
-    if Float.is_finite control.Step_control.h_max then control
-    else { control with Step_control.h_max = t2_end /. 2. }
-  in
-  let denom = Step_control.richardson_denom ~order in
-  let sd = semidisc dae options in
-  let t2s = ref [] and omegas = ref [] and slices = ref [] in
-  let t2 = ref 0. in
-  let states = ref init.Steady.Oscillator.grid and omega = ref init.Steady.Oscillator.omega in
+  let n1 = options.n1 and n = Array.length states_init.(0) in
+  let t2s = ref [ 0. ] and omegas = ref [ omega_init ] in
+  let slices = ref [ Array.map Array.copy states_init ] in
+  let t2 = ref 0. and states = ref states_init and omega = ref omega_init in
   let escalated = ref false in
-  let iter_count = ref 0 in
-  let ctrl =
-    Step_control.create control
-      ~h_init:(match h2_init with Some h -> h | None -> t2_end /. 50.)
-  in
   (match resume with
-   | None ->
-     t2s := [ 0. ];
-     omegas := [ !omega ];
-     slices := [ Array.map Array.copy !states ]
+   | None -> ()
    | Some path ->
      let ck = Checkpoint.load ~path in
      let expect name v =
@@ -555,50 +451,63 @@ let simulate_controlled dae ~options ~control ?h2_init ?checkpoint ?resume ?on_a
      t2s := List.rev (Array.to_list (Checkpoint.vector ck "hist_t2"));
      omegas := List.rev (Array.to_list (Checkpoint.vector ck "hist_omega"));
      slices := List.rev_map (Array.map Array.copy) (Array.to_list (Checkpoint.tensor ck "hist_slices")));
+  let control = Step_control.options ctrl in
+  let denom = Step_control.richardson_denom ~order:control.Step_control.order in
+  let size = Dae.Semidisc.size sd in
   let g = ref (eval_g sd ~t2:!t2 !states !omega) in
   let cache = new_cache () in
-  let scratch = make_scratch ~n1 ~n in
+  let scratch = make_scratch ~size in
+  let iter_count = ref 0 in
   let since_ckpt = ref 0 in
+  (* the weighted RMS Richardson error over every unknown *)
+  let richardson_error ~full ~om_full ~fine ~om_fine =
+    let y = pack sd fine om_fine in
+    let err = Array.map2 (fun f c -> (f -. c) /. denom) y (pack sd full om_full) in
+    Step_control.error_norm control ~y ~err
+  in
+  (* one attempt from the accepted point: the new grid, omega, Newton
+     iterations and, with [richardson], the error estimate *)
+  let attempt ~options ~h =
+    let t2_new = !t2 +. h in
+    let take ~t2_new ~h states0 g0 omega0 =
+      step sd ~options ~cache ~scratch ~t2_new ~h2:h ~states0 ~g0 ~omega0
+    in
+    let full, om_full, it1 = take ~t2_new ~h !states !g !omega in
+    if not richardson then (full, om_full, it1, None)
+    else begin
+      let h_half = h /. 2. in
+      let mid, om_mid, it2 = take ~t2_new:(!t2 +. h_half) ~h:h_half !states !g !omega in
+      let g_mid = eval_g sd ~t2:(!t2 +. h_half) mid om_mid in
+      let fine, om_fine, it3 = take ~t2_new ~h:h_half mid g_mid om_mid in
+      (fine, om_fine, it1 + it2 + it3, Some (richardson_error ~full ~om_full ~fine ~om_fine))
+    end
+  in
+  let save_checkpoint path =
+    Checkpoint.save ~path
+      (checkpoint_sections ~options ~dim:n ~t2_end ~ctrl ~escalated:!escalated ~t2:!t2
+         ~omega:!omega ~states:!states ~t2s:!t2s ~omegas:!omegas ~slices:!slices)
+  in
   while !t2 < t2_end -. (1e-9 *. t2_end) do
-    let hstep = Step_control.propose ctrl ~remaining:(t2_end -. !t2) in
-    let opts_now =
-      if !escalated then { options with solver = Structured.Dense } else options
-    in
-    (* start every macro attempt with a cold Jacobian cache so a resumed
-       run retraces the original bit-for-bit (a warm chord cache from the
-       previous step is the one piece of state a checkpoint cannot
-       carry) *)
-    cache.lu <- None;
-    let attempt () =
-      let full, om_full, it1 =
-        step sd ~options:opts_now ~cache ~scratch ~t2_new:(!t2 +. hstep)
-          ~h2:hstep ~states0:!states ~g0:!g ~omega0:!omega
-      in
-      let mid, om_mid, it2 =
-        step sd ~options:opts_now ~cache ~scratch
-          ~t2_new:(!t2 +. (hstep /. 2.)) ~h2:(hstep /. 2.) ~states0:!states ~g0:!g
-          ~omega0:!omega
-      in
-      let g_mid = eval_g sd ~t2:(!t2 +. (hstep /. 2.)) mid om_mid in
-      let fine, om_fine, it3 =
-        step sd ~options:opts_now ~cache ~scratch ~t2_new:(!t2 +. hstep)
-          ~h2:(hstep /. 2.) ~states0:mid ~g0:g_mid ~omega0:om_mid
-      in
-      iter_count := !iter_count + it1 + it2 + it3;
-      (full, om_full, fine, om_fine)
-    in
-    match attempt () with
-    | exception ((Step_failure _ | Lu.Singular _ | Failure _) as exn) ->
+    let h = Step_control.propose ctrl ~remaining:(t2_end -. !t2) in
+    let opts_now = if !escalated then { options with solver = Structured.Dense } else options in
+    (* the controlled march starts every macro attempt with a cold
+       Jacobian cache so a resumed run retraces the original
+       bit-for-bit (a warm chord cache from the previous step is the
+       one piece of state a checkpoint cannot carry); the fixed march
+       keeps it warm across steps *)
+    if richardson then cache.lu <- None;
+    match attempt ~options:opts_now ~h with
+    | exception ((Newton_failed | Lu.Singular _ | Failure _) as exn) ->
       let reason =
         match exn with
-        | Step_failure _ -> "newton"
+        | Newton_failed -> "newton"
         | Lu.Singular _ -> "singular factorization"
         | _ -> "solver failure"
       in
-      ignore (Step_control.failure_retry ctrl ~t:!t2 ~h_used:hstep ~reason);
+      ignore (Step_control.failure_retry ctrl ~t:!t2 ~h_used:h ~reason);
       if
         Step_control.should_escalate ctrl && (not !escalated)
-        && Structured.use_krylov options.solver ~dim:(nd + 1)
+        && Structured.use_krylov options.solver ~dim:size
       then begin
         (* repeated Newton stalls on the Krylov path: the inexact
            directions, not the step size, may be the problem — finish
@@ -607,64 +516,54 @@ let simulate_controlled dae ~options ~control ?h2_init ?checkpoint ?resume ?on_a
         Obs.Metrics.incr c_escalations;
         Obs.Health.note_escalation ~t:!t2 ()
       end
-    | full, om_full, fine, om_fine ->
-      let err =
-        let s = ref 0. in
-        for j = 0 to n1 - 1 do
-          for i = 0 to n - 1 do
-            let e =
-              Step_control.scaled control ~y:fine.(j).(i)
-                ~err:((fine.(j).(i) -. full.(j).(i)) /. denom)
-            in
-            s := !s +. (e *. e)
-          done
-        done;
-        let e_om = Step_control.scaled control ~y:om_fine ~err:((om_fine -. om_full) /. denom) in
-        s := !s +. (e_om *. e_om);
-        sqrt (!s /. float_of_int (nd + 1))
+    | states', omega', iters, err ->
+      iter_count := !iter_count + iters;
+      let accepted =
+        match err with
+        | None ->
+          Step_control.record_accept ctrl ~t:!t2 ~h_used:h;
+          true
+        | Some err -> (
+          match Step_control.decide ctrl ~t:!t2 ~h_used:h ~err with
+          | Step_control.Accept _ -> true
+          | Step_control.Reject _ ->
+            Obs.Metrics.incr c_env_rejects;
+            false)
       in
-      (match Step_control.decide ctrl ~t:!t2 ~h_used:hstep ~err with
-       | Step_control.Reject _ -> Obs.Metrics.incr c_env_rejects
-       | Step_control.Accept _ ->
-         t2 := !t2 +. hstep;
-         states := fine;
-         omega := om_fine;
-         g := eval_g sd ~t2:!t2 fine om_fine;
-         Obs.Metrics.incr c_env_steps;
-         note_spectral_health ~t:!t2 fine;
-         if Obs.Events.active () then
-           Obs.Events.emit (Obs.Events.Phase_condition { omega = om_fine; t2 = !t2 });
-         t2s := !t2 :: !t2s;
-         omegas := om_fine :: !omegas;
-         slices := Array.map Array.copy fine :: !slices;
-         let save_checkpoint path =
-           Checkpoint.save ~path
-             (checkpoint_sections ~options ~dim:n ~t2_end ~ctrl ~escalated:!escalated
-                ~t2:!t2 ~omega:!omega ~states:!states ~t2s:!t2s ~omegas:!omegas
-                ~slices:!slices)
-         in
-         (match checkpoint with
-          | None -> ()
-          | Some (path, every) ->
-            incr since_ckpt;
-            if !since_ckpt >= every then begin
-              since_ckpt := 0;
-              save_checkpoint path
-            end);
-         (match on_accept with Some f -> f ~t2:!t2 ~omega:om_fine | None -> ());
-         (* cooperative preemption: yield only on an accepted-step
-            boundary, after a forced checkpoint write, so the caller
-            can resume bit-compatibly with the uninterrupted run *)
-         (match preempt with
-          | Some should_yield
-            when should_yield ~t2:!t2 && !t2 < t2_end -. (1e-9 *. t2_end) ->
-            (match checkpoint with
-             | Some (path, _) ->
-               since_ckpt := 0;
-               save_checkpoint path
-             | None -> ());
-            raise (Preempted { t2 = !t2 })
-          | _ -> ()))
+      if accepted then begin
+        t2 := !t2 +. h;
+        states := states';
+        omega := omega';
+        g := eval_g sd ~t2:!t2 states' omega';
+        Obs.Metrics.incr c_env_steps;
+        note_spectral_health ~t:!t2 states';
+        if Obs.Events.active () then
+          Obs.Events.emit (Obs.Events.Phase_condition { omega = omega'; t2 = !t2 });
+        t2s := !t2 :: !t2s;
+        omegas := omega' :: !omegas;
+        slices := Array.map Array.copy states' :: !slices;
+        (match checkpoint with
+         | None -> ()
+         | Some (path, every) ->
+           incr since_ckpt;
+           if !since_ckpt >= every then begin
+             since_ckpt := 0;
+             save_checkpoint path
+           end);
+        (match on_accept with Some f -> f ~t2:!t2 ~omega:omega' | None -> ());
+        (* cooperative preemption: yield only on an accepted-step
+           boundary, after a forced checkpoint write, so the caller
+           can resume bit-compatibly with the uninterrupted run *)
+        match preempt with
+        | Some should_yield when should_yield ~t2:!t2 && !t2 < t2_end -. (1e-9 *. t2_end) ->
+          (match checkpoint with
+           | Some (path, _) ->
+             since_ckpt := 0;
+             save_checkpoint path
+           | None -> ());
+          raise (Preempted { t2 = !t2 })
+        | _ -> ()
+      end
   done;
   {
     t2 = Array.of_list (List.rev !t2s);
@@ -673,6 +572,53 @@ let simulate_controlled dae ~options ~control ?h2_init ?checkpoint ?resume ?on_a
     newton_iterations = !iter_count;
     options;
   }
+
+let march sd ~options ~t2_end ~h2 ~states ~omega =
+  check_span ~t2_end ~h2;
+  if Array.length states <> options.n1 then
+    invalid_arg "Wampde.Envelope.march: states length differs from options.n1";
+  (* the march targets the fixed step [h2]; the controller only acts on
+     step failures, halving the step and growing it back toward [h2] *)
+  let ctrl =
+    Step_control.create
+      (Step_control.default_options ~h_min:(1e-9 *. h2) ~h_max:h2 ())
+      ~h_init:h2
+  in
+  run_march sd ~options ~ctrl ~richardson:false ~t2_end ~states ~omega ()
+
+let span_attrs dae options ~t2_end =
+  [
+    ("n1", Obs.Span.Int options.n1);
+    ("dim", Obs.Span.Int dae.Dae.dim);
+    ("t2", Obs.Span.Float t2_end);
+  ]
+
+let simulate dae ~options ~t2_end ~h2 ~init =
+  check_init options init;
+  Obs.Span.span ~attrs:(span_attrs dae options ~t2_end) "envelope.simulate" @@ fun () ->
+  let init = align_init options init in
+  march (semidisc dae options) ~options ~t2_end ~h2 ~states:init.Steady.Oscillator.grid
+    ~omega:init.Steady.Oscillator.omega
+
+let simulate_controlled dae ~options ~control ?h2_init ?checkpoint ?resume ?on_accept ?preempt
+    ~t2_end ~init () =
+  check_init options init;
+  let h2_init = match h2_init with Some h -> h | None -> t2_end /. 50. in
+  check_span ~t2_end ~h2:h2_init;
+  Obs.Span.span ~attrs:(span_attrs dae options ~t2_end) "envelope.simulate_controlled"
+  @@ fun () ->
+  let init = align_init options init in
+  (* the theta method's order decides the step-doubling denominator *)
+  let order = if options.theta < 1. then 2 else 1 in
+  let control = { control with Step_control.order } in
+  let control =
+    if Float.is_finite control.Step_control.h_max then control
+    else { control with Step_control.h_max = t2_end /. 2. }
+  in
+  let ctrl = Step_control.create control ~h_init:h2_init in
+  run_march (semidisc dae options) ~options ~ctrl ~richardson:true ?checkpoint ?resume
+    ?on_accept ?preempt ~t2_end ~states:init.Steady.Oscillator.grid
+    ~omega:init.Steady.Oscillator.omega ()
 
 (* ---------- post-processing ---------- *)
 

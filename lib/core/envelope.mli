@@ -31,7 +31,7 @@ type options = {
   rescue : bool;
       (** when the chord iteration fails a step, cold-start the
           {!Nonlin.Polyalg} trust-region/PTC cascade on the same step
-          system before reporting [Step_failure] (default [true];
+          system before reporting the step as failed (default [true];
           successes bump the [envelope.rescues] counter) *)
   precond_cache : string option;
       (** when set (to a circuit-identifying prefix), the Krylov path
@@ -61,22 +61,6 @@ val default_options :
     builds its periodic system on it. *)
 val semidisc : Dae.t -> options -> Dae.Semidisc.t
 
-type step_failure = {
-  t2 : float;  (** slow time of the failed step *)
-  h2 : float;  (** attempted slow step size *)
-  residual : float;  (** last Newton residual infinity-norm *)
-  iterations : int;  (** Newton iterations spent before giving up *)
-  residual_history : float array;
-      (** residual infinity-norm after each accepted Newton iterate,
-          oldest first — shows whether the iteration stalled, diverged
-          or oscillated *)
-}
-
-(** Raised by {!simulate} when a step's Newton iteration fails;
-    {!simulate_controlled} catches it internally and retries with a
-    smaller step.  Mirrors [Transient.Step_failure]. *)
-exception Step_failure of step_failure
-
 (** Raised by {!simulate_controlled} when its [?preempt] callback asks
     the march to yield: the run stops on an accepted-step boundary at
     slow time [t2], {e after} writing a forced checkpoint (when a
@@ -100,9 +84,36 @@ type result = {
     {!Steady.Oscillator.find} with the forcing frozen at its [t = 0]
     value) to [t2_end] with fixed slow step [h2].
 
-    Raises {!Step_failure} if a step's Newton iteration fails. *)
+    The march is {!simulate_controlled}'s, without the error estimate:
+    one theta step per attempt, booked with
+    {!Step_control.record_accept}.  A step whose Newton iteration
+    fails is halved and retried, the step grows back toward [h2]
+    once steps converge again, and repeated failures on the Krylov
+    path finish the run on dense LU.  Raises [Step_control.Underflow]
+    when recovery drives the step below [1e-9 h2] or solver failures
+    dominate the march (see {!Step_control.failure_retry}), and
+    [Invalid_argument] when [h2] or [t2_end] is not positive and
+    finite. *)
 val simulate :
   Dae.t -> options:options -> t2_end:float -> h2:float -> init:Steady.Oscillator.orbit -> result
+
+(** [march sd ~options ~t2_end ~h2 ~states ~omega] is {!simulate}'s
+    fixed-step march on a prebuilt [t1] semi-discretization, from the
+    grid [states] at [t2 = 0].  When [sd]'s omega is unknown, [omega]
+    is its initial value; when it is fixed (the plain MPDE, see
+    [Mpde.simulate]), [omega] must be that value and is only
+    recorded.  [options.phase] and [options.differentiation] are not
+    read ([sd] carries them).  Raises as {!simulate}, and
+    [Invalid_argument] when [states] does not hold [options.n1]
+    grid points. *)
+val march :
+  Dae.Semidisc.t ->
+  options:options ->
+  t2_end:float ->
+  h2:float ->
+  states:Vec.t array ->
+  omega:float ->
+  result
 
 (** [simulate_controlled dae ~options ~control ~t2_end ~init ()] is
     the adaptive envelope march: each slow step is taken once at [h2]
@@ -128,8 +139,10 @@ val simulate :
 
     Raises [Step_control.Underflow] when error control or failure
     recovery would push the step below [control.h_min] or solver
-    failures dominate the march (see {!Step_control.failure_retry}), and
-    [Checkpoint.Corrupt] on an unreadable or mismatched resume file. *)
+    failures dominate the march (see {!Step_control.failure_retry}),
+    [Checkpoint.Corrupt] on an unreadable or mismatched resume file,
+    and [Invalid_argument] when [t2_end] or [h2_init] is not positive
+    and finite. *)
 val simulate_controlled :
   Dae.t ->
   options:options ->

@@ -63,11 +63,10 @@ val guess_from_envelope : Envelope.result -> p2:float -> n2:int -> t_from:float 
     residual's infinity norm (phase rows excluded). *)
 val residual_norm : Dae.t -> options:Envelope.options -> solution -> float
 
-(** [eval_waveform sol ~component ~cycles t] recovers the univariate
+(** [eval_waveform sol ~component ~t_max t] recovers the univariate
     solution from the quasiperiodic form: [phi] is integrated from the
-    periodic [omega] starting at [t = 0].  [cycles] caps nothing — it
-    is the sampling span hint used to build the internal warping and
-    must cover [t]. *)
+    periodic [omega] over [\[0, t_max\]], sampled 64 times per slow
+    period [p2], so [t_max] must cover [t]. *)
 val eval_waveform : solution -> component:int -> t_max:float -> float -> float
 
 (** [mean_frequency sol] is the [t2]-average of the local frequency

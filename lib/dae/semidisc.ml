@@ -156,11 +156,6 @@ let step_residual_into st y dst =
   done;
   phase_at t y ~off:0 dst ~dst_off:0
 
-let step_residual st y =
-  let dst = Array.make (size st.sys) 0. in
-  step_residual_into st y dst;
-  dst
-
 let step_linearize st y =
   linearize_at st.sys st.sys.buf ~t2:st.t2 ~scale:(st.h *. st.theta) ~with_c:true y ~off:0
 

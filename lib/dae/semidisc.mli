@@ -74,8 +74,6 @@ val step :
 (** Writes the step residual into its last argument (length {!size}). *)
 val step_residual_into : step -> Vec.t -> Vec.t -> unit
 
-val step_residual : step -> Vec.t -> Vec.t
-
 (** [alpha = h theta omega], [B_j = C_j + h theta df(X_j)],
     [col = h theta D Q]. *)
 val step_linearize : step -> Vec.t -> lin

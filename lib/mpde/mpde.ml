@@ -15,8 +15,6 @@ let () =
            stage report.Nonlin.Newton.residual_norm report.Nonlin.Newton.iterations)
     | _ -> None)
 
-let c_steps = Obs.Metrics.counter "mpde.steps"
-
 let newton_options =
   { Nonlin.Newton.default_options with max_iterations = 50; residual_tol = 1e-9 }
 
@@ -80,68 +78,14 @@ let simulate ?(solver = Structured.auto) sys ~n1 ~t2_end ~h2 ~init =
       ]
     "mpde.simulate"
   @@ fun () ->
-  Obs.Scope.with_scope "mpde" @@ fun () ->
   if Array.length init <> n1 then invalid_arg "Mpde.simulate: init size <> n1";
-  let sd = semidisc sys ~n1 in
-  let theta = 0.5 in
-  let t2s = ref [ 0. ] and slices = ref [ Array.map Array.copy init ] in
-  let t2 = ref 0. and states = ref init in
-  let g = ref (Dae.Semidisc.g sd ~t2:0. (pack !states)) in
-  (* the march targets the fixed step [h2]; the controller only kicks
-     in when Newton fails, halving the step and growing it back toward
-     [h2] across subsequent accepted steps *)
-  let ctrl =
-    Step_control.create
-      (Step_control.default_options ~h_min:(1e-9 *. h2) ~h_max:h2 ())
-      ~h_init:h2
+  (* the envelope's fixed-step march on the fixed-omega, forced system *)
+  let res =
+    Wampde.Envelope.march (semidisc sys ~n1)
+      ~options:(Wampde.Envelope.default_options ~n1 ~solver ())
+      ~t2_end ~h2 ~states:init ~omega:(1. /. sys.p1)
   in
-  let escalated = ref false in
-  while !t2 < t2_end -. (1e-9 *. t2_end) do
-    let h = Step_control.propose ctrl ~remaining:(t2_end -. !t2) in
-    let t2_new = !t2 +. h in
-    let st = Dae.Semidisc.step sd ~t2:t2_new ~h ~theta ~states0:!states ~g0:!g in
-    let residual = Dae.Semidisc.step_residual st in
-    let linearize = Dae.Semidisc.step_linearize st in
-    let report =
-      if (not !escalated) && Structured.use_krylov solver ~dim:(Dae.Semidisc.size sd) then
-        Nonlin.Newton.solve_with ~options:newton_options ~label:"mpde.step"
-          ~linear_solve:(structured_linear_solve ~linearize)
-          ~residual (pack !states)
-      else
-        (* dense path (small systems, or after Krylov escalation): let
-           the cascade rescue hard steps before the controller shrinks
-           the step any further *)
-        (Nonlin.Polyalg.solve ~options:newton_options ~label:"mpde.step"
-           ~cascade:[ Nonlin.Polyalg.Damped; Nonlin.Polyalg.Trust_region ]
-           ~jacobian:(fun y -> Dae.Semidisc.dense (linearize y))
-           ~residual (pack !states))
-          .Nonlin.Polyalg.report
-    in
-    if not report.Nonlin.Newton.converged then begin
-      ignore (Step_control.failure_retry ctrl ~t:!t2 ~h_used:h ~reason:"newton");
-      if Step_control.should_escalate ctrl then escalated := true
-    end
-    else begin
-      states := Dae.Semidisc.unpack sd report.Nonlin.Newton.x ~off:0;
-      g := Dae.Semidisc.g sd ~t2:t2_new report.Nonlin.Newton.x;
-      Obs.Metrics.incr c_steps;
-      Step_control.record_accept ctrl ~t:!t2 ~h_used:h;
-      (if Obs.enabled () then begin
-         let tol = (Obs.Health.thresholds ()).Obs.Health.spectral_tol in
-         let r = Fourier.Series.grid_resolution ~tol !states in
-         Obs.Health.note_spectrum ~t:t2_new ~tail:r.Fourier.Series.tail
-           ~needed:r.Fourier.Series.needed ~available:r.Fourier.Series.available ()
-       end);
-      t2 := t2_new;
-      t2s := t2_new :: !t2s;
-      slices := Array.map Array.copy !states :: !slices
-    end
-  done;
-  {
-    t2 = Array.of_list (List.rev !t2s);
-    slices = Array.of_list (List.rev !slices);
-    p1 = sys.p1;
-  }
+  { t2 = res.Wampde.Envelope.t2; slices = res.Wampde.Envelope.slices; p1 = sys.p1 }
 
 let quasiperiodic ?cascade sys ~n1 ~n2 ~p2 ~guess =
   if n1 mod 2 = 0 || n2 mod 2 = 0 then invalid_arg "Mpde.quasiperiodic: n1, n2 must be odd";

@@ -40,12 +40,18 @@ exception Solve_failure of { stage : string; report : Nonlin.Newton.report }
     dense LU or matrix-free preconditioned GMRES for the collocation
     Newton systems (default [Structured.auto]).
 
-    Newton failures no longer abort the run: the shared
-    {!Step_control} policy halves the step, retries, switches the
-    linear solver to dense LU after repeated stalls, and grows the
-    step back toward [h2] once steps start converging again.  Raises
-    [Step_control.Underflow] when recovery drives the step below
-    [1e-9 * h2]. *)
+    The march is {!Wampde.Envelope.march} on the fixed-omega, forced
+    semi-discretization: chord Newton per theta step, and on a Newton
+    failure the shared {!Step_control} policy halves the step,
+    retries, switches the linear solver to dense LU after repeated
+    stalls, and grows the step back toward [h2] once steps start
+    converging again.  Its work is therefore billed like the
+    envelope's: under the [envelope.outer] and [envelope.newton]
+    scopes and the [envelope.*] and [step.*] counters, inside the
+    [mpde.simulate] span.  Raises [Step_control.Underflow] when
+    recovery drives the step below [1e-9 * h2], and
+    [Invalid_argument] when [h2] or [t2_end] is not positive and
+    finite. *)
 val simulate :
   ?solver:Structured.strategy ->
   system ->

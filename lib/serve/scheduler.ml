@@ -387,10 +387,6 @@ let classify = function
   | Supervisor.Deadline_exceeded -> ("deadline-exceeded", "wall-clock deadline exceeded")
   | Supervisor.Stalled { idle_s } ->
     ("stalled", Printf.sprintf "watchdog: no solver progress for %.2f s" idle_s)
-  | Wampde.Envelope.Step_failure { t2; h2; residual; iterations; _ } ->
-    ( "step-failure",
-      Printf.sprintf "envelope Newton failed at t2 = %g (h2 = %g): residual %.3e after %d iterations"
-        t2 h2 residual iterations )
   | Transient.Step_failure _ as e -> ("step-failure", Printexc.to_string e)
   | Step_control.Underflow { t; h } ->
     ("step-underflow", Printf.sprintf "step control gave up at t2 = %g (h2 = %g)" t h)

@@ -203,7 +203,6 @@ let tests =
              ()
          with
         | exception Step_control.Underflow _ -> Fault.disarm ()
-        | exception Wampde.Envelope.Step_failure _ -> Fault.disarm ()
         | _ ->
           Fault.disarm ();
           Alcotest.fail "faulted run was expected to die with a typed error");

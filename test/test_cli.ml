@@ -1,8 +1,8 @@
-(* The CLI's help pages and the history gate's exit codes.  Every
-   subcommand (found by walking the COMMANDS sections of the help pages
-   themselves) must render its --help=plain page: cmdliner reports a
-   malformed doc string as a "cmdliner error" at the top of the page
-   instead of failing the build. *)
+(* The CLI's help pages, its numeric flag checks and the history
+   gate's exit codes.  Every subcommand (found by walking the COMMANDS
+   sections of the help pages themselves) must render its --help=plain
+   page: cmdliner reports a malformed doc string as a "cmdliner error"
+   at the top of the page instead of failing the build. *)
 
 let cli_exe =
   Filename.concat
@@ -93,6 +93,45 @@ let tests =
         let code, out = gate_over [ 1.0; 9.0 ] in
         Alcotest.(check int) ("two runs pass: " ^ out) 0 code;
         Alcotest.(check bool) "too few runs" true (contains out "too few runs to judge"));
+    Alcotest.test_case "numeric flags reject unusable values as usage errors" `Quick (fun () ->
+        (* each would hang, march backwards or die on an uncaught
+           exception if it reached the solvers *)
+        List.iter
+          (fun (flag, args) ->
+            let code, out = run_cli args in
+            let name = String.concat " " args in
+            Alcotest.(check int) (name ^ ": exit code: " ^ out) 124 code;
+            Alcotest.(check bool)
+              (name ^ " names " ^ flag ^ ": " ^ out)
+              true
+              (contains out (Printf.sprintf "option '%s'" flag)))
+          [
+            ("--h2", [ "envelope"; "--vco"; "a"; "--h2"; "0" ]);
+            ("--h2", [ "waveform"; "--vco"; "a"; "--h2"; "0" ]);
+            ("--h2", [ "envelope"; "--h2=-1" ]);
+            ("--h2", [ "envelope"; "--h2"; "nan" ]);
+            ("--rtol", [ "envelope"; "--rtol"; "0" ]);
+            ("--atol", [ "envelope"; "--atol"; "inf" ]);
+            ("--h2min", [ "envelope"; "--h2min"; "0" ]);
+            ("--h2max", [ "envelope"; "--h2max=-inf" ]);
+            ("--h2min", [ "envelope"; "--h2min"; "2"; "--h2max"; "1" ]);
+            ("--h2min", [ "envelope"; "--t-end"; "10"; "--h2min"; "6" ]);
+            ("--n1", [ "orbit"; "--n1"; "24" ]);
+            ("--n1", [ "envelope"; "--n1"; "24" ]);
+            ("--n1", [ "quasi"; "--n1"; "24" ]);
+            ("--n1", [ "waveform"; "--n1"; "1" ]);
+            ("--n2", [ "quasi"; "--n2"; "10" ]);
+            ("--t-end", [ "waveform"; "--t-end"; "0" ]);
+            ("--t-end", [ "envelope"; "--t-end"; "0" ]);
+            ("--t-end", [ "transient"; "--t-end"; "nan" ]);
+            ("--checkpoint-every", [ "envelope"; "--checkpoint-every"; "0" ]);
+            ("--stride", [ "transient"; "--stride"; "0" ]);
+            ("--pts-per-cycle", [ "transient"; "--pts-per-cycle"; "0" ]);
+            ("--per-cycle", [ "waveform"; "--per-cycle"; "0" ]);
+            (* any existing file passes DECK's own check *)
+            ("--steps", [ "deck"; "--steps"; "0"; cli_exe ]);
+            ("--t-end", [ "deck"; "--t-end"; "0"; cli_exe ]);
+          ]);
   ]
 
 let suites = [ ("cli", tests) ]

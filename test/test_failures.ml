@@ -77,12 +77,67 @@ let tests =
                 Nonlin.Newton.residual_tol = 1e-15 };
           }
         in
+        (* every halving fails too: recovery gives up at the start *)
         Alcotest.(check bool) "newton budget" true
           (try
              ignore (Wampde.Envelope.simulate dae ~options ~t2_end:20. ~h2:10. ~init:orbit);
              false
-           with Wampde.Envelope.Step_failure { t2; h2; iterations; _ } ->
-             t2 = 10. && h2 = 10. && iterations > 0));
+           with Step_control.Underflow { t; h } -> t = 0. && h < 10.));
+    Alcotest.test_case "marches reject non-positive or non-finite h2 and t2_end" `Quick
+      (fun () ->
+        let n1 = 15 in
+        let p0 = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
+        let orbit =
+          Steady.Oscillator.find (Circuit.Vco.build p0) ~n1 ~period_hint:1.333
+            (Circuit.Vco.initial_state p0)
+        in
+        let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
+        let options = Wampde.Envelope.default_options ~n1 () in
+        let control = Step_control.default_options () in
+        let mpde =
+          { Mpde.dae = Dae.of_ode ~dim:1 ~rhs:(fun ~t:_ x -> [| -.x.(0) |]) (); p1 = 0.01;
+            b_fast = (fun ~t1:_ ~t2:_ -> [| 0. |]) }
+        in
+        let bad = [ 0.; -1.; Float.nan; Float.infinity ] in
+        List.iter
+          (fun v ->
+            let name what = Printf.sprintf "%s = %g" what v in
+            check_invalid (name "simulate h2") (fun () ->
+                Wampde.Envelope.simulate dae ~options ~t2_end:1. ~h2:v ~init:orbit);
+            check_invalid (name "simulate t2_end") (fun () ->
+                Wampde.Envelope.simulate dae ~options ~t2_end:v ~h2:0.5 ~init:orbit);
+            check_invalid (name "simulate_controlled h2_init") (fun () ->
+                Wampde.Envelope.simulate_controlled dae ~options ~control ~h2_init:v ~t2_end:1.
+                  ~init:orbit ());
+            check_invalid (name "simulate_controlled t2_end") (fun () ->
+                Wampde.Envelope.simulate_controlled dae ~options ~control ~t2_end:v ~init:orbit ());
+            check_invalid (name "Mpde.simulate h2") (fun () ->
+                Mpde.simulate mpde ~n1 ~t2_end:1. ~h2:v ~init:(Array.make n1 [| 0. |]));
+            check_invalid (name "Mpde.simulate t2_end") (fun () ->
+                Mpde.simulate mpde ~n1 ~t2_end:v ~h2:0.5 ~init:(Array.make n1 [| 0. |])))
+          bad);
+    Alcotest.test_case "a fixed-step envelope halves a failed step and completes" `Quick
+      (fun () ->
+        (* without the rescue cascade the chord iteration cannot take
+           the step from t2 = 60 to 90: the march retries it at h2 / 2
+           and grows back to h2 *)
+        let n1 = 15 in
+        let p0 = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
+        let orbit =
+          Steady.Oscillator.find (Circuit.Vco.build p0) ~n1 ~period_hint:(1. /. 0.75)
+            (Circuit.Vco.initial_state p0)
+        in
+        let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
+        let options = Wampde.Envelope.default_options ~n1 ~rescue:false () in
+        let res, retried =
+          Wampde_obs.Metrics.with_isolated (fun () ->
+              Wampde_obs.set_enabled true;
+              let res = Wampde.Envelope.simulate dae ~options ~t2_end:120. ~h2:30. ~init:orbit in
+              (res, Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter "step.retried")))
+        in
+        Alcotest.(check bool) "step.retried >= 1" true (retried >= 1);
+        Alcotest.(check (array (float 0.))) "t2 grid" [| 0.; 30.; 60.; 75.; 105.; 120. |]
+          res.Wampde.Envelope.t2);
     Alcotest.test_case "quasiperiodic rejects even grids" `Quick (fun () ->
         let p = Circuit.Vco.vco_a () in
         let dae = Circuit.Vco.build p in

@@ -126,7 +126,6 @@ let run_faulted ~spec ~dae ~options ~control ~orbit =
             ~init:orbit ()
         with
         | _ -> `Recovered
-        | exception Wampde.Envelope.Step_failure _ -> `Typed "step_failure"
         | exception Step_control.Underflow _ -> `Typed "underflow"
         | exception Checkpoint.Corrupt _ -> `Typed "corrupt"
         | exception Nonlin.Polyalg.Solve_failed _ -> `Typed "solve_failed"

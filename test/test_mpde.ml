@@ -43,6 +43,33 @@ let mpde_tests =
             let expect = am_exact ~p1 ~a t1 t2 in
             Alcotest.(check bool) "close" true (Float.abs (got -. expect) < 0.05))
           probes);
+    Alcotest.test_case "fixed-omega Krylov march agrees with dense" `Quick (fun () ->
+        let p1 = 0.01 and p2 = 10. in
+        let a t2 = 1. +. (0.5 *. sin (two_pi *. t2 /. p2)) in
+        let sys = am_system ~p1 ~a in
+        let init = Mpde.periodic_initial sys ~n1:15 ~guess:(Array.init 15 (fun _ -> [| 0. |])) in
+        (* the GMRES solve count shows which path ran *)
+        let run solver =
+          Wampde_obs.Metrics.with_isolated (fun () ->
+              Wampde_obs.set_enabled true;
+              let res = Mpde.simulate ~solver sys ~n1:15 ~t2_end:p2 ~h2:0.05 ~init in
+              (res, Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter "gmres.solves")))
+        in
+        let dense, dense_solves = run Linalg.Structured.Dense in
+        let krylov, krylov_solves = run Linalg.Structured.Krylov in
+        Alcotest.(check int) "dense runs no GMRES" 0 dense_solves;
+        Alcotest.(check bool) "krylov runs GMRES" true (krylov_solves > 0);
+        Alcotest.(check (array (float 0.))) "same t2 grid" dense.Mpde.t2 krylov.Mpde.t2;
+        (* both paths iterate each step to the same Newton residual
+           (1e-9); GMRES directions are only accurate to its forcing
+           term 1e-6 relative, which bounds the disagreement on this
+           unit-amplitude solution *)
+        Array.iteri
+          (fun m slice ->
+            Array.iteri
+              (fun j x -> approx_tol 1e-6 "grid state" x.(0) krylov.Mpde.slices.(m).(j).(0))
+              slice)
+          dense.Mpde.slices);
     Alcotest.test_case "diagonal recovery equals brute-force transient" `Quick (fun () ->
         let p1 = 0.02 in
         let a t2 = 1. +. (0.3 *. sin (0.7 *. t2)) in
