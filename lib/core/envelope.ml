@@ -80,6 +80,7 @@ type scratch = {
   sc_rt : Vec.t;  (* trial residual *)
   sc_y : Vec.t;  (* current iterate *)
   sc_trial : Vec.t;  (* trial iterate *)
+  sc_guess : Vec.t;  (* Newton's start, see [extrapolate_into] *)
   sc_gmres : Gmres.workspace Lazy.t;
 }
 
@@ -92,8 +93,32 @@ let make_scratch ~size =
     sc_rt = Array.make size 0.;
     sc_y = Array.make size 0.;
     sc_trial = Array.make size 0.;
+    sc_guess = Array.make size 0.;
     sc_gmres = lazy (Gmres.workspace ~n:size ~restart:gmres_restart ~max_iter:gmres_max_iter ());
   }
+
+(* Newton's start for a theta step to [t]: the Lagrange polynomial
+   through the newest (up to) three accepted points ([ts], [grids],
+   [omegas], newest first) evaluated at [t], packed into [dst] as
+   [pack] lays it out.  This is the predictor of the DAE integrators
+   (DASSL's, for one): the corrector then starts within the step's
+   truncation error of its answer instead of a whole step's change
+   away.  One point gives that point itself, bit for bit. *)
+let extrapolate_into dst ~t ~ts ~grids ~omegas =
+  let ts = List.filteri (fun i _ -> i < 3) ts in
+  List.iteri
+    (fun i ti ->
+      (* point i's Lagrange basis polynomial at [t] *)
+      let w = ref 1. in
+      List.iteri (fun j tj -> if j <> i then w := !w *. (t -. tj) /. (ti -. tj)) ts;
+      let w = !w in
+      let add k v = dst.(k) <- (if i = 0 then w *. v else dst.(k) +. (w *. v)) in
+      let grid = List.nth grids i in
+      Array.iteri (fun j s -> Array.iteri (fun c v -> add ((j * Array.length s) + c) v) s) grid;
+      (* the omega slot, when [dst] has one *)
+      let nd = Array.length grid * Array.length grid.(0) in
+      if Array.length dst > nd then add nd (List.nth omegas i))
+    ts
 
 (* Jacobian cache for the chord (stale-Jacobian) Newton iteration on
    the dense path: the collocation Jacobian varies slowly along t2, so
@@ -107,9 +132,21 @@ type jac_cache = { mutable lu : Lu.t option }
 
 let new_cache () = { lu = None }
 
-(* One theta step of size h2 from (states0, omega0, g0) at t2_new;
-   [omega0] is the fixed frequency when [sd] has no omega slot. *)
-let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
+(* The chord refactors at the new iterate once a stale Jacobian
+   contracts the residual by less than this factor per iteration.  On
+   the serve batch's fixed warm-up march (VCO-A, n1 = 15, 400 steps), a
+   sweep over 0.7 (no refresh before the acceptance bound), 0.3, 0.15
+   and 0.05 traded Newton iterations for refactors: 4,522/26,
+   2,614/65, 2,007/119, 1,321/262.  Below 0.7 the batch's wall time
+   did not separate within noise (EXPERIMENTS.md); 0.15 keeps the
+   iterations low without 0.05's doubled refactor count, which grows
+   as n^3 with the step system. *)
+let refresh_rate = 0.15
+
+(* One theta step of size h2 from (states0, omega0, g0) at t2_new,
+   Newton started from the packed [guess]; [omega0] is the fixed
+   frequency when [sd] has no omega slot. *)
+let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
   Obs.Span.span
     ~attrs:[ ("t2", Obs.Span.Float t2_new); ("h2", Obs.Span.Float h2) ]
     "envelope.step"
@@ -204,10 +241,15 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
   in
   let y = ref scratch.sc_y and trial = ref scratch.sc_trial in
   let r = ref scratch.sc_r and rt = ref scratch.sc_rt in
-  Array.blit (pack sd states0 omega0) 0 !y 0 size;
+  Array.blit guess 0 !y 0 size;
   residual_into !y !r;
   let rnorm = ref (Vec.norm_inf !r) in
   let r0 = !rnorm in
+  (* a start that already meets [tol] takes its one iteration (see
+     below) as a full Newton step: a chord step on a stale Jacobian
+     contracts too little to stop the extrapolation amplifying the
+     previous steps' Newton error into a step-to-step zig-zag *)
+  if r0 <= tol then cache.lu <- None;
   let fresh = ref false in
   let accept () =
     let ty = !y and tr = !r in
@@ -221,7 +263,11 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
      (* a NaN/Inf initial residual would slip through [!rnorm > tol]
         (NaN compares false) and be returned as spuriously converged *)
      if not (Float.is_finite !rnorm) then fail ();
-     while !rnorm > tol do
+     (* at least one iteration, even from a start that already meets
+        [tol]: an extrapolated start accepted as it stands would make
+        the step an explicit extrapolation, and the step-doubling
+        error estimate would compare the predictor with itself *)
+     while !rnorm > tol || !iters = 0 do
        if !iters >= max_iterations then fail ();
        incr iters;
        Obs.Metrics.incr c_newton_iters;
@@ -262,6 +308,10 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 =
        let rtnorm = Vec.norm_inf !rt in
        if Float.is_finite rtnorm && (rtnorm <= tol || rtnorm < 0.7 *. !rnorm) then begin
          accept ();
+         (* a stale Jacobian that contracts slower than [refresh_rate]
+            costs more iterations than a factorization: the next
+            iteration refactors at the new iterate *)
+         if (not !fresh) && rtnorm > tol && rtnorm > refresh_rate *. !rnorm then cache.lu <- None;
          rnorm := rtnorm;
          fresh := false;
          if Obs.Events.active () then
@@ -466,19 +516,32 @@ let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?pree
     Step_control.error_norm control ~y ~err
   in
   (* one attempt from the accepted point: the new grid, omega, Newton
-     iterations and, with [richardson], the error estimate *)
+     iterations and, with [richardson], the error estimate.  Each theta
+     step starts Newton from the extrapolated history; the second half
+     step's history begins with the midpoint. *)
   let attempt ~options ~h =
     let t2_new = !t2 +. h in
-    let take ~t2_new ~h states0 g0 omega0 =
-      step sd ~options ~cache ~scratch ~t2_new ~h2:h ~states0 ~g0 ~omega0
+    let take ~t2_new ~h ~ts ~grids ~omegas g0 =
+      extrapolate_into scratch.sc_guess ~t:t2_new ~ts ~grids ~omegas;
+      step sd ~options ~cache ~scratch ~t2_new ~h2:h ~states0:(List.hd grids) ~g0
+        ~omega0:(List.hd omegas) ~guess:scratch.sc_guess
     in
-    let full, om_full, it1 = take ~t2_new ~h !states !g !omega in
+    let full, om_full, it1 = take ~t2_new ~h ~ts:!t2s ~grids:!slices ~omegas:!omegas !g in
     if not richardson then (full, om_full, it1, None)
     else begin
-      let h_half = h /. 2. in
-      let mid, om_mid, it2 = take ~t2_new:(!t2 +. h_half) ~h:h_half !states !g !omega in
-      let g_mid = eval_g sd ~t2:(!t2 +. h_half) mid om_mid in
-      let fine, om_fine, it3 = take ~t2_new ~h:h_half mid g_mid om_mid in
+      let h_half = h /. 2. and t2_mid = !t2 +. (h /. 2.) in
+      (* the half steps solve a different system from the whole step's:
+         the first factors its own Jacobian at [h / 2] rather than reuse
+         the one at [h], and the second reuses that *)
+      cache.lu <- None;
+      let mid, om_mid, it2 =
+        take ~t2_new:t2_mid ~h:h_half ~ts:!t2s ~grids:!slices ~omegas:!omegas !g
+      in
+      let g_mid = eval_g sd ~t2:t2_mid mid om_mid in
+      let fine, om_fine, it3 =
+        take ~t2_new ~h:h_half ~ts:(t2_mid :: !t2s) ~grids:(mid :: !slices)
+          ~omegas:(om_mid :: !omegas) g_mid
+      in
       (fine, om_fine, it1 + it2 + it3, Some (richardson_error ~full ~om_full ~fine ~om_fine))
     end
   in

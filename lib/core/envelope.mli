@@ -10,7 +10,10 @@
     1; spectral or 4th-order finite-difference differentiation) and
     advanced in [t2] with the theta method.  Each step solves, by
     damped Newton, for the [n1] grid states {e and} the local
-    frequency [omega], closed by a {!Phase} condition.
+    frequency [omega], closed by a {!Phase} condition.  Newton starts
+    from the polynomial extrapolation of the newest (up to three)
+    accepted points to the step's end and takes at least one
+    iteration.
 
     The [t1] axis is warped: [xhat] has period exactly 1, so [omega]
     is the instantaneous oscillation frequency in cycles per time

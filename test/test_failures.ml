@@ -60,7 +60,8 @@ let tests =
         check_invalid "n1 mismatch" (fun () ->
             Wampde.Envelope.simulate dae ~options ~t2_end:1. ~h2:0.5 ~init:orbit));
     Alcotest.test_case "envelope fails loudly when the step cannot converge" `Quick (fun () ->
-        (* force Newton failure with an absurdly tight iteration budget *)
+        (* force Newton failure with a residual tolerance no iterate can
+           meet: an infinity norm of zero *)
         let p = Circuit.Vco.vco_a () in
         let dae = Circuit.Vco.build p in
         let p0 = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
@@ -74,7 +75,7 @@ let tests =
             options with
             Wampde.Envelope.newton =
               { options.Wampde.Envelope.newton with Nonlin.Newton.max_iterations = 1;
-                Nonlin.Newton.residual_tol = 1e-15 };
+                Nonlin.Newton.residual_tol = 0. };
           }
         in
         (* every halving fails too: recovery gives up at the start *)
@@ -119,8 +120,8 @@ let tests =
     Alcotest.test_case "a fixed-step envelope halves a failed step and completes" `Quick
       (fun () ->
         (* without the rescue cascade the chord iteration cannot take
-           the step from t2 = 60 to 90: the march retries it at h2 / 2
-           and grows back to h2 *)
+           the step from t2 = 90 to 120, nor its half: the march takes
+           it at h2 / 4 and grows back toward h2 *)
         let n1 = 15 in
         let p0 = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
         let orbit =
@@ -136,7 +137,7 @@ let tests =
               (res, Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter "step.retried")))
         in
         Alcotest.(check bool) "step.retried >= 1" true (retried >= 1);
-        Alcotest.(check (array (float 0.))) "t2 grid" [| 0.; 30.; 60.; 75.; 105.; 120. |]
+        Alcotest.(check (array (float 0.))) "t2 grid" [| 0.; 30.; 60.; 90.; 97.5; 112.5; 120. |]
           res.Wampde.Envelope.t2);
     Alcotest.test_case "quasiperiodic rejects even grids" `Quick (fun () ->
         let p = Circuit.Vco.vco_a () in

@@ -42,6 +42,12 @@ let vco_a_setup () =
   in
   (dae, orbit)
 
+(* VCO-A's unforced orbit at [n1], as the serve daemon finds it *)
+let vco_a_orbit ~n1 =
+  let p0 = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
+  Steady.Oscillator.find (Circuit.Vco.build p0) ~n1 ~period_hint:(1. /. 0.75)
+    (Circuit.Vco.initial_state p0)
+
 let phase_tests =
   [
     Alcotest.test_case "derivative row annihilates even waveforms" `Quick (fun () ->
@@ -192,6 +198,75 @@ let envelope_tests =
           /. last fixed.Wampde.Envelope.omega
         in
         Alcotest.(check bool) "same omega" true (rel < 1e-3));
+    Alcotest.test_case "controlled march tracks a fine fixed-step reference" `Quick (fun () ->
+        (* two serve-batch VCO-A jobs: omega at every accepted point lies
+           within rtol (relative) of a fixed-step march at h2 = 0.01 *)
+        let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
+        List.iter
+          (fun (name, t_end, rtol, n1, solver) ->
+            let init = vco_a_orbit ~n1 in
+            let options = Wampde.Envelope.default_options ~n1 ~solver () in
+            let control =
+              Step_control.default_options ~rtol ~atol:(rtol /. 1000.) ~h_min:1e-9
+                ~h_max:(t_end /. 2.) ()
+            in
+            let res = Wampde.Envelope.simulate_controlled dae ~options ~control ~t2_end:t_end ~init () in
+            let reference =
+              Wampde.Envelope.simulate dae ~options:(Wampde.Envelope.default_options ~n1 ())
+                ~t2_end:t_end ~h2:0.01 ~init
+            in
+            let f =
+              Sigproc.Interp1d.create reference.Wampde.Envelope.t2 reference.Wampde.Envelope.omega
+            in
+            let worst = ref 0. in
+            Array.iteri
+              (fun i t ->
+                let o = Sigproc.Interp1d.eval f t in
+                worst := Float.max !worst (Float.abs (res.Wampde.Envelope.omega.(i) -. o) /. o))
+              res.Wampde.Envelope.t2;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: worst omega error %.3g within rtol %g" name !worst rtol)
+              true (!worst <= rtol))
+          [ ("a1", 12., 3e-4, 17, Structured.Krylov); ("a5", 6., 1e-3, 15, Structured.auto) ]);
+    Alcotest.test_case "every theta solve takes a Newton iteration" `Quick (fun () ->
+        (* a residual tolerance loose enough that the extrapolated start
+           already meets it: each solve still iterates once, so a
+           controlled attempt (one whole and two half steps) costs at
+           least three iterations and a fixed step at least one *)
+        let n1 = 15 in
+        let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
+        let init = vco_a_orbit ~n1 in
+        let options = Wampde.Envelope.default_options ~n1 () in
+        let options =
+          {
+            options with
+            Wampde.Envelope.newton =
+              { options.Wampde.Envelope.newton with Nonlin.Newton.residual_tol = 1e-4 };
+          }
+        in
+        let counted f =
+          Wampde_obs.Metrics.with_isolated (fun () ->
+              Wampde_obs.set_enabled true;
+              let res = f () in
+              let count name = Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter name) in
+              (res.Wampde.Envelope.newton_iterations, count "step.accepted", count "step.rejected"))
+        in
+        let iters, accepted, rejected =
+          counted (fun () ->
+              Wampde.Envelope.simulate_controlled dae ~options
+                ~control:(Step_control.default_options ~rtol:1e-3 ~atol:1e-6 ~h_min:1e-9 ())
+                ~t2_end:20. ~init ())
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "controlled: %d iterations for %d attempts" iters (accepted + rejected))
+          true
+          (iters >= 3 * (accepted + rejected));
+        let iters, accepted, _ =
+          counted (fun () -> Wampde.Envelope.simulate dae ~options ~t2_end:20. ~h2:0.25 ~init)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "fixed: %d iterations for %d steps" iters accepted)
+          true (iters >= accepted));
     Alcotest.test_case "fourier phase condition gives same frequency" `Quick (fun () ->
         let dae, orbit = vco_a_setup () in
         let opt_d = Wampde.Envelope.default_options ~n1:25 () in
