@@ -1,6 +1,6 @@
 (* Bechamel microbenchmarks for the linear-algebra kernels behind the
    matrix-free Newton-Krylov path: dense LU factorization (what the
-   Krylov path avoids), the structured collocation matvec, and one
+   Krylov path avoids; allocating and in place), the structured collocation matvec, and one
    application of the FFT-diagonalized block preconditioner.  Next to
    them, the circuit kernel every solver calls: one [f] plus one [q]
    evaluation of the compiled VCO-A netlist.
@@ -42,10 +42,18 @@ let tests =
       let pc = Structured.make_precond ~dft:Fourier.Fft.structured_dft op in
       let v = Array.init nd (fun i -> sin (float_of_int i)) in
       let out = Array.make nd 0. in
+      let buf = Mat.zeros nd nd and perm = Array.make nd 0 in
       [
         Test.make
           ~name:(Printf.sprintf "lu_factor_%d" nd)
           (Staged.stage (fun () -> Lu.factor dense));
+        (* the same factorization refilled into one reused buffer: the
+           difference from [lu_factor] is the fresh copy it allocates *)
+        Test.make
+          ~name:(Printf.sprintf "lu_factor_into_%d" nd)
+          (Staged.stage (fun () ->
+               Array.iteri (fun i row -> Array.blit row 0 buf.(i) 0 nd) dense;
+               Lu.factor_into buf ~perm));
         Test.make
           ~name:(Printf.sprintf "structured_matvec_%d" nd)
           (Staged.stage (fun () -> Structured.apply_into op v out));

@@ -81,6 +81,7 @@ type scratch = {
   sc_y : Vec.t;  (* current iterate *)
   sc_trial : Vec.t;  (* trial iterate *)
   sc_guess : Vec.t;  (* Newton's start, see [extrapolate_into] *)
+  sc_dy : Vec.t;  (* dense chord direction *)
   sc_gmres : Gmres.workspace Lazy.t;
 }
 
@@ -94,6 +95,7 @@ let make_scratch ~size =
     sc_y = Array.make size 0.;
     sc_trial = Array.make size 0.;
     sc_guess = Array.make size 0.;
+    sc_dy = Array.make size 0.;
     sc_gmres = lazy (Gmres.workspace ~n:size ~restart:gmres_restart ~max_iter:gmres_max_iter ());
   }
 
@@ -125,12 +127,14 @@ let extrapolate_into dst ~t ~ts ~grids ~omegas =
    one factorization typically serves several slow steps.  Refreshed
    automatically when the iteration stops contracting.  The Krylov
    path instead rebuilds its cheap structured operator every iteration
-   (true Newton-Krylov). *)
+   (true Newton-Krylov).  The cached factorization lives in [jac] and
+   [perm], refilled and factored in place at every refresh; [jac] is
+   built on first use, so Krylov runs never pay for it. *)
 type krylov_op = { klin : Dae.Semidisc.lin; m_inv : Vec.t -> Vec.t -> unit }
 
-type jac_cache = { mutable lu : Lu.t option }
+type jac_cache = { mutable lu : Lu.t option; jac : Mat.t Lazy.t; perm : int array }
 
-let new_cache () = { lu = None }
+let new_cache ~size = { lu = None; jac = lazy (Mat.zeros size size); perm = Array.make size 0 }
 
 (* The chord refactors at the new iterate once a stale Jacobian
    contracts the residual by less than this factor per iteration.  On
@@ -168,7 +172,6 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
       if Fault.fire Fault.Nan_residual then dst.(0) <- Float.nan
     end
   in
-  let jacobian y = Dae.Semidisc.dense (Dae.Semidisc.step_linearize sys y) in
   let tol = options.newton.Nonlin.Newton.residual_tol in
   let max_iterations = Int.max 40 options.newton.Nonlin.Newton.max_iterations in
   let iters = ref 0 in
@@ -180,9 +183,19 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
   in
   let refresh y =
     Obs.Metrics.incr c_jac_refresh;
-    let lu = Lu.factor (jacobian y) in
+    let lin = Dae.Semidisc.step_linearize sys y in
+    let jac = Lazy.force cache.jac in
+    (* refilling [jac] overwrites the cached factorization: none is
+       cached again until the new one succeeds *)
+    cache.lu <- None;
+    Dae.Semidisc.dense_into lin jac;
+    let lu = Lu.factor_into jac ~perm:cache.perm in
     cache.lu <- Some lu;
     lu
+  in
+  let chord_solve lu r =
+    Lu.solve_into lu r scratch.sc_dy;
+    scratch.sc_dy
   in
   let use_krylov = Structured.use_krylov options.solver ~dim:size in
   (* Build the matrix-free operator and its FFT-diagonalized
@@ -274,8 +287,7 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
        if Fault.armed () && Fault.fire Fault.Linear_solve then raise (Lu.Singular 0);
        let dense_fallback () =
          Structured.fallback_to_dense ();
-         let lu = refresh !y in
-         (Lu.solve lu !r, true)
+         (chord_solve (refresh !y) !r, true)
        in
        let dy, is_fresh =
          if use_krylov then begin
@@ -293,10 +305,8 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
          end
          else
            match cache.lu with
-           | Some lu -> (Lu.solve lu !r, !fresh)
-           | None ->
-             let lu = refresh !y in
-             (Lu.solve lu !r, true)
+           | Some lu -> (chord_solve lu !r, !fresh)
+           | None -> (chord_solve (refresh !y) !r, true)
        in
        fresh := is_fresh;
        if Fault.armed () && Fault.fire Fault.Newton_diverge then Vec.scale_inplace 1e8 dy;
@@ -370,6 +380,7 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
         residual_into yv dst;
         dst
       in
+      let jacobian y = Dae.Semidisc.dense (Dae.Semidisc.step_linearize sys y) in
       let outcome =
         Nonlin.Polyalg.solve
           ~options:{ options.newton with Nonlin.Newton.residual_tol = tol }
@@ -505,7 +516,7 @@ let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?pree
   let denom = Step_control.richardson_denom ~order:control.Step_control.order in
   let size = Dae.Semidisc.size sd in
   let g = ref (eval_g sd ~t2:!t2 !states !omega) in
-  let cache = new_cache () in
+  let cache = new_cache ~size in
   let scratch = make_scratch ~size in
   let iter_count = ref 0 in
   let since_ckpt = ref 0 in

@@ -123,10 +123,25 @@ let linearize_at t buf ~t2 ~scale ~with_c y ~off =
 
 let linearize t ~t2 y = linearize_at t t.buf ~t2 ~scale:1. ~with_c:false y ~off:0
 
-let dense lin =
+(* Every entry of [jac] is written, the bordered corner included: a
+   buffer the in-place LU has factored holds its rows permuted. *)
+let dense_into lin jac =
+  Structured.dense_into lin.op jac;
   match lin.border with
-  | None -> Structured.to_dense lin.op
-  | Some b -> Structured.to_dense_bordered lin.op ~border_col:b.col ~border_row:b.row
+  | None -> ()
+  | Some b ->
+    let nd = Structured.dim lin.op in
+    for i = 0 to nd - 1 do
+      jac.(i).(nd) <- b.col.(i);
+      jac.(nd).(i) <- b.row.(i)
+    done;
+    jac.(nd).(nd) <- 0.
+
+let dense lin =
+  let size = Structured.dim lin.op + if lin.border = None then 0 else 1 in
+  let jac = Mat.zeros size size in
+  dense_into lin jac;
+  jac
 
 let apply_into lin v out =
   match lin.border with

@@ -59,6 +59,10 @@ val linearize : t -> t2:float -> Vec.t -> lin
     the Krylov path applies. *)
 val dense : lin -> Mat.t
 
+(** [dense_into lin jac] is {!dense} into a caller-owned square matrix
+    of [lin]'s size; it writes every entry of [jac]. *)
+val dense_into : lin -> Mat.t -> unit
+
 (** [apply_into lin v out] writes [lin v] into [out] (no aliasing). *)
 val apply_into : lin -> Vec.t -> Vec.t -> unit
 

@@ -1,6 +1,6 @@
 module Obs = Wampde_obs
 
-type t = { lu : float array array; perm : int array; sign : float }
+type t = { lu : float array array; perm : int array }
 
 exception Singular of int
 
@@ -8,17 +8,20 @@ let c_factor = Obs.Metrics.counter "lu.factor"
 let h_dim = Obs.Metrics.histogram "lu.dim"
 let c_solve = Obs.Metrics.counter "lu.solve"
 
-(* Doolittle factorization with partial pivoting; [lu] stores L (unit
+(* Doolittle factorization with partial pivoting, in place: row swaps
+   exchange the row arrays of [a], after which [a] stores L (unit
    diagonal, below) and U (on and above the diagonal). *)
-let factor a =
+let factor_into a ~perm =
   let n = Mat.rows a in
   if Mat.cols a <> n then invalid_arg "Lu.factor: matrix not square";
+  if Array.length perm <> n then invalid_arg "Lu.factor_into: perm length mismatch";
   Obs.Metrics.incr c_factor;
   Obs.Metrics.observe h_dim (float_of_int n);
   if Obs.Events.active () then Obs.Events.emit (Obs.Events.Lu_factor { n });
-  let lu = Mat.copy a in
-  let perm = Array.init n (fun i -> i) in
-  let sign = ref 1. in
+  let lu = a in
+  for i = 0 to n - 1 do
+    perm.(i) <- i
+  done;
   for k = 0 to n - 1 do
     let pivot = ref k in
     for i = k + 1 to n - 1 do
@@ -30,8 +33,7 @@ let factor a =
       lu.(!pivot) <- tmp;
       let tp = perm.(k) in
       perm.(k) <- perm.(!pivot);
-      perm.(!pivot) <- tp;
-      sign := -. !sign
+      perm.(!pivot) <- tp
     end;
     let pkk = lu.(k).(k) in
     if pkk = 0. then raise (Singular k);
@@ -47,16 +49,18 @@ let factor a =
         done
     done
   done;
-  { lu; perm; sign = !sign }
+  { lu; perm }
 
-let dim { lu; _ } = Array.length lu
+let factor a = factor_into (Mat.copy a) ~perm:(Array.make (Mat.rows a) 0)
 
-let solve_inplace { lu; perm; _ } b =
+let solve_into { lu; perm } b x =
   let n = Array.length lu in
-  if Array.length b <> n then invalid_arg "Lu.solve: dimension mismatch";
+  if Array.length b <> n || Array.length x <> n then invalid_arg "Lu.solve: dimension mismatch";
   Obs.Metrics.incr c_solve;
   (* apply permutation *)
-  let x = Array.init n (fun i -> b.(perm.(i))) in
+  for i = 0 to n - 1 do
+    Array.unsafe_set x i b.(perm.(i))
+  done;
   (* forward substitution, L has unit diagonal *)
   for i = 1 to n - 1 do
     let row = lu.(i) in
@@ -74,60 +78,9 @@ let solve_inplace { lu; perm; _ } b =
       s := !s -. (Array.unsafe_get row j *. Array.unsafe_get x j)
     done;
     Array.unsafe_set x i (!s /. Array.unsafe_get row i)
-  done;
-  Array.blit x 0 b 0 n
+  done
 
 let solve lu b =
-  let x = Array.copy b in
-  solve_inplace lu x;
+  let x = Array.make (Array.length b) 0. in
+  solve_into lu b x;
   x
-
-let solve_matrix lu b =
-  let n = dim lu in
-  if Mat.rows b <> n then invalid_arg "Lu.solve_matrix: dimension mismatch";
-  let cols = Mat.cols b in
-  let x = Mat.zeros n cols in
-  let col = Array.make n 0. in
-  for j = 0 to cols - 1 do
-    for i = 0 to n - 1 do
-      col.(i) <- b.(i).(j)
-    done;
-    solve_inplace lu col;
-    for i = 0 to n - 1 do
-      x.(i).(j) <- col.(i)
-    done
-  done;
-  x
-
-let det { lu; sign; _ } =
-  let n = Array.length lu in
-  let d = ref sign in
-  for i = 0 to n - 1 do
-    d := !d *. lu.(i).(i)
-  done;
-  !d
-
-let inverse lu = solve_matrix lu (Mat.identity (dim lu))
-
-let solve_dense a b = solve (factor a) b
-
-(* Hager-style one-sided estimate: ||A||_inf * max ||A^-1 e_i||_inf over a
-   few probe vectors.  A cheap lower bound, good enough for diagnostics. *)
-let condition_estimate a =
-  let n = Mat.rows a in
-  let f = factor a in
-  let norm_a = Mat.norm_inf a in
-  let best = ref 0. in
-  let probes = Int.min n 5 in
-  for p = 0 to probes - 1 do
-    let i = p * Int.max 1 (n / Int.max 1 probes) in
-    let e = Array.make n 0. in
-    e.(Int.min i (n - 1)) <- 1.;
-    solve_inplace f e;
-    best := Float.max !best (Vec.norm_inf e)
-  done;
-  (* also probe the all-ones vector, which often excites the worst mode *)
-  let ones = Array.make n 1. in
-  solve_inplace f ones;
-  best := Float.max !best (Vec.norm_inf ones /. float_of_int n);
-  norm_a *. !best

@@ -1,7 +1,11 @@
 (** LU factorization with partial pivoting, and direct linear solves.
 
     The factorization is the workhorse behind every Newton iteration in
-    the transient, steady-state and WaMPDE solvers. *)
+    the transient, steady-state and WaMPDE solvers.  One kernel of each
+    kind: {!factor_into} factors a caller-owned matrix in place and
+    {!solve_into} substitutes into a caller-owned vector, so a loop
+    that refactors the same-sized system allocates nothing per
+    iteration; {!factor} and {!solve} are their allocating forms. *)
 
 type t
 (** A factored matrix [P A = L U]. *)
@@ -10,32 +14,21 @@ exception Singular of int
 (** Raised (with the offending pivot column) when a pivot is exactly
     zero, i.e. the matrix is numerically singular. *)
 
-(** [factor a] factors a square matrix.  [a] is not modified.
-    Raises [Singular] if a zero pivot is met and [Invalid_argument]
-    if [a] is not square. *)
+(** [factor_into a ~perm] factors the square matrix [a] in place and
+    returns the factorization, which aliases [a] and [perm] (length
+    [rows a], overwritten).  Pivoting swaps the row arrays of [a], so
+    a caller that refills [a] for the next factorization must write
+    every entry.  Raises [Singular] if a zero pivot is met and
+    [Invalid_argument] if [a] is not square. *)
+val factor_into : Mat.t -> perm:int array -> t
+
+(** [factor a] is [factor_into] on a copy of [a]; [a] is not
+    modified. *)
 val factor : Mat.t -> t
 
-(** [dim lu] is the dimension of the factored matrix. *)
-val dim : t -> int
+(** [solve_into lu b x] solves [A x = b] into [x], which must not be
+    [b]. *)
+val solve_into : t -> Vec.t -> Vec.t -> unit
 
-(** [solve lu b] solves [A x = b]. *)
+(** [solve lu b] solves [A x = b] into a fresh vector. *)
 val solve : t -> Vec.t -> Vec.t
-
-(** [solve_inplace lu b] solves [A x = b] overwriting [b] with [x]. *)
-val solve_inplace : t -> Vec.t -> unit
-
-(** [solve_matrix lu b] solves [A X = B] column by column. *)
-val solve_matrix : t -> Mat.t -> Mat.t
-
-(** [det lu] is the determinant of the factored matrix. *)
-val det : t -> float
-
-(** [inverse lu] is the explicit inverse (prefer [solve]). *)
-val inverse : t -> Mat.t
-
-(** [solve_dense a b] is [solve (factor a) b]. *)
-val solve_dense : Mat.t -> Vec.t -> Vec.t
-
-(** [condition_estimate a] is a cheap lower-bound estimate of the
-    infinity-norm condition number, via one factor + a few solves. *)
-val condition_estimate : Mat.t -> float

@@ -127,21 +127,6 @@ let dense_into op jac =
     done
   done
 
-let to_dense op =
-  let jac = Mat.zeros (dim op) (dim op) in
-  dense_into op jac;
-  jac
-
-let to_dense_bordered op ~border_col ~border_row =
-  let nd = dim op in
-  let jac = Mat.zeros (nd + 1) (nd + 1) in
-  dense_into op jac;
-  for i = 0 to nd - 1 do
-    jac.(i).(nd) <- border_col.(i);
-    jac.(nd).(i) <- border_row.(i)
-  done;
-  jac
-
 (* ------------------------------------------------------------------ *)
 (* Discrete Fourier transform plumbing                                 *)
 (* ------------------------------------------------------------------ *)

@@ -85,14 +85,11 @@ val apply_bordered_into : op -> border_col:Vec.t -> border_row:Vec.t -> Vec.t ->
 (** Allocating variant of {!apply_bordered_into}. *)
 val apply_bordered : op -> border_col:Vec.t -> border_row:Vec.t -> Vec.t -> Vec.t
 
-(** Dense assembly of the block part.  This is the dense path of the
-    WaMPDE and MPDE solvers ([Dae.Semidisc]): dense LU factors exactly
-    the operator the Krylov path applies. *)
-val to_dense : op -> Mat.t
-
-(** Dense assembly of the bordered operator [[J b] [p 0]] that
-    {!apply_bordered} applies. *)
-val to_dense_bordered : op -> border_col:Vec.t -> border_row:Vec.t -> Mat.t
+(** [dense_into op jac] writes the dense block part into the top-left
+    [dim op] square of [jac], every entry of it.  This is the dense
+    path of the WaMPDE and MPDE solvers ([Dae.Semidisc]): dense LU
+    factors exactly the operator the Krylov path applies. *)
+val dense_into : op -> Mat.t -> unit
 
 (** {1 DFT plumbing}
 

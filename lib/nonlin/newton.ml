@@ -51,22 +51,45 @@ let fault_residual residual x =
   end
   else r
 
-let fault_linear_solve linear_solve x r =
+type workspace = { x : Vec.t; r : Vec.t; dx : Vec.t; trial : Vec.t; rt : Vec.t }
+
+let workspace n =
+  let v () = Array.make n 0. in
+  { x = v (); r = v (); dx = v (); trial = v (); rt = v () }
+
+(* [fault_residual] on a caller-owned buffer, and the linear-solve
+   hook: a failed solve, or a direction blown up by 1e8. *)
+let fault_residual_into residual_into x dst =
+  Fault.maybe_stall ();
+  residual_into x dst;
+  if Fault.fire Fault.Nan_residual && Array.length dst > 0 then dst.(0) <- Float.nan
+
+let fault_linear_solve_into linear_solve_into x r dx =
   if Fault.fire Fault.Linear_solve then
     raise (Linear_solve_failed "fault injected: linear solve");
-  let dx = linear_solve x r in
-  if Fault.fire Fault.Newton_diverge then Vec.scale_inplace 1e8 dx;
-  dx
+  linear_solve_into x r dx;
+  if Fault.fire Fault.Newton_diverge then Vec.scale_inplace 1e8 dx
 
-let solve_with ?(options = default_options) ?(label = "newton") ~linear_solve ~residual x0 =
+let solve_into ?(options = default_options) ?(label = "newton") ~ws ~linear_solve_into
+    ~residual_into x0 =
+  let n = Array.length ws.x in
+  if Array.length x0 <> n then invalid_arg "Newton.solve_into: workspace size mismatch";
   Obs.Span.span
-    ~attrs:[ ("label", Obs.Span.Str label); ("dim", Obs.Span.Int (Array.length x0)) ]
+    ~attrs:[ ("label", Obs.Span.Str label); ("dim", Obs.Span.Int n) ]
     "newton.solve"
   @@ fun () ->
-  let residual = if Fault.armed () then fault_residual residual else residual in
-  let linear_solve = if Fault.armed () then fault_linear_solve linear_solve else linear_solve in
-  let x = ref (Array.copy x0) in
-  let r = ref (residual !x) in
+  let residual_into =
+    if Fault.armed () then fault_residual_into residual_into else residual_into
+  in
+  let linear_solve_into =
+    if Fault.armed () then fault_linear_solve_into linear_solve_into else linear_solve_into
+  in
+  (* accepted iterate and residual; a trial that passes the line search
+     swaps places with them instead of being copied *)
+  let x = ref ws.x and r = ref ws.r and trial = ref ws.trial and rt = ref ws.rt in
+  let dx = ws.dx in
+  Array.blit x0 0 !x 0 n;
+  residual_into !x !r;
   let rnorm = ref (Vec.norm_inf !r) in
   let finish ~iterations ~converged ~reason =
     Obs.Metrics.incr c_solves;
@@ -85,29 +108,35 @@ let solve_with ?(options = default_options) ?(label = "newton") ~linear_solve ~r
     else if k >= options.max_iterations then
       finish ~iterations:k ~converged:false ~reason:(Some Iteration_limit)
     else begin
-      match linear_solve !x !r with
+      match linear_solve_into !x !r dx with
       | exception (Lu.Singular _ | Linear_solve_failed _) ->
         finish ~iterations:k ~converged:false ~reason:(Some Singular_jacobian)
-      | dx ->
+      | () ->
         Vec.scale_inplace (-1.) dx;
         (* backtracking line search: accept a step that reduces ||r|| *)
         let rec backtrack lambda =
           if lambda < options.min_damping then None
           else begin
-            let trial = Array.mapi (fun i xi -> xi +. (lambda *. dx.(i))) !x in
-            let rt = residual trial in
-            let rtnorm = Vec.norm_inf rt in
+            let xv = !x and tv = !trial in
+            for i = 0 to n - 1 do
+              tv.(i) <- xv.(i) +. (lambda *. dx.(i))
+            done;
+            residual_into tv !rt;
+            let rtnorm = Vec.norm_inf !rt in
             if Float.is_finite rtnorm && (rtnorm < !rnorm || rtnorm <= options.residual_tol) then
-              Some (trial, rt, rtnorm, lambda)
+              Some (rtnorm, lambda)
             else backtrack (lambda /. 2.)
           end
         in
         (match backtrack 1. with
          | None -> finish ~iterations:k ~converged:false ~reason:(Some Line_search_failed)
-         | Some (trial, rt, rtnorm, lambda) ->
+         | Some (rtnorm, lambda) ->
            let step_norm = scaled_norm options dx *. lambda in
-           x := trial;
-           r := rt;
+           let xv = !x and rv = !r in
+           x := !trial;
+           trial := xv;
+           r := !rt;
+           rt := rv;
            rnorm := rtnorm;
            if Obs.Events.active () then
              Obs.Events.emit
@@ -124,6 +153,19 @@ let solve_with ?(options = default_options) ?(label = "newton") ~linear_solve ~r
     end
   in
   iterate 0
+
+(* The allocating interface over [solve_into]: a workspace per call,
+   whose buffers the report then owns. *)
+let solve_with ?options ?label ~linear_solve ~residual x0 =
+  let residual_into x dst =
+    let r = residual x in
+    Array.blit r 0 dst 0 (Array.length dst)
+  in
+  let linear_solve_into x r dx =
+    let d = linear_solve x r in
+    Array.blit d 0 dx 0 (Array.length dx)
+  in
+  solve_into ?options ?label ~ws:(workspace (Array.length x0)) ~linear_solve_into ~residual_into x0
 
 let solve ?options ?label ?jacobian ~residual x0 =
   let linear_solve x r =

@@ -35,15 +35,43 @@ type report = {
   reason : failure_reason option;  (** [None] when converged *)
 }
 
-(** [solve ?options ?label ?jacobian ~residual x0] finds [x] with
-    [residual x ~ 0].  When [jacobian] is omitted a forward
-    finite-difference Jacobian is used.  An Armijo-style backtracking
-    line search on the residual norm globalizes the iteration.
+(** Caller-owned buffers of one damped Newton solve, all of the
+    system's dimension: iterate, residual, direction, trial iterate
+    and trial residual. *)
+type workspace = { x : Vec.t; r : Vec.t; dx : Vec.t; trial : Vec.t; rt : Vec.t }
+
+(** [workspace n] allocates a workspace for [n] unknowns. *)
+val workspace : int -> workspace
+
+(** [solve_into ?options ?label ~ws ~linear_solve_into ~residual_into x0]
+    is the damped Newton iteration: the one loop behind {!solve} and
+    {!solve_with}.  [residual_into x dst] writes the residual at [x]
+    into [dst]; [linear_solve_into x r dx] writes into [dx] a direction
+    with [J(x) dx ~ r] (the caller negates) and may raise [Lu.Singular]
+    or {!Linear_solve_failed} to abort.  Neither may keep its arguments
+    past the call.  The iteration runs in [ws] (its size must equal
+    [x0]'s) and swaps buffers instead of allocating, so the report's
+    [x] aliases one of [ws]'s buffers: copy it before [ws] is reused.
+    An Armijo-style backtracking line search on the residual norm
+    globalizes the iteration.
 
     Telemetry: each call is wrapped in a [newton.solve] span, updates
     the [newton.*] metrics and emits [Newton_iter] / [Newton_done]
     events tagged with [label] (default ["newton"]), so callers can
     distinguish e.g. shooting updates from collocation solves. *)
+val solve_into :
+  ?options:options ->
+  ?label:string ->
+  ws:workspace ->
+  linear_solve_into:(Vec.t -> Vec.t -> Vec.t -> unit) ->
+  residual_into:(Vec.t -> Vec.t -> unit) ->
+  Vec.t ->
+  report
+
+(** [solve ?options ?label ?jacobian ~residual x0] finds [x] with
+    [residual x ~ 0].  When [jacobian] is omitted a forward
+    finite-difference Jacobian is used.  It is {!solve_into} on a
+    fresh workspace, with the Jacobian factored by [Lu.factor]. *)
 val solve :
   ?options:options ->
   ?label:string ->
@@ -52,8 +80,9 @@ val solve :
   Vec.t ->
   report
 
-(** [solve_with ?options ?label ~linear_solve ~residual x0] is the same
-    damped iteration with a pluggable direction solver:
+(** [solve_with ?options ?label ~linear_solve ~residual x0] is
+    {!solve_into} on a fresh workspace with a pluggable allocating
+    direction solver:
     [linear_solve x r] must return a fresh vector [dx] with
     [J(x) dx ~ r] (the caller negates).  This is how the matrix-free
     Newton–Krylov paths plug preconditioned {!Linalg.Gmres} solves into
@@ -92,8 +121,3 @@ val scalar : ?tol:float -> ?max_iterations:int -> (float -> float) -> (float -> 
 (** [fault_residual residual x] evaluates [residual x] and contaminates
     the first entry with NaN when the [Nan_residual] fault fires. *)
 val fault_residual : (Vec.t -> Vec.t) -> Vec.t -> Vec.t
-
-(** [fault_linear_solve ls x r] raises {!Linear_solve_failed} when the
-    [Linear_solve] fault fires and scales the returned direction by
-    [1e8] when [Newton_diverge] fires. *)
-val fault_linear_solve : (Vec.t -> Vec.t -> Vec.t) -> Vec.t -> Vec.t -> Vec.t

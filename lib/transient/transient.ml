@@ -53,16 +53,41 @@ let step_failed ~t ~h (report : Nonlin.Newton.report) =
 let newton_options =
   { Nonlin.Newton.default_options with max_iterations = 40; residual_tol = 1e-10 }
 
+(* The buffers of one integration's implicit steps: the Newton
+   workspace and the Jacobian and pivot order the in-place LU
+   refactors every iteration. *)
+type work = { ws : Nonlin.Newton.workspace; jac : Mat.t; perm : int array }
+
+let work dim = { ws = Nonlin.Newton.workspace dim; jac = Mat.zeros dim dim; perm = Array.make dim 0 }
+
 (* Fixed-step implicit solves cannot shrink h on a Newton failure the
-   way the adaptive driver can, so they get one rescue attempt with
+   way an adaptive driver can, so they get one rescue attempt with
    the trust-region globalizer (cold-started from the same predictor)
    before the failure becomes a typed [Step_failure].  Free on the
    healthy path; absorbs transient upsets such as an injected fault or
-   a merely-poor predictor. *)
-let solve_or_rescue ~label ~jacobian ~residual ~t ~h x =
-  let report = Nonlin.Newton.solve ~options:newton_options ~label ~jacobian ~residual x in
+   a merely-poor predictor.  The result aliases [w]. *)
+let solve_or_rescue w ~label ~jacobian_into ~residual_into ~t ~h x =
+  let linear_solve_into y r dy =
+    jacobian_into y w.jac;
+    Lu.solve_into (Lu.factor_into w.jac ~perm:w.perm) r dy
+  in
+  let report =
+    Nonlin.Newton.solve_into ~options:newton_options ~label ~ws:w.ws ~linear_solve_into
+      ~residual_into x
+  in
   if report.Nonlin.Newton.converged then report.Nonlin.Newton.x
   else begin
+    let dim = Array.length x in
+    let residual y =
+      let dst = Array.make dim 0. in
+      residual_into y dst;
+      dst
+    in
+    let jacobian y =
+      let jac = Mat.zeros dim dim in
+      jacobian_into y jac;
+      jac
+    in
     let rescue =
       Nonlin.Trust_region.solve ~options:newton_options ~label:(label ^ ".rescue")
         ~jacobian ~residual x
@@ -74,45 +99,58 @@ let solve_or_rescue ~label ~jacobian ~residual ~t ~h x =
     else step_failed ~t ~h report
   end
 
-let theta_step dae ~theta ~t ~h x =
+let theta_into w dae ~theta ~t ~h x =
   let q0 = dae.Dae.q x in
   let f0 = if theta < 1. then dae.Dae.f ~t x else [||] in
   let t1 = t +. h in
   (* residual scaled by h (i.e. q(y) - q0 + h (theta f1 + (1-theta) f0))
      so its magnitude tracks q, not q/h: keeps the Newton tolerance
      meaningful for arbitrarily small steps. *)
-  let residual y =
+  let residual_into y dst =
     let qy = dae.Dae.q y in
     let fy = dae.Dae.f ~t:t1 y in
-    Vec.init dae.Dae.dim (fun i ->
+    for i = 0 to dae.Dae.dim - 1 do
+      dst.(i) <-
         qy.(i) -. q0.(i)
         +. (h *. theta *. fy.(i))
-        +. (if theta < 1. then h *. (1. -. theta) *. f0.(i) else 0.))
+        +. (if theta < 1. then h *. (1. -. theta) *. f0.(i) else 0.)
+    done
   in
-  let jacobian y =
+  let jacobian_into y jac =
     let c = dae.Dae.dq y in
     let g = dae.Dae.df ~t:t1 y in
-    Mat.init dae.Dae.dim dae.Dae.dim (fun i j -> c.(i).(j) +. (h *. theta *. g.(i).(j)))
+    for i = 0 to dae.Dae.dim - 1 do
+      for j = 0 to dae.Dae.dim - 1 do
+        jac.(i).(j) <- c.(i).(j) +. (h *. theta *. g.(i).(j))
+      done
+    done
   in
-  solve_or_rescue ~label:"transient.theta" ~jacobian ~residual ~t ~h x
+  solve_or_rescue w ~label:"transient.theta" ~jacobian_into ~residual_into ~t ~h x
+
+let theta_step dae ~theta ~t ~h x = theta_into (work dae.Dae.dim) dae ~theta ~t ~h x
 
 (* BDF2 with the previous two accepted points (fixed step):
    (3 q(x2) - 4 q(x1) + q(x0)) / (2h) + f(t2, x2) = 0 *)
-let bdf2_step dae ~t ~h ~x_prev x =
+let bdf2_into w dae ~t ~h ~x_prev x =
   let q1 = dae.Dae.q x and q0 = dae.Dae.q x_prev in
   let t2 = t +. h in
-  let residual y =
+  let residual_into y dst =
     let qy = dae.Dae.q y in
     let fy = dae.Dae.f ~t:t2 y in
-    Vec.init dae.Dae.dim (fun i ->
-        ((1.5 *. qy.(i)) -. (2. *. q1.(i)) +. (0.5 *. q0.(i))) +. (h *. fy.(i)))
+    for i = 0 to dae.Dae.dim - 1 do
+      dst.(i) <- ((1.5 *. qy.(i)) -. (2. *. q1.(i)) +. (0.5 *. q0.(i))) +. (h *. fy.(i))
+    done
   in
-  let jacobian y =
+  let jacobian_into y jac =
     let c = dae.Dae.dq y in
     let g = dae.Dae.df ~t:t2 y in
-    Mat.init dae.Dae.dim dae.Dae.dim (fun i j -> (1.5 *. c.(i).(j)) +. (h *. g.(i).(j)))
+    for i = 0 to dae.Dae.dim - 1 do
+      for j = 0 to dae.Dae.dim - 1 do
+        jac.(i).(j) <- (1.5 *. c.(i).(j)) +. (h *. g.(i).(j))
+      done
+    done
   in
-  solve_or_rescue ~label:"transient.bdf2" ~jacobian ~residual ~t ~h x
+  solve_or_rescue w ~label:"transient.bdf2" ~jacobian_into ~residual_into ~t ~h x
 
 (* classical explicit RK4 on the semi-explicit form
    xdot = -C(x)^{-1} f(t, x); valid only when dq/dx is invertible
@@ -134,19 +172,23 @@ let integrate dae ~method_ ~t0 ~t1 ~h x0 =
     "transient.integrate"
   @@ fun () ->
   Obs.Scope.with_scope "transient" @@ fun () ->
-  let times = ref [ t0 ] and states = ref [ Array.copy x0 ] in
+  let w = work dae.Dae.dim in
+  let x = ref (Array.copy x0) in
+  let times = ref [ t0 ] and states = ref [ !x ] in
   let prev = ref None in
-  let t = ref t0 and x = ref (Array.copy x0) in
+  let t = ref t0 in
   while !t < t1 -. (1e-12 *. Float.max 1. (Float.abs t1)) do
     let step = Float.min h (t1 -. !t) in
+    (* the one copy of the accepted state: the implicit steps return
+       a buffer of [w] *)
     let x' =
       match method_ with
-      | Backward_euler -> theta_step dae ~theta:1. ~t:!t ~h:step !x
-      | Trapezoidal -> theta_step dae ~theta:0.5 ~t:!t ~h:step !x
+      | Backward_euler -> Array.copy (theta_into w dae ~theta:1. ~t:!t ~h:step !x)
+      | Trapezoidal -> Array.copy (theta_into w dae ~theta:0.5 ~t:!t ~h:step !x)
       | Bdf2 ->
         (match !prev with
-         | None -> theta_step dae ~theta:0.5 ~t:!t ~h:step !x
-         | Some xp -> bdf2_step dae ~t:!t ~h:step ~x_prev:xp !x)
+         | None -> Array.copy (theta_into w dae ~theta:0.5 ~t:!t ~h:step !x)
+         | Some xp -> Array.copy (bdf2_into w dae ~t:!t ~h:step ~x_prev:xp !x))
       | Rk4 -> rk4_step dae ~t:!t ~h:step !x
     in
     prev := Some !x;
@@ -155,58 +197,7 @@ let integrate dae ~method_ ~t0 ~t1 ~h x0 =
     if Obs.Events.active () then Obs.Events.emit (Obs.Events.Step_accept { t = !t; h = step });
     t := !t +. step;
     times := !t :: !times;
-    states := Array.copy x' :: !states
-  done;
-  { times = Array.of_list (List.rev !times); states = Array.of_list (List.rev !states) }
-
-let integrate_adaptive dae ~t0 ~t1 ?h0 ?(h_min = 1e-14) ?h_max ~tol x0 =
-  let span = t1 -. t0 in
-  if span < 0. then invalid_arg "Transient.integrate_adaptive: t1 < t0";
-  Obs.Span.span
-    ~attrs:[ ("dim", Obs.Span.Int dae.Dae.dim); ("t1", Obs.Span.Float t1) ]
-    "transient.integrate_adaptive"
-  @@ fun () ->
-  Obs.Scope.with_scope "transient" @@ fun () ->
-  let h_max = match h_max with Some h -> h | None -> span /. 10. in
-  let h0 = match h0 with Some h -> h | None -> span /. 1000. in
-  (* atol floor matches the historical relative norm, which clamped
-     component magnitudes at 1e-8 *)
-  let control =
-    Step_control.default_options ~rtol:tol ~atol:(tol *. 1e-8) ~h_min ~h_max ~order:2 ()
-  in
-  let denom = Step_control.richardson_denom ~order:2 in
-  let ctrl = Step_control.create control ~h_init:h0 in
-  let times = ref [ t0 ] and states = ref [ Array.copy x0 ] in
-  let t = ref t0 and x = ref (Array.copy x0) in
-  while !t < t1 -. (1e-12 *. Float.max 1. (Float.abs t1)) do
-    let step = Step_control.propose ctrl ~remaining:(t1 -. !t) in
-    let attempt () =
-      let full = theta_step dae ~theta:0.5 ~t:!t ~h:step !x in
-      let half = theta_step dae ~theta:0.5 ~t:!t ~h:(step /. 2.) !x in
-      let fine = theta_step dae ~theta:0.5 ~t:(!t +. (step /. 2.)) ~h:(step /. 2.) half in
-      (full, fine)
-    in
-    match attempt () with
-    | exception Step_failure _ ->
-      ignore (Step_control.failure_retry ctrl ~t:!t ~h_used:step ~reason:"newton")
-    | full, fine ->
-      (* trapezoidal is order 2: Richardson error of the fine solution *)
-      let err =
-        Step_control.error_norm control ~y:fine
-          ~err:(Vec.init dae.Dae.dim (fun i -> (fine.(i) -. full.(i)) /. denom))
-      in
-      (match Step_control.decide ctrl ~t:!t ~h_used:step ~err with
-       | Step_control.Reject _ -> Obs.Metrics.incr c_rejects
-       | Step_control.Accept _ ->
-         (* accept the extrapolated solution *)
-         let accepted =
-           Vec.init dae.Dae.dim (fun i -> fine.(i) +. ((fine.(i) -. full.(i)) /. denom))
-         in
-         x := accepted;
-         Obs.Metrics.incr c_steps;
-         t := !t +. step;
-         times := !t :: !times;
-         states := Array.copy accepted :: !states)
+    states := x' :: !states
   done;
   { times = Array.of_list (List.rev !times); states = Array.of_list (List.rev !states) }
 

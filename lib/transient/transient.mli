@@ -8,8 +8,7 @@
 
     with [theta = 1] (backward Euler) or [theta = 1/2] (trapezoidal,
     the circuit-simulation workhorse).  A fixed-leading-coefficient
-    BDF2 and an adaptive trapezoidal driver with Richardson error
-    control are also provided. *)
+    BDF2 is also provided. *)
 
 open Linalg
 
@@ -53,23 +52,6 @@ val theta_step : Dae.t -> theta:float -> t:float -> h:float -> Vec.t -> Vec.t
     returns the full trajectory including the initial point.  BDF2
     starts with one trapezoidal step. *)
 val integrate : Dae.t -> method_:method_ -> t0:float -> t1:float -> h:float -> Vec.t -> trajectory
-
-(** [integrate_adaptive dae ~t0 ~t1 ?h0 ?h_min ?h_max ~tol x0] is
-    trapezoidal integration with step-doubling (Richardson) local
-    error control at relative tolerance [tol], driven by the shared
-    {!Step_control} PI controller.  Newton failures halve the step;
-    raises [Step_control.Underflow] when recovery or error control
-    would push the step below [h_min]. *)
-val integrate_adaptive :
-  Dae.t ->
-  t0:float ->
-  t1:float ->
-  ?h0:float ->
-  ?h_min:float ->
-  ?h_max:float ->
-  tol:float ->
-  Vec.t ->
-  trajectory
 
 (** [component traj i] extracts the time series of state variable [i]. *)
 val component : trajectory -> int -> Vec.t

@@ -30,11 +30,6 @@ let tests =
         approx_tol 1e-12 "frobenius" (2. *. sqrt 2.) (Mat.frobenius y);
         let d = Mat.diag [| 1.; 2. |] in
         approx_tol 1e-12 "diag" 2. d.(1).(1));
-    Alcotest.test_case "lu determinant and matrix inverse consistency" `Quick (fun () ->
-        let a = [| [| 2.; 1. |]; [| 1.; 2. |] |] in
-        let f = Lu.factor a in
-        approx_tol 1e-12 "det" 3. (Lu.det f);
-        Alcotest.(check int) "dim" 2 (Lu.dim f));
     Alcotest.test_case "cx helpers" `Quick (fun () ->
         let z = Cx.polar 2. (Float.pi /. 3.) in
         approx_tol 1e-12 "modulus" 2. (Complex.norm z);

@@ -154,6 +154,47 @@ let unit_tests =
         let y = Array.concat (List.init n2 (fun _ -> snd (draw_slice sd draw rng ~omega:1.))) in
         ignore (Sd.periodic_residual p y);
         Alcotest.(check int) "q calls" (n1 * n2) !q_calls);
+    Alcotest.test_case "dense_into on a reused LU buffer matches fresh factor and solve" `Quick
+      (fun () ->
+        (* the envelope's dense chord refills and refactors one buffer:
+           after an in-place LU its rows are permuted and hold L and U,
+           so every refill must write every entry (the bordered zero
+           corner too) to give the bits of a fresh factor + solve *)
+        let name, dae, draw = vco_a in
+        let d = Fourier.Series.diff_matrix n1 in
+        let sd = make_sd dae ~d ~omega_case:Derivative ~omega:1. in
+        let size = Sd.size sd in
+        let rng = Random.State.make [| 11 |] in
+        (* a cyclic shift plus a small perturbation: partial pivoting
+           must swap rows *)
+        let pivoting =
+          Mat.init size size (fun i j ->
+              if j = (i + 1) mod size then 3. +. float_of_int i
+              else 0.01 *. sin (float_of_int ((7 * i) + j)))
+        in
+        let blit m jac = Array.iteri (fun i row -> Array.blit row 0 jac.(i) 0 size) m in
+        let lins =
+          List.init 3 (fun _ -> Sd.linearize sd ~t2:0.5 (snd (draw_slice sd draw rng ~omega:1.)))
+        in
+        let bordered lin = ("bordered", Sd.dense_into lin, Sd.dense lin) in
+        let jac = Mat.zeros size size and perm = Array.make size 0 and x = Array.make size 0. in
+        let b = Vec.init size (fun i -> cos (float_of_int i)) in
+        let bits v = Array.map Int64.bits_of_float v in
+        List.iteri
+          (fun k (kind, fill, fresh) ->
+            fill jac;
+            Lu.solve_into (Lu.factor_into jac ~perm) b x;
+            Alcotest.(check (array int64))
+              (Printf.sprintf "%s: matrix %d (%s)" name k kind)
+              (bits (Lu.solve (Lu.factor fresh) b))
+              (bits x))
+          [
+            ("pivoting", blit pivoting, pivoting);
+            bordered (List.nth lins 0);
+            bordered (List.nth lins 1);
+            ("pivoting", blit pivoting, pivoting);
+            bordered (List.nth lins 2);
+          ]);
     Alcotest.test_case "make rejects a phase row of the wrong length" `Quick (fun () ->
         let _, dae, _ = vco_a in
         Alcotest.check_raises "row"

@@ -109,20 +109,6 @@ let tests =
         Alcotest.check_raises "bad length"
           (Invalid_argument "Step_control.snapshot_of_floats: expected 6 entries")
           (fun () -> ignore (Step_control.snapshot_of_floats [| 1.; 2. |])));
-    Alcotest.test_case "adaptive transient stays on the controller" `Quick (fun () ->
-        (* y' = -y over [0, 2] under the shared controller: correct
-           answer and a step profile that actually adapts *)
-        let dae = Dae.of_ode ~dim:1 ~rhs:(fun ~t:_ x -> [| -.x.(0) |]) () in
-        let traj = Transient.integrate_adaptive dae ~t0:0. ~t1:2. ~tol:1e-8 [| 1. |] in
-        let final = (Transient.final traj).(0) in
-        Alcotest.(check (float 1e-5)) "e^-2" (exp (-2.)) final);
-    Alcotest.test_case "impossible tolerance raises Underflow" `Quick (fun () ->
-        let dae = Dae.of_ode ~dim:1 ~rhs:(fun ~t:_ x -> [| -.x.(0) |]) () in
-        match
-          Transient.integrate_adaptive dae ~t0:0. ~t1:2. ~h_min:1e-3 ~tol:1e-14 [| 1. |]
-        with
-        | exception Step_control.Underflow _ -> ()
-        | _ -> Alcotest.fail "expected Step_control.Underflow");
   ]
 
 let suites = [ ("step_control", tests) ]

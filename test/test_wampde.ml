@@ -228,6 +228,34 @@ let envelope_tests =
               (Printf.sprintf "%s: worst omega error %.3g within rtol %g" name !worst rtol)
               true (!worst <= rtol))
           [ ("a1", 12., 3e-4, 17, Structured.Krylov); ("a5", 6., 1e-3, 15, Structured.auto) ]);
+    Alcotest.test_case "dense chord refresh words grow linearly, not as size^2" `Quick (fun () ->
+        (* a fixed-step dense march refills and refactors one
+           size x size buffer per Jacobian refresh, so the words per
+           refresh (everything else in the march included) grow with
+           the system size, not with its square (61 -> 165 unknowns
+           would multiply a per-refresh matrix copy by 7.3) *)
+        let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
+        let per_refresh n1 =
+          let init = vco_a_orbit ~n1 in
+          let options = Wampde.Envelope.default_options ~n1 ~solver:Structured.Dense () in
+          let run () = ignore (Wampde.Envelope.simulate dae ~options ~t2_end:20. ~h2:0.5 ~init) in
+          let w = Test_par.steady_words run in
+          let refreshes =
+            Wampde_obs.Metrics.with_isolated (fun () ->
+                Wampde_obs.set_enabled true;
+                run ();
+                Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter "envelope.jacobian_refreshes"))
+          in
+          Alcotest.(check bool) (Printf.sprintf "n1 = %d refreshes" n1) true (refreshes > 0);
+          ((4 * n1) + 1, w /. float_of_int refreshes)
+        in
+        let size_a, w_a = per_refresh 15 and size_b, w_b = per_refresh 41 in
+        let linear = float_of_int size_b /. float_of_int size_a in
+        Alcotest.(check bool)
+          (Printf.sprintf "words per refresh %.0f -> %.0f (x%.2f) within 1.15 x %.2f" w_a w_b
+             (w_b /. w_a) linear)
+          true
+          (w_b /. w_a <= 1.15 *. linear));
     Alcotest.test_case "every theta solve takes a Newton iteration" `Quick (fun () ->
         (* a residual tolerance loose enough that the extrapolated start
            already meets it: each solve still iterates once, so a
