@@ -155,7 +155,6 @@ let error_kind = function
   | Step_control.Underflow _ -> "step-underflow"
   | Checkpoint.Corrupt _ -> "corrupt-checkpoint"
   | Nonlin.Polyalg.Solve_failed _ -> "solve-failed"
-  | Nonlin.Polyalg.Non_finite _ -> "non-finite"
   | Nonlin.Continuation.Step_underflow _ -> "continuation-underflow"
   | Mpde.Solve_failure _ -> "solve-failure"
   | Steady.Oscillator.Nonphysical _ -> "nonphysical"
@@ -183,7 +182,7 @@ let or_die f =
   with
   | ( Transient.Step_failure _ | Step_control.Underflow _
     | Checkpoint.Corrupt _
-    | Nonlin.Polyalg.Solve_failed _ | Nonlin.Polyalg.Non_finite _
+    | Nonlin.Polyalg.Solve_failed _
     | Nonlin.Continuation.Step_underflow _ | Mpde.Solve_failure _
     | Steady.Oscillator.Nonphysical _ ) as exn ->
     flight_dump ~kind:(error_kind exn) ~message:(Printexc.to_string exn);

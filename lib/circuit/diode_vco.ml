@@ -11,9 +11,6 @@ type params = {
 let default_params ~control () =
   { l = 0.02; g1 = 1.0; g3 = 1. /. 3.; c0 = 3.0; vj = 0.7; m = 0.5; control }
 
-let idx_tank = 0
-let idx_control = 1
-
 let build p =
   let net = Mna.create () in
   let tank = Mna.node net "tank" in

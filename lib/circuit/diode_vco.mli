@@ -37,15 +37,9 @@ val build : params -> Dae.t
     control node at [control at]. *)
 val initial_state : params -> at:float -> Vec.t
 
-(** [capacitance params ~bias] is the small-signal junction
-    capacitance at reverse bias [bias] (positive = reverse). *)
-val capacitance : params -> bias:float -> float
-
 (** [tuning_frequency params ~bias] is the small-signal oscillation
-    frequency [1 / (2 pi sqrt (l C(bias)))] in MHz. *)
+    frequency [1 / (2 pi sqrt (l C(bias)))] in MHz, with the junction
+    capacitance [C(bias) = c0 / (1 + bias / vj)^m] at reverse bias
+    [bias] (positive = reverse). *)
 val tuning_frequency : params -> bias:float -> float
 
-(** Component indices in the compiled state vector. *)
-val idx_tank : int
-
-val idx_control : int

@@ -31,6 +31,12 @@ let[@inline] node_node m r col value =
 let[@inline] node_state c m r k value = if r <> ground then add_mat m (r - 1) (c.offset + k) value
 let[@inline] state_node c m k col value =
   if col <> ground then add_mat m (c.offset + k) (col - 1) value
+(* Device stamps talk to the ctx only through the helpers below: [v]
+   and [s] read node voltages and the device's local extra states,
+   [qn]/[fn]/[qs]/[fs] add charge/current at a node or local-state row,
+   and [dXr_dY c row col d] adds [d] to d(X row)/d(col), where [X] is
+   [q] or [f] and [r]/[Y] say whether row/column is a node id ([n]/[v])
+   or a local state index ([s]).  Ground rows and columns are dropped. *)
 let[@inline] qn c id value = if id <> ground then add_vec c.q_acc (id - 1) value
 let[@inline] fn c id value = if id <> ground then add_vec c.f_acc (id - 1) value
 let[@inline] qs c k value = add_vec c.q_acc (c.offset + k) value
@@ -39,7 +45,6 @@ let[@inline] dqn_dv c r col value = node_node c.dq_acc r col value
 let[@inline] dqn_ds c r k value = node_state c c.dq_acc r k value
 let[@inline] dfn_dv c r col value = node_node c.df_acc r col value
 let[@inline] dfn_ds c r k value = node_state c c.df_acc r k value
-let[@inline] dqs_dv c k col value = state_node c c.dq_acc k col value
 let[@inline] dqs_ds c k j value = add_mat c.dq_acc (c.offset + k) (c.offset + j) value
 let[@inline] dfs_dv c k col value = state_node c c.df_acc k col value
 let[@inline] dfs_ds c k j value = add_mat c.df_acc (c.offset + k) (c.offset + j) value

@@ -15,68 +15,12 @@ open Linalg
 (** Ground node: always index 0, voltage identically zero. *)
 val ground : int
 
-(** {1 Stamping}
-
-    A device's [stamp] function receives a [ctx] on every evaluation
-    of the compiled circuit and talks to it only through the functions
-    below: [v] and [s] read node voltages and the device's own (local)
-    extra states, the [q*]/[f*] functions add charge/current
-    contributions and the [d*] functions add Jacobian entries.  All of
-    them silently drop ground rows and columns, and each call adds its
-    value to one accumulator entry ([acc.(row) <- acc.(row) +. value]).
-    Only the accumulators the current evaluation asked for are written
-    ([q] fills charges, [df] the current Jacobian, ...); calls aimed at
-    the others do nothing, so one body serves all four evaluations.
-
-    Each evaluation builds its own [ctx] and result, so a compiled
-    circuit holds no mutable state of its own and its [q]/[f]/[dq]/[df]
-    may run on several domains at once.  A [stamp] must keep that true:
-    it may not keep the [ctx] or share mutable scratch between calls. *)
-
-(** Stamping context: the unknown vector, the time, the requested
-    accumulators and where the current device's states start. *)
-type ctx
-
-(** [time c] is the evaluation time ([0.] for [q] and [dq]). *)
-val time : ctx -> float
-
-(** [v c node] is the voltage of [node] ([0.] for ground). *)
-val v : ctx -> int -> float
-
-(** [s c k] is the value of the device's local extra state [k]. *)
-val s : ctx -> int -> float
-
-(** [qn c node q] adds charge [q] at [node]'s row. *)
-val qn : ctx -> int -> float -> unit
-
-(** [fn c node i] adds current [i] leaving [node]. *)
-val fn : ctx -> int -> float -> unit
-
-(** [qs c k q] and [fs c k f] add to the [q] and [f] rows of local
-    state [k]. *)
-val qs : ctx -> int -> float -> unit
-val fs : ctx -> int -> float -> unit
-
-(** Jacobian entries: [dXr_dY c row col d] adds [d] to the entry
-    d(X row)/d(col).  [X] is the function ([q] or [f]); [r] says
-    whether [row] is a node id ([n]) or a local state index ([s]); [Y]
-    says the same of [col] ([v] a node voltage, [s] a local state).  So
-    [dfn_dv c n m g] adds [g] to d(current leaving n)/d(v m). *)
-val dqn_dv : ctx -> int -> int -> float -> unit
-val dqn_ds : ctx -> int -> int -> float -> unit
-val dfn_dv : ctx -> int -> int -> float -> unit
-val dfn_ds : ctx -> int -> int -> float -> unit
-val dqs_dv : ctx -> int -> int -> float -> unit
-val dqs_ds : ctx -> int -> int -> float -> unit
-val dfs_dv : ctx -> int -> int -> float -> unit
-val dfs_ds : ctx -> int -> int -> float -> unit
-
-type device = {
-  label : string;
-  state_names : string array;  (** names of the device's extra states *)
-  initial_state : float array;  (** initial values for the extra states *)
-  stamp : ctx -> unit;
-}
+(** A stamped device: its label, the names and initial values of its
+    extra states, and the stamp that adds its charges, currents and
+    Jacobian entries on every evaluation of the compiled circuit.  A
+    compiled circuit holds no mutable state of its own, so its
+    [q]/[f]/[dq]/[df] may run on several domains at once. *)
+type device
 
 type t
 (** A netlist under construction. *)
@@ -91,16 +35,13 @@ val node : t -> string -> int
 (** [add t device] appends a device. *)
 val add : t -> device -> unit
 
-(** [node_count t] is the number of non-ground nodes so far. *)
-val node_count : t -> int
-
 (** [compile t] freezes the netlist into a DAE.  Variable names are
     ["v(<node>)"] for node voltages and ["<label>.<state>"] for device
     states. *)
 val compile : t -> Dae.t
 
 (** [initial_guess t] is a start vector matching {!compile}'s layout:
-    zero node voltages, devices' [initial_state] values. *)
+    zero node voltages, devices' initial extra-state values. *)
 val initial_guess : t -> Vec.t
 
 (** {1 Devices}
@@ -136,11 +77,6 @@ val cubic_conductance : label:string -> g1:float -> g3:float -> int -> int -> de
     limiting for Newton robustness ([is_] saturation current, [vt]
     thermal voltage).  Raises [Invalid_argument] unless [vt > 0]. *)
 val diode : label:string -> ?is_:float -> ?vt:float -> int -> int -> device
-
-(** [nonlinear_capacitor ~label ~q ~dq n1 n2] — charge [q v] with
-    derivative [dq v]. *)
-val nonlinear_capacitor :
-  label:string -> q:(float -> float) -> dq:(float -> float) -> int -> int -> device
 
 (** Parameters of the MEMS varactor (see DESIGN.md).  The moving plate
     obeys [mass g'' + damping g' + stiffness (g - g_rest) = -force].

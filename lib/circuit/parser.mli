@@ -24,14 +24,8 @@
 
 exception Parse_error of { line : int; message : string }
 
-(** [parse_string text] parses a netlist deck.  Raises {!Parse_error}
-    with a 1-based line number on malformed input, including device
-    parameters the constructor rejects (e.g. [R1 a 0 0]). *)
-val parse_string : string -> Mna.t
-
-(** [parse_file path] reads and parses a deck from disk. *)
+(** [parse_file path] reads and parses a deck from disk.  Raises
+    {!Parse_error} with a 1-based line number on malformed input,
+    including device parameters the constructor rejects (e.g.
+    [R1 a 0 0]). *)
 val parse_file : string -> Mna.t
-
-(** [parse_value s] parses a single SPICE-suffixed number, e.g.
-    ["4.7k"], ["100n"], ["2meg"].  Raises [Failure] on bad input. *)
-val parse_value : string -> float

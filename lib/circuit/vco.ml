@@ -46,9 +46,7 @@ let vco_b () =
   default_params ~damping:1.57 ~force0:4.0e-3 ~control ()
 
 let idx_voltage = 0
-let idx_current = 1
 let idx_gap = 2
-let idx_velocity = 3
 
 let build p =
   let net = Mna.create () in

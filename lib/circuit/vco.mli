@@ -47,30 +47,18 @@ val vco_b : unit -> params
 val build : params -> Dae.t
 
 (** [initial_state params] is a consistent start near the limit cycle:
-    tank voltage at the amplitude estimate, zero current, gap at
-    mechanical equilibrium for the initial control voltage. *)
+    tank voltage at the describing-function amplitude
+    [sqrt (4 g1 / (3 g3))], zero current, gap at mechanical equilibrium
+    for the initial control voltage. *)
 val initial_state : params -> Vec.t
 
-(** [amplitude_estimate params] is the describing-function amplitude
-    [sqrt (4 g1 / (3 g3))] of the limit cycle. *)
-val amplitude_estimate : params -> float
-
-(** [frequency_of_gap params gap] is the small-signal tank frequency
-    [1 / (2 pi sqrt (l c(gap)))] in MHz. *)
-val frequency_of_gap : params -> float -> float
-
-(** [nominal_frequency params] is [frequency_of_gap] at the
-    equilibrium gap for the control voltage at [t = 0]. *)
+(** [nominal_frequency params] is the small-signal tank frequency
+    [1 / (2 pi sqrt (l c(gap)))] in MHz at the mechanical equilibrium
+    gap for the control voltage at [t = 0]. *)
 val nominal_frequency : params -> float
 
-(** [equilibrium_gap params vc] solves the static force balance for
-    the gap at constant control voltage [vc]. *)
-val equilibrium_gap : params -> float -> float
-
-(** Index of the tank voltage (0), inductor current (1), gap (2) and
-    plate velocity (3) in the compiled state vector. *)
+(** Index of the tank voltage (0) and gap (2) in the compiled state
+    vector. *)
 val idx_voltage : int
 
-val idx_current : int
 val idx_gap : int
-val idx_velocity : int

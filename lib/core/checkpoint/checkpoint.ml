@@ -252,4 +252,3 @@ let matrix t name =
 let tensor t name =
   match find t name "tensor" with Tensor x -> x | s -> mistyped name "tensor" s
 
-let mem t name = List.mem_assoc name t

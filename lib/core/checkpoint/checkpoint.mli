@@ -34,9 +34,6 @@ type t = (string * section) list
     sections. *)
 exception Corrupt of string
 
-(** Current on-disk format version. *)
-val format_version : int
-
 val save : path:string -> t -> unit
 (** Atomic (tmp + rename) CRC-protected write.  Probes the
     [Fault.Checkpoint_trunc] injection point: when armed and fired, the
@@ -72,6 +69,3 @@ val text : t -> string -> string
 val vector : t -> string -> float array
 val matrix : t -> string -> float array array
 val tensor : t -> string -> float array array array
-
-(** [mem t name] is true when a section [name] exists. *)
-val mem : t -> string -> bool

@@ -165,11 +165,6 @@ val simulate_controlled :
 (** [warping result] is [phi(t) = integral omega], the bent-path map. *)
 val warping : result -> Sigproc.Warp.t
 
-(** [eval_bivariate result ~component ~t1 ~t2] evaluates the bivariate
-    waveform: trigonometric interpolation along [t1] (period 1),
-    linear interpolation along [t2]. *)
-val eval_bivariate : result -> component:int -> t1:float -> t2:float -> float
-
 (** [eval_waveform result ~component t] is the recovered 1-D solution
     [x(t) = xhat(phi(t) mod 1, t)]. *)
 val eval_waveform : result -> component:int -> float -> float

@@ -170,8 +170,6 @@ let fire kind =
     end;
     hit
 
-let calls kind = match !state with None -> 0 | Some s -> s.calls.(index kind)
-
 let injected kind =
   match !state with None -> 0 | Some s -> s.injected.(index kind)
 

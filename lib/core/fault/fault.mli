@@ -27,21 +27,19 @@ type kind =
           threshold inside a residual evaluation *)
   | Journal_trunc  (** truncate a serve job-journal record mid-write *)
 
-val kind_name : kind -> string
 (** Short stable name used in specs and metrics ([linsolve], ...). *)
 
 val env_var : string
 (** Name of the arming environment variable, ["WAMPDE_FAULTS"]. *)
 
-val parse : string -> (unit -> unit, string) result
 (** [parse spec] validates [spec] and returns a thunk that arms it.
     [Error msg] describes the first malformed entry. *)
 
 val arm : string -> (unit, string) result
 (** [arm spec] parses and installs a schedule, resetting all call and
-    injection counters. *)
+    injection counters.  [Error msg] describes the first malformed
+    entry. *)
 
-val arm_exn : string -> unit
 (** Like {!arm} but raises [Invalid_argument] on a malformed spec. *)
 
 val arm_from_env : unit -> unit
@@ -59,19 +57,17 @@ val fire : kind -> bool
     fault should be injected now.  Always [false] when disarmed (and
     then the call is not counted). *)
 
-val calls : kind -> int
 (** Calls probed for [kind] since the last {!arm}. *)
 
 val injected : kind -> int
 (** Faults injected for [kind] since the last {!arm}. *)
 
-val stall_seconds : unit -> float
 (** The armed schedule's [stall=S] duration (the default when
     disarmed). *)
 
 val maybe_stall : unit -> unit
 (** Probe site hook for {!Solver_stall}: when armed and fired, sleep
-    for {!stall_seconds} — emulating a wedged solver so watchdog
+    for the schedule's [stall=S] duration — emulating a wedged solver so watchdog
     cancellation paths are exercisable.  The sleep is interruptible by
     signal-driven cancellation. *)
 

@@ -95,17 +95,7 @@ let eval_q_packed dae ~n ~m coeffs =
   done;
   out
 
-let mat_average mats =
-  let count = Array.length mats in
-  let n = Mat.rows mats.(0) in
-  Mat.init n n (fun r c ->
-      let s = ref 0. in
-      for k = 0 to count - 1 do
-        s := !s +. mats.(k).(r).(c)
-      done;
-      !s /. float_of_int count)
-
-let simulate ?(solver = Structured.auto) dae ~harmonics:m ?(phase_component = 0)
+let simulate dae ~harmonics:m ?(phase_component = 0)
     ?(phase_harmonic = 1) ~t2_end ~h2 ~init () =
   let n = dae.Dae.dim in
   Obs.Span.span
@@ -158,7 +148,6 @@ let simulate ?(solver = Structured.auto) dae ~harmonics:m ?(phase_component = 0)
       (Step_control.default_options ~h_min:(1e-9 *. h2) ~h_max:h2 ())
       ~h_init:h2
   in
-  let escalated = ref false in
   while !t2 < t2_end -. (1e-9 *. t2_end) do
     let h = Step_control.propose ctrl ~remaining:(t2_end -. !t2) in
     let t2_new = !t2 +. h in
@@ -183,85 +172,16 @@ let simulate ?(solver = Structured.auto) dae ~harmonics:m ?(phase_component = 0)
       { Nonlin.Newton.default_options with max_iterations = 30; residual_tol = 1e-9 }
     in
     let y0 = pack_coeffs ~n ~m !coeffs !omega in
-    (* Matrix-free direction: finite-difference Jacobian-vector products
-       (this solver is the FD reference implementation) preconditioned
-       with the averaged per-harmonic blocks of the theta-step operator,
-       M_i = (1 + h theta j 2 pi i omega) Cbar + h theta Gbar.  The
-       omega slot and phase row are left to GMRES. *)
-    let linear_solve y r =
-      let dense () =
-        (* [residual] is pure (fresh arrays, no shared scratch, no
-           telemetry), so its FD columns can run on the pool *)
-        let jac = Nonlin.Fdjac.jacobian ~parallel:true ~f0:r residual y in
-        Lu.solve (Lu.factor jac) r
-      in
-      let matvec v out = Vec.blit ~src:(Nonlin.Fdjac.directional ~f0:r residual y v) ~dst:out in
-      let precond =
-        let c = coeffs_of_packed ~n ~m y in
-        let om = y.(n * nn) in
-        let states = synthesize ~n ~m c in
-        let cs = Array.map dae.Dae.dq states in
-        let gs = Array.map (fun st -> dae.Dae.df ~t:t2_new st) states in
-        let cbar = mat_average cs and gbar = mat_average gs in
-        let bbar = Mat.init n n (fun r c -> h *. theta *. gbar.(r).(c)) in
-        let coeffs =
-          Array.init (m + 1) (fun i ->
-              Cx.cx 1. (h *. theta *. two_pi *. float_of_int i *. om))
-        in
-        match Structured.spectral_blocks ~coeffs ~cbar ~bbar with
-        | exception Cx.Clu.Singular _ -> None
-        | blocks ->
-            Some
-              (fun (rv : Vec.t) out ->
-                Vec.blit ~src:rv ~dst:out;
-                let rhs = Cx.Cvec.zeros n in
-                for i = 0 to m do
-                  for v = 0 to n - 1 do
-                    let base = v * nn in
-                    rhs.(v) <-
-                      (if i = 0 then Cx.cx rv.(base) 0.
-                       else Cx.cx rv.(base + (2 * i) - 1) rv.(base + (2 * i)))
-                  done;
-                  let sol = Cx.Clu.solve blocks.(i) rhs in
-                  for v = 0 to n - 1 do
-                    let base = v * nn in
-                    if i = 0 then out.(base) <- Cx.re sol.(v)
-                    else begin
-                      out.(base + (2 * i) - 1) <- Cx.re sol.(v);
-                      out.(base + (2 * i)) <- Cx.im sol.(v)
-                    end
-                  done
-                done)
-      in
-      match precond with
-      | None ->
-          Structured.fallback_to_dense ();
-          dense ()
-      | Some m_inv -> (
-          let res = Gmres.solve ~matvec ~m_inv ~restart:60 ~max_iter:240 ~tol:1e-8 r in
-          let bnorm = Vec.norm2 r in
-          if res.Gmres.converged || res.Gmres.residual_norm <= 1e-6 *. bnorm then
-            res.Gmres.x
-          else begin
-            Structured.fallback_to_dense ();
-            dense ()
-          end)
-    in
+    (* dense FD-Jacobian Newton; hard steps get a trust-region pass
+       before bouncing to the controller *)
     let report =
-      if (not !escalated) && Structured.use_krylov solver ~dim:((n * nn) + 1) then
-        Nonlin.Newton.solve_with ~options ~label:"hb_envelope" ~linear_solve ~residual y0
-      else
-        (* dense path (or after Krylov escalation): give the hard steps
-           a trust-region pass before bouncing them to the controller *)
-        (Nonlin.Polyalg.solve ~options ~label:"hb_envelope"
-           ~cascade:[ Nonlin.Polyalg.Damped; Nonlin.Polyalg.Trust_region ]
-           ~residual y0)
-          .Nonlin.Polyalg.report
+      (Nonlin.Polyalg.solve ~options ~label:"hb_envelope"
+         ~cascade:[ Nonlin.Polyalg.Damped; Nonlin.Polyalg.Trust_region ]
+         ~residual y0)
+        .Nonlin.Polyalg.report
     in
-    if not report.Nonlin.Newton.converged then begin
-      ignore (Step_control.failure_retry ctrl ~t:!t2 ~h_used:h ~reason:"newton");
-      if Step_control.should_escalate ctrl then escalated := true
-    end
+    if not report.Nonlin.Newton.converged then
+      ignore (Step_control.failure_retry ctrl ~t:!t2 ~h_used:h ~reason:"newton")
     else begin
       coeffs := coeffs_of_packed ~n ~m report.Nonlin.Newton.x;
       omega := report.Nonlin.Newton.x.(n * nn);

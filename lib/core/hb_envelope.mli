@@ -30,18 +30,13 @@ type result = {
      ~h2 ~init] advances from the unforced orbit [init] (resampled
     into coefficient space; its grid must have [2 harmonics + 1]
     points).  The phase condition is [Im Xhat^component_harmonic = 0].
-    [solver] (default [Structured.auto]) selects dense FD-Jacobian
-    Newton or matrix-free Newton–Krylov (FD directional derivatives,
-    averaged per-harmonic block preconditioning, dense fallback on
-    stall).
+    Each slow step is a dense FD-Jacobian Newton solve.
 
     Newton failures halve the slow step via the shared {!Step_control}
-    policy, escalating to the dense path after repeated stalls; the
-    step grows back toward [h2] on recovery.  Raises
+    policy; the step grows back toward [h2] on recovery.  Raises
     [Step_control.Underflow] when recovery drives the step below
     [1e-9 * h2]. *)
 val simulate :
-  ?solver:Structured.strategy ->
   Dae.t ->
   harmonics:int ->
   ?phase_component:int ->

@@ -26,8 +26,3 @@ let row condition ~n1 ~n ~d =
        coeffs.((j * n) + component) <- -.sin theta
      done);
   coeffs
-
-let describe = function
-  | Derivative comp -> Printf.sprintf "d x%d / d t1 (0, t2) = 0" comp
-  | Fourier { component; harmonic } ->
-    Printf.sprintf "Im Xhat^%d_%d (t2) = 0" component harmonic

@@ -27,6 +27,3 @@ type t =
     Raises [Invalid_argument] for out-of-range components or a
     harmonic index above the grid's Nyquist limit. *)
 val row : t -> n1:int -> n:int -> d:Mat.t -> Vec.t
-
-(** [describe condition] is a short human-readable rendering. *)
-val describe : t -> string

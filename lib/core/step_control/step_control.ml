@@ -70,7 +70,6 @@ let create opts ~h_init =
   { opts; h; err_prev = 1.; accepted = 0; rejected = 0; retried = 0; failures = 0 }
 
 let options t = t.opts
-let h t = t.h
 let propose t ~remaining = Float.min t.h remaining
 
 let scaled opts ~y ~err = Float.abs err /. (opts.atol +. (opts.rtol *. Float.abs y))
@@ -160,10 +159,6 @@ let failure_retry t ~t:t_now ~h_used ~reason =
   h_retry
 
 let should_escalate t = t.failures >= 2
-
-let accepted t = t.accepted
-let rejected t = t.rejected
-let retried t = t.retried
 
 type snapshot = {
   s_h : float;

@@ -62,18 +62,11 @@ val create : options -> h_init:float -> t
 
 val options : t -> options
 
-(** Current step-size proposal. *)
-val h : t -> float
-
-(** [propose ctrl ~remaining] is the step to attempt next:
-    [min (h ctrl) remaining]. *)
+(** [propose ctrl ~remaining] is the step to attempt next: the
+    current step-size proposal, capped at [remaining]. *)
 val propose : t -> remaining:float -> float
 
 (** {1 Error measurement} *)
-
-(** [scaled opts ~y ~err] is [|err| / (atol + rtol |y|)]: one
-    component's contribution before RMS accumulation. *)
-val scaled : options -> y:float -> err:float -> float
 
 (** [error_norm opts ~y ~err] is the weighted RMS norm
     [sqrt (1/n sum_i (err_i / (atol + rtol |y_i|))^2)]; values [<= 1]
@@ -119,12 +112,6 @@ val failure_retry : t -> t:float -> h_used:float -> reason:string -> float
     before retrying (the preconditioner, not the step size, is the
     likely culprit). *)
 val should_escalate : t -> bool
-
-(** {1 Statistics} *)
-
-val accepted : t -> int
-val rejected : t -> int
-val retried : t -> int
 
 (** {1 Checkpointing} *)
 

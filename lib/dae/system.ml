@@ -29,12 +29,6 @@ let of_ode ~dim ~rhs ?drhs ?var_names () =
   in
   make ~dim ~q ~f ~dq ?df ?var_names ()
 
-let residual dae ~t ~xdot x =
-  let c = dae.dq x in
-  let r = Mat.matvec c xdot in
-  let fx = dae.f ~t x in
-  Vec.add r fx
-
 let consistent_derivative dae ~t x =
   let c = dae.dq x in
   let rhs = Vec.scale (-1.) (dae.f ~t x) in

@@ -48,10 +48,6 @@ val of_ode :
   unit ->
   t
 
-(** [residual dae ~t ~xdot x] is [dq/dx (x) xdot + f (t, x)], the DAE
-    residual for a given state derivative estimate. *)
-val residual : t -> t:float -> xdot:Vec.t -> Vec.t -> Vec.t
-
 (** [consistent_derivative dae ~t x] solves [C(x) xdot = -f(t, x)] for
     the state derivative at a consistent point.  Raises [Failure] when
     [C(x)] is singular (a genuinely algebraic constraint); use an

@@ -4,42 +4,25 @@
     every other size is handled with Bluestein's chirp-z algorithm, so
     [fft] is O(n log n) for all [n].  The forward transform uses the
     engineering sign convention [X_k = sum_j x_j e^{-2 pi i j k / n}];
-    [ifft] divides by [n]. *)
+    the inverse divides by [n]. *)
 
 open Linalg
 
 (** [fft x] is the forward discrete Fourier transform of [x]. *)
 val fft : Cx.Cvec.t -> Cx.Cvec.t
 
-(** [ifft x] is the inverse transform; [ifft (fft x) = x]. *)
-val ifft : Cx.Cvec.t -> Cx.Cvec.t
-
 (** [fft_real x] is [fft] of a real signal. *)
 val fft_real : Vec.t -> Cx.Cvec.t
-
-(** [fft_pair_inplace re im] transforms the complex signal
-    [re + i im] in place (same arithmetic as {!fft}, no boxed
-    [Complex.t] allocation); the batched form used by the
-    block-preconditioner's two-components-per-transform pairing.
-    Domain-safe: the Bluestein plan cache is shared under a mutex and
-    convolution scratch is per-domain. *)
-val fft_pair_inplace : Vec.t -> Vec.t -> unit
-
-(** [ifft_pair_inplace re im] is the matching in-place inverse
-    (divides by [n]). *)
-val ifft_pair_inplace : Vec.t -> Vec.t -> unit
 
 (** [dft x] is the naive O(n^2) transform, kept as a reference
     implementation for testing. *)
 val dft : Cx.Cvec.t -> Cx.Cvec.t
 
-(** [structured_dft] packages {!fft}/{!ifft} for injection into
-    [Linalg.Structured] (which sits below this library and defaults to
-    a naive transform). *)
+(** [structured_dft] packages {!fft}, its inverse and their in-place
+    re/im pair forms for injection into [Linalg.Structured] (which sits
+    below this library and defaults to a naive transform).  The pair
+    forms use the same arithmetic as {!fft} without boxed [Complex.t]
+    allocation and are domain-safe: the Bluestein plan cache is shared
+    under a mutex and convolution scratch is per-domain. *)
 val structured_dft : Structured.dft
 
-(** [is_power_of_two n] is true when [n] is a positive power of two. *)
-val is_power_of_two : int -> bool
-
-(** [next_power_of_two n] is the smallest power of two [>= n]. *)
-val next_power_of_two : int -> int

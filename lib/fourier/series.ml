@@ -33,22 +33,7 @@ let eval c ~period t =
   done;
   !s
 
-let synthesize c n =
-  Vec.init n (fun j -> eval c ~period:1. (float_of_int j /. float_of_int n))
-
-let derivative c ~period =
-  let n = Array.length c in
-  let m = n / 2 in
-  Array.init n (fun idx ->
-      let i = idx - m in
-      let w = 2. *. Float.pi *. float_of_int i /. period in
-      Complex.mul (Cx.cx 0. w) c.(idx))
-
 let interp x ~period t = eval (coeffs x) ~period t
-
-let resample x n =
-  let c = coeffs x in
-  Vec.init n (fun j -> eval c ~period:1. (float_of_int j /. float_of_int n))
 
 (* Trefethen's negative-sum-trick-free formula for odd n, scaled from
    period 2 pi to period 1: D_jk = pi (-1)^(j-k) / sin(pi (j-k) / n). *)

@@ -24,20 +24,9 @@ val harmonic : Cx.Cvec.t -> int -> Cx.c
     signal). *)
 val eval : Cx.Cvec.t -> period:float -> float -> float
 
-(** [synthesize coeffs n] samples the series on the [n]-point uniform
-    grid of one period. *)
-val synthesize : Cx.Cvec.t -> int -> Vec.t
-
-(** [derivative coeffs ~period] are the coefficients of [dx/dt]. *)
-val derivative : Cx.Cvec.t -> period:float -> Cx.Cvec.t
-
 (** [interp x ~period t] trigonometric interpolation of odd-length
     samples [x] at arbitrary [t]. *)
 val interp : Vec.t -> period:float -> float -> float
-
-(** [resample x n] re-samples odd-length samples onto an [n]-point
-    uniform grid by trigonometric interpolation. *)
-val resample : Vec.t -> int -> Vec.t
 
 (** [diff_matrix n] is the [n x n] spectral differentiation matrix for
     period-1 signals on the uniform grid ([n] odd): [(diff_matrix n) x]
@@ -67,9 +56,8 @@ val harmonics_needed : tol:float -> Vec.t -> int
     would still capture.  [band] defaults to [max 1 (M/3)]. *)
 type resolution = { needed : int; available : int; tail : float }
 
-val resolution : tol:float -> ?band:int -> Vec.t -> resolution
-
-(** Like {!resolution}, from precomputed centered coefficients. *)
+(** [resolution_of_coeffs ~tol ?band c] is the summary above, from
+    precomputed centered coefficients [c]. *)
 val resolution_of_coeffs : tol:float -> ?band:int -> Cx.Cvec.t -> resolution
 
 (** [grid_resolution ~tol states] is the worst-case {!resolution} over

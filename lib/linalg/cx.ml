@@ -6,87 +6,21 @@ let im (z : c) = z.Complex.im
 let polar r theta = Complex.polar r theta
 let cis theta = Complex.polar 1. theta
 let scale a (z : c) = cx (a *. z.Complex.re) (a *. z.Complex.im)
-let approx_equal ?(tol = 1e-9) a b = Complex.norm (Complex.sub a b) <= tol
 
 module Cvec = struct
   type t = c array
 
-  let make n (x : c) = Array.make n x
   let zeros n = Array.make n Complex.zero
   let init = Array.init
-  let copy = Array.copy
   let of_real v = Array.map (fun x -> cx x 0.) v
-  let real_part v = Array.map re v
-  let imag_part v = Array.map im v
-
-  let check name u v =
-    if Array.length u <> Array.length v then invalid_arg ("Cx.Cvec." ^ name ^ ": length mismatch")
-
-  let add u v =
-    check "add" u v;
-    Array.mapi (fun i ui -> Complex.add ui v.(i)) u
-
-  let sub u v =
-    check "sub" u v;
-    Array.mapi (fun i ui -> Complex.sub ui v.(i)) u
-
-  let scale a v = Array.map (Complex.mul a) v
-
-  let dot u v =
-    check "dot" u v;
-    let s = ref Complex.zero in
-    for i = 0 to Array.length u - 1 do
-      s := Complex.add !s (Complex.mul (Complex.conj u.(i)) v.(i))
-    done;
-    !s
-
-  let norm2 v = sqrt (re (dot v v))
   let norm_inf v = Array.fold_left (fun acc z -> Float.max acc (Complex.norm z)) 0. v
-
-  let approx_equal ?(tol = 1e-9) u v =
-    Array.length u = Array.length v
-    &&
-    let ok = ref true in
-    for i = 0 to Array.length u - 1 do
-      if Complex.norm (Complex.sub u.(i) v.(i)) > tol then ok := false
-    done;
-    !ok
 end
 
 module Cmat = struct
   type t = c array array
 
-  let make r cnum (x : c) = Array.init r (fun _ -> Array.make cnum x)
-  let zeros r cnum = make r cnum Complex.zero
+  let zeros r cnum = Array.init r (fun _ -> Array.make cnum Complex.zero)
   let init r cnum f = Array.init r (fun i -> Array.init cnum (fun j -> f i j))
-  let identity n = init n n (fun i j -> if i = j then Complex.one else Complex.zero)
-  let rows m = Array.length m
-  let cols m = if Array.length m = 0 then 0 else Array.length m.(0)
-  let copy m = Array.map Array.copy m
-
-  let mul a b =
-    if cols a <> rows b then invalid_arg "Cx.Cmat.mul: dimension mismatch";
-    let r = rows a and n = cols a and cnum = cols b in
-    let m = zeros r cnum in
-    for i = 0 to r - 1 do
-      for k = 0 to n - 1 do
-        let aik = a.(i).(k) in
-        if aik <> Complex.zero then
-          for j = 0 to cnum - 1 do
-            m.(i).(j) <- Complex.add m.(i).(j) (Complex.mul aik b.(k).(j))
-          done
-      done
-    done;
-    m
-
-  let matvec m v =
-    if cols m <> Array.length v then invalid_arg "Cx.Cmat.matvec: dimension mismatch";
-    Array.init (rows m) (fun i ->
-        let s = ref Complex.zero in
-        for j = 0 to Array.length v - 1 do
-          s := Complex.add !s (Complex.mul m.(i).(j) v.(j))
-        done;
-        !s)
 end
 
 module Clu = struct
@@ -102,10 +36,14 @@ module Clu = struct
     Wampde_obs.Metrics.observe h_dim (float_of_int n);
     if Wampde_obs.Events.active () then Wampde_obs.Events.emit (Wampde_obs.Events.Lu_factor { n })
 
+  let square a =
+    let n = Array.length a in
+    if n > 0 && Array.length a.(0) <> n then invalid_arg "Cx.Clu.factor: matrix not square";
+    n
+
   let factor_quiet a =
-    let n = Cmat.rows a in
-    if Cmat.cols a <> n then invalid_arg "Cx.Clu.factor: matrix not square";
-    let lu = Cmat.copy a in
+    let n = square a in
+    let lu = Array.map Array.copy a in
     let perm = Array.init n (fun i -> i) in
     for k = 0 to n - 1 do
       let pivot = ref k in
@@ -134,9 +72,7 @@ module Clu = struct
     { lu; perm }
 
   let factor a =
-    let n = Cmat.rows a in
-    if Cmat.cols a <> n then invalid_arg "Cx.Clu.factor: matrix not square";
-    note_factor ~n;
+    note_factor ~n:(square a);
     factor_quiet a
 
   (* Substitution on split re/im arrays: each update spells out
@@ -195,6 +131,4 @@ module Clu = struct
     let x_re = Array.make n 0. and x_im = Array.make n 0. in
     solve_into f ~b_re:(Array.map re b) ~b_im:(Array.map im b) ~x_re ~x_im;
     Array.init n (fun i -> cx x_re.(i) x_im.(i))
-
-  let solve_dense a b = solve (factor a) b
 end

@@ -23,48 +23,23 @@ val cis : float -> c
 (** [scale a z] multiplies by a real scalar. *)
 val scale : float -> c -> c
 
-(** [approx_equal ?tol a b] is closeness in modulus of the difference. *)
-val approx_equal : ?tol:float -> c -> c -> bool
-
 module Cvec : sig
   type t = c array
 
-  val make : int -> c -> t
   val zeros : int -> t
   val init : int -> (int -> c) -> t
-  val copy : t -> t
 
   (** [of_real v] embeds a real vector. *)
   val of_real : Vec.t -> t
 
-  (** [real_part v] / [imag_part v] extract component vectors. *)
-  val real_part : t -> Vec.t
-
-  val imag_part : t -> Vec.t
-  val add : t -> t -> t
-  val sub : t -> t -> t
-  val scale : c -> t -> t
-
-  (** [dot u v] is the Hermitian inner product [sum conj(u_i) v_i]. *)
-  val dot : t -> t -> c
-
-  val norm2 : t -> float
   val norm_inf : t -> float
-  val approx_equal : ?tol:float -> t -> t -> bool
 end
 
 module Cmat : sig
   type t = c array array
 
-  val make : int -> int -> c -> t
   val zeros : int -> int -> t
   val init : int -> int -> (int -> int -> c) -> t
-  val identity : int -> t
-  val rows : t -> int
-  val cols : t -> int
-  val copy : t -> t
-  val mul : t -> t -> t
-  val matvec : t -> Cvec.t -> Cvec.t
 end
 
 module Clu : sig
@@ -95,5 +70,4 @@ module Clu : sig
 
   (** Allocating wrapper over {!solve_into} for boxed vectors. *)
   val solve : t -> Cvec.t -> Cvec.t
-  val solve_dense : Cmat.t -> Cvec.t -> Cvec.t
 end

@@ -30,84 +30,3 @@ let char_poly a =
 
 let eigenvalues a = Poly.roots (char_poly a)
 
-let spectral_radius a =
-  Array.fold_left (fun acc z -> Float.max acc (Complex.norm z)) 0. (eigenvalues a)
-
-let symmetric ?(tol = 1e-12) ?(max_sweeps = 50) a0 =
-  let n = Mat.rows a0 in
-  if Mat.cols a0 <> n then invalid_arg "Eig.symmetric: matrix not square";
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      if Float.abs (a0.(i).(j) -. a0.(j).(i)) > 1e-10 *. (1. +. Float.abs a0.(i).(j)) then
-        invalid_arg "Eig.symmetric: matrix not symmetric"
-    done
-  done;
-  let a = Mat.copy a0 in
-  let v = Mat.identity n in
-  let off () =
-    let s = ref 0. in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        s := !s +. (a.(i).(j) *. a.(i).(j))
-      done
-    done;
-    sqrt !s
-  in
-  let sweeps = ref 0 in
-  while off () > tol && !sweeps < max_sweeps do
-    incr sweeps;
-    for p = 0 to n - 2 do
-      for q = p + 1 to n - 1 do
-        if Float.abs a.(p).(q) > 1e-300 then begin
-          let theta = (a.(q).(q) -. a.(p).(p)) /. (2. *. a.(p).(q)) in
-          let t =
-            let sign = if theta >= 0. then 1. else -1. in
-            sign /. (Float.abs theta +. sqrt ((theta *. theta) +. 1.))
-          in
-          let c = 1. /. sqrt ((t *. t) +. 1.) in
-          let s = t *. c in
-          (* rotate rows/cols p, q of A and update V *)
-          for k = 0 to n - 1 do
-            let akp = a.(k).(p) and akq = a.(k).(q) in
-            a.(k).(p) <- (c *. akp) -. (s *. akq);
-            a.(k).(q) <- (s *. akp) +. (c *. akq)
-          done;
-          for k = 0 to n - 1 do
-            let apk = a.(p).(k) and aqk = a.(q).(k) in
-            a.(p).(k) <- (c *. apk) -. (s *. aqk);
-            a.(q).(k) <- (s *. apk) +. (c *. aqk)
-          done;
-          for k = 0 to n - 1 do
-            let vkp = v.(k).(p) and vkq = v.(k).(q) in
-            v.(k).(p) <- (c *. vkp) -. (s *. vkq);
-            v.(k).(q) <- (s *. vkp) +. (c *. vkq)
-          done
-        end
-      done
-    done
-  done;
-  let pairs = Array.init n (fun i -> (a.(i).(i), i)) in
-  Array.sort compare pairs;
-  let eigs = Array.map fst pairs in
-  let vecs = Mat.init n n (fun i j -> v.(i).(snd pairs.(j))) in
-  (eigs, vecs)
-
-let power_iteration ?(max_iterations = 2000) ?(tol = 1e-12) a =
-  let n = Mat.rows a in
-  let x = ref (Vec.init n (fun i -> 1. +. (0.01 *. float_of_int i))) in
-  let lambda = ref 0. in
-  let converged = ref false in
-  let iter = ref 0 in
-  while (not !converged) && !iter < max_iterations do
-    incr iter;
-    let y = Mat.matvec a !x in
-    let norm = Vec.norm2 y in
-    if norm = 0. then failwith "Eig.power_iteration: hit the null space";
-    let y = Vec.scale (1. /. norm) y in
-    let l = Vec.dot y (Mat.matvec a y) in
-    if Float.abs (l -. !lambda) <= tol *. Float.max 1. (Float.abs l) then converged := true;
-    lambda := l;
-    x := y
-  done;
-  if not !converged then failwith "Eig.power_iteration: no convergence";
-  (!lambda, !x)

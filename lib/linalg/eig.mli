@@ -1,32 +1,9 @@
-(** Eigenvalue computations.
-
-    [eigenvalues] targets the small nonsymmetric matrices arising as
+(** Eigenvalues of the small nonsymmetric matrices arising as
     monodromy matrices of periodic orbits (Floquet analysis): the
     characteristic polynomial is formed exactly with the
     Faddeev–LeVerrier recurrence and its roots found with
-    Durand–Kerner.  Intended for [n <~ 12]; for larger symmetric
-    problems use {!symmetric} (cyclic Jacobi). *)
-
-(** [char_poly a] are the characteristic-polynomial coefficients of a
-    square matrix, constant term first, leading coefficient
-    [(-1)^n]-normalized to monic. *)
-val char_poly : Mat.t -> Vec.t
+    Durand–Kerner.  Intended for [n <~ 12]. *)
 
 (** [eigenvalues a] are the complex eigenvalues of a small square
     matrix. *)
 val eigenvalues : Mat.t -> Cx.Cvec.t
-
-(** [spectral_radius a] is the largest eigenvalue modulus. *)
-val spectral_radius : Mat.t -> float
-
-(** [symmetric ?tol ?max_sweeps a] diagonalizes a symmetric matrix by
-    the cyclic Jacobi method, returning [(eigenvalues, eigenvectors)]
-    with eigenvectors in columns, eigenvalues in ascending order.
-    Raises [Invalid_argument] if [a] is not symmetric. *)
-val symmetric : ?tol:float -> ?max_sweeps:int -> Mat.t -> Vec.t * Mat.t
-
-(** [power_iteration ?max_iterations ?tol a] returns the dominant
-    eigenvalue (by modulus, assumed real) and its eigenvector; a cheap
-    alternative for large matrices.  Raises [Failure] when not
-    converged (e.g. complex dominant pair). *)
-val power_iteration : ?max_iterations:int -> ?tol:float -> Mat.t -> float * Vec.t

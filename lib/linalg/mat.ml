@@ -1,27 +1,11 @@
 type t = float array array
 
-let make r c x = Array.init r (fun _ -> Array.make c x)
-let zeros r c = make r c 0.
+let zeros r c = Array.init r (fun _ -> Array.make c 0.)
 let init r c f = Array.init r (fun i -> Array.init c (fun j -> f i j))
 let identity n = init n n (fun i j -> if i = j then 1. else 0.)
-let diag v = init (Array.length v) (Array.length v) (fun i j -> if i = j then v.(i) else 0.)
 let rows m = Array.length m
 let cols m = if Array.length m = 0 then 0 else Array.length m.(0)
 let copy m = Array.map Array.copy m
-let transpose m = init (cols m) (rows m) (fun i j -> m.(j).(i))
-
-let check_same_dims name a b =
-  if rows a <> rows b || cols a <> cols b then
-    invalid_arg
-      (Printf.sprintf "Mat.%s: dims %dx%d <> %dx%d" name (rows a) (cols a) (rows b) (cols b))
-
-let add a b =
-  check_same_dims "add" a b;
-  init (rows a) (cols a) (fun i j -> a.(i).(j) +. b.(i).(j))
-
-let sub a b =
-  check_same_dims "sub" a b;
-  init (rows a) (cols a) (fun i j -> a.(i).(j) -. b.(i).(j))
 
 let scale s m = Array.map (fun row -> Array.map (fun x -> s *. x) row) m
 
@@ -72,35 +56,3 @@ let tmatvec m v =
       done
   done;
   dst
-
-let axpy ~a ~x y =
-  check_same_dims "axpy" x y;
-  for i = 0 to rows x - 1 do
-    for j = 0 to cols x - 1 do
-      y.(i).(j) <- y.(i).(j) +. (a *. x.(i).(j))
-    done
-  done
-
-let norm_inf m =
-  Array.fold_left
-    (fun acc row -> Float.max acc (Array.fold_left (fun s x -> s +. Float.abs x) 0. row))
-    0. m
-
-let frobenius m =
-  sqrt (Array.fold_left (fun acc row -> acc +. Array.fold_left (fun s x -> s +. (x *. x)) 0. row) 0. m)
-
-let approx_equal ?(tol = 1e-9) a b =
-  rows a = rows b && cols a = cols b
-  &&
-  let ok = ref true in
-  for i = 0 to rows a - 1 do
-    for j = 0 to cols a - 1 do
-      if Float.abs (a.(i).(j) -. b.(i).(j)) > tol then ok := false
-    done
-  done;
-  !ok
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  Array.iter (fun row -> Format.fprintf ppf "%a@," Vec.pp row) m;
-  Format.fprintf ppf "@]"

@@ -6,10 +6,7 @@
 
 type t = float array array
 
-(** [make r c x] is an [r x c] matrix filled with [x]. *)
-val make : int -> int -> float -> t
-
-(** [zeros r c] is [make r c 0.]. *)
+(** [zeros r c] is the [r x c] zero matrix. *)
 val zeros : int -> int -> t
 
 (** [init r c f] has entry [(i, j)] equal to [f i j]. *)
@@ -17,9 +14,6 @@ val init : int -> int -> (int -> int -> float) -> t
 
 (** [identity n] is the [n x n] identity. *)
 val identity : int -> t
-
-(** [diag v] is the square matrix with [v] on the diagonal. *)
-val diag : Vec.t -> t
 
 (** [rows m] is the number of rows. *)
 val rows : t -> int
@@ -30,15 +24,6 @@ val cols : t -> int
 (** [copy m] is a deep copy. *)
 val copy : t -> t
 
-(** [transpose m] is the transposed matrix. *)
-val transpose : t -> t
-
-(** [add a b] is the elementwise sum. *)
-val add : t -> t -> t
-
-(** [sub a b] is the elementwise difference. *)
-val sub : t -> t -> t
-
 (** [scale a m] multiplies every entry by [a]. *)
 val scale : float -> t -> t
 
@@ -48,24 +33,6 @@ val mul : t -> t -> t
 (** [matvec m v] is [m * v]. *)
 val matvec : t -> Vec.t -> Vec.t
 
-(** [matvec_into m v ~dst] writes [m * v] into [dst]. *)
-val matvec_into : t -> Vec.t -> dst:Vec.t -> unit
-
 (** [tmatvec m v] is [transpose m * v] without forming the transpose. *)
 val tmatvec : t -> Vec.t -> Vec.t
 
-(** [axpy ~a ~x y] adds [a * x] to matrix [y] in place. *)
-val axpy : a:float -> x:t -> t -> unit
-
-(** [norm_inf m] is the induced infinity norm (max absolute row sum). *)
-val norm_inf : t -> float
-
-(** [frobenius m] is the Frobenius norm. *)
-val frobenius : t -> float
-
-(** [approx_equal ?tol a b] is entrywise closeness within [tol]
-    (default [1e-9]). *)
-val approx_equal : ?tol:float -> t -> t -> bool
-
-(** [pp] prints the matrix row by row. *)
-val pp : Format.formatter -> t -> unit

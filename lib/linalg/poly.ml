@@ -1,21 +1,9 @@
-let eval c x =
-  let s = ref 0. in
-  for k = Array.length c - 1 downto 0 do
-    s := (!s *. x) +. c.(k)
-  done;
-  !s
-
 let eval_complex c z =
   let s = ref Complex.zero in
   for k = Array.length c - 1 downto 0 do
     s := Complex.add (Complex.mul !s z) (Cx.cx c.(k) 0.)
   done;
   !s
-
-let derivative c =
-  let n = Array.length c in
-  if n <= 1 then [| 0. |]
-  else Array.init (n - 1) (fun k -> float_of_int (k + 1) *. c.(k + 1))
 
 let strip c =
   let n = ref (Array.length c) in

@@ -5,15 +5,6 @@
     iteration, which is robust for the small/medium degrees arising
     from characteristic polynomials of monodromy matrices. *)
 
-(** [eval c x] evaluates at a real point (Horner). *)
-val eval : Vec.t -> float -> float
-
-(** [eval_complex c z] evaluates at a complex point. *)
-val eval_complex : Vec.t -> Cx.c -> Cx.c
-
-(** [derivative c] are the coefficients of [d/dx]. *)
-val derivative : Vec.t -> Vec.t
-
 (** [roots ?max_iterations ?tol c] are all complex roots of the
     polynomial (degree = [length c - 1] after trailing zeros are
     stripped).  Raises [Invalid_argument] on the zero polynomial and

@@ -82,11 +82,6 @@ let apply_into op v out =
         out.(base + i) <- !t
       done)
 
-let apply op v =
-  let out = Array.make (dim op) 0. in
-  apply_into op v out;
-  out
-
 let apply_bordered_into op ~border_col ~border_row v out =
   apply_into op v out;
   let nd = dim op in
@@ -100,11 +95,6 @@ let apply_bordered_into op ~border_col ~border_row v out =
     s := !s +. (border_row.(i) *. v.(i))
   done;
   out.(nd) <- !s
-
-let apply_bordered op ~border_col ~border_row v =
-  let out = Array.make (dim op + 1) 0. in
-  apply_bordered_into op ~border_col ~border_row v out;
-  out
 
 (* Dense assembly of the block part into the top-left corner of [jac]. *)
 let dense_into op jac =
@@ -497,7 +487,6 @@ module Precond_cache = struct
       done
 
   let enabled () = !capacity > 0
-  let entries () = Hashtbl.length table
 
   let find key =
     match Hashtbl.find_opt table key with

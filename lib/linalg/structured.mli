@@ -18,7 +18,7 @@
     {!Wampde_obs.Metrics}.
 
     The per-block kernels (operator rows in {!apply_into}, the complex
-    factorizations in {!spectral_blocks}, the paired transforms and
+    factorizations in {!make_precond}, the paired transforms and
     wavenumber solves in {!precond_apply_into}) run on the {!Par.Pool}
     domain pool when [--jobs] exceeds 1.  Every parallel region uses a
     fixed chunk assignment with disjoint writes and no cross-chunk
@@ -75,15 +75,9 @@ val block_mul_into : Mat.t array -> src:Vec.t -> dst:Vec.t -> unit
     vectors can be passed.  [out] must not alias [v]. *)
 val apply_into : op -> Vec.t -> Vec.t -> unit
 
-(** Allocating variant of {!apply_into}. *)
-val apply : op -> Vec.t -> Vec.t
-
 (** [apply_bordered_into op ~border_col ~border_row v out] applies the
     [(dim + 1)]-square bordered operator [[J b] [p 0]]. *)
 val apply_bordered_into : op -> border_col:Vec.t -> border_row:Vec.t -> Vec.t -> Vec.t -> unit
-
-(** Allocating variant of {!apply_bordered_into}. *)
-val apply_bordered : op -> border_col:Vec.t -> border_row:Vec.t -> Vec.t -> Vec.t
 
 (** [dense_into op jac] writes the dense block part into the top-left
     [dim op] square of [jac], every entry of it.  This is the dense
@@ -96,7 +90,8 @@ val dense_into : op -> Mat.t -> unit
     [linalg] sits below [fourier] in the library graph, so the fast
     transform is injected: callers pass [Fourier.Fft.fft]/[ifft] (the
     engineering convention, forward kernel [e^{-2 pi i jk/n}], inverse
-    scaled by [1/n]).  {!naive_dft} is a matching O(n^2) fallback. *)
+    scaled by [1/n]); without one an O(n^2) DFT of the same convention
+    is used. *)
 
 type dft = {
   fwd : Cx.Cvec.t -> Cx.Cvec.t;
@@ -109,17 +104,7 @@ type dft = {
   inv_pair : (Vec.t -> Vec.t -> unit) option;
 }
 
-val naive_dft : dft
-
 (** {1 Averaged-Jacobian block preconditioner} *)
-
-(** [spectral_blocks ~coeffs ~cbar ~bbar] factors one complex [n x n]
-    block per entry of [coeffs]: [M_l = coeffs_l cbar + bbar].  This is
-    the shared kernel behind the collocation preconditioner (where
-    [coeffs_l = alpha lambda_l] for circulant eigenvalues [lambda]) and
-    the harmonic-balance preconditioners (where [coeffs_i = j omega_i]).
-    May raise [Cx.Clu.Singular]. *)
-val spectral_blocks : coeffs:Cx.c array -> cbar:Mat.t -> bbar:Mat.t -> Cx.Clu.t array
 
 type precond
 
@@ -158,8 +143,6 @@ module Precond_cache : sig
   val set_capacity : int -> unit
 
   val enabled : unit -> bool
-  val entries : unit -> int
-  val clear : unit -> unit
 end
 
 (** [make_precond_cached ~key op] is {!make_precond} through the

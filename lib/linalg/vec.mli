@@ -7,27 +7,12 @@
 
 type t = float array
 
-(** [make n x] is a fresh vector of length [n] filled with [x]. *)
-val make : int -> float -> t
-
-(** [zeros n] is [make n 0.]. *)
-val zeros : int -> t
-
 (** [init n f] is the vector whose [i]th entry is [f i]. *)
 val init : int -> (int -> float) -> t
-
-(** [copy v] is a fresh copy of [v]. *)
-val copy : t -> t
-
-(** [blit ~src ~dst] copies [src] into [dst] (same length). *)
-val blit : src:t -> dst:t -> unit
 
 (** [linspace a b n] is [n >= 2] equally spaced points from [a] to [b]
     inclusive. *)
 val linspace : float -> float -> int -> t
-
-(** [add u v] is the elementwise sum. *)
-val add : t -> t -> t
 
 (** [sub u v] is the elementwise difference [u - v]. *)
 val sub : t -> t -> t
@@ -50,27 +35,11 @@ val norm2 : t -> float
 (** [norm_inf v] is the maximum absolute entry (0 for the empty vector). *)
 val norm_inf : t -> float
 
-(** [norm1 v] is the sum of absolute entries. *)
-val norm1 : t -> float
-
-(** [rms v] is the root-mean-square value. *)
-val rms : t -> float
-
-(** [dist_inf u v] is [norm_inf (sub u v)] without allocating. *)
-val dist_inf : t -> t -> float
-
 (** [map f v] applies [f] elementwise. *)
 val map : (float -> float) -> t -> t
 
 (** [map2 f u v] applies [f] to corresponding elements. *)
 val map2 : (float -> float -> float) -> t -> t -> t
-
-(** [max_abs_index v] is the index of the entry of largest magnitude.
-    Raises [Invalid_argument] on the empty vector. *)
-val max_abs_index : t -> int
-
-(** [sum v] is the compensated sum of the entries. *)
-val sum : t -> float
 
 (** [mean v] is the arithmetic mean ([nan] for the empty vector). *)
 val mean : t -> float
@@ -78,10 +47,3 @@ val mean : t -> float
 (** [weighted_norm ~scale v] is [norm_inf (v ./ scale)]: each entry is
     divided by the matching positive scale before taking the max. *)
 val weighted_norm : scale:t -> t -> float
-
-(** [approx_equal ?tol u v] tests componentwise closeness with absolute
-    tolerance [tol] (default [1e-9]). *)
-val approx_equal : ?tol:float -> t -> t -> bool
-
-(** [pp] prints a vector as [[v0; v1; ...]] with short float formatting. *)
-val pp : Format.formatter -> t -> unit

@@ -28,6 +28,13 @@ let semidisc sys ~n1 =
 
 let pack grid = Array.concat (Array.to_list grid)
 
+(* Every entry point takes a fast-time grid as [n1] states of the DAE's
+   dimension; reject any other shape before [pack] flattens it. *)
+let check_grid ~fn sys ~n1 grid =
+  let dim = sys.dae.Dae.dim in
+  if Array.length grid <> n1 || Array.exists (fun x -> Array.length x <> dim) grid then
+    invalid_arg (Printf.sprintf "Mpde.%s: expected %d states of dimension %d" fn n1 dim)
+
 (* Matrix-free Newton direction through the structured collocation
    operator; falls back to its dense assembly when GMRES stalls or the
    preconditioner degenerates. *)
@@ -44,6 +51,7 @@ let structured_linear_solve ~linearize x r =
 
 let periodic_initial ?(solver = Structured.auto) sys ~n1 ~guess =
   if n1 mod 2 = 0 then invalid_arg "Mpde.periodic_initial: n1 must be odd";
+  check_grid ~fn:"periodic_initial" sys ~n1 guess;
   Obs.Span.span
     ~attrs:[ ("n1", Obs.Span.Int n1); ("dim", Obs.Span.Int sys.dae.Dae.dim) ]
     "mpde.periodic_initial"
@@ -69,6 +77,7 @@ let periodic_initial ?(solver = Structured.auto) sys ~n1 ~guess =
 
 let simulate ?(solver = Structured.auto) sys ~n1 ~t2_end ~h2 ~init =
   if n1 mod 2 = 0 then invalid_arg "Mpde.simulate: n1 must be odd";
+  check_grid ~fn:"simulate" sys ~n1 init;
   Obs.Span.span
     ~attrs:
       [
@@ -78,7 +87,6 @@ let simulate ?(solver = Structured.auto) sys ~n1 ~t2_end ~h2 ~init =
       ]
     "mpde.simulate"
   @@ fun () ->
-  if Array.length init <> n1 then invalid_arg "Mpde.simulate: init size <> n1";
   (* the envelope's fixed-step march on the fixed-omega, forced system *)
   let res =
     Wampde.Envelope.march (semidisc sys ~n1)
@@ -89,6 +97,8 @@ let simulate ?(solver = Structured.auto) sys ~n1 ~t2_end ~h2 ~init =
 
 let quasiperiodic ?cascade sys ~n1 ~n2 ~p2 ~guess =
   if n1 mod 2 = 0 || n2 mod 2 = 0 then invalid_arg "Mpde.quasiperiodic: n1, n2 must be odd";
+  if Array.length guess <> n2 then invalid_arg "Mpde.quasiperiodic: guess size <> n2";
+  Array.iter (check_grid ~fn:"quasiperiodic" sys ~n1) guess;
   Obs.Span.span
     ~attrs:
       [
@@ -99,7 +109,6 @@ let quasiperiodic ?cascade sys ~n1 ~n2 ~p2 ~guess =
     "mpde.quasiperiodic"
   @@ fun () ->
   Obs.Scope.with_scope "mpde" @@ fun () ->
-  if Array.length guess <> n2 then invalid_arg "Mpde.quasiperiodic: guess size <> n2";
   let sd = semidisc sys ~n1 in
   let qp = Dae.Semidisc.periodic sd ~p2 ~d2:(Fourier.Series.diff_matrix n2) in
   let jacobian y = Dae.Semidisc.periodic_dense qp (Dae.Semidisc.periodic_linearize qp y) in

@@ -51,7 +51,8 @@ exception Solve_failure of { stage : string; report : Nonlin.Newton.report }
     [mpde.simulate] span.  Raises [Step_control.Underflow] when
     recovery drives the step below [1e-9 * h2], and
     [Invalid_argument] when [h2] or [t2_end] is not positive and
-    finite. *)
+    finite, [n1] is even, or [init] is not [n1] states of [sys.dae]'s
+    dimension. *)
 val simulate :
   ?solver:Structured.strategy ->
   system ->
@@ -64,7 +65,9 @@ val simulate :
 (** [periodic_initial sys ~n1 ~guess] solves the fast-periodic steady
     state at frozen [t2 = 0] ([dq/dt2] dropped): the natural initial
     condition for {!simulate}.  Runs the {!Nonlin.Polyalg} cascade;
-    raises {!Solve_failure} when it is exhausted. *)
+    raises {!Solve_failure} when it is exhausted, and
+    [Invalid_argument] unless [n1] is odd and [guess] is [n1] states of
+    [sys.dae]'s dimension. *)
 val periodic_initial :
   ?solver:Structured.strategy -> system -> n1:int -> guess:Vec.t array -> Vec.t array
 
@@ -76,7 +79,8 @@ val periodic_initial :
     ({!Dae.Semidisc.periodic_dense}), dense and LU-factored.
     [cascade] overrides the {!Nonlin.Polyalg.default_cascade} (e.g.
     [[Damped]] to benchmark plain Newton); raises {!Solve_failure}
-    when it is exhausted. *)
+    when it is exhausted, and [Invalid_argument] on a [guess] of any
+    other shape. *)
 val quasiperiodic :
   ?cascade:Nonlin.Polyalg.strategy list ->
   system ->

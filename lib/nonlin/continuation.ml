@@ -52,9 +52,3 @@ let trace ?options ?(initial_step = 0.1) ?(min_step = 1e-6) ?(max_step = infinit
     go from_ (Array.copy x0) initial_step None []
   end
 
-let solve_at ?options ?initial_step ?min_step ?max_step ~residual ~from_ ~to_ x0 =
-  match
-    List.rev (trace ?options ?initial_step ?min_step ?max_step ~residual ~from_ ~to_ x0)
-  with
-  | [] -> assert false (* trace always ends at [to_] or raises *)
-  | { x; _ } :: _ -> x

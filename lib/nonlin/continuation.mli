@@ -31,15 +31,3 @@ val trace :
   to_:float ->
   Vec.t ->
   point list
-
-(** [solve_at ...] is [trace] returning only the final solution. *)
-val solve_at :
-  ?options:Newton.options ->
-  ?initial_step:float ->
-  ?min_step:float ->
-  ?max_step:float ->
-  residual:(float -> Vec.t -> Vec.t) ->
-  from_:float ->
-  to_:float ->
-  Vec.t ->
-  Vec.t

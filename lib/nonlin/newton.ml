@@ -176,23 +176,6 @@ let solve ?options ?label ?jacobian ~residual x0 =
   in
   solve_with ?options ?label ~linear_solve ~residual x0
 
-let solve_exn ?options ?label ?jacobian ~residual x0 =
-  let report = solve ?options ?label ?jacobian ~residual x0 in
-  if report.converged then report.x
-  else begin
-    let reason =
-      match report.reason with
-      | Some Singular_jacobian -> "singular Jacobian"
-      | Some Line_search_failed -> "line search failed"
-      | Some Iteration_limit -> "iteration limit"
-      | Some Non_finite_residual -> "non-finite residual"
-      | None -> "unknown"
-    in
-    failwith
-      (Printf.sprintf "Newton.solve_exn: no convergence (%s; residual %.3e after %d iterations)"
-         reason report.residual_norm report.iterations)
-  end
-
 let scalar ?(tol = 1e-12) ?(max_iterations = 60) f df x0 =
   let rec go x k =
     let fx = f x in

@@ -96,17 +96,6 @@ val solve_with :
   Vec.t ->
   report
 
-(** [solve_exn ?options ?label ?jacobian ~residual x0] is [solve] but
-    raises [Failure] with a diagnostic when the iteration does not
-    converge. *)
-val solve_exn :
-  ?options:options ->
-  ?label:string ->
-  ?jacobian:(Vec.t -> Mat.t) ->
-  residual:(Vec.t -> Vec.t) ->
-  Vec.t ->
-  Vec.t
-
 (** [scalar ?tol ?max_iterations f df x0] is 1-D Newton for convenience
     (root of [f] with derivative [df]). *)
 val scalar : ?tol:float -> ?max_iterations:int -> (float -> float) -> (float -> float) -> float -> float

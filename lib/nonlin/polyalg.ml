@@ -12,13 +12,10 @@ let strategy_name = function
 type attempt = { strategy : strategy; report : Newton.report }
 type outcome = { report : Newton.report; strategy : strategy; attempts : attempt list }
 
-exception Non_finite of { label : string; what : string }
 exception Solve_failed of { label : string; attempts : attempt list }
 
 let () =
   Printexc.register_printer (function
-    | Non_finite { label; what } ->
-      Some (Printf.sprintf "Polyalg.Non_finite: %s produced a non-finite %s" label what)
     | Solve_failed { label; attempts } ->
       let tried =
         attempts |> List.map (fun (a : attempt) -> strategy_name a.strategy) |> String.concat ", "
@@ -163,16 +160,3 @@ let solve ?(options = Newton.default_options) ?(label = "polyalg") ?(cascade = d
   in
   go [] cascade
 
-let solve_exn ?options ?label ?cascade ?jacobian ?linear_solve ?homotopy ~residual x0 =
-  let label_s = Option.value label ~default:"polyalg" in
-  let outcome =
-    solve ?options ?label ?cascade ?jacobian ?linear_solve ?homotopy ~residual x0
-  in
-  if outcome.report.Newton.converged then outcome.report.Newton.x
-  else if
-    List.exists
-      (fun (a : attempt) -> a.report.Newton.reason = Some Newton.Non_finite_residual)
-      outcome.attempts
-    && not (Float.is_finite outcome.report.Newton.residual_norm)
-  then raise (Non_finite { label = label_s; what = "residual" })
-  else raise (Solve_failed { label = label_s; attempts = outcome.attempts })

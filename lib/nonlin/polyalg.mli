@@ -37,15 +37,10 @@ type outcome = {
   attempts : attempt list;  (** every strategy tried, in order *)
 }
 
-exception Non_finite of { label : string; what : string }
-(** Raised by {!solve_exn} when the cascade failed with a non-finite
-    residual: the system itself evaluates to NaN/Inf near the iterates,
-    so no amount of globalization can help.  [label] identifies the
-    offending solve site.  A printer is registered. *)
-
 exception Solve_failed of { label : string; attempts : attempt list }
-(** Raised by {!solve_exn} when every strategy failed for finite
-    reasons.  A printer is registered. *)
+(** Raised by callers whose cascade was exhausted ([label] names the
+    solve site, [attempts] every strategy tried).  A printer is
+    registered. *)
 
 (** [solve ?options ?label ?cascade ?jacobian ?linear_solve ?homotopy
     ~residual x0] runs the cascade and never raises on solver failure:
@@ -66,15 +61,3 @@ val solve :
   Vec.t ->
   outcome
 
-(** [solve_exn ...] is {!solve} returning the solution vector, raising
-    {!Non_finite} or {!Solve_failed} when the cascade is exhausted. *)
-val solve_exn :
-  ?options:Newton.options ->
-  ?label:string ->
-  ?cascade:strategy list ->
-  ?jacobian:(Vec.t -> Mat.t) ->
-  ?linear_solve:(Vec.t -> Vec.t -> Vec.t) ->
-  ?homotopy:(float -> Vec.t -> Vec.t) ->
-  residual:(Vec.t -> Vec.t) ->
-  Vec.t ->
-  Vec.t

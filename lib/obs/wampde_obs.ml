@@ -716,9 +716,6 @@ module Eta = struct
       invalid_arg "Wampde_obs.Eta.create: alpha must be in (0, 1]";
     { total; alpha; last_t = nan; last_done = 0.; rate = 0.; have_rate = false }
 
-  let total e = e.total
-  let completed e = e.last_done
-
   let update e ~now ~completed =
     let completed = Float.max e.last_done (Float.min e.total completed) in
     if Float.is_nan e.last_t then begin
@@ -1105,8 +1102,6 @@ module Stream = struct
       s.finished <- true
     end
 
-  let records s = s.records
-  let steps s = s.steps
 end
 
 module Span = struct
@@ -1150,7 +1145,6 @@ module Span = struct
      this stays opt-in even when a sink is active. *)
   let gc_flag = ref false
   let set_gc_stats b = gc_flag := b
-  let gc_stats () = !gc_flag
 
   let tracing () = !recording || !writer <> None
 
@@ -2437,9 +2431,6 @@ module Flight = struct
      recorded even while telemetry is disabled so an injected fault is
      always on the timeline of the dump it caused *)
   let note ~kind message = push (Note (now (), kind, message))
-
-  let recorded () = st.count
-  let dropped () = st.dropped
 
   let cells () =
     let cap = Array.length st.ring in

@@ -44,7 +44,6 @@ module Json : sig
 
   exception Error of string
 
-  val parse_exn : string -> t
   val parse : string -> (t, string) result
 
   (** [member k j] is the value at key [k] when [j] is an object. *)
@@ -90,16 +89,6 @@ module Metrics : sig
       suitable for latencies and iteration counts alike. *)
   val observe : histogram -> float -> unit
 
-  type hist_stats = {
-    count : int;
-    sum : float;
-    min : float;  (** 0 when empty *)
-    max : float;  (** 0 when empty *)
-    mean : float;  (** 0 when empty *)
-    buckets : (float * float * int) list;  (** (lo, hi, count), non-empty buckets only *)
-  }
-
-  val stats : histogram -> hist_stats
   val mean : histogram -> float
 
   (** Zero every registered metric, including scope buckets
@@ -110,7 +99,6 @@ module Metrics : sig
   val counters : unit -> (string * int) list
 
   val gauges : unit -> (string * float) list
-  val histograms : unit -> (string * hist_stats) list
 
   (** Per-scope counter buckets, sorted by counter name then scope
       label ("" = updates outside any scope).  Only counters that were
@@ -230,9 +218,6 @@ module Eta : sig
       rate sample (default 0.3).  Raises [Invalid_argument] unless
       [total] is finite and positive. *)
   val create : ?alpha:float -> total:float -> unit -> t
-
-  val total : t -> float
-  val completed : t -> float
 
   (** [update e ~now ~completed] records that [completed] units were
       done as of wall-clock [now].  [completed] is clamped to be
@@ -360,9 +345,6 @@ end
     Events from the "transient" scope are ignored (heartbeats still
     cover long warmups). *)
 module Stream : sig
-  (** Stream schema tag ("wampde.stream/1"), carried by the [start]
-      record. *)
-  val schema : string
 
   type t
 
@@ -405,11 +387,6 @@ module Stream : sig
       shutdown path and an [at_exit] safety net can both call it. *)
   val finish : t -> ok:bool -> ?error:string -> unit -> unit
 
-  (** Records written so far (including the terminal record). *)
-  val records : t -> int
-
-  (** Macro steps observed so far. *)
-  val steps : t -> int
 end
 
 (** Nested wall-clock spans with parent ids and attributes.
@@ -447,7 +424,7 @@ module Span : sig
             {!emit_external} *)
   }
 
-  (** A point event on the span timeline (see {!instant}). *)
+  (** A point event on the span timeline. *)
   type instant = { i_name : string; i_attrs : (string * attr) list; i_t : float }
 
   val tracing : unit -> bool
@@ -458,12 +435,6 @@ module Span : sig
       default: [quick_stat] is cheap but allocates its result record,
       so GC attribution stays opt-in even while tracing. *)
   val set_gc_stats : bool -> unit
-
-  val gc_stats : unit -> bool
-
-  (** Words freshly allocated during the span: minor plus
-      direct-to-major, with promotions not double counted. *)
-  val allocated_words : gc_delta -> float
 
   (** [span ?attrs name f] runs [f] inside a span.  Exceptions
       propagate; the span is closed either way. *)
@@ -485,11 +456,6 @@ module Span : sig
     t_stop:float ->
     unit ->
     unit
-
-  (** [instant ?attrs name] records a zero-duration point event at the
-      current trace time — written to the JSON-lines sink and buffered
-      for {!recorded_instants} while recording; a no-op with no sink. *)
-  val instant : ?attrs:(string * attr) list -> string -> unit
 
   val start_recording : unit -> unit
 
@@ -542,8 +508,6 @@ end
     did (per-macro-step history of step size, [omega(t2)], Newton
     work, accept/reject trail). *)
 module Report : sig
-  (** Current manifest schema tag ("wampde.run-report/1"). *)
-  val schema : string
 
   (** One macro-step decision reconstructed from the event stream. *)
   type step = {
@@ -618,16 +582,9 @@ module Doctor : sig
     suggestion : string option;
   }
 
-  val severity_name : severity -> string
-
-  (** [diagnose ?stream_lines manifest] analyses a parsed manifest;
-      [stream_lines] adds NDJSON cross-checks (well-formedness,
-      terminal record, health-warning count).  Warnings sort before
-      informational findings. *)
-  val diagnose : ?stream_lines:string list -> Json.t -> finding list
-
-  (** Like {!diagnose} from raw file contents; [Error] on a manifest
-      that fails to parse. *)
+  (** [diagnose_string ?stream contents] diagnoses a manifest's raw
+      file contents (and an optional NDJSON stream's); [Error] on a
+      manifest that fails to parse. *)
   val diagnose_string : ?stream:string -> string -> (finding list, string) result
 
   val has_warnings : finding list -> bool
@@ -651,8 +608,6 @@ end
     overwrite of the oldest cell is a store plus two index updates.
     The ring is preallocated at {!arm}. *)
 module Flight : sig
-  (** Dump schema tag ("wampde.flightdump/1"). *)
-  val schema : string
 
   (** [arm ?capacity ()] preallocates the ring ([capacity] cells,
       default 512, minimum 16), clears it, and subscribes to {!Events}
@@ -661,10 +616,8 @@ module Flight : sig
   val arm : ?capacity:int -> unit -> unit
 
   (** Unsubscribe from {!Events}; the recorded cells stay available
-      for {!dump}. *)
+      for {!write}. *)
   val disarm : unit -> unit
-
-  val armed : unit -> bool
 
   (** Drop every recorded cell (the ring stays allocated).  A
       scheduler running jobs back-to-back clears between jobs so a
@@ -677,30 +630,15 @@ module Flight : sig
       fault is always on the timeline of the dump it caused. *)
   val note : kind:string -> string -> unit
 
-  (** Valid cells currently in the ring. *)
-  val recorded : unit -> int
-
-  (** Cells overwritten since the ring last filled. *)
-  val dropped : unit -> int
-
-  (** Serialize the ring as a ["wampde.flightdump/1"] JSON object:
-      the shared provenance block (argv, subcommand, jobs, git, OCaml,
-      unix time — identical to the run-manifest block), the failure
-      [reason], ring occupancy, a full metrics snapshot (so {!Doctor}
-      can diagnose the dump like a manifest), and the timeline oldest
-      first — with the failure reason appended as the final entry. *)
-  val dump :
-    ?argv:string array ->
-    ?subcommand:string ->
-    ?git:string ->
-    ?jobs:int ->
-    kind:string ->
-    message:string ->
-    unit ->
-    string
-
-  (** [write ~path ~kind ~message ()] dumps to [path]; [Error] on I/O
-      failure (a failing dump must never mask the failure it records). *)
+  (** [write ~path ~kind ~message ()] serializes the ring to [path] as
+      a ["wampde.flightdump/1"] JSON object: the shared provenance
+      block (argv, subcommand, jobs, git, OCaml, unix time — identical
+      to the run-manifest block), the failure [reason], ring occupancy
+      ([capacity], [recorded], [dropped]), a full metrics snapshot (so
+      {!Doctor} can diagnose the dump like a manifest), and the
+      timeline oldest first — with the failure reason appended as the
+      final entry.  Returns the path; [Error] on I/O failure (a failing
+      dump must never mask the failure it records). *)
   val write :
     ?argv:string array ->
     ?subcommand:string ->
@@ -723,17 +661,14 @@ end
 (** Run-history store: an append-only, CRC-guarded NDJSON store of
     ["wampde.run-report/1"] manifests keyed by (circuit, analysis, n1,
     jobs, git rev), with bounded size via per-key compaction.  The
-    durable substrate for cross-run regression analytics
-    ([wampde_cli history]). *)
+    store is [history.ndjson] inside the history directory; each line
+    is 8 hex CRC-32 digits, a space, then a single-line JSON payload
+    [{"key":...,"manifest":...}].  The durable substrate for cross-run
+    regression analytics ([wampde_cli history]). *)
 module History : sig
-  (** Raised by {!decode_line} on a truncated, byte-mangled or
-      malformed history line. *)
+  (** A truncated, byte-mangled or malformed history line; {!load}
+      turns it into a warning. *)
   exception Corrupt of string
-
-  (** Store file name inside the history directory ("history.ndjson"). *)
-  val file_name : string
-
-  val path : dir:string -> string
 
   type key = { circuit : string; analysis : string; n1 : int; jobs : int; git : string }
 
@@ -746,17 +681,6 @@ module History : sig
 
   (** Human-readable key ("circuit/analysis n1=.. jobs=.. git=.."). *)
   val key_string : key -> string
-
-  (** CRC-32 (IEEE 802.3) of a byte string. *)
-  val crc32 : string -> int
-
-  (** One store line: 8 hex CRC digits, a space, then a single-line
-      JSON payload [{"key":...,"manifest":...}]. *)
-  val encode_line : key:key -> manifest:string -> string
-
-  (** Parse one store line, verifying the CRC.  @raise Corrupt on any
-      framing, CRC or shape violation. *)
-  val decode_line : string -> entry
 
   (** Load every decodable entry (oldest first) plus one warning per
       undecodable line.  Never raises: a mangled store degrades to a
@@ -782,13 +706,6 @@ module History : sig
     manifest:string ->
     unit ->
     (unit, string) result
-
-  (** Atomic rewrite keeping the newest [keep] entries per key;
-      returns how many decodable entries were dropped.  Serialized
-      against other compactors via an advisory POSIX lock on
-      "history.lock" inside [dir], so cross-process compactions never
-      clobber each other's rewrite. *)
-  val compact : ?keep:int -> dir:string -> unit -> int
 
   (** Median of the finite values; nan when none. *)
   val median : float list -> float

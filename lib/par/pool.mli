@@ -51,7 +51,3 @@ val parallel_for : ?jobs:int -> int -> (int -> unit) -> unit
     callers size per-worker workspace tables before entering the
     region. *)
 val chunk_count : ?jobs:int -> int -> int
-
-(** Join and discard all worker domains (idempotent; registered with
-    [Stdlib.at_exit]).  The pool respawns lazily if used again. *)
-val shutdown : unit -> unit

@@ -10,22 +10,15 @@
 
     Frames reuse the {!Checkpoint} section codec and CRC32: each is
     ["WJR1"], a little-endian payload length, the payload CRC and the
-    payload itself.  The file starts with a schema header frame
-    (["wampde.journal/1"]).  Appends go through a single [write(2)]
-    on an [O_APPEND] descriptor; a crash therefore damages at most the
-    final frame, which replay detects (warning, not error) and drops
-    together with the unreachable bytes behind it.
+    payload itself.  The file, [journal.wj] in the spool directory,
+    starts with a schema header frame (["wampde.journal/1"]).  Appends
+    go through a single [write(2)] on an [O_APPEND] descriptor; a crash
+    therefore damages at most the final frame, which replay detects
+    (warning, not error) and drops together with the unreachable bytes
+    behind it.
 
     Instrumented as [serve.journal.appends], [serve.journal.replayed]
     and [serve.journal.corrupt_tail]. *)
-
-(** Journal schema tag ("wampde.journal/1"). *)
-val schema : string
-
-(** Journal file name inside the spool ("journal.wj"). *)
-val file_name : string
-
-val path : spool:string -> string
 
 type state =
   | Accepted of { request : string }
@@ -41,9 +34,6 @@ type state =
 type record = { id : string; state : state; attempt : int }
 
 val state_name : state -> string
-
-(** [true] for [Done] and [Error]: the job needs no recovery. *)
-val terminal : state -> bool
 
 (** Append handle over an open journal file. *)
 type t

@@ -29,10 +29,6 @@
     exception — so a malformed line degrades to one [error] response
     and the daemon keeps serving. *)
 
-(** Protocol schema tag carried by the [hello] record
-    ("wampde.serve/1"). *)
-val schema : string
-
 type envelope_params = {
   t_end : float;  (** slow-time horizon, microseconds *)
   h2 : float option;  (** initial slow step ([None]: [t_end / 50]) *)
@@ -99,7 +95,7 @@ val error_line : ?line:int -> ?id:string -> error -> string
 
 (** Typed terminal failure of an accepted job.  [kind] is a stable
     discriminant ("step-failure", "step-underflow", "solve-failed",
-    "non-finite", "continuation-underflow", "nonphysical",
+    "continuation-underflow", "nonphysical",
     "corrupt-checkpoint", "solver-failure", "cancelled", "aborted",
     "deadline-exceeded", "stalled", "breaker-open", "preempted",
     "internal").  [flight], when present, is the path of the

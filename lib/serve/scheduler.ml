@@ -142,7 +142,6 @@ let breaker_key (job : Protocol.job) = job.circuit ^ "/" ^ Protocol.analysis_nam
 let attempt jr = jr.retries + 1
 let journal_put t jr state = Journal.append t.journal { Journal.id = jr.job.id; state; attempt = attempt jr }
 
-let pending t = Queue.length t.queue
 let set_depth t = Obs.Metrics.set g_depth (float_of_int (Queue.length t.queue))
 
 let err code fmt = Printf.ksprintf (fun message -> Error { Protocol.code; message }) fmt
@@ -393,7 +392,6 @@ let classify = function
   | Checkpoint.Corrupt msg -> ("corrupt-checkpoint", msg)
   | (Nonlin.Polyalg.Solve_failed _ | Wampde.Quasiperiodic.Solve_failure _) as e ->
     ("solve-failed", Printexc.to_string e)
-  | Nonlin.Polyalg.Non_finite _ as e -> ("non-finite", Printexc.to_string e)
   | Nonlin.Continuation.Step_underflow _ as e -> ("continuation-underflow", Printexc.to_string e)
   | Steady.Oscillator.Nonphysical msg -> ("nonphysical", msg)
   | Failure msg -> ("solver-failure", msg)
@@ -500,7 +498,7 @@ let run_quantum t jr =
    last checkpoint.  Structural rejections (underflow, nonphysical,
    corrupt input) and watchdog/administrative kinds are permanent. *)
 let retryable_kind = function
-  | "step-failure" | "solve-failed" | "non-finite" | "solver-failure" -> true
+  | "step-failure" | "solve-failed" | "solver-failure" -> true
   | _ -> false
 
 type slice = Ran | Idle | Wait of float

@@ -59,9 +59,6 @@ val create :
   unit ->
   t
 
-(** Known circuit registry names (currently "vco-a" and "vco-b"). *)
-val circuits : unit -> string list
-
 (** Enqueue a job and emit its [accepted] record.  [request] is the
     raw request line, journaled so a crash-recovered daemon can
     re-parse and re-run the job.  [Error _] (with code "duplicate-id"
@@ -78,9 +75,6 @@ val recover : t -> unit
     ["cancelled"] job-error when next dequeued.  [Error _] (code
     "unknown-id") if the id is unknown or already terminal. *)
 val cancel : t -> string -> (unit, Protocol.error) result
-
-(** Jobs still queued (including preempted ones). *)
-val pending : t -> int
 
 type slice =
   | Ran  (** a job ran one slice (or took a terminal transition) *)

@@ -10,8 +10,6 @@ let sample ~f ~p1 ~p2 ~n1 ~n2 =
   in
   { p1; p2; grid }
 
-let of_univariate ~y ~p1 ~p2 ~n1 ~n2 = sample ~f:y ~p1 ~p2 ~n1 ~n2
-
 let wrap_frac x n =
   (* fractional index in [0, n) *)
   let r = Float.rem x (float_of_int n) in
@@ -39,9 +37,6 @@ let sawtooth_path ~p1 ~p2 ~t_max n =
       (Float.rem t p1, Float.rem t p2))
 
 let sample_count b = Mat.rows b.grid * Mat.cols b.grid
-
-let max_abs b =
-  Array.fold_left (fun acc row -> Float.max acc (Vec.norm_inf row)) 0. b.grid
 
 let undulation_count b =
   let n1 = Mat.rows b.grid and n2 = Mat.cols b.grid in

@@ -17,17 +17,6 @@ type t = {
     period rectangle. *)
 val sample : f:(float -> float -> float) -> p1:float -> p2:float -> n1:int -> n2:int -> t
 
-(** [of_univariate ~y ~p1 ~p2 ~n1 ~n2] builds the bivariate form of a
-    quasiperiodic univariate signal by evaluating [y] along the
-    translates [y (t1 + k p1)]; exact when [y] is exactly
-    [(p1, p2)]-quasiperiodic and used in tests/benches where [y] has a
-    closed form.  Equivalent to [sample] with
-    [f t1 t2 = y] reconstructed from its known bivariate expression. *)
-val of_univariate : y:(float -> float -> float) -> p1:float -> p2:float -> n1:int -> n2:int -> t
-
-(** [eval b t1 t2] bilinearly interpolates with periodic wrap-around. *)
-val eval : t -> float -> float -> float
-
 (** [diagonal b t] is the paper's eq.-recovery [y (t) = yhat (t, t)]
     along the sawtooth path [ti = t mod pi] (Fig. 3). *)
 val diagonal : t -> float -> float
@@ -44,9 +33,6 @@ val sawtooth_path : p1:float -> p2:float -> t_max:float -> int -> (float * float
     representation (compare with the univariate sample count in
     Figs. 1–2). *)
 val sample_count : t -> int
-
-(** [max_abs b] is the largest magnitude on the grid. *)
-val max_abs : t -> float
 
 (** [undulation_count b] counts sign changes of the slow-axis
     derivative along [t2] summed over rows: a cheap surrogate for "how

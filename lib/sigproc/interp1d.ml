@@ -1,29 +1,6 @@
 open Linalg
 
-type t = { times : Vec.t; values : Vec.t; slopes : Vec.t Lazy.t }
-
-(* Fritsch-Carlson monotone cubic slopes. *)
-let pchip_slopes times values =
-  let n = Array.length times in
-  let h = Array.init (n - 1) (fun i -> times.(i + 1) -. times.(i)) in
-  let delta = Array.init (n - 1) (fun i -> (values.(i + 1) -. values.(i)) /. h.(i)) in
-  let d = Array.make n 0. in
-  if n = 2 then begin
-    d.(0) <- delta.(0);
-    d.(1) <- delta.(0)
-  end
-  else begin
-    d.(0) <- delta.(0);
-    d.(n - 1) <- delta.(n - 2);
-    for i = 1 to n - 2 do
-      if delta.(i - 1) *. delta.(i) <= 0. then d.(i) <- 0.
-      else begin
-        let w1 = (2. *. h.(i)) +. h.(i - 1) and w2 = h.(i) +. (2. *. h.(i - 1)) in
-        d.(i) <- (w1 +. w2) /. ((w1 /. delta.(i - 1)) +. (w2 /. delta.(i)))
-      end
-    done
-  end;
-  d
+type t = { times : Vec.t; values : Vec.t }
 
 let create times values =
   let n = Array.length times in
@@ -32,7 +9,7 @@ let create times values =
   for i = 1 to n - 1 do
     if times.(i) <= times.(i - 1) then invalid_arg "Interp1d.create: times not increasing"
   done;
-  { times; values; slopes = lazy (pchip_slopes times values) }
+  { times; values }
 
 let bracket f t =
   let n = Array.length f.times in
@@ -54,26 +31,6 @@ let eval f t =
     xa +. ((xb -. xa) *. (t -. ta) /. (tb -. ta))
   end
 
-let eval_pchip f t =
-  let n = Array.length f.times in
-  if t <= f.times.(0) then f.values.(0)
-  else if t >= f.times.(n - 1) then f.values.(n - 1)
-  else begin
-    let i = bracket f t in
-    let d = Lazy.force f.slopes in
-    let h = f.times.(i + 1) -. f.times.(i) in
-    let s = (t -. f.times.(i)) /. h in
-    let s2 = s *. s and s3 = s *. s *. s in
-    let h00 = (2. *. s3) -. (3. *. s2) +. 1.
-    and h10 = s3 -. (2. *. s2) +. s
-    and h01 = (-2. *. s3) +. (3. *. s2)
-    and h11 = s3 -. s2 in
-    (h00 *. f.values.(i))
-    +. (h10 *. h *. d.(i))
-    +. (h01 *. f.values.(i + 1))
-    +. (h11 *. h *. d.(i + 1))
-  end
-
 let span f = (f.times.(0), f.times.(Array.length f.times - 1))
 
 let cumulative_integral times values =
@@ -85,17 +42,3 @@ let cumulative_integral times values =
       out.(i - 1) +. (0.5 *. (values.(i) +. values.(i - 1)) *. (times.(i) -. times.(i - 1)))
   done;
   out
-
-let invert_monotone f y =
-  let n = Array.length f.times in
-  let y0 = f.values.(0) and y1 = f.values.(n - 1) in
-  if y < Float.min y0 y1 -. 1e-12 || y > Float.max y0 y1 +. 1e-12 then
-    failwith "Interp1d.invert_monotone: value out of range";
-  let rec bisect lo hi k =
-    if k = 0 || hi -. lo < 1e-15 *. Float.max 1. (Float.abs hi) then (lo +. hi) /. 2.
-    else begin
-      let mid = (lo +. hi) /. 2. in
-      if eval f mid < y then bisect mid hi (k - 1) else bisect lo mid (k - 1)
-    end
-  in
-  bisect f.times.(0) f.times.(n - 1) 200

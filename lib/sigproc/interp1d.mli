@@ -14,18 +14,9 @@ val create : Vec.t -> Vec.t -> t
     sampled span. *)
 val eval : t -> float -> float
 
-(** [eval_pchip f t] evaluates with a monotone cubic (Fritsch–Carlson)
-    interpolant: smoother than linear, no overshoot. *)
-val eval_pchip : t -> float -> float
-
 (** [span f] is the sampled time span [(t_first, t_last)]. *)
 val span : t -> float * float
 
 (** [cumulative_integral times values] returns the running trapezoidal
     integral of the samples, same length as the inputs, starting at 0. *)
 val cumulative_integral : Vec.t -> Vec.t -> Vec.t
-
-(** [invert_monotone f y] solves [eval f t = y] for strictly increasing
-    interpolants by bisection on the sampled span.  Raises [Failure]
-    when [y] is outside the sampled range. *)
-val invert_monotone : t -> float -> float

@@ -1,24 +1,15 @@
-open Linalg
-
-type t = { rate : Interp1d.t; accum : Interp1d.t }
+(* The accumulated cycle count phi, interpolated piecewise linearly
+   between the sampled times. *)
+type t = Interp1d.t
 
 let of_samples ~times ~omega =
   if Array.length times <> Array.length omega then
     invalid_arg "Warp.of_samples: length mismatch";
   Array.iter (fun w -> if w <= 0. then invalid_arg "Warp.of_samples: omega must be positive") omega;
-  let cum = Interp1d.cumulative_integral times omega in
-  { rate = Interp1d.create times omega; accum = Interp1d.create times cum }
+  Interp1d.create times (Interp1d.cumulative_integral times omega)
 
-let of_function ~t0 ~t1 ~n omega =
-  let times = Vec.linspace t0 t1 n in
-  of_samples ~times ~omega:(Vec.map omega times)
-
-let phi w t = Interp1d.eval w.accum t
-let omega w t = Interp1d.eval w.rate t
-let unwarp w tau = Interp1d.invert_monotone w.accum tau
+let phi w t = Interp1d.eval w t
 
 let total_cycles w =
-  let _, t_end = Interp1d.span w.accum in
-  Interp1d.eval w.accum t_end
-
-let span w = Interp1d.span w.accum
+  let _, t_end = Interp1d.span w in
+  Interp1d.eval w t_end

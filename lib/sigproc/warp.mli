@@ -15,22 +15,8 @@ type t
     [Invalid_argument] on non-positive samples or length mismatch. *)
 val of_samples : times:Vec.t -> omega:Vec.t -> t
 
-(** [of_function ~t0 ~t1 ~n omega] samples an analytic rate function
-    on [n] uniform points. *)
-val of_function : t0:float -> t1:float -> n:int -> (float -> float) -> t
-
 (** [phi w t] is the accumulated warped time (cycles since [t0]). *)
 val phi : t -> float -> float
 
-(** [omega w t] is the (interpolated) local frequency at [t]. *)
-val omega : t -> float -> float
-
-(** [unwarp w tau] inverts [phi]: the unwarped time [t] at which
-    [phi t = tau].  Raises [Failure] outside the sampled span. *)
-val unwarp : t -> float -> float
-
 (** [total_cycles w] is [phi] at the end of the sampled span. *)
 val total_cycles : t -> float
-
-(** [span w] is the sampled time span. *)
-val span : t -> float * float

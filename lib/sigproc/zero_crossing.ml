@@ -12,10 +12,6 @@ let upward ~times x =
   done;
   Array.of_list (List.rev !out)
 
-let periods crossings =
-  let n = Array.length crossings in
-  Array.init (Int.max 0 (n - 1)) (fun i -> crossings.(i + 1) -. crossings.(i))
-
 let instantaneous_frequency ~times x =
   let crossings = upward ~times x in
   let n = Array.length crossings in
@@ -24,8 +20,6 @@ let instantaneous_frequency ~times x =
     Array.init (Int.max 0 (n - 1)) (fun i -> 1. /. (crossings.(i + 1) -. crossings.(i)))
   in
   (mids, freqs)
-
-let cycle_count ~times x = Array.length (upward ~times x)
 
 let phase_error ~reference ~test =
   let rt, rx = reference and tt, tx = test in

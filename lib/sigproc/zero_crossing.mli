@@ -8,18 +8,11 @@ open Linalg
     crosses zero going upward. *)
 val upward : times:Vec.t -> Vec.t -> Vec.t
 
-(** [periods crossings] are successive differences of crossing times:
-    the cycle-by-cycle oscillation periods. *)
-val periods : Vec.t -> Vec.t
-
 (** [instantaneous_frequency ~times x] estimates frequency cycle by
     cycle from upward crossings, returning [(t_mid, freq)] pairs:
     frequency [1 / (t_{k+1} - t_k)] reported at the interval midpoint.
     This is the "local frequency" extracted from a 1-D waveform. *)
 val instantaneous_frequency : times:Vec.t -> Vec.t -> Vec.t * Vec.t
-
-(** [cycle_count ~times x] is the number of upward zero crossings. *)
-val cycle_count : times:Vec.t -> Vec.t -> int
 
 (** [phase_error ~reference ~test] pairs the k-th upward crossings of
     two waveforms and reports the phase lag of [test] behind

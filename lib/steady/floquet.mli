@@ -20,11 +20,6 @@ type report = {
   stable : bool;  (** [largest_nontrivial < 1] (with a small margin) *)
 }
 
-(** [monodromy dae ~period ?steps_per_period x0] is the Jacobian of
-    the period-[period] flow map at [x0], by central finite
-    differences (2 n transient integrations). *)
-val monodromy : Dae.t -> period:float -> ?steps_per_period:int -> Vec.t -> Mat.t
-
 (** [analyze dae ~period ?steps_per_period x0] computes the full
     report for a point [x0] on a periodic orbit of an {e autonomous}
     system.  The trivial multiplier should be close to 1; its

@@ -120,118 +120,7 @@ let jacobian_of dae ~period ~m z =
   done;
   jac
 
-(* --- matrix-free Newton-Krylov machinery ----------------------------- *)
-
-(* complex synthesis of a (not necessarily conjugate-symmetric)
-   coefficient perturbation on the collocation grid *)
-let synth_perturbation ~n ~m (dz : Cx.Cvec.t) =
-  let nn = (2 * m) + 1 in
-  Array.init nn (fun j ->
-      Cx.Cvec.init n (fun v ->
-          let s = ref Complex.zero in
-          for i = -m to m do
-            let theta = two_pi *. float_of_int (i * j) /. float_of_int nn in
-            s := Complex.add !s (Complex.mul dz.((v * nn) + (i + m)) (Cx.cis theta))
-          done;
-          !s))
-
-(* centered coefficients of a complex sample sequence *)
-let analyze_c ~m (samples : Cx.c array) =
-  let nn = (2 * m) + 1 in
-  Array.init nn (fun idx ->
-      let i = idx - m in
-      let s = ref Complex.zero in
-      for j = 0 to nn - 1 do
-        let theta = -.two_pi *. float_of_int (i * j) /. float_of_int nn in
-        s := Complex.add !s (Complex.mul samples.(j) (Cx.cis theta))
-      done;
-      Cx.scale (1. /. float_of_int nn) !s)
-
-(* real matrix times complex vector *)
-let rmatvec_c (a : Mat.t) (v : Cx.Cvec.t) =
-  let nr = Mat.rows a and nc = Mat.cols a in
-  Cx.Cvec.init nr (fun r ->
-      let sre = ref 0. and sim = ref 0. in
-      for c = 0 to nc - 1 do
-        sre := !sre +. (a.(r).(c) *. Cx.re v.(c));
-        sim := !sim +. (a.(r).(c) *. Cx.im v.(c))
-      done;
-      Cx.cx !sre !sim)
-
-let mat_average mats =
-  let count = Array.length mats in
-  let n = Mat.rows mats.(0) in
-  Mat.init n n (fun r c ->
-      let s = ref 0. in
-      for k = 0 to count - 1 do
-        s := !s +. mats.(k).(r).(c)
-      done;
-      !s /. float_of_int count)
-
-(* One Newton direction, matrix-free: the block-Toeplitz Jacobian is
-   applied in the time domain (synthesize, multiply by the pointwise
-   C/G, analyze, scale by jw_i) and GMRES runs on the realified system
-   with the averaged per-harmonic block preconditioner
-   M_i = jw_i Cbar + Gbar.  Returns [None] on GMRES stall. *)
-let krylov_dir dae ~period ~m z r =
-  let n = dae.Dae.dim in
-  let nn = (2 * m) + 1 in
-  let dim = n * nn in
-  let coeff v i = z.((v * nn) + (i + m)) in
-  let states = synthesize_states ~n ~m coeff in
-  let cs = Array.map dae.Dae.dq states in
-  let gs =
-    Array.mapi
-      (fun j st -> dae.Dae.df ~t:(period *. float_of_int j /. float_of_int nn) st)
-      states
-  in
-  let jw i = Cx.cx 0. (two_pi *. float_of_int i /. period) in
-  let cmatvec (dz : Cx.Cvec.t) =
-    let dx = synth_perturbation ~n ~m dz in
-    let cdx = Array.map2 rmatvec_c cs dx in
-    let gdx = Array.map2 rmatvec_c gs dx in
-    let out = Cx.Cvec.zeros dim in
-    for v = 0 to n - 1 do
-      let chat = analyze_c ~m (Array.map (fun s -> s.(v)) cdx) in
-      let ghat = analyze_c ~m (Array.map (fun s -> s.(v)) gdx) in
-      for i = -m to m do
-        out.((v * nn) + (i + m)) <-
-          Complex.add (Complex.mul (jw i) chat.(i + m)) ghat.(i + m)
-      done
-    done;
-    out
-  in
-  let blocks =
-    Structured.spectral_blocks
-      ~coeffs:(Array.init nn (fun idx -> jw (idx - m)))
-      ~cbar:(mat_average cs) ~bbar:(mat_average gs)
-  in
-  let cm_inv (rc : Cx.Cvec.t) =
-    let out = Cx.Cvec.zeros dim in
-    let rhs = Cx.Cvec.zeros n in
-    for idx = 0 to nn - 1 do
-      for v = 0 to n - 1 do
-        rhs.(v) <- rc.((v * nn) + idx)
-      done;
-      let y = Cx.Clu.solve blocks.(idx) rhs in
-      for v = 0 to n - 1 do
-        out.((v * nn) + idx) <- y.(v)
-      done
-    done;
-    out
-  in
-  (* realify: interleave [Re; Im] so real GMRES can run on C^dim *)
-  let pack (c : Cx.Cvec.t) =
-    Vec.init (2 * dim) (fun k ->
-        if k land 1 = 0 then Cx.re c.(k / 2) else Cx.im c.(k / 2))
-  in
-  let unpack (v : Vec.t) = Cx.Cvec.init dim (fun k -> Cx.cx v.(2 * k) v.((2 * k) + 1)) in
-  let matvec v out = Vec.blit ~src:(pack (cmatvec (unpack v))) ~dst:out in
-  let m_inv v out = Vec.blit ~src:(pack (cm_inv (unpack v))) ~dst:out in
-  let res = Gmres.solve ~matvec ~m_inv ~restart:60 ~max_iter:240 ~tol:1e-10 (pack r) in
-  if res.Gmres.converged then Some (unpack res.Gmres.x) else None
-
-let solve ?(solver = Structured.auto) dae ~period ~harmonics:m ~guess =
+let solve dae ~period ~harmonics:m ~guess =
   Obs.Span.span
     ~attrs:[ ("harmonics", Obs.Span.Int m); ("dim", Obs.Span.Int dae.Dae.dim) ]
     "hb.solve"
@@ -249,7 +138,6 @@ let solve ?(solver = Structured.auto) dae ~period ~harmonics:m ~guess =
     Array.blit c 0 z (v * nn) nn
   done;
   let tol = 1e-9 in
-  let use_krylov = Structured.use_krylov solver ~dim:(2 * n * nn) in
   let rnorm z = Cx.Cvec.norm_inf (residual_of dae ~period ~m z) in
   let current = ref z in
   let best = ref (rnorm z) in
@@ -257,20 +145,10 @@ let solve ?(solver = Structured.auto) dae ~period ~harmonics:m ~guess =
   while !best > tol && !iters < 60 do
     incr iters;
     let r = residual_of dae ~period ~m !current in
-    let dense () =
-      let jac = jacobian_of dae ~period ~m !current in
-      match Cx.Clu.factor jac with
+    let dz =
+      match Cx.Clu.factor (jacobian_of dae ~period ~m !current) with
       | exception Cx.Clu.Singular _ -> failwith "Hb.solve: singular harmonic-balance Jacobian"
       | lu -> Cx.Clu.solve lu r
-    in
-    let dz =
-      if use_krylov then
-        match krylov_dir dae ~period ~m !current r with
-        | Some dz -> dz
-        | None | (exception Cx.Clu.Singular _) ->
-            Structured.fallback_to_dense ();
-            dense ()
-      else dense ()
     in
     (* damped update with symmetry projection *)
     let rec try_lambda lambda =
@@ -300,7 +178,7 @@ let solve ?(solver = Structured.auto) dae ~period ~harmonics:m ~guess =
   in
   { period; harmonics = m; coeffs }
 
-let solve_from_transient ?solver dae ~period ~harmonics ~warmup_periods x0 =
+let solve_from_transient dae ~period ~harmonics ~warmup_periods x0 =
   let nn = (2 * harmonics) + 1 in
   let t_warm = period *. float_of_int warmup_periods in
   let h = period /. 200. in
@@ -312,7 +190,7 @@ let solve_from_transient ?solver dae ~period ~harmonics ~warmup_periods x0 =
         let t = t_warm +. (period *. float_of_int j /. float_of_int nn) in
         Vec.init dae.Dae.dim (fun i -> Transient.interpolate traj i t))
   in
-  solve ?solver dae ~period ~harmonics ~guess
+  solve dae ~period ~harmonics ~guess
 
 let eval sol ~component t =
   Fourier.Series.eval sol.coeffs.(component) ~period:sol.period t

@@ -14,11 +14,8 @@
     Newton Jacobian is the standard block-Toeplitz operator
     [dR_i/dX_l = (2 pi j i / T) Chat_{i-l} + Ghat_{i-l}] built from the
     matrix-valued coefficients of [C(x(t))] and [G(t, x(t))], solved
-    with complex LU.
-
-    Mathematically equivalent to {!Periodic} (time-domain spectral
-    collocation); the test suite checks they agree to solver
-    tolerance. *)
+    with dense complex LU.  The test suite checks it against the
+    time-domain collocation of [Mpde.periodic_initial]. *)
 
 open Linalg
 
@@ -29,14 +26,9 @@ type solution = {
 }
 
 (** [solve dae ~period ~harmonics ~guess] runs harmonic-balance Newton
-    from a time-domain grid guess ([2 harmonics + 1] states).  [solver]
-    (default [Structured.auto]) picks dense complex LU or a matrix-free
-    Newton–Krylov path: the block-Toeplitz Jacobian is applied in the
-    time domain and GMRES is preconditioned with the averaged
-    per-harmonic blocks [jw_i Cbar + Gbar] (falling back to dense LU on
-    stall).  Raises [Failure] when Newton does not converge. *)
+    from a time-domain grid guess ([2 harmonics + 1] states).  Raises
+    [Failure] when Newton does not converge. *)
 val solve :
-  ?solver:Structured.strategy ->
   Dae.t ->
   period:float ->
   harmonics:int ->
@@ -46,7 +38,6 @@ val solve :
 (** [solve_from_transient dae ~period ~harmonics ~warmup_periods x0]
     integrates a warm-up transient and polishes with {!solve}. *)
 val solve_from_transient :
-  ?solver:Structured.strategy ->
   Dae.t ->
   period:float ->
   harmonics:int ->

@@ -169,20 +169,8 @@ let find dae ~n1 ~period_hint x0 =
 
 let component orbit i = Array.map (fun s -> s.(i)) orbit.grid
 
-let eval orbit ~component:i t =
-  let samples = component orbit i in
-  Fourier.Series.interp samples ~period:1. (orbit.omega *. t)
-
 let amplitude orbit ~component:i =
   let samples = component orbit i in
   let hi = Array.fold_left Float.max neg_infinity samples in
   let lo = Array.fold_left Float.min infinity samples in
   (hi -. lo) /. 2.
-
-let residual_norm dae orbit =
-  let n1 = Array.length orbit.grid in
-  let d = Fourier.Series.diff_matrix n1 in
-  let y = pack orbit.grid orbit.omega in
-  let res = collocation_residual dae ~n1 ~d y in
-  (* exclude the phase row *)
-  Vec.norm_inf (Array.sub res 0 (Array.length res - 1))

@@ -48,17 +48,6 @@ val polish : Dae.t -> n1:int -> settled -> orbit
     ~period_hint x0)] under one [oscillator.find] span. *)
 val find : Dae.t -> n1:int -> period_hint:float -> Vec.t -> orbit
 
-(** [eval orbit ~component t] evaluates the steady-state waveform at
-    (unwarped) time [t >= 0], i.e. at warped phase [omega t]. *)
-val eval : orbit -> component:int -> float -> float
-
-(** [component orbit i] is variable [i] on the grid. *)
-val component : orbit -> int -> Vec.t
-
 (** [amplitude orbit ~component] is half the peak-to-peak excursion of
     the component over one period. *)
 val amplitude : orbit -> component:int -> float
-
-(** [residual_norm dae orbit] is the collocation residual's infinity
-    norm (phase row excluded). *)
-val residual_norm : Dae.t -> orbit -> float

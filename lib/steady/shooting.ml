@@ -52,24 +52,3 @@ let autonomous dae ?(steps_per_period = 200) ?(phase_component = 0) ?(tol = 1e-8
     iterations = report.Nonlin.Newton.iterations;
   }
 
-let forced dae ?(steps_per_period = 200) ?(tol = 1e-8) ~period x0 =
-  Obs.Span.span ~attrs:[ ("dim", Obs.Span.Int dae.Dae.dim) ] "shooting.forced" @@ fun () ->
-  Obs.Scope.with_scope "shooting" @@ fun () ->
-  let residual x =
-    let xt = flow dae ~t0:0. ~t1:period ~steps:steps_per_period x in
-    Vec.sub xt x
-  in
-  let options =
-    { Nonlin.Newton.default_options with max_iterations = 40; residual_tol = tol }
-  in
-  let outcome =
-    Nonlin.Polyalg.solve ~options ~label:"shooting.forced"
-      ~cascade:[ Nonlin.Polyalg.Damped; Nonlin.Polyalg.Trust_region; Nonlin.Polyalg.Pseudo_transient ]
-      ~residual x0
-  in
-  let report = outcome.Nonlin.Polyalg.report in
-  if not report.Nonlin.Newton.converged then
-    raise
-      (Nonlin.Polyalg.Solve_failed
-         { label = "shooting.forced"; attempts = outcome.Nonlin.Polyalg.attempts });
-  { x0 = report.Nonlin.Newton.x; period; iterations = report.Nonlin.Newton.iterations }

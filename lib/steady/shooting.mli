@@ -1,13 +1,12 @@
-(** Single shooting for periodic steady state.
+(** Single shooting for the periodic steady state of unforced
+    oscillators.
 
-    For unforced oscillators the unknowns are the initial state and
-    the period, closed by a phase anchor (the time derivative of a
-    chosen component vanishes at [t = 0], so the orbit starts at that
-    component's extremum).  For forced systems the period is known and
-    only the initial state is solved.
+    The unknowns are the initial state and the period, closed by a
+    phase anchor (the time derivative of a chosen component vanishes
+    at [t = 0], so the orbit starts at that component's extremum).
 
     The classical alternative ([AT72], [TKW95] in the paper) to the
-    collocation methods of {!Oscillator} / {!Periodic}; quadratically
+    collocation method of {!Oscillator}; quadratically
     convergent near the orbit but each Jacobian column costs a
     transient integration. *)
 
@@ -30,10 +29,6 @@ val autonomous :
   period_guess:float ->
   Vec.t ->
   result
-
-(** [forced dae ?steps_per_period ?tol ~period x0] solves the forced
-    (known-period) problem [phi_T (x0) = x0]. *)
-val forced : Dae.t -> ?steps_per_period:int -> ?tol:float -> period:float -> Vec.t -> result
 
 (** [flow dae ~t0 ~t1 ~steps x0] integrates the DAE (trapezoidal) and
     returns the final state — the flow map used in the shooting

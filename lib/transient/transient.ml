@@ -220,8 +220,6 @@ let interpolate traj i t =
     if tb = ta then xa else xa +. ((xb -. xa) *. (t -. ta) /. (tb -. ta))
   end
 
-let resample traj i ~times = Array.map (interpolate traj i) times
-
 let final traj =
   let n = Array.length traj.states in
   if n = 0 then invalid_arg "Transient.final: empty trajectory";

@@ -39,9 +39,6 @@ type step_failure = {
 
 exception Step_failure of step_failure
 
-(** Human-readable form of a failure reason. *)
-val reason_string : Nonlin.Newton.failure_reason option -> string
-
 (** [theta_step dae ~theta ~t ~h x] advances one implicit theta step
     from state [x] at time [t].  Raises {!Step_failure} (carrying the
     full Newton report) if Newton fails. *)
@@ -59,9 +56,6 @@ val component : trajectory -> int -> Vec.t
 (** [interpolate traj i t] linearly interpolates component [i] at time
     [t] (clamped to the trajectory's time span). *)
 val interpolate : trajectory -> int -> float -> float
-
-(** [resample traj i ~times] evaluates {!interpolate} at many times. *)
-val resample : trajectory -> int -> times:float array -> Vec.t
 
 (** [final traj] is the last state.  Raises [Invalid_argument] on an
     empty trajectory. *)

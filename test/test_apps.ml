@@ -2,6 +2,7 @@
    frequency-domain (harmonic-balance form, eq. (18)) view of envelope
    runs, and PLL capture. *)
 open Linalg
+open Testkit
 
 let approx_tol tol = Alcotest.(check (float tol))
 let two_pi = 2. *. Float.pi

@@ -1,5 +1,5 @@
 (* Tests for the MNA substrate and the VCO circuit models. *)
-open Linalg
+open Testkit
 open Circuit
 
 let approx_tol tol = Alcotest.(check (float tol))
@@ -22,7 +22,7 @@ let mna_tests =
         Alcotest.(check int) "GROUND" 0 (Mna.node net "GROUND");
         let a = Mna.node net "a" in
         Alcotest.(check int) "a twice" a (Mna.node net "a");
-        Alcotest.(check int) "count" 1 (Mna.node_count net));
+        Alcotest.(check int) "count" 1 (Mna.compile net).Dae.dim);
     Alcotest.test_case "resistor divider dc" `Quick (fun () ->
         let net = Mna.create () in
         let nin = Mna.node net "in" and mid = Mna.node net "mid" in
@@ -91,16 +91,15 @@ let mna_tests =
         (* x layout: v(a), V.i, L.i *)
         approx_tol 1e-6 "i_L(1) = V t / L" 4. (Transient.interpolate traj 2 1.));
     Alcotest.test_case "nonlinear capacitor stores q(v)" `Quick (fun () ->
+        (* junction capacitance c0 / sqrt (1 - v/vj) below fc vj: charge
+           2 c0 vj (1 - sqrt (1 - v/vj)) *)
         let net = Mna.create () in
         let a = Mna.node net "a" in
-        Mna.add net
-          (Mna.nonlinear_capacitor ~label:"C" ~q:(fun v -> v +. (0.1 *. (v ** 3.)))
-             ~dq:(fun v -> 1. +. (0.3 *. (v *. v)))
-             a Mna.ground);
+        Mna.add net (Mna.junction_capacitor ~label:"C" ~c0:1. ~vj:1. ~m:0.5 ~fc:0.9 a Mna.ground);
         Mna.add net (Mna.resistor ~label:"R" ~r:1. a Mna.ground);
         let dae = Mna.compile net in
-        approx_tol 1e-12 "q at v=2" 2.8 (dae.Dae.q [| 2. |]).(0);
-        approx_tol 1e-12 "dq at v=2" 2.2 (dae.Dae.dq [| 2. |]).(0).(0));
+        approx_tol 1e-12 "q at v=0.5" (2. *. (1. -. sqrt 0.5)) (dae.Dae.q [| 0.5 |]).(0);
+        approx_tol 1e-12 "dq at v=0.5" (1. /. sqrt 0.5) (dae.Dae.dq [| 0.5 |]).(0).(0));
   ]
 
 (* One netlist holding every device constructor, each on its own nodes,
@@ -124,11 +123,6 @@ let all_devices () =
   (* exponential branch (0.5 < vmax = 4) and linear branch (5 > 4) *)
   add (Mna.diode ~label:"D1" ~is_:1e-3 ~vt:0.1 (node "d1" 0.5) Mna.ground);
   add (Mna.diode ~label:"D2" ~is_:1e-18 ~vt:0.1 (node "d2" 5.) Mna.ground);
-  add
-    (Mna.nonlinear_capacitor ~label:"CN"
-       ~q:(fun v -> v +. (0.1 *. v *. v *. v))
-       ~dq:(fun v -> 1. +. (0.3 *. v *. v))
-       a cn);
   let varactor label force_power n =
     let p = Vco.default_params ~force_power ~control:(fun t -> 1.5 +. (0.5 *. sin t)) () in
     add (Mna.mems_varactor ~label ~params:p.Vco.varactor n Mna.ground)
@@ -259,6 +253,15 @@ let stamp_tests =
         Alcotest.(check bool) "spawned domain" true (Domain.join other));
   ]
 
+(* equilibrium gap and small-signal frequency at a constant control
+   voltage, read off the program path's start state and nominal
+   frequency *)
+let at_control p vc =
+  { p with Vco.varactor = { p.Vco.varactor with Mna.control = (fun _ -> vc) } }
+
+let equilibrium_gap p vc = (Vco.initial_state (at_control p vc)).(Vco.idx_gap)
+let frequency_at p vc = Vco.nominal_frequency (at_control p vc)
+
 let vco_tests =
   [
     Alcotest.test_case "nominal frequency is 0.75 MHz" `Quick (fun () ->
@@ -266,26 +269,26 @@ let vco_tests =
         approx_tol 1e-3 "f" 0.7503 (Vco.nominal_frequency p));
     Alcotest.test_case "amplitude estimate is 2 V" `Quick (fun () ->
         let p = Vco.vco_a () in
-        approx_tol 1e-9 "amp" 2. (Vco.amplitude_estimate p));
+        approx_tol 1e-9 "amp" 2. (Vco.initial_state p).(Vco.idx_voltage));
     Alcotest.test_case "equilibrium gap at bias is gap0" `Quick (fun () ->
         let p = Vco.vco_a () in
-        approx_tol 1e-9 "gap" 1. (Vco.equilibrium_gap p 1.5);
+        approx_tol 1e-9 "gap" 1. (equilibrium_gap p 1.5);
         let pb = Vco.vco_b () in
-        approx_tol 1e-9 "gap b" 1. (Vco.equilibrium_gap pb 1.5));
+        approx_tol 1e-9 "gap b" 1. (equilibrium_gap pb 1.5));
     Alcotest.test_case "higher control voltage closes the gap (lower frequency)" `Quick
       (fun () ->
         let p = Vco.vco_a () in
-        let g_low = Vco.equilibrium_gap p 1.0 in
-        let g_high = Vco.equilibrium_gap p 2.5 in
+        let g_low = equilibrium_gap p 1.0 in
+        let g_high = equilibrium_gap p 2.5 in
         Alcotest.(check bool) "monotone" true (g_high < 1. && g_low > 1.);
         Alcotest.(check bool) "freq follows sqrt(gap)" true
-          (Vco.frequency_of_gap p g_high < Vco.frequency_of_gap p g_low));
+          (frequency_at p 2.5 < frequency_at p 1.0));
     Alcotest.test_case "parallel-plate equilibrium solves force balance" `Quick (fun () ->
         let p =
           Vco.default_params ~force_power:2 ~control:(fun _ -> 1.5) ()
         in
         let va = p.Vco.varactor in
-        let g = Vco.equilibrium_gap p 2.0 in
+        let g = equilibrium_gap p 2.0 in
         let balance =
           (va.Mna.stiffness *. (g -. va.Mna.g_rest)) +. (va.Mna.force0 *. 4.0 /. (g *. g))
         in
@@ -338,7 +341,7 @@ let vco_tests =
           Transient.integrate dae ~method_:Transient.Trapezoidal ~t0:0. ~t1:400. ~h:0.05 x0
         in
         let g_final = Transient.interpolate traj Vco.idx_gap 400. in
-        let g_target = Vco.equilibrium_gap p 2.5 in
+        let g_target = equilibrium_gap p 2.5 in
         approx_tol 0.02 "gap settles" g_target g_final);
   ]
 

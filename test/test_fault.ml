@@ -10,8 +10,8 @@ let spec_tests =
     Alcotest.test_case "valid specs parse" `Quick (fun () ->
         List.iter
           (fun spec ->
-            match Fault.parse spec with
-            | Ok _ -> ()
+            match Fault.with_armed "" (fun () -> Fault.arm spec) with
+            | Ok () -> ()
             | Error msg -> Alcotest.fail (spec ^ ": " ^ msg))
           [
             "linsolve@3";
@@ -26,22 +26,16 @@ let spec_tests =
     Alcotest.test_case "malformed specs are rejected" `Quick (fun () ->
         List.iter
           (fun spec ->
-            match Fault.parse spec with
-            | Ok _ -> Alcotest.fail (spec ^ ": expected Error")
+            match Fault.with_armed "" (fun () -> Fault.arm spec) with
+            | Ok () -> Alcotest.fail (spec ^ ": expected Error")
             | Error _ -> ())
-          [ "bogus@1"; "linsolve@x"; "nan%1.5"; "nan%-0.1"; "seed=abc"; "linsolve"; "stall=-1"; "stall=abc" ];
-        Alcotest.(check bool) "arm_exn raises" true
-          (try
-             Fault.arm_exn "bogus@1";
-             false
-           with Invalid_argument _ -> true));
+          [ "bogus@1"; "linsolve@x"; "nan%1.5"; "nan%-0.1"; "seed=abc"; "linsolve"; "stall=-1"; "stall=abc" ]);
     Alcotest.test_case "kind@N fires exactly once, on the Nth call" `Quick (fun () ->
         Fault.with_armed "nan@3" (fun () ->
             let fired =
               List.init 5 (fun _ -> Fault.fire Fault.Nan_residual)
             in
             Alcotest.(check (list bool)) "pattern" [ false; false; true; false; false ] fired;
-            Alcotest.(check int) "calls" 5 (Fault.calls Fault.Nan_residual);
             Alcotest.(check int) "injected" 1 (Fault.injected Fault.Nan_residual);
             (* other kinds are untouched *)
             Alcotest.(check bool) "other kind" false (Fault.fire Fault.Linear_solve);
@@ -78,19 +72,22 @@ let spec_tests =
         Alcotest.(check bool) "ambient restored" was_armed (Fault.armed ()));
     Alcotest.test_case "stall=S wedges maybe_stall for S seconds when fired" `Quick (fun () ->
         Fault.with_armed "stall@1,stall=0.05" (fun () ->
-            Alcotest.(check (float 1e-9)) "configured duration" 0.05 (Fault.stall_seconds ());
             let t0 = Unix.gettimeofday () in
             Fault.maybe_stall ();
             let slept = Unix.gettimeofday () -. t0 in
-            Alcotest.(check bool) "first probe sleeps" true (slept >= 0.04);
+            Alcotest.(check bool) "first probe sleeps the configured 0.05 s" true
+              (slept >= 0.04 && slept < 0.2);
             let t1 = Unix.gettimeofday () in
             Fault.maybe_stall ();
             Alcotest.(check bool) "single-shot: second probe is free" true
               (Unix.gettimeofday () -. t1 < 0.04);
             Alcotest.(check int) "injected" 1 (Fault.injected Fault.Solver_stall)));
     Alcotest.test_case "stall duration defaults sanely when unset" `Quick (fun () ->
+        Fault.with_armed "stall@1" (fun () ->
+            let t0 = Unix.gettimeofday () in
+            Fault.maybe_stall ();
+            Alcotest.(check bool) "positive default" true (Unix.gettimeofday () -. t0 >= 0.1));
         Fault.with_armed "nan@1" (fun () ->
-            Alcotest.(check bool) "positive default" true (Fault.stall_seconds () > 0.);
             (* no stall scheduled: the probe must not sleep *)
             let t0 = Unix.gettimeofday () in
             Fault.maybe_stall ();
@@ -129,7 +126,6 @@ let run_faulted ~spec ~dae ~options ~control ~orbit =
         | exception Step_control.Underflow _ -> `Typed "underflow"
         | exception Checkpoint.Corrupt _ -> `Typed "corrupt"
         | exception Nonlin.Polyalg.Solve_failed _ -> `Typed "solve_failed"
-        | exception Nonlin.Polyalg.Non_finite _ -> `Typed "non_finite"
       in
       let injected =
         Fault.injected Fault.Linear_solve

@@ -23,6 +23,24 @@ let parse_dump s =
   | Ok j -> j
   | Error m -> Alcotest.failf "dump does not parse: %s" m
 
+(* the dump exactly as failing programs write it, through [Flight.write] *)
+let dump ?argv ?subcommand ?git ?jobs ~kind ~message () =
+  let path = Filename.temp_file "wampde-flight" ".json" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      match Obs.Flight.write ?argv ?subcommand ?git ?jobs ~path ~kind ~message () with
+      | Ok p -> In_channel.with_open_bin p In_channel.input_all
+      | Error m -> Alcotest.failf "write failed: %s" m)
+
+(* ring occupancy as the dump reports it *)
+let occupancy field =
+  match Option.bind (Json.member field (parse_dump (dump ~kind:"probe" ~message:"" ()))) Json.to_num with
+  | Some n -> int_of_float n
+  | None -> Alcotest.failf "dump has no %s" field
+
+let recorded () = occupancy "recorded"
+
 let timeline j =
   match Json.member "timeline" j with
   | Some (Json.Arr l) -> l
@@ -38,9 +56,9 @@ let ring_tests =
            for i = 1 to 40 do
              Obs.Flight.note ~kind:"n" (Printf.sprintf "m%d" i)
            done;
-           Alcotest.(check int) "recorded caps at capacity" 16 (Obs.Flight.recorded ());
-           Alcotest.(check int) "dropped counts overwrites" 24 (Obs.Flight.dropped ());
-           let j = parse_dump (Obs.Flight.dump ~kind:"boom" ~message:"end" ()) in
+           Alcotest.(check int) "recorded caps at capacity" 16 (recorded ());
+           Alcotest.(check int) "dropped counts overwrites" 24 (occupancy "dropped");
+           let j = parse_dump (dump ~kind:"boom" ~message:"end" ()) in
            let tl = timeline j in
            (* 16 surviving notes + the reason entry *)
            Alcotest.(check int) "timeline = recorded + reason" 17 (List.length tl);
@@ -52,16 +70,19 @@ let ring_tests =
            Obs.Flight.arm ~capacity:16 ();
            Obs.Flight.note ~kind:"n" "x";
            Obs.Flight.arm ~capacity:16 ();
-           Alcotest.(check int) "re-arm while armed keeps cells" 1 (Obs.Flight.recorded ());
+           Alcotest.(check int) "re-arm while armed keeps cells" 1 (recorded ());
            Obs.Flight.clear ();
-           Alcotest.(check int) "cleared" 0 (Obs.Flight.recorded ());
-           Alcotest.(check bool) "still armed" true (Obs.Flight.armed ())));
+           Alcotest.(check int) "cleared" 0 (recorded ());
+           (* still armed: events keep landing *)
+           Obs.set_enabled true;
+           Obs.Events.emit (Obs.Events.Step_accept { t = 0.1; h = 0.1 });
+           Alcotest.(check bool) "still armed" true (recorded () > 0)));
     Alcotest.test_case "notes are recorded even while telemetry is disabled" `Quick
       (with_flight (fun () ->
            Obs.set_enabled false;
            Obs.Flight.arm ();
            Obs.Flight.note ~kind:"fault" "injected nan";
-           Alcotest.(check int) "note landed" 1 (Obs.Flight.recorded ())));
+           Alcotest.(check int) "note landed" 1 (recorded ())));
     Alcotest.test_case "solver events and macro-step snapshots land on the timeline" `Quick
       (with_flight (fun () ->
            Obs.set_enabled true;
@@ -69,7 +90,7 @@ let ring_tests =
            Obs.Events.emit
              (Obs.Events.Newton_iter { solver = "envelope"; k = 1; residual = 1e-3; damping = 1. });
            Obs.Events.emit (Obs.Events.Step_accept { t = 0.5; h = 0.25 });
-           let j = parse_dump (Obs.Flight.dump ~kind:"boom" ~message:"end" ()) in
+           let j = parse_dump (dump ~kind:"boom" ~message:"end" ()) in
            let tl = timeline j in
            let types = List.filter_map (entry_str "type") tl in
            Alcotest.(check bool) "has event entries" true (List.mem "event" types);
@@ -90,13 +111,13 @@ let dump_tests =
            Obs.Flight.note ~kind:"fault" "injected linsolve";
            let j =
              parse_dump
-               (Obs.Flight.dump
+               (dump
                   ~argv:[| "wampde_cli"; "envelope" |]
                   ~subcommand:"envelope" ~git:"abc123" ~jobs:2 ~kind:"step-failure"
                   ~message:"Newton failed" ())
            in
            let str k = Option.bind (Json.member k j) Json.to_str in
-           Alcotest.(check (option string)) "schema" (Some Obs.Flight.schema) (str "schema");
+           Alcotest.(check (option string)) "schema" (Some "wampde.flightdump/1") (str "schema");
            Alcotest.(check (option string)) "subcommand" (Some "envelope") (str "subcommand");
            Alcotest.(check (option string)) "git" (Some "abc123") (str "git");
            Alcotest.(check bool) "metrics snapshot embedded" true
@@ -164,7 +185,7 @@ let dump_tests =
            Obs.Flight.disarm ();
            Obs.Flight.clear ();
            Obs.Events.emit (Obs.Events.Step_accept { t = 0.1; h = 0.1 });
-           Alcotest.(check int) "no cells after disarm" 0 (Obs.Flight.recorded ())));
+           Alcotest.(check int) "no cells after disarm" 0 (recorded ())));
   ]
 
 let suites = [ ("flight", ring_tests @ dump_tests) ]

@@ -167,25 +167,6 @@ let globalize_tests =
                Alcotest.(check bool) "escalations counted" true
                  (count "newton.strategy.escalations" >= 1);
                Alcotest.(check int) "fault fired once" 1 (Fault.injected Fault.Linear_solve))));
-    Alcotest.test_case "solve_exn raises Non_finite on a NaN residual" `Quick
-      (with_counters (fun () ->
-           let residual _ = [| Float.nan |] in
-           Alcotest.(check bool) "typed" true
-             (try
-                ignore (Nonlin.Polyalg.solve_exn ~label:"nan_case" ~residual [| 1. |]);
-                false
-              with Nonlin.Polyalg.Non_finite { label = "nan_case"; _ } -> true)));
-    Alcotest.test_case "solve_exn raises Solve_failed with every attempt" `Quick
-      (with_counters (fun () ->
-           (* no real root: x^2 + 1 = 0 defeats every strategy *)
-           let residual x = [| (x.(0) *. x.(0)) +. 1. |] in
-           Alcotest.(check bool) "typed" true
-             (try
-                ignore (Nonlin.Polyalg.solve_exn ~residual [| 1. |]);
-                false
-              with Nonlin.Polyalg.Solve_failed { attempts; _ } ->
-                List.length attempts = List.length Nonlin.Polyalg.default_cascade);
-           Alcotest.(check int) "failure counted" 1 (count "newton.strategy.failed")));
     Alcotest.test_case "homotopy stage cracks a fold that cold Newton misses" `Quick
       (with_counters (fun () ->
            (* exp cliff so steep that damped Newton, dogleg and PTC all

@@ -1,5 +1,5 @@
 (* Tests for frequency-domain harmonic balance, cross-checked against
-   time-domain collocation and transient simulation. *)
+   the MPDE's time-domain collocation and transient simulation. *)
 
 let approx_tol tol = Alcotest.(check (float tol))
 let two_pi = 2. *. Float.pi
@@ -29,23 +29,29 @@ let hb_tests =
           (spec.(1) > 0.1 && spec.(2) < 1e-10 && spec.(0) < 1e-10));
     Alcotest.test_case "hb equals time-domain collocation on nonlinear problem" `Quick
       (fun () ->
-        (* driven nonlinear RC: x' + x + 0.3 x^3 = cos(2 pi t / T) *)
+        (* driven nonlinear RC: x' + x + 0.3 x^3 = cos(2 pi t / T); HB
+           sees the forcing inside f, the MPDE at frozen t2 as b_fast *)
         let period = 3. in
-        let dae =
-          Dae.of_ode ~dim:1
-            ~rhs:(fun ~t x ->
-              [| cos (two_pi *. t /. period) -. x.(0) -. (0.3 *. (x.(0) ** 3.)) |])
-            ()
-        in
+        let forcing t = cos (two_pi *. t /. period) in
+        let cubic x = x.(0) +. (0.3 *. (x.(0) ** 3.)) in
+        let dae = Dae.of_ode ~dim:1 ~rhs:(fun ~t x -> [| forcing t -. cubic x |]) () in
         let m = 7 in
         let nn = (2 * m) + 1 in
         let guess = Array.init nn (fun _ -> [| 0. |]) in
         let hb = Steady.Hb.solve dae ~period ~harmonics:m ~guess in
-        let colloc = Steady.Periodic.solve dae ~period ~n1:nn ~guess in
+        let sys =
+          {
+            Mpde.dae = Dae.of_ode ~dim:1 ~rhs:(fun ~t:_ x -> [| -.cubic x |]) ();
+            p1 = period;
+            b_fast = (fun ~t1 ~t2:_ -> [| -.forcing t1 |]);
+          }
+        in
+        let colloc = Mpde.periodic_initial sys ~n1:nn ~guess in
+        let samples = Array.map (fun x -> x.(0)) colloc in
         for k = 0 to 30 do
           let t = period *. float_of_int k /. 30. in
           approx_tol 1e-7 "same waveform"
-            (Steady.Periodic.eval colloc ~component:0 t)
+            (Fourier.Series.interp samples ~period t)
             (Steady.Hb.eval hb ~component:0 t)
         done);
     Alcotest.test_case "diode rectifier: hb matches settled transient" `Quick (fun () ->

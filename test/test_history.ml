@@ -32,6 +32,22 @@ let append_ok ?max_bytes ?keep ~dir ~key ~manifest () =
   | Ok () -> ()
   | Error m -> Alcotest.failf "append failed: %s" m
 
+(* the store file inside a history directory, read and written raw *)
+let store dir = Filename.concat dir "history.ndjson"
+let read_store dir = In_channel.with_open_bin (store dir) In_channel.input_all
+let write_store dir text = Out_channel.with_open_bin (store dir) (fun oc -> output_string oc text)
+
+(* one store line as [append] writes it *)
+let stored_line () =
+  let dir = Filename.temp_dir "history-line" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove (store dir) with Sys_error _ -> ());
+      try Sys.rmdir dir with Sys_error _ -> ())
+    (fun () ->
+      append_ok ~dir ~key:(key ()) ~manifest:(manifest ()) ();
+      String.trim (read_store dir))
+
 let store_tests =
   [
     Alcotest.test_case "append/load round trip preserves keys and manifests" `Quick
@@ -46,28 +62,32 @@ let store_tests =
            Alcotest.(check int) "newest last" 25 e2.History.key.n1;
            Alcotest.(check (float 1e-9)) "wall_s decoded" 1.5 e1.History.wall_s;
            Alcotest.(check (float 1e-9)) "unix_time decoded" 1000. e1.History.unix_time));
-    Alcotest.test_case "encode/decode round trip, CRC catches byte mangling" `Quick (fun () ->
-        let line = History.encode_line ~key:(key ()) ~manifest:(manifest ()) in
-        let e = History.decode_line line in
-        Alcotest.(check string) "circuit survives" "vco-a" e.History.key.circuit;
-        (* flip one payload byte: framing is intact, CRC must trip *)
-        let b = Bytes.of_string line in
-        Bytes.set b (String.length line - 3) 'X';
-        (match History.decode_line (Bytes.to_string b) with
-         | exception History.Corrupt msg ->
-           Alcotest.(check bool) "CRC error names the cause" true
-             (String.length msg > 0)
-         | _ -> Alcotest.fail "mangled line decoded");
-        (* truncation: too short for the CRC prefix *)
-        match History.decode_line (String.sub line 0 6) with
-        | exception History.Corrupt _ -> ()
-        | _ -> Alcotest.fail "truncated line decoded");
+    Alcotest.test_case "encode/decode round trip, CRC catches byte mangling" `Quick
+      (with_dir (fun dir ->
+           append_ok ~dir ~key:(key ()) ~manifest:(manifest ()) ();
+           let line = String.trim (read_store dir) in
+           (match History.load ~dir with
+            | [ e ], [] -> Alcotest.(check string) "circuit survives" "vco-a" e.History.key.circuit
+            | _ -> Alcotest.fail "round trip lost the entry");
+           (* flip one payload byte: framing is intact, CRC must trip *)
+           let b = Bytes.of_string line in
+           Bytes.set b (String.length line - 3) 'X';
+           write_store dir (Bytes.to_string b ^ "\n");
+           (match History.load ~dir with
+            | [], [ msg ] ->
+              Alcotest.(check bool) "CRC error names the cause" true (String.length msg > 0)
+            | _ -> Alcotest.fail "mangled line decoded");
+           (* truncation: too short for the CRC prefix *)
+           write_store dir (String.sub line 0 6 ^ "\n");
+           match History.load ~dir with
+           | [], [ _ ] -> ()
+           | _ -> Alcotest.fail "truncated line decoded"));
     Alcotest.test_case "load skips corrupt lines with warnings, never raises" `Quick
       (with_dir (fun dir ->
            append_ok ~dir ~key:(key ()) ~manifest:(manifest ~wall:1. ()) ();
            append_ok ~dir ~key:(key ()) ~manifest:(manifest ~wall:2. ()) ();
            (* mangle the first line's payload in place *)
-           let p = History.path ~dir in
+           let p = store dir in
            let ic = open_in_bin p in
            let contents =
              Fun.protect
@@ -90,9 +110,10 @@ let store_tests =
            for i = 1 to 10 do
              append_ok ~dir ~key:(key ()) ~manifest:(manifest ~wall:(float_of_int i) ()) ()
            done;
-           append_ok ~dir ~key:(key ~circuit:"vco-b" ()) ~manifest:(manifest ~wall:99. ()) ();
-           let dropped = History.compact ~keep:3 ~dir () in
-           Alcotest.(check int) "dropped the old majority" 7 dropped;
+           (* the store now outgrows a 1-byte bound: append compacts it *)
+           append_ok ~max_bytes:1 ~keep:3 ~dir ~key:(key ~circuit:"vco-b" ())
+             ~manifest:(manifest ~wall:99. ())
+             ();
            let entries, warnings = History.load ~dir in
            Alcotest.(check int) "no warnings after rewrite" 0 (List.length warnings);
            Alcotest.(check int) "3 + 1 entries kept" 4 (List.length entries);
@@ -161,7 +182,13 @@ let concurrency_tests =
 
 let fuzz_tests =
   let open QCheck in
+  let dir = Filename.temp_dir "history-fuzz" "" in
+  at_exit (fun () ->
+      (try Sys.remove (store dir) with Sys_error _ -> ());
+      try Sys.rmdir dir with Sys_error _ -> ());
   [
+    (* [load] decodes every store line and turns only [Corrupt] into a
+       warning, so any other exception from the decoder escapes it *)
     QCheck_alcotest.to_alcotest
       (Test.make ~count:300 ~name:"decode_line is total (Corrupt or entry, never other raises)"
          (make
@@ -171,10 +198,7 @@ let fuzz_tests =
                   string_size (int_range 0 80);
                   (* valid line with a few random byte flips *)
                   (let* flips = list_size (int_range 1 4) (pair small_nat char) in
-                   let line =
-                     History.encode_line ~key:(key ()) ~manifest:(manifest ())
-                   in
-                   let b = Bytes.of_string line in
+                   let b = Bytes.of_string (stored_line ()) in
                    List.iter
                      (fun (pos, c) ->
                        if Bytes.length b > 0 then Bytes.set b (pos mod Bytes.length b) c)
@@ -182,11 +206,11 @@ let fuzz_tests =
                    return (Bytes.to_string b));
                 ]))
          (fun line ->
-           match History.decode_line line with
+           write_store dir line;
+           match History.load ~dir with
            | _ -> true
-           | exception History.Corrupt _ -> true
            | exception e ->
-             Test.fail_reportf "decode_line raised %s on %S" (Printexc.to_string e) line));
+             Test.fail_reportf "decoding raised %s on %S" (Printexc.to_string e) line));
   ]
 
 let stats_tests =

@@ -131,6 +131,26 @@ let mpde_tests =
              ignore (Mpde.periodic_initial sys ~n1:10 ~guess:(Array.init 10 (fun _ -> [| 0. |])));
              false
            with Invalid_argument _ -> true));
+    Alcotest.test_case "mis-shaped grids are rejected with the expected shape" `Quick (fun () ->
+        let sys = am_system ~p1:0.01 ~a:(fun _ -> 1.) in
+        let grid n dim = Array.init n (fun _ -> Array.make dim 0.) in
+        let rejects what expected f =
+          match f () with
+          | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+          | exception Invalid_argument msg -> Alcotest.(check string) what expected msg
+        in
+        let shape fn = Printf.sprintf "Mpde.%s: expected 15 states of dimension 1" fn in
+        List.iter
+          (fun (what, guess) ->
+            rejects what (shape "periodic_initial") (fun () ->
+                ignore (Mpde.periodic_initial sys ~n1:15 ~guess)))
+          [ ("13 states", grid 13 1); ("17 states", grid 17 1); ("states of length 2", grid 15 2) ];
+        rejects "simulate init" (shape "simulate") (fun () ->
+            ignore (Mpde.simulate sys ~n1:15 ~t2_end:1. ~h2:0.25 ~init:(grid 15 2)));
+        rejects "quasiperiodic inner arrays" (shape "quasiperiodic") (fun () ->
+            ignore
+              (Mpde.quasiperiodic sys ~n1:15 ~n2:3 ~p2:1.
+                 ~guess:[| grid 15 1; grid 13 1; grid 15 1 |])));
   ]
 
 let suites = [ ("mpde", mpde_tests) ]

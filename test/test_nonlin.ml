@@ -1,5 +1,5 @@
 (* Tests for Newton, finite-difference Jacobians and continuation. *)
-open Linalg
+open Testkit
 open Nonlin
 
 let approx_tol tol = Alcotest.(check (float tol))
@@ -45,8 +45,9 @@ let newton_tests =
     Alcotest.test_case "analytic jacobian used" `Quick (fun () ->
         let residual x = [| exp x.(0) -. 2. |] in
         let jacobian x = [| [| exp x.(0) |] |] in
-        let x = Newton.solve_exn ~jacobian ~residual [| 0. |] in
-        approx_tol 1e-10 "ln 2" (log 2.) x.(0));
+        let report = Newton.solve ~jacobian ~residual [| 0. |] in
+        Alcotest.(check bool) "converged" true report.Newton.converged;
+        approx_tol 1e-10 "ln 2" (log 2.) report.Newton.x.(0));
     Alcotest.test_case "line search rescues bad start" `Quick (fun () ->
         (* atan has tiny derivative far out; undamped Newton diverges from 4 *)
         let report = Newton.solve ~residual:(fun x -> [| atan x.(0) |]) [| 4. |] in
@@ -71,7 +72,8 @@ let continuation_tests =
     Alcotest.test_case "continuation tracks a folding-free branch" `Quick (fun () ->
         (* x^3 + x = lambda has a unique smooth branch *)
         let residual lambda x = [| (x.(0) ** 3.) +. x.(0) -. lambda |] in
-        let x = Continuation.solve_at ~residual ~from_:0. ~to_:10. [| 0. |] in
+        let pts = Continuation.trace ~residual ~from_:0. ~to_:10. [| 0. |] in
+        let x = (List.nth pts (List.length pts - 1)).Continuation.x in
         approx_tol 1e-8 "f(x) = 10" 10. ((x.(0) ** 3.) +. x.(0)));
     Alcotest.test_case "trace ends at target" `Quick (fun () ->
         let residual lambda x = [| x.(0) -. (lambda *. lambda) |] in

@@ -41,19 +41,35 @@ let tests =
            Obs.set_enabled true;
            let h = Obs.Metrics.histogram "test.hist" in
            List.iter (Obs.Metrics.observe h) [ 1.; 2.; 4.; 8. ];
-           let s = Obs.Metrics.stats h in
-           Alcotest.(check int) "count" 4 s.Obs.Metrics.count;
-           Alcotest.(check (float 1e-12)) "sum" 15. s.Obs.Metrics.sum;
-           Alcotest.(check (float 1e-12)) "min" 1. s.Obs.Metrics.min;
-           Alcotest.(check (float 1e-12)) "max" 8. s.Obs.Metrics.max;
-           Alcotest.(check (float 1e-12)) "mean" 3.75 s.Obs.Metrics.mean;
-           Alcotest.(check bool) "log buckets separate powers of two" true
-             (List.length s.Obs.Metrics.buckets = 4);
-           List.iter
-             (fun (lo, hi, n) ->
-               Alcotest.(check int) "one observation per bucket" 1 n;
-               Alcotest.(check bool) "bucket bounds ordered" true (lo < hi))
-             s.Obs.Metrics.buckets));
+           (* read back through the metrics JSON every manifest embeds *)
+           let s =
+             match Obs.Json.parse (Obs.Metrics.to_json ()) with
+             | Ok j -> (
+               match Option.bind (Obs.Json.member "histograms" j) (Obs.Json.member "test.hist") with
+               | Some s -> s
+               | None -> Alcotest.fail "test.hist missing from the metrics JSON")
+             | Error m -> Alcotest.fail m
+           in
+           let num k = Option.bind (Obs.Json.member k s) Obs.Json.to_num in
+           Alcotest.(check (option (float 0.))) "count" (Some 4.) (num "count");
+           Alcotest.(check (option (float 1e-12))) "sum" (Some 15.) (num "sum");
+           Alcotest.(check (option (float 1e-12))) "min" (Some 1.) (num "min");
+           Alcotest.(check (option (float 1e-12))) "max" (Some 8.) (num "max");
+           Alcotest.(check (option (float 1e-12))) "mean" (Some 3.75) (num "mean");
+           Alcotest.(check (float 1e-12)) "Metrics.mean" 3.75 (Obs.Metrics.mean h);
+           match Obs.Json.member "buckets" s with
+           | Some (Obs.Json.Arr buckets) ->
+             Alcotest.(check int) "log buckets separate powers of two" 4 (List.length buckets);
+             List.iter
+               (function
+                 | Obs.Json.Arr [ lo; hi; n ] ->
+                   Alcotest.(check (option (float 0.))) "one observation per bucket" (Some 1.)
+                     (Obs.Json.to_num n);
+                   Alcotest.(check bool) "bucket bounds ordered" true
+                     (Obs.Json.to_num lo < Obs.Json.to_num hi)
+                 | _ -> Alcotest.fail "bucket is not [lo, hi, n]")
+               buckets
+           | _ -> Alcotest.fail "no buckets array"));
     Alcotest.test_case "span nesting, parent ids and tree summary" `Quick
       (with_clean (fun () ->
            Obs.Span.start_recording ();
@@ -154,7 +170,7 @@ let tests =
                (Float.is_finite fr.Transient.residual_norm
                && fr.Transient.residual_norm > 0.);
              Alcotest.(check bool) "reason is descriptive" true
-               (String.length (Transient.reason_string fr.Transient.reason) > 0
+               (String.length (Printexc.to_string (Transient.Step_failure fr)) > 0
                && fr.Transient.reason <> None)));
     Alcotest.test_case "envelope run records solver work" `Slow
       (with_clean (fun () ->

@@ -4,6 +4,7 @@
    count" is checked with structural equality on float arrays — exact,
    not within a tolerance. *)
 open Linalg
+open Testkit
 
 module Pool = Par.Pool
 module Obs = Wampde_obs
@@ -76,11 +77,16 @@ let pool_tests =
         Alcotest.(check int) "pool alive" 1000 (Array.fold_left ( + ) 0 hits));
     Alcotest.test_case "singular preconditioner block raises through the pool" `Quick (fun () ->
         with_jobs 4 (fun () ->
-            let cbar = Mat.identity 3 in
-            let bbar = Mat.zeros 3 3 in
-            (* coeff 0 makes M_0 = 0 * I + 0 singular *)
-            let coeffs = Array.init 8 (fun l -> Cx.cx (float_of_int l) 0.) in
-            match Structured.spectral_blocks ~coeffs ~cbar ~bbar with
+            let n1 = 9 in
+            (* C = I, B = 0: the exactly zero wavenumber-0 eigenvalue of
+               the second-order FD circulant makes M_0 = 0 * I + 0
+               singular *)
+            let op =
+              Structured.make_op ~alpha:1. ~d:(Fourier.Series.diff_matrix_fd ~order:2 n1)
+                ~c_blocks:(Array.make n1 (Mat.identity 3))
+                ~b_blocks:(Array.make n1 (Mat.zeros 3 3))
+            in
+            match Structured.make_precond op with
             | _ -> Alcotest.fail "expected Singular"
             | exception Cx.Clu.Singular _ -> ()));
     Alcotest.test_case "pool metrics accumulate on parallel regions" `Quick (fun () ->
@@ -163,7 +169,7 @@ let det_tests =
            let res = Array.init batch (fun b -> Array.init size (mk b)) in
            let ims = Array.init batch (fun b -> Array.init size (mk (b + 77))) in
            Pool.parallel_for ~jobs batch (fun b ->
-               Fourier.Fft.fft_pair_inplace res.(b) ims.(b));
+               fft_pair_inplace res.(b) ims.(b));
            let ok = ref true in
            Array.iteri
              (fun b z ->
@@ -251,7 +257,7 @@ let alloc_tests =
              (fun n1 ->
                let re = Array.init n1 (fun i -> sin (float_of_int i)) in
                let im = Array.init n1 (fun i -> cos (float_of_int i)) in
-               (n1, steady_words (fun () -> Fourier.Fft.fft_pair_inplace re im)))
+               (n1, steady_words (fun () -> fft_pair_inplace re im)))
              alloc_n1s));
     Alcotest.test_case "one more gmres iteration allocates bounded words at every n1" `Quick
       (fun () ->
@@ -295,7 +301,6 @@ let alloc_tests =
           [
             ("Vec.dot", Vec.dot);
             ("Vec.norm2", fun u _ -> Vec.norm2 u);
-            ("Vec.norm1", fun u _ -> Vec.norm1 u);
             ("Vec.norm_inf", fun u _ -> Vec.norm_inf u);
           ]);
   ]
@@ -403,7 +408,7 @@ let obs_tests =
                   (fun t -> Alcotest.(check bool) "worker track ids start at 1" true (t >= 1))
                   tids;
                 let trace = Obs.Trace_event.to_string ~spans ~instants:[] () in
-                match Obs.Json.parse_exn trace with
+                match Testkit.json_exn trace with
                 | Obs.Json.Arr evs ->
                   let str k e = Option.bind (Obs.Json.member k e) Obs.Json.to_str in
                   let thread_names =

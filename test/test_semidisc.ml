@@ -3,6 +3,7 @@
    linearizes, and its structured operator with its dense assembly. *)
 
 open Linalg
+open Testkit
 module Sd = Dae.Semidisc
 
 let n1 = 7

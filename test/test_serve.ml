@@ -53,7 +53,7 @@ let run_server ?(quantum = 2) ?(cache = 0) ?max_retries ?retry_base_s ?stall_tim
   if cleanup then rm_rf spool;
   (code, List.rev !out)
 
-let records_of lines = List.map Json.parse_exn lines
+let records_of lines = List.map Testkit.json_exn lines
 
 let typ j = Option.bind (Json.member "type" j) Json.to_str |> Option.value ~default:""
 let str k j = Option.bind (Json.member k j) Json.to_str
@@ -161,17 +161,17 @@ let stats_tests =
     Alcotest.test_case "job_error carries the flight dump path only when given" `Quick
       (fun () ->
         let with_dump =
-          Json.parse_exn
+          Testkit.json_exn
             (Protocol.job_error ~flight:"spool/x.flight.json" ~id:"x" ~kind:"step-failure"
                ~message:"m" ~quanta:3 ())
         in
         Alcotest.(check (option string)) "flight path embedded" (Some "spool/x.flight.json")
           (str "flight" with_dump);
-        let plain = Json.parse_exn (Protocol.job_error ~id:"x" ~kind:"k" ~message:"m" ~quanta:1 ()) in
+        let plain = Testkit.json_exn (Protocol.job_error ~id:"x" ~kind:"k" ~message:"m" ~quanta:1 ()) in
         Alcotest.(check (option string)) "absent without a dump" None (str "flight" plain));
     Alcotest.test_case "stats_line groups counters by subsystem" `Quick (fun () ->
         let j =
-          Json.parse_exn
+          Testkit.json_exn
             (Protocol.stats_line
                ~counters:
                  [
@@ -640,7 +640,7 @@ let journal_tests =
         Journal.append j { Journal.id = "a"; state = Journal.Accepted { request = "{}" }; attempt = 1 };
         Journal.append j { Journal.id = "a"; state = Journal.Running; attempt = 1 };
         Journal.close j;
-        let p = Journal.path ~spool in
+        let p = Filename.concat spool "journal.wj" in
         Unix.truncate p ((Unix.stat p).Unix.st_size - 3);
         let records, warnings = Journal.replay ~spool in
         Alcotest.(check int) "one surviving record" 1 (List.length records);
@@ -656,7 +656,7 @@ let journal_tests =
         Journal.append j { Journal.id = "a"; state = Journal.Accepted { request = "{}" }; attempt = 1 };
         Journal.append j { Journal.id = "a"; state = Journal.Done; attempt = 1 };
         Journal.close j;
-        let p = Journal.path ~spool in
+        let p = Filename.concat spool "journal.wj" in
         let ic = open_in_bin p in
         let s = really_input_string ic (in_channel_length ic) in
         close_in ic;
@@ -853,7 +853,7 @@ let supervision_tests =
         let saw_terminal id =
           List.exists
             (fun l ->
-              let j = Json.parse_exn l in
+              let j = Testkit.json_exn l in
               (typ j = "result" || typ j = "job-error") && str "id" j = Some id)
             !out
         in

@@ -85,12 +85,12 @@ let tests =
     Alcotest.test_case "record_accept grows toward h_max only" `Quick (fun () ->
         let ctrl = Step_control.create (sc_opts ~h_max:1.5 ()) ~h_init:1. in
         Step_control.record_accept ctrl ~t:0. ~h_used:1.;
-        Alcotest.(check (float 0.)) "clamped at h_max" 1.5 (Step_control.h ctrl));
+        Alcotest.(check (float 0.)) "clamped at h_max" 1.5 (Step_control.snapshot ctrl).Step_control.s_h);
     Alcotest.test_case "snapshot round-trips and replays identically" `Quick (fun () ->
         let opts = sc_opts () in
         let ctrl = Step_control.create opts ~h_init:0.3 in
         ignore (Step_control.decide ctrl ~t:0. ~h_used:0.3 ~err:0.4);
-        ignore (Step_control.decide ctrl ~t:0.3 ~h_used:(Step_control.h ctrl) ~err:1.7);
+        ignore (Step_control.decide ctrl ~t:0.3 ~h_used:(Step_control.snapshot ctrl).Step_control.s_h ~err:1.7);
         ignore (Step_control.failure_retry ctrl ~t:0.3 ~h_used:0.1 ~reason:"newton");
         let snap = Step_control.snapshot ctrl in
         let floats = Step_control.snapshot_to_floats snap in
@@ -99,12 +99,12 @@ let tests =
         let twin = Step_control.create opts ~h_init:123. in
         Step_control.restore twin snap';
         (* identical future decisions *)
-        let d1 = Step_control.decide ctrl ~t:0.6 ~h_used:(Step_control.h ctrl) ~err:0.2 in
-        let d2 = Step_control.decide twin ~t:0.6 ~h_used:(Step_control.h twin) ~err:0.2 in
+        let d1 = Step_control.decide ctrl ~t:0.6 ~h_used:(Step_control.snapshot ctrl).Step_control.s_h ~err:0.2 in
+        let d2 = Step_control.decide twin ~t:0.6 ~h_used:(Step_control.snapshot twin).Step_control.s_h ~err:0.2 in
         Alcotest.(check bool) "same decision" true (d1 = d2);
-        Alcotest.(check (float 0.)) "same h" (Step_control.h ctrl) (Step_control.h twin);
-        Alcotest.(check int) "same accepted count" (Step_control.accepted ctrl)
-          (Step_control.accepted twin));
+        Alcotest.(check (float 0.)) "same h" (Step_control.snapshot ctrl).Step_control.s_h (Step_control.snapshot twin).Step_control.s_h;
+        Alcotest.(check int) "same accepted count" (Step_control.snapshot ctrl).Step_control.s_accepted
+          (Step_control.snapshot twin).Step_control.s_accepted);
     Alcotest.test_case "snapshot_of_floats validates length" `Quick (fun () ->
         Alcotest.check_raises "bad length"
           (Invalid_argument "Step_control.snapshot_of_floats: expected 6 entries")

@@ -2,6 +2,7 @@
    FFT-diagonalized averaged-block preconditioner (Linalg.Structured),
    plus the envelope solver's Krylov path. *)
 open Linalg
+open Testkit
 
 let two_pi = 2. *. Float.pi
 
@@ -193,53 +194,6 @@ let unit_tests =
               Alcotest.failf "omega mismatch at index %d: dense %.9g krylov %.9g (rel %.2e)" i
                 om_d om_k rel)
           dense.Wampde.Envelope.omega);
-    Alcotest.test_case "harmonic balance Krylov path matches dense" `Quick (fun () ->
-        (* forced nonlinear RC: q = x + 0.2 x^3, f = x - cos(2 pi t / T) *)
-        let period = 2.5 in
-        let dae =
-          Dae.make ~dim:1
-            ~q:(fun x -> [| x.(0) +. (0.2 *. (x.(0) ** 3.)) |])
-            ~f:(fun ~t x -> [| x.(0) -. cos (two_pi *. t /. period) |])
-            ~dq:(fun x -> [| [| 1. +. (0.6 *. x.(0) *. x.(0)) |] |])
-            ~df:(fun ~t:_ _ -> [| [| 1. |] |])
-            ()
-        in
-        let m = 9 in
-        let nn = (2 * m) + 1 in
-        let guess = Array.init nn (fun _ -> [| 0. |]) in
-        let dense = Steady.Hb.solve ~solver:Structured.Dense dae ~period ~harmonics:m ~guess in
-        let krylov = Steady.Hb.solve ~solver:Structured.Krylov dae ~period ~harmonics:m ~guess in
-        Alcotest.(check bool) "krylov residual small" true
-          (Steady.Hb.residual_norm dae krylov < 1e-8);
-        for k = 0 to 20 do
-          let t = period *. float_of_int k /. 20. in
-          let vd = Steady.Hb.eval dense ~component:0 t in
-          let vk = Steady.Hb.eval krylov ~component:0 t in
-          if Float.abs (vd -. vk) > 1e-8 then
-            Alcotest.failf "hb waveform mismatch at t = %.3f: %.10g vs %.10g" t vd vk
-        done);
-    Alcotest.test_case "hb-envelope Krylov path matches dense" `Quick (fun () ->
-        let p = Circuit.Vco.vco_a () in
-        let dae = Circuit.Vco.build p in
-        let p0 = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
-        let m = 7 in
-        let orbit =
-          Steady.Oscillator.find (Circuit.Vco.build p0) ~n1:((2 * m) + 1) ~period_hint:1.333
-            (Circuit.Vco.initial_state p0)
-        in
-        let run solver =
-          Wampde.Hb_envelope.simulate ~solver dae ~harmonics:m ~t2_end:1. ~h2:0.25 ~init:orbit
-            ()
-        in
-        let dense = run Structured.Dense in
-        let krylov = run Structured.Krylov in
-        Array.iteri
-          (fun i om_d ->
-            let om_k = krylov.Wampde.Hb_envelope.omega.(i) in
-            let rel = Float.abs (om_k -. om_d) /. Float.max 1e-12 (Float.abs om_d) in
-            if rel > 1e-6 then
-              Alcotest.failf "hb-envelope omega mismatch at index %d: %.9g vs %.9g" i om_d om_k)
-          dense.Wampde.Hb_envelope.omega)
   ]
 
 (* Property-based tests: a random linear DAE (q = C x, f = B x) has the

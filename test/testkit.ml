@@ -1,0 +1,63 @@
+(* Comparison helpers and allocating wrappers the tests share.  lib/
+   exports only what programs call, so these test-side conveniences
+   live here; a suite that opens [Linalg] opens [Testkit] after it. *)
+
+module Vec = struct
+  include Linalg.Vec
+
+  let approx_equal ?(tol = 1e-9) u v =
+    Array.length u = Array.length v && Array.for_all2 (fun a b -> Float.abs (a -. b) <= tol) u v
+end
+
+module Mat = struct
+  include Linalg.Mat
+
+  let diag v = init (Array.length v) (Array.length v) (fun i j -> if i = j then v.(i) else 0.)
+  let transpose m = init (cols m) (rows m) (fun i j -> m.(j).(i))
+  let matvec_into m v ~dst = Array.blit (matvec m v) 0 dst 0 (Array.length dst)
+
+  let approx_equal ?(tol = 1e-9) a b =
+    Array.length a = Array.length b && Array.for_all2 (Vec.approx_equal ~tol) a b
+end
+
+module Structured = struct
+  include Linalg.Structured
+
+  let apply op v =
+    let out = Array.make (dim op) 0. in
+    apply_into op v out;
+    out
+
+  let apply_bordered op ~border_col ~border_row v =
+    let out = Array.make (dim op + 1) 0. in
+    apply_bordered_into op ~border_col ~border_row v out;
+    out
+end
+
+let cvec_approx_equal ?(tol = 1e-9) u v =
+  Array.length u = Array.length v
+  && Array.for_all2 (fun a b -> Complex.norm (Complex.sub a b) <= tol) u v
+
+(* the inverse and in-place pair transforms programs reach through
+   [Fourier.Fft.structured_dft] *)
+let ifft = Fourier.Fft.structured_dft.Linalg.Structured.inv
+let fft_pair_inplace = Option.get Fourier.Fft.structured_dft.Linalg.Structured.fwd_pair
+
+(* [parse_deck text] parses an in-memory netlist through
+   [Circuit.Parser.parse_file], the path the CLI takes *)
+let parse_deck text =
+  let path = Filename.temp_file "deck" ".cir" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Circuit.Parser.parse_file path)
+
+(* [warp_of_function ~t0 ~t1 ~n omega] samples an analytic rate on [n]
+   uniform points *)
+let warp_of_function ~t0 ~t1 ~n omega =
+  let times = Linalg.Vec.linspace t0 t1 n in
+  Sigproc.Warp.of_samples ~times ~omega:(Linalg.Vec.map omega times)
+
+let json_exn s =
+  match Wampde_obs.Json.parse s with Ok j -> j | Error m -> failwith ("json: " ^ m)
