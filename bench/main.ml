@@ -458,7 +458,9 @@ let krylov_bench () =
         "krylov |   n1 = %3d (%5d unknowns): dense %7.3f s (%d LU), krylov %7.3f s (%d LU, %d gmres iters), speedup %.2fx, omega rel err %.1e\n"
         n1 unknowns t_dense lu_d t_krylov lu_k gm_k ratio !rel_err)
     sizes;
-  Printf.printf "krylov | (dense work grows as n1^3 per factorization, krylov as n1 log n1)\n";
+  Printf.printf
+    "krylov | (dense work grows as n1^3 per factorization, krylov as n1^2 per GMRES iteration:\n\
+     krylov |  the matvec multiplies by the dense n1 x n1 D, the preconditioner is a real DFT)\n";
   (* Strong scaling of the krylov path on the domain pool: same sweep,
      same solver, jobs = 1 vs the requested --jobs.  The two runs'
      outputs are compared exactly -- the pool's fixed-chunk determinism

@@ -1,15 +1,21 @@
 (* Bechamel microbenchmarks for the linear-algebra kernels behind the
    matrix-free Newton-Krylov path: dense LU factorization (what the
    Krylov path avoids; allocating and in place), the structured collocation matvec, and one
-   application of the FFT-diagonalized block preconditioner.  Next to
+   application of the DFT-diagonalized block preconditioner.  Next to
    them, the circuit kernel every solver calls: one [f] plus one [q]
    evaluation of the compiled VCO-A netlist.
+
+   The preconditioner apply is timed from the serve jobs' grids
+   (n1 = 15-25) up to the largest Krylov envelope grid (161): its real
+   DFT is O(n1^2) against a Bluestein FFT's O(n1 log n1), and these
+   sizes show where that would start to lose.
 
    Run with `dune exec bench/micro.exe`; built by `dune build @bench`. *)
 
 open Linalg
 
 let sizes = [ 33; 65; 101 ]
+let precond_sizes = [ 15; 17; 25; 33; 65; 101; 161 ]
 let n = 4 (* states of the VCO DAE *)
 
 (* envelope-step-like operator with synthetic (diagonally dominant)
@@ -39,7 +45,6 @@ let tests =
       let op = make_system n1 in
       let nd = Structured.dim op in
       let dense = dense_of n1 in
-      let pc = Structured.make_precond ~dft:Fourier.Fft.structured_dft op in
       let v = Array.init nd (fun i -> sin (float_of_int i)) in
       let out = Array.make nd 0. in
       let buf = Mat.zeros nd nd and perm = Array.make nd 0 in
@@ -57,11 +62,19 @@ let tests =
         Test.make
           ~name:(Printf.sprintf "structured_matvec_%d" nd)
           (Staged.stage (fun () -> Structured.apply_into op v out));
-        Test.make
-          ~name:(Printf.sprintf "precond_apply_%d" nd)
-          (Staged.stage (fun () -> Structured.precond_apply_into pc v out));
       ])
     sizes
+  @ List.map
+      (fun n1 ->
+        let op = make_system n1 in
+        let nd = Structured.dim op in
+        let pc = Structured.make_precond op in
+        let v = Array.init nd (fun i -> sin (float_of_int i)) in
+        let out = Array.make nd 0. in
+        Test.make
+          ~name:(Printf.sprintf "precond_apply_n1_%d" n1)
+          (Staged.stage (fun () -> Structured.precond_apply_into pc v out)))
+      precond_sizes
   @ [
       (let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
        let x = [| 1.3; -0.2; 0.9; 0.1 |] in

@@ -73,7 +73,7 @@ let prometheus_arg =
 let jobs_arg =
   let doc =
     "Run the parallel kernels (finite-difference Jacobian columns, preconditioner block \
-     factor/solve, batched FFT pairs) on $(docv) domains.  Results are bitwise identical for \
+     factorizations, structured matvec rows) on $(docv) domains.  Results are bitwise identical for \
      every $(docv).  Default: the $(b,WAMPDE_JOBS) environment variable, else 1 (serial)."
   in
   Arg.(value & opt (some int) None & info [ "jobs"; "j" ] ~docv:"N" ~doc)
@@ -490,7 +490,7 @@ let solver_arg =
   let doc =
     Printf.sprintf
       "Collocation linear solver: $(b,dense) (assembled Jacobian + LU), $(b,krylov) (matrix-free \
-       GMRES with the FFT-diagonalized block preconditioner) or $(b,auto) (krylov once the \
+       GMRES with the DFT-diagonalized block preconditioner) or $(b,auto) (krylov once the \
        system has %d unknowns or more, dense below)."
       Linalg.Structured.default_threshold
   in

@@ -198,7 +198,7 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
     scratch.sc_dy
   in
   let use_krylov = Structured.use_krylov options.solver ~dim:size in
-  (* Build the matrix-free operator and its FFT-diagonalized
+  (* Build the matrix-free operator and its DFT-diagonalized
      averaged-block preconditioner at [y] (the Krylov analogue of
      [refresh]), bordered by the phase row when omega is unknown.  The
      blocks are evaluated fresh from [y], so the cached operator stays
@@ -210,7 +210,7 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
     match
       let pc =
         match options.precond_cache with
-        | None -> Structured.make_precond ~dft:Fourier.Fft.structured_dft op
+        | None -> Structured.make_precond op
         | Some prefix ->
           (* key determines the operator shape (n1 and, through the
              circuit prefix, the block size) and buckets the two
@@ -222,7 +222,7 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
               (Structured.log_bucket (omega_of y))
               (Structured.log_bucket (h2 *. theta))
           in
-          Structured.make_precond_cached ~dft:Fourier.Fft.structured_dft ~key op
+          Structured.make_precond_cached ~key op
       in
       match lin.Dae.Semidisc.border with
       | None -> Structured.precond_apply_into pc
@@ -432,8 +432,8 @@ let align_init options (init : Steady.Oscillator.orbit) =
     end
 
 (* t1-grid spectral health of an accepted macro step.  Gated on the
-   global telemetry flag at the call site: the per-component FFTs are
-   cheap relative to a Newton solve but not free. *)
+   global telemetry flag at the call site: the per-component real DFTs
+   are cheap relative to a Newton solve but not free. *)
 let note_spectral_health ~t states =
   if Obs.enabled () then begin
     let tol = (Obs.Health.thresholds ()).Obs.Health.spectral_tol in

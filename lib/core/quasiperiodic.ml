@@ -69,7 +69,7 @@ let solve dae ?(max_iterations = 25) ?(tol = 1e-8) ~(options : Envelope.options)
   in
   (* Fully matrix-free Newton direction: the per-slice structured
      operators and cross-slice slow coupling of [Dae.Semidisc],
-     preconditioned by the per-slice bordered FFT-block inverse (the
+     preconditioned by the per-slice bordered DFT-block inverse (the
      slow d2/p2 coupling is weak against the omega-scaled fast term and
      is left to GMRES).  Returns [None] when the preconditioner
      degenerates or GMRES stalls. *)
@@ -78,7 +78,7 @@ let solve dae ?(max_iterations = 25) ?(tol = 1e-8) ~(options : Envelope.options)
     match
       Array.map
         (fun lin ->
-          let pc = Structured.make_precond ~dft:Fourier.Fft.structured_dft lin.Dae.Semidisc.op in
+          let pc = Structured.make_precond lin.Dae.Semidisc.op in
           let { Dae.Semidisc.col = border_col; row = border_row } =
             Option.get lin.Dae.Semidisc.border
           in

@@ -12,7 +12,7 @@
     The system is the periodic-in-[t2] wrapper of {!Dae.Semidisc} on
     the envelope's [t1] discretization.  The linear systems are solved
     densely (LU) or matrix-free with GMRES and a per-slice bordered
-    FFT-block preconditioner — the paper's pointer to iterative methods
+    DFT-block preconditioner — the paper's pointer to iterative methods
     [Saa96] for large systems. *)
 
 open Linalg

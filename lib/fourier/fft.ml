@@ -69,9 +69,9 @@ let radix2 x sign =
 (* Bluestein's chirp-z transform: expresses an arbitrary-size DFT as a
    convolution, evaluated with power-of-two FFTs.  The chirp weights
    and the transformed convolution kernel depend only on (n, sign), so
-   they are cached: repeated transforms of one size (the common case in
-   the block-preconditioner hot path) cost two power-of-two FFTs
-   instead of three plus trigonometric setup. *)
+   they are cached: repeated transforms of one size (one t1 grid per
+   run is the common case) cost two power-of-two FFTs instead of three
+   plus trigonometric setup. *)
 type bluestein_plan = {
   bp_m : int;
   bp_chirp_re : float array;
@@ -80,9 +80,9 @@ type bluestein_plan = {
   bp_bim : float array;
 }
 
-(* The plan cache is shared across domains (pool workers batch
-   same-size transforms), so it must not be a bare Hashtbl: a resize
-   racing a lookup corrupts the table.  Lookups read an immutable map
+(* The plan cache is shared across domains (any domain may call
+   [fft]), so it must not be a bare Hashtbl: a resize racing a lookup
+   corrupts the table.  Lookups read an immutable map
    through an [Atomic] (no lock on the hit path); insertion is
    mutex-guarded with a second lookup under the lock, so concurrent
    first uses of one size build the plan at most twice and publish
@@ -137,8 +137,8 @@ let bluestein_plan n sign =
               p)
 
 (* Per-domain Bluestein convolution scratch, keyed by the padded size
-   [m]: batched same-size transforms (the preconditioner hot path)
-   reuse it instead of allocating two length-[m] arrays per call. *)
+   [m]: repeated same-size transforms reuse it instead of allocating
+   two length-[m] arrays per call. *)
 let bluestein_scratch_key : (int, float array * float array) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 4)
 
@@ -189,42 +189,11 @@ let bluestein x sign =
   bluestein_pair_inplace re im sign;
   of_parts re im
 
-let transform_pair_inplace ~sign re im =
-  let n = Array.length re in
-  if Array.length im <> n then invalid_arg "Fft.transform_pair_inplace: length mismatch";
-  if n <= 1 then ()
-  else if is_power_of_two n then radix2_inplace re im sign
-  else bluestein_pair_inplace re im sign
-
-let fft_pair_inplace re im = transform_pair_inplace ~sign:(-1) re im
-
-let ifft_pair_inplace re im =
-  let n = Array.length re in
-  if n > 0 then begin
-    transform_pair_inplace ~sign:1 re im;
-    let s = 1. /. float_of_int n in
-    for k = 0 to n - 1 do
-      re.(k) <- s *. re.(k);
-      im.(k) <- s *. im.(k)
-    done
-  end
-
-let transform x sign =
+let fft x =
   let n = Array.length x in
   if n <= 1 then Array.copy x
-  else if is_power_of_two n then radix2 x sign
-  else bluestein x sign
-
-let fft x = transform x (-1)
-
-let ifft x =
-  let n = Array.length x in
-  if n = 0 then [||]
-  else begin
-    let y = transform x 1 in
-    let s = 1. /. float_of_int n in
-    Array.map (fun z -> Cx.scale s z) y
-  end
+  else if is_power_of_two n then radix2 x (-1)
+  else bluestein x (-1)
 
 let fft_real x = fft (Cx.Cvec.of_real x)
 
@@ -237,11 +206,3 @@ let dft x =
         s := Complex.add !s (Complex.mul x.(j) w)
       done;
       !s)
-
-let structured_dft =
-  {
-    Structured.fwd = fft;
-    inv = ifft;
-    fwd_pair = Some fft_pair_inplace;
-    inv_pair = Some ifft_pair_inplace;
-  }

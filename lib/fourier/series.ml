@@ -82,30 +82,17 @@ let truncation_error x ~keep =
 type resolution = { needed : int; available : int; tail : float }
 
 (* Suffix sums of per-band spectral energy make every truncation query
-   O(1): suffix.(a) = sum of |c_i|^2 over |i| >= a, so the relative
-   error of keeping harmonics |i| <= keep is
-   sqrt (suffix.(keep + 1) / suffix.(0)). *)
-let energy_suffix (c : Cx.Cvec.t) =
-  let n = Array.length c in
-  let m = n / 2 in
-  let band = Array.make (m + 1) 0. in
-  for idx = 0 to n - 1 do
-    let a = abs (idx - m) in
-    band.(a) <- band.(a) +. Complex.norm2 c.(idx)
+   O(1): with energy.(a) the energy of harmonics +-a, the suffix sum
+   s.(a) over bands >= a gives the relative error of keeping harmonics
+   |i| <= keep as sqrt (s.(keep + 1) / s.(0)).  The sums overwrite
+   [energy]. *)
+let resolution_of_bands ~tol ?band (energy : Vec.t) =
+  let m = Array.length energy - 1 in
+  for a = m - 1 downto 0 do
+    energy.(a) <- energy.(a) +. energy.(a + 1)
   done;
-  let suffix = Array.make (m + 2) 0. in
-  for a = m downto 0 do
-    suffix.(a) <- suffix.(a + 1) +. band.(a)
-  done;
-  suffix
-
-let resolution_of_coeffs ~tol ?band (c : Cx.Cvec.t) =
-  let n = Array.length c in
-  check_odd "resolution_of_coeffs" n;
-  let m = n / 2 in
-  let suffix = energy_suffix c in
-  let total = suffix.(0) in
-  let rel a = if total = 0. then 0. else sqrt (suffix.(a) /. total) in
+  let total = energy.(0) in
+  let rel a = if total = 0. then 0. else sqrt (energy.(a) /. total) in
   let needed =
     let keep = ref 0 in
     while !keep < m && rel (!keep + 1) > tol do
@@ -118,7 +105,16 @@ let resolution_of_coeffs ~tol ?band (c : Cx.Cvec.t) =
   let band = match band with Some b -> max 1 (min m b) | None -> max 1 (m / 3) in
   { needed; available = m; tail = (if m = 0 then 0. else rel (m - band + 1)) }
 
-let resolution ~tol ?band x = resolution_of_coeffs ~tol ?band (coeffs x)
+let resolution_of_coeffs ~tol ?band (c : Cx.Cvec.t) =
+  let n = Array.length c in
+  check_odd "resolution_of_coeffs" n;
+  let m = n / 2 in
+  let energy = Array.make (m + 1) 0. in
+  for idx = 0 to n - 1 do
+    let a = abs (idx - m) in
+    energy.(a) <- energy.(a) +. Complex.norm2 c.(idx)
+  done;
+  resolution_of_bands ~tol ?band energy
 
 let harmonics_needed ~tol x =
   let n = Array.length x in
@@ -130,20 +126,32 @@ let grid_resolution ~tol ?band (states : Vec.t array) =
   let n1 = Array.length states in
   check_odd "grid_resolution" n1;
   let n = Array.length states.(0) in
+  let m = n1 / 2 in
+  (* the real DFT of each component: X_a and X_{-a} = conj X_a carry
+     the same energy, so band a holds 2 |X_a|^2 (the 1/n1 scaling of
+     the coefficients cancels in every ratio) *)
+  let rdft = Rdft.of_size n1 in
+  let sample = Array.make n1 0. in
+  let re = Array.make (m + 1) 0. and im = Array.make (m + 1) 0. in
+  let energy = Array.make (m + 1) 0. in
   (* worst case over components, with needed and tail taken
      independently: the component that exhausts the harmonic budget is
      not necessarily the one with the fattest tail *)
   let needed = ref 0 and tail = ref 0. in
-  let sample = Array.make n1 0. in
   for j = 0 to n - 1 do
     for i = 0 to n1 - 1 do
       sample.(i) <- states.(i).(j)
     done;
-    let r = resolution ~tol ?band sample in
+    Rdft.forward rdft sample ~re ~im;
+    energy.(0) <- re.(0) *. re.(0);
+    for a = 1 to m do
+      energy.(a) <- 2. *. ((re.(a) *. re.(a)) +. (im.(a) *. im.(a)))
+    done;
+    let r = resolution_of_bands ~tol ?band energy in
     if r.needed > !needed then needed := r.needed;
     if r.tail > !tail then tail := r.tail
   done;
-  { needed = !needed; available = n1 / 2; tail = !tail }
+  { needed = !needed; available = m; tail = !tail }
 
 let total_harmonic_distortion c =
   let n = Array.length c in

@@ -65,7 +65,9 @@ val resolution_of_coeffs : tol:float -> ?band:int -> Cx.Cvec.t -> resolution
     vector at the [i]-th of [n1] (odd) uniform t1 points, and each
     component's periodic sample [states.(0..n1-1).(j)] is analysed
     separately, taking [needed] and [tail] as maxima over components.
-    Raises [Invalid_argument] on an empty or even-length grid. *)
+    The components go through the real DFT of [Linalg.Rdft], not
+    {!coeffs}, so a call allocates only its O(n1) scratch.  Raises
+    [Invalid_argument] on an empty or even-length grid. *)
 val grid_resolution : tol:float -> ?band:int -> Vec.t array -> resolution
 
 (** [total_harmonic_distortion coeffs] is the THD relative to the

@@ -118,59 +118,6 @@ let dense_into op jac =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Discrete Fourier transform plumbing                                 *)
-(* ------------------------------------------------------------------ *)
-
-type dft = {
-  fwd : Cx.Cvec.t -> Cx.Cvec.t;
-  inv : Cx.Cvec.t -> Cx.Cvec.t;
-  fwd_pair : (Vec.t -> Vec.t -> unit) option;
-  inv_pair : (Vec.t -> Vec.t -> unit) option;
-}
-
-(* O(n^2) reference transform in the engineering convention
-   (forward kernel e^{-2 pi i j k / n}, inverse divides by n): matches
-   Fourier.Fft, which callers above the linalg layer should inject. *)
-let naive_dft =
-  let transform sign scale x =
-    let n = Array.length x in
-    let s = if scale then 1. /. float_of_int n else 1. in
-    Array.init n (fun k ->
-        let acc = ref Complex.zero in
-        for j = 0 to n - 1 do
-          let theta = sign *. 2. *. Float.pi *. float_of_int (j * k) /. float_of_int n in
-          acc := Complex.add !acc (Complex.mul x.(j) (Cx.cis theta))
-        done;
-        Cx.scale s !acc)
-  in
-  { fwd = transform (-1.) false; inv = transform 1. true; fwd_pair = None; inv_pair = None }
-
-(* In-place pair views of a [dft]; the boxing fallback keeps the naive
-   transform (and any caller-supplied dft without pair kernels)
-   working, at the old allocation cost. *)
-let fwd_pair_of dft =
-  match dft.fwd_pair with
-  | Some f -> f
-  | None ->
-      fun re im ->
-        let z = dft.fwd (Array.init (Array.length re) (fun k -> Cx.cx re.(k) im.(k))) in
-        for k = 0 to Array.length re - 1 do
-          re.(k) <- Cx.re z.(k);
-          im.(k) <- Cx.im z.(k)
-        done
-
-let inv_pair_of dft =
-  match dft.inv_pair with
-  | Some f -> f
-  | None ->
-      fun re im ->
-        let z = dft.inv (Array.init (Array.length re) (fun k -> Cx.cx re.(k) im.(k))) in
-        for k = 0 to Array.length re - 1 do
-          re.(k) <- Cx.re z.(k);
-          im.(k) <- Cx.im z.(k)
-        done
-
-(* ------------------------------------------------------------------ *)
 (* Averaged-Jacobian block preconditioner                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -197,55 +144,37 @@ let spectral_blocks ~coeffs ~cbar ~bbar =
                   Complex.add (Complex.mul a (Cx.cx cbar.(i).(j) 0.)) (Cx.cx bbar.(i).(j) 0.)))));
   Array.map (function Some f -> f | None -> assert false) out
 
-(* Per-worker apply scratch: one full-spectrum re/im pair for the
-   transforms, and the right-hand side and solution of one wavenumber
-   block solve as re/im pairs. *)
-type pc_ws = {
-  w_re : Vec.t;
-  w_im : Vec.t;
-  w_bre : Vec.t;
-  w_bim : Vec.t;
-  w_xre : Vec.t;
-  w_xim : Vec.t;
-}
-
 type precond = {
   pn : int;
   pn1 : int;
   half : int;  (* n1 / 2: wavenumbers 0..half are represented explicitly *)
+  rdft : Rdft.t;
   blocks : Cx.Clu.t array;  (* factored M_l for l = 0..half only *)
-  transform : dft;
-  hat_re : Vec.t array;  (* lower-half spectra, n rows of length half+1 *)
+  (* apply scratch: one component's t1 samples, its lower-half spectra
+     (n rows of length half+1) and one wavenumber's block right-hand
+     side and solution as re/im pairs *)
+  col : Vec.t;
+  hat_re : Vec.t array;
   hat_im : Vec.t array;
-  mutable ws : pc_ws array;  (* per-worker workspaces, grown on demand *)
+  b_re : Vec.t;
+  b_im : Vec.t;
+  x_re : Vec.t;
+  x_im : Vec.t;
 }
-
-let ensure_ws pc k =
-  if Array.length pc.ws < k then begin
-    let old = pc.ws in
-    pc.ws <-
-      Array.init k (fun w ->
-          if w < Array.length old then old.(w)
-          else
-            {
-              w_re = Array.make pc.pn1 0.;
-              w_im = Array.make pc.pn1 0.;
-              w_bre = Array.make pc.pn 0.;
-              w_bim = Array.make pc.pn 0.;
-              w_xre = Array.make pc.pn 0.;
-              w_xim = Array.make pc.pn 0.;
-            })
-  end;
-  pc.ws
 
 (* The circulant differentiation matrix D (spectral or periodic FD)
    diagonalizes under the DFT across the block index: with c the first
-   column of D, its eigenvalue at wavenumber l is fwd(c)_l.  Averaging
-   the dq/df blocks over the grid turns the operator into
-   blockdiag_l (alpha lambda_l Cbar + Bbar) in Fourier space. *)
-let make_precond ?(dft = naive_dft) op =
-  Obs.Metrics.incr c_builds;
+   column of D, its eigenvalue at wavenumber l is the DFT of c at l.
+   Averaging the dq/df blocks over the grid turns the operator into
+   blockdiag_l (alpha lambda_l Cbar + Bbar) in Fourier space.  The
+   preconditioner only ever sees real vectors, and D is a real
+   circulant, so lambda_{n1-l} = conj lambda_l and M_{n1-l} = conj M_l:
+   only the lower half-spectrum blocks need factoring, and conjugate
+   symmetry supplies the rest. *)
+let make_precond op =
   let n = op.n and n1 = op.n1 in
+  let rdft = Rdft.of_size n1 in
+  Obs.Metrics.incr c_builds;
   let inv_n1 = 1. /. float_of_int n1 in
   let cbar = Mat.zeros n n and bbar = Mat.zeros n n in
   for k = 0 to n1 - 1 do
@@ -257,131 +186,58 @@ let make_precond ?(dft = naive_dft) op =
       done
     done
   done;
-  let col0 = Cx.Cvec.init n1 (fun m -> Cx.cx op.d.(m).(0) 0.) in
-  let lambda = dft.fwd col0 in
-  (* The preconditioner only ever sees real vectors, and D is a real
-     circulant, so lambda_{n1-l} = conj lambda_l and M_{n1-l} = conj M_l:
-     only the lower half-spectrum blocks need factoring, and conjugate
-     symmetry supplies the rest. *)
   let half = n1 / 2 in
-  let coeffs = Array.init (half + 1) (fun l -> Cx.scale op.alpha lambda.(l)) in
+  let lambda_re = Array.make (half + 1) 0. and lambda_im = Array.make (half + 1) 0. in
+  Rdft.forward rdft (Array.init n1 (fun m -> op.d.(m).(0))) ~re:lambda_re ~im:lambda_im;
+  let coeffs =
+    Array.init (half + 1) (fun l -> Cx.cx (op.alpha *. lambda_re.(l)) (op.alpha *. lambda_im.(l)))
+  in
   {
     pn = n;
     pn1 = n1;
     half;
+    rdft;
     blocks = spectral_blocks ~coeffs ~cbar ~bbar;
-    transform = dft;
+    col = Array.make n1 0.;
     hat_re = Array.init n (fun _ -> Array.make (half + 1) 0.);
     hat_im = Array.init n (fun _ -> Array.make (half + 1) 0.);
-    ws = [||];
+    b_re = Array.make n 0.;
+    b_im = Array.make n 0.;
+    x_re = Array.make n 0.;
+    x_im = Array.make n 0.;
   }
 
-(* Apply M^{-1}: component-wise DFT across the blocks, one small
-   complex solve per wavenumber, inverse DFT.  Only the first
-   [n1 * n] entries of [v] are read and of [out] written.  The input
-   is real, so the per-component spectra are conjugate-symmetric:
-   components are transformed two-per-complex-FFT, only wavenumbers
-   0..n1/2 are solved, and the inverse transforms are paired the same
-   way. *)
+(* Apply M^{-1}: a real DFT of each component across the blocks, one
+   small complex solve per wavenumber 0..n1/2, the real inverse DFT.
+   One sequential pass: on the grids the solvers use this is faster
+   than handing the transforms to the pool.  Only the first [n1 * n]
+   entries of [v] are read and of [out] written. *)
 let precond_apply_into pc v out =
   Obs.Metrics.incr c_applies;
-  let n = pc.pn and n1 = pc.pn1 and half = pc.half in
-  let fwd_pair = fwd_pair_of pc.transform and inv_pair = inv_pair_of pc.transform in
-  let npairs = (n + 1) / 2 in
-  let ws =
-    ensure_ws pc
-      (max (Par.Pool.chunk_count npairs) (Par.Pool.chunk_count (half + 1)))
-  in
-  (* Each parallel stage writes disjoint slots and performs no
-     cross-chunk reduction, so the result is bitwise identical for
-     every job count. *)
-  Par.Pool.parallel_chunks npairs (fun ~worker ~lo ~hi ->
-      let w = ws.(worker) in
-      for p = lo to hi - 1 do
-        let ia = 2 * p in
-        if ia + 1 < n then begin
-          (* components ia and ia+1 ride as re/im of one complex series *)
-          for k = 0 to n1 - 1 do
-            w.w_re.(k) <- v.((k * n) + ia);
-            w.w_im.(k) <- v.((k * n) + ia + 1)
-          done;
-          fwd_pair w.w_re w.w_im;
-          let ha_re = pc.hat_re.(ia) and ha_im = pc.hat_im.(ia) in
-          let hb_re = pc.hat_re.(ia + 1) and hb_im = pc.hat_im.(ia + 1) in
-          for l = 0 to half do
-            let m = (n1 - l) mod n1 in
-            let zlr = w.w_re.(l) and zli = w.w_im.(l) in
-            let zmr = w.w_re.(m) and zmi = w.w_im.(m) in
-            ha_re.(l) <- 0.5 *. (zlr +. zmr);
-            ha_im.(l) <- 0.5 *. (zli -. zmi);
-            hb_re.(l) <- 0.5 *. (zli +. zmi);
-            hb_im.(l) <- 0.5 *. (zmr -. zlr)
-          done
-        end
-        else begin
-          for k = 0 to n1 - 1 do
-            w.w_re.(k) <- v.((k * n) + ia);
-            w.w_im.(k) <- 0.
-          done;
-          fwd_pair w.w_re w.w_im;
-          let ha_re = pc.hat_re.(ia) and ha_im = pc.hat_im.(ia) in
-          for l = 0 to half do
-            ha_re.(l) <- w.w_re.(l);
-            ha_im.(l) <- w.w_im.(l)
-          done
-        end
-      done);
-  Par.Pool.parallel_chunks (half + 1) (fun ~worker ~lo ~hi ->
-      let w = ws.(worker) in
-      for l = lo to hi - 1 do
-        for i = 0 to n - 1 do
-          w.w_bre.(i) <- pc.hat_re.(i).(l);
-          w.w_bim.(i) <- pc.hat_im.(i).(l)
-        done;
-        Cx.Clu.solve_into pc.blocks.(l) ~b_re:w.w_bre ~b_im:w.w_bim ~x_re:w.w_xre ~x_im:w.w_xim;
-        for i = 0 to n - 1 do
-          pc.hat_re.(i).(l) <- w.w_xre.(i);
-          pc.hat_im.(i).(l) <- w.w_xim.(i)
-        done
-      done);
-  Par.Pool.parallel_chunks npairs (fun ~worker ~lo ~hi ->
-      let w = ws.(worker) in
-      for p = lo to hi - 1 do
-        let ia = 2 * p in
-        if ia + 1 < n then begin
-          let ha_re = pc.hat_re.(ia) and ha_im = pc.hat_im.(ia) in
-          let hb_re = pc.hat_re.(ia + 1) and hb_im = pc.hat_im.(ia + 1) in
-          for l = 0 to half do
-            w.w_re.(l) <- ha_re.(l) -. hb_im.(l);
-            w.w_im.(l) <- ha_im.(l) +. hb_re.(l)
-          done;
-          for l = half + 1 to n1 - 1 do
-            let m = n1 - l in
-            w.w_re.(l) <- ha_re.(m) +. hb_im.(m);
-            w.w_im.(l) <- hb_re.(m) -. ha_im.(m)
-          done;
-          inv_pair w.w_re w.w_im;
-          for k = 0 to n1 - 1 do
-            out.((k * n) + ia) <- w.w_re.(k);
-            out.((k * n) + ia + 1) <- w.w_im.(k)
-          done
-        end
-        else begin
-          let ha_re = pc.hat_re.(ia) and ha_im = pc.hat_im.(ia) in
-          for l = 0 to half do
-            w.w_re.(l) <- ha_re.(l);
-            w.w_im.(l) <- ha_im.(l)
-          done;
-          for l = half + 1 to n1 - 1 do
-            w.w_re.(l) <- ha_re.(n1 - l);
-            w.w_im.(l) <- -.ha_im.(n1 - l)
-          done;
-          inv_pair w.w_re w.w_im;
-          for k = 0 to n1 - 1 do
-            out.((k * n) + ia) <- w.w_re.(k)
-          done
-        end
-      done)
+  let n = pc.pn and n1 = pc.pn1 and col = pc.col in
+  for i = 0 to n - 1 do
+    for k = 0 to n1 - 1 do
+      col.(k) <- v.((k * n) + i)
+    done;
+    Rdft.forward pc.rdft col ~re:pc.hat_re.(i) ~im:pc.hat_im.(i)
+  done;
+  for l = 0 to pc.half do
+    for i = 0 to n - 1 do
+      pc.b_re.(i) <- pc.hat_re.(i).(l);
+      pc.b_im.(i) <- pc.hat_im.(i).(l)
+    done;
+    Cx.Clu.solve_into pc.blocks.(l) ~b_re:pc.b_re ~b_im:pc.b_im ~x_re:pc.x_re ~x_im:pc.x_im;
+    for i = 0 to n - 1 do
+      pc.hat_re.(i).(l) <- pc.x_re.(i);
+      pc.hat_im.(i).(l) <- pc.x_im.(i)
+    done
+  done;
+  for i = 0 to n - 1 do
+    Rdft.inverse pc.rdft ~re:pc.hat_re.(i) ~im:pc.hat_im.(i) col;
+    for k = 0 to n1 - 1 do
+      out.((k * n) + i) <- col.(k)
+    done
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Bordered (Schur) preconditioner for the omega column + phase row    *)
@@ -437,8 +293,8 @@ let log_bucket x =
 
 (* LRU of factored block preconditioners, shared across solves and
    jobs.  A [precond] is self-contained after [make_precond] (the
-   spectral blocks are factored copies; [hat_re]/[hat_im]/[ws] are
-   per-apply scratch), so reusing one across Newton iterates, macro
+   spectral blocks are factored copies; the rest is per-apply
+   scratch), so reusing one across Newton iterates, macro
    steps and whole jobs only changes GMRES iteration counts, never the
    solution: the operator products stay fresh and the outer tolerance
    is unchanged.  Disabled (capacity 0) by default — the serve daemon
@@ -510,13 +366,13 @@ module Precond_cache = struct
     end
 end
 
-let make_precond_cached ?dft ~key op =
-  if not (Precond_cache.enabled ()) then make_precond ?dft op
+let make_precond_cached ~key op =
+  if not (Precond_cache.enabled ()) then make_precond op
   else
     match Precond_cache.find key with
     | Some pc -> pc
     | None ->
-      let pc = make_precond ?dft op in
+      let pc = make_precond op in
       Precond_cache.store key pc;
       pc
 
@@ -524,6 +380,6 @@ let make_precond_cached ?dft ~key op =
 (* Packaged Newton-direction solves                                    *)
 (* ------------------------------------------------------------------ *)
 
-let solve_op ?dft ?(restart = 80) ?max_iter ?(tol = 1e-10) op b =
-  let pc = make_precond ?dft op in
+let solve_op ?(restart = 80) ?max_iter ?(tol = 1e-10) op b =
+  let pc = make_precond op in
   Gmres.solve ~matvec:(apply_into op) ~m_inv:(precond_apply_into pc) ~restart ?max_iter ~tol b

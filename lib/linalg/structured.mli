@@ -7,8 +7,8 @@
     where [D] is the (circulant) [n1 x n1] differentiation matrix of the
     periodic fast-time grid, [C_k = dq(x_k)] and [B_j] collects the
     remaining per-point blocks (typically [dq + h theta df] or [df]).
-    This module provides matrix-free products with that operator, an
-    FFT-diagonalized averaged-Jacobian block preconditioner, and a
+    This module provides matrix-free products with that operator, a
+    DFT-diagonalized averaged-Jacobian block preconditioner, and a
     bordered (Schur) treatment of the trailing oscillator-frequency
     column and phase-condition row, so preconditioned {!Gmres} replaces
     the dense O((n1 n)^3) LU factorization.
@@ -18,9 +18,9 @@
     {!Wampde_obs.Metrics}.
 
     The per-block kernels (operator rows in {!apply_into}, the complex
-    factorizations in {!make_precond}, the paired transforms and
-    wavenumber solves in {!precond_apply_into}) run on the {!Par.Pool}
-    domain pool when [--jobs] exceeds 1.  Every parallel region uses a
+    factorizations in {!make_precond}) run on the {!Par.Pool} domain
+    pool when [--jobs] exceeds 1; a preconditioner apply opens no
+    parallel region.  Every parallel region uses a
     fixed chunk assignment with disjoint writes and no cross-chunk
     reductions, so results are bitwise identical for every job
     count.
@@ -30,8 +30,8 @@
     preconditioner applies are linear maps (as {!Gmres} requires of
     [m_inv]).  A [precond] carries per-apply scratch, so one [precond]
     (or a [bordered] built on it) is applied from one calling domain
-    at a time; pool workers only run inside an apply.  Steady-state
-    applies allocate a bounded number of words, independent of [n1]. *)
+    at a time.  Steady-state applies allocate a bounded number of
+    words, independent of [n1]. *)
 
 (** How a caller should solve its collocation Newton systems. *)
 type strategy =
@@ -85,36 +85,21 @@ val apply_bordered_into : op -> border_col:Vec.t -> border_row:Vec.t -> Vec.t ->
     factors exactly the operator the Krylov path applies. *)
 val dense_into : op -> Mat.t -> unit
 
-(** {1 DFT plumbing}
-
-    [linalg] sits below [fourier] in the library graph, so the fast
-    transform is injected: callers pass [Fourier.Fft.fft]/[ifft] (the
-    engineering convention, forward kernel [e^{-2 pi i jk/n}], inverse
-    scaled by [1/n]); without one an O(n^2) DFT of the same convention
-    is used. *)
-
-type dft = {
-  fwd : Cx.Cvec.t -> Cx.Cvec.t;
-  inv : Cx.Cvec.t -> Cx.Cvec.t;
-  fwd_pair : (Vec.t -> Vec.t -> unit) option;
-      (** Optional in-place transform of a re/im pair (same arithmetic
-          as [fwd], no boxed complex allocation); the preconditioner's
-          batched hot path.  Must be safe to call concurrently from
-          pool worker domains.  [None] falls back to [fwd]. *)
-  inv_pair : (Vec.t -> Vec.t -> unit) option;
-}
-
 (** {1 Averaged-Jacobian block preconditioner} *)
 
 type precond
 
-(** [make_precond ?dft op] averages the [C]/[B] blocks over the grid,
-    diagonalizes the circulant [D] with the DFT and factors the [n1]
-    resulting complex [n x n] blocks.  May raise [Cx.Clu.Singular]. *)
-val make_precond : ?dft:dft -> op -> precond
+(** [make_precond op] averages the [C]/[B] blocks over the grid,
+    diagonalizes the circulant [D] with the real DFT of {!Rdft} and
+    factors the [n1/2 + 1] resulting complex [n x n] blocks (conjugate
+    symmetry supplies the rest).  Raises [Invalid_argument] on an even
+    [n1] (through {!Rdft.of_size}); may raise [Cx.Clu.Singular]. *)
+val make_precond : op -> precond
 
 (** [precond_apply_into pc v out] writes the approximate inverse
-    applied to [v] into [out].  Only the first [dim] entries of [v] are
+    applied to [v] into [out]: a real DFT of each component across the
+    t1 grid, one block solve per wavenumber [0..n1/2] and the real
+    inverse, in one sequential pass.  Only the first [dim] entries of [v] are
     read and of [out] written, so bordered vectors can be passed.
     [out] must not alias [v]. *)
 val precond_apply_into : precond -> Vec.t -> Vec.t -> unit
@@ -151,7 +136,7 @@ end
     disabled this is exactly {!make_precond}.  The caller's [key] must
     determine the operator shape ([n1], block size) — two ops with the
     same key must be interchangeable as preconditioners. *)
-val make_precond_cached : ?dft:dft -> key:string -> op -> precond
+val make_precond_cached : key:string -> op -> precond
 
 type bordered
 
@@ -180,4 +165,4 @@ val bordered_apply_into : bordered -> Vec.t -> Vec.t -> unit
     Check [converged] on the result and fall back to dense LU (calling
     {!fallback_to_dense}) if it failed. *)
 val solve_op :
-  ?dft:dft -> ?restart:int -> ?max_iter:int -> ?tol:float -> op -> Vec.t -> Gmres.result
+  ?restart:int -> ?max_iter:int -> ?tol:float -> op -> Vec.t -> Gmres.result

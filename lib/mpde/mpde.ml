@@ -44,7 +44,7 @@ let structured_linear_solve ~linearize x r =
     Structured.fallback_to_dense ();
     Lu.solve (Lu.factor (Dae.Semidisc.dense lin)) r
   in
-  match Structured.solve_op ~dft:Fourier.Fft.structured_dft lin.Dae.Semidisc.op r with
+  match Structured.solve_op lin.Dae.Semidisc.op r with
   | res when res.Gmres.converged -> res.Gmres.x
   | _ -> fallback ()
   | exception (Cx.Clu.Singular _ | Failure _) -> fallback ()

@@ -45,9 +45,3 @@ val parallel_chunks : ?jobs:int -> int -> (worker:int -> lo:int -> hi:int -> uni
 (** [parallel_for ?jobs n f] is {!parallel_chunks} running [f j] for
     every [j] in [0..n-1]. *)
 val parallel_for : ?jobs:int -> int -> (int -> unit) -> unit
-
-(** Maximum number of chunks {!parallel_chunks} would use for a region
-    of [n] items right now ([min (jobs ()) n], at least 1); lets
-    callers size per-worker workspace tables before entering the
-    region. *)
-val chunk_count : ?jobs:int -> int -> int

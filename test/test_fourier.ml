@@ -29,6 +29,25 @@ let fft_tests =
         let y = Fft.fft_real x in
         approx_tol 1e-8 "bin 4" (float_of_int n /. 2.) (Complex.norm y.(4));
         approx_tol 1e-8 "bin 5" 0. (Complex.norm y.(5)));
+    Alcotest.test_case "real dft tables match fft on odd sizes" `Quick (fun () ->
+        List.iter
+          (fun n ->
+            let x = Vec.init n (fun i -> sin (0.7 *. float_of_int i) +. (0.1 *. float_of_int i)) in
+            let y = Fft.fft_real x in
+            let h = n / 2 in
+            let re = Array.make (h + 1) 0. and im = Array.make (h + 1) 0. in
+            let t = Rdft.of_size n in
+            let x' = Array.copy x in
+            Rdft.forward t x' ~re ~im;
+            for l = 0 to h do
+              approx_tol 1e-9 (Printf.sprintf "n=%d re %d" n l) (Cx.re y.(l)) re.(l);
+              approx_tol 1e-9 (Printf.sprintf "n=%d im %d" n l) (Cx.im y.(l)) im.(l)
+            done;
+            (* the inverse recovers the signal from the lower half *)
+            Rdft.inverse t ~re ~im x';
+            Alcotest.(check bool) (Printf.sprintf "n=%d inverse" n) true
+              (Vec.approx_equal ~tol:1e-12 x' x))
+          [ 1; 3; 15; 25; 161 ]);
   ]
 
 let series_tests =

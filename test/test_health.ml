@@ -284,7 +284,28 @@ let resolution_tests =
         Alcotest.(check int) "available" 7 r.Series.available;
         Alcotest.(check int) "needed follows the rough component" 5 r.Series.needed;
         Alcotest.(check bool) "tail small for a band-limited grid" true
-          (r.Series.tail < 1e-8));
+          (r.Series.tail < 1e-8);
+        (* on a broadband grid the gauge agrees with the FFT
+           coefficients of each component *)
+        let n1 = 25 in
+        let broad =
+          Array.init n1 (fun j ->
+              [| Float.abs (sin (0.4 *. float_of_int j)); float_of_int (j mod 4) |])
+        in
+        let r = Series.grid_resolution ~tol:1e-3 broad in
+        let per_component =
+          List.map
+            (fun c ->
+              Series.resolution_of_coeffs ~tol:1e-3
+                (Series.coeffs (Array.map (fun s -> s.(c)) broad)))
+            [ 0; 1 ]
+        in
+        Alcotest.(check int) "needed as from coeffs"
+          (List.fold_left (fun a p -> max a p.Series.needed) 0 per_component)
+          r.Series.needed;
+        Alcotest.(check (float 1e-12)) "tail as from coeffs"
+          (List.fold_left (fun a p -> Float.max a p.Series.tail) 0. per_component)
+          r.Series.tail);
   ]
 
 let resolution_prop_tests =

@@ -1,7 +1,7 @@
 (* Tests for the domain pool (Par.Pool) and the determinism contract
    of the parallel kernels: FD Jacobian columns, preconditioner
-   factor/apply, batched pair FFTs.  "Bitwise identical for every job
-   count" is checked with structural equality on float arrays — exact,
+   factor/apply, FFTs on worker domains.  "Bitwise identical for every
+   job count" is checked with structural equality on float arrays — exact,
    not within a tolerance. *)
 open Linalg
 open Testkit
@@ -51,9 +51,14 @@ let pool_tests =
           Alcotest.(check bool) "monotone chunks" true (owner.(i) <= owner.(i + 1))
         done);
     Alcotest.test_case "chunk_count clamps to n and jobs" `Quick (fun () ->
-        Alcotest.(check int) "jobs cap" 3 (Pool.chunk_count ~jobs:3 100);
-        Alcotest.(check int) "n cap" 2 (Pool.chunk_count ~jobs:8 2);
-        Alcotest.(check int) "at least one" 1 (Pool.chunk_count ~jobs:0 5));
+        let chunk_count ~jobs n =
+          let c = Atomic.make 0 in
+          Pool.parallel_chunks ~jobs n (fun ~worker:_ ~lo:_ ~hi:_ -> Atomic.incr c);
+          Atomic.get c
+        in
+        Alcotest.(check int) "jobs cap" 3 (chunk_count ~jobs:3 100);
+        Alcotest.(check int) "n cap" 2 (chunk_count ~jobs:8 2);
+        Alcotest.(check int) "at least one" 1 (chunk_count ~jobs:0 5));
     Alcotest.test_case "set_jobs clamps below one" `Quick (fun () ->
         with_jobs 1 (fun () ->
             Pool.set_jobs (-3);
@@ -144,50 +149,37 @@ let det_tests =
            let v = Array.init (n1 * n) (fun i -> cos (0.1 *. float_of_int i)) in
            let serial =
              with_jobs 1 (fun () ->
-                 let pc = Structured.make_precond ~dft:Fourier.Fft.structured_dft op in
+                 let pc = Structured.make_precond op in
                  let z = Array.make (n1 * n) 0. in
                  Structured.precond_apply_into pc v z;
                  (z, Structured.apply op v))
            in
            let par =
              with_jobs jobs (fun () ->
-                 let pc = Structured.make_precond ~dft:Fourier.Fft.structured_dft op in
+                 let pc = Structured.make_precond op in
                  let z = Array.make (n1 * n) 0. in
                  Structured.precond_apply_into pc v z;
                  (z, Structured.apply op v))
            in
            par = serial));
     QCheck_alcotest.to_alcotest
-      (Test.make ~name:"batched pair FFTs are bitwise identical to boxed serial ffts" ~count:40
+      (Test.make ~name:"ffts on pool workers are bitwise identical to serial ffts" ~count:40
          (make Gen.(triple (int_range 2 48) (int_range 1 16) jobs_gen))
          (fun (size, batch, jobs) ->
            let mk b k = sin (float_of_int ((b * 131) + k)) in
-           let boxed =
-             Array.init batch (fun b ->
-                 Fourier.Fft.fft (Cx.Cvec.init size (fun k -> Cx.cx (mk b k) (mk (b + 77) k))))
-           in
-           let res = Array.init batch (fun b -> Array.init size (mk b)) in
-           let ims = Array.init batch (fun b -> Array.init size (mk (b + 77))) in
-           Pool.parallel_for ~jobs batch (fun b ->
-               fft_pair_inplace res.(b) ims.(b));
-           let ok = ref true in
-           Array.iteri
-             (fun b z ->
-               Array.iteri
-                 (fun k c ->
-                   if not (Cx.re c = res.(b).(k) && Cx.im c = ims.(b).(k)) then ok := false)
-                 z)
-             boxed;
-           !ok));
+           let input b = Cx.Cvec.init size (fun k -> Cx.cx (mk b k) (mk (b + 77) k)) in
+           let serial = Array.init batch (fun b -> Fourier.Fft.fft (input b)) in
+           let par = Array.make batch [||] in
+           Pool.parallel_for ~jobs batch (fun b -> par.(b) <- Fourier.Fft.fft (input b));
+           par = serial));
   ]
 
 (* Steady-state allocation of the Krylov inner loop.  Each kernel is
-   warmed once (per-worker workspaces, Bluestein plans and scratch),
-   then measured: the words a call allocates on the calling domain must
-   be the same at every n1 (nothing per element or per block) and
-   small.  With a pool (WAMPDE_JOBS > 1) the count includes the fixed
-   cost of dispatching each parallel region. *)
-let alloc_n1s = [ 15; 25; 65 ]
+   warmed once, then measured: the words a call allocates on the
+   calling domain must be the same at every n1 (nothing per element or
+   per block) and small.  With a pool (WAMPDE_JOBS > 1) the count
+   includes the fixed cost of dispatching each parallel region. *)
+let alloc_n1s = [ 15; 25; 65; 161 ]
 let alloc_cap = 1024.
 
 let words f =
@@ -225,7 +217,7 @@ let alloc_system n1 =
   let nd = n1 * n in
   let border_col = Array.init nd (fun i -> cos (0.3 *. float_of_int i)) in
   let border_row = Array.init nd (fun i -> if i mod n = 0 then 1. else 0.) in
-  let pc = Structured.make_precond ~dft:Fourier.Fft.structured_dft op in
+  let pc = Structured.make_precond op in
   let bp = Structured.make_bordered pc ~border_col ~border_row in
   (op, pc, bp, border_col, border_row)
 
@@ -250,15 +242,21 @@ let alloc_tests =
                let out = Array.make ((n1 * 4) + 1) 0. in
                (n1, steady_words (fun () -> Structured.bordered_apply_into bp v out)))
              alloc_n1s));
-    Alcotest.test_case "bluestein pair fft allocates bounded words at every size" `Quick
-      (fun () ->
-        check_flat "fft_pair_inplace"
-          (List.map
-             (fun n1 ->
-               let re = Array.init n1 (fun i -> sin (float_of_int i)) in
-               let im = Array.init n1 (fun i -> cos (float_of_int i)) in
-               (n1, steady_words (fun () -> fft_pair_inplace re im)))
-             alloc_n1s));
+    Alcotest.test_case "real dft allocates nothing at every size" `Quick (fun () ->
+        let per_n1 =
+          List.map
+            (fun n1 ->
+              let t = Rdft.of_size n1 in
+              let x = Array.init n1 (fun i -> sin (float_of_int i)) in
+              let re = Array.make ((n1 / 2) + 1) 0. and im = Array.make ((n1 / 2) + 1) 0. in
+              ( n1,
+                steady_words (fun () ->
+                    Rdft.forward t x ~re ~im;
+                    Rdft.inverse t ~re ~im x) ))
+            alloc_n1s
+        in
+        check_flat "Rdft.forward + inverse" per_n1;
+        Alcotest.(check (float 0.)) "no words" 0. (snd (List.hd per_n1)));
     Alcotest.test_case "one more gmres iteration allocates bounded words at every n1" `Quick
       (fun () ->
         (* solves that stop on the iteration budget (tol is out of

@@ -38,10 +38,13 @@ let cvec_approx_equal ?(tol = 1e-9) u v =
   Array.length u = Array.length v
   && Array.for_all2 (fun a b -> Complex.norm (Complex.sub a b) <= tol) u v
 
-(* the inverse and in-place pair transforms programs reach through
-   [Fourier.Fft.structured_dft] *)
-let ifft = Fourier.Fft.structured_dft.Linalg.Structured.inv
-let fft_pair_inplace = Option.get Fourier.Fft.structured_dft.Linalg.Structured.fwd_pair
+(* the inverse transform, through the forward one:
+   ifft x = conj (fft (conj x)) / n *)
+let ifft x =
+  let n = Array.length x in
+  Array.map
+    (fun z -> Linalg.Cx.scale (1. /. float_of_int n) (Complex.conj z))
+    (Fourier.Fft.fft (Array.map Complex.conj x))
 
 (* [parse_deck text] parses an in-memory netlist through
    [Circuit.Parser.parse_file], the path the CLI takes *)
