@@ -1,11 +1,15 @@
 (* Bechamel microbenchmarks for the linear-algebra kernels behind the
-   matrix-free Newton-Krylov path: dense LU factorization (what the
-   Krylov path avoids; allocating and in place), the structured collocation matvec, and one
-   application of the DFT-diagonalized block preconditioner.  Next to
-   them, the circuit kernel every solver calls: one [f] plus one [q]
-   evaluation of the compiled VCO-A netlist.
+   Newton solves: dense LU factorization (allocating and in place), the
+   structured collocation matvec, and one application of the
+   DFT-diagonalized block preconditioner.  Next to them, the circuit
+   kernel every solver calls: one [f] plus one [q] evaluation of the
+   compiled VCO-A netlist.
 
-   The preconditioner apply is timed from the serve jobs' grids
+   LU is timed at the sizes the dense callers factor: 5 (shooting for
+   a four-state orbit and its period), 61 (the q1 warm-up), 101 (the
+   VCO-B envelope chord) and 121 (the sinh-cascade periodic MPDE
+   Newton).  The
+   preconditioner apply is timed from the serve jobs' grids
    (n1 = 15-25) up to the largest Krylov envelope grid (161): its real
    DFT is O(n1^2) against a Bluestein FFT's O(n1 log n1), and these
    sizes show where that would start to lose.
@@ -14,6 +18,7 @@
 
 open Linalg
 
+let lu_sizes = [ 5; 61; 101; 121 ]
 let sizes = [ 33; 65; 101 ]
 let precond_sizes = [ 15; 17; 25; 33; 65; 101; 161 ]
 let n = 4 (* states of the VCO DAE *)
@@ -34,19 +39,13 @@ let make_system n1 =
   in
   Structured.make_op ~alpha:0.8 ~d ~c_blocks ~b_blocks
 
-let dense_of n1 =
-  let nd = n1 * n in
-  Mat.init nd nd (fun i j -> (if i = j then 8. else 0.) +. sin (float_of_int ((i * 7) + j)))
-
 let tests =
   let open Bechamel in
   List.concat_map
-    (fun n1 ->
-      let op = make_system n1 in
-      let nd = Structured.dim op in
-      let dense = dense_of n1 in
-      let v = Array.init nd (fun i -> sin (float_of_int i)) in
-      let out = Array.make nd 0. in
+    (fun nd ->
+      let dense =
+        Mat.init nd nd (fun i j -> (if i = j then 8. else 0.) +. sin (float_of_int ((i * 7) + j)))
+      in
       let buf = Mat.zeros nd nd and perm = Array.make nd 0 in
       [
         Test.make
@@ -59,11 +58,18 @@ let tests =
           (Staged.stage (fun () ->
                Array.iteri (fun i row -> Array.blit row 0 buf.(i) 0 nd) dense;
                Lu.factor_into buf ~perm));
+      ])
+    lu_sizes
+  @ List.map
+      (fun n1 ->
+        let op = make_system n1 in
+        let nd = Structured.dim op in
+        let v = Array.init nd (fun i -> sin (float_of_int i)) in
+        let out = Array.make nd 0. in
         Test.make
           ~name:(Printf.sprintf "structured_matvec_%d" nd)
-          (Staged.stage (fun () -> Structured.apply_into op v out));
-      ])
-    sizes
+          (Staged.stage (fun () -> Structured.apply_into op v out)))
+      sizes
   @ List.map
       (fun n1 ->
         let op = make_system n1 in

@@ -59,7 +59,8 @@ let solve dae ?(max_iterations = 25) ?(tol = 1e-8) ~(options : Envelope.options)
   let sys = system dae ~options ~p2 ~n2 in
   let bs = (n1 * n) + 1 in
   let dense_dir y r =
-    Lu.solve (Lu.factor (Dae.Semidisc.periodic_dense sys (Dae.Semidisc.periodic_linearize sys y))) r
+    let jac = Dae.Semidisc.periodic_dense sys (Dae.Semidisc.periodic_linearize sys y) in
+    Lu.solve (Lu.factor_into jac ~perm:(Array.make (Mat.rows jac) 0)) r
   in
   (* GMRES workspace and one-slice preconditioner scratch, shared by
      every Newton iteration of this solve *)

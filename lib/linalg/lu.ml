@@ -8,9 +8,38 @@ let c_factor = Obs.Metrics.counter "lu.factor"
 let h_dim = Obs.Metrics.histogram "lu.dim"
 let c_solve = Obs.Metrics.counter "lu.solve"
 
+(* Partial pivoting for column [k]: swap the row of largest magnitude
+   among rows [k..n-1] into row [k] (exchanging the row arrays), then
+   raise [Singular k] on a zero pivot.  Ints and arrays only, so no
+   float is boxed. *)
+let pivot lu perm n k =
+  let p = ref k in
+  for i = k + 1 to n - 1 do
+    if Float.abs lu.(i).(k) > Float.abs lu.(!p).(k) then p := i
+  done;
+  let p = !p in
+  if p <> k then begin
+    let tmp = lu.(k) in
+    lu.(k) <- lu.(p);
+    lu.(p) <- tmp;
+    let tp = perm.(k) in
+    perm.(k) <- perm.(p);
+    perm.(p) <- tp
+  end;
+  if lu.(k).(k) = 0. then raise (Singular k)
+
 (* Doolittle factorization with partial pivoting, in place: row swaps
    exchange the row arrays of [a], after which [a] stores L (unit
-   diagonal, below) and U (on and above the diagonal). *)
+   diagonal, below) and U (on and above the diagonal).
+
+   Right-looking, two pivot columns per sweep of the trailing matrix:
+   column k is pivoted and its multipliers are applied to column k+1
+   only; column k+1 is pivoted and step k is applied to the new row
+   k+1; then every trailing row takes both steps in one pass,
+   r_ij <- (r_ij - m0 r_kj) - m1 r_(k+1)j, so the trailing matrix is
+   read and written once per two columns.  The order of subtractions
+   and the zero-multiplier skips are the one-column loop's, which
+   keeps the result bitwise equal to it (see lu.mli). *)
 let factor_into a ~perm =
   let n = Mat.rows a in
   if Mat.cols a <> n then invalid_arg "Lu.factor: matrix not square";
@@ -22,33 +51,56 @@ let factor_into a ~perm =
   for i = 0 to n - 1 do
     perm.(i) <- i
   done;
-  for k = 0 to n - 1 do
-    let pivot = ref k in
-    for i = k + 1 to n - 1 do
-      if Float.abs lu.(i).(k) > Float.abs lu.(!pivot).(k) then pivot := i
-    done;
-    if !pivot <> k then begin
-      let tmp = lu.(k) in
-      lu.(k) <- lu.(!pivot);
-      lu.(!pivot) <- tmp;
-      let tp = perm.(k) in
-      perm.(k) <- perm.(!pivot);
-      perm.(!pivot) <- tp
-    end;
-    let pkk = lu.(k).(k) in
-    if pkk = 0. then raise (Singular k);
-    let rk = lu.(k) in
-    for i = k + 1 to n - 1 do
+  let k = ref 0 in
+  while !k + 1 < n do
+    let k0 = !k in
+    let k1 = k0 + 1 in
+    pivot lu perm n k0;
+    let r0 = lu.(k0) in
+    let p0 = Array.unsafe_get r0 k0 and u01 = Array.unsafe_get r0 k1 in
+    (* step k0 on column k1 only *)
+    for i = k1 to n - 1 do
       let ri = lu.(i) in
-      let m = Array.unsafe_get ri k /. pkk in
-      Array.unsafe_set ri k m;
-      if m <> 0. then
-        for j = k + 1 to n - 1 do
-          Array.unsafe_set ri j
-            (Array.unsafe_get ri j -. (m *. Array.unsafe_get rk j))
+      let m = Array.unsafe_get ri k0 /. p0 in
+      Array.unsafe_set ri k0 m;
+      if m <> 0. then Array.unsafe_set ri k1 (Array.unsafe_get ri k1 -. (m *. u01))
+    done;
+    pivot lu perm n k1;
+    (* step k0 on the pivot row's tail *)
+    let r1 = lu.(k1) in
+    let m = Array.unsafe_get r1 k0 in
+    if m <> 0. then
+      for j = k1 + 1 to n - 1 do
+        Array.unsafe_set r1 j (Array.unsafe_get r1 j -. (m *. Array.unsafe_get r0 j))
+      done;
+    let p1 = Array.unsafe_get r1 k1 in
+    (* steps k0 and k1 on every trailing row in one pass *)
+    for i = k1 + 1 to n - 1 do
+      let ri = lu.(i) in
+      let m0 = Array.unsafe_get ri k0 in
+      let m1 = Array.unsafe_get ri k1 /. p1 in
+      Array.unsafe_set ri k1 m1;
+      if m0 <> 0. then
+        if m1 <> 0. then
+          for j = k1 + 1 to n - 1 do
+            Array.unsafe_set ri j
+              (Array.unsafe_get ri j
+              -. (m0 *. Array.unsafe_get r0 j)
+              -. (m1 *. Array.unsafe_get r1 j))
+          done
+        else
+          for j = k1 + 1 to n - 1 do
+            Array.unsafe_set ri j (Array.unsafe_get ri j -. (m0 *. Array.unsafe_get r0 j))
+          done
+      else if m1 <> 0. then
+        for j = k1 + 1 to n - 1 do
+          Array.unsafe_set ri j (Array.unsafe_get ri j -. (m1 *. Array.unsafe_get r1 j))
         done
-    done
+    done;
+    k := k0 + 2
   done;
+  (* an odd n leaves the last column: no rows below it, only its pivot *)
+  if !k < n then pivot lu perm n !k;
   { lu; perm }
 
 let factor a = factor_into (Mat.copy a) ~perm:(Array.make (Mat.rows a) 0)

@@ -5,7 +5,16 @@
     kind: {!factor_into} factors a caller-owned matrix in place and
     {!solve_into} substitutes into a caller-owned vector, so a loop
     that refactors the same-sized system allocates nothing per
-    iteration; {!factor} and {!solve} are their allocating forms. *)
+    iteration; {!factor} and {!solve} are their allocating forms.
+
+    The factorization is right-looking and eliminates two pivot
+    columns per sweep: one pass over the trailing matrix applies both
+    steps to each row, [(r_ij - m0 r_kj) - m1 r_(k+1)j].  Every entry
+    receives the subtractions of the one-column Doolittle loop in the
+    same order, and a zero multiplier skips its term as that loop
+    does, so pivots, permutation, factors (signed zeros, NaN and
+    infinities included) and the column of {!Singular} are bitwise
+    those of the one-column loop. *)
 
 type t
 (** A factored matrix [P A = L U]. *)

@@ -42,7 +42,8 @@ let structured_linear_solve ~linearize x r =
   let lin = linearize x in
   let fallback () =
     Structured.fallback_to_dense ();
-    Lu.solve (Lu.factor (Dae.Semidisc.dense lin)) r
+    let jac = Dae.Semidisc.dense lin in
+    Lu.solve (Lu.factor_into jac ~perm:(Array.make (Mat.rows jac) 0)) r
   in
   match Structured.solve_op lin.Dae.Semidisc.op r with
   | res when res.Gmres.converged -> res.Gmres.x

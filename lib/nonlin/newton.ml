@@ -172,6 +172,7 @@ let solve ?options ?label ?jacobian ~residual x0 =
     let j =
       match jacobian with Some j -> j x | None -> Fdjac.jacobian ~f0:r residual x
     in
+    (* a copy: the [jacobian] callback may return a shared matrix *)
     Lu.solve (Lu.factor j) r
   in
   solve_with ?options ?label ~linear_solve ~residual x0

@@ -54,7 +54,7 @@ let solve ?(options = Newton.default_options) ?(label = "ptc") ?jacobian ~residu
       in
       let shift = 1. /. !delta in
       let m = Mat.init n n (fun i l -> j.(i).(l) +. if i = l then shift else 0.) in
-      match Lu.solve (Lu.factor m) !r with
+      match Lu.solve (Lu.factor_into m ~perm:(Array.make n 0)) !r with
       | exception (Lu.Singular _ | Newton.Linear_solve_failed _) ->
         (* the shifted system should be well conditioned for small
            delta; shrink the pseudo step and retry *)

@@ -48,6 +48,7 @@ let solve ?(options = Newton.default_options) ?(label = "trust_region") ?jacobia
     else begin
       let jg = Mat.matvec j g in
       let p_newton =
+        (* a copy: the dogleg reuses [j] unfactored *)
         match Lu.solve (Lu.factor j) !r with
         | dx ->
           Vec.scale_inplace (-1.) dx;

@@ -62,6 +62,72 @@ let mat_tests =
           (Mat.approx_equal (Mat.mul (Mat.mul a b) c) (Mat.mul a (Mat.mul b c))));
   ]
 
+(* [lu_outcome factor a] runs [factor] on a copy of [a]: the factors
+   as bit patterns and the permutation, or the column of [Singular] *)
+let lu_outcome factor a =
+  let a = Mat.copy a in
+  match factor a with
+  | perm -> Ok (Array.map (Array.map Int64.bits_of_float) a, perm)
+  | exception Lu.Singular k -> Error k
+
+let lu_result =
+  Alcotest.testable
+    (fun ppf -> function
+      | Ok (_, perm) ->
+        Format.fprintf ppf "factors with perm [%s]"
+          (String.concat "; " (Array.to_list (Array.map string_of_int perm)))
+      | Error k -> Format.fprintf ppf "Singular %d" k)
+    ( = )
+
+let lu_factor_into a =
+  let perm = Array.make (Array.length a) 0 in
+  ignore (Lu.factor_into a ~perm);
+  perm
+
+(* a dense nonsingular-looking matrix without exact zeros *)
+let lu_sample_matrix n = Mat.init n n (fun i j -> sin (float_of_int ((7 * i) + (3 * j) + 1)))
+
+(* Matrices for the bitwise comparison, n = 1..40: dense; the "cross"
+   sparsity of a 2-D collocation grid (an entry couples two grid
+   points on one line of the grid), whose exact zeros send rows down
+   each zero-multiplier branch; entries drawn from +-0, NaN and +-inf
+   as well as finite values; and a zeroed column (rank deficient). *)
+let lu_case_gen =
+  let open QCheck.Gen in
+  let* n = int_range 1 40 in
+  let* kind = oneofl [ "dense"; "cross"; "special"; "zero column" ] in
+  let entry =
+    if kind = "special" then
+      frequency
+        [
+          (12, float_range (-1.) 1.);
+          (3, return 0.);
+          (3, return (-0.));
+          (1, return Float.nan);
+          (1, return Float.infinity);
+          (1, return Float.neg_infinity);
+        ]
+    else float_range (-1.) 1.
+  in
+  let* a = array_size (return n) (array_size (return n) entry) in
+  let* c = int_range 0 (n - 1) in
+  let w = int_of_float (Float.ceil (Float.sqrt (float_of_int n))) in
+  (match kind with
+  | "cross" ->
+    Array.iteri
+      (fun i row ->
+        Array.iteri (fun j _ -> if i / w <> j / w && i mod w <> j mod w then row.(j) <- 0.) row)
+      a
+  | "zero column" -> Array.iter (fun row -> row.(c) <- 0.) a
+  | _ -> ());
+  return (kind, a)
+
+let print_lu_case (kind, a) =
+  Printf.sprintf "%s, n = %d:\n%s" kind (Array.length a)
+    (String.concat "\n"
+       (Array.to_list
+          (Array.map (fun row -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") row))) a)))
+
 let lu_tests =
   [
     Alcotest.test_case "solve known 2x2" `Quick (fun () ->
@@ -89,6 +155,22 @@ let lu_tests =
         in
         let w = Test_par.steady_words call in
         Alcotest.(check bool) (Printf.sprintf "%.0f words per call < 64" w) true (w < 64.));
+    Alcotest.test_case "a zero column raises Singular at its index, as the one-column loop"
+      `Quick (fun () ->
+        (* even and odd columns meet the two pivots of a two-column
+           sweep; column 8 of 9 is the odd-n tail *)
+        List.iter
+          (fun (n, c) ->
+            let a = lu_sample_matrix n in
+            Array.iter (fun row -> row.(c) <- 0.) a;
+            let label = Printf.sprintf "n = %d, zero column %d" n c in
+            Alcotest.check lu_result label (Error c) (lu_outcome lu_one_column a);
+            Alcotest.check lu_result label (Error c) (lu_outcome lu_factor_into a))
+          [ (8, 0); (8, 3); (8, 7); (9, 4); (9, 5); (9, 8) ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"factor_into is bitwise the one-column loop" ~count:400
+         (QCheck.make ~print:print_lu_case lu_case_gen)
+         (fun (_, a) -> lu_outcome lu_factor_into a = lu_outcome lu_one_column a));
     Alcotest.test_case "singular raises" `Quick (fun () ->
         let a = [| [| 1.; 2. |]; [| 2.; 4. |] |] in
         Alcotest.(check bool) "raises" true

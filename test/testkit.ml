@@ -64,3 +64,41 @@ let warp_of_function ~t0 ~t1 ~n omega =
 
 let json_exn s =
   match Wampde_obs.Json.parse s with Ok j -> j | Error m -> failwith ("json: " ^ m)
+
+(* [lu_one_column a] is the textbook one-column Doolittle loop with
+   partial pivoting, the oracle for [Linalg.Lu.factor_into]: it
+   factors [a] in place (row arrays swapped, L below the unit
+   diagonal, U on and above) and returns the row permutation, or
+   raises [Linalg.Lu.Singular k] at the first zero pivot.  Each pivot
+   step sweeps the whole trailing matrix once. *)
+let lu_one_column a =
+  let n = Array.length a in
+  let perm = Array.init n Fun.id in
+  for k = 0 to n - 1 do
+    let pivot = ref k in
+    for i = k + 1 to n - 1 do
+      if Float.abs a.(i).(k) > Float.abs a.(!pivot).(k) then pivot := i
+    done;
+    let p = !pivot in
+    if p <> k then begin
+      let tmp = a.(k) in
+      a.(k) <- a.(p);
+      a.(p) <- tmp;
+      let tp = perm.(k) in
+      perm.(k) <- perm.(p);
+      perm.(p) <- tp
+    end;
+    let pkk = a.(k).(k) in
+    if pkk = 0. then raise (Linalg.Lu.Singular k);
+    let rk = a.(k) in
+    for i = k + 1 to n - 1 do
+      let ri = a.(i) in
+      let m = ri.(k) /. pkk in
+      ri.(k) <- m;
+      if m <> 0. then
+        for j = k + 1 to n - 1 do
+          ri.(j) <- ri.(j) -. (m *. rk.(j))
+        done
+    done
+  done;
+  perm
