@@ -643,7 +643,7 @@ let robust () =
     let count name = Obs.Metrics.count (Obs.Metrics.counter name) in
     let strategy_counter s = "newton.strategy." ^ Nonlin.Polyalg.strategy_name s in
     let watched =
-      [ "newton.iterations"; "trust_region.iterations"; "ptc.iterations" ]
+      [ "newton.iterations"; "trust_region.iterations" ]
       @ List.map strategy_counter Nonlin.Polyalg.default_cascade
     in
     let before = List.map (fun name -> (name, count name)) watched in
@@ -657,9 +657,7 @@ let robust () =
             (fun s -> grown (strategy_counter s) > 0)
             (List.rev Nonlin.Polyalg.default_cascade)
         in
-        let iters =
-          grown "newton.iterations" + grown "trust_region.iterations" + grown "ptc.iterations"
-        in
+        let iters = grown "newton.iterations" + grown "trust_region.iterations" in
         `Solved (winner, iters)
       | exception Mpde.Solve_failure _ -> `Failed
     in

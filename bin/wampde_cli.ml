@@ -63,13 +63,6 @@ let progress_arg =
   let doc = "Print human-readable progress lines (and health warnings) to stderr as the run advances." in
   Arg.(value & flag & info [ "progress" ] ~doc)
 
-let prometheus_arg =
-  let doc =
-    "Write a Prometheus text-exposition snapshot of the metrics registry to $(docv) when the \
-     run finishes."
-  in
-  Arg.(value & opt (some string) None & info [ "prometheus" ] ~docv:"FILE" ~doc)
-
 let jobs_arg =
   let doc =
     "Run the parallel kernels (finite-difference Jacobian columns, preconditioner block \
@@ -102,7 +95,6 @@ type obs_flags = {
   o_faults : string option;
   o_stream : string option;
   o_progress : bool;
-  o_prometheus : string option;
   o_jobs : int option;
   o_flight : string;
   o_history : string option;
@@ -110,8 +102,8 @@ type obs_flags = {
 
 let obs_term =
   Term.(
-    const (fun o_metrics o_trace o_perfetto o_report o_faults o_stream o_progress o_prometheus
-               o_jobs o_flight o_history ->
+    const (fun o_metrics o_trace o_perfetto o_report o_faults o_stream o_progress o_jobs o_flight
+               o_history ->
         {
           o_metrics;
           o_trace;
@@ -120,13 +112,12 @@ let obs_term =
           o_faults;
           o_stream;
           o_progress;
-          o_prometheus;
           o_jobs;
           o_flight;
           o_history;
         })
     $ metrics_arg $ trace_arg $ perfetto_arg $ report_arg $ fault_arg $ stream_arg
-    $ progress_arg $ prometheus_arg $ jobs_arg $ flight_arg $ history_arg)
+    $ progress_arg $ jobs_arg $ flight_arg $ history_arg)
 
 let open_or_die file =
   try open_out file
@@ -154,9 +145,8 @@ let error_kind = function
   | Transient.Step_failure _ -> "step-failure"
   | Step_control.Underflow _ -> "step-underflow"
   | Checkpoint.Corrupt _ -> "corrupt-checkpoint"
-  | Nonlin.Polyalg.Solve_failed _ -> "solve-failed"
-  | Nonlin.Continuation.Step_underflow _ -> "continuation-underflow"
-  | Mpde.Solve_failure _ -> "solve-failure"
+  | Nonlin.Polyalg.Solve_failed _ | Wampde.Quasiperiodic.Solve_failure _ | Mpde.Solve_failure _ ->
+    "solve-failed"
   | Steady.Oscillator.Nonphysical _ -> "nonphysical"
   | _ -> "internal"
 
@@ -182,8 +172,7 @@ let or_die f =
   with
   | ( Transient.Step_failure _ | Step_control.Underflow _
     | Checkpoint.Corrupt _
-    | Nonlin.Polyalg.Solve_failed _
-    | Nonlin.Continuation.Step_underflow _ | Mpde.Solve_failure _
+    | Nonlin.Polyalg.Solve_failed _ | Wampde.Quasiperiodic.Solve_failure _ | Mpde.Solve_failure _
     | Steady.Oscillator.Nonphysical _ ) as exn ->
     flight_dump ~kind:(error_kind exn) ~message:(Printexc.to_string exn);
     Printf.eprintf "wampde_cli: %s\n" (Printexc.to_string exn);
@@ -193,9 +182,9 @@ let or_die f =
    metrics go to a table on stderr, JSON-lines traces plus a span-tree
    summary through --trace, a Chrome trace-event file through
    --trace-perfetto (with per-span GC attribution), a run manifest
-   through --report, a live NDJSON stream through --stream, human
-   progress lines through --progress and a Prometheus snapshot through
-   --prometheus.  With no flag this is a no-op wrapper.
+   through --report, a live NDJSON stream through --stream and human
+   progress lines through --progress.  With no flag this is a no-op
+   wrapper.
    [--fault-inject] (or WAMPDE_FAULTS) arms the deterministic fault
    harness for the wrapped run.  [total] is the run's slow-time target,
    powering the ETA estimate of --stream/--progress. *)
@@ -234,7 +223,7 @@ let with_obs ?(cmd = "") ?total ?(circuit = "") ?(n1 = 0) obs f =
   in
   let any =
     metrics || trace <> None || perfetto <> None || report <> None || obs.o_stream <> None
-    || obs.o_progress || obs.o_prometheus <> None || obs.o_history <> None
+    || obs.o_progress || obs.o_history <> None
   in
   if not any then or_die f
   else begin
@@ -387,9 +376,6 @@ let with_obs ?(cmd = "") ?total ?(circuit = "") ?(n1 = 0) obs f =
                | Ok () -> ()
                | Error msg -> Printf.eprintf "wampde_cli: --history: %s\n" msg)
             | _ -> ())
-         | None -> ());
-        (match obs.o_prometheus with
-         | Some file -> write_file_or_die file (Obs.Metrics.to_prometheus ())
          | None -> ());
         if metrics then begin
           prerr_string (Obs.Metrics.table ());

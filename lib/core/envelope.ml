@@ -372,9 +372,9 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
   else
     try run_chord ()
     with Newton_failed ->
-      (* The chord iteration is lost.  Cold-start the globalization
-         cascade on the same step system (dense Jacobian) before
-         surfacing the failure to the step controller. *)
+      (* The chord iteration is lost.  Cold-start trust region on the
+         same step system (dense Jacobian) before surfacing the
+         failure to the step controller. *)
       let residual yv =
         let dst = Array.make size 0. in
         residual_into yv dst;
@@ -385,7 +385,7 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
         Nonlin.Polyalg.solve
           ~options:{ options.newton with Nonlin.Newton.residual_tol = tol }
           ~label:"envelope.rescue"
-          ~cascade:[ Nonlin.Polyalg.Trust_region; Nonlin.Polyalg.Pseudo_transient ]
+          ~cascade:[ Nonlin.Polyalg.Trust_region ]
           ~jacobian ~residual (pack sd states0 omega0)
       in
       let report = outcome.Nonlin.Polyalg.report in

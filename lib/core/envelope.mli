@@ -33,7 +33,7 @@ type options = {
           (also read by {!Quasiperiodic.solve}) *)
   rescue : bool;
       (** when the chord iteration fails a step, cold-start the
-          {!Nonlin.Polyalg} trust-region/PTC cascade on the same step
+          {!Nonlin.Polyalg} trust-region stage on the same step
           system before reporting the step as failed (default [true];
           successes bump the [envelope.rescues] counter) *)
   precond_cache : string option;

@@ -175,10 +175,7 @@ let simulate dae ~harmonics:m ?(phase_component = 0)
     (* dense FD-Jacobian Newton; hard steps get a trust-region pass
        before bouncing to the controller *)
     let report =
-      (Nonlin.Polyalg.solve ~options ~label:"hb_envelope"
-         ~cascade:[ Nonlin.Polyalg.Damped; Nonlin.Polyalg.Trust_region ]
-         ~residual y0)
-        .Nonlin.Polyalg.report
+      (Nonlin.Polyalg.solve ~options ~label:"hb_envelope" ~residual y0).Nonlin.Polyalg.report
     in
     if not report.Nonlin.Newton.converged then
       ignore (Step_control.failure_retry ctrl ~t:!t2 ~h_used:h ~reason:"newton")

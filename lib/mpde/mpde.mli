@@ -30,8 +30,8 @@ type result = {
 
 exception Solve_failure of { stage : string; report : Nonlin.Newton.report }
 (** A steady-state solve ({!periodic_initial} or {!quasiperiodic})
-    exhausted the whole globalization cascade; [report] is the closest
-    attempt.  A printer is registered. *)
+    exhausted both globalization stages (damped Newton, then trust
+    region); [report] is the closest attempt.  A printer is registered. *)
 
 (** [simulate sys ~n1 ~t2_end ~h2 ~init] — envelope-following MPDE:
     collocation (odd [n1], spectral differentiation) along [t1],
@@ -74,8 +74,8 @@ val periodic_initial :
 (** [quasiperiodic sys ~n1 ~n2 ~p2 ~guess] solves the biperiodic
     steady state on an [n1 x n2] grid (both odd), with slow period
     [p2]: the AM-quasiperiodic solution of Section 3.  [guess] is an
-    [n2]-array of [n1]-arrays of states.  Damped Newton, trust region
-    and PTC use the analytic periodic Jacobian
+    [n2]-array of [n1]-arrays of states.  Damped Newton and trust
+    region use the analytic periodic Jacobian
     ({!Dae.Semidisc.periodic_dense}), dense and LU-factored.
     [cascade] overrides the {!Nonlin.Polyalg.default_cascade} (e.g.
     [[Damped]] to benchmark plain Newton); raises {!Solve_failure}

@@ -102,8 +102,8 @@ val scalar : ?tol:float -> ?max_iterations:int -> (float -> float) -> (float -> 
 
 (** {1 Fault-injection hooks}
 
-    Shared with the other globalization strategies ({!Trust_region},
-    {!Ptc}) so one armed {!Fault} schedule exercises every solver.
+    Shared with {!Trust_region} so one armed {!Fault} schedule
+    exercises both globalization strategies.
     Wrap only when [Fault.armed ()] — the wrappers probe on every
     call. *)
 

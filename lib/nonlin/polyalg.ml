@@ -1,13 +1,8 @@
-open Linalg
 module Obs = Wampde_obs
 
-type strategy = Damped | Trust_region | Pseudo_transient | Homotopy
+type strategy = Damped | Trust_region
 
-let strategy_name = function
-  | Damped -> "damped"
-  | Trust_region -> "trust_region"
-  | Pseudo_transient -> "ptc"
-  | Homotopy -> "homotopy"
+let strategy_name = function Damped -> "damped" | Trust_region -> "trust_region"
 
 type attempt = { strategy : strategy; report : Newton.report }
 type outcome = { report : Newton.report; strategy : strategy; attempts : attempt list }
@@ -32,70 +27,17 @@ let () =
            label tried residual)
     | _ -> None)
 
-let default_cascade = [ Damped; Trust_region; Pseudo_transient; Homotopy ]
+let default_cascade = [ Damped; Trust_region ]
 
 let c_damped = Obs.Metrics.counter "newton.strategy.damped"
 let c_tr = Obs.Metrics.counter "newton.strategy.trust_region"
-let c_ptc = Obs.Metrics.counter "newton.strategy.ptc"
-let c_hom = Obs.Metrics.counter "newton.strategy.homotopy"
 let c_escalations = Obs.Metrics.counter "newton.strategy.escalations"
 let c_failed = Obs.Metrics.counter "newton.strategy.failed"
 
-let c_won = function
-  | Damped -> c_damped
-  | Trust_region -> c_tr
-  | Pseudo_transient -> c_ptc
-  | Homotopy -> c_hom
-
-(* Default parameter homotopy: the Newton homotopy
-   H(x, lambda) = F(x) - (1 - lambda) F(x0), which x0 solves exactly at
-   lambda = 0 and which coincides with F at lambda = 1.  Problem-aware
-   callers can supply their own ramp (forcing strength, nonlinearity
-   gain, gmin) via [?homotopy]. *)
-let newton_homotopy ~residual x0 =
-  let r0 = residual x0 in
-  fun lambda x ->
-    let r = residual x in
-    Array.mapi (fun i ri -> ri -. ((1. -. lambda) *. r0.(i))) r
-
-let run_homotopy ~options ~residual ~homotopy x0 =
-  let h =
-    match homotopy with Some h -> h | None -> newton_homotopy ~residual x0
-  in
-  match Continuation.trace ~options ~residual:h ~from_:0. ~to_:1. x0 with
-  | points ->
-    (* the final corrector solved H(., 1); for the default homotopy that
-       is F itself, for a custom ramp we still report F's residual *)
-    let x = (List.nth points (List.length points - 1)).Continuation.x in
-    let r = residual x in
-    let rnorm = Vec.norm_inf r in
-    {
-      Newton.x;
-      residual_norm = rnorm;
-      iterations = List.length points;
-      converged = Float.is_finite rnorm && rnorm <= options.Newton.residual_tol;
-      reason =
-        (if Float.is_finite rnorm then
-           if rnorm <= options.Newton.residual_tol then None
-           else Some Newton.Line_search_failed
-         else Some Newton.Non_finite_residual);
-    }
-  | exception Continuation.Step_underflow { last; _ } ->
-    let residual_norm, iterations =
-      match last with
-      | Some r -> (r.Newton.residual_norm, r.Newton.iterations)
-      | None -> (nan, 0)
-    in
-    {
-      Newton.x = Array.copy x0;
-      residual_norm;
-      iterations;
-      converged = false;
-      reason = Some Newton.Line_search_failed;
-    }
+let c_won = function Damped -> c_damped | Trust_region -> c_tr
 
 let solve ?(options = Newton.default_options) ?(label = "polyalg") ?(cascade = default_cascade)
-    ?jacobian ?linear_solve ?homotopy ~residual x0 =
+    ?jacobian ?linear_solve ~residual x0 =
   if cascade = [] then invalid_arg "Polyalg.solve: empty cascade";
   Obs.Span.span
     ~attrs:[ ("label", Obs.Span.Str label); ("dim", Obs.Span.Int (Array.length x0)) ]
@@ -107,14 +49,12 @@ let solve ?(options = Newton.default_options) ?(label = "polyalg") ?(cascade = d
       match strategy with
       | Damped -> (
         (* honors a caller-supplied (e.g. Krylov) direction solver;
-           the later strategies rebuild dense Jacobians, which is the
+           trust region rebuilds dense Jacobians, which is the
            Krylov -> dense escalation *)
         match linear_solve with
         | Some linear_solve -> Newton.solve_with ~options ~label:slabel ~linear_solve ~residual x0
         | None -> Newton.solve ~options ~label:slabel ?jacobian ~residual x0)
       | Trust_region -> Trust_region.solve ~options ~label:slabel ?jacobian ~residual x0
-      | Pseudo_transient -> Ptc.solve ~options ~label:slabel ?jacobian ~residual x0
-      | Homotopy -> run_homotopy ~options ~residual ~homotopy x0
     in
     { strategy; report }
   in

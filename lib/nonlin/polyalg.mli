@@ -1,33 +1,27 @@
 (** Globalization polyalgorithm: a robust solve cascade.
 
-    Runs a sequence of increasingly robust (and increasingly expensive)
-    strategies against the same system, each cold-started from [x0],
-    escalating on typed failure — the pattern NonlinearSolve.jl calls a
-    polyalgorithm:
+    Runs damped Newton and then trust region against the same system,
+    each cold-started from [x0], escalating on typed failure — the
+    pattern NonlinearSolve.jl calls a polyalgorithm:
 
     + {b damped Newton} — {!Newton.solve} / {!Newton.solve_with}
       (honoring a caller-supplied Krylov direction solver);
     + {b trust region} — {!Trust_region.solve}, dogleg on a dense
-      Jacobian (this is also the Krylov-to-dense escalation);
-    + {b pseudo-transient} — {!Ptc.solve}, SER-adapted pseudo time
-      stepping for stagnating residuals;
-    + {b homotopy} — {!Continuation.trace} on a parameter ramp, by
-      default the Newton homotopy
-      [H(x, l) = F(x) - (1 - l) F(x0)].
+      Jacobian (this is also the Krylov-to-dense escalation).
 
     Which strategy won (and every escalation) is recorded in the
     [newton.strategy.*] counters and as [Strategy_escalated] events. *)
 
 open Linalg
 
-type strategy = Damped | Trust_region | Pseudo_transient | Homotopy
+type strategy = Damped | Trust_region
 
 val strategy_name : strategy -> string
 (** Stable short name used in metrics and events
-    ([damped], [trust_region], [ptc], [homotopy]). *)
+    ([damped], [trust_region]). *)
 
 val default_cascade : strategy list
-(** [[Damped; Trust_region; Pseudo_transient; Homotopy]]. *)
+(** [[Damped; Trust_region]]. *)
 
 type attempt = { strategy : strategy; report : Newton.report }
 
@@ -42,21 +36,17 @@ exception Solve_failed of { label : string; attempts : attempt list }
     solve site, [attempts] every strategy tried).  A printer is
     registered. *)
 
-(** [solve ?options ?label ?cascade ?jacobian ?linear_solve ?homotopy
-    ~residual x0] runs the cascade and never raises on solver failure:
-    inspect [outcome.report.converged].  [linear_solve] only feeds the
-    [Damped] stage; [jacobian] feeds the dense stages (forward
-    differences otherwise).  [homotopy l x] overrides the default
-    Newton homotopy with a problem-aware ramp ([homotopy 1. x] must
-    equal [residual x] for the final report to certify convergence).
-    Raises [Invalid_argument] on an empty cascade. *)
+(** [solve ?options ?label ?cascade ?jacobian ?linear_solve ~residual
+    x0] runs the cascade and never raises on solver failure: inspect
+    [outcome.report.converged].  [linear_solve] only feeds the [Damped]
+    stage; [jacobian] feeds both stages (forward differences
+    otherwise).  Raises [Invalid_argument] on an empty cascade. *)
 val solve :
   ?options:Newton.options ->
   ?label:string ->
   ?cascade:strategy list ->
   ?jacobian:(Vec.t -> Mat.t) ->
   ?linear_solve:(Vec.t -> Vec.t -> Vec.t) ->
-  ?homotopy:(float -> Vec.t -> Vec.t) ->
   residual:(Vec.t -> Vec.t) ->
   Vec.t ->
   outcome

@@ -4,7 +4,7 @@
     dogleg step interpolating the Cauchy (steepest-descent) and Newton
     points inside an adaptive radius.  More robust than a line search
     when the Newton direction is poor far from the solution; used by
-    {!Polyalg} as the first escalation past damped Newton.
+    {!Polyalg} as the one escalation past damped Newton.
 
     The Jacobian is formed densely ([?jacobian] or forward differences)
     and factored with LU — a singular factorization degrades to the

@@ -515,98 +515,6 @@ module Metrics = struct
         ^ "}");
     Buffer.add_char buf '}';
     Buffer.contents buf
-
-  (* Prometheus text exposition format (version 0.0.4).  Metric names
-     here use dots ("gmres.iterations"); Prometheus names admit only
-     [a-zA-Z0-9_:], so dots map to underscores under a "wampde_"
-     prefix.  Scoped counter buckets become a parallel "_scoped" series
-     labelled by scope, so the sum-over-scopes invariant stays visible
-     to the scraper. *)
-  let prom_name name =
-    "wampde_"
-    ^ String.map
-        (fun c ->
-          match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c | _ -> '_')
-        name
-
-  let prom_float v =
-    if Float.is_nan v then "NaN"
-    else if v = Float.infinity then "+Inf"
-    else if v = Float.neg_infinity then "-Inf"
-    else Printf.sprintf "%.12g" v
-
-  (* Label values per the exposition format escape exactly backslash,
-     double-quote and line feed — nothing else.  JSON escaping would
-     additionally mangle tabs and control bytes into \uXXXX sequences
-     Prometheus renders literally, so it cannot be reused here. *)
-  let prom_label s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  (* HELP text escapes only backslash and line feed (no quote: HELP is
-     not quoted).  The original dotted metric name rides in the HELP
-     line so a scraper can invert the name sanitization. *)
-  let prom_help s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let to_prometheus () =
-    let buf = Buffer.create 1024 in
-    List.iter
-      (fun (name, n) ->
-        let p = prom_name name in
-        Printf.bprintf buf "# HELP %s wampde counter %s\n# TYPE %s counter\n%s %d\n" p
-          (prom_help name) p p n)
-      (counters ());
-    List.iter
-      (fun (name, scopes) ->
-        let p = prom_name name ^ "_scoped" in
-        Printf.bprintf buf "# HELP %s wampde counter %s by scope\n# TYPE %s counter\n" p
-          (prom_help name) p;
-        List.iter
-          (fun (scope, n) ->
-            Printf.bprintf buf "%s{scope=\"%s\"} %d\n" p
-              (prom_label (if scope = "" then "unscoped" else scope))
-              n)
-          scopes)
-      (scoped_counters ());
-    List.iter
-      (fun (name, v) ->
-        let p = prom_name name in
-        Printf.bprintf buf "# HELP %s wampde gauge %s\n# TYPE %s gauge\n%s %s\n" p
-          (prom_help name) p p (prom_float v))
-      (gauges ());
-    List.iter
-      (fun (name, s) ->
-        let p = prom_name name in
-        Printf.bprintf buf "# HELP %s wampde histogram %s\n# TYPE %s histogram\n" p
-          (prom_help name) p;
-        let cum = ref 0 in
-        List.iter
-          (fun (_, hi, n) ->
-            cum := !cum + n;
-            Printf.bprintf buf "%s_bucket{le=\"%s\"} %d\n" p (prom_float hi) !cum)
-          s.buckets;
-        Printf.bprintf buf "%s_bucket{le=\"+Inf\"} %d\n" p s.count;
-        Printf.bprintf buf "%s_sum %s\n" p (prom_float s.sum);
-        Printf.bprintf buf "%s_count %d\n" p s.count)
-      (histograms ());
-    Buffer.contents buf
 end
 
 module Scope = struct

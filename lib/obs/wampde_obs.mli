@@ -122,17 +122,6 @@ module Metrics : sig
   (** One JSON object:
       [{"counters":{...},"gauges":{...},"histograms":{...},"scoped":{...}}]. *)
   val to_json : unit -> string
-
-  (** Prometheus text exposition (format 0.0.4) of the live registry:
-      counters (with per-scope buckets as a [_scoped{scope="..."}]
-      companion series), gauges, and histograms with cumulative
-      [_bucket{le="..."}] series plus [_sum]/[_count].  Every series is
-      preceded by [# HELP] (carrying the original dotted metric name)
-      and [# TYPE] comment lines.  Metric names are prefixed with
-      ["wampde_"] and sanitized to the Prometheus alphabet; label
-      values escape exactly backslash, double-quote and line feed per
-      the exposition format. *)
-  val to_prometheus : unit -> string
 end
 
 (** Dynamically-scoped cost-accounting labels naming the solver layer

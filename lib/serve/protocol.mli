@@ -95,10 +95,9 @@ val error_line : ?line:int -> ?id:string -> error -> string
 
 (** Typed terminal failure of an accepted job.  [kind] is a stable
     discriminant ("step-failure", "step-underflow", "solve-failed",
-    "continuation-underflow", "nonphysical",
-    "corrupt-checkpoint", "solver-failure", "cancelled", "aborted",
-    "deadline-exceeded", "stalled", "breaker-open", "preempted",
-    "internal").  [flight], when present, is the path of the
+    "nonphysical", "corrupt-checkpoint", "solver-failure", "cancelled",
+    "aborted", "deadline-exceeded", "stalled", "breaker-open",
+    "preempted", "internal").  [flight], when present, is the path of the
     ["wampde.flightdump/1"] postmortem written for this failure. *)
 val job_error :
   ?flight:string -> id:string -> kind:string -> message:string -> quanta:int -> unit -> string

@@ -392,7 +392,6 @@ let classify = function
   | Checkpoint.Corrupt msg -> ("corrupt-checkpoint", msg)
   | (Nonlin.Polyalg.Solve_failed _ | Wampde.Quasiperiodic.Solve_failure _) as e ->
     ("solve-failed", Printexc.to_string e)
-  | Nonlin.Continuation.Step_underflow _ as e -> ("continuation-underflow", Printexc.to_string e)
   | Steady.Oscillator.Nonphysical msg -> ("nonphysical", msg)
   | Failure msg -> ("solver-failure", msg)
   | e -> ("internal", Printexc.to_string e)

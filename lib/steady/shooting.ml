@@ -37,9 +37,7 @@ let autonomous dae ?(steps_per_period = 200) ?(phase_component = 0) ?(tol = 1e-8
     { Nonlin.Newton.default_options with max_iterations = 40; residual_tol = tol }
   in
   let outcome =
-    Nonlin.Polyalg.solve ~options ~label:"shooting.autonomous"
-      ~cascade:[ Nonlin.Polyalg.Damped; Nonlin.Polyalg.Trust_region; Nonlin.Polyalg.Pseudo_transient ]
-      ~residual y0
+    Nonlin.Polyalg.solve ~options ~label:"shooting.autonomous" ~residual y0
   in
   let report = outcome.Nonlin.Polyalg.report in
   if not report.Nonlin.Newton.converged then

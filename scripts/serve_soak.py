@@ -304,6 +304,7 @@ def main():
 
     # exactly one terminal record per submitted job
     failures = 0
+    kinds = set()
     omega_end = {}
     for job_id in SUBMITTED:
         terminals = [r for r in records
@@ -318,6 +319,7 @@ def main():
             print(f"serve_soak: {job_id}: job-error kind={term['kind']}")
             if term["kind"] != "cancelled":
                 failures += 1
+                kinds.add(term["kind"])
                 # every solver failure must leave a postmortem flight
                 # dump next to the job in the spool
                 flight = term.get("flight")
@@ -376,7 +378,8 @@ def main():
 
     if args.faults:
         print(f"serve_soak: fault storm: {failures}/{len(SUBMITTED)} jobs "
-              "ended in typed errors, rest in validated manifests")
+              f"ended in typed errors (kinds {sorted(kinds)}), "
+              "rest in validated manifests")
     else:
         if failures:
             return fail(f"{failures} jobs failed without a fault storm armed")

@@ -1,5 +1,5 @@
-(* The CLI's help pages, its numeric flag checks and the history
-   gate's exit codes.  Every subcommand (found by walking the COMMANDS
+(* The CLI's help pages, its numeric flag checks, its typed solver
+   failures and the history gate's exit codes.  Every subcommand (found by walking the COMMANDS
    sections of the help pages themselves) must render its --help=plain
    page: cmdliner reports a malformed doc string as a "cmdliner error"
    at the top of the page instead of failing the build. *)
@@ -132,6 +132,31 @@ let tests =
             ("--steps", [ "deck"; "--steps"; "0"; cli_exe ]);
             ("--t-end", [ "deck"; "--t-end"; "0"; cli_exe ]);
           ]);
+    Alcotest.test_case "a failed quasiperiodic solve exits 1 with a typed line and a flight dump"
+      `Quick (fun () ->
+        let dump = Filename.temp_file "wampde-quasi-flight" ".json" in
+        Sys.remove dump;
+        Fun.protect
+          ~finally:(fun () -> if Sys.file_exists dump then Sys.remove dump)
+          (fun () ->
+            (* every linear solve fails, so Newton cannot take a step *)
+            let code, out =
+              run_cli
+                [ "quasi"; "--n1"; "15"; "--n2"; "15"; "--fault-inject"; "linsolve%1";
+                  "--flight-dump"; dump ]
+            in
+            Alcotest.(check int) ("exit code: " ^ out) 1 code;
+            let typed =
+              List.filter
+                (fun l ->
+                  String.length l > 12 && String.sub l 0 12 = "wampde_cli: "
+                  && contains l "Solve_failure")
+                (String.split_on_char '\n' out)
+            in
+            Alcotest.(check int) ("one typed error line: " ^ out) 1 (List.length typed);
+            Alcotest.(check bool) ("no uncaught exception: " ^ out) false
+              (contains out "internal error");
+            Alcotest.(check bool) "flight dump written" true (Sys.file_exists dump)));
   ]
 
 let suites = [ ("cli", tests) ]

@@ -201,15 +201,6 @@ let tests =
         let b = Vec.init n (fun i -> float_of_int (i mod 2)) in
         let r = Gmres.solve ~matvec:(fun v dst -> Mat.matvec_into a v ~dst) ~restart:2 ~max_iter:2 ~tol:1e-14 b in
         Alcotest.(check bool) "flagged" false r.Gmres.converged);
-    Alcotest.test_case "continuation reports step underflow" `Quick (fun () ->
-        (* F(x, lambda) = x^2 + lambda has no real roots past lambda = 0 *)
-        let residual lambda x = [| (x.(0) *. x.(0)) +. lambda |] in
-        Alcotest.(check bool) "no branch" true
-          (try
-             ignore (Nonlin.Continuation.trace ~residual ~from_:(-1.) ~to_:1. [| 1. |]);
-             false
-           with Nonlin.Continuation.Step_underflow { lambda; step; last = _ } ->
-             lambda < 1. && step > 0.));
     Alcotest.test_case "parser failures carry context" `Quick (fun () ->
         Alcotest.(check bool) "line 3" true
           (try

@@ -1,7 +1,7 @@
-(* Tests for the globalization cascade: trust-region Newton, PTC, and
-   the Polyalg escalation machinery — including the acceptance case of
-   a strong-modulation quasiperiodic solve that plain damped Newton
-   fails on and the cascade cracks. *)
+(* Tests for the globalization cascade: trust-region Newton and the
+   Polyalg escalation machinery — including the acceptance case of a
+   strong-modulation quasiperiodic solve that plain damped Newton fails
+   on and the cascade cracks. *)
 
 module Obs = Wampde_obs
 
@@ -103,44 +103,6 @@ let globalize_tests =
                ("powell", powell_residual, powell_jacobian, [| 0.; 1. |], 42, 0x1.e6p-45,
                 [| 0x1.707b2b0b09dafp-17; 0x1.23658dd90954fp+3 |]);
              ]));
-    Alcotest.test_case "ptc keeps its Jacobian when the iterate stays put" `Quick
-      (with_counters (fun () ->
-           List.iter
-             (fun (what, residual, jacobian, jacobians, iterations, residual_norm, x) ->
-               let jacobian, points = recording jacobian in
-               let report = Nonlin.Ptc.solve ~jacobian ~residual [| 0. |] in
-               Alcotest.(check bool) (what ^ " converged") true report.Nonlin.Newton.converged;
-               Alcotest.(check int) (what ^ " Jacobians") jacobians (List.length !points);
-               check_distinct what points;
-               check_pinned what report ~iterations ~residual_norm ~x)
-             [
-               (* J(0) = -10 cancels the first shift 1/delta = 10: the
-                  shifted system is exactly singular once *)
-               ( "singular shift",
-                 (fun x -> [| (x.(0) *. x.(0) *. x.(0)) -. (10. *. x.(0)) -. 20. |]),
-                 (fun x -> [| [| (3. *. x.(0) *. x.(0)) -. 10. |] |]),
-                 13, 14, 0x1.868p-37, [| 0x1.f20cf4f72175bp+1 |] );
-               (* J(0) = -9.9 makes the first pseudo step 10x the
-                  residual; it leaves the domain |x| <= 10 once *)
-               ( "non-finite trial",
-                 (fun x ->
-                   [|
-                     (if Float.abs x.(0) > 10. then Float.nan
-                      else (x.(0) *. x.(0) *. x.(0)) -. (9.9 *. x.(0)) -. 5.);
-                   |]),
-                 (fun x -> [| [| (3. *. x.(0) *. x.(0)) -. 9.9 |] |]),
-                 33, 34, 0x1.8p-46, [| 0x1.afd65105db4b4p+1 |] );
-             ]));
-    Alcotest.test_case "ptc solves a stiff sinh system from zero" `Quick
-      (with_counters (fun () ->
-           (* sinh cliff: full Newton from 0 overshoots catastrophically *)
-           let residual x =
-             Array.init 3 (fun i -> sinh (5. *. (x.(i) -. 1.)) +. (0.1 *. x.(i)))
-           in
-           let report = Nonlin.Ptc.solve ~residual [| 0.; 0.; 0. |] in
-           Alcotest.(check bool) "converged" true report.Nonlin.Newton.converged;
-           check_root "sinh" residual report.Nonlin.Newton.x;
-           Alcotest.(check bool) "counted" true (count "ptc.solves" >= 1)));
     Alcotest.test_case "cascade stops at damped Newton on an easy system" `Quick
       (with_counters (fun () ->
            let residual x = [| (x.(0) *. x.(0)) -. 4. |] in
@@ -167,19 +129,27 @@ let globalize_tests =
                Alcotest.(check bool) "escalations counted" true
                  (count "newton.strategy.escalations" >= 1);
                Alcotest.(check int) "fault fired once" 1 (Fault.injected Fault.Linear_solve))));
-    Alcotest.test_case "homotopy stage cracks a fold that cold Newton misses" `Quick
+    Alcotest.test_case "default cascade exhausts damped Newton, then trust region" `Quick
       (with_counters (fun () ->
-           (* exp cliff so steep that damped Newton, dogleg and PTC all
-              stall from x0 = 0; the Newton homotopy ramps the forcing
-              in and tracks the branch to the root. *)
-           let residual x = [| exp (50. *. x.(0)) -. 1. +. (50. *. x.(0)) -. 5. |] in
-           let outcome =
-             Nonlin.Polyalg.solve ~cascade:[ Nonlin.Polyalg.Homotopy ] ~residual [| -1. |]
-           in
-           Alcotest.(check bool) "converged" true
+           (* x^2 + 1 has no real root: both stages stall at the merit
+              minimum x = 0, where the residual is 1 *)
+           let residual x = [| (x.(0) *. x.(0)) +. 1. |] in
+           let outcome = Nonlin.Polyalg.solve ~residual [| 3. |] in
+           Alcotest.(check bool) "not converged" false
              outcome.Nonlin.Polyalg.report.Nonlin.Newton.converged;
-           check_root "fold" residual outcome.Nonlin.Polyalg.report.Nonlin.Newton.x;
-           Alcotest.(check int) "homotopy counter" 1 (count "newton.strategy.homotopy")));
+           Alcotest.(check (list string))
+             "attempts" [ "damped"; "trust_region" ]
+             (List.map
+                (fun (a : Nonlin.Polyalg.attempt) -> Nonlin.Polyalg.strategy_name a.strategy)
+                outcome.Nonlin.Polyalg.attempts);
+           List.iter
+             (fun (a : Nonlin.Polyalg.attempt) ->
+               Alcotest.(check (float 1e-6))
+                 (Nonlin.Polyalg.strategy_name a.strategy ^ " residual")
+                 1. a.report.Nonlin.Newton.residual_norm)
+             outcome.Nonlin.Polyalg.attempts;
+           Alcotest.(check int) "failed counter" 1 (count "newton.strategy.failed");
+           Alcotest.(check int) "one escalation" 1 (count "newton.strategy.escalations")));
   ]
 
 (* The acceptance case from the paper's hard regime: a strongly
@@ -228,7 +198,7 @@ let acceptance_tests =
              }
            in
            let iterations () =
-             count "newton.iterations" + count "trust_region.iterations" + count "ptc.iterations"
+             count "newton.iterations" + count "trust_region.iterations"
            in
            let iterations0 = iterations () in
            let res = Mpde.quasiperiodic counted ~n1 ~n2 ~p2 ~guess in

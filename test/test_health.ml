@@ -1,9 +1,8 @@
 (* Live-telemetry tests: the ETA estimator's finiteness guarantee,
    health-monitor threshold edge semantics (strictly-greater,
    edge-triggered), the NDJSON stream contract (well-formed lines,
-   terminal record, bounded buffer, idempotent finish), Prometheus
-   exposition, the doctor diagnosis, and the zero-span Perfetto
-   regression. *)
+   terminal record, bounded buffer, idempotent finish), the doctor
+   diagnosis, and the zero-span Perfetto regression. *)
 module Obs = Wampde_obs
 open Linalg
 open Fourier
@@ -423,79 +422,6 @@ let stream_tests =
            Alcotest.(check bool) "no progress record" true (not (List.mem "progress" types))));
   ]
 
-let prometheus_tests =
-  [
-    Alcotest.test_case "exposition is prefixed, sanitized and typed" `Quick
-      (with_clean (fun () ->
-           Obs.set_enabled true;
-           Obs.Metrics.add (Obs.Metrics.counter "test.counter") 5;
-           Obs.Metrics.set (Obs.Metrics.gauge "test.gauge-odd") 2.5;
-           Obs.Scope.with_scope "envelope.outer" (fun () ->
-               Obs.Metrics.incr (Obs.Metrics.counter "test.counter"));
-           let body = Obs.Metrics.to_prometheus () in
-           let has s =
-             Alcotest.(check bool) (Printf.sprintf "contains %S" s) true
-               (let re = Str.regexp_string s in
-                try ignore (Str.search_forward re body 0); true with Not_found -> false)
-           in
-           has "# TYPE wampde_test_counter counter";
-           has "wampde_test_counter 6";
-           has "# TYPE wampde_test_gauge_odd gauge";
-           has "wampde_test_gauge_odd 2.5";
-           has "wampde_test_counter_scoped{scope=\"envelope.outer\"} 1";
-           (* every non-comment line is name[{labels}] value *)
-           List.iter
-             (fun line ->
-               if line <> "" && line.[0] <> '#' then
-                 Alcotest.(check bool) (Printf.sprintf "line %S well-formed" line) true
-                   (Str.string_match
-                      (Str.regexp "^wampde_[A-Za-z0-9_:]+\\({[^}]*}\\)? [^ ]+$") line 0))
-             (String.split_on_char '\n' body)));
-    Alcotest.test_case "HELP lines precede TYPE lines and escape metadata" `Quick
-      (with_clean (fun () ->
-           Obs.set_enabled true;
-           Obs.Metrics.add (Obs.Metrics.counter "esc.counter") 1;
-           Obs.Metrics.set (Obs.Metrics.gauge "esc.gauge") 1.5;
-           Obs.Scope.with_scope "we\"ird\\scope\nline" (fun () ->
-               Obs.Metrics.incr (Obs.Metrics.counter "esc.counter"));
-           let body = Obs.Metrics.to_prometheus () in
-           let has s =
-             Alcotest.(check bool) (Printf.sprintf "contains %S" s) true
-               (let re = Str.regexp_string s in
-                try ignore (Str.search_forward re body 0); true with Not_found -> false)
-           in
-           has "# HELP wampde_esc_counter wampde counter esc.counter";
-           has "# HELP wampde_esc_gauge wampde gauge esc.gauge";
-           has "# HELP wampde_esc_counter_scoped wampde counter esc.counter by scope";
-           (* label values escape backslash, quote and newline per the
-              exposition format *)
-           has "scope=\"we\\\"ird\\\\scope\\nline\"";
-           (* each HELP is immediately followed by its TYPE for the
-              same family *)
-           let lines = String.split_on_char '\n' body in
-           let rec check_pairs = function
-             | h :: t :: rest when String.length h > 7 && String.sub h 0 7 = "# HELP " ->
-               let fam s =
-                 match String.split_on_char ' ' s with _ :: _ :: f :: _ -> f | _ -> ""
-               in
-               Alcotest.(check bool) (Printf.sprintf "%S followed by TYPE" h) true
-                 (String.length t > 7 && String.sub t 0 7 = "# TYPE " && fam t = fam h);
-               check_pairs (t :: rest)
-             | _ :: rest -> check_pairs rest
-             | [] -> ()
-           in
-           check_pairs lines;
-           (* the hostile scope still leaves every sample line
-              well-formed: the newline is escaped, not literal *)
-           List.iter
-             (fun line ->
-               if line <> "" && line.[0] <> '#' then
-                 Alcotest.(check bool) (Printf.sprintf "line %S well-formed" line) true
-                   (Str.string_match
-                      (Str.regexp "^wampde_[A-Za-z0-9_:]+\\({[^}]*}\\)? [^ ]+$") line 0))
-             lines));
-  ]
-
 let doctor_tests =
   [
     Alcotest.test_case "diagnosis of a live run covers three categories" `Quick
@@ -598,7 +524,6 @@ let suites =
     ("health-monitors", health_tests);
     ("spectral-resolution", resolution_tests @ resolution_prop_tests);
     ("stream", stream_tests);
-    ("prometheus", prometheus_tests);
     ("doctor", doctor_tests);
     ("perfetto-regression", perfetto_tests);
   ]

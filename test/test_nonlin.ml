@@ -1,4 +1,4 @@
-(* Tests for Newton, finite-difference Jacobians and continuation. *)
+(* Tests for Newton and finite-difference Jacobians. *)
 open Testkit
 open Nonlin
 
@@ -67,22 +67,6 @@ let newton_tests =
         approx_tol 1e-10 "root" 3. r);
   ]
 
-let continuation_tests =
-  [
-    Alcotest.test_case "continuation tracks a folding-free branch" `Quick (fun () ->
-        (* x^3 + x = lambda has a unique smooth branch *)
-        let residual lambda x = [| (x.(0) ** 3.) +. x.(0) -. lambda |] in
-        let pts = Continuation.trace ~residual ~from_:0. ~to_:10. [| 0. |] in
-        let x = (List.nth pts (List.length pts - 1)).Continuation.x in
-        approx_tol 1e-8 "f(x) = 10" 10. ((x.(0) ** 3.) +. x.(0)));
-    Alcotest.test_case "trace ends at target" `Quick (fun () ->
-        let residual lambda x = [| x.(0) -. (lambda *. lambda) |] in
-        let pts = Continuation.trace ~residual ~from_:0. ~to_:2. [| 0. |] in
-        let last = List.nth pts (List.length pts - 1) in
-        approx_tol 1e-12 "lambda" 2. last.Continuation.lambda;
-        approx_tol 1e-8 "x" 4. last.Continuation.x.(0));
-  ]
-
 let prop_tests =
   let open QCheck in
   [
@@ -107,6 +91,5 @@ let suites =
   [
     ("nonlin.fdjac", fdjac_tests);
     ("nonlin.newton", newton_tests);
-    ("nonlin.continuation", continuation_tests);
     ("nonlin.properties", prop_tests);
   ]
