@@ -59,10 +59,6 @@ let stream_arg =
   in
   Arg.(value & opt (some string) None & info [ "stream" ] ~docv:"FILE" ~doc)
 
-let progress_arg =
-  let doc = "Print human-readable progress lines (and health warnings) to stderr as the run advances." in
-  Arg.(value & flag & info [ "progress" ] ~doc)
-
 let jobs_arg =
   let doc =
     "Run the parallel kernels (finite-difference Jacobian columns, preconditioner block \
@@ -79,14 +75,6 @@ let flight_arg =
   in
   Arg.(value & opt string "wampde-flight.json" & info [ "flight-dump" ] ~docv:"FILE" ~doc)
 
-let history_arg =
-  let doc =
-    "Append this run's manifest to the CRC-guarded history store in $(docv) (created if \
-     missing), keyed by circuit/analysis/n1/jobs/git.  Query it with the $(b,history) \
-     subcommand."
-  in
-  Arg.(value & opt (some string) None & info [ "history" ] ~docv:"DIR" ~doc)
-
 type obs_flags = {
   o_metrics : bool;
   o_trace : string option;
@@ -94,16 +82,13 @@ type obs_flags = {
   o_report : string option;
   o_faults : string option;
   o_stream : string option;
-  o_progress : bool;
   o_jobs : int option;
   o_flight : string;
-  o_history : string option;
 }
 
 let obs_term =
   Term.(
-    const (fun o_metrics o_trace o_perfetto o_report o_faults o_stream o_progress o_jobs o_flight
-               o_history ->
+    const (fun o_metrics o_trace o_perfetto o_report o_faults o_stream o_jobs o_flight ->
         {
           o_metrics;
           o_trace;
@@ -111,13 +96,11 @@ let obs_term =
           o_report;
           o_faults;
           o_stream;
-          o_progress;
           o_jobs;
           o_flight;
-          o_history;
         })
     $ metrics_arg $ trace_arg $ perfetto_arg $ report_arg $ fault_arg $ stream_arg
-    $ progress_arg $ jobs_arg $ flight_arg $ history_arg)
+    $ jobs_arg $ flight_arg)
 
 let open_or_die file =
   try open_out file
@@ -182,13 +165,13 @@ let or_die f =
    metrics go to a table on stderr, JSON-lines traces plus a span-tree
    summary through --trace, a Chrome trace-event file through
    --trace-perfetto (with per-span GC attribution), a run manifest
-   through --report, a live NDJSON stream through --stream and human
-   progress lines through --progress.  With no flag this is a no-op
-   wrapper.
+   through --report and a live NDJSON stream through --stream (the one
+   live-progress channel; --stream - writes it to stderr).  With no
+   flag this is a no-op wrapper.
    [--fault-inject] (or WAMPDE_FAULTS) arms the deterministic fault
    harness for the wrapped run.  [total] is the run's slow-time target,
-   powering the ETA estimate of --stream/--progress. *)
-let with_obs ?(cmd = "") ?total ?(circuit = "") ?(n1 = 0) obs f =
+   powering the ETA estimate of --stream. *)
+let with_obs ?(cmd = "") ?total obs f =
   (* WAMPDE_JOBS seeded the pool at startup; an explicit --jobs wins *)
   (match obs.o_jobs with Some j -> Par.Pool.set_jobs j | None -> ());
   (match obs.o_faults with
@@ -223,7 +206,6 @@ let with_obs ?(cmd = "") ?total ?(circuit = "") ?(n1 = 0) obs f =
   in
   let any =
     metrics || trace <> None || perfetto <> None || report <> None || obs.o_stream <> None
-    || obs.o_progress || obs.o_history <> None
   in
   if not any then or_die f
   else begin
@@ -239,9 +221,7 @@ let with_obs ?(cmd = "") ?total ?(circuit = "") ?(n1 = 0) obs f =
       if perfetto <> None then Some (Obs.Events.subscribe Obs.Trace_event.record_event)
       else None
     in
-    let collector =
-      if report <> None || obs.o_history <> None then Some (Obs.Report.collect ()) else None
-    in
+    let collector = Option.map (fun file -> (file, Obs.Report.collect ())) report in
     let cleanup_trace =
       match trace with
       | None -> fun () -> ()
@@ -274,44 +254,6 @@ let with_obs ?(cmd = "") ?total ?(circuit = "") ?(n1 = 0) obs f =
             if target <> "-" then close_out_noerr oc);
         Some s
     in
-    let cleanup_progress =
-      if not obs.o_progress then fun () -> ()
-      else begin
-        let eta =
-          match total with
-          | Some t when Float.is_finite t && t > 0. -> Some (Obs.Eta.create ~total:t ())
-          | _ -> None
-        in
-        let steps = ref 0 in
-        let last = ref (Obs.now () -. 1.) in
-        let sub =
-          Obs.Events.subscribe (fun e ->
-              match e with
-              | Obs.Events.Step_accept { t; h } when Obs.Scope.current () <> Some "transient"
-                ->
-                incr steps;
-                (match eta with
-                 | Some e -> Obs.Eta.update e ~now:(Obs.now ()) ~completed:(t +. h)
-                 | None -> ());
-                if Obs.now () -. !last >= 1.0 then begin
-                  last := Obs.now ();
-                  match eta with
-                  | Some e when Obs.Eta.rate e > 0. ->
-                    Printf.eprintf "wampde: t2 %.4g (%.0f%%), h2 %.3g, %d steps, eta %.0f s\n%!"
-                      (t +. h)
-                      (100. *. Obs.Eta.fraction e)
-                      h !steps (Obs.Eta.eta_s e)
-                  | _ ->
-                    Printf.eprintf "wampde: t2 %.4g, h2 %.3g, %d steps\n%!" (t +. h) h !steps
-                end
-              | Obs.Events.Health_warning { monitor; value; threshold; hint; _ } ->
-                Printf.eprintf "wampde: health: %s = %.3g > %.3g; %s\n%!" monitor value
-                  threshold hint
-              | _ -> ())
-        in
-        fun () -> Obs.Events.unsubscribe sub
-      end
-    in
     let ran_ok = ref false in
     let f () =
       or_die @@ fun () ->
@@ -328,7 +270,6 @@ let with_obs ?(cmd = "") ?total ?(circuit = "") ?(n1 = 0) obs f =
     in
     Fun.protect
       ~finally:(fun () ->
-        cleanup_progress ();
         (match stream with
          | Some s ->
            Obs.Stream.finish s ~ok:!ran_ok
@@ -351,31 +292,14 @@ let with_obs ?(cmd = "") ?total ?(circuit = "") ?(n1 = 0) obs f =
           if trace <> None then prerr_string (Obs.Span.tree_summary spans)
         end;
         (match collector with
-         | Some c ->
+         | Some (file, c) ->
            let steps = Obs.Report.finish c in
-           let git = Obs.Report.git_describe () in
-           let manifest =
-             Obs.Report.manifest ~subcommand:cmd ?git
-               ~jobs:(Par.Pool.jobs ())
-               ~wall_s:(Obs.now () -. t_run0)
-               ~steps ()
-           in
-           (match report with Some file -> write_file_or_die file manifest | None -> ());
-           (match obs.o_history with
-            | Some dir when !ran_ok ->
-              let key =
-                {
-                  Obs.History.circuit;
-                  analysis = cmd;
-                  n1;
-                  jobs = Par.Pool.jobs ();
-                  git = Option.value git ~default:"";
-                }
-              in
-              (match Obs.History.append ~dir ~key ~manifest () with
-               | Ok () -> ()
-               | Error msg -> Printf.eprintf "wampde_cli: --history: %s\n" msg)
-            | _ -> ())
+           write_file_or_die file
+             (Obs.Report.manifest ~subcommand:cmd
+                ?git:(Obs.Report.git_describe ())
+                ~jobs:(Par.Pool.jobs ())
+                ~wall_s:(Obs.now () -. t_run0)
+                ~steps ())
          | None -> ());
         if metrics then begin
           prerr_string (Obs.Metrics.table ());
@@ -397,8 +321,6 @@ let which_conv =
 let params_of = function
   | A -> Circuit.Vco.vco_a ()
   | B -> Circuit.Vco.vco_b ()
-
-let circuit_name = function A -> "vco-a" | B -> "vco-b"
 
 let frozen_of = function
   | A -> Circuit.Vco.default_params ~control:(fun _ -> 1.5) ()
@@ -455,7 +377,7 @@ let h2_arg =
 
 let orbit_cmd =
   let run obs which n1 =
-    with_obs ~cmd:"orbit" ~circuit:(circuit_name which) ~n1 obs @@ fun () ->
+    with_obs ~cmd:"orbit" obs @@ fun () ->
     let orbit = find_orbit ~n1 which in
     Printf.printf "frequency: %.6f MHz\nperiod:    %.6f us\namplitude: %.4f V\n"
       orbit.Steady.Oscillator.omega
@@ -532,7 +454,7 @@ let envelope_cmd =
         h_min h_max;
       exit Cmd.Exit.cli_error
     end;
-    with_obs ~cmd:"envelope" ~total:t_end ~circuit:(circuit_name which) ~n1 obs @@ fun () ->
+    with_obs ~cmd:"envelope" ~total:t_end obs @@ fun () ->
     let h2 = Option.value h2 ~default:(default_h2 which) in
     let orbit = find_orbit ~n1 which in
     let dae = Circuit.Vco.build (params_of which) in
@@ -602,7 +524,7 @@ let transient_cmd =
   in
   let run obs which t_end pts stride =
     let t_end = Option.value t_end ~default:(default_t_end which) in
-    with_obs ~cmd:"transient" ~total:t_end ~circuit:(circuit_name which) obs @@ fun () ->
+    with_obs ~cmd:"transient" ~total:t_end obs @@ fun () ->
     let orbit = find_orbit which in
     let dae = Circuit.Vco.build (params_of which) in
     let x0 = Array.init dae.Dae.dim (fun i -> orbit.Steady.Oscillator.grid.(0).(i)) in
@@ -631,7 +553,7 @@ let quasi_cmd =
   in
   let run obs n1 n2 solver =
     (* the embedded envelope warmup integrates to t2 = 200 *)
-    with_obs ~cmd:"quasi" ~total:200. ~circuit:"vco-a" ~n1 obs @@ fun () ->
+    with_obs ~cmd:"quasi" ~total:200. obs @@ fun () ->
     let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
     let orbit = find_orbit ~n1 A in
     let options = Wampde.Envelope.default_options ~n1 () in
@@ -660,7 +582,7 @@ let waveform_cmd =
   in
   let run obs which n1 t_end h2 per_cycle =
     let t_end = Option.value t_end ~default:(default_t_end which) in
-    with_obs ~cmd:"waveform" ~total:t_end ~circuit:(circuit_name which) ~n1 obs @@ fun () ->
+    with_obs ~cmd:"waveform" ~total:t_end obs @@ fun () ->
     let h2 = Option.value h2 ~default:(default_h2 which) in
     let orbit = find_orbit ~n1 which in
     let dae = Circuit.Vco.build (params_of which) in
@@ -691,7 +613,7 @@ let deck_cmd =
     Arg.(value & opt positive_int 2000 & info [ "steps" ] ~docv:"N" ~doc)
   in
   let run obs deck t_end steps =
-    with_obs ~cmd:"deck" ~total:t_end ~circuit:(Filename.basename deck) obs @@ fun () ->
+    with_obs ~cmd:"deck" ~total:t_end obs @@ fun () ->
     match Circuit.Parser.parse_file deck with
     | exception Circuit.Parser.Parse_error { line; message } ->
       Printf.eprintf "%s:%d: %s\n" deck line message;
@@ -753,7 +675,10 @@ let report_cmd =
 
 let doctor_cmd =
   let manifest_pos =
-    let doc = "Run manifest written by $(b,--report) on a solver subcommand." in
+    let doc =
+      "Run manifest written by $(b,--report) on a solver subcommand.  A file that fails \
+       $(b,report --check) is refused with exit 1."
+    in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"MANIFEST" ~doc)
   in
   let stream_file_arg =
@@ -810,258 +735,6 @@ let explain_cmd =
      metrics snapshot"
   in
   Cmd.v (Cmd.info "explain" ~doc) Term.(const run $ dump_pos)
-
-(* ---------- run-history analytics ---------- *)
-
-let history_dir_arg =
-  let doc = "History store directory (as passed to $(b,--history) on a run)." in
-  Arg.(value & opt string "wampde-history" & info [ "dir" ] ~docv:"DIR" ~doc)
-
-let key_filter_arg =
-  let doc = "Only consider entries whose key contains $(docv) (substring match)." in
-  Arg.(value & opt (some string) None & info [ "key" ] ~docv:"SUBSTR" ~doc)
-
-let last_arg =
-  let doc = "Window size: the newest $(docv) runs per key feed the robust statistics." in
-  Arg.(value & opt int 8 & info [ "last" ] ~docv:"K" ~doc)
-
-let nsigma_arg =
-  let doc = "MAD-based outlier threshold in (scaled) sigmas." in
-  Arg.(value & opt float 4.0 & info [ "nsigma" ] ~docv:"S" ~doc)
-
-(* Load the store, surfacing (but not dying on) corrupt lines: a
-   mangled history degrades to a partial one. *)
-let load_history dir =
-  let entries, warnings = Obs.History.load ~dir in
-  List.iter (fun w -> Printf.eprintf "wampde_cli: history: warning: %s\n" w) warnings;
-  entries
-
-let matches_filter filter key =
-  match filter with
-  | None -> true
-  | Some sub ->
-    let ks = Obs.History.key_string key and n = String.length sub in
-    let rec scan i = i + n <= String.length ks && (String.sub ks i n = sub || scan (i + 1)) in
-    n = 0 || scan 0
-
-let iso_time t =
-  if Float.is_nan t then "-"
-  else
-    let tm = Unix.gmtime t in
-    Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-      tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec
-
-(* Entries grouped by key string, insertion (= chronological) order
-   preserved within and across groups. *)
-let group_by_key entries =
-  let order = ref [] in
-  let tbl : (string, Obs.History.entry list) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Obs.History.entry) ->
-      let k = Obs.History.key_string e.key in
-      if not (Hashtbl.mem tbl k) then order := k :: !order;
-      Hashtbl.replace tbl k (e :: (try Hashtbl.find tbl k with Not_found -> [])))
-    entries;
-  List.rev_map (fun k -> (k, List.rev (Hashtbl.find tbl k))) !order
-
-let history_list_cmd =
-  let run dir =
-    let entries = load_history dir in
-    if entries = [] then print_endline "history: no entries"
-    else
-      List.iteri
-        (fun i (e : Obs.History.entry) ->
-          Printf.printf "#%-3d %-52s wall %8.3f s  %s\n" (i + 1)
-            (Obs.History.key_string e.key) e.wall_s (iso_time e.unix_time))
-        entries
-  in
-  let doc = "list every stored run (oldest first) with its key, wall time and timestamp" in
-  Cmd.v (Cmd.info "list" ~doc) Term.(const run $ history_dir_arg)
-
-let nth_entry entries n =
-  if n < 1 || n > List.length entries then begin
-    Printf.eprintf "history: no entry #%d (store has %d; see 'history list')\n" n
-      (List.length entries);
-    exit 2
-  end
-  else List.nth entries (n - 1)
-
-let history_show_cmd =
-  let n_pos =
-    let doc = "Entry number as printed by $(b,history list)." in
-    Arg.(required & pos 0 (some int) None & info [] ~docv:"N" ~doc)
-  in
-  let run dir n =
-    let e = nth_entry (load_history dir) n in
-    let manifest = Obs.Json.to_string e.Obs.History.manifest in
-    match Obs.Report.to_markdown manifest with
-    | Ok md -> print_string md
-    | Error _ -> print_endline manifest
-  in
-  let doc = "render one stored run manifest as markdown (raw JSON when it fails to render)" in
-  Cmd.v (Cmd.info "show" ~doc) Term.(const run $ history_dir_arg $ n_pos)
-
-(* counters and gauges of a run-report manifest, as assoc lists *)
-let manifest_metrics j =
-  let obj k v = match Obs.Json.member k v with Some (Obs.Json.Obj l) -> l | _ -> [] in
-  match Obs.Json.member "metrics" j with
-  | Some m -> (obj "counters" m, obj "gauges" m)
-  | None -> ([], [])
-
-let history_compare_cmd =
-  let a_pos =
-    let doc = "Baseline entry number (see $(b,history list))." in
-    Arg.(required & pos 0 (some int) None & info [] ~docv:"A" ~doc)
-  in
-  let b_pos =
-    let doc = "Entry number to compare against the baseline." in
-    Arg.(required & pos 1 (some int) None & info [] ~docv:"B" ~doc)
-  in
-  let run dir a b =
-    let entries = load_history dir in
-    let ea = nth_entry entries a and eb = nth_entry entries b in
-    let num j = Option.value (Obs.Json.to_num j) ~default:nan in
-    Printf.printf "# history compare #%d vs #%d\n\n" a b;
-    Printf.printf "| | #%d | #%d |\n|---|---|---|\n" a b;
-    Printf.printf "| key | %s | %s |\n"
-      (Obs.History.key_string ea.Obs.History.key)
-      (Obs.History.key_string eb.Obs.History.key);
-    Printf.printf "| recorded | %s | %s |\n" (iso_time ea.unix_time) (iso_time eb.unix_time);
-    let rel x y = if Float.is_finite x && x <> 0. && Float.is_finite y then Printf.sprintf " (%+.1f%%)" (100. *. (y -. x) /. Float.abs x) else "" in
-    Printf.printf "| wall_s | %.3f | %.3f%s |\n\n" ea.wall_s eb.wall_s (rel ea.wall_s eb.wall_s);
-    let ca, ga = manifest_metrics ea.manifest and cb, gb = manifest_metrics eb.manifest in
-    let changed =
-      List.filter_map
-        (fun (k, va) ->
-          match List.assoc_opt k cb with
-          | Some vb when num va <> num vb -> Some (k, num va, num vb)
-          | _ -> None)
-        ca
-      @ List.filter_map
-          (fun (k, vb) -> if List.mem_assoc k ca then None else Some (k, 0., num vb))
-          cb
-    in
-    if changed <> [] then begin
-      Printf.printf "## counters\n\n| counter | #%d | #%d | delta |\n|---|---|---|---|\n" a b;
-      List.iter
-        (fun (k, va, vb) -> Printf.printf "| %s | %.0f | %.0f | %+.0f |\n" k va vb (vb -. va))
-        changed;
-      print_newline ()
-    end;
-    let gchanged =
-      List.filter_map
-        (fun (k, va) ->
-          match List.assoc_opt k gb with
-          | Some vb when num va <> num vb -> Some (k, num va, num vb)
-          | _ -> None)
-        ga
-    in
-    if gchanged <> [] then begin
-      Printf.printf "## gauges\n\n| gauge | #%d | #%d | change |\n|---|---|---|---|\n" a b;
-      List.iter
-        (fun (k, va, vb) -> Printf.printf "| %s | %.6g | %.6g | %s |\n" k va vb
-            (let r = rel va vb in if r = "" then Printf.sprintf "%+.6g" (vb -. va) else String.trim r))
-        gchanged;
-      print_newline ()
-    end
-  in
-  let doc = "markdown delta of two stored runs: wall time, changed counters and gauges" in
-  Cmd.v (Cmd.info "compare" ~doc) Term.(const run $ history_dir_arg $ a_pos $ b_pos)
-
-(* One key's trend window: its newest [last] finite wall times.  The
-   median and MAD are over the whole window, or over the runs before
-   the latest with [~before_latest:true].  None when no wall time is
-   finite. *)
-type wall_window = { size : int; latest : float; median : float; mad : float }
-
-let wall_window ?(before_latest = false) ~last (es : Obs.History.entry list) =
-  let walls = List.filter Float.is_finite (List.map (fun (e : Obs.History.entry) -> e.wall_s) es) in
-  let n = List.length walls in
-  let window = List.filteri (fun i _ -> i >= n - last) walls in
-  match List.rev window with
-  | [] -> None
-  | latest :: earlier ->
-    let base = if before_latest then earlier else window in
-    Some
-      {
-        size = List.length window;
-        latest;
-        median = Obs.History.median base;
-        mad = Obs.History.mad base;
-      }
-
-let history_trend_cmd =
-  let run dir filter last nsigma =
-    let entries = List.filter (fun (e : Obs.History.entry) -> matches_filter filter e.key) (load_history dir) in
-    if entries = [] then print_endline "history: no matching entries"
-    else
-      List.iter
-        (fun (ks, es) ->
-          match wall_window ~last es with
-          | None -> Printf.printf "%-52s runs=%d (no finite wall times)\n" ks (List.length es)
-          | Some w ->
-            let flag =
-              if w.size >= 3 && Obs.History.is_outlier ~nsigma ~median:w.median ~mad:w.mad w.latest
-              then
-                if w.latest > w.median then "  << SLOWER than trend" else "  << faster than trend"
-              else ""
-            in
-            Printf.printf "%-52s runs=%d  median %.3f s  mad %.3f  latest %.3f s%s\n" ks
-              (List.length es) w.median w.mad w.latest flag)
-        (group_by_key entries)
-  in
-  let doc =
-    "per-key robust trend over the newest $(b,--last) runs: median and MAD of wall time, \
-     flagging a latest run that falls outside $(b,--nsigma) scaled MADs"
-  in
-  Cmd.v (Cmd.info "trend" ~doc)
-    Term.(const run $ history_dir_arg $ key_filter_arg $ last_arg $ nsigma_arg)
-
-let history_gate_cmd =
-  let run dir filter last nsigma =
-    (* gate the newest run of each key against the median of the
-       earlier runs in its window *)
-    let entries =
-      List.filter (fun (e : Obs.History.entry) -> matches_filter filter e.key) (load_history dir)
-    in
-    if entries = [] then print_endline "history gate: PASS (no history)"
-    else begin
-      let regressions = ref 0 in
-      List.iter
-        (fun (ks, es) ->
-          match wall_window ~before_latest:true ~last es with
-          | Some w when w.size >= 3 ->
-            if Obs.History.is_outlier ~nsigma ~median:w.median ~mad:w.mad w.latest
-               && w.latest > w.median
-            then begin
-              incr regressions;
-              Printf.eprintf
-                "history gate: REGRESSION: %s: latest wall %.3f s vs median %.3f s (mad %.3f)\n"
-                ks w.latest w.median w.mad
-            end
-            else
-              Printf.printf "history gate: ok: %s: latest %.3f s, median %.3f s\n" ks w.latest
-                w.median
-          | _ -> Printf.printf "history gate: ok: %s: too few runs to judge\n" ks)
-        (group_by_key entries);
-      if !regressions > 0 then exit 1
-    end
-  in
-  let doc =
-    "regression gate with a typed exit code: each key's newest wall time against the median \
-     of the earlier runs in its $(b,--last) window.  Exits 0 on pass or too little history \
-     (fewer than three runs), 1 on a regression."
-  in
-  Cmd.v (Cmd.info "gate" ~doc)
-    Term.(const run $ history_dir_arg $ key_filter_arg $ last_arg $ nsigma_arg)
-
-let history_cmd =
-  let doc =
-    "query the CRC-guarded run-history store written by $(b,--history): list and render stored \
-     manifests, diff two runs, trend wall times and gate CI on regressions"
-  in
-  Cmd.group (Cmd.info "history" ~doc)
-    [ history_list_cmd; history_show_cmd; history_compare_cmd; history_trend_cmd; history_gate_cmd ]
 
 let serve_cmd =
   let quantum_arg =
@@ -1173,5 +846,5 @@ let () =
        (Cmd.group info
           [
             orbit_cmd; envelope_cmd; transient_cmd; quasi_cmd; waveform_cmd; deck_cmd; report_cmd;
-            doctor_cmd; explain_cmd; history_cmd; serve_cmd;
+            doctor_cmd; explain_cmd; serve_cmd;
           ]))

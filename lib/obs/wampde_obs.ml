@@ -1,9 +1,11 @@
 (* Solver telemetry and run diagnostics: metrics registry with scoped
    cost accounting, span tracing with GC/allocation attribution, typed
-   solver events, a Chrome/Perfetto trace-event exporter and a run
-   report (manifest) builder.  This library sits below every solver
-   layer (it depends only on [unix] for the wall clock), so any module
-   can report work without creating dependency cycles.
+   solver events (one field list each, [Events.fields]), health
+   monitors, the NDJSON progress stream, a Chrome/Perfetto trace-event
+   exporter, the run report (manifest) with its doctor, and the flight
+   recorder.  This library sits below every solver layer (it depends
+   only on [unix] for the wall clock), so any module can report work
+   without creating dependency cycles.
 
    Everything is off by default: counters and events are gated on one
    global flag, spans on the presence of a sink, so the hot-path cost
@@ -518,13 +520,28 @@ module Metrics = struct
 end
 
 module Scope = struct
-  let current () = if !cur_scope = "" then None else Some !cur_scope
-
   let with_scope label f =
     let saved = !cur_scope in
     cur_scope := label;
     Fun.protect ~finally:(fun () -> cur_scope := saved) f
 end
+
+(* Typed values shared by span attributes and solver-event fields, so
+   every artifact that carries them (trace lines, stream, flight dump,
+   Perfetto args) encodes them the same way. *)
+type attr = Int of int | Float of float | Str of string | Bool of bool
+
+let attr_json = function
+  | Int i -> string_of_int i
+  | Float f -> json_float f
+  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Bool b -> string_of_bool b
+
+let attrs_json attrs =
+  "{"
+  ^ String.concat ","
+      (List.map (fun (k, a) -> Printf.sprintf "\"%s\":%s" (json_escape k) (attr_json a)) attrs)
+  ^ "}"
 
 module Events = struct
   type t =
@@ -560,102 +577,46 @@ module Events = struct
   let active () = !enabled_flag && !subscribers <> []
   let emit e = if active () then List.iter (fun (_, f) -> f e) !subscribers
 
-  let to_json e =
-    match e with
+  let fields = function
     | Newton_iter { solver; k; residual; damping } ->
-      Printf.sprintf
-        "{\"type\":\"event\",\"event\":\"newton_iter\",\"solver\":\"%s\",\"k\":%d,\"residual\":%s,\"damping\":%s}"
-        (json_escape solver) k (json_float residual) (json_float damping)
+      ( "newton_iter",
+        [ ("solver", Str solver); ("k", Int k); ("residual", Float residual); ("damping", Float damping) ]
+      )
     | Newton_done { solver; iterations; residual; converged } ->
-      Printf.sprintf
-        "{\"type\":\"event\",\"event\":\"newton_done\",\"solver\":\"%s\",\"iterations\":%d,\"residual\":%s,\"converged\":%b}"
-        (json_escape solver) iterations (json_float residual) converged
-    | Lu_factor { n } -> Printf.sprintf "{\"type\":\"event\",\"event\":\"lu_factor\",\"n\":%d}" n
-    | Gmres_iter { k; residual } ->
-      Printf.sprintf "{\"type\":\"event\",\"event\":\"gmres_iter\",\"k\":%d,\"residual\":%s}" k
-        (json_float residual)
-    | Step_accept { t; h } ->
-      Printf.sprintf "{\"type\":\"event\",\"event\":\"step_accept\",\"t\":%s,\"h\":%s}"
-        (json_float t) (json_float h)
+      ( "newton_done",
+        [
+          ("solver", Str solver);
+          ("iterations", Int iterations);
+          ("residual", Float residual);
+          ("converged", Bool converged);
+        ] )
+    | Lu_factor { n } -> ("lu_factor", [ ("n", Int n) ])
+    | Gmres_iter { k; residual } -> ("gmres_iter", [ ("k", Int k); ("residual", Float residual) ])
+    | Step_accept { t; h } -> ("step_accept", [ ("t", Float t); ("h", Float h) ])
     | Step_reject { t; h; reason } ->
-      Printf.sprintf
-        "{\"type\":\"event\",\"event\":\"step_reject\",\"t\":%s,\"h\":%s,\"reason\":\"%s\"}"
-        (json_float t) (json_float h) (json_escape reason)
+      ("step_reject", [ ("t", Float t); ("h", Float h); ("reason", Str reason) ])
     | Step_retry { t; h; h_next; reason } ->
-      Printf.sprintf
-        "{\"type\":\"event\",\"event\":\"step_retry\",\"t\":%s,\"h\":%s,\"h_next\":%s,\"reason\":\"%s\"}"
-        (json_float t) (json_float h) (json_float h_next) (json_escape reason)
-    | Phase_condition { omega; t2 } ->
-      Printf.sprintf "{\"type\":\"event\",\"event\":\"phase_condition\",\"omega\":%s,\"t2\":%s}"
-        (json_float omega) (json_float t2)
+      ( "step_retry",
+        [ ("t", Float t); ("h", Float h); ("h_next", Float h_next); ("reason", Str reason) ] )
+    | Phase_condition { omega; t2 } -> ("phase_condition", [ ("omega", Float omega); ("t2", Float t2) ])
     | Strategy_escalated { solver; from_; to_ } ->
-      Printf.sprintf
-        "{\"type\":\"event\",\"event\":\"strategy_escalated\",\"solver\":\"%s\",\"from\":\"%s\",\"to\":\"%s\"}"
-        (json_escape solver) (json_escape from_) (json_escape to_)
+      ("strategy_escalated", [ ("solver", Str solver); ("from", Str from_); ("to", Str to_) ])
     | Health_warning { monitor; value; threshold; t; hint } ->
-      Printf.sprintf
-        "{\"type\":\"event\",\"event\":\"health_warning\",\"monitor\":\"%s\",\"value\":%s,\"threshold\":%s,\"t\":%s,\"hint\":\"%s\"}"
-        (json_escape monitor) (json_float value) (json_float threshold) (json_float t)
-        (json_escape hint)
+      ( "health_warning",
+        [
+          ("monitor", Str monitor);
+          ("value", Float value);
+          ("threshold", Float threshold);
+          ("t", Float t);
+          ("hint", Str hint);
+        ] )
+
+  let to_json e =
+    let name, fs = fields e in
+    attrs_json (("type", Str "event") :: ("event", Str name) :: fs)
 end
 
-(* ------------------------------------------------------------------ *)
-(* Smoothed step-rate ETA estimator                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Eta = struct
-  (* Exponentially-smoothed progress rate.  The (time, completed) pair
-     only advances when progress is actually made, so idle stretches
-     lengthen the next rate sample instead of being silently dropped —
-     the estimate never turns optimistic from stalls. *)
-  type t = {
-    total : float;
-    alpha : float;
-    mutable last_t : float;  (* nan until the first update *)
-    mutable last_done : float;
-    mutable rate : float;  (* smoothed units per second *)
-    mutable have_rate : bool;
-  }
-
-  let create ?(alpha = 0.3) ~total () =
-    if (not (Float.is_finite total)) || total <= 0. then
-      invalid_arg "Wampde_obs.Eta.create: total must be finite and positive";
-    if (not (Float.is_finite alpha)) || alpha <= 0. || alpha > 1. then
-      invalid_arg "Wampde_obs.Eta.create: alpha must be in (0, 1]";
-    { total; alpha; last_t = nan; last_done = 0.; rate = 0.; have_rate = false }
-
-  let update e ~now ~completed =
-    let completed = Float.max e.last_done (Float.min e.total completed) in
-    if Float.is_nan e.last_t then begin
-      e.last_t <- now;
-      e.last_done <- completed
-    end
-    else begin
-      let dt = now -. e.last_t and dc = completed -. e.last_done in
-      if dc > 0. then
-        if dt > 0. then begin
-          let inst = dc /. dt in
-          e.rate <-
-            (if e.have_rate then ((1. -. e.alpha) *. e.rate) +. (e.alpha *. inst) else inst);
-          e.have_rate <- true;
-          e.last_t <- now;
-          e.last_done <- completed
-        end
-        else
-          (* progress below clock resolution: bank it, keep the old
-             timestamp so the elapsed time is not undercounted *)
-          e.last_done <- completed
-    end
-
-  let rate e = if e.have_rate then e.rate else 0.
-  let fraction e = Float.max 0. (Float.min 1. (e.last_done /. e.total))
-
-  let eta_s e =
-    let remaining = Float.max 0. (e.total -. e.last_done) in
-    if remaining = 0. then 0.
-    else if e.have_rate && e.rate > 0. then remaining /. e.rate
-    else Float.infinity
-end
+module Eta = Eta
 
 (* ------------------------------------------------------------------ *)
 (* Numerical-health monitors                                           *)
@@ -1013,7 +974,7 @@ module Stream = struct
 end
 
 module Span = struct
-  type attr = Int of int | Float of float | Str of string
+  type nonrec attr = attr = Int of int | Float of float | Str of string | Bool of bool
 
   type gc_delta = {
     minor_words : float;
@@ -1055,15 +1016,6 @@ module Span = struct
   let set_gc_stats b = gc_flag := b
 
   let tracing () = !recording || !writer <> None
-
-  let attr_json a =
-    match a with Int i -> string_of_int i | Float f -> json_float f | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
-
-  let attrs_json attrs =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, a) -> Printf.sprintf "\"%s\":%s" (json_escape k) (attr_json a)) attrs)
-    ^ "}"
 
   let gc_json d =
     Printf.sprintf
@@ -1255,7 +1207,7 @@ module Trace_event = struct
   let tid = 1
 
   let buf_args buf attrs =
-    if attrs <> [] then Printf.bprintf buf ",\"args\":%s" (Span.attrs_json attrs)
+    if attrs <> [] then Printf.bprintf buf ",\"args\":%s" (attrs_json attrs)
 
   let span_args (r : Span.record) =
     match r.gc with
@@ -1356,54 +1308,13 @@ module Trace_event = struct
      accept/reject/retry trail and omega(t2) on the span timeline. *)
   let record_event (e : Events.t) =
     match e with
-    | Events.Step_accept { t; h } ->
-      Span.instant ~attrs:[ ("t", Span.Float t); ("h", Span.Float h) ] "step_accept"
-    | Events.Step_reject { t; h; reason } ->
-      Span.instant
-        ~attrs:[ ("t", Span.Float t); ("h", Span.Float h); ("reason", Span.Str reason) ]
-        "step_reject"
-    | Events.Step_retry { t; h; h_next; reason } ->
-      Span.instant
-        ~attrs:
-          [
-            ("t", Span.Float t);
-            ("h", Span.Float h);
-            ("h_next", Span.Float h_next);
-            ("reason", Span.Str reason);
-          ]
-        "step_retry"
-    | Events.Phase_condition { omega; t2 } ->
-      Span.instant
-        ~attrs:[ ("omega", Span.Float omega); ("t2", Span.Float t2) ]
-        "phase_condition"
-    | Events.Newton_done { solver; iterations; residual; converged } ->
-      Span.instant
-        ~attrs:
-          [
-            ("solver", Span.Str solver);
-            ("iterations", Span.Int iterations);
-            ("residual", Span.Float residual);
-            ("converged", Span.Str (if converged then "true" else "false"));
-          ]
-        "newton_done"
-    | Events.Strategy_escalated { solver; from_; to_ } ->
-      Span.instant
-        ~attrs:[ ("solver", Span.Str solver); ("from", Span.Str from_); ("to", Span.Str to_) ]
-        "strategy_escalated"
-    | Events.Health_warning { monitor; value; threshold; t; hint = _ } ->
-      Span.instant
-        ~attrs:
-          [
-            ("monitor", Span.Str monitor);
-            ("value", Span.Float value);
-            ("threshold", Span.Float threshold);
-            ("t", Span.Float t);
-          ]
-        "health_warning"
     | Events.Newton_iter _ | Events.Lu_factor _ | Events.Gmres_iter _ ->
       (* per-iteration events are too dense for a useful timeline; the
          counters and histograms carry them *)
       ()
+    | _ ->
+      let name, attrs = Events.fields e in
+      Span.instant ~attrs name
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1620,10 +1531,13 @@ module Report = struct
     in
     check_history history
 
-  let check s =
+  (* the manifest's JSON, once it parses and validates *)
+  let parse_valid s =
     match Json.parse s with
     | Result.Error m -> Result.Error (Printf.sprintf "malformed JSON: %s" m)
-    | Ok j -> validate j
+    | Ok j -> Result.map (fun () -> j) (validate j)
+
+  let check s = Result.map ignore (parse_valid s)
 
   (* ---------- markdown rendering ---------- *)
 
@@ -2208,12 +2122,12 @@ module Doctor = struct
     let warns, infos = List.partition (fun f -> f.severity = Warn) findings in
     warns @ infos
 
+  (* only a well-formed run manifest gets a diagnosis: any other JSON
+     (a flight dump, a bare array) would read as a run with no work *)
   let diagnose_string ?stream contents =
-    match Json.parse_exn contents with
-    | j ->
-      let stream_lines = Option.map (String.split_on_char '\n') stream in
-      Ok (diagnose ?stream_lines j)
-    | exception Json.Error m -> Result.Error (Printf.sprintf "manifest: %s" m)
+    match Report.parse_valid contents with
+    | Result.Error m -> Result.Error ("manifest: " ^ m)
+    | Ok j -> Ok (diagnose ?stream_lines:(Option.map (String.split_on_char '\n') stream) j)
 
   let has_warnings findings = List.exists (fun f -> f.severity = Warn) findings
 
@@ -2442,7 +2356,7 @@ module Flight = struct
       let str k = Option.bind (Json.member k j) Json.to_str in
       let num k = Option.bind (Json.member k j) Json.to_num in
       (match str "schema" with
-       | Some s when String.length s >= 16 && String.sub s 0 16 = "wampde.flightdum" ->
+       | Some s when s = schema ->
          let buf = Buffer.create 2048 in
          Buffer.add_string buf "== flight postmortem ==\n";
          (match Json.member "reason" j with
@@ -2480,252 +2394,4 @@ module Flight = struct
          Ok (Buffer.contents buf)
        | Some s -> Result.Error (Printf.sprintf "not a flight dump: schema %S" s)
        | None -> Result.Error "not a flight dump: no schema field")
-end
-
-(* ------------------------------------------------------------------ *)
-(* Run-history store: append-only CRC-guarded NDJSON of run manifests  *)
-(* ------------------------------------------------------------------ *)
-
-module History = struct
-  exception Corrupt of string
-
-  let file_name = "history.ndjson"
-  let path ~dir = Filename.concat dir file_name
-
-  type key = { circuit : string; analysis : string; n1 : int; jobs : int; git : string }
-
-  type entry = { key : key; unix_time : float; wall_s : float; manifest : Json.t }
-
-  let key_string k =
-    Printf.sprintf "%s/%s n1=%d jobs=%d git=%s"
-      (if k.circuit = "" then "?" else k.circuit)
-      (if k.analysis = "" then "?" else k.analysis)
-      k.n1 k.jobs
-      (if k.git = "" then "?" else k.git)
-
-  (* CRC-32 (IEEE 802.3), table-driven; guards every line against
-     truncation and byte mangling *)
-  let crc_table =
-    lazy
-      (Array.init 256 (fun n ->
-           let c = ref n in
-           for _ = 0 to 7 do
-             c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-           done;
-           !c))
-
-  let crc32 s =
-    let tbl = Lazy.force crc_table in
-    let c = ref 0xFFFFFFFF in
-    String.iter (fun ch -> c := tbl.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8)) s;
-    !c lxor 0xFFFFFFFF land 0xFFFFFFFF
-
-  let key_json k =
-    Printf.sprintf
-      "{\"circuit\":\"%s\",\"analysis\":\"%s\",\"n1\":%d,\"jobs\":%d,\"git\":\"%s\"}"
-      (json_escape k.circuit) (json_escape k.analysis) k.n1 k.jobs (json_escape k.git)
-
-  (* one line: 8 hex CRC digits, a space, then the JSON payload.  The
-     manifest serializer emits single-line JSON, so the payload never
-     contains a newline. *)
-  let encode_line ~key ~manifest =
-    let payload = Printf.sprintf "{\"key\":%s,\"manifest\":%s}" (key_json key) manifest in
-    Printf.sprintf "%08x %s" (crc32 payload) payload
-
-  let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
-
-  let decode_line line =
-    let n = String.length line in
-    if n < 10 || line.[8] <> ' ' then corrupt "unframed history line (no CRC prefix)";
-    let crc =
-      match int_of_string_opt ("0x" ^ String.sub line 0 8) with
-      | Some v -> v
-      | None -> corrupt "bad CRC field %S" (String.sub line 0 8)
-    in
-    let payload = String.sub line 9 (n - 9) in
-    if crc <> crc32 payload then corrupt "CRC mismatch: line is truncated or byte-mangled";
-    match Json.parse payload with
-    | Result.Error m -> corrupt "CRC valid but payload malformed: %s" m
-    | Ok j ->
-      let kj = match Json.member "key" j with Some k -> k | None -> corrupt "missing key" in
-      let str f =
-        match Option.bind (Json.member f kj) Json.to_str with
-        | Some s -> s
-        | None -> corrupt "key.%s missing or not a string" f
-      in
-      let int f =
-        match Option.bind (Json.member f kj) Json.to_num with
-        | Some v when Float.is_finite v -> int_of_float v
-        | _ -> corrupt "key.%s missing or not a number" f
-      in
-      let manifest =
-        match Json.member "manifest" j with Some m -> m | None -> corrupt "missing manifest"
-      in
-      let mnum f =
-        match Option.bind (Json.member f manifest) Json.to_num with Some v -> v | None -> nan
-      in
-      {
-        key =
-          { circuit = str "circuit"; analysis = str "analysis"; n1 = int "n1"; jobs = int "jobs";
-            git = str "git" };
-        unix_time = mnum "unix_time";
-        wall_s = mnum "wall_s";
-        manifest;
-      }
-
-  (* Load every decodable entry (oldest first) plus one warning per
-     undecodable line.  Never raises: a mangled store must degrade to
-     a partial history, not break the analytics that read it. *)
-  let load ~dir =
-    let p = path ~dir in
-    if not (Sys.file_exists p) then ([], [])
-    else begin
-      match open_in_bin p with
-      | exception Sys_error m -> ([], [ m ])
-      | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let entries = ref [] and warnings = ref [] and lineno = ref 0 in
-            (try
-               while true do
-                 let line = input_line ic in
-                 incr lineno;
-                 if String.trim line <> "" then
-                   match decode_line line with
-                   | e -> entries := e :: !entries
-                   | exception Corrupt m ->
-                     warnings := Printf.sprintf "%s:%d: %s" p !lineno m :: !warnings
-               done
-             with End_of_file -> ());
-            (List.rev !entries, List.rev !warnings))
-    end
-
-  let default_max_bytes = 1 lsl 22 (* 4 MiB *)
-  let default_keep = 32
-
-  let rec mkdir_p dir =
-    if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-      mkdir_p (Filename.dirname dir);
-      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-
-  let lock_name = "history.lock"
-
-  (* Advisory exclusive lock serializing cross-process compactions (an
-     appender checking the size threshold takes it too, so a rewrite
-     never races another writer's rewrite).  In-process concurrent
-     writers are instead protected by the O_APPEND single-write append
-     below — POSIX record locks do not exclude within one process. *)
-  let with_file_lock ~dir f =
-    mkdir_p dir;
-    let fd =
-      Unix.openfile (Filename.concat dir lock_name) [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644
-    in
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        Unix.lockf fd Unix.F_LOCK 0;
-        Fun.protect
-          ~finally:(fun () -> try Unix.lockf fd Unix.F_ULOCK 0 with Unix.Unix_error _ -> ())
-          f)
-
-  (* Atomic rewrite keeping the newest [keep] entries per key (and
-     silently shedding undecodable lines).  Returns how many decodable
-     entries were dropped.  Holds the store's advisory lock for the
-     whole read-rewrite-rename cycle. *)
-  let compact ?(keep = default_keep) ~dir () =
-    with_file_lock ~dir @@ fun () ->
-    let keep = Int.max 1 keep in
-    let entries, _warnings = load ~dir in
-    let seen : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    (* count newest-first so the latest [keep] per key survive *)
-    let kept_rev =
-      List.fold_left
-        (fun acc e ->
-          let k = key_string e.key in
-          let n = match Hashtbl.find_opt seen k with Some n -> n | None -> 0 in
-          if n < keep then begin
-            Hashtbl.replace seen k (n + 1);
-            e :: acc
-          end
-          else acc)
-        [] (List.rev entries)
-    in
-    let dropped = List.length entries - List.length kept_rev in
-    let p = path ~dir in
-    let tmp = p ^ ".tmp" in
-    let oc = open_out tmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        List.iter
-          (fun e ->
-            (* re-encode from the parsed manifest: payload bytes differ
-               from the original line only if the original was already
-               rewritten, and the CRC is recomputed either way *)
-            output_string oc (encode_line ~key:e.key ~manifest:(Json.to_string e.manifest));
-            output_char oc '\n')
-          kept_rev);
-    Sys.rename tmp p;
-    dropped
-
-  (* Append one manifest under [key]; compacts when the store outgrows
-     [max_bytes].  Returns [Error] on I/O failure instead of raising —
-     history recording is best-effort and must never kill the run that
-     produced the manifest.
-
-     Concurrent-writer safety: the whole record (line + newline) goes
-     out as ONE write(2) on an O_APPEND descriptor, so records from a
-     serve daemon and a parallel CLI run appending to the same
-     [--history DIR] land whole — the kernel serializes O_APPEND
-     writes; buffered-channel appends could interleave partial lines.
-     A rare short write is completed by a follow-up write: its line
-     could interleave, but the CRC framing downgrades that to one
-     warned-and-skipped line on load, never a wrong entry. *)
-  let append ?(max_bytes = default_max_bytes) ?(keep = default_keep) ~dir ~key ~manifest () =
-    try
-      mkdir_p dir;
-      let p = path ~dir in
-      let fd =
-        Unix.openfile p [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644
-      in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          let line = encode_line ~key ~manifest ^ "\n" in
-          let n = String.length line in
-          let written = ref (Unix.single_write_substring fd line 0 n) in
-          while !written < n do
-            written := !written + Unix.single_write_substring fd line !written (n - !written)
-          done);
-      let size = (Unix.stat p).Unix.st_size in
-      if size > max_bytes then ignore (compact ~keep ~dir ());
-      Ok ()
-    with
-    | Sys_error m -> Result.Error m
-    | Unix.Unix_error (e, fn, arg) ->
-      Result.Error (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e))
-
-  (* ---------- robust statistics for cross-run trend analysis ---------- *)
-
-  let median xs =
-    match List.sort compare (List.filter Float.is_finite xs) with
-    | [] -> nan
-    | s ->
-      let a = Array.of_list s in
-      let n = Array.length a in
-      if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-
-  let mad xs =
-    let m = median xs in
-    if Float.is_nan m then nan
-    else median (List.map (fun x -> Float.abs (x -. m)) (List.filter Float.is_finite xs))
-
-  (* MAD-based outlier test: |value - median| > nsigma * 1.4826 * MAD,
-     with an absolute floor so a run of identical samples (MAD = 0)
-     only flags genuinely different values *)
-  let is_outlier ?(nsigma = 4.) ?(floor = 1e-9) ~median:m ~mad:d v =
-    Float.is_finite m && Float.is_finite v
-    && Float.abs (v -. m) > Float.max floor (nsigma *. 1.4826 *. d)
 end

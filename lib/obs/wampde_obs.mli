@@ -1,7 +1,12 @@
 (** Solver telemetry and run diagnostics: metrics registry with scoped
     cost accounting, span tracing with optional GC attribution, typed
-    solver events, a Chrome/Perfetto trace-event exporter and a run
-    report (manifest) builder.
+    solver events, numerical-health monitors, and the run's artifacts —
+    the [wampde.stream/1] NDJSON progress stream ({!Stream}), the
+    [wampde.run-report/1] manifest ({!Report}, diagnosed by {!Doctor}),
+    the [wampde.flightdump/1] postmortem ({!Flight}) and a
+    Chrome/Perfetto trace ({!Trace_event}).  Every artifact that
+    carries a solver event encodes it from the event's one field list
+    (see {!Events.to_json}).
 
     This library sits below every solver layer of the repository so
     that Newton iterations, LU factorizations, GMRES sweeps and slow
@@ -133,14 +138,17 @@ end
     the leaves themselves — bucketing [gmres.iterations] under a
     "gmres" scope would say nothing. *)
 module Scope : sig
-  (** The innermost active label, or [None] outside any scope. *)
-  val current : unit -> string option
-
   (** [with_scope label f] runs [f] with [label] as the innermost
       scope; the previous label is restored on exit (exceptions
       propagate). *)
   val with_scope : string -> (unit -> 'a) -> 'a
 end
+
+(** Typed values of span attributes and solver-event fields.  One JSON
+    encoding serves every artifact that carries them: [Bool] prints as a
+    JSON boolean, non-finite [Float]s as the strings ["nan"]/["inf"]/
+    ["-inf"]. *)
+type attr = Int of int | Float of float | Str of string | Bool of bool
 
 (** Typed solver events with subscriber callbacks, dispatched in
     subscription order.  Emission is a no-op (and call sites guarded
@@ -183,47 +191,17 @@ module Events : sig
 
   val emit : t -> unit
 
-  (** One JSON object per event (single line, no trailing newline). *)
+  (** One JSON object per event (single line, no trailing newline):
+      [{"type":"event","event":name,...fields}].  The stream, the flight
+      dump and [--trace] print these bytes; {!Trace_event.record_event}
+      puts the same fields, from the same field list, in the Perfetto
+      instant's args. *)
   val to_json : t -> string
 end
 
-(** Exponentially-smoothed progress-rate / ETA estimator.
-
-    Feed it [(now, completed)] observations; it maintains a smoothed
-    rate (units of progress per second) and derives the remaining time.
-    The internal sample point only advances when progress is actually
-    made, so stalls lengthen the next rate sample rather than being
-    dropped — the estimate degrades pessimistically under stalls,
-    never optimistically.
-
-    Guarantee (tested): for any monotone sequence of updates with at
-    least one strictly positive [(dt, dc)] pair, {!eta_s} is finite and
-    non-negative. *)
-module Eta : sig
-  type t
-
-  (** [create ~total ()] starts an estimator toward [total] units of
-      progress.  [alpha] in (0, 1] is the EWMA weight of the newest
-      rate sample (default 0.3).  Raises [Invalid_argument] unless
-      [total] is finite and positive. *)
-  val create : ?alpha:float -> total:float -> unit -> t
-
-  (** [update e ~now ~completed] records that [completed] units were
-      done as of wall-clock [now].  [completed] is clamped to be
-      non-decreasing and at most [total]. *)
-  val update : t -> now:float -> completed:float -> unit
-
-  (** Smoothed progress rate per second; 0 until two distinct
-      observations with positive progress have been seen. *)
-  val rate : t -> float
-
-  (** Fraction complete in [0, 1]. *)
-  val fraction : t -> float
-
-  (** Estimated seconds remaining: 0 when complete, [infinity] until a
-      rate is known, finite and non-negative otherwise. *)
-  val eta_s : t -> float
-end
+(** The smoothed-rate ETA estimator behind {!Stream}'s progress records
+    (see [eta.mli]). *)
+module Eta = Eta
 
 (** Per-macro-step numerical-health monitors.
 
@@ -387,7 +365,7 @@ end
     inspection and tree summaries, and a line writer ({!set_writer})
     for JSON-lines streams. *)
 module Span : sig
-  type attr = Int of int | Float of float | Str of string
+  type nonrec attr = attr = Int of int | Float of float | Str of string | Bool of bool
 
   (** GC work attributed to one span: [Gc.quick_stat] deltas between
       entry and exit (see {!set_gc_stats}). *)
@@ -572,8 +550,9 @@ module Doctor : sig
   }
 
   (** [diagnose_string ?stream contents] diagnoses a manifest's raw
-      file contents (and an optional NDJSON stream's); [Error] on a
-      manifest that fails to parse. *)
+      file contents (and an optional NDJSON stream's); [Error] on
+      anything {!Report.check} rejects (malformed JSON, a flight dump,
+      any other JSON that is not a run manifest). *)
   val diagnose_string : ?stream:string -> string -> (finding list, string) result
 
   val has_warnings : finding list -> bool
@@ -645,65 +624,4 @@ module Flight : sig
       metrics snapshot.  [Error] on malformed input or a non-flightdump
       schema. *)
   val to_postmortem : string -> (string, string) result
-end
-
-(** Run-history store: an append-only, CRC-guarded NDJSON store of
-    ["wampde.run-report/1"] manifests keyed by (circuit, analysis, n1,
-    jobs, git rev), with bounded size via per-key compaction.  The
-    store is [history.ndjson] inside the history directory; each line
-    is 8 hex CRC-32 digits, a space, then a single-line JSON payload
-    [{"key":...,"manifest":...}].  The durable substrate for cross-run
-    regression analytics ([wampde_cli history]). *)
-module History : sig
-  (** A truncated, byte-mangled or malformed history line; {!load}
-      turns it into a warning. *)
-  exception Corrupt of string
-
-  type key = { circuit : string; analysis : string; n1 : int; jobs : int; git : string }
-
-  type entry = {
-    key : key;
-    unix_time : float;  (** from the manifest; nan when absent *)
-    wall_s : float;  (** from the manifest; nan when absent *)
-    manifest : Json.t;
-  }
-
-  (** Human-readable key ("circuit/analysis n1=.. jobs=.. git=.."). *)
-  val key_string : key -> string
-
-  (** Load every decodable entry (oldest first) plus one warning per
-      undecodable line.  Never raises: a mangled store degrades to a
-      partial history. *)
-  val load : dir:string -> entry list * string list
-
-  (** [append ~dir ~key ~manifest ()] creates [dir] as needed and
-      appends one line; when the store exceeds [max_bytes] (default
-      4 MiB) it is compacted to the newest [keep] (default 32) entries
-      per key.  [Error] on I/O failure — history recording is
-      best-effort and must never kill the run that produced the
-      manifest.
-
-      Concurrent-writer safe: each record goes out as a single
-      [write(2)] on an [O_APPEND] descriptor, so simultaneous
-      appenders (a serve daemon plus parallel CLI runs sharing one
-      [--history] directory) never interleave partial lines. *)
-  val append :
-    ?max_bytes:int ->
-    ?keep:int ->
-    dir:string ->
-    key:key ->
-    manifest:string ->
-    unit ->
-    (unit, string) result
-
-  (** Median of the finite values; nan when none. *)
-  val median : float list -> float
-
-  (** Median absolute deviation of the finite values; nan when none. *)
-  val mad : float list -> float
-
-  (** MAD-based outlier test: |v - median| > nsigma * 1.4826 * MAD,
-      with an absolute [floor] (default 1e-9) so a run of identical
-      samples only flags genuinely different values. *)
-  val is_outlier : ?nsigma:float -> ?floor:float -> median:float -> mad:float -> float -> bool
 end

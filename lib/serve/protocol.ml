@@ -184,42 +184,30 @@ let parse_request line =
 
 (* ---------- response encoders ---------- *)
 
-let esc s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* a JSON string literal, quotes included *)
+let str s = Json.to_string (Json.Str s)
 
 let num x = if Float.is_finite x then Printf.sprintf "%.10g" x else "null"
 
 let hello ~quantum ~jobs ~cache =
-  Printf.sprintf "{\"type\":\"hello\",\"schema\":\"%s\",\"quantum\":%d,\"jobs\":%d,\"cache\":%d}"
-    (esc schema) quantum jobs cache
+  Printf.sprintf "{\"type\":\"hello\",\"schema\":%s,\"quantum\":%d,\"jobs\":%d,\"cache\":%d}"
+    (str schema) quantum jobs cache
 
 let accepted ~id ~queue_depth =
-  Printf.sprintf "{\"type\":\"accepted\",\"id\":\"%s\",\"queue_depth\":%d}" (esc id) queue_depth
+  Printf.sprintf "{\"type\":\"accepted\",\"id\":%s,\"queue_depth\":%d}" (str id) queue_depth
 
 let recovered ~id ~resumed ~attempt ~queue_depth =
   Printf.sprintf
-    "{\"type\":\"recovered\",\"id\":\"%s\",\"resumed\":%b,\"attempt\":%d,\"queue_depth\":%d}"
-    (esc id) resumed attempt queue_depth
+    "{\"type\":\"recovered\",\"id\":%s,\"resumed\":%b,\"attempt\":%d,\"queue_depth\":%d}"
+    (str id) resumed attempt queue_depth
 
 let error_line ?line ?id { code; message } =
   let b = Buffer.create 128 in
   Buffer.add_string b "{\"type\":\"error\"";
   (match id with
-  | Some id -> Buffer.add_string b (Printf.sprintf ",\"id\":\"%s\"" (esc id))
+  | Some id -> Buffer.add_string b (Printf.sprintf ",\"id\":%s" (str id))
   | None -> ());
-  Buffer.add_string b (Printf.sprintf ",\"code\":\"%s\",\"message\":\"%s\"" (esc code) (esc message));
+  Buffer.add_string b (Printf.sprintf ",\"code\":%s,\"message\":%s" (str code) (str message));
   (match line with
   | Some n -> Buffer.add_string b (Printf.sprintf ",\"line\":%d" n)
   | None -> ());
@@ -228,10 +216,10 @@ let error_line ?line ?id { code; message } =
 
 let job_error ?flight ~id ~kind ~message ~quanta () =
   let b = Buffer.create 160 in
-  Printf.bprintf b "{\"type\":\"job-error\",\"id\":\"%s\",\"kind\":\"%s\",\"message\":\"%s\",\"quanta\":%d"
-    (esc id) (esc kind) (esc message) quanta;
+  Printf.bprintf b "{\"type\":\"job-error\",\"id\":%s,\"kind\":%s,\"message\":%s,\"quanta\":%d"
+    (str id) (str kind) (str message) quanta;
   (match flight with
-  | Some path -> Printf.bprintf b ",\"flight\":\"%s\"" (esc path)
+  | Some path -> Printf.bprintf b ",\"flight\":%s" (str path)
   | None -> ());
   Buffer.add_char b '}';
   Buffer.contents b
@@ -249,8 +237,8 @@ type summary = {
 
 let result ~id ~summary:s ~manifest =
   Printf.sprintf
-    "{\"type\":\"result\",\"id\":\"%s\",\"analysis\":\"%s\",\"wall_s\":%s,\"steps\":%d,\"quanta\":%d,\"preemptions\":%d,\"restarts\":%d,\"t2_end\":%s,\"omega_end\":%s,\"manifest\":%s}"
-    (esc id) (esc s.analysis) (num s.wall_s) s.steps s.quanta s.preemptions s.restarts
+    "{\"type\":\"result\",\"id\":%s,\"analysis\":%s,\"wall_s\":%s,\"steps\":%d,\"quanta\":%d,\"preemptions\":%d,\"restarts\":%d,\"t2_end\":%s,\"omega_end\":%s,\"manifest\":%s}"
+    (str id) (str s.analysis) (num s.wall_s) s.steps s.quanta s.preemptions s.restarts
     (num s.t2_end) (num s.omega_end) manifest
 
 let metrics_line ~final ~metrics =
@@ -272,7 +260,7 @@ let stats_line ?(breakers = []) ~counters ~gauges () =
   in
   let obj l =
     "{"
-    ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (esc k) v) l)
+    ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%s:%s" (str k) v) l)
     ^ "}"
   in
   let int_obj p = obj (List.map (fun (k, v) -> (k, string_of_int v)) (with_prefix p counters)) in
@@ -282,7 +270,7 @@ let stats_line ?(breakers = []) ~counters ~gauges () =
       @ List.map (fun (k, v) -> (k, num v)) (with_prefix p gauges))
   in
   let warnings = match List.assoc_opt "health.warnings" counters with Some n -> n | None -> 0 in
-  let breakers_obj = obj (List.map (fun (k, v) -> (k, "\"" ^ esc v ^ "\"")) breakers) in
+  let breakers_obj = obj (List.map (fun (k, v) -> (k, str v)) breakers) in
   Printf.sprintf
     "{\"type\":\"stats\",\"cache\":{\"orbit\":%s,\"precond\":%s},\"pool\":%s,\"health\":{\"warnings\":%d,\"monitors\":%s},\"serve\":%s,\"breakers\":%s}"
     (int_obj "cache.orbit.") (int_obj "cache.precond.") (mixed "pool.") warnings

@@ -1,8 +1,9 @@
 (* The CLI's help pages, its numeric flag checks, its typed solver
-   failures and the history gate's exit codes.  Every subcommand (found by walking the COMMANDS
-   sections of the help pages themselves) must render its --help=plain
-   page: cmdliner reports a malformed doc string as a "cmdliner error"
-   at the top of the page instead of failing the build. *)
+   failures and doctor's refusal of files that are not run manifests.
+   Every subcommand (found by walking the COMMANDS sections of the help
+   pages themselves) must render its --help=plain page: cmdliner reports
+   a malformed doc string as a "cmdliner error" at the top of the page
+   instead of failing the build. *)
 
 let cli_exe =
   Filename.concat
@@ -45,26 +46,6 @@ let subcommands page =
   in
   take [] (skip lines)
 
-(* [history gate --dir D] over a fresh store holding one key's runs
-   with the given wall times, oldest first *)
-let gate_over walls =
-  let dir = Filename.temp_dir "wampde-history-gate" "" in
-  let key =
-    { Wampde_obs.History.circuit = "vco-a"; analysis = "envelope"; n1 = 15; jobs = 1; git = "abc" }
-  in
-  List.iteri
-    (fun i wall ->
-      let manifest = Printf.sprintf "{\"unix_time\":%d,\"wall_s\":%g}" (1000 + i) wall in
-      match Wampde_obs.History.append ~dir ~key ~manifest () with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "append failed: %s" m)
-    walls;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () -> run_cli [ "history"; "gate"; "--dir"; dir ])
-
 let tests =
   [
     Alcotest.test_case "every subcommand's --help=plain renders without a cmdliner error" `Quick
@@ -83,16 +64,6 @@ let tests =
           (List.mem "envelope" (subcommands (help [])));
         let pages = walk [] in
         Alcotest.(check bool) (Printf.sprintf "%d help pages checked" pages) true (pages > 10));
-    Alcotest.test_case "history gate: 0 on steady walls, 1 on a slower latest run" `Quick
-      (fun () ->
-        let code, out = gate_over [ 1.0; 1.02; 0.98; 1.01; 1.0 ] in
-        Alcotest.(check int) ("steady walls pass: " ^ out) 0 code;
-        let code, out = gate_over [ 1.0; 1.02; 0.98; 1.01; 5.0 ] in
-        Alcotest.(check int) ("slower latest run fails: " ^ out) 1 code;
-        Alcotest.(check bool) "names the regression" true (contains out "REGRESSION");
-        let code, out = gate_over [ 1.0; 9.0 ] in
-        Alcotest.(check int) ("two runs pass: " ^ out) 0 code;
-        Alcotest.(check bool) "too few runs" true (contains out "too few runs to judge"));
     Alcotest.test_case "numeric flags reject unusable values as usage errors" `Quick (fun () ->
         (* each would hang, march backwards or die on an uncaught
            exception if it reached the solvers *)
@@ -132,6 +103,27 @@ let tests =
             ("--steps", [ "deck"; "--steps"; "0"; cli_exe ]);
             ("--t-end", [ "deck"; "--t-end"; "0"; cli_exe ]);
           ]);
+    Alcotest.test_case "doctor exits 1 on JSON that is not a run manifest" `Quick (fun () ->
+        let array = Filename.temp_file "wampde-doctor-array" ".json" in
+        let dump = Filename.temp_file "wampde-doctor-flight" ".json" in
+        Fun.protect
+          ~finally:(fun () -> List.iter Sys.remove [ array; dump ])
+          (fun () ->
+            Out_channel.with_open_bin array (fun oc -> output_string oc "[1,2]\n");
+            (match Wampde_obs.Flight.write ~path:dump ~kind:"test" ~message:"not a manifest" () with
+            | Ok _ -> ()
+            | Error m -> Alcotest.failf "flight dump: %s" m);
+            List.iter
+              (fun (what, file, args) ->
+                let code, out = run_cli ([ "doctor"; file ] @ args) in
+                Alcotest.(check int) (what ^ ": exit code: " ^ out) 1 code;
+                Alcotest.(check bool) (what ^ " yields no diagnosis: " ^ out) false
+                  (contains out "finding(s)"))
+              [
+                ("a bare array", array, []);
+                ("a bare array, --strict", array, [ "--strict" ]);
+                ("a flight dump", dump, []);
+              ]));
     Alcotest.test_case "a failed quasiperiodic solve exits 1 with a typed line and a flight dump"
       `Quick (fun () ->
         let dump = Filename.temp_file "wampde-quasi-flight" ".json" in

@@ -99,12 +99,11 @@ let unit_tests =
            Obs.set_enabled true;
            let c = Obs.Metrics.counter "diag.work" in
            Obs.Metrics.incr c;
+           (* the adds after each scope closes land in the enclosing
+              bucket: "outer" after "inner", unscoped after "outer" *)
            Obs.Scope.with_scope "outer" (fun () ->
-               Obs.Metrics.add c 10;
                Obs.Scope.with_scope "inner" (fun () -> Obs.Metrics.add c 100);
-               Alcotest.(check (option string)) "scope restored after nesting" (Some "outer")
-                 (Obs.Scope.current ()));
-           Alcotest.(check (option string)) "unscoped outside" None (Obs.Scope.current ());
+               Obs.Metrics.add c 10);
            Obs.Metrics.add c 1000;
            Alcotest.(check int) "total" 1111 (Obs.Metrics.count c);
            let scopes =
@@ -120,11 +119,15 @@ let unit_tests =
            Alcotest.(check (option int)) "outer bucket" (Some 10) (List.assoc_opt "outer" scopes);
            Alcotest.(check (option int)) "inner bucket" (Some 100)
              (List.assoc_opt "inner" scopes)));
-    Alcotest.test_case "scope restores on exception" `Quick (fun () ->
-        (try
-           Obs.Scope.with_scope "doomed" (fun () -> failwith "boom")
-         with Failure _ -> ());
-        Alcotest.(check (option string)) "scope popped" None (Obs.Scope.current ()));
+    Alcotest.test_case "scope restores on exception" `Quick
+      (with_isolated (fun () ->
+           Obs.set_enabled true;
+           let c = Obs.Metrics.counter "diag.after_raise" in
+           (try Obs.Scope.with_scope "doomed" (fun () -> failwith "boom") with Failure _ -> ());
+           Obs.Metrics.incr c;
+           Alcotest.(check (option (list (pair string int)))) "scope popped"
+             (Some [ ("", 1) ])
+             (List.assoc_opt "diag.after_raise" (Obs.Metrics.scoped_counters ()))));
     Alcotest.test_case "with_isolated snapshots and restores" `Quick (fun () ->
         Obs.Metrics.with_isolated (fun () ->
             Obs.set_enabled true;

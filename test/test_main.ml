@@ -5,4 +5,4 @@ let () =
    @ Test_wampde.suites @ Test_extras.suites @ Test_parser.suites @ Test_failures.suites @ Test_apps.suites @ Test_hb.suites @ Test_api_coverage.suites @ Test_obs.suites
    @ Test_structured.suites @ Test_semidisc.suites @ Test_step_control.suites @ Test_checkpoint.suites
    @ Test_diag.suites @ Test_globalize.suites @ Test_fault.suites @ Test_health.suites
-   @ Test_par.suites @ Test_serve.suites @ Test_flight.suites @ Test_history.suites @ Test_cli.suites)
+   @ Test_par.suites @ Test_serve.suites @ Test_flight.suites @ Test_cli.suites)

@@ -211,6 +211,70 @@ let tests =
                 ignore (Str.search_forward (Str.regexp_string "\"newton.iterations\"") json 0);
                 true
               with Not_found -> false)));
+    Alcotest.test_case "Perfetto instants carry the same fields as the event JSON" `Quick
+      (with_clean (fun () ->
+           let one_of_each =
+             Obs.Events.
+               [
+                 Newton_iter { solver = "envelope"; k = 2; residual = 1e-3; damping = 0.5 };
+                 Newton_done { solver = "envelope"; iterations = 3; residual = 1e-9; converged = true };
+                 Lu_factor { n = 61 };
+                 Gmres_iter { k = 4; residual = 2e-5 };
+                 Step_accept { t = 1.5; h = 0.25 };
+                 Step_reject { t = 1.5; h = 0.25; reason = "error \"norm\"" };
+                 Step_retry { t = 1.5; h = 0.25; h_next = 0.125; reason = "newton" };
+                 Phase_condition { omega = 0.75; t2 = 1.75 };
+                 Strategy_escalated { solver = "polyalg"; from_ = "damped"; to_ = "trust_region" };
+                 Health_warning
+                   { monitor = "newton_rate"; value = 0.95; threshold = 0.9; t = nan; hint = "lower h2" };
+               ]
+           in
+           let dropped = [ "newton_iter"; "lu_factor"; "gmres_iter" ] in
+           let object_of what s =
+             match Obs.Json.parse s with
+             | Ok (Obs.Json.Obj kvs) -> kvs
+             | _ -> Alcotest.failf "%s is not a JSON object: %s" what s
+           in
+           List.iter
+             (fun e ->
+               let stream = object_of "event" (Obs.Events.to_json e) in
+               let name =
+                 match Option.bind (List.assoc_opt "event" stream) Obs.Json.to_str with
+                 | Some n -> n
+                 | None -> Alcotest.fail "event JSON has no event name"
+               in
+               Obs.Span.start_recording ();
+               Obs.Trace_event.record_event e;
+               let instants = Obs.Span.recorded_instants () in
+               ignore (Obs.Span.stop_recording ());
+               if List.mem name dropped then
+                 Alcotest.(check int) (name ^ ": kept off the timeline") 0 (List.length instants)
+               else begin
+                 let trace = Obs.Trace_event.to_string ~spans:[] ~instants () in
+                 let args =
+                   match Obs.Json.parse trace with
+                   | Ok (Obs.Json.Arr entries) -> (
+                     match
+                       List.find_opt
+                         (fun j -> Obs.Json.member "name" j = Some (Obs.Json.Str name))
+                         entries
+                     with
+                     | Some j -> (
+                       match Obs.Json.member "args" j with
+                       | Some (Obs.Json.Obj kvs) -> kvs
+                       | _ -> [])
+                     | None -> Alcotest.failf "%s: no instant in the trace" name)
+                   | _ -> Alcotest.failf "%s: trace is not a JSON array" name
+                 in
+                 let fields =
+                   List.filter (fun (k, _) -> k <> "type" && k <> "event") stream
+                 in
+                 Alcotest.(check string)
+                   (name ^ ": Perfetto args = event fields")
+                   (Obs.Json.to_string (Obs.Json.Obj fields))
+                   (Obs.Json.to_string (Obs.Json.Obj args))
+               end)
+             one_of_each));
   ]
 
 let suites = [ ("obs", tests) ]
