@@ -60,16 +60,8 @@ let semidisc dae options =
   let row = Phase.row options.phase ~n1:options.n1 ~n:dae.Dae.dim ~d in
   Dae.Semidisc.make dae ~d ~omega:(Dae.Semidisc.Unknown row) ~forcing:None
 
-(* Flat unknown layout per step (see [Dae.Semidisc]): y.(j * n + i) =
-   component i at t1 grid point j; y.(n1 * n) = omega when [sd] has an
-   omega slot (the WaMPDE), none when omega is fixed (the plain MPDE). *)
-let pack sd states omega =
-  let y = Array.make (Dae.Semidisc.size sd) omega in
-  Array.iteri (fun j s -> Array.blit s 0 y (j * Array.length s) (Array.length s)) states;
-  y
-
 (* g at an accepted grid: the theta step's explicit part *)
-let eval_g sd ~t2 states omega = Dae.Semidisc.g sd ~t2 (pack sd states omega)
+let eval_g sd ~t2 states omega = Dae.Semidisc.g sd ~t2 (Dae.Semidisc.pack sd states omega)
 
 (* Preallocated per-run Newton vectors, reused across iterations and
    steps instead of re-allocating residuals and iterates, and the GMRES
@@ -102,10 +94,10 @@ let make_scratch ~size =
 (* Newton's start for a theta step to [t]: the Lagrange polynomial
    through the newest (up to) three accepted points ([ts], [grids],
    [omegas], newest first) evaluated at [t], packed into [dst] as
-   [pack] lays it out.  This is the predictor of the DAE integrators
-   (DASSL's, for one): the corrector then starts within the step's
-   truncation error of its answer instead of a whole step's change
-   away.  One point gives that point itself, bit for bit. *)
+   [Dae.Semidisc.pack] lays it out.  This is the predictor of the DAE
+   integrators (DASSL's, for one): the corrector then starts within the
+   step's truncation error of its answer instead of a whole step's
+   change away.  One point gives that point itself, bit for bit. *)
 let extrapolate_into dst ~t ~ts ~grids ~omegas =
   let ts = List.filteri (fun i _ -> i < 3) ts in
   List.iteri
@@ -159,11 +151,9 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
      lu.factor, gmres.iterations — are billed to the envelope's Newton *)
   Obs.Scope.with_scope "envelope.newton" @@ fun () ->
   let n1 = options.n1 in
-  let n = Array.length states0.(0) in
   let theta = options.theta in
-  let nd = n1 * n in
   let size = Dae.Semidisc.size sd in
-  let omega_of y = if size > nd then y.(nd) else omega0 in
+  let omega_of y = Dae.Semidisc.omega_at sd y ~off:0 in
   let sys = Dae.Semidisc.step sd ~t2:t2_new ~h:h2 ~theta ~states0 ~g0 in
   let residual_into y dst =
     Dae.Semidisc.step_residual_into sys y dst;
@@ -224,17 +214,7 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
           in
           Structured.make_precond_cached ~key op
       in
-      match lin.Dae.Semidisc.border with
-      | None -> Structured.precond_apply_into pc
-      | Some { Dae.Semidisc.col = border_col; row = phase_row } ->
-        let bordered =
-          try Structured.make_bordered pc ~border_col ~border_row:phase_row
-          with Structured.Bordered_singular _ ->
-            (* degenerate phase border: regularize the Schur scalar rather
-               than dropping straight to the dense path *)
-            Structured.make_bordered ~gmin:1e-9 pc ~border_col ~border_row:phase_row
-        in
-        Structured.bordered_apply_into bordered
+      Dae.Semidisc.m_inv lin pc
     with
     | exception (Cx.Clu.Singular _ | Structured.Bordered_singular _ | Failure _) -> None
     | m_inv -> Some { klin = lin; m_inv }
@@ -386,7 +366,7 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
           ~options:{ options.newton with Nonlin.Newton.residual_tol = tol }
           ~label:"envelope.rescue"
           ~cascade:[ Nonlin.Polyalg.Trust_region ]
-          ~jacobian ~residual (pack sd states0 omega0)
+          ~jacobian ~residual (Dae.Semidisc.pack sd states0 omega0)
       in
       let report = outcome.Nonlin.Polyalg.report in
       if not report.Nonlin.Newton.converged then raise Newton_failed;
@@ -522,8 +502,8 @@ let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?pree
   let since_ckpt = ref 0 in
   (* the weighted RMS Richardson error over every unknown *)
   let richardson_error ~full ~om_full ~fine ~om_fine =
-    let y = pack sd fine om_fine in
-    let err = Array.map2 (fun f c -> (f -. c) /. denom) y (pack sd full om_full) in
+    let y = Dae.Semidisc.pack sd fine om_fine in
+    let err = Array.map2 (fun f c -> (f -. c) /. denom) y (Dae.Semidisc.pack sd full om_full) in
     Step_control.error_norm control ~y ~err
   in
   (* one attempt from the accepted point: the new grid, omega, Newton
@@ -701,31 +681,42 @@ let warping result = Sigproc.Warp.of_samples ~times:result.t2 ~omega:result.omeg
 let slice result ~index ~component =
   Array.map (fun state -> state.(component)) result.slices.(index)
 
-let eval_bivariate result ~component ~t1 ~t2 =
-  let m = Array.length result.t2 in
+let eval_slices ~t2s ~slices ?p2 ~period ~component ~t1 t2 =
+  let m = Array.length t2s in
+  (* knots: the slice times, closed by slice 0 again at t2 = p2 when
+     periodic *)
+  let knots, time, t2 =
+    match p2 with
+    | None -> (m, (fun i -> t2s.(i)), t2)
+    | Some p2 ->
+      let r = Float.rem t2 p2 in
+      (m + 1, (fun i -> if i = m then p2 else t2s.(i)), if r < 0. then r +. p2 else r)
+  in
   (* locate the t2 interval *)
   let idx =
-    if t2 <= result.t2.(0) then 0
-    else if t2 >= result.t2.(m - 1) then m - 2
+    if t2 <= time 0 then 0
+    else if t2 >= time (knots - 1) then knots - 2
     else begin
-      let lo = ref 0 and hi = ref (m - 1) in
+      let lo = ref 0 and hi = ref (knots - 1) in
       while !hi - !lo > 1 do
         let mid = (!lo + !hi) / 2 in
-        if result.t2.(mid) <= t2 then lo := mid else hi := mid
+        if time mid <= t2 then lo := mid else hi := mid
       done;
       !lo
     end
   in
-  let ta = result.t2.(idx) and tb = result.t2.(idx + 1) in
-  let wa = Fourier.Series.interp (slice result ~index:idx ~component) ~period:1. t1 in
-  let wb = Fourier.Series.interp (slice result ~index:(idx + 1) ~component) ~period:1. t1 in
+  let value i =
+    Fourier.Series.interp (Array.map (fun s -> s.(component)) slices.(i mod m)) ~period t1
+  in
+  let ta = time idx and tb = time (idx + 1) in
+  let wa = value idx and wb = value (idx + 1) in
   let frac = if tb = ta then 0. else Float.max 0. (Float.min 1. ((t2 -. ta) /. (tb -. ta))) in
   wa +. (frac *. (wb -. wa))
 
 let eval_waveform result ~component t =
   let w = warping result in
   let tau = Sigproc.Warp.phi w t in
-  eval_bivariate result ~component ~t1:(Float.rem tau 1.) ~t2:t
+  eval_slices ~t2s:result.t2 ~slices:result.slices ~period:1. ~component ~t1:(Float.rem tau 1.) t
 
 let waveform_samples result ~component ~per_cycle =
   let w = warping result in

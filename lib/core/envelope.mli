@@ -169,6 +169,21 @@ val warping : result -> Sigproc.Warp.t
     [x(t) = xhat(phi(t) mod 1, t)]. *)
 val eval_waveform : result -> component:int -> float -> float
 
+(** [eval_slices ~t2s ~slices ?p2 ~period ~component ~t1 t2]
+    interpolates a bivariate grid, [slices.(m)] at [t2s.(m)]:
+    trigonometric in [t1] over [period], linear in [t2].  With [p2]
+    the grid is periodic in [t2] ([t2] wraps, the last slice
+    interpolates back to slice 0); without, [t2] clamps to [t2s]. *)
+val eval_slices :
+  t2s:Vec.t ->
+  slices:Vec.t array array ->
+  ?p2:float ->
+  period:float ->
+  component:int ->
+  t1:float ->
+  float ->
+  float
+
 (** [waveform_samples result ~component ~per_cycle] samples
     {!eval_waveform} densely enough for [per_cycle] points per
     oscillation cycle, returning [(times, values)]. *)

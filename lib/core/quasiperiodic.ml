@@ -15,51 +15,34 @@ let () =
            report.Nonlin.Newton.residual_norm report.Nonlin.Newton.iterations)
     | _ -> None)
 
-(* The periodic-in-t2 system on the envelope's t1 discretization.
-   Unknown layout: for slice m in 0..n2-1, block of size (n1 * n + 1):
-   y.((m * bs) + (j * n) + i) = component i at (t1_j, t2_m);
-   y.((m * bs) + n1 * n) = omega at t2_m. *)
-let system dae ~options ~p2 ~n2 =
-  Dae.Semidisc.periodic (Envelope.semidisc dae options) ~p2 ~d2:(Fourier.Series.diff_matrix n2)
-
-let pack sol =
-  let n2 = Array.length sol.slices in
-  let n1 = Array.length sol.slices.(0) in
-  let n = Array.length sol.slices.(0).(0) in
-  let bs = (n1 * n) + 1 in
-  Vec.init (n2 * bs) (fun idx ->
-      let m = idx / bs and r = idx mod bs in
-      if r = n1 * n then sol.omega.(m) else sol.slices.(m).(r / n).(r mod n))
-
 let slice_times ~p2 ~n2 = Vec.init n2 (fun m -> p2 *. float_of_int m /. float_of_int n2)
 
-let unpack ~p2 ~n1 ~n ~n2 y =
-  let bs = (n1 * n) + 1 in
-  {
-    p2;
-    t2 = slice_times ~p2 ~n2;
-    omega = Vec.init n2 (fun m -> y.((m * bs) + (n1 * n)));
-    slices =
-      Array.init n2 (fun m -> Array.init n1 (fun j -> Array.sub y ((m * bs) + (j * n)) n));
-  }
+(* The periodic-in-t2 system on [sd]'s t1 discretization: n2 slices of
+   [Dae.Semidisc.size sd] unknowns, slice m at t2_m = m p2 / n2. *)
+let system sd ~p2 ~n2 = Dae.Semidisc.periodic sd ~p2 ~d2:(Fourier.Series.diff_matrix n2)
 
-let solve dae ?(max_iterations = 25) ?(tol = 1e-8) ~(options : Envelope.options) ~p2 ~n2
-    ~guess () =
-  let n = dae.Dae.dim in
-  let n1 = options.Envelope.n1 in
-  if n1 mod 2 = 0 || n2 mod 2 = 0 then
-    invalid_arg "Quasiperiodic.solve: n1 and n2 must be odd";
-  if Array.length guess.slices <> n2 || Array.length guess.slices.(0) <> n1 then
-    invalid_arg "Quasiperiodic.solve: guess grid mismatch";
-  Obs.Span.span
-    ~attrs:[ ("n1", Obs.Span.Int n1); ("n2", Obs.Span.Int n2); ("dim", Obs.Span.Int n) ]
-    "quasiperiodic.solve"
-  @@ fun () ->
-  Obs.Scope.with_scope "quasiperiodic" @@ fun () ->
-  let sys = system dae ~options ~p2 ~n2 in
-  let bs = (n1 * n) + 1 in
+let pack sd ~omega slices =
+  Array.concat (Array.to_list (Array.mapi (fun m s -> Dae.Semidisc.pack sd s omega.(m)) slices))
+
+(* worst-case t1 resolution over the slow slices *)
+let note_spectrum slices =
+  let tol = (Obs.Health.thresholds ()).Obs.Health.spectral_tol in
+  let rs = Array.map (Fourier.Series.grid_resolution ~tol) slices in
+  let worst f = Array.fold_left (fun acc r -> max acc (f r)) (f rs.(0)) rs in
+  Obs.Health.note_spectrum
+    ~tail:(worst (fun r -> r.Fourier.Series.tail))
+    ~needed:(worst (fun r -> r.Fourier.Series.needed))
+    ~available:rs.(0).Fourier.Series.available ()
+
+let solve_semidisc ?cascade sd ~p2 ~n2 ~options ~solver ~label ~fn ~omega slices =
+  if Array.length slices <> n2 || Array.length omega <> n2 then
+    invalid_arg (Printf.sprintf "%s: expected %d slices and %d omegas" fn n2 n2);
+  Array.iter (Dae.Semidisc.check_grid sd ~fn) slices;
+  let sys = system sd ~p2 ~n2 in
+  let bs = Dae.Semidisc.size sd in
+  let jacobian y = Dae.Semidisc.periodic_dense sys (Dae.Semidisc.periodic_linearize sys y) in
   let dense_dir y r =
-    let jac = Dae.Semidisc.periodic_dense sys (Dae.Semidisc.periodic_linearize sys y) in
+    let jac = jacobian y in
     Lu.solve (Lu.factor_into jac ~perm:(Array.make (Mat.rows jac) 0)) r
   in
   (* GMRES workspace and one-slice preconditioner scratch, shared by
@@ -70,31 +53,24 @@ let solve dae ?(max_iterations = 25) ?(tol = 1e-8) ~(options : Envelope.options)
   in
   (* Fully matrix-free Newton direction: the per-slice structured
      operators and cross-slice slow coupling of [Dae.Semidisc],
-     preconditioned by the per-slice bordered DFT-block inverse (the
-     slow d2/p2 coupling is weak against the omega-scaled fast term and
-     is left to GMRES).  Returns [None] when the preconditioner
-     degenerates or GMRES stalls. *)
+     preconditioned by the per-slice DFT-block inverse (the slow d2/p2
+     coupling is weak against the omega-scaled fast term and is left to
+     GMRES).  Returns [None] when the preconditioner degenerates or
+     GMRES stalls. *)
   let krylov_dir y r =
     let lins = Dae.Semidisc.periodic_linearize sys y in
     match
       Array.map
-        (fun lin ->
-          let pc = Structured.make_precond lin.Dae.Semidisc.op in
-          let { Dae.Semidisc.col = border_col; row = border_row } =
-            Option.get lin.Dae.Semidisc.border
-          in
-          try Structured.make_bordered pc ~border_col ~border_row
-          with Structured.Bordered_singular _ ->
-            Structured.make_bordered ~gmin:1e-9 pc ~border_col ~border_row)
+        (fun lin -> Dae.Semidisc.m_inv lin (Structured.make_precond lin.Dae.Semidisc.op))
         lins
     with
     | exception (Cx.Clu.Singular _ | Structured.Bordered_singular _ | Failure _) -> None
-    | borders ->
+    | slice_m_inv ->
       let ws, seg_in, seg_out = Lazy.force krylov_scratch in
       let m_inv v out =
         for m = 0 to n2 - 1 do
           Array.blit v (m * bs) seg_in 0 bs;
-          Structured.bordered_apply_into borders.(m) seg_in seg_out;
+          slice_m_inv.(m) seg_in seg_out;
           Array.blit seg_out 0 out (m * bs) bs
         done
       in
@@ -106,7 +82,7 @@ let solve dae ?(max_iterations = 25) ?(tol = 1e-8) ~(options : Envelope.options)
       if result.Gmres.converged then Some result.Gmres.x else None
   in
   let linear_solve =
-    if Structured.use_krylov options.Envelope.solver ~dim:(n2 * bs) then fun y r ->
+    if Structured.use_krylov solver ~dim:(n2 * bs) then fun y r ->
       match krylov_dir y r with
       | Some dy -> dy
       | None ->
@@ -114,36 +90,48 @@ let solve dae ?(max_iterations = 25) ?(tol = 1e-8) ~(options : Envelope.options)
         dense_dir y r
     else dense_dir
   in
-  let report =
-    Nonlin.Newton.solve_with
-      ~options:
-        {
-          Nonlin.Newton.default_options with
-          max_iterations;
-          residual_tol = tol;
-          min_damping = 1e-3;
-          step_tol = 0.;
-        }
-      ~label:"quasiperiodic" ~linear_solve
-      ~residual:(Dae.Semidisc.periodic_residual sys)
-      (pack guess)
+  let outcome =
+    Nonlin.Polyalg.solve ~options ~label ?cascade ~jacobian ~linear_solve
+      ~residual:(Dae.Semidisc.periodic_residual sys) (pack sd ~omega slices)
   in
-  if not report.Nonlin.Newton.converged then raise (Solve_failure report);
-  let sol = unpack ~p2 ~n1 ~n ~n2 report.Nonlin.Newton.x in
-  (if Obs.enabled () then begin
-     (* worst-case t1 resolution over the n2 slow slices *)
-     let stol = (Obs.Health.thresholds ()).Obs.Health.spectral_tol in
-     let needed = ref 0 and tail = ref 0. and avail = ref (n1 / 2) in
-     Array.iter
-       (fun slice ->
-         let rr = Fourier.Series.grid_resolution ~tol:stol slice in
-         if rr.Fourier.Series.needed > !needed then needed := rr.Fourier.Series.needed;
-         if rr.Fourier.Series.tail > !tail then tail := rr.Fourier.Series.tail;
-         avail := rr.Fourier.Series.available)
-       sol.slices;
-     Obs.Health.note_spectrum ~tail:!tail ~needed:!needed ~available:!avail ()
-   end);
-  sol
+  let report = outcome.Nonlin.Polyalg.report in
+  if not report.Nonlin.Newton.converged then Error report
+  else begin
+    let y = report.Nonlin.Newton.x in
+    let sol =
+      {
+        p2;
+        t2 = slice_times ~p2 ~n2;
+        omega = Vec.init n2 (fun m -> Dae.Semidisc.omega_at sd y ~off:(m * bs));
+        slices = Array.init n2 (fun m -> Dae.Semidisc.unpack sd y ~off:(m * bs));
+      }
+    in
+    if Obs.enabled () then note_spectrum sol.slices;
+    Ok sol
+  end
+
+let solve dae ?(max_iterations = 25) ?(tol = 1e-8) ~(options : Envelope.options) ~p2 ~n2
+    ~guess () =
+  let n1 = options.Envelope.n1 in
+  if n1 mod 2 = 0 || n2 mod 2 = 0 then
+    invalid_arg "Quasiperiodic.solve: n1 and n2 must be odd";
+  Obs.Span.span
+    ~attrs:
+      [ ("n1", Obs.Span.Int n1); ("n2", Obs.Span.Int n2); ("dim", Obs.Span.Int dae.Dae.dim) ]
+    "quasiperiodic.solve"
+  @@ fun () ->
+  Obs.Scope.with_scope "quasiperiodic" @@ fun () ->
+  let newton =
+    { Nonlin.Newton.default_options with max_iterations; residual_tol = tol; min_damping = 1e-3;
+      step_tol = 0. }
+  in
+  match
+    solve_semidisc (Envelope.semidisc dae options) ~p2 ~n2 ~options:newton
+      ~solver:options.Envelope.solver ~label:"quasiperiodic" ~fn:"Quasiperiodic.solve"
+      ~omega:guess.omega guess.slices
+  with
+  | Ok sol -> sol
+  | Error report -> raise (Solve_failure report)
 
 let guess_from_envelope (result : Envelope.result) ~p2 ~n2 ~t_from =
   (* the accepted envelope step nearest to each slice time *)
@@ -163,11 +151,10 @@ let guess_from_envelope (result : Envelope.result) ~p2 ~n2 ~t_from =
   }
 
 let residual_norm dae ~(options : Envelope.options) sol =
-  let n = dae.Dae.dim in
-  let n2 = Array.length sol.slices in
-  let sys = system dae ~options ~p2:sol.p2 ~n2 in
-  let res = Dae.Semidisc.periodic_residual sys (pack sol) in
-  let bs = (options.Envelope.n1 * n) + 1 in
+  let sd = Envelope.semidisc dae options in
+  let sys = system sd ~p2:sol.p2 ~n2:(Array.length sol.slices) in
+  let res = Dae.Semidisc.periodic_residual sys (pack sd ~omega:sol.omega sol.slices) in
+  let bs = Dae.Semidisc.size sd in
   let worst = ref 0. in
   Array.iteri
     (fun idx v -> if idx mod bs <> bs - 1 then worst := Float.max !worst (Float.abs v))
@@ -180,23 +167,8 @@ let eval_waveform sol ~component ~t_max t =
   (* build a warping over [0, t_max] from the periodic omega *)
   let n_samples = Int.max 64 (int_of_float (Float.ceil (t_max /. sol.p2 *. 64.))) in
   let times = Vec.linspace 0. t_max n_samples in
-  let omega_interp tt =
-    let tau = Float.rem tt sol.p2 in
-    let tau = if tau < 0. then tau +. sol.p2 else tau in
-    (* trig interpolation of the periodic omega samples *)
-    Fourier.Series.interp sol.omega ~period:sol.p2 tau
-  in
+  (* trig interpolation of the periodic omega samples *)
+  let omega_interp tt = Fourier.Series.interp sol.omega ~period:sol.p2 tt in
   let w = Sigproc.Warp.of_samples ~times ~omega:(Vec.map omega_interp times) in
   let tau1 = Float.rem (Sigproc.Warp.phi w t) 1. in
-  let t2 = Float.rem t sol.p2 in
-  (* bilinear in t2 between slices, trig in t1 *)
-  let n2 = Array.length sol.slices in
-  let ft = t2 /. sol.p2 *. float_of_int n2 in
-  let m0 = int_of_float ft mod n2 in
-  let m1 = (m0 + 1) mod n2 in
-  let frac = ft -. Float.of_int (int_of_float ft) in
-  let value m =
-    let samples = Array.map (fun s -> s.(component)) sol.slices.(m) in
-    Fourier.Series.interp samples ~period:1. tau1
-  in
-  ((1. -. frac) *. value m0) +. (frac *. value m1)
+  Envelope.eval_slices ~t2s:sol.t2 ~slices:sol.slices ~p2:sol.p2 ~period:1. ~component ~t1:tau1 t

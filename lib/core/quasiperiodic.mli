@@ -25,24 +25,42 @@ type solution = {
 }
 
 exception Solve_failure of Nonlin.Newton.report
-(** {!solve}'s Newton iteration failed; the report says why
+(** {!solve}'s cascade failed; the closest attempt's report says why
     ([Non_finite_residual], [Iteration_limit], [Line_search_failed], or
     [Singular_jacobian]).  A printer is registered. *)
 
+(** [solve_semidisc sd ~p2 ~n2 ~options ~solver ~label ~fn ~omega
+    slices], the one periodic-in-[t2] driver (also the MPDE's, whose
+    [periodic_initial] is [n2 = 1]), solves {!Dae.Semidisc.periodic} on
+    [sd] from [n2] grids and [n2] omegas (unused when [sd] fixes omega);
+    any other shape raises [Invalid_argument] naming [fn].  It runs the
+    {!Nonlin.Polyalg} cascade; the damped stage's direction is dense LU
+    or, by {!Linalg.Structured.use_krylov} on [solver], GMRES
+    preconditioned per slice by {!Dae.Semidisc.m_inv} with a dense
+    fallback.  [Error] carries the closest attempt's report. *)
+val solve_semidisc :
+  ?cascade:Nonlin.Polyalg.strategy list ->
+  Dae.Semidisc.t ->
+  p2:float ->
+  n2:int ->
+  options:Nonlin.Newton.options ->
+  solver:Structured.strategy ->
+  label:string ->
+  fn:string ->
+  omega:Vec.t ->
+  Vec.t array array ->
+  (solution, Nonlin.Newton.report) result
+
 (** [solve dae ~options ~p2 ~n2 ~guess ()] solves the two-periodic
-    WaMPDE.  [options] supplies [n1], the phase condition, the
-    differentiation scheme and the linear-solver path (its [theta] is
-    ignored — there is no time-stepping here).  [options.solver] is
-    read as in {!Envelope}: {!Linalg.Structured.use_krylov} on the
-    [n2 (n1 n + 1)] unknowns picks dense LU, which assembles and
-    factors the full Jacobian, or matrix-free GMRES, which never
-    assembles it and falls back to dense LU when the preconditioner
-    degenerates or GMRES stalls.  [guess] provides initial slices and
+    WaMPDE with {!solve_semidisc}.  [options] supplies [n1], the phase
+    condition, the differentiation scheme and the linear-solver path
+    [options.solver] (its [theta] is ignored — there is no
+    time-stepping here).  [guess] provides initial slices and
     frequencies, most naturally a settled {!Envelope} run sampled over
-    one slow period (see {!guess_from_envelope}).  Newton is
-    {!Nonlin.Newton.solve_with} (damping floor [1e-3]); raises
-    {!Solve_failure} if it does not converge, including on a non-finite
-    residual. *)
+    one slow period (see {!guess_from_envelope}).  Newton is the
+    {!Nonlin.Polyalg} cascade: damped Newton (damping floor [1e-3]),
+    then trust region.  Raises {!Solve_failure} when both fail,
+    including on a non-finite residual. *)
 val solve :
   Dae.t ->
   ?max_iterations:int ->

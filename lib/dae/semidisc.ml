@@ -35,6 +35,16 @@ let make dae ~d ~omega ~forcing =
 
 let size t = match t.omega with Unknown _ -> t.nd + 1 | Fixed _ -> t.nd
 let omega_at t y ~off = match t.omega with Unknown _ -> y.(off + t.nd) | Fixed w -> w
+
+let check_grid t ~fn grid =
+  if Array.length grid <> t.n1 || Array.exists (fun x -> Array.length x <> t.n) grid then
+    invalid_arg (Printf.sprintf "%s: expected %d states of dimension %d" fn t.n1 t.n)
+
+let pack t states omega =
+  let y = Array.make (size t) omega in
+  Array.iteri (fun j s -> Array.blit s 0 y (j * t.n) t.n) states;
+  y
+
 let unpack t y ~off = Array.init t.n1 (fun j -> Array.sub y (off + (j * t.n)) t.n)
 
 let load t buf y ~off =
@@ -121,8 +131,6 @@ let linearize_at t buf ~t2 ~scale ~with_c y ~off =
   let alpha = scale *. omega_at t y ~off in
   { op = Structured.make_op ~alpha ~d:t.d ~c_blocks:cs ~b_blocks; c_blocks = cs; border }
 
-let linearize t ~t2 y = linearize_at t t.buf ~t2 ~scale:1. ~with_c:false y ~off:0
-
 (* Every entry of [jac] is written, the bordered corner included: a
    buffer the in-place LU has factored holds its rows permuted. *)
 let dense_into lin jac =
@@ -147,6 +155,19 @@ let apply_into lin v out =
   match lin.border with
   | None -> Structured.apply_into lin.op v out
   | Some b -> Structured.apply_bordered_into lin.op ~border_col:b.col ~border_row:b.row v out
+
+let m_inv lin pc =
+  match lin.border with
+  | None -> Structured.precond_apply_into pc
+  | Some { col = border_col; row = border_row } ->
+    let bordered =
+      try Structured.make_bordered pc ~border_col ~border_row
+      with Structured.Bordered_singular _ ->
+        (* degenerate phase border: regularize the Schur scalar rather
+           than dropping straight to the dense path *)
+        Structured.make_bordered ~gmin:1e-9 pc ~border_col ~border_row
+    in
+    Structured.bordered_apply_into bordered
 
 (* ---------- theta step in t2 ---------- *)
 

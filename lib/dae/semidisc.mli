@@ -33,8 +33,18 @@ val make :
 (** Unknowns per slice: [n1 n], plus one when [omega] is unknown. *)
 val size : t -> int
 
+(** Raises [Invalid_argument "<fn>: expected <n1> states of dimension
+    <n>"] unless the grid has that shape. *)
+val check_grid : t -> fn:string -> Vec.t array -> unit
+
+(** One slice, fresh; [omega] is dropped when it is fixed. *)
+val pack : t -> Vec.t array -> float -> Vec.t
+
 (** [unpack t y ~off] copies the grid states of the slice at [y.(off)]. *)
 val unpack : t -> Vec.t -> off:int -> Vec.t array
+
+(** [omega_at t y ~off]: the slice's [omega] unknown, or the fixed value. *)
+val omega_at : t -> Vec.t -> off:int -> float
 
 (** [g t ~t2 y] (fresh, length [n1 n]); [q] is evaluated once per grid
     point. *)
@@ -52,9 +62,6 @@ type lin = {
   border : border option;  (** [None] when [omega] is fixed *)
 }
 
-(** Jacobian of {!g}: [alpha = omega], [B_j = df(X_j)], [col = D Q]. *)
-val linearize : t -> t2:float -> Vec.t -> lin
-
 (** [dense lin] assembles [lin]: the dense path factors the operator
     the Krylov path applies. *)
 val dense : lin -> Mat.t
@@ -65,6 +72,12 @@ val dense_into : lin -> Mat.t -> unit
 
 (** [apply_into lin v out] writes [lin v] into [out] (no aliasing). *)
 val apply_into : lin -> Vec.t -> Vec.t -> unit
+
+(** [m_inv lin pc] builds, once per [lin], the slice preconditioner on
+    [pc = Structured.make_precond lin.op]: bordered by the phase row
+    when [omega] is unknown (with [gmin = 1e-9] if the Schur complement
+    degenerates, which may still raise {!Structured.Bordered_singular}). *)
+val m_inv : lin -> Structured.precond -> Vec.t -> Vec.t -> unit
 
 (** {1 Theta step in t2} *)
 
@@ -93,8 +106,8 @@ val periodic : t -> p2:float -> d2:Mat.t -> periodic
 (** Fresh; [q] is evaluated once per grid point. *)
 val periodic_residual : periodic -> Vec.t -> Vec.t
 
-(** Per-slice {!linearize}; the slices couple through
-    [(1/p2) d2_mq blockdiag(C^q)]. *)
+(** Per slice, the Jacobian of {!g}: [alpha = omega], [B_j = df(X_j)],
+    [col = D Q]; the slices couple through [(1/p2) d2_mq blockdiag(C^q)]. *)
 val periodic_linearize : periodic -> Vec.t -> lin array
 
 val periodic_dense : periodic -> lin array -> Mat.t

@@ -375,11 +375,3 @@ let make_precond_cached ~key op =
       let pc = make_precond op in
       Precond_cache.store key pc;
       pc
-
-(* ------------------------------------------------------------------ *)
-(* Packaged Newton-direction solves                                    *)
-(* ------------------------------------------------------------------ *)
-
-let solve_op ?(restart = 80) ?max_iter ?(tol = 1e-10) op b =
-  let pc = make_precond op in
-  Gmres.solve ~matvec:(apply_into op) ~m_inv:(precond_apply_into pc) ~restart ?max_iter ~tol b

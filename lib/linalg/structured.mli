@@ -158,11 +158,3 @@ val make_bordered :
     inverse to the length-[dim + 1] vector [v], writing all [dim + 1]
     entries of [out] (which must not alias [v]). *)
 val bordered_apply_into : bordered -> Vec.t -> Vec.t -> unit
-
-(** {1 Packaged Newton-direction solves} *)
-
-(** [solve_op op b] runs preconditioned GMRES on the block system.
-    Check [converged] on the result and fall back to dense LU (calling
-    {!fallback_to_dense}) if it failed. *)
-val solve_op :
-  ?restart:int -> ?max_iter:int -> ?tol:float -> op -> Vec.t -> Gmres.result

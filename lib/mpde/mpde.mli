@@ -26,6 +26,7 @@ type result = {
   t2 : Vec.t;
   slices : Vec.t array array;  (** [slices.(m).(j)]: state at [(t1_j, t2_m)] *)
   p1 : float;
+  p2 : float option;  (** slow period of a {!quasiperiodic} result; [None] from {!simulate} *)
 }
 
 exception Solve_failure of { stage : string; report : Nonlin.Newton.report }
@@ -64,23 +65,23 @@ val simulate :
 
 (** [periodic_initial sys ~n1 ~guess] solves the fast-periodic steady
     state at frozen [t2 = 0] ([dq/dt2] dropped): the natural initial
-    condition for {!simulate}.  Runs the {!Nonlin.Polyalg} cascade;
-    raises {!Solve_failure} when it is exhausted, and
-    [Invalid_argument] unless [n1] is odd and [guess] is [n1] states of
-    [sys.dae]'s dimension. *)
-val periodic_initial :
-  ?solver:Structured.strategy -> system -> n1:int -> guess:Vec.t array -> Vec.t array
+    condition for {!simulate}.  It is
+    {!Wampde.Quasiperiodic.solve_semidisc} at [n2 = 1] with
+    [Structured.auto]; raises {!Solve_failure} when the cascade is
+    exhausted, and [Invalid_argument] unless [n1] is odd and [guess] is
+    [n1] states of [sys.dae]'s dimension. *)
+val periodic_initial : system -> n1:int -> guess:Vec.t array -> Vec.t array
 
 (** [quasiperiodic sys ~n1 ~n2 ~p2 ~guess] solves the biperiodic
     steady state on an [n1 x n2] grid (both odd), with slow period
     [p2]: the AM-quasiperiodic solution of Section 3.  [guess] is an
-    [n2]-array of [n1]-arrays of states.  Damped Newton and trust
-    region use the analytic periodic Jacobian
-    ({!Dae.Semidisc.periodic_dense}), dense and LU-factored.
-    [cascade] overrides the {!Nonlin.Polyalg.default_cascade} (e.g.
-    [[Damped]] to benchmark plain Newton); raises {!Solve_failure}
-    when it is exhausted, and [Invalid_argument] on a [guess] of any
-    other shape. *)
+    [n2]-array of [n1]-arrays of states.  It is
+    {!Wampde.Quasiperiodic.solve_semidisc} with [Structured.Dense] by
+    choice: trust region factors the assembled Jacobian anyway, and at
+    these sizes the Krylov path is slower.  [cascade] overrides the
+    {!Nonlin.Polyalg.default_cascade} (e.g. [[Damped]] to benchmark
+    plain Newton); raises {!Solve_failure} when it is exhausted, and
+    [Invalid_argument] on a [guess] of any other shape. *)
 val quasiperiodic :
   ?cascade:Nonlin.Polyalg.strategy list ->
   system ->
@@ -91,7 +92,8 @@ val quasiperiodic :
   result
 
 (** [eval_bivariate res ~component ~t1 ~t2] interpolates the stored
-    bivariate grid (trigonometric in [t1], linear in [t2]). *)
+    grid by {!Wampde.Envelope.eval_slices}, periodic in [t2] for a
+    {!quasiperiodic} result. *)
 val eval_bivariate : result -> component:int -> t1:float -> t2:float -> float
 
 (** [eval_waveform res ~component t] recovers the univariate solution

@@ -1,11 +1,13 @@
 (* Golden-regression harness for the paper-figure experiments.
 
-   Runs small, deterministic versions of two experiments —
+   Runs small, deterministic versions of three experiments —
 
-     vco_a_envelope    VCO-A WaMPDE envelope: local frequency omega(t2)
-                       and amplitude envelope (paper Figs. 7-9 regime)
-     mpde_am_spectrum  quasiperiodic MPDE of the AM filter: 2-D
-                       harmonic magnitudes |X_{k1,k2}|
+     vco_a_envelope       VCO-A WaMPDE envelope: local frequency omega(t2)
+                          and amplitude envelope (paper Figs. 7-9 regime)
+     mpde_am_spectrum     quasiperiodic MPDE of the AM filter: 2-D
+                          harmonic magnitudes |X_{k1,k2}|
+     vco_a_quasiperiodic  VCO-A quasiperiodic WaMPDE (matrix-free):
+                          omega and peak voltage per slow slice
 
    — and compares every recorded quantity against the committed
    reference in test/golden/*.json, with per-quantity rtol/atol stored
@@ -209,8 +211,39 @@ let mpde_am_spectrum () : experiment =
   done;
   [ ("harmonic_mags", { rtol = 1e-6; atol = 1e-10; values = Array.of_list (List.rev !mags) }) ]
 
+(* VCO-A quasiperiodic steady state through [Quasiperiodic.solve] at
+   n1 = 15, n2 = 7: 427 unknowns, so [Structured.auto] takes the
+   matrix-free path.  Each GMRES direction is solved to the forcing
+   term 1e-10; rtol is 100x that (dense and Krylov answers agree to
+   ~1e-14 here). *)
+let vco_a_quasiperiodic () : experiment =
+  let frozen = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
+  let n1 = 15 and n2 = 7 in
+  let orbit =
+    Steady.Oscillator.find (Circuit.Vco.build frozen) ~n1 ~period_hint:(1. /. 0.75)
+      (Circuit.Vco.initial_state frozen)
+  in
+  let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
+  let options = Wampde.Envelope.default_options ~n1 () in
+  let env = Wampde.Envelope.simulate dae ~options ~t2_end:200. ~h2:0.5 ~init:orbit in
+  let guess = Wampde.Quasiperiodic.guess_from_envelope env ~p2:40. ~n2 ~t_from:160. in
+  let sol = Wampde.Quasiperiodic.solve dae ~options ~p2:40. ~n2 ~guess () in
+  (* peak |voltage| over the t1 grid of each slice *)
+  let peak slice =
+    Array.fold_left (fun acc x -> Float.max acc (Float.abs x.(Circuit.Vco.idx_voltage))) 0. slice
+  in
+  let tol values = { rtol = 1e-8; atol = 1e-10; values } in
+  [
+    ("omega", tol sol.Wampde.Quasiperiodic.omega);
+    ("peak_voltage", tol (Array.map peak sol.Wampde.Quasiperiodic.slices));
+  ]
+
 let experiments =
-  [ ("vco_a_envelope", vco_a_envelope); ("mpde_am_spectrum", mpde_am_spectrum) ]
+  [
+    ("vco_a_envelope", vco_a_envelope);
+    ("mpde_am_spectrum", mpde_am_spectrum);
+    ("vco_a_quasiperiodic", vco_a_quasiperiodic);
+  ]
 
 (* ---------- compare / update ---------- *)
 

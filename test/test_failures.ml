@@ -153,7 +153,20 @@ let tests =
           }
         in
         check_invalid "even n2" (fun () ->
-            Wampde.Quasiperiodic.solve dae ~options ~p2:40. ~n2:10 ~guess:fake ()));
+            Wampde.Quasiperiodic.solve dae ~options ~p2:40. ~n2:10 ~guess:fake ());
+        (* every slice is checked, not just the first, and so is omega *)
+        let rejects what expected slices omegas =
+          let guess = { fake with Wampde.Quasiperiodic.slices; omega = Array.make omegas 0.75 } in
+          match Wampde.Quasiperiodic.solve dae ~options ~p2:40. ~n2:3 ~guess () with
+          | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+          | exception Invalid_argument msg ->
+            Alcotest.(check string) what ("Quasiperiodic.solve: expected " ^ expected) msg
+        in
+        let grid dim = Array.make 25 (Array.make dim 0.) in
+        let states = "25 states of dimension 4" and counts = "3 slices and 3 omegas" in
+        rejects "5-component states in slice 1" states [| grid 4; grid 5; grid 4 |] 3;
+        rejects "5 omegas" counts (Array.make 3 (grid 4)) 5;
+        rejects "both" counts [| grid 4; grid 5; grid 4 |] 5);
     Alcotest.test_case "quasiperiodic Newton failures are typed, NaN included" `Quick (fun () ->
         let p = Circuit.Vco.vco_a () in
         let dae = Circuit.Vco.build p in
@@ -187,9 +200,19 @@ let tests =
            Alcotest.(check string) "printer" "Wampde.Quasiperiodic.Solve_failure"
              (String.sub shown 0 (String.index shown ':'))
          | _ -> Alcotest.fail "a NaN guess must raise Solve_failure (non-finite residual)");
-        match failure ~max_iterations:1 orbit.Steady.Oscillator.grid with
-        | Some { Nonlin.Newton.converged = false; iterations; _ } ->
-          Alcotest.(check bool) "at most one iteration" true (iterations <= 1)
+        (* damped Newton fails, escalates once to trust region, which
+           fails too: the cascade ends exhausted *)
+        let count name = Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter name) in
+        match
+          Wampde_obs.Metrics.with_isolated (fun () ->
+              Wampde_obs.set_enabled true;
+              let r = failure ~max_iterations:1 orbit.Steady.Oscillator.grid in
+              (r, count "newton.strategy.failed", count "newton.strategy.escalations"))
+        with
+        | Some { Nonlin.Newton.converged = false; iterations; _ }, failed, escalations ->
+          Alcotest.(check bool) "at most one iteration" true (iterations <= 1);
+          Alcotest.(check int) "newton.strategy.failed" 1 failed;
+          Alcotest.(check int) "newton.strategy.escalations" 1 escalations
         | _ -> Alcotest.fail "max_iterations:1 must raise Solve_failure");
     Alcotest.test_case "warp rejects zero or negative rates" `Quick (fun () ->
         check_invalid "zero" (fun () ->

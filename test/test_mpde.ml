@@ -115,15 +115,21 @@ let mpde_tests =
           Transient.integrate full ~method_:Transient.Trapezoidal ~t0:0. ~t1:(3. *. p2)
             ~h:(p1 /. 60.) [| 0. |]
         in
-        (* compare at t in the third slow period, mapped into the bivariate *)
-        let worst = ref 0. in
-        for k = 0 to 50 do
-          let t = (2. *. p2) +. (p2 *. float_of_int k /. 50.) in
+        (* compare at t in the third slow period, mapped into the
+           bivariate (t2 wraps modulo p2); the bound is relative to the
+           signal, whose amplitude is only ~2.4e-3 *)
+        let worst = ref 0. and peak = ref 0. in
+        for k = 0 to 500 do
+          let t = (2. *. p2) +. (p2 *. float_of_int k /. 500.) in
           let got = Mpde.eval_waveform res ~component:0 t in
           let expect = Transient.interpolate traj 0 t in
-          worst := Float.max !worst (Float.abs (got -. expect))
+          worst := Float.max !worst (Float.abs (got -. expect));
+          peak := Float.max !peak (Float.abs expect)
         done;
-        Alcotest.(check bool) "biperiodic matches settled transient" true (!worst < 0.02));
+        Alcotest.(check bool)
+          (Printf.sprintf "biperiodic matches settled transient (error %.2e, peak %.2e)" !worst !peak)
+          true
+          (!worst < 0.05 *. !peak));
     Alcotest.test_case "even n1 rejected" `Quick (fun () ->
         let sys = am_system ~p1:0.01 ~a:(fun _ -> 1.) in
         Alcotest.(check bool) "raises" true

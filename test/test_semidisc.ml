@@ -84,6 +84,8 @@ let lin_apply (lin : Sd.lin) v =
   | None -> Structured.apply lin.Sd.op v
   | Some { Sd.col; row } -> Structured.apply_bordered lin.Sd.op ~border_col:col ~border_row:row v
 
+let frozen sd = Sd.periodic sd ~p2:1. ~d2:[| [| 0. |] |]
+
 let prop (name, dae, draw) (dname, d) omega_case =
   let open QCheck in
   Test.make ~count:8
@@ -94,11 +96,12 @@ let prop (name, dae, draw) (dname, d) omega_case =
       let rng = Random.State.make [| seed |] in
       let sd = make_sd dae ~d ~omega_case ~omega in
       let t2 = Random.State.float rng 3. in
-      (* g, as in the frozen-t2 MPDE steady state *)
+      (* g, as in the frozen-t2 MPDE steady state: the periodic system
+         at n2 = 1, where d2 = [0] leaves g at t2 = 0 *)
       let _, y = draw_slice sd draw rng ~omega in
-      let lin = Sd.linearize sd ~t2 y in
+      let lin = (Sd.periodic_linearize (frozen sd) y).(0) in
       let g_ok =
-        check_lin ~residual:(Sd.g sd ~t2) ~dense:(Sd.dense lin) ~apply:(lin_apply lin) y rng
+        check_lin ~residual:(Sd.g sd ~t2:0.) ~dense:(Sd.dense lin) ~apply:(lin_apply lin) y rng
       in
       (* theta step from a drawn accepted grid *)
       let states0, y0 = draw_slice sd draw rng ~omega in
@@ -175,7 +178,8 @@ let unit_tests =
         in
         let blit m jac = Array.iteri (fun i row -> Array.blit row 0 jac.(i) 0 size) m in
         let lins =
-          List.init 3 (fun _ -> Sd.linearize sd ~t2:0.5 (snd (draw_slice sd draw rng ~omega:1.)))
+          List.init 3 (fun _ ->
+              (Sd.periodic_linearize (frozen sd) (snd (draw_slice sd draw rng ~omega:1.))).(0))
         in
         let bordered lin = ("bordered", Sd.dense_into lin, Sd.dense lin) in
         let jac = Mat.zeros size size and perm = Array.make size 0 and x = Array.make size 0. in

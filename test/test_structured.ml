@@ -255,7 +255,11 @@ let prop_tests =
            let d = Fourier.Series.diff_matrix n1 in
            let op = Structured.make_op ~alpha ~d ~c_blocks:cs ~b_blocks:bs in
            let b = Vec.init (n1 * n) (fun i -> sin (float_of_int i)) in
-           let res = Structured.solve_op ~tol:1e-11 op b in
+           let pc = Structured.make_precond op in
+           let res =
+             Gmres.solve ~matvec:(Structured.apply_into op)
+               ~m_inv:(Structured.precond_apply_into pc) ~restart:80 ~tol:1e-11 b
+           in
            res.Gmres.converged
            && Vec.approx_equal ~tol:1e-6 (Structured.apply op res.Gmres.x) b));
   ]

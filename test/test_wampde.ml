@@ -369,7 +369,9 @@ let quasi_tests =
                 Wampde.Quasiperiodic.solve dae ~options:{ options with solver } ~p2:40. ~n2:11
                   ~guess ()
               in
-              (sol, Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter "gmres.solves")))
+              let count name = Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter name) in
+              Alcotest.(check int) "damped Newton wins" 1 (count "newton.strategy.damped");
+              (sol, count "gmres.solves"))
         in
         let dense, dense_solves = solve Structured.Dense in
         let krylov, krylov_solves = solve Structured.Krylov in
