@@ -581,6 +581,7 @@ let kernel_timings () =
   let orbit = Lazy.force orbit_a in
   let opts = Lazy.force options in
   let x_state = [| 1.5; -0.3; 0.9; 0.05 |] in
+  let f_buf = Array.make dae_a.Dae.dim 0. and g_buf = Linalg.Mat.zeros dae_a.Dae.dim dae_a.Dae.dim in
   let lu_mat =
     Linalg.Mat.init 101 101 (fun i j ->
         (if i = j then 10. else 0.) +. sin (float_of_int ((i * 7) + j)))
@@ -590,8 +591,10 @@ let kernel_timings () =
   in
   let tests =
     [
-      Test.make ~name:"vco_f_eval" (Staged.stage (fun () -> dae_a.Dae.f ~t:1. x_state));
-      Test.make ~name:"vco_jacobian" (Staged.stage (fun () -> dae_a.Dae.df ~t:1. x_state));
+      Test.make ~name:"vco_f_eval"
+        (Staged.stage (fun () -> dae_a.Dae.eval_into ~t:1. x_state ~q:[||] ~f:f_buf ~c:[||] ~g:[||]));
+      Test.make ~name:"vco_jacobian"
+        (Staged.stage (fun () -> dae_a.Dae.eval_into ~t:1. x_state ~q:[||] ~f:[||] ~c:[||] ~g:g_buf));
       Test.make ~name:"lu_factor_101" (Staged.stage (fun () -> Linalg.Lu.factor lu_mat));
       Test.make ~name:"fft_1024" (Staged.stage (fun () -> Fourier.Fft.fft sig1024));
       Test.make ~name:"transient_step"

@@ -92,10 +92,27 @@ let layout t =
   in
   (placed, !pos)
 
+(* plain loops: a circuit's few rows are too short for a C call to pay *)
+let zero v =
+  for i = 0 to Array.length v - 1 do
+    v.(i) <- 0.
+  done
+
+let zero_rows m =
+  for i = 0 to Array.length m - 1 do
+    zero m.(i)
+  done
+
 let compile t =
   let placed, dim = layout t in
-  (* the record is per call, so concurrent evaluations share nothing *)
-  let stamp_all x time q_acc f_acc dq_acc df_acc =
+  (* one pass: zero the requested accumulators, then stamp every device
+     once; the record is per call, so concurrent evaluations share
+     nothing *)
+  let eval_into ~t:time x ~q:q_acc ~f:f_acc ~c:dq_acc ~g:df_acc =
+    zero q_acc;
+    zero f_acc;
+    zero_rows dq_acc;
+    zero_rows df_acc;
     let c = { x; time; offset = 0; q_acc; f_acc; dq_acc; df_acc } in
     for k = 0 to Array.length placed - 1 do
       let d, offset = placed.(k) in
@@ -103,25 +120,26 @@ let compile t =
       d.stamp c
     done
   in
+  (* the four closures are allocating views over the same pass *)
   let q x =
-    let acc = Array.make dim 0. in
-    stamp_all x 0. acc [||] [||] [||];
-    acc
+    let q = Array.make dim 0. in
+    eval_into ~t:0. x ~q ~f:[||] ~c:[||] ~g:[||];
+    q
   in
   let f ~t x =
-    let acc = Array.make dim 0. in
-    stamp_all x t [||] acc [||] [||];
-    acc
+    let f = Array.make dim 0. in
+    eval_into ~t x ~q:[||] ~f ~c:[||] ~g:[||];
+    f
   in
   let dq x =
-    let m = Mat.zeros dim dim in
-    stamp_all x 0. [||] [||] m [||];
-    m
+    let c = Mat.zeros dim dim in
+    eval_into ~t:0. x ~q:[||] ~f:[||] ~c ~g:[||];
+    c
   in
   let df ~t x =
-    let m = Mat.zeros dim dim in
-    stamp_all x t [||] [||] [||] m;
-    m
+    let g = Mat.zeros dim dim in
+    eval_into ~t x ~q:[||] ~f:[||] ~c:[||] ~g;
+    g
   in
   let var_names = Array.make dim "" in
   Hashtbl.iter (fun name id -> var_names.(id - 1) <- Printf.sprintf "v(%s)" name) t.names;
@@ -131,7 +149,7 @@ let compile t =
         (fun k sn -> var_names.(offset + k) <- Printf.sprintf "%s.%s" d.label sn)
         d.state_names)
     placed;
-  Dae.make ~dim ~q ~f ~dq ~df ~var_names ()
+  Dae.make ~dim ~q ~f ~dq ~df ~eval_into ~var_names ()
 
 let initial_guess t =
   let placed, dim = layout t in

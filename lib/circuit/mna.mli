@@ -19,7 +19,7 @@ val ground : int
     extra states, and the stamp that adds its charges, currents and
     Jacobian entries on every evaluation of the compiled circuit.  A
     compiled circuit holds no mutable state of its own, so its
-    [q]/[f]/[dq]/[df] may run on several domains at once. *)
+    evaluator may run on several domains at once. *)
 type device
 
 type t
@@ -35,9 +35,12 @@ val node : t -> string -> int
 (** [add t device] appends a device. *)
 val add : t -> device -> unit
 
-(** [compile t] freezes the netlist into a DAE.  Variable names are
-    ["v(<node>)"] for node voltages and ["<label>.<state>"] for device
-    states. *)
+(** [compile t] freezes the netlist into a DAE.  Its
+    {!Dae.t.eval_into} zeroes the requested buffers and stamps every
+    device once, in insertion order, into all of them; [q], [f], [dq]
+    and [df] are allocating views over that one pass.  Variable names
+    are ["v(<node>)"] for node voltages and ["<label>.<state>"] for
+    device states. *)
 val compile : t -> Dae.t
 
 (** [initial_guess t] is a start vector matching {!compile}'s layout:

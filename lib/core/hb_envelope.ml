@@ -57,8 +57,11 @@ let synthesize ~n ~m coeffs =
 let eval_g dae ~n ~m ~t2 coeffs omega =
   let nn = (2 * m) + 1 in
   let states = synthesize ~n ~m coeffs in
-  let qs = Array.map dae.Dae.q states in
-  let fs = Array.map (fun st -> dae.Dae.f ~t:t2 st) states in
+  let qs = Array.map (fun _ -> Array.make n 0.) states in
+  let fs = Array.map (fun _ -> Array.make n 0.) states in
+  Array.iteri
+    (fun j st -> dae.Dae.eval_into ~t:t2 st ~q:qs.(j) ~f:fs.(j) ~c:[||] ~g:[||])
+    states;
   let g = Array.make (n * nn) 0. in
   for v = 0 to n - 1 do
     let q_coeffs = Fourier.Series.coeffs (Array.map (fun q -> q.(v)) qs) in
@@ -80,7 +83,14 @@ let eval_g dae ~n ~m ~t2 coeffs omega =
 let eval_q_packed dae ~n ~m coeffs =
   let nn = (2 * m) + 1 in
   let states = synthesize ~n ~m coeffs in
-  let qs = Array.map dae.Dae.q states in
+  let qs =
+    Array.map
+      (fun st ->
+        let q = Array.make n 0. in
+        dae.Dae.eval_into ~t:0. st ~q ~f:[||] ~c:[||] ~g:[||];
+        q)
+      states
+  in
   let out = Array.make (n * nn) 0. in
   for v = 0 to n - 1 do
     let q_coeffs = Fourier.Series.coeffs (Array.map (fun q -> q.(v)) qs) in

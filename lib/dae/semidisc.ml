@@ -3,8 +3,9 @@ open Linalg
 type omega = Unknown of Vec.t | Fixed of float
 
 (* Per-slice scratch: the unpacked grid states, the charges q(X_j) and
-   their t1 derivative (D Q) at the last evaluated point. *)
-type buf = { states : Vec.t array; qs : Vec.t array; q_t1 : Vec.t }
+   resistive terms f(t2, X_j) and the charges' t1 derivative (D Q) at
+   the last evaluated point. *)
+type buf = { states : Vec.t array; qs : Vec.t array; fs : Vec.t array; q_t1 : Vec.t }
 
 type t = {
   dae : System.t;
@@ -21,7 +22,8 @@ type t = {
 let new_buf ~n1 ~n =
   {
     states = Array.init n1 (fun _ -> Array.make n 0.);
-    qs = Array.make n1 [||];
+    qs = Array.init n1 (fun _ -> Array.make n 0.);
+    fs = Array.init n1 (fun _ -> Array.make n 0.);
     q_t1 = Array.make (n1 * n) 0.;
   }
 
@@ -52,11 +54,8 @@ let load t buf y ~off =
     Array.blit y (off + (j * t.n)) buf.states.(j) 0 t.n
   done
 
-(* buf.qs <- q(X_j); buf.q_t1 <- (D (x) I) Q *)
-let charges t buf =
-  for j = 0 to t.n1 - 1 do
-    buf.qs.(j) <- t.dae.System.q buf.states.(j)
-  done;
+(* buf.q_t1 <- (D (x) I) Q from the charges in buf.qs *)
+let charges_t1 t buf =
   for j = 0 to t.n1 - 1 do
     let dj = t.d.(j) in
     for i = 0 to t.n - 1 do
@@ -69,13 +68,17 @@ let charges t buf =
   done
 
 (* dst.(dst_off + j n + i) <- omega (D Q)_{j,i} + f(t2, X_j)_i [+ b_j,i]
-   for the slice at y.(off); leaves the slice's charges in [buf]. *)
+   for the slice at y.(off): one evaluation per grid point; leaves the
+   slice's charges in [buf]. *)
 let g_at t buf ~t2 y ~off dst ~dst_off =
   load t buf y ~off;
-  charges t buf;
+  for j = 0 to t.n1 - 1 do
+    t.dae.System.eval_into ~t:t2 buf.states.(j) ~q:buf.qs.(j) ~f:buf.fs.(j) ~c:[||] ~g:[||]
+  done;
+  charges_t1 t buf;
   let om = omega_at t y ~off in
   for j = 0 to t.n1 - 1 do
-    let fj = t.dae.System.f ~t:t2 buf.states.(j) in
+    let fj = buf.fs.(j) in
     let base = j * t.n in
     match t.forcing with
     | None ->
@@ -114,19 +117,29 @@ type lin = { op : Structured.op; c_blocks : Mat.t array; border : border option 
    scale (D Q). *)
 let linearize_at t buf ~t2 ~scale ~with_c y ~off =
   load t buf y ~off;
-  let cs = Array.map t.dae.System.dq buf.states in
+  (* the blocks belong to the returned [lin]: Krylov operators and
+     periodic [lin]s outlive this call *)
+  let cs = Array.init t.n1 (fun _ -> Mat.zeros t.n t.n) in
+  let b_blocks = Array.init t.n1 (fun _ -> Mat.zeros t.n t.n) in
+  let bordered = match t.omega with Unknown _ -> true | Fixed _ -> false in
+  for j = 0 to t.n1 - 1 do
+    let cj = cs.(j) and bj = b_blocks.(j) in
+    t.dae.System.eval_into ~t:t2 buf.states.(j)
+      ~q:(if bordered then buf.qs.(j) else [||])
+      ~f:[||] ~c:cj ~g:bj;
+    if with_c then
+      for i = 0 to t.n - 1 do
+        for l = 0 to t.n - 1 do
+          bj.(i).(l) <- cj.(i).(l) +. (scale *. bj.(i).(l))
+        done
+      done
+  done;
   let border =
     match t.omega with
     | Fixed _ -> None
     | Unknown row ->
-      charges t buf;
+      charges_t1 t buf;
       Some { col = Array.map (fun s -> scale *. s) buf.q_t1; row }
-  in
-  let b_blocks =
-    Array.init t.n1 (fun j ->
-        let gj = t.dae.System.df ~t:t2 buf.states.(j) in
-        if with_c then Mat.init t.n t.n (fun i l -> cs.(j).(i).(l) +. (scale *. gj.(i).(l)))
-        else gj)
   in
   let alpha = scale *. omega_at t y ~off in
   { op = Structured.make_op ~alpha ~d:t.d ~c_blocks:cs ~b_blocks; c_blocks = cs; border }
@@ -174,7 +187,12 @@ let m_inv lin pc =
 type step = { sys : t; t2 : float; h : float; theta : float; q0 : Vec.t array; g0 : Vec.t }
 
 let step t ~t2 ~h ~theta ~states0 ~g0 =
-  { sys = t; t2; h; theta; q0 = Array.map t.dae.System.q states0; g0 }
+  let charge x =
+    let q = Array.make t.n 0. in
+    t.dae.System.eval_into ~t:t2 x ~q ~f:[||] ~c:[||] ~g:[||];
+    q
+  in
+  { sys = t; t2; h; theta; q0 = Array.map charge states0; g0 }
 
 let step_residual_into st y dst =
   let t = st.sys in

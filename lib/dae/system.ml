@@ -1,4 +1,5 @@
 open Linalg
+module Obs = Wampde_obs
 
 type t = {
   dim : int;
@@ -6,17 +7,52 @@ type t = {
   f : t:float -> Vec.t -> Vec.t;
   dq : Vec.t -> Mat.t;
   df : t:float -> Vec.t -> Mat.t;
+  eval_into : t:float -> Vec.t -> q:Vec.t -> f:Vec.t -> c:Mat.t -> g:Mat.t -> unit;
   var_names : string array;
 }
 
+let c_evals = Obs.Metrics.counter "dae.evals"
 let default_names dim = Array.init dim (Printf.sprintf "x%d")
 
-let make ~dim ~q ~f ?dq ?df ?var_names () =
-  let var_names = match var_names with Some v -> v | None -> default_names dim in
-  if Array.length var_names <> dim then invalid_arg "Dae.make: var_names length mismatch";
+let check_names dim = function
+  | None -> default_names dim
+  | Some v ->
+    if Array.length v <> dim then invalid_arg "Dae.make: var_names length mismatch";
+    v
+
+let[@inline] wanted a = Array.length a > 0
+
+(* plain loops: the vectors are a circuit's few states, too short for
+   a C call to pay *)
+let blit_vec (src : Vec.t) (dst : Vec.t) =
+  for i = 0 to Array.length src - 1 do
+    dst.(i) <- src.(i)
+  done
+
+let blit_mat (src : Mat.t) (dst : Mat.t) =
+  for i = 0 to Array.length src - 1 do
+    blit_vec src.(i) dst.(i)
+  done
+
+let make ~dim ~q ~f ?dq ?df ?eval_into ?var_names () =
+  let var_names = check_names dim var_names in
   let dq = match dq with Some d -> d | None -> fun x -> Nonlin.Fdjac.jacobian q x in
   let df = match df with Some d -> d | None -> fun ~t x -> Nonlin.Fdjac.jacobian (fun y -> f ~t y) x in
-  { dim; q; f; dq; df; var_names }
+  let eval =
+    match eval_into with
+    | Some e -> e
+    | None ->
+      fun ~t x ~q:qb ~f:fb ~c ~g ->
+        if wanted qb then blit_vec (q x) qb;
+        if wanted fb then blit_vec (f ~t x) fb;
+        if wanted c then blit_mat (dq x) c;
+        if wanted g then blit_mat (df ~t x) g
+  in
+  let eval_into ~t x ~q ~f ~c ~g =
+    Obs.Metrics.incr c_evals;
+    eval ~t x ~q ~f ~c ~g
+  in
+  { dim; q; f; dq; df; eval_into; var_names }
 
 let of_ode ~dim ~rhs ?drhs ?var_names () =
   let q x = Array.copy x in
@@ -24,22 +60,47 @@ let of_ode ~dim ~rhs ?drhs ?var_names () =
   let dq x = Mat.identity (Array.length x) in
   let df =
     match drhs with
-    | Some d -> Some (fun ~t x -> Mat.scale (-1.) (d ~t x))
-    | None -> None
+    | Some d -> fun ~t x -> Mat.scale (-1.) (d ~t x)
+    | None -> fun ~t x -> Nonlin.Fdjac.jacobian (fun y -> f ~t y) x
   in
-  make ~dim ~q ~f ~dq ?df ?var_names ()
+  let eval_into ~t x ~q ~f ~c ~g =
+    if wanted q then blit_vec x q;
+    if wanted f then begin
+      let r = rhs ~t x in
+      for i = 0 to dim - 1 do
+        f.(i) <- -1. *. r.(i)
+      done
+    end;
+    if wanted c then
+      for i = 0 to dim - 1 do
+        for j = 0 to dim - 1 do
+          c.(i).(j) <- (if i = j then 1. else 0.)
+        done
+      done;
+    if wanted g then blit_mat (df ~t x) g
+  in
+  make ~dim ~q ~f ~dq ~df ~eval_into ?var_names ()
 
 let consistent_derivative dae ~t x =
-  let c = dae.dq x in
-  let rhs = Vec.scale (-1.) (dae.f ~t x) in
-  match Lu.factor c with
+  let n = dae.dim in
+  let c = Mat.zeros n n and f = Array.make n 0. in
+  dae.eval_into ~t x ~q:[||] ~f ~c ~g:[||];
+  let rhs = Vec.scale (-1.) f in
+  match Lu.factor_into c ~perm:(Array.make n 0) with
   | exception Lu.Singular _ ->
     failwith "Dae.consistent_derivative: singular dq/dx (algebraic constraint present)"
   | lu -> Lu.solve lu rhs
 
 let dc_operating_point ?x0 dae =
-  let x0 = match x0 with Some x -> x | None -> Array.make dae.dim 0. in
+  let n = dae.dim in
+  let x0 = match x0 with Some x -> x | None -> Array.make n 0. in
   Nonlin.Newton.solve
-    ~jacobian:(fun x -> dae.df ~t:0. x)
-    ~residual:(fun x -> dae.f ~t:0. x)
+    ~jacobian:(fun x ->
+      let g = Mat.zeros n n in
+      dae.eval_into ~t:0. x ~q:[||] ~f:[||] ~c:[||] ~g;
+      g)
+    ~residual:(fun x ->
+      let f = Array.make n 0. in
+      dae.eval_into ~t:0. x ~q:[||] ~f ~c:[||] ~g:[||];
+      f)
     x0

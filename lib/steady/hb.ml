@@ -68,12 +68,13 @@ let residual_of dae ~period ~m z =
   let nn = (2 * m) + 1 in
   let coeff v i = z.((v * nn) + (i + m)) in
   let states = synthesize_states ~n ~m coeff in
-  let qs = Array.map dae.Dae.q states in
-  let fs =
-    Array.mapi
-      (fun j st -> dae.Dae.f ~t:(period *. float_of_int j /. float_of_int nn) st)
-      states
-  in
+  let qs = Array.map (fun _ -> Array.make n 0.) states in
+  let fs = Array.map (fun _ -> Array.make n 0.) states in
+  Array.iteri
+    (fun j st ->
+      dae.Dae.eval_into ~t:(period *. float_of_int j /. float_of_int nn) st ~q:qs.(j) ~f:fs.(j)
+        ~c:[||] ~g:[||])
+    states;
   let res = Cx.Cvec.zeros (n * nn) in
   for v = 0 to n - 1 do
     let q_coeffs = analyze ~m (Array.map (fun q -> q.(v)) qs) in
@@ -91,12 +92,13 @@ let jacobian_of dae ~period ~m z =
   let nn = (2 * m) + 1 in
   let coeff v i = z.((v * nn) + (i + m)) in
   let states = synthesize_states ~n ~m coeff in
-  let cs = Array.map dae.Dae.dq states in
-  let gs =
-    Array.mapi
-      (fun j st -> dae.Dae.df ~t:(period *. float_of_int j /. float_of_int nn) st)
-      states
-  in
+  let cs = Array.map (fun _ -> Mat.zeros n n) states in
+  let gs = Array.map (fun _ -> Mat.zeros n n) states in
+  Array.iteri
+    (fun j st ->
+      dae.Dae.eval_into ~t:(period *. float_of_int j /. float_of_int nn) st ~q:[||] ~f:[||]
+        ~c:cs.(j) ~g:gs.(j))
+    states;
   let chat = analyze_matrix ~m cs in
   let ghat = analyze_matrix ~m gs in
   let dim = n * nn in

@@ -28,14 +28,51 @@ let pack grid omega =
 
 let unpack ~n1 ~n y = (Array.init n1 (fun j -> Array.sub y (j * n) n), y.(n1 * n))
 
-(* Autonomous system: f evaluated at t = 0 (no explicit slow forcing). *)
-let collocation_residual dae ~n1 ~d y =
+(* One solve's collocation scratch: the grid states of the last
+   evaluated point and their q, f, C and G. *)
+type colloc = {
+  n1 : int;
+  d : Mat.t;
+  states : Vec.t array;
+  qs : Vec.t array;
+  fs : Vec.t array;
+  cs : Mat.t array;
+  gs : Mat.t array;
+}
+
+let colloc dae ~n1 =
   let n = dae.Dae.dim in
-  let states, omega = unpack ~n1 ~n y in
-  let qs = Array.map dae.Dae.q states in
+  let vecs () = Array.init n1 (fun _ -> Array.make n 0.) in
+  let mats () = Array.init n1 (fun _ -> Mat.zeros n n) in
+  {
+    n1;
+    d = Fourier.Series.diff_matrix n1;
+    states = vecs ();
+    qs = vecs ();
+    fs = vecs ();
+    cs = mats ();
+    gs = mats ();
+  }
+
+(* Loads y's grid states and evaluates each once, autonomously
+   (t = 0: no explicit slow forcing), into the requested outputs. *)
+let evaluate dae cl y ~with_f ~with_jac =
+  let n = dae.Dae.dim in
+  for j = 0 to cl.n1 - 1 do
+    Array.blit y (j * n) cl.states.(j) 0 n;
+    dae.Dae.eval_into ~t:0. cl.states.(j) ~q:cl.qs.(j)
+      ~f:(if with_f then cl.fs.(j) else [||])
+      ~c:(if with_jac then cl.cs.(j) else [||])
+      ~g:(if with_jac then cl.gs.(j) else [||])
+  done
+
+let collocation_residual dae cl y =
+  let n = dae.Dae.dim and n1 = cl.n1 and d = cl.d in
+  evaluate dae cl y ~with_f:true ~with_jac:false;
+  let omega = y.(n1 * n) and qs = cl.qs in
   let res = Array.make ((n1 * n) + 1) 0. in
   for j = 0 to n1 - 1 do
-    let fj = dae.Dae.f ~t:0. states.(j) in
+    let fj = cl.fs.(j) in
     let dj = d.(j) in
     for i = 0 to n - 1 do
       let s = ref 0. in
@@ -48,20 +85,19 @@ let collocation_residual dae ~n1 ~d y =
   (* phase condition: d x_comp / d t1 at grid point 0 *)
   let s = ref 0. in
   for k = 0 to n1 - 1 do
-    s := !s +. (d.(0).(k) *. states.(k).(phase_component))
+    s := !s +. (d.(0).(k) *. cl.states.(k).(phase_component))
   done;
   res.(n1 * n) <- !s;
   res
 
-let collocation_jacobian dae ~n1 ~d y =
-  let n = dae.Dae.dim in
-  let states, omega = unpack ~n1 ~n y in
-  let qs = Array.map dae.Dae.q states in
-  let cs = Array.map dae.Dae.dq states in
+let collocation_jacobian dae cl y =
+  let n = dae.Dae.dim and n1 = cl.n1 and d = cl.d in
+  evaluate dae cl y ~with_f:false ~with_jac:true;
+  let omega = y.(n1 * n) and qs = cl.qs and cs = cl.cs in
   let dim = (n1 * n) + 1 in
   let jac = Mat.zeros dim dim in
   for j = 0 to n1 - 1 do
-    let gj = dae.Dae.df ~t:0. states.(j) in
+    let gj = cl.gs.(j) in
     let dj = d.(j) in
     for k = 0 to n1 - 1 do
       let djk = dj.(k) in
@@ -97,9 +133,9 @@ let solve dae ~n1 ~guess ~omega_guess =
   @@ fun () ->
   Obs.Scope.with_scope "oscillator" @@ fun () ->
   let n = dae.Dae.dim in
-  let d = Fourier.Series.diff_matrix n1 in
-  let residual y = collocation_residual dae ~n1 ~d y in
-  let jacobian y = collocation_jacobian dae ~n1 ~d y in
+  let cl = colloc dae ~n1 in
+  let residual y = collocation_residual dae cl y in
+  let jacobian y = collocation_jacobian dae cl y in
   let options = { Nonlin.Newton.default_options with max_iterations = 80; residual_tol = 1e-9 } in
   let outcome =
     Nonlin.Polyalg.solve ~options ~label:"oscillator" ~jacobian ~residual (pack guess omega_guess)

@@ -54,11 +54,38 @@ let newton_options =
   { Nonlin.Newton.default_options with max_iterations = 40; residual_tol = 1e-10 }
 
 (* The buffers of one integration's implicit steps: the Newton
-   workspace and the Jacobian and pivot order the in-place LU
-   refactors every iteration. *)
-type work = { ws : Nonlin.Newton.workspace; jac : Mat.t; perm : int array }
+   workspace, the Jacobian and pivot order the in-place LU refactors
+   every iteration, and the circuit evaluations the residual and
+   Jacobian read: q and f at the step's start ([q0], [f0]; [q_prev] at
+   the point before it for BDF2), at the Newton iterate ([q], [f]),
+   and C and G there. *)
+type work = {
+  ws : Nonlin.Newton.workspace;
+  jac : Mat.t;
+  perm : int array;
+  q0 : Vec.t;
+  f0 : Vec.t;
+  q_prev : Vec.t;
+  q : Vec.t;
+  f : Vec.t;
+  c : Mat.t;
+  g : Mat.t;
+}
 
-let work dim = { ws = Nonlin.Newton.workspace dim; jac = Mat.zeros dim dim; perm = Array.make dim 0 }
+let work dim =
+  let vec () = Array.make dim 0. in
+  {
+    ws = Nonlin.Newton.workspace dim;
+    jac = Mat.zeros dim dim;
+    perm = Array.make dim 0;
+    q0 = vec ();
+    f0 = vec ();
+    q_prev = vec ();
+    q = vec ();
+    f = vec ();
+    c = Mat.zeros dim dim;
+    g = Mat.zeros dim dim;
+  }
 
 (* Fixed-step implicit solves cannot shrink h on a Newton failure the
    way an adaptive driver can, so they get one rescue attempt with
@@ -100,25 +127,23 @@ let solve_or_rescue w ~label ~jacobian_into ~residual_into ~t ~h x =
   end
 
 let theta_into w dae ~theta ~t ~h x =
-  let q0 = dae.Dae.q x in
-  let f0 = if theta < 1. then dae.Dae.f ~t x else [||] in
+  let q0 = w.q0 and f0 = w.f0 and q = w.q and f = w.f and c = w.c and g = w.g in
+  dae.Dae.eval_into ~t x ~q:q0 ~f:(if theta < 1. then f0 else [||]) ~c:[||] ~g:[||];
   let t1 = t +. h in
   (* residual scaled by h (i.e. q(y) - q0 + h (theta f1 + (1-theta) f0))
      so its magnitude tracks q, not q/h: keeps the Newton tolerance
      meaningful for arbitrarily small steps. *)
   let residual_into y dst =
-    let qy = dae.Dae.q y in
-    let fy = dae.Dae.f ~t:t1 y in
+    dae.Dae.eval_into ~t:t1 y ~q ~f ~c:[||] ~g:[||];
     for i = 0 to dae.Dae.dim - 1 do
       dst.(i) <-
-        qy.(i) -. q0.(i)
-        +. (h *. theta *. fy.(i))
+        q.(i) -. q0.(i)
+        +. (h *. theta *. f.(i))
         +. (if theta < 1. then h *. (1. -. theta) *. f0.(i) else 0.)
     done
   in
   let jacobian_into y jac =
-    let c = dae.Dae.dq y in
-    let g = dae.Dae.df ~t:t1 y in
+    dae.Dae.eval_into ~t:t1 y ~q:[||] ~f:[||] ~c ~g;
     for i = 0 to dae.Dae.dim - 1 do
       for j = 0 to dae.Dae.dim - 1 do
         jac.(i).(j) <- c.(i).(j) +. (h *. theta *. g.(i).(j))
@@ -132,18 +157,18 @@ let theta_step dae ~theta ~t ~h x = theta_into (work dae.Dae.dim) dae ~theta ~t 
 (* BDF2 with the previous two accepted points (fixed step):
    (3 q(x2) - 4 q(x1) + q(x0)) / (2h) + f(t2, x2) = 0 *)
 let bdf2_into w dae ~t ~h ~x_prev x =
-  let q1 = dae.Dae.q x and q0 = dae.Dae.q x_prev in
+  let q1 = w.q0 and q0 = w.q_prev and q = w.q and f = w.f and c = w.c and g = w.g in
+  dae.Dae.eval_into ~t x ~q:q1 ~f:[||] ~c:[||] ~g:[||];
+  dae.Dae.eval_into ~t x_prev ~q:q0 ~f:[||] ~c:[||] ~g:[||];
   let t2 = t +. h in
   let residual_into y dst =
-    let qy = dae.Dae.q y in
-    let fy = dae.Dae.f ~t:t2 y in
+    dae.Dae.eval_into ~t:t2 y ~q ~f ~c:[||] ~g:[||];
     for i = 0 to dae.Dae.dim - 1 do
-      dst.(i) <- ((1.5 *. qy.(i)) -. (2. *. q1.(i)) +. (0.5 *. q0.(i))) +. (h *. fy.(i))
+      dst.(i) <- ((1.5 *. q.(i)) -. (2. *. q1.(i)) +. (0.5 *. q0.(i))) +. (h *. f.(i))
     done
   in
   let jacobian_into y jac =
-    let c = dae.Dae.dq y in
-    let g = dae.Dae.df ~t:t2 y in
+    dae.Dae.eval_into ~t:t2 y ~q:[||] ~f:[||] ~c ~g;
     for i = 0 to dae.Dae.dim - 1 do
       for j = 0 to dae.Dae.dim - 1 do
         jac.(i).(j) <- (1.5 *. c.(i).(j)) +. (h *. g.(i).(j))

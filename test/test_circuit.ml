@@ -160,6 +160,38 @@ let all_devices () =
 
 let bits a = Array.map Int64.bits_of_float a
 
+(* every subset of eval_into's outputs, as (q, f, c, g) flags *)
+let subsets = List.init 16 (fun m -> (m land 1 <> 0, m land 2 <> 0, m land 4 <> 0, m land 8 <> 0))
+
+let buffers n (wq, wf, wc, wg) ~fill =
+  let vec w = if w then Array.make n fill else [||] in
+  let mat w = if w then Array.make_matrix n n fill else [||] in
+  (vec wq, vec wf, mat wc, mat wg)
+
+(* the bits of the four closures at (t, x), and of eval_into's
+   requested outputs on NaN-filled buffers for each subset: each must
+   overwrite its buffer with the matching closure's result ([||] for an
+   output not requested) *)
+let closure_bits dae (t, x) =
+  (bits (dae.Dae.q x), bits (dae.Dae.f ~t x), Array.map bits (dae.Dae.dq x), Array.map bits (dae.Dae.df ~t x))
+
+let eval_into_bits dae (t, x) subset =
+  let q, f, c, g = buffers dae.Dae.dim subset ~fill:Float.nan in
+  dae.Dae.eval_into ~t x ~q ~f ~c ~g;
+  (bits q, bits f, Array.map bits c, Array.map bits g)
+
+let requested (wq, wf, wc, wg) (q, f, c, g) =
+  ((if wq then q else [||]), (if wf then f else [||]), (if wc then c else [||]), if wg then g else [||])
+
+let words_per_call eval =
+  ignore (Sys.opaque_identity (eval ()));
+  let calls = 1000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (eval ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int calls
+
 let stamp_tests =
   [
     Alcotest.test_case "analytic stamps of every device match central differences" `Quick
@@ -212,19 +244,24 @@ let stamp_tests =
            stamping itself must not box floats or build closures *)
         let dae = Vco.build (Vco.vco_a ()) in
         let x = [| 1.3; -0.2; 0.9; 0.1 |] in
-        let words_per_call eval =
-          ignore (Sys.opaque_identity (eval ()));
-          let calls = 1000 in
-          let w0 = Gc.minor_words () in
-          for _ = 1 to calls do
-            ignore (Sys.opaque_identity (eval ()))
-          done;
-          (Gc.minor_words () -. w0) /. float_of_int calls
-        in
         let wf = words_per_call (fun () -> dae.Dae.f ~t:7. x) in
         let wq = words_per_call (fun () -> dae.Dae.q x) in
         Alcotest.(check bool) (Printf.sprintf "f: %.1f words/call <= 32" wf) true (wf <= 32.);
         Alcotest.(check bool) (Printf.sprintf "q: %.1f words/call <= 32" wq) true (wq <= 32.));
+    Alcotest.test_case "eval_into allocates at most 12 words per call for every output subset"
+      `Quick (fun () ->
+        (* into caller buffers, a pass allocates only its context
+           record, whichever outputs it fills *)
+        let dae = Vco.build (Vco.vco_a ()) in
+        let x = [| 1.3; -0.2; 0.9; 0.1 |] in
+        List.iter
+          (fun ((wq, wf, wc, wg) as subset) ->
+            let q, f, c, g = buffers dae.Dae.dim subset ~fill:0. in
+            let w = words_per_call (fun () -> dae.Dae.eval_into ~t:7. x ~q ~f ~c ~g) in
+            Alcotest.(check bool)
+              (Printf.sprintf "q=%b f=%b c=%b g=%b: %.1f words/call <= 12" wq wf wc wg w)
+              true (w <= 12.))
+          subsets);
     Alcotest.test_case "concurrent evaluation from two domains matches serial bits" `Quick
       (fun () ->
         let dae, x0 = all_devices () in
@@ -233,13 +270,20 @@ let stamp_tests =
               let shift i = 0.01 *. float_of_int ((k * 7) + i) in
               (0.1 *. float_of_int k, Array.mapi (fun i xi -> xi +. shift i) x0))
         in
-        let eval (t, x) =
-          ( bits (dae.Dae.q x),
-            bits (dae.Dae.f ~t x),
-            Array.map bits (dae.Dae.dq x),
-            Array.map bits (dae.Dae.df ~t x) )
+        (* q and C come out of eval_into at t <> 0 with the bits of the
+           closures' t = 0 evaluation: no q stamp reads the time *)
+        let eval p =
+          (closure_bits dae p, List.map (eval_into_bits dae p) subsets)
         in
         let serial = Array.map eval points in
+        Array.iteri
+          (fun k (closures, passes) ->
+            List.iter2
+              (fun subset pass ->
+                if pass <> requested subset closures then
+                  Alcotest.failf "eval_into at t = %g differs from the closures" (fst points.(k)))
+              subsets passes)
+          serial;
         let sweep () =
           let ok = ref true in
           for _ = 1 to 50 do

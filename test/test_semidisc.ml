@@ -5,6 +5,7 @@
 open Linalg
 open Testkit
 module Sd = Dae.Semidisc
+module Obs = Wampde_obs
 
 let n1 = 7
 let n2 = 3
@@ -148,16 +149,18 @@ let prop_tests =
 let unit_tests =
   [
     Alcotest.test_case "periodic residual evaluates q once per grid point" `Quick (fun () ->
-        let q_calls = ref 0 in
-        let _, dae, draw = sinh_system in
-        let dae = { dae with Dae.q = (fun x -> incr q_calls; dae.Dae.q x) } in
-        let d = Fourier.Series.diff_matrix n1 in
-        let sd = Sd.make dae ~d ~omega:(Sd.Fixed 1.) ~forcing:None in
-        let p = Sd.periodic sd ~p2:20. ~d2:(Fourier.Series.diff_matrix n2) in
-        let rng = Random.State.make [| 7 |] in
-        let y = Array.concat (List.init n2 (fun _ -> snd (draw_slice sd draw rng ~omega:1.))) in
-        ignore (Sd.periodic_residual p y);
-        Alcotest.(check int) "q calls" (n1 * n2) !q_calls);
+        Obs.Metrics.with_isolated (fun () ->
+            Obs.set_enabled true;
+            let _, dae, draw = sinh_system in
+            let d = Fourier.Series.diff_matrix n1 in
+            let sd = Sd.make dae ~d ~omega:(Sd.Fixed 1.) ~forcing:None in
+            let p = Sd.periodic sd ~p2:20. ~d2:(Fourier.Series.diff_matrix n2) in
+            let rng = Random.State.make [| 7 |] in
+            let y = Array.concat (List.init n2 (fun _ -> snd (draw_slice sd draw rng ~omega:1.))) in
+            let evals = Obs.Metrics.counter "dae.evals" in
+            let evals0 = Obs.Metrics.count evals in
+            ignore (Sd.periodic_residual p y);
+            Alcotest.(check int) "circuit evaluations" (n1 * n2) (Obs.Metrics.count evals - evals0)));
     Alcotest.test_case "dense_into on a reused LU buffer matches fresh factor and solve" `Quick
       (fun () ->
         (* the envelope's dense chord refills and refactors one buffer:
