@@ -1,5 +1,6 @@
 (* Bechamel microbenchmarks for the linear-algebra kernels behind the
-   Newton solves: dense LU factorization (allocating and in place), the
+   Newton solves: dense LU factorization (allocating and in place) and
+   substitution, the (D (x) I) charge-derivative kernel, the
    structured collocation matvec, and one application of the
    DFT-diagonalized block preconditioner.  Next to them, the circuit
    kernel every solver calls: one [eval_into] pass filling [q] and [f]
@@ -8,8 +9,9 @@
    LU is timed at the sizes the dense callers factor: 5 (shooting for
    a four-state orbit and its period), 61 (the q1 warm-up), 101 (the
    VCO-B envelope chord) and 121 (the sinh-cascade periodic MPDE
-   Newton).  The
-   preconditioner apply is timed from the serve jobs' grids
+   Newton); the substitution at the last three.  The (D (x) I)
+   kernel runs at the VCO-B envelope's grid (n1 = 25, four states).
+   The preconditioner apply is timed from the serve jobs' grids
    (n1 = 15-25) up to the largest Krylov envelope grid (161): its real
    DFT is O(n1^2) against a Bluestein FFT's O(n1 log n1), and these
    sizes show where that would start to lose.
@@ -19,6 +21,7 @@
 open Linalg
 
 let lu_sizes = [ 5; 61; 101; 121 ]
+let lu_solve_sizes = [ 61; 101; 121 ]
 let sizes = [ 33; 65; 101 ]
 let precond_sizes = [ 15; 17; 25; 33; 65; 101; 161 ]
 let n = 4 (* states of the VCO DAE *)
@@ -60,6 +63,26 @@ let tests =
                Lu.factor_into buf ~perm));
       ])
     lu_sizes
+  @ List.map
+      (fun nd ->
+        let dense =
+          Mat.init nd nd (fun i j -> (if i = j then 8. else 0.) +. sin (float_of_int ((i * 7) + j)))
+        in
+        let lu = Lu.factor dense in
+        let b = Array.init nd (fun i -> cos (float_of_int i)) and x = Array.make nd 0. in
+        Test.make
+          ~name:(Printf.sprintf "lu_solve_into_%d" nd)
+          (Staged.stage (fun () -> Lu.solve_into lu b x)))
+      lu_solve_sizes
+  @ [
+      (let n1 = 25 in
+       let d = Fourier.Series.diff_matrix n1 in
+       let src = Array.init (n1 * n) (fun i -> sin (float_of_int i)) in
+       let dst = Array.make (n1 * n) 0. in
+       Test.make
+         ~name:(Printf.sprintf "kron_eye_n1_%d_n_%d" n1 n)
+         (Staged.stage (fun () -> Mat.kron_eye_into d ~n ~lo:0 ~hi:n1 src dst)));
+    ]
   @ List.map
       (fun n1 ->
         let op = make_system n1 in

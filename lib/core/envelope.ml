@@ -60,8 +60,20 @@ let semidisc dae options =
   let row = Phase.row options.phase ~n1:options.n1 ~n:dae.Dae.dim ~d in
   Dae.Semidisc.make dae ~d ~omega:(Dae.Semidisc.Unknown row) ~forcing:None
 
-(* g at an accepted grid: the theta step's explicit part *)
-let eval_g sd ~t2 states omega = Dae.Semidisc.g sd ~t2 (Dae.Semidisc.pack sd states omega)
+(* A point of the march: the grid, omega, and there g (the theta
+   step's explicit part) and the flat charges Q, which a theta step
+   from it needs.  A step hands back its accepted point with g and Q
+   from its last residual pass (see [step]); only the march's start
+   evaluates them afresh. *)
+type point = { states : Vec.t array; omega : float; g : Vec.t; q : Vec.t }
+
+let start_point sd ~t2 states omega =
+  {
+    states;
+    omega;
+    g = Dae.Semidisc.g sd ~t2 (Dae.Semidisc.pack sd states omega);
+    q = Dae.Semidisc.charges sd ~t2 states;
+  }
 
 (* Preallocated per-run Newton vectors, reused across iterations and
    steps instead of re-allocating residuals and iterates, and the GMRES
@@ -139,10 +151,13 @@ let new_cache ~size = { lu = None; jac = lazy (Mat.zeros size size); perm = Arra
    as n^3 with the step system. *)
 let refresh_rate = 0.15
 
-(* One theta step of size h2 from (states0, omega0, g0) at t2_new,
-   Newton started from the packed [guess]; [omega0] is the fixed
-   frequency when [sd] has no omega slot. *)
-let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
+(* One theta step of size h2 from the point [p] to t2_new, Newton
+   started from the packed [guess]; [p.omega] is the fixed frequency
+   when [sd] has no omega slot.  Returns the new point and the Newton
+   iterations.  The chord iteration stops right after the residual
+   pass at the iterate it accepts, so g and Q there come from that
+   pass; the trust-region rescue evaluates them once at its answer. *)
+let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
   Obs.Span.span
     ~attrs:[ ("t2", Obs.Span.Float t2_new); ("h2", Obs.Span.Float h2) ]
     "envelope.step"
@@ -154,7 +169,11 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
   let theta = options.theta in
   let size = Dae.Semidisc.size sd in
   let omega_of y = Dae.Semidisc.omega_at sd y ~off:0 in
-  let sys = Dae.Semidisc.step sd ~t2:t2_new ~h:h2 ~theta ~states0 ~g0 in
+  let sys = Dae.Semidisc.step sd ~t2:t2_new ~h:h2 ~theta ~q0:p.q ~g0:p.g in
+  let point_at y =
+    let g, q = Dae.Semidisc.step_point sys in
+    { states = Dae.Semidisc.unpack sd y ~off:0; omega = omega_of y; g; q }
+  in
   let residual_into y dst =
     Dae.Semidisc.step_residual_into sys y dst;
     if Fault.armed () then begin
@@ -346,7 +365,7 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
     in
     Obs.Health.note_newton ~t:t2_new ~iterations:!iters ~rate ()
   end;
-  (Dae.Semidisc.unpack sd !y ~off:0, omega_of !y, !iters)
+  (point_at !y, !iters)
   in
   if not options.rescue then run_chord ()
   else
@@ -366,13 +385,15 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~states0 ~g0 ~omega0 ~guess =
           ~options:{ options.newton with Nonlin.Newton.residual_tol = tol }
           ~label:"envelope.rescue"
           ~cascade:[ Nonlin.Polyalg.Trust_region ]
-          ~jacobian ~residual (Dae.Semidisc.pack sd states0 omega0)
+          ~jacobian ~residual (Dae.Semidisc.pack sd p.states p.omega)
       in
       let report = outcome.Nonlin.Polyalg.report in
       if not report.Nonlin.Newton.converged then raise Newton_failed;
       Obs.Metrics.incr c_rescues;
       let x = report.Nonlin.Newton.x in
-      (Dae.Semidisc.unpack sd x ~off:0, omega_of x, !iters + report.Nonlin.Newton.iterations)
+      (* one residual pass at the answer, for its g and Q *)
+      Dae.Semidisc.step_residual_into sys x scratch.sc_rt;
+      (point_at x, !iters + report.Nonlin.Newton.iterations)
 
 let check_init options (init : Steady.Oscillator.orbit) =
   if Array.length init.Steady.Oscillator.grid <> options.n1 then
@@ -495,7 +516,7 @@ let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?pree
   let control = Step_control.options ctrl in
   let denom = Step_control.richardson_denom ~order:control.Step_control.order in
   let size = Dae.Semidisc.size sd in
-  let g = ref (eval_g sd ~t2:!t2 !states !omega) in
+  let cur = ref (start_point sd ~t2:!t2 !states !omega) in
   let cache = new_cache ~size in
   let scratch = make_scratch ~size in
   let iter_count = ref 0 in
@@ -512,34 +533,34 @@ let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?pree
      step's history begins with the midpoint. *)
   let attempt ~options ~h =
     let t2_new = !t2 +. h in
-    let take ~t2_new ~h ~ts ~grids ~omegas g0 =
+    let take ~t2_new ~h ~ts ~grids ~omegas p =
       extrapolate_into scratch.sc_guess ~t:t2_new ~ts ~grids ~omegas;
-      step sd ~options ~cache ~scratch ~t2_new ~h2:h ~states0:(List.hd grids) ~g0
-        ~omega0:(List.hd omegas) ~guess:scratch.sc_guess
+      step sd ~options ~cache ~scratch ~t2_new ~h2:h ~p ~guess:scratch.sc_guess
     in
-    let full, om_full, it1 = take ~t2_new ~h ~ts:!t2s ~grids:!slices ~omegas:!omegas !g in
-    if not richardson then (full, om_full, it1, None)
+    let full, it1 = take ~t2_new ~h ~ts:!t2s ~grids:!slices ~omegas:!omegas !cur in
+    if not richardson then (full, it1, None)
     else begin
       let h_half = h /. 2. and t2_mid = !t2 +. (h /. 2.) in
       (* the half steps solve a different system from the whole step's:
          the first factors its own Jacobian at [h / 2] rather than reuse
          the one at [h], and the second reuses that *)
       cache.lu <- None;
-      let mid, om_mid, it2 =
-        take ~t2_new:t2_mid ~h:h_half ~ts:!t2s ~grids:!slices ~omegas:!omegas !g
+      let mid, it2 = take ~t2_new:t2_mid ~h:h_half ~ts:!t2s ~grids:!slices ~omegas:!omegas !cur in
+      let fine, it3 =
+        take ~t2_new ~h:h_half ~ts:(t2_mid :: !t2s) ~grids:(mid.states :: !slices)
+          ~omegas:(mid.omega :: !omegas) mid
       in
-      let g_mid = eval_g sd ~t2:t2_mid mid om_mid in
-      let fine, om_fine, it3 =
-        take ~t2_new ~h:h_half ~ts:(t2_mid :: !t2s) ~grids:(mid :: !slices)
-          ~omegas:(om_mid :: !omegas) g_mid
-      in
-      (fine, om_fine, it1 + it2 + it3, Some (richardson_error ~full ~om_full ~fine ~om_fine))
+      ( fine,
+        it1 + it2 + it3,
+        Some
+          (richardson_error ~full:full.states ~om_full:full.omega ~fine:fine.states
+             ~om_fine:fine.omega) )
     end
   in
   let save_checkpoint path =
     Checkpoint.save ~path
       (checkpoint_sections ~options ~dim:n ~t2_end ~ctrl ~escalated:!escalated ~t2:!t2
-         ~omega:!omega ~states:!states ~t2s:!t2s ~omegas:!omegas ~slices:!slices)
+         ~omega:!cur.omega ~states:!cur.states ~t2s:!t2s ~omegas:!omegas ~slices:!slices)
   in
   while !t2 < t2_end -. (1e-9 *. t2_end) do
     let h = Step_control.propose ctrl ~remaining:(t2_end -. !t2) in
@@ -570,7 +591,7 @@ let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?pree
         Obs.Metrics.incr c_escalations;
         Obs.Health.note_escalation ~t:!t2 ()
       end
-    | states', omega', iters, err ->
+    | next, iters, err ->
       iter_count := !iter_count + iters;
       let accepted =
         match err with
@@ -586,9 +607,8 @@ let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?pree
       in
       if accepted then begin
         t2 := !t2 +. h;
-        states := states';
-        omega := omega';
-        g := eval_g sd ~t2:!t2 states' omega';
+        cur := next;
+        let states' = next.states and omega' = next.omega in
         Obs.Metrics.incr c_env_steps;
         note_spectral_health ~t:!t2 states';
         if Obs.Events.active () then

@@ -2,10 +2,17 @@ open Linalg
 
 type omega = Unknown of Vec.t | Fixed of float
 
-(* Per-slice scratch: the unpacked grid states, the charges q(X_j) and
-   resistive terms f(t2, X_j) and the charges' t1 derivative (D Q) at
-   the last evaluated point. *)
-type buf = { states : Vec.t array; qs : Vec.t array; fs : Vec.t array; q_t1 : Vec.t }
+(* Per-slice scratch: the unpacked grid states, the charges q(X_j)
+   (per point as evaluated, and flat as Q, j n + i) and resistive terms
+   f(t2, X_j) and the charges' t1 derivative (D Q) at the last
+   evaluated point. *)
+type buf = {
+  states : Vec.t array;
+  qs : Vec.t array;
+  fs : Vec.t array;
+  q_flat : Vec.t;
+  q_t1 : Vec.t;
+}
 
 type t = {
   dae : System.t;
@@ -17,6 +24,7 @@ type t = {
   forcing : (int -> t2:float -> Vec.t) option;
   buf : buf;
   g : Vec.t;  (* scratch: g at the last theta-step residual point *)
+  mutable writes : int;  (* passes that wrote [buf] or [g], see [step_point] *)
 }
 
 let new_buf ~n1 ~n =
@@ -24,6 +32,7 @@ let new_buf ~n1 ~n =
     states = Array.init n1 (fun _ -> Array.make n 0.);
     qs = Array.init n1 (fun _ -> Array.make n 0.);
     fs = Array.init n1 (fun _ -> Array.make n 0.);
+    q_flat = Array.make (n1 * n) 0.;
     q_t1 = Array.make (n1 * n) 0.;
   }
 
@@ -33,7 +42,18 @@ let make dae ~d ~omega ~forcing =
    | Unknown row when Array.length row <> n1 * n ->
      invalid_arg "Dae.Semidisc.make: phase row length differs from n1 * dim"
    | _ -> ());
-  { dae; n; n1; nd = n1 * n; d; omega; forcing; buf = new_buf ~n1 ~n; g = Array.make (n1 * n) 0. }
+  {
+    dae;
+    n;
+    n1;
+    nd = n1 * n;
+    d;
+    omega;
+    forcing;
+    buf = new_buf ~n1 ~n;
+    g = Array.make (n1 * n) 0.;
+    writes = 0;
+  }
 
 let size t = match t.omega with Unknown _ -> t.nd + 1 | Fixed _ -> t.nd
 let omega_at t y ~off = match t.omega with Unknown _ -> y.(off + t.nd) | Fixed w -> w
@@ -54,18 +74,17 @@ let load t buf y ~off =
     Array.blit y (off + (j * t.n)) buf.states.(j) 0 t.n
   done
 
-(* buf.q_t1 <- (D (x) I) Q from the charges in buf.qs *)
+(* buf.q_flat <- Q and buf.q_t1 <- (D (x) I) Q from the charges in
+   buf.qs (plain copy loops: a point's few states are too short for a
+   C blit to pay) *)
 let charges_t1 t buf =
   for j = 0 to t.n1 - 1 do
-    let dj = t.d.(j) in
+    let qj = buf.qs.(j) and base = j * t.n in
     for i = 0 to t.n - 1 do
-      let s = ref 0. in
-      for k = 0 to t.n1 - 1 do
-        s := !s +. (dj.(k) *. buf.qs.(k).(i))
-      done;
-      buf.q_t1.((j * t.n) + i) <- !s
+      buf.q_flat.(base + i) <- qj.(i)
     done
-  done
+  done;
+  Mat.kron_eye_into t.d ~n:t.n ~lo:0 ~hi:t.n1 buf.q_flat buf.q_t1
 
 (* dst.(dst_off + j n + i) <- omega (D Q)_{j,i} + f(t2, X_j)_i [+ b_j,i]
    for the slice at y.(off): one evaluation per grid point; leaves the
@@ -104,6 +123,7 @@ let phase_at t y ~off dst ~dst_off =
 
 let g t ~t2 y =
   let dst = Array.make t.nd 0. in
+  t.writes <- t.writes + 1;
   g_at t t.buf ~t2 y ~off:0 dst ~dst_off:0;
   dst
 
@@ -184,34 +204,51 @@ let m_inv lin pc =
 
 (* ---------- theta step in t2 ---------- *)
 
-type step = { sys : t; t2 : float; h : float; theta : float; q0 : Vec.t array; g0 : Vec.t }
+type step = {
+  sys : t;
+  t2 : float;
+  h : float;
+  theta : float;
+  q0 : Vec.t;
+  g0 : Vec.t;
+  mutable at : int;  (* [sys.writes] after this step's last residual, or -1 *)
+}
 
-let step t ~t2 ~h ~theta ~states0 ~g0 =
-  let charge x =
-    let q = Array.make t.n 0. in
-    t.dae.System.eval_into ~t:t2 x ~q ~f:[||] ~c:[||] ~g:[||];
-    q
-  in
-  { sys = t; t2; h; theta; q0 = Array.map charge states0; g0 }
+let charges t ~t2 states =
+  let q = Array.make t.nd 0. and qj = Array.make t.n 0. in
+  Array.iteri
+    (fun j x ->
+      t.dae.System.eval_into ~t:t2 x ~q:qj ~f:[||] ~c:[||] ~g:[||];
+      Array.blit qj 0 q (j * t.n) t.n)
+    states;
+  q
+
+let step t ~t2 ~h ~theta ~q0 ~g0 = { sys = t; t2; h; theta; q0; g0; at = -1 }
 
 let step_residual_into st y dst =
   let t = st.sys in
+  t.writes <- t.writes + 1;
+  st.at <- t.writes;
   g_at t t.buf ~t2:st.t2 y ~off:0 t.g ~dst_off:0;
-  let h = st.h and theta = st.theta in
-  for j = 0 to t.n1 - 1 do
-    let qj = t.buf.qs.(j) and q0j = st.q0.(j) in
-    for i = 0 to t.n - 1 do
-      let idx = (j * t.n) + i in
-      dst.(idx) <-
-        qj.(i) -. q0j.(i)
-        +. (h *. theta *. t.g.(idx))
-        +. (if theta < 1. then h *. (1. -. theta) *. st.g0.(idx) else 0.)
-    done
+  let h = st.h and theta = st.theta and q = t.buf.q_flat and q0 = st.q0 in
+  for idx = 0 to t.nd - 1 do
+    dst.(idx) <-
+      q.(idx) -. q0.(idx)
+      +. (h *. theta *. t.g.(idx))
+      +. (if theta < 1. then h *. (1. -. theta) *. st.g0.(idx) else 0.)
   done;
   phase_at t y ~off:0 dst ~dst_off:0
 
+let step_point st =
+  let t = st.sys in
+  if st.at <> t.writes then
+    invalid_arg "Dae.Semidisc.step_point: the system was evaluated since the step's last residual";
+  (Array.copy t.g, Array.copy t.buf.q_flat)
+
 let step_linearize st y =
-  linearize_at st.sys st.sys.buf ~t2:st.t2 ~scale:(st.h *. st.theta) ~with_c:true y ~off:0
+  let t = st.sys in
+  t.writes <- t.writes + 1;
+  linearize_at t t.buf ~t2:st.t2 ~scale:(st.h *. st.theta) ~with_c:true y ~off:0
 
 (* ---------- periodic in t2 ---------- *)
 

@@ -82,14 +82,29 @@ val m_inv : lin -> Structured.precond -> Vec.t -> Vec.t -> unit
 (** {1 Theta step in t2} *)
 
 (** The system [q(X) - q0 + h theta g(y) + h (1 - theta) g0] plus the
-    phase row, for the step to [t2] from [states0] with [g0 = g] there. *)
+    phase row, for the step to [t2] from a grid with charges [q0]
+    (flat, [j n + i]) and [g0 = g] there. *)
 type step
 
-val step :
-  t -> t2:float -> h:float -> theta:float -> states0:Vec.t array -> g0:Vec.t -> step
+(** [charges t ~t2 states] is the flat [Q = (q(X_j))_j] of a grid
+    (fresh, length [n1 n]); one evaluation per grid point. *)
+val charges : t -> t2:float -> Vec.t array -> Vec.t
+
+(** [step t ~t2 ~h ~theta ~q0 ~g0]; the step keeps [q0] and [g0]
+    without copying them. *)
+val step : t -> t2:float -> h:float -> theta:float -> q0:Vec.t -> g0:Vec.t -> step
 
 (** Writes the step residual into its last argument (length {!size}). *)
 val step_residual_into : step -> Vec.t -> Vec.t -> unit
+
+(** [step_point st] is [(g, q)], fresh copies of [g] and of the
+    charges [Q] at the point of [st]'s last {!step_residual_into}: the
+    [g0] and [q0] of a step that starts there, bitwise those that
+    {!g} and {!charges} would evaluate again (q reads no time).  Raises
+    [Invalid_argument] if [st] has no residual, or if {!g}, a
+    linearization or another step's residual has evaluated the system
+    since. *)
+val step_point : step -> Vec.t * Vec.t
 
 (** [alpha = h theta omega], [B_j = C_j + h theta df(X_j)],
     [col = h theta D Q]. *)

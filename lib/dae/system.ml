@@ -36,6 +36,18 @@ let blit_mat (src : Mat.t) (dst : Mat.t) =
 
 let make ~dim ~q ~f ?dq ?df ?eval_into ?var_names () =
   let var_names = check_names dim var_names in
+  (* a finite-difference Jacobian writes its columns straight into the
+     caller's matrix; a given one is copied there *)
+  let dq_into =
+    match dq with
+    | Some d -> fun x c -> blit_mat (d x) c
+    | None -> fun x c -> Nonlin.Fdjac.jacobian_into q x c
+  in
+  let df_into =
+    match df with
+    | Some d -> fun ~t x g -> blit_mat (d ~t x) g
+    | None -> fun ~t x g -> Nonlin.Fdjac.jacobian_into (fun y -> f ~t y) x g
+  in
   let dq = match dq with Some d -> d | None -> fun x -> Nonlin.Fdjac.jacobian q x in
   let df = match df with Some d -> d | None -> fun ~t x -> Nonlin.Fdjac.jacobian (fun y -> f ~t y) x in
   let eval =
@@ -45,8 +57,8 @@ let make ~dim ~q ~f ?dq ?df ?eval_into ?var_names () =
       fun ~t x ~q:qb ~f:fb ~c ~g ->
         if wanted qb then blit_vec (q x) qb;
         if wanted fb then blit_vec (f ~t x) fb;
-        if wanted c then blit_mat (dq x) c;
-        if wanted g then blit_mat (df ~t x) g
+        if wanted c then dq_into x c;
+        if wanted g then df_into ~t x g
   in
   let eval_into ~t x ~q ~f ~c ~g =
     Obs.Metrics.incr c_evals;
@@ -63,6 +75,12 @@ let of_ode ~dim ~rhs ?drhs ?var_names () =
     | Some d -> fun ~t x -> Mat.scale (-1.) (d ~t x)
     | None -> fun ~t x -> Nonlin.Fdjac.jacobian (fun y -> f ~t y) x
   in
+  (* without [drhs], the difference columns go straight into [g] *)
+  let df_into =
+    match drhs with
+    | Some _ -> fun ~t x g -> blit_mat (df ~t x) g
+    | None -> fun ~t x g -> Nonlin.Fdjac.jacobian_into (fun y -> f ~t y) x g
+  in
   let eval_into ~t x ~q ~f ~c ~g =
     if wanted q then blit_vec x q;
     if wanted f then begin
@@ -77,7 +95,7 @@ let of_ode ~dim ~rhs ?drhs ?var_names () =
           c.(i).(j) <- (if i = j then 1. else 0.)
         done
       done;
-    if wanted g then blit_mat (df ~t x) g
+    if wanted g then df_into ~t x g
   in
   make ~dim ~q ~f ~dq ~df ~eval_into ?var_names ()
 

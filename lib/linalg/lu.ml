@@ -113,8 +113,42 @@ let solve_into { lu; perm } b x =
   for i = 0 to n - 1 do
     Array.unsafe_set x i b.(perm.(i))
   done;
-  (* forward substitution, L has unit diagonal *)
-  for i = 1 to n - 1 do
+  (* forward substitution, L has unit diagonal, four rows at a time:
+     rows i..i+3 subtract their terms for j < i side by side, four
+     independent chains instead of one, then finish the 4x4 unit-lower
+     triangle in order.  Every row still subtracts its terms in
+     ascending j from its own b entry, so x is bitwise the row-by-row
+     loop's. *)
+  let i = ref 0 in
+  while !i + 4 <= n do
+    let i0 = !i in
+    let r0 = lu.(i0) and r1 = lu.(i0 + 1) and r2 = lu.(i0 + 2) and r3 = lu.(i0 + 3) in
+    let s0 = ref (Array.unsafe_get x i0) and s1 = ref (Array.unsafe_get x (i0 + 1)) in
+    let s2 = ref (Array.unsafe_get x (i0 + 2)) and s3 = ref (Array.unsafe_get x (i0 + 3)) in
+    (* every product reads x.(j) from memory, as the row-by-row loop
+       does: with both factors loaded the compiler keeps L's entry as
+       the multiply's first operand, whose payload a NaN product
+       carries, so even NaN bits match *)
+    for j = 0 to i0 - 1 do
+      s0 := !s0 -. (Array.unsafe_get r0 j *. Array.unsafe_get x j);
+      s1 := !s1 -. (Array.unsafe_get r1 j *. Array.unsafe_get x j);
+      s2 := !s2 -. (Array.unsafe_get r2 j *. Array.unsafe_get x j);
+      s3 := !s3 -. (Array.unsafe_get r3 j *. Array.unsafe_get x j)
+    done;
+    Array.unsafe_set x i0 !s0;
+    Array.unsafe_set x (i0 + 1) (!s1 -. (Array.unsafe_get r1 i0 *. Array.unsafe_get x i0));
+    Array.unsafe_set x (i0 + 2)
+      (!s2
+      -. (Array.unsafe_get r2 i0 *. Array.unsafe_get x i0)
+      -. (Array.unsafe_get r2 (i0 + 1) *. Array.unsafe_get x (i0 + 1)));
+    Array.unsafe_set x (i0 + 3)
+      (!s3
+      -. (Array.unsafe_get r3 i0 *. Array.unsafe_get x i0)
+      -. (Array.unsafe_get r3 (i0 + 1) *. Array.unsafe_get x (i0 + 1))
+      -. (Array.unsafe_get r3 (i0 + 2) *. Array.unsafe_get x (i0 + 2)));
+    i := i0 + 4
+  done;
+  for i = !i to n - 1 do
     let row = lu.(i) in
     let s = ref (Array.unsafe_get x i) in
     for j = 0 to i - 1 do
@@ -122,7 +156,9 @@ let solve_into { lu; perm } b x =
     done;
     Array.unsafe_set x i !s
   done;
-  (* back substitution *)
+  (* back substitution, one row at a time: row i's chain starts from
+     the x just computed for row i+1, so rows cannot run side by side
+     without reordering their sums *)
   for i = n - 1 downto 0 do
     let row = lu.(i) in
     let s = ref (Array.unsafe_get x i) in

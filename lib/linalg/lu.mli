@@ -36,7 +36,10 @@ val factor_into : Mat.t -> perm:int array -> t
 val factor : Mat.t -> t
 
 (** [solve_into lu b x] solves [A x = b] into [x], which must not be
-    [b]. *)
+    [b].  The forward substitution runs four rows side by side, each
+    still subtracting its terms in ascending column order, so [x] is
+    bitwise that of the plain row-by-row substitution (NaN payloads
+    included). *)
 val solve_into : t -> Vec.t -> Vec.t -> unit
 
 (** [solve lu b] solves [A x = b] into a fresh vector. *)

@@ -30,6 +30,17 @@ val scale : float -> t -> t
 (** [mul a b] is the matrix product. *)
 val mul : t -> t -> t
 
+(** [kron_eye_into d ~n ~lo ~hi src dst] writes rows [lo..hi-1] of
+    [(d (x) I_n) src] into [dst]: for [lo <= j < hi] and [0 <= i < n],
+    [dst.(j n + i) = sum_k d.(j).(k) src.(k n + i)] over the [rows d]
+    points [k], for square [d].  Each sum runs over [k] in ascending
+    order from [0.], so the result is bitwise the naive triple loop's;
+    four outputs are accumulated side by side.  Entries of [dst]
+    outside those rows are not touched.  Raises [Invalid_argument] on
+    a non-square [d], [src] shorter than [rows d * n] or [dst] shorter
+    than [hi * n]. *)
+val kron_eye_into : t -> n:int -> lo:int -> hi:int -> Vec.t -> Vec.t -> unit
+
 (** [matvec m v] is [m * v]. *)
 val matvec : t -> Vec.t -> Vec.t
 

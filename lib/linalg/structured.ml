@@ -61,25 +61,25 @@ let block_mul_into blocks ~src ~dst =
    can be passed directly.  The output rows are independent (each
    chunk writes a disjoint slice of [out] and only reads [v]/[cu]), so
    the block rows run on the pool; per-row sums stay sequential, so
-   the result does not depend on the job count. *)
+   the result does not depend on the job count.  A chunk first writes
+   its rows of (D (x) I) cu into [out], then scales and adds B_j v_j
+   in place. *)
 let apply_into op v out =
-  let n = op.n and n1 = op.n1 in
+  let n = op.n in
   block_mul_into op.c_blocks ~src:v ~dst:op.cu;
-  Par.Pool.parallel_for n1 (fun j ->
-      let bj = op.b_blocks.(j) in
-      let dj = op.d.(j) in
-      let base = j * n in
-      for i = 0 to n - 1 do
-        let s = ref 0. in
-        for k = 0 to n1 - 1 do
-          s := !s +. (dj.(k) *. op.cu.((k * n) + i))
-        done;
-        let row = bj.(i) in
-        let t = ref (op.alpha *. !s) in
-        for l = 0 to n - 1 do
-          t := !t +. (row.(l) *. v.(base + l))
-        done;
-        out.(base + i) <- !t
+  Par.Pool.parallel_chunks op.n1 (fun ~worker:_ ~lo ~hi ->
+      Mat.kron_eye_into op.d ~n ~lo ~hi op.cu out;
+      for j = lo to hi - 1 do
+        let bj = op.b_blocks.(j) in
+        let base = j * n in
+        for i = 0 to n - 1 do
+          let row = bj.(i) in
+          let t = ref (op.alpha *. out.(base + i)) in
+          for l = 0 to n - 1 do
+            t := !t +. (row.(l) *. v.(base + l))
+          done;
+          out.(base + i) <- !t
+        done
       done)
 
 let apply_bordered_into op ~border_col ~border_row v out =

@@ -17,11 +17,12 @@ let step ?typical x j base =
    the same in every chunking, so the Jacobian is bitwise identical
    for every job count.  [?parallel] is opt-in: [f] must be re-entrant
    (pure, no shared scratch, no Obs telemetry). *)
-let jacobian ?(parallel = false) ?typical ?f0 f x =
+let jacobian_into ?(parallel = false) ?typical ?f0 f x jac =
   let n = Array.length x in
   let f0 = match f0 with Some v -> v | None -> f x in
   let m = Array.length f0 in
-  let jac = Mat.zeros m n in
+  if Mat.rows jac <> m || (m > 0 && Mat.cols jac <> n) then
+    invalid_arg "Fdjac.jacobian_into: destination shape differs from m x n";
   let columns xp lo hi =
     for j = lo to hi - 1 do
       let h = step ?typical x j sqrt_eps in
@@ -35,7 +36,12 @@ let jacobian ?(parallel = false) ?typical ?f0 f x =
   in
   if parallel then
     Par.Pool.parallel_chunks n (fun ~worker:_ ~lo ~hi -> columns (Array.copy x) lo hi)
-  else columns (Array.copy x) 0 n;
+  else columns (Array.copy x) 0 n
+
+let jacobian ?parallel ?typical ?f0 f x =
+  let f0 = match f0 with Some v -> v | None -> f x in
+  let jac = Mat.zeros (Array.length f0) (Array.length x) in
+  jacobian_into ?parallel ?typical ~f0 f x jac;
   jac
 
 let jacobian_central ?(parallel = false) ?typical f x =

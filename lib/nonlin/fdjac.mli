@@ -16,6 +16,13 @@ open Linalg
     {!Wampde_obs} telemetry. *)
 val jacobian : ?parallel:bool -> ?typical:Vec.t -> ?f0:Vec.t -> (Vec.t -> Vec.t) -> Vec.t -> Mat.t
 
+(** [jacobian_into ?parallel ?typical ?f0 f x jac] is {!jacobian}
+    written into the caller's [m x n] matrix [jac] (every entry is
+    written), bitwise the same.  Raises [Invalid_argument] when [jac]
+    has another shape. *)
+val jacobian_into :
+  ?parallel:bool -> ?typical:Vec.t -> ?f0:Vec.t -> (Vec.t -> Vec.t) -> Vec.t -> Mat.t -> unit
+
 (** [jacobian_central ?parallel ?typical f x] is the 2nd-order
     central-difference variant (twice the evaluations, more accurate).
     [?parallel] as in {!jacobian}. *)

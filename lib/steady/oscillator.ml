@@ -29,7 +29,8 @@ let pack grid omega =
 let unpack ~n1 ~n y = (Array.init n1 (fun j -> Array.sub y (j * n) n), y.(n1 * n))
 
 (* One solve's collocation scratch: the grid states of the last
-   evaluated point and their q, f, C and G. *)
+   evaluated point and their q, f, C and G, the charges flat as Q
+   (j n + i) and (D (x) I) Q. *)
 type colloc = {
   n1 : int;
   d : Mat.t;
@@ -38,6 +39,8 @@ type colloc = {
   fs : Vec.t array;
   cs : Mat.t array;
   gs : Mat.t array;
+  q_flat : Vec.t;
+  dq : Vec.t;
 }
 
 let colloc dae ~n1 =
@@ -52,6 +55,8 @@ let colloc dae ~n1 =
     fs = vecs ();
     cs = mats ();
     gs = mats ();
+    q_flat = Array.make (n1 * n) 0.;
+    dq = Array.make (n1 * n) 0.;
   }
 
 (* Loads y's grid states and evaluates each once, autonomously
@@ -63,23 +68,23 @@ let evaluate dae cl y ~with_f ~with_jac =
     dae.Dae.eval_into ~t:0. cl.states.(j) ~q:cl.qs.(j)
       ~f:(if with_f then cl.fs.(j) else [||])
       ~c:(if with_jac then cl.cs.(j) else [||])
-      ~g:(if with_jac then cl.gs.(j) else [||])
-  done
+      ~g:(if with_jac then cl.gs.(j) else [||]);
+    let qj = cl.qs.(j) in
+    for i = 0 to n - 1 do
+      cl.q_flat.((j * n) + i) <- qj.(i)
+    done
+  done;
+  Mat.kron_eye_into cl.d ~n ~lo:0 ~hi:cl.n1 cl.q_flat cl.dq
 
 let collocation_residual dae cl y =
   let n = dae.Dae.dim and n1 = cl.n1 and d = cl.d in
   evaluate dae cl y ~with_f:true ~with_jac:false;
-  let omega = y.(n1 * n) and qs = cl.qs in
+  let omega = y.(n1 * n) in
   let res = Array.make ((n1 * n) + 1) 0. in
   for j = 0 to n1 - 1 do
     let fj = cl.fs.(j) in
-    let dj = d.(j) in
     for i = 0 to n - 1 do
-      let s = ref 0. in
-      for k = 0 to n1 - 1 do
-        s := !s +. (dj.(k) *. qs.(k).(i))
-      done;
-      res.((j * n) + i) <- (omega *. !s) +. fj.(i)
+      res.((j * n) + i) <- (omega *. cl.dq.((j * n) + i)) +. fj.(i)
     done
   done;
   (* phase condition: d x_comp / d t1 at grid point 0 *)
@@ -93,7 +98,7 @@ let collocation_residual dae cl y =
 let collocation_jacobian dae cl y =
   let n = dae.Dae.dim and n1 = cl.n1 and d = cl.d in
   evaluate dae cl y ~with_f:false ~with_jac:true;
-  let omega = y.(n1 * n) and qs = cl.qs and cs = cl.cs in
+  let omega = y.(n1 * n) and cs = cl.cs in
   let dim = (n1 * n) + 1 in
   let jac = Mat.zeros dim dim in
   for j = 0 to n1 - 1 do
@@ -114,11 +119,7 @@ let collocation_jacobian dae cl y =
     done;
     (* d residual / d omega = (D Q)_j *)
     for i = 0 to n - 1 do
-      let s = ref 0. in
-      for k = 0 to n1 - 1 do
-        s := !s +. (dj.(k) *. qs.(k).(i))
-      done;
-      jac.((j * n) + i).(n1 * n) <- !s
+      jac.((j * n) + i).(n1 * n) <- cl.dq.((j * n) + i)
     done
   done;
   for k = 0 to n1 - 1 do

@@ -128,6 +128,46 @@ let print_lu_case (kind, a) =
        (Array.to_list
           (Array.map (fun row -> String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") row))) a)))
 
+(* (D (x) I_n) on the envelope's grids: n1 odd, spectral or fourth-order
+   D, a random row range [lo, hi) written into a NaN-filled buffer *)
+let kron_case_gen =
+  let open QCheck.Gen in
+  let* n = int_range 1 9 in
+  let* n1 = map (fun m -> (2 * m) + 1) (int_range 1 20) in
+  let* fd4 = if n1 >= 5 then bool else return false in
+  let* src = array_size (return (n1 * n)) (float_range (-10.) 10.) in
+  let* lo = int_range 0 n1 in
+  let* hi = int_range lo n1 in
+  return (n, n1, fd4, src, lo, hi)
+
+let kron_tests =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"kron_eye_into is bitwise the triple loop" ~count:300
+         (QCheck.make
+            ~print:(fun (n, n1, fd4, _, lo, hi) ->
+              Printf.sprintf "n = %d, n1 = %d, %s, rows [%d, %d)" n n1
+                (if fd4 then "Fd4" else "spectral") lo hi)
+            kron_case_gen)
+         (fun (n, n1, fd4, src, lo, hi) ->
+           let d =
+             if fd4 then Fourier.Series.diff_matrix_fd ~order:4 n1
+             else Fourier.Series.diff_matrix n1
+           in
+           let want = kron_eye_naive d ~n src in
+           let got = Array.make (n1 * n) Float.nan in
+           Mat.kron_eye_into d ~n ~lo ~hi src got;
+           let bits = Int64.bits_of_float in
+           let ok = ref true in
+           Array.iteri
+             (fun idx v ->
+               let in_rows = idx >= lo * n && idx < hi * n in
+               if in_rows && bits v <> bits want.(idx) then ok := false;
+               if (not in_rows) && not (Float.is_nan v) then ok := false)
+             got;
+           !ok));
+  ]
+
 let lu_tests =
   [
     Alcotest.test_case "solve known 2x2" `Quick (fun () ->
@@ -171,6 +211,25 @@ let lu_tests =
       (QCheck.Test.make ~name:"factor_into is bitwise the one-column loop" ~count:400
          (QCheck.make ~print:print_lu_case lu_case_gen)
          (fun (_, a) -> lu_outcome lu_factor_into a = lu_outcome lu_one_column a));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"solve_into is bitwise the row-by-row substitution" ~count:300
+         (QCheck.make
+            ~print:(fun ((kind, a), _) -> print_lu_case (kind, a))
+            QCheck.Gen.(
+              let* kind, a = lu_case_gen in
+              let* b = array_size (return (Array.length a)) (float_range (-1.) 1.) in
+              return ((kind, a), b)))
+         (fun ((_, a), b) ->
+           (* n = 1..40 meets every n mod 4 of the four-row sweep;
+              a singular draw has nothing to solve *)
+           let a = Mat.copy a and perm = Array.make (Array.length a) 0 in
+           match Lu.factor_into a ~perm with
+           | exception Lu.Singular _ -> true
+           | lu ->
+             let x = Array.make (Array.length b) 0. in
+             Lu.solve_into lu b x;
+             let bits = Array.map Int64.bits_of_float in
+             bits x = bits (lu_substitute a perm b)));
     Alcotest.test_case "singular raises" `Quick (fun () ->
         let a = [| [| 1.; 2. |]; [| 2.; 4. |] |] in
         Alcotest.(check bool) "raises" true
@@ -359,6 +418,7 @@ let suites =
     ("linalg.vec", vec_tests);
     ("linalg.mat", mat_tests);
     ("linalg.lu", lu_tests);
+    ("linalg.kron", kron_tests);
     ("linalg.gmres", gmres_tests);
     ("linalg.cx", cx_tests);
     ("linalg.properties", prop_tests);

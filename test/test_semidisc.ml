@@ -106,7 +106,10 @@ let prop (name, dae, draw) (dname, d) omega_case =
       in
       (* theta step from a drawn accepted grid *)
       let states0, y0 = draw_slice sd draw rng ~omega in
-      let st = Sd.step sd ~t2 ~h:h2 ~theta:0.5 ~states0 ~g0:(Sd.g sd ~t2:(t2 -. h2) y0) in
+      let st =
+        Sd.step sd ~t2 ~h:h2 ~theta:0.5 ~q0:(Sd.charges sd ~t2 states0)
+          ~g0:(Sd.g sd ~t2:(t2 -. h2) y0)
+      in
       let _, y = draw_slice sd draw rng ~omega in
       let lin = Sd.step_linearize st y in
       let step_residual y =

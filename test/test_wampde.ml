@@ -256,6 +256,38 @@ let envelope_tests =
              (w_b /. w_a) linear)
           true
           (w_b /. w_a <= 1.15 *. linear));
+    Alcotest.test_case "the dense march evaluates the circuit once per pass, not per accept"
+      `Quick (fun () ->
+        (* the fixed VCO-B march of the headline speedup: per step one
+           residual pass at Newton's start, one per iteration and one
+           per Jacobian refresh; g and the charges of an accepted point
+           come from its last residual pass, so only the start point
+           evaluates them (two passes).  Each pass evaluates all n1
+           grid points. *)
+        let n1 = 25 in
+        let vco_b control = Circuit.Vco.default_params ~damping:1.57 ~force0:4.0e-3 ~control () in
+        let frozen = vco_b (fun _ -> 1.5) in
+        let init =
+          Steady.Oscillator.find (Circuit.Vco.build frozen) ~n1 ~period_hint:(1. /. 0.75)
+            (Circuit.Vco.initial_state frozen)
+        in
+        let dae =
+          Circuit.Vco.build (vco_b (fun t -> 1.5 +. (0.8 *. sin (two_pi *. t /. 1000.))))
+        in
+        let options = Wampde.Envelope.default_options ~n1 () in
+        Wampde_obs.Metrics.with_isolated (fun () ->
+            Wampde_obs.set_enabled true;
+            ignore (Wampde.Envelope.simulate dae ~options ~t2_end:300. ~h2:5. ~init);
+            let count name = Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter name) in
+            let steps = count "envelope.steps" and iterations = count "newton.iterations" in
+            let refreshes = count "envelope.jacobian_refreshes" and evals = count "dae.evals" in
+            Alcotest.(check int) "steps" 60 steps;
+            Alcotest.(check int)
+              (Printf.sprintf "n1 (steps + iterations + refreshes + 2), %d iterations, %d refreshes"
+                 iterations refreshes)
+              (n1 * (steps + iterations + refreshes + 2))
+              evals;
+            Alcotest.(check int) "evaluations" 7_525 evals));
     Alcotest.test_case "every theta solve takes a Newton iteration" `Quick (fun () ->
         (* a residual tolerance loose enough that the extrapolated start
            already meets it: each solve still iterates once, so a

@@ -102,3 +102,44 @@ let lu_one_column a =
     done
   done;
   perm
+
+(* [lu_substitute a perm b] is the plain row-by-row substitution, the
+   oracle for [Linalg.Lu.solve_into]: [a] and [perm] as
+   [Linalg.Lu.factor_into] left them (L below the unit diagonal, U on
+   and above, rows permuted by [perm]).  Each row subtracts its terms
+   in ascending column order, forward then back. *)
+let lu_substitute a perm b =
+  let n = Array.length a in
+  let x = Array.init n (fun i -> b.(perm.(i))) in
+  for i = 1 to n - 1 do
+    let s = ref x.(i) in
+    for j = 0 to i - 1 do
+      s := !s -. (a.(i).(j) *. x.(j))
+    done;
+    x.(i) <- !s
+  done;
+  for i = n - 1 downto 0 do
+    let s = ref x.(i) in
+    for j = i + 1 to n - 1 do
+      s := !s -. (a.(i).(j) *. x.(j))
+    done;
+    x.(i) <- !s /. a.(i).(i)
+  done;
+  x
+
+(* [kron_eye_naive d ~n src] is (D (x) I_n) src by the triple loop,
+   the oracle for [Linalg.Mat.kron_eye_into]: output (j, i) sums
+   d_jk src_(k n + i) over k in ascending order from 0. *)
+let kron_eye_naive d ~n src =
+  let n1 = Array.length d in
+  let dst = Array.make (n1 * n) 0. in
+  for j = 0 to n1 - 1 do
+    for i = 0 to n - 1 do
+      let s = ref 0. in
+      for k = 0 to n1 - 1 do
+        s := !s +. (d.(j).(k) *. src.((k * n) + i))
+      done;
+      dst.((j * n) + i) <- !s
+    done
+  done;
+  dst
