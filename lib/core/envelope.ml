@@ -10,7 +10,7 @@ let c_rescues = Obs.Metrics.counter "envelope.rescues"
 type options = {
   n1 : int;
   theta : float;
-  phase : Phase.t;
+  phase : Dae.Phase.t;
   differentiation : [ `Spectral | `Fd4 ];
   newton : Nonlin.Newton.options;
   solver : Structured.strategy;
@@ -18,7 +18,7 @@ type options = {
   precond_cache : string option;
 }
 
-let default_options ?(n1 = 25) ?(phase = Phase.Derivative 0) ?(solver = Structured.auto)
+let default_options ?(n1 = 25) ?(phase = Dae.Phase.Derivative 0) ?(solver = Structured.auto)
     ?(rescue = true) ?precond_cache () =
   {
     n1;
@@ -57,7 +57,7 @@ let semidisc dae options =
     | `Spectral -> Fourier.Series.diff_matrix options.n1
     | `Fd4 -> Fourier.Series.diff_matrix_fd ~order:4 options.n1
   in
-  let row = Phase.row options.phase ~n1:options.n1 ~n:dae.Dae.dim ~d in
+  let row = Dae.Phase.row options.phase ~n1:options.n1 ~n:dae.Dae.dim ~d in
   Dae.Semidisc.make dae ~d ~omega:(Dae.Semidisc.Unknown row) ~forcing:None
 
 (* A point of the march: the grid, omega, and there g (the theta
@@ -409,8 +409,8 @@ let check_init options (init : Steady.Oscillator.orbit) =
    a t1-rotation maps solutions to solutions with unchanged omega. *)
 let align_init options (init : Steady.Oscillator.orbit) =
   match options.phase with
-  | Phase.Derivative _ -> init
-  | Phase.Fourier { component; harmonic } ->
+  | Dae.Phase.Derivative _ -> init
+  | Dae.Phase.Fourier { component; harmonic } ->
     let n1 = options.n1 in
     let grid = init.Steady.Oscillator.grid in
     let n = Array.length grid.(0) in

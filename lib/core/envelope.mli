@@ -10,7 +10,7 @@
     1; spectral or 4th-order finite-difference differentiation) and
     advanced in [t2] with the theta method.  Each step solves, by
     damped Newton, for the [n1] grid states {e and} the local
-    frequency [omega], closed by a {!Phase} condition.  Newton starts
+    frequency [omega], closed by a {!Dae.Phase} condition.  Newton starts
     from the polynomial extrapolation of the newest (up to three)
     accepted points to the step's end and takes at least one
     iteration.
@@ -24,7 +24,7 @@ open Linalg
 type options = {
   n1 : int;  (** odd number of [t1] collocation points *)
   theta : float;  (** 1 = backward Euler, 0.5 = trapezoidal *)
-  phase : Phase.t;
+  phase : Dae.Phase.t;
   differentiation : [ `Spectral | `Fd4 ];  (** [t1] derivative scheme *)
   newton : Nonlin.Newton.options;
   solver : Structured.strategy;
@@ -51,7 +51,7 @@ type options = {
     preconditioner cache. *)
 val default_options :
   ?n1:int ->
-  ?phase:Phase.t ->
+  ?phase:Dae.Phase.t ->
   ?solver:Structured.strategy ->
   ?rescue:bool ->
   ?precond_cache:string ->

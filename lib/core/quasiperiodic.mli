@@ -30,14 +30,11 @@ exception Solve_failure of Nonlin.Newton.report
     [Singular_jacobian]).  A printer is registered. *)
 
 (** [solve_semidisc sd ~p2 ~n2 ~options ~solver ~label ~fn ~omega
-    slices], the one periodic-in-[t2] driver (also the MPDE's, whose
-    [periodic_initial] is [n2 = 1]), solves {!Dae.Semidisc.periodic} on
-    [sd] from [n2] grids and [n2] omegas (unused when [sd] fixes omega);
-    any other shape raises [Invalid_argument] naming [fn].  It runs the
-    {!Nonlin.Polyalg} cascade; the damped stage's direction is dense LU
-    or, by {!Linalg.Structured.use_krylov} on [solver], GMRES
-    preconditioned per slice by {!Dae.Semidisc.m_inv} with a dense
-    fallback.  [Error] carries the closest attempt's report. *)
+    slices] is {!Dae.Periodic.solve} with the trigonometric [t2]
+    differentiation matrix on [n2] slices, its answer as a {!solution};
+    with telemetry on it notes the worst [t1] resolution over the slices
+    to the health monitor.  The MPDE's periodic solves call it too.
+    [Error] carries the closest attempt's report. *)
 val solve_semidisc :
   ?cascade:Nonlin.Polyalg.strategy list ->
   Dae.Semidisc.t ->

@@ -1,2 +1,4 @@
 include System
 module Semidisc = Semidisc
+module Phase = Phase
+module Periodic = Periodic

@@ -1,5 +1,6 @@
 (** The [t1] semi-discretization of the WaMPDE (paper eq. (16)), shared
-    by the envelope, quasiperiodic and MPDE solvers.
+    by the envelope, quasiperiodic and MPDE solvers and the unforced
+    orbit.
 
     Collocation on an odd uniform [t1] grid of period 1 turns eq. (16)
     into [dQ/dt2 + g(X, omega, t2) = 0] with
@@ -9,7 +10,9 @@
     for the differentiation matrix [D].  [omega] is either an unknown
     closed by a phase condition (eq. (20)) or fixed: the plain MPDE is
     [omega = 1 / p1].  Two [t2] treatments are built on [g]: a theta
-    step (envelope) and periodic collocation (quasiperiodic).
+    step (envelope) and periodic collocation, solved by {!Periodic.solve}
+    (quasiperiodic, the MPDE's periodic solves, and at [n2 = 1] the
+    unforced orbit).
 
     Unknown layout of a slice: [y.(j * n + i)] is component [i] at grid
     point [j], then [omega] in [y.(n1 * n)] when it is unknown; a

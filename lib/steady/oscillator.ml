@@ -19,136 +19,39 @@ let phase_component = 0
 let warmup_cycles = 30
 let transient_steps_per_cycle = 100
 
-(* Flat layout: y.(j * n + i) = variable i at grid point j; y.(n1 * n) = omega. *)
-let pack grid omega =
-  let n1 = Array.length grid in
-  let n = Array.length grid.(0) in
-  Vec.init ((n1 * n) + 1) (fun idx ->
-      if idx = n1 * n then omega else grid.(idx / n).(idx mod n))
+(* the quenched-orbit floor of [polish], documented in the .mli *)
+let quench_fraction = 1e-3
 
-let unpack ~n1 ~n y = (Array.init n1 (fun j -> Array.sub y (j * n) n), y.(n1 * n))
+(* half the peak-to-peak excursion of variable [i] over [states] *)
+let swing states i =
+  let samples = Array.map (fun s -> s.(i)) states in
+  let hi = Array.fold_left Float.max neg_infinity samples in
+  let lo = Array.fold_left Float.min infinity samples in
+  (hi -. lo) /. 2.
 
-(* One solve's collocation scratch: the grid states of the last
-   evaluated point and their q, f, C and G, the charges flat as Q
-   (j n + i) and (D (x) I) Q. *)
-type colloc = {
-  n1 : int;
-  d : Mat.t;
-  states : Vec.t array;
-  qs : Vec.t array;
-  fs : Vec.t array;
-  cs : Mat.t array;
-  gs : Mat.t array;
-  q_flat : Vec.t;
-  dq : Vec.t;
-}
-
-let colloc dae ~n1 =
-  let n = dae.Dae.dim in
-  let vecs () = Array.init n1 (fun _ -> Array.make n 0.) in
-  let mats () = Array.init n1 (fun _ -> Mat.zeros n n) in
-  {
-    n1;
-    d = Fourier.Series.diff_matrix n1;
-    states = vecs ();
-    qs = vecs ();
-    fs = vecs ();
-    cs = mats ();
-    gs = mats ();
-    q_flat = Array.make (n1 * n) 0.;
-    dq = Array.make (n1 * n) 0.;
-  }
-
-(* Loads y's grid states and evaluates each once, autonomously
-   (t = 0: no explicit slow forcing), into the requested outputs. *)
-let evaluate dae cl y ~with_f ~with_jac =
-  let n = dae.Dae.dim in
-  for j = 0 to cl.n1 - 1 do
-    Array.blit y (j * n) cl.states.(j) 0 n;
-    dae.Dae.eval_into ~t:0. cl.states.(j) ~q:cl.qs.(j)
-      ~f:(if with_f then cl.fs.(j) else [||])
-      ~c:(if with_jac then cl.cs.(j) else [||])
-      ~g:(if with_jac then cl.gs.(j) else [||]);
-    let qj = cl.qs.(j) in
-    for i = 0 to n - 1 do
-      cl.q_flat.((j * n) + i) <- qj.(i)
-    done
-  done;
-  Mat.kron_eye_into cl.d ~n ~lo:0 ~hi:cl.n1 cl.q_flat cl.dq
-
-let collocation_residual dae cl y =
-  let n = dae.Dae.dim and n1 = cl.n1 and d = cl.d in
-  evaluate dae cl y ~with_f:true ~with_jac:false;
-  let omega = y.(n1 * n) in
-  let res = Array.make ((n1 * n) + 1) 0. in
-  for j = 0 to n1 - 1 do
-    let fj = cl.fs.(j) in
-    for i = 0 to n - 1 do
-      res.((j * n) + i) <- (omega *. cl.dq.((j * n) + i)) +. fj.(i)
-    done
-  done;
-  (* phase condition: d x_comp / d t1 at grid point 0 *)
-  let s = ref 0. in
-  for k = 0 to n1 - 1 do
-    s := !s +. (d.(0).(k) *. cl.states.(k).(phase_component))
-  done;
-  res.(n1 * n) <- !s;
-  res
-
-let collocation_jacobian dae cl y =
-  let n = dae.Dae.dim and n1 = cl.n1 and d = cl.d in
-  evaluate dae cl y ~with_f:false ~with_jac:true;
-  let omega = y.(n1 * n) and cs = cl.cs in
-  let dim = (n1 * n) + 1 in
-  let jac = Mat.zeros dim dim in
-  for j = 0 to n1 - 1 do
-    let gj = cl.gs.(j) in
-    let dj = d.(j) in
-    for k = 0 to n1 - 1 do
-      let djk = dj.(k) in
-      if djk <> 0. || j = k then
-        for i = 0 to n - 1 do
-          for l = 0 to n - 1 do
-            let value =
-              (omega *. djk *. cs.(k).(i).(l)) +. (if j = k then gj.(i).(l) else 0.)
-            in
-            if value <> 0. then
-              jac.((j * n) + i).((k * n) + l) <- jac.((j * n) + i).((k * n) + l) +. value
-          done
-        done
-    done;
-    (* d residual / d omega = (D Q)_j *)
-    for i = 0 to n - 1 do
-      jac.((j * n) + i).(n1 * n) <- cl.dq.((j * n) + i)
-    done
-  done;
-  for k = 0 to n1 - 1 do
-    jac.(n1 * n).((k * n) + phase_component) <- d.(0).(k)
-  done;
-  jac
-
+(* The orbit is the periodic-in-t2 system at n2 = 1 (no t2 dependence,
+   autonomous: t = 0 throughout), omega unknown and closed by the
+   derivative phase row on [phase_component]. *)
 let solve dae ~n1 ~guess ~omega_guess =
   Obs.Span.span
     ~attrs:[ ("n1", Obs.Span.Int n1); ("dim", Obs.Span.Int dae.Dae.dim) ]
     "oscillator.solve"
   @@ fun () ->
   Obs.Scope.with_scope "oscillator" @@ fun () ->
-  let n = dae.Dae.dim in
-  let cl = colloc dae ~n1 in
-  let residual y = collocation_residual dae cl y in
-  let jacobian y = collocation_jacobian dae cl y in
+  let d = Fourier.Series.diff_matrix n1 in
+  let row = Dae.Phase.row (Dae.Phase.Derivative phase_component) ~n1 ~n:dae.Dae.dim ~d in
+  let sd = Dae.Semidisc.make dae ~d ~omega:(Dae.Semidisc.Unknown row) ~forcing:None in
   let options = { Nonlin.Newton.default_options with max_iterations = 80; residual_tol = 1e-9 } in
-  let outcome =
-    Nonlin.Polyalg.solve ~options ~label:"oscillator" ~jacobian ~residual (pack guess omega_guess)
-  in
-  let report = outcome.Nonlin.Polyalg.report in
-  if not report.Nonlin.Newton.converged then
+  match
+    Dae.Periodic.solve sd ~p2:1. ~d2:(Fourier.Series.diff_matrix 1) ~options
+      ~solver:Structured.Dense ~label:"oscillator" ~fn:"Oscillator.polish"
+      ~omega:[| omega_guess |] [| guess |]
+  with
+  | Ok (omega, grids) -> { omega = omega.(0); grid = grids.(0) }
+  | Error outcome ->
     raise
       (Nonlin.Polyalg.Solve_failed
-         { label = "oscillator"; attempts = outcome.Nonlin.Polyalg.attempts });
-  let grid, omega = unpack ~n1 ~n report.Nonlin.Newton.x in
-  if omega <= 0. then raise (Nonphysical "Oscillator.solve: converged to non-positive frequency");
-  { omega; grid }
+         { label = "oscillator"; attempts = outcome.Nonlin.Polyalg.attempts })
 
 (* [window] holds the warm-up samples that bracket every resampling
    time in [t_start, t_start + period): interpolating in it gives the
@@ -196,7 +99,19 @@ let polish dae ~n1 { period; t_start; window } =
     if raw.(j).(phase_component) > raw.(!peak).(phase_component) then peak := j
   done;
   let guess = Array.init n1 (fun j -> raw.((j + !peak) mod n1)) in
-  solve dae ~n1 ~guess ~omega_guess:(1. /. period)
+  let orbit = solve dae ~n1 ~guess ~omega_guess:(1. /. period) in
+  let amplitude = swing orbit.grid phase_component in
+  let warm = swing window.Transient.states phase_component in
+  if amplitude < quench_fraction *. warm then
+    raise
+      (Nonphysical
+         (Printf.sprintf
+            "Oscillator.polish: converged to an equilibrium (amplitude %.3g of variable %d, %.3g \
+             in the warm-up)"
+            amplitude phase_component warm));
+  if orbit.omega <= 0. then
+    raise (Nonphysical "Oscillator.polish: converged to non-positive frequency");
+  orbit
 
 let find dae ~n1 ~period_hint x0 =
   Obs.Span.span
@@ -204,10 +119,4 @@ let find dae ~n1 ~period_hint x0 =
     "oscillator.find"
   @@ fun () -> polish dae ~n1 (settle dae ~period_hint x0)
 
-let component orbit i = Array.map (fun s -> s.(i)) orbit.grid
-
-let amplitude orbit ~component:i =
-  let samples = component orbit i in
-  let hi = Array.fold_left Float.max neg_infinity samples in
-  let lo = Array.fold_left Float.min infinity samples in
-  (hi -. lo) /. 2.
+let amplitude orbit ~component = swing orbit.grid component

@@ -1,12 +1,13 @@
 (** Periodic steady state of {e unforced autonomous} oscillators:
     unknown waveform {e and} unknown frequency, pinned by a phase
-    condition — exactly the [t2]-independent special case of the
-    WaMPDE, and the initial condition generator for its envelope
+    condition — the initial condition generator for the WaMPDE envelope
     solver.
 
-    Solves [omega (D Q)_j + f(x_j) = 0] (period-1 warped grid,
-    [omega] in cycles per time unit) together with the phase condition
-    [d x_0 / d t1 (0) = 0] (variable 0 peaks at [t1 = 0]). *)
+    The orbit has no [t2] dependence, so it is the [n2 = 1] periodic
+    solve of {!Dae.Semidisc} ({!Dae.Periodic.solve}, dense LU): it
+    solves [omega (D Q)_j + f(x_j) = 0] (period-1 warped grid, [omega]
+    in cycles per time unit) together with the {!Dae.Phase.Derivative}
+    condition [d x_0 / d t1 (0) = 0] (variable 0 peaks at [t1 = 0]). *)
 
 open Linalg
 
@@ -17,8 +18,9 @@ type orbit = {
 
 exception Nonphysical of string
 (** The solve converged to (or the warm-up produced) something that is
-    not a usable oscillation — non-positive frequency, or too few
-    cycles in the warm-up transient.  A printer is registered. *)
+    not a usable oscillation — an equilibrium, a non-positive frequency,
+    or too few cycles in the warm-up transient.  A printer is
+    registered. *)
 
 (** [period orbit] is [1 / omega]. *)
 val period : orbit -> float
@@ -37,11 +39,22 @@ type settled
 val settle : Dae.t -> period_hint:float -> Vec.t -> settled
 
 (** [polish dae ~n1 settled] resamples the settled period onto the odd
-    [n1] grid, rotates it so variable 0 peaks at [t1 = 0], and solves
-    the collocation + phase system from that guess by the
-    {!Nonlin.Polyalg} cascade.  Raises [Nonlin.Polyalg.Solve_failed]
-    when the whole cascade fails and {!Nonphysical} when the converged
-    frequency is non-positive. *)
+    [n1] grid, rotates it so variable 0 peaks at [t1 = 0], and runs
+    the [n2 = 1] periodic solve of {!Dae.Semidisc} from that guess
+    (the {!Nonlin.Polyalg} cascade).  Raises [Nonlin.Polyalg.Solve_failed]
+    when the whole cascade fails.
+
+    Raises {!Nonphysical}, naming the amplitude, when the solve
+    converged to an equilibrium: the orbit's [t1] peak-to-peak in
+    variable 0 is below [1e-3] times the settled window's own.  On such
+    a point [D Q = 0], so the [omega] column of the Jacobian vanishes
+    and the returned [omega] would be arbitrary.  A genuine orbit,
+    polished from the window it was resampled from, keeps that ratio
+    near 1 (0.99 to 1.4 on VCO-A, VCO-B, van der Pol and the diode
+    VCO, the unstable van der Pol cycle at [mu = -0.05] included),
+    while a quenched van der Pol lands at [1e-7] or below; [1e-3] sits
+    between with margin both ways.  It also raises {!Nonphysical} when
+    the converged frequency is non-positive. *)
 val polish : Dae.t -> n1:int -> settled -> orbit
 
 (** [find dae ~n1 ~period_hint x0] is [polish dae ~n1 (settle dae

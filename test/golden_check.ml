@@ -1,6 +1,6 @@
 (* Golden-regression harness for the paper-figure experiments.
 
-   Runs small, deterministic versions of three experiments —
+   Runs small, deterministic versions of four experiments —
 
      vco_a_envelope       VCO-A WaMPDE envelope: local frequency omega(t2)
                           and amplitude envelope (paper Figs. 7-9 regime)
@@ -8,6 +8,8 @@
                           harmonic magnitudes |X_{k1,k2}|
      vco_a_quasiperiodic  VCO-A quasiperiodic WaMPDE (matrix-free):
                           omega and peak voltage per slow slice
+     orbits               unforced orbits of VCO-A, VCO-B, van der Pol
+                          and the diode VCO: omega and amplitude
 
    — and compares every recorded quantity against the committed
    reference in test/golden/*.json, with per-quantity rtol/atol stored
@@ -238,11 +240,45 @@ let vco_a_quasiperiodic () : experiment =
     ("peak_voltage", tol (Array.map peak sol.Wampde.Quasiperiodic.slices));
   ]
 
+(* Unforced orbits of four circuits through [Oscillator.find]: omega
+   and the amplitude of variable 0.  Each is a Newton solve to 1e-9
+   from a fixed warm-up, so a change of the orbit solver that moves
+   more than rounding shows here. *)
+let orbits () : experiment =
+  let vdp mu =
+    Dae.of_ode ~dim:2
+      ~rhs:(fun ~t:_ x -> [| x.(1); (mu *. (1. -. (x.(0) *. x.(0))) *. x.(1)) -. x.(0) |])
+      ()
+  in
+  let vco p n1 =
+    Steady.Oscillator.find (Circuit.Vco.build p) ~n1 ~period_hint:(1. /. 0.75)
+      (Circuit.Vco.initial_state p)
+  in
+  let vco_a = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
+  let vco_b = Circuit.Vco.default_params ~damping:1.57 ~force0:4.0e-3 ~control:(fun _ -> 1.5) () in
+  let diode = Circuit.Diode_vco.default_params ~control:(fun _ -> 3.) () in
+  let runs =
+    [|
+      vco vco_a 15;
+      vco vco_a 41;
+      vco vco_b 25;
+      Steady.Oscillator.find (vdp 0.3) ~n1:31 ~period_hint:6.3 [| 2.; 0. |];
+      Steady.Oscillator.find (Circuit.Diode_vco.build diode) ~n1:31 ~period_hint:1.0
+        (Circuit.Diode_vco.initial_state diode ~at:0.);
+    |]
+  in
+  let tol values = { rtol = 1e-10; atol = 1e-12; values } in
+  [
+    ("omega", tol (Array.map (fun o -> o.Steady.Oscillator.omega) runs));
+    ("amplitude", tol (Array.map (Steady.Oscillator.amplitude ~component:0) runs));
+  ]
+
 let experiments =
   [
     ("vco_a_envelope", vco_a_envelope);
     ("mpde_am_spectrum", mpde_am_spectrum);
     ("vco_a_quasiperiodic", vco_a_quasiperiodic);
+    ("orbits", orbits);
   ]
 
 (* ---------- compare / update ---------- *)

@@ -76,7 +76,7 @@ let hbform_tests =
         in
         let options =
           Wampde.Envelope.default_options ~n1:25
-            ~phase:(Wampde.Phase.Fourier { component = 0; harmonic = 1 })
+            ~phase:(Dae.Phase.Fourier { component = 0; harmonic = 1 })
             ()
         in
         let res = Wampde.Envelope.simulate dae ~options ~t2_end:10. ~h2:0.4 ~init:orbit in
@@ -146,7 +146,7 @@ let hb_envelope_tests =
         in
         let opts =
           Wampde.Envelope.default_options ~n1:25
-            ~phase:(Wampde.Phase.Fourier { component = 0; harmonic = 1 })
+            ~phase:(Dae.Phase.Fourier { component = 0; harmonic = 1 })
             ()
         in
         let td = Wampde.Envelope.simulate dae ~options:opts ~t2_end:6. ~h2:0.2 ~init:orbit in
@@ -176,8 +176,8 @@ let hb_envelope_tests =
           let opts = Wampde.Envelope.default_options ~n1:25 ~phase () in
           Wampde.Envelope.simulate dae ~options:opts ~t2_end:6. ~h2:0.2 ~init:orbit
         in
-        let rd = run (Wampde.Phase.Derivative 0) in
-        let rf = run (Wampde.Phase.Fourier { component = 0; harmonic = 1 }) in
+        let rd = run (Dae.Phase.Derivative 0) in
+        let rf = run (Dae.Phase.Fourier { component = 0; harmonic = 1 }) in
         Array.iteri
           (fun i om ->
             (* a near-sinusoidal waveform peaks where Im X1 = 0: the two

@@ -45,11 +45,11 @@ let make_sd dae ~d ~omega_case ~omega =
   let n = dae.Dae.dim in
   match omega_case with
   | Derivative ->
-    Sd.make dae ~d ~omega:(Sd.Unknown (Wampde.Phase.row (Wampde.Phase.Derivative 0) ~n1 ~n ~d))
+    Sd.make dae ~d ~omega:(Sd.Unknown (Dae.Phase.row (Dae.Phase.Derivative 0) ~n1 ~n ~d))
       ~forcing:None
   | Fourier ->
-    let phase = Wampde.Phase.Fourier { component = 0; harmonic = 1 } in
-    Sd.make dae ~d ~omega:(Sd.Unknown (Wampde.Phase.row phase ~n1 ~n ~d)) ~forcing:None
+    let phase = Dae.Phase.Fourier { component = 0; harmonic = 1 } in
+    Sd.make dae ~d ~omega:(Sd.Unknown (Dae.Phase.row phase ~n1 ~n ~d)) ~forcing:None
   | Fixed -> Sd.make dae ~d ~omega:(Sd.Fixed omega) ~forcing:(Some (forcing dae))
 
 (* one slice of unknowns: drawn states, then omega when it is unknown *)

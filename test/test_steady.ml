@@ -88,6 +88,37 @@ let oscillator_tests =
           [ 15 ]);
   ]
 
+let quench_tests =
+  [
+    Alcotest.test_case "a quenched orbit raises Nonphysical; the unstable cycle does not" `Quick
+      (fun () ->
+        (* mu < 0 damps the equilibrium: from [2; 0] the warm-up still
+           crosses zero often enough at mu = -0.1 and -0.2, but Newton
+           converges onto the equilibrium, where omega is undetermined;
+           at mu = -0.05 it finds the (unstable) amplitude-2 cycle *)
+        let find mu n1 = Steady.Oscillator.find (vdp mu) ~n1 ~period_hint:6.3 [| 2.; 0. |] in
+        List.iter
+          (fun n1 ->
+            List.iter
+              (fun mu ->
+                match find mu n1 with
+                | orbit ->
+                  Alcotest.failf "mu = %g, n1 = %d: returned omega %g, amplitude %g" mu n1
+                    orbit.Steady.Oscillator.omega
+                    (Steady.Oscillator.amplitude orbit ~component:0)
+                | exception Steady.Oscillator.Nonphysical msg ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "mu = %g, n1 = %d names the amplitude: %s" mu n1 msg)
+                    true
+                    (Str.string_match (Str.regexp ".*amplitude") msg 0))
+              [ -0.1; -0.2 ];
+            approx_tol 3e-2
+              (Printf.sprintf "mu = -0.05, n1 = %d: amplitude 2" n1)
+              2.
+              (Steady.Oscillator.amplitude (find (-0.05) n1) ~component:0))
+          [ 15; 31; 65 ]);
+  ]
+
 let shooting_tests =
   [
     Alcotest.test_case "autonomous shooting: harmonic-like vdp small mu" `Quick (fun () ->
@@ -106,5 +137,6 @@ let shooting_tests =
 let suites =
   [
     ("steady.oscillator", oscillator_tests);
+    ("steady.quench", quench_tests);
     ("steady.shooting", shooting_tests);
   ]

@@ -42,7 +42,7 @@ let vco_step_system () =
         done;
         h2 *. theta *. !s)
   in
-  let border_row = Wampde.Phase.row (Wampde.Phase.Derivative 0) ~n1 ~n ~d in
+  let border_row = Dae.Phase.row (Dae.Phase.Derivative 0) ~n1 ~n ~d in
   (op, border_col, border_row)
 
 let unit_tests =

@@ -53,7 +53,7 @@ let phase_tests =
     Alcotest.test_case "derivative row annihilates even waveforms" `Quick (fun () ->
         let n1 = 15 and n = 2 in
         let d = Fourier.Series.diff_matrix n1 in
-        let row = Wampde.Phase.row (Wampde.Phase.Derivative 0) ~n1 ~n ~d in
+        let row = Dae.Phase.row (Dae.Phase.Derivative 0) ~n1 ~n ~d in
         (* x0(t1) = cos(2 pi t1) has zero derivative at t1 = 0 *)
         let x =
           Vec.init (n1 * n) (fun idx ->
@@ -65,7 +65,7 @@ let phase_tests =
         let n1 = 15 and n = 1 in
         let d = Fourier.Series.diff_matrix n1 in
         let row =
-          Wampde.Phase.row (Wampde.Phase.Fourier { component = 0; harmonic = 1 }) ~n1 ~n ~d
+          Dae.Phase.row (Dae.Phase.Fourier { component = 0; harmonic = 1 }) ~n1 ~n ~d
         in
         (* sin has Im c1 = -1/2, cos has Im c1 = 0; the row is scaled by
            n1 to keep it O(1) in the Newton system *)
@@ -77,7 +77,7 @@ let phase_tests =
         let d = Fourier.Series.diff_matrix 5 in
         Alcotest.(check bool) "raises" true
           (try
-             ignore (Wampde.Phase.row (Wampde.Phase.Derivative 3) ~n1:5 ~n:2 ~d);
+             ignore (Dae.Phase.row (Dae.Phase.Derivative 3) ~n1:5 ~n:2 ~d);
              false
            with Invalid_argument _ -> true));
   ]
@@ -332,7 +332,7 @@ let envelope_tests =
         let opt_d = Wampde.Envelope.default_options ~n1:25 () in
         let opt_f =
           Wampde.Envelope.default_options ~n1:25
-            ~phase:(Wampde.Phase.Fourier { component = 0; harmonic = 1 })
+            ~phase:(Dae.Phase.Fourier { component = 0; harmonic = 1 })
             ()
         in
         let rd = Wampde.Envelope.simulate dae ~options:opt_d ~t2_end:8. ~h2:0.2 ~init:orbit in
@@ -356,6 +356,44 @@ let envelope_tests =
 
 let quasi_tests =
   [
+    Alcotest.test_case "at constant control the n2 = 5 solve is the n2 = 1 orbit" `Quick
+      (fun () ->
+        (* the quasiperiodic WaMPDE and the orbit run the one periodic
+           driver at n2 = 5 and n2 = 1; with nothing varying in t2 every
+           slice must come back as the orbit.  The seed is the orbit
+           moved off it (omega by 1 %, slice m scaled by 1 + m / 100), so
+           Newton has to find its way back.  At the default tol 1e-8 the
+           n2 = 5 answer sits 7e-10 off; at 1e-11 it sits 2e-11 off, the
+           orbit's own accuracy *)
+        let n1 = 15 and n2 = 5 in
+        let orbit = vco_a_orbit ~n1 in
+        let dae = Circuit.Vco.build (Circuit.Vco.default_params ~control:(fun _ -> 1.5) ()) in
+        let grid = orbit.Steady.Oscillator.grid and omega = orbit.Steady.Oscillator.omega in
+        let guess =
+          {
+            Wampde.Quasiperiodic.p2 = 40.;
+            t2 = Array.init n2 (fun m -> 40. *. float_of_int m /. float_of_int n2);
+            omega = Array.make n2 (1.01 *. omega);
+            slices =
+              Array.init n2 (fun m ->
+                  Array.map (Array.map (fun x -> x *. (1. +. (float_of_int m /. 100.)))) grid);
+          }
+        in
+        let sol =
+          Wampde.Quasiperiodic.solve dae ~tol:1e-11
+            ~options:(Wampde.Envelope.default_options ~n1 ()) ~p2:40. ~n2 ~guess ()
+        in
+        Array.iteri
+          (fun m slice ->
+            approx_tol 1e-9 (Printf.sprintf "omega, slice %d" m) omega
+              sol.Wampde.Quasiperiodic.omega.(m);
+            Array.iteri
+              (fun j x ->
+                Array.iteri
+                  (fun i v -> approx_tol 1e-9 (Printf.sprintf "x(%d, %d).(%d)" j m i) v x.(i))
+                  grid.(j))
+              slice)
+          sol.Wampde.Quasiperiodic.slices);
     Alcotest.test_case "VCO-A FM-quasiperiodic steady state" `Slow (fun () ->
         let dae, orbit = vco_a_setup () in
         let options = Wampde.Envelope.default_options ~n1:25 () in
