@@ -186,9 +186,9 @@ let with_obs ?(cmd = "") ?total obs f =
      with Invalid_argument msg ->
        Printf.eprintf "wampde_cli: %s: %s\n" Fault.env_var msg;
        exit 1));
-  (* flight recorder: always armed, whatever the telemetry flags, so a
-     typed failure, fault trip or fatal signal can dump a postmortem *)
-  Obs.Flight.arm ();
+  (* flight recorder: a fresh timeline whatever the telemetry flags, so
+     a typed failure, fault trip or fatal signal can dump a postmortem *)
+  Obs.Flight.clear ();
   flight_ctx := (cmd, obs.o_flight);
   List.iter
     (fun (signo, name, code) ->
@@ -216,23 +216,24 @@ let with_obs ?(cmd = "") ?total obs f =
       Obs.Span.set_gc_stats true;
       Obs.Span.start_recording ()
     end;
-    (* solver decisions as instant events on the span timeline *)
-    let instant_sub =
-      if perfetto <> None then Some (Obs.Events.subscribe Obs.Trace_event.record_event)
-      else None
-    in
     let collector = Option.map (fun file -> (file, Obs.Report.collect ())) report in
-    let cleanup_trace =
-      match trace with
-      | None -> fun () -> ()
-      | Some file ->
-        let oc = open_or_die file in
-        Obs.Span.set_writer (Some (fun line -> output_string oc line; output_char oc '\n'));
-        let sub = Obs.Events.subscribe (fun e -> output_string oc (Obs.Events.to_json e); output_char oc '\n') in
-        fun () ->
-          Obs.Events.unsubscribe sub;
-          Obs.Span.set_writer None;
-          close_out oc
+    (* one recorder for both trace artifacts: --trace gets each event
+       record as a line next to the span lines, Perfetto gets the
+       records as instants on the span timeline *)
+    let trace_oc = Option.map open_or_die trace in
+    let write_line oc line =
+      output_string oc line;
+      output_char oc '\n'
+    in
+    Option.iter (fun oc -> Obs.Span.set_writer (Some (write_line oc))) trace_oc;
+    let events = ref [] in
+    let recorder =
+      if not recording then None
+      else
+        Some
+          (Obs.Events.subscribe (fun r ->
+               Option.iter (fun oc -> write_line oc (Obs.Events.to_json r)) trace_oc;
+               if perfetto <> None then events := r :: !events))
     in
     let stream =
       match obs.o_stream with
@@ -276,18 +277,21 @@ let with_obs ?(cmd = "") ?total obs f =
              ?error:(if !ran_ok then None else Some "run aborted")
              ()
          | None -> ());
-        cleanup_trace ();
-        (match instant_sub with Some s -> Obs.Events.unsubscribe s | None -> ());
+        Option.iter Obs.Events.unsubscribe recorder;
+        Option.iter
+          (fun oc ->
+            Obs.Span.set_writer None;
+            close_out oc)
+          trace_oc;
         if recording then begin
           let spans = Obs.Span.stop_recording () in
-          let instants = Obs.Span.recorded_instants () in
           Obs.Span.set_gc_stats false;
           (match perfetto with
            | Some file ->
              write_file_or_die file
                (Obs.Trace_event.to_string
                   ~process_name:(if cmd = "" then "wampde" else "wampde " ^ cmd)
-                  ~spans ~instants ())
+                  ~spans ~events:(List.rev !events) ())
            | None -> ());
           if trace <> None then prerr_string (Obs.Span.tree_summary spans)
         end;

@@ -184,12 +184,6 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
   let tol = options.newton.Nonlin.Newton.residual_tol in
   let max_iterations = Int.max 40 options.newton.Nonlin.Newton.max_iterations in
   let iters = ref 0 in
-  let fail () =
-    Obs.Metrics.incr c_env_rejects;
-    if Obs.Events.active () then
-      Obs.Events.emit (Obs.Events.Step_reject { t = t2_new; h = h2; reason = "newton" });
-    raise Newton_failed
-  in
   let refresh y =
     Obs.Metrics.incr c_jac_refresh;
     let lin = Dae.Semidisc.step_linearize sys y in
@@ -257,6 +251,19 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
   residual_into !y !r;
   let rnorm = ref (Vec.norm_inf !r) in
   let r0 = !rnorm in
+  let newton_done ~converged =
+    if Obs.Events.active () then
+      Obs.Events.emit
+        (Obs.Events.Newton_done
+           { solver = "envelope.chord"; iterations = !iters; residual = !rnorm; converged })
+  in
+  let fail () =
+    newton_done ~converged:false;
+    Obs.Metrics.incr c_env_rejects;
+    if Obs.Events.active () then
+      Obs.Events.emit (Obs.Events.Step_reject { t = t2_new; h = h2; reason = "newton" });
+    raise Newton_failed
+  in
   (* a start that already meets [tol] takes its one iteration (see
      below) as a full Newton step: a chord step on a stale Jacobian
      contracts too little to stop the extrapolation amplifying the
@@ -322,11 +329,7 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
             iteration refactors at the new iterate *)
          if (not !fresh) && rtnorm > tol && rtnorm > refresh_rate *. !rnorm then cache.lu <- None;
          rnorm := rtnorm;
-         fresh := false;
-         if Obs.Events.active () then
-           Obs.Events.emit
-             (Obs.Events.Newton_iter
-                { solver = "envelope.chord"; k = !iters; residual = rtnorm; damping = 1. })
+         fresh := false
        end
        else if not !fresh then begin
          (* stale Jacobian stopped contracting: refresh and retry *)
@@ -358,6 +361,7 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
        end
      done
    with Lu.Singular _ -> fail ());
+  newton_done ~converged:true;
   (* estimated contraction rate from the initial and final residuals *)
   if !iters >= 1 then begin
     let rate =
@@ -610,9 +614,11 @@ let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?pree
         cur := next;
         let states' = next.states and omega' = next.omega in
         Obs.Metrics.incr c_env_steps;
-        note_spectral_health ~t:!t2 states';
+        (* omega(t2) right after the accept that reached t2: the stream's
+           progress record and the report's history pair them *)
         if Obs.Events.active () then
           Obs.Events.emit (Obs.Events.Phase_condition { omega = omega'; t2 = !t2 });
+        note_spectral_health ~t:!t2 states';
         t2s := !t2 :: !t2s;
         omegas := omega' :: !omegas;
         slices := Array.map Array.copy states' :: !slices;

@@ -195,6 +195,8 @@ let simulate dae ~harmonics:m ?(phase_component = 0)
       g := eval_g dae ~n ~m ~t2:t2_new !coeffs !omega;
       Obs.Metrics.incr c_steps;
       Step_control.record_accept ctrl ~t:!t2 ~h_used:h;
+      if Obs.Events.active () then
+        Obs.Events.emit (Obs.Events.Phase_condition { omega = !omega; t2 = t2_new });
       (if Obs.enabled () then begin
          (* the coefficients are already spectral: analyse each
             component's centered vector directly, worst case over
@@ -210,8 +212,6 @@ let simulate dae ~harmonics:m ?(phase_component = 0)
            !coeffs;
          Obs.Health.note_spectrum ~t:t2_new ~tail:!tail ~needed:!needed ~available:!avail ()
        end);
-      if Obs.Events.active () then
-        Obs.Events.emit (Obs.Events.Phase_condition { omega = !omega; t2 = t2_new });
       t2 := t2_new;
       t2s := t2_new :: !t2s;
       omegas := !omega :: !omegas;

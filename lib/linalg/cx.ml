@@ -33,8 +33,7 @@ module Clu = struct
 
   let note_factor ~n =
     Wampde_obs.Metrics.incr c_factor;
-    Wampde_obs.Metrics.observe h_dim (float_of_int n);
-    if Wampde_obs.Events.active () then Wampde_obs.Events.emit (Wampde_obs.Events.Lu_factor { n })
+    Wampde_obs.Metrics.observe h_dim (float_of_int n)
 
   let square a =
     let n = Array.length a in

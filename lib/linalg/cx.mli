@@ -57,8 +57,7 @@ module Clu : sig
   val factor_quiet : Cmat.t -> t
 
   (** Record the telemetry of one [n x n] factorization
-      ([lu.factor_complex], [lu.dim_complex], the [Lu_factor] event)
-      without performing it. *)
+      ([lu.factor_complex], [lu.dim_complex]) without performing it. *)
   val note_factor : n:int -> unit
 
   (** [solve_into lu ~b_re ~b_im ~x_re ~x_im] solves [A x = b] on split

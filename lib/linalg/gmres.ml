@@ -124,9 +124,6 @@ let solve ~matvec ?m_inv ?ws ?x0 ?(restart = default_restart) ?max_iter ?(tol = 
            g.(j + 1) <- -.sn.(j) *. g.(j);
            g.(j) <- cs.(j) *. g.(j);
            Obs.Metrics.incr c_iters;
-           if Obs.Events.active () then
-             Obs.Events.emit
-               (Obs.Events.Gmres_iter { k = !total_iters; residual = Float.abs g.(j + 1) });
            k_done := j + 1;
            if hj1 = 0. || Float.abs g.(j + 1) <= target then raise Exit;
            Vec.scale_inplace (1. /. hj1) w

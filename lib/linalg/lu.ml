@@ -46,7 +46,6 @@ let factor_into a ~perm =
   if Array.length perm <> n then invalid_arg "Lu.factor_into: perm length mismatch";
   Obs.Metrics.incr c_factor;
   Obs.Metrics.observe h_dim (float_of_int n);
-  if Obs.Events.active () then Obs.Events.emit (Obs.Events.Lu_factor { n });
   let lu = a in
   for i = 0 to n - 1 do
     perm.(i) <- i

@@ -138,9 +138,6 @@ let solve_into ?(options = default_options) ?(label = "newton") ~ws ~linear_solv
            r := !rt;
            rt := rv;
            rnorm := rtnorm;
-           if Obs.Events.active () then
-             Obs.Events.emit
-               (Obs.Events.Newton_iter { solver = label; k = k + 1; residual = rtnorm; damping = lambda });
            if !rnorm <= options.residual_tol then
              finish ~iterations:(k + 1) ~converged:true ~reason:None
            else if step_norm <= options.step_tol then

@@ -56,8 +56,8 @@ val workspace : int -> workspace
     globalizes the iteration.
 
     Telemetry: each call is wrapped in a [newton.solve] span, updates
-    the [newton.*] metrics and emits [Newton_iter] / [Newton_done]
-    events tagged with [label] (default ["newton"]), so callers can
+    the [newton.*] metrics and emits one [Newton_done] event per solve
+    tagged with [label] (default ["newton"]), so callers can
     distinguish e.g. shooting updates from collocation solves. *)
 val solve_into :
   ?options:options ->

@@ -119,10 +119,6 @@ let solve ?(options = Newton.default_options) ?(label = "trust_region") ?jacobia
           x := trial;
           r := rt;
           rnorm := Vec.norm_inf rt;
-          if Obs.Events.active () then
-            Obs.Events.emit
-              (Obs.Events.Newton_iter
-                 { solver = label; k = k + 1; residual = !rnorm; damping = 1. });
           iterate (k + 1) None
         end
         else begin

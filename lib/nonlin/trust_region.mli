@@ -19,7 +19,7 @@ open Linalg
     {!Newton.solve}; [options.min_damping] and [options.step_tol] are
     unused.  Failure reasons: [Line_search_failed] encodes trust-radius
     collapse, [Non_finite_residual] a NaN/Inf residual at the current
-    iterate.  Emits [Newton_iter]/[Newton_done] tagged [label] and
+    iterate.  Emits one [Newton_done] tagged [label] and
     updates the [trust_region.*] counters ([trust_region.rejected]
     counts rejected dogleg steps). *)
 val solve :

@@ -36,6 +36,11 @@ let now () =
    without a module cycle; the public API is [Scope] below. *)
 let cur_scope = ref ""
 
+(* Start of the trace clock: spans and the trace's event records are
+   timed from here.  Set when a span sink is installed; top level so
+   [Events] can put its records on the same clock as [Span]. *)
+let trace_epoch = ref 0.
+
 (* ------------------------------------------------------------------ *)
 (* JSON helpers (no external dependency)                               *)
 (* ------------------------------------------------------------------ *)
@@ -545,10 +550,7 @@ let attrs_json attrs =
 
 module Events = struct
   type t =
-    | Newton_iter of { solver : string; k : int; residual : float; damping : float }
     | Newton_done of { solver : string; iterations : int; residual : float; converged : bool }
-    | Lu_factor of { n : int }
-    | Gmres_iter of { k : int; residual : float }
     | Step_accept of { t : float; h : float }
     | Step_reject of { t : float; h : float; reason : string }
     | Step_retry of { t : float; h : float; h_next : float; reason : string }
@@ -562,9 +564,97 @@ module Events = struct
         hint : string;
       }
 
+  type record = { t_s : float; scope : string; event : t }
+
+  (* Records from the one-time-scale solvers -- the transient
+     integrator's micro steps (a warmup or a baseline) and the periodic
+     orbit that seeds a march -- describe no slow-time macro step.  The
+     stream, the run report's history, the rejection monitor and the
+     flight ring's snapshots skip them; the scoped counters still carry
+     their work. *)
+  let macro_scope scope = scope <> "transient" && scope <> "oscillator"
+
+  (* ---------- the flight ring ---------- *)
+
+  (* small metric snapshot taken at macro-step boundaries; reading a
+     pre-looked-up counter is one field access, so a snapshot costs
+     only its own cell *)
+  type snap = {
+    s_accepted : int;
+    s_rejected : int;
+    s_retried : int;
+    s_newton : int;
+    s_gmres : int;
+    s_warnings : int;
+  }
+
+  type cell =
+    | Record of record
+    | Note of { at : float; kind : string; message : string }
+    | Snapshot of float * snap
+
+  let capacity = 512
+  let empty = Note { at = 0.; kind = ""; message = "" }
+
+  (* [capacity] cells, allocated by the first [Flight.clear], which also
+     starts keeping emitted records; an overwrite of the oldest cell is
+     then a store plus two index updates *)
+  let ring : cell array ref = ref [||]
+  let head = ref 0 (* next write position *)
+  let stored = ref 0 (* valid cells, <= capacity *)
+  let dropped = ref 0 (* cells overwritten after the ring filled *)
+  let keeping = ref false
+
+  let push cell =
+    let cap = Array.length !ring in
+    if cap > 0 then begin
+      if !stored = cap then incr dropped else incr stored;
+      !ring.(!head) <- cell;
+      head := (!head + 1) mod cap
+    end
+
+  let clear_ring () =
+    head := 0;
+    stored := 0;
+    dropped := 0;
+    if Array.length !ring = 0 then ring := Array.make capacity empty
+    else Array.fill !ring 0 capacity empty;
+    keeping := true
+
+  (* the stored cells, oldest first *)
+  let cells () =
+    let cap = Array.length !ring and n = !stored in
+    List.init n (fun i -> !ring.((!head - n + cap + i) mod cap))
+
+  let c_accepted = Metrics.counter "step.accepted"
+  let c_rejected = Metrics.counter "step.rejected"
+  let c_retried = Metrics.counter "step.retried"
+  let c_newton = Metrics.counter "newton.iterations"
+  let c_gmres = Metrics.counter "gmres.iterations"
+  let c_warn = Metrics.counter "health.warnings"
+
+  let keep r =
+    push (Record r);
+    match r.event with
+    | (Step_accept _ | Step_reject _ | Step_retry _) when macro_scope r.scope ->
+      push
+        (Snapshot
+           ( r.t_s,
+             {
+               s_accepted = Metrics.count c_accepted;
+               s_rejected = Metrics.count c_rejected;
+               s_retried = Metrics.count c_retried;
+               s_newton = Metrics.count c_newton;
+               s_gmres = Metrics.count c_gmres;
+               s_warnings = Metrics.count c_warn;
+             } ))
+    | _ -> ()
+
+  (* ---------- dispatch ---------- *)
+
   type subscription = int
 
-  let subscribers : (int * (t -> unit)) list ref = ref []
+  let subscribers : (int * (record -> unit)) list ref = ref []
   let next_sub = ref 0
 
   let subscribe f =
@@ -574,14 +664,16 @@ module Events = struct
     id
 
   let unsubscribe id = subscribers := List.filter (fun (i, _) -> i <> id) !subscribers
-  let active () = !enabled_flag && !subscribers <> []
-  let emit e = if active () then List.iter (fun (_, f) -> f e) !subscribers
+  let active () = !enabled_flag && (!keeping || !subscribers <> [])
+
+  let emit e =
+    if active () then begin
+      let r = { t_s = now (); scope = !cur_scope; event = e } in
+      if !keeping then keep r;
+      List.iter (fun (_, f) -> f r) !subscribers
+    end
 
   let fields = function
-    | Newton_iter { solver; k; residual; damping } ->
-      ( "newton_iter",
-        [ ("solver", Str solver); ("k", Int k); ("residual", Float residual); ("damping", Float damping) ]
-      )
     | Newton_done { solver; iterations; residual; converged } ->
       ( "newton_done",
         [
@@ -590,8 +682,6 @@ module Events = struct
           ("residual", Float residual);
           ("converged", Bool converged);
         ] )
-    | Lu_factor { n } -> ("lu_factor", [ ("n", Int n) ])
-    | Gmres_iter { k; residual } -> ("gmres_iter", [ ("k", Int k); ("residual", Float residual) ])
     | Step_accept { t; h } -> ("step_accept", [ ("t", Float t); ("h", Float h) ])
     | Step_reject { t; h; reason } ->
       ("step_reject", [ ("t", Float t); ("h", Float h); ("reason", Str reason) ])
@@ -611,9 +701,21 @@ module Events = struct
           ("hint", Str hint);
         ] )
 
-  let to_json e =
+  (* the stream's event line: the event's own fields, no time *)
+  let event_json e =
     let name, fs = fields e in
     attrs_json (("type", Str "event") :: ("event", Str name) :: fs)
+
+  (* the trace line and the flight cell: the record's time relative to
+     [t0], its scope, then the event's fields *)
+  let record_json ~t0 r =
+    let name, fs = fields r.event in
+    attrs_json
+      (("type", Str "event")
+      :: ("t_s", Float (r.t_s -. t0))
+      :: ("scope", Str r.scope) :: ("event", Str name) :: fs)
+
+  let to_json r = record_json ~t0:!trace_epoch r
 end
 
 module Eta = Eta
@@ -751,10 +853,7 @@ module Health = struct
     end
 
   let note_decision ?(t = nan) ~outcome () =
-    (* micro-step decisions of a univariate transient (warmup or
-       baseline) are not macro-step health; same exclusion as the run
-       report's history *)
-    if !enabled_flag && !cur_scope <> "transient" then begin
+    if !enabled_flag && Events.macro_scope !cur_scope then begin
       let th = !cur in
       if Array.length !window <> th.rejection_window then begin
         window := Array.make th.rejection_window false;
@@ -816,7 +915,7 @@ module Stream = struct
     mutable last_write : float;
     mutable last_progress : float;
     mutable steps : int;
-    mutable omega : float;  (* nan until a phase-condition event arrives *)
+    mutable h : float;  (* size of the latest accepted step *)
     mutable finished : bool;
     mutable sub : Events.subscription option;
   }
@@ -857,7 +956,7 @@ module Stream = struct
       end
     end
 
-  let progress s ~t2 ~h =
+  let progress s ~t2 ~omega =
     let frac, eta_s, rate =
       match s.eta with
       | Some e -> (Eta.fraction e, Eta.eta_s e, Eta.rate e)
@@ -866,38 +965,53 @@ module Stream = struct
     put s
       (Printf.sprintf
          "{\"type\":\"progress\",\"t_s\":%s,\"t2\":%s,\"h2\":%s,\"steps\":%d,\"omega\":%s,\"frac\":%s,\"eta_s\":%s,\"rate\":%s}"
-         (json_float (wall s)) (json_float t2) (json_float h) s.steps (json_float s.omega)
+         (json_float (wall s)) (json_float t2) (json_float s.h) s.steps (json_float omega)
          (json_float frac) (json_float eta_s) (json_float rate));
     s.flush ()
 
-  let handle s e =
+  let handle s (r : Events.record) =
     (* micro steps of a univariate transient are not run progress; the
        heartbeat below still covers long warmups *)
-    (if !cur_scope <> "transient" then
-       match e with
-       | Events.Phase_condition { omega; _ } -> s.omega <- omega
-       | Events.Step_accept { t; h } ->
+    (if Events.macro_scope r.scope then
+       match r.event with
+       | Events.Step_accept { h; _ } ->
          s.steps <- s.steps + 1;
-         let completed = t +. h in
+         s.h <- h
+       | Events.Phase_condition { omega; t2 } ->
+         (* emitted right after the accept it completes: the progress
+            record pairs t2 with omega(t2) *)
          (match s.eta with
-          | Some e -> Eta.update e ~now:(now ()) ~completed
+          | Some e -> Eta.update e ~now:(now ()) ~completed:t2
           | None -> ());
          if now () -. s.last_progress >= s.min_progress_s then begin
            s.last_progress <- now ();
-           progress s ~t2:completed ~h
+           progress s ~t2 ~omega
          end
        | Events.Step_reject _ | Events.Step_retry _ | Events.Strategy_escalated _
        | Events.Health_warning _ ->
-         put s (Events.to_json e);
+         put s (Events.event_json r.event);
          s.flush ()
-       | Events.Newton_iter _ | Events.Newton_done _ | Events.Lu_factor _
-       | Events.Gmres_iter _ -> ());
+       | Events.Newton_done _ -> ());
     if now () -. s.last_write >= s.heartbeat_s then begin
       put s
         (Printf.sprintf "{\"type\":\"heartbeat\",\"t_s\":%s,\"steps\":%d}"
            (json_float (wall s)) s.steps);
       s.flush ()
     end
+
+  (* Suspend/resume the event subscription without touching the record
+     trail: a scheduler multiplexing several job streams onto one
+     channel keeps exactly one stream subscribed — the job whose
+     quantum is running — so solver events are never attributed to a
+     preempted job.  Both are idempotent. *)
+  let suspend s =
+    match s.sub with
+    | Some id ->
+      Events.unsubscribe id;
+      s.sub <- None
+    | None -> ()
+
+  let resume s = if s.sub = None && not s.finished then s.sub <- Some (Events.subscribe (handle s))
 
   let start ?(heartbeat_s = 5.) ?(min_progress_s = 0.25) ?(max_records = 100_000) ?total
       ?(run = "") ?job ~write ~flush () =
@@ -923,7 +1037,7 @@ module Stream = struct
         (* let the first accepted step emit a progress record at once *)
         last_progress = t0 -. min_progress_s;
         steps = 0;
-        omega = nan;
+        h = nan;
         finished = false;
         sub = None;
       }
@@ -933,30 +1047,15 @@ module Stream = struct
          (json_escape schema) (json_escape run)
          (match total with Some t -> json_float t | None -> "null"));
     s.flush ();
-    s.sub <- Some (Events.subscribe (handle s));
+    resume s;
     s
-
-  (* Suspend/resume the event subscription without touching the record
-     trail: a scheduler multiplexing several job streams onto one
-     channel keeps exactly one stream subscribed — the job whose
-     quantum is running — so solver events are never attributed to a
-     preempted job.  Both are idempotent. *)
-  let suspend s =
-    match s.sub with
-    | Some id ->
-      Events.unsubscribe id;
-      s.sub <- None
-    | None -> ()
-
-  let resume s = if s.sub = None && not s.finished then s.sub <- Some (Events.subscribe (handle s))
 
   (* Idempotent: the first call writes the terminal record and
      unsubscribes; later calls are no-ops, so an at_exit safety net can
      coexist with the normal shutdown path. *)
   let finish s ~ok ?error () =
     if not s.finished then begin
-      (match s.sub with Some id -> Events.unsubscribe id | None -> ());
-      s.sub <- None;
+      suspend s;
       s.records <- s.records + 1;
       s.write
         (decorate s
@@ -998,15 +1097,11 @@ module Span = struct
            reported post-barrier through [emit_external]. *)
   }
 
-  type instant = { i_name : string; i_attrs : (string * attr) list; i_t : float }
-
   let recording = ref false
   let writer : (string -> unit) option ref = ref None
-  let epoch = ref 0.
   let next_id = ref 0
   let stack : (int * float) list ref = ref []
   let completed : record list ref = ref []
-  let instants : instant list ref = ref []
 
   (* When on, each span snapshots [Gc.quick_stat] at entry and exit and
      records the allocation/collection deltas.  A [quick_stat] call is
@@ -1029,12 +1124,11 @@ module Span = struct
 
   let parent_json = function None -> "null" | Some p -> string_of_int p
 
-  let mark_start () = if not (tracing ()) then epoch := now ()
+  let mark_start () = if not (tracing ()) then trace_epoch := now ()
 
   let start_recording () =
     mark_start ();
     completed := [];
-    instants := [];
     recording := true
 
   let stop_recording () =
@@ -1043,23 +1137,9 @@ module Span = struct
     completed := [];
     records
 
-  let recorded_instants () = List.rev !instants
-
   let set_writer w =
     (match w with Some _ -> mark_start () | None -> ());
     writer := w
-
-  let instant ?(attrs = []) name =
-    if tracing () then begin
-      let t = now () -. !epoch in
-      (match !writer with
-       | Some w ->
-         w
-           (Printf.sprintf "{\"type\":\"instant\",\"name\":\"%s\",\"t_s\":%s,\"attrs\":%s}"
-              (json_escape name) (json_float t) (attrs_json attrs))
-       | None -> ());
-      if !recording then instants := { i_name = name; i_attrs = attrs; i_t = t } :: !instants
-    end
 
   let gc_delta (s0 : Gc.stat) (s1 : Gc.stat) =
     {
@@ -1077,7 +1157,7 @@ module Span = struct
       incr next_id;
       let parent = match !stack with (pid, _) :: _ -> Some pid | [] -> None in
       let g0 = if !gc_flag then Some (Gc.quick_stat ()) else None in
-      let t0 = now () -. !epoch in
+      let t0 = now () -. !trace_epoch in
       stack := (id, t0) :: !stack;
       (match !writer with
        | Some w ->
@@ -1086,7 +1166,7 @@ module Span = struct
               id (parent_json parent) (json_escape name) (json_float t0) (attrs_json attrs))
        | None -> ());
       Fun.protect f ~finally:(fun () ->
-          let t1 = now () -. !epoch in
+          let t1 = now () -. !trace_epoch in
           let gc = match g0 with None -> None | Some s0 -> Some (gc_delta s0 (Gc.quick_stat ())) in
           (match !stack with
            | (sid, _) :: rest when sid = id -> stack := rest
@@ -1114,7 +1194,7 @@ module Span = struct
     if tracing () then begin
       let id = !next_id in
       incr next_id;
-      let t0 = t_start -. !epoch and t1 = t_stop -. !epoch in
+      let t0 = t_start -. !trace_epoch and t1 = t_stop -. !trace_epoch in
       (match !writer with
        | Some w ->
          w
@@ -1220,7 +1300,7 @@ module Trace_event = struct
           ("major_collections", Span.Int d.major_collections);
         ]
 
-  let to_string ?(process_name = "wampde") ~spans ~instants () =
+  let to_string ?(process_name = "wampde") ~spans ~events () =
     let buf = Buffer.create 4096 in
     Buffer.add_char buf '[';
     let first = ref true in
@@ -1279,42 +1359,30 @@ module Trace_event = struct
         pid r.Span.tid
     in
     List.iter emit (sort_spans !roots);
-    (* A run that opened zero spans and recorded zero instants would
+    (* A run that opened zero spans and recorded zero events would
        otherwise serialize to the process_name metadata alone, which
        trace viewers reject as an empty trace; one synthetic instant at
        t = 0 keeps the file loadable. *)
-    if spans = [] && instants = [] then begin
+    if spans = [] && events = [] then begin
       sep ();
       Printf.bprintf buf
         "{\"name\":\"trace_start\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":0,\"pid\":%d,\"tid\":%d,\"s\":\"t\"}"
         pid tid
     end;
     List.iter
-      (fun (i : Span.instant) ->
+      (fun (r : Events.record) ->
+        let name, fields = Events.fields r.event in
         sep ();
         Printf.bprintf buf
           "{\"name\":\"%s\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":%s,\"pid\":%d,\"tid\":%d,\"s\":\"t\""
-          (json_escape i.Span.i_name)
-          (json_float (us i.Span.i_t))
+          (json_escape name)
+          (json_float (us (r.t_s -. !trace_epoch)))
           pid tid;
-        buf_args buf i.Span.i_attrs;
+        buf_args buf fields;
         Buffer.add_char buf '}')
-      instants;
+      events;
     Buffer.add_string buf "\n]\n";
     Buffer.contents buf
-
-  (* Bridge from typed solver events to trace instants; subscribe this
-     with [Events.subscribe] while spans are being recorded to get the
-     accept/reject/retry trail and omega(t2) on the span timeline. *)
-  let record_event (e : Events.t) =
-    match e with
-    | Events.Newton_iter _ | Events.Lu_factor _ | Events.Gmres_iter _ ->
-      (* per-iteration events are too dense for a useful timeline; the
-         counters and histograms carry them *)
-      ()
-    | _ ->
-      let name, attrs = Events.fields e in
-      Span.instant ~attrs name
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1348,11 +1416,11 @@ module Report = struct
     reason : string option;
   }
 
-  (* Builds the per-macro-step history from the solver event stream:
-     Newton work accumulates into a pending bucket that each
-     accept/reject/retry decision flushes into a step record;
-     [Phase_condition] (emitted right after an accepted step) back-fills
-     the frequency of the latest record. *)
+  (* Builds the per-macro-step history from the solver event records:
+     each [Newton_done] adds its solve's iterations to a pending bucket
+     that the next accept/reject/retry decision flushes into a step
+     record; [Phase_condition] (emitted right after an accepted step)
+     back-fills the frequency of the latest record. *)
   type collector = {
     mutable steps : step list;  (* newest first *)
     mutable pending_iters : int;
@@ -1360,47 +1428,39 @@ module Report = struct
     mutable sub : Events.subscription option;
   }
 
-  let handle c (e : Events.t) =
-    (* The history records slow-time (macro) step decisions.  Transient
-       integration — the univariate warmup before an envelope run, or a
-       brute-force baseline — emits the same Step_accept events for its
-       micro steps, thousands per run; those are excluded here (the
-       scoped counters still carry them under "transient"). *)
-    if !cur_scope = "transient" then ()
-    else
-    match e with
-    | Events.Newton_iter { residual; _ } ->
-      c.pending_iters <- c.pending_iters + 1;
-      c.pending_residual <- residual
-    | Events.Newton_done { residual; _ } -> c.pending_residual <- residual
-    | Events.Lu_factor _ | Events.Gmres_iter _ | Events.Strategy_escalated _
-    | Events.Health_warning _ -> ()
-    | Events.Step_accept { t; h } | Events.Step_reject { t; h; reason = _ } | Events.Step_retry { t; h; h_next = _; reason = _ }
-      ->
-      let outcome, reason =
-        match e with
-        | Events.Step_accept _ -> ("accept", None)
-        | Events.Step_reject { reason; _ } -> ("reject", Some reason)
-        | _ -> (
-          match e with Events.Step_retry { reason; _ } -> ("retry", Some reason) | _ -> ("retry", None))
-      in
-      c.steps <-
-        {
-          t;
-          h;
-          omega = None;
-          newton_iterations = c.pending_iters;
-          residual = c.pending_residual;
-          outcome;
-          reason;
-        }
-        :: c.steps;
-      c.pending_iters <- 0;
-      c.pending_residual <- nan
-    | Events.Phase_condition { omega; t2 = _ } -> (
-      match c.steps with
-      | ({ omega = None; _ } as s) :: rest -> c.steps <- { s with omega = Some omega } :: rest
-      | _ -> ())
+  let decision c ~t ~h ~outcome ~reason =
+    c.steps <-
+      {
+        t;
+        h;
+        omega = None;
+        newton_iterations = c.pending_iters;
+        residual = c.pending_residual;
+        outcome;
+        reason;
+      }
+      :: c.steps;
+    c.pending_iters <- 0;
+    c.pending_residual <- nan
+
+  (* The history records slow-time (macro) step decisions and the
+     march's own solves: the transient integrator's micro-step decisions
+     (thousands per warmup or baseline) and the orbit solve before the
+     march are excluded (the scoped counters still carry their work). *)
+  let handle c (r : Events.record) =
+    if Events.macro_scope r.scope then
+      match r.event with
+      | Events.Newton_done { iterations; residual; _ } ->
+        c.pending_iters <- c.pending_iters + iterations;
+        c.pending_residual <- residual
+      | Events.Step_accept { t; h } -> decision c ~t ~h ~outcome:"accept" ~reason:None
+      | Events.Step_reject { t; h; reason } -> decision c ~t ~h ~outcome:"reject" ~reason:(Some reason)
+      | Events.Step_retry { t; h; reason; _ } -> decision c ~t ~h ~outcome:"retry" ~reason:(Some reason)
+      | Events.Phase_condition { omega; _ } -> (
+        match c.steps with
+        | ({ omega = None; _ } as s) :: rest -> c.steps <- { s with omega = Some omega } :: rest
+        | _ -> ())
+      | Events.Strategy_escalated _ | Events.Health_warning _ -> ()
 
   let collect () =
     let c = { steps = []; pending_iters = 0; pending_residual = nan; sub = None } in
@@ -2163,125 +2223,33 @@ end
 module Flight = struct
   let schema = "wampde.flightdump/1"
 
-  (* small metric snapshot taken at macro-step boundaries; reading a
-     pre-looked-up counter is one field access, so a snapshot costs
-     only its own cell *)
-  type snap = {
-    s_accepted : int;
-    s_rejected : int;
-    s_retried : int;
-    s_newton : int;
-    s_gmres : int;
-    s_warnings : int;
-  }
-
-  type cell =
-    | Event of float * Events.t
-    | Note of float * string * string  (* wall time, kind, message *)
-    | Snapshot of float * snap
-
-  (* dummy filler so the ring can be a plain preallocated [cell array] *)
-  let filler = Note (0., "", "")
-
-  type state = {
-    mutable ring : cell array;  (* fixed capacity, allocated at [arm] *)
-    mutable head : int;  (* next write position *)
-    mutable count : int;  (* valid cells, <= capacity *)
-    mutable dropped : int;  (* cells overwritten after the ring filled *)
-    mutable sub : Events.subscription option;
-  }
-
-  let st = { ring = [||]; head = 0; count = 0; dropped = 0; sub = None }
-
-  let c_accepted = Metrics.counter "step.accepted"
-  let c_rejected = Metrics.counter "step.rejected"
-  let c_retried = Metrics.counter "step.retried"
-  let c_newton = Metrics.counter "newton.iterations"
-  let c_gmres = Metrics.counter "gmres.iterations"
-  let c_warn = Metrics.counter "health.warnings"
-
-  (* O(1), no allocation beyond the cell the caller built: an overwrite
-     of the oldest cell is a store plus two index updates *)
-  let push cell =
-    let cap = Array.length st.ring in
-    if cap > 0 then begin
-      if st.count = cap then st.dropped <- st.dropped + 1 else st.count <- st.count + 1;
-      st.ring.(st.head) <- cell;
-      st.head <- (st.head + 1) mod cap
-    end
-
-  let handle e =
-    push (Event (now (), e));
-    match e with
-    | Events.Step_accept _ | Events.Step_reject _ | Events.Step_retry _ ->
-      push
-        (Snapshot
-           ( now (),
-             {
-               s_accepted = Metrics.count c_accepted;
-               s_rejected = Metrics.count c_rejected;
-               s_retried = Metrics.count c_retried;
-               s_newton = Metrics.count c_newton;
-               s_gmres = Metrics.count c_gmres;
-               s_warnings = Metrics.count c_warn;
-             } ))
-    | _ -> ()
-
-  let armed () = st.sub <> None
-
-  let arm ?(capacity = 512) () =
-    if not (armed ()) then begin
-      let capacity = Int.max 16 capacity in
-      if Array.length st.ring <> capacity then st.ring <- Array.make capacity filler;
-      st.head <- 0;
-      st.count <- 0;
-      st.dropped <- 0;
-      st.sub <- Some (Events.subscribe handle)
-    end
-
-  let disarm () =
-    (match st.sub with Some id -> Events.unsubscribe id | None -> ());
-    st.sub <- None
-
-  let clear () =
-    st.head <- 0;
-    st.count <- 0;
-    st.dropped <- 0;
-    if Array.length st.ring > 0 then Array.fill st.ring 0 (Array.length st.ring) filler
+  (* The ring is [Events]' store of every emitted record; this module
+     adds notes to it and serializes its tail. *)
+  let clear = Events.clear_ring
 
   (* out-of-band marker (fault-harness trips, scheduler decisions);
      recorded even while telemetry is disabled so an injected fault is
      always on the timeline of the dump it caused *)
-  let note ~kind message = push (Note (now (), kind, message))
+  let note ~kind message = Events.push (Events.Note { at = now (); kind; message })
 
-  let cells () =
-    let cap = Array.length st.ring in
-    if cap = 0 || st.count = 0 then []
-    else begin
-      let start = (st.head - st.count + (2 * cap)) mod cap in
-      List.init st.count (fun i -> st.ring.((start + i) mod cap))
-    end
-
-  let cell_time = function Event (t, _) | Note (t, _, _) | Snapshot (t, _) -> t
+  let cell_time = function
+    | Events.Record r -> r.Events.t_s
+    | Events.Note { at; _ } | Events.Snapshot (at, _) -> at
 
   let cell_json ~t0 c =
     let rel t = json_float (t -. t0) in
     match c with
-    | Event (t, e) ->
-      (* splice the timestamp in as the leading field of the event's
-         own JSON object *)
-      let j = Events.to_json e in
-      Printf.sprintf "{\"t_s\":%s,%s" (rel t) (String.sub j 1 (String.length j - 1))
-    | Note (t, kind, message) ->
-      Printf.sprintf "{\"t_s\":%s,\"type\":\"note\",\"kind\":\"%s\",\"message\":\"%s\"}" (rel t)
+    | Events.Record r -> Events.record_json ~t0 r
+    | Events.Note { at; kind; message } ->
+      Printf.sprintf "{\"t_s\":%s,\"type\":\"note\",\"kind\":\"%s\",\"message\":\"%s\"}" (rel at)
         (json_escape kind) (json_escape message)
-    | Snapshot (t, s) ->
+    | Events.Snapshot (t, s) ->
       Printf.sprintf
         "{\"t_s\":%s,\"type\":\"snapshot\",\"accepted\":%d,\"rejected\":%d,\"retried\":%d,\"newton_iterations\":%d,\"gmres_iterations\":%d,\"health_warnings\":%d}"
-        (rel t) s.s_accepted s.s_rejected s.s_retried s.s_newton s.s_gmres s.s_warnings
+        (rel t) s.Events.s_accepted s.s_rejected s.s_retried s.s_newton s.s_gmres s.s_warnings
 
   let dump ?(argv = Sys.argv) ?(subcommand = "") ?git ?(jobs = 1) ~kind ~message () =
-    let cs = cells () in
+    let cs = Events.cells () in
     let t_now = now () in
     let t0 = match cs with [] -> t_now | c :: _ -> cell_time c in
     let buf = Buffer.create 4096 in
@@ -2290,8 +2258,8 @@ module Flight = struct
     provenance_fields buf ~argv ~subcommand ~git ~jobs;
     Printf.bprintf buf "\"reason\":{\"kind\":\"%s\",\"message\":\"%s\"}," (json_escape kind)
       (json_escape message);
-    Printf.bprintf buf "\"capacity\":%d,\"recorded\":%d,\"dropped\":%d," (Array.length st.ring)
-      st.count st.dropped;
+    Printf.bprintf buf "\"capacity\":%d,\"recorded\":%d,\"dropped\":%d,"
+      (Array.length !Events.ring) !Events.stored !Events.dropped;
     Printf.bprintf buf "\"metrics\":%s," (Metrics.to_json ());
     Buffer.add_string buf "\"timeline\":[";
     List.iter
@@ -2300,7 +2268,7 @@ module Flight = struct
         Buffer.add_char buf ',')
       cs;
     (* the triggering failure is always the final timeline entry *)
-    Buffer.add_string buf (cell_json ~t0 (Note (t_now, kind, message)));
+    Buffer.add_string buf (cell_json ~t0 (Events.Note { at = t_now; kind; message }));
     Buffer.add_string buf "]}";
     Buffer.contents buf
 

@@ -5,13 +5,13 @@
     [wampde.run-report/1] manifest ({!Report}, diagnosed by {!Doctor}),
     the [wampde.flightdump/1] postmortem ({!Flight}) and a
     Chrome/Perfetto trace ({!Trace_event}).  Every artifact that
-    carries a solver event encodes it from the event's one field list
-    (see {!Events.to_json}).
+    carries a solver event reads the same timestamped
+    {!Events.record} and encodes it from the event's one field list.
 
     This library sits below every solver layer of the repository so
-    that Newton iterations, LU factorizations, GMRES sweeps and slow
-    time-step accept/reject decisions become first-class, inspectable
-    data instead of being discarded.
+    that Newton solves, slow time-step accept/reject decisions and
+    [omega(t2)] become first-class, inspectable data; the per-iteration
+    work (Newton, LU, GMRES) is counted by {!Metrics}, not logged.
 
     Cost model: everything is {e off by default}.  Metrics updates and
     event dispatch are gated on one global flag ({!set_enabled});
@@ -150,16 +150,18 @@ end
     ["-inf"]. *)
 type attr = Int of int | Float of float | Str of string | Bool of bool
 
-(** Typed solver events with subscriber callbacks, dispatched in
-    subscription order.  Emission is a no-op (and call sites guarded
-    with {!Events.active} allocate nothing) unless telemetry is
-    enabled and at least one subscriber is installed. *)
+(** Typed solver events, one per solve or macro-step decision, stamped
+    once into a {!record} that every reader consumes: subscribers (the
+    stream, the run report, the CLI's trace recorder) in subscription
+    order, and the flight ring (see {!Flight}).  Emission is a no-op
+    (and call sites guarded with {!Events.active} allocate nothing)
+    unless telemetry is enabled and a subscriber or the flight ring is
+    listening.  Per-iteration work is not an event: the [newton.*],
+    [lu.*] and [gmres.*] counters carry it. *)
 module Events : sig
   type t =
-    | Newton_iter of { solver : string; k : int; residual : float; damping : float }
     | Newton_done of { solver : string; iterations : int; residual : float; converged : bool }
-    | Lu_factor of { n : int }
-    | Gmres_iter of { k : int; residual : float }
+        (** one nonlinear solve finished after [iterations] iterations *)
     | Step_accept of { t : float; h : float }
     | Step_reject of { t : float; h : float; reason : string }
     | Step_retry of { t : float; h : float; h_next : float; reason : string }
@@ -179,24 +181,28 @@ module Events : sig
         (** a numerical-health monitor (see {!Health}) crossed its
             threshold from below *)
 
+  (** An emitted event: wall-clock time ({!now}), the innermost
+      {!Scope} label at the call site, and the event. *)
+  type record = { t_s : float; scope : string; event : t }
+
   type subscription
 
-  val subscribe : (t -> unit) -> subscription
+  val subscribe : (record -> unit) -> subscription
   val unsubscribe : subscription -> unit
 
-  (** True iff telemetry is enabled and a subscriber is installed.
-      Guard event construction with this to keep the disabled path
-      allocation-free: [if Events.active () then Events.emit (...)]. *)
+  (** True iff telemetry is enabled and a subscriber or the flight ring
+      is listening.  Guard event construction with this to keep the
+      disabled path allocation-free:
+      [if Events.active () then Events.emit (...)]. *)
   val active : unit -> bool
 
   val emit : t -> unit
 
-  (** One JSON object per event (single line, no trailing newline):
-      [{"type":"event","event":name,...fields}].  The stream, the flight
-      dump and [--trace] print these bytes; {!Trace_event.record_event}
-      puts the same fields, from the same field list, in the Perfetto
-      instant's args. *)
-  val to_json : t -> string
+  (** One [--trace] line per record (single line, no trailing newline):
+      [{"type":"event","t_s":...,"scope":...,"event":name,...fields}],
+      [t_s] on the span clock (see {!Span}).  The Perfetto instant of a
+      record carries the same fields as its args. *)
+  val to_json : record -> string
 end
 
 (** The smoothed-rate ETA estimator behind {!Stream}'s progress records
@@ -222,8 +228,9 @@ module Eta = Eta
 
     All feeders are no-ops while telemetry is disabled, and
     {!note_decision} additionally ignores decisions made inside the
-    "transient" scope (micro steps of a univariate warmup or baseline
-    are not macro-step health). *)
+    "transient" and "oscillator" scopes (micro steps of a univariate
+    warmup or baseline, and the orbit solve, are not macro-step
+    health). *)
 module Health : sig
   type thresholds = {
     spectral_tol : float;
@@ -291,7 +298,7 @@ module Health : sig
     ?t:float -> iterations:int -> restart:int -> converged:bool -> reduction:float -> unit -> unit
 
   (** Record one macro-step controller decision.  Ignored inside the
-      "transient" scope. *)
+      "transient" and "oscillator" scopes. *)
   val note_decision : ?t:float -> outcome:[ `Accept | `Reject | `Retry ] -> unit -> unit
 
   (** Record one globalization-cascade escalation. *)
@@ -301,7 +308,9 @@ end
 (** Bounded, non-blocking NDJSON progress sink.
 
     One JSON object per line: a [start] record, throttled [progress]
-    records (with smoothed-rate ETA when a total is known), periodic
+    records (the slow time [t2] an accepted macro step reached, with
+    [omega(t2)] from the phase condition that completes it, and a
+    smoothed-rate ETA when a total is known), periodic
     [heartbeat] records, the existing typed solver events
     (reject/retry/escalation/health warnings), and a terminal [done]
     or [error] record.  The stream is bounded: past [max_records] a
@@ -309,8 +318,8 @@ end
     records are counted into the [stream.dropped] counter; the
     terminal record always goes through.
 
-    Events from the "transient" scope are ignored (heartbeats still
-    cover long warmups). *)
+    Events from the "transient" and "oscillator" scopes are ignored
+    (heartbeats still cover long warmups). *)
 module Stream : sig
 
   type t
@@ -391,9 +400,6 @@ module Span : sig
             {!emit_external} *)
   }
 
-  (** A point event on the span timeline. *)
-  type instant = { i_name : string; i_attrs : (string * attr) list; i_t : float }
-
   val tracing : unit -> bool
 
   (** [set_gc_stats true] makes every subsequent span snapshot
@@ -429,10 +435,6 @@ module Span : sig
   (** Completed spans in completion order; clears the buffer. *)
   val stop_recording : unit -> record list
 
-  (** Instants recorded since {!start_recording}, in emission order.
-      Cleared by the next [start_recording]. *)
-  val recorded_instants : unit -> instant list
-
   (** [set_writer (Some w)] streams two JSON lines per span —
       [span_start] (id, parent, name, attrs, t_s) and [span_stop]
       (id, t_s, dur_s, and gc deltas when enabled) — through [w] (one
@@ -446,27 +448,19 @@ module Span : sig
   val tree_summary : record list -> string
 end
 
-(** Chrome trace-event exporter: serializes recorded spans and
-    instants into the JSON array format understood by
+(** Chrome trace-event exporter: serializes recorded spans and solver
+    event records into the JSON array format understood by
     [ui.perfetto.dev] and [chrome://tracing] — duration events as
     matched ["B"]/["E"] pairs (balanced and properly nested by
     construction: they are emitted by a depth-first walk of the span
-    tree), solver events as instant (["i"]) events, timestamps in
-    microseconds.  A run with zero spans and zero instants serializes
-    to the process metadata plus one synthetic ["trace_start"] instant,
-    keeping the file loadable (viewers reject traces with no events). *)
+    tree), each event record as an instant (["i"]) event whose args are
+    the event's fields, timestamps in microseconds on the span clock.
+    A run with zero spans and zero events serializes to the process
+    metadata plus one synthetic ["trace_start"] instant, keeping the
+    file loadable (viewers reject traces with no events). *)
 module Trace_event : sig
   val to_string :
-    ?process_name:string -> spans:Span.record list -> instants:Span.instant list -> unit -> string
-
-  (** Bridge from typed solver events to trace instants: subscribe
-      this with {!Events.subscribe} while spans are being recorded to
-      get the accept/reject/retry trail, [omega(t2)] phase-condition
-      updates and Newton convergence marks on the span timeline.
-      Per-iteration events (Newton/GMRES/LU) are deliberately dropped
-      — they are too dense for a useful timeline and the counters
-      carry them. *)
-  val record_event : Events.t -> unit
+    ?process_name:string -> spans:Span.record list -> events:Events.record list -> unit -> string
 end
 
 (** Self-contained JSON run manifests: what ran (argv, subcommand, git
@@ -476,13 +470,13 @@ end
     work, accept/reject trail). *)
 module Report : sig
 
-  (** One macro-step decision reconstructed from the event stream. *)
+  (** One macro-step decision reconstructed from the event records. *)
   type step = {
     t : float;
     h : float;
     omega : float option;  (** from the Phase_condition following an accept *)
-    newton_iterations : int;
-    residual : float;  (** last Newton residual before the decision; nan if none *)
+    newton_iterations : int;  (** summed over the [Newton_done]s since the last decision *)
+    residual : float;  (** the last [Newton_done]'s residual; nan if none *)
     outcome : string;  (** "accept" | "reject" | "retry" *)
     reason : string option;
   }
@@ -491,10 +485,11 @@ module Report : sig
 
   (** [collect ()] subscribes to {!Events} and starts accumulating the
       per-macro-step history; telemetry must be enabled for events to
-      flow.  Decisions made inside the "transient" scope (micro steps
-      of a univariate integration — warmup or baseline) are excluded:
-      the history is about slow-time macro steps, and the scoped
-      counters carry the micro-step work. *)
+      flow.  Records from the "transient" scope (micro steps of a
+      univariate integration — warmup or baseline) and the
+      "oscillator" scope (the orbit solve before a march) are
+      excluded: the history is about slow-time macro steps and the
+      march's own solves, and the scoped counters carry the rest. *)
   val collect : unit -> collector
 
   (** Unsubscribes and returns the history in chronological order. *)
@@ -565,31 +560,20 @@ module Doctor : sig
   val to_json : finding list -> string
 end
 
-(** Flight recorder: a bounded ring buffer of recent telemetry —
-    typed solver events (including per-iteration Newton residual
-    traces), out-of-band notes (fault-harness trips, scheduler
-    decisions) and small metric snapshots at macro-step boundaries —
-    kept so that a failure can dump the run's last moments as a
-    ["wampde.flightdump/1"] JSON file for postmortem analysis.
-
-    The hot path is allocation-free beyond the recorded cell: an
-    overwrite of the oldest cell is a store plus two index updates.
-    The ring is preallocated at {!arm}. *)
+(** Flight recorder: the last 512 cells of the run, kept so that a
+    failure can dump its last moments as a ["wampde.flightdump/1"]
+    JSON file for postmortem analysis.  The cells live in one ring,
+    allocated by the first {!clear}: every {!Events.record} emitted
+    since, a small metric snapshot after each macro-step decision, and
+    out-of-band notes (fault-harness trips, signals).  Overwriting the
+    oldest cell is a store plus two index updates. *)
 module Flight : sig
 
-  (** [arm ?capacity ()] preallocates the ring ([capacity] cells,
-      default 512, minimum 16), clears it, and subscribes to {!Events}
-      (telemetry must be enabled for events to flow; {!note} records
-      regardless).  Idempotent while armed. *)
-  val arm : ?capacity:int -> unit -> unit
-
-  (** Unsubscribe from {!Events}; the recorded cells stay available
-      for {!write}. *)
-  val disarm : unit -> unit
-
-  (** Drop every recorded cell (the ring stays allocated).  A
-      scheduler running jobs back-to-back clears between jobs so a
-      dump never carries a previous job's tail. *)
+  (** Start a fresh timeline: drop every cell and keep every event
+      record emitted from now on (telemetry must be enabled for events
+      to flow; {!note}s are kept regardless).  A run calls it once; a
+      scheduler running jobs back-to-back calls it per job so a dump
+      never carries a previous job's tail. *)
   val clear : unit -> unit
 
   (** [note ~kind msg] records an out-of-band timeline marker (e.g.

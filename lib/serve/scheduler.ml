@@ -460,7 +460,6 @@ let run_quantum t jr =
   ignore (stream_for t jr ~total);
   (* fresh timeline per quantum: a dump for this job must not carry a
      previous job's (or previous quantum's) tail *)
-  Obs.Flight.arm ();
   Obs.Flight.clear ();
   let collector = Obs.Report.collect () in
   let settle () = jr.steps <- jr.steps @ Obs.Report.finish collector in

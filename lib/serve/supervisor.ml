@@ -16,6 +16,7 @@ type watch = {
   deadline_at : float;  (* absolute wall clock; infinity = no deadline *)
   stall_s : float;  (* max quiet interval; infinity = no stall check *)
   mutable last_touch : float;
+  mutable last_evals : int;  (* [dae.evals] at the last tick *)
 }
 
 (* The SIGALRM handler is installed once and consults this cell; a
@@ -28,8 +29,19 @@ let installed = ref false
 let touch () =
   match !current with None -> () | Some w -> w.last_touch <- Unix.gettimeofday ()
 
+(* Every solver evaluates its circuit through [Dae.t.eval_into], which
+   bumps [dae.evals]: a count that moved since the last tick proves the
+   job is working even when no macro step completes within the stall
+   window (a long Newton or periodic solve). *)
+let c_evals = Obs.Metrics.counter "dae.evals"
+
 let check_watch w =
   let now = Unix.gettimeofday () in
+  let evals = Obs.Metrics.count c_evals in
+  if evals <> w.last_evals then begin
+    w.last_evals <- evals;
+    w.last_touch <- now
+  end;
   if now >= w.deadline_at then begin
     current := None;
     Obs.Metrics.incr c_deadline;
@@ -69,18 +81,20 @@ let guard ?deadline_s ?stall_s f =
   else begin
     install_handler ();
     let now = Unix.gettimeofday () in
-    let w = { deadline_at = now +. deadline_s; stall_s; last_touch = now } in
-    (* solver events double as heartbeats: Newton/GMRES iterations and
-       step decisions all prove the job is moving even when no macro
-       step completes within the stall window *)
-    let sub = Obs.Events.subscribe (fun _ -> touch ()) in
+    let w =
+      {
+        deadline_at = now +. deadline_s;
+        stall_s;
+        last_touch = now;
+        last_evals = Obs.Metrics.count c_evals;
+      }
+    in
     current := Some w;
     set_itimer (tick_for ~deadline_s ~stall_s);
     Fun.protect
       ~finally:(fun () ->
         current := None;
-        set_itimer 0.;
-        Obs.Events.unsubscribe sub)
+        set_itimer 0.)
       f
   end
 

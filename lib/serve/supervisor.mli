@@ -12,10 +12,12 @@
     timer; the (process-global, installed once) SIGALRM handler
     raises {!Deadline_exceeded} past the absolute deadline and
     {!Stalled} when no liveness signal arrived within [stall_s].
-    Liveness is fed by {!touch} and, automatically, by every
-    {!Wampde_obs.Events} emission during the guarded call — Newton
-    and GMRES iterations prove progress even when no macro step
-    completes inside the stall window.
+    Liveness is fed by {!touch} and, automatically, by each timer tick
+    that finds the [dae.evals] counter moved (telemetry must be
+    enabled, as it is under [serve]): every solver evaluates its
+    circuit through [Dae.t.eval_into], so a long Newton or periodic
+    solve proves progress even when no macro step completes inside
+    the stall window.
 
     OCaml delivers signal-handler exceptions at safe points, so the
     raise surfaces inside the guarded solver call and unwinds through

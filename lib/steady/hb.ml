@@ -161,17 +161,14 @@ let solve dae ~period ~harmonics:m ~guess =
         in
         project_symmetry ~n ~m trial;
         let nt = rnorm trial in
-        if Float.is_finite nt && (nt < !best || nt <= tol) then (trial, nt, lambda)
+        if Float.is_finite nt && (nt < !best || nt <= tol) then (trial, nt)
         else try_lambda (lambda /. 2.)
       end
     in
-    let trial, nt, lambda = try_lambda 1. in
+    let trial, nt = try_lambda 1. in
     current := trial;
     best := nt;
-    Obs.Metrics.incr c_iters;
-    if Obs.Events.active () then
-      Obs.Events.emit
-        (Obs.Events.Newton_iter { solver = "hb"; k = !iters; residual = nt; damping = lambda })
+    Obs.Metrics.incr c_iters
   done;
   if !best > tol then
     failwith (Printf.sprintf "Hb.solve: no convergence (residual %.3e)" !best);

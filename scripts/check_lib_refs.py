@@ -68,8 +68,6 @@ EXEMPT = {
     # test isolation and inspection hooks
     "Wampde_obs.Metrics.with_isolated": "test_obs, test_health, test_serve and the other "
     "metrics-reading suites keep the process-global registry from leaking across cases",
-    "Wampde_obs.Flight.disarm": "test_flight starts and ends each case with a disarmed "
-    "recorder",
     "Wampde_obs.Health.set_thresholds": "test_health lowers the monitor thresholds to trip "
     "each monitor and restores the defaults afterwards",
     "Wampde_obs.Health.default_thresholds": "test_health restores them after each case",

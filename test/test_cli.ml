@@ -1,5 +1,6 @@
-(* The CLI's help pages, its numeric flag checks, its typed solver
-   failures and doctor's refusal of files that are not run manifests.
+(* The CLI's help pages, its numeric flag checks, its trace artifacts,
+   its typed solver failures and doctor's refusal of files that are not
+   run manifests.
    Every subcommand (found by walking the COMMANDS sections of the help
    pages themselves) must render its --help=plain page: cmdliner reports
    a malformed doc string as a "cmdliner error" at the top of the page
@@ -154,6 +155,57 @@ let tests =
             Alcotest.(check bool) ("no uncaught exception: " ^ out) false
               (contains out "internal error");
             Alcotest.(check bool) "flight dump written" true (Sys.file_exists dump)));
+    Alcotest.test_case "--trace with --trace-perfetto writes each event once, timed" `Quick
+      (fun () ->
+        let module Json = Wampde_obs.Json in
+        let trace = Filename.temp_file "wampde-trace" ".jsonl" in
+        let perfetto = Filename.temp_file "wampde-perfetto" ".json" in
+        Fun.protect
+          ~finally:(fun () -> List.iter Sys.remove [ trace; perfetto ])
+          (fun () ->
+            let code, out =
+              run_cli
+                [ "envelope"; "--vco"; "a"; "--n1"; "15"; "--t-end"; "2"; "--h2"; "0.5";
+                  "--trace"; trace; "--trace-perfetto"; perfetto ]
+            in
+            Alcotest.(check int) ("exit code: " ^ out) 0 code;
+            let parse what s =
+              match Json.parse s with Ok j -> j | Error m -> Alcotest.failf "%s: %s" what m
+            in
+            let str k j = Option.bind (Json.member k j) Json.to_str in
+            let lines =
+              In_channel.with_open_bin trace In_channel.input_all
+              |> String.split_on_char '\n'
+              |> List.filter (fun l -> l <> "")
+              |> List.map (parse "trace line")
+            in
+            let t_s j =
+              match Option.bind (Json.member "t_s" j) Json.to_num with
+              | Some t -> t
+              | None -> Alcotest.failf "trace line without t_s: %s" (Json.to_string j)
+            in
+            List.iter (fun j -> ignore (t_s j)) lines;
+            let events = List.filter (fun j -> str "type" j = Some "event") lines in
+            let times = List.map t_s events in
+            Alcotest.(check bool) "event lines in time order" true
+              (List.for_all2 ( <= ) (List.rev (List.tl (List.rev times))) (List.tl times));
+            Alcotest.(check bool) "no instant lines beside the event lines" false
+              (List.exists (fun j -> str "type" j = Some "instant") lines);
+            let instants =
+              match parse "perfetto" (In_channel.with_open_bin perfetto In_channel.input_all) with
+              | Json.Arr entries -> List.filter (fun j -> str "ph" j = Some "i") entries
+              | _ -> Alcotest.fail "perfetto trace is not an array"
+            in
+            let count key name l = List.length (List.filter (fun j -> str key j = Some name) l) in
+            List.iter
+              (fun name ->
+                Alcotest.(check int) (name ^ ": one trace line per Perfetto instant")
+                  (count "name" name instants) (count "event" name events))
+              [ "step_accept"; "phase_condition"; "newton_done" ];
+            Alcotest.(check int) "one trace line per record" (List.length instants)
+              (List.length events);
+            Alcotest.(check int) "one omega(t2) per macro step" 4
+              (count "event" "phase_condition" events)));
   ]
 
 let suites = [ ("cli", tests) ]

@@ -187,7 +187,8 @@ let unit_tests =
       (with_isolated (fun () ->
            Obs.set_enabled true;
            Obs.Span.start_recording ();
-           let sub = Obs.Events.subscribe Obs.Trace_event.record_event in
+           let events = ref [] in
+           let sub = Obs.Events.subscribe (fun r -> events := r :: !events) in
            Obs.Span.span "root" (fun () ->
                Obs.Span.span "left" (fun () -> ());
                Obs.Events.emit (Obs.Events.Step_accept { t = 0.5; h = 0.25 });
@@ -196,9 +197,9 @@ let unit_tests =
            Obs.Span.span "second_root" (fun () -> ());
            Obs.Events.unsubscribe sub;
            let spans = Obs.Span.stop_recording () in
-           let instants = Obs.Span.recorded_instants () in
-           Alcotest.(check int) "instants recorded" 2 (List.length instants);
-           let out = Obs.Trace_event.to_string ~spans ~instants () in
+           let events = List.rev !events in
+           Alcotest.(check int) "instants recorded" 2 (List.length events);
+           let out = Obs.Trace_event.to_string ~spans ~events () in
            let trace = check_ok "trace parses" (Obs.Json.parse out) in
            assert_valid_trace trace;
            let entries = match trace with Obs.Json.Arr l -> l | _ -> [] in
@@ -237,6 +238,24 @@ let unit_tests =
                     true
                   with Not_found -> false))
              [ "# wampde run report"; "## Solver work"; "## Scoped cost breakdown"; "## Step history"; "envelope.newton" ]));
+    Alcotest.test_case "history counts the march's Newton work, not the orbit's" `Quick
+      (with_isolated (fun () ->
+           Obs.set_enabled true;
+           (* the collector runs across the orbit solve, as the CLI's does *)
+           let collector = Obs.Report.collect () in
+           ignore (small_envelope_run ());
+           let steps = Obs.Report.finish collector in
+           let newton scope =
+             match List.assoc_opt "newton.iterations" (Obs.Metrics.scoped_counters ()) with
+             | Some buckets -> Option.value ~default:0 (List.assoc_opt scope buckets)
+             | None -> 0
+           in
+           Alcotest.(check bool) "the orbit solve took Newton iterations" true
+             (newton "oscillator" > 0);
+           Alcotest.(check int) "history sum = envelope.newton's newton.iterations"
+             (newton "envelope.newton")
+             (List.fold_left (fun acc (s : Obs.Report.step) -> acc + s.Obs.Report.newton_iterations)
+                0 steps)));
     Alcotest.test_case "report check rejects inconsistent scoped sums" `Quick (fun () ->
         let good =
           {|{"schema":"wampde.run-report/1","argv":["x"],"subcommand":"","git":null,"ocaml":"5.1.1","unix_time":0,"wall_s":1,"gc":{"minor_words":10,"promoted_words":1,"major_words":2,"minor_collections":1,"major_collections":0,"heap_words":5},"metrics":{"counters":{"lu.factor":7},"gauges":{},"histograms":{},"scoped":{"lu.factor":{"transient":3,"envelope.newton":4}}},"history":[{"t":0,"h":0.5,"omega":1.0,"newton_iterations":2,"residual":1e-9,"outcome":"accept","reason":null}]}|}
@@ -269,7 +288,8 @@ let acceptance_tests =
            Obs.set_enabled true;
            Obs.Span.set_gc_stats true;
            Obs.Span.start_recording ();
-           let instant_sub = Obs.Events.subscribe Obs.Trace_event.record_event in
+           let events = ref [] in
+           let instant_sub = Obs.Events.subscribe (fun r -> events := r :: !events) in
            let collector = Obs.Report.collect () in
            let t0 = Obs.now () in
            ignore (small_envelope_run ());
@@ -277,13 +297,16 @@ let acceptance_tests =
            let steps = Obs.Report.finish collector in
            Obs.Events.unsubscribe instant_sub;
            let spans = Obs.Span.stop_recording () in
-           let instants = Obs.Span.recorded_instants () in
+           let events = List.rev !events in
            Obs.Span.set_gc_stats false;
            (* (a) the trace validates against the trace-event schema *)
-           let trace_str = Obs.Trace_event.to_string ~spans ~instants () in
+           let trace_str = Obs.Trace_event.to_string ~spans ~events () in
            assert_valid_trace (check_ok "trace parses" (Obs.Json.parse trace_str));
            Alcotest.(check bool) "accept instants present" true
-             (List.exists (fun i -> i.Obs.Span.i_name = "step_accept") instants);
+             (List.exists
+                (fun r ->
+                  match r.Obs.Events.event with Obs.Events.Step_accept _ -> true | _ -> false)
+                events);
            (* (b) the manifest's scoped counters are consistent *)
            let manifest = Obs.Report.manifest ~subcommand:"envelope" ~wall_s ~steps () in
            check_ok "manifest checks" (Obs.Report.check manifest);
@@ -321,13 +344,12 @@ let prop_tests =
     QCheck_alcotest.to_alcotest
       (Test.make ~name:"event json parses for hostile reason strings" ~count:200 any_string
          (fun reason ->
-           parses "Step_reject"
-             (Obs.Events.to_json (Obs.Events.Step_reject { t = 1.; h = 0.5; reason }))
+           let line event = Obs.Events.to_json { Obs.Events.t_s = 0.; scope = reason; event } in
+           parses "Step_reject" (line (Obs.Events.Step_reject { t = 1.; h = 0.5; reason }))
            && parses "Step_retry"
-                (Obs.Events.to_json
-                   (Obs.Events.Step_retry { t = 1.; h = 0.5; h_next = 0.25; reason }))
+                (line (Obs.Events.Step_retry { t = 1.; h = 0.5; h_next = 0.25; reason }))
            && parses "Newton_done"
-                (Obs.Events.to_json
+                (line
                    (Obs.Events.Newton_done
                       { solver = reason; iterations = 3; residual = nan; converged = true }))));
     QCheck_alcotest.to_alcotest
@@ -368,9 +390,17 @@ let prop_tests =
                };
              ]
            in
-           let instants = [ { Obs.Span.i_name = name; i_attrs = []; i_t = 0.5 } ] in
+           let events =
+             [
+               {
+                 Obs.Events.t_s = 0.5;
+                 scope = name;
+                 event = Obs.Events.Step_reject { t = 0.; h = 1.; reason = name };
+               };
+             ]
+           in
            parses "trace export"
-             (Obs.Trace_event.to_string ~process_name:name ~spans ~instants ())));
+             (Obs.Trace_event.to_string ~process_name:name ~spans ~events ())));
     QCheck_alcotest.to_alcotest
       (Test.make ~name:"metrics json parses for hostile metric names" ~count:100 any_string
          (fun name ->

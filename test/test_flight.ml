@@ -1,19 +1,17 @@
 (* The flight recorder: bounded ring semantics, dump shape (schema,
-   provenance, reason-last timeline) and postmortem rendering. *)
+   provenance, reason-last timeline), what a real run leaves on the
+   timeline, and postmortem rendering. *)
 
 module Obs = Wampde_obs
 module Json = Obs.Json
 
 let with_flight f () =
   Obs.Metrics.with_isolated (fun () ->
-      (* a previous suite may have left the process-global recorder
-         armed (arm is idempotent while armed, keeping the old
-         capacity and cells) — start from a disarmed, empty ring *)
-      Obs.Flight.disarm ();
+      (* a previous suite may have left cells in the process-global
+         ring — start from a fresh timeline *)
       Obs.Flight.clear ();
       Fun.protect
         ~finally:(fun () ->
-          Obs.Flight.disarm ();
           Obs.Flight.clear ();
           Obs.set_enabled false)
         f)
@@ -52,43 +50,40 @@ let ring_tests =
   [
     Alcotest.test_case "ring is bounded and drops oldest first" `Quick
       (with_flight (fun () ->
-           Obs.Flight.arm ~capacity:16 ();
-           for i = 1 to 40 do
+           let capacity = occupancy "capacity" in
+           for i = 1 to capacity + 24 do
              Obs.Flight.note ~kind:"n" (Printf.sprintf "m%d" i)
            done;
-           Alcotest.(check int) "recorded caps at capacity" 16 (recorded ());
+           Alcotest.(check int) "recorded caps at capacity" capacity (recorded ());
            Alcotest.(check int) "dropped counts overwrites" 24 (occupancy "dropped");
            let j = parse_dump (dump ~kind:"boom" ~message:"end" ()) in
            let tl = timeline j in
-           (* 16 surviving notes + the reason entry *)
-           Alcotest.(check int) "timeline = recorded + reason" 17 (List.length tl);
+           (* the surviving notes + the reason entry *)
+           Alcotest.(check int) "timeline = recorded + reason" (capacity + 1) (List.length tl);
            Alcotest.(check (option string))
              "oldest surviving cell is the 25th note" (Some "m25")
              (entry_str "message" (List.hd tl))));
-    Alcotest.test_case "clear empties the ring, arm is idempotent" `Quick
+    Alcotest.test_case "clear empties the ring, events keep landing" `Quick
       (with_flight (fun () ->
-           Obs.Flight.arm ~capacity:16 ();
            Obs.Flight.note ~kind:"n" "x";
-           Obs.Flight.arm ~capacity:16 ();
-           Alcotest.(check int) "re-arm while armed keeps cells" 1 (recorded ());
+           Alcotest.(check int) "note kept" 1 (recorded ());
            Obs.Flight.clear ();
            Alcotest.(check int) "cleared" 0 (recorded ());
-           (* still armed: events keep landing *)
+           (* a fresh timeline: events keep landing *)
            Obs.set_enabled true;
            Obs.Events.emit (Obs.Events.Step_accept { t = 0.1; h = 0.1 });
-           Alcotest.(check bool) "still armed" true (recorded () > 0)));
+           Alcotest.(check bool) "event kept" true (recorded () > 0)));
     Alcotest.test_case "notes are recorded even while telemetry is disabled" `Quick
       (with_flight (fun () ->
            Obs.set_enabled false;
-           Obs.Flight.arm ();
            Obs.Flight.note ~kind:"fault" "injected nan";
            Alcotest.(check int) "note landed" 1 (recorded ())));
     Alcotest.test_case "solver events and macro-step snapshots land on the timeline" `Quick
       (with_flight (fun () ->
            Obs.set_enabled true;
-           Obs.Flight.arm ();
            Obs.Events.emit
-             (Obs.Events.Newton_iter { solver = "envelope"; k = 1; residual = 1e-3; damping = 1. });
+             (Obs.Events.Newton_done
+                { solver = "envelope"; iterations = 1; residual = 1e-3; converged = true });
            Obs.Events.emit (Obs.Events.Step_accept { t = 0.5; h = 0.25 });
            let j = parse_dump (dump ~kind:"boom" ~message:"end" ()) in
            let tl = timeline j in
@@ -103,11 +98,38 @@ let ring_tests =
              tl));
   ]
 
+let run_tests =
+  [
+    Alcotest.test_case "a VCO-A envelope run leaves no per-iteration cells" `Slow
+      (with_flight (fun () ->
+           let p0 = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
+           Obs.set_enabled true;
+           let orbit =
+             Steady.Oscillator.find (Circuit.Vco.build p0) ~n1:15 ~period_hint:1.333
+               (Circuit.Vco.initial_state p0)
+           in
+           let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
+           let options = Wampde.Envelope.default_options ~n1:15 () in
+           let res = Wampde.Envelope.simulate dae ~options ~t2_end:5. ~h2:0.5 ~init:orbit in
+           let tl = timeline (parse_dump (dump ~kind:"probe" ~message:"end" ())) in
+           let events = List.filter_map (entry_str "event") tl in
+           let count name = List.length (List.filter (( = ) name) events) in
+           List.iter
+             (fun name -> Alcotest.(check int) (name ^ " cells") 0 (count name))
+             [ "newton_iter"; "lu_factor"; "gmres_iter" ];
+           (* the warmup's micro steps share the ring; the march's macro
+              steps are its tail *)
+           let steps = Array.length res.Wampde.Envelope.t2 - 1 in
+           Alcotest.(check int) "every macro step's omega on the timeline" steps
+             (count "phase_condition");
+           Alcotest.(check bool) "one Newton solve per macro step at least" true
+             (count "newton_done" >= steps)));
+  ]
+
 let dump_tests =
   [
     Alcotest.test_case "dump carries schema, provenance and reason-last timeline" `Quick
       (with_flight (fun () ->
-           Obs.Flight.arm ();
            Obs.Flight.note ~kind:"fault" "injected linsolve";
            let j =
              parse_dump
@@ -134,7 +156,6 @@ let dump_tests =
              (entry_str "message" last)));
     Alcotest.test_case "write + to_postmortem round trip renders reason last" `Quick
       (with_flight (fun () ->
-           Obs.Flight.arm ();
            Obs.Flight.note ~kind:"fault" "injected nan (call 3)";
            let path = Filename.temp_file "wampde-flight" ".json" in
            Fun.protect
@@ -178,14 +199,6 @@ let dump_tests =
         match Obs.Flight.to_postmortem "{\"schema\":\"wampde.run-report/1\"}" with
         | Error _ -> ()
         | Ok _ -> Alcotest.fail "run manifest accepted as flight dump");
-    Alcotest.test_case "disarmed recorder stops capturing events" `Quick
-      (with_flight (fun () ->
-           Obs.set_enabled true;
-           Obs.Flight.arm ();
-           Obs.Flight.disarm ();
-           Obs.Flight.clear ();
-           Obs.Events.emit (Obs.Events.Step_accept { t = 0.1; h = 0.1 });
-           Alcotest.(check int) "no cells after disarm" 0 (recorded ())));
   ]
 
-let suites = [ ("flight", ring_tests @ dump_tests) ]
+let suites = [ ("flight", ring_tests @ dump_tests @ run_tests) ]

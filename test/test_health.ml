@@ -128,7 +128,8 @@ let health_tests =
            let tol = (Obs.Health.thresholds ()).Obs.Health.tail_tol in
            let fired = ref [] in
            let sub =
-             Obs.Events.subscribe (function
+             Obs.Events.subscribe (fun r ->
+               match r.Obs.Events.event with
                | Obs.Events.Health_warning { monitor; value; threshold; _ } ->
                  fired := (monitor, value, threshold) :: !fired
                | _ -> ())
@@ -372,6 +373,34 @@ let stream_tests =
            (match Option.bind (Obs.Json.member "frac" progress) Obs.Json.to_num with
             | Some f -> Alcotest.(check bool) "fraction in range" true (f >= 0. && f <= 1.)
             | None -> Alcotest.fail "progress without frac")));
+    Alcotest.test_case "progress pairs t2 with omega(t2), not the step before" `Quick
+      (with_clean (fun () ->
+           Obs.set_enabled true;
+           let lines, write = collect () in
+           let s =
+             Obs.Stream.start ~min_progress_s:0. ~total:10. ~run:"test" ~write
+               ~flush:(fun () -> ())
+               ()
+           in
+           (* the order a march emits: the accept, then omega at its end *)
+           Obs.Events.emit (Obs.Events.Step_accept { t = 0.; h = 0.5 });
+           Obs.Events.emit (Obs.Events.Phase_condition { omega = 6.25; t2 = 0.5 });
+           Obs.Events.emit (Obs.Events.Step_accept { t = 0.5; h = 0.25 });
+           Obs.Events.emit (Obs.Events.Phase_condition { omega = 7.5; t2 = 0.75 });
+           Obs.Stream.finish s ~ok:true ();
+           let num k j =
+             match Option.bind (Obs.Json.member k j) Obs.Json.to_num with
+             | Some v -> v
+             | None -> Alcotest.failf "progress without a numeric %s" k
+           in
+           let progress =
+             List.filter (fun j -> record_type j = "progress") (parsed lines)
+             |> List.map (fun j -> (num "t2" j, num "h2" j, num "omega" j))
+           in
+           Alcotest.(check (list (triple (float 0.) (float 0.) (float 0.))))
+             "(t2, h2, omega) per accepted step"
+             [ (0.5, 0.5, 6.25); (0.75, 0.25, 7.5) ]
+             progress));
     Alcotest.test_case "finish is idempotent and error wins only once" `Quick
       (with_clean (fun () ->
            Obs.set_enabled true;
@@ -493,7 +522,7 @@ let doctor_tests =
 let perfetto_tests =
   [
     Alcotest.test_case "zero-span trace is still a loadable trace" `Quick (fun () ->
-        let trace = Obs.Trace_event.to_string ~spans:[] ~instants:[] () in
+        let trace = Obs.Trace_event.to_string ~spans:[] ~events:[] () in
         let j = check_ok "parses" (Obs.Json.parse trace) in
         let entries =
           match j with

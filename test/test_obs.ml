@@ -128,7 +128,8 @@ let tests =
            let s1 = Obs.Events.subscribe (fun _ -> seen := "first" :: !seen) in
            let s2 = Obs.Events.subscribe (fun _ -> seen := "second" :: !seen) in
            Alcotest.(check bool) "active with subscribers" true (Obs.Events.active ());
-           Obs.Events.emit (Obs.Events.Lu_factor { n = 3 });
+           Obs.Events.emit
+             (Obs.Events.Newton_done { solver = "test"; iterations = 3; residual = 0.; converged = true });
            Alcotest.(check (list string)) "subscription order" [ "first"; "second" ]
              (List.rev !seen);
            Obs.Events.unsubscribe s1;
@@ -146,8 +147,8 @@ let tests =
            for k = 0 to 9_999 do
              if Obs.Events.active () then
                Obs.Events.emit
-                 (Obs.Events.Newton_iter
-                    { solver = "guard"; k; residual = 1e-3; damping = 1. })
+                 (Obs.Events.Newton_done
+                    { solver = "guard"; iterations = k; residual = 1e-3; converged = true })
            done;
            let dw = Gc.minor_words () -. w0 in
            Alcotest.(check bool)
@@ -185,7 +186,8 @@ let tests =
            Obs.Metrics.reset ();
            let accepts = ref 0 and phases = ref 0 in
            let sub =
-             Obs.Events.subscribe (function
+             Obs.Events.subscribe (fun r ->
+               match r.Obs.Events.event with
                | Obs.Events.Step_accept _ -> incr accepts
                | Obs.Events.Phase_condition { omega; t2 = _ } ->
                  incr phases;
@@ -216,10 +218,7 @@ let tests =
            let one_of_each =
              Obs.Events.
                [
-                 Newton_iter { solver = "envelope"; k = 2; residual = 1e-3; damping = 0.5 };
                  Newton_done { solver = "envelope"; iterations = 3; residual = 1e-9; converged = true };
-                 Lu_factor { n = 61 };
-                 Gmres_iter { k = 4; residual = 2e-5 };
                  Step_accept { t = 1.5; h = 0.25 };
                  Step_reject { t = 1.5; h = 0.25; reason = "error \"norm\"" };
                  Step_retry { t = 1.5; h = 0.25; h_next = 0.125; reason = "newton" };
@@ -229,7 +228,6 @@ let tests =
                    { monitor = "newton_rate"; value = 0.95; threshold = 0.9; t = nan; hint = "lower h2" };
                ]
            in
-           let dropped = [ "newton_iter"; "lu_factor"; "gmres_iter" ] in
            let object_of what s =
              match Obs.Json.parse s with
              | Ok (Obs.Json.Obj kvs) -> kvs
@@ -237,20 +235,15 @@ let tests =
            in
            List.iter
              (fun e ->
-               let stream = object_of "event" (Obs.Events.to_json e) in
+               let r = { Obs.Events.t_s = Obs.now (); scope = "envelope.newton"; event = e } in
+               let stream = object_of "event" (Obs.Events.to_json r) in
                let name =
                  match Option.bind (List.assoc_opt "event" stream) Obs.Json.to_str with
                  | Some n -> n
                  | None -> Alcotest.fail "event JSON has no event name"
                in
-               Obs.Span.start_recording ();
-               Obs.Trace_event.record_event e;
-               let instants = Obs.Span.recorded_instants () in
-               ignore (Obs.Span.stop_recording ());
-               if List.mem name dropped then
-                 Alcotest.(check int) (name ^ ": kept off the timeline") 0 (List.length instants)
-               else begin
-                 let trace = Obs.Trace_event.to_string ~spans:[] ~instants () in
+               begin
+                 let trace = Obs.Trace_event.to_string ~spans:[] ~events:[ r ] () in
                  let args =
                    match Obs.Json.parse trace with
                    | Ok (Obs.Json.Arr entries) -> (
@@ -267,7 +260,9 @@ let tests =
                    | _ -> Alcotest.failf "%s: trace is not a JSON array" name
                  in
                  let fields =
-                   List.filter (fun (k, _) -> k <> "type" && k <> "event") stream
+                   List.filter
+                     (fun (k, _) -> not (List.mem k [ "type"; "t_s"; "scope"; "event" ]))
+                     stream
                  in
                  Alcotest.(check string)
                    (name ^ ": Perfetto args = event fields")

@@ -405,7 +405,7 @@ let obs_tests =
                 List.iter
                   (fun t -> Alcotest.(check bool) "worker track ids start at 1" true (t >= 1))
                   tids;
-                let trace = Obs.Trace_event.to_string ~spans ~instants:[] () in
+                let trace = Obs.Trace_event.to_string ~spans ~events:[] () in
                 match Testkit.json_exn trace with
                 | Obs.Json.Arr evs ->
                   let str k e = Option.bind (Obs.Json.member k e) Obs.Json.to_str in

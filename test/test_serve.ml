@@ -841,6 +841,24 @@ let supervision_tests =
         let count name = Option.value ~default:0 (List.assoc_opt name (Obs.Metrics.counters ())) in
         Alcotest.(check bool) "serve.watchdog.stalled >= 1" true
           (count "serve.watchdog.stalled" >= 1));
+    Alcotest.test_case "circuit evaluations are the watchdog's heartbeat" `Quick (fun () ->
+        Obs.Metrics.with_isolated @@ fun () ->
+        Obs.set_enabled true;
+        let dae = Dae.make ~dim:1 ~q:(fun x -> x) ~f:(fun ~t:_ x -> x) () in
+        (* a solve that emits no event: a circuit evaluation every
+           10 ms (or none) for 0.3 s, watched at a 50 ms stall limit *)
+        let busy ~evaluate () =
+          let t_end = Unix.gettimeofday () +. 0.3 in
+          while Unix.gettimeofday () < t_end do
+            if evaluate then
+              dae.Dae.eval_into ~t:0. [| 1. |] ~q:[| 0. |] ~f:[||] ~c:[||] ~g:[||];
+            try Unix.sleepf 0.01 with Unix.Unix_error (Unix.EINTR, _, _) -> ()
+          done
+        in
+        Supervisor.guard ~stall_s:0.05 (busy ~evaluate:true);
+        match Supervisor.guard ~stall_s:0.05 (busy ~evaluate:false) with
+        | () -> Alcotest.fail "a loop without circuit evaluations was not cancelled"
+        | exception Supervisor.Stalled _ -> ());
     Alcotest.test_case "transient failure retries with backoff and succeeds" `Slow (fun () ->
         Obs.Metrics.with_isolated @@ fun () ->
         Fault.with_armed "nan%1,seed=5" @@ fun () ->
