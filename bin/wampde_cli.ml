@@ -122,17 +122,6 @@ let read_file_or_die file =
     Printf.eprintf "wampde_cli: cannot read %s: %s\n" file msg;
     exit 1
 
-(* Stable discriminant for a typed solver failure, matching the serve
-   protocol's job-error kinds. *)
-let error_kind = function
-  | Transient.Step_failure _ -> "step-failure"
-  | Step_control.Underflow _ -> "step-underflow"
-  | Checkpoint.Corrupt _ -> "corrupt-checkpoint"
-  | Nonlin.Polyalg.Solve_failed _ | Wampde.Quasiperiodic.Solve_failure _ | Mpde.Solve_failure _ ->
-    "solve-failed"
-  | Steady.Oscillator.Nonphysical _ -> "nonphysical"
-  | _ -> "internal"
-
 (* (subcommand, dump path) of the run in flight; set by [with_obs] so
    failure paths that exit directly can still write the postmortem. *)
 let flight_ctx = ref ("", "wampde-flight.json")
@@ -157,7 +146,7 @@ let or_die f =
     | Checkpoint.Corrupt _
     | Nonlin.Polyalg.Solve_failed _ | Wampde.Quasiperiodic.Solve_failure _ | Mpde.Solve_failure _
     | Steady.Oscillator.Nonphysical _ ) as exn ->
-    flight_dump ~kind:(error_kind exn) ~message:(Printexc.to_string exn);
+    flight_dump ~kind:(fst (Serve.Scheduler.classify exn)) ~message:(Printexc.to_string exn);
     Printf.eprintf "wampde_cli: %s\n" (Printexc.to_string exn);
     exit 1
 
@@ -710,9 +699,10 @@ let doctor_cmd =
       if strict && Obs.Doctor.has_warnings findings then exit 1
   in
   let doc =
-    "diagnose a finished run from its manifest (and optionally its NDJSON stream): dominant \
-     cost scope, t1 over/under-resolution with a suggested n1, GMRES stagnation, \
-     rejection-heavy stepping"
+    "diagnose a finished run from its manifest (and optionally its NDJSON stream): where the \
+     time went (dominant cost scope, pool efficiency) and whether the answer can be trusted \
+     (one warning per health monitor that fired, t1 warnings with a suggested n1; measured \
+     facts where none fired)"
   in
   Cmd.v
     (Cmd.info "doctor" ~doc)

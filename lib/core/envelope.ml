@@ -451,6 +451,10 @@ let note_spectral_health ~t states =
 
 let c_escalations = Obs.Metrics.counter "controller.escalations"
 
+(* the theta method's order: trapezoidal below theta = 1, backward Euler
+   at 1 *)
+let theta_order options = if options.theta < 1. then 2 else 1
+
 let checkpoint_sections ~options ~dim ~t2_end ~ctrl ~escalated ~t2 ~omega ~states ~t2s ~omegas
     ~slices =
   [
@@ -518,7 +522,7 @@ let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?pree
      omegas := List.rev (Array.to_list (Checkpoint.vector ck "hist_omega"));
      slices := List.rev_map (Array.map Array.copy) (Array.to_list (Checkpoint.tensor ck "hist_slices")));
   let control = Step_control.options ctrl in
-  let denom = Step_control.richardson_denom ~order:control.Step_control.order in
+  let denom = Step_control.richardson_denom ~order:(theta_order options) in
   let size = Dae.Semidisc.size sd in
   let cur = ref (start_point sd ~t2:!t2 !states !omega) in
   let cache = new_cache ~size in
@@ -688,14 +692,11 @@ let simulate_controlled dae ~options ~control ?h2_init ?checkpoint ?resume ?on_a
   Obs.Span.span ~attrs:(span_attrs dae options ~t2_end) "envelope.simulate_controlled"
   @@ fun () ->
   let init = align_init options init in
-  (* the theta method's order decides the step-doubling denominator *)
-  let order = if options.theta < 1. then 2 else 1 in
-  let control = { control with Step_control.order } in
   let control =
     if Float.is_finite control.Step_control.h_max then control
     else { control with Step_control.h_max = t2_end /. 2. }
   in
-  let ctrl = Step_control.create control ~h_init:h2_init in
+  let ctrl = Step_control.create ~order:(theta_order options) control ~h_init:h2_init in
   run_march (semidisc dae options) ~options ~ctrl ~richardson:true ?checkpoint ?resume
     ?on_accept ?preempt ~t2_end ~states:init.Steady.Oscillator.grid
     ~omega:init.Steady.Oscillator.omega ()

@@ -52,9 +52,10 @@ let synthesize ~n ~m coeffs =
       Vec.init n (fun v ->
           Fourier.Series.eval coeffs.(v) ~period:1. (float_of_int j /. float_of_int nn)))
 
-(* complex g_i = 2 pi j i omega Q_i + F_i, packed to real the same way
-   as the unknowns *)
-let eval_g dae ~n ~m ~t2 coeffs omega =
+(* The packed q coefficients Q_i and g_i = 2 pi j i omega Q_i + F_i,
+   packed to real the same way as the unknowns: one circuit evaluation
+   per grid point *)
+let eval_qg dae ~n ~m ~t2 coeffs omega =
   let nn = (2 * m) + 1 in
   let states = synthesize ~n ~m coeffs in
   let qs = Array.map (fun _ -> Array.make n 0.) states in
@@ -62,48 +63,29 @@ let eval_g dae ~n ~m ~t2 coeffs omega =
   Array.iteri
     (fun j st -> dae.Dae.eval_into ~t:t2 st ~q:qs.(j) ~f:fs.(j) ~c:[||] ~g:[||])
     states;
-  let g = Array.make (n * nn) 0. in
+  let q = Array.make (n * nn) 0. and g = Array.make (n * nn) 0. in
+  let put a base i c =
+    if i = 0 then a.(base) <- Cx.re c
+    else begin
+      a.(base + (2 * i) - 1) <- Cx.re c;
+      a.(base + (2 * i)) <- Cx.im c
+    end
+  in
   for v = 0 to n - 1 do
     let q_coeffs = Fourier.Series.coeffs (Array.map (fun q -> q.(v)) qs) in
     let f_coeffs = Fourier.Series.coeffs (Array.map (fun f -> f.(v)) fs) in
     let base = v * nn in
     for i = 0 to m do
       let jw = Cx.cx 0. (two_pi *. float_of_int i *. omega) in
-      let gi = Complex.add (Complex.mul jw q_coeffs.(m + i)) f_coeffs.(m + i) in
-      if i = 0 then g.(base) <- Cx.re gi
-      else begin
-        g.(base + (2 * i) - 1) <- Cx.re gi;
-        g.(base + (2 * i)) <- Cx.im gi
-      end
+      put q base i q_coeffs.(m + i);
+      put g base i (Complex.add (Complex.mul jw q_coeffs.(m + i)) f_coeffs.(m + i))
     done
   done;
-  g
+  (q, g)
 
-(* q coefficients only, packed *)
-let eval_q_packed dae ~n ~m coeffs =
-  let nn = (2 * m) + 1 in
-  let states = synthesize ~n ~m coeffs in
-  let qs =
-    Array.map
-      (fun st ->
-        let q = Array.make n 0. in
-        dae.Dae.eval_into ~t:0. st ~q ~f:[||] ~c:[||] ~g:[||];
-        q)
-      states
-  in
-  let out = Array.make (n * nn) 0. in
-  for v = 0 to n - 1 do
-    let q_coeffs = Fourier.Series.coeffs (Array.map (fun q -> q.(v)) qs) in
-    let base = v * nn in
-    for i = 0 to m do
-      if i = 0 then out.(base) <- Cx.re q_coeffs.(m)
-      else begin
-        out.(base + (2 * i) - 1) <- Cx.re q_coeffs.(m + i);
-        out.(base + (2 * i)) <- Cx.im q_coeffs.(m + i)
-      end
-    done
-  done;
-  out
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
 
 let simulate dae ~harmonics:m ?(phase_component = 0)
     ?(phase_harmonic = 1) ~t2_end ~h2 ~init () =
@@ -150,7 +132,9 @@ let simulate dae ~harmonics:m ?(phase_component = 0)
   let coeff_hist = ref [ Array.map Array.copy coeffs0 ] in
   let t2 = ref 0. in
   let coeffs = ref coeffs0 and omega = ref omega0 in
-  let g = ref (eval_g dae ~n ~m ~t2:0. !coeffs !omega) in
+  (* q and g at the accepted point: a step's residual evaluates them at
+     its iterates, and the accepted iterate's pair starts the next step *)
+  let point = ref (eval_qg dae ~n ~m ~t2:0. !coeffs !omega) in
   (* fixed-target march: the controller only handles Newton failures,
      halving the step and growing it back toward [h2] *)
   let ctrl =
@@ -161,13 +145,12 @@ let simulate dae ~harmonics:m ?(phase_component = 0)
   while !t2 < t2_end -. (1e-9 *. t2_end) do
     let h = Step_control.propose ctrl ~remaining:(t2_end -. !t2) in
     let t2_new = !t2 +. h in
-    let q0 = eval_q_packed dae ~n ~m !coeffs in
-    let g0 = !g in
+    let q0, g0 = !point in
+    let last = ref ([||], q0, g0) in
     let residual y =
       let c = coeffs_of_packed ~n ~m y in
-      let om = y.(n * nn) in
-      let qy = eval_q_packed dae ~n ~m c in
-      let gy = eval_g dae ~n ~m ~t2:t2_new c om in
+      let qy, gy = eval_qg dae ~n ~m ~t2:t2_new c y.(n * nn) in
+      last := (Array.copy y, qy, gy);
       let res = Array.make ((n * nn) + 1) 0. in
       for idx = 0 to (n * nn) - 1 do
         res.(idx) <-
@@ -190,9 +173,13 @@ let simulate dae ~harmonics:m ?(phase_component = 0)
     if not report.Nonlin.Newton.converged then
       ignore (Step_control.failure_retry ctrl ~t:!t2 ~h_used:h ~reason:"newton")
     else begin
-      coeffs := coeffs_of_packed ~n ~m report.Nonlin.Newton.x;
-      omega := report.Nonlin.Newton.x.(n * nn);
-      g := eval_g dae ~n ~m ~t2:t2_new !coeffs !omega;
+      let x = report.Nonlin.Newton.x in
+      coeffs := coeffs_of_packed ~n ~m x;
+      omega := x.(n * nn);
+      (point :=
+         match !last with
+         | y, q, g when same_bits y x -> (q, g)
+         | _ -> eval_qg dae ~n ~m ~t2:t2_new !coeffs !omega);
       Obs.Metrics.incr c_steps;
       Step_control.record_accept ctrl ~t:!t2 ~h_used:h;
       if Obs.Events.active () then

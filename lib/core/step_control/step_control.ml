@@ -5,27 +5,20 @@ let c_rejected = Obs.Metrics.counter "step.rejected"
 let c_retried = Obs.Metrics.counter "step.retried"
 let g_h = Obs.Metrics.gauge "controller.h2"
 
-type options = {
-  rtol : float;
-  atol : float;
-  h_min : float;
-  h_max : float;
-  safety : float;
-  max_growth : float;
-  min_shrink : float;
-  order : int;
-  max_failures : int;
-}
+type options = { rtol : float; atol : float; h_min : float; h_max : float }
 
-let default_options ?(rtol = 1e-3) ?(atol = 1e-6) ?(h_min = 1e-9) ?(h_max = infinity)
-    ?(safety = 0.9) ?(max_growth = 2.) ?(min_shrink = 0.1) ?(order = 2) ?(max_failures = 8) () =
+let default_options ?(rtol = 1e-3) ?(atol = 1e-6) ?(h_min = 1e-9) ?(h_max = infinity) () =
   if rtol <= 0. || atol <= 0. then invalid_arg "Step_control: tolerances must be positive";
   if h_min <= 0. || h_max < h_min then invalid_arg "Step_control: need 0 < h_min <= h_max";
-  if safety <= 0. || safety > 1. then invalid_arg "Step_control: safety in (0, 1]";
-  if max_growth < 1. || min_shrink <= 0. || min_shrink > 1. then
-    invalid_arg "Step_control: growth/shrink clamps out of range";
-  if order < 1 then invalid_arg "Step_control: order must be >= 1";
-  { rtol; atol; h_min; h_max; safety; max_growth; min_shrink; order; max_failures }
+  { rtol; atol; h_min; h_max }
+
+(* multiplier on the optimal-step estimate, the per-step growth and
+   per-rejection shrink clamps, and the longest streak of consecutive
+   solver failures before giving up *)
+let safety = 0.9
+let max_growth = 2.
+let min_shrink = 0.1
+let max_failures = 8
 
 exception Underflow of { t : float; h : float }
 
@@ -54,6 +47,7 @@ let crawl_share = 0.05
 
 type t = {
   opts : options;
+  order : int;
   mutable h : float;
   mutable err_prev : float;  (* PI memory: scaled error of the last accepted step *)
   mutable accepted : int;
@@ -64,10 +58,10 @@ type t = {
 
 let clamp opts h = Float.min opts.h_max (Float.max opts.h_min h)
 
-let create opts ~h_init =
+let create ?(order = 2) opts ~h_init =
   let h = clamp opts h_init in
   Obs.Metrics.set g_h h;
-  { opts; h; err_prev = 1.; accepted = 0; rejected = 0; retried = 0; failures = 0 }
+  { opts; order; h; err_prev = 1.; accepted = 0; rejected = 0; retried = 0; failures = 0 }
 
 let options t = t.opts
 let propose t ~remaining = Float.min t.h remaining
@@ -97,13 +91,13 @@ type decision = Accept of float | Reject of float
    vanishing estimate maps to the max-growth clamp, not infinity. *)
 let decide t ~t:t_now ~h_used ~err =
   let opts = t.opts in
-  let p1 = float_of_int (opts.order + 1) in
+  let p1 = float_of_int (t.order + 1) in
   if Float.is_finite err && err <= 1. then begin
     let e = Float.max err 1e-10 in
     let factor =
-      opts.safety *. (e ** (-0.7 /. p1)) *. (Float.max t.err_prev 1e-10 ** (0.4 /. p1))
+      safety *. (e ** (-0.7 /. p1)) *. (Float.max t.err_prev 1e-10 ** (0.4 /. p1))
     in
-    let factor = Float.min opts.max_growth (Float.max opts.min_shrink factor) in
+    let factor = Float.min max_growth (Float.max min_shrink factor) in
     t.err_prev <- e;
     t.accepted <- t.accepted + 1;
     t.failures <- 0;
@@ -117,7 +111,7 @@ let decide t ~t:t_now ~h_used ~err =
   else begin
     let e = if Float.is_finite err then err else 1e10 in
     let factor =
-      Float.min 0.9 (Float.max opts.min_shrink (opts.safety *. (e ** (-1. /. p1))))
+      Float.min 0.9 (Float.max min_shrink (safety *. (e ** (-1. /. p1))))
     in
     let h_retry = h_used *. factor in
     t.rejected <- t.rejected + 1;
@@ -134,7 +128,7 @@ let decide t ~t:t_now ~h_used ~err =
 let record_accept t ~t:t_now ~h_used =
   t.accepted <- t.accepted + 1;
   t.failures <- 0;
-  t.h <- clamp t.opts (h_used *. t.opts.max_growth);
+  t.h <- clamp t.opts (h_used *. max_growth);
   Obs.Metrics.incr c_accepted;
   Obs.Metrics.set g_h t.h;
   Obs.Health.note_decision ~t:t_now ~outcome:`Accept ();
@@ -152,7 +146,7 @@ let failure_retry t ~t:t_now ~h_used ~reason =
     t.retried >= crawl_retries
     && float_of_int t.retried > crawl_share *. float_of_int (t.accepted + t.rejected + t.retried)
   in
-  if h_retry < t.opts.h_min || t.failures > t.opts.max_failures || crawling then
+  if h_retry < t.opts.h_min || t.failures > max_failures || crawling then
     raise (Underflow { t = t_now; h = h_retry });
   t.h <- h_retry;
   Obs.Metrics.set g_h t.h;

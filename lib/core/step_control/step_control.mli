@@ -1,12 +1,14 @@
 (** Error-controlled slow-axis step-size policy.
 
-    Every time-stepping solver in the repository (transient theta
-    steps, the WaMPDE envelope, the MPDE line-of-lines march and the
-    harmonic-balance envelope) advances some slow variable with a step
-    [h] that has to balance local truncation error against Newton
-    robustness.  This module centralizes that policy: a weighted
-    rtol/atol error norm, a PI (proportional-integral) step-size
-    controller with safety factor and growth/shrink clamps, and a
+    The slow-time marches advance [t2] with a step [h] that has to
+    balance local truncation error against Newton robustness: the
+    WaMPDE envelope ([Wampde.Envelope], error-controlled through
+    [simulate_controlled], failure recovery only through [march], which
+    the MPDE's initial-value march also runs) and the harmonic-balance
+    envelope ([Wampde.Hb_envelope], failure recovery only).  This
+    module centralizes that policy: a weighted rtol/atol error norm, a
+    PI (proportional-integral) step-size controller with a 0.9 safety
+    factor, growth clamped at 2x and shrink at 0.1x per decision, and a
     failure-recovery path that halves the step on Newton stalls and
     signals when the caller should escalate from the Krylov linear
     solver to dense LU.
@@ -28,25 +30,9 @@ type options = {
   atol : float;  (** absolute tolerance floor *)
   h_min : float;  (** below this, rejection raises {!Underflow} *)
   h_max : float;  (** accepted steps never grow beyond this *)
-  safety : float;  (** multiplier on the optimal-step estimate (0.9) *)
-  max_growth : float;  (** largest per-step growth factor (2) *)
-  min_shrink : float;  (** smallest per-rejection shrink factor (0.1) *)
-  order : int;  (** order of the underlying method (LTE ~ h^(order+1)) *)
-  max_failures : int;  (** consecutive solver failures before giving up *)
 }
 
-val default_options :
-  ?rtol:float ->
-  ?atol:float ->
-  ?h_min:float ->
-  ?h_max:float ->
-  ?safety:float ->
-  ?max_growth:float ->
-  ?min_shrink:float ->
-  ?order:int ->
-  ?max_failures:int ->
-  unit ->
-  options
+val default_options : ?rtol:float -> ?atol:float -> ?h_min:float -> ?h_max:float -> unit -> options
 
 (** Raised when error control or failure recovery would push the step
     below [h_min] (the problem is stiffer than the tolerances allow), or
@@ -56,9 +42,11 @@ exception Underflow of { t : float; h : float }
 (** Mutable controller state for one integration run. *)
 type t
 
-(** [create options ~h_init] starts a controller at step
-    [clamp h_init [h_min, h_max]]. *)
-val create : options -> h_init:float -> t
+(** [create ~order options ~h_init] starts a controller at step
+    [clamp h_init [h_min, h_max]].  [order] (default 2) is the order of
+    the underlying method (local error ~ h^(order+1)); {!decide}'s PI
+    exponents depend on it. *)
+val create : ?order:int -> options -> h_init:float -> t
 
 val options : t -> options
 
@@ -95,14 +83,14 @@ val decide : t -> t:float -> h_used:float -> err:float -> decision
 (** [record_accept ctrl ~t ~h_used] books an accepted step for callers
     that march at a fixed target step and only use the controller for
     failure recovery: resets the failure streak and lets [h] grow back
-    toward [h_max] by [max_growth] per accepted step. *)
+    toward [h_max], doubling it per accepted step. *)
 val record_accept : t -> t:float -> h_used:float -> unit
 
 (** [failure_retry ctrl ~t ~h_used ~reason] books a solver failure
     (Newton stall, singular factorization) on a step of size [h_used]:
     halves the step, bumps [step.retried], emits a [Step_retry] event
     and returns the new step.  Raises {!Underflow} when the halved step
-    falls below [h_min], the failure streak exceeds [max_failures], or
+    falls below [h_min], the failure streak exceeds 8, or
     the run crawls: at least 256 failures booked, more than 5 % of all
     accept, reject and retry decisions. *)
 val failure_retry : t -> t:float -> h_used:float -> reason:string -> float

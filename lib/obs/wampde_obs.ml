@@ -796,17 +796,53 @@ module Health = struct
     cur := t;
     reset ()
 
-  let fire ~monitor ~t ~value ~threshold ~hint =
-    Metrics.incr c_warnings;
-    Metrics.incr (Metrics.counter ("health.warnings." ^ monitor));
-    if Events.active () then
-      Events.emit (Events.Health_warning { monitor; value; threshold; t; hint })
+  (* The monitors, each with the doctor category it answers to and the
+     hint its warning carries.  This table is the one place that names
+     them: [check] takes the hint from here, and [Doctor] turns each
+     monitor that fired into its finding. *)
+  type monitor = { name : string; category : string; hint : string }
 
-  let check ~monitor ~t ~value ~threshold ~hint =
+  let monitor category name hint = { name; category; hint }
+  let tail_energy = monitor "t1_resolution" "t1_tail_energy" "t1 grid under-resolved: increase n1"
+  let over_resolution = monitor "t1_resolution" "t1_over_resolution" "t1 grid over-resolved: decrease n1"
+
+  let newton_rate =
+    monitor "solver_quality" "newton_rate"
+      "Newton contraction is slow: refresh the Jacobian more often or shrink h2"
+
+  let gmres_stagnation =
+    monitor "solver_quality" "gmres_stagnation"
+      "GMRES is consuming a large fraction of its restart window: preconditioner quality is \
+       degrading"
+
+  let gmres_plateau =
+    monitor "solver_quality" "gmres_plateau"
+      "GMRES residual has plateaued: the preconditioned operator contracts near unity"
+
+  let cascade_pressure =
+    monitor "solver_quality" "cascade_pressure"
+      "the globalization cascade escalates often: the base strategy is mismatched to this regime"
+
+  let rejection_rate =
+    monitor "stepping" "rejection_rate"
+      "the step controller is rejecting or retrying many macro steps: loosen rtol or start with \
+       a smaller h2"
+
+  let monitors =
+    [ tail_energy; over_resolution; newton_rate; gmres_stagnation; gmres_plateau; cascade_pressure; rejection_rate ]
+
+  let fire m ~t ~value ~threshold =
+    Metrics.incr c_warnings;
+    Metrics.incr (Metrics.counter ("health.warnings." ^ m.name));
+    if Events.active () then
+      Events.emit
+        (Events.Health_warning { monitor = m.name; value; threshold; t; hint = m.hint })
+
+  let check m ~t ~value ~threshold =
     let above = Float.is_finite threshold && value > threshold in
-    let was = match Hashtbl.find_opt edge monitor with Some b -> b | None -> false in
-    Hashtbl.replace edge monitor above;
-    if above && not was then fire ~monitor ~t ~value ~threshold ~hint
+    let was = match Hashtbl.find_opt edge m.name with Some b -> b | None -> false in
+    Hashtbl.replace edge m.name above;
+    if above && not was then fire m ~t ~value ~threshold
 
   let note_spectrum ?(t = nan) ~tail ~needed ~available () =
     if !enabled_flag then begin
@@ -814,12 +850,11 @@ module Health = struct
       Metrics.set g_tail tail;
       Metrics.set g_needed (float_of_int needed);
       Metrics.set g_avail (float_of_int available);
-      check ~monitor:"t1_tail_energy" ~t ~value:tail ~threshold:th.tail_tol
-        ~hint:"t1 grid under-resolved: increase n1";
+      check tail_energy ~t ~value:tail ~threshold:th.tail_tol;
       if available > 0 then
-        check ~monitor:"t1_over_resolution" ~t
+        check over_resolution ~t
           ~value:(1. -. (float_of_int needed /. float_of_int available))
-          ~threshold:th.over_resolution ~hint:"t1 grid over-resolved: decrease n1"
+          ~threshold:th.over_resolution
     end
 
   let note_newton ?(t = nan) ~iterations ~rate () =
@@ -828,8 +863,7 @@ module Health = struct
       (* a single-iteration "rate" is just the residual drop of one
          update; contraction needs at least two *)
       if iterations >= 2 then
-        check ~monitor:"newton_rate" ~t ~value:rate ~threshold:(!cur).newton_rate
-          ~hint:"Newton contraction is slow: refresh the Jacobian more often or shrink h2"
+        check newton_rate ~t ~value:rate ~threshold:(!cur).newton_rate
     end
 
   let note_gmres ?(t = nan) ~iterations ~restart ~converged ~reduction () =
@@ -842,14 +876,9 @@ module Health = struct
       let value =
         if converged then stagnation else Float.max stagnation (th.gmres_stagnation +. 1.)
       in
-      check ~monitor:"gmres_stagnation" ~t ~value ~threshold:th.gmres_stagnation
-        ~hint:
-          "GMRES is consuming a large fraction of its restart window: preconditioner quality \
-           is degrading";
+      check gmres_stagnation ~t ~value ~threshold:th.gmres_stagnation;
       if iterations >= th.gmres_plateau_min_iters && Float.is_finite reduction then
-        check ~monitor:"gmres_plateau" ~t ~value:reduction ~threshold:th.gmres_plateau
-          ~hint:
-            "GMRES residual has plateaued: the preconditioned operator contracts near unity"
+        check gmres_plateau ~t ~value:reduction ~threshold:th.gmres_plateau
     end
 
   let note_decision ?(t = nan) ~outcome () =
@@ -875,10 +904,7 @@ module Health = struct
       Metrics.set g_reject rate;
       Metrics.set g_pressure (float_of_int !escalations /. float_of_int !decisions);
       if !win_count >= th.rejection_window then
-        check ~monitor:"rejection_rate" ~t ~value:rate ~threshold:th.rejection_rate
-          ~hint:
-            "the step controller is rejecting or retrying many macro steps: loosen rtol or \
-             start with a smaller h2"
+        check rejection_rate ~t ~value:rate ~threshold:th.rejection_rate
     end
 
   let note_escalation ?(t = nan) () =
@@ -886,10 +912,7 @@ module Health = struct
       incr escalations;
       let p = float_of_int !escalations /. float_of_int (Int.max 1 !decisions) in
       Metrics.set g_pressure p;
-      check ~monitor:"cascade_pressure" ~t ~value:p ~threshold:(!cur).cascade_pressure
-        ~hint:
-          "the globalization cascade escalates often: the base strategy is mismatched to \
-           this regime"
+      check cascade_pressure ~t ~value:p ~threshold:(!cur).cascade_pressure
     end
 end
 
@@ -1815,196 +1838,103 @@ module Doctor = struct
       }
     end
 
-  (* ---------- t1 grid resolution ---------- *)
+  (* ---------- can the answer be trusted ---------- *)
 
-  let resolution_findings j =
-    let gauges = metrics_section j "gauges" in
+  (* The measured facts of each trust category, as the manifest's last
+     gauges and whole-run counters state them. *)
+  let t1_facts gauges =
     match (gauge gauges "health.harmonics_available", gauge gauges "health.effective_harmonics") with
     | Some avail, Some needed when avail > 0. ->
-      let th = Health.default_thresholds in
-      let tail = match gauge gauges "health.tail_energy" with Some v -> v | None -> 0. in
-      let avail_i = int_of_float avail and needed_i = int_of_float needed in
-      if tail > th.tail_tol then
-        (* headroom of ~half the current band above what the tail demands *)
-        let n1 = (2 * (avail_i + Int.max 2 (avail_i / 2))) + 1 in
-        [
-          {
-            category = "t1_resolution";
-            severity = Warn;
-            summary =
-              Printf.sprintf
-                "t1 grid under-resolved: relative tail energy %.2e exceeds %.0e with %d harmonics"
-                tail th.tail_tol avail_i;
-            suggestion = Some (Printf.sprintf "increase n1 to about %d" n1);
-          };
-        ]
-      else begin
-        let slack = 1. -. (needed /. avail) in
-        if slack > th.over_resolution then
-          let keep = Int.max 2 (int_of_float (Float.ceil (1.25 *. needed))) in
-          let n1 = (2 * keep) + 1 in
-          [
-            {
-              category = "t1_resolution";
-              severity = Warn;
-              summary =
-                Printf.sprintf
-                  "t1 grid over-resolved: only %d of %d harmonics carry energy above tolerance"
-                  needed_i avail_i;
-              suggestion =
-                Some (Printf.sprintf "decrease n1 to about %d to cut per-step cost" n1);
-            };
-          ]
-        else
-          [
-            {
-              category = "t1_resolution";
-              severity = Info;
-              summary =
-                Printf.sprintf "t1 grid well-sized: %d of %d harmonics in use, tail energy %.2e"
-                  needed_i avail_i tail;
-              suggestion = None;
-            };
-          ]
-      end
-    | _ ->
-      [
-        {
-          category = "t1_resolution";
-          severity = Info;
-          summary = "no spectral health gauges in this manifest";
-          suggestion = Some "re-run the solve with telemetry enabled to collect t1 health";
-        };
-      ]
+      Printf.sprintf "t1 grid: %.0f of %.0f harmonics in use, tail energy %.2e at the last step"
+        needed avail
+        (Option.value ~default:0. (gauge gauges "health.tail_energy"))
+    | _ -> "no spectral health gauges in this manifest"
 
-  (* ---------- solver quality ---------- *)
-
-  let solver_findings j =
-    let counters = metrics_section j "counters" in
-    let gauges = metrics_section j "gauges" in
-    let th = Health.default_thresholds in
-    let solves = counter counters "gmres.solves" in
-    let gmres =
-      if solves <= 0. then
-        {
-          category = "solver_quality";
-          severity = Info;
-          summary = "linear systems solved by the dense path (no GMRES activity)";
-          suggestion = None;
-        }
-      else begin
-        let stag_warn = counter counters "health.warnings.gmres_stagnation" in
-        let plateau_warn = counter counters "health.warnings.gmres_plateau" in
-        let fallbacks = counter counters "gmres.precond.fallbacks" in
-        let mean_iters = counter counters "gmres.iterations" /. solves in
-        if stag_warn > 0. || plateau_warn > 0. || fallbacks > 0. then
-          {
-            category = "solver_quality";
-            severity = Warn;
-            summary =
-              Printf.sprintf
-                "GMRES shows stagnation pressure (%.0f stagnation / %.0f plateau warnings, %.0f \
-                 preconditioner fallbacks; %.1f iters/solve)"
-                stag_warn plateau_warn fallbacks mean_iters;
-            suggestion =
-              Some
-                "rebuild or strengthen the preconditioner (block factorization), or fall back to \
-                 the dense solver for this regime";
-          }
-        else
-          {
-            category = "solver_quality";
-            severity = Info;
-            summary = Printf.sprintf "GMRES healthy: %.1f iterations per solve" mean_iters;
-            suggestion = None;
-          }
-      end
-    in
-    let escalations =
-      counter counters "newton.strategy.escalations" +. counter counters "controller.escalations"
-    in
+  let solver_facts counters =
+    let c = counter counters in
+    let solves = c "gmres.solves" in
+    let escalations = c "newton.strategy.escalations" +. c "controller.escalations" in
     (* a rejected dogleg step reuses the trust-region model *)
-    let rejected = counter counters "trust_region.rejected" in
-    let newton =
-      if escalations > 0. then
-        Some
-          {
-            category = "solver_quality";
-            severity = Warn;
-            summary =
-              Printf.sprintf "globalization cascade escalated %.0f time(s)" escalations
-              ^
-              if rejected > 0. then
-                Printf.sprintf "; trust region rejected %.0f of %.0f steps (model reused)"
-                  rejected (counter counters "trust_region.iterations")
-              else "";
-            suggestion =
-              Some
-                "the base Newton strategy is mismatched to this regime; consider a smaller h2 or \
-                 a stronger initial guess";
-          }
-      else
-        match gauge gauges "health.newton_rate" with
-        | Some r when r > th.newton_rate ->
-          Some
-            {
-              category = "solver_quality";
-              severity = Warn;
-              summary = Printf.sprintf "Newton contraction rate %.2f is close to 1" r;
-              suggestion = Some "refresh the chord Jacobian more often or tighten the step size";
-            }
-        | _ -> None
-    in
-    gmres :: Option.to_list newton
+    let rejected = c "trust_region.rejected" in
+    String.concat "; "
+      (List.filter (( <> ) "")
+         [
+           (if solves <= 0. then "linear systems solved by the dense path (no GMRES activity)"
+            else
+              Printf.sprintf "GMRES %.1f iterations per solve, %.0f preconditioner fallback(s)"
+                (c "gmres.iterations" /. solves) (c "gmres.precond.fallbacks"));
+           (if escalations <= 0. then ""
+            else Printf.sprintf "globalization cascade escalated %.0f time(s)" escalations);
+           (if rejected <= 0. then ""
+            else
+              Printf.sprintf "trust region rejected %.0f of %.0f steps (model reused)" rejected
+                (c "trust_region.iterations"));
+         ])
 
-  (* ---------- stepping ---------- *)
+  let stepping_facts counters =
+    let accepted = counter counters "step.accepted"
+    and rejected = counter counters "step.rejected"
+    and retried = counter counters "step.retried" in
+    if accepted +. rejected +. retried <= 0. then None
+    else
+      Some
+        (Printf.sprintf "%.0f macro steps accepted, %.0f rejected, %.0f retried" accepted
+           rejected retried)
 
-  let stepping_findings j =
-    let counters = metrics_section j "counters" in
-    let accepted, rejected, retried =
-      match Json.member "history" j with
-      | Some (Json.Arr entries) when entries <> [] ->
-        List.fold_left
-          (fun (a, r, y) e ->
-            match str_member "outcome" e with
-            | Some "accept" -> (a +. 1., r, y)
-            | Some "reject" -> (a, r +. 1., y)
-            | Some "retry" -> (a, r, y +. 1.)
-            | _ -> (a, r, y))
-          (0., 0., 0.) entries
-      | _ ->
-        ( counter counters "step.accepted",
-          counter counters "step.rejected",
-          counter counters "step.retried" )
-    in
-    let total = accepted +. rejected +. retried in
-    if total < 5. then []
-    else begin
-      let frac = (rejected +. retried) /. total in
-      if frac > 0.3 then
-        [
-          {
-            category = "stepping";
-            severity = Warn;
-            summary =
-              Printf.sprintf "rejection-heavy stepping: %.0f%% of %d macro steps were rejected \
-                              or retried"
-                (100. *. frac) (int_of_float total);
-            suggestion = Some "loosen rtol or start from a smaller initial h2";
-          };
-        ]
-      else
-        [
-          {
-            category = "stepping";
-            severity = Info;
-            summary =
-              Printf.sprintf "step controller healthy: %.0f%% of %d macro steps accepted"
-                (100. *. accepted /. total) (int_of_float total);
-            suggestion = None;
-          };
-        ]
-    end
+  (* the n1 a t1 warning suggests: arithmetic on the last step's
+     harmonic gauges, in the direction of the monitor's hint *)
+  let suggested_n1 gauges (m : Health.monitor) =
+    match (gauge gauges "health.harmonics_available", gauge gauges "health.effective_harmonics") with
+    | Some avail, Some needed when avail > 0. ->
+      let avail = int_of_float avail in
+      if m == Health.tail_energy then
+        (* headroom of about half the current band *)
+        Some ((2 * (avail + Int.max 2 (avail / 2))) + 1)
+      else if m == Health.over_resolution then
+        let keep = Int.max 2 (int_of_float (Float.ceil (1.25 *. needed))) in
+        if keep < avail then Some ((2 * keep) + 1) else None
+      else None
+    | _ -> None
+
+  (* [Health] decides: each monitor whose [health.warnings.<monitor>]
+     counter is nonzero gives one warning in its category, its hint the
+     suggestion.  A category where no monitor fired gets one line of
+     facts (stepping only once a step was decided). *)
+  let trust_findings j =
+    let counters = metrics_section j "counters" and gauges = metrics_section j "gauges" in
+    List.concat_map
+      (fun (category, facts) ->
+        let fired =
+          List.filter_map
+            (fun (m : Health.monitor) ->
+              let n = counter counters ("health.warnings." ^ m.name) in
+              if m.category = category && n > 0. then Some (m, n) else None)
+            Health.monitors
+        in
+        match (fired, facts) with
+        | [], None -> []
+        | [], Some summary -> [ { category; severity = Info; summary; suggestion = None } ]
+        | _ ->
+          List.map
+            (fun ((m : Health.monitor), n) ->
+              {
+                category;
+                severity = Warn;
+                summary =
+                  Printf.sprintf "health monitor %s fired %.0f time(s)%s" m.name n
+                    (match facts with Some f -> ": " ^ f | None -> "");
+                suggestion =
+                  Some
+                    (match suggested_n1 gauges m with
+                     | Some n1 -> Printf.sprintf "%s to about %d" m.hint n1
+                     | None -> m.hint);
+              })
+            fired)
+      [
+        ("t1_resolution", Some (t1_facts gauges));
+        ("solver_quality", Some (solver_facts counters));
+        ("stepping", stepping_facts counters);
+      ]
 
   (* ---------- parallel efficiency ---------- *)
 
@@ -2174,8 +2104,8 @@ module Doctor = struct
 
   let diagnose ?stream_lines (j : Json.t) =
     let findings =
-      (cost_finding j :: resolution_findings j)
-      @ solver_findings j @ stepping_findings j @ parallelism_findings j
+      (cost_finding j :: trust_findings j)
+      @ parallelism_findings j
       @ serve_findings j
       @ (match stream_lines with Some ls -> stream_findings ls | None -> [])
     in

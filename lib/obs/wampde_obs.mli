@@ -217,6 +217,14 @@ module Eta = Eta
     fires {!Events.Health_warning} when a monitor crosses its
     threshold.
 
+    Health is the one judge of whether a run can be trusted.  Its
+    seven monitors, each answering to one {!Doctor} category, are
+    [t1_tail_energy] and [t1_over_resolution] ([t1_resolution]),
+    [newton_rate], [gmres_stagnation], [gmres_plateau] and
+    [cascade_pressure] ([solver_quality]), and [rejection_rate]
+    ([stepping]).  One table in the implementation names them with
+    their category and the hint their warnings carry.
+
     Threshold semantics (tested at the boundaries): a warning fires
     only when the observed value is {e strictly greater} than the
     threshold — a value exactly equal to the threshold does not fire —
@@ -525,13 +533,31 @@ module Report : sig
   val to_markdown : string -> (string, string) result
 end
 
-(** Post-hoc run diagnosis: turn a {!Report} manifest (and optionally
-    an NDJSON stream) into a short list of actionable findings —
-    dominant cost scope, t1 over/under-resolution with a suggested
-    [n1], GMRES stagnation, rejection-heavy stepping.  The diagnosis
-    always includes at least the cost, t1-resolution and
-    solver-quality categories (as informational findings when the
-    manifest carries no signal for them). *)
+(** Post-hoc run diagnosis: turn a {!Report} manifest (or a flight
+    dump, and optionally an NDJSON stream) into a short list of
+    findings answering two questions.
+
+    Where did the time go: the dominant cost scope ([cost]) and, for
+    [--jobs] runs, pool efficiency ([parallelism]).
+
+    Can the answer be trusted: the doctor judges nothing itself here,
+    it reports {!Health}'s verdicts.  Each monitor whose
+    [health.warnings.<monitor>] counter is nonzero gives one warning
+    in its category ([t1_resolution], [solver_quality], [stepping])
+    naming the monitor, with the monitor's hint as the suggestion (a
+    t1 warning adds an [n1] worked out from the last step's harmonic
+    gauges).  A category where no monitor fired gives one
+    informational line of measured facts: harmonics in use against
+    harmonics available; GMRES iterations per solve (or the dense
+    path), preconditioner fallbacks, cascade escalations and rejected
+    trust-region steps; accepted, rejected and retried macro steps
+    (only once a step was decided).  The thresholds are those Health
+    ran with, {!Health.set_thresholds} included.
+
+    Serve manifests add a retry-storm check ([serve]); a stream adds
+    its cross-check ([stream]).  The diagnosis always includes at
+    least the cost, t1-resolution and solver-quality categories;
+    warnings sort first. *)
 module Doctor : sig
   type severity = Info | Warn
 

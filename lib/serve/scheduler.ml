@@ -390,7 +390,8 @@ let classify = function
   | Step_control.Underflow { t; h } ->
     ("step-underflow", Printf.sprintf "step control gave up at t2 = %g (h2 = %g)" t h)
   | Checkpoint.Corrupt msg -> ("corrupt-checkpoint", msg)
-  | (Nonlin.Polyalg.Solve_failed _ | Wampde.Quasiperiodic.Solve_failure _) as e ->
+  | (Nonlin.Polyalg.Solve_failed _ | Wampde.Quasiperiodic.Solve_failure _ | Mpde.Solve_failure _)
+    as e ->
     ("solve-failed", Printexc.to_string e)
   | Steady.Oscillator.Nonphysical msg -> ("nonphysical", msg)
   | Failure msg -> ("solver-failure", msg)

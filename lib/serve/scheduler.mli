@@ -81,6 +81,15 @@ type slice =
   | Idle  (** queue empty *)
   | Wait of float  (** every queued job is in retry backoff; seconds until the soonest *)
 
+(** [classify exn] is the stable [(kind, message)] a failed job reports
+    for [exn]: the one failure-to-kind table, which the CLI's flight
+    dumps share.  Typed solver failures get their own kinds
+    (["step-failure"], ["step-underflow"], ["corrupt-checkpoint"],
+    ["solve-failed"], ["nonphysical"]), the watchdog's
+    ["deadline-exceeded"] and ["stalled"]; any other [Failure] is
+    ["solver-failure"] and anything else ["internal"]. *)
+val classify : exn -> string * string
+
 (** Run one scheduling slice.  Never raises on solver failure — the
     job terminates with a typed [job-error] (or retries) instead. *)
 val run_slice : t -> slice

@@ -163,6 +163,25 @@ let hb_envelope_tests =
           in
           approx_tol 1e-5 "Re X1" (Cx.re track.(step)) (Cx.re c_hb)
         done);
+    Alcotest.test_case "coefficient-space WaMPDE evaluates the circuit once per residual" `Slow
+      (fun () ->
+        let p0 = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
+        let orbit =
+          Steady.Oscillator.find (Circuit.Vco.build p0) ~n1:25 ~period_hint:1.333
+            (Circuit.Vco.initial_state p0)
+        in
+        let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
+        let evals =
+          Wampde_obs.Metrics.with_isolated (fun () ->
+              Wampde_obs.set_enabled true;
+              ignore
+                (Wampde.Hb_envelope.simulate dae ~harmonics:12 ~t2_end:6. ~h2:0.2 ~init:orbit ());
+              Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter "dae.evals"))
+        in
+        (* 25 grid points per residual over 5,844 residuals, plus the
+           start point; each accepted point's q and g come from the
+           residual that accepted it *)
+        Alcotest.(check int) "dae.evals" (25 * 5845) evals);
     Alcotest.test_case "phase conditions now agree pointwise after alignment" `Quick
       (fun () ->
         let p = Circuit.Vco.vco_a () in

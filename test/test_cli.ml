@@ -1,5 +1,6 @@
 (* The CLI's help pages, its numeric flag checks, its trace artifacts,
-   its typed solver failures and doctor's refusal of files that are not
+   its typed solver failures (kinds shared with serve's job errors) and
+   doctor's refusal of files that are not
    run manifests.
    Every subcommand (found by walking the COMMANDS sections of the help
    pages themselves) must render its --help=plain page: cmdliner reports
@@ -154,7 +155,39 @@ let tests =
             Alcotest.(check int) ("one typed error line: " ^ out) 1 (List.length typed);
             Alcotest.(check bool) ("no uncaught exception: " ^ out) false
               (contains out "internal error");
-            Alcotest.(check bool) "flight dump written" true (Sys.file_exists dump)));
+            Alcotest.(check bool) "flight dump written" true (Sys.file_exists dump);
+            (* the dump's kind comes from serve's failure table (see
+               the test below) *)
+            let module Json = Wampde_obs.Json in
+            let reason_kind =
+              match Json.parse (In_channel.with_open_bin dump In_channel.input_all) with
+              | Ok j ->
+                Option.bind (Json.member "reason" j) (fun r ->
+                    Option.bind (Json.member "kind" r) Json.to_str)
+              | Error m -> Alcotest.failf "flight dump: %s" m
+            in
+            Alcotest.(check (option string)) "dump kind" (Some "solve-failed") reason_kind));
+    Alcotest.test_case "one failure table names the CLI's dumps and serve's job errors" `Quick
+      (fun () ->
+        let report =
+          { Nonlin.Newton.x = [||]; residual_norm = nan; iterations = 0; converged = false;
+            reason = Some Nonlin.Newton.Iteration_limit }
+        in
+        List.iter
+          (fun (exn, kind) ->
+            Alcotest.(check string) (Printexc.to_string exn) kind
+              (fst (Serve.Scheduler.classify exn)))
+          [
+            ( Transient.Step_failure
+                { t = 0.; h = 1.; residual_norm = nan; iterations = 0; reason = None },
+              "step-failure" );
+            (Step_control.Underflow { t = 0.; h = 1e-12 }, "step-underflow");
+            (Checkpoint.Corrupt "bad crc", "corrupt-checkpoint");
+            (Nonlin.Polyalg.Solve_failed { label = "test"; attempts = [] }, "solve-failed");
+            (Wampde.Quasiperiodic.Solve_failure report, "solve-failed");
+            (Mpde.Solve_failure { stage = "test"; report }, "solve-failed");
+            (Steady.Oscillator.Nonphysical "equilibrium", "nonphysical");
+          ]);
     Alcotest.test_case "--trace with --trace-perfetto writes each event once, timed" `Quick
       (fun () ->
         let module Json = Wampde_obs.Json in

@@ -451,6 +451,11 @@ let stream_tests =
            Alcotest.(check bool) "no progress record" true (not (List.mem "progress" types))));
   ]
 
+let t1_findings manifest =
+  List.filter
+    (fun f -> f.Obs.Doctor.category = "t1_resolution")
+    (check_ok "diagnosis" (Obs.Doctor.diagnose_string manifest))
+
 let doctor_tests =
   [
     Alcotest.test_case "diagnosis of a live run covers three categories" `Quick
@@ -512,6 +517,27 @@ let doctor_tests =
            Alcotest.(check bool) "stream finding present" true (stream_findings <> []);
            Alcotest.(check bool) "stream finding is a warning" true
              (List.exists (fun f -> f.Obs.Doctor.severity = Obs.Doctor.Warn) stream_findings)));
+    Alcotest.test_case "doctor follows the thresholds Health ran with" `Quick
+      (with_clean (fun () ->
+           Obs.set_enabled true;
+           Obs.Health.set_thresholds { Obs.Health.default_thresholds with tail_tol = 1e-3 };
+           Obs.Health.note_spectrum ~tail:1e-4 ~needed:5 ~available:7 ();
+           let t1 = t1_findings (Obs.Report.manifest ~wall_s:1. ~steps:[] ()) in
+           Alcotest.(check bool) "t1 finding present" true (t1 <> []);
+           Alcotest.(check bool) "no t1 warning" false
+             (List.exists (fun f -> f.Obs.Doctor.severity = Obs.Doctor.Warn) t1)));
+    Alcotest.test_case "a t1 warning mid-run outlives a clean last step" `Quick
+      (with_clean (fun () ->
+           Obs.set_enabled true;
+           Obs.Health.note_spectrum ~tail:1e-3 ~needed:7 ~available:7 ();
+           Obs.Health.note_spectrum ~tail:1e-9 ~needed:5 ~available:7 ();
+           let t1 = t1_findings (Obs.Report.manifest ~wall_s:1. ~steps:[] ()) in
+           Alcotest.(check bool) "t1 warning names the monitor" true
+             (List.exists
+                (fun f ->
+                  f.Obs.Doctor.severity = Obs.Doctor.Warn
+                  && Str.string_match (Str.regexp ".*t1_tail_energy") f.Obs.Doctor.summary 0)
+                t1)));
     Alcotest.test_case "garbage manifests produce an error, not an exception" `Quick
       (fun () ->
         match Obs.Doctor.diagnose_string "{ not json" with

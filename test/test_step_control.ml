@@ -74,9 +74,10 @@ let tests =
         Alcotest.(check bool) "accept clears the streak" false
           (Step_control.should_escalate ctrl));
     Alcotest.test_case "failure streak past max_failures raises Underflow" `Quick (fun () ->
-        let ctrl = Step_control.create (sc_opts ~max_failures:3 ~h_min:1e-12 ()) ~h_init:1. in
+        (* the streak limit is 8 consecutive failures *)
+        let ctrl = Step_control.create (sc_opts ~h_min:1e-12 ()) ~h_init:1. in
         let h = ref 1. in
-        for _ = 1 to 3 do
+        for _ = 1 to 8 do
           h := Step_control.failure_retry ctrl ~t:0. ~h_used:!h ~reason:"newton"
         done;
         match Step_control.failure_retry ctrl ~t:0. ~h_used:!h ~reason:"newton" with
