@@ -6,10 +6,13 @@
    kernel every solver calls: one [eval_into] pass filling [q] and [f]
    of the compiled VCO-A netlist into caller buffers.
 
-   LU is timed at the sizes the dense callers factor: 5 (shooting for
-   a four-state orbit and its period), 61 (the q1 warm-up), 101 (the
-   VCO-B envelope chord) and 121 (the sinh-cascade periodic MPDE
-   Newton); the substitution at the last three.  The (D (x) I)
+   LU is timed at the sizes the dense callers factor: 4 (the
+   transient's Newton Jacobian for a four-state VCO, thousands of
+   factors per orbit set-up, below the C sweep's crossover in lu.ml),
+   5 (shooting for a four-state orbit and its period), 61 (a
+   four-state VCO envelope or orbit at n1 = 15, the serve jobs' grid),
+   101 (the VCO-B envelope chord at n1 = 25) and 121 (the sinh-cascade
+   periodic MPDE Newton); the substitution at the last three.  The (D (x) I)
    kernel runs at the VCO-B envelope's grid (n1 = 25, four states).
    The preconditioner apply is timed from the serve jobs' grids
    (n1 = 15-25) up to the largest Krylov envelope grid (161): its real
@@ -20,7 +23,7 @@
 
 open Linalg
 
-let lu_sizes = [ 5; 61; 101; 121 ]
+let lu_sizes = [ 4; 5; 61; 101; 121 ]
 let lu_solve_sizes = [ 61; 101; 121 ]
 let sizes = [ 33; 65; 101 ]
 let precond_sizes = [ 15; 17; 25; 33; 65; 101; 161 ]

@@ -259,6 +259,11 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
   in
   let fail () =
     newton_done ~converged:false;
+    raise Newton_failed
+  in
+  (* the step fails: the chord iteration lost, and so did the rescue
+     when there is one; a rescued step is no reject *)
+  let reject () =
     Obs.Metrics.incr c_env_rejects;
     if Obs.Events.active () then
       Obs.Events.emit (Obs.Events.Step_reject { t = t2_new; h = h2; reason = "newton" });
@@ -371,33 +376,33 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
   end;
   (point_at !y, !iters)
   in
-  if not options.rescue then run_chord ()
-  else
-    try run_chord ()
-    with Newton_failed ->
-      (* The chord iteration is lost.  Cold-start trust region on the
-         same step system (dense Jacobian) before surfacing the
-         failure to the step controller. *)
-      let residual yv =
-        let dst = Array.make size 0. in
-        residual_into yv dst;
-        dst
-      in
-      let jacobian y = Dae.Semidisc.dense (Dae.Semidisc.step_linearize sys y) in
-      let outcome =
-        Nonlin.Polyalg.solve
-          ~options:{ options.newton with Nonlin.Newton.residual_tol = tol }
-          ~label:"envelope.rescue"
-          ~cascade:[ Nonlin.Polyalg.Trust_region ]
-          ~jacobian ~residual (Dae.Semidisc.pack sd p.states p.omega)
-      in
-      let report = outcome.Nonlin.Polyalg.report in
-      if not report.Nonlin.Newton.converged then raise Newton_failed;
-      Obs.Metrics.incr c_rescues;
-      let x = report.Nonlin.Newton.x in
-      (* one residual pass at the answer, for its g and Q *)
-      Dae.Semidisc.step_residual_into sys x scratch.sc_rt;
-      (point_at x, !iters + report.Nonlin.Newton.iterations)
+  match run_chord () with
+  | result -> result
+  | exception Newton_failed when not options.rescue -> reject ()
+  | exception Newton_failed ->
+    (* The chord iteration is lost.  Cold-start trust region on the
+       same step system (dense Jacobian) before surfacing the
+       failure to the step controller. *)
+    let residual yv =
+      let dst = Array.make size 0. in
+      residual_into yv dst;
+      dst
+    in
+    let jacobian y = Dae.Semidisc.dense (Dae.Semidisc.step_linearize sys y) in
+    let outcome =
+      Nonlin.Polyalg.solve
+        ~options:{ options.newton with Nonlin.Newton.residual_tol = tol }
+        ~label:"envelope.rescue"
+        ~cascade:[ Nonlin.Polyalg.Trust_region ]
+        ~jacobian ~residual (Dae.Semidisc.pack sd p.states p.omega)
+    in
+    let report = outcome.Nonlin.Polyalg.report in
+    if not report.Nonlin.Newton.converged then reject ();
+    Obs.Metrics.incr c_rescues;
+    let x = report.Nonlin.Newton.x in
+    (* one residual pass at the answer, for its g and Q *)
+    Dae.Semidisc.step_residual_into sys x scratch.sc_rt;
+    (point_at x, !iters + report.Nonlin.Newton.iterations)
 
 let check_init options (init : Steady.Oscillator.orbit) =
   if Array.length init.Steady.Oscillator.grid <> options.n1 then

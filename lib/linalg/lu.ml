@@ -8,16 +8,11 @@ let c_factor = Obs.Metrics.counter "lu.factor"
 let h_dim = Obs.Metrics.histogram "lu.dim"
 let c_solve = Obs.Metrics.counter "lu.solve"
 
-(* Partial pivoting for column [k]: swap the row of largest magnitude
-   among rows [k..n-1] into row [k] (exchanging the row arrays), then
-   raise [Singular k] on a zero pivot.  Ints and arrays only, so no
-   float is boxed. *)
-let pivot lu perm n k =
-  let p = ref k in
-  for i = k + 1 to n - 1 do
-    if Float.abs lu.(i).(k) > Float.abs lu.(!p).(k) then p := i
-  done;
-  let p = !p in
+(* Row exchange for column [k], [p] the row of largest magnitude among
+   rows [k..n-1]: swap row [p] into row [k] (exchanging the row arrays),
+   then raise [Singular k] on a zero pivot.  Ints and arrays only, so
+   no float is boxed. *)
+let exchange lu perm k p =
   if p <> k then begin
     let tmp = lu.(k) in
     lu.(k) <- lu.(p);
@@ -28,6 +23,74 @@ let pivot lu perm n k =
   end;
   if lu.(k).(k) = 0. then raise (Singular k)
 
+(* Partial pivoting for column [k]: the first row of largest magnitude
+   among rows [k..n-1] is exchanged into row [k].  A row replaces the
+   best so far only if [|r_ik| > |r_pk|], so a NaN below row [k] is
+   never chosen and a NaN in row [k] is never replaced. *)
+let pivot lu perm n k =
+  let p = ref k and best = ref (Float.abs lu.(k).(k)) in
+  for i = k + 1 to n - 1 do
+    let a = Float.abs (Array.unsafe_get lu.(i) k) in
+    if a > !best then begin
+      p := i;
+      best := a
+    end
+  done;
+  exchange lu perm k !p
+
+(* Steps k0 and k0+1 on every trailing row i > k0+1 in one pass,
+   r_ij <- (r_ij - m0 r_k0,j) - m1 r_k1,j, after the column-k1 pass and
+   the second pivot: m0 is already in column k0, m1 = r_i,k1 / p1 is
+   stored into column k1, and a zero multiplier skips its term as the
+   one-column loop does.  [sweep_c] is the same loop in C
+   (lu_stubs.c), which the C compiler vectorizes.  Inlined: a call
+   costs 2-3 % of a 4 x 4 factorization. *)
+let[@inline] sweep_ocaml lu k0 n =
+  let k1 = k0 + 1 in
+  let r0 = lu.(k0) and r1 = lu.(k1) in
+  let p1 = Array.unsafe_get r1 k1 in
+  for i = k1 + 1 to n - 1 do
+    let ri = lu.(i) in
+    let m0 = Array.unsafe_get ri k0 in
+    let m1 = Array.unsafe_get ri k1 /. p1 in
+    Array.unsafe_set ri k1 m1;
+    if m0 <> 0. then
+      if m1 <> 0. then
+        for j = k1 + 1 to n - 1 do
+          Array.unsafe_set ri j
+            (Array.unsafe_get ri j
+            -. (m0 *. Array.unsafe_get r0 j)
+            -. (m1 *. Array.unsafe_get r1 j))
+        done
+      else
+        for j = k1 + 1 to n - 1 do
+          Array.unsafe_set ri j (Array.unsafe_get ri j -. (m0 *. Array.unsafe_get r0 j))
+        done
+    else if m1 <> 0. then
+      for j = k1 + 1 to n - 1 do
+        Array.unsafe_set ri j (Array.unsafe_get ri j -. (m1 *. Array.unsafe_get r1 j))
+      done
+  done
+
+external sweep_c : Mat.t -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "wampde_lu_sweep_byte" "wampde_lu_sweep"
+[@@noalloc]
+
+external has_nan : Mat.t -> (int[@untagged]) -> bool
+  = "wampde_lu_has_nan_byte" "wampde_lu_has_nan"
+[@@noalloc]
+
+(* Below this many rows the two C calls cost more than the sweep
+   saves: timed in one process, alternating the two sweeps on 4-20
+   rows, the OCaml sweep is faster up to about 11 rows (4 x 4, the
+   transient's Jacobian, by 5-12 %), the C sweep from about 12 on. *)
+let c_min_dim = 12
+
+(* the stubs read each row as a flat block of doubles *)
+let () =
+  if Obj.tag (Obj.repr (Array.make 1 0.)) <> Obj.double_array_tag then
+    failwith "Linalg.Lu: the C sweep needs flat float arrays (OCaml configured without them)"
+
 (* Doolittle factorization with partial pivoting, in place: row swaps
    exchange the row arrays of [a], after which [a] stores L (unit
    diagonal, below) and U (on and above the diagonal).
@@ -35,11 +98,14 @@ let pivot lu perm n k =
    Right-looking, two pivot columns per sweep of the trailing matrix:
    column k is pivoted and its multipliers are applied to column k+1
    only; column k+1 is pivoted and step k is applied to the new row
-   k+1; then every trailing row takes both steps in one pass,
-   r_ij <- (r_ij - m0 r_kj) - m1 r_(k+1)j, so the trailing matrix is
-   read and written once per two columns.  The order of subtractions
-   and the zero-multiplier skips are the one-column loop's, which
-   keeps the result bitwise equal to it (see lu.mli). *)
+   k+1; then every trailing row takes both steps in one pass
+   ([sweep_ocaml]/[sweep_c]), so the trailing matrix is read and
+   written once per two columns.  The order of subtractions and the
+   zero-multiplier skips are the one-column loop's, which keeps the
+   result bitwise equal to it (see lu.mli).  A matrix holding a NaN on
+   entry takes the OCaml sweep: the C one may commute a product, and
+   NaN x NaN keeps its first operand's payload; without one, every NaN
+   met is the default NaN that inf - inf, 0 inf and 0/0 make. *)
 let factor_into a ~perm =
   let n = Mat.rows a in
   if Mat.cols a <> n then invalid_arg "Lu.factor: matrix not square";
@@ -50,6 +116,12 @@ let factor_into a ~perm =
   for i = 0 to n - 1 do
     perm.(i) <- i
   done;
+  (* the stubs read and write every row up to column n-1 unchecked *)
+  if n >= c_min_dim then
+    for i = 1 to n - 1 do
+      if Array.length lu.(i) <> n then invalid_arg "Lu.factor: matrix not square"
+    done;
+  let in_c = n >= c_min_dim && not (has_nan lu n) in
   let k = ref 0 in
   while !k + 1 < n do
     let k0 = !k in
@@ -57,14 +129,21 @@ let factor_into a ~perm =
     pivot lu perm n k0;
     let r0 = lu.(k0) in
     let p0 = Array.unsafe_get r0 k0 and u01 = Array.unsafe_get r0 k1 in
-    (* step k0 on column k1 only *)
+    (* step k0 on column k1 only, searching column k1's pivot row on
+       the way, as [pivot] would once the pass is done *)
+    let p = ref k1 and best = ref 0. in
     for i = k1 to n - 1 do
       let ri = lu.(i) in
       let m = Array.unsafe_get ri k0 /. p0 in
       Array.unsafe_set ri k0 m;
-      if m <> 0. then Array.unsafe_set ri k1 (Array.unsafe_get ri k1 -. (m *. u01))
+      if m <> 0. then Array.unsafe_set ri k1 (Array.unsafe_get ri k1 -. (m *. u01));
+      let a = Float.abs (Array.unsafe_get ri k1) in
+      if i = k1 || a > !best then begin
+        p := i;
+        best := a
+      end
     done;
-    pivot lu perm n k1;
+    exchange lu perm k1 !p;
     (* step k0 on the pivot row's tail *)
     let r1 = lu.(k1) in
     let m = Array.unsafe_get r1 k0 in
@@ -72,30 +151,7 @@ let factor_into a ~perm =
       for j = k1 + 1 to n - 1 do
         Array.unsafe_set r1 j (Array.unsafe_get r1 j -. (m *. Array.unsafe_get r0 j))
       done;
-    let p1 = Array.unsafe_get r1 k1 in
-    (* steps k0 and k1 on every trailing row in one pass *)
-    for i = k1 + 1 to n - 1 do
-      let ri = lu.(i) in
-      let m0 = Array.unsafe_get ri k0 in
-      let m1 = Array.unsafe_get ri k1 /. p1 in
-      Array.unsafe_set ri k1 m1;
-      if m0 <> 0. then
-        if m1 <> 0. then
-          for j = k1 + 1 to n - 1 do
-            Array.unsafe_set ri j
-              (Array.unsafe_get ri j
-              -. (m0 *. Array.unsafe_get r0 j)
-              -. (m1 *. Array.unsafe_get r1 j))
-          done
-        else
-          for j = k1 + 1 to n - 1 do
-            Array.unsafe_set ri j (Array.unsafe_get ri j -. (m0 *. Array.unsafe_get r0 j))
-          done
-      else if m1 <> 0. then
-        for j = k1 + 1 to n - 1 do
-          Array.unsafe_set ri j (Array.unsafe_get ri j -. (m1 *. Array.unsafe_get r1 j))
-        done
-    done;
+    if k1 + 1 < n then if in_c then sweep_c lu k0 n else sweep_ocaml lu k0 n;
     k := k0 + 2
   done;
   (* an odd n leaves the last column: no rows below it, only its pivot *)

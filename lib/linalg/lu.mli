@@ -14,7 +14,21 @@
     same order, and a zero multiplier skips its term as that loop
     does, so pivots, permutation, factors (signed zeros, NaN and
     infinities included) and the column of {!Singular} are bitwise
-    those of the one-column loop. *)
+    those of the one-column loop.
+
+    That pass, the O(n^3) part, runs in C ([lu_stubs.c]), built with
+    [-O3 -ffp-contract=off] and no [-march] or fast-math: the compiler
+    vectorizes it with the target's baseline SIMD (SSE2, NEON) but may
+    neither fuse a multiply-add nor reorder a sum.  Pivoting, the
+    column-(k+1) pass and an odd n's last column stay in OCaml, and so
+    does the whole factorization below 12 rows, where the C calls cost
+    more than they save.  The C code may commute a product, which
+    changes the bits of a NaN times a NaN of another payload; so a
+    matrix that holds a NaN on entry is swept in OCaml, and one that
+    holds none can only meet the one default NaN that inf - inf,
+    0 inf and 0/0 produce.  The stub reads each row as a flat block of
+    doubles: the module fails at initialization if OCaml was
+    configured without flat float arrays. *)
 
 type t
 (** A factored matrix [P A = L U]. *)

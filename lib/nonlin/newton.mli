@@ -110,3 +110,9 @@ val scalar : ?tol:float -> ?max_iterations:int -> (float -> float) -> (float -> 
 (** [fault_residual residual x] evaluates [residual x] and contaminates
     the first entry with NaN when the [Nan_residual] fault fires. *)
 val fault_residual : (Vec.t -> Vec.t) -> Vec.t -> Vec.t
+
+(** [fault_linear_solve_into solve x r dx] is [solve x r dx], except
+    that it raises [Linear_solve_failed] when the [Linear_solve] fault
+    fires, and scales [dx] by 1e8 when [Newton_diverge] fires. *)
+val fault_linear_solve_into :
+  (Vec.t -> Vec.t -> Vec.t -> unit) -> Vec.t -> Vec.t -> Vec.t -> unit

@@ -49,8 +49,13 @@ let solve ?(options = Newton.default_options) ?(label = "trust_region") ?jacobia
       let jg = Mat.matvec j g in
       let p_newton =
         (* a copy: the dogleg reuses [j] unfactored *)
-        match Lu.solve (Lu.factor j) !r with
-        | dx ->
+        let newton_point _ r dx = Lu.solve_into (Lu.factor j) r dx in
+        let newton_point =
+          if Fault.armed () then Newton.fault_linear_solve_into newton_point else newton_point
+        in
+        let dx = Array.make (Array.length !r) 0. in
+        match newton_point !x !r dx with
+        | () ->
           Vec.scale_inplace (-1.) dx;
           if Float.is_finite (Vec.norm2 dx) then Some dx else None
         | exception (Lu.Singular _ | Newton.Linear_solve_failed _) -> None

@@ -29,6 +29,15 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+(* the [reason.kind] of a flight dump, which comes from serve's
+   failure table (see "one failure table names ...") *)
+let dump_kind dump =
+  let module Json = Wampde_obs.Json in
+  match Json.parse (In_channel.with_open_bin dump In_channel.input_all) with
+  | Ok j ->
+    Option.bind (Json.member "reason" j) (fun r -> Option.bind (Json.member "kind" r) Json.to_str)
+  | Error m -> Alcotest.failf "flight dump: %s" m
+
 (* Command names listed in a page's COMMANDS section: lines indented by
    exactly seven spaces whose first word is the name. *)
 let subcommands page =
@@ -133,15 +142,16 @@ let tests =
         Fun.protect
           ~finally:(fun () -> if Sys.file_exists dump then Sys.remove dump)
           (fun () ->
-            (* every linear solve fails, so damped Newton cannot take a
-               step; trust region factors its own Jacobian and would
-               rescue the solve, so its first residual is made NaN.
-               That is NaN probe 17143: 17141 in the orbit search and
-               the envelope warm-up, then damped Newton's one.  A change
-               to those counts moves it (the exit code then reads 0). *)
+            (* the cascade's first linear solve fails, so damped Newton
+               cannot take a step, and trust region's first residual is
+               made NaN.  That is linear-solve probe 8811 and NaN probe
+               12613: 8810 and 12611 in the orbit search and the
+               envelope warm-up, then damped Newton's one residual.  A
+               change to those counts moves them (the exit code then
+               reads 0). *)
             let code, out =
               run_cli
-                [ "quasi"; "--n1"; "15"; "--n2"; "15"; "--fault-inject"; "linsolve%1,nan@17143";
+                [ "quasi"; "--n1"; "15"; "--n2"; "15"; "--fault-inject"; "linsolve@8811,nan@12613";
                   "--flight-dump"; dump ]
             in
             Alcotest.(check int) ("exit code: " ^ out) 1 code;
@@ -156,17 +166,30 @@ let tests =
             Alcotest.(check bool) ("no uncaught exception: " ^ out) false
               (contains out "internal error");
             Alcotest.(check bool) "flight dump written" true (Sys.file_exists dump);
-            (* the dump's kind comes from serve's failure table (see
-               the test below) *)
-            let module Json = Wampde_obs.Json in
-            let reason_kind =
-              match Json.parse (In_channel.with_open_bin dump In_channel.input_all) with
-              | Ok j ->
-                Option.bind (Json.member "reason" j) (fun r ->
-                    Option.bind (Json.member "kind" r) Json.to_str)
-              | Error m -> Alcotest.failf "flight dump: %s" m
+            Alcotest.(check (option string)) "dump kind" (Some "solve-failed") (dump_kind dump)));
+    Alcotest.test_case "a linear-solve fault on every solve ends quasi in a typed error" `Quick
+      (fun () ->
+        let dump = Filename.temp_file "wampde-linsolve-flight" ".json" in
+        Sys.remove dump;
+        Fun.protect
+          ~finally:(fun () -> if Sys.file_exists dump then Sys.remove dump)
+          (fun () ->
+            (* trust region's Newton point meets the fault as every
+               other linear solve does, so no stage can rescue a solve.
+               The first to fail is the orbit search's warm-up
+               transient, whose step rescue is trust region: a step
+               failure, before the envelope or the cascade runs *)
+            let code, out =
+              run_cli
+                [ "quasi"; "--n1"; "15"; "--n2"; "15"; "--fault-inject"; "linsolve%1";
+                  "--flight-dump"; dump ]
             in
-            Alcotest.(check (option string)) "dump kind" (Some "solve-failed") reason_kind));
+            Alcotest.(check int) ("exit code: " ^ out) 1 code;
+            Alcotest.(check bool) ("typed error line: " ^ out) true
+              (contains out "wampde_cli: Transient.Step_failure");
+            Alcotest.(check bool) ("no uncaught exception: " ^ out) false
+              (contains out "internal error");
+            Alcotest.(check (option string)) "dump kind" (Some "step-failure") (dump_kind dump)));
     Alcotest.test_case "one failure table names the CLI's dumps and serve's job errors" `Quick
       (fun () ->
         let report =

@@ -174,6 +174,30 @@ let envelope_tests =
         match run_faulted ~spec:"linsolve%1" ~dae ~options ~control ~orbit with
         | `Recovered, _ -> Alcotest.fail "a 100% fault rate cannot be recovered"
         | `Typed _, _ -> ());
+    Alcotest.test_case "a chord failure that trust region rescues is no step reject" `Quick
+      (fun () ->
+        (* linear-solve faults make the chord lose steps that the
+           rescue then solves: only a step whose rescue fails too is a
+           "newton" reject, which the controller retries, so rejects,
+           envelope.rejects and retries agree *)
+        let dae, options, control, orbit = envelope_setup () in
+        let count name = Obs.Metrics.count (Obs.Metrics.counter name) in
+        let rejects = ref 0 in
+        let sub =
+          Obs.Events.subscribe (fun r ->
+              match r.Obs.Events.event with
+              | Obs.Events.Step_reject { reason = "newton"; _ } -> incr rejects
+              | _ -> ())
+        in
+        Fun.protect ~finally:(fun () -> Obs.Events.unsubscribe sub) @@ fun () ->
+        Obs.Metrics.with_isolated (fun () ->
+            Obs.set_enabled true;
+            (match run_faulted ~spec:"seed=3,linsolve%0.05" ~dae ~options ~control ~orbit with
+            | `Recovered, _ -> ()
+            | `Typed what, _ -> Alcotest.fail ("expected recovery, got typed " ^ what));
+            Alcotest.(check bool) "some steps rescued" true (count "envelope.rescues" > 0);
+            Alcotest.(check int) "reject events" (count "envelope.rejects") !rejects;
+            Alcotest.(check int) "retries" (count "step.retried") !rejects));
     Alcotest.test_case "a fault storm that crawls ends in a typed underflow" `Quick (fun () ->
         (* at these NaN rates accepts interleave with failures, so neither
            h_min nor max_failures ends the march; the crawl give-up must,

@@ -129,6 +129,22 @@ let globalize_tests =
                Alcotest.(check bool) "escalations counted" true
                  (count "newton.strategy.escalations" >= 1);
                Alcotest.(check int) "fault fired once" 1 (Fault.injected Fault.Linear_solve))));
+    Alcotest.test_case "a linear-solve fault on every solve fails the whole cascade" `Quick
+      (with_counters (fun () ->
+           (* trust region's Newton point is a linear solve too: with
+              every one failed it is left with Cauchy steps, which do
+              not crack Powell's badly scaled system *)
+           Fault.with_armed "linsolve%1" (fun () ->
+               let outcome = Nonlin.Polyalg.solve ~residual:powell_residual [| 0.; 1. |] in
+               Alcotest.(check bool) "not converged" false
+                 outcome.Nonlin.Polyalg.report.Nonlin.Newton.converged;
+               Alcotest.(check (list string))
+                 "attempts" [ "damped"; "trust_region" ]
+                 (List.map
+                    (fun (a : Nonlin.Polyalg.attempt) -> Nonlin.Polyalg.strategy_name a.strategy)
+                    outcome.Nonlin.Polyalg.attempts);
+               Alcotest.(check bool) "trust region's solves faulted too" true
+                 (Fault.injected Fault.Linear_solve > 1))));
     Alcotest.test_case "default cascade exhausts damped Newton, then trust region" `Quick
       (with_counters (fun () ->
            (* x^2 + 1 has no real root: both stages stall at the merit

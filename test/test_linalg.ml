@@ -87,15 +87,17 @@ let lu_factor_into a =
 (* a dense nonsingular-looking matrix without exact zeros *)
 let lu_sample_matrix n = Mat.init n n (fun i j -> sin (float_of_int ((7 * i) + (3 * j) + 1)))
 
-(* Matrices for the bitwise comparison, n = 1..40: dense; the "cross"
-   sparsity of a 2-D collocation grid (an entry couples two grid
-   points on one line of the grid), whose exact zeros send rows down
-   each zero-multiplier branch; entries drawn from +-0, NaN and +-inf
-   as well as finite values; and a zeroed column (rank deficient). *)
-let lu_case_gen =
+(* An n x n matrix of one kind for the bitwise comparison: "dense";
+   the "cross" sparsity of a 2-D collocation grid (an entry couples two
+   grid points on one line of the grid), whose exact zeros send rows
+   down each zero-multiplier branch; "special", entries drawn from +-0,
+   NaN and +-inf as well as finite values; a "zero column" (rank
+   deficient); "infinite", a dense matrix with up to n^2/8 entries set
+   to +-inf or +-0 but no NaN, so the factorization itself makes NaNs
+   (inf - inf, 0 inf); and "one NaN", an "infinite" matrix with one
+   entry set to NaN, whose payload then meets those default NaNs. *)
+let lu_matrix_gen ~kind n =
   let open QCheck.Gen in
-  let* n = int_range 1 40 in
-  let* kind = oneofl [ "dense"; "cross"; "special"; "zero column" ] in
   let entry =
     if kind = "special" then
       frequency
@@ -112,15 +114,45 @@ let lu_case_gen =
   let* a = array_size (return n) (array_size (return n) entry) in
   let* c = int_range 0 (n - 1) in
   let w = int_of_float (Float.ceil (Float.sqrt (float_of_int n))) in
-  (match kind with
-  | "cross" ->
-    Array.iteri
-      (fun i row ->
-        Array.iteri (fun j _ -> if i / w <> j / w && i mod w <> j mod w then row.(j) <- 0.) row)
-      a
-  | "zero column" -> Array.iter (fun row -> row.(c) <- 0.) a
-  | _ -> ());
+  let* a =
+    match kind with
+    | "cross" ->
+      Array.iteri
+        (fun i row ->
+          Array.iteri (fun j _ -> if i / w <> j / w && i mod w <> j mod w then row.(j) <- 0.) row)
+        a;
+      return a
+    | "zero column" ->
+      Array.iter (fun row -> row.(c) <- 0.) a;
+      return a
+    | "infinite" | "one NaN" ->
+      let cell = pair (int_range 0 (n - 1)) (int_range 0 (n - 1)) in
+      let special = oneofl [ Float.infinity; Float.neg_infinity; 0.; -0. ] in
+      let* k = int_range 1 (Int.max 1 (n * n / 8)) in
+      let* sets = list_size (return k) (pair cell special) in
+      List.iter (fun ((i, j), v) -> a.(i).(j) <- v) sets;
+      let* i, j = cell in
+      if kind = "one NaN" then a.(i).(j) <- Float.nan;
+      return a
+    | _ -> return a
+  in
   return (kind, a)
+
+(* n = 1..40, every kind but the last two *)
+let lu_case_gen =
+  let open QCheck.Gen in
+  let* n = int_range 1 40 in
+  let* kind = oneofl [ "dense"; "cross"; "special"; "zero column" ] in
+  lu_matrix_gen ~kind n
+
+(* the sizes the solvers factor (61, 101, 121) and 1..40, for every
+   kind: the C sweep on dense, cross and infinite matrices, the OCaml
+   sweep on the ones holding a NaN *)
+let lu_solver_case_gen =
+  let open QCheck.Gen in
+  let* n = oneof [ oneofl [ 61; 101; 121 ]; int_range 1 40 ] in
+  let* kind = oneofl [ "dense"; "cross"; "infinite"; "one NaN" ] in
+  lu_matrix_gen ~kind n
 
 let print_lu_case (kind, a) =
   Printf.sprintf "%s, n = %d:\n%s" kind (Array.length a)
@@ -212,6 +244,12 @@ let lu_tests =
          (QCheck.make ~print:print_lu_case lu_case_gen)
          (fun (_, a) -> lu_outcome lu_factor_into a = lu_outcome lu_one_column a));
     QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"factor_into is bitwise the one-column loop at 61-121 unknowns and with infinities"
+         ~count:60
+         (QCheck.make ~print:print_lu_case lu_solver_case_gen)
+         (fun (_, a) -> lu_outcome lu_factor_into a = lu_outcome lu_one_column a));
+    QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"solve_into is bitwise the row-by-row substitution" ~count:300
          (QCheck.make
             ~print:(fun ((kind, a), _) -> print_lu_case (kind, a))
@@ -230,6 +268,12 @@ let lu_tests =
              Lu.solve_into lu b x;
              let bits = Array.map Int64.bits_of_float in
              bits x = bits (lu_substitute a perm b)));
+    Alcotest.test_case "a ragged matrix is not square" `Quick (fun () ->
+        (* 16 rows take the C sweep, which reads every row to column
+           n-1 unchecked *)
+        let ragged = Array.init 16 (fun i -> Array.make (if i = 9 then 15 else 16) 1.) in
+        Alcotest.check_raises "invalid" (Invalid_argument "Lu.factor: matrix not square")
+          (fun () -> ignore (Lu.factor ragged)));
     Alcotest.test_case "singular raises" `Quick (fun () ->
         let a = [| [| 1.; 2. |]; [| 2.; 4. |] |] in
         Alcotest.(check bool) "raises" true
