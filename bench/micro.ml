@@ -1,6 +1,7 @@
 (* Bechamel microbenchmarks for the linear-algebra kernels behind the
    Newton solves: dense LU factorization (allocating and in place) and
-   substitution, the (D (x) I) charge-derivative kernel, the
+   substitution, the dense matvec and transposed matvec of trust
+   region's model, the (D (x) I) charge-derivative kernel, the
    structured collocation matvec, and one application of the
    DFT-diagonalized block preconditioner.  Next to them, the circuit
    kernel every solver calls: one [eval_into] pass filling [q] and [f]
@@ -11,9 +12,14 @@
    factors per orbit set-up, below the C sweep's crossover in lu.ml),
    5 (shooting for a four-state orbit and its period), 61 (a
    four-state VCO envelope or orbit at n1 = 15, the serve jobs' grid),
-   101 (the VCO-B envelope chord at n1 = 25) and 121 (the sinh-cascade
-   periodic MPDE Newton); the substitution at the last three.  The (D (x) I)
-   kernel runs at the VCO-B envelope's grid (n1 = 25, four states).
+   101 (the VCO-B envelope chord at n1 = 25), 121 (the sinh-cascade
+   periodic MPDE Newton) and 161 (just past
+   [Structured.default_threshold], where the automatic choice hands a
+   system to Krylov: what the dense path would cost there); the
+   substitution at 61, 101 and 121.  [Mat.matvec] and [Mat.tmatvec]
+   run at 121, the size of trust region's model on the sinh-cascade
+   grid.  The (D (x) I) kernel runs at the VCO-B envelope's grid
+   (n1 = 25, four states).
    The preconditioner apply is timed from the serve jobs' grids
    (n1 = 15-25) up to the largest Krylov envelope grid (161): its real
    DFT is O(n1^2) against a Bluestein FFT's O(n1 log n1), and these
@@ -23,7 +29,7 @@
 
 open Linalg
 
-let lu_sizes = [ 4; 5; 61; 101; 121 ]
+let lu_sizes = [ 4; 5; 61; 101; 121; 161 ]
 let lu_solve_sizes = [ 61; 101; 121 ]
 let sizes = [ 33; 65; 101 ]
 let precond_sizes = [ 15; 17; 25; 33; 65; 101; 161 ]
@@ -77,6 +83,17 @@ let tests =
           ~name:(Printf.sprintf "lu_solve_into_%d" nd)
           (Staged.stage (fun () -> Lu.solve_into lu b x)))
       lu_solve_sizes
+  @ (let nd = 121 in
+     let dense =
+       Mat.init nd nd (fun i j -> (if i = j then 8. else 0.) +. sin (float_of_int ((i * 7) + j)))
+     in
+     let v = Array.init nd (fun i -> cos (float_of_int i)) in
+     [
+       Test.make ~name:(Printf.sprintf "matvec_%d" nd) (Staged.stage (fun () -> Mat.matvec dense v));
+       Test.make
+         ~name:(Printf.sprintf "tmatvec_%d" nd)
+         (Staged.stage (fun () -> Mat.tmatvec dense v));
+     ])
   @ [
       (let n1 = 25 in
        let d = Fourier.Series.diff_matrix n1 in

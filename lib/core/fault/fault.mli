@@ -40,8 +40,6 @@ val arm : string -> (unit, string) result
     injection counters.  [Error msg] describes the first malformed
     entry. *)
 
-(** Like {!arm} but raises [Invalid_argument] on a malformed spec. *)
-
 val arm_from_env : unit -> unit
 (** Arm from [WAMPDE_FAULTS] if set and non-empty; raises
     [Invalid_argument] on a malformed value.  Intended for CLI entry
@@ -57,13 +55,8 @@ val fire : kind -> bool
     fault should be injected now.  Always [false] when disarmed (and
     then the call is not counted). *)
 
-(** Calls probed for [kind] since the last {!arm}. *)
-
 val injected : kind -> int
 (** Faults injected for [kind] since the last {!arm}. *)
-
-(** The armed schedule's [stall=S] duration (the default when
-    disarmed). *)
 
 val maybe_stall : unit -> unit
 (** Probe site hook for {!Solver_stall}: when armed and fired, sleep

@@ -43,8 +43,9 @@ let pivot lu perm n k =
    the second pivot: m0 is already in column k0, m1 = r_i,k1 / p1 is
    stored into column k1, and a zero multiplier skips its term as the
    one-column loop does.  [sweep_c] is the same loop in C
-   (lu_stubs.c), which the C compiler vectorizes.  Inlined: a call
-   costs 2-3 % of a 4 x 4 factorization. *)
+   (lu_stubs.c), which the C compiler vectorizes, at AVX2 width where
+   the CPU has it.  Inlined: a call costs 2-3 % of a 4 x 4
+   factorization. *)
 let[@inline] sweep_ocaml lu k0 n =
   let k1 = k0 + 1 in
   let r0 = lu.(k0) and r1 = lu.(k1) in
@@ -80,11 +81,13 @@ external has_nan : Mat.t -> (int[@untagged]) -> bool
   = "wampde_lu_has_nan_byte" "wampde_lu_has_nan"
 [@@noalloc]
 
-(* Below this many rows the two C calls cost more than the sweep
-   saves: timed in one process, alternating the two sweeps on 4-20
-   rows, the OCaml sweep is faster up to about 11 rows (4 x 4, the
-   transient's Jacobian, by 5-12 %), the C sweep from about 12 on. *)
-let c_min_dim = 12
+(* Below this many rows the C calls cost more than the sweep saves:
+   timed in one process, alternating the OCaml sweep and the
+   dispatched C one (the AVX2 clone on that host) on 4-20 rows, the
+   OCaml sweep is faster up to 9 rows (4 x 4, the transient's
+   Jacobian, by 10-27 %), the two tie at 10-11 and the C sweep wins
+   from 12 on. *)
+let c_min_dim = 10
 
 (* the stubs read each row as a flat block of doubles *)
 let () =

@@ -18,12 +18,21 @@
 
     That pass, the O(n^3) part, runs in C ([lu_stubs.c]), built with
     [-O3 -ffp-contract=off] and no [-march] or fast-math: the compiler
-    vectorizes it with the target's baseline SIMD (SSE2, NEON) but may
-    neither fuse a multiply-add nor reorder a sum.  Pivoting, the
-    column-(k+1) pass and an odd n's last column stay in OCaml, and so
-    does the whole factorization below 12 rows, where the C calls cost
-    more than they save.  The C code may commute a product, which
-    changes the bits of a NaN times a NaN of another payload; so a
+    vectorizes it but may neither fuse a multiply-add nor reorder a
+    sum.  On x86-64 with glibc, under GCC or Clang (one preprocessor
+    test), the sweep is built twice with [target_clones]: an AVX2 body
+    (four doubles a vector) and the baseline SSE2 one, and the dynamic
+    loader picks the AVX2 body once, on a CPU that has it; nothing
+    else selects it.  Other targets build the baseline body only
+    (SSE2, NEON).  No fused multiply-add can appear: the [avx2] target
+    does not enable FMA and [-ffp-contract=off] forbids contraction,
+    and AVX rounds each lane as SSE2 does, so every body gives the
+    same bits (CI checks the object for the clone and for any FMA).
+    Pivoting, the column-(k+1) pass and an odd n's last column stay
+    in OCaml, and so does the whole factorization below 10 rows,
+    where the C calls cost more than they save.  The C code may
+    commute a product, which changes the bits of a NaN times a NaN of
+    another payload; so a
     matrix that holds a NaN on entry is swept in OCaml, and one that
     holds none can only meet the one default NaN that inf - inf,
     0 inf and 0/0 produce.  The stub reads each row as a flat block of

@@ -1,11 +1,24 @@
 /* The O(n^3) part of Lu.factor_into: the fused two-pivot sweep of the
    trailing rows, r_ij <- (r_ij - m0 r_kj) - m1 r_(k+1)j, in C so that
    the compiler vectorizes it (built with -O3 -ffp-contract=off and no
-   -march, so SSE2/NEON only, no fused multiply-add and no reordered
-   sums).  Every entry gets the same two roundings, in the same order,
-   as the OCaml loop; only the operand order of a product may differ,
-   which changes no bit unless both factors are NaNs of different
-   payloads (see lu.ml for why that cannot happen here).
+   -march: no fused multiply-add and no reordered sums).  Every entry
+   gets the same two roundings, in the same order, as the OCaml loop;
+   only the operand order of a product may differ, which changes no
+   bit unless both factors are NaNs of different payloads (see lu.ml
+   for why that cannot happen here).
+
+   Vector width.  Without -march the compiler may only use the
+   target's baseline SIMD: SSE2 on x86-64 (two doubles a vector), NEON
+   on arm64.  On x86-64 with glibc the sweep is compiled twice
+   (target_clones): an "avx2" body, four doubles a vector, and the
+   "default" baseline body.  The dynamic loader's ifunc resolver picks
+   the AVX2 body once, at load time, on a CPU that has AVX2; no option
+   selects it.  The avx2 target does not enable FMA, -ffp-contract=off
+   would forbid contracting even if it did, and AVX's vmulpd/vsubpd
+   round each lane exactly as SSE2's mulpd/subpd, so both bodies give
+   the same bits (CI checks the object for the clone and for the
+   absence of any fused multiply-add).  Other targets, and compilers
+   without target_clones, build the baseline body only.
 
    The matrix is a float array array: a block of row pointers, each
    row a flat block of doubles (lu.ml checks at module init that float
@@ -13,19 +26,30 @@
    and never allocate, so they are [@@noalloc]. */
 
 #define CAML_NAME_SPACE
+#include <limits.h> /* defines __GLIBC__ on glibc */
 #include <caml/mlvalues.h>
+
+/* the loops are always inlined into the sweep, so that each clone
+   compiles them for its own target */
+#if defined(__x86_64__) && defined(__GLIBC__) && (defined(__GNUC__) || defined(__clang__))
+#define SWEEP_CLONES __attribute__((target_clones("avx2", "default")))
+#define SWEEP_LOOP static inline __attribute__((always_inline)) void
+#else
+#define SWEEP_CLONES
+#define SWEEP_LOOP static void
+#endif
 
 #define ROW(lu, i) ((double *)Field((lu), (i)))
 
-static void sweep_two(double *restrict ri, const double *restrict r0,
-                      const double *restrict r1, double m0, double m1,
-                      intnat lo, intnat n)
+SWEEP_LOOP sweep_two(double *restrict ri, const double *restrict r0,
+                     const double *restrict r1, double m0, double m1,
+                     intnat lo, intnat n)
 {
   for (intnat j = lo; j < n; j++) ri[j] = (ri[j] - m0 * r0[j]) - m1 * r1[j];
 }
 
-static void sweep_one(double *restrict ri, const double *restrict rk,
-                      double m, intnat lo, intnat n)
+SWEEP_LOOP sweep_one(double *restrict ri, const double *restrict rk,
+                     double m, intnat lo, intnat n)
 {
   for (intnat j = lo; j < n; j++) ri[j] = ri[j] - m * rk[j];
 }
@@ -34,7 +58,7 @@ static void sweep_one(double *restrict ri, const double *restrict rk,
    pivot row (its multipliers already stored in column k0 of each
    trailing row), row k0+1 the second, already updated by step k0.
    A zero multiplier skips its term, as the one-column loop does. */
-value wampde_lu_sweep(value lu, intnat k0, intnat n)
+SWEEP_CLONES value wampde_lu_sweep(value lu, intnat k0, intnat n)
 {
   intnat k1 = k0 + 1;
   const double *r0 = ROW(lu, k0);

@@ -69,14 +69,47 @@ let kron_eye_into d ~n ~lo ~hi src dst =
     done
   done
 
-let matvec_into m v ~dst =
-  if cols m <> Array.length v then invalid_arg "Mat.matvec: dimension mismatch";
-  if rows m <> Array.length dst then invalid_arg "Mat.matvec: bad destination";
+(* The loops below read rows unchecked: every row must have [c]
+   entries. *)
+let check_rows name m c =
   for i = 0 to rows m - 1 do
+    if Array.length (Array.unsafe_get m i) <> c then invalid_arg (name ^ ": ragged matrix")
+  done
+
+(* Rows i..i+3 run side by side, four independent chains of adds
+   instead of one waiting on each add's latency; each row still sums
+   its products over j in ascending order from 0., so the result is
+   bitwise the one-row loop's.  Every product reads both factors from
+   memory, which keeps the row's entry the multiply's first operand
+   (the one whose payload a product of two NaNs carries), as in the
+   one-row loop. *)
+let matvec_into m v ~dst =
+  let r = rows m and c = Array.length v in
+  if cols m <> c then invalid_arg "Mat.matvec: dimension mismatch";
+  if r <> Array.length dst then invalid_arg "Mat.matvec: bad destination";
+  check_rows "Mat.matvec" m c;
+  let i = ref 0 in
+  while !i + 4 <= r do
+    let i0 = !i in
+    let r0 = m.(i0) and r1 = m.(i0 + 1) and r2 = m.(i0 + 2) and r3 = m.(i0 + 3) in
+    let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
+    for j = 0 to c - 1 do
+      s0 := !s0 +. (Array.unsafe_get r0 j *. Array.unsafe_get v j);
+      s1 := !s1 +. (Array.unsafe_get r1 j *. Array.unsafe_get v j);
+      s2 := !s2 +. (Array.unsafe_get r2 j *. Array.unsafe_get v j);
+      s3 := !s3 +. (Array.unsafe_get r3 j *. Array.unsafe_get v j)
+    done;
+    dst.(i0) <- !s0;
+    dst.(i0 + 1) <- !s1;
+    dst.(i0 + 2) <- !s2;
+    dst.(i0 + 3) <- !s3;
+    i := i0 + 4
+  done;
+  for i = !i to r - 1 do
     let row = m.(i) in
     let s = ref 0. in
-    for j = 0 to Array.length row - 1 do
-      s := !s +. (row.(j) *. v.(j))
+    for j = 0 to c - 1 do
+      s := !s +. (Array.unsafe_get row j *. Array.unsafe_get v j)
     done;
     dst.(i) <- !s
   done
@@ -86,14 +119,44 @@ let matvec m v =
   matvec_into m v ~dst;
   dst
 
+(* Each dst_j takes its terms row by row in ascending i, as the
+   one-row loop does; four rows with non-zero v_i are added in one
+   pass, (((dst_j + r0_j v_i0) + r1_j v_i1) + r2_j v_i2) + r3_j v_i3,
+   so dst is read and written once per four rows.  A zero v_i skips
+   its row: that block of four then falls back to one row at a time.
+   dst_j is bound before the adds and every v_i read from memory, which
+   keeps the one-row loop's operand order (dst_j first in a sum, the
+   row's entry first in a product), NaN payloads included. *)
 let tmatvec m v =
-  if rows m <> Array.length v then invalid_arg "Mat.tmatvec: dimension mismatch";
-  let dst = Array.make (cols m) 0. in
-  for i = 0 to rows m - 1 do
-    let row = m.(i) and vi = v.(i) in
-    if vi <> 0. then
-      for j = 0 to Array.length row - 1 do
-        dst.(j) <- dst.(j) +. (row.(j) *. vi)
-      done
+  let r = rows m and c = cols m in
+  if r <> Array.length v then invalid_arg "Mat.tmatvec: dimension mismatch";
+  check_rows "Mat.tmatvec" m c;
+  let dst = Array.make c 0. in
+  let i = ref 0 in
+  while !i < r do
+    let i0 = !i in
+    if i0 + 4 <= r && v.(i0) <> 0. && v.(i0 + 1) <> 0. && v.(i0 + 2) <> 0. && v.(i0 + 3) <> 0.
+    then begin
+      let r0 = m.(i0) and r1 = m.(i0 + 1) and r2 = m.(i0 + 2) and r3 = m.(i0 + 3) in
+      for j = 0 to c - 1 do
+        let d = ref (Array.unsafe_get dst j) in
+        d := !d +. (Array.unsafe_get r0 j *. Array.unsafe_get v i0);
+        d := !d +. (Array.unsafe_get r1 j *. Array.unsafe_get v (i0 + 1));
+        d := !d +. (Array.unsafe_get r2 j *. Array.unsafe_get v (i0 + 2));
+        d := !d +. (Array.unsafe_get r3 j *. Array.unsafe_get v (i0 + 3));
+        Array.unsafe_set dst j !d
+      done;
+      i := i0 + 4
+    end
+    else begin
+      let row = m.(i0) in
+      if v.(i0) <> 0. then
+        for j = 0 to c - 1 do
+          let d = ref (Array.unsafe_get dst j) in
+          d := !d +. (Array.unsafe_get row j *. Array.unsafe_get v i0);
+          Array.unsafe_set dst j !d
+        done;
+      i := i0 + 1
+    end
   done;
   dst

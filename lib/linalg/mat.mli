@@ -41,9 +41,22 @@ val mul : t -> t -> t
     than [hi * n]. *)
 val kron_eye_into : t -> n:int -> lo:int -> hi:int -> Vec.t -> Vec.t -> unit
 
-(** [matvec m v] is [m * v]. *)
+(** [matvec m v] is [m * v].  Each output sums [m.(i).(j) *. v.(j)]
+    over [j] in ascending order from [0.], so the result is bitwise
+    the one-row loop's, NaN payloads included (the row's entry is each
+    product's first operand, the running sum each add's); four rows
+    are accumulated side by side.  Raises [Invalid_argument] if
+    [cols m <> length v] or a row's length differs from [cols m]. *)
 val matvec : t -> Vec.t -> Vec.t
 
-(** [tmatvec m v] is [transpose m * v] without forming the transpose. *)
+(** [tmatvec m v] is [transpose m * v] without forming the transpose:
+    output [j] adds [m.(i).(j) *. v.(i)] to the running sum, starting
+    from [0.], for the rows [i] in ascending order, skipping every row
+    whose [v.(i)] is zero ([+0.] or [-0.]; a NaN is not skipped).  So
+    the result is bitwise the one-row loop's, NaN payloads included
+    (the row's entry first in a product, the running sum first in an
+    add); four rows whose [v.(i)] are all non-zero are added in one
+    pass.  Raises [Invalid_argument] if [rows m <> length v] or a
+    row's length differs from [cols m]. *)
 val tmatvec : t -> Vec.t -> Vec.t
 

@@ -37,6 +37,40 @@ let vec_tests =
             ignore (Vec.sub [| 1.; 2. |] [| 1.; 2.; 3. |])));
   ]
 
+(* An entry for the bitwise matvec comparison: finite values, +-0,
+   +-inf and NaNs of two payloads (a product or sum of two NaNs keeps
+   its first operand's payload, so an operand swap shows) *)
+let matvec_entry =
+  QCheck.Gen.frequency
+    [
+      (12, QCheck.Gen.float_range (-1.) 1.);
+      (2, QCheck.Gen.return 0.);
+      (2, QCheck.Gen.return (-0.));
+      (1, QCheck.Gen.return Float.infinity);
+      (1, QCheck.Gen.return Float.neg_infinity);
+      (1, QCheck.Gen.return Float.nan);
+      (1, QCheck.Gen.return (Int64.float_of_bits 0x7FF8_0000_0000_BEEFL));
+    ]
+
+(* an r x c matrix, r = 1..130 so that every remainder of the
+   four-row blocks occurs, with u (c entries) for matvec and v (r
+   entries, about a third of them zero) for tmatvec, so that blocks of
+   four non-zero v_i and the one-row zero skip both occur *)
+let matvec_case_gen =
+  let open QCheck.Gen in
+  let* r = int_range 1 130 in
+  let* c = int_range 1 40 in
+  let* m = array_size (return r) (array_size (return c) matvec_entry) in
+  let* u = array_size (return c) matvec_entry in
+  let* v = array_size (return r) (frequency [ (2, matvec_entry); (1, oneofl [ 0.; -0. ]) ]) in
+  return (m, u, v)
+
+let print_matvec_case (m, u, v) =
+  let hex a = String.concat " " (Array.to_list (Array.map (Printf.sprintf "%h") a)) in
+  Printf.sprintf "%d x %d:\n%s\nu = %s\nv = %s" (Mat.rows m) (Mat.cols m)
+    (String.concat "\n" (Array.to_list (Array.map hex m)))
+    (hex u) (hex v)
+
 let mat_tests =
   [
     Alcotest.test_case "identity mul" `Quick (fun () ->
@@ -53,6 +87,20 @@ let mat_tests =
         Alcotest.(check bool)
           "eq" true
           (Vec.approx_equal (Mat.tmatvec a v) (Mat.matvec (Mat.transpose a) v)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"matvec and tmatvec are bitwise the one-row loops" ~count:300
+         (QCheck.make ~print:print_matvec_case matvec_case_gen)
+         (fun (m, u, v) ->
+           let bits = Array.map Int64.bits_of_float in
+           bits (Mat.matvec m u) = bits (matvec_one_row m u)
+           && bits (Mat.tmatvec m v) = bits (tmatvec_one_row m v)));
+    Alcotest.test_case "matvec and tmatvec reject a ragged matrix" `Quick (fun () ->
+        (* both read every row to the first row's length unchecked *)
+        let ragged = Array.init 9 (fun i -> Array.make (if i = 6 then 4 else 5) 1.) in
+        Alcotest.check_raises "matvec" (Invalid_argument "Mat.matvec: ragged matrix") (fun () ->
+            ignore (Mat.matvec ragged (Array.make 5 1.)));
+        Alcotest.check_raises "tmatvec" (Invalid_argument "Mat.tmatvec: ragged matrix")
+          (fun () -> ignore (Mat.tmatvec ragged (Array.make 9 1.))));
     Alcotest.test_case "mul associativity on small case" `Quick (fun () ->
         let a = Mat.init 2 3 (fun i j -> float_of_int ((i + 1) * (j + 2)))
         and b = Mat.init 3 2 (fun i j -> float_of_int (i - j))

@@ -143,3 +143,30 @@ let kron_eye_naive d ~n src =
     done
   done;
   dst
+
+(* [matvec_one_row m v] and [tmatvec_one_row m v] are the plain
+   one-row loops, the oracles for [Linalg.Mat.matvec] and
+   [Linalg.Mat.tmatvec]: row i of [m v] sums m_ij v_j over j in
+   ascending order from 0.; [transpose m * v] adds row i's terms
+   m_ij v_i into every output j, rows in ascending order, skipping a
+   row whose v_i is zero. *)
+let matvec_one_row m v =
+  Array.map
+    (fun row ->
+      let s = ref 0. in
+      for j = 0 to Array.length row - 1 do
+        s := !s +. (row.(j) *. v.(j))
+      done;
+      !s)
+    m
+
+let tmatvec_one_row m v =
+  let dst = Array.make (Linalg.Mat.cols m) 0. in
+  for i = 0 to Array.length m - 1 do
+    let row = m.(i) and vi = v.(i) in
+    if vi <> 0. then
+      for j = 0 to Array.length row - 1 do
+        dst.(j) <- dst.(j) +. (row.(j) *. vi)
+      done
+  done;
+  dst
