@@ -95,7 +95,7 @@ let mat_tests =
            bits (Mat.matvec m u) = bits (matvec_one_row m u)
            && bits (Mat.tmatvec m v) = bits (tmatvec_one_row m v)));
     Alcotest.test_case "matvec and tmatvec reject a ragged matrix" `Quick (fun () ->
-        (* both read every row to the first row's length unchecked *)
+        (* row 6 is short: both loops read rows unchecked, so they must refuse it *)
         let ragged = Array.init 9 (fun i -> Array.make (if i = 6 then 4 else 5) 1.) in
         Alcotest.check_raises "matvec" (Invalid_argument "Mat.matvec: ragged matrix") (fun () ->
             ignore (Mat.matvec ragged (Array.make 5 1.)));
