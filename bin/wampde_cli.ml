@@ -752,38 +752,12 @@ let serve_cmd =
   let stall_timeout_arg =
     let doc =
       "Stall watchdog: fail a running job with a typed $(b,stalled) error when no solver \
-       progress (macro step, Newton/GMRES iteration) is observed for $(docv) seconds \
-       ($(b,0) disables)."
+       progress (a circuit evaluation, counted by $(b,dae.evals), or an accepted macro step) \
+       is observed for $(docv) seconds ($(b,0) disables)."
     in
     Arg.(value & opt float 0. & info [ "stall-timeout" ] ~docv:"SECONDS" ~doc)
   in
-  let max_retries_arg =
-    let doc =
-      "Retry a job that failed with a transient typed error up to $(docv) times, resuming \
-       from its last bit-exact checkpoint after a seeded exponential backoff."
-    in
-    Arg.(value & opt int 0 & info [ "max-retries" ] ~docv:"N" ~doc)
-  in
-  let retry_base_arg =
-    let doc = "Base delay of the seeded exponential retry backoff, seconds." in
-    Arg.(value & opt float 0.1 & info [ "retry-base" ] ~docv:"SECONDS" ~doc)
-  in
-  let breaker_threshold_arg =
-    let doc =
-      "Consecutive permanent failures of one (circuit, analysis) pair before its circuit \
-       breaker opens and further jobs fast-fail with $(b,breaker-open)."
-    in
-    Arg.(value & opt int 5 & info [ "breaker-threshold" ] ~docv:"N" ~doc)
-  in
-  let breaker_cooldown_arg =
-    let doc =
-      "Seconds an open circuit breaker fast-fails before letting one half-open probe \
-       through; the probe's outcome closes or re-opens it."
-    in
-    Arg.(value & opt float 5. & info [ "breaker-cooldown" ] ~docv:"SECONDS" ~doc)
-  in
-  let run fault jobs quantum spool cache stall_timeout max_retries retry_base breaker_threshold
-      breaker_cooldown =
+  let run fault jobs quantum spool cache stall_timeout =
     (match jobs with Some j -> Par.Pool.set_jobs j | None -> ());
     (match fault with
     | Some spec -> (
@@ -803,8 +777,7 @@ let serve_cmd =
     let term_requested = ref false in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> term_requested := true));
     let config =
-      Serve.Server.default_config ~quantum ~spool ~cache ~max_retries ~retry_base_s:retry_base
-        ~stall_timeout_s:stall_timeout ~breaker_threshold ~breaker_cooldown_s:breaker_cooldown
+      Serve.Server.default_config ~quantum ~spool ~cache ~stall_timeout_s:stall_timeout
         ~stop_requested:(fun () -> !term_requested)
         ()
     in
@@ -829,8 +802,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      const run $ fault_arg $ jobs_arg $ quantum_arg $ spool_arg $ cache_arg $ stall_timeout_arg
-      $ max_retries_arg $ retry_base_arg $ breaker_threshold_arg $ breaker_cooldown_arg)
+      const run $ fault_arg $ jobs_arg $ quantum_arg $ spool_arg $ cache_arg $ stall_timeout_arg)
 
 let () =
   let doc = "multi-time (WaMPDE) simulation of voltage-controlled oscillators" in

@@ -1994,44 +1994,6 @@ module Doctor = struct
       end
     end
 
-  (* ---------- serve supervision ---------- *)
-
-  (* Retry-storm detector for daemon manifests/metric snapshots: when
-     retries rival submissions the spool is churning — jobs fail, are
-     resumed, and fail again — which usually means a persistent fault
-     is being misclassified as transient. *)
-  let serve_findings j =
-    let counters = metrics_section j "counters" in
-    let attempts = counter counters "serve.retry.attempts" in
-    let submitted = counter counters "serve.jobs.submitted" in
-    let exhausted = counter counters "serve.retry.exhausted" in
-    if attempts <= 0. then []
-    else if attempts >= 3. && attempts >= submitted then
-      [
-        {
-          category = "serve";
-          severity = Warn;
-          summary =
-            Printf.sprintf
-              "retry storm: %.0f retry attempt(s) against %.0f submitted job(s)%s"
-              attempts submitted
-              (if exhausted > 0. then Printf.sprintf " (%.0f exhausted)" exhausted else "");
-          suggestion =
-            Some
-              "failures classified as transient are recurring; inspect flight dumps and \
-               consider lowering --max-retries or fixing the underlying fault";
-        };
-      ]
-    else
-      [
-        {
-          category = "serve";
-          severity = Info;
-          summary = Printf.sprintf "%.0f transient failure(s) were retried from checkpoint" attempts;
-          suggestion = None;
-        };
-      ]
-
   (* ---------- stream cross-check ---------- *)
 
   let stream_findings lines =
@@ -2106,7 +2068,6 @@ module Doctor = struct
     let findings =
       (cost_finding j :: trust_findings j)
       @ parallelism_findings j
-      @ serve_findings j
       @ (match stream_lines with Some ls -> stream_findings ls | None -> [])
     in
     let warns, infos = List.partition (fun f -> f.severity = Warn) findings in

@@ -554,17 +554,16 @@ end
     (only once a step was decided).  The thresholds are those Health
     ran with, {!Health.set_thresholds} included.
 
-    Serve manifests add a retry-storm check ([serve]); a stream adds
-    its cross-check ([stream]).  The diagnosis always includes at
-    least the cost, t1-resolution and solver-quality categories;
-    warnings sort first. *)
+    A stream adds its cross-check ([stream]).  The diagnosis always
+    includes at least the cost, t1-resolution and solver-quality
+    categories; warnings sort first. *)
 module Doctor : sig
   type severity = Info | Warn
 
   type finding = {
     category : string;
         (** "cost" | "t1_resolution" | "solver_quality" | "stepping" |
-            "parallelism" | "serve" | "stream" *)
+            "parallelism" | "stream" *)
     severity : severity;
     summary : string;
     suggestion : string option;

@@ -25,12 +25,14 @@ type state =
       (** job accepted; [request] is the raw NDJSON request line, kept
           verbatim so recovery can re-parse it with the same total
           parser that admitted it *)
-  | Running  (** a quantum started (re-logged with a bumped [attempt] on retry) *)
+  | Running  (** the job's first quantum started *)
   | Checkpointed  (** preempted mid-march; a resume checkpoint is on disk *)
   | Preempted  (** graceful shutdown parked the job for a later daemon *)
   | Done
   | Error of { kind : string }
 
+(** [attempt] is 1 from this daemon; it stays in the frame so that a
+    journal carrying higher attempt numbers still replays. *)
 type record = { id : string; state : state; attempt : int }
 
 val state_name : state -> string

@@ -248,7 +248,7 @@ let metrics_line ~final ~metrics =
    hit rates, domain-pool utilization, health-warning counts and the
    scheduler's own counters — the numbers an operator polls without
    wanting the full metrics snapshot. *)
-let stats_line ?(breakers = []) ~counters ~gauges () =
+let stats_line ~counters ~gauges =
   let with_prefix p l =
     let pl = String.length p in
     List.filter_map
@@ -270,11 +270,10 @@ let stats_line ?(breakers = []) ~counters ~gauges () =
       @ List.map (fun (k, v) -> (k, num v)) (with_prefix p gauges))
   in
   let warnings = match List.assoc_opt "health.warnings" counters with Some n -> n | None -> 0 in
-  let breakers_obj = obj (List.map (fun (k, v) -> (k, str v)) breakers) in
   Printf.sprintf
-    "{\"type\":\"stats\",\"cache\":{\"orbit\":%s,\"precond\":%s},\"pool\":%s,\"health\":{\"warnings\":%d,\"monitors\":%s},\"serve\":%s,\"breakers\":%s}"
+    "{\"type\":\"stats\",\"cache\":{\"orbit\":%s,\"precond\":%s},\"pool\":%s,\"health\":{\"warnings\":%d,\"monitors\":%s},\"serve\":%s}"
     (int_obj "cache.orbit.") (int_obj "cache.precond.") (mixed "pool.") warnings
-    (int_obj "health.warnings.") (mixed "serve.") breakers_obj
+    (int_obj "health.warnings.") (mixed "serve.")
 
 let bye ~submitted ~completed ~failed ~cancelled ~preempted =
   Printf.sprintf

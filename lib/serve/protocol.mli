@@ -96,8 +96,8 @@ val error_line : ?line:int -> ?id:string -> error -> string
 (** Typed terminal failure of an accepted job.  [kind] is a stable
     discriminant ("step-failure", "step-underflow", "solve-failed",
     "nonphysical", "corrupt-checkpoint", "solver-failure", "cancelled",
-    "aborted", "deadline-exceeded", "stalled", "breaker-open",
-    "preempted", "internal").  [flight], when present, is the path of the
+    "aborted", "deadline-exceeded", "stalled", "preempted",
+    "internal").  [flight], when present, is the path of the
     ["wampde.flightdump/1"] postmortem written for this failure. *)
 val job_error :
   ?flight:string -> id:string -> kind:string -> message:string -> quanta:int -> unit -> string
@@ -135,17 +135,9 @@ val metrics_line : final:bool -> metrics:string -> string
     snapshots: counters and gauges whose names start with
     ["cache.orbit."], ["cache.precond."], ["pool."],
     ["health.warnings."] and ["serve."] land in the matching group
-    with the prefix stripped (journal and supervision counters ride
-    in the ["serve"] group as [journal.*], [watchdog.*], [retry.*],
-    [breaker.*]).  [breakers] adds a ["breakers"] object mapping
-    ["circuit/analysis"] keys to their phase ("closed", "open",
-    "half-open"). *)
-val stats_line :
-  ?breakers:(string * string) list ->
-  counters:(string * int) list ->
-  gauges:(string * float) list ->
-  unit ->
-  string
+    with the prefix stripped (journal and watchdog counters ride in
+    the ["serve"] group as [journal.*] and [watchdog.*]). *)
+val stats_line : counters:(string * int) list -> gauges:(string * float) list -> string
 
 val bye :
   submitted:int -> completed:int -> failed:int -> cancelled:int -> preempted:int -> string

@@ -8,9 +8,6 @@ let c_preempted_jobs = Obs.Metrics.counter "serve.jobs.preempted"
 let c_quanta = Obs.Metrics.counter "serve.quanta"
 let c_preemptions = Obs.Metrics.counter "serve.preemptions"
 let c_restarts = Obs.Metrics.counter "serve.restarts"
-let c_retry_attempts = Obs.Metrics.counter "serve.retry.attempts"
-let c_retry_recovered = Obs.Metrics.counter "serve.retry.recovered"
-let c_retry_exhausted = Obs.Metrics.counter "serve.retry.exhausted"
 let c_journal_recovered = Obs.Metrics.counter "serve.journal.recovered"
 let c_journal_resumed = Obs.Metrics.counter "serve.journal.resumed"
 
@@ -65,9 +62,6 @@ type jobrec = {
   mutable quanta : int;
   mutable preemptions : int;
   mutable restarts : int;
-  mutable retries : int;
-  mutable not_before : float;  (* retry-backoff gate, absolute wall clock *)
-  mutable started : bool;  (* current attempt has journaled its Running frame *)
   mutable steps : Obs.Report.step list;
   mutable stream : Obs.Stream.t option;
   mutable wall : float;
@@ -78,13 +72,10 @@ type jobrec = {
 type t = {
   quantum : int;
   spool : string;
-  max_retries : int;
-  retry_base_s : float;
-  stall_s : float;  (* infinity disables the stall watchdog *)
+  stall_s : float option;  (* [None] disables the stall watchdog *)
   emit : string -> unit;
   log : string -> unit;
   journal : Journal.t;
-  breaker : Supervisor.Breaker.t;
   queue : string Queue.t;
   jobs : (string, jobrec) Hashtbl.t;
   settled : (string, Dae.t * Steady.Oscillator.settled) Hashtbl.t;  (* by circuit *)
@@ -113,19 +104,15 @@ let counts (t : t) =
     preempted = t.preempted_n;
   }
 
-let create ?(max_retries = 0) ?(retry_base_s = 0.1) ?(stall_timeout_s = Float.infinity)
-    ?(breaker_threshold = 5) ?(breaker_cooldown_s = 5.) ~quantum ~spool ~emit ~log () =
+let create ?(stall_timeout_s = 0.) ~quantum ~spool ~emit ~log () =
   Obs.Metrics.set g_depth 0.;
   {
     quantum = max 1 quantum;
     spool;
-    max_retries = max 0 max_retries;
-    retry_base_s = Float.max 0. retry_base_s;
-    stall_s = (if stall_timeout_s > 0. then stall_timeout_s else Float.infinity);
+    stall_s = (if stall_timeout_s > 0. then Some stall_timeout_s else None);
     emit;
     log;
     journal = Journal.open_ ~spool;
-    breaker = Supervisor.Breaker.create ~threshold:breaker_threshold ~cooldown_s:breaker_cooldown_s;
     queue = Queue.create ();
     jobs = Hashtbl.create 32;
     settled = Hashtbl.create 4;
@@ -137,16 +124,13 @@ let create ?(max_retries = 0) ?(retry_base_s = 0.1) ?(stall_timeout_s = Float.in
     preempted_n = 0;
   }
 
-let breaker_states t = Supervisor.Breaker.states t.breaker
-let breaker_key (job : Protocol.job) = job.circuit ^ "/" ^ Protocol.analysis_name job.analysis
-let attempt jr = jr.retries + 1
-let journal_put t jr state = Journal.append t.journal { Journal.id = jr.job.id; state; attempt = attempt jr }
+let journal_put t jr state = Journal.append t.journal { Journal.id = jr.job.id; state; attempt = 1 }
 
 let set_depth t = Obs.Metrics.set g_depth (float_of_int (Queue.length t.queue))
 
 let err code fmt = Printf.ksprintf (fun message -> Error { Protocol.code; message }) fmt
 
-let make_jobrec t entry (job : Protocol.job) ~retries ~has_ckpt =
+let make_jobrec t entry (job : Protocol.job) ~has_ckpt =
   {
     job;
     entry;
@@ -159,9 +143,6 @@ let make_jobrec t entry (job : Protocol.job) ~retries ~has_ckpt =
     quanta = 0;
     preemptions = 0;
     restarts = 0;
-    retries;
-    not_before = 0.;
-    started = false;
     steps = [];
     stream = None;
     wall = 0.;
@@ -177,7 +158,7 @@ let submit (t : t) ?(request = "") (job : Protocol.job) =
   | Some entry ->
     if Hashtbl.mem t.jobs job.id then err "duplicate-id" "job id %S already used" job.id
     else begin
-      let jr = make_jobrec t entry job ~retries:0 ~has_ckpt:false in
+      let jr = make_jobrec t entry job ~has_ckpt:false in
       Hashtbl.add t.jobs job.id jr;
       Queue.add job.id t.queue;
       t.submitted <- t.submitted + 1;
@@ -212,7 +193,7 @@ let recover (t : t) =
         match List.assoc_opt job.circuit registry with
         | None -> t.log (Printf.sprintf "serve: journal job %s names unknown circuit %S" o.id job.circuit)
         | Some entry ->
-          let jr = make_jobrec t entry job ~retries:(max 0 (o.attempt - 1)) ~has_ckpt:false in
+          let jr = make_jobrec t entry job ~has_ckpt:false in
           jr.has_ckpt <- Sys.file_exists jr.ckpt;
           Hashtbl.add t.jobs job.id jr;
           Queue.add job.id t.queue;
@@ -225,7 +206,7 @@ let recover (t : t) =
                (Journal.state_name o.last) o.attempt
                (if jr.has_ckpt then ", resuming from checkpoint" else ", restarting"));
           t.emit
-            (Protocol.recovered ~id:job.id ~resumed:jr.has_ckpt ~attempt:(attempt jr)
+            (Protocol.recovered ~id:job.id ~resumed:jr.has_ckpt ~attempt:o.attempt
                ~queue_depth:(Queue.length t.queue)))
       | Ok _ | Error _ ->
         t.log (Printf.sprintf "serve: journal request for %s no longer parses; dropping" o.id))
@@ -292,8 +273,6 @@ let finish_cancelled (t : t) jr ~kind =
   t.cancelled_n <- t.cancelled_n + 1;
   Obs.Metrics.incr c_cancelled;
   journal_put t jr (Journal.Error { kind });
-  (* a cancelled half-open probe must not wedge the breaker *)
-  Supervisor.Breaker.release t.breaker ~key:(breaker_key jr.job) ~now:(Unix.gettimeofday ());
   t.log (Printf.sprintf "serve: %s %s after %d quanta" kind jr.job.id jr.quanta);
   t.emit
     (Protocol.job_error ~id:jr.job.id ~kind
@@ -317,27 +296,14 @@ let write_flight (t : t) jr ~kind ~message =
     t.log (Printf.sprintf "serve: job %s flight dump failed: %s" jr.job.id msg);
     None
 
-(* Which failure kinds feed the per-(circuit, analysis) breaker: only
-   genuine solver verdicts.  Administrative terminations (cancel,
-   abort, preemption), budget overruns and the breaker's own
-   fast-fails say nothing about whether the analysis is healthy. *)
-let breaker_counts_kind = function
-  | "cancelled" | "aborted" | "preempted" | "deadline-exceeded" | "breaker-open" -> false
-  | _ -> true
-
-let finish_failed ?(dump = true) (t : t) jr ~kind ~message =
+let finish_failed (t : t) jr ~kind ~message =
   close_stream jr ~ok:false ~error:kind ();
   remove_ckpt jr;
   jr.status <- Failed;
   t.failed <- t.failed + 1;
   Obs.Metrics.incr c_failed;
   journal_put t jr (Journal.Error { kind });
-  let bkey = breaker_key jr.job in
-  if breaker_counts_kind kind then
-    Supervisor.Breaker.failure t.breaker ~key:bkey ~now:(Unix.gettimeofday ())
-  else if kind <> "breaker-open" then
-    Supervisor.Breaker.release t.breaker ~key:bkey ~now:(Unix.gettimeofday ());
-  let flight = if dump then write_flight t jr ~kind ~message else None in
+  let flight = write_flight t jr ~kind ~message in
   t.log
     (Printf.sprintf "serve: job %s failed (%s): %s%s" jr.job.id kind message
        (match flight with Some p -> " [flight: " ^ p ^ "]" | None -> ""));
@@ -350,8 +316,6 @@ let finish_done (t : t) jr ~t2_end ~omega_end =
   t.completed <- t.completed + 1;
   Obs.Metrics.incr c_completed;
   journal_put t jr Journal.Done;
-  Supervisor.Breaker.success t.breaker ~key:(breaker_key jr.job);
-  if jr.retries > 0 then Obs.Metrics.incr c_retry_recovered;
   let analysis = Protocol.analysis_name jr.job.analysis in
   let manifest =
     Obs.Report.manifest ~subcommand:("serve:" ^ analysis) ~jobs:(Par.Pool.jobs ()) ~wall_s:jr.wall
@@ -468,9 +432,8 @@ let run_quantum t jr =
     if jr.deadline_at = Float.infinity then None
     else Some (jr.deadline_at -. Unix.gettimeofday ())
   in
-  let stall_s = if t.stall_s = Float.infinity then None else Some t.stall_s in
   match
-    Supervisor.guard ?deadline_s ?stall_s (fun () ->
+    Supervisor.guard ?deadline_s ?stall_s:t.stall_s (fun () ->
         match jr.job.analysis with
         | Protocol.Envelope p -> exec_envelope t jr p
         | Protocol.Quasiperiodic p -> exec_quasi t jr p)
@@ -493,66 +456,16 @@ let run_quantum t jr =
     let kind, message = classify e in
     Fail { kind; message }
 
-(* Transient solver verdicts worth a seeded-backoff retry from the
-   last checkpoint.  Structural rejections (underflow, nonphysical,
-   corrupt input) and watchdog/administrative kinds are permanent. *)
-let retryable_kind = function
-  | "step-failure" | "solve-failed" | "solver-failure" -> true
-  | _ -> false
-
-type slice = Ran | Idle | Wait of float
-
-(* Pop the first runnable job: cancelled and deadline-blown jobs are
-   always runnable (their slice is the terminal transition); jobs
-   inside a retry-backoff window rotate to the back.  [Wait s] when
-   every queued job is backing off. *)
-let take_runnable t now =
-  let n = Queue.length t.queue in
-  let soonest = ref Float.infinity in
-  let rec go i =
-    if i >= n then None
-    else
-      match Queue.take_opt t.queue with
-      | None -> None
-      | Some id ->
-        let jr = Hashtbl.find t.jobs id in
-        if jr.cancelled || now >= jr.not_before || now >= jr.deadline_at then Some jr
-        else begin
-          soonest := Float.min !soonest (jr.not_before -. now);
-          Queue.add id t.queue;
-          go (i + 1)
-        end
-  in
-  match go 0 with
-  | Some jr -> `Run jr
-  | None -> if !soonest = Float.infinity then `Idle else `Wait !soonest
-
-let retry t jr ~kind ~message =
-  jr.retries <- jr.retries + 1;
-  jr.started <- false;
-  Obs.Metrics.incr c_retry_attempts;
-  let delay =
-    Supervisor.backoff_s ~base:t.retry_base_s ~attempt:jr.retries ~seed:(Hashtbl.hash jr.job.id)
-  in
-  jr.not_before <- Unix.gettimeofday () +. delay;
-  (match jr.stream with Some s -> Obs.Stream.suspend s | None -> ());
-  t.log
-    (Printf.sprintf "serve: job %s failed (%s): %s; retry %d/%d in %.3f s%s" jr.job.id kind message
-       jr.retries t.max_retries delay
-       (if jr.has_ckpt then " from checkpoint" else " from scratch"));
-  Queue.add jr.job.id t.queue;
-  set_depth t
+type slice = Ran | Idle
 
 let run_slice t =
-  let now = Unix.gettimeofday () in
-  match take_runnable t now with
-  | `Idle -> Idle
-  | `Wait s -> Wait s
-  | `Run jr ->
-    let id = jr.job.id in
+  match Queue.take_opt t.queue with
+  | None -> Idle
+  | Some id ->
+    let jr = Hashtbl.find t.jobs id in
     set_depth t;
     (if jr.cancelled then finish_cancelled t jr ~kind:"cancelled"
-     else if now >= jr.deadline_at then begin
+     else if Unix.gettimeofday () >= jr.deadline_at then begin
        Obs.Metrics.incr c_watchdog_deadline;
        finish_failed t jr ~kind:"deadline-exceeded"
          ~message:
@@ -560,59 +473,34 @@ let run_slice t =
               (Option.value jr.job.deadline_ms ~default:0.))
      end
      else begin
-       match Supervisor.Breaker.decide t.breaker ~key:(breaker_key jr.job) ~now with
-       | Supervisor.Breaker.Fast_fail { retry_after_s } ->
-         (* nothing ran, so there is no timeline worth dumping *)
-         finish_failed ~dump:false t jr ~kind:"breaker-open"
-           ~message:
-             (Printf.sprintf "circuit breaker open for %s; retry after %.2f s"
-                (breaker_key jr.job) retry_after_s)
-       | Supervisor.Breaker.Proceed | Supervisor.Breaker.Probe ->
-         if not jr.started then begin
-           jr.started <- true;
-           journal_put t jr Journal.Running
-         end;
-         Obs.Metrics.incr c_quanta;
-         let t0 = Obs.now () in
-         let outcome = run_quantum t jr in
-         jr.wall <- jr.wall +. (Obs.now () -. t0);
-         jr.quanta <- jr.quanta + 1;
-         (match outcome with
-         | Preempt ->
-           jr.preemptions <- jr.preemptions + 1;
-           Obs.Metrics.incr c_preemptions;
-           journal_put t jr Journal.Checkpointed;
-           (match jr.stream with Some s -> Obs.Stream.suspend s | None -> ());
-           Queue.add id t.queue;
-           set_depth t
-         | Restart msg ->
-           jr.restarts <- jr.restarts + 1;
-           Obs.Metrics.incr c_restarts;
-           remove_ckpt jr;
-           t.log
-             (Printf.sprintf "serve: job %s checkpoint corrupt (%s); restarting from scratch" id msg);
-           Queue.add id t.queue;
-           set_depth t
-         | Complete { t2_end; omega_end } -> finish_done t jr ~t2_end ~omega_end
-         | Fail { kind; message } ->
-           if retryable_kind kind && jr.retries < t.max_retries then retry t jr ~kind ~message
-           else begin
-             if retryable_kind kind && t.max_retries > 0 then Obs.Metrics.incr c_retry_exhausted;
-             finish_failed t jr ~kind ~message
-           end)
+       if jr.quanta = 0 then journal_put t jr Journal.Running;
+       Obs.Metrics.incr c_quanta;
+       let t0 = Obs.now () in
+       let outcome = run_quantum t jr in
+       jr.wall <- jr.wall +. (Obs.now () -. t0);
+       jr.quanta <- jr.quanta + 1;
+       match outcome with
+       | Preempt ->
+         jr.preemptions <- jr.preemptions + 1;
+         Obs.Metrics.incr c_preemptions;
+         journal_put t jr Journal.Checkpointed;
+         (match jr.stream with Some s -> Obs.Stream.suspend s | None -> ());
+         Queue.add id t.queue;
+         set_depth t
+       | Restart msg ->
+         jr.restarts <- jr.restarts + 1;
+         Obs.Metrics.incr c_restarts;
+         remove_ckpt jr;
+         t.log
+           (Printf.sprintf "serve: job %s checkpoint corrupt (%s); restarting from scratch" id msg);
+         Queue.add id t.queue;
+         set_depth t
+       | Complete { t2_end; omega_end } -> finish_done t jr ~t2_end ~omega_end
+       | Fail { kind; message } -> finish_failed t jr ~kind ~message
      end);
     Ran
 
-let drain t =
-  let rec go () =
-    match run_slice t with
-    | Ran -> go ()
-    | Idle -> ()
-    | Wait s ->
-      Unix.sleepf (Float.min s 0.05);
-      go ()
-  in
-  go ()
+let drain t = while run_slice t = Ran do () done
 
 let abandon t =
   let rec go () =
@@ -642,7 +530,6 @@ let preempt_all t =
       jr.status <- Parked;
       t.preempted_n <- t.preempted_n + 1;
       Obs.Metrics.incr c_preempted_jobs;
-      Supervisor.Breaker.release t.breaker ~key:(breaker_key jr.job) ~now:(Unix.gettimeofday ());
       t.log
         (Printf.sprintf "serve: preempted %s after %d quanta%s" id jr.quanta
            (if jr.has_ckpt then " (checkpoint kept)" else ""));

@@ -14,12 +14,10 @@
     (see {!Journal}), so {!recover} on a restarted daemon re-enqueues
     the jobs a crash orphaned and resumes them from their surviving
     checkpoints.  Quanta run under the {!Supervisor} watchdog
-    ([deadline_ms] per job, [stall_timeout_s] daemon-wide); transient
-    solver failures are retried up to [max_retries] times with seeded
-    exponential backoff from [retry_base_s]; repeated permanent
-    failures trip a per-(circuit, analysis) circuit breaker that
-    fast-fails with ["breaker-open"] until a half-open probe
-    succeeds.
+    ([deadline_ms] per job, [stall_timeout_s] daemon-wide), which
+    counts a moved [dae.evals] counter or an accepted macro step as
+    progress.  The solvers are deterministic, so a failed job is not
+    retried: it ends at once with its typed error and a flight dump.
 
     Warm state shared across jobs: each circuit's
     {!Steady.Oscillator.settled} warm-up, computed once per circuit,
@@ -41,17 +39,10 @@ type t
     job-related response line (accepted / stream records / result /
     job-error); [log] receives human-readable lifecycle lines.  The
     spool directory must exist (the journal is opened inside it).
-    [max_retries] (default 0) bounds per-job transient retries;
-    [retry_base_s] (default 0.1) seeds their exponential backoff;
-    [stall_timeout_s] (default off) arms the stall watchdog;
-    [breaker_threshold] (default 5) consecutive permanent failures
-    open a breaker for [breaker_cooldown_s] (default 5) seconds. *)
+    A positive [stall_timeout_s] arms the stall watchdog; the default,
+    and any value [<= 0], leaves it off. *)
 val create :
-  ?max_retries:int ->
-  ?retry_base_s:float ->
   ?stall_timeout_s:float ->
-  ?breaker_threshold:int ->
-  ?breaker_cooldown_s:float ->
   quantum:int ->
   spool:string ->
   emit:(string -> unit) ->
@@ -79,7 +70,6 @@ val cancel : t -> string -> (unit, Protocol.error) result
 type slice =
   | Ran  (** a job ran one slice (or took a terminal transition) *)
   | Idle  (** queue empty *)
-  | Wait of float  (** every queued job is in retry backoff; seconds until the soonest *)
 
 (** [classify exn] is the stable [(kind, message)] a failed job reports
     for [exn]: the one failure-to-kind table, which the CLI's flight
@@ -90,12 +80,12 @@ type slice =
     ["solver-failure"] and anything else ["internal"]. *)
 val classify : exn -> string * string
 
-(** Run one scheduling slice.  Never raises on solver failure — the
-    job terminates with a typed [job-error] (or retries) instead. *)
+(** Run one scheduling slice on the job at the head of the queue.
+    Never raises on solver failure — the job terminates with a typed
+    [job-error] instead. *)
 val run_slice : t -> slice
 
-(** Run slices (sleeping through backoff windows) until the queue is
-    empty. *)
+(** Run slices until the queue is empty. *)
 val drain : t -> unit
 
 (** Terminate every still-queued job with an ["aborted"] job-error
@@ -109,10 +99,6 @@ val preempt_all : t -> unit
 
 (** Close the journal.  The scheduler must not be used afterwards. *)
 val shutdown : t -> unit
-
-(** Breaker phases for the [stats] reply (["circuit/analysis"] →
-    "closed" / "open" / "half-open"). *)
-val breaker_states : t -> (string * string) list
 
 type counts = {
   submitted : int;

@@ -9,28 +9,13 @@ type config = {
   quantum : int;
   spool : string;
   cache : int;
-  max_retries : int;
-  retry_base_s : float;
   stall_timeout_s : float;
-  breaker_threshold : int;
-  breaker_cooldown_s : float;
   stop_requested : unit -> bool;
 }
 
-let default_config ?(quantum = 8) ?(spool = "wampde-spool") ?(cache = 32) ?(max_retries = 0)
-    ?(retry_base_s = 0.1) ?(stall_timeout_s = 0.) ?(breaker_threshold = 5)
-    ?(breaker_cooldown_s = 5.) ?(stop_requested = fun () -> false) () =
-  {
-    quantum;
-    spool;
-    cache;
-    max_retries;
-    retry_base_s;
-    stall_timeout_s;
-    breaker_threshold;
-    breaker_cooldown_s;
-    stop_requested;
-  }
+let default_config ?(quantum = 8) ?(spool = "wampde-spool") ?(cache = 32) ?(stall_timeout_s = 0.)
+    ?(stop_requested = fun () -> false) () =
+  { quantum; spool; cache; stall_timeout_s; stop_requested }
 
 let mkdir_p dir =
   let rec go d =
@@ -51,11 +36,8 @@ let run config ~read ~write ~log =
   Linalg.Structured.Precond_cache.set_capacity config.cache;
   mkdir_p config.spool;
   let sch =
-    Scheduler.create ~max_retries:config.max_retries ~retry_base_s:config.retry_base_s
-      ~stall_timeout_s:
-        (if config.stall_timeout_s > 0. then config.stall_timeout_s else Float.infinity)
-      ~breaker_threshold:config.breaker_threshold ~breaker_cooldown_s:config.breaker_cooldown_s
-      ~quantum:config.quantum ~spool:config.spool ~emit:write ~log ()
+    Scheduler.create ~stall_timeout_s:config.stall_timeout_s ~quantum:config.quantum
+      ~spool:config.spool ~emit:write ~log ()
   in
   write (Protocol.hello ~quantum:config.quantum ~jobs:(Par.Pool.jobs ()) ~cache:config.cache);
   Scheduler.recover sch;
@@ -91,10 +73,7 @@ let run config ~read ~write ~log =
         write (Protocol.metrics_line ~final:false ~metrics:(Obs.Metrics.to_json ()))
       | Ok Protocol.Stats ->
         write
-          (Protocol.stats_line
-             ~breakers:(Scheduler.breaker_states sch)
-             ~counters:(Obs.Metrics.counters ())
-             ~gauges:(Obs.Metrics.gauges ()) ())
+          (Protocol.stats_line ~counters:(Obs.Metrics.counters ()) ~gauges:(Obs.Metrics.gauges ()))
       | Ok (Protocol.Shutdown { drain }) -> stop := Some (if drain then Drain else Abort)
     end
   in
@@ -115,10 +94,6 @@ let run config ~read ~write ~log =
     if !stop = None then begin
       match Scheduler.run_slice sch with
       | Scheduler.Ran -> ()
-      | Scheduler.Wait s ->
-        (* every queued job is backing off: nap briefly so input and
-           the signal flag stay responsive *)
-        (try Unix.sleepf (Float.min s 0.02) with Unix.Unix_error (Unix.EINTR, _, _) -> ())
       | Scheduler.Idle -> (
         match read ~block:true with
         | `Line l -> handle l

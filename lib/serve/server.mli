@@ -4,11 +4,14 @@
 
     The loop alternates draining immediately-available input
     (non-blocking reads) with running one scheduling slice; it blocks
-    for input only when the queue is idle and naps briefly when every
-    queued job is inside a retry-backoff window.  On startup the
+    for input only when the queue is idle.  On startup the
     spool's {!Journal} is replayed: jobs orphaned by a crashed daemon
     are re-enqueued (one [recovered] record each) and resume from
-    their surviving checkpoints bit-exactly.
+    their surviving checkpoints bit-exactly.  With a positive
+    [stall_timeout_s] the {!Supervisor} watchdog fails a job with a
+    typed ["stalled"] error when its quantum shows no progress — no
+    moved [dae.evals] counter and no accepted macro step — for that
+    long.
 
     Shutdown paths: end of input and
     [{"type":"shutdown","drain":true}] drain the queue;
@@ -31,27 +34,17 @@ type config = {
   quantum : int;  (** accepted envelope macro steps per slice *)
   spool : string;  (** checkpoint + journal directory (created if missing) *)
   cache : int;  (** {!Linalg.Structured.Precond_cache} capacity *)
-  max_retries : int;  (** transient-failure retries per job *)
-  retry_base_s : float;  (** backoff base for retry delays *)
-  stall_timeout_s : float;  (** stall watchdog; [0.] disables *)
-  breaker_threshold : int;  (** permanent failures before a breaker opens *)
-  breaker_cooldown_s : float;  (** open-breaker cooldown before a probe *)
+  stall_timeout_s : float;  (** stall watchdog; [<= 0.] disables *)
   stop_requested : unit -> bool;  (** polled each loop turn; [true] = graceful park *)
 }
 
 (** [quantum] defaults to 8, [spool] to "wampde-spool", [cache] to
-    32, [max_retries] to 0, [retry_base_s] to 0.1, [stall_timeout_s]
-    to 0 (off), [breaker_threshold] to 5, [breaker_cooldown_s] to 5,
-    [stop_requested] to never. *)
+    32, [stall_timeout_s] to 0 (off), [stop_requested] to never. *)
 val default_config :
   ?quantum:int ->
   ?spool:string ->
   ?cache:int ->
-  ?max_retries:int ->
-  ?retry_base_s:float ->
   ?stall_timeout_s:float ->
-  ?breaker_threshold:int ->
-  ?breaker_cooldown_s:float ->
   ?stop_requested:(unit -> bool) ->
   unit ->
   config

@@ -2,12 +2,6 @@ module Obs = Wampde_obs
 
 let c_deadline = Obs.Metrics.counter "serve.watchdog.deadline_exceeded"
 let c_stalled = Obs.Metrics.counter "serve.watchdog.stalled"
-let c_trips = Obs.Metrics.counter "serve.breaker.trips"
-let c_fast_fails = Obs.Metrics.counter "serve.breaker.fast_fails"
-let c_probes = Obs.Metrics.counter "serve.breaker.probes"
-let c_closes = Obs.Metrics.counter "serve.breaker.closes"
-
-(* ---------- watchdog ---------- *)
 
 exception Deadline_exceeded
 exception Stalled of { idle_s : float }
@@ -97,94 +91,3 @@ let guard ?deadline_s ?stall_s f =
         set_itimer 0.)
       f
   end
-
-(* ---------- seeded exponential backoff ---------- *)
-
-(* splitmix64 finalizer: decorrelates (seed, attempt) into a uniform
-   jitter so retries are deterministic per job yet spread across a
-   fleet of jobs failing at the same instant. *)
-let mix64 x =
-  let open Int64 in
-  let x = mul (logxor x (shift_right_logical x 30)) 0xbf58476d1ce4e5b9L in
-  let x = mul (logxor x (shift_right_logical x 27)) 0x94d049bb133111ebL in
-  logxor x (shift_right_logical x 31)
-
-let backoff_s ~base ~attempt ~seed =
-  let attempt = max 1 attempt in
-  let scale = Float.min (Float.of_int (1 lsl min 16 (attempt - 1))) 1e4 in
-  let bits = mix64 (Int64.add (Int64.of_int seed) (Int64.mul 0x9e3779b97f4a7c15L (Int64.of_int attempt))) in
-  let u = Int64.to_float (Int64.shift_right_logical bits 11) /. 9007199254740992. in
-  base *. scale *. (1. +. (0.5 *. u))
-
-(* ---------- circuit breaker ---------- *)
-
-module Breaker = struct
-  type phase =
-    | Closed of { mutable streak : int }
-    | Open of { until : float }
-    | Half_open  (* one probe in flight *)
-
-  type t = {
-    threshold : int;
-    cooldown_s : float;
-    table : (string, phase) Hashtbl.t;
-  }
-
-  let create ~threshold ~cooldown_s =
-    { threshold = max 1 threshold; cooldown_s = Float.max 0. cooldown_s; table = Hashtbl.create 8 }
-
-  type decision = Proceed | Probe | Fast_fail of { retry_after_s : float }
-
-  let decide t ~key ~now =
-    match Hashtbl.find_opt t.table key with
-    | None | Some (Closed _) -> Proceed
-    | Some (Open { until }) when now >= until ->
-      Hashtbl.replace t.table key Half_open;
-      Obs.Metrics.incr c_probes;
-      Probe
-    | Some (Open { until }) ->
-      Obs.Metrics.incr c_fast_fails;
-      Fast_fail { retry_after_s = until -. now }
-    | Some Half_open ->
-      (* a probe is already in flight; don't pile on *)
-      Obs.Metrics.incr c_fast_fails;
-      Fast_fail { retry_after_s = t.cooldown_s }
-
-  let success t ~key =
-    (match Hashtbl.find_opt t.table key with
-    | Some Half_open -> Obs.Metrics.incr c_closes
-    | _ -> ());
-    Hashtbl.replace t.table key (Closed { streak = 0 })
-
-  let failure t ~key ~now =
-    let trip () =
-      Obs.Metrics.incr c_trips;
-      Hashtbl.replace t.table key (Open { until = now +. t.cooldown_s })
-    in
-    match Hashtbl.find_opt t.table key with
-    | None -> if t.threshold <= 1 then trip () else Hashtbl.replace t.table key (Closed { streak = 1 })
-    | Some (Closed c) ->
-      c.streak <- c.streak + 1;
-      if c.streak >= t.threshold then trip ()
-    | Some Half_open -> trip ()  (* failed probe: straight back to open *)
-    | Some (Open _) -> ()
-
-  (* A half-open probe that ends without a solver verdict (cancelled,
-     preempted, deadline-blown) must not wedge the key in [Half_open]
-     forever: put it back to [Open] so a later call re-probes. *)
-  let release t ~key ~now =
-    match Hashtbl.find_opt t.table key with
-    | Some Half_open -> Hashtbl.replace t.table key (Open { until = now +. t.cooldown_s })
-    | _ -> ()
-
-  let phase_name = function Closed _ -> "closed" | Open _ -> "open" | Half_open -> "half-open"
-
-  let states t =
-    Hashtbl.fold
-      (fun key phase acc ->
-        match phase with
-        | Closed { streak = 0 } -> acc
-        | _ -> (key, phase_name phase) :: acc)
-      t.table []
-    |> List.sort compare
-end

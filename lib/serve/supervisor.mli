@@ -1,12 +1,6 @@
-(** Supervision primitives of [wampde_cli serve]: a SIGALRM watchdog
-    enforcing per-job deadlines and stall limits, deterministic
-    seeded exponential backoff for retries, and a per-(circuit,
-    analysis) circuit breaker.
-
-    Instrumented as [serve.watchdog.*] and [serve.breaker.*]
-    counters. *)
-
-(** {1 Watchdog}
+(** Supervision primitive of [wampde_cli serve]: a SIGALRM watchdog
+    enforcing per-job deadlines and stall limits, instrumented as
+    [serve.watchdog.*] counters.
 
     A quantum runs under {!guard}, which arms a recurring interval
     timer; the (process-global, installed once) SIGALRM handler
@@ -37,48 +31,3 @@ val touch : unit -> unit
     neither bound, [f] runs unwatched (no timer, no handler).  The
     timer and watch are always cleared on exit, exceptional or not. *)
 val guard : ?deadline_s:float -> ?stall_s:float -> (unit -> 'a) -> 'a
-
-(** {1 Retry backoff} *)
-
-(** [backoff_s ~base ~attempt ~seed] is the delay before retry
-    [attempt] (1-based): [base * 2^(attempt-1)] stretched by a
-    deterministic jitter in [1, 1.5) derived from [(seed, attempt)] —
-    reproducible per job, decorrelated across jobs.  The exponential
-    factor saturates (at [2^16]) so extreme attempt counts cannot
-    overflow. *)
-val backoff_s : base:float -> attempt:int -> seed:int -> float
-
-(** {1 Circuit breaker}
-
-    Classic three-state breaker per string key (the scheduler keys by
-    ["circuit/analysis"]): [threshold] consecutive permanent failures
-    trip the key open; for [cooldown_s] every {!decide} is
-    [Fast_fail]; the first decision after the cooldown is a single
-    [Probe] (half-open) whose outcome closes the breaker or snaps it
-    straight back open. *)
-module Breaker : sig
-  type t
-
-  val create : threshold:int -> cooldown_s:float -> t
-
-  type decision =
-    | Proceed
-    | Probe  (** half-open: this caller carries the probe *)
-    | Fast_fail of { retry_after_s : float }
-
-  val decide : t -> key:string -> now:float -> decision
-
-  (** Report the probe/call outcome for [key]. *)
-  val success : t -> key:string -> unit
-
-  val failure : t -> key:string -> now:float -> unit
-
-  (** Abandon a half-open probe without a verdict (the probe job was
-      cancelled or preempted): the key returns to open and re-probes
-      after another cooldown.  No-op in other phases. *)
-  val release : t -> key:string -> now:float -> unit
-
-  (** Non-closed-and-clean keys with their phase name ("closed",
-      "open", "half-open"), sorted — for the [stats] reply. *)
-  val states : t -> (string * string) list
-end

@@ -30,8 +30,8 @@ let rm_rf dir =
    drain path, exactly like a scripted stdin batch.  [spool] keeps the
    session on an existing spool (and skips its cleanup) so tests can
    chain crashed and restarted daemons. *)
-let run_server ?(quantum = 2) ?(cache = 0) ?max_retries ?retry_base_s ?stall_timeout_s
-    ?breaker_threshold ?breaker_cooldown_s ?stop_requested ?spool ?(log = fun _ -> ()) lines =
+let run_server ?(quantum = 2) ?(cache = 0) ?stall_timeout_s ?stop_requested ?spool
+    ?(log = fun _ -> ()) lines =
   let input = ref lines in
   let read ~block:_ =
     match !input with
@@ -44,8 +44,7 @@ let run_server ?(quantum = 2) ?(cache = 0) ?max_retries ?retry_base_s ?stall_tim
   let spool, cleanup = match spool with Some s -> (s, false) | None -> (fresh_spool (), true) in
   let code =
     Server.run
-      (Server.default_config ~quantum ~spool ~cache ?max_retries ?retry_base_s ?stall_timeout_s
-         ?breaker_threshold ?breaker_cooldown_s ?stop_requested ())
+      (Server.default_config ~quantum ~spool ~cache ?stall_timeout_s ?stop_requested ())
       ~read
       ~write:(fun l -> out := l :: !out)
       ~log
@@ -183,9 +182,7 @@ let stats_tests =
                    ("serve.jobs.completed", 4);
                    ("unrelated.counter", 9);
                  ]
-               ~gauges:[ ("pool.balance", 0.75) ]
-               ~breakers:[ ("vco-a/envelope", "open") ]
-               ())
+               ~gauges:[ ("pool.balance", 0.75) ])
         in
         Alcotest.(check string) "type" "stats" (typ j);
         let n path = Option.bind (member_path path j) Json.to_num in
@@ -602,11 +599,6 @@ let with_spool f =
   Unix.mkdir spool 0o755;
   Fun.protect ~finally:(fun () -> rm_rf spool) (fun () -> f spool)
 
-let contains_sub sub text =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length text && (String.sub text i n = sub || go (i + 1)) in
-  go 0
-
 let journal_tests =
   [
     Alcotest.test_case "journal round-trips transitions and finds orphans" `Quick (fun () ->
@@ -687,7 +679,7 @@ let journal_tests =
         | l -> Alcotest.failf "%d orphans" (List.length l));
   ]
 
-(* ---------- supervision: recovery, watchdog, retry, breaker ---------- *)
+(* ---------- supervision: recovery, watchdog, typed failures ---------- *)
 
 let supervision_tests =
   [
@@ -859,164 +851,43 @@ let supervision_tests =
         match Supervisor.guard ~stall_s:0.05 (busy ~evaluate:false) with
         | () -> Alcotest.fail "a loop without circuit evaluations was not cancelled"
         | exception Supervisor.Stalled _ -> ());
-    Alcotest.test_case "transient failure retries with backoff and succeeds" `Slow (fun () ->
-        Obs.Metrics.with_isolated @@ fun () ->
-        Fault.with_armed "nan%1,seed=5" @@ fun () ->
-        (* the NaN storm sinks attempt one with a retryable
-           step-failure; the scheduler's retry log line disarms it, so
-           the backoff attempt runs clean and must produce a result *)
-        let stage = ref 0 in
-        let out = ref [] in
-        let retried = ref false in
-        let saw_terminal id =
-          List.exists
-            (fun l ->
-              let j = Testkit.json_exn l in
-              (typ j = "result" || typ j = "job-error") && str "id" j = Some id)
-            !out
-        in
-        let read ~block:_ =
-          match !stage with
-          | 0 ->
-            stage := 1;
-            `Line (tiny_envelope ~id:"rt" ())
-          | 1 ->
-            if saw_terminal "rt" then begin
-              stage := 2;
-              `Line "{\"type\":\"shutdown\",\"drain\":true}"
-            end
-            else `Nothing
-          | _ -> `Eof
-        in
-        let spool = fresh_spool () in
-        Fun.protect ~finally:(fun () -> rm_rf spool) @@ fun () ->
-        let code =
-          Server.run
-            (Server.default_config ~quantum:4 ~spool ~cache:0 ~max_retries:2 ~retry_base_s:0.01 ())
-            ~read
-            ~write:(fun l -> out := l :: !out)
-            ~log:(fun m ->
-              if contains_sub "retry" m then begin
-                retried := true;
-                Fault.disarm ()
-              end)
-        in
-        Alcotest.(check int) "exit code" 0 code;
-        Alcotest.(check bool) "a retry was scheduled" true !retried;
-        let records = records_of (List.rev !out) in
-        (match terminals_for "rt" records with
-        | [ r ] -> Alcotest.(check string) "retried job completes" "result" (typ r)
-        | l -> Alcotest.failf "rt: %d terminals" (List.length l));
-        let count name = Option.value ~default:0 (List.assoc_opt name (Obs.Metrics.counters ())) in
-        Alcotest.(check bool) "serve.retry.attempts >= 1" true (count "serve.retry.attempts" >= 1);
-        Alcotest.(check bool) "serve.retry.recovered >= 1" true
-          (count "serve.retry.recovered" >= 1);
-        Alcotest.(check int) "serve.retry.exhausted" 0 (count "serve.retry.exhausted"));
-    Alcotest.test_case "exhausted retries end in the underlying typed error" `Slow (fun () ->
+    Alcotest.test_case "every failed job ends with its own solver error and flight dump" `Slow
+      (fun () ->
         Obs.Metrics.with_isolated @@ fun () ->
         Fault.with_armed "nan%1,seed=3" @@ fun () ->
+        with_spool @@ fun spool ->
+        (* more same-circuit failures in a row than any per-circuit
+           failure count would let through: each must still run, fail
+           on the solver and leave its own postmortem *)
+        let ids = List.init 6 (Printf.sprintf "nf%d") in
         let code, out =
-          run_server ~quantum:2 ~max_retries:1 ~retry_base_s:0.01
-            [ tiny_envelope ~id:"rx" (); "{\"type\":\"shutdown\",\"drain\":true}" ]
+          run_server ~spool ~quantum:2
+            (List.map (fun id -> tiny_envelope ~id ()) ids
+            @ [ "{\"type\":\"shutdown\",\"drain\":true}" ])
         in
         Alcotest.(check int) "exit code" 0 code;
         let records = records_of out in
-        (match terminals_for "rx" records with
-        | [ r ] ->
-          Alcotest.(check string) "typed terminal" "job-error" (typ r);
-          Alcotest.(check bool) "not a breaker/watchdog kind" true
-            (match str "kind" r with
-            | Some ("breaker-open" | "deadline-exceeded" | "stalled") | None -> false
-            | Some _ -> true)
-        | l -> Alcotest.failf "rx: %d terminals" (List.length l));
-        let count name = Option.value ~default:0 (List.assoc_opt name (Obs.Metrics.counters ())) in
-        Alcotest.(check bool) "serve.retry.attempts >= 1" true (count "serve.retry.attempts" >= 1);
-        Alcotest.(check bool) "serve.retry.exhausted >= 1" true
-          (count "serve.retry.exhausted" >= 1));
-    Alcotest.test_case "breaker opens after repeated failures and fast-fails" `Slow (fun () ->
-        Obs.Metrics.with_isolated @@ fun () ->
-        Fault.with_armed "nan%1,seed=3" @@ fun () ->
-        let code, out =
-          run_server ~quantum:2 ~breaker_threshold:2 ~breaker_cooldown_s:60.
-            [
-              tiny_envelope ~id:"b1" ();
-              tiny_envelope ~id:"b2" ();
-              tiny_envelope ~id:"b3" ();
-              "{\"type\":\"shutdown\",\"drain\":true}";
-            ]
-        in
-        Alcotest.(check int) "exit code" 0 code;
-        let records = records_of out in
-        (match terminals_for "b3" records with
-        | [ r ] ->
-          Alcotest.(check string) "typed terminal" "job-error" (typ r);
-          Alcotest.(check (option string)) "fast-failed" (Some "breaker-open") (str "kind" r);
-          Alcotest.(check bool) "no flight dump for a fast-fail" true (str "flight" r = None)
-        | l -> Alcotest.failf "b3: %d terminals" (List.length l));
         List.iter
           (fun id ->
             match terminals_for id records with
             | [ r ] ->
-              Alcotest.(check bool) (id ^ " failed on the solver, not the breaker") true
-                (typ r = "job-error" && str "kind" r <> Some "breaker-open")
+              Alcotest.(check string) (id ^ " typed terminal") "job-error" (typ r);
+              Alcotest.(check bool) (id ^ " failed on the solver") true
+                (match str "kind" r with
+                | Some
+                    ( "step-failure" | "step-underflow" | "solve-failed" | "nonphysical"
+                    | "solver-failure" ) ->
+                  true
+                | _ -> false);
+              (match str "flight" r with
+              | Some p ->
+                Alcotest.(check string) (id ^ " dump in the spool")
+                  (Filename.concat spool (id ^ ".flight.json"))
+                  p;
+                Alcotest.(check bool) (id ^ " dump exists") true (Sys.file_exists p)
+              | None -> Alcotest.failf "%s: job-error without a flight dump" id)
             | l -> Alcotest.failf "%s: %d terminals" id (List.length l))
-          [ "b1"; "b2" ];
-        let count name = Option.value ~default:0 (List.assoc_opt name (Obs.Metrics.counters ())) in
-        Alcotest.(check bool) "serve.breaker.trips >= 1" true (count "serve.breaker.trips" >= 1);
-        Alcotest.(check bool) "serve.breaker.fast_fails >= 1" true
-          (count "serve.breaker.fast_fails" >= 1));
-    Alcotest.test_case "breaker unit: trip, probe, close, reopen, release" `Quick (fun () ->
-        Obs.Metrics.with_isolated @@ fun () ->
-        let module B = Supervisor.Breaker in
-        let b = B.create ~threshold:2 ~cooldown_s:0.05 in
-        let key = "vco-a/envelope" in
-        Alcotest.(check bool) "clean key proceeds" true (B.decide b ~key ~now:0. = B.Proceed);
-        B.failure b ~key ~now:0.;
-        Alcotest.(check bool) "below threshold still proceeds" true
-          (B.decide b ~key ~now:0. = B.Proceed);
-        B.failure b ~key ~now:0.;
-        (match B.decide b ~key ~now:0.01 with
-        | B.Fast_fail { retry_after_s } ->
-          Alcotest.(check bool) "retry hint positive" true (retry_after_s > 0.)
-        | _ -> Alcotest.fail "expected Fast_fail after trip");
-        Alcotest.(check (list (pair string string))) "open in stats" [ (key, "open") ] (B.states b);
-        (* past the cooldown exactly one caller carries the probe *)
-        Alcotest.(check bool) "probe" true (B.decide b ~key ~now:0.1 = B.Probe);
-        Alcotest.(check bool) "second caller fast-fails during the probe" true
-          (match B.decide b ~key ~now:0.1 with B.Fast_fail _ -> true | _ -> false);
-        Alcotest.(check (list (pair string string))) "half-open in stats" [ (key, "half-open") ]
-          (B.states b);
-        (* failed probe snaps straight back open *)
-        B.failure b ~key ~now:0.1;
-        Alcotest.(check bool) "reopened" true
-          (match B.decide b ~key ~now:0.11 with B.Fast_fail _ -> true | _ -> false);
-        (* successful probe closes *)
-        Alcotest.(check bool) "re-probe" true (B.decide b ~key ~now:0.2 = B.Probe);
-        B.success b ~key;
-        Alcotest.(check bool) "closed again" true (B.decide b ~key ~now:0.2 = B.Proceed);
-        Alcotest.(check (list (pair string string))) "clean key leaves stats" [] (B.states b);
-        (* an abandoned probe is released back to open *)
-        B.failure b ~key ~now:1.0;
-        B.failure b ~key ~now:1.0;
-        Alcotest.(check bool) "probe after cooldown" true (B.decide b ~key ~now:1.1 = B.Probe);
-        B.release b ~key ~now:1.1;
-        Alcotest.(check bool) "released probe reopens" true
-          (match B.decide b ~key ~now:1.11 with B.Fast_fail _ -> true | _ -> false);
-        Alcotest.(check bool) "re-probes after another cooldown" true
-          (B.decide b ~key ~now:1.2 = B.Probe));
-    Alcotest.test_case "backoff is deterministic, jittered, exponential, saturating" `Quick
-      (fun () ->
-        let d1 = Supervisor.backoff_s ~base:0.1 ~attempt:1 ~seed:42 in
-        Alcotest.(check (float 0.)) "deterministic" d1
-          (Supervisor.backoff_s ~base:0.1 ~attempt:1 ~seed:42);
-        Alcotest.(check bool) "attempt 1 in [base, 1.5*base)" true (d1 >= 0.1 && d1 < 0.15);
-        let d3 = Supervisor.backoff_s ~base:0.1 ~attempt:3 ~seed:42 in
-        Alcotest.(check bool) "attempt 3 in [4*base, 6*base)" true (d3 >= 0.4 && d3 < 0.6);
-        Alcotest.(check bool) "seeds decorrelate" true
-          (Supervisor.backoff_s ~base:0.1 ~attempt:1 ~seed:43 <> d1);
-        let big = Supervisor.backoff_s ~base:0.1 ~attempt:1000 ~seed:1 in
-        Alcotest.(check bool) "exponent saturates" true
-          (Float.is_finite big && big <= 0.1 *. 65536. *. 1.5));
+          ids);
   ]
 
 let suites =
