@@ -4,8 +4,14 @@
    region's model, the (D (x) I) charge-derivative kernel, the
    structured collocation matvec, and one application of the
    DFT-diagonalized block preconditioner.  Next to them, the circuit
-   kernel every solver calls: one [eval_into] pass filling [q] and [f]
-   of the compiled VCO-A netlist into caller buffers.
+   kernel every solver calls: one [eval_into] pass of the compiled
+   VCO-A netlist into caller buffers, filling [q] and [f] (a value
+   pass, which skips every device's derivative arithmetic) and filling
+   [C] and [G] (a Jacobian pass); a fixed-step transient step makes
+   three of the first and two of the second.  Last, the whole
+   fixed-step transient: one 3,400-step trapezoidal VCO-B warm-up, as
+   [Oscillator.settle] runs it before every orbit, also printed per
+   step.
 
    LU is timed at the sizes the dense callers factor: 4 (the
    transient's Newton Jacobian for a four-state VCO, thousands of
@@ -34,6 +40,10 @@ let lu_solve_sizes = [ 61; 101; 121 ]
 let sizes = [ 33; 65; 101 ]
 let precond_sizes = [ 15; 17; 25; 33; 65; 101; 161 ]
 let n = 4 (* states of the VCO DAE *)
+
+(* the warm-up row, reported per run and per step *)
+let warmup_name = "transient_vco_b_warmup"
+let warmup_steps = 3400.
 
 (* envelope-step-like operator with synthetic (diagonally dominant)
    blocks: representative sparsity-free n x n blocks, circulant D *)
@@ -124,12 +134,24 @@ let tests =
           ~name:(Printf.sprintf "precond_apply_n1_%d" n1)
           (Staged.stage (fun () -> Structured.precond_apply_into pc v out)))
       precond_sizes
-  @ [
-      (let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
-       let x = [| 1.3; -0.2; 0.9; 0.1 |] in
-       let q = Array.make dae.Dae.dim 0. and f = Array.make dae.Dae.dim 0. in
+  @ (let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
+     let x = [| 1.3; -0.2; 0.9; 0.1 |] in
+     let q = Array.make n 0. and f = Array.make n 0. in
+     let c = Mat.zeros n n and g = Mat.zeros n n in
+     [
        Test.make ~name:"circuit_f_q_vco_a"
-         (Staged.stage (fun () -> dae.Dae.eval_into ~t:7. x ~q ~f ~c:[||] ~g:[||])));
+         (Staged.stage (fun () -> dae.Dae.eval_into ~t:7. x ~q ~f ~c:[||] ~g:[||]));
+       Test.make ~name:"circuit_c_g_vco_a"
+         (Staged.stage (fun () -> dae.Dae.eval_into ~t:7. x ~q:[||] ~f:[||] ~c ~g));
+     ])
+  @ [
+      (let p = Circuit.Vco.vco_b () in
+       let dae = Circuit.Vco.build p and x0 = Circuit.Vco.initial_state p in
+       let period = 1. /. Circuit.Vco.nominal_frequency p in
+       Test.make ~name:warmup_name
+         (Staged.stage (fun () ->
+              Transient.integrate dae ~method_:Transient.Trapezoidal ~t0:0.
+                ~t1:(period *. 34.) ~h:(period /. 100.) x0)));
     ]
 
 let () =
@@ -145,6 +167,8 @@ let () =
       Hashtbl.iter
         (fun name est ->
           match Analyze.OLS.estimates est with
+          | Some [ t ] when name = warmup_name ->
+            Printf.printf "  %-24s %12.0f ns/run %8.0f ns/step\n%!" name t (t /. warmup_steps)
           | Some [ t ] -> Printf.printf "  %-24s %12.0f ns/run\n%!" name t
           | _ -> Printf.printf "  %-24s (no estimate)\n%!" name)
         results)

@@ -16,6 +16,11 @@ type ctx = {
 }
 
 let[@inline] time c = c.time
+
+(* whether the pass wants a Jacobian: without one a device skips its
+   derivative arithmetic *)
+let[@inline] jac c = Array.length c.dq_acc > 0 || Array.length c.df_acc > 0
+
 let[@inline] v c id = if id = ground then 0. else c.x.(id - 1)
 let[@inline] s c k = c.x.(c.offset + k)
 let[@inline] add_vec a row value = if Array.length a > 0 then a.(row) <- a.(row) +. value
@@ -163,31 +168,37 @@ let initial_guess t =
 
 let two_terminal label stamp = { label; state_names = [||]; initial_state = [||]; stamp }
 
-(* current [i] pushed n1 -> n2, controlled by v cp - v cn with slope [di] *)
-let[@inline] controlled_current c n1 n2 cp cn i di =
+(* Each device stamps its values, then, under [if jac c], its
+   derivatives: a value-only pass computes no derivative at all. *)
+
+(* current [i] pushed n1 -> n2 *)
+let[@inline] current c n1 n2 i =
   fn c n1 i;
-  fn c n2 (-.i);
+  fn c n2 (-.i)
+
+(* that current's slope [di] with respect to v cp - v cn *)
+let[@inline] current_slope c n1 n2 cp cn di =
   dfn_dv c n1 cp di;
   dfn_dv c n1 cn (-.di);
   dfn_dv c n2 cp (-.di);
   dfn_dv c n2 cn di
 
-let[@inline] branch_current c n1 n2 i di = controlled_current c n1 n2 n1 n2 i di
-
-(* charge [q] on n1 (and -q on n2) with dq/d(v n1 - v n2) = [dq] *)
-let[@inline] branch_charge c n1 n2 q dq =
+(* charge [q] on n1 (and -q on n2) *)
+let[@inline] charge c n1 n2 q =
   qn c n1 q;
-  qn c n2 (-.q);
+  qn c n2 (-.q)
+
+(* that charge's slope [dq] with respect to v n1 - v n2 *)
+let[@inline] charge_slope c n1 n2 dq =
   dqn_dv c n1 n1 dq;
   dqn_dv c n1 n2 (-.dq);
   dqn_dv c n2 n1 (-.dq);
   dqn_dv c n2 n2 dq
 
 (* the device's branch-current state 0 leaves n1 and enters n2 *)
-let[@inline] state_current c n1 n2 =
-  let i = s c 0 in
-  fn c n1 i;
-  fn c n2 (-.i);
+let[@inline] state_current c n1 n2 = current c n1 n2 (s c 0)
+
+let[@inline] state_current_slope c n1 n2 =
   dfn_ds c n1 0 1.;
   dfn_ds c n2 0 (-1.)
 
@@ -196,12 +207,14 @@ let resistor ~label ~r n1 n2 =
   let g = 1. /. r in
   two_terminal label (fun c ->
       let vb = v c n1 -. v c n2 in
-      branch_current c n1 n2 (g *. vb) g)
+      current c n1 n2 (g *. vb);
+      if jac c then current_slope c n1 n2 n1 n2 g)
 
 let capacitor ~label ~c:cap n1 n2 =
   two_terminal label (fun c ->
       let vb = v c n1 -. v c n2 in
-      branch_charge c n1 n2 (cap *. vb) cap)
+      charge c n1 n2 (cap *. vb);
+      if jac c then charge_slope c n1 n2 cap)
 
 let inductor ~label ~l n1 n2 =
   {
@@ -213,10 +226,13 @@ let inductor ~label ~l n1 n2 =
         state_current c n1 n2;
         (* branch: L di/dt - (v1 - v2) = 0 *)
         qs c 0 (l *. s c 0);
-        dqs_ds c 0 0 l;
         fs c 0 (v c n2 -. v c n1);
-        dfs_dv c 0 n2 1.;
-        dfs_dv c 0 n1 (-1.));
+        if jac c then begin
+          state_current_slope c n1 n2;
+          dqs_ds c 0 0 l;
+          dfs_dv c 0 n2 1.;
+          dfs_dv c 0 n1 (-1.)
+        end);
   }
 
 let vsource ~label ~v:source n1 n2 =
@@ -229,46 +245,45 @@ let vsource ~label ~v:source n1 n2 =
         state_current c n1 n2;
         (* branch equation: v1 - v2 - v(t) = 0 *)
         fs c 0 (v c n1 -. v c n2 -. source (time c));
-        dfs_dv c 0 n1 1.;
-        dfs_dv c 0 n2 (-1.));
+        if jac c then begin
+          state_current_slope c n1 n2;
+          dfs_dv c 0 n1 1.;
+          dfs_dv c 0 n2 (-1.)
+        end);
   }
 
 let isource ~label ~i n1 n2 =
-  two_terminal label (fun c ->
-      let cur = i (time c) in
-      fn c n1 cur;
-      fn c n2 (-.cur))
+  two_terminal label (fun c -> current c n1 n2 (i (time c)))
 
 let cubic_conductance ~label ~g1 ~g3 n1 n2 =
   two_terminal label (fun c ->
       let vb = v c n1 -. v c n2 in
-      let i = (-.g1 *. vb) +. (g3 *. vb *. vb *. vb) in
-      let di = -.g1 +. (3. *. g3 *. vb *. vb) in
-      branch_current c n1 n2 i di)
+      current c n1 n2 ((-.g1 *. vb) +. (g3 *. vb *. vb *. vb));
+      if jac c then current_slope c n1 n2 n1 n2 (-.g1 +. (3. *. g3 *. vb *. vb)))
 
 let diode ~label ?(is_ = 1e-12) ?(vt = 0.02585) n1 n2 =
   if not (vt > 0.) then invalid_arg (Printf.sprintf "Mna.diode: vt = %g, must be > 0" vt);
   (* exponential limited linearly above vmax to keep Newton in range *)
   let vmax = 40. *. vt in
   let emax = exp (vmax /. vt) in
+  let slope = is_ *. emax /. vt in
   two_terminal label (fun c ->
       let vb = v c n1 -. v c n2 in
-      let i, di =
-        if vb <= vmax then begin
-          let e = exp (vb /. vt) in
-          (is_ *. (e -. 1.), is_ *. e /. vt)
-        end
-        else begin
-          let slope = is_ *. emax /. vt in
-          ((is_ *. (emax -. 1.)) +. (slope *. (vb -. vmax)), slope)
-        end
-      in
-      branch_current c n1 n2 i di)
+      if vb <= vmax then begin
+        let e = exp (vb /. vt) in
+        current c n1 n2 (is_ *. (e -. 1.));
+        if jac c then current_slope c n1 n2 n1 n2 (is_ *. e /. vt)
+      end
+      else begin
+        current c n1 n2 ((is_ *. (emax -. 1.)) +. (slope *. (vb -. vmax)));
+        if jac c then current_slope c n1 n2 n1 n2 slope
+      end)
 
 let nonlinear_capacitor ~label ~q ~dq n1 n2 =
   two_terminal label (fun c ->
       let vb = v c n1 -. v c n2 in
-      branch_charge c n1 n2 (q vb) (dq vb))
+      charge c n1 n2 (q vb);
+      if jac c then charge_slope c n1 n2 (dq vb))
 
 type varactor_params = {
   c0 : float;
@@ -297,36 +312,39 @@ let mems_varactor ~label ~params n1 n2 =
         (* electrical: plate charge q = c0 g0 v / g *)
         let cap = p.c0 *. p.gap0 /. g in
         let q = cap *. vb in
-        branch_charge c n1 n2 q cap;
-        let dq_dg = -.q /. g in
-        dqn_ds c n1 0 dq_dg;
-        dqn_ds c n2 0 (-.dq_dg);
+        charge c n1 n2 q;
         (* mechanical state 0: dg/dt - u = 0 *)
         qs c 0 g;
-        dqs_ds c 0 0 1.;
         fs c 0 (-.u);
-        dfs_ds c 0 1 (-1.);
         (* mechanical state 1:
            m du/dt + damping u + k (g - g_rest) + force = 0
            where force = force0 vc^2 / g^power pulls the gap closed. *)
         let vc = p.control (time c) in
-        let force, dforce_dg =
+        let force =
           match p.force_power with
-          | 0 -> (p.force0 *. vc *. vc, 0.)
-          | _ ->
-            let f = p.force0 *. vc *. vc /. (g *. g) in
-            (f, -2. *. f /. g)
+          | 0 -> p.force0 *. vc *. vc
+          | _ -> p.force0 *. vc *. vc /. (g *. g)
         in
         qs c 1 (p.mass *. u);
-        dqs_ds c 1 1 p.mass;
         fs c 1 ((p.damping *. u) +. (p.stiffness *. (g -. p.g_rest)) +. force);
-        dfs_ds c 1 1 p.damping;
-        dfs_ds c 1 0 (p.stiffness +. dforce_dg));
+        if jac c then begin
+          charge_slope c n1 n2 cap;
+          let dq_dg = -.q /. g in
+          dqn_ds c n1 0 dq_dg;
+          dqn_ds c n2 0 (-.dq_dg);
+          dqs_ds c 0 0 1.;
+          dfs_ds c 0 1 (-1.);
+          let dforce_dg = match p.force_power with 0 -> 0. | _ -> -2. *. force /. g in
+          dqs_ds c 1 1 p.mass;
+          dfs_ds c 1 1 p.damping;
+          dfs_ds c 1 0 (p.stiffness +. dforce_dg)
+        end);
   }
 
 let vccs ~label ~gm ncp ncn n1 n2 =
   two_terminal label (fun c ->
-      controlled_current c n1 n2 ncp ncn (gm *. (v c ncp -. v c ncn)) gm)
+      current c n1 n2 (gm *. (v c ncp -. v c ncn));
+      if jac c then current_slope c n1 n2 ncp ncn gm)
 
 let vcvs ~label ~gain ncp ncn n1 n2 =
   {
@@ -338,51 +356,50 @@ let vcvs ~label ~gain ncp ncn n1 n2 =
         state_current c n1 n2;
         (* v1 - v2 - gain (vcp - vcn) = 0 *)
         fs c 0 (v c n1 -. v c n2 -. (gain *. (v c ncp -. v c ncn)));
-        dfs_dv c 0 n1 1.;
-        dfs_dv c 0 n2 (-1.);
-        dfs_dv c 0 ncp (-.gain);
-        dfs_dv c 0 ncn gain);
+        if jac c then begin
+          state_current_slope c n1 n2;
+          dfs_dv c 0 n1 1.;
+          dfs_dv c 0 n2 (-1.);
+          dfs_dv c 0 ncp (-.gain);
+          dfs_dv c 0 ncn gain
+        end);
   }
 
 (* Square-law n-channel MOSFET (level-1, no channel-length modulation).
    Drain current for vds >= 0; for vds < 0 drain and source swap roles
    (symmetric device). *)
 let mosfet ~label ?(k = 1.) ?(vt = 0.6) ~drain ~gate ~source () =
-  let ids vgs vds =
-    if vgs <= vt then (0., 0., 0.)
-    else begin
-      let vov = vgs -. vt in
-      if vds >= vov then
-        (* saturation *)
-        (0.5 *. k *. vov *. vov, k *. vov, 0.)
-      else
-        (* triode *)
-        ( k *. ((vov *. vds) -. (0.5 *. vds *. vds)),
-          k *. vds,
-          k *. (vov -. vds) )
-    end
-  in
   two_terminal label (fun c ->
       let vd = v c drain and vg = v c gate and vs = v c source in
       let flip = vd < vs in
-      let d, s = if flip then (source, drain) else (drain, source) in
+      let d = if flip then source else drain and s = if flip then drain else source in
       let vds = Float.abs (vd -. vs) in
       let vgs = vg -. v c s in
-      let i, di_dvgs, di_dvds = ids vgs vds in
+      let vov = vgs -. vt in
+      (* cutoff, saturation or triode *)
+      let on = not (vgs <= vt) in
+      let saturated = vds >= vov in
+      let i =
+        if not on then 0.
+        else if saturated then 0.5 *. k *. vov *. vov
+        else k *. ((vov *. vds) -. (0.5 *. vds *. vds))
+      in
       let i_signed = if flip then -.i else i in
       fn c drain i_signed;
       fn c source (-.i_signed);
-      (* d i / d node voltages in the (d, g, s) frame, then mapped back *)
-      let dg = di_dvgs in
-      let dd = di_dvds in
-      let ds = -.di_dvgs -. di_dvds in
-      let sign = if flip then -1. else 1. in
-      dfn_dv c drain gate (sign *. dg);
-      dfn_dv c drain d (sign *. dd);
-      dfn_dv c drain s (sign *. ds);
-      dfn_dv c source gate (-.sign *. dg);
-      dfn_dv c source d (-.sign *. dd);
-      dfn_dv c source s (-.sign *. ds))
+      if jac c then begin
+        (* d i / d node voltages in the (d, g, s) frame, then mapped back *)
+        let dg = if not on then 0. else if saturated then k *. vov else k *. vds in
+        let dd = if on && not saturated then k *. (vov -. vds) else 0. in
+        let ds = -.dg -. dd in
+        let sign = if flip then -1. else 1. in
+        dfn_dv c drain gate (sign *. dg);
+        dfn_dv c drain d (sign *. dd);
+        dfn_dv c drain s (sign *. ds);
+        dfn_dv c source gate (-.sign *. dg);
+        dfn_dv c source d (-.sign *. dd);
+        dfn_dv c source s (-.sign *. ds)
+      end)
 
 (* Reverse-biased junction (varactor) diode capacitance:
    C(v) = c0 / (1 - v/vj)^m for v <= fc vj, with the standard SPICE
@@ -419,15 +436,15 @@ let junction_capacitor ~label ?(c0 = 1.) ?(vj = 0.7) ?(m = 0.5) ?(fc = 0.5) n1 n
 let multiplier ~label ~k (a1, a2) (b1, b2) n1 n2 =
   two_terminal label (fun c ->
       let va = v c a1 -. v c a2 and vb = v c b1 -. v c b2 in
-      let i = k *. va *. vb in
-      fn c n1 i;
-      fn c n2 (-.i);
-      let dia = k *. vb and dib = k *. va in
-      dfn_dv c n1 a1 dia;
-      dfn_dv c n1 a2 (-.dia);
-      dfn_dv c n1 b1 dib;
-      dfn_dv c n1 b2 (-.dib);
-      dfn_dv c n2 a1 (-.dia);
-      dfn_dv c n2 a2 dia;
-      dfn_dv c n2 b1 (-.dib);
-      dfn_dv c n2 b2 dib)
+      current c n1 n2 (k *. va *. vb);
+      if jac c then begin
+        let dia = k *. vb and dib = k *. va in
+        dfn_dv c n1 a1 dia;
+        dfn_dv c n1 a2 (-.dia);
+        dfn_dv c n1 b1 dib;
+        dfn_dv c n1 b2 (-.dib);
+        dfn_dv c n2 a1 (-.dia);
+        dfn_dv c n2 a2 dia;
+        dfn_dv c n2 b1 (-.dib);
+        dfn_dv c n2 b2 dib
+      end)

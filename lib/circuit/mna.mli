@@ -38,9 +38,11 @@ val add : t -> device -> unit
 (** [compile t] freezes the netlist into a DAE.  Its
     {!Dae.t.eval_into} zeroes the requested buffers and stamps every
     device once, in insertion order, into all of them; [q], [f], [dq]
-    and [df] are allocating views over that one pass.  Variable names
-    are ["v(<node>)"] for node voltages and ["<label>.<state>"] for
-    device states. *)
+    and [df] are allocating views over that one pass.  A pass that
+    requests neither [C] nor [G] skips every device's derivative
+    arithmetic; its [q] and [f] are bitwise those of a full pass.
+    Variable names are ["v(<node>)"] for node voltages and
+    ["<label>.<state>"] for device states. *)
 val compile : t -> Dae.t
 
 (** [initial_guess t] is a start vector matching {!compile}'s layout:

@@ -529,6 +529,8 @@ let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?pree
   let control = Step_control.options ctrl in
   let denom = Step_control.richardson_denom ~order:(theta_order options) in
   let size = Dae.Semidisc.size sd in
+  (* the packed unknowns end in an omega slot when omega is unknown *)
+  let omega_unknown = size > n1 * n in
   let cur = ref (start_point sd ~t2:!t2 !states !omega) in
   let cache = new_cache ~size in
   let scratch = make_scratch ~size in
@@ -622,6 +624,13 @@ let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?pree
         t2 := !t2 +. h;
         cur := next;
         let states' = next.states and omega' = next.omega in
+        (* a converged step with omega <= 0 is a time-reversed or
+           collapsed orbit, not an oscillation; NaN is left to the
+           solver's own checks *)
+        if omega_unknown && omega' <= 0. then
+          raise
+            (Steady.Oscillator.Nonphysical
+               (Printf.sprintf "Envelope: omega = %g at t2 = %g, not positive" omega' !t2));
         Obs.Metrics.incr c_env_steps;
         (* omega(t2) right after the accept that reached t2: the stream's
            progress record and the report's history pair them *)

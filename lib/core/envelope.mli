@@ -94,7 +94,10 @@ type result = {
     once steps converge again, and repeated failures on the Krylov
     path finish the run on dense LU.  Raises [Step_control.Underflow]
     when recovery drives the step below [1e-9 h2] or solver failures
-    dominate the march (see {!Step_control.failure_retry}), and
+    dominate the march (see {!Step_control.failure_retry}),
+    [Steady.Oscillator.Nonphysical], naming t2 and omega, on the first
+    accepted step with omega <= 0 (a time-reversed or collapsed orbit;
+    a NaN omega is left to the solver's own checks), and
     [Invalid_argument] when [h2] or [t2_end] is not positive and
     finite. *)
 val simulate :
@@ -106,7 +109,8 @@ val simulate :
     is its initial value; when it is fixed (the plain MPDE, see
     [Mpde.simulate]), [omega] must be that value and is only
     recorded.  [options.phase] and [options.differentiation] are not
-    read ([sd] carries them).  Raises as {!simulate}, and
+    read ([sd] carries them).  Raises as {!simulate} (the omega check
+    only when omega is unknown), and
     [Invalid_argument] when [states] does not hold [options.n1]
     grid points. *)
 val march :
@@ -143,6 +147,7 @@ val march :
     Raises [Step_control.Underflow] when error control or failure
     recovery would push the step below [control.h_min] or solver
     failures dominate the march (see {!Step_control.failure_retry}),
+    [Steady.Oscillator.Nonphysical] as {!simulate},
     [Checkpoint.Corrupt] on an unreadable or mismatched resume file,
     and [Invalid_argument] when [t2_end] or [h2_init] is not positive
     and finite. *)

@@ -57,7 +57,18 @@ let solve dae ?(max_iterations = 25) ?(tol = 1e-8) ~(options : Envelope.options)
       ~solver:options.Envelope.solver ~label:"quasiperiodic" ~fn:"Quasiperiodic.solve"
       ~omega:guess.omega guess.slices
   with
-  | Ok sol -> sol
+  | Ok sol ->
+    (* the first slice with omega <= 0 (a time-reversed or collapsed
+       orbit) makes the answer nonphysical; NaN is left to the solver *)
+    Array.iteri
+      (fun m om ->
+        if om <= 0. then
+          raise
+            (Steady.Oscillator.Nonphysical
+               (Printf.sprintf "Quasiperiodic.solve: omega = %g at t2 = %g, not positive" om
+                  sol.t2.(m))))
+      sol.omega;
+    sol
   | Error report -> raise (Solve_failure report)
 
 let guess_from_envelope (result : Envelope.result) ~p2 ~n2 ~t_from =

@@ -57,7 +57,10 @@ val solve_semidisc :
     one slow period (see {!guess_from_envelope}).  Newton is the
     {!Nonlin.Polyalg} cascade: damped Newton (damping floor [1e-3]),
     then trust region.  Raises {!Solve_failure} when both fail,
-    including on a non-finite residual. *)
+    including on a non-finite residual, and
+    [Steady.Oscillator.Nonphysical], naming t2 and omega, when the
+    converged solution has omega <= 0 in some slice (the first such
+    slice is named). *)
 val solve :
   Dae.t ->
   ?max_iterations:int ->

@@ -28,10 +28,19 @@ type report = {
   reason : failure_reason option;
 }
 
-let scaled_norm options v =
+(* [Vec.norm_inf] in place, so the iteration's norms stay unboxed: a
+   float a call returns is boxed *)
+let[@inline] norm_inf v =
+  let m = ref 0. in
+  for i = 0 to Array.length v - 1 do
+    m := Float.max !m (Float.abs v.(i))
+  done;
+  !m
+
+let[@inline] scaled_norm options v =
   match options.x_scale with
   | Some scale -> Vec.weighted_norm ~scale v
-  | None -> Vec.norm_inf v
+  | None -> norm_inf v
 
 let c_solves = Obs.Metrics.counter "newton.solves"
 let c_iters = Obs.Metrics.counter "newton.iterations"
@@ -70,14 +79,11 @@ let fault_linear_solve_into linear_solve_into x r dx =
   linear_solve_into x r dx;
   if Fault.fire Fault.Newton_diverge then Vec.scale_inplace 1e8 dx
 
-let solve_into ?(options = default_options) ?(label = "newton") ~ws ~linear_solve_into
-    ~residual_into x0 =
+(* The damped iteration behind [solve_into].  No closure captures its
+   refs, so they live in registers, and the backtracking is a loop:
+   the only allocation is the report. *)
+let iterate options label ws linear_solve_into residual_into x0 =
   let n = Array.length ws.x in
-  if Array.length x0 <> n then invalid_arg "Newton.solve_into: workspace size mismatch";
-  Obs.Span.span
-    ~attrs:[ ("label", Obs.Span.Str label); ("dim", Obs.Span.Int n) ]
-    "newton.solve"
-  @@ fun () ->
   let residual_into =
     if Fault.armed () then fault_residual_into residual_into else residual_into
   in
@@ -90,66 +96,89 @@ let solve_into ?(options = default_options) ?(label = "newton") ~ws ~linear_solv
   let dx = ws.dx in
   Array.blit x0 0 !x 0 n;
   residual_into !x !r;
-  let rnorm = ref (Vec.norm_inf !r) in
-  let finish ~iterations ~converged ~reason =
-    Obs.Metrics.incr c_solves;
-    Obs.Metrics.add c_iters iterations;
-    Obs.Metrics.observe h_iters (float_of_int iterations);
-    if not converged then Obs.Metrics.incr c_failures;
-    if Obs.Events.active () then
-      Obs.Events.emit
-        (Obs.Events.Newton_done { solver = label; iterations; residual = !rnorm; converged });
-    { x = !x; residual_norm = !rnorm; iterations; converged; reason }
-  in
-  let rec iterate k =
-    if not (Float.is_finite !rnorm) then
-      finish ~iterations:k ~converged:false ~reason:(Some Non_finite_residual)
-    else if !rnorm <= options.residual_tol then finish ~iterations:k ~converged:true ~reason:None
-    else if k >= options.max_iterations then
-      finish ~iterations:k ~converged:false ~reason:(Some Iteration_limit)
+  let rnorm = ref (norm_inf !r) in
+  let k = ref 0 and running = ref true and converged = ref false and reason = ref None in
+  while !running do
+    if not (Float.is_finite !rnorm) then begin
+      running := false;
+      reason := Some Non_finite_residual
+    end
+    else if !rnorm <= options.residual_tol then begin
+      running := false;
+      converged := true
+    end
+    else if !k >= options.max_iterations then begin
+      running := false;
+      reason := Some Iteration_limit
+    end
     else begin
       match linear_solve_into !x !r dx with
       | exception (Lu.Singular _ | Linear_solve_failed _) ->
-        finish ~iterations:k ~converged:false ~reason:(Some Singular_jacobian)
+        running := false;
+        reason := Some Singular_jacobian
       | () ->
         Vec.scale_inplace (-1.) dx;
         (* backtracking line search: accept a step that reduces ||r|| *)
-        let rec backtrack lambda =
-          if lambda < options.min_damping then None
-          else begin
-            let xv = !x and tv = !trial in
-            for i = 0 to n - 1 do
-              tv.(i) <- xv.(i) +. (lambda *. dx.(i))
-            done;
-            residual_into tv !rt;
-            let rtnorm = Vec.norm_inf !rt in
-            if Float.is_finite rtnorm && (rtnorm < !rnorm || rtnorm <= options.residual_tol) then
-              Some (rtnorm, lambda)
-            else backtrack (lambda /. 2.)
+        let lambda = ref 1. and rtnorm = ref 0. and found = ref false in
+        while (not !found) && not (!lambda < options.min_damping) do
+          let xv = !x and tv = !trial in
+          for i = 0 to n - 1 do
+            tv.(i) <- xv.(i) +. (!lambda *. dx.(i))
+          done;
+          residual_into tv !rt;
+          rtnorm := norm_inf !rt;
+          if Float.is_finite !rtnorm && (!rtnorm < !rnorm || !rtnorm <= options.residual_tol)
+          then found := true
+          else lambda := !lambda /. 2.
+        done;
+        if not !found then begin
+          running := false;
+          reason := Some Line_search_failed
+        end
+        else begin
+          let step_norm = scaled_norm options dx *. !lambda in
+          let xv = !x and rv = !r in
+          x := !trial;
+          trial := xv;
+          r := !rt;
+          rt := rv;
+          rnorm := !rtnorm;
+          incr k;
+          if !rnorm <= options.residual_tol then begin
+            running := false;
+            converged := true
           end
-        in
-        (match backtrack 1. with
-         | None -> finish ~iterations:k ~converged:false ~reason:(Some Line_search_failed)
-         | Some (rtnorm, lambda) ->
-           let step_norm = scaled_norm options dx *. lambda in
-           let xv = !x and rv = !r in
-           x := !trial;
-           trial := xv;
-           r := !rt;
-           rt := rv;
-           rnorm := rtnorm;
-           if !rnorm <= options.residual_tol then
-             finish ~iterations:(k + 1) ~converged:true ~reason:None
-           else if step_norm <= options.step_tol then
-             (* update negligible: declare convergence if the residual is
-                small in a relative sense, otherwise report a stall *)
-             finish ~iterations:(k + 1)
-               ~converged:(!rnorm <= sqrt options.residual_tol)
-               ~reason:(if !rnorm <= sqrt options.residual_tol then None else Some Line_search_failed)
-           else iterate (k + 1))
+          else if step_norm <= options.step_tol then begin
+            (* update negligible: declare convergence if the residual is
+               small in a relative sense, otherwise report a stall *)
+            running := false;
+            converged := !rnorm <= sqrt options.residual_tol;
+            if not !converged then reason := Some Line_search_failed
+          end
+        end
     end
-  in
-  iterate 0
+  done;
+  let iterations = !k and converged = !converged in
+  Obs.Metrics.incr c_solves;
+  Obs.Metrics.add c_iters iterations;
+  (* the guard keeps the float unboxed while telemetry is off *)
+  if Obs.enabled () then Obs.Metrics.observe h_iters (float_of_int iterations);
+  if not converged then Obs.Metrics.incr c_failures;
+  if Obs.Events.active () then
+    Obs.Events.emit
+      (Obs.Events.Newton_done { solver = label; iterations; residual = !rnorm; converged });
+  { x = !x; residual_norm = !rnorm; iterations; converged; reason = !reason }
+
+let solve_into ?(options = default_options) ?(label = "newton") ~ws ~linear_solve_into
+    ~residual_into x0 =
+  let n = Array.length ws.x in
+  if Array.length x0 <> n then invalid_arg "Newton.solve_into: workspace size mismatch";
+  if Obs.Span.tracing () then
+    Obs.Span.span
+      ~attrs:[ ("label", Obs.Span.Str label); ("dim", Obs.Span.Int n) ]
+      "newton.solve"
+      (fun () -> iterate options label ws linear_solve_into residual_into x0)
+  else iterate options label ws linear_solve_into residual_into x0
 
 (* The allocating interface over [solve_into]: a workspace per call,
    whose buffers the report then owns. *)

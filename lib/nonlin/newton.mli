@@ -55,10 +55,18 @@ val workspace : int -> workspace
     An Armijo-style backtracking line search on the residual norm
     globalizes the iteration.
 
-    Telemetry: each call is wrapped in a [newton.solve] span, updates
-    the [newton.*] metrics and emits one [Newton_done] event per solve
-    tagged with [label] (default ["newton"]), so callers can
-    distinguish e.g. shooting updates from collocation solves. *)
+    With tracing off ([Obs.Span.tracing ()] false) a call allocates
+    only its report: the span and its attributes are built only while
+    tracing, the line search is a loop, and the norms stay unboxed
+    (a weighted norm under [x_scale] boxes one float per iteration).
+    Callers' closures may allocate on their own account, and so do the
+    fault hooks when {!Fault} is armed.
+
+    Telemetry: each call is wrapped in a [newton.solve] span while
+    tracing, updates the [newton.*] metrics and emits one
+    [Newton_done] event per solve tagged with [label] (default
+    ["newton"]), so callers can distinguish e.g. shooting updates from
+    collocation solves. *)
 val solve_into :
   ?options:options ->
   ?label:string ->

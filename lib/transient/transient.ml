@@ -58,8 +58,12 @@ let newton_options =
    every iteration, and the circuit evaluations the residual and
    Jacobian read: q and f at the step's start ([q0], [f0]; [q_prev] at
    the point before it for BDF2), at the Newton iterate ([q], [f]),
-   and C and G there. *)
+   and C and G there.  The step being solved ends at [t1], is [h] long
+   and has weight [theta]; [fresh] says that [q] and [f] hold the last
+   residual pass at the iterate the last solve returned, the next
+   step's start. *)
 type work = {
+  dae : Dae.t;
   ws : Nonlin.Newton.workspace;
   jac : Mat.t;
   perm : int array;
@@ -70,11 +74,17 @@ type work = {
   f : Vec.t;
   c : Mat.t;
   g : Mat.t;
+  mutable t1 : float;
+  mutable h : float;
+  mutable theta : float;
+  mutable fresh : bool;
 }
 
-let work dim =
+let work dae =
+  let dim = dae.Dae.dim in
   let vec () = Array.make dim 0. in
   {
+    dae;
     ws = Nonlin.Newton.workspace dim;
     jac = Mat.zeros dim dim;
     perm = Array.make dim 0;
@@ -85,97 +95,142 @@ let work dim =
     f = vec ();
     c = Mat.zeros dim dim;
     g = Mat.zeros dim dim;
+    t1 = 0.;
+    h = 0.;
+    theta = 0.;
+    fresh = false;
   }
+
+(* theta step, residual scaled by h (i.e. q(y) - q0 + h (theta f1 +
+   (1-theta) f0)) so its magnitude tracks q, not q/h: keeps the Newton
+   tolerance meaningful for arbitrarily small steps. *)
+let theta_residual w y dst =
+  let q0 = w.q0 and f0 = w.f0 and q = w.q and f = w.f and h = w.h and theta = w.theta in
+  w.dae.Dae.eval_into ~t:w.t1 y ~q ~f ~c:[||] ~g:[||];
+  for i = 0 to w.dae.Dae.dim - 1 do
+    dst.(i) <-
+      q.(i) -. q0.(i)
+      +. (h *. theta *. f.(i))
+      +. (if theta < 1. then h *. (1. -. theta) *. f0.(i) else 0.)
+  done
+
+let theta_jacobian w y jac =
+  let c = w.c and g = w.g and h = w.h and theta = w.theta in
+  w.dae.Dae.eval_into ~t:w.t1 y ~q:[||] ~f:[||] ~c ~g;
+  for i = 0 to w.dae.Dae.dim - 1 do
+    for j = 0 to w.dae.Dae.dim - 1 do
+      jac.(i).(j) <- c.(i).(j) +. (h *. theta *. g.(i).(j))
+    done
+  done
+
+(* BDF2 with the previous two accepted points (fixed step):
+   (3 q(x2) - 4 q(x1) + q(x0)) / (2h) + f(t2, x2) = 0, q(x1) in [q0]
+   and q(x0) in [q_prev] *)
+let bdf2_residual w y dst =
+  let q1 = w.q0 and q0 = w.q_prev and q = w.q and f = w.f and h = w.h in
+  w.dae.Dae.eval_into ~t:w.t1 y ~q ~f ~c:[||] ~g:[||];
+  for i = 0 to w.dae.Dae.dim - 1 do
+    dst.(i) <- ((1.5 *. q.(i)) -. (2. *. q1.(i)) +. (0.5 *. q0.(i))) +. (h *. f.(i))
+  done
+
+let bdf2_jacobian w y jac =
+  let c = w.c and g = w.g and h = w.h in
+  w.dae.Dae.eval_into ~t:w.t1 y ~q:[||] ~f:[||] ~c ~g;
+  for i = 0 to w.dae.Dae.dim - 1 do
+    for j = 0 to w.dae.Dae.dim - 1 do
+      jac.(i).(j) <- (1.5 *. c.(i).(j)) +. (h *. g.(i).(j))
+    done
+  done
+
+(* One method's Newton system over [w], built once per integration:
+   the closures read the step from [w], and [newton] is the damped
+   solve in [w]'s workspace, its optional arguments wrapped once. *)
+type system = {
+  label : string;
+  residual_into : Vec.t -> Vec.t -> unit;
+  jacobian_into : Vec.t -> Mat.t -> unit;
+  newton : Vec.t -> Nonlin.Newton.report;
+}
+
+let system w ~label residual jacobian =
+  let residual_into = residual w and jacobian_into = jacobian w in
+  let linear_solve_into y r dy =
+    jacobian_into y w.jac;
+    Lu.solve_into (Lu.factor_into w.jac ~perm:w.perm) r dy
+  in
+  let options = Some newton_options and some_label = Some label in
+  let newton x =
+    Nonlin.Newton.solve_into ?options ?label:some_label ~ws:w.ws ~linear_solve_into
+      ~residual_into x
+  in
+  { label; residual_into; jacobian_into; newton }
+
+let theta_system w = system w ~label:"transient.theta" theta_residual theta_jacobian
+let bdf2_system w = system w ~label:"transient.bdf2" bdf2_residual bdf2_jacobian
 
 (* Fixed-step implicit solves cannot shrink h on a Newton failure the
    way an adaptive driver can, so they get one rescue attempt with
    the trust-region globalizer (cold-started from the same predictor)
    before the failure becomes a typed [Step_failure].  Free on the
    healthy path; absorbs transient upsets such as an injected fault or
-   a merely-poor predictor.  The result aliases [w]. *)
-let solve_or_rescue w ~label ~jacobian_into ~residual_into ~t ~h x =
-  let linear_solve_into y r dy =
-    jacobian_into y w.jac;
-    Lu.solve_into (Lu.factor_into w.jac ~perm:w.perm) r dy
-  in
-  let report =
-    Nonlin.Newton.solve_into ~options:newton_options ~label ~ws:w.ws ~linear_solve_into
-      ~residual_into x
-  in
+   a merely-poor predictor.  A converged Newton solve's last residual
+   pass is at the iterate it returns, so [q] and [f] carry over to the
+   next step; the rescue's passes are elsewhere.  The result aliases
+   [w]. *)
+let solve_or_rescue w sys ~t x =
+  let report = sys.newton x in
+  w.fresh <- report.Nonlin.Newton.converged;
   if report.Nonlin.Newton.converged then report.Nonlin.Newton.x
   else begin
     let dim = Array.length x in
     let residual y =
       let dst = Array.make dim 0. in
-      residual_into y dst;
+      sys.residual_into y dst;
       dst
     in
     let jacobian y =
       let jac = Mat.zeros dim dim in
-      jacobian_into y jac;
+      sys.jacobian_into y jac;
       jac
     in
     let rescue =
-      Nonlin.Trust_region.solve ~options:newton_options ~label:(label ^ ".rescue")
+      Nonlin.Trust_region.solve ~options:newton_options ~label:(sys.label ^ ".rescue")
         ~jacobian ~residual x
     in
     if rescue.Nonlin.Newton.converged then begin
       Obs.Metrics.incr c_rescues;
       rescue.Nonlin.Newton.x
     end
-    else step_failed ~t ~h report
+    else step_failed ~t ~h:w.h report
   end
 
-let theta_into w dae ~theta ~t ~h x =
-  let q0 = w.q0 and f0 = w.f0 and q = w.q and f = w.f and c = w.c and g = w.g in
-  dae.Dae.eval_into ~t x ~q:q0 ~f:(if theta < 1. then f0 else [||]) ~c:[||] ~g:[||];
-  let t1 = t +. h in
-  (* residual scaled by h (i.e. q(y) - q0 + h (theta f1 + (1-theta) f0))
-     so its magnitude tracks q, not q/h: keeps the Newton tolerance
-     meaningful for arbitrarily small steps. *)
-  let residual_into y dst =
-    dae.Dae.eval_into ~t:t1 y ~q ~f ~c:[||] ~g:[||];
-    for i = 0 to dae.Dae.dim - 1 do
-      dst.(i) <-
-        q.(i) -. q0.(i)
-        +. (h *. theta *. f.(i))
-        +. (if theta < 1. then h *. (1. -. theta) *. f0.(i) else 0.)
-    done
-  in
-  let jacobian_into y jac =
-    dae.Dae.eval_into ~t:t1 y ~q:[||] ~f:[||] ~c ~g;
-    for i = 0 to dae.Dae.dim - 1 do
-      for j = 0 to dae.Dae.dim - 1 do
-        jac.(i).(j) <- c.(i).(j) +. (h *. theta *. g.(i).(j))
-      done
-    done
-  in
-  solve_or_rescue w ~label:"transient.theta" ~jacobian_into ~residual_into ~t ~h x
+(* q and, when [f] is [w.f0], f at the step's start [(t, x)] into [q0]
+   and [f0]: the last solve's final residual pass when [w.fresh], else
+   one evaluation *)
+let start w ~t ~f x =
+  if w.fresh then begin
+    Array.blit w.q 0 w.q0 0 w.dae.Dae.dim;
+    Array.blit w.f 0 w.f0 0 w.dae.Dae.dim
+  end
+  else w.dae.Dae.eval_into ~t x ~q:w.q0 ~f ~c:[||] ~g:[||]
 
-let theta_step dae ~theta ~t ~h x = theta_into (work dae.Dae.dim) dae ~theta ~t ~h x
+let theta_into w sys ~theta ~t ~h x =
+  w.t1 <- t +. h;
+  w.h <- h;
+  w.theta <- theta;
+  start w ~t ~f:(if theta < 1. then w.f0 else [||]) x;
+  solve_or_rescue w sys ~t x
 
-(* BDF2 with the previous two accepted points (fixed step):
-   (3 q(x2) - 4 q(x1) + q(x0)) / (2h) + f(t2, x2) = 0 *)
-let bdf2_into w dae ~t ~h ~x_prev x =
-  let q1 = w.q0 and q0 = w.q_prev and q = w.q and f = w.f and c = w.c and g = w.g in
-  dae.Dae.eval_into ~t x ~q:q1 ~f:[||] ~c:[||] ~g:[||];
-  dae.Dae.eval_into ~t x_prev ~q:q0 ~f:[||] ~c:[||] ~g:[||];
-  let t2 = t +. h in
-  let residual_into y dst =
-    dae.Dae.eval_into ~t:t2 y ~q ~f ~c:[||] ~g:[||];
-    for i = 0 to dae.Dae.dim - 1 do
-      dst.(i) <- ((1.5 *. q.(i)) -. (2. *. q1.(i)) +. (0.5 *. q0.(i))) +. (h *. f.(i))
-    done
-  in
-  let jacobian_into y jac =
-    dae.Dae.eval_into ~t:t2 y ~q:[||] ~f:[||] ~c ~g;
-    for i = 0 to dae.Dae.dim - 1 do
-      for j = 0 to dae.Dae.dim - 1 do
-        jac.(i).(j) <- (1.5 *. c.(i).(j)) +. (h *. g.(i).(j))
-      done
-    done
-  in
-  solve_or_rescue w ~label:"transient.bdf2" ~jacobian_into ~residual_into ~t ~h x
+let theta_step dae ~theta ~t ~h x =
+  let w = work dae in
+  theta_into w (theta_system w) ~theta ~t ~h x
+
+let bdf2_into w sys ~t ~h x =
+  w.t1 <- t +. h;
+  w.h <- h;
+  Array.blit w.q0 0 w.q_prev 0 w.dae.Dae.dim;
+  start w ~t ~f:[||] x;
+  solve_or_rescue w sys ~t x
 
 (* classical explicit RK4 on the semi-explicit form
    xdot = -C(x)^{-1} f(t, x); valid only when dq/dx is invertible
@@ -189,6 +244,22 @@ let rk4_step dae ~t ~h x =
   Vec.init (Array.length x) (fun i ->
       x.(i) +. (h /. 6. *. (k1.(i) +. (2. *. k2.(i)) +. (2. *. k3.(i)) +. k4.(i))))
 
+(* The step times from [t0]: steps of [h], the last shortened to land
+   on [t1].  The count comes from running the same float arithmetic
+   once, so the arrays are sized before the first step. *)
+let step_times ~t0 ~t1 ~h =
+  let stop = t1 -. (1e-12 *. Float.max 1. (Float.abs t1)) in
+  let count = ref 0 and t = ref t0 in
+  while !t < stop do
+    t := !t +. Float.min h (t1 -. !t);
+    incr count
+  done;
+  let times = Array.make (!count + 1) t0 in
+  for i = 1 to !count do
+    times.(i) <- times.(i - 1) +. Float.min h (t1 -. times.(i - 1))
+  done;
+  times
+
 let integrate dae ~method_ ~t0 ~t1 ~h x0 =
   if h <= 0. then invalid_arg "Transient.integrate: h <= 0";
   if t1 < t0 then invalid_arg "Transient.integrate: t1 < t0";
@@ -197,34 +268,26 @@ let integrate dae ~method_ ~t0 ~t1 ~h x0 =
     "transient.integrate"
   @@ fun () ->
   Obs.Scope.with_scope "transient" @@ fun () ->
-  let w = work dae.Dae.dim in
-  let x = ref (Array.copy x0) in
-  let times = ref [ t0 ] and states = ref [ !x ] in
-  let prev = ref None in
-  let t = ref t0 in
-  while !t < t1 -. (1e-12 *. Float.max 1. (Float.abs t1)) do
-    let step = Float.min h (t1 -. !t) in
+  let times = step_times ~t0 ~t1 ~h in
+  let states = Array.make (Array.length times) (Array.copy x0) in
+  let w = work dae in
+  let theta_sys = theta_system w and bdf2_sys = bdf2_system w in
+  for i = 1 to Array.length times - 1 do
+    let t = times.(i - 1) and x = states.(i - 1) in
+    let step = Float.min h (t1 -. t) in
     (* the one copy of the accepted state: the implicit steps return
        a buffer of [w] *)
-    let x' =
-      match method_ with
-      | Backward_euler -> Array.copy (theta_into w dae ~theta:1. ~t:!t ~h:step !x)
-      | Trapezoidal -> Array.copy (theta_into w dae ~theta:0.5 ~t:!t ~h:step !x)
-      | Bdf2 ->
-        (match !prev with
-         | None -> Array.copy (theta_into w dae ~theta:0.5 ~t:!t ~h:step !x)
-         | Some xp -> Array.copy (bdf2_into w dae ~t:!t ~h:step ~x_prev:xp !x))
-      | Rk4 -> rk4_step dae ~t:!t ~h:step !x
-    in
-    prev := Some !x;
-    x := x';
+    states.(i) <-
+      (match method_ with
+       | Backward_euler -> Array.copy (theta_into w theta_sys ~theta:1. ~t ~h:step x)
+       | Trapezoidal -> Array.copy (theta_into w theta_sys ~theta:0.5 ~t ~h:step x)
+       | Bdf2 when i = 1 -> Array.copy (theta_into w theta_sys ~theta:0.5 ~t ~h:step x)
+       | Bdf2 -> Array.copy (bdf2_into w bdf2_sys ~t ~h:step x)
+       | Rk4 -> rk4_step dae ~t ~h:step x);
     Obs.Metrics.incr c_steps;
-    if Obs.Events.active () then Obs.Events.emit (Obs.Events.Step_accept { t = !t; h = step });
-    t := !t +. step;
-    times := !t :: !times;
-    states := x' :: !states
+    if Obs.Events.active () then Obs.Events.emit (Obs.Events.Step_accept { t; h = step })
   done;
-  { times = Array.of_list (List.rev !times); states = Array.of_list (List.rev !states) }
+  { times; states }
 
 let component traj i = Array.map (fun s -> s.(i)) traj.states
 

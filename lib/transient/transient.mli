@@ -47,7 +47,19 @@ val theta_step : Dae.t -> theta:float -> t:float -> h:float -> Vec.t -> Vec.t
 (** [integrate dae ~method_ ~t0 ~t1 ~h x0] integrates with fixed step
     [h] (the final step is shortened to land exactly on [t1]) and
     returns the full trajectory including the initial point.  BDF2
-    starts with one trapezoidal step. *)
+    starts with one trapezoidal step.
+
+    The implicit methods build one Newton workspace and one set of
+    residual, Jacobian and linear-solve closures per call; each step
+    writes its end time, size and weight into that workspace.  A step
+    starts from the q and f of the previous Newton solve's last
+    residual pass, which is at the iterate it accepted, instead of
+    evaluating them again; after a trust-region rescue, whose passes
+    are elsewhere, the next step evaluates them afresh.  The states
+    are bitwise those of chained {!theta_step} calls.  A trapezoidal
+    step taking two Newton iterations makes five circuit passes.  The
+    step times are computed first, with the loop's own arithmetic, so
+    the trajectory is stored in arrays of that size. *)
 val integrate : Dae.t -> method_:method_ -> t0:float -> t1:float -> h:float -> Vec.t -> trajectory
 
 (** [component traj i] extracts the time series of state variable [i]. *)

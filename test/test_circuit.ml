@@ -262,6 +262,25 @@ let stamp_tests =
               (Printf.sprintf "q=%b f=%b c=%b g=%b: %.1f words/call <= 12" wq wf wc wg w)
               true (w <= 12.))
           subsets);
+    Alcotest.test_case "value-only passes give the full pass's q and f bits" `Quick (fun () ->
+        (* a pass without C or G skips every device's derivative
+           arithmetic; its q and f must still be the full pass's, bit
+           for bit, across every device region *)
+        let dae, x0 = all_devices () in
+        let n = dae.Dae.dim in
+        for k = 0 to 59 do
+          let t = 0.37 *. float_of_int k in
+          let x = Array.mapi (fun i xi -> xi +. (0.4 *. sin (float_of_int ((k * 13) + (i * 7))))) x0 in
+          let q = Array.make n Float.nan and f = Array.make n Float.nan in
+          dae.Dae.eval_into ~t x ~q ~f ~c:(Mat.zeros n n) ~g:(Mat.zeros n n);
+          List.iter
+            (fun ((wq, wf, _, _) as subset) ->
+              let q', f', c', g' = buffers n subset ~fill:Float.nan in
+              dae.Dae.eval_into ~t x ~q:q' ~f:f' ~c:c' ~g:g';
+              if (wq && bits q' <> bits q) || (wf && bits f' <> bits f) then
+                Alcotest.failf "state %d: q=%b f=%b differs from the full pass" k wq wf)
+            (List.filter (fun (wq, wf, wc, wg) -> (wq || wf) && not (wc || wg)) subsets)
+        done);
     Alcotest.test_case "concurrent evaluation from two domains matches serial bits" `Quick
       (fun () ->
         let dae, x0 = all_devices () in

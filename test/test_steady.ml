@@ -117,6 +117,50 @@ let quench_tests =
               2.
               (Steady.Oscillator.amplitude (find (-0.05) n1) ~component:0))
           [ 15; 31; 65 ]);
+    Alcotest.test_case "a time-reversed orbit at negative omega raises Nonphysical" `Quick
+      (fun () ->
+        (* the grid reversed in t1 with omega negated solves eqs.
+           (16)+(20) too: the same waveform run backwards.  The envelope
+           (fixed and controlled) and the quasiperiodic solve converge on
+           it; each must refuse it at the first step or slice, naming t2
+           and omega *)
+        let n1 = 31 in
+        let dae = vdp 0.3 in
+        let orbit = Steady.Oscillator.find dae ~n1 ~period_hint:6.3 [| 2.; 0. |] in
+        let grid = orbit.Steady.Oscillator.grid in
+        let omega = -.orbit.Steady.Oscillator.omega in
+        let reversed =
+          { Steady.Oscillator.omega; grid = Array.init n1 (fun j -> grid.((n1 - j) mod n1)) }
+        in
+        let options = Wampde.Envelope.default_options ~n1 () in
+        let refused what at f =
+          match f () with
+          | (_ : unit) -> Alcotest.failf "%s returned normally" what
+          | exception Steady.Oscillator.Nonphysical msg ->
+            let expected = Printf.sprintf "omega = %g at t2 = %g, not positive" omega at in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %S names %S" what msg expected)
+              true
+              (Str.string_match (Str.regexp (".*" ^ Str.quote expected)) msg 0)
+        in
+        approx_tol 1e-6 "the reversed orbit's omega" (-0.158267) omega;
+        refused "simulate" 1. (fun () ->
+            ignore (Wampde.Envelope.simulate dae ~options ~t2_end:20. ~h2:1. ~init:reversed));
+        refused "simulate_controlled" 0.4 (fun () ->
+            ignore
+              (Wampde.Envelope.simulate_controlled dae ~options
+                 ~control:(Step_control.default_options ~rtol:1e-4 ())
+                 ~t2_end:20. ~init:reversed ()));
+        let guess =
+          {
+            Wampde.Quasiperiodic.p2 = 10.;
+            t2 = [| 0.; 10. /. 3.; 20. /. 3. |];
+            omega = Array.make 3 omega;
+            slices = Array.make 3 reversed.Steady.Oscillator.grid;
+          }
+        in
+        refused "quasiperiodic" 0. (fun () ->
+            ignore (Wampde.Quasiperiodic.solve dae ~options ~p2:10. ~n2:3 ~guess ())));
   ]
 
 let shooting_tests =

@@ -106,12 +106,12 @@ let transient_tests =
         let r = Array.map (Transient.interpolate traj 0) [| 0.; 0.25; 1. |] in
         approx_tol 1e-4 "r0" 1. r.(0);
         approx_tol 1e-4 "r2" (exp (-1.)) r.(2));
-    Alcotest.test_case "a VCO-A trapezoidal step allocates at most 250 words" `Quick (fun () ->
+    Alcotest.test_case "a VCO-A trapezoidal step allocates at most 100 words" `Quick (fun () ->
         (* the oscillator warm-up: 3,400 steps of 1/100 of the
-           free-running period.  Newton, the Jacobian and its LU and
-           the circuit's q, f, C and G run in one workspace per
-           integration; the words left are mostly Newton's own per-call
-           records, the evaluator's context records and the stored
+           free-running period.  Newton, the Jacobian and its LU, the
+           circuit's q, f, C and G and the step's closures live in one
+           workspace per integration; the words left are Newton's
+           report, the evaluator's context records and the stored
            states *)
         let p = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
         let dae = Circuit.Vco.build p and x0 = Circuit.Vco.initial_state p in
@@ -123,7 +123,53 @@ let transient_tests =
                    ~t1:(float_of_int steps *. h) ~h x0))
           /. float_of_int steps
         in
-        Alcotest.(check bool) (Printf.sprintf "%.0f words per step <= 250" w) true (w <= 250.));
+        Alcotest.(check bool) (Printf.sprintf "%.0f words per step <= 100" w) true (w <= 100.));
+    Alcotest.test_case "integrate equals chained Transient.theta_step, bit for bit" `Quick
+      (fun () ->
+        (* the VCO-B warm-up of Oscillator.settle: integrate starts each
+           step from the q and f of the previous solve's last residual
+           pass, theta_step evaluates them afresh, so a reused value
+           that differs from a fresh pass shows here *)
+        let p = Circuit.Vco.vco_b () in
+        let dae = Circuit.Vco.build p and x0 = Circuit.Vco.initial_state p in
+        let period = 1. /. Circuit.Vco.nominal_frequency p in
+        let h = period /. 100. and t1 = period *. 34. in
+        List.iter
+          (fun (name, method_, theta) ->
+            let traj = Transient.integrate dae ~method_ ~t0:0. ~t1 ~h x0 in
+            Alcotest.(check int) (name ^ ": steps") 3400 (Transient.steps traj);
+            let t = ref 0. and x = ref x0 in
+            for i = 1 to Transient.steps traj do
+              let step = Float.min h (t1 -. !t) in
+              x := Array.copy (Transient.theta_step dae ~theta ~t:!t ~h:step !x);
+              t := !t +. step;
+              if
+                Int64.bits_of_float !t <> Int64.bits_of_float traj.Transient.times.(i)
+                || Array.map Int64.bits_of_float !x
+                   <> Array.map Int64.bits_of_float traj.Transient.states.(i)
+              then Alcotest.failf "%s: step %d differs from the chained theta_step" name i
+            done)
+          [ ("trapezoidal", Transient.Trapezoidal, 0.5); ("backward Euler", Transient.Backward_euler, 1.) ]);
+    Alcotest.test_case "a VCO-A trapezoidal step makes 5 circuit passes" `Quick (fun () ->
+        (* one residual pass at the predictor, then a Jacobian and a
+           residual pass per Newton iteration (two, one for a single
+           step here; no backtracking); the step's start reuses the
+           previous solve's last pass, so only the first step
+           evaluates it *)
+        let p = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
+        let dae = Circuit.Vco.build p and x0 = Circuit.Vco.initial_state p in
+        let h = 1. /. 0.75 /. 100. and steps = 3400 in
+        let count name = Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter name) in
+        let evals, iterations =
+          Wampde_obs.Metrics.with_isolated (fun () ->
+              Wampde_obs.set_enabled true;
+              ignore
+                (Transient.integrate dae ~method_:Transient.Trapezoidal ~t0:0.
+                   ~t1:(float_of_int steps *. h) ~h x0);
+              (count "dae.evals", count "newton.iterations"))
+        in
+        Alcotest.(check int) "Newton iterations" ((2 * steps) - 1) iterations;
+        Alcotest.(check int) "circuit passes" (1 + steps + (2 * iterations)) evals);
     Alcotest.test_case "forced RC follows steady state" `Quick (fun () ->
         (* v' = -v + sin t; steady state (sin t - cos t)/2 *)
         let dae = Dae.of_ode ~dim:1 ~rhs:(fun ~t x -> [| sin t -. x.(0) |]) () in
