@@ -29,8 +29,9 @@ val default_params : control:(float -> float) -> unit -> params
 
 (** [build params] compiles the netlist.  State layout:
     [x = [v_tank; v_ctrl; i_L; i_Vc]].  Note the control source makes
-    [dq/dx] singular (an algebraic constraint): use implicit methods
-    only (no [Rk4], no {!Steady.Shooting.autonomous}). *)
+    [dq/dx] singular (an algebraic constraint), so
+    {!Dae.consistent_derivative} and {!Steady.Shooting.autonomous}
+    fail on it; use the implicit theta step of [Transient]. *)
 val build : params -> Dae.t
 
 (** [initial_state params ~at] — tank at the amplitude estimate,

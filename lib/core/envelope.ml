@@ -389,14 +389,12 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
       dst
     in
     let jacobian y = Dae.Semidisc.dense (Dae.Semidisc.step_linearize sys y) in
-    let outcome =
-      Nonlin.Polyalg.solve
+    let report =
+      Nonlin.Trust_region.solve
         ~options:{ options.newton with Nonlin.Newton.residual_tol = tol }
-        ~label:"envelope.rescue"
-        ~cascade:[ Nonlin.Polyalg.Trust_region ]
-        ~jacobian ~residual (Dae.Semidisc.pack sd p.states p.omega)
+        ~label:"envelope.rescue.trust_region" ~jacobian ~residual
+        (Dae.Semidisc.pack sd p.states p.omega)
     in
-    let report = outcome.Nonlin.Polyalg.report in
     if not report.Nonlin.Newton.converged then reject ();
     Obs.Metrics.incr c_rescues;
     let x = report.Nonlin.Newton.x in

@@ -308,13 +308,20 @@ module Metrics = struct
 
   (* Every enabled counter update is additionally bucketed under the
      innermost active scope label (possibly ""), so sum-over-scopes
-     always equals the unscoped total. *)
+     always equals the unscoped total.  The lookup returns the cell
+     itself, or [no_cell] for a scope not seen yet, so an update in a
+     known scope allocates nothing. *)
+  let no_cell = ref 0
+
+  let rec scope_cell s = function
+    | [] -> no_cell
+    | (s', r) :: rest -> if String.equal s s' then r else scope_cell s rest
+
   let bump c k =
     c.n <- c.n + k;
     let s = !cur_scope in
-    match List.assoc_opt s c.by_scope with
-    | Some r -> r := !r + k
-    | None -> c.by_scope <- (s, ref k) :: c.by_scope
+    let r = scope_cell s c.by_scope in
+    if r != no_cell then r := !r + k else c.by_scope <- (s, ref k) :: c.by_scope
 
   let incr c = if !enabled_flag then bump c 1
   let add c k = if !enabled_flag then bump c k

@@ -1,7 +1,7 @@
 open Linalg
 module Obs = Wampde_obs
 
-type method_ = Backward_euler | Trapezoidal | Bdf2 | Rk4
+type method_ = Backward_euler | Trapezoidal
 
 type trajectory = { times : float array; states : Vec.t array }
 
@@ -53,23 +53,20 @@ let step_failed ~t ~h (report : Nonlin.Newton.report) =
 let newton_options =
   { Nonlin.Newton.default_options with max_iterations = 40; residual_tol = 1e-10 }
 
-(* The buffers of one integration's implicit steps: the Newton
-   workspace, the Jacobian and pivot order the in-place LU refactors
-   every iteration, and the circuit evaluations the residual and
-   Jacobian read: q and f at the step's start ([q0], [f0]; [q_prev] at
-   the point before it for BDF2), at the Newton iterate ([q], [f]),
-   and C and G there.  The step being solved ends at [t1], is [h] long
-   and has weight [theta]; [fresh] says that [q] and [f] hold the last
+(* The buffers and closures of one integration's implicit steps: the
+   circuit evaluations the residual and Jacobian read, q and f at the
+   step's start ([q0], [f0]), at the Newton iterate ([q], [f]), and C
+   and G there.  The step being solved ends at [t1], is [h] long and
+   has weight [theta]; [fresh] says that [q] and [f] hold the last
    residual pass at the iterate the last solve returned, the next
-   step's start. *)
+   step's start.  The closures read the step from the record; [newton]
+   is the damped solve in its own workspace, with the Jacobian and
+   pivot order the in-place LU refactors every iteration, its optional
+   arguments wrapped once. *)
 type work = {
   dae : Dae.t;
-  ws : Nonlin.Newton.workspace;
-  jac : Mat.t;
-  perm : int array;
   q0 : Vec.t;
   f0 : Vec.t;
-  q_prev : Vec.t;
   q : Vec.t;
   f : Vec.t;
   c : Mat.t;
@@ -78,28 +75,12 @@ type work = {
   mutable h : float;
   mutable theta : float;
   mutable fresh : bool;
+  residual_into : Vec.t -> Vec.t -> unit;
+  jacobian_into : Vec.t -> Mat.t -> unit;
+  newton : Vec.t -> Nonlin.Newton.report;
 }
 
-let work dae =
-  let dim = dae.Dae.dim in
-  let vec () = Array.make dim 0. in
-  {
-    dae;
-    ws = Nonlin.Newton.workspace dim;
-    jac = Mat.zeros dim dim;
-    perm = Array.make dim 0;
-    q0 = vec ();
-    f0 = vec ();
-    q_prev = vec ();
-    q = vec ();
-    f = vec ();
-    c = Mat.zeros dim dim;
-    g = Mat.zeros dim dim;
-    t1 = 0.;
-    h = 0.;
-    theta = 0.;
-    fresh = false;
-  }
+let label = "transient.theta"
 
 (* theta step, residual scaled by h (i.e. q(y) - q0 + h (theta f1 +
    (1-theta) f0)) so its magnitude tracks q, not q/h: keeps the Newton
@@ -123,50 +104,36 @@ let theta_jacobian w y jac =
     done
   done
 
-(* BDF2 with the previous two accepted points (fixed step):
-   (3 q(x2) - 4 q(x1) + q(x0)) / (2h) + f(t2, x2) = 0, q(x1) in [q0]
-   and q(x0) in [q_prev] *)
-let bdf2_residual w y dst =
-  let q1 = w.q0 and q0 = w.q_prev and q = w.q and f = w.f and h = w.h in
-  w.dae.Dae.eval_into ~t:w.t1 y ~q ~f ~c:[||] ~g:[||];
-  for i = 0 to w.dae.Dae.dim - 1 do
-    dst.(i) <- ((1.5 *. q.(i)) -. (2. *. q1.(i)) +. (0.5 *. q0.(i))) +. (h *. f.(i))
-  done
-
-let bdf2_jacobian w y jac =
-  let c = w.c and g = w.g and h = w.h in
-  w.dae.Dae.eval_into ~t:w.t1 y ~q:[||] ~f:[||] ~c ~g;
-  for i = 0 to w.dae.Dae.dim - 1 do
-    for j = 0 to w.dae.Dae.dim - 1 do
-      jac.(i).(j) <- (1.5 *. c.(i).(j)) +. (h *. g.(i).(j))
-    done
-  done
-
-(* One method's Newton system over [w], built once per integration:
-   the closures read the step from [w], and [newton] is the damped
-   solve in [w]'s workspace, its optional arguments wrapped once. *)
-type system = {
-  label : string;
-  residual_into : Vec.t -> Vec.t -> unit;
-  jacobian_into : Vec.t -> Mat.t -> unit;
-  newton : Vec.t -> Nonlin.Newton.report;
-}
-
-let system w ~label residual jacobian =
-  let residual_into = residual w and jacobian_into = jacobian w in
-  let linear_solve_into y r dy =
-    jacobian_into y w.jac;
-    Lu.solve_into (Lu.factor_into w.jac ~perm:w.perm) r dy
-  in
+let work dae =
+  let dim = dae.Dae.dim in
+  let vec () = Array.make dim 0. in
+  let ws = Nonlin.Newton.workspace dim and jac = Mat.zeros dim dim and perm = Array.make dim 0 in
   let options = Some newton_options and some_label = Some label in
-  let newton x =
-    Nonlin.Newton.solve_into ?options ?label:some_label ~ws:w.ws ~linear_solve_into
-      ~residual_into x
+  let rec w =
+    {
+      dae;
+      q0 = vec ();
+      f0 = vec ();
+      q = vec ();
+      f = vec ();
+      c = Mat.zeros dim dim;
+      g = Mat.zeros dim dim;
+      t1 = 0.;
+      h = 0.;
+      theta = 0.;
+      fresh = false;
+      residual_into = (fun y dst -> theta_residual w y dst);
+      jacobian_into = (fun y jac -> theta_jacobian w y jac);
+      newton;
+    }
+  and linear_solve_into y r dy =
+    w.jacobian_into y jac;
+    Lu.solve_into (Lu.factor_into jac ~perm) r dy
+  and newton x =
+    Nonlin.Newton.solve_into ?options ?label:some_label ~ws ~linear_solve_into
+      ~residual_into:w.residual_into x
   in
-  { label; residual_into; jacobian_into; newton }
-
-let theta_system w = system w ~label:"transient.theta" theta_residual theta_jacobian
-let bdf2_system w = system w ~label:"transient.bdf2" bdf2_residual bdf2_jacobian
+  w
 
 (* Fixed-step implicit solves cannot shrink h on a Newton failure the
    way an adaptive driver can, so they get one rescue attempt with
@@ -177,25 +144,25 @@ let bdf2_system w = system w ~label:"transient.bdf2" bdf2_residual bdf2_jacobian
    pass is at the iterate it returns, so [q] and [f] carry over to the
    next step; the rescue's passes are elsewhere.  The result aliases
    [w]. *)
-let solve_or_rescue w sys ~t x =
-  let report = sys.newton x in
+let solve_or_rescue w ~t x =
+  let report = w.newton x in
   w.fresh <- report.Nonlin.Newton.converged;
   if report.Nonlin.Newton.converged then report.Nonlin.Newton.x
   else begin
     let dim = Array.length x in
     let residual y =
       let dst = Array.make dim 0. in
-      sys.residual_into y dst;
+      w.residual_into y dst;
       dst
     in
     let jacobian y =
       let jac = Mat.zeros dim dim in
-      sys.jacobian_into y jac;
+      w.jacobian_into y jac;
       jac
     in
     let rescue =
-      Nonlin.Trust_region.solve ~options:newton_options ~label:(sys.label ^ ".rescue")
-        ~jacobian ~residual x
+      Nonlin.Trust_region.solve ~options:newton_options ~label:(label ^ ".rescue") ~jacobian
+        ~residual x
     in
     if rescue.Nonlin.Newton.converged then begin
       Obs.Metrics.incr c_rescues;
@@ -204,45 +171,21 @@ let solve_or_rescue w sys ~t x =
     else step_failed ~t ~h:w.h report
   end
 
-(* q and, when [f] is [w.f0], f at the step's start [(t, x)] into [q0]
-   and [f0]: the last solve's final residual pass when [w.fresh], else
-   one evaluation *)
-let start w ~t ~f x =
+(* One theta step from [(t, x)].  Its start's q and, for theta < 1, f
+   go into [q0] and [f0]: the last solve's final residual pass when
+   [w.fresh], else one evaluation. *)
+let theta_into w ~theta ~t ~h x =
+  w.t1 <- t +. h;
+  w.h <- h;
+  w.theta <- theta;
   if w.fresh then begin
     Array.blit w.q 0 w.q0 0 w.dae.Dae.dim;
     Array.blit w.f 0 w.f0 0 w.dae.Dae.dim
   end
-  else w.dae.Dae.eval_into ~t x ~q:w.q0 ~f ~c:[||] ~g:[||]
+  else w.dae.Dae.eval_into ~t x ~q:w.q0 ~f:(if theta < 1. then w.f0 else [||]) ~c:[||] ~g:[||];
+  solve_or_rescue w ~t x
 
-let theta_into w sys ~theta ~t ~h x =
-  w.t1 <- t +. h;
-  w.h <- h;
-  w.theta <- theta;
-  start w ~t ~f:(if theta < 1. then w.f0 else [||]) x;
-  solve_or_rescue w sys ~t x
-
-let theta_step dae ~theta ~t ~h x =
-  let w = work dae in
-  theta_into w (theta_system w) ~theta ~t ~h x
-
-let bdf2_into w sys ~t ~h x =
-  w.t1 <- t +. h;
-  w.h <- h;
-  Array.blit w.q0 0 w.q_prev 0 w.dae.Dae.dim;
-  start w ~t ~f:[||] x;
-  solve_or_rescue w sys ~t x
-
-(* classical explicit RK4 on the semi-explicit form
-   xdot = -C(x)^{-1} f(t, x); valid only when dq/dx is invertible
-   everywhere along the trajectory (no purely algebraic constraints). *)
-let rk4_step dae ~t ~h x =
-  let deriv tt y = Dae.consistent_derivative dae ~t:tt y in
-  let k1 = deriv t x in
-  let k2 = deriv (t +. (h /. 2.)) (Vec.init (Array.length x) (fun i -> x.(i) +. (h /. 2. *. k1.(i)))) in
-  let k3 = deriv (t +. (h /. 2.)) (Vec.init (Array.length x) (fun i -> x.(i) +. (h /. 2. *. k2.(i)))) in
-  let k4 = deriv (t +. h) (Vec.init (Array.length x) (fun i -> x.(i) +. (h *. k3.(i)))) in
-  Vec.init (Array.length x) (fun i ->
-      x.(i) +. (h /. 6. *. (k1.(i) +. (2. *. k2.(i)) +. (2. *. k3.(i)) +. k4.(i))))
+let theta_step dae ~theta ~t ~h x = theta_into (work dae) ~theta ~t ~h x
 
 (* The step times from [t0]: steps of [h], the last shortened to land
    on [t1].  The count comes from running the same float arithmetic
@@ -271,19 +214,13 @@ let integrate dae ~method_ ~t0 ~t1 ~h x0 =
   let times = step_times ~t0 ~t1 ~h in
   let states = Array.make (Array.length times) (Array.copy x0) in
   let w = work dae in
-  let theta_sys = theta_system w and bdf2_sys = bdf2_system w in
+  let theta = match method_ with Backward_euler -> 1. | Trapezoidal -> 0.5 in
   for i = 1 to Array.length times - 1 do
-    let t = times.(i - 1) and x = states.(i - 1) in
+    let t = times.(i - 1) in
     let step = Float.min h (t1 -. t) in
-    (* the one copy of the accepted state: the implicit steps return
-       a buffer of [w] *)
-    states.(i) <-
-      (match method_ with
-       | Backward_euler -> Array.copy (theta_into w theta_sys ~theta:1. ~t ~h:step x)
-       | Trapezoidal -> Array.copy (theta_into w theta_sys ~theta:0.5 ~t ~h:step x)
-       | Bdf2 when i = 1 -> Array.copy (theta_into w theta_sys ~theta:0.5 ~t ~h:step x)
-       | Bdf2 -> Array.copy (bdf2_into w bdf2_sys ~t ~h:step x)
-       | Rk4 -> rk4_step dae ~t ~h:step x);
+    (* the one copy of the accepted state: the step returns a buffer
+       of [w] *)
+    states.(i) <- Array.copy (theta_into w ~theta ~t ~h:step states.(i - 1));
     Obs.Metrics.incr c_steps;
     if Obs.Events.active () then Obs.Events.emit (Obs.Events.Step_accept { t; h = step })
   done;

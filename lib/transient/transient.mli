@@ -2,24 +2,17 @@
     paper's baseline, against which the WaMPDE's speed and phase
     accuracy are compared (Figs. 9 and 12).
 
-    Implicit one-step methods solve, per step of size [h],
+    The one implicit step solves, per step of size [h],
 
     [(q(x1) - q(x0)) / h + theta f(t1, x1) + (1 - theta) f(t0, x0) = 0]
 
     with [theta = 1] (backward Euler) or [theta = 1/2] (trapezoidal,
-    the circuit-simulation workhorse).  A fixed-leading-coefficient
-    BDF2 is also provided. *)
+    the circuit-simulation workhorse). *)
 
 open Linalg
 
-type method_ =
-  | Backward_euler
-  | Trapezoidal
-  | Bdf2
-  | Rk4
-      (** classical explicit Runge–Kutta on [xdot = -C(x)^{-1} f];
-          requires [dq/dx] invertible (no algebraic constraints) and a
-          non-stiff step *)
+(** The weight of the one theta step: [theta = 1] or [theta = 1/2]. *)
+type method_ = Backward_euler | Trapezoidal
 
 type trajectory = {
   times : float array;
@@ -46,12 +39,11 @@ val theta_step : Dae.t -> theta:float -> t:float -> h:float -> Vec.t -> Vec.t
 
 (** [integrate dae ~method_ ~t0 ~t1 ~h x0] integrates with fixed step
     [h] (the final step is shortened to land exactly on [t1]) and
-    returns the full trajectory including the initial point.  BDF2
-    starts with one trapezoidal step.
+    returns the full trajectory including the initial point.
 
-    The implicit methods build one Newton workspace and one set of
-    residual, Jacobian and linear-solve closures per call; each step
-    writes its end time, size and weight into that workspace.  A step
+    It builds one Newton workspace and one set of residual, Jacobian
+    and linear-solve closures per call; each step writes its end time,
+    size and weight into that workspace.  A step
     starts from the q and f of the previous Newton solve's last
     residual pass, which is at the iterate it accepted, instead of
     evaluating them again; after a trust-region rescue, whose passes

@@ -55,8 +55,8 @@ EXEMPT = {
     "against it",
     "Fourier.Series.truncation_error": "direct definition; test_health checks "
     "harmonics_needed's suffix-sum scan against it",
-    "Nonlin.Fdjac.jacobian_central": "central differences; test_circuit, test_semidisc, "
-    "test_apps and test_par check analytic and parallel Jacobians against them",
+    "Nonlin.Fdjac.jacobian_central": "central differences; test_circuit, test_semidisc "
+    "and test_apps check analytic Jacobians against them",
     "Nonlin.Fdjac.directional": "FD Jacobian-vector product; test_structured checks the "
     "structured operator's products against it",
     "Steady.Shooting.autonomous": "single shooting; test_steady checks Oscillator's "

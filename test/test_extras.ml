@@ -1,5 +1,5 @@
 (* Tests for the extended numerical toolkit: polynomial roots,
-   eigenvalues, RK4 and Floquet analysis. *)
+   eigenvalues and Floquet analysis. *)
 open Linalg
 open Testkit
 
@@ -66,26 +66,6 @@ let eig_tests =
         approx_tol 1e-8 "rho" 7. rho);
   ]
 
-let rk4_tests =
-  [
-    Alcotest.test_case "rk4 is 4th order on decay" `Quick (fun () ->
-        let dae = Dae.of_ode ~dim:1 ~rhs:(fun ~t:_ x -> [| -.x.(0) |]) () in
-        let err h =
-          let traj = Transient.integrate dae ~method_:Transient.Rk4 ~t0:0. ~t1:1. ~h [| 1. |] in
-          Float.abs ((Transient.final traj).(0) -. exp (-1.))
-        in
-        let ratio = err 0.1 /. err 0.05 in
-        Alcotest.(check bool) "ratio ~ 16" true (ratio > 12. && ratio < 20.));
-    Alcotest.test_case "rk4 matches trapezoidal on harmonic oscillator" `Quick (fun () ->
-        let w = two_pi in
-        let dae =
-          Dae.of_ode ~dim:2 ~rhs:(fun ~t:_ x -> [| x.(1); -.(w *. w) *. x.(0) |]) ()
-        in
-        let rk = Transient.integrate dae ~method_:Transient.Rk4 ~t0:0. ~t1:1. ~h:0.002 [| 1.; 0. |] in
-        let x = Transient.final rk in
-        approx_tol 1e-6 "x(1)" 1. x.(0));
-  ]
-
 let floquet_tests =
   [
     Alcotest.test_case "van der Pol multiplier matches theory" `Quick (fun () ->
@@ -126,6 +106,5 @@ let suites =
   [
     ("linalg.poly", poly_tests);
     ("linalg.eig", eig_tests);
-    ("transient.rk4", rk4_tests);
     ("steady.floquet", floquet_tests);
   ]

@@ -154,6 +154,22 @@ let tests =
            Alcotest.(check bool)
              (Printf.sprintf "minor words allocated = %.0f" dw)
              true (dw < 256.)));
+    Alcotest.test_case "an enabled incr in a scope already seen allocates nothing" `Quick
+      (with_clean (fun () ->
+           (* a counter bump looks up its scope's cell on every enabled
+              update; only the first update in a scope adds one *)
+           Obs.set_enabled true;
+           let c = Obs.Metrics.counter "test.bump_alloc" in
+           Obs.Scope.with_scope "outer" @@ fun () ->
+           Obs.Scope.with_scope "inner" @@ fun () ->
+           Obs.Metrics.incr c;
+           let w0 = Gc.minor_words () in
+           for _ = 1 to 1_000 do
+             Obs.Metrics.incr c
+           done;
+           let dw = Gc.minor_words () -. w0 in
+           Alcotest.(check (float 0.)) "minor words allocated" 0. dw;
+           Alcotest.(check int) "count" 1_001 (Obs.Metrics.count c)));
     Alcotest.test_case "theta step raises a typed Step_failure" `Quick
       (with_clean (fun () ->
            (* x = c (1 + x^2) with huge c has no real solution, so the

@@ -113,25 +113,6 @@ let det_tests =
   let jobs_gen = Gen.int_range 1 8 in
   [
     QCheck_alcotest.to_alcotest
-      (Test.make ~name:"parallel FD Jacobian is bitwise identical to serial" ~count:40
-         (make Gen.(pair (int_range 1 24) jobs_gen))
-         (fun (n, jobs) ->
-           let f x =
-             Array.init (n + 1) (fun i ->
-                 let s = ref (float_of_int i) in
-                 for j = 0 to n - 1 do
-                   s := !s +. (sin (x.(j) +. float_of_int (i * j)) *. (1. +. (x.(j) *. x.(j))))
-                 done;
-                 !s)
-           in
-           let x = Array.init n (fun i -> cos (float_of_int (3 * i))) in
-           let serial = Nonlin.Fdjac.jacobian f x in
-           let central_serial = Nonlin.Fdjac.jacobian_central f x in
-           with_jobs jobs (fun () ->
-               let par = Nonlin.Fdjac.jacobian ~parallel:true f x in
-               let central_par = Nonlin.Fdjac.jacobian_central ~parallel:true f x in
-               par = serial && central_par = central_serial)));
-    QCheck_alcotest.to_alcotest
       (Test.make ~name:"parallel precond factor+apply is bitwise identical to serial" ~count:20
          (make Gen.(triple (int_range 1 11) (int_range 1 5) jobs_gen))
          (fun (k1, n, jobs) ->

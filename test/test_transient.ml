@@ -73,13 +73,6 @@ let transient_tests =
         in
         let ratio = err 0.02 /. err 0.01 in
         Alcotest.(check bool) "ratio ~ 4" true (ratio > 3.5 && ratio < 4.5));
-    Alcotest.test_case "bdf2 is second order on decay" `Quick (fun () ->
-        let err h =
-          let traj = Transient.integrate decay ~method_:Transient.Bdf2 ~t0:0. ~t1:1. ~h [| 1. |] in
-          Float.abs ((Transient.final traj).(0) -. exp (-1.))
-        in
-        let ratio = err 0.02 /. err 0.01 in
-        Alcotest.(check bool) "ratio ~ 4" true (ratio > 3. && ratio < 5.));
     Alcotest.test_case "trapezoidal preserves oscillation amplitude" `Quick (fun () ->
         let dae = harmonic two_pi in
         (* one full period with 200 steps *)
