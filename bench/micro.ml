@@ -9,9 +9,9 @@
    pass, which skips every device's derivative arithmetic) and filling
    [C] and [G] (a Jacobian pass); a fixed-step transient step makes
    three of the first and two of the second.  Last, the whole
-   fixed-step transient: one 3,400-step trapezoidal VCO-B warm-up, as
-   [Oscillator.settle] runs it before every orbit, also printed per
-   step.
+   fixed-step transient: one 3,400-step trapezoidal VCO-B warm-up, the
+   34-period fallback [Oscillator.polish] runs for an orbit its short
+   warm-up does not show stable, also printed per step.
 
    LU is timed at the sizes the dense callers factor: 4 (the
    transient's Newton Jacobian for a four-state VCO, thousands of

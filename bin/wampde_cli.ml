@@ -43,7 +43,9 @@ let report_arg =
 let fault_arg =
   let doc =
     "Arm the deterministic fault-injection harness with $(docv) (e.g. \
-     $(b,linsolve@3,nan%0.05,seed=42); kinds: linsolve, diverge, nan, ckpt-trunc).  The \
+     $(b,linsolve@3,nan%0.05,seed=42); kinds: linsolve, diverge, nan, ckpt-trunc; an entry \
+     prefixed $(i,scope)$(b,:), as in $(b,envelope.newton:nan%0.01), counts only the calls \
+     inside that telemetry scope).  The \
      $(b,WAMPDE_FAULTS) environment variable arms the same schedule when this flag is \
      absent.  Injected faults must end in recovery or a typed error — use with the solver \
      metrics to audit the retry/escalation machinery."

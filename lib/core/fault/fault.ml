@@ -38,7 +38,11 @@ let index = function
 
 let env_var = "WAMPDE_FAULTS"
 
-type rule = At of int  (** single shot on the n-th call *) | Prob of float
+type trigger = At of int  (** single shot on the n-th call *) | Prob of float
+
+(* [scope = Some label] counts, and draws for, only the calls made
+   while [label] is the innermost [Obs.Scope] *)
+type rule = { scope : string option; trigger : trigger }
 
 let default_stall_s = 0.25
 
@@ -46,6 +50,8 @@ type schedule = {
   rules : rule list array; (* indexed by [index kind] *)
   mutable lcg : int64;
   calls : int array;
+  scoped_calls : (string * int ref) list array;
+      (* by kind: the calls in each scope a rule of that kind names *)
   injected : int array;
   stall_s : float; (* sleep injected by a [Solver_stall] trip *)
 }
@@ -81,9 +87,15 @@ let parse spec =
           state :=
             Some
               {
-                rules = Array.map (fun l -> l) rules;
+                rules;
                 lcg = seed;
                 calls = Array.make (Array.length rules) 0;
+                scoped_calls =
+                  Array.map
+                    (fun l ->
+                      List.sort_uniq String.compare (List.filter_map (fun r -> r.scope) l)
+                      |> List.map (fun scope -> (scope, ref 0)))
+                    rules;
                 injected = Array.make (Array.length rules) 0;
                 stall_s;
               })
@@ -105,32 +117,38 @@ let parse spec =
         | Some _ | None -> err "Fault.parse: bad stall duration %S" v)
       | Some _ -> err "Fault.parse: unknown assignment %S" entry
       | None -> (
-        let split c =
-          match String.index_opt entry c with
-          | Some i ->
-            Some
-              ( String.sub entry 0 i,
-                String.sub entry (i + 1) (String.length entry - i - 1) )
+        let split c s =
+          match String.index_opt s c with
+          | Some i -> Some (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
           | None -> None
         in
-        match split '@' with
-        | Some (name, n) -> (
+        let scope, rule =
+          match split ':' entry with
+          | Some (scope, rule) -> (Some scope, rule)
+          | None -> (None, entry)
+        in
+        let add k trigger =
+          rules.(index k) <- { scope; trigger } :: rules.(index k);
+          go rest
+        in
+        match (scope, split '@' rule) with
+        | Some "", _ -> err "Fault.parse: empty scope in %S" entry
+        | _, Some (name, n) -> (
           match (kind_of_name name, int_of_string_opt n) with
-          | Some k, Some n when n >= 1 ->
-            rules.(index k) <- At n :: rules.(index k);
-            go rest
+          | Some k, Some n when n >= 1 -> add k (At n)
           | Some _, _ -> err "Fault.parse: bad call count in %S" entry
           | None, _ -> err "Fault.parse: unknown fault kind %S" name)
-        | None -> (
-          match split '%' with
+        | _, None -> (
+          match split '%' rule with
           | Some (name, p) -> (
             match (kind_of_name name, float_of_string_opt p) with
-            | Some k, Some p when p >= 0. && p <= 1. ->
-              rules.(index k) <- Prob p :: rules.(index k);
-              go rest
+            | Some k, Some p when p >= 0. && p <= 1. -> add k (Prob p)
             | Some _, _ -> err "Fault.parse: bad probability in %S" entry
             | None, _ -> err "Fault.parse: unknown fault kind %S" name)
-          | None -> err "Fault.parse: malformed entry %S (want kind@N, kind%%P or seed=S)" entry)))
+          | None ->
+            err
+              "Fault.parse: malformed entry %S (want [scope:]kind@N, [scope:]kind%%P or seed=S)"
+              entry)))
   in
   go entries
 
@@ -153,9 +171,21 @@ let fire kind =
   | Some s ->
     let i = index kind in
     s.calls.(i) <- s.calls.(i) + 1;
+    let scope = Obs.Scope.current () in
+    let in_scope =
+      match List.assoc_opt scope s.scoped_calls.(i) with
+      | Some n ->
+        incr n;
+        !n
+      | None -> 0
+    in
+    let applies ~call = function At n -> n = call | Prob p -> lcg_next s < p in
     let hit =
       List.exists
-        (function At n -> n = s.calls.(i) | Prob p -> lcg_next s < p)
+        (fun r ->
+          match r.scope with
+          | None -> applies ~call:s.calls.(i) r.trigger
+          | Some label -> String.equal label scope && applies ~call:in_scope r.trigger)
         s.rules.(i)
     in
     if hit then begin

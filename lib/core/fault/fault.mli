@@ -10,12 +10,19 @@
       (1-based, single shot);
     - [kind%P]  — fire on each call with probability [P] (in [0,1]),
       drawn from a seeded LCG so runs are reproducible;
+    - [scope:kind@N], [scope:kind%P] — the same, counting (or drawing
+      for) only the calls made while [scope] is the innermost
+      [Wampde_obs.Scope] label, matched exactly (["envelope.newton"],
+      ["quasiperiodic"], ["oscillator"], ...): [N] is the [N]-th call
+      of [kind] inside that scope.  Calls elsewhere neither count for
+      it nor draw from the LCG for it;
     - [seed=S]  — set the LCG seed (default 1);
     - [stall=S] — seconds a [Solver_stall] trip sleeps (default 0.25).
 
     Kind names: [linsolve], [diverge], [nan], [ckpt-trunc], [stall],
     [journal-trunc].
-    Example: ["linsolve@3,nan%0.05,seed=42"]. *)
+    Examples: ["linsolve@3,nan%0.05,seed=42"],
+    ["quasiperiodic:linsolve@1,envelope.newton:nan%0.01"]. *)
 
 type kind =
   | Linear_solve  (** force the inner linear solve to fail *)

@@ -12,9 +12,31 @@ let strip c =
   done;
   Array.sub c 0 !n
 
+exception No_convergence of int
+
+let () =
+  Printexc.register_printer (function
+    | No_convergence n ->
+      Some (Printf.sprintf "Poly.No_convergence: Durand-Kerner did not converge in %d iterations" n)
+    | _ -> None)
+
+(* |p(z)| may stop at the rounding error of Horner's rule, about
+   eps sum_k |c_k| |z|^k: a root there is as accurate as the
+   coefficients allow.  A multiple root is met only to about
+   eps^(1/m), where Durand-Kerner's correction, which converges only
+   linearly there, keeps moving by more than [tol]. *)
+let at_rounding_floor monic z =
+  let r = Complex.norm z in
+  let bound = ref 0. in
+  for k = Array.length monic - 1 downto 0 do
+    bound := (!bound *. r) +. Float.abs monic.(k)
+  done;
+  Complex.norm (eval_complex monic z) <= 8. *. epsilon_float *. !bound
+
 (* Durand-Kerner: iterate z_i <- z_i - p(z_i) / prod_{j<>i} (z_i - z_j)
    on the monic normalization of p, starting from points on a
-   non-symmetric circle. *)
+   non-symmetric circle, until every correction is below [tol] or
+   every root sits at the rounding floor of p. *)
 let roots ?(max_iterations = 500) ?(tol = 1e-12) c =
   let c = strip c in
   let degree = Array.length c - 1 in
@@ -50,9 +72,10 @@ let roots ?(max_iterations = 500) ?(tol = 1e-12) c =
         z.(i) <- Complex.sub z.(i) delta;
         worst := Float.max !worst (Complex.norm delta)
       done;
-      if !worst <= tol *. Float.max 1. radius then converged := true
+      if !worst <= tol *. Float.max 1. radius || Array.for_all (at_rounding_floor monic) z then
+        converged := true
     done;
-    if not !converged then failwith "Poly.roots: Durand-Kerner did not converge";
+    if not !converged then raise (No_convergence !iter);
     (* polish: snap near-real roots to the real axis *)
     Array.map
       (fun zi ->

@@ -536,6 +536,8 @@ module Scope = struct
     let saved = !cur_scope in
     cur_scope := label;
     Fun.protect ~finally:(fun () -> cur_scope := saved) f
+
+  let current () = !cur_scope
 end
 
 (* Typed values shared by span attributes and solver-event fields, so

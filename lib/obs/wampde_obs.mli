@@ -142,6 +142,10 @@ module Scope : sig
       scope; the previous label is restored on exit (exceptions
       propagate). *)
   val with_scope : string -> (unit -> 'a) -> 'a
+
+  (** [current ()] is the innermost scope's label, [""] outside every
+      scope.  Tracked whether telemetry is on or off. *)
+  val current : unit -> string
 end
 
 (** Typed values of span attributes and solver-event fields.  One JSON

@@ -232,8 +232,10 @@ let orbit_for t jr ~n1 =
   | None ->
     Obs.Metrics.incr c_orbit_misses;
     (* the warm-up does not depend on n1: settle once per circuit,
-       polish per n1; the span is Oscillator.find's, so the ledger
-       still counts one find per miss *)
+       polish per n1.  A polish that falls back to the long warm-up
+       runs it once per circuit too: the [settled] it is cached in
+       keeps it.  The span is Oscillator.find's, so the ledger still
+       counts one find per miss *)
     let orbit =
       Obs.Span.span
         ~attrs:[ ("n1", Obs.Span.Int n1); ("circuit", Obs.Span.Str jr.job.circuit) ]

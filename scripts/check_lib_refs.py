@@ -59,8 +59,10 @@ EXEMPT = {
     "and test_apps check analytic Jacobians against them",
     "Nonlin.Fdjac.directional": "FD Jacobian-vector product; test_structured checks the "
     "structured operator's products against it",
-    "Steady.Shooting.autonomous": "single shooting; test_steady checks Oscillator's "
-    "collocation period against it",
+    "Steady.Shooting": "single shooting; test_steady checks Oscillator's collocation "
+    "period against its autonomous solve, and its flow map at t1 = t0",
+    "Steady.Oscillator.polish_long": "the 34-period fallback polish on its own; "
+    "test_steady checks that find's orbit, from the short warm-up, agrees with it",
     "Linalg.Poly.from_roots": "polynomial from its roots; test_extras checks Poly.roots "
     "(the Floquet eigenvalue path) by rebuilding the polynomial",
     "Wampde.Quasiperiodic.eval_waveform": "univariate recovery (eq. 17); test_wampde checks "

@@ -241,9 +241,10 @@ let vco_a_quasiperiodic () : experiment =
   ]
 
 (* Unforced orbits of four circuits through [Oscillator.find]: omega
-   and the amplitude of variable 0.  Each is a Newton solve to 1e-9
-   from a fixed warm-up, so a change of the orbit solver that moves
-   more than rounding shows here. *)
+   and the amplitude of variable 0.  Each is a Newton solve to 1e-12,
+   where the orbit no longer depends on the warm-up it starts from, so
+   a change of the orbit solver that moves more than rounding shows
+   here. *)
 let orbits () : experiment =
   let vdp mu =
     Dae.of_ode ~dim:2

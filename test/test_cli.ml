@@ -144,15 +144,14 @@ let tests =
           (fun () ->
             (* the cascade's first linear solve fails, so damped Newton
                cannot take a step, and trust region's first residual is
-               made NaN.  That is linear-solve probe 8811 and NaN probe
-               12613: 8810 and 12611 in the orbit search and the
-               envelope warm-up, then damped Newton's one residual.  A
-               change to those counts moves them (the exit code then
-               reads 0). *)
+               made NaN: the first linear-solve probe and the second NaN
+               probe inside the quasiperiodic solve's scope, after
+               damped Newton's one residual.  The orbit search and the
+               envelope warm-up before it do not count *)
             let code, out =
               run_cli
-                [ "quasi"; "--n1"; "15"; "--n2"; "15"; "--fault-inject"; "linsolve@8811,nan@12613";
-                  "--flight-dump"; dump ]
+                [ "quasi"; "--n1"; "15"; "--n2"; "15"; "--fault-inject";
+                  "quasiperiodic:linsolve@1,quasiperiodic:nan@2"; "--flight-dump"; dump ]
             in
             Alcotest.(check int) ("exit code: " ^ out) 1 code;
             let typed =

@@ -56,6 +56,23 @@ let eig_tests =
         let es = Eig.eigenvalues a in
         Array.iter (fun z -> approx_tol 1e-9 "modulus" 1. (Complex.norm z)) es;
         approx_tol 1e-9 "angle" th (Float.abs (Complex.arg es.(0))));
+    Alcotest.test_case "double eigenvalues of 2x2 matrices" `Quick (fun () ->
+        (* Durand-Kerner meets a double root only linearly and to about
+           sqrt eps; a defective and a diagonal matrix *)
+        List.iter
+          (fun (name, a, lambda) ->
+            Array.iter
+              (fun z -> approx_tol 1e-6 name 0. (Complex.norm (Complex.sub z (Cx.cx lambda 0.))))
+              (Eig.eigenvalues a))
+          [
+            ("Jordan block", [| [| 1.; 1. |]; [| 0.; 1. |] |], 1.);
+            ("2 I", [| [| 2.; 0. |]; [| 0.; 2. |] |], 2.);
+            ("a defective non-triangular matrix", [| [| 0.5; 0.25 |]; [| -1.; 1.5 |] |], 1.);
+          ]);
+    Alcotest.test_case "a non-finite matrix raises Poly.No_convergence" `Quick (fun () ->
+        match Eig.eigenvalues [| [| nan; 0. |]; [| 0.; 1. |] |] with
+        | _ -> Alcotest.fail "returned eigenvalues"
+        | exception Poly.No_convergence _ -> ());
     Alcotest.test_case "spectral radius" `Quick (fun () ->
         let rho =
           Array.fold_left
@@ -85,6 +102,25 @@ let floquet_tests =
         approx_tol 1e-2 "trivial" 1. (Complex.norm trivial);
         Alcotest.(check bool) "second multiplier tiny" true
           (r.Steady.Floquet.largest_nontrivial < 0.01));
+    Alcotest.test_case "the diode VCO orbit has multipliers, not an exception" `Quick (fun () ->
+        (* its algebraic rows give trapezoidal multipliers (-1)^steps,
+           a double root near the trivial 1 at an even step count *)
+        let p = Circuit.Diode_vco.default_params ~control:(fun _ -> 3.) () in
+        let dae = Circuit.Diode_vco.build p in
+        let orbit =
+          Steady.Oscillator.find dae ~n1:31 ~period_hint:1.0
+            (Circuit.Diode_vco.initial_state p ~at:0.)
+        in
+        List.iter
+          (fun steps_per_period ->
+            let r = Steady.Floquet.analyze_orbit dae ~steps_per_period orbit in
+            let trivial = r.Steady.Floquet.multipliers.(r.Steady.Floquet.trivial_index) in
+            approx_tol 1e-2 (Printf.sprintf "%d steps: trivial" steps_per_period) 1.
+              (Complex.norm trivial);
+            Alcotest.(check bool)
+              (Printf.sprintf "%d steps: not shown stable" steps_per_period)
+              false r.Steady.Floquet.stable)
+          [ 50; 100; 400 ]);
     Alcotest.test_case "linear oscillator is not asymptotically stable" `Quick (fun () ->
         let w = two_pi in
         let lc = Dae.of_ode ~dim:2 ~rhs:(fun ~t:_ x -> [| x.(1); -.(w *. w) *. x.(0) |]) () in

@@ -40,6 +40,31 @@ let spec_tests =
             (* other kinds are untouched *)
             Alcotest.(check bool) "other kind" false (Fault.fire Fault.Linear_solve);
             Alcotest.(check int) "other injected" 0 (Fault.injected Fault.Linear_solve)));
+    Alcotest.test_case "scope:kind@N counts only the calls in that scope" `Quick (fun () ->
+        List.iter
+          (fun (spec, ok) ->
+            Alcotest.(check bool) spec ok
+              (Result.is_ok (Fault.with_armed "" (fun () -> Fault.arm spec))))
+          [
+            ("quasiperiodic:linsolve@1,quasiperiodic:nan@2", true);
+            ("envelope.newton:linsolve%0.02,nan%0.01,seed=1", true);
+            (":nan@1", false);
+            ("oscillator:bogus@1", false);
+            ("oscillator:nan@0", false);
+            ("oscillator:seed=3", false);
+          ];
+        Fault.with_armed "inner:nan@2,linsolve@2" (fun () ->
+            let fire scope kind = Obs.Scope.with_scope scope (fun () -> Fault.fire kind) in
+            let fired =
+              List.map (fun scope -> fire scope Fault.Nan_residual)
+                [ "outer"; "inner"; "outer"; "outer"; "inner"; "inner" ]
+            in
+            Alcotest.(check (list bool)) "the second call inside inner"
+              [ false; false; false; false; true; false ] fired;
+            (* an unscoped entry still counts every call *)
+            let first = fire "outer" Fault.Linear_solve in
+            let second = fire "inner" Fault.Linear_solve in
+            Alcotest.(check (list bool)) "unscoped" [ false; true ] [ first; second ]));
     Alcotest.test_case "disarmed probes are free and uncounted" `Quick (fun () ->
         Fault.disarm ();
         Alcotest.(check bool) "not armed" false (Fault.armed ());

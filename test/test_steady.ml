@@ -86,6 +86,54 @@ let oscillator_tests =
         check_circuit "VCO-B"
           (Vco.default_params ~damping:1.57 ~force0:4.0e-3 ~control:(fun _ -> 1.5) ())
           [ 15 ]);
+    Alcotest.test_case "find's orbit does not depend on the warm-up" `Quick (fun () ->
+        (* polished to 1e-12, the orbit from the 8-period warm-up is the
+           one from the 34-period warm-up the fallback runs *)
+        let check name dae ~n1 ~period_hint x0 =
+          let found = Steady.Oscillator.find dae ~n1 ~period_hint x0 in
+          let long =
+            Steady.Oscillator.polish_long dae ~n1 (Steady.Oscillator.settle dae ~period_hint x0)
+          in
+          let close what a b =
+            Alcotest.(check bool)
+              (Printf.sprintf "%s n1 = %d: %s %.17g vs %.17g" name n1 what a b)
+              true
+              (Float.abs (a -. b) <= 1e-13 *. Float.abs b)
+          in
+          close "omega" found.Steady.Oscillator.omega long.Steady.Oscillator.omega;
+          close "amplitude"
+            (Steady.Oscillator.amplitude found ~component:0)
+            (Steady.Oscillator.amplitude long ~component:0)
+        in
+        let vco p n1 = check "VCO" (Vco.build p) ~n1 ~period_hint:(1. /. 0.75) (Vco.initial_state p) in
+        let vco_a = Vco.default_params ~control:(fun _ -> 1.5) () in
+        vco vco_a 15;
+        vco vco_a 41;
+        vco (Vco.default_params ~damping:1.57 ~force0:4.0e-3 ~control:(fun _ -> 1.5) ()) 25;
+        check "van der Pol" (vdp 0.3) ~n1:31 ~period_hint:6.3 [| 2.; 0. |];
+        let diode = Diode_vco.default_params ~control:(fun _ -> 3.) () in
+        check "diode VCO" (Diode_vco.build diode) ~n1:31 ~period_hint:1.0
+          (Diode_vco.initial_state diode ~at:0.));
+    Alcotest.test_case "two domains share one settle's fallback warm-up" `Quick (fun () ->
+        (* the unstable van der Pol cycle is not shown stable, so each
+           polish runs the memoized 34-period warm-up; forcing it from
+           two domains at once must neither raise nor change the orbit.
+           The telemetry scope is one unsynchronized cell, which the
+           two domains interleave on; the outer scope puts it back *)
+        let dae = vdp (-0.05) in
+        let settled () = Steady.Oscillator.settle dae ~period_hint:6.3 [| 2.; 0. |] in
+        let polish settled n1 () = Steady.Oscillator.polish dae ~n1 settled in
+        let expected = List.map (fun n1 -> polish (settled ()) n1 ()) [ 15; 31 ] in
+        let shared = settled () in
+        let got =
+          Wampde_obs.Scope.with_scope "" (fun () ->
+              let d = Domain.spawn (polish shared 31) in
+              let first = polish shared 15 () in
+              [ first; Domain.join d ])
+        in
+        Alcotest.(check (list string)) "orbits, bitwise"
+          (List.map (fun o -> Marshal.to_string o []) expected)
+          (List.map (fun o -> Marshal.to_string o []) got));
   ]
 
 let quench_tests =

@@ -100,7 +100,7 @@ let transient_tests =
         approx_tol 1e-4 "r0" 1. r.(0);
         approx_tol 1e-4 "r2" (exp (-1.)) r.(2));
     Alcotest.test_case "a VCO-A trapezoidal step allocates at most 100 words" `Quick (fun () ->
-        (* the oscillator warm-up: 3,400 steps of 1/100 of the
+        (* the oscillator's fallback warm-up: 3,400 steps of 1/100 of the
            free-running period.  Newton, the Jacobian and its LU, the
            circuit's q, f, C and G and the step's closures live in one
            workspace per integration; the words left are Newton's
@@ -119,7 +119,7 @@ let transient_tests =
         Alcotest.(check bool) (Printf.sprintf "%.0f words per step <= 100" w) true (w <= 100.));
     Alcotest.test_case "integrate equals chained Transient.theta_step, bit for bit" `Quick
       (fun () ->
-        (* the VCO-B warm-up of Oscillator.settle: integrate starts each
+        (* the VCO-B fallback warm-up of Oscillator.polish: integrate starts each
            step from the q and f of the previous solve's last residual
            pass, theta_step evaluates them afresh, so a reused value
            that differs from a fresh pass shows here *)
