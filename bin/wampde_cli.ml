@@ -547,16 +547,14 @@ let quasi_cmd =
     Arg.(value & opt odd_int 15 & info [ "n2" ] ~docv:"N" ~doc)
   in
   let run obs n1 n2 solver =
-    (* the embedded envelope warmup integrates to t2 = 200 *)
-    with_obs ~cmd:"quasi" ~total:200. obs @@ fun () ->
+    (* the guess comes from an envelope warm-up over 3 slow periods
+       (t2 = 120), or over 5 (t2 = 200) when that start fails *)
+    let p2 = 40. in
+    with_obs ~cmd:"quasi" ~total:(Wampde.Quasiperiodic.short_horizon ~p2) obs @@ fun () ->
     let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
     let orbit = find_orbit ~n1 A in
-    let options = Wampde.Envelope.default_options ~n1 () in
-    let env = Wampde.Envelope.simulate dae ~options ~t2_end:200. ~h2:0.5 ~init:orbit in
-    let guess = Wampde.Quasiperiodic.guess_from_envelope env ~p2:40. ~n2 ~t_from:160. in
-    let sol =
-      Wampde.Quasiperiodic.solve dae ~options:{ options with solver } ~p2:40. ~n2 ~guess ()
-    in
+    let options = Wampde.Envelope.default_options ~n1 ~solver () in
+    let sol = Wampde.Quasiperiodic.from_orbit dae ~options ~p2 ~n2 ~init:orbit () in
     Printf.printf "# residual %.3e, mean frequency %.6f MHz\n"
       (Wampde.Quasiperiodic.residual_norm dae ~options sol)
       (Wampde.Quasiperiodic.mean_frequency sol);

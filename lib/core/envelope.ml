@@ -402,6 +402,39 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
     Dae.Semidisc.step_residual_into sys x scratch.sc_rt;
     (point_at x, !iters + report.Nonlin.Newton.iterations)
 
+(* The amplitude floor of [check_oscillating]: [Oscillator.polish]'s
+   rule, a t1 swing below this fraction of the start's is a quench. *)
+let quench_fraction = 1e-3
+
+(* half the peak-to-peak excursion of [component] over the t1 grid
+   [states] *)
+let swing states component =
+  let hi = ref neg_infinity and lo = ref infinity in
+  for j = 0 to Array.length states - 1 do
+    hi := Float.max !hi states.(j).(component);
+    lo := Float.min !lo states.(j).(component)
+  done;
+  (!hi -. !lo) /. 2.
+
+let amplitude options states =
+  match options.phase with
+  | Dae.Phase.Derivative c -> swing states c
+  | Dae.Phase.Fourier { component; _ } -> swing states component
+
+let check_oscillating ~fn options ~reference ~t2 ~omega states =
+  (* omega <= 0 is a time-reversed or collapsed orbit, not an
+     oscillation; NaN is left to the solver's own checks *)
+  if omega <= 0. then
+    raise
+      (Steady.Oscillator.Nonphysical
+         (Printf.sprintf "%s: omega = %g at t2 = %g, not positive" fn omega t2));
+  let a = amplitude options states in
+  if a < quench_fraction *. reference then
+    raise
+      (Steady.Oscillator.Nonphysical
+         (Printf.sprintf "%s: quenched at t2 = %g (amplitude %.3g, %.3g at the start)" fn t2 a
+            reference))
+
 let check_init options (init : Steady.Oscillator.orbit) =
   if Array.length init.Steady.Oscillator.grid <> options.n1 then
     invalid_arg "Wampde.Envelope: init grid size differs from options.n1";
@@ -529,6 +562,7 @@ let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?pree
   let size = Dae.Semidisc.size sd in
   (* the packed unknowns end in an omega slot when omega is unknown *)
   let omega_unknown = size > n1 * n in
+  let reference = if omega_unknown then amplitude options states_init else 0. in
   let cur = ref (start_point sd ~t2:!t2 !states !omega) in
   let cache = new_cache ~size in
   let scratch = make_scratch ~size in
@@ -622,13 +656,8 @@ let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?pree
         t2 := !t2 +. h;
         cur := next;
         let states' = next.states and omega' = next.omega in
-        (* a converged step with omega <= 0 is a time-reversed or
-           collapsed orbit, not an oscillation; NaN is left to the
-           solver's own checks *)
-        if omega_unknown && omega' <= 0. then
-          raise
-            (Steady.Oscillator.Nonphysical
-               (Printf.sprintf "Envelope: omega = %g at t2 = %g, not positive" omega' !t2));
+        if omega_unknown then
+          check_oscillating ~fn:"Envelope" options ~reference ~t2:!t2 ~omega:omega' states';
         Obs.Metrics.incr c_env_steps;
         (* omega(t2) right after the accept that reached t2: the stream's
            progress record and the report's history pair them *)
@@ -767,11 +796,4 @@ let waveform_samples result ~component ~per_cycle =
   let values = Vec.map (fun t -> eval_waveform result ~component t) times in
   (times, values)
 
-let amplitude_track result ~component =
-  Array.mapi
-    (fun m _ ->
-      let s = slice result ~index:m ~component in
-      let hi = Array.fold_left Float.max neg_infinity s in
-      let lo = Array.fold_left Float.min infinity s in
-      (hi -. lo) /. 2.)
-    result.slices
+let amplitude_track result ~component = Array.map (fun s -> swing s component) result.slices

@@ -64,6 +64,25 @@ val default_options :
     builds its periodic system on it. *)
 val semidisc : Dae.t -> options -> Dae.Semidisc.t
 
+(** [amplitude options states] is half the [t1] peak-to-peak of the
+    phase condition's component ([options.phase]) over the grid
+    [states]. *)
+val amplitude : options -> Vec.t array -> float
+
+(** [check_oscillating ~fn options ~reference ~t2 ~omega states] is
+    the check every accepted envelope step and every converged
+    quasiperiodic slice passes.  It raises
+    [Steady.Oscillator.Nonphysical], naming [fn] and [t2], when
+    [omega <= 0] (a time-reversed or collapsed orbit; a NaN [omega] is
+    left to the solver's own checks), or when {!amplitude} of [states]
+    is below [1e-3] of [reference], the starting orbit's or guess's:
+    the oscillation has quenched.  On a quenched grid [D Q] vanishes,
+    so the [omega] column of the Jacobian does too and [omega] is
+    undetermined; that is [Steady.Oscillator.polish]'s rule, with the
+    amplitude named too. *)
+val check_oscillating :
+  fn:string -> options -> reference:float -> t2:float -> omega:float -> Vec.t array -> unit
+
 (** Raised by {!simulate_controlled} when its [?preempt] callback asks
     the march to yield: the run stops on an accepted-step boundary at
     slow time [t2], {e after} writing a forced checkpoint (when a
@@ -95,11 +114,10 @@ type result = {
     path finish the run on dense LU.  Raises [Step_control.Underflow]
     when recovery drives the step below [1e-9 h2] or solver failures
     dominate the march (see {!Step_control.failure_retry}),
-    [Steady.Oscillator.Nonphysical], naming t2 and omega, on the first
-    accepted step with omega <= 0 (a time-reversed or collapsed orbit;
-    a NaN omega is left to the solver's own checks), and
-    [Invalid_argument] when [h2] or [t2_end] is not positive and
-    finite. *)
+    [Steady.Oscillator.Nonphysical] on the first accepted step that
+    {!check_oscillating} refuses (omega <= 0, or a quenched
+    oscillation), and [Invalid_argument] when [h2] or [t2_end] is not
+    positive and finite. *)
 val simulate :
   Dae.t -> options:options -> t2_end:float -> h2:float -> init:Steady.Oscillator.orbit -> result
 
@@ -108,8 +126,9 @@ val simulate :
     grid [states] at [t2 = 0].  When [sd]'s omega is unknown, [omega]
     is its initial value; when it is fixed (the plain MPDE, see
     [Mpde.simulate]), [omega] must be that value and is only
-    recorded.  [options.phase] and [options.differentiation] are not
-    read ([sd] carries them).  Raises as {!simulate} (the omega check
+    recorded.  [options.differentiation] is not read and
+    [options.phase] only names the component of the amplitude floor
+    ([sd] carries both).  Raises as {!simulate} ({!check_oscillating}
     only when omega is unknown), and
     [Invalid_argument] when [states] does not hold [options.n1]
     grid points. *)

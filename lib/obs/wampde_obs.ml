@@ -31,10 +31,13 @@ let now () =
   if t > !last_now then last_now := t;
   !last_now
 
-(* Innermost scoped cost-accounting label; "" means unscoped.  Lives
-   at top level (before [Metrics]) so counter updates can read it
-   without a module cycle; the public API is [Scope] below. *)
-let cur_scope = ref ""
+(* Innermost scoped cost-accounting label; "" means unscoped.  One
+   cell per domain, so scoped code on two domains never sees the
+   other's label; a spawned domain starts unscoped.  Lives at top level
+   (before [Metrics]) so counter updates can read it without a module
+   cycle; the public API is [Scope] below. *)
+let scope_key = Domain.DLS.new_key (fun () -> ref "")
+let[@inline] cur_scope () = Domain.DLS.get scope_key
 
 (* Start of the trace clock: spans and the trace's event records are
    timed from here.  Set when a span sink is installed; top level so
@@ -319,7 +322,7 @@ module Metrics = struct
 
   let bump c k =
     c.n <- c.n + k;
-    let s = !cur_scope in
+    let s = !(cur_scope ()) in
     let r = scope_cell s c.by_scope in
     if r != no_cell then r := !r + k else c.by_scope <- (s, ref k) :: c.by_scope
 
@@ -441,12 +444,12 @@ module Metrics = struct
         registry []
     in
     let enabled0 = !enabled_flag in
-    let scope0 = !cur_scope in
+    let scope0 = !(cur_scope ()) in
     reset ();
     Fun.protect
       ~finally:(fun () ->
         enabled_flag := enabled0;
-        cur_scope := scope0;
+        cur_scope () := scope0;
         reset ();
         List.iter
           (fun (name, s) ->
@@ -533,11 +536,12 @@ end
 
 module Scope = struct
   let with_scope label f =
-    let saved = !cur_scope in
-    cur_scope := label;
-    Fun.protect ~finally:(fun () -> cur_scope := saved) f
+    let cell = cur_scope () in
+    let saved = !cell in
+    cell := label;
+    Fun.protect ~finally:(fun () -> cell := saved) f
 
-  let current () = !cur_scope
+  let current () = !(cur_scope ())
 end
 
 (* Typed values shared by span attributes and solver-event fields, so
@@ -677,7 +681,7 @@ module Events = struct
 
   let emit e =
     if active () then begin
-      let r = { t_s = now (); scope = !cur_scope; event = e } in
+      let r = { t_s = now (); scope = !(cur_scope ()); event = e } in
       if !keeping then keep r;
       List.iter (fun (_, f) -> f r) !subscribers
     end
@@ -891,7 +895,7 @@ module Health = struct
     end
 
   let note_decision ?(t = nan) ~outcome () =
-    if !enabled_flag && Events.macro_scope !cur_scope then begin
+    if !enabled_flag && Events.macro_scope !(cur_scope ()) then begin
       let th = !cur in
       if Array.length !window <> th.rejection_window then begin
         window := Array.make th.rejection_window false;

@@ -140,7 +140,9 @@ end
 module Scope : sig
   (** [with_scope label f] runs [f] with [label] as the innermost
       scope; the previous label is restored on exit (exceptions
-      propagate). *)
+      propagate).  The label is the calling domain's own: scoped code
+      on another domain neither sees nor changes it, and a spawned
+      domain starts outside every scope. *)
   val with_scope : string -> (unit -> 'a) -> 'a
 
   (** [current ()] is the innermost scope's label, [""] outside every

@@ -407,14 +407,12 @@ let exec_envelope t jr (p : Protocol.envelope_params) =
 let exec_quasi t jr (p : Protocol.quasi_params) =
   let dae = jr.entry.dae () in
   let orbit = orbit_for t jr ~n1:p.n1 in
-  let options = Wampde.Envelope.default_options ~n1:p.n1 ~precond_cache:jr.job.circuit () in
-  let env = Wampde.Envelope.simulate dae ~options ~t2_end:p.t_warm ~h2:p.h2_warm ~init:orbit in
-  let guess =
-    Wampde.Quasiperiodic.guess_from_envelope env ~p2:p.p2 ~n2:p.n2 ~t_from:(p.t_warm -. p.p2)
+  let options =
+    Wampde.Envelope.default_options ~n1:p.n1 ~solver:p.solver ~precond_cache:jr.job.circuit ()
   in
   let sol =
-    Wampde.Quasiperiodic.solve dae ~options:{ options with solver = p.solver } ~p2:p.p2 ~n2:p.n2
-      ~guess ()
+    Wampde.Quasiperiodic.from_orbit dae ~options ~p2:p.p2 ~n2:p.n2 ~t_warm:p.t_warm
+      ~h2_warm:p.h2_warm ~init:orbit ()
   in
   Complete { t2_end = p.p2; omega_end = Wampde.Quasiperiodic.mean_frequency sol }
 
@@ -422,7 +420,7 @@ let run_quantum t jr =
   let total =
     match jr.job.analysis with
     | Protocol.Envelope p -> p.t_end
-    | Protocol.Quasiperiodic p -> p.t_warm
+    | Protocol.Quasiperiodic p -> Wampde.Quasiperiodic.short_horizon ~p2:p.p2
   in
   ignore (stream_for t jr ~total);
   (* fresh timeline per quantum: a dump for this job must not carry a

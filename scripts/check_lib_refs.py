@@ -66,7 +66,11 @@ EXEMPT = {
     "Linalg.Poly.from_roots": "polynomial from its roots; test_extras checks Poly.roots "
     "(the Floquet eigenvalue path) by rebuilding the polynomial",
     "Wampde.Quasiperiodic.eval_waveform": "univariate recovery (eq. 17); test_wampde checks "
-    "Quasiperiodic.solve's amplitude and cycle count against the settled envelope with it",
+    "Quasiperiodic.from_orbit's amplitude and cycle count against the settled envelope with it",
+    "Wampde.Quasiperiodic.solve": "the periodic solve from a given guess, which programs reach "
+    "through from_orbit; Testkit.quasi_long_start builds from_orbit's fallback oracle on it, and "
+    "test_steady, test_failures and test_wampde seed it with guesses no warm-up gives (a "
+    "time-reversed orbit, a quenched system, NaN and malformed slices, a perturbed orbit)",
     # test isolation and inspection hooks
     "Wampde_obs.Metrics.with_isolated": "test_obs, test_health, test_serve and the other "
     "metrics-reading suites keep the process-global registry from leaking across cases",

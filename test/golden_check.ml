@@ -213,8 +213,8 @@ let mpde_am_spectrum () : experiment =
   done;
   [ ("harmonic_mags", { rtol = 1e-6; atol = 1e-10; values = Array.of_list (List.rev !mags) }) ]
 
-(* VCO-A quasiperiodic steady state through [Quasiperiodic.solve] at
-   n1 = 15, n2 = 7: 427 unknowns, so [Structured.auto] takes the
+(* VCO-A quasiperiodic steady state through [Quasiperiodic.from_orbit]
+   at n1 = 15, n2 = 7: 427 unknowns, so [Structured.auto] takes the
    matrix-free path.  Each GMRES direction is solved to the forcing
    term 1e-10; rtol is 100x that (dense and Krylov answers agree to
    ~1e-14 here). *)
@@ -227,9 +227,7 @@ let vco_a_quasiperiodic () : experiment =
   in
   let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
   let options = Wampde.Envelope.default_options ~n1 () in
-  let env = Wampde.Envelope.simulate dae ~options ~t2_end:200. ~h2:0.5 ~init:orbit in
-  let guess = Wampde.Quasiperiodic.guess_from_envelope env ~p2:40. ~n2 ~t_from:160. in
-  let sol = Wampde.Quasiperiodic.solve dae ~options ~p2:40. ~n2 ~guess () in
+  let sol = Wampde.Quasiperiodic.from_orbit dae ~options ~p2:40. ~n2 ~init:orbit () in
   (* peak |voltage| over the t1 grid of each slice *)
   let peak slice =
     Array.fold_left (fun acc x -> Float.max acc (Float.abs x.(Circuit.Vco.idx_voltage))) 0. slice

@@ -170,6 +170,44 @@ let tests =
            let dw = Gc.minor_words () -. w0 in
            Alcotest.(check (float 0.)) "minor words allocated" 0. dw;
            Alcotest.(check int) "count" 1_001 (Obs.Metrics.count c)));
+    Alcotest.test_case "a scope entered on a spawned domain never changes the caller's" `Quick
+      (fun () ->
+        (* lockstep: the spawned domain enters its scope, the caller
+           enters an inner one, the spawned domain leaves its scope,
+           then the caller leaves.  With one shared label the caller
+           would read "spawned" at its first look, and its exit would
+           restore that stale label *)
+        let entered = Atomic.make false and go = Atomic.make false in
+        let left = Atomic.make false in
+        let wait flag = while not (Atomic.get flag) do Domain.cpu_relax () done in
+        Obs.Scope.with_scope "caller" @@ fun () ->
+        let d =
+          Domain.spawn (fun () ->
+              let fresh = Obs.Scope.current () in
+              let inside =
+                Obs.Scope.with_scope "spawned" (fun () ->
+                    Atomic.set entered true;
+                    wait go;
+                    Obs.Scope.current ())
+              in
+              Atomic.set left true;
+              (fresh, inside))
+        in
+        wait entered;
+        let first = Obs.Scope.current () in
+        let inner =
+          Obs.Scope.with_scope "inner" (fun () ->
+              Atomic.set go true;
+              wait left;
+              Obs.Scope.current ())
+        in
+        let fresh, inside = Domain.join d in
+        Alcotest.(check string) "caller, while the spawned scope is open" "caller" first;
+        Alcotest.(check string) "caller's inner scope" "inner" inner;
+        Alcotest.(check string) "caller, after both scopes closed" "caller"
+          (Obs.Scope.current ());
+        Alcotest.(check string) "a spawned domain starts unscoped" "" fresh;
+        Alcotest.(check string) "the spawned domain's own scope" "spawned" inside);
     Alcotest.test_case "theta step raises a typed Step_failure" `Quick
       (with_clean (fun () ->
            (* x = c (1 + x^2) with huge c has no real solution, so the

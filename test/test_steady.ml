@@ -117,19 +117,16 @@ let oscillator_tests =
     Alcotest.test_case "two domains share one settle's fallback warm-up" `Quick (fun () ->
         (* the unstable van der Pol cycle is not shown stable, so each
            polish runs the memoized 34-period warm-up; forcing it from
-           two domains at once must neither raise nor change the orbit.
-           The telemetry scope is one unsynchronized cell, which the
-           two domains interleave on; the outer scope puts it back *)
+           two domains at once must neither raise nor change the orbit *)
         let dae = vdp (-0.05) in
         let settled () = Steady.Oscillator.settle dae ~period_hint:6.3 [| 2.; 0. |] in
         let polish settled n1 () = Steady.Oscillator.polish dae ~n1 settled in
         let expected = List.map (fun n1 -> polish (settled ()) n1 ()) [ 15; 31 ] in
         let shared = settled () in
         let got =
-          Wampde_obs.Scope.with_scope "" (fun () ->
-              let d = Domain.spawn (polish shared 31) in
-              let first = polish shared 15 () in
-              [ first; Domain.join d ])
+          let d = Domain.spawn (polish shared 31) in
+          let first = polish shared 15 () in
+          [ first; Domain.join d ]
         in
         Alcotest.(check (list string)) "orbits, bitwise"
           (List.map (fun o -> Marshal.to_string o []) expected)
@@ -211,6 +208,96 @@ let quench_tests =
             ignore (Wampde.Quasiperiodic.solve dae ~options ~p2:10. ~n2:3 ~guess ())));
   ]
 
+(* The Hopf normal form (Stuart-Landau) oscillator with a growth rate
+   mu(t2): a cycle of radius sqrt mu at frequency 1 / (2 pi) while
+   mu > 0, and a swing that decays like exp (mu t2) once mu < 0, at the
+   same frequency.  A van der Pol oscillator is no quench model: at
+   mu < 0 its cycle is unstable, so the march leaves it, and omega
+   turns negative (the omega check's error) before the swing shrinks. *)
+let hopf mu =
+  Dae.of_ode ~dim:2
+    ~rhs:(fun ~t x ->
+      let r2 = (x.(0) *. x.(0)) +. (x.(1) *. x.(1)) in
+      [| (mu t *. x.(0)) -. x.(1) -. (x.(0) *. r2); x.(0) +. (mu t *. x.(1)) -. (x.(1) *. r2) |])
+    ()
+
+(* its cycle at mu = 0.25 on 15 points, radius 0.5 *)
+let hopf_orbit () =
+  Steady.Oscillator.find (hopf (fun _ -> 0.25)) ~n1:15 ~period_hint:6.3 [| 0.5; 0. |]
+
+let fallbacks () =
+  Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter "quasiperiodic.fallbacks")
+
+let quench_floor_tests =
+  [
+    Alcotest.test_case "an oscillation that dies in t2 ends in a typed quench" `Quick (fun () ->
+        (* mu(t2) = 0.25 - 0.05 t2 turns negative at t2 = 5: the swing of
+           0.5 falls below 1e-3 of itself near t2 = 21 while omega stays
+           1 / (2 pi).  Without the floor the controlled march returns
+           at t2 = 60 with a swing of 4e-11, and the fixed one runs on
+           until omega turns negative past t2 = 40.  Periodic mu(t2) =
+           -0.3 + 0.55 cos (2 pi t2 / 40) has only the quenched steady
+           state; from the orbit repeated on every slice Newton
+           converges onto it *)
+        let n1 = 15 and orbit = hopf_orbit () in
+        let ramp = hopf (fun t -> 0.25 -. (0.05 *. t)) in
+        let periodic = hopf (fun t -> -0.3 +. (0.55 *. cos (2. *. Float.pi *. t /. 40.))) in
+        let quenched what f =
+          match f () with
+          | () -> Alcotest.failf "%s returned normally" what
+          | exception Steady.Oscillator.Nonphysical msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %S names t2 and the amplitude" what msg)
+              true
+              (Str.string_match (Str.regexp ".*quenched at t2 = .*(amplitude ") msg 0)
+        in
+        List.iter
+          (fun (path, solver) ->
+            let options = Wampde.Envelope.default_options ~n1 ~solver () in
+            let named what = Printf.sprintf "%s, %s" what path in
+            quenched (named "simulate") (fun () ->
+                ignore (Wampde.Envelope.simulate ramp ~options ~t2_end:60. ~h2:0.5 ~init:orbit));
+            quenched (named "simulate_controlled") (fun () ->
+                ignore
+                  (Wampde.Envelope.simulate_controlled ramp ~options
+                     ~control:(Step_control.default_options ~rtol:1e-4 ())
+                     ~t2_end:60. ~init:orbit ()));
+            let n2 = 7 in
+            let guess =
+              {
+                Wampde.Quasiperiodic.p2 = 40.;
+                t2 = Array.init n2 (fun m -> 40. *. float_of_int m /. float_of_int n2);
+                omega = Array.make n2 orbit.Steady.Oscillator.omega;
+                slices = Array.make n2 orbit.Steady.Oscillator.grid;
+              }
+            in
+            quenched (named "Quasiperiodic.solve") (fun () ->
+                ignore (Wampde.Quasiperiodic.solve periodic ~options ~p2:40. ~n2 ~guess ()));
+            (* the short start quenches and falls back; the long start
+               quenches too and raises *)
+            Wampde_obs.Metrics.with_isolated (fun () ->
+                Wampde_obs.set_enabled true;
+                quenched (named "from_orbit") (fun () ->
+                    ignore
+                      (Wampde.Quasiperiodic.from_orbit periodic ~options ~p2:40. ~n2 ~init:orbit
+                         ()));
+                Alcotest.(check int) (named "from_orbit fell back") 1 (fallbacks ())))
+          [ ("dense", Structured.Dense); ("krylov", Structured.Krylov) ]);
+    Alcotest.test_case "a swing that dips and recovers is not a quench" `Quick (fun () ->
+        (* mu(t2) = 0.05 + 0.2 cos (2 pi t2 / 40) dips to -0.15: the
+           swing shrinks to a fifth and grows back, and from_orbit's
+           short start keeps it *)
+        let orbit = hopf_orbit () in
+        let dips = hopf (fun t -> 0.05 +. (0.2 *. cos (2. *. Float.pi *. t /. 40.))) in
+        let options = Wampde.Envelope.default_options ~n1:15 () in
+        Wampde_obs.Metrics.with_isolated (fun () ->
+            Wampde_obs.set_enabled true;
+            let sol = Wampde.Quasiperiodic.from_orbit dips ~options ~p2:40. ~n2:7 ~init:orbit () in
+            Alcotest.(check int) "no fallback" 0 (fallbacks ());
+            approx_tol 1e-9 "omega is 1 / (2 pi)" (1. /. (2. *. Float.pi))
+              (Wampde.Quasiperiodic.mean_frequency sol)));
+  ]
+
 let shooting_tests =
   [
     Alcotest.test_case "autonomous shooting: harmonic-like vdp small mu" `Quick (fun () ->
@@ -230,5 +317,6 @@ let suites =
   [
     ("steady.oscillator", oscillator_tests);
     ("steady.quench", quench_tests);
+    ("steady.quench_floor", quench_floor_tests);
     ("steady.shooting", shooting_tests);
   ]
