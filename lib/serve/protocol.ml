@@ -124,13 +124,17 @@ let parse_quasi j =
   let* p2 = num_field "p2" j in
   let* p2 = positive "p2" (Option.value p2 ~default:40.) in
   let* t_warm = num_field "t_warm" j in
-  let* t_warm = positive "t_warm" (Option.value t_warm ~default:(5. *. p2)) in
+  let* t_warm =
+    positive "t_warm" (Option.value t_warm ~default:(Wampde.Quasiperiodic.long_horizon ~p2))
+  in
   let* t_warm =
     if t_warm > p2 then Ok t_warm
     else err "bad-value" "field \"t_warm\" (%g) must exceed \"p2\" (%g)" t_warm p2
   in
   let* h2_warm = num_field "h2_warm" j in
-  let* h2_warm = positive "h2_warm" (Option.value h2_warm ~default:0.5) in
+  let* h2_warm =
+    positive "h2_warm" (Option.value h2_warm ~default:Wampde.Quasiperiodic.long_h2)
+  in
   let* solver = Result.bind (str_field "solver" j) parse_strategy in
   Ok (Quasiperiodic { n1; n2; p2; t_warm; h2_warm; solver })
 

@@ -509,6 +509,36 @@ let cache_tests =
         let counters = Obs.Metrics.counters () in
         let count name = Option.value ~default:0 (List.assoc_opt name counters) in
         Alcotest.(check bool) "default solve used GMRES" true (count "gmres.solves" > 0));
+    Alcotest.test_case "a quasi job over three control periods falls back and agrees" `Slow
+      (fun () ->
+        (* p2 = 120, n2 = 21: the short start's step (120/21) is too
+           coarse, so the job runs the t_warm/h2_warm warm-up (600 at
+           0.5), and its mean frequency is the one-period job's *)
+        Obs.Metrics.with_isolated @@ fun () ->
+        let code, out =
+          run_server
+            [
+              "{\"type\":\"job\",\"id\":\"q40\",\"circuit\":\"vco-a\",\"analysis\":\"quasiperiodic\",\"n1\":15,\"n2\":7}";
+              "{\"type\":\"job\",\"id\":\"q120\",\"circuit\":\"vco-a\",\"analysis\":\"quasiperiodic\",\"n1\":15,\"n2\":21,\"p2\":120}";
+              "{\"type\":\"shutdown\",\"drain\":true}";
+            ]
+        in
+        Alcotest.(check int) "exit code" 0 code;
+        let records = records_of out in
+        let omega id =
+          match terminals_for id records with
+          | [ r ] when typ r = "result" -> (
+            match num "omega_end" r with Some w -> w | None -> Alcotest.failf "%s: no omega_end" id)
+          | l -> Alcotest.failf "%s: %d terminals" id (List.length l)
+        in
+        let w40 = omega "q40" and w120 = omega "q120" in
+        Alcotest.(check bool)
+          (Printf.sprintf "omega_end %.17g vs one period %.17g" w120 w40)
+          true
+          (Float.abs (w120 -. w40) <= 1e-10 *. w40);
+        let counters = Obs.Metrics.counters () in
+        Alcotest.(check (option int)) "one fallback" (Some 1)
+          (List.assoc_opt "quasiperiodic.fallbacks" counters));
   ]
 
 (* ---------- fault storms ---------- *)
