@@ -1,10 +1,10 @@
 (* Benchmark harness: regenerates the data behind every figure of the
    paper (there are no numbered tables; Figs. 1-12 plus the headline
-   speedup claim are the evaluation), and times the computational
-   kernels with Bechamel.
+   speedup claim are the evaluation).  Per-kernel timings live in
+   bench/micro.ml.
 
    Usage:
-     dune exec bench/main.exe                 -- all experiments + timings
+     dune exec bench/main.exe                 -- all experiments
      dune exec bench/main.exe -- --only fig7  -- one experiment
      dune exec bench/main.exe -- --csv        -- emit full series as CSV
      dune exec bench/main.exe -- --list       -- list experiment ids
@@ -236,11 +236,12 @@ let fig9 () =
     Transient.integrate dae ~method_:Transient.Trapezoidal ~t0:0. ~t1:60. ~h:(1.333 /. 1000.)
       x0
   in
+  let w = Wampde.Envelope.warping res in
   let worst = ref 0. in
   let amp = ref 0. in
   for k = 0 to 3000 do
     let t = 60. *. float_of_int k /. 3000. in
-    let vw = Wampde.Envelope.eval_waveform res ~component:Circuit.Vco.idx_voltage t in
+    let vw = Sigproc.Warp.eval w ~component:Circuit.Vco.idx_voltage t in
     let vt = Transient.interpolate traj Circuit.Vco.idx_voltage t in
     if !csv then Printf.printf "fig9,%g,%g,%g\n" t vw vt;
     worst := Float.max !worst (Float.abs (vw -. vt));
@@ -273,11 +274,8 @@ let fig11 () =
 let fig12 () =
   let res = Lazy.force envelope_b in
   let times = Array.init 20_001 (fun i -> b_window *. float_of_int i /. 20_000.) in
-  let v_wampde =
-    Array.map
-      (fun t -> Wampde.Envelope.eval_waveform res ~component:Circuit.Vco.idx_voltage t)
-      times
-  in
+  let w = Wampde.Envelope.warping res in
+  let v_wampde = Array.map (Sigproc.Warp.eval w ~component:Circuit.Vco.idx_voltage) times in
   Printf.printf "fig12 | VCO-B phase error of transient vs WaMPDE over %.0f us:\n" b_window;
   List.iter
     (fun pts ->
@@ -347,7 +345,8 @@ let mpdefm () =
   let full =
     Dae.of_ode ~dim:1 ~rhs:(fun ~t x -> [| -.x.(0) +. (a t *. sin (two_pi *. t /. p1)) |]) ()
   in
-  let x0 = [| Mpde.eval_bivariate res ~component:0 ~t1:0. ~t2:0. |] in
+  let w = Mpde.warping res in
+  let x0 = [| Sigproc.Warp.xhat w ~component:0 ~t1:0. 0. |] in
   let traj =
     Transient.integrate full ~method_:Transient.Trapezoidal ~t0:0. ~t1:5. ~h:(p1 /. 100.) x0
   in
@@ -356,7 +355,7 @@ let mpdefm () =
     let t = 5. *. float_of_int k /. 500. in
     worst :=
       Float.max !worst
-        (Float.abs (Mpde.eval_waveform res ~component:0 t -. Transient.interpolate traj 0 t))
+        (Float.abs (Sigproc.Warp.eval w ~component:0 t -. Transient.interpolate traj 0 t))
   done;
   Printf.printf "mpdefm | MPDE on AM two-rate problem: max error vs transient %.4f (works)\n"
     !worst;
@@ -575,56 +574,6 @@ let ablation_solver () =
     [ 7; 11; 15; 21 ];
   Printf.printf
     "ablation-solver | (iterative linear algebra scales as the paper's [Saa96] reference)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel kernel timings                                             *)
-(* ------------------------------------------------------------------ *)
-
-let kernel_timings () =
-  let open Bechamel in
-  let open Toolkit in
-  Printf.printf "\n== kernel timings (Bechamel, ns/run) ==\n%!";
-  let dae_a = Circuit.Vco.build (Lazy.force vco_a) in
-  let orbit = Lazy.force orbit_a in
-  let opts = Lazy.force options in
-  let x_state = [| 1.5; -0.3; 0.9; 0.05 |] in
-  let f_buf = Array.make dae_a.Dae.dim 0. and g_buf = Linalg.Mat.zeros dae_a.Dae.dim dae_a.Dae.dim in
-  let lu_mat =
-    Linalg.Mat.init 101 101 (fun i j ->
-        (if i = j then 10. else 0.) +. sin (float_of_int ((i * 7) + j)))
-  in
-  let sig1024 =
-    Linalg.Cx.Cvec.init 1024 (fun i -> Linalg.Cx.cx (sin (0.1 *. float_of_int i)) 0.)
-  in
-  let tests =
-    [
-      Test.make ~name:"vco_f_eval"
-        (Staged.stage (fun () -> dae_a.Dae.eval_into ~t:1. x_state ~q:[||] ~f:f_buf ~c:[||] ~g:[||]));
-      Test.make ~name:"vco_jacobian"
-        (Staged.stage (fun () -> dae_a.Dae.eval_into ~t:1. x_state ~q:[||] ~f:[||] ~c:[||] ~g:g_buf));
-      Test.make ~name:"lu_factor_101" (Staged.stage (fun () -> Linalg.Lu.factor lu_mat));
-      Test.make ~name:"fft_1024" (Staged.stage (fun () -> Fourier.Fft.fft sig1024));
-      Test.make ~name:"transient_step"
-        (Staged.stage (fun () ->
-             Transient.theta_step dae_a ~theta:0.5 ~t:0. ~h:1.333e-3 x_state));
-      Test.make ~name:"wampde_slow_step"
-        (Staged.stage (fun () ->
-             Wampde.Envelope.simulate dae_a ~options:opts ~t2_end:0.4 ~h2:0.4 ~init:orbit));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) () in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg Instance.[ monotonic_clock ] test in
-      let results = Analyze.all ols Instance.monotonic_clock raw in
-      Hashtbl.iter
-        (fun name est ->
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> Printf.printf "  %-18s %12.0f ns/run\n%!" name t
-          | _ -> Printf.printf "  %-18s (no estimate)\n%!" name)
-        results)
-    tests
 
 let robust () =
   (* solver-hardening sweep: a sinh-limited one-pole system under deep
@@ -860,5 +809,4 @@ let () =
         wall (alloc_words /. 1e6);
       print_newline ())
     selected;
-  Obs.set_enabled false;
-  if !only = None && not !csv then kernel_timings ()
+  Obs.set_enabled false

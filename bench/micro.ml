@@ -8,10 +8,14 @@
    VCO-A netlist into caller buffers, filling [q] and [f] (a value
    pass, which skips every device's derivative arithmetic) and filling
    [C] and [G] (a Jacobian pass); a fixed-step transient step makes
-   three of the first and two of the second.  Last, the whole
+   three of the first and two of the second.  Then the whole
    fixed-step transient: one 3,400-step trapezoidal VCO-B warm-up, the
    34-period fallback [Oscillator.polish] runs for an orbit its short
-   warm-up does not show stable, also printed per step.
+   warm-up does not show stable, also printed per step.  Last, the
+   WaMPDE itself: one slow step of the VCO-A envelope at n1 = 25 (the
+   first step's chord Jacobian included), one point of the eq. (17)
+   recovery [Sigproc.Warp.eval] on a 60 us VCO-A envelope run, and a
+   1024-point complex FFT.
 
    LU is timed at the sizes the dense callers factor: 4 (the
    transient's Newton Jacobian for a four-state VCO, thousands of
@@ -153,6 +157,32 @@ let tests =
               Transient.integrate dae ~method_:Transient.Trapezoidal ~t0:0.
                 ~t1:(period *. 34.) ~h:(period /. 100.) x0)));
     ]
+  @
+  let p = Circuit.Vco.vco_a () in
+  let frozen =
+    Circuit.Vco.default_params ~damping:0.0785 ~force0:4.3e-3 ~control:(fun _ -> 1.5) ()
+  in
+  let orbit =
+    Steady.Oscillator.find (Circuit.Vco.build frozen) ~n1:25 ~period_hint:(1. /. 0.75)
+      (Circuit.Vco.initial_state frozen)
+  in
+  let dae = Circuit.Vco.build p and options = Wampde.Envelope.default_options ~n1:25 () in
+  let warp =
+    Wampde.Envelope.warping (Wampde.Envelope.simulate dae ~options ~t2_end:60. ~h2:0.4 ~init:orbit)
+  in
+  let t = ref 0. in
+  let sig1024 = Cx.Cvec.init 1024 (fun i -> Cx.cx (sin (0.1 *. float_of_int i)) 0.) in
+  [
+    Test.make ~name:"wampde_slow_step"
+      (Staged.stage (fun () ->
+           Wampde.Envelope.simulate dae ~options ~t2_end:0.4 ~h2:0.4 ~init:orbit));
+    (* a new point each run, walking the 60 us window *)
+    Test.make ~name:"recovery_point_vco_a"
+      (Staged.stage (fun () ->
+           t := Float.rem (!t +. 0.0137) 60.;
+           Sigproc.Warp.eval warp ~component:Circuit.Vco.idx_voltage !t));
+    Test.make ~name:"fft_1024" (Staged.stage (fun () -> Fourier.Fft.fft sig1024));
+  ]
 
 let () =
   let open Bechamel in

@@ -55,7 +55,7 @@ let () =
   let reference_times = Array.init 20_001 (fun i -> t_end *. float_of_int i /. 20_000.) in
   let v_wampde =
     Array.map
-      (fun t -> Wampde.Envelope.eval_waveform result ~component:Circuit.Vco.idx_voltage t)
+      (Sigproc.Warp.eval (Wampde.Envelope.warping result) ~component:Circuit.Vco.idx_voltage)
       reference_times
   in
   let phase_error_for pts_per_cycle =

@@ -44,13 +44,12 @@ let () =
         Printf.printf "  %7.2f   %9.4f     %9.4f\n" t2 result.Wampde.Envelope.omega.(i) amp.(i))
     result.Wampde.Envelope.t2;
 
-  (* 4. recover the 1-D waveform at a few times *)
+  (* 4. recover the 1-D waveform at a few times, from one recovery value *)
+  let w = Wampde.Envelope.warping result in
   Printf.printf "\n  t (us)    v(t) recovered from the bivariate form\n";
   List.iter
     (fun t ->
       Printf.printf "  %6.2f    %+.4f V\n" t
-        (Wampde.Envelope.eval_waveform result ~component:Circuit.Vco.idx_voltage t))
+        (Sigproc.Warp.eval w ~component:Circuit.Vco.idx_voltage t))
     [ 0.; 5.; 10.; 20.; 39.9 ];
-  let w = Wampde.Envelope.warping result in
-  Printf.printf "\ntotal oscillation cycles in 40 us: %.2f (phi(40))\n"
-    (Sigproc.Warp.total_cycles w)
+  Printf.printf "\ntotal oscillation cycles in 40 us: %.2f (phi(40))\n" (Sigproc.Warp.phi w 40.)

@@ -69,11 +69,12 @@ let () =
     Transient.integrate vco ~method_:Transient.Trapezoidal ~t0:0. ~t1:60. ~h:(1.333 /. 1000.)
       x0
   in
+  let w = Wampde.Envelope.warping result in
   let worst = ref 0. in
   let probe = if csv then 6000 else 600 in
   for k = 0 to probe do
     let t = 60. *. float_of_int k /. float_of_int probe in
-    let vw = Wampde.Envelope.eval_waveform result ~component:Circuit.Vco.idx_voltage t in
+    let vw = Sigproc.Warp.eval w ~component:Circuit.Vco.idx_voltage t in
     let vt = Transient.interpolate traj Circuit.Vco.idx_voltage t in
     if csv then Printf.printf "%g,%g,%g\n" t vw vt;
     worst := Float.max !worst (Float.abs (vw -. vt))

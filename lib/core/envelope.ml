@@ -744,56 +744,20 @@ let simulate_controlled dae ~options ~control ?h2_init ?checkpoint ?resume ?on_a
 
 (* ---------- post-processing ---------- *)
 
-let warping result = Sigproc.Warp.of_samples ~times:result.t2 ~omega:result.omega
+let warping result =
+  Sigproc.Warp.make ~t2:result.t2 ~omega:result.omega ~slices:result.slices ()
 
 let slice result ~index ~component =
   Array.map (fun state -> state.(component)) result.slices.(index)
 
-let eval_slices ~t2s ~slices ?p2 ~period ~component ~t1 t2 =
-  let m = Array.length t2s in
-  (* knots: the slice times, closed by slice 0 again at t2 = p2 when
-     periodic *)
-  let knots, time, t2 =
-    match p2 with
-    | None -> (m, (fun i -> t2s.(i)), t2)
-    | Some p2 ->
-      let r = Float.rem t2 p2 in
-      (m + 1, (fun i -> if i = m then p2 else t2s.(i)), if r < 0. then r +. p2 else r)
-  in
-  (* locate the t2 interval *)
-  let idx =
-    if t2 <= time 0 then 0
-    else if t2 >= time (knots - 1) then knots - 2
-    else begin
-      let lo = ref 0 and hi = ref (knots - 1) in
-      while !hi - !lo > 1 do
-        let mid = (!lo + !hi) / 2 in
-        if time mid <= t2 then lo := mid else hi := mid
-      done;
-      !lo
-    end
-  in
-  let value i =
-    Fourier.Series.interp (Array.map (fun s -> s.(component)) slices.(i mod m)) ~period t1
-  in
-  let ta = time idx and tb = time (idx + 1) in
-  let wa = value idx and wb = value (idx + 1) in
-  let frac = if tb = ta then 0. else Float.max 0. (Float.min 1. ((t2 -. ta) /. (tb -. ta))) in
-  wa +. (frac *. (wb -. wa))
-
-let eval_waveform result ~component t =
-  let w = warping result in
-  let tau = Sigproc.Warp.phi w t in
-  eval_slices ~t2s:result.t2 ~slices:result.slices ~period:1. ~component ~t1:(Float.rem tau 1.) t
+let eval_waveform result ~component t = Sigproc.Warp.eval (warping result) ~component t
 
 let waveform_samples result ~component ~per_cycle =
   let w = warping result in
-  let cycles = Sigproc.Warp.total_cycles w in
-  let m = Array.length result.t2 in
-  let t_end = result.t2.(m - 1) in
+  let t_end = result.t2.(Array.length result.t2 - 1) in
+  let cycles = Sigproc.Warp.phi w t_end in
   let total = Int.max 2 (int_of_float (Float.ceil (cycles *. float_of_int per_cycle))) in
   let times = Vec.linspace 0. t_end total in
-  let values = Vec.map (fun t -> eval_waveform result ~component t) times in
-  (times, values)
+  (times, Vec.map (Sigproc.Warp.eval w ~component) times)
 
 let amplitude_track result ~component = Array.map (fun s -> swing s component) result.slices

@@ -186,31 +186,17 @@ val simulate_controlled :
 
 (** {1 Post-processing (eq. (17))} *)
 
-(** [warping result] is [phi(t) = integral omega], the bent-path map. *)
+(** [warping result] is the run's {!Sigproc.Warp.t}: build it once and
+    read {!Sigproc.Warp.eval} per point. *)
 val warping : result -> Sigproc.Warp.t
 
-(** [eval_waveform result ~component t] is the recovered 1-D solution
-    [x(t) = xhat(phi(t) mod 1, t)]. *)
+(** [eval_waveform result ~component t] is [x(t) = xhat(phi(t) mod 1, t)]
+    from a fresh {!warping}: O(steps) to build plus two slice
+    transforms, so many points should share one {!warping}. *)
 val eval_waveform : result -> component:int -> float -> float
 
-(** [eval_slices ~t2s ~slices ?p2 ~period ~component ~t1 t2]
-    interpolates a bivariate grid, [slices.(m)] at [t2s.(m)]:
-    trigonometric in [t1] over [period], linear in [t2].  With [p2]
-    the grid is periodic in [t2] ([t2] wraps, the last slice
-    interpolates back to slice 0); without, [t2] clamps to [t2s]. *)
-val eval_slices :
-  t2s:Vec.t ->
-  slices:Vec.t array array ->
-  ?p2:float ->
-  period:float ->
-  component:int ->
-  t1:float ->
-  float ->
-  float
-
-(** [waveform_samples result ~component ~per_cycle] samples
-    {!eval_waveform} densely enough for [per_cycle] points per
-    oscillation cycle, returning [(times, values)]. *)
+(** [waveform_samples result ~component ~per_cycle] samples one
+    {!warping} at [per_cycle] points per cycle: [(times, values)]. *)
 val waveform_samples : result -> component:int -> per_cycle:int -> Vec.t * Vec.t
 
 (** [amplitude_track result ~component] is, per accepted [t2] point,

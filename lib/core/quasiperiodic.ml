@@ -133,13 +133,3 @@ let residual_norm dae ~(options : Envelope.options) sol =
   !worst
 
 let mean_frequency sol = Vec.mean sol.omega
-
-let eval_waveform sol ~component ~t_max t =
-  (* build a warping over [0, t_max] from the periodic omega *)
-  let n_samples = Int.max 64 (int_of_float (Float.ceil (t_max /. sol.p2 *. 64.))) in
-  let times = Vec.linspace 0. t_max n_samples in
-  (* trig interpolation of the periodic omega samples *)
-  let omega_interp tt = Fourier.Series.interp sol.omega ~period:sol.p2 tt in
-  let w = Sigproc.Warp.of_samples ~times ~omega:(Vec.map omega_interp times) in
-  let tau1 = Float.rem (Sigproc.Warp.phi w t) 1. in
-  Envelope.eval_slices ~t2s:sol.t2 ~slices:sol.slices ~p2:sol.p2 ~period:1. ~component ~t1:tau1 t

@@ -13,7 +13,8 @@
     the envelope's [t1] discretization.  The linear systems are solved
     densely (LU) or matrix-free with GMRES and a per-slice bordered
     DFT-block preconditioner — the paper's pointer to iterative methods
-    [Saa96] for large systems. *)
+    [Saa96] for large systems.  A solution's waveform (eq. (17)) is
+    {!Sigproc.Warp.make} of its fields, with [~p2]. *)
 
 open Linalg
 
@@ -95,6 +96,10 @@ val solve :
     is 40/7, too coarse for VCO-A's envelope, which reports omega < 0
     at [t2 = 57.1], so the long start answers.
 
+    Some slice counts fail from both starts, ending in the long start's
+    {!Solve_failure}: on VCO-A (EXPERIMENTS.md) [(p2, n2)] = (40, 5) at
+    every [n1] from 3 to 41, and (80, 7) and (120, 15) at [n1 = 15].
+
     Both marches run on the size-based [Structured.auto] path;
     [options.solver] picks the periodic solve's, which runs at
     {!solve}'s defaults. *)
@@ -124,12 +129,6 @@ val long_h2 : float
 (** [residual_norm dae ~options sol] evaluates the two-periodic WaMPDE
     residual's infinity norm (phase rows excluded). *)
 val residual_norm : Dae.t -> options:Envelope.options -> solution -> float
-
-(** [eval_waveform sol ~component ~t_max t] recovers the univariate
-    solution from the quasiperiodic form: [phi] is integrated from the
-    periodic [omega] over [\[0, t_max\]], sampled 64 times per slow
-    period [p2], so [t_max] must cover [t]. *)
-val eval_waveform : solution -> component:int -> t_max:float -> float -> float
 
 (** [mean_frequency sol] is the [t2]-average of the local frequency
     (the paper's [omega_0] in eq. (21)). *)

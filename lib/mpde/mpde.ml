@@ -89,9 +89,7 @@ let quasiperiodic ?cascade sys ~n1 ~n2 ~p2 ~guess =
   { t2 = sol.Wampde.Quasiperiodic.t2; slices = sol.Wampde.Quasiperiodic.slices; p1 = sys.p1;
     p2 = Some p2 }
 
-let eval_bivariate res ~component ~t1 ~t2 =
-  Wampde.Envelope.eval_slices ~t2s:res.t2 ~slices:res.slices ?p2:res.p2 ~period:res.p1 ~component
-    ~t1 t2
-
-let eval_waveform res ~component t =
-  eval_bivariate res ~component ~t1:(Float.rem t res.p1) ~t2:t
+let warping res =
+  Sigproc.Warp.make ~t2:res.t2
+    ~omega:(Array.make (Array.length res.t2) (1. /. res.p1))
+    ~slices:res.slices ?p2:res.p2 ()

@@ -91,11 +91,11 @@ val quasiperiodic :
   guess:Vec.t array array ->
   result
 
-(** [eval_bivariate res ~component ~t1 ~t2] interpolates the stored
-    grid by {!Wampde.Envelope.eval_slices}, periodic in [t2] for a
-    {!quasiperiodic} result. *)
-val eval_bivariate : result -> component:int -> t1:float -> t2:float -> float
-
-(** [eval_waveform res ~component t] recovers the univariate solution
-    along the diagonal path [x(t) = xhat(t mod p1, t)]. *)
-val eval_waveform : result -> component:int -> float -> float
+(** [warping res] is the result's recovery: {!Sigproc.Warp.make}
+    with [omega] fixed at [1 / p1], so [phi(t) = t / p1] and
+    {!Sigproc.Warp.eval} reads the diagonal path
+    [x(t) = xhat(t mod p1, t)]; {!Sigproc.Warp.xhat} reads the grid at
+    [t1] in cycles ([t1 / p1] in time).  Between slices the grid is
+    linear in [t2], and a {!quasiperiodic} result wraps [t2] modulo
+    [p2], interpolating from the last slice back to slice 0. *)
+val warping : result -> Sigproc.Warp.t

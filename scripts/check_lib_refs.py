@@ -63,10 +63,10 @@ EXEMPT = {
     "period against its autonomous solve, and its flow map at t1 = t0",
     "Steady.Oscillator.polish_long": "the 34-period fallback polish on its own; "
     "test_steady checks that find's orbit, from the short warm-up, agrees with it",
+    "Transient.theta_step": "one theta step with a fresh workspace; test_transient checks "
+    "integrate's reused-workspace march against chained theta_steps, bit for bit",
     "Linalg.Poly.from_roots": "polynomial from its roots; test_extras checks Poly.roots "
     "(the Floquet eigenvalue path) by rebuilding the polynomial",
-    "Wampde.Quasiperiodic.eval_waveform": "univariate recovery (eq. 17); test_wampde checks "
-    "Quasiperiodic.from_orbit's amplitude and cycle count against the settled envelope with it",
     "Wampde.Quasiperiodic.solve": "the periodic solve from a given guess, which programs reach "
     "through from_orbit; Testkit.quasi_long_start builds from_orbit's fallback oracle on it, and "
     "test_steady, test_failures and test_wampde seed it with guesses no warm-up gives (a "

@@ -25,13 +25,14 @@ service contract:
 With --crash (requires --spool pointing at the daemon's spool
 directory) the script instead runs the crash-recovery gate: it starts
 the daemon, submits a batch, SIGKILLs the process the moment the first
-checkpoint lands in the spool, restarts the same command on the same
-spool, and asserts that the restarted daemon replays its journal,
-emits a `recovered` record for every unfinished job, and that every
-job of the batch ends in exactly one terminal record across both
-lives — a `report --check`-valid manifest or a typed `job-error`.  On
-any violation the spool's journal is copied into --out for the CI
-artifact.
+checkpoint lands in the spool (checked on every response line and every
+20 ms; a batch that finishes first fails at once), restarts the same
+command on the same spool, and asserts that the restarted daemon
+replays its journal, emits a `recovered` record for every unfinished
+job, and that every job of the batch ends in exactly one terminal
+record across both lives — a `report --check`-valid manifest or a
+typed `job-error`.  On any violation the spool's journal is copied
+into --out for the CI artifact.
 
 Outputs land in --out: the raw response stream (responses.ndjson), the
 daemon's stderr log (server.log), and one manifest-<id>.json per
@@ -136,10 +137,35 @@ def run_crash(args):
             shlex.split(args.serve_cmd), stdin=subprocess.PIPE,
             stdout=subprocess.PIPE, stderr=log1, text=True)
 
+        # The batch takes a few milliseconds, so the spool is checked on
+        # every response line as well as on a timer.  A job's checkpoint
+        # is written when it is preempted, before the next job's first
+        # line, and stays until that job finishes, so the line-driven
+        # check kills mid-batch on every run.
+        killed = threading.Event()
+        finished = threading.Event()  # every job's terminal record arrived
+        pending = {j["id"] for j in CRASH_JOBS}
+        kill_lock = threading.Lock()
+
+        def kill_at_checkpoint():
+            with kill_lock:
+                if not killed.is_set() and glob.glob(os.path.join(args.spool, "*.ckpt")):
+                    proc.kill()  # SIGKILL: no chance to journal a clean stop
+                    killed.set()
+
         # reader thread: the daemon must never block on a full pipe
         def pump():
             for line in proc.stdout:
                 lines1.append(line)
+                kill_at_checkpoint()
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError:
+                    continue
+                if rec.get("type") in ("result", "job-error"):
+                    pending.discard(rec.get("id"))
+                    if not pending:
+                        finished.set()
 
         pump_thread = threading.Thread(target=pump, daemon=True)
         pump_thread.start()
@@ -149,18 +175,17 @@ def run_crash(args):
         except BrokenPipeError:
             return crash_fail("daemon died while the batch was being submitted")
         deadline = time.time() + args.timeout
-        killed = False
-        while time.time() < deadline:
-            if glob.glob(os.path.join(args.spool, "*.ckpt")):
-                proc.kill()  # SIGKILL: no chance to journal a clean stop
-                killed = True
-                break
-            if proc.poll() is not None:
+        while time.time() < deadline and not killed.is_set():
+            kill_at_checkpoint()
+            if killed.is_set() or finished.is_set() or proc.poll() is not None:
                 break
             time.sleep(0.02)
-        if not killed:
+        if not killed.is_set():
             proc.kill()
             proc.wait(timeout=30)
+            if finished.is_set():
+                return crash_fail("the batch finished before any checkpoint was "
+                                  "seen in the spool, so there was nothing to crash on")
             return crash_fail("no checkpoint ever appeared in the spool to crash on")
         proc.wait(timeout=30)
         pump_thread.join(timeout=10)

@@ -54,10 +54,15 @@ let tests =
         in
         let init = Mpde.periodic_initial sys ~n1:9 ~guess:(Array.init 9 (fun _ -> [| 0. |])) in
         let res = Mpde.simulate sys ~n1:9 ~t2_end:1. ~h2:0.25 ~init in
+        let w = Mpde.warping res in
+        let xhat ~t1 ~t2 = Sigproc.Warp.xhat w ~component:0 ~t1:(t1 /. p1) t2 in
         (* periodic in t1 *)
-        approx_tol 1e-9 "wrap"
-          (Mpde.eval_bivariate res ~component:0 ~t1:0.1 ~t2:0.5)
-          (Mpde.eval_bivariate res ~component:0 ~t1:(0.1 +. p1) ~t2:0.5));
+        approx_tol 1e-9 "wrap" (xhat ~t1:0.1 ~t2:0.5) (xhat ~t1:(0.1 +. p1) ~t2:0.5);
+        (* the last slice holds past the run *)
+        approx_tol 0. "clamp" (xhat ~t1:0.1 ~t2:1.) (xhat ~t1:0.1 ~t2:3.);
+        (* the diagonal path reads xhat at t mod p1 *)
+        approx_tol 1e-12 "diagonal" (xhat ~t1:0.1 ~t2:0.6)
+          (Sigproc.Warp.eval w ~component:0 0.6));
   ]
 
 let suites = [ ("api_coverage", tests) ]

@@ -217,7 +217,9 @@ let tests =
         | _ -> Alcotest.fail "max_iterations:1 must raise Solve_failure");
     Alcotest.test_case "warp rejects zero or negative rates" `Quick (fun () ->
         check_invalid "zero" (fun () ->
-            Sigproc.Warp.of_samples ~times:[| 0.; 1. |] ~omega:[| 1.; 0. |]));
+            Sigproc.Warp.make ~t2:[| 0.; 1. |] ~omega:[| 1.; 0. |] ~slices:(Testkit.cos_slices 2) ());
+        check_invalid "length mismatch" (fun () ->
+            Sigproc.Warp.make ~t2:[| 0.; 1. |] ~omega:[| 1. |] ~slices:(Testkit.cos_slices 2) ()));
     Alcotest.test_case "gmres reports non-convergence honestly" `Quick (fun () ->
         (* one iteration budget on a hard system *)
         let n = 30 in

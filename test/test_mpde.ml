@@ -37,9 +37,10 @@ let mpde_tests =
         (* compare the bivariate solution at a few probe points; the slow
            filter lag is ~ 1/(2 pi / p2 .. ) -> small correction, tolerate 2% *)
         let probes = [ (0.0025, 2.5); (0.005, 5.0); (0.0075, 7.5) ] in
+        let w = Mpde.warping res in
         List.iter
           (fun (t1, t2) ->
-            let got = Mpde.eval_bivariate res ~component:0 ~t1 ~t2 in
+            let got = Sigproc.Warp.xhat w ~component:0 ~t1:(t1 /. p1) t2 in
             let expect = am_exact ~p1 ~a t1 t2 in
             Alcotest.(check bool) "close" true (Float.abs (got -. expect) < 0.05))
           probes);
@@ -83,7 +84,8 @@ let mpde_tests =
             ~rhs:(fun ~t x -> [| -.x.(0) +. (a t *. sin (two_pi *. t /. p1)) |])
             ()
         in
-        let x0 = [| Mpde.eval_bivariate res ~component:0 ~t1:0. ~t2:0. |] in
+        let w = Mpde.warping res in
+        let x0 = [| Sigproc.Warp.xhat w ~component:0 ~t1:0. 0. |] in
         let traj =
           Transient.integrate full ~method_:Transient.Trapezoidal ~t0:0. ~t1:3.
             ~h:(p1 /. 100.) x0
@@ -91,7 +93,7 @@ let mpde_tests =
         let worst = ref 0. in
         for k = 0 to 300 do
           let t = 3. *. float_of_int k /. 300. in
-          let got = Mpde.eval_waveform res ~component:0 t in
+          let got = Sigproc.Warp.eval w ~component:0 t in
           let expect = Transient.interpolate traj 0 t in
           worst := Float.max !worst (Float.abs (got -. expect))
         done;
@@ -118,10 +120,11 @@ let mpde_tests =
         (* compare at t in the third slow period, mapped into the
            bivariate (t2 wraps modulo p2); the bound is relative to the
            signal, whose amplitude is only ~2.4e-3 *)
+        let w = Mpde.warping res in
         let worst = ref 0. and peak = ref 0. in
         for k = 0 to 500 do
           let t = (2. *. p2) +. (p2 *. float_of_int k /. 500.) in
-          let got = Mpde.eval_waveform res ~component:0 t in
+          let got = Sigproc.Warp.eval w ~component:0 t in
           let expect = Transient.interpolate traj 0 t in
           worst := Float.max !worst (Float.abs (got -. expect));
           peak := Float.max !peak (Float.abs expect)

@@ -140,10 +140,14 @@ let envelope_tests =
           Transient.integrate dae ~method_:Transient.Trapezoidal ~t0:0. ~t1:60.
             ~h:(1.333 /. 1000.) x0
         in
+        let w = Wampde.Envelope.warping res in
         let worst = ref 0. in
         for k = 0 to 600 do
           let t = 0.1 *. float_of_int k in
-          let vw = Wampde.Envelope.eval_waveform res ~component:0 t in
+          let vw = Sigproc.Warp.eval w ~component:0 t in
+          (* the one-point entry reads the same value *)
+          if k mod 100 = 0 then
+            Alcotest.(check (float 0.)) "eval_waveform" vw (Wampde.Envelope.eval_waveform res ~component:0 t);
           let vt = Transient.interpolate traj 0 t in
           worst := Float.max !worst (Float.abs (vw -. vt))
         done;
@@ -215,13 +219,12 @@ let envelope_tests =
               Wampde.Envelope.simulate dae ~options:(Wampde.Envelope.default_options ~n1 ())
                 ~t2_end:t_end ~h2:0.01 ~init
             in
-            let f =
-              Sigproc.Interp1d.create reference.Wampde.Envelope.t2 reference.Wampde.Envelope.omega
-            in
             let worst = ref 0. in
             Array.iteri
               (fun i t ->
-                let o = Sigproc.Interp1d.eval f t in
+                let o =
+                  Testkit.linear_interp reference.Wampde.Envelope.t2 reference.Wampde.Envelope.omega t
+                in
                 worst := Float.max !worst (Float.abs (res.Wampde.Envelope.omega.(i) -. o) /. o))
               res.Wampde.Envelope.t2;
             Alcotest.(check bool)
@@ -413,7 +416,11 @@ let quasi_tests =
            recovered waveform describe the same steady state: compare
            amplitude and frequency content over a slow period *)
         let times = Array.init 2001 (fun i -> 40. *. float_of_int i /. 2000.) in
-        let vq = Array.map (fun t -> Wampde.Quasiperiodic.eval_waveform sol ~component:0 ~t_max:40. t) times in
+        let w =
+          Sigproc.Warp.make ~t2:sol.Wampde.Quasiperiodic.t2 ~omega:sol.Wampde.Quasiperiodic.omega
+            ~slices:sol.Wampde.Quasiperiodic.slices ~p2:sol.Wampde.Quasiperiodic.p2 ()
+        in
+        let vq = Array.map (Sigproc.Warp.eval w ~component:0) times in
         let amp = Array.fold_left (fun a x -> Float.max a (Float.abs x)) 0. vq in
         (* the fully developed steady state peaks at ~2.5 V (the mechanical
            resonance is larger than during the first transient period) *)
@@ -519,6 +526,22 @@ let from_orbit_tests =
             if Float.abs (om -. om1) > 1e-10 *. om1 then
               Alcotest.failf "omega %d: %.17g, one period %.17g" m om om1)
           sol.Wampde.Quasiperiodic.omega);
+    Alcotest.test_case "five slices at p2 = 40 fail from both starts with a typed error"
+      `Quick (fun () ->
+        (* n2 = 5 is below what the periodic Newton resolves on VCO-A
+           (n2 = 3 and 7 converge): the short start's solve fails, the
+           fallback's fails the same way, and the long start's
+           Solve_failure propagates, never an answer *)
+        let dae, orbit = (Circuit.Vco.build (Circuit.Vco.vco_a ()), vco_a_orbit ~n1:15) in
+        let options = Wampde.Envelope.default_options ~n1:15 () in
+        Wampde_obs.Metrics.with_isolated (fun () ->
+            Wampde_obs.set_enabled true;
+            (match Wampde.Quasiperiodic.from_orbit dae ~options ~p2:40. ~n2:5 ~init:orbit () with
+            | _ -> Alcotest.fail "n2 = 5 returned an answer"
+            | exception Wampde.Quasiperiodic.Solve_failure { Nonlin.Newton.converged; _ } ->
+              Alcotest.(check bool) "not converged" false converged);
+            Alcotest.(check int) "one fallback" 1
+              (Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter "quasiperiodic.fallbacks"))));
   ]
 
 let special_case_tests =

@@ -56,11 +56,29 @@ let parse_deck text =
       Out_channel.with_open_bin path (fun oc -> output_string oc text);
       Circuit.Parser.parse_file path)
 
+(* [cos_slices n] is [n] slices of xhat = cos (2 pi t1), one state on
+   9 t1 points *)
+let cos_slices n =
+  Array.make n (Array.init 9 (fun j -> [| cos (2. *. Float.pi *. float_of_int j /. 9.) |]))
+
 (* [warp_of_function ~t0 ~t1 ~n omega] samples an analytic rate on [n]
-   uniform points *)
+   uniform points, over {!cos_slices} *)
 let warp_of_function ~t0 ~t1 ~n omega =
   let times = Linalg.Vec.linspace t0 t1 n in
-  Sigproc.Warp.of_samples ~times ~omega:(Linalg.Vec.map omega times)
+  Sigproc.Warp.make ~t2:times ~omega:(Linalg.Vec.map omega times) ~slices:(cos_slices n) ()
+
+(* [linear_interp times values t] interpolates the samples linearly,
+   holding the end values outside [times] *)
+let linear_interp times values t =
+  let n = Array.length times in
+  if t <= times.(0) then values.(0)
+  else if t >= times.(n - 1) then values.(n - 1)
+  else begin
+    let i = ref 0 in
+    while times.(!i + 1) <= t do incr i done;
+    let ta = times.(!i) and tb = times.(!i + 1) in
+    values.(!i) +. ((values.(!i + 1) -. values.(!i)) *. (t -. ta) /. (tb -. ta))
+  end
 
 let json_exn s =
   match Wampde_obs.Json.parse s with Ok j -> j | Error m -> failwith ("json: " ^ m)
