@@ -2,7 +2,8 @@
    Newton solves: dense LU factorization (allocating and in place) and
    substitution, the dense matvec and transposed matvec of trust
    region's model, the (D (x) I) charge-derivative kernel, the
-   structured collocation matvec, and one application of the
+   structured collocation matvec and the dense assembly of that
+   operator, and one application of the
    DFT-diagonalized block preconditioner.  Next to them, the circuit
    kernel every solver calls: one [eval_into] pass of the compiled
    VCO-A netlist into caller buffers, filling [q] and [f] (a value
@@ -26,10 +27,12 @@
    periodic MPDE Newton) and 161 (just past
    [Structured.default_threshold], where the automatic choice hands a
    system to Krylov: what the dense path would cost there); the
-   substitution at 61, 101 and 121.  [Mat.matvec] and [Mat.tmatvec]
+   substitution at 4, 61, 101 and 121.  [Mat.matvec] and [Mat.tmatvec]
    run at 121, the size of trust region's model on the sinh-cascade
-   grid.  The (D (x) I) kernel runs at the VCO-B envelope's grid
-   (n1 = 25, four states).
+   grid.  The (D (x) I) kernel and the dense assembly of the
+   collocation Jacobian ([Structured.dense_into], which the chord
+   refactors from) run at the VCO-B envelope's grid (n1 = 25, four
+   states).
    The preconditioner apply is timed from the serve jobs' grids
    (n1 = 15-25) up to the largest Krylov envelope grid (161): its real
    DFT is O(n1^2) against a Bluestein FFT's O(n1 log n1), and these
@@ -40,7 +43,7 @@
 open Linalg
 
 let lu_sizes = [ 4; 5; 61; 101; 121; 161 ]
-let lu_solve_sizes = [ 61; 101; 121 ]
+let lu_solve_sizes = [ 4; 61; 101; 121 ]
 let sizes = [ 33; 65; 101 ]
 let precond_sizes = [ 15; 17; 25; 33; 65; 101; 161 ]
 let n = 4 (* states of the VCO DAE *)
@@ -116,6 +119,13 @@ let tests =
        Test.make
          ~name:(Printf.sprintf "kron_eye_n1_%d_n_%d" n1 n)
          (Staged.stage (fun () -> Mat.kron_eye_into d ~n ~lo:0 ~hi:n1 src dst)));
+      (let n1 = 25 in
+       let op = make_system n1 in
+       let nd = Structured.dim op in
+       let jac = Mat.zeros (nd + 1) (nd + 1) in
+       Test.make
+         ~name:(Printf.sprintf "structured_dense_into_n1_%d_n_%d" n1 n)
+         (Staged.stage (fun () -> Structured.dense_into op jac)));
     ]
   @ List.map
       (fun n1 ->
@@ -198,8 +208,8 @@ let () =
         (fun name est ->
           match Analyze.OLS.estimates est with
           | Some [ t ] when name = warmup_name ->
-            Printf.printf "  %-24s %12.0f ns/run %8.0f ns/step\n%!" name t (t /. warmup_steps)
-          | Some [ t ] -> Printf.printf "  %-24s %12.0f ns/run\n%!" name t
-          | _ -> Printf.printf "  %-24s (no estimate)\n%!" name)
+            Printf.printf "  %-32s %12.0f ns/run %8.0f ns/step\n%!" name t (t /. warmup_steps)
+          | Some [ t ] -> Printf.printf "  %-32s %12.0f ns/run\n%!" name t
+          | _ -> Printf.printf "  %-32s (no estimate)\n%!" name)
         results)
     tests

@@ -77,6 +77,10 @@ external sweep_c : Mat.t -> (int[@untagged]) -> (int[@untagged]) -> unit
   = "wampde_lu_sweep_byte" "wampde_lu_sweep"
 [@@noalloc]
 
+external sweep_baseline : Mat.t -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "wampde_lu_sweep_baseline_byte" "wampde_lu_sweep_baseline"
+[@@noalloc]
+
 external has_nan : Mat.t -> (int[@untagged]) -> bool
   = "wampde_lu_has_nan_byte" "wampde_lu_has_nan"
 [@@noalloc]
@@ -108,22 +112,22 @@ let () =
    result bitwise equal to it (see lu.mli).  A matrix holding a NaN on
    entry takes the OCaml sweep: the C one may commute a product, and
    NaN x NaN keeps its first operand's payload; without one, every NaN
-   met is the default NaN that inf - inf, 0 inf and 0/0 make. *)
-let factor_into a ~perm =
+   met is the default NaN that inf - inf, 0 inf and 0/0 make.
+   [~baseline] takes the C sweep's baseline body ([sweep_baseline])
+   in place of the dispatched one. *)
+let[@inline] factor_with ~baseline a ~perm =
   let n = Mat.rows a in
   if Mat.cols a <> n then invalid_arg "Lu.factor: matrix not square";
   if Array.length perm <> n then invalid_arg "Lu.factor_into: perm length mismatch";
   Obs.Metrics.incr c_factor;
   Obs.Metrics.observe h_dim (float_of_int n);
   let lu = a in
+  (* both sweeps and the column passes read and write every row up to
+     column n-1 unchecked *)
   for i = 0 to n - 1 do
-    perm.(i) <- i
+    if Array.length (Array.unsafe_get lu i) <> n then invalid_arg "Lu.factor: matrix not square";
+    Array.unsafe_set perm i i
   done;
-  (* the stubs read and write every row up to column n-1 unchecked *)
-  if n >= c_min_dim then
-    for i = 1 to n - 1 do
-      if Array.length lu.(i) <> n then invalid_arg "Lu.factor: matrix not square"
-    done;
   let in_c = n >= c_min_dim && not (has_nan lu n) in
   let k = ref 0 in
   while !k + 1 < n do
@@ -154,14 +158,31 @@ let factor_into a ~perm =
       for j = k1 + 1 to n - 1 do
         Array.unsafe_set r1 j (Array.unsafe_get r1 j -. (m *. Array.unsafe_get r0 j))
       done;
-    if k1 + 1 < n then if in_c then sweep_c lu k0 n else sweep_ocaml lu k0 n;
+    if k1 + 1 < n then
+      if in_c then if baseline then sweep_baseline lu k0 n else sweep_c lu k0 n
+      else sweep_ocaml lu k0 n;
     k := k0 + 2
   done;
   (* an odd n leaves the last column: no rows below it, only its pivot *)
   if !k < n then pivot lu perm n !k;
   { lu; perm }
 
+let factor_into a ~perm = factor_with ~baseline:false a ~perm
+let factor_into_baseline a ~perm = factor_with ~baseline:true a ~perm
 let factor a = factor_into (Mat.copy a) ~perm:(Array.make (Mat.rows a) 0)
+
+(* Back substitution of rows lo..hi-1 once x_i holds row i's partial
+   sum over the columns from hi on: from row hi-1 up, each row
+   subtracts u_ij x_j for j = hi-1 down to i+1, then divides by u_ii. *)
+let finish lu x lo hi =
+  for i = hi - 1 downto lo do
+    let row = lu.(i) in
+    let s = ref (Array.unsafe_get x i) in
+    for j = hi - 1 downto i + 1 do
+      s := !s -. (Array.unsafe_get row j *. Array.unsafe_get x j)
+    done;
+    Array.unsafe_set x i (!s /. Array.unsafe_get row i)
+  done
 
 let solve_into { lu; perm } b x =
   let n = Array.length lu in
@@ -214,16 +235,46 @@ let solve_into { lu; perm } b x =
     done;
     Array.unsafe_set x i !s
   done;
-  (* back substitution, one row at a time: row i's chain starts from
-     the x just computed for row i+1, so rows cannot run side by side
-     without reordering their sums *)
-  for i = n - 1 downto 0 do
-    let row = lu.(i) in
-    let s = ref (Array.unsafe_get x i) in
-    for j = i + 1 to n - 1 do
-      s := !s -. (Array.unsafe_get row j *. Array.unsafe_get x j)
+  (* back substitution, every row subtracting its terms in descending
+     column order, x_i = ((x_i - u_i,n-1 x_n-1) - ... - u_i,i+1 x_i+1)
+     / u_ii: the bottom n mod 8 rows one by one, then eight rows at a
+     time upwards.  Rows i0..i0+7 subtract their terms for the columns
+     already solved (j >= i0+8) side by side, eight independent chains,
+     each keeping its partial sum in x; [finish] then completes the
+     8x8 upper triangle in order. *)
+  let top = n - (n land 7) in
+  finish lu x top n;
+  let i = ref top in
+  while !i >= 8 do
+    let i0 = !i - 8 in
+    let r0 = lu.(i0) and r1 = lu.(i0 + 1) and r2 = lu.(i0 + 2) and r3 = lu.(i0 + 3) in
+    let r4 = lu.(i0 + 4) and r5 = lu.(i0 + 5) and r6 = lu.(i0 + 6) and r7 = lu.(i0 + 7) in
+    let s0 = ref (Array.unsafe_get x i0) and s1 = ref (Array.unsafe_get x (i0 + 1)) in
+    let s2 = ref (Array.unsafe_get x (i0 + 2)) and s3 = ref (Array.unsafe_get x (i0 + 3)) in
+    let s4 = ref (Array.unsafe_get x (i0 + 4)) and s5 = ref (Array.unsafe_get x (i0 + 5)) in
+    let s6 = ref (Array.unsafe_get x (i0 + 6)) and s7 = ref (Array.unsafe_get x (i0 + 7)) in
+    (* x.(j) read per product, U's entry first, as in the forward
+       loop: that keeps even a NaN product's payload *)
+    for j = n - 1 downto i0 + 8 do
+      s0 := !s0 -. (Array.unsafe_get r0 j *. Array.unsafe_get x j);
+      s1 := !s1 -. (Array.unsafe_get r1 j *. Array.unsafe_get x j);
+      s2 := !s2 -. (Array.unsafe_get r2 j *. Array.unsafe_get x j);
+      s3 := !s3 -. (Array.unsafe_get r3 j *. Array.unsafe_get x j);
+      s4 := !s4 -. (Array.unsafe_get r4 j *. Array.unsafe_get x j);
+      s5 := !s5 -. (Array.unsafe_get r5 j *. Array.unsafe_get x j);
+      s6 := !s6 -. (Array.unsafe_get r6 j *. Array.unsafe_get x j);
+      s7 := !s7 -. (Array.unsafe_get r7 j *. Array.unsafe_get x j)
     done;
-    Array.unsafe_set x i (!s /. Array.unsafe_get row i)
+    Array.unsafe_set x i0 !s0;
+    Array.unsafe_set x (i0 + 1) !s1;
+    Array.unsafe_set x (i0 + 2) !s2;
+    Array.unsafe_set x (i0 + 3) !s3;
+    Array.unsafe_set x (i0 + 4) !s4;
+    Array.unsafe_set x (i0 + 5) !s5;
+    Array.unsafe_set x (i0 + 6) !s6;
+    Array.unsafe_set x (i0 + 7) !s7;
+    finish lu x i0 (i0 + 8);
+    i := i0
   done
 
 let solve lu b =

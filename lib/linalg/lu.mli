@@ -37,7 +37,17 @@
     holds none can only meet the one default NaN that inf - inf,
     0 inf and 0/0 produce.  The stub reads each row as a flat block of
     doubles: the module fails at initialization if OCaml was
-    configured without flat float arrays. *)
+    configured without flat float arrays.
+
+    The substitution is OCaml, with no C.  Forward, each row of L
+    subtracts its terms in ascending column order, bitwise the plain
+    row loop.  Backward, each row of U subtracts its terms in
+    descending column order, the last column first: rows then share
+    no chain until they meet their own small triangle, so eight run
+    side by side (an ascending sum would start every row from the x
+    the row below has just produced).  The answer is bitwise the plain
+    row loop in that order; against an ascending back substitution it
+    moves in the last bits. *)
 
 type t
 (** A factored matrix [P A = L U]. *)
@@ -54,15 +64,25 @@ exception Singular of int
     [Invalid_argument] if [a] is not square. *)
 val factor_into : Mat.t -> perm:int array -> t
 
+(** [factor_into_baseline a ~perm] is {!factor_into} with the C
+    sweep's baseline body (SSE2 on x86-64) in place of the one the
+    loader dispatches to; the bits are the same.  A test hook: on a
+    CPU with AVX2 no other call runs the baseline body. *)
+val factor_into_baseline : Mat.t -> perm:int array -> t
+
 (** [factor a] is [factor_into] on a copy of [a]; [a] is not
     modified. *)
 val factor : Mat.t -> t
 
 (** [solve_into lu b x] solves [A x = b] into [x], which must not be
-    [b].  The forward substitution runs four rows side by side, each
-    still subtracting its terms in ascending column order, so [x] is
-    bitwise that of the plain row-by-row substitution (NaN payloads
-    included). *)
+    [b], and allocates nothing.  The forward substitution runs four
+    rows side by side, each still subtracting its terms in ascending
+    column order, so its result is bitwise that of the plain
+    row-by-row loop.  The back substitution subtracts each row's terms
+    in descending column order, x_i = ((y_i - u_i,n-1 x_n-1) - ... -
+    u_i,i+1 x_i+1) / u_ii, eight rows side by side over the columns
+    already solved; [x] is bitwise that of the plain row-by-row
+    substitution in that order (NaN payloads included). *)
 val solve_into : t -> Vec.t -> Vec.t -> unit
 
 (** [solve lu b] solves [A x = b] into a fresh vector. *)

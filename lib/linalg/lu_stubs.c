@@ -22,7 +22,7 @@
 
    The matrix is a float array array: a block of row pointers, each
    row a flat block of doubles (lu.ml checks at module init that float
-   arrays are flat).  Both stubs only read and write floats in place
+   arrays are flat).  The stubs only read and write floats in place
    and never allocate, so they are [@@noalloc]. */
 
 #define CAML_NAME_SPACE
@@ -58,7 +58,7 @@ SWEEP_LOOP sweep_one(double *restrict ri, const double *restrict rk,
    pivot row (its multipliers already stored in column k0 of each
    trailing row), row k0+1 the second, already updated by step k0.
    A zero multiplier skips its term, as the one-column loop does. */
-SWEEP_CLONES value wampde_lu_sweep(value lu, intnat k0, intnat n)
+SWEEP_LOOP sweep_rows(value lu, intnat k0, intnat n)
 {
   intnat k1 = k0 + 1;
   const double *r0 = ROW(lu, k0);
@@ -74,12 +74,32 @@ SWEEP_CLONES value wampde_lu_sweep(value lu, intnat k0, intnat n)
       else sweep_one(ri, r0, m0, k1 + 1, n);
     } else if (m1 != 0.) sweep_one(ri, r1, m1, k1 + 1, n);
   }
+}
+
+SWEEP_CLONES value wampde_lu_sweep(value lu, intnat k0, intnat n)
+{
+  sweep_rows(lu, k0, n);
   return Val_unit;
 }
 
 value wampde_lu_sweep_byte(value lu, value k0, value n)
 {
   return wampde_lu_sweep(lu, Long_val(k0), Long_val(n));
+}
+
+/* The same sweep built for the baseline target only, without
+   target_clones: on a CPU with AVX2 the loader never runs the
+   "default" clone above, so tests reach the baseline body through
+   this entry (Lu.factor_into_baseline) and check its bits. */
+value wampde_lu_sweep_baseline(value lu, intnat k0, intnat n)
+{
+  sweep_rows(lu, k0, n);
+  return Val_unit;
+}
+
+value wampde_lu_sweep_baseline_byte(value lu, value k0, value n)
+{
+  return wampde_lu_sweep_baseline(lu, Long_val(k0), Long_val(n));
 }
 
 /* a select on doubles, which the vectorizer takes where an integer

@@ -82,7 +82,8 @@ val apply_bordered_into : op -> border_col:Vec.t -> border_row:Vec.t -> Vec.t ->
 (** [dense_into op jac] writes the dense block part into the top-left
     [dim op] square of [jac], every entry of it.  This is the dense
     path of the WaMPDE and MPDE solvers ([Dae.Semidisc]): dense LU
-    factors exactly the operator the Krylov path applies. *)
+    factors exactly the operator the Krylov path applies.  Raises
+    [Invalid_argument] if [jac] or a C block is smaller than that. *)
 val dense_into : op -> Mat.t -> unit
 
 (** {1 Averaged-Jacobian block preconditioner} *)

@@ -77,6 +77,9 @@ EXEMPT = {
     "Wampde_obs.Health.set_thresholds": "test_health lowers the monitor thresholds to trip "
     "each monitor and restores the defaults afterwards",
     "Wampde_obs.Health.default_thresholds": "test_health restores them after each case",
+    "Linalg.Lu.factor_into_baseline": "the LU sweep's baseline (SSE2) body, which the "
+    "loader never picks on an AVX2 host; test_linalg checks its factors bitwise against "
+    "the one-column loop",
     "Fault.with_armed": "test_fault, test_checkpoint, test_globalize and test_serve arm a "
     "schedule for one case and restore the ambient one",
     "Fault.disarm": "test_fault, test_checkpoint and test_serve drop a schedule they armed "

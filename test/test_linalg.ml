@@ -316,12 +316,94 @@ let lu_tests =
              Lu.solve_into lu b x;
              let bits = Array.map Int64.bits_of_float in
              bits x = bits (lu_substitute a perm b)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"solve_into is bitwise the row-by-row substitution at 61-121 unknowns" ~count:60
+         (QCheck.make
+            ~print:(fun ((kind, a), _) -> print_lu_case (kind, a))
+            QCheck.Gen.(
+              let* kind, a = lu_solver_case_gen in
+              let* b = array_size (return (Array.length a)) matvec_entry in
+              return ((kind, a), b)))
+         (fun ((_, a), b) ->
+           (* 61, 101 and 121 rows leave 5, 5 and 1 rows below the
+              eight-row blocks; b holds +-0, infinities and NaNs of
+              two payloads *)
+           let a = Mat.copy a and perm = Array.make (Array.length a) 0 in
+           match Lu.factor_into a ~perm with
+           | exception Lu.Singular _ -> true
+           | lu ->
+             let x = Array.make (Array.length b) 0. in
+             Lu.solve_into lu b x;
+             let bits = Array.map Int64.bits_of_float in
+             bits x = bits (lu_substitute a perm b)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"solve_into's residual is within n eps |A| |x|" ~count:100
+         (QCheck.make
+            ~print:(fun (a, _) -> print_lu_case ("diagonally dominant", a))
+            QCheck.Gen.(
+              let* n = oneof [ oneofl [ 4; 61; 101; 121 ]; int_range 1 40 ] in
+              let* a = array_size (return n) (array_size (return n) (float_range (-1.) 1.)) in
+              let* signs = array_size (return n) bool in
+              Array.iteri
+                (fun i row -> row.(i) <- (if signs.(i) then 1. else -1.) *. float_of_int (n + 1))
+                a;
+              let* b = array_size (return n) (float_range (-1.) 1.) in
+              return (a, b)))
+         (fun (a, b) ->
+           (* a bound that holds in any summation order: LU's backward
+              error |b - A x| <= c n eps |L| |U| |x|, and strictly
+              diagonally dominant rows keep |L| |U| near |A| (growth
+              factor at most 2).  Over 3,000 such draws the largest
+              ratio to n eps |A| |x| was 0.33; c = 4 leaves room. *)
+           let n = Array.length a in
+           let x = Lu.solve (Lu.factor a) b in
+           let r = Vec.sub b (Mat.matvec a x) in
+           let norm_a =
+             Array.fold_left
+               (fun m row -> Float.max m (Array.fold_left (fun s v -> s +. Float.abs v) 0. row))
+               0. a
+           in
+           Vec.norm_inf r
+           <= 4. *. float_of_int n *. epsilon_float *. norm_a *. Vec.norm_inf x));
+    Alcotest.test_case "solve_into allocates nothing" `Quick (fun () ->
+        (* the transient's 4 rows and the dense callers' 61, 101 and
+           121: a solve, warmed once, allocates no minor word *)
+        List.iter
+          (fun n ->
+            let a = Mat.init n n (fun i j -> if i = j then 8. else sin (float_of_int ((7 * i) + j))) in
+            let lu = Lu.factor a in
+            let b = Vec.init n (fun i -> cos (float_of_int i)) and x = Array.make n 0. in
+            let w = Test_par.steady_words (fun () -> Lu.solve_into lu b x) in
+            Alcotest.(check (float 0.)) (Printf.sprintf "minor words at n = %d" n) 0. w)
+          [ 4; 61; 101; 121 ]);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"factor_into_baseline (the sweep's SSE2 body) is bitwise the one-column loop"
+         ~count:120
+         (QCheck.make ~print:print_lu_case QCheck.Gen.(oneof [ lu_case_gen; lu_solver_case_gen ]))
+         (fun (_, a) ->
+           let baseline a =
+             let perm = Array.make (Array.length a) 0 in
+             ignore (Lu.factor_into_baseline a ~perm);
+             perm
+           in
+           lu_outcome baseline a = lu_outcome lu_one_column a));
     Alcotest.test_case "a ragged matrix is not square" `Quick (fun () ->
-        (* 16 rows take the C sweep, which reads every row to column
-           n-1 unchecked *)
-        let ragged = Array.init 16 (fun i -> Array.make (if i = 9 then 15 else 16) 1.) in
-        Alcotest.check_raises "invalid" (Invalid_argument "Lu.factor: matrix not square")
-          (fun () -> ignore (Lu.factor ragged)));
+        (* 16 rows take the C sweep and 4 the OCaml one; both read and
+           write every row to column n-1 unchecked.  Row 1 of the 4 x 4
+           keeps its diagonal, so only the sweep would reach past it. *)
+        List.iter
+          (fun (n, short) ->
+            let ragged =
+              Array.init n (fun i ->
+                  Array.init (if i = short then n - 1 else n) (fun j ->
+                      if i = j then 9. else 1.))
+            in
+            Alcotest.check_raises (Printf.sprintf "%d rows" n)
+              (Invalid_argument "Lu.factor: matrix not square")
+              (fun () -> ignore (Lu.factor ragged)))
+          [ (16, 9); (4, 1) ]);
     Alcotest.test_case "singular raises" `Quick (fun () ->
         let a = [| [| 1.; 2. |]; [| 2.; 4. |] |] in
         Alcotest.(check bool) "raises" true

@@ -227,7 +227,54 @@ let prop_tests =
       (Gen.array_size (Gen.return 9) (mat_gen 3))
       (Gen.float_range 0.1 2.)
   in
+  (* blocks of finite values, +-0, +-inf and NaNs of two payloads,
+     n1 odd up to 27, n up to 6, written into a NaN-filled bordered
+     matrix whose last row and column dense_into must leave alone *)
+  let assembly_gen =
+    let open Gen in
+    let entry = Test_linalg.matvec_entry in
+    let* n1 = map (fun m -> (2 * m) + 1) (int_range 0 13) in
+    let* n = int_range 1 6 in
+    let block = array_size (return n) (array_size (return n) entry) in
+    let* d = array_size (return n1) (array_size (return n1) entry) in
+    let* cs = array_size (return n1) block in
+    let* bs = array_size (return n1) block in
+    let* alpha = oneof [ float_range (-2.) 2.; return Float.nan ] in
+    return (alpha, d, cs, bs)
+  in
   [
+    QCheck_alcotest.to_alcotest
+      (Test.make ~name:"dense_into is bitwise the block-by-block assembly" ~count:200
+         (make
+            ~print:(fun (alpha, d, cs, _) ->
+              Printf.sprintf "alpha = %h, n1 = %d, n = %d" alpha (Array.length d)
+                (Array.length cs.(0)))
+            assembly_gen)
+         (fun (alpha, d, c_blocks, b_blocks) ->
+           let nd = Array.length d * Array.length c_blocks.(0) in
+           let filled () = Mat.init (nd + 1) (nd + 1) (fun _ _ -> Float.nan) in
+           let got = filled () and want = filled () in
+           Structured.dense_into (Structured.make_op ~alpha ~d ~c_blocks ~b_blocks) got;
+           structured_dense_naive ~alpha ~d ~c_blocks ~b_blocks want;
+           let bits = Array.map (Array.map Int64.bits_of_float) in
+           bits got = bits want));
+    Alcotest.test_case "dense_into rejects a jac or C block too small" `Quick (fun () ->
+        (* the fill runs unchecked, so the sizes are checked first *)
+        let n1 = 3 and n = 2 in
+        let d = Fourier.Series.diff_matrix n1 and block = Mat.identity n in
+        let op c_blocks = Structured.make_op ~alpha:1. ~d ~c_blocks ~b_blocks:(Array.make n1 block) in
+        let err = Invalid_argument "Structured.dense_into: jac or a C block too small" in
+        let full = op (Array.make n1 block) in
+        Alcotest.check_raises "short jac" err (fun () ->
+            Structured.dense_into full (Mat.zeros ((n1 * n) - 1) (n1 * n)));
+        Alcotest.check_raises "short jac row" err (fun () ->
+            let jac = Mat.zeros (n1 * n) (n1 * n) in
+            jac.(4) <- Array.make ((n1 * n) - 1) 0.;
+            Structured.dense_into full jac);
+        Alcotest.check_raises "short C row" err (fun () ->
+            Structured.dense_into
+              (op [| block; [| [| 1.; 0. |]; [| 1. |] |]; block |])
+              (Mat.zeros (n1 * n) (n1 * n))));
     QCheck_alcotest.to_alcotest
       (Test.make ~name:"structured matvec matches dense columns to 1e-10" ~count:40
          (make system_gen)

@@ -124,8 +124,9 @@ let lu_one_column a =
 (* [lu_substitute a perm b] is the plain row-by-row substitution, the
    oracle for [Linalg.Lu.solve_into]: [a] and [perm] as
    [Linalg.Lu.factor_into] left them (L below the unit diagonal, U on
-   and above, rows permuted by [perm]).  Each row subtracts its terms
-   in ascending column order, forward then back. *)
+   and above, rows permuted by [perm]).  Forward, each row subtracts
+   its terms in ascending column order; back, in descending order,
+   the last column first. *)
 let lu_substitute a perm b =
   let n = Array.length a in
   let x = Array.init n (fun i -> b.(perm.(i))) in
@@ -138,12 +139,37 @@ let lu_substitute a perm b =
   done;
   for i = n - 1 downto 0 do
     let s = ref x.(i) in
-    for j = i + 1 to n - 1 do
+    for j = n - 1 downto i + 1 do
       s := !s -. (a.(i).(j) *. x.(j))
     done;
     x.(i) <- !s /. a.(i).(i)
   done;
   x
+
+(* [structured_dense_naive ~alpha ~d ~c_blocks ~b_blocks jac] is the
+   block-by-block assembly of [alpha (D (x) C) + blockdiag(B)] into
+   the top-left corner of [jac], the oracle for
+   [Linalg.Structured.dense_into]: block (j, k) is alpha d_jk C_k,
+   then B_j is added to block (j, j). *)
+let structured_dense_naive ~alpha ~d ~c_blocks ~b_blocks jac =
+  let n1 = Array.length d and n = Array.length c_blocks.(0) in
+  for j = 0 to n1 - 1 do
+    for k = 0 to n1 - 1 do
+      let scale = alpha *. d.(j).(k) in
+      let ck = c_blocks.(k) in
+      for i = 0 to n - 1 do
+        for l = 0 to n - 1 do
+          jac.((j * n) + i).((k * n) + l) <- scale *. ck.(i).(l)
+        done
+      done
+    done;
+    let bj = b_blocks.(j) in
+    for i = 0 to n - 1 do
+      for l = 0 to n - 1 do
+        jac.((j * n) + i).((j * n) + l) <- jac.((j * n) + i).((j * n) + l) +. bj.(i).(l)
+      done
+    done
+  done
 
 (* [kron_eye_naive d ~n src] is (D (x) I_n) src by the triple loop,
    the oracle for [Linalg.Mat.kron_eye_into]: output (j, i) sums
