@@ -1,17 +1,15 @@
 (* Benchmark harness: regenerates the data behind every figure of the
-   paper (there are no numbered tables; Figs. 1-12 plus the headline
-   speedup claim are the evaluation).  Per-kernel timings live in
-   bench/micro.ml.
+   paper (there are no numbered tables; Figs. 1-12 are the evaluation)
+   and prints each experiment's solver work.  It keeps no timer: the
+   headline speedup and every other wall-clock comparison are timed by
+   perfbench/ (workloads vcob-speedup and vcoa-strong), per-kernel
+   timings by bench/micro.ml.
 
    Usage:
      dune exec bench/main.exe                 -- all experiments
      dune exec bench/main.exe -- --only fig7  -- one experiment
      dune exec bench/main.exe -- --csv        -- emit full series as CSV
      dune exec bench/main.exe -- --list       -- list experiment ids
-     dune exec bench/main.exe -- --smoke      -- reduced problem sizes (CI)
-     dune exec bench/main.exe -- --check      -- exit 1 if krylov slower than dense
-     dune exec bench/main.exe -- --jobs 4     -- domain-pool parallelism (adds the
-                                                 strong-scaling rows to krylov/robust)
 
    See EXPERIMENTS.md for the paper-vs-measured record. *)
 
@@ -20,8 +18,6 @@ module Obs = Wampde_obs
 let two_pi = 2. *. Float.pi
 
 let csv = ref false
-let smoke = ref false
-let check = ref false
 let only : string option ref = ref None
 
 (* ------------------------------------------------------------------ *)
@@ -74,6 +70,23 @@ let transient_b pts_per_cycle =
     x0
 
 let minmax a = (Array.fold_left Float.min infinity a, Array.fold_left Float.max neg_infinity a)
+
+(* [counted f] runs [f] and pairs its result with [grown], which reads
+   a counter's growth across the run, its bucket under one scope label
+   if [scope] is given.  The experiment footer prints the totals, so a
+   case's own work is a difference. *)
+let counted f =
+  let snapshot () = (Obs.Metrics.counters (), Obs.Metrics.scoped_counters ()) in
+  let before = snapshot () in
+  let r = f () in
+  let after = snapshot () in
+  let read (plain, scoped) ?scope name =
+    let find k l = Option.value ~default:0 (List.assoc_opt k l) in
+    match scope with
+    | None -> find name plain
+    | Some s -> Option.fold ~none:0 ~some:(find s) (List.assoc_opt name scoped)
+  in
+  (r, fun ?scope name -> read after ?scope name - read before ?scope name)
 
 let series2 name xs ys =
   if !csv then Array.iteri (fun i x -> Printf.printf "%s,%g,%g\n" name x ys.(i)) xs
@@ -294,41 +307,6 @@ let fig12 () =
   Printf.printf
     "fig12 | (paper: 50 pts/cycle builds up error, 100 reduces it, ~1000 needed to match)\n"
 
-let speedup () =
-  (* error-matched runtime comparison on the VCO-B window: the WaMPDE at
-     h2 = 5 us accumulates 0.0024 cycles of phase error over the window
-     (vs an h2 = 2 reference), on par with the transient at 1000
-     pts/cycle (0.001 cycles, fig12) -- both resolve the phase to well
-     under 1% of a cycle, so the runtimes are directly comparable. *)
-  let h2 = 5. in
-  let dae = Circuit.Vco.build (Lazy.force vco_b) in
-  let orbit = Lazy.force orbit_b in
-  let time f =
-    let t0 = Sys.time () in
-    let r = f () in
-    (r, Sys.time () -. t0)
-  in
-  let (_ : Wampde.Envelope.result), t_wampde =
-    time (fun () ->
-        Wampde.Envelope.simulate dae ~options:(Lazy.force options) ~t2_end:b_window ~h2
-          ~init:orbit)
-  in
-  let traj, t_transient = time (fun () -> transient_b 1000) in
-  let steps_wampde = int_of_float (b_window /. h2) in
-  let steps_transient = Transient.steps traj in
-  Printf.printf "speedup | VCO-B window %.0f us, error-matched (phase to <0.01 cycle):\n"
-    b_window;
-  Printf.printf "speedup |   WaMPDE envelope (h2 = %.0f us): %5d slow steps, %7.3f s\n" h2
-    steps_wampde t_wampde;
-  Printf.printf "speedup |   transient (1000 pts/cycle): %d steps, %7.3f s\n" steps_transient
-    t_transient;
-  Printf.printf
-    "speedup |   wall-clock ratio %.0fx (paper: 'two orders of magnitude'); step ratio %.0fx\n"
-    (t_transient /. t_wampde)
-    (float_of_int steps_transient /. float_of_int steps_wampde);
-  Printf.printf
-    "speedup |   (the paper's full 3 ms run scales both linearly: same ratio)\n"
-
 let mpdefm () =
   (* the unwarped MPDE handles AM but not FM *)
   let p1 = 0.01 in
@@ -408,104 +386,54 @@ let lock () =
 let krylov_bench () =
   (* dense LU vs matrix-free Newton-Krylov (FFT-diagonalized averaged
      block preconditioner) on the envelope collocation solves, as the
-     fast-axis grid n1 grows.  The dense path refactors a
-     (n1 n + 1)^2 Jacobian; the Krylov path never assembles it. *)
-  (* Strong modulation (full control swing at h2 = 2 us steps) is the
-     regime the Krylov path is for: the Jacobian changes enough between
-     slow steps that the dense path must refactor nearly every step,
-     and each factorization is O((n1 n)^3).
-     The window stays long even under --smoke (a short window lets the
-     dense chord cache amortize one LU over everything, which is not
-     the regime being compared); smoke just drops the largest sizes. *)
-  let sizes = if !smoke then [ 65; 101 ] else [ 65; 101; 129; 161 ] in
+     fast-axis grid n1 grows: the work each path does and how closely
+     their answers agree.  The dense path refactors a (n1 n + 1)^2
+     Jacobian; the Krylov path never assembles it.  Strong modulation
+     (full control swing at h2 = 2 us steps) is the regime the Krylov
+     path is for: the Jacobian changes enough between slow steps that
+     the dense path must refactor nearly every step.  perfbench's
+     vcoa-strong workload times both paths. *)
   let t2_end = 60. in
   let h2 = 2. in
   let dae = Circuit.Vco.build (Lazy.force vco_a) in
   Printf.printf
     "krylov | envelope solves, dense LU vs matrix-free GMRES (t2_end = %g us, h2 = %g):\n"
     t2_end h2;
-  let last_ratio = ref 0. in
   let orbit_at = settled_orbit () in
   List.iter
     (fun n1 ->
       let orbit = orbit_at n1 in
-      let count name = Obs.Metrics.count (Obs.Metrics.counter name) in
       let run solver =
-        let lu0 = count "lu.factor" and gm0 = count "gmres.iterations" in
-        let t0 = Unix.gettimeofday () in
         let options = Wampde.Envelope.default_options ~n1 ~solver () in
-        let res = Wampde.Envelope.simulate dae ~options ~t2_end ~h2 ~init:orbit in
-        let wall = Unix.gettimeofday () -. t0 in
-        (res, wall, count "lu.factor" - lu0, count "gmres.iterations" - gm0)
+        let res, grown =
+          counted (fun () -> Wampde.Envelope.simulate dae ~options ~t2_end ~h2 ~init:orbit)
+        in
+        (res, grown "lu.factor", grown "gmres.iterations")
       in
-      let res_d, t_dense, lu_d, _ = run Linalg.Structured.Dense in
-      let res_k, t_krylov, lu_k, gm_k = run Linalg.Structured.Krylov in
+      let res_d, lu_d, _ = run Linalg.Structured.Dense in
+      let res_k, lu_k, gm_k = run Linalg.Structured.Krylov in
       let om_d = res_d.Wampde.Envelope.omega and om_k = res_k.Wampde.Envelope.omega in
       let rel_err = ref 0. in
       Array.iteri
         (fun i om ->
           rel_err := Float.max !rel_err (Float.abs (om_k.(i) -. om) /. Float.abs om))
         om_d;
-      let ratio = t_dense /. t_krylov in
-      last_ratio := ratio;
       let unknowns = (n1 * dae.Dae.dim) + 1 in
       Printf.printf
-        "krylov |   n1 = %3d (%5d unknowns): dense %7.3f s (%d LU), krylov %7.3f s (%d LU, %d gmres iters), speedup %.2fx, omega rel err %.1e\n"
-        n1 unknowns t_dense lu_d t_krylov lu_k gm_k ratio !rel_err)
-    sizes;
+        "krylov |   n1 = %3d (%5d unknowns): dense (%d LU), krylov (%d LU, %d gmres iters), omega rel err %.1e\n"
+        n1 unknowns lu_d lu_k gm_k !rel_err)
+    [ 65; 101; 129; 161 ];
   Printf.printf
     "krylov | (dense work grows as n1^3 per factorization, krylov as n1^2 per GMRES iteration:\n\
-     krylov |  the matvec multiplies by the dense n1 x n1 D, the preconditioner is a real DFT)\n";
-  (* Strong scaling of the krylov path on the domain pool: same sweep,
-     same solver, jobs = 1 vs the requested --jobs.  The two runs'
-     outputs are compared exactly -- the pool's fixed-chunk determinism
-     contract makes bitwise identity a hard gate, not a tolerance. *)
-  let jobs = Par.Pool.jobs () in
-  if jobs > 1 then begin
-    let scaling_sizes = if !smoke then [ 101 ] else [ 101; 161 ] in
-    Printf.printf "krylov | strong scaling (krylov path, jobs 1 vs %d):\n" jobs;
-    List.iter
-      (fun n1 ->
-        let orbit = orbit_at n1 in
-        let run j =
-          Par.Pool.set_jobs j;
-          let t0 = Unix.gettimeofday () in
-          let options = Wampde.Envelope.default_options ~n1 ~solver:Linalg.Structured.Krylov () in
-          let res = Wampde.Envelope.simulate dae ~options ~t2_end ~h2 ~init:orbit in
-          (res, Unix.gettimeofday () -. t0)
-        in
-        let res_1, t_1 = run 1 in
-        let res_j, t_j = run jobs in
-        Par.Pool.set_jobs jobs;
-        let identical =
-          res_1.Wampde.Envelope.omega = res_j.Wampde.Envelope.omega
-          && res_1.Wampde.Envelope.slices = res_j.Wampde.Envelope.slices
-        in
-        let par_speedup = t_1 /. t_j in
-        Printf.printf
-          "krylov |   n1 = %3d: jobs 1 %7.3f s, jobs %d %7.3f s, speedup %.2fx, \
-           bitwise-identical %b\n"
-          n1 t_1 jobs t_j par_speedup identical;
-        if not identical then begin
-          Printf.eprintf "krylov check FAILED: --jobs %d output differs from serial at n1 = %d\n"
-            jobs n1;
-          exit 1
-        end)
-      scaling_sizes
-  end;
-  if !check && !last_ratio < 1. then begin
-    Printf.eprintf "krylov check FAILED: krylov slower than dense at largest size (%.2fx)\n"
-      !last_ratio;
-    exit 1
-  end
+     krylov |  the matvec multiplies by the dense n1 x n1 D, the preconditioner is a real DFT)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Ablations: design choices called out in DESIGN.md                   *)
 (* ------------------------------------------------------------------ *)
 
 let ablation_n1 () =
-  (* spectral collocation converges exponentially in n1; FD4 only
-     algebraically -- the reason `Spectral is the default *)
+  (* the orbit's frequency against the spectral collocation size n1:
+     the error falls exponentially until it reaches rounding *)
   let orbit_at = settled_orbit () in
   let f_ref = (orbit_at 61).Steady.Oscillator.omega in
   Printf.printf "ablation-n1 | unforced VCO frequency error vs collocation size (ref n1=61):\n";
@@ -539,38 +467,31 @@ let ablation_h2 () =
 
 let ablation_solver () =
   (* dense LU vs matrix-free Krylov (per-slice bordered FFT-block
-     preconditioner) on the quasiperiodic system, as n2 grows.  The
-     time is the wall clock of the periodic solve's own span: the
-     envelope warm-up before it runs on the size-based path whichever
-     solver the solve takes, so it is reported once, beside them *)
+     preconditioner) on the quasiperiodic system, as n2 grows: the
+     periodic solve's own Newton iterations and LU factors (its scope),
+     GMRES iterations and fallbacks to the long warm-up.  The envelope
+     warm-up before the solve runs on the size-based path whichever
+     solver the solve takes *)
   let dae = Circuit.Vco.build (Lazy.force vco_a) and init = Lazy.force orbit_a in
-  let fallbacks = Obs.Metrics.counter "quasiperiodic.fallbacks" in
   Printf.printf "ablation-solver | quasiperiodic Newton: dense LU vs matrix-free Krylov:\n";
   List.iter
     (fun n2 ->
-      (* seconds in the quasiperiodic.solve span, and the rest *)
-      let time solver =
+      let work solver =
         let options = { (Lazy.force options) with Wampde.Envelope.solver } in
-        let f0 = Obs.Metrics.count fallbacks in
-        Obs.Span.start_recording ();
-        let t0 = Unix.gettimeofday () in
-        let _ = Wampde.Quasiperiodic.from_orbit dae ~options ~p2:40. ~n2 ~init () in
-        let wall = Unix.gettimeofday () -. t0 in
-        let solve =
-          List.fold_left
-            (fun acc (r : Obs.Span.record) ->
-              if r.name = "quasiperiodic.solve" then acc +. (r.t_stop -. r.t_start) else acc)
-            0. (Obs.Span.stop_recording ())
+        let _, grown =
+          counted (fun () -> Wampde.Quasiperiodic.from_orbit dae ~options ~p2:40. ~n2 ~init ())
         in
-        (solve, wall -. solve, Obs.Metrics.count fallbacks - f0)
+        Printf.sprintf "%d newton, %d lu, %d gmres, %d fallbacks"
+          (grown ~scope:"quasiperiodic" "newton.iterations")
+          (grown ~scope:"quasiperiodic" "lu.factor")
+          (grown "gmres.iterations")
+          (grown "quasiperiodic.fallbacks")
       in
-      let td, wd, fd = time Linalg.Structured.Dense in
-      let tk, wk, fk = time Linalg.Structured.Krylov in
-      let unknowns = n2 * ((n1 * 4) + 1) in
-      Printf.printf
-        "ablation-solver |   n2 = %2d (%4d unknowns): dense %6.2f s, krylov %6.2f s (%.1fx); \
-         warm-up %.2f/%.2f s, fallbacks %d/%d\n"
-        n2 unknowns td tk (td /. tk) wd wk fd fk)
+      let dense = work Linalg.Structured.Dense in
+      let krylov = work Linalg.Structured.Krylov in
+      Printf.printf "ablation-solver |   n2 = %2d (%4d unknowns): dense %s; krylov %s\n" n2
+        (n2 * ((n1 * 4) + 1))
+        dense krylov)
     [ 7; 11; 15; 21 ];
   Printf.printf
     "ablation-solver | (iterative linear algebra scales as the paper's [Saa96] reference)\n"
@@ -597,76 +518,37 @@ let robust () =
     in
     let n1 = 11 and n2 = 11 in
     let guess = Array.init n2 (fun _ -> Array.init n1 (fun _ -> [| 0. |])) in
-    (* the case's work is the counters' growth across it, so the
-       experiment footer keeps every case's counts *)
-    let count name = Obs.Metrics.count (Obs.Metrics.counter name) in
     let strategy_counter s = "newton.strategy." ^ Nonlin.Polyalg.strategy_name s in
-    let watched =
-      [ "newton.iterations"; "trust_region.iterations" ]
-      @ List.map strategy_counter Nonlin.Polyalg.default_cascade
-    in
-    let before = List.map (fun name -> (name, count name)) watched in
-    let grown name = count name - List.assoc name before in
-    let t0 = Unix.gettimeofday () in
-    let outcome =
-      match Mpde.quasiperiodic ?cascade sys ~n1 ~n2 ~p2 ~guess with
-      | _ ->
-        let winner =
-          List.find_opt
-            (fun s -> grown (strategy_counter s) > 0)
-            (List.rev Nonlin.Polyalg.default_cascade)
-        in
-        let iters = grown "newton.iterations" + grown "trust_region.iterations" in
-        `Solved (winner, iters)
-      | exception Mpde.Solve_failure _ -> `Failed
-    in
-    (outcome, Unix.gettimeofday () -. t0)
+    match counted (fun () -> Mpde.quasiperiodic ?cascade sys ~n1 ~n2 ~p2 ~guess) with
+    | _, grown ->
+      let winner =
+        List.find_opt
+          (fun s -> grown (strategy_counter s) > 0)
+          (List.rev Nonlin.Polyalg.default_cascade)
+      in
+      `Solved (winner, grown "newton.iterations" + grown "trust_region.iterations")
+    | exception Mpde.Solve_failure _ -> `Failed
   in
-  let betas = if !smoke then [ 200.; 500. ] else [ 100.; 200.; 300.; 400.; 500.; 600. ] in
   Printf.printf
     "robust | strong-modulation sinh quasiperiodic from cold start: plain Newton vs cascade\n";
-  Printf.printf "robust |   beta    plain Newton          cascade                    (wall s)\n";
+  Printf.printf "robust |   beta    plain Newton          cascade\n";
   List.iter
     (fun beta ->
-      let plain, t_plain = solve_case beta (Some [ Nonlin.Polyalg.Damped ]) in
-      let full, t_full = solve_case beta None in
+      let plain = solve_case beta (Some [ Nonlin.Polyalg.Damped ]) in
+      let full = solve_case beta None in
       Printf.printf "robust |   %4.0f    %-18s  %s\n" beta
         (match plain with
         | `Failed -> "FAIL"
-        | `Solved (_, iters) -> Printf.sprintf "ok %3d it %.2fs" iters t_plain)
+        | `Solved (_, iters) -> Printf.sprintf "ok %3d it" iters)
         (match full with
         | `Failed -> "FAIL"
         | `Solved (winner, iters) ->
-          Printf.sprintf "ok via %-12s %3d it %.2fs"
+          Printf.sprintf "ok via %-12s %3d it"
             (match winner with
             | Some s -> Nonlin.Polyalg.strategy_name s
             | None -> "?")
-            iters t_full))
-    betas;
-  (* pool scaling of the hardest cascade case: the globalized solves
-     run the same parallel kernels, and determinism means the iteration
-     counts (not just the tolerances) must agree between job counts *)
-  let jobs = Par.Pool.jobs () in
-  if jobs > 1 then begin
-    let beta = List.fold_left Float.max 0. betas in
-    let scale j =
-      Par.Pool.set_jobs j;
-      let t0 = Unix.gettimeofday () in
-      let outcome, _ = solve_case beta None in
-      (outcome, Unix.gettimeofday () -. t0)
-    in
-    let o_1, t_1 = scale 1 in
-    let o_j, t_j = scale jobs in
-    Par.Pool.set_jobs jobs;
-    let par_speedup = t_1 /. t_j in
-    Printf.printf "robust | strong scaling (beta = %.0f cascade): jobs 1 %.2fs, jobs %d %.2fs, \
-                   speedup %.2fx, identical outcome %b\n"
-      beta t_1 jobs t_j par_speedup (o_1 = o_j);
-    if o_1 <> o_j then begin
-      Printf.eprintf "robust check FAILED: --jobs %d outcome differs from serial\n" jobs;
-      exit 1
-    end
-  end;
+            iters))
+    [ 100.; 200.; 300.; 400.; 500.; 600. ];
   Printf.printf
     "robust | (the cascade keeps solving after plain Newton starts failing; trust region wins)\n"
 
@@ -678,8 +560,7 @@ let health () =
      (iterations per solve against the restart window) tracks the
      preconditioner as the grid grows.  The numbers behind the health
      table in EXPERIMENTS.md. *)
-  let sizes = if !smoke then [ 9; 15 ] else [ 9; 15; 25; 41 ] in
-  let t2_end = if !smoke then 10. else 30. in
+  let t2_end = 30. in
   let h2 = 0.4 in
   let dae = Circuit.Vco.build (Lazy.force vco_a) in
   Printf.printf
@@ -690,15 +571,11 @@ let health () =
   List.iter
     (fun n1 ->
       let orbit = orbit_at n1 in
-      (* the run's work is the counters' growth across it (as in
-         [robust]), so the experiment footer keeps every run's counts *)
-      let c name = Obs.Metrics.count (Obs.Metrics.counter name) in
-      let watched = [ "gmres.solves"; "gmres.iterations"; "health.warnings" ] in
-      let before = List.map (fun name -> (name, c name)) watched in
-      let grown name = c name - List.assoc name before in
       Obs.Health.reset ();
       let options = Wampde.Envelope.default_options ~n1 ~solver:Linalg.Structured.Krylov () in
-      let _ = Wampde.Envelope.simulate dae ~options ~t2_end ~h2 ~init:orbit in
+      let _, grown =
+        counted (fun () -> Wampde.Envelope.simulate dae ~options ~t2_end ~h2 ~init:orbit)
+      in
       let g name = Obs.Metrics.value (Obs.Metrics.gauge name) in
       let tail = g "health.tail_energy"
       and needed = g "health.effective_harmonics"
@@ -713,7 +590,7 @@ let health () =
       in
       Printf.printf "health |   %3d   %.3e        %2.0f / %-2.0f        %s          %d\n" n1 tail
         needed avail gmres_col warnings)
-    sizes;
+    [ 9; 15; 25; 41 ];
   Printf.printf
     "health | (tail energy falls exponentially with n1; the monitors flag both coarse and \
      wasteful grids)\n"
@@ -734,7 +611,6 @@ let experiments =
     ("fig10", fig10);
     ("fig11", fig11);
     ("fig12", fig12);
-    ("speedup", speedup);
     ("krylov", krylov_bench);
     ("mpdefm", mpdefm);
     ("lock", lock);
@@ -752,21 +628,8 @@ let () =
     | "--csv" :: rest ->
       csv := true;
       parse rest
-    | "--smoke" :: rest ->
-      smoke := true;
-      parse rest
-    | "--check" :: rest ->
-      check := true;
-      parse rest
     | "--only" :: id :: rest ->
       only := Some id;
-      parse rest
-    | "--jobs" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some j when j >= 1 -> Par.Pool.set_jobs j
-      | _ ->
-        Printf.eprintf "--jobs: expected a positive integer, got %s\n" n;
-        exit 1);
       parse rest
     | "--list" :: _ ->
       List.iter (fun (id, _) -> print_endline id) experiments;
@@ -791,9 +654,7 @@ let () =
     (fun (id, run) ->
       Obs.Metrics.reset ();
       let gc0 = Gc.quick_stat () in
-      let t0 = Unix.gettimeofday () in
       run ();
-      let wall = Unix.gettimeofday () -. t0 in
       let gc1 = Gc.quick_stat () in
       let alloc_words =
         gc1.Gc.minor_words -. gc0.Gc.minor_words
@@ -802,11 +663,11 @@ let () =
       in
       let c name = Obs.Metrics.count (Obs.Metrics.counter name) in
       Printf.printf
-        "%s | solver work: %d newton iters, %d lu factors, %d gmres iters, %d rejects | wall \
-         %.2f s | alloc %.1f Mw\n"
+        "%s | solver work: %d newton iters, %d lu factors, %d gmres iters, %d rejects | alloc \
+         %.1f Mw\n"
         id (c "newton.iterations") (c "lu.factor") (c "gmres.iterations")
         (c "transient.rejects" + c "envelope.rejects")
-        wall (alloc_words /. 1e6);
+        (alloc_words /. 1e6);
       print_newline ())
     selected;
   Obs.set_enabled false

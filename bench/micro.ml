@@ -197,19 +197,24 @@ let tests =
 let () =
   let open Bechamel in
   let open Toolkit in
-  Printf.printf "== linalg and circuit kernel microbenchmarks (ns/run) ==\n%!";
+  (* r^2 is the OLS fit's share of the samples' variance: near 1 the
+     estimate is the slope of clean samples, well below it the host's
+     noise moved the runs and one reading cannot tell a change from it *)
+  Printf.printf "== linalg and circuit kernel microbenchmarks (ns/run, OLS r^2) ==\n%!";
   let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) () in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
+  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
   List.iter
     (fun test ->
       let raw = Benchmark.all cfg Instance.[ monotonic_clock ] test in
       let results = Analyze.all ols Instance.monotonic_clock raw in
       Hashtbl.iter
         (fun name est ->
+          let r2 = Option.value ~default:nan (Analyze.OLS.r_square est) in
           match Analyze.OLS.estimates est with
           | Some [ t ] when name = warmup_name ->
-            Printf.printf "  %-32s %12.0f ns/run %8.0f ns/step\n%!" name t (t /. warmup_steps)
-          | Some [ t ] -> Printf.printf "  %-32s %12.0f ns/run\n%!" name t
+            Printf.printf "  %-32s %12.0f ns/run  r2 %.4f %8.0f ns/step\n%!" name t r2
+              (t /. warmup_steps)
+          | Some [ t ] -> Printf.printf "  %-32s %12.0f ns/run  r2 %.4f\n%!" name t r2
           | _ -> Printf.printf "  %-32s (no estimate)\n%!" name)
         results)
     tests

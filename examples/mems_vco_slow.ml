@@ -76,4 +76,4 @@ let () =
   Printf.printf
     "\n  the WaMPDE phase condition prevents error build-up; transient needs\n\
     \  ~1000 pts/cycle to stay comparable (the paper's two-orders-of-magnitude\n\
-    \  speed advantage; run bench/main.exe -- --only speedup for timings)\n"
+    \  speed advantage; perfbench's vcob-speedup workload times it)\n"

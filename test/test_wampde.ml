@@ -355,6 +355,28 @@ let envelope_tests =
           /. Vec.mean rd.Wampde.Envelope.omega
         in
         Alcotest.(check bool) "mean omega agrees" true (rel < 1e-3));
+    Alcotest.test_case "a krylov march is bitwise the same at jobs 1 and 2" `Quick (fun () ->
+        (* VCO-A's full control swing at h2 = 2 (strong modulation) on
+           the matrix-free path, whose structured matvec and
+           preconditioner factor run on the domain pool.  The jobs-2
+           run must open pool regions, or the comparison shows nothing *)
+        let n1 = 41 in
+        let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) and init = vco_a_orbit ~n1 in
+        let options = Wampde.Envelope.default_options ~n1 ~solver:Structured.Krylov () in
+        let run jobs =
+          Test_par.with_jobs jobs (fun () ->
+              Wampde_obs.Metrics.with_isolated (fun () ->
+                  Wampde_obs.set_enabled true;
+                  let res = Wampde.Envelope.simulate dae ~options ~t2_end:20. ~h2:2. ~init in
+                  (res, Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter "pool.runs"))))
+        in
+        let serial, _ = run 1 in
+        let parallel, regions = run 2 in
+        Alcotest.(check bool) (Printf.sprintf "%d pool regions at jobs 2" regions) true (regions > 0);
+        Alcotest.(check bool) "omega bitwise equal" true
+          (serial.Wampde.Envelope.omega = parallel.Wampde.Envelope.omega);
+        Alcotest.(check bool) "slices bitwise equal" true
+          (serial.Wampde.Envelope.slices = parallel.Wampde.Envelope.slices));
   ]
 
 let quasi_tests =
