@@ -141,7 +141,7 @@ let tests =
       (fun n1 ->
         let op = make_system n1 in
         let nd = Structured.dim op in
-        let pc = Structured.make_precond op in
+        let pc = Structured.make_precond [| op |] in
         let v = Array.init nd (fun i -> sin (float_of_int i)) in
         let out = Array.make nd 0. in
         Test.make

@@ -213,7 +213,7 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
     match
       let pc =
         match options.precond_cache with
-        | None -> Structured.make_precond op
+        | None -> Structured.make_precond [| op |]
         | Some prefix ->
           (* key determines the operator shape (n1 and, through the
              circuit prefix, the block size) and buckets the two
@@ -227,7 +227,11 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
           in
           Structured.make_precond_cached ~key op
       in
-      Dae.Semidisc.m_inv lin pc
+      match lin.Dae.Semidisc.border with
+      | None -> Structured.precond_apply_into pc
+      | Some b ->
+        Structured.bordered_apply_into
+          (Structured.make_bordered pc ~cols:[| b.Dae.Semidisc.col |] ~rows:[| b.Dae.Semidisc.row |])
     with
     | exception (Cx.Clu.Singular _ | Structured.Bordered_singular _ | Failure _) -> None
     | m_inv -> Some { klin = lin; m_inv }

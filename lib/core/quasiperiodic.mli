@@ -11,8 +11,9 @@
 
     The system is the periodic-in-[t2] wrapper of {!Dae.Semidisc} on
     the envelope's [t1] discretization.  The linear systems are solved
-    densely (LU) or matrix-free with GMRES and a per-slice bordered
-    DFT-block preconditioner — the paper's pointer to iterative methods
+    densely (LU) or matrix-free with GMRES and a bordered DFT-block
+    preconditioner that holds the slices' [t2] coupling — the paper's
+    pointer to iterative methods
     [Saa96] for large systems.  A solution's waveform (eq. (17)) is
     {!Sigproc.Warp.make} of its fields, with [~p2]. *)
 

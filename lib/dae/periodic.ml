@@ -15,37 +15,46 @@ let solve ?cascade sd ~p2 ~d2 ~options ~solver ~label ~fn ~omega slices =
     let jac = jacobian y in
     Lu.solve (Lu.factor_into jac ~perm:(Array.make (Mat.rows jac) 0)) r
   in
-  (* GMRES workspace and one-slice preconditioner scratch, shared by
-     every Newton iteration of this solve *)
-  let krylov_scratch =
-    lazy
-      (Gmres.workspace ~n:(n2 * bs) ~restart:60 ~max_iter:300 (), Array.make bs 0., Array.make bs 0.)
-  in
+  (* GMRES workspace and the preconditioner's buffers (its wavenumber
+     blocks and Schur columns), shared by every Newton iteration of
+     this solve *)
+  let krylov_scratch = lazy (Gmres.workspace ~n:(n2 * bs) ~restart:60 ~max_iter:300 ()) in
+  let coupling = lazy (Mat.init n2 n2 (fun m q -> d2.(m).(q) /. p2)) in
+  let pc_buf = ref None and bp_buf = ref None in
   (* Fully matrix-free Newton direction: the per-slice structured
      operators and cross-slice slow coupling of [Semidisc],
-     preconditioned by the per-slice DFT-block inverse (the slow d2/p2
-     coupling is weak against the omega-scaled fast term and is left to
-     GMRES).  Returns [None] when the preconditioner degenerates or
-     GMRES stalls. *)
+     preconditioned by their t1-averaged inverse, which holds the
+     (D2/p2) (x) C coupling exactly: one n2 n complex block per t1
+     wavenumber, bordered by the slices' omega columns and phase rows
+     through one n2 x n2 Schur complement.  Returns [None] when the
+     preconditioner degenerates or GMRES stalls. *)
   let krylov_dir y r =
     let lins = Semidisc.periodic_linearize sys y in
     match
-      Array.map (fun lin -> Semidisc.m_inv lin (Structured.make_precond lin.Semidisc.op)) lins
+      let pc =
+        Structured.make_precond ?into:!pc_buf ~coupling:(Lazy.force coupling)
+          (Array.map (fun lin -> lin.Semidisc.op) lins)
+      in
+      pc_buf := Some pc;
+      match lins.(0).Semidisc.border with
+      | None -> Structured.precond_apply_into pc
+      | Some _ ->
+        (* every slice has a border when the first has *)
+        let border f = Array.map (fun lin -> f (Option.get lin.Semidisc.border)) lins in
+        let bp =
+          Structured.make_bordered ?into:!bp_buf pc
+            ~cols:(border (fun b -> b.Semidisc.col))
+            ~rows:(border (fun b -> b.Semidisc.row))
+        in
+        bp_buf := Some bp;
+        Structured.bordered_apply_into bp
     with
     | exception (Cx.Clu.Singular _ | Structured.Bordered_singular _ | Failure _) -> None
-    | slice_m_inv ->
-      let ws, seg_in, seg_out = Lazy.force krylov_scratch in
-      let m_inv v out =
-        for m = 0 to n2 - 1 do
-          Array.blit v (m * bs) seg_in 0 bs;
-          slice_m_inv.(m) seg_in seg_out;
-          Array.blit seg_out 0 out (m * bs) bs
-        done
-      in
+    | m_inv ->
       let result =
         Gmres.solve
           ~matvec:(Semidisc.periodic_apply_into sys lins)
-          ~m_inv ~ws ~restart:60 ~max_iter:300 ~tol:1e-10 r
+          ~m_inv ~ws:(Lazy.force krylov_scratch) ~restart:60 ~max_iter:300 ~tol:1e-10 r
       in
       if result.Gmres.converged then Some result.Gmres.x else None
   in

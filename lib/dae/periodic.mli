@@ -17,9 +17,15 @@ val pack : Semidisc.t -> omega:Vec.t -> Vec.t array array -> Vec.t
     shape raises [Invalid_argument] naming [fn].  It runs the
     {!Nonlin.Polyalg} cascade under [label]; the damped stage's
     direction is dense LU or, by {!Linalg.Structured.use_krylov} on
-    [solver], GMRES preconditioned per slice by {!Semidisc.m_inv} with a
-    dense fallback.  [Ok (omega, slices)] holds the converged frequency
-    and grid of each slice; [Error] the exhausted cascade's outcome. *)
+    [solver], GMRES (relative tolerance 1e-10) preconditioned by
+    {!Linalg.Structured.make_precond} over all [n2] slices with the
+    [(d2 / p2) (x) C] coupling, bordered by their omega columns and
+    phase rows when omega is unknown: one build per Newton iteration,
+    into buffers kept for the solve.  A singular preconditioner or a
+    GMRES solve that does not converge in 300 iterations falls back to
+    dense LU for that iteration.  [Ok (omega, slices)] holds the
+    converged frequency and grid of each slice; [Error] the exhausted
+    cascade's outcome. *)
 val solve :
   ?cascade:Nonlin.Polyalg.strategy list ->
   Semidisc.t ->

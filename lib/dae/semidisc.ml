@@ -189,19 +189,6 @@ let apply_into lin v out =
   | None -> Structured.apply_into lin.op v out
   | Some b -> Structured.apply_bordered_into lin.op ~border_col:b.col ~border_row:b.row v out
 
-let m_inv lin pc =
-  match lin.border with
-  | None -> Structured.precond_apply_into pc
-  | Some { col = border_col; row = border_row } ->
-    let bordered =
-      try Structured.make_bordered pc ~border_col ~border_row
-      with Structured.Bordered_singular _ ->
-        (* degenerate phase border: regularize the Schur scalar rather
-           than dropping straight to the dense path *)
-        Structured.make_bordered ~gmin:1e-9 pc ~border_col ~border_row
-    in
-    Structured.bordered_apply_into bordered
-
 (* ---------- theta step in t2 ---------- *)
 
 type step = {

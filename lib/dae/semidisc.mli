@@ -76,12 +76,6 @@ val dense_into : lin -> Mat.t -> unit
 (** [apply_into lin v out] writes [lin v] into [out] (no aliasing). *)
 val apply_into : lin -> Vec.t -> Vec.t -> unit
 
-(** [m_inv lin pc] builds, once per [lin], the slice preconditioner on
-    [pc = Structured.make_precond lin.op]: bordered by the phase row
-    when [omega] is unknown (with [gmin = 1e-9] if the Schur complement
-    degenerates, which may still raise {!Structured.Bordered_singular}). *)
-val m_inv : lin -> Structured.precond -> Vec.t -> Vec.t -> unit
-
 (** {1 Theta step in t2} *)
 
 (** The system [q(X) - q0 + h theta g(y) + h (1 - theta) g0] plus the

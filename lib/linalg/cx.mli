@@ -1,8 +1,9 @@
 (** Complex scalars, vectors and dense matrices, plus a complex LU solve.
 
     Builds on [Stdlib.Complex].  Used by the harmonic-balance and
-    Fourier machinery; the heavy WaMPDE collocation path is real-valued
-    and uses {!Lu} instead. *)
+    Fourier machinery, and by the wavenumber blocks of {!Structured}'s
+    preconditioner; the rest of the WaMPDE collocation path is
+    real-valued and uses {!Lu}. *)
 
 type c = Complex.t
 
@@ -43,18 +44,25 @@ module Cmat : sig
 end
 
 module Clu : sig
-  type t
+  (** A complex matrix [re + i im] on split real/imaginary rows, and
+      after {!factor_into} its LU factors (rows permuted). *)
+  type t = { re : float array array; im : float array array; perm : int array }
 
   exception Singular of int
 
-  (** [factor a] is complex LU with partial (modulus) pivoting. *)
-  val factor : Cmat.t -> t
+  (** [factor_into f] factors [f.re + i f.im] in place by LU with
+      partial (modulus) pivoting, writing the pivot order into
+      [f.perm]; no [Complex.t] is allocated, and the factors are
+      bitwise those of the same loop in boxed [Stdlib.Complex]
+      arithmetic.  Telemetry-free, for pool worker domains (the metric
+      cells in {!Wampde_obs} are not synchronized across domains):
+      callers account the work on the calling domain via
+      {!note_factor}.  Raises [Invalid_argument] unless the matrix is
+      square and [perm] as long, [Singular] on a zero pivot. *)
+  val factor_into : t -> unit
 
-  (** Telemetry-free {!factor} for pool worker domains (the metric
-      cells in {!Wampde_obs} are not synchronized across domains).
-      Callers account the work on the calling domain via
-      {!note_factor}, keeping counts identical for every job count. *)
-  val factor_quiet : Cmat.t -> t
+  (** [factor a] is {!factor_into} on a copy of [a], with telemetry. *)
+  val factor : Cmat.t -> t
 
   (** Record the telemetry of one [n x n] factorization
       ([lu.factor_complex], [lu.dim_complex]) without performing it. *)

@@ -24,6 +24,30 @@ type workspace = {
   u : Vec.t;  (* combined correction, then A x *)
 }
 
+(* The Gram-Schmidt inner product: a plain sum in four accumulators
+   (entry i into accumulator i mod 4), added pairwise at the end.  Not
+   Kahan-compensated as [Vec.dot] is: that loop is bound by the
+   latency of its chain of dependent adds, and modified Gram-Schmidt
+   does not need the compensation.  Both vectors are workspace vectors
+   of the solve's length, so the loop is unchecked.  Inlined so that
+   the result stays unboxed. *)
+let[@inline] gs_dot u v =
+  let n = Array.length u in
+  let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
+  let i = ref 0 in
+  while !i + 4 <= n do
+    let j = !i in
+    s0 := !s0 +. (Array.unsafe_get u j *. Array.unsafe_get v j);
+    s1 := !s1 +. (Array.unsafe_get u (j + 1) *. Array.unsafe_get v (j + 1));
+    s2 := !s2 +. (Array.unsafe_get u (j + 2) *. Array.unsafe_get v (j + 2));
+    s3 := !s3 +. (Array.unsafe_get u (j + 3) *. Array.unsafe_get v (j + 3));
+    i := j + 4
+  done;
+  for j = !i to n - 1 do
+    s0 := !s0 +. (Array.unsafe_get u j *. Array.unsafe_get v j)
+  done;
+  (!s0 +. !s1) +. (!s2 +. !s3)
+
 let default_restart = 50
 let default_max_iter restart = 10 * restart
 
@@ -97,11 +121,11 @@ let solve ~matvec ?m_inv ?ws ?x0 ?(restart = default_restart) ?max_iter ?(tol = 
             | None -> matvec v.(j) w);
            (* modified Gram-Schmidt *)
            for i = 0 to j do
-             let hij = Vec.dot v.(i) w in
+             let hij = gs_dot v.(i) w in
              h.(i).(j) <- hij;
              Vec.axpy ~a:(-.hij) ~x:v.(i) w
            done;
-           let hj1 = Vec.norm2 w in
+           let hj1 = sqrt (gs_dot w w) in
            h.(j + 1).(j) <- hj1;
            (* apply previous Givens rotations to the new column *)
            for i = 0 to j - 1 do

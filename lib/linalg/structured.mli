@@ -8,10 +8,11 @@
     periodic fast-time grid, [C_k = dq(x_k)] and [B_j] collects the
     remaining per-point blocks (typically [dq + h theta df] or [df]).
     This module provides matrix-free products with that operator, a
-    DFT-diagonalized averaged-Jacobian block preconditioner, and a
-    bordered (Schur) treatment of the trailing oscillator-frequency
-    column and phase-condition row, so preconditioned {!Gmres} replaces
-    the dense O((n1 n)^3) LU factorization.
+    DFT-diagonalized averaged-Jacobian block preconditioner for [n2]
+    such operators coupled in [t2], and a bordered (Schur) treatment
+    of their trailing oscillator-frequency columns and phase-condition
+    rows, so preconditioned {!Gmres} replaces the dense
+    O((n2 n1 n)^3) LU factorization.
 
     Instrumented via [gmres.precond.builds], [gmres.precond.applies],
     [gmres.precond.block_factors] and [gmres.precond.fallbacks] in
@@ -31,7 +32,7 @@
     [m_inv]).  A [precond] carries per-apply scratch, so one [precond]
     (or a [bordered] built on it) is applied from one calling domain
     at a time.  Steady-state applies allocate a bounded number of
-    words, independent of [n1]. *)
+    words, independent of [n1] and [n2]. *)
 
 (** How a caller should solve its collocation Newton systems. *)
 type strategy =
@@ -86,23 +87,40 @@ val apply_bordered_into : op -> border_col:Vec.t -> border_row:Vec.t -> Vec.t ->
     [Invalid_argument] if [jac] or a C block is smaller than that. *)
 val dense_into : op -> Mat.t -> unit
 
-(** {1 Averaged-Jacobian block preconditioner} *)
+(** {1 Slice-coupled averaged-Jacobian preconditioner}
+
+    One preconditioner for [n2] slices, each a collocation operator
+    [alpha_m (D (x) C^m) + blockdiag(B^m)] on the same [t1] grid,
+    coupled by [K (x) C]: slice [m]'s rows add [K_mq blockdiag(C^q)]
+    applied to slice [q].  The periodic-in-[t2] WaMPDE Jacobian is this
+    with [K = D2 / p2]; the envelope's theta step is [n2 = 1] with no
+    coupling. *)
 
 type precond
 
-(** [make_precond op] averages the [C]/[B] blocks over the grid,
-    diagonalizes the circulant [D] with the real DFT of {!Rdft} and
-    factors the [n1/2 + 1] resulting complex [n x n] blocks (conjugate
-    symmetry supplies the rest).  Raises [Invalid_argument] on an even
-    [n1] (through {!Rdft.of_size}); may raise [Cx.Clu.Singular]. *)
-val make_precond : op -> precond
+(** [make_precond ?into ?coupling ops] averages each slice's [C]/[B]
+    blocks over [t1], diagonalizes the circulant [D] with the real DFT
+    of {!Rdft} and, for each wavenumber [k = 0..n1/2] (conjugate
+    symmetry supplies the rest), factors the complex [n2 n] system
+    [blockdiag_m (alpha_m lambda_k Cbar_m + Bbar_m) + K (x) Cbar] by
+    {!Cx.Clu} on split re/im arrays.  [coupling] is the
+    [n2 x n2] matrix [K] (default none); the [ops] share one [D].  The
+    blocks factor on the {!Par.Pool}.  [?into] reuses the buffers of a
+    precond of the same shape (it is refilled, and returned), so a
+    caller that rebuilds every Newton iteration allocates them once.
+    Raises [Invalid_argument] on an even [n1] (through
+    {!Rdft.of_size}) or mismatched shapes, [Cx.Clu.Singular] on a
+    singular block.  Each build bumps [gmres.precond.builds] once and
+    [gmres.precond.block_factors] and [lu.factor_complex] [n1/2 + 1]
+    times. *)
+val make_precond : ?into:precond -> ?coupling:Mat.t -> op array -> precond
 
 (** [precond_apply_into pc v out] writes the approximate inverse
-    applied to [v] into [out]: a real DFT of each component across the
-    t1 grid, one block solve per wavenumber [0..n1/2] and the real
-    inverse, in one sequential pass.  Only the first [dim] entries of [v] are
-    read and of [out] written, so bordered vectors can be passed.
-    [out] must not alias [v]. *)
+    applied to [v] into [out], slice [m] at [m n1 n]: a real DFT of
+    each (slice, component) across the t1 grid, one block solve per
+    wavenumber [0..n1/2] and the real inverse, in one sequential pass.
+    Only the first [n2 n1 n] entries of [v] are read and of [out]
+    written.  [out] must not alias [v]. *)
 val precond_apply_into : precond -> Vec.t -> Vec.t -> unit
 
 (** {1 Cross-solve preconditioner cache}
@@ -113,7 +131,7 @@ val precond_apply_into : precond -> Vec.t -> Vec.t -> unit
     GMRES iteration counts, never solutions: operator products stay
     fresh and the outer tolerance is unchanged.  Disabled (capacity 0)
     by default; the serve daemon enables it so repeated-circuit job
-    batches amortize the [n1] complex block factorizations.
+    batches amortize the [n1/2 + 1] complex block factorizations.
     Instrumented as [cache.precond.hits] / [.misses] / [.evictions]
     counters and the [cache.precond.entries] gauge.  Not synchronized:
     factor and look up from one domain only. *)
@@ -131,7 +149,8 @@ module Precond_cache : sig
   val enabled : unit -> bool
 end
 
-(** [make_precond_cached ~key op] is {!make_precond} through the
+(** [make_precond_cached ~key op] is {!make_precond} of the one slice
+    [[| op |]] through the
     {!Precond_cache}: a hit returns the cached factorization without
     touching [op]'s blocks; a miss factors and stores.  With the cache
     disabled this is exactly {!make_precond}.  The caller's [key] must
@@ -143,19 +162,21 @@ type bordered
 
 exception Bordered_singular of float
 (** The border Schur complement degenerated (carries the offending
-    scalar, possibly NaN).  Callers can retry with [?gmin]. *)
+    entry or pivot, possibly NaN). *)
 
-(** [make_bordered pc ~border_col ~border_row] extends the block
-    preconditioner to the bordered system via the exact Schur
-    complement of the (approximate) block inverse.  Raises
-    {!Bordered_singular} if the border Schur complement degenerates;
-    [?gmin] (default [0.]) shifts the Schur scalar away from zero
-    (gmin-style regularization) so a nearly-degenerate border still
-    yields a usable — if weaker — preconditioner. *)
-val make_bordered :
-  ?gmin:float -> precond -> border_col:Vec.t -> border_row:Vec.t -> bordered
+(** [make_bordered ?into pc ~cols ~rows] extends [pc] to the system
+    bordered by one column and one row per slice (slice [m]'s omega
+    column [cols.(m)] and phase row [rows.(m)], each of length [n1 n])
+    through the exact [n2 x n2] Schur complement of the approximate
+    block inverse.  A Schur complement with a pivot under 1e-300 is
+    shifted by 1e-9 on its diagonal, away from zero (gmin style), so a
+    nearly-degenerate border still yields a usable, if weaker,
+    preconditioner; {!Bordered_singular} is raised if it has a
+    non-finite entry or stays singular.  [?into] reuses the buffers of
+    a bordered preconditioner of the same shape. *)
+val make_bordered : ?into:bordered -> precond -> cols:Vec.t array -> rows:Vec.t array -> bordered
 
 (** [bordered_apply_into bp v out] applies the bordered approximate
-    inverse to the length-[dim + 1] vector [v], writing all [dim + 1]
-    entries of [out] (which must not alias [v]). *)
+    inverse to [v], [n2] slices of [n1 n + 1] entries with the omega
+    unknown last, writing all of [out] (which must not alias [v]). *)
 val bordered_apply_into : bordered -> Vec.t -> Vec.t -> unit

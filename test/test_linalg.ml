@@ -544,6 +544,17 @@ let cx_tests =
   ]
 
 (* Property-based tests *)
+(* The checked loops [Vec.axpy] and [Vec.scale_inplace] unroll *)
+let axpy_plain ~a ~x y =
+  for i = 0 to Array.length x - 1 do
+    y.(i) <- y.(i) +. (a *. x.(i))
+  done
+
+let scale_inplace_plain a v =
+  for i = 0 to Array.length v - 1 do
+    v.(i) <- a *. v.(i)
+  done
+
 let prop_tests =
   let open QCheck in
   let finite_float = Gen.float_range (-100.) 100. in
@@ -585,6 +596,26 @@ let prop_tests =
            Mat.approx_equal ~tol:1e-6
              (Mat.transpose (Mat.mul a b))
              (Mat.mul (Mat.transpose b) (Mat.transpose a))));
+    QCheck_alcotest.to_alcotest
+      (Test.make ~name:"vec: axpy and scale_inplace are bitwise the plain loops" ~count:100
+         (make
+            Gen.(
+              pair
+                (pair matvec_entry matvec_entry)
+                (int_range 0 13 >>= fun n ->
+                 pair (array_size (return n) matvec_entry) (array_size (return n) matvec_entry))))
+         (fun ((a, s), (x, y)) ->
+           (* lengths 0-13 cover every remainder of the four-entry
+              rounds; the comparison is on the bits, NaN payloads
+              included *)
+           let bits v = Array.map Int64.bits_of_float v in
+           let y_fast = Array.copy y and y_plain = Array.copy y in
+           Vec.axpy ~a ~x y_fast;
+           axpy_plain ~a ~x y_plain;
+           let x_fast = Array.copy x and x_plain = Array.copy x in
+           Vec.scale_inplace s x_fast;
+           scale_inplace_plain s x_plain;
+           bits y_fast = bits y_plain && bits x_fast = bits x_plain));
   ]
 
 let suites =

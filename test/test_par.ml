@@ -91,7 +91,7 @@ let pool_tests =
                 ~c_blocks:(Array.make n1 (Mat.identity 3))
                 ~b_blocks:(Array.make n1 (Mat.zeros 3 3))
             in
-            match Structured.make_precond op with
+            match Structured.make_precond [| op |] with
             | _ -> Alcotest.fail "expected Singular"
             | exception Cx.Clu.Singular _ -> ()));
     Alcotest.test_case "pool metrics accumulate on parallel regions" `Quick (fun () ->
@@ -130,14 +130,14 @@ let det_tests =
            let v = Array.init (n1 * n) (fun i -> cos (0.1 *. float_of_int i)) in
            let serial =
              with_jobs 1 (fun () ->
-                 let pc = Structured.make_precond op in
+                 let pc = Structured.make_precond [| op |] in
                  let z = Array.make (n1 * n) 0. in
                  Structured.precond_apply_into pc v z;
                  (z, Structured.apply op v))
            in
            let par =
              with_jobs jobs (fun () ->
-                 let pc = Structured.make_precond op in
+                 let pc = Structured.make_precond [| op |] in
                  let z = Array.make (n1 * n) 0. in
                  Structured.precond_apply_into pc v z;
                  (z, Structured.apply op v))
@@ -198,8 +198,8 @@ let alloc_system n1 =
   let nd = n1 * n in
   let border_col = Array.init nd (fun i -> cos (0.3 *. float_of_int i)) in
   let border_row = Array.init nd (fun i -> if i mod n = 0 then 1. else 0.) in
-  let pc = Structured.make_precond op in
-  let bp = Structured.make_bordered pc ~border_col ~border_row in
+  let pc = Structured.make_precond [| op |] in
+  let bp = Structured.make_bordered pc ~cols:[| border_col |] ~rows:[| border_row |] in
   (op, pc, bp, border_col, border_row)
 
 let alloc_tests =

@@ -112,7 +112,7 @@ let unit_tests =
               Structured.make_op ~alpha:0.7 ~d ~c_blocks:(Array.make n1 c)
                 ~b_blocks:(Array.make n1 b)
             in
-            let pc = Structured.make_precond op in
+            let pc = Structured.make_precond [| op |] in
             let r = Vec.init (n1 * n) (fun i -> cos (float_of_int i)) in
             let z = precond_apply pc r in
             let back = Structured.apply op z in
@@ -129,7 +129,7 @@ let unit_tests =
         in
         Alcotest.check_raises "even n1"
           (Invalid_argument "Rdft.of_size: length 12 must be odd") (fun () ->
-            ignore (Structured.make_precond op)));
+            ignore (Structured.make_precond [| op |])));
     Alcotest.test_case "bordered precond is the exact bordered inverse" `Quick (fun () ->
         let n = 2 and n1 = 7 in
         let nd = n * n1 in
@@ -141,8 +141,8 @@ let unit_tests =
         in
         let border_col = Vec.init nd (fun i -> sin (float_of_int i)) in
         let border_row = Vec.init nd (fun i -> cos (float_of_int (2 * i))) in
-        let pc = Structured.make_precond op in
-        let bp = Structured.make_bordered pc ~border_col ~border_row in
+        let pc = Structured.make_precond [| op |] in
+        let bp = Structured.make_bordered pc ~cols:[| border_col |] ~rows:[| border_row |] in
         let rhs = Vec.init (nd + 1) (fun i -> float_of_int ((i mod 7) - 3)) in
         let z = Array.make (nd + 1) 0. in
         Structured.bordered_apply_into bp rhs z;
@@ -156,6 +156,69 @@ let unit_tests =
         done;
         let z_dense = Lu.solve (Lu.factor dense) rhs in
         Alcotest.(check bool) "exact" true (Vec.approx_equal ~tol:1e-7 z z_dense));
+    Alcotest.test_case "slice-coupled precond inverts the periodic operator for t1-constant blocks"
+      `Quick (fun () ->
+        (* n2 slices, each with its own C, B and alpha, constant in t1,
+           coupled as the periodic solve couples them: slice m's rows
+           add (d2_mq / p2) blockdiag(C^q) applied to slice q.  The
+           preconditioner then holds the whole operator, so M^-1 (J v)
+           is v, with the omega border (slices of n1 n + 1 unknowns)
+           and without it *)
+        let n = 2 and n1 = 7 and p2 = 3.7 in
+        let nd = n * n1 in
+        let d = Fourier.Series.diff_matrix n1 in
+        List.iter
+          (fun (n2, bordered) ->
+            let f m a b = sin (float_of_int ((17 * m) + (5 * a) + b)) in
+            let c m = Mat.init n n (fun i l -> (if i = l then 2. else 0.) +. (0.3 *. f m i l)) in
+            let b m = Mat.init n n (fun i l -> (if i = l then 4. else 0.) +. (0.5 *. f (m + 9) i l)) in
+            let ops =
+              Array.init n2 (fun m ->
+                  Structured.make_op ~alpha:(0.6 +. (0.1 *. float_of_int m)) ~d
+                    ~c_blocks:(Array.make n1 (c m)) ~b_blocks:(Array.make n1 (b m)))
+            in
+            let coupling =
+              let d2 = Fourier.Series.diff_matrix n2 in
+              Mat.init n2 n2 (fun m q -> d2.(m).(q) /. p2)
+            in
+            let bs = if bordered then nd + 1 else nd in
+            let dim = n2 * bs in
+            let jac = Mat.zeros dim dim and blk = Mat.zeros nd nd in
+            let cols = Array.init n2 (fun m -> Vec.init nd (fun i -> cos (float_of_int ((3 * i) + m)))) in
+            let rows = Array.init n2 (fun m -> Vec.init nd (fun i -> sin (float_of_int (i + (2 * m))))) in
+            for m = 0 to n2 - 1 do
+              Structured.dense_into ops.(m) blk;
+              for r = 0 to nd - 1 do
+                Array.blit blk.(r) 0 jac.((m * bs) + r) (m * bs) nd
+              done;
+              if bordered then
+                for i = 0 to nd - 1 do
+                  jac.((m * bs) + i).((m * bs) + nd) <- cols.(m).(i);
+                  jac.((m * bs) + nd).((m * bs) + i) <- rows.(m).(i)
+                done;
+              for q = 0 to n2 - 1 do
+                for j = 0 to n1 - 1 do
+                  for i = 0 to n - 1 do
+                    for l = 0 to n - 1 do
+                      let r = (m * bs) + (j * n) + i and col = (q * bs) + (j * n) + l in
+                      jac.(r).(col) <- jac.(r).(col) +. (coupling.(m).(q) *. (c q).(i).(l))
+                    done
+                  done
+                done
+              done
+            done;
+            let v = Vec.init dim (fun i -> cos (0.7 *. float_of_int i)) in
+            let jv = Array.map (fun row -> Array.fold_left ( +. ) 0. (Array.mapi (fun k a -> a *. v.(k)) row)) jac in
+            let pc = Structured.make_precond ~coupling ops in
+            let back = Array.make dim 0. in
+            if bordered then
+              Structured.bordered_apply_into (Structured.make_bordered pc ~cols ~rows) jv back
+            else Structured.precond_apply_into pc jv back;
+            let err = Vec.norm_inf (Vec.sub back v) in
+            Alcotest.(check bool)
+              (Printf.sprintf "n2 = %d, bordered %b: |M^-1 J v - v| = %.2e" n2 bordered err)
+              true (err <= 1e-12))
+          [ (1, false); (1, true); (3, false); (3, true); (7, false); (7, true) ]);
     Alcotest.test_case "preconditioned gmres needs <= 1/3 the iterations on a VCO step system"
       `Quick (fun () ->
         let op, border_col, border_row = vco_step_system () in
@@ -163,8 +226,8 @@ let unit_tests =
         let b = Vec.init (nd + 1) (fun i -> sin (float_of_int (7 * i) /. 11.)) in
         let matvec = Structured.apply_bordered_into op ~border_col ~border_row in
         let plain = Gmres.solve ~matvec ~restart:(nd + 1) ~max_iter:(nd + 1) ~tol:1e-8 b in
-        let pc = Structured.make_precond op in
-        let bp = Structured.make_bordered pc ~border_col ~border_row in
+        let pc = Structured.make_precond [| op |] in
+        let bp = Structured.make_bordered pc ~cols:[| border_col |] ~rows:[| border_row |] in
         let precond =
           Gmres.solve ~matvec ~m_inv:(Structured.bordered_apply_into bp) ~restart:(nd + 1)
             ~max_iter:(nd + 1) ~tol:1e-8 b
@@ -302,7 +365,7 @@ let prop_tests =
            let d = Fourier.Series.diff_matrix n1 in
            let op = Structured.make_op ~alpha ~d ~c_blocks:cs ~b_blocks:bs in
            let b = Vec.init (n1 * n) (fun i -> sin (float_of_int i)) in
-           let pc = Structured.make_precond op in
+           let pc = Structured.make_precond [| op |] in
            let res =
              Gmres.solve ~matvec:(Structured.apply_into op)
                ~m_inv:(Structured.precond_apply_into pc) ~restart:80 ~tol:1e-11 b

@@ -476,6 +476,66 @@ let quasi_tests =
           (Wampde.Quasiperiodic.mean_frequency krylov));
   ]
 
+(* [Quasiperiodic.from_orbit] on VCO-A at p2 = 40 through [solver],
+   with metrics on: the answer and the isolated metrics as JSON *)
+let quasi_metered ~solver ~n1 ~n2 =
+  let dae, orbit = (Circuit.Vco.build (Circuit.Vco.vco_a ()), vco_a_orbit ~n1) in
+  let options = Wampde.Envelope.default_options ~n1 ~solver () in
+  Wampde_obs.Metrics.with_isolated (fun () ->
+      Wampde_obs.set_enabled true;
+      let sol = Wampde.Quasiperiodic.from_orbit dae ~options ~p2:40. ~n2 ~init:orbit () in
+      (sol, Wampde_obs.Metrics.to_json ()))
+
+(* the number at [path] in a [Metrics.to_json] object *)
+let metric json path =
+  let module Json = Wampde_obs.Json in
+  match Json.parse json with
+  | Error m -> Alcotest.failf "metrics JSON: %s" m
+  | Ok j -> (
+    match
+      Option.bind
+        (List.fold_left (fun j k -> Option.bind j (Json.member k)) (Some j) path)
+        Json.to_num
+    with
+    | Some x -> x
+    | None -> Alcotest.failf "no %s in the metrics" (String.concat "." path))
+
+let slice_coupled_tests =
+  [
+    Alcotest.test_case "krylov at n2 = 25: bounded GMRES, no fallback, dense's omega" `Quick
+      (fun () ->
+        (* 1,525 unknowns: with each slice preconditioned on its own,
+           every GMRES solve here hit its 300-iteration cap and fell back
+           to dense LU *)
+        let krylov, metrics = quasi_metered ~solver:Structured.Krylov ~n1:15 ~n2:25 in
+        let get = metric metrics in
+        Alcotest.(check (float 0.)) "dense fallbacks" 0.
+          (get [ "counters"; "gmres.precond.fallbacks" ]);
+        let worst = get [ "histograms"; "gmres.iterations_per_solve"; "max" ] in
+        Alcotest.(check bool)
+          (Printf.sprintf "%.0f GMRES iterations in the worst solve" worst)
+          true (worst <= 30.);
+        let dense, _ = quasi_metered ~solver:Structured.Dense ~n1:15 ~n2:25 in
+        approx_tol 1e-8 "mean omega"
+          (Wampde.Quasiperiodic.mean_frequency dense)
+          (Wampde.Quasiperiodic.mean_frequency krylov));
+    Alcotest.test_case "a krylov quasiperiodic solve is bitwise the same at jobs 1 and 2" `Quick
+      (fun () ->
+        (* the wavenumber blocks of the slice-coupled preconditioner
+           factor on the pool *)
+        let run jobs =
+          Test_par.with_jobs jobs (fun () -> quasi_metered ~solver:Structured.Krylov ~n1:15 ~n2:7)
+        in
+        let serial, _ = run 1 and parallel, metrics = run 2 in
+        let regions = metric metrics [ "counters"; "pool.runs" ] in
+        Alcotest.(check bool) (Printf.sprintf "%.0f pool regions at jobs 2" regions) true
+          (regions > 0.);
+        Alcotest.(check bool) "omega bitwise equal" true
+          (serial.Wampde.Quasiperiodic.omega = parallel.Wampde.Quasiperiodic.omega);
+        Alcotest.(check bool) "slices bitwise equal" true
+          (serial.Wampde.Quasiperiodic.slices = parallel.Wampde.Quasiperiodic.slices));
+  ]
+
 (* [Quasiperiodic.from_orbit] on VCO-A (slow period [p2], default the
    control period 40), under the fault spec [faults] when given: its
    answer, its fallback count, and the long start's answer *)
@@ -589,7 +649,7 @@ let suites =
   [
     ("wampde.phase", phase_tests);
     ("wampde.envelope", envelope_tests);
-    ("wampde.quasiperiodic", quasi_tests);
+    ("wampde.quasiperiodic", quasi_tests @ slice_coupled_tests);
     ("wampde.from_orbit", from_orbit_tests);
     ("wampde.special_cases", special_case_tests);
   ]
