@@ -469,9 +469,9 @@ let ablation_solver () =
   (* dense LU vs matrix-free Krylov (per-slice bordered FFT-block
      preconditioner) on the quasiperiodic system, as n2 grows: the
      periodic solve's own Newton iterations and LU factors (its scope),
-     GMRES iterations and fallbacks to the long warm-up.  The envelope
-     warm-up before the solve runs on the size-based path whichever
-     solver the solve takes *)
+     GMRES iterations and refinements of the warm-up's step.  The
+     envelope warm-up before the solve runs on the size-based path
+     whichever solver the solve takes *)
   let dae = Circuit.Vco.build (Lazy.force vco_a) and init = Lazy.force orbit_a in
   Printf.printf "ablation-solver | quasiperiodic Newton: dense LU vs matrix-free Krylov:\n";
   List.iter
@@ -481,11 +481,11 @@ let ablation_solver () =
         let _, grown =
           counted (fun () -> Wampde.Quasiperiodic.from_orbit dae ~options ~p2:40. ~n2 ~init ())
         in
-        Printf.sprintf "%d newton, %d lu, %d gmres, %d fallbacks"
+        Printf.sprintf "%d newton, %d lu, %d gmres, %d refinements"
           (grown ~scope:"quasiperiodic" "newton.iterations")
           (grown ~scope:"quasiperiodic" "lu.factor")
           (grown "gmres.iterations")
-          (grown "quasiperiodic.fallbacks")
+          (grown "quasiperiodic.refinements")
       in
       let dense = work Linalg.Structured.Dense in
       let krylov = work Linalg.Structured.Krylov in

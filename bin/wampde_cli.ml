@@ -548,9 +548,9 @@ let quasi_cmd =
   in
   let run obs n1 n2 solver =
     (* the guess comes from an envelope warm-up over 3 slow periods
-       (t2 = 120), or over 5 (t2 = 200) when that start fails *)
+       (t2 = 120), restarted at a halved step when its march fails *)
     let p2 = 40. in
-    with_obs ~cmd:"quasi" ~total:(Wampde.Quasiperiodic.short_horizon ~p2) obs @@ fun () ->
+    with_obs ~cmd:"quasi" ~total:(Wampde.Quasiperiodic.warmup_horizon ~p2) obs @@ fun () ->
     let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
     let orbit = find_orbit ~n1 A in
     let options = Wampde.Envelope.default_options ~n1 ~solver () in

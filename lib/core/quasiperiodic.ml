@@ -90,34 +90,33 @@ let guess_from_envelope (result : Envelope.result) ~p2 ~n2 ~t_from =
     slices = Array.map (fun i -> Array.map Array.copy result.Envelope.slices.(i)) idx;
   }
 
-let c_fallbacks = Obs.Metrics.counter "quasiperiodic.fallbacks"
+let c_refinements = Obs.Metrics.counter "quasiperiodic.refinements"
 
-(* [from_orbit]'s short start marches [short_periods] slow periods at a
+(* [from_orbit]'s warm-up marches [warmup_periods] slow periods at a
    step that puts every slice time on a step, with at least
    [min_steps_per_period] steps a period *)
-let short_periods = 3
-let short_horizon ~p2 = p2 *. float_of_int short_periods
+let warmup_periods = 3
+let warmup_horizon ~p2 = p2 *. float_of_int warmup_periods
 let min_steps_per_period = 20
-let long_horizon ~p2 = 5. *. p2
-let long_h2 = 0.5
 
-let from_orbit dae ~(options : Envelope.options) ~p2 ~n2 ?t_warm ?h2_warm ~init () =
-  (* the warm-up marches run on the size-based path; [options.solver]
+let from_orbit dae ~(options : Envelope.options) ~p2 ~n2 ~init () =
+  (* the warm-up march runs on the size-based path; [options.solver]
      is the periodic solve's *)
   let warm_options = { options with Envelope.solver = Structured.auto } in
-  let start ~t_warm ~h2 =
-    let env = Envelope.simulate dae ~options:warm_options ~t2_end:t_warm ~h2 ~init in
-    solve dae ~options ~p2 ~n2 ~guess:(guess_from_envelope env ~p2 ~n2 ~t_from:(t_warm -. p2)) ()
+  let t_warm = warmup_horizon ~p2 in
+  (* k steps between neighbouring slice times, doubled while the march
+     fails at a step longer than the unforced orbit's period *)
+  let rec warm_up k =
+    let h2 = p2 /. float_of_int (k * n2) in
+    match Envelope.simulate dae ~options:warm_options ~t2_end:t_warm ~h2 ~init with
+    | env -> env
+    | exception (Steady.Oscillator.Nonphysical _ | Step_control.Underflow _)
+      when h2 > 1. /. init.Steady.Oscillator.omega ->
+      Obs.Metrics.incr c_refinements;
+      warm_up (2 * k)
   in
-  (* k steps between neighbouring slice times *)
-  let k = (min_steps_per_period + n2 - 1) / n2 in
-  match start ~t_warm:(short_horizon ~p2) ~h2:(p2 /. float_of_int (k * n2)) with
-  | sol -> sol
-  | exception (Solve_failure _ | Steady.Oscillator.Nonphysical _ | Step_control.Underflow _) ->
-    Obs.Metrics.incr c_fallbacks;
-    start
-      ~t_warm:(Option.value t_warm ~default:(long_horizon ~p2))
-      ~h2:(Option.value h2_warm ~default:long_h2)
+  let env = warm_up ((min_steps_per_period + n2 - 1) / n2) in
+  solve dae ~options ~p2 ~n2 ~guess:(guess_from_envelope env ~p2 ~n2 ~t_from:(t_warm -. p2)) ()
 
 let residual_norm dae ~(options : Envelope.options) sol =
   let sd = Envelope.semidisc dae options in

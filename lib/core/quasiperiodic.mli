@@ -78,30 +78,28 @@ val solve :
 (** [from_orbit dae ~options ~p2 ~n2 ~init ()] is the quasiperiodic
     steady state started from the unforced orbit [init] (from
     {!Steady.Oscillator.find} at [options.n1]): a fixed-step
-    {!Envelope.simulate} from [init], sampled at the slice times of
-    its last slow period, is {!solve}'s guess.
+    {!Envelope.simulate} from [init] over {!warmup_horizon}, sampled at
+    the slice times of its last slow period, is {!solve}'s guess.
 
-    It first takes a short start: 3 slow periods at
-    [h2 = p2 / (k n2)], with [k] the smallest integer giving at least
-    20 steps per period, so every slice time is a step ([k = 3],
-    [h2 = 40/21] at [p2 = 40], [n2 = 7]).  When that start raises
-    {!Solve_failure}, [Steady.Oscillator.Nonphysical] or
-    [Step_control.Underflow], it bumps the [quasiperiodic.fallbacks]
-    counter and takes the long start instead: [t_warm] (default
-    {!long_horizon}) at [h2_warm] (default {!long_h2}).  That answer is
-    returned unchecked, and the long start's exceptions propagate.  On
-    VCO-A at [p2 = 40] the short start costs about a fifth of the long
-    one's Newton iterations and LU factors, and both reach the same
-    steady state within 1e-10 relative.  The short start's step grows
-    with [p2]: at [p2 = 120] (three control periods) and [n2 = 21] it
-    is 40/7, too coarse for VCO-A's envelope, which reports omega < 0
-    at [t2 = 57.1], so the long start answers.
+    The warm-up's step is [h2 = p2 / (k n2)], so every slice time is a
+    step, with [k] the smallest integer giving at least 20 steps per
+    period ([k = 3], [h2 = 40/21] at [p2 = 40], [n2 = 7]).  When the
+    march raises [Steady.Oscillator.Nonphysical] or
+    [Step_control.Underflow] at a step longer than one period of [init]
+    ([1 / init.omega]), [k] doubles, the [quasiperiodic.refinements]
+    counter is bumped and the march starts again from [init]; at a
+    shorter step, which is no longer an envelope step, the march's
+    exception propagates.  The step grows with [p2]: at [p2 = 120]
+    (three control periods) and [n2 = 7] or [21] it is 40/7, too coarse
+    for VCO-A's envelope (omega < 0 at [t2 = 57.1]), and one refinement
+    to 20/7 answers.
 
-    Some slice counts fail from both starts, ending in the long start's
-    {!Solve_failure}: on VCO-A (EXPERIMENTS.md) [(p2, n2)] = (40, 5) at
-    every [n1] from 3 to 41, and (80, 7) and (120, 15) at [n1 = 15].
+    The periodic solve's exceptions propagate at once.  Some slice
+    counts end there in {!Solve_failure}: on VCO-A (EXPERIMENTS.md)
+    [(p2, n2)] = (40, 5) at every [n1] from 3 to 41, and (80, 7) and
+    (120, 15) at [n1 = 15].
 
-    Both marches run on the size-based [Structured.auto] path;
+    The march runs on the size-based [Structured.auto] path;
     [options.solver] picks the periodic solve's, which runs at
     {!solve}'s defaults. *)
 val from_orbit :
@@ -109,23 +107,13 @@ val from_orbit :
   options:Envelope.options ->
   p2:float ->
   n2:int ->
-  ?t_warm:float ->
-  ?h2_warm:float ->
   init:Steady.Oscillator.orbit ->
   unit ->
   solution
 
-(** [short_horizon ~p2] is the slow time {!from_orbit}'s short start
-    marches to, [3 p2]: the progress total of a run that does not fall
-    back. *)
-val short_horizon : p2:float -> float
-
-(** [long_horizon ~p2] ([5 p2]) and [long_h2] ([0.5]) are the horizon
-    and fixed step of {!from_orbit}'s long start when the caller names
-    none. *)
-val long_horizon : p2:float -> float
-
-val long_h2 : float
+(** [warmup_horizon ~p2] is the slow time {!from_orbit}'s warm-up
+    marches to, [3 p2]: the progress total of its run. *)
+val warmup_horizon : p2:float -> float
 
 (** [residual_norm dae ~options sol] evaluates the two-periodic WaMPDE
     residual's infinity norm (phase rows excluded). *)

@@ -4,7 +4,11 @@ let c_appends = Obs.Metrics.counter "serve.journal.appends"
 let c_replayed = Obs.Metrics.counter "serve.journal.replayed"
 let c_corrupt_tail = Obs.Metrics.counter "serve.journal.corrupt_tail"
 
-let schema = "wampde.journal/1"
+let schema = "wampde.journal/2"
+
+(* a [/1] journal's frames also carry an [attempt] section, always 1,
+   which [record_of] does not read *)
+let readable_schemas = [ schema; "wampde.journal/1" ]
 let file_name = "journal.wj"
 let path ~spool = Filename.concat spool file_name
 
@@ -23,7 +27,7 @@ type state =
   | Done
   | Error of { kind : string }
 
-type record = { id : string; state : state; attempt : int }
+type record = { id : string; state : state }
 
 let state_name = function
   | Accepted _ -> "accepted"
@@ -47,13 +51,11 @@ let sections_of (r : record) : Checkpoint.t =
   [
     ("id", Checkpoint.Text r.id);
     ("state", Checkpoint.Text (state_name r.state));
-    ("attempt", Checkpoint.Scalar (float_of_int r.attempt));
   ]
   @ extra
 
 let record_of (sections : Checkpoint.t) : record =
   let id = Checkpoint.text sections "id" in
-  let attempt = int_of_float (Checkpoint.scalar sections "attempt") in
   let state =
     match Checkpoint.text sections "state" with
     | "accepted" -> Accepted { request = Checkpoint.text sections "request" }
@@ -64,10 +66,10 @@ let record_of (sections : Checkpoint.t) : record =
     | "error" -> Error { kind = Checkpoint.text sections "kind" }
     | s -> raise (Checkpoint.Corrupt (Printf.sprintf "journal: unknown state %S" s))
   in
-  { id; state; attempt }
+  { id; state }
 
 let header_sections : Checkpoint.t =
-  [ ("schema", Checkpoint.Text schema); ("version", Checkpoint.Scalar 1.) ]
+  [ ("schema", Checkpoint.Text schema); ("version", Checkpoint.Scalar 2.) ]
 
 (* ---------- framing ---------- *)
 
@@ -180,7 +182,8 @@ let replay ~spool =
             | sections ->
               if first then begin
                 match List.assoc_opt "schema" sections with
-                | Some (Checkpoint.Text s) when s = schema -> go (off + 12 + len) false
+                | Some (Checkpoint.Text s) when List.mem s readable_schemas ->
+                  go (off + 12 + len) false
                 | _ -> tail "journal: missing or unknown schema header"
               end
               else begin
@@ -200,7 +203,7 @@ let replay ~spool =
 
 (* ---------- reconciliation ---------- *)
 
-type orphan = { id : string; request : string; attempt : int; last : state }
+type orphan = { id : string; request : string; last : state }
 
 let orphans records =
   let order = ref [] in
@@ -210,11 +213,11 @@ let orphans records =
       match r.state with
       | Accepted { request } ->
         if not (Hashtbl.mem tbl r.id) then order := r.id :: !order;
-        Hashtbl.replace tbl r.id { id = r.id; request; attempt = r.attempt; last = r.state }
+        Hashtbl.replace tbl r.id { id = r.id; request; last = r.state }
       | state -> (
         match Hashtbl.find_opt tbl r.id with
         | None -> ()  (* transition without an accept: damaged prefix was dropped *)
-        | Some o -> Hashtbl.replace tbl r.id { o with attempt = max o.attempt r.attempt; last = state }))
+        | Some o -> Hashtbl.replace tbl r.id { o with last = state }))
     records;
   List.rev !order
   |> List.filter_map (fun id ->

@@ -11,7 +11,9 @@
     Frames reuse the {!Checkpoint} section codec and CRC32: each is
     ["WJR1"], a little-endian payload length, the payload CRC and the
     payload itself.  The file, [journal.wj] in the spool directory,
-    starts with a schema header frame (["wampde.journal/1"]).  Appends
+    starts with a schema header frame (["wampde.journal/2"]; {!replay}
+    also reads a ["wampde.journal/1"] file, whose frames carry an
+    [attempt] section it ignores).  Appends
     go through a single [write(2)] on an [O_APPEND] descriptor; a crash
     therefore damages at most the final frame, which replay detects
     (warning, not error) and drops together with the unreachable bytes
@@ -31,9 +33,7 @@ type state =
   | Done
   | Error of { kind : string }
 
-(** [attempt] is 1 from this daemon; it stays in the frame so that a
-    journal carrying higher attempt numbers still replays. *)
-type record = { id : string; state : state; attempt : int }
+type record = { id : string; state : state }
 
 val state_name : state -> string
 
@@ -61,7 +61,6 @@ val replay : spool:string -> record list * string list
 type orphan = {
   id : string;
   request : string;  (** raw request line from the [Accepted] frame *)
-  attempt : int;  (** highest attempt number seen *)
   last : state;
 }
 

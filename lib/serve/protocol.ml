@@ -1,7 +1,7 @@
 module Obs = Wampde_obs
 module Json = Obs.Json
 
-let schema = "wampde.serve/1"
+let schema = "wampde.serve/2"
 
 type envelope_params = {
   t_end : float;
@@ -15,8 +15,6 @@ type quasi_params = {
   n1 : int;
   n2 : int;
   p2 : float;
-  t_warm : float;
-  h2_warm : float;
   solver : Linalg.Structured.strategy;
 }
 
@@ -123,20 +121,13 @@ let parse_quasi j =
   let* n2 = odd_int "n2" 3 201 (Option.value n2 ~default:15.) in
   let* p2 = num_field "p2" j in
   let* p2 = positive "p2" (Option.value p2 ~default:40.) in
-  let* t_warm = num_field "t_warm" j in
-  let* t_warm =
-    positive "t_warm" (Option.value t_warm ~default:(Wampde.Quasiperiodic.long_horizon ~p2))
-  in
-  let* t_warm =
-    if t_warm > p2 then Ok t_warm
-    else err "bad-value" "field \"t_warm\" (%g) must exceed \"p2\" (%g)" t_warm p2
-  in
-  let* h2_warm = num_field "h2_warm" j in
-  let* h2_warm =
-    positive "h2_warm" (Option.value h2_warm ~default:Wampde.Quasiperiodic.long_h2)
+  let* () =
+    match List.find_opt (fun key -> Json.member key j <> None) [ "t_warm"; "h2_warm" ] with
+    | Some key -> err "bad-field" "field %S was removed in %s: the warm-up has one start" key schema
+    | None -> Ok ()
   in
   let* solver = Result.bind (str_field "solver" j) parse_strategy in
-  Ok (Quasiperiodic { n1; n2; p2; t_warm; h2_warm; solver })
+  Ok (Quasiperiodic { n1; n2; p2; solver })
 
 let parse_job j =
   let* id = Result.bind (str_field "id" j) (required "id") in
@@ -200,10 +191,9 @@ let hello ~quantum ~jobs ~cache =
 let accepted ~id ~queue_depth =
   Printf.sprintf "{\"type\":\"accepted\",\"id\":%s,\"queue_depth\":%d}" (str id) queue_depth
 
-let recovered ~id ~resumed ~attempt ~queue_depth =
-  Printf.sprintf
-    "{\"type\":\"recovered\",\"id\":%s,\"resumed\":%b,\"attempt\":%d,\"queue_depth\":%d}"
-    (str id) resumed attempt queue_depth
+let recovered ~id ~resumed ~queue_depth =
+  Printf.sprintf "{\"type\":\"recovered\",\"id\":%s,\"resumed\":%b,\"queue_depth\":%d}"
+    (str id) resumed queue_depth
 
 let error_line ?line ?id { code; message } =
   let b = Buffer.create 128 in

@@ -9,7 +9,7 @@
      "t_end":10,"rtol":1e-4,"n1":15,"h2":0.4,"solver":"auto",
      "deadline_ms":60000}
     {"type":"job","id":"q1","circuit":"vco-a","analysis":"quasiperiodic",
-     "n1":15,"n2":7,"p2":40,"t_warm":200,"h2_warm":0.5,"solver":"dense"}
+     "n1":15,"n2":7,"p2":40,"solver":"dense"}
     {"type":"cancel","id":"e1"}
     {"type":"metrics"}
     {"type":"stats"}
@@ -19,14 +19,15 @@
     ["solver"] is one of ["dense"], ["krylov"] or ["auto"] for both
     analyses (["gmres"], an older name, reads as ["krylov"]); a
     request without one gets ["auto"].  A quasiperiodic job runs
-    [Wampde.Quasiperiodic.from_orbit]: a short envelope warm-up over
-    3 [p2] first, and the [t_warm]/[h2_warm] warm-up (defaults
-    [5 p2] and [0.5], as in the example) only when that start fails;
-    its progress stream counts toward the short warm-up's horizon.
-    After a fallback the stream's [frac] and [eta_s] mean nothing:
-    the long march restarts at [t2 = 0], [frac] holds its highest
-    value, and from [t2 = 3 p2] to [t_warm] it reads 1 with an
-    [eta_s] of 0.  The progress records' [t2] stays true.
+    [Wampde.Quasiperiodic.from_orbit]: an envelope warm-up over 3 [p2],
+    then the periodic solve; its progress stream counts toward that
+    horizon.  When the warm-up's step is too coarse, the march is
+    refined and restarts at [t2 = 0]: [frac] and [eta_s] then hold
+    their last values until the finer march passes the slow time where
+    the failed one stopped.  The progress records' [t2] stays true.
+    The [t_warm] and [h2_warm] fields of [wampde.serve/1] were removed
+    with the warm-up's second start; a request that names either is
+    refused with a ["bad-field"] error naming it.
 
     Responses are [hello], [accepted], [error] (protocol-level, with a
     stable [code]), per-job {!Wampde_obs.Stream} records (tagged with a
@@ -49,10 +50,6 @@ type quasi_params = {
   n1 : int;  (** odd fast-time collocation size *)
   n2 : int;  (** odd slow-time collocation size *)
   p2 : float;  (** slow (forcing) period *)
-  t_warm : float;
-      (** horizon of the fallback envelope warm-up, run only when the
-          short start fails (must exceed [p2]; default [5 p2]) *)
-  h2_warm : float;  (** fixed step of the fallback warm-up (default [0.5]) *)
   solver : Linalg.Structured.strategy;  (** [auto] when the request names none *)
 }
 
@@ -96,8 +93,9 @@ val accepted : id:string -> queue_depth:int -> string
 
 (** Emitted (instead of [accepted]) for each orphaned job a restarted
     daemon re-enqueued from the {!Journal}; [resumed] reports whether
-    a bit-exact checkpoint was found to continue from. *)
-val recovered : id:string -> resumed:bool -> attempt:int -> queue_depth:int -> string
+    a bit-exact checkpoint was found to continue from.  An orphan whose
+    request no longer parses gets an {!error_line} with its id instead. *)
+val recovered : id:string -> resumed:bool -> queue_depth:int -> string
 
 (** Protocol-level error response; [line] is the 1-based input line
     number, [id] the offending job id when one was parsed. *)

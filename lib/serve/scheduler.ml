@@ -124,7 +124,7 @@ let create ?(stall_timeout_s = 0.) ~quantum ~spool ~emit ~log () =
     preempted_n = 0;
   }
 
-let journal_put t jr state = Journal.append t.journal { Journal.id = jr.job.id; state; attempt = 1 }
+let journal_put t jr state = Journal.append t.journal { Journal.id = jr.job.id; state }
 
 let set_depth t = Obs.Metrics.set g_depth (float_of_int (Queue.length t.queue))
 
@@ -202,14 +202,21 @@ let recover (t : t) =
           Obs.Metrics.incr c_journal_recovered;
           if jr.has_ckpt then Obs.Metrics.incr c_journal_resumed;
           t.log
-            (Printf.sprintf "serve: recovered %s from journal (last state %s, attempt %d%s)" o.id
-               (Journal.state_name o.last) o.attempt
+            (Printf.sprintf "serve: recovered %s from journal (last state %s%s)" o.id
+               (Journal.state_name o.last)
                (if jr.has_ckpt then ", resuming from checkpoint" else ", restarting"));
           t.emit
-            (Protocol.recovered ~id:job.id ~resumed:jr.has_ckpt ~attempt:o.attempt
+            (Protocol.recovered ~id:job.id ~resumed:jr.has_ckpt
                ~queue_depth:(Queue.length t.queue)))
-      | Ok _ | Error _ ->
-        t.log (Printf.sprintf "serve: journal request for %s no longer parses; dropping" o.id))
+      | Error e ->
+        (* refused by this protocol version (a [wampde.serve/1] quasi
+           request naming [t_warm], say): answer it once, typed, and
+           close it in the journal so no later restart replays it *)
+        t.log (Printf.sprintf "serve: journal request for %s no longer parses: %s" o.id e.message);
+        t.emit (Protocol.error_line ~id:o.id e);
+        Journal.append t.journal { Journal.id = o.id; state = Journal.Error { kind = e.code } }
+      | Ok _ ->
+        t.log (Printf.sprintf "serve: journal request for %s is not a new job; dropping" o.id))
     orphans;
   set_depth t
 
@@ -411,8 +418,7 @@ let exec_quasi t jr (p : Protocol.quasi_params) =
     Wampde.Envelope.default_options ~n1:p.n1 ~solver:p.solver ~precond_cache:jr.job.circuit ()
   in
   let sol =
-    Wampde.Quasiperiodic.from_orbit dae ~options ~p2:p.p2 ~n2:p.n2 ~t_warm:p.t_warm
-      ~h2_warm:p.h2_warm ~init:orbit ()
+    Wampde.Quasiperiodic.from_orbit dae ~options ~p2:p.p2 ~n2:p.n2 ~init:orbit ()
   in
   Complete { t2_end = p.p2; omega_end = Wampde.Quasiperiodic.mean_frequency sol }
 
@@ -420,7 +426,7 @@ let run_quantum t jr =
   let total =
     match jr.job.analysis with
     | Protocol.Envelope p -> p.t_end
-    | Protocol.Quasiperiodic p -> Wampde.Quasiperiodic.short_horizon ~p2:p.p2
+    | Protocol.Quasiperiodic p -> Wampde.Quasiperiodic.warmup_horizon ~p2:p.p2
   in
   ignore (stream_for t jr ~total);
   (* fresh timeline per quantum: a dump for this job must not carry a

@@ -68,7 +68,7 @@ EXEMPT = {
     "Linalg.Poly.from_roots": "polynomial from its roots; test_extras checks Poly.roots "
     "(the Floquet eigenvalue path) by rebuilding the polynomial",
     "Wampde.Quasiperiodic.solve": "the periodic solve from a given guess, which programs reach "
-    "through from_orbit; Testkit.quasi_long_start builds from_orbit's fallback oracle on it, and "
+    "through from_orbit; Testkit.quasi_long_start builds from_orbit's long-warm-up oracle on it, and "
     "test_steady, test_failures and test_wampde seed it with guesses no warm-up gives (a "
     "time-reversed orbit, a quenched system, NaN and malformed slices, a perturbed orbit)",
     # test isolation and inspection hooks

@@ -14,8 +14,8 @@ service contract:
     where jobs may die before reaching the cache);
   * in the clean pass, the quasiperiodic job without a "solver" (the
     `auto` default) and its "dense" twin agree on omega_end within
-    1e-8 relative, and neither abandons its short envelope warm-up
-    (the `quasiperiodic.fallbacks` counter stays 0);
+    1e-8 relative, and neither refines its envelope warm-up's step
+    (the `quasiperiodic.refinements` counter stays 0);
   * the `stats` request is answered with the grouped operational
     snapshot (cache / pool / health / serve);
   * every typed job-error (other than a cancellation) carries a
@@ -414,9 +414,9 @@ def main():
                         "preconditioner cache hits")
         if counters.get("serve.preemptions", 0) <= 0:
             return fail("concurrent envelope jobs were never preempted")
-        if counters.get("quasiperiodic.fallbacks", 0) > 0:
-            return fail(f"{counters['quasiperiodic.fallbacks']} quasiperiodic jobs fell back "
-                        "to the long envelope warm-up")
+        if counters.get("quasiperiodic.refinements", 0) > 0:
+            return fail(f"{counters['quasiperiodic.refinements']} refinements of a "
+                        "quasiperiodic job's envelope warm-up step")
         auto_w, dense_w = (omega_end.get(j) for j in QUASI_TWINS)
         if not (isinstance(auto_w, (int, float)) and isinstance(dense_w, (int, float))):
             return fail(f"quasiperiodic twins lack omega_end: {auto_w!r}, {dense_w!r}")

@@ -143,9 +143,8 @@ let tests =
           ~finally:(fun () -> if Sys.file_exists dump then Sys.remove dump)
           (fun () ->
             (* every linear solve inside the quasiperiodic solve's
-               scope fails, so neither cascade stage converges, from the
-               short start's guess or from the fallback's.  The orbit
-               search and the envelope warm-ups do not count *)
+               scope fails, so neither cascade stage converges.  The
+               orbit search and the envelope warm-up do not count *)
             let code, out =
               run_cli
                 [ "quasi"; "--n1"; "15"; "--n2"; "15"; "--fault-inject";

@@ -100,8 +100,28 @@ let protocol_tests =
         | Ok (Protocol.Submit { analysis = Protocol.Quasiperiodic p; _ }) ->
           Alcotest.(check int) "n2" 7 p.n2;
           Alcotest.(check (float 1e-12)) "p2 default" 40. p.p2;
-          Alcotest.(check (float 1e-12)) "t_warm default" 200. p.t_warm;
-          Alcotest.(check bool) "solver default auto" true (p.solver = Linalg.Structured.auto)
+          Alcotest.(check bool) "solver default auto" true (p.solver = Linalg.Structured.auto);
+          (* the warm-up's second start and its two fields are gone: a
+             request naming either is refused, not silently run *)
+          List.iter
+            (fun field ->
+              match
+                Protocol.parse_request
+                  (Printf.sprintf
+                     "{\"type\":\"job\",\"id\":\"q\",\"circuit\":\"vco-a\",\"analysis\":\"quasiperiodic\",\"%s\":0.5}"
+                     field)
+              with
+              | Error { code; message } ->
+                Alcotest.(check string) field "bad-field" code;
+                let quoted = Str.regexp_string (Printf.sprintf "%S" field) in
+                let names =
+                  match Str.search_forward quoted message 0 with
+                  | _ -> true
+                  | exception Not_found -> false
+                in
+                Alcotest.(check bool) (message ^ " names " ^ field) true names
+              | Ok _ -> Alcotest.failf "a request naming %s parsed" field)
+            [ "t_warm"; "h2_warm" ]
         | Ok _ -> Alcotest.fail "wrong request"
         | Error { message; _ } -> Alcotest.fail message);
     Alcotest.test_case "quasi solver names parse to a strategy" `Quick (fun () ->
@@ -509,11 +529,11 @@ let cache_tests =
         let counters = Obs.Metrics.counters () in
         let count name = Option.value ~default:0 (List.assoc_opt name counters) in
         Alcotest.(check bool) "default solve used GMRES" true (count "gmres.solves" > 0));
-    Alcotest.test_case "a quasi job over three control periods falls back and agrees" `Slow
+    Alcotest.test_case "a quasi job over three control periods refines once and agrees" `Slow
       (fun () ->
-        (* p2 = 120, n2 = 21: the short start's step (120/21) is too
-           coarse, so the job runs the t_warm/h2_warm warm-up (600 at
-           0.5), and its mean frequency is the one-period job's *)
+        (* p2 = 120, n2 = 21: the warm-up's slice-aligned step (120/21)
+           is too coarse, so the march is refined once to 60/21, and the
+           job's mean frequency is the one-period job's *)
         Obs.Metrics.with_isolated @@ fun () ->
         let code, out =
           run_server
@@ -537,8 +557,8 @@ let cache_tests =
           true
           (Float.abs (w120 -. w40) <= 1e-10 *. w40);
         let counters = Obs.Metrics.counters () in
-        Alcotest.(check (option int)) "one fallback" (Some 1)
-          (List.assoc_opt "quasiperiodic.fallbacks" counters));
+        Alcotest.(check (option int)) "one refinement" (Some 1)
+          (List.assoc_opt "quasiperiodic.refinements" counters));
   ]
 
 (* ---------- fault storms ---------- *)
@@ -637,16 +657,16 @@ let journal_tests =
         Obs.Metrics.with_isolated @@ fun () ->
         with_spool @@ fun spool ->
         let j = Journal.open_ ~spool in
-        let put id state attempt = Journal.append j { Journal.id; state; attempt } in
-        put "j1" (Journal.Accepted { request = "{\"r\":1}" }) 1;
-        put "j2" (Journal.Accepted { request = "{\"r\":2}" }) 1;
-        put "j1" Journal.Running 1;
-        put "j1" Journal.Checkpointed 1;
-        put "j2" Journal.Running 1;
-        put "j2" Journal.Done 1;
-        put "j3" (Journal.Accepted { request = "{\"r\":3}" }) 1;
-        put "j3" Journal.Running 1;
-        put "j3" (Journal.Error { kind = "nan" }) 2;
+        let put id state = Journal.append j { Journal.id; state } in
+        put "j1" (Journal.Accepted { request = "{\"r\":1}" });
+        put "j2" (Journal.Accepted { request = "{\"r\":2}" });
+        put "j1" Journal.Running;
+        put "j1" Journal.Checkpointed;
+        put "j2" Journal.Running;
+        put "j2" Journal.Done;
+        put "j3" (Journal.Accepted { request = "{\"r\":3}" });
+        put "j3" Journal.Running;
+        put "j3" (Journal.Error { kind = "nan" });
         Journal.close j;
         let records, warnings = Journal.replay ~spool in
         Alcotest.(check int) "no warnings" 0 (List.length warnings);
@@ -661,8 +681,8 @@ let journal_tests =
         Obs.Metrics.with_isolated @@ fun () ->
         with_spool @@ fun spool ->
         let j = Journal.open_ ~spool in
-        Journal.append j { Journal.id = "a"; state = Journal.Accepted { request = "{}" }; attempt = 1 };
-        Journal.append j { Journal.id = "a"; state = Journal.Running; attempt = 1 };
+        Journal.append j { Journal.id = "a"; state = Journal.Accepted { request = "{}" } };
+        Journal.append j { Journal.id = "a"; state = Journal.Running };
         Journal.close j;
         let p = Filename.concat spool "journal.wj" in
         Unix.truncate p ((Unix.stat p).Unix.st_size - 3);
@@ -677,8 +697,8 @@ let journal_tests =
         Obs.Metrics.with_isolated @@ fun () ->
         with_spool @@ fun spool ->
         let j = Journal.open_ ~spool in
-        Journal.append j { Journal.id = "a"; state = Journal.Accepted { request = "{}" }; attempt = 1 };
-        Journal.append j { Journal.id = "a"; state = Journal.Done; attempt = 1 };
+        Journal.append j { Journal.id = "a"; state = Journal.Accepted { request = "{}" } };
+        Journal.append j { Journal.id = "a"; state = Journal.Done };
         Journal.close j;
         let p = Filename.concat spool "journal.wj" in
         let ic = open_in_bin p in
@@ -698,10 +718,10 @@ let journal_tests =
         Fault.with_armed "journal-trunc@2" @@ fun () ->
         with_spool @@ fun spool ->
         let j = Journal.open_ ~spool in
-        Journal.append j { Journal.id = "k"; state = Journal.Accepted { request = "{}" }; attempt = 1 };
-        Journal.append j { Journal.id = "k"; state = Journal.Running; attempt = 1 };
+        Journal.append j { Journal.id = "k"; state = Journal.Accepted { request = "{}" } };
+        Journal.append j { Journal.id = "k"; state = Journal.Running };
         (* lands behind the torn frame: unreachable, like post-crash garbage *)
-        Journal.append j { Journal.id = "k"; state = Journal.Done; attempt = 1 };
+        Journal.append j { Journal.id = "k"; state = Journal.Done };
         Journal.close j;
         let records, warnings = Journal.replay ~spool in
         Alcotest.(check int) "only the pre-fault frame" 1 (List.length records);
@@ -709,6 +729,80 @@ let journal_tests =
         match Journal.orphans records with
         | [ o ] -> Alcotest.(check string) "job still recoverable" "k" o.Journal.id
         | l -> Alcotest.failf "%d orphans" (List.length l));
+    Alcotest.test_case "a wampde.journal/1 spool still replays its orphans" `Quick (fun () ->
+        (* a spool written before the attempt field was dropped: a /1
+           header and frames that carry "attempt" *)
+        Obs.Metrics.with_isolated @@ fun () ->
+        with_spool @@ fun spool ->
+        let frame sections =
+          let payload = Checkpoint.encode sections in
+          let b = Buffer.create 64 in
+          let u32 v = Buffer.add_int32_le b (Int32.of_int v) in
+          Buffer.add_string b "WJR1";
+          u32 (Bytes.length payload);
+          Buffer.add_int32_le b (Checkpoint.crc32 payload);
+          Buffer.add_bytes b payload;
+          Buffer.contents b
+        in
+        let v1 id state extra =
+          frame
+            ([
+               ("id", Checkpoint.Text id);
+               ("state", Checkpoint.Text state);
+               ("attempt", Checkpoint.Scalar 1.);
+             ]
+            @ extra)
+        in
+        let accepted id =
+          v1 id "accepted" [ ("request", Checkpoint.Text (tiny_envelope ~id ())) ]
+        in
+        let oc = open_out_bin (Filename.concat spool "journal.wj") in
+        List.iter (output_string oc)
+          [
+            frame
+              [
+                ("schema", Checkpoint.Text "wampde.journal/1"); ("version", Checkpoint.Scalar 1.);
+              ];
+            accepted "old";
+            accepted "fin";
+            v1 "warm" "accepted"
+              [
+                ( "request",
+                  Checkpoint.Text
+                    "{\"type\":\"job\",\"id\":\"warm\",\"circuit\":\"vco-a\",\"analysis\":\"quasiperiodic\",\"t_warm\":200}"
+                );
+              ];
+            v1 "old" "running" [];
+            v1 "fin" "running" [];
+            v1 "fin" "done" [];
+          ];
+        close_out oc;
+        let records, warnings = Journal.replay ~spool in
+        Alcotest.(check (list string)) "no warnings" [] warnings;
+        Alcotest.(check int) "every frame replayed" 6 (List.length records);
+        Alcotest.(check (list string)) "orphans" [ "old"; "warm" ]
+          (List.map (fun (o : Journal.orphan) -> o.id) (Journal.orphans records));
+        (* a daemon on the old spool re-runs the orphan, appending /2
+           frames behind the /1 header, and refuses the request that
+           names a removed field with a typed error *)
+        let code, out = run_server ~spool [ "{\"type\":\"shutdown\",\"drain\":true}" ] in
+        Alcotest.(check int) "exit code" 0 code;
+        let records = records_of out in
+        (match List.find_opt (fun j -> typ j = "recovered") records with
+        | Some r ->
+          Alcotest.(check (option string)) "recovered id" (Some "old") (str "id" r);
+          Alcotest.(check bool) "no attempt field" true (Json.member "attempt" r = None)
+        | None -> Alcotest.fail "no recovered record");
+        (match terminals_for "old" records with
+        | [ r ] when typ r = "result" -> ()
+        | l -> Alcotest.failf "old after restart: %d terminals" (List.length l));
+        (match List.filter (fun j -> str "id" j = Some "warm") records with
+        | [ r ] when typ r = "error" ->
+          Alcotest.(check (option string)) "refused" (Some "bad-field") (str "code" r)
+        | l -> Alcotest.failf "warm after restart: %d records" (List.length l));
+        let records, warnings = Journal.replay ~spool in
+        Alcotest.(check (list string)) "no warnings after the restart" [] warnings;
+        Alcotest.(check int) "no orphan left" 0 (List.length (Journal.orphans records)));
   ]
 
 (* ---------- supervision: recovery, watchdog, typed failures ---------- *)

@@ -225,8 +225,8 @@ let hopf mu =
 let hopf_orbit () =
   Steady.Oscillator.find (hopf (fun _ -> 0.25)) ~n1:15 ~period_hint:6.3 [| 0.5; 0. |]
 
-let fallbacks () =
-  Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter "quasiperiodic.fallbacks")
+let refinements () =
+  Wampde_obs.Metrics.count (Wampde_obs.Metrics.counter "quasiperiodic.refinements")
 
 let quench_floor_tests =
   [
@@ -273,27 +273,27 @@ let quench_floor_tests =
             in
             quenched (named "Quasiperiodic.solve") (fun () ->
                 ignore (Wampde.Quasiperiodic.solve periodic ~options ~p2:40. ~n2 ~guess ()));
-            (* the short start quenches and falls back; the long start
-               quenches too and raises *)
+            (* the warm-up quenches at the step 40/21, already shorter
+               than the orbit's period of 2 pi: not refined, it raises *)
             Wampde_obs.Metrics.with_isolated (fun () ->
                 Wampde_obs.set_enabled true;
                 quenched (named "from_orbit") (fun () ->
                     ignore
                       (Wampde.Quasiperiodic.from_orbit periodic ~options ~p2:40. ~n2 ~init:orbit
                          ()));
-                Alcotest.(check int) (named "from_orbit fell back") 1 (fallbacks ())))
+                Alcotest.(check int) (named "from_orbit not refined") 0 (refinements ())))
           [ ("dense", Structured.Dense); ("krylov", Structured.Krylov) ]);
     Alcotest.test_case "a swing that dips and recovers is not a quench" `Quick (fun () ->
         (* mu(t2) = 0.05 + 0.2 cos (2 pi t2 / 40) dips to -0.15: the
            swing shrinks to a fifth and grows back, and from_orbit's
-           short start keeps it *)
+           warm-up keeps it *)
         let orbit = hopf_orbit () in
         let dips = hopf (fun t -> 0.05 +. (0.2 *. cos (2. *. Float.pi *. t /. 40.))) in
         let options = Wampde.Envelope.default_options ~n1:15 () in
         Wampde_obs.Metrics.with_isolated (fun () ->
             Wampde_obs.set_enabled true;
             let sol = Wampde.Quasiperiodic.from_orbit dips ~options ~p2:40. ~n2:7 ~init:orbit () in
-            Alcotest.(check int) "no fallback" 0 (fallbacks ());
+            Alcotest.(check int) "no refinement" 0 (refinements ());
             approx_tol 1e-9 "omega is 1 / (2 pi)" (1. /. (2. *. Float.pi))
               (Wampde.Quasiperiodic.mean_frequency sol)));
   ]

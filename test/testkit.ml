@@ -216,18 +216,17 @@ let tmatvec_one_row m v =
   dst
 
 (* [quasi_long_start dae ~options ~p2 ~n2 ~init] is the quasiperiodic
-   solve from the long warm-up alone, as [Quasiperiodic.from_orbit]'s
-   fallback takes it: 5 slow periods of fixed envelope steps at 0.5 on
-   the size-based path, each slice of the guess the accepted step
-   nearest to its time in the last period.  The oracle of the tests
-   that the short start agrees with it and that a fallback returns its
-   bits. *)
+   solve from a long, fine warm-up: 5 slow periods of fixed envelope
+   steps at 0.5 on the size-based path, each slice of the guess the
+   accepted step nearest to its time in the last period.  The oracle
+   of the tests that [Quasiperiodic.from_orbit]'s slice-aligned
+   warm-up, refined or not, reaches the same steady state. *)
 let quasi_long_start dae ~(options : Wampde.Envelope.options) ~p2 ~n2 ~init =
-  let t_warm = Wampde.Quasiperiodic.long_horizon ~p2 in
+  let t_warm = 5. *. p2 in
   let env =
     Wampde.Envelope.simulate dae
       ~options:{ options with solver = Linalg.Structured.auto }
-      ~t2_end:t_warm ~h2:Wampde.Quasiperiodic.long_h2 ~init
+      ~t2_end:t_warm ~h2:0.5 ~init
   in
   let t2s = env.Wampde.Envelope.t2 in
   let nearest t =
