@@ -15,8 +15,11 @@ val pack : Semidisc.t -> omega:Vec.t -> Vec.t array array -> Vec.t
     {!Semidisc.periodic} on [sd] with [n2 = rows d2] slices from [n2]
     grids and [n2] omegas (unused when [sd] fixes omega); any other
     shape raises [Invalid_argument] naming [fn].  It runs the
-    {!Nonlin.Polyalg} cascade under [label]; the damped stage's
-    direction is dense LU or, by {!Linalg.Structured.use_krylov} on
+    {!Nonlin.Polyalg} cascade under [label].  Its dense Jacobian is one
+    stacked matrix kept for the solve: each Newton iteration and each
+    trust-region model refills it ({!Semidisc.periodic_dense_into}),
+    and the damped stage factors it in place.  The damped stage's
+    direction is that dense LU or, by {!Linalg.Structured.use_krylov} on
     [solver], GMRES (relative tolerance 1e-10) preconditioned by
     {!Linalg.Structured.make_precond} over all [n2] slices with the
     [(d2 / p2) (x) C] coupling, bordered by their omega columns and

@@ -164,19 +164,23 @@ let linearize_at t buf ~t2 ~scale ~with_c y ~off =
   let alpha = scale *. omega_at t y ~off in
   { op = Structured.make_op ~alpha ~d:t.d ~c_blocks:cs ~b_blocks; c_blocks = cs; border }
 
-(* Every entry of [jac] is written, the bordered corner included: a
-   buffer the in-place LU has factored holds its rows permuted. *)
-let dense_into lin jac =
-  Structured.dense_into lin.op jac;
+(* The slice matrix into the square of [jac] at (off, off), every
+   entry of it, the bordered corner included: a buffer the in-place LU
+   has factored holds its rows permuted. *)
+let block_into ~off lin jac =
+  Structured.dense_into ~off lin.op jac;
   match lin.border with
   | None -> ()
   | Some b ->
     let nd = Structured.dim lin.op in
+    let corner = jac.(off + nd) in
     for i = 0 to nd - 1 do
-      jac.(i).(nd) <- b.col.(i);
-      jac.(nd).(i) <- b.row.(i)
+      jac.(off + i).(off + nd) <- b.col.(i);
+      corner.(off + i) <- b.row.(i)
     done;
-    jac.(nd).(nd) <- 0.
+    corner.(off + nd) <- 0.
+
+let dense_into lin jac = block_into ~off:0 lin jac
 
 let dense lin =
   let size = Structured.dim lin.op + if lin.border = None then 0 else 1 in
@@ -294,16 +298,23 @@ let periodic_linearize p y =
   Array.init p.n2 (fun m ->
       linearize_at t p.bufs.(m) ~t2:(slice_t2 p m) ~scale:1. ~with_c:false y ~off:(m * size t))
 
-let periodic_dense p lins =
+(* Every entry of [jac] is written: slice m's rows are cleared, its
+   block placed on the diagonal, then the slow coupling added, so a
+   buffer the in-place LU has factored (rows permuted, stale) can be
+   refilled. *)
+let periodic_dense_into p lins jac =
   let t = p.psys in
   let bs = size t and n = t.n in
-  let jac = Mat.zeros (p.n2 * bs) (p.n2 * bs) in
+  let dim = p.n2 * bs in
+  if Array.length lins <> p.n2 || Mat.rows jac <> dim
+     || Array.exists (fun row -> Array.length row <> dim) jac
+  then invalid_arg "Dae.Semidisc.periodic_dense_into: expected n2 slices and an n2 size square";
   Array.iteri
     (fun m lin ->
-      let blk = dense lin in
-      for r = 0 to bs - 1 do
-        Array.blit blk.(r) 0 jac.((m * bs) + r) (m * bs) bs
-      done)
+      for r = m * bs to ((m + 1) * bs) - 1 do
+        Array.fill jac.(r) 0 dim 0.
+      done;
+      block_into ~off:(m * bs) lin jac)
     lins;
   for m = 0 to p.n2 - 1 do
     for q = 0 to p.n2 - 1 do
@@ -320,8 +331,7 @@ let periodic_dense p lins =
           done
         done
     done
-  done;
-  jac
+  done
 
 let periodic_apply_into p lins v out =
   let bs = size p.psys and nd = p.psys.nd in

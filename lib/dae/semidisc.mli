@@ -122,7 +122,15 @@ val periodic_residual : periodic -> Vec.t -> Vec.t
     [col = D Q]; the slices couple through [(1/p2) d2_mq blockdiag(C^q)]. *)
 val periodic_linearize : periodic -> Vec.t -> lin array
 
-val periodic_dense : periodic -> lin array -> Mat.t
+(** [periodic_dense_into p lins jac] assembles the periodic Jacobian
+    of {!periodic_linearize}'s [lins] into the caller's square [jac] of
+    [n2 size] rows: each slice's {!dense} block on the diagonal plus
+    the coupling [(1/p2) d2_mq blockdiag(C^q)].  It writes every entry
+    of [jac], so a buffer that [Linalg.Lu.factor_into] has factored
+    (rows permuted) can be refilled for the next iteration.  Raises
+    [Invalid_argument] unless [lins] has [n2] slices and [jac] that
+    shape. *)
+val periodic_dense_into : periodic -> lin array -> Mat.t -> unit
 
 (** [periodic_apply_into p lins v out] writes the matrix-free product
     with the periodic Jacobian into [out] (no aliasing), copying one

@@ -49,6 +49,12 @@ val kron_eye_into : t -> n:int -> lo:int -> hi:int -> Vec.t -> Vec.t -> unit
     [cols m <> length v] or a row's length differs from [cols m]. *)
 val matvec : t -> Vec.t -> Vec.t
 
+(** [matvec_into m v ~dst] is {!matvec} written into the caller's
+    [dst] of length [rows m], bitwise the same.  Raises
+    [Invalid_argument] as {!matvec} does, or if [dst] has another
+    length. *)
+val matvec_into : t -> Vec.t -> dst:Vec.t -> unit
+
 (** [tmatvec m v] is [transpose m * v] without forming the transpose:
     output [j] adds [m.(i).(j) *. v.(i)] to the running sum, starting
     from [0.], for the rows [i] in ascending order, skipping every row

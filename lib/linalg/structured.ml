@@ -96,19 +96,20 @@ let apply_bordered_into op ~border_col ~border_row v out =
   done;
   out.(nd) <- !s
 
-(* Dense assembly of the block part into the top-left corner of [jac]:
-   row i of block row j is fetched once and filled block by block,
-   alpha d_jk (C_k)_i, then B_j's row i is added on the diagonal
+(* Dense assembly of the block part into the square of [jac] at
+   (off, off): row i of block row j is fetched once and filled block by
+   block, alpha d_jk (C_k)_i, then B_j's row i is added on the diagonal
    block.  The fill runs unchecked once the sizes it reads and writes
    are checked: with n = 4, a bounds check on every entry costs about
    a third of the call. *)
-let dense_into op jac =
+let dense_into ?(off = 0) op jac =
   let n = op.n and n1 = op.n1 in
   let nd = n1 * n in
+  if off < 0 then invalid_arg "Structured.dense_into: negative offset";
   let too_small () = invalid_arg "Structured.dense_into: jac or a C block too small" in
-  if Array.length jac < nd then too_small ();
-  for r = 0 to nd - 1 do
-    if Array.length jac.(r) < nd then too_small ()
+  if Array.length jac < off + nd then too_small ();
+  for r = off to off + nd - 1 do
+    if Array.length jac.(r) < off + nd then too_small ()
   done;
   for k = 0 to n1 - 1 do
     let ck = op.c_blocks.(k) in
@@ -120,15 +121,15 @@ let dense_into op jac =
   for j = 0 to n1 - 1 do
     let dj = op.d.(j) and bj = op.b_blocks.(j) in
     for i = 0 to n - 1 do
-      let row = Array.unsafe_get jac ((j * n) + i) in
+      let row = Array.unsafe_get jac (off + (j * n) + i) in
       for k = 0 to n1 - 1 do
         let scale = op.alpha *. dj.(k) in
-        let cki = Array.unsafe_get (Array.unsafe_get op.c_blocks k) i and base = k * n in
+        let cki = Array.unsafe_get (Array.unsafe_get op.c_blocks k) i and base = off + (k * n) in
         for l = 0 to n - 1 do
           Array.unsafe_set row (base + l) (scale *. Array.unsafe_get cki l)
         done
       done;
-      let bji = bj.(i) and base = j * n in
+      let bji = bj.(i) and base = off + (j * n) in
       for l = 0 to n - 1 do
         row.(base + l) <- row.(base + l) +. bji.(l)
       done

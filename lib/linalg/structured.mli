@@ -80,12 +80,15 @@ val apply_into : op -> Vec.t -> Vec.t -> unit
     [(dim + 1)]-square bordered operator [[J b] [p 0]]. *)
 val apply_bordered_into : op -> border_col:Vec.t -> border_row:Vec.t -> Vec.t -> Vec.t -> unit
 
-(** [dense_into op jac] writes the dense block part into the top-left
-    [dim op] square of [jac], every entry of it.  This is the dense
-    path of the WaMPDE and MPDE solvers ([Dae.Semidisc]): dense LU
-    factors exactly the operator the Krylov path applies.  Raises
-    [Invalid_argument] if [jac] or a C block is smaller than that. *)
-val dense_into : op -> Mat.t -> unit
+(** [dense_into ?off op jac] writes the dense block part into the
+    [dim op] square of [jac] whose top-left entry is [(off, off)]
+    (default [0]), every entry of that square and no other.  This is
+    the dense path of the WaMPDE and MPDE solvers ([Dae.Semidisc]):
+    dense LU factors exactly the operator the Krylov path applies, and
+    a periodic system places each slice's block on the diagonal of its
+    stacked matrix.  Raises [Invalid_argument] on a negative [off], or
+    if [jac] or a C block is smaller than that. *)
+val dense_into : ?off:int -> op -> Mat.t -> unit
 
 (** {1 Slice-coupled averaged-Jacobian preconditioner}
 

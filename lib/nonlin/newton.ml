@@ -195,11 +195,16 @@ let solve_with ?options ?label ~linear_solve ~residual x0 =
 
 let solve ?options ?label ?jacobian ~residual x0 =
   let linear_solve x r =
-    let j =
-      match jacobian with Some j -> j x | None -> Fdjac.jacobian ~f0:r residual x
+    let lu =
+      match jacobian with
+      | Some j ->
+        (* a copy: the [jacobian] callback may return a shared matrix *)
+        Lu.factor (j x)
+      | None ->
+        (* the difference Jacobian is this call's own: factor it in place *)
+        Lu.factor_into (Fdjac.jacobian ~f0:r residual x) ~perm:(Array.make (Array.length r) 0)
     in
-    (* a copy: the [jacobian] callback may return a shared matrix *)
-    Lu.solve (Lu.factor j) r
+    Lu.solve lu r
   in
   solve_with ?options ?label ~linear_solve ~residual x0
 

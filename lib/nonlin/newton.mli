@@ -79,7 +79,9 @@ val solve_into :
 (** [solve ?options ?label ?jacobian ~residual x0] finds [x] with
     [residual x ~ 0].  When [jacobian] is omitted a forward
     finite-difference Jacobian is used.  It is {!solve_into} on a
-    fresh workspace, with the Jacobian factored by [Lu.factor]. *)
+    fresh workspace.  A matrix from [jacobian] is factored on a copy
+    ([Lu.factor]), so the callback may return a shared matrix; the
+    finite-difference one is factored in place. *)
 val solve :
   ?options:options ->
   ?label:string ->

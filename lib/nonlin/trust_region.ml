@@ -31,6 +31,13 @@ let solve ?(options = Newton.default_options) ?(label = "trust_region") ?jacobia
   let rnorm = ref (Vec.norm_inf !r) in
   let delta = ref (Float.max 1. (Vec.norm2 x0)) in
   let delta_min = 1e-13 *. (1. +. Vec.norm2 x0) in
+  (* kept for the solve: the forward-difference Jacobian when there is
+     no [jacobian] callback, the LU copy of each model's J with its
+     pivots, and the products J g and J p *)
+  let n = Array.length x0 in
+  let fd_jac = lazy (Mat.zeros n n) in
+  let lu = lazy (Mat.zeros n n) and perm = lazy (Array.make n 0) in
+  let jv = Array.make n 0. in
   let finish ~iterations ~converged ~reason =
     Obs.Metrics.incr c_solves;
     Obs.Metrics.add c_iters iterations;
@@ -41,15 +48,28 @@ let solve ?(options = Newton.default_options) ?(label = "trust_region") ?jacobia
   in
   (* None when the gradient vanishes or is not finite *)
   let build_model () =
-    let j = match jacobian with Some j -> j !x | None -> Fdjac.jacobian ~f0:!r residual !x in
+    let j =
+      match jacobian with
+      | Some j -> j !x
+      | None ->
+        let j = Lazy.force fd_jac in
+        Fdjac.jacobian_into ~f0:!r residual !x j;
+        j
+    in
     let g = Mat.tmatvec j !r in
     let gnorm = Vec.norm2 g in
     if gnorm = 0. || not (Float.is_finite gnorm) then None
     else begin
-      let jg = Mat.matvec j g in
+      Mat.matvec_into j g ~dst:jv;
+      let jg2 = Vec.dot jv jv in
       let p_newton =
-        (* a copy: the dogleg reuses [j] unfactored *)
-        let newton_point _ r dx = Lu.solve_into (Lu.factor j) r dx in
+        (* factored in the kept LU buffer: the dogleg reuses [j]
+           unfactored, and a caller's matrix is never written *)
+        let newton_point _ r dx =
+          let a = Lazy.force lu in
+          Array.iteri (fun i row -> Array.blit row 0 a.(i) 0 n) j;
+          Lu.solve_into (Lu.factor_into a ~perm:(Lazy.force perm)) r dx
+        in
         let newton_point =
           if Fault.armed () then Newton.fault_linear_solve_into newton_point else newton_point
         in
@@ -60,7 +80,7 @@ let solve ?(options = Newton.default_options) ?(label = "trust_region") ?jacobia
           if Float.is_finite (Vec.norm2 dx) then Some dx else None
         | exception (Lu.Singular _ | Newton.Linear_solve_failed _) -> None
       in
-      Some { j; g; gnorm; jg2 = Vec.dot jg jg; p_newton }
+      Some { j; g; gnorm; jg2; p_newton }
     end
   in
   let rec iterate k model =
@@ -105,8 +125,8 @@ let solve ?(options = Newton.default_options) ?(label = "trust_region") ?jacobia
                 Array.mapi (fun i pi -> pi +. (tau *. d.(i))) p_cauchy)
         in
         let p = dogleg !delta in
-        let jp = Mat.matvec j p in
-        let pred = -.Vec.dot g p -. (0.5 *. Vec.dot jp jp) in
+        Mat.matvec_into j p ~dst:jv;
+        let pred = -.Vec.dot g p -. (0.5 *. Vec.dot jv jv) in
         let trial = Array.mapi (fun i xi -> xi +. p.(i)) !x in
         let rt = residual trial in
         let ft = merit rt in

@@ -11,7 +11,10 @@
     Cauchy direction instead of aborting.  Both happen once per
     accepted iterate: a rejected step leaves the iterate in place, so
     the model is kept and only the dogleg is redone for the smaller
-    radius (iterates are the same as rebuilding it). *)
+    radius (iterates are the same as rebuilding it).  The LU works on a
+    copy in a buffer kept for the solve, as do the forward differences
+    and the model's matrix-vector products, so a model allocates only
+    its vectors. *)
 
 open Linalg
 
@@ -21,7 +24,11 @@ open Linalg
     collapse, [Non_finite_residual] a NaN/Inf residual at the current
     iterate.  Emits one [Newton_done] tagged [label] and
     updates the [trust_region.*] counters ([trust_region.rejected]
-    counts rejected dogleg steps). *)
+    counts rejected dogleg steps).
+
+    [jacobian x] may return one shared matrix that it refills on every
+    call: the solver reads the matrix it returns until the next call
+    and never writes it. *)
 val solve :
   ?options:Newton.options ->
   ?label:string ->

@@ -103,6 +103,44 @@ let globalize_tests =
                ("powell", powell_residual, powell_jacobian, [| 0.; 1. |], 42, 0x1.e6p-45,
                 [| 0x1.707b2b0b09dafp-17; 0x1.23658dd90954fp+3 |]);
              ]));
+    Alcotest.test_case "trust region reads a shared Jacobian without writing it" `Quick
+      (with_counters (fun () ->
+           (* a callback that refills one matrix, as the periodic solve's
+              does: trust region factors a copy, so the matrix holds what
+              the callback wrote at every residual and at the next call,
+              and the iteration is bitwise the one on fresh matrices *)
+           List.iter
+             (fun (what, residual, jacobian, x0) ->
+               let n = Array.length x0 in
+               let shared = Linalg.Mat.zeros n n and written = ref (Linalg.Mat.zeros n n) in
+               let bits m = Array.map (Array.map Int64.bits_of_float) m in
+               let unchanged where =
+                 Alcotest.(check bool)
+                   (Printf.sprintf "%s: shared matrix unchanged %s" what where)
+                   true
+                   (bits shared = bits !written)
+               in
+               let shared_jacobian x =
+                 unchanged "at the next model";
+                 Array.iteri (fun i row -> Array.blit row 0 shared.(i) 0 n) (jacobian x);
+                 written := Linalg.Mat.copy shared;
+                 shared
+               in
+               let checked_residual x =
+                 unchanged "at a residual";
+                 residual x
+               in
+               let report =
+                 Nonlin.Trust_region.solve ~jacobian:shared_jacobian ~residual:checked_residual x0
+               in
+               unchanged "after the solve";
+               let fresh = Nonlin.Trust_region.solve ~jacobian ~residual x0 in
+               check_pinned what report ~iterations:fresh.Nonlin.Newton.iterations
+                 ~residual_norm:fresh.Nonlin.Newton.residual_norm ~x:fresh.Nonlin.Newton.x)
+             [
+               ("rosenbrock", rosenbrock_residual, rosenbrock_jacobian, [| -3.; 8. |]);
+               ("powell", powell_residual, powell_jacobian, [| 0.; 1. |]);
+             ]));
     Alcotest.test_case "cascade stops at damped Newton on an easy system" `Quick
       (with_counters (fun () ->
            let residual x = [| (x.(0) *. x.(0)) -. 4. |] in
@@ -187,6 +225,32 @@ let hard_quasiperiodic_system () =
 
 let acceptance_tests =
   [
+    Alcotest.test_case "a cold hard-regime quasiperiodic solve allocates under 1 Mwords" `Quick
+      (fun () ->
+        (* the dense periodic Newton and trust region refill one stacked
+           Jacobian and one LU buffer for the whole solve; a matrix per
+           iteration or per model (about 43k words each at 121 unknowns)
+           takes a cascade of some 40 models to nearly 2 Mwords *)
+        Fault.with_armed "" (fun () ->
+            let was_enabled = Obs.enabled () in
+            Obs.set_enabled false;
+            Fun.protect
+              ~finally:(fun () -> Obs.set_enabled was_enabled)
+              (fun () ->
+                let sys, p2 = hard_quasiperiodic_system () in
+                let n1 = 11 and n2 = 11 in
+                let solve () =
+                  Mpde.quasiperiodic sys ~n1 ~n2 ~p2
+                    ~guess:(Array.init n2 (fun _ -> Array.init n1 (fun _ -> [| 0. |])))
+                in
+                (* the first solve fills any lazy cache *)
+                ignore (solve ());
+                let w0 = Gc.minor_words () in
+                ignore (solve ());
+                let words = Gc.minor_words () -. w0 in
+                Alcotest.(check bool)
+                  (Printf.sprintf "%.0f minor words" words)
+                  true (words < 1e6))));
     Alcotest.test_case "strong-modulation quasiperiodic: damped fails, cascade wins" `Slow
       (with_counters (fun () ->
            let sys, p2 = hard_quasiperiodic_system () in

@@ -87,6 +87,41 @@ let lin_apply (lin : Sd.lin) v =
 
 let frozen sd = Sd.periodic sd ~p2:1. ~d2:[| [| 0. |] |]
 
+(* [Sd.periodic_dense_into] on a fresh matrix *)
+let periodic_dense p lins ~dim =
+  let jac = Mat.zeros dim dim in
+  Sd.periodic_dense_into p lins jac;
+  jac
+
+(* the oracle for [Sd.periodic_dense_into]: each slice's [Sd.dense]
+   block copied into a zero matrix, then the slow coupling
+   (d2_mq / p2) blockdiag(C^q) added entry by entry *)
+let periodic_dense_naive ~p2 ~d2 (lins : Sd.lin array) =
+  let n2 = Array.length lins in
+  let blocks = Array.map Sd.dense lins in
+  let bs = Mat.rows blocks.(0) in
+  let n1 = Array.length lins.(0).Sd.c_blocks in
+  let n = Mat.rows lins.(0).Sd.c_blocks.(0) in
+  let jac = Mat.zeros (n2 * bs) (n2 * bs) in
+  Array.iteri
+    (fun m blk -> Array.iteri (fun r row -> Array.blit row 0 jac.((m * bs) + r) (m * bs) bs) blk)
+    blocks;
+  for m = 0 to n2 - 1 do
+    for q = 0 to n2 - 1 do
+      let dmq = d2.(m).(q) /. p2 in
+      if dmq <> 0. then
+        for j = 0 to n1 - 1 do
+          for i = 0 to n - 1 do
+            for l = 0 to n - 1 do
+              let r = (m * bs) + (j * n) + i and c = (q * bs) + (j * n) + l in
+              jac.(r).(c) <- jac.(r).(c) +. (dmq *. lins.(q).Sd.c_blocks.(j).(i).(l))
+            done
+          done
+        done
+    done
+  done;
+  jac
+
 let prop (name, dae, draw) (dname, d) omega_case =
   let open QCheck in
   Test.make ~count:8
@@ -126,7 +161,8 @@ let prop (name, dae, draw) (dname, d) omega_case =
       let y = Array.concat (List.init n2 slice) in
       let lins = Sd.periodic_linearize p y in
       let periodic_ok =
-        check_lin ~residual:(Sd.periodic_residual p) ~dense:(Sd.periodic_dense p lins)
+        check_lin ~residual:(Sd.periodic_residual p)
+          ~dense:(periodic_dense p lins ~dim:(Array.length y))
           ~apply:(fun v ->
             let out = Array.make (Array.length v) 0. in
             Sd.periodic_apply_into p lins v out;
@@ -206,6 +242,40 @@ let unit_tests =
             ("pivoting", blit pivoting, pivoting);
             bordered (List.nth lins 2);
           ]);
+    Alcotest.test_case "periodic_dense_into refills a factored buffer bitwise" `Quick (fun () ->
+        (* the periodic solve keeps one stacked Jacobian and factors it
+           in place: each refill meets rows the LU has permuted and
+           overwritten with L and U, and must still give the bits of a
+           fresh assembly, bordered omega corners included *)
+        List.iter
+          (fun ((name, dae, draw), omega_case) ->
+            let d = Fourier.Series.diff_matrix n1 in
+            let sd = make_sd dae ~d ~omega_case ~omega:1. in
+            let p2 = 20. and d2 = Fourier.Series.diff_matrix n2 in
+            let p = Sd.periodic sd ~p2 ~d2 in
+            let dim = n2 * Sd.size sd in
+            let rng = Random.State.make [| 13 |] in
+            let draw_y () =
+              Array.concat
+                (List.init n2 (fun m ->
+                     snd (draw_slice sd draw rng ~omega:(1. +. (0.1 *. float_of_int m)))))
+            in
+            let jac = Mat.zeros dim dim and perm = Array.make dim 0 in
+            let bits = Array.map (Array.map Int64.bits_of_float) in
+            for k = 0 to 2 do
+              let lins = Sd.periodic_linearize p (draw_y ()) in
+              Sd.periodic_dense_into p lins jac;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s: refill %d" name (omega_name omega_case) k)
+                true
+                (bits jac = bits (periodic_dense_naive ~p2 ~d2 lins));
+              ignore (Lu.factor_into jac ~perm);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: the factorization swapped rows" name)
+                true
+                (perm <> Array.init dim Fun.id)
+            done)
+          [ (vco_a, Derivative); (sinh_system, Fixed) ]);
     Alcotest.test_case "make rejects a phase row of the wrong length" `Quick (fun () ->
         let _, dae, _ = vco_a in
         Alcotest.check_raises "row"

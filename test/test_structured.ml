@@ -291,8 +291,9 @@ let prop_tests =
       (Gen.float_range 0.1 2.)
   in
   (* blocks of finite values, +-0, +-inf and NaNs of two payloads,
-     n1 odd up to 27, n up to 6, written into a NaN-filled bordered
-     matrix whose last row and column dense_into must leave alone *)
+     n1 odd up to 27, n up to 6, written at an offset of 0 to 3 into a
+     NaN-filled matrix one larger than the block on every side, whose
+     entries outside the block dense_into must leave alone *)
   let assembly_gen =
     let open Gen in
     let entry = Test_linalg.matvec_entry in
@@ -303,22 +304,23 @@ let prop_tests =
     let* cs = array_size (return n1) block in
     let* bs = array_size (return n1) block in
     let* alpha = oneof [ float_range (-2.) 2.; return Float.nan ] in
-    return (alpha, d, cs, bs)
+    let* off = int_range 0 3 in
+    return (off, alpha, d, cs, bs)
   in
   [
     QCheck_alcotest.to_alcotest
       (Test.make ~name:"dense_into is bitwise the block-by-block assembly" ~count:200
          (make
-            ~print:(fun (alpha, d, cs, _) ->
-              Printf.sprintf "alpha = %h, n1 = %d, n = %d" alpha (Array.length d)
+            ~print:(fun (off, alpha, d, cs, _) ->
+              Printf.sprintf "off = %d, alpha = %h, n1 = %d, n = %d" off alpha (Array.length d)
                 (Array.length cs.(0)))
             assembly_gen)
-         (fun (alpha, d, c_blocks, b_blocks) ->
-           let nd = Array.length d * Array.length c_blocks.(0) in
-           let filled () = Mat.init (nd + 1) (nd + 1) (fun _ _ -> Float.nan) in
+         (fun (off, alpha, d, c_blocks, b_blocks) ->
+           let size = off + (Array.length d * Array.length c_blocks.(0)) + 1 in
+           let filled () = Mat.init size size (fun _ _ -> Float.nan) in
            let got = filled () and want = filled () in
-           Structured.dense_into (Structured.make_op ~alpha ~d ~c_blocks ~b_blocks) got;
-           structured_dense_naive ~alpha ~d ~c_blocks ~b_blocks want;
+           Structured.dense_into ~off (Structured.make_op ~alpha ~d ~c_blocks ~b_blocks) got;
+           structured_dense_naive ~off ~alpha ~d ~c_blocks ~b_blocks want;
            let bits = Array.map (Array.map Int64.bits_of_float) in
            bits got = bits want));
     Alcotest.test_case "dense_into rejects a jac or C block too small" `Quick (fun () ->
@@ -334,6 +336,11 @@ let prop_tests =
             let jac = Mat.zeros (n1 * n) (n1 * n) in
             jac.(4) <- Array.make ((n1 * n) - 1) 0.;
             Structured.dense_into full jac);
+        Alcotest.check_raises "offset past the end" err (fun () ->
+            Structured.dense_into ~off:1 full (Mat.zeros (n1 * n) (n1 * n)));
+        Alcotest.check_raises "negative offset"
+          (Invalid_argument "Structured.dense_into: negative offset") (fun () ->
+            Structured.dense_into ~off:(-1) full (Mat.zeros (n1 * n) (n1 * n)));
         Alcotest.check_raises "short C row" err (fun () ->
             Structured.dense_into
               (op [| block; [| [| 1.; 0. |]; [| 1. |] |]; block |])

@@ -146,12 +146,12 @@ let lu_substitute a perm b =
   done;
   x
 
-(* [structured_dense_naive ~alpha ~d ~c_blocks ~b_blocks jac] is the
-   block-by-block assembly of [alpha (D (x) C) + blockdiag(B)] into
-   the top-left corner of [jac], the oracle for
+(* [structured_dense_naive ~off ~alpha ~d ~c_blocks ~b_blocks jac] is
+   the block-by-block assembly of [alpha (D (x) C) + blockdiag(B)] into
+   the square of [jac] at (off, off), the oracle for
    [Linalg.Structured.dense_into]: block (j, k) is alpha d_jk C_k,
    then B_j is added to block (j, j). *)
-let structured_dense_naive ~alpha ~d ~c_blocks ~b_blocks jac =
+let structured_dense_naive ~off ~alpha ~d ~c_blocks ~b_blocks jac =
   let n1 = Array.length d and n = Array.length c_blocks.(0) in
   for j = 0 to n1 - 1 do
     for k = 0 to n1 - 1 do
@@ -159,14 +159,15 @@ let structured_dense_naive ~alpha ~d ~c_blocks ~b_blocks jac =
       let ck = c_blocks.(k) in
       for i = 0 to n - 1 do
         for l = 0 to n - 1 do
-          jac.((j * n) + i).((k * n) + l) <- scale *. ck.(i).(l)
+          jac.(off + (j * n) + i).(off + (k * n) + l) <- scale *. ck.(i).(l)
         done
       done
     done;
     let bj = b_blocks.(j) in
     for i = 0 to n - 1 do
+      let row = jac.(off + (j * n) + i) in
       for l = 0 to n - 1 do
-        jac.((j * n) + i).((j * n) + l) <- jac.((j * n) + i).((j * n) + l) +. bj.(i).(l)
+        row.(off + (j * n) + l) <- row.(off + (j * n) + l) +. bj.(i).(l)
       done
     done
   done
