@@ -742,13 +742,6 @@ let serve_cmd =
     let doc = "Directory for preemption checkpoints (created if missing)." in
     Arg.(value & opt string "wampde-spool" & info [ "spool" ] ~docv:"DIR" ~doc)
   in
-  let cache_arg =
-    let doc =
-      "Capacity of the cross-job preconditioner-factorization LRU in entries ($(b,0) \
-       disables it); hits/misses/evictions surface as $(b,cache.precond.*) metrics."
-    in
-    Arg.(value & opt int 32 & info [ "cache" ] ~docv:"N" ~doc)
-  in
   let stall_timeout_arg =
     let doc =
       "Stall watchdog: fail a running job with a typed $(b,stalled) error when no solver \
@@ -757,7 +750,7 @@ let serve_cmd =
     in
     Arg.(value & opt float 0. & info [ "stall-timeout" ] ~docv:"SECONDS" ~doc)
   in
-  let run fault jobs quantum spool cache stall_timeout =
+  let run fault jobs quantum spool stall_timeout =
     (match jobs with Some j -> Par.Pool.set_jobs j | None -> ());
     (match fault with
     | Some spec -> (
@@ -777,7 +770,7 @@ let serve_cmd =
     let term_requested = ref false in
     Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> term_requested := true));
     let config =
-      Serve.Server.default_config ~quantum ~spool ~cache ~stall_timeout_s:stall_timeout
+      Serve.Server.default_config ~quantum ~spool ~stall_timeout_s:stall_timeout
         ~stop_requested:(fun () -> !term_requested)
         ()
     in
@@ -802,7 +795,7 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc)
     Term.(
-      const run $ fault_arg $ jobs_arg $ quantum_arg $ spool_arg $ cache_arg $ stall_timeout_arg)
+      const run $ fault_arg $ jobs_arg $ quantum_arg $ spool_arg $ stall_timeout_arg)
 
 let () =
   let doc = "multi-time (WaMPDE) simulation of voltage-controlled oscillators" in

@@ -15,11 +15,10 @@ type options = {
   newton : Nonlin.Newton.options;
   solver : Structured.strategy;
   rescue : bool;
-  precond_cache : string option;
 }
 
 let default_options ?(n1 = 25) ?(phase = Dae.Phase.Derivative 0) ?(solver = Structured.auto)
-    ?(rescue = true) ?precond_cache () =
+    ?(rescue = true) () =
   {
     n1;
     theta = 0.5;
@@ -28,7 +27,6 @@ let default_options ?(n1 = 25) ?(phase = Dae.Phase.Derivative 0) ?(solver = Stru
     newton = { Nonlin.Newton.default_options with max_iterations = 30; residual_tol = 1e-9 };
     solver;
     rescue;
-    precond_cache;
   }
 
 (* A step's Newton iteration failed: the march retries at a smaller
@@ -77,8 +75,8 @@ let start_point sd ~t2 states omega =
 
 (* Preallocated per-run Newton vectors, reused across iterations and
    steps instead of re-allocating residuals and iterates, and the GMRES
-   workspace of the Krylov path (built on first use, so dense runs never
-   pay for its basis). *)
+   workspace and preconditioner buffers of the Krylov path (built on
+   first use, so dense runs never pay for them). *)
 type scratch = {
   sc_r : Vec.t;  (* accepted residual, Dae.Semidisc.size *)
   sc_rt : Vec.t;  (* trial residual *)
@@ -87,6 +85,7 @@ type scratch = {
   sc_guess : Vec.t;  (* Newton's start, see [extrapolate_into] *)
   sc_dy : Vec.t;  (* dense chord direction *)
   sc_gmres : Gmres.workspace Lazy.t;
+  sc_precond : Dae.Semidisc.precond;  (* the Krylov preconditioner's buffers *)
 }
 
 let gmres_restart = 60
@@ -101,6 +100,7 @@ let make_scratch ~size =
     sc_guess = Array.make size 0.;
     sc_dy = Array.make size 0.;
     sc_gmres = lazy (Gmres.workspace ~n:size ~restart:gmres_restart ~max_iter:gmres_max_iter ());
+    sc_precond = Dae.Semidisc.precond ();
   }
 
 (* Newton's start for a theta step to [t]: the Lagrange polynomial
@@ -133,12 +133,25 @@ let extrapolate_into dst ~t ~ts ~grids ~omegas =
    path instead rebuilds its cheap structured operator every iteration
    (true Newton-Krylov).  The cached factorization lives in [jac] and
    [perm], refilled and factored in place at every refresh; [jac] is
-   built on first use, so Krylov runs never pay for it. *)
+   built on first use, so Krylov runs never pay for it.  The
+   trust-region rescue's models refill [rescue_jac], also built on
+   first use: a rescue leaves the chord's factorization cached. *)
 type krylov_op = { klin : Dae.Semidisc.lin; m_inv : Vec.t -> Vec.t -> unit }
 
-type jac_cache = { mutable lu : Lu.t option; jac : Mat.t Lazy.t; perm : int array }
+type jac_cache = {
+  mutable lu : Lu.t option;
+  jac : Mat.t Lazy.t;
+  perm : int array;
+  rescue_jac : Mat.t Lazy.t;
+}
 
-let new_cache ~size = { lu = None; jac = lazy (Mat.zeros size size); perm = Array.make size 0 }
+let new_cache ~size =
+  {
+    lu = None;
+    jac = lazy (Mat.zeros size size);
+    perm = Array.make size 0;
+    rescue_jac = lazy (Mat.zeros size size);
+  }
 
 (* The chord refactors at the new iterate once a stale Jacobian
    contracts the residual by less than this factor per iteration.  On
@@ -165,7 +178,6 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
   (* the inner (chord Newton) layer: leaf counters bumped from here —
      lu.factor, gmres.iterations — are billed to the envelope's Newton *)
   Obs.Scope.with_scope "envelope.newton" @@ fun () ->
-  let n1 = options.n1 in
   let theta = options.theta in
   let size = Dae.Semidisc.size sd in
   let omega_of y = Dae.Semidisc.omega_at sd y ~off:0 in
@@ -203,36 +215,14 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
   let use_krylov = Structured.use_krylov options.solver ~dim:size in
   (* Build the matrix-free operator and its DFT-diagonalized
      averaged-block preconditioner at [y] (the Krylov analogue of
-     [refresh]), bordered by the phase row when omega is unknown.  The
-     blocks are evaluated fresh from [y], so the cached operator stays
-     valid while [scratch] mutates.  Returns [None] if the
+     [refresh]), bordered by the phase row when omega is unknown, the
+     preconditioner into the buffers [scratch] keeps for the run.  The
+     operator's blocks are evaluated fresh from [y], so it stays valid
+     while [scratch]'s vectors mutate.  Returns [None] if the
      preconditioner degenerates. *)
   let refresh_krylov y =
     let lin = Dae.Semidisc.step_linearize sys y in
-    let op = lin.Dae.Semidisc.op in
-    match
-      let pc =
-        match options.precond_cache with
-        | None -> Structured.make_precond [| op |]
-        | Some prefix ->
-          (* key determines the operator shape (n1 and, through the
-             circuit prefix, the block size) and buckets the two
-             scalars the averaged blocks depend on; nearby iterates,
-             macro steps and same-circuit jobs then share one factored
-             preconditioner — GMRES still solves the fresh operator *)
-          let key =
-            Printf.sprintf "%s|n1=%d|w=%d|a=%d" prefix n1
-              (Structured.log_bucket (omega_of y))
-              (Structured.log_bucket (h2 *. theta))
-          in
-          Structured.make_precond_cached ~key op
-      in
-      match lin.Dae.Semidisc.border with
-      | None -> Structured.precond_apply_into pc
-      | Some b ->
-        Structured.bordered_apply_into
-          (Structured.make_bordered pc ~cols:[| b.Dae.Semidisc.col |] ~rows:[| b.Dae.Semidisc.row |])
-    with
+    match Dae.Semidisc.m_inv scratch.sc_precond [| lin |] with
     | exception (Cx.Clu.Singular _ | Structured.Bordered_singular _ | Failure _) -> None
     | m_inv -> Some { klin = lin; m_inv }
   in
@@ -392,7 +382,11 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
       residual_into yv dst;
       dst
     in
-    let jacobian y = Dae.Semidisc.dense (Dae.Semidisc.step_linearize sys y) in
+    let jacobian y =
+      let jac = Lazy.force cache.rescue_jac in
+      Dae.Semidisc.dense_into (Dae.Semidisc.step_linearize sys y) jac;
+      jac
+    in
     let report =
       Nonlin.Trust_region.solve
         ~options:{ options.newton with Nonlin.Newton.residual_tol = tol }

@@ -30,33 +30,21 @@ type options = {
   solver : Structured.strategy;
       (** linear-solver path for the collocation Newton systems: dense
           LU, matrix-free preconditioned GMRES, or size-based [Auto]
-          (also read by {!Quasiperiodic.solve}) *)
+          (also read by {!Quasiperiodic.solve}).  GMRES's
+          preconditioner is built at every Newton iterate by
+          {!Dae.Semidisc.m_inv}, into buffers kept for the run. *)
   rescue : bool;
       (** when the chord iteration fails a step, cold-start the
           {!Nonlin.Polyalg} trust-region stage on the same step
           system before reporting the step as failed (default [true];
           successes bump the [envelope.rescues] counter) *)
-  precond_cache : string option;
-      (** when set (to a circuit-identifying prefix), the Krylov path
-          fetches its block preconditioner through
-          {!Structured.make_precond_cached}, keyed by the prefix, [n1]
-          and log-bucketed [omega]/[h2 theta] — so repeated solves of
-          the same circuit (a job-serving batch) share factorizations.
-          [None] (the default) keeps the uncached per-iterate build. *)
 }
 
 (** [default_options ()] — [n1 = 25], trapezoidal, derivative phase
     condition on component 0, spectral differentiation,
-    [Structured.auto] solver selection, rescue cascade on, no
-    preconditioner cache. *)
+    [Structured.auto] solver selection, rescue cascade on. *)
 val default_options :
-  ?n1:int ->
-  ?phase:Dae.Phase.t ->
-  ?solver:Structured.strategy ->
-  ?rescue:bool ->
-  ?precond_cache:string ->
-  unit ->
-  options
+  ?n1:int -> ?phase:Dae.Phase.t -> ?solver:Structured.strategy -> ?rescue:bool -> unit -> options
 
 (** [semidisc dae options] is the [t1] discretization [options]
     selects: its [n1]-point grid and differentiation scheme, with

@@ -31,7 +31,7 @@ let solve ?cascade sd ~p2 ~d2 ~options ~solver ~label ~fn ~omega slices =
      this solve *)
   let krylov_scratch = lazy (Gmres.workspace ~n:(n2 * bs) ~restart:60 ~max_iter:300 ()) in
   let coupling = lazy (Mat.init n2 n2 (fun m q -> d2.(m).(q) /. p2)) in
-  let pc_buf = ref None and bp_buf = ref None in
+  let kept = Semidisc.precond () in
   (* Fully matrix-free Newton direction: the per-slice structured
      operators and cross-slice slow coupling of [Semidisc],
      preconditioned by their t1-averaged inverse, which holds the
@@ -41,25 +41,7 @@ let solve ?cascade sd ~p2 ~d2 ~options ~solver ~label ~fn ~omega slices =
      preconditioner degenerates or GMRES stalls. *)
   let krylov_dir y r =
     let lins = Semidisc.periodic_linearize sys y in
-    match
-      let pc =
-        Structured.make_precond ?into:!pc_buf ~coupling:(Lazy.force coupling)
-          (Array.map (fun lin -> lin.Semidisc.op) lins)
-      in
-      pc_buf := Some pc;
-      match lins.(0).Semidisc.border with
-      | None -> Structured.precond_apply_into pc
-      | Some _ ->
-        (* every slice has a border when the first has *)
-        let border f = Array.map (fun lin -> f (Option.get lin.Semidisc.border)) lins in
-        let bp =
-          Structured.make_bordered ?into:!bp_buf pc
-            ~cols:(border (fun b -> b.Semidisc.col))
-            ~rows:(border (fun b -> b.Semidisc.row))
-        in
-        bp_buf := Some bp;
-        Structured.bordered_apply_into bp
-    with
+    match Semidisc.m_inv ~coupling:(Lazy.force coupling) kept lins with
     | exception (Cx.Clu.Singular _ | Structured.Bordered_singular _ | Failure _) -> None
     | m_inv ->
       let result =

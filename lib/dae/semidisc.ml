@@ -182,16 +182,31 @@ let block_into ~off lin jac =
 
 let dense_into lin jac = block_into ~off:0 lin jac
 
-let dense lin =
-  let size = Structured.dim lin.op + if lin.border = None then 0 else 1 in
-  let jac = Mat.zeros size size in
-  dense_into lin jac;
-  jac
-
 let apply_into lin v out =
   match lin.border with
   | None -> Structured.apply_into lin.op v out
   | Some b -> Structured.apply_bordered_into lin.op ~border_col:b.col ~border_row:b.row v out
+
+type precond = { mutable pc : Structured.precond option; mutable bp : Structured.bordered option }
+
+let precond () = { pc = None; bp = None }
+
+(* Every slice has a border when the first has: [omega] is one for the
+   whole system. *)
+let m_inv ?coupling kept lins =
+  let pc = Structured.make_precond ?into:kept.pc ?coupling (Array.map (fun lin -> lin.op) lins) in
+  kept.pc <- Some pc;
+  match lins.(0).border with
+  | None -> Structured.precond_apply_into pc
+  | Some _ ->
+    let border f = Array.map (fun lin -> f (Option.get lin.border)) lins in
+    let bp =
+      Structured.make_bordered ?into:kept.bp pc
+        ~cols:(border (fun b -> b.col))
+        ~rows:(border (fun b -> b.row))
+    in
+    kept.bp <- Some bp;
+    Structured.bordered_apply_into bp
 
 (* ---------- theta step in t2 ---------- *)
 

@@ -65,16 +65,31 @@ type lin = {
   border : border option;  (** [None] when [omega] is fixed *)
 }
 
-(** [dense lin] assembles [lin]: the dense path factors the operator
-    the Krylov path applies. *)
-val dense : lin -> Mat.t
-
-(** [dense_into lin jac] is {!dense} into a caller-owned square matrix
-    of [lin]'s size; it writes every entry of [jac]. *)
+(** [dense_into lin jac] assembles [lin] into a caller-owned square
+    matrix of its size, so the dense path factors the operator the
+    Krylov path applies; it writes every entry of [jac]. *)
 val dense_into : lin -> Mat.t -> unit
 
 (** [apply_into lin v out] writes [lin v] into [out] (no aliasing). *)
 val apply_into : lin -> Vec.t -> Vec.t -> unit
+
+(** The buffers of a Krylov solve's preconditioner, kept for the run:
+    empty until {!m_inv} first fills them. *)
+type precond
+
+val precond : unit -> precond
+
+(** [m_inv ?coupling kept lins] builds the preconditioner of the slices
+    [lins] into [kept] and returns its apply [v out]:
+    {!Structured.make_precond} over their operators, with the slow
+    [coupling] when given, bordered by their omega columns and phase
+    rows ({!Structured.make_bordered}) when omega is unknown.  A build
+    of the shape already in [kept] refills its buffers, bitwise what a
+    fresh build gives; another shape allocates new ones.  The apply of
+    an earlier build is stale once [kept] is refilled.  Raises
+    [Cx.Clu.Singular] or {!Structured.Bordered_singular} when the
+    preconditioner degenerates. *)
+val m_inv : ?coupling:Mat.t -> precond -> lin array -> Vec.t -> Vec.t -> unit
 
 (** {1 Theta step in t2} *)
 
@@ -124,7 +139,7 @@ val periodic_linearize : periodic -> Vec.t -> lin array
 
 (** [periodic_dense_into p lins jac] assembles the periodic Jacobian
     of {!periodic_linearize}'s [lins] into the caller's square [jac] of
-    [n2 size] rows: each slice's {!dense} block on the diagonal plus
+    [n2 size] rows: each slice's {!dense_into} block on the diagonal plus
     the coupling [(1/p2) d2_mq blockdiag(C^q)].  It writes every entry
     of [jac], so a buffer that [Linalg.Lu.factor_into] has factored
     (rows permuted) can be refilled for the next iteration.  Raises

@@ -341,8 +341,8 @@ let precond_apply_into pc v out = apply_strided pc ~stride:(pc.pn * pc.pn1) v ou
 exception Bordered_singular of float
 
 type bordered = {
-  base : precond;
-  rows : Vec.t array;  (* the phase rows, by reference *)
+  mutable base : precond;
+  mutable rows : Vec.t array;  (* the phase rows, by reference *)
   z : Vec.t array;  (* z.(q) = M^{-1} of slice q's omega column, slices nd apart *)
   s : Mat.t;  (* the Schur complement S_mq = row_m . z_q, unfactored ... *)
   slu : Mat.t;  (* ... and factored in place *)
@@ -420,7 +420,9 @@ let make_bordered ?into pc ~cols ~rows =
   let bp =
     match into with
     | Some bp when Array.length bp.s = n2 && Array.length bp.z.(0) = n2 * nd ->
-      { bp with base = pc; rows }
+      bp.base <- pc;
+      bp.rows <- rows;
+      bp
     | _ ->
       {
         base = pc;
@@ -475,100 +477,3 @@ let bordered_apply_into bp v out =
     done;
     out.(off + nd) <- bp.t.(m)
   done
-
-(* ------------------------------------------------------------------ *)
-(* Cross-solve preconditioner cache                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* ~1% relative log-scale buckets for cache keys: two operator scalars
-   (omega, h2 theta) land in the same bucket iff they differ by less
-   than about one percent — close enough that one factored
-   preconditioner serves both. *)
-let log_bucket x =
-  if not (Float.is_finite x) || x = 0. then min_int
-  else int_of_float (Float.round (100. *. Float.log (Float.abs x)))
-
-(* LRU of factored block preconditioners, shared across solves and
-   jobs.  A [precond] is self-contained after [make_precond] (the
-   spectral blocks are factored copies; the rest is per-apply
-   scratch), so reusing one across Newton iterates, macro
-   steps and whole jobs only changes GMRES iteration counts, never the
-   solution: the operator products stay fresh and the outer tolerance
-   is unchanged.  Disabled (capacity 0) by default — the serve daemon
-   turns it on so repeated-circuit job batches amortize the n1 complex
-   block factorizations.  Not synchronized: callers factor and look up
-   on one domain (pool workers only ever run inside an apply). *)
-module Precond_cache = struct
-  let c_hits = Obs.Metrics.counter "cache.precond.hits"
-  let c_misses = Obs.Metrics.counter "cache.precond.misses"
-  let c_evictions = Obs.Metrics.counter "cache.precond.evictions"
-  let g_entries = Obs.Metrics.gauge "cache.precond.entries"
-
-  type entry = { pc : precond; mutable stamp : int }
-
-  let capacity = ref 0
-  let clock = ref 0
-  let table : (string, entry) Hashtbl.t = Hashtbl.create 64
-  let note_entries () = Obs.Metrics.set g_entries (float_of_int (Hashtbl.length table))
-
-  let clear () =
-    Hashtbl.reset table;
-    note_entries ()
-
-  let evict_oldest () =
-    let victim =
-      Hashtbl.fold
-        (fun key e acc ->
-          match acc with
-          | Some (_, stamp) when stamp <= e.stamp -> acc
-          | _ -> Some (key, e.stamp))
-        table None
-    in
-    match victim with
-    | Some (key, _) ->
-      Hashtbl.remove table key;
-      Obs.Metrics.incr c_evictions;
-      note_entries ()
-    | None -> ()
-
-  let set_capacity n =
-    capacity := Int.max 0 n;
-    if !capacity = 0 then clear ()
-    else
-      while Hashtbl.length table > !capacity do
-        evict_oldest ()
-      done
-
-  let enabled () = !capacity > 0
-
-  let find key =
-    match Hashtbl.find_opt table key with
-    | Some e ->
-      incr clock;
-      e.stamp <- !clock;
-      Obs.Metrics.incr c_hits;
-      Some e.pc
-    | None ->
-      Obs.Metrics.incr c_misses;
-      None
-
-  let store key pc =
-    if !capacity > 0 then begin
-      while Hashtbl.length table >= !capacity do
-        evict_oldest ()
-      done;
-      incr clock;
-      Hashtbl.replace table key { pc; stamp = !clock };
-      note_entries ()
-    end
-end
-
-let make_precond_cached ~key op =
-  if not (Precond_cache.enabled ()) then make_precond [| op |]
-  else
-    match Precond_cache.find key with
-    | Some pc -> pc
-    | None ->
-      let pc = make_precond [| op |] in
-      Precond_cache.store key pc;
-      pc

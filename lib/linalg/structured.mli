@@ -109,8 +109,9 @@ type precond
     {!Cx.Clu} on split re/im arrays.  [coupling] is the
     [n2 x n2] matrix [K] (default none); the [ops] share one [D].  The
     blocks factor on the {!Par.Pool}.  [?into] reuses the buffers of a
-    precond of the same shape (it is refilled, and returned), so a
-    caller that rebuilds every Newton iteration allocates them once.
+    precond of the same shape (it is refilled, bitwise what a fresh
+    build gives, and returned), so a caller that rebuilds every Newton
+    iteration allocates them once; another shape allocates afresh.
     Raises [Invalid_argument] on an even [n1] (through
     {!Rdft.of_size}) or mismatched shapes, [Cx.Clu.Singular] on a
     singular block.  Each build bumps [gmres.precond.builds] once and
@@ -126,41 +127,6 @@ val make_precond : ?into:precond -> ?coupling:Mat.t -> op array -> precond
     written.  [out] must not alias [v]. *)
 val precond_apply_into : precond -> Vec.t -> Vec.t -> unit
 
-(** {1 Cross-solve preconditioner cache}
-
-    An LRU of factored block preconditioners shared across solves and
-    jobs, keyed by caller-built strings (circuit id, [n1] and
-    {!log_bucket}ed operator scalars).  A cached [precond] only changes
-    GMRES iteration counts, never solutions: operator products stay
-    fresh and the outer tolerance is unchanged.  Disabled (capacity 0)
-    by default; the serve daemon enables it so repeated-circuit job
-    batches amortize the [n1/2 + 1] complex block factorizations.
-    Instrumented as [cache.precond.hits] / [.misses] / [.evictions]
-    counters and the [cache.precond.entries] gauge.  Not synchronized:
-    factor and look up from one domain only. *)
-
-(** [log_bucket x] buckets a positive scalar on a ~1% relative
-    log-scale grid (stable across runs); [min_int] for zero or
-    non-finite input. *)
-val log_bucket : float -> int
-
-module Precond_cache : sig
-  (** [set_capacity n] bounds the cache to [n] entries ([0] disables
-      and clears it; evicts down when shrinking). *)
-  val set_capacity : int -> unit
-
-  val enabled : unit -> bool
-end
-
-(** [make_precond_cached ~key op] is {!make_precond} of the one slice
-    [[| op |]] through the
-    {!Precond_cache}: a hit returns the cached factorization without
-    touching [op]'s blocks; a miss factors and stores.  With the cache
-    disabled this is exactly {!make_precond}.  The caller's [key] must
-    determine the operator shape ([n1], block size) — two ops with the
-    same key must be interchangeable as preconditioners. *)
-val make_precond_cached : key:string -> op -> precond
-
 type bordered
 
 exception Bordered_singular of float
@@ -175,8 +141,9 @@ exception Bordered_singular of float
     shifted by 1e-9 on its diagonal, away from zero (gmin style), so a
     nearly-degenerate border still yields a usable, if weaker,
     preconditioner; {!Bordered_singular} is raised if it has a
-    non-finite entry or stays singular.  [?into] reuses the buffers of
-    a bordered preconditioner of the same shape. *)
+    non-finite entry or stays singular.  [?into], a bordered
+    preconditioner of the same shape, is refilled and returned, as in
+    {!make_precond}. *)
 val make_bordered : ?into:bordered -> precond -> cols:Vec.t array -> rows:Vec.t array -> bordered
 
 (** [bordered_apply_into bp v out] applies the bordered approximate

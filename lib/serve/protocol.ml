@@ -184,9 +184,9 @@ let str s = Json.to_string (Json.Str s)
 
 let num x = if Float.is_finite x then Printf.sprintf "%.10g" x else "null"
 
-let hello ~quantum ~jobs ~cache =
-  Printf.sprintf "{\"type\":\"hello\",\"schema\":%s,\"quantum\":%d,\"jobs\":%d,\"cache\":%d}"
-    (str schema) quantum jobs cache
+let hello ~quantum ~jobs =
+  Printf.sprintf "{\"type\":\"hello\",\"schema\":%s,\"quantum\":%d,\"jobs\":%d}" (str schema)
+    quantum jobs
 
 let accepted ~id ~queue_depth =
   Printf.sprintf "{\"type\":\"accepted\",\"id\":%s,\"queue_depth\":%d}" (str id) queue_depth
@@ -265,8 +265,8 @@ let stats_line ~counters ~gauges =
   in
   let warnings = match List.assoc_opt "health.warnings" counters with Some n -> n | None -> 0 in
   Printf.sprintf
-    "{\"type\":\"stats\",\"cache\":{\"orbit\":%s,\"precond\":%s},\"pool\":%s,\"health\":{\"warnings\":%d,\"monitors\":%s},\"serve\":%s}"
-    (int_obj "cache.orbit.") (int_obj "cache.precond.") (mixed "pool.") warnings
+    "{\"type\":\"stats\",\"cache\":{\"orbit\":%s},\"pool\":%s,\"health\":{\"warnings\":%d,\"monitors\":%s},\"serve\":%s}"
+    (int_obj "cache.orbit.") (mixed "pool.") warnings
     (int_obj "health.warnings.") (mixed "serve.")
 
 let bye ~submitted ~completed ~failed ~cancelled ~preempted =

@@ -87,7 +87,7 @@ val analysis_name : analysis -> string
 
     Each returns one complete JSON line (no trailing newline). *)
 
-val hello : quantum:int -> jobs:int -> cache:int -> string
+val hello : quantum:int -> jobs:int -> string
 
 val accepted : id:string -> queue_depth:int -> string
 
@@ -133,7 +133,7 @@ val metrics_line : final:bool -> metrics:string -> string
 
     {v
     {"type":"stats",
-     "cache":{"orbit":{"hits":3,...},"precond":{...}},
+     "cache":{"orbit":{"hits":3,...}},
      "pool":{"runs":12,"busy_s":0.8,...},
      "health":{"warnings":2,"monitors":{"newton.stall":1,...}},
      "serve":{"jobs.submitted":4,...}}
@@ -141,7 +141,7 @@ val metrics_line : final:bool -> metrics:string -> string
 
     built from the {!Wampde_obs.Metrics.counters} / [gauges]
     snapshots: counters and gauges whose names start with
-    ["cache.orbit."], ["cache.precond."], ["pool."],
+    ["cache.orbit."], ["pool."],
     ["health.warnings."] and ["serve."] land in the matching group
     with the prefix stripped (journal and watchdog counters ride in
     the ["serve"] group as [journal.*] and [watchdog.*]). *)

@@ -392,7 +392,7 @@ let exec_envelope t jr (p : Protocol.envelope_params) =
   let dae = jr.entry.dae () in
   let orbit = orbit_for t jr ~n1:p.n1 in
   let options =
-    Wampde.Envelope.default_options ~n1:p.n1 ~solver:p.solver ~precond_cache:jr.job.circuit ()
+    Wampde.Envelope.default_options ~n1:p.n1 ~solver:p.solver ()
   in
   let control =
     Step_control.default_options ~rtol:p.rtol ~atol:(p.rtol /. 1000.) ~h_min:1e-9
@@ -415,7 +415,7 @@ let exec_quasi t jr (p : Protocol.quasi_params) =
   let dae = jr.entry.dae () in
   let orbit = orbit_for t jr ~n1:p.n1 in
   let options =
-    Wampde.Envelope.default_options ~n1:p.n1 ~solver:p.solver ~precond_cache:jr.job.circuit ()
+    Wampde.Envelope.default_options ~n1:p.n1 ~solver:p.solver ()
   in
   let sol =
     Wampde.Quasiperiodic.from_orbit dae ~options ~p2:p.p2 ~n2:p.n2 ~init:orbit ()

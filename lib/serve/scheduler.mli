@@ -23,8 +23,7 @@
     {!Steady.Oscillator.settled} warm-up, computed once per circuit,
     and the unforced orbit polished from it per [(circuit, n1)]
     ([cache.orbit.*] metrics count the orbits; each miss runs under
-    one [oscillator.find] span).  The
-    {!Linalg.Structured.Precond_cache} warms up underneath.  Every
+    one [oscillator.find] span).  Every
     accepted job terminates in exactly one [result] record (carrying
     a ["wampde.run-report/1"] manifest) or one typed [job-error]
     record — solver exceptions, including injected {!Fault} storms,

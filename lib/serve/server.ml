@@ -8,14 +8,13 @@ type reader = block:bool -> [ `Line of string | `Eof | `Nothing ]
 type config = {
   quantum : int;
   spool : string;
-  cache : int;
   stall_timeout_s : float;
   stop_requested : unit -> bool;
 }
 
-let default_config ?(quantum = 8) ?(spool = "wampde-spool") ?(cache = 32) ?(stall_timeout_s = 0.)
+let default_config ?(quantum = 8) ?(spool = "wampde-spool") ?(stall_timeout_s = 0.)
     ?(stop_requested = fun () -> false) () =
-  { quantum; spool; cache; stall_timeout_s; stop_requested }
+  { quantum; spool; stall_timeout_s; stop_requested }
 
 let mkdir_p dir =
   let rec go d =
@@ -33,13 +32,12 @@ type stop = Drain | Abort | Preempt
 
 let run config ~read ~write ~log =
   Obs.set_enabled true;
-  Linalg.Structured.Precond_cache.set_capacity config.cache;
   mkdir_p config.spool;
   let sch =
     Scheduler.create ~stall_timeout_s:config.stall_timeout_s ~quantum:config.quantum
       ~spool:config.spool ~emit:write ~log ()
   in
-  write (Protocol.hello ~quantum:config.quantum ~jobs:(Par.Pool.jobs ()) ~cache:config.cache);
+  write (Protocol.hello ~quantum:config.quantum ~jobs:(Par.Pool.jobs ()));
   Scheduler.recover sch;
   let lineno = ref 0 in
   let stop = ref None in
@@ -77,7 +75,6 @@ let run config ~read ~write ~log =
       | Ok (Protocol.Shutdown { drain }) -> stop := Some (if drain then Drain else Abort)
     end
   in
-  Fun.protect ~finally:(fun () -> Linalg.Structured.Precond_cache.set_capacity 0) @@ fun () ->
   while !stop = None do
     check_signal ();
     (* drain whatever input is already available, then do one slice *)

@@ -33,17 +33,15 @@ type reader = block:bool -> [ `Line of string | `Eof | `Nothing ]
 type config = {
   quantum : int;  (** accepted envelope macro steps per slice *)
   spool : string;  (** checkpoint + journal directory (created if missing) *)
-  cache : int;  (** {!Linalg.Structured.Precond_cache} capacity *)
   stall_timeout_s : float;  (** stall watchdog; [<= 0.] disables *)
   stop_requested : unit -> bool;  (** polled each loop turn; [true] = graceful park *)
 }
 
-(** [quantum] defaults to 8, [spool] to "wampde-spool", [cache] to
-    32, [stall_timeout_s] to 0 (off), [stop_requested] to never. *)
+(** [quantum] defaults to 8, [spool] to "wampde-spool",
+    [stall_timeout_s] to 0 (off), [stop_requested] to never. *)
 val default_config :
   ?quantum:int ->
   ?spool:string ->
-  ?cache:int ->
   ?stall_timeout_s:float ->
   ?stop_requested:(unit -> bool) ->
   unit ->
@@ -53,8 +51,7 @@ val default_config :
     input and returns the process exit code (0 — protocol and job
     failures are responses, not daemon failures).  [write] receives
     every response line; [log] receives human-readable lifecycle
-    lines.  Enables telemetry and sets the preconditioner-cache
-    capacity (restoring 0 on exit). *)
+    lines.  Enables telemetry. *)
 val run : config -> read:reader -> write:(string -> unit) -> log:(string -> unit) -> int
 
 (** Non-blocking line reader over a file descriptor ([select] +

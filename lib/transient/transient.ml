@@ -59,10 +59,11 @@ let newton_options =
    and G there.  The step being solved ends at [t1], is [h] long and
    has weight [theta]; [fresh] says that [q] and [f] hold the last
    residual pass at the iterate the last solve returned, the next
-   step's start.  The closures read the step from the record; [newton]
-   is the damped solve in its own workspace, with the Jacobian and
-   pivot order the in-place LU refactors every iteration, its optional
-   arguments wrapped once. *)
+   step's start.  [jac] is the Jacobian that Newton's in-place LU
+   refactors every iteration and the rescue's trust-region models
+   refill.  The closures read the step from the record; [newton] is
+   the damped solve in its own workspace, with the pivot order of
+   [jac], its optional arguments wrapped once. *)
 type work = {
   dae : Dae.t;
   q0 : Vec.t;
@@ -71,6 +72,7 @@ type work = {
   f : Vec.t;
   c : Mat.t;
   g : Mat.t;
+  jac : Mat.t;
   mutable t1 : float;
   mutable h : float;
   mutable theta : float;
@@ -107,7 +109,7 @@ let theta_jacobian w y jac =
 let work dae =
   let dim = dae.Dae.dim in
   let vec () = Array.make dim 0. in
-  let ws = Nonlin.Newton.workspace dim and jac = Mat.zeros dim dim and perm = Array.make dim 0 in
+  let ws = Nonlin.Newton.workspace dim and perm = Array.make dim 0 in
   let options = Some newton_options and some_label = Some label in
   let rec w =
     {
@@ -118,6 +120,7 @@ let work dae =
       f = vec ();
       c = Mat.zeros dim dim;
       g = Mat.zeros dim dim;
+      jac = Mat.zeros dim dim;
       t1 = 0.;
       h = 0.;
       theta = 0.;
@@ -127,8 +130,8 @@ let work dae =
       newton;
     }
   and linear_solve_into y r dy =
-    w.jacobian_into y jac;
-    Lu.solve_into (Lu.factor_into jac ~perm) r dy
+    w.jacobian_into y w.jac;
+    Lu.solve_into (Lu.factor_into w.jac ~perm) r dy
   and newton x =
     Nonlin.Newton.solve_into ?options ?label:some_label ~ws ~linear_solve_into
       ~residual_into:w.residual_into x
@@ -156,9 +159,8 @@ let solve_or_rescue w ~t x =
       dst
     in
     let jacobian y =
-      let jac = Mat.zeros dim dim in
-      w.jacobian_into y jac;
-      jac
+      w.jacobian_into y w.jac;
+      w.jac
     in
     let rescue =
       Nonlin.Trust_region.solve ~options:newton_options ~label:(label ^ ".rescue") ~jacobian

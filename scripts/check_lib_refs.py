@@ -85,8 +85,6 @@ EXEMPT = {
     "Fault.disarm": "test_fault, test_checkpoint and test_serve drop a schedule they armed "
     "mid-run",
     "Fault.injected": "test_fault and test_globalize check how many faults a schedule fired",
-    "Linalg.Structured.Precond_cache.enabled": "test_serve checks a serve session leaves "
-    "the cache disabled, so later runs stay uncached",
 }
 
 

@@ -30,7 +30,7 @@ let rm_rf dir =
    drain path, exactly like a scripted stdin batch.  [spool] keeps the
    session on an existing spool (and skips its cleanup) so tests can
    chain crashed and restarted daemons. *)
-let run_server ?(quantum = 2) ?(cache = 0) ?stall_timeout_s ?stop_requested ?spool
+let run_server ?(quantum = 2) ?stall_timeout_s ?stop_requested ?spool
     ?(log = fun _ -> ()) lines =
   let input = ref lines in
   let read ~block:_ =
@@ -44,7 +44,7 @@ let run_server ?(quantum = 2) ?(cache = 0) ?stall_timeout_s ?stop_requested ?spo
   let spool, cleanup = match spool with Some s -> (s, false) | None -> (fresh_spool (), true) in
   let code =
     Server.run
-      (Server.default_config ~quantum ~spool ~cache ?stall_timeout_s ?stop_requested ())
+      (Server.default_config ~quantum ~spool ?stall_timeout_s ?stop_requested ())
       ~read
       ~write:(fun l -> out := l :: !out)
       ~log
@@ -195,7 +195,6 @@ let stats_tests =
                ~counters:
                  [
                    ("cache.orbit.hits", 3);
-                   ("cache.precond.misses", 2);
                    ("health.warnings", 2);
                    ("health.warnings.newton_stall", 2);
                    ("pool.chunks", 5);
@@ -207,8 +206,6 @@ let stats_tests =
         Alcotest.(check string) "type" "stats" (typ j);
         let n path = Option.bind (member_path path j) Json.to_num in
         Alcotest.(check (option (float 0.))) "orbit hits" (Some 3.) (n [ "cache"; "orbit"; "hits" ]);
-        Alcotest.(check (option (float 0.))) "precond misses" (Some 2.)
-          (n [ "cache"; "precond"; "misses" ]);
         Alcotest.(check (option (float 0.))) "pool counter" (Some 5.) (n [ "pool"; "chunks" ]);
         Alcotest.(check (option (float 1e-12))) "pool gauge" (Some 0.75) (n [ "pool"; "balance" ]);
         Alcotest.(check (option (float 0.))) "health total" (Some 2.) (n [ "health"; "warnings" ]);
@@ -444,10 +441,12 @@ let scheduling_tests =
 
 let cache_tests =
   [
-    Alcotest.test_case "repeated krylov jobs hit the preconditioner cache" `Slow (fun () ->
+    Alcotest.test_case "repeated krylov jobs agree bit for bit" `Slow (fun () ->
+        (* each job builds its own preconditioners, so the second job
+           repeats the first's solve: only the orbit is shared *)
         Obs.Metrics.with_isolated @@ fun () ->
         let code, out =
-          run_server ~quantum:4 ~cache:32
+          run_server ~quantum:4
             [
               tiny_envelope ~id:"warm1" ~solver:"krylov" ();
               tiny_envelope ~id:"warm2" ~solver:"krylov" ();
@@ -456,19 +455,20 @@ let cache_tests =
         in
         Alcotest.(check int) "exit code" 0 code;
         let records = records_of out in
-        List.iter
-          (fun id ->
-            match terminals_for id records with
-            | [ r ] -> Alcotest.(check string) (id ^ " result") "result" (typ r)
-            | l -> Alcotest.failf "%s: %d terminals" id (List.length l))
-          [ "warm1"; "warm2" ];
+        let answer id =
+          match terminals_for id records with
+          | [ r ] ->
+            Alcotest.(check string) (id ^ " result") "result" (typ r);
+            (num "omega_end" r, num "t2_end" r, num "steps" r)
+          | l -> Alcotest.failf "%s: %d terminals" id (List.length l)
+        in
+        (* %.10g round-trips through the protocol: equal printed values
+           are equal at that precision *)
+        Alcotest.(check (triple (option (float 0.)) (option (float 0.)) (option (float 0.))))
+          "same omega_end, t2_end and steps" (answer "warm1") (answer "warm2");
         let counters = Obs.Metrics.counters () in
         let count name = Option.value ~default:0 (List.assoc_opt name counters) in
-        Alcotest.(check bool) "precond hits > 0" true (count "cache.precond.hits" > 0);
-        Alcotest.(check bool) "orbit hits > 0" true (count "cache.orbit.hits" > 0);
-        (* capacity restored after the session: golden runs stay uncached *)
-        Alcotest.(check bool) "cache disabled after run" true
-          (not (Linalg.Structured.Precond_cache.enabled ())));
+        Alcotest.(check bool) "orbit hits > 0" true (count "cache.orbit.hits" > 0));
     Alcotest.test_case "one warm-up transient serves a circuit at every n1" `Slow (fun () ->
         Obs.Metrics.with_isolated @@ fun () ->
         let code, out =
@@ -610,7 +610,7 @@ let fault_tests =
         Fun.protect ~finally:(fun () -> rm_rf spool) @@ fun () ->
         let code =
           Server.run
-            (Server.default_config ~quantum:2 ~spool ~cache:0 ())
+            (Server.default_config ~quantum:2 ~spool ())
             ~read
             ~write:(fun l -> out := l :: !out)
             ~log:(fun _ -> ())
@@ -889,7 +889,7 @@ let supervision_tests =
         let out = ref [] in
         let code =
           Server.run
-            (Server.default_config ~quantum:1 ~spool ~cache:0 ~stop_requested:(fun () -> !term) ())
+            (Server.default_config ~quantum:1 ~spool ~stop_requested:(fun () -> !term) ())
             ~read
             ~write:(fun l -> out := l :: !out)
             ~log:(fun _ -> ())

@@ -219,6 +219,81 @@ let unit_tests =
               (Printf.sprintf "n2 = %d, bordered %b: |M^-1 J v - v| = %.2e" n2 bordered err)
               true (err <= 1e-12))
           [ (1, false); (1, true); (3, false); (3, true); (7, false); (7, true) ]);
+    Alcotest.test_case "a refill into kept buffers is bitwise a fresh build" `Quick (fun () ->
+        (* the periodic and envelope Krylov paths rebuild their
+           preconditioner every Newton iteration into the buffers of the
+           last build: after a build at another iterate, the refill
+           must return those buffers and apply exactly as a fresh
+           build; a build of another shape must not touch them *)
+        let n = 2 in
+        let f seed a b = sin (float_of_int ((31 * seed) + (7 * a) + b)) in
+        (* slice m's operator at iterate [seed], blocks varying along t1 *)
+        let system ~seed ~n1 ~n2 =
+          let d = Fourier.Series.diff_matrix n1 in
+          let block base seed' j =
+            Mat.init n n (fun i l -> (if i = l then base else 0.) +. (0.3 *. f seed' ((n * j) + i) l))
+          in
+          let ops =
+            Array.init n2 (fun m ->
+                let sm = seed + (13 * m) in
+                Structured.make_op ~alpha:(0.5 +. (0.1 *. f sm 1 2)) ~d
+                  ~c_blocks:(Array.init n1 (block 2. sm))
+                  ~b_blocks:(Array.init n1 (block 4. (sm + 5))))
+          in
+          let border k = Array.init n2 (fun m -> Vec.init (n1 * n) (fun i -> f (seed + k + m) i 3)) in
+          let coupling =
+            let d2 = Fourier.Series.diff_matrix n2 in
+            Mat.init n2 n2 (fun m q -> d2.(m).(q) /. 2.9)
+          in
+          (ops, coupling, border 1, border 2)
+        in
+        let bits v = Array.map Int64.bits_of_float v in
+        let applies ~n1 ~n2 pc bp =
+          let v = Vec.init (n2 * ((n1 * n) + 1)) (fun i -> cos (0.37 *. float_of_int i)) in
+          let out = Array.make (Array.length v) 0. and bout = Array.make (Array.length v) 0. in
+          Structured.precond_apply_into pc v out;
+          Structured.bordered_apply_into bp v bout;
+          (bits out, bits bout)
+        in
+        let fresh ~seed ~n1 ~n2 =
+          let ops, coupling, cols, rows = system ~seed ~n1 ~n2 in
+          let pc = Structured.make_precond ~coupling ops in
+          (pc, Structured.make_bordered pc ~cols ~rows)
+        in
+        let refill ~seed ~n1 ~n2 (pc, bp) =
+          let ops, coupling, cols, rows = system ~seed ~n1 ~n2 in
+          let pc = Structured.make_precond ~into:pc ~coupling ops in
+          (pc, Structured.make_bordered ~into:bp pc ~cols ~rows)
+        in
+        let same = Alcotest.(pair (array int64) (array int64)) in
+        List.iter
+          (fun (n1, n2) ->
+            let kept = fresh ~seed:1 ~n1 ~n2 in
+            let pc, bp = refill ~seed:2 ~n1 ~n2 kept in
+            let what = Printf.sprintf "n1 = %d, n2 = %d" n1 n2 in
+            Alcotest.(check bool) (what ^ ": same precond") true (pc == fst kept);
+            Alcotest.(check bool) (what ^ ": same bordered") true (bp == snd kept);
+            let want_pc, want_bp = fresh ~seed:2 ~n1 ~n2 in
+            Alcotest.check same (what ^ ": refill applies as fresh")
+              (applies ~n1 ~n2 want_pc want_bp) (applies ~n1 ~n2 pc bp);
+            (* another t1 grid, then another slice count *)
+            let pc', bp' = refill ~seed:3 ~n1:(n1 + 2) ~n2 kept in
+            Alcotest.(check bool) (what ^ ": n1 mismatch allocates") false
+              (pc' == pc || bp' == bp);
+            let want_pc, want_bp = fresh ~seed:3 ~n1:(n1 + 2) ~n2 in
+            Alcotest.check same (what ^ ": n1 mismatch applies as fresh")
+              (applies ~n1:(n1 + 2) ~n2 want_pc want_bp)
+              (applies ~n1:(n1 + 2) ~n2 pc' bp');
+            let pc', bp' = refill ~seed:4 ~n1 ~n2:(n2 + 2) kept in
+            Alcotest.(check bool) (what ^ ": n2 mismatch allocates") false
+              (pc' == pc || bp' == bp);
+            (* the kept buffers still refill after the mismatches *)
+            let pc, bp = refill ~seed:5 ~n1 ~n2 kept in
+            Alcotest.(check bool) (what ^ ": kept again") true (pc == fst kept && bp == snd kept);
+            let want_pc, want_bp = fresh ~seed:5 ~n1 ~n2 in
+            Alcotest.check same (what ^ ": second refill applies as fresh")
+              (applies ~n1 ~n2 want_pc want_bp) (applies ~n1 ~n2 pc bp))
+          [ (7, 1); (9, 3) ]);
     Alcotest.test_case "preconditioned gmres needs <= 1/3 the iterations on a VCO step system"
       `Quick (fun () ->
         let op, border_col, border_row = vco_step_system () in
