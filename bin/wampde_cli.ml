@@ -26,9 +26,10 @@ let trace_arg =
 
 let perfetto_arg =
   let doc =
-    "Write a Chrome trace-event file to $(docv) when the run finishes; open it at \
-     ui.perfetto.dev or chrome://tracing.  Spans become duration events (with GC/allocation \
-     attribution in their args), solver decisions become instant events."
+    "Write a Chrome trace-event file to $(docv) as the run goes, closed when it ends (also \
+     on a typed solver error); open it at ui.perfetto.dev or chrome://tracing.  Spans become \
+     duration events (with GC/allocation attribution in their end events' args), solver \
+     decisions become instant events."
   in
   Arg.(value & opt (some string) None & info [ "trace-perfetto" ] ~docv:"FILE" ~doc)
 
@@ -158,7 +159,11 @@ let or_die f =
    --trace-perfetto (with per-span GC attribution), a run manifest
    through --report and a live NDJSON stream through --stream (the one
    live-progress channel; --stream - writes it to stderr).  With no
-   flag this is a no-op wrapper.
+   flag this is a no-op wrapper.  Both trace artifacts and the tree
+   read the one span sink and one event subscription as the run goes;
+   nothing is kept for the end but the tree's per-path totals.  The
+   close-out (artifacts, tree, manifest, metrics) also runs when the
+   run ends in a typed error, before [or_die] exits.
    [--fault-inject] (or WAMPDE_FAULTS) arms the deterministic fault
    harness for the wrapped run.  [total] is the run's slow-time target,
    powering the ETA estimate of --stream. *)
@@ -198,110 +203,100 @@ let with_obs ?(cmd = "") ?total obs f =
   let any =
     metrics || trace <> None || perfetto <> None || report <> None || obs.o_stream <> None
   in
+  let write_line oc line =
+    output_string oc line;
+    output_char oc '\n'
+  in
   if not any then or_die f
   else begin
     Obs.set_enabled true;
     let t_run0 = Obs.now () in
-    let recording = trace <> None || perfetto <> None in
-    if recording then begin
-      Obs.Span.set_gc_stats true;
-      Obs.Span.start_recording ()
-    end;
+    let tracing = trace <> None || perfetto <> None in
+    if tracing then Obs.Span.set_gc_stats true;
     let collector = Option.map (fun file -> (file, Obs.Report.collect ())) report in
-    (* one recorder for both trace artifacts: --trace gets each event
-       record as a line next to the span lines, Perfetto gets the
-       records as instants on the span timeline *)
     let trace_oc = Option.map open_or_die trace in
-    let write_line oc line =
-      output_string oc line;
-      output_char oc '\n'
+    let tree = Option.map (fun _ -> Obs.Span.tree ()) trace in
+    let perfetto =
+      Option.map
+        (fun file ->
+          let oc = open_or_die file in
+          let process_name = if cmd = "" then "wampde" else "wampde " ^ cmd in
+          (oc, Obs.Trace_event.start ~process_name (output_string oc)))
+        perfetto
     in
-    Option.iter (fun oc -> Obs.Span.set_writer (Some (write_line oc))) trace_oc;
-    let events = ref [] in
+    (* --trace gets each span boundary and event record as a line, the
+       tree aggregates the boundaries, Perfetto gets both as events *)
     let recorder =
-      if not recording then None
-      else
+      if not tracing then None
+      else begin
+        Obs.Span.set_sink
+          (Some
+             (fun e ->
+               Option.iter (fun oc -> write_line oc (Obs.Span.to_json e)) trace_oc;
+               Option.iter (fun t -> Obs.Span.add t e) tree;
+               Option.iter (fun (_, p) -> Obs.Trace_event.span p e) perfetto));
         Some
           (Obs.Events.subscribe (fun r ->
                Option.iter (fun oc -> write_line oc (Obs.Events.to_json r)) trace_oc;
-               if perfetto <> None then events := r :: !events))
+               Option.iter (fun (_, p) -> Obs.Trace_event.instant p r) perfetto))
+      end
     in
     let stream =
       match obs.o_stream with
       | None -> None
       | Some target ->
         let oc = if target = "-" then stderr else open_or_die target in
-        let write line =
-          output_string oc line;
-          output_char oc '\n'
+        let s =
+          Obs.Stream.start ?total ~run:cmd ~write:(write_line oc) ~flush:(fun () -> flush oc) ()
         in
-        let s = Obs.Stream.start ?total ~run:cmd ~write ~flush:(fun () -> flush oc) () in
-        (* The solver error paths below call [exit 1] directly, which
-           skips Fun.protect's finally; [at_exit] makes the terminal
-           record (and the close) unconditional, and [Stream.finish] is
-           idempotent so the normal path still wins with its more
-           precise record. *)
+        (* A fatal signal exits from its handler, which skips the
+           close-out below; [at_exit] makes the terminal record (and the
+           close) unconditional, and [Stream.finish] is idempotent so
+           the normal path still wins with its more precise record. *)
         at_exit (fun () ->
             Obs.Stream.finish s ~ok:false ~error:"run aborted" ();
             if target <> "-" then close_out_noerr oc);
         Some s
     in
-    let ran_ok = ref false in
-    let f () =
-      or_die @@ fun () ->
-      match f () with
-      | r ->
-        ran_ok := true;
-        r
-      | exception exn ->
-        (* precise terminal record before or_die prints and exits *)
-        (match stream with
-         | Some s -> Obs.Stream.finish s ~ok:false ~error:(Printexc.to_string exn) ()
-         | None -> ());
-        raise exn
+    let close_out_all ?error () =
+      Option.iter (fun s -> Obs.Stream.finish s ~ok:(error = None) ?error ()) stream;
+      Option.iter Obs.Events.unsubscribe recorder;
+      if tracing then begin
+        Obs.Span.set_sink None;
+        Obs.Span.set_gc_stats false
+      end;
+      Option.iter close_out trace_oc;
+      Option.iter
+        (fun (oc, p) ->
+          Obs.Trace_event.finish p;
+          close_out oc)
+        perfetto;
+      Option.iter (fun t -> prerr_string (Obs.Span.tree_summary t)) tree;
+      (match collector with
+       | Some (file, c) ->
+         let steps = Obs.Report.finish c in
+         write_file_or_die file
+           (Obs.Report.manifest ~subcommand:cmd
+              ?git:(Obs.Report.git_describe ())
+              ~jobs:(Par.Pool.jobs ())
+              ~wall_s:(Obs.now () -. t_run0)
+              ~steps ())
+       | None -> ());
+      if metrics then begin
+        prerr_string (Obs.Metrics.table ());
+        prerr_string (Obs.Metrics.scoped_table ())
+      end;
+      Obs.set_enabled false
     in
-    Fun.protect
-      ~finally:(fun () ->
-        (match stream with
-         | Some s ->
-           Obs.Stream.finish s ~ok:!ran_ok
-             ?error:(if !ran_ok then None else Some "run aborted")
-             ()
-         | None -> ());
-        Option.iter Obs.Events.unsubscribe recorder;
-        Option.iter
-          (fun oc ->
-            Obs.Span.set_writer None;
-            close_out oc)
-          trace_oc;
-        if recording then begin
-          let spans = Obs.Span.stop_recording () in
-          Obs.Span.set_gc_stats false;
-          (match perfetto with
-           | Some file ->
-             write_file_or_die file
-               (Obs.Trace_event.to_string
-                  ~process_name:(if cmd = "" then "wampde" else "wampde " ^ cmd)
-                  ~spans ~events:(List.rev !events) ())
-           | None -> ());
-          if trace <> None then prerr_string (Obs.Span.tree_summary spans)
-        end;
-        (match collector with
-         | Some (file, c) ->
-           let steps = Obs.Report.finish c in
-           write_file_or_die file
-             (Obs.Report.manifest ~subcommand:cmd
-                ?git:(Obs.Report.git_describe ())
-                ~jobs:(Par.Pool.jobs ())
-                ~wall_s:(Obs.now () -. t_run0)
-                ~steps ())
-         | None -> ());
-        if metrics then begin
-          prerr_string (Obs.Metrics.table ());
-          prerr_string (Obs.Metrics.scoped_table ())
-        end;
-        Obs.set_enabled false)
-      f
+    or_die @@ fun () ->
+    match f () with
+    | r ->
+      close_out_all ();
+      r
+    | exception exn ->
+      (* the close-out runs before or_die prints and exits *)
+      close_out_all ~error:(Printexc.to_string exn) ();
+      raise exn
   end
 
 let which_conv =

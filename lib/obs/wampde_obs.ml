@@ -1,15 +1,16 @@
 (* Solver telemetry and run diagnostics: metrics registry with scoped
    cost accounting, span tracing with GC/allocation attribution, typed
    solver events (one field list each, [Events.fields]), health
-   monitors, the NDJSON progress stream, a Chrome/Perfetto trace-event
-   exporter, the run report (manifest) with its doctor, and the flight
-   recorder.  This library sits below every solver layer (it depends
-   only on [unix] for the wall clock), so any module can report work
-   without creating dependency cycles.
+   monitors, the NDJSON progress stream, a streaming Chrome/Perfetto
+   trace-event writer, the run report (manifest) with its doctor, and
+   the flight recorder.  This library sits below every solver layer (it
+   depends only on [unix] for the wall clock), so any module can report
+   work without creating dependency cycles.
 
    Everything is off by default: counters and events are gated on one
-   global flag, spans on the presence of a sink, so the hot-path cost
-   of an uninstrumented run is a single branch per call site. *)
+   global flag, spans on the presence of the one span sink, so the
+   hot-path cost of an uninstrumented run is a single branch per call
+   site. *)
 
 let enabled_flag = ref false
 let set_enabled b = enabled_flag := b
@@ -1119,25 +1120,24 @@ module Span = struct
     major_collections : int;
   }
 
-  type record = {
-    id : int;
-    parent : int option;
-    name : string;
-    attrs : (string * attr) list;
-    t_start : float;
-    t_stop : float;
-    gc : gc_delta option;
-    tid : int;
-        (* trace track: 1 = the calling domain, 1+w for pool worker w.
-           Spans opened by [span] always carry 1; worker-side work is
-           reported post-barrier through [emit_external]. *)
-  }
+  (* One span boundary as the sink receives it.  [tid] is [None] for a
+     span opened by [span] on the calling domain (trace track 1) and
+     [Some t] for one reported through [emit_external]. *)
+  type event =
+    | Start of {
+        id : int;
+        parent : int option;
+        name : string;
+        attrs : (string * attr) list;
+        t_s : float;
+        tid : int option;
+      }
+    | Stop of { id : int; name : string; t_s : float; dur_s : float; gc : gc_delta option; tid : int option }
 
-  let recording = ref false
-  let writer : (string -> unit) option ref = ref None
+  (* the one sink; spans are traced iff it is installed *)
+  let sink : (event -> unit) option ref = ref None
   let next_id = ref 0
-  let stack : (int * float) list ref = ref []
-  let completed : record list ref = ref []
+  let stack : int list ref = ref []  (* open span ids, innermost first *)
 
   (* When on, each span snapshots [Gc.quick_stat] at entry and exit and
      records the allocation/collection deltas.  A [quick_stat] call is
@@ -1146,7 +1146,7 @@ module Span = struct
   let gc_flag = ref false
   let set_gc_stats b = gc_flag := b
 
-  let tracing () = !recording || !writer <> None
+  let tracing () = !sink <> None
 
   let gc_json d =
     Printf.sprintf
@@ -1158,24 +1158,26 @@ module Span = struct
      promoted words would be double counted) *)
   let allocated_words d = d.minor_words +. d.major_words -. d.promoted_words
 
-  let parent_json = function None -> "null" | Some p -> string_of_int p
+  let tid_json = function None -> "" | Some t -> Printf.sprintf ",\"tid\":%d" t
 
-  let mark_start () = if not (tracing ()) then trace_epoch := now ()
+  let to_json = function
+    | Start { id; parent; name; attrs; t_s; tid } ->
+      Printf.sprintf "{\"type\":\"span_start\",\"id\":%d,\"parent\":%s,\"name\":\"%s\",\"t_s\":%s%s,\"attrs\":%s}"
+        id
+        (match parent with None -> "null" | Some p -> string_of_int p)
+        (json_escape name) (json_float t_s) (tid_json tid) (attrs_json attrs)
+    | Stop { id; name; t_s; dur_s; gc; tid } ->
+      Printf.sprintf "{\"type\":\"span_stop\",\"id\":%d,\"name\":\"%s\",\"t_s\":%s,\"dur_s\":%s%s%s}" id
+        (json_escape name) (json_float t_s) (json_float dur_s) (tid_json tid)
+        (match gc with None -> "" | Some d -> ",\"gc\":" ^ gc_json d)
 
-  let start_recording () =
-    mark_start ();
-    completed := [];
-    recording := true
+  (* installing a sink while none is active restarts the trace clock *)
+  let set_sink s =
+    (match s with Some _ when not (tracing ()) -> trace_epoch := now () | _ -> ());
+    sink := s
 
-  let stop_recording () =
-    recording := false;
-    let records = List.rev !completed in
-    completed := [];
-    records
-
-  let set_writer w =
-    (match w with Some _ -> mark_start () | None -> ());
-    writer := w
+  let set_writer w = set_sink (Option.map (fun w e -> w (to_json e)) w)
+  let emit e = match !sink with Some k -> k e | None -> ()
 
   let gc_delta (s0 : Gc.stat) (s1 : Gc.stat) =
     {
@@ -1191,39 +1193,25 @@ module Span = struct
     else begin
       let id = !next_id in
       incr next_id;
-      let parent = match !stack with (pid, _) :: _ -> Some pid | [] -> None in
+      let parent = match !stack with pid :: _ -> Some pid | [] -> None in
       let g0 = if !gc_flag then Some (Gc.quick_stat ()) else None in
       let t0 = now () -. !trace_epoch in
-      stack := (id, t0) :: !stack;
-      (match !writer with
-       | Some w ->
-         w
-           (Printf.sprintf "{\"type\":\"span_start\",\"id\":%d,\"parent\":%s,\"name\":\"%s\",\"t_s\":%s,\"attrs\":%s}"
-              id (parent_json parent) (json_escape name) (json_float t0) (attrs_json attrs))
-       | None -> ());
+      stack := id :: !stack;
+      emit (Start { id; parent; name; attrs; t_s = t0; tid = None });
       Fun.protect f ~finally:(fun () ->
           let t1 = now () -. !trace_epoch in
-          let gc = match g0 with None -> None | Some s0 -> Some (gc_delta s0 (Gc.quick_stat ())) in
+          let gc = Option.map (fun s0 -> gc_delta s0 (Gc.quick_stat ())) g0 in
           (match !stack with
-           | (sid, _) :: rest when sid = id -> stack := rest
-           | _ -> stack := List.filter (fun (sid, _) -> sid <> id) !stack);
-          (match !writer with
-           | Some w ->
-             let gc_field = match gc with None -> "" | Some d -> ",\"gc\":" ^ gc_json d in
-             w
-               (Printf.sprintf "{\"type\":\"span_stop\",\"id\":%d,\"name\":\"%s\",\"t_s\":%s,\"dur_s\":%s%s}"
-                  id (json_escape name) (json_float t1) (json_float (t1 -. t0)) gc_field)
-           | None -> ());
-          if !recording then
-            completed :=
-              { id; parent; name; attrs; t_start = t0; t_stop = t1; gc; tid = 1 } :: !completed)
+           | sid :: rest when sid = id -> stack := rest
+           | _ -> stack := List.filter (( <> ) id) !stack);
+          emit (Stop { id; name; t_s = t1; dur_s = t1 -. t0; gc; tid = None }))
     end
 
   (* Report a span that ran on another domain.  Pool workers must not
      touch this module's global state (plain refs, no synchronization),
      so they only write wall-clock readings into caller-owned arrays;
-     the calling domain turns them into records here, after the
-     barrier.  [t_start]/[t_stop] are absolute [Unix.gettimeofday]
+     the calling domain turns them into a start and a stop here, after
+     the barrier.  [t_start]/[t_stop] are absolute [Unix.gettimeofday]
      readings; [tid] picks the trace track (1 = the calling domain,
      1+w for worker w). *)
   let emit_external ?(attrs = []) ~tid ~name ~t_start ~t_stop () =
@@ -1231,194 +1219,161 @@ module Span = struct
       let id = !next_id in
       incr next_id;
       let t0 = t_start -. !trace_epoch and t1 = t_stop -. !trace_epoch in
-      (match !writer with
-       | Some w ->
-         w
-           (Printf.sprintf
-              "{\"type\":\"span_start\",\"id\":%d,\"parent\":null,\"name\":\"%s\",\"t_s\":%s,\"tid\":%d,\"attrs\":%s}"
-              id (json_escape name) (json_float t0) tid (attrs_json attrs));
-         w
-           (Printf.sprintf
-              "{\"type\":\"span_stop\",\"id\":%d,\"name\":\"%s\",\"t_s\":%s,\"dur_s\":%s,\"tid\":%d}"
-              id (json_escape name) (json_float t1) (json_float (t1 -. t0)) tid)
-       | None -> ());
-      if !recording then
-        completed :=
-          { id; parent = None; name; attrs; t_start = t0; t_stop = t1; gc = None; tid }
-          :: !completed
+      emit (Start { id; parent = None; name; attrs; t_s = t0; tid = Some tid });
+      emit (Stop { id; name; t_s = t1; dur_s = t1 -. t0; gc = None; tid = Some tid })
     end
 
-  (* Aggregate completed spans into a tree keyed by the name path from
-     the root, e.g. envelope.simulate > envelope.step > newton.solve. *)
+  (* The span stream aggregated as it arrives into a tree keyed by the
+     name path from the root, e.g. envelope.simulate > envelope.step >
+     newton.solve.  It holds one node per distinct path plus the open
+     spans, so it grows with nesting depth and path count, not with
+     the number of spans.  An [emit_external] span has no parent, so it
+     is a root. *)
   type node = {
     mutable n_calls : int;
     mutable total : float;
     mutable alloc_w : float;  (* allocated words, when GC stats were on *)
     mutable gcs : int;  (* minor + major collections *)
-    mutable children : (string * node) list;  (* insertion order *)
+    mutable children : (string * node) list;  (* first-start order *)
   }
 
-  let tree_summary records =
-    let by_id = Hashtbl.create 64 in
-    List.iter (fun r -> Hashtbl.replace by_id r.id r) records;
-    let has_gc = List.exists (fun r -> r.gc <> None) records in
-    let rec path r =
-      match r.parent with
-      | None -> [ r.name ]
-      | Some p -> (
-        match Hashtbl.find_opt by_id p with Some pr -> path pr @ [ r.name ] | None -> [ r.name ])
-    in
-    let root = { n_calls = 0; total = 0.; alloc_w = 0.; gcs = 0; children = [] } in
-    let insert r =
-      let rec go node = function
-        | [] ->
-          node.n_calls <- node.n_calls + 1;
-          node.total <- node.total +. (r.t_stop -. r.t_start);
-          (match r.gc with
-           | None -> ()
-           | Some d ->
-             node.alloc_w <- node.alloc_w +. allocated_words d;
-             node.gcs <- node.gcs + d.minor_collections + d.major_collections)
-        | name :: rest ->
-          let child =
-            match List.assoc_opt name node.children with
-            | Some c -> c
-            | None ->
-              let c = { n_calls = 0; total = 0.; alloc_w = 0.; gcs = 0; children = [] } in
-              node.children <- node.children @ [ (name, c) ];
-              c
-          in
-          go child rest
+  type tree = { root : node; mutable open_spans : (int * node) list; mutable has_gc : bool }
+
+  let node () = { n_calls = 0; total = 0.; alloc_w = 0.; gcs = 0; children = [] }
+  let tree () = { root = node (); open_spans = []; has_gc = false }
+
+  let add t = function
+    | Start { id; parent; name; _ } ->
+      let up =
+        match Option.bind parent (fun p -> List.assoc_opt p t.open_spans) with
+        | Some n -> n
+        | None -> t.root
       in
-      go root (path r)
-    in
-    List.iter insert records;
+      let n =
+        match List.assoc_opt name up.children with
+        | Some c -> c
+        | None ->
+          let c = node () in
+          up.children <- up.children @ [ (name, c) ];
+          c
+      in
+      t.open_spans <- (id, n) :: t.open_spans
+    | Stop { id; dur_s; gc; _ } -> (
+      match List.assoc_opt id t.open_spans with
+      | None -> ()
+      | Some n -> (
+        t.open_spans <- List.remove_assoc id t.open_spans;
+        n.n_calls <- n.n_calls + 1;
+        n.total <- n.total +. dur_s;
+        match gc with
+        | None -> ()
+        | Some d ->
+          t.has_gc <- true;
+          n.alloc_w <- n.alloc_w +. allocated_words d;
+          n.gcs <- n.gcs + d.minor_collections + d.major_collections))
+
+  let tree_summary t =
     let buf = Buffer.create 256 in
     Buffer.add_string buf "== span summary ==\n";
     let rec print indent (name, node) =
       Printf.bprintf buf "%s%-*s %8dx %10.4f s" indent
         (Int.max 1 (36 - String.length indent))
         name node.n_calls node.total;
-      if has_gc then Printf.bprintf buf " %12.4g w %6d gc" node.alloc_w node.gcs;
+      if t.has_gc then Printf.bprintf buf " %12.4g w %6d gc" node.alloc_w node.gcs;
       Buffer.add_char buf '\n';
       List.iter (print (indent ^ "  ")) node.children
     in
-    List.iter (print "") root.children;
+    List.iter (print "") t.root.children;
     Buffer.contents buf
 end
 
 (* ------------------------------------------------------------------ *)
-(* Chrome/Perfetto trace-event exporter                                *)
+(* Chrome/Perfetto trace-event writer                                  *)
 (* ------------------------------------------------------------------ *)
 
 module Trace_event = struct
-  (* Emits the Chrome trace-event JSON array format understood by
-     ui.perfetto.dev and chrome://tracing: duration events as matched
-     "B"/"E" pairs, solver events as instant ("i") events, timestamps
-     in microseconds.  B/E pairs are generated by a depth-first walk
-     of the reconstructed span tree, so they are balanced and properly
-     nested by construction (trace viewers sort by ts anyway). *)
+  (* Writes the Chrome trace-event JSON array format understood by
+     ui.perfetto.dev and chrome://tracing as the run goes: each span
+     start and stop as a "B"/"E" event, each event record as an instant
+     ("i") event, timestamps in microseconds on the span clock.  Events
+     appear in emission order (viewers sort by ts).  On every track each
+     "E" closes the latest open "B": spans on the calling domain nest,
+     and a pool chunk's pair is reported back to back. *)
 
-  let pid = 1
-  let tid = 1
+  type t = { write : string -> unit; mutable tids : int list; mutable events : int }
 
-  let buf_args buf attrs =
-    if attrs <> [] then Printf.bprintf buf ",\"args\":%s" (attrs_json attrs)
+  let put t entry =
+    t.write ",\n";
+    t.write entry
 
-  let span_args (r : Span.record) =
-    match r.gc with
-    | None -> r.attrs
-    | Some d ->
-      r.attrs
-      @ [
-          ("alloc_words", Span.Float (Span.allocated_words d));
-          ("minor_collections", Span.Int d.minor_collections);
-          ("major_collections", Span.Int d.major_collections);
-        ]
+  (* one named track per domain, announced where it first appears:
+     tid 1 is the main domain, 1+w is pool worker w *)
+  let track t tid =
+    if not (List.mem tid t.tids) then begin
+      t.tids <- tid :: t.tids;
+      put t
+        (Printf.sprintf
+           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
+           tid
+           (if tid = 1 then "main" else Printf.sprintf "worker-%d" (tid - 1)))
+    end
 
-  let to_string ?(process_name = "wampde") ~spans ~events () =
-    let buf = Buffer.create 4096 in
-    Buffer.add_char buf '[';
-    let first = ref true in
-    let sep () =
-      if !first then first := false else Buffer.add_char buf ',';
-      Buffer.add_string buf "\n"
-    in
-    sep ();
-    Printf.bprintf buf
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-      pid tid (json_escape process_name);
-    (* one named track per domain seen in the spans: tid 1 is the main
-       domain, 1+w is pool worker w — multicore spans land on separate
-       Perfetto tracks instead of overlapping on one *)
-    let tids =
-      List.sort_uniq compare (tid :: List.map (fun (r : Span.record) -> r.Span.tid) spans)
-    in
-    List.iter
-      (fun t ->
-        sep ();
-        Printf.bprintf buf
-          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-          pid t
-          (if t = tid then "main" else Printf.sprintf "worker-%d" (t - tid)))
-      tids;
-    (* span tree: children by parent id, roots in start order *)
-    let ids = Hashtbl.create 64 in
-    List.iter (fun (r : Span.record) -> Hashtbl.replace ids r.Span.id ()) spans;
-    let children = Hashtbl.create 64 in
-    let roots = ref [] in
-    List.iter
-      (fun (r : Span.record) ->
-        match r.Span.parent with
-        | Some p when Hashtbl.mem ids p ->
-          Hashtbl.replace children p (r :: (try Hashtbl.find children p with Not_found -> []))
-        | _ -> roots := r :: !roots)
-      spans;
-    let sort_spans l =
-      List.sort (fun (a : Span.record) b -> compare a.Span.t_start b.Span.t_start) l
-    in
-    let us t = t *. 1e6 in
-    let rec emit (r : Span.record) =
-      sep ();
-      Printf.bprintf buf "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"B\",\"ts\":%s,\"pid\":%d,\"tid\":%d"
-        (json_escape r.Span.name)
-        (json_float (us r.Span.t_start))
-        pid r.Span.tid;
-      buf_args buf (span_args r);
-      Buffer.add_char buf '}';
-      List.iter emit
-        (sort_spans (try Hashtbl.find children r.Span.id with Not_found -> []));
-      sep ();
-      Printf.bprintf buf "{\"name\":\"%s\",\"ph\":\"E\",\"ts\":%s,\"pid\":%d,\"tid\":%d}"
-        (json_escape r.Span.name)
-        (json_float (us r.Span.t_stop))
-        pid r.Span.tid
-    in
-    List.iter emit (sort_spans !roots);
-    (* A run that opened zero spans and recorded zero events would
-       otherwise serialize to the process_name metadata alone, which
-       trace viewers reject as an empty trace; one synthetic instant at
-       t = 0 keeps the file loadable. *)
-    if spans = [] && events = [] then begin
-      sep ();
-      Printf.bprintf buf
-        "{\"name\":\"trace_start\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":0,\"pid\":%d,\"tid\":%d,\"s\":\"t\"}"
-        pid tid
-    end;
-    List.iter
-      (fun (r : Events.record) ->
-        let name, fields = Events.fields r.event in
-        sep ();
-        Printf.bprintf buf
-          "{\"name\":\"%s\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":%s,\"pid\":%d,\"tid\":%d,\"s\":\"t\""
-          (json_escape name)
-          (json_float (us (r.t_s -. !trace_epoch)))
-          pid tid;
-        buf_args buf fields;
-        Buffer.add_char buf '}')
-      events;
-    Buffer.add_string buf "\n]\n";
-    Buffer.contents buf
+  let start ?(process_name = "wampde") write =
+    write
+      (Printf.sprintf
+         "[\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"%s\"}}"
+         (json_escape process_name));
+    let t = { write; tids = []; events = 0 } in
+    track t 1;
+    t
+
+  let event t ~tid entry =
+    track t tid;
+    t.events <- t.events + 1;
+    put t entry
+
+  let us s = json_float (s *. 1e6)
+  let args = function [] -> "" | a -> ",\"args\":" ^ attrs_json a
+
+  let span t = function
+    | Span.Start { name; attrs; t_s; tid; _ } ->
+      let tid = Option.value tid ~default:1 in
+      event t ~tid
+        (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"B\",\"ts\":%s,\"pid\":1,\"tid\":%d%s}"
+           (json_escape name) (us t_s) tid (args attrs))
+    | Span.Stop { name; t_s; gc; tid; _ } ->
+      let tid = Option.value tid ~default:1 in
+      (* the trace-event format merges an "E" event's args into the slice *)
+      let gc_args =
+        match gc with
+        | None -> []
+        | Some d ->
+          [
+            ("alloc_words", Float (Span.allocated_words d));
+            ("minor_collections", Int d.minor_collections);
+            ("major_collections", Int d.major_collections);
+          ]
+      in
+      event t ~tid
+        (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"E\",\"ts\":%s,\"pid\":1,\"tid\":%d%s}"
+           (json_escape name) (us t_s) tid (args gc_args))
+
+  let instant t (r : Events.record) =
+    let name, fields = Events.fields r.event in
+    event t ~tid:1
+      (Printf.sprintf
+         "{\"name\":\"%s\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":%s,\"pid\":1,\"tid\":1,\"s\":\"t\"%s}"
+         (json_escape name)
+         (us (r.t_s -. !trace_epoch))
+         (args fields))
+
+  (* A run that wrote no span and no event would close on metadata
+     alone, which trace viewers reject as an empty trace; one synthetic
+     instant at t = 0 keeps the file loadable. *)
+  let finish t =
+    if t.events = 0 then
+      put t "{\"name\":\"trace_start\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":0,\"pid\":1,\"tid\":1,\"s\":\"t\"}";
+    t.write "\n]\n"
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1785,6 +1740,7 @@ module Doctor = struct
   }
 
   let severity_name = function Info -> "info" | Warn -> "warn"
+  let finding ?suggestion category severity summary = { category; severity; summary; suggestion }
 
   (* counters whose per-scope buckets proxy for where the run spent its
      effort; weights keep incommensurable units roughly comparable *)
@@ -1829,26 +1785,35 @@ module Doctor = struct
             buckets
         | _ -> ())
       work_counters;
-    let total = Hashtbl.fold (fun _ v acc -> acc +. v) tally 0. in
+    (* the dominant scope among those [keep] selects, its work and
+       their sum *)
+    let dominant keep =
+      Hashtbl.fold
+        (fun k v ((bk, bv, sum) as acc) ->
+          if not (keep k) then acc else if v > bv then (k, v, sum +. v) else (bk, bv, sum +. v))
+        tally ("", 0., 0.)
+    in
+    let scope, work, total = dominant (fun _ -> true) in
     if total <= 0. then
-      {
-        category = "cost";
-        severity = Info;
-        summary = "no scoped solver work recorded in this manifest";
-        suggestion = Some "re-run with --metrics/--report so cost attribution is collected";
-      }
+      finding "cost" Info "no scoped solver work recorded in this manifest"
+        ~suggestion:"re-run with --metrics/--report so cost attribution is collected"
     else begin
-      let scope, work =
-        Hashtbl.fold (fun k v ((_, bv) as best) -> if v > bv then (k, v) else best) tally ("", 0.)
+      (* the orbit warm-up outweighs a short march, so a run with
+         macro-step work names the dominant macro scope and states the
+         warm-up's share apart *)
+      let summary =
+        match dominant Events.macro_scope with
+        | m_scope, m_work, macro when macro > 0. ->
+          Printf.sprintf
+            "dominant macro scope is %s (%.0f%% of macro-step solver work); the warm-up \
+             (transient + oscillator) is %.0f%% of weighted solver work"
+            m_scope (100. *. m_work /. macro)
+            (100. *. (total -. macro) /. total)
+        | _ ->
+          Printf.sprintf "dominant cost scope is %s (%.0f%% of weighted solver work)" scope
+            (100. *. work /. total)
       in
-      let share = 100. *. work /. total in
-      {
-        category = "cost";
-        severity = Info;
-        summary =
-          Printf.sprintf "dominant cost scope is %s (%.0f%% of weighted solver work)" scope share;
-        suggestion = None;
-      }
+      finding "cost" Info summary
     end
 
   (* ---------- can the answer be trusted ---------- *)
@@ -1926,22 +1891,17 @@ module Doctor = struct
         in
         match (fired, facts) with
         | [], None -> []
-        | [], Some summary -> [ { category; severity = Info; summary; suggestion = None } ]
+        | [], Some summary -> [ finding category Info summary ]
         | _ ->
           List.map
             (fun ((m : Health.monitor), n) ->
-              {
-                category;
-                severity = Warn;
-                summary =
-                  Printf.sprintf "health monitor %s fired %.0f time(s)%s" m.name n
-                    (match facts with Some f -> ": " ^ f | None -> "");
-                suggestion =
-                  Some
-                    (match suggested_n1 gauges m with
-                     | Some n1 -> Printf.sprintf "%s to about %d" m.hint n1
-                     | None -> m.hint);
-              })
+              finding category Warn
+                (Printf.sprintf "health monitor %s fired %.0f time(s)%s" m.name n
+                   (match facts with Some f -> ": " ^ f | None -> ""))
+                ~suggestion:
+                  (match suggested_n1 gauges m with
+                   | Some n1 -> Printf.sprintf "%s to about %d" m.hint n1
+                   | None -> m.hint))
             fired)
       [
         ("t1_resolution", Some (t1_facts gauges));
@@ -1963,48 +1923,26 @@ module Doctor = struct
       let busy = Option.value ~default:0. (gauge gauges "pool.busy_s") in
       let idle = Option.value ~default:0. (gauge gauges "pool.idle_s") in
       let span = busy +. idle in
-      if span <= 1e-9 then
-        [
-          {
-            category = "parallelism";
-            severity = Info;
-            summary =
-              Printf.sprintf
-                "--jobs %d requested but the domain pool saw no measurable work" jobs;
-            suggestion = Some "the run's kernels never went parallel; --jobs 1 costs nothing here";
-          };
-        ]
-      else begin
-        let idle_frac = idle /. span in
-        if idle_frac > 0.4 then
-          [
-            {
-              category = "parallelism";
-              severity = Warn;
-              summary =
-                Printf.sprintf
-                  "poor parallel efficiency: %.0f%% of pool worker time idle at --jobs %d"
-                  (100. *. idle_frac) jobs;
-              suggestion =
-                Some
-                  "lower --jobs: the per-block kernels are too small at this size to keep \
-                   every worker busy";
-            };
-          ]
-        else
-          [
-            {
-              category = "parallelism";
-              severity = Info;
-              summary =
-                Printf.sprintf
-                  "parallel efficiency healthy: %.0f%% of pool worker time busy at --jobs %d"
-                  (100. *. (1. -. idle_frac))
-                  jobs;
-              suggestion = None;
-            };
-          ]
-      end
+      let idle_frac = idle /. span in
+      [
+        (if span <= 1e-9 then
+           finding "parallelism" Info
+             (Printf.sprintf "--jobs %d requested but the domain pool saw no measurable work" jobs)
+             ~suggestion:"the run's kernels never went parallel; --jobs 1 costs nothing here"
+         else if idle_frac > 0.4 then
+           finding "parallelism" Warn
+             (Printf.sprintf "poor parallel efficiency: %.0f%% of pool worker time idle at --jobs %d"
+                (100. *. idle_frac) jobs)
+             ~suggestion:
+               "lower --jobs: the per-block kernels are too small at this size to keep every \
+                worker busy"
+         else
+           finding "parallelism" Info
+             (Printf.sprintf
+                "parallel efficiency healthy: %.0f%% of pool worker time busy at --jobs %d"
+                (100. *. (1. -. idle_frac))
+                jobs));
+      ]
     end
 
   (* ---------- stream cross-check ---------- *)
@@ -2028,12 +1966,9 @@ module Doctor = struct
     let base =
       if !malformed > 0 then
         [
-          {
-            category = "stream";
-            severity = Warn;
-            summary = Printf.sprintf "%d malformed NDJSON line(s) in the stream" !malformed;
-            suggestion = Some "the stream writer was interrupted mid-record; treat tail data as suspect";
-          };
+          finding "stream" Warn
+            (Printf.sprintf "%d malformed NDJSON line(s) in the stream" !malformed)
+            ~suggestion:"the stream writer was interrupted mid-record; treat tail data as suspect";
         ]
       else []
     in
@@ -2041,35 +1976,18 @@ module Doctor = struct
       match !terminal with
       | Some ("error", j) ->
         [
-          {
-            category = "stream";
-            severity = Warn;
-            summary =
-              Printf.sprintf "run aborted: %s"
-                (match str_member "error" j with Some e -> e | None -> "unknown error");
-            suggestion = None;
-          };
+          finding "stream" Warn
+            (Printf.sprintf "run aborted: %s"
+               (match str_member "error" j with Some e -> e | None -> "unknown error"));
         ]
       | Some ("done", _) -> []
-      | _ ->
-        [
-          {
-            category = "stream";
-            severity = Warn;
-            summary = "stream has no terminal record: the run did not shut down cleanly";
-            suggestion = None;
-          };
-        ]
+      | _ -> [ finding "stream" Warn "stream has no terminal record: the run did not shut down cleanly" ]
     in
     let hw =
       if !health > 0 then
         [
-          {
-            category = "stream";
-            severity = Info;
-            summary = Printf.sprintf "%d health warning(s) were emitted while the run progressed" !health;
-            suggestion = None;
-          };
+          finding "stream" Info
+            (Printf.sprintf "%d health warning(s) were emitted while the run progressed" !health);
         ]
       else []
     in

@@ -15,14 +15,13 @@
 
     Cost model: everything is {e off by default}.  Metrics updates and
     event dispatch are gated on one global flag ({!set_enabled});
-    spans run the wrapped thunk directly unless a sink is installed.
-    The disabled hot path is a single branch per call site and
-    allocates nothing. *)
+    spans run the wrapped thunk directly unless the span sink is
+    installed.  The disabled hot path is a single branch per call site
+    and allocates nothing. *)
 
 (** [set_enabled b] turns metrics collection and event dispatch on or
     off globally.  Span capture is controlled separately by the
-    presence of a sink (see {!Span.start_recording} and
-    {!Span.set_writer}). *)
+    presence of the span sink (see {!Span.set_sink}). *)
 val set_enabled : bool -> unit
 
 val enabled : unit -> bool
@@ -382,11 +381,10 @@ end
 (** Nested wall-clock spans with parent ids and attributes.
 
     [Span.span "newton.solve" @@ fun () -> ...] times the thunk and
-    records a span when a sink is active; otherwise it just runs the
-    thunk.  Two sinks are available and can be combined: an in-memory
-    recorder ({!start_recording} / {!stop_recording}) for programmatic
-    inspection and tree summaries, and a line writer ({!set_writer})
-    for JSON-lines streams. *)
+    hands its start and stop to the one sink when it is installed;
+    otherwise it just runs the thunk.  No span is stored: the [--trace]
+    lines, the span tree, the Perfetto writer and perfbench's ledger
+    all read the stream as it goes. *)
 module Span : sig
   type nonrec attr = attr = Int of int | Float of float | Str of string | Bool of bool
 
@@ -400,41 +398,43 @@ module Span : sig
     major_collections : int;
   }
 
-  type record = {
-    id : int;
-    parent : int option;
-    name : string;
-    attrs : (string * attr) list;
-    t_start : float;  (** seconds since tracing began *)
-    t_stop : float;
-    gc : gc_delta option;  (** present when GC attribution was on *)
-    tid : int;
-        (** trace track: 1 for spans opened on the calling domain by
-            {!span}, [1 + w] for pool worker [w] reported through
-            {!emit_external} *)
-  }
+  (** One span boundary; times are seconds since tracing began.  [tid]
+      is [None] for a span opened by {!span} and [Some t] for one
+      reported through {!emit_external}; [gc] is present when GC
+      attribution was on. *)
+  type event =
+    | Start of {
+        id : int;
+        parent : int option;
+        name : string;
+        attrs : (string * attr) list;
+        t_s : float;
+        tid : int option;
+      }
+    | Stop of { id : int; name : string; t_s : float; dur_s : float; gc : gc_delta option; tid : int option }
 
   val tracing : unit -> bool
 
   (** [set_gc_stats true] makes every subsequent span snapshot
-      [Gc.quick_stat] at entry and exit and record the deltas in
-      {!record.gc} (and the JSON-lines [span_stop] line).  Off by
-      default: [quick_stat] is cheap but allocates its result record,
-      so GC attribution stays opt-in even while tracing. *)
+      [Gc.quick_stat] at entry and exit and put the deltas in its
+      [Stop].  Off by default: [quick_stat] is cheap but allocates its
+      result record, so GC attribution stays opt-in even while
+      tracing. *)
   val set_gc_stats : bool -> unit
 
   (** [span ?attrs name f] runs [f] inside a span.  Exceptions
       propagate; the span is closed either way. *)
   val span : ?attrs:(string * attr) list -> string -> (unit -> 'a) -> 'a
 
-  (** [emit_external ~tid ~name ~t_start ~t_stop ()] records a span
-      that ran on another domain.  Pool workers must not touch this
-      module's (unsynchronized) global state, so they only write
-      wall-clock readings into caller-owned arrays; the calling domain
-      turns them into records here, after the barrier.
-      [t_start]/[t_stop] are absolute {!now}-style readings; [tid]
-      picks the trace track (1 = the calling domain, [1 + w] for
-      worker [w]).  A no-op when no sink is active. *)
+  (** [emit_external ~tid ~name ~t_start ~t_stop ()] reports a span
+      that ran on another domain as a parentless [Start] and [Stop],
+      back to back.  Pool workers must not touch this module's
+      (unsynchronized) global state, so they only write wall-clock
+      readings into caller-owned arrays; the calling domain reports
+      them here, after the barrier.  [t_start]/[t_stop] are absolute
+      {!now}-style readings; [tid] picks the trace track (1 = the
+      calling domain, [1 + w] for worker [w]).  A no-op when no sink
+      is installed. *)
   val emit_external :
     ?attrs:(string * attr) list ->
     tid:int ->
@@ -444,37 +444,52 @@ module Span : sig
     unit ->
     unit
 
-  val start_recording : unit -> unit
+  (** [set_sink (Some k)] hands every span boundary to [k] (installing
+      it while none is active restarts the trace clock); [set_sink
+      None] uninstalls. *)
+  val set_sink : (event -> unit) option -> unit
 
-  (** Completed spans in completion order; clears the buffer. *)
-  val stop_recording : unit -> record list
+  (** The [--trace] line of a boundary, no trailing newline:
+      [span_start] (id, parent, name, t_s, tid when external, attrs)
+      or [span_stop] (id, name, t_s, dur_s, tid when external, gc). *)
+  val to_json : event -> string
 
-  (** [set_writer (Some w)] streams two JSON lines per span —
-      [span_start] (id, parent, name, attrs, t_s) and [span_stop]
-      (id, t_s, dur_s, and gc deltas when enabled) — through [w] (one
-      call per line, no trailing newline).  [set_writer None]
-      uninstalls. *)
+  (** [set_sink] with each boundary formatted by {!to_json}. *)
   val set_writer : (string -> unit) option -> unit
 
-  (** Aggregate records into a human-readable tree (grouped by name
-      path from the root, with call counts, total seconds, and — when
-      GC attribution was on — allocated words and collection counts). *)
-  val tree_summary : record list -> string
+  (** A span tree aggregated from the stream as it arrives, grouped by
+      name path from the root (an external span is a root): call
+      counts, total seconds and, when GC attribution was on, allocated
+      words and collections.  It grows with nesting depth and the
+      number of distinct paths, not with the number of spans. *)
+  type tree
+
+  val tree : unit -> tree
+  val add : tree -> event -> unit
+  val tree_summary : tree -> string
 end
 
-(** Chrome trace-event exporter: serializes recorded spans and solver
-    event records into the JSON array format understood by
-    [ui.perfetto.dev] and [chrome://tracing] — duration events as
-    matched ["B"]/["E"] pairs (balanced and properly nested by
-    construction: they are emitted by a depth-first walk of the span
-    tree), each event record as an instant (["i"]) event whose args are
-    the event's fields, timestamps in microseconds on the span clock.
-    A run with zero spans and zero events serializes to the process
-    metadata plus one synthetic ["trace_start"] instant, keeping the
-    file loadable (viewers reject traces with no events). *)
+(** Chrome trace-event writer: streams the JSON array format understood
+    by [ui.perfetto.dev] and [chrome://tracing] as the run goes.  Each
+    span boundary becomes a ["B"] or ["E"] event on its track (the GC
+    deltas as the ["E"] event's args), each event record an instant
+    (["i"]) whose args are the event's fields, and each track gets a
+    [thread_name] metadata event where it first appears.  Timestamps
+    are microseconds on the span clock, in emission order.  A trace
+    with no span and no event closes with one synthetic
+    ["trace_start"] instant (viewers reject traces with no events). *)
 module Trace_event : sig
-  val to_string :
-    ?process_name:string -> spans:Span.record list -> events:Events.record list -> unit -> string
+  type t
+
+  (** Writes the array's opening and the process metadata through
+      [write], which takes raw chunks. *)
+  val start : ?process_name:string -> (string -> unit) -> t
+
+  val span : t -> Span.event -> unit
+  val instant : t -> Events.record -> unit
+
+  (** Closes the array; call once. *)
+  val finish : t -> unit
 end
 
 (** Self-contained JSON run manifests: what ran (argv, subcommand, git

@@ -1,6 +1,6 @@
 (* Diagnostics-layer tests: the JSON parser, scoped cost accounting,
    metric isolation, GC attribution on spans, the Chrome trace-event
-   exporter (balanced B/E pairs, parseable output under hostile
+   writer (balanced B/E pairs, parseable output under hostile
    strings) and the run-report manifest (check + markdown). *)
 module Obs = Wampde_obs
 
@@ -20,49 +20,6 @@ let small_envelope_run () =
   let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
   let options = Wampde.Envelope.default_options ~n1:15 () in
   Wampde.Envelope.simulate dae ~options ~t2_end:2. ~h2:0.5 ~init:orbit
-
-(* Walk a parsed trace-event array: every entry must carry
-   name/ph/pid/tid (plus ts except on metadata), and B/E must pair up
-   like parentheses with matching names. *)
-let assert_valid_trace (trace : Obs.Json.t) =
-  let entries =
-    match trace with
-    | Obs.Json.Arr l -> l
-    | _ -> Alcotest.fail "trace is not a JSON array"
-  in
-  Alcotest.(check bool) "trace has events" true (entries <> []);
-  let stack = ref [] in
-  List.iter
-    (fun e ->
-      let str k =
-        match Option.bind (Obs.Json.member k e) Obs.Json.to_str with
-        | Some s -> s
-        | None -> Alcotest.failf "trace event missing string %S" k
-      in
-      let name = str "name" in
-      let ph = str "ph" in
-      (match Option.bind (Obs.Json.member "pid" e) Obs.Json.to_num with
-       | Some _ -> ()
-       | None -> Alcotest.fail "trace event missing pid");
-      (match Option.bind (Obs.Json.member "tid" e) Obs.Json.to_num with
-       | Some _ -> ()
-       | None -> Alcotest.fail "trace event missing tid");
-      (if ph <> "M" then
-         match Option.bind (Obs.Json.member "ts" e) Obs.Json.to_num with
-         | Some ts -> Alcotest.(check bool) "ts non-negative" true (ts >= 0.)
-         | None -> Alcotest.fail "trace event missing ts");
-      match ph with
-      | "B" -> stack := name :: !stack
-      | "E" -> (
-        match !stack with
-        | top :: rest ->
-          Alcotest.(check string) "E closes the innermost B" top name;
-          stack := rest
-        | [] -> Alcotest.fail "E event with no open B")
-      | "i" | "M" -> ()
-      | ph -> Alcotest.failf "unexpected phase %S" ph)
-    entries;
-  Alcotest.(check (list string)) "all B events closed" [] !stack
 
 let unit_tests =
   [
@@ -158,51 +115,45 @@ let unit_tests =
             Alcotest.(check int) "restored after exception" 5 (Obs.Metrics.count c)));
     Alcotest.test_case "gc attribution lands on spans" `Quick
       (with_isolated (fun () ->
-           Obs.Span.set_gc_stats true;
-           Obs.Span.start_recording ();
-           let spans =
-             Fun.protect
-               ~finally:(fun () -> Obs.Span.set_gc_stats false)
-               (fun () ->
+           let (), boundaries, tree, perfetto =
+             Testkit.traced ~gc:true (fun () ->
                  Obs.Span.span "alloc_heavy" (fun () ->
-                     ignore (Sys.opaque_identity (Array.init 100_000 float_of_int)));
-                 Obs.Span.stop_recording ())
+                     ignore (Sys.opaque_identity (Array.init 100_000 float_of_int))))
            in
-           match spans with
-           | [ r ] -> (
-             match r.Obs.Span.gc with
-             | Some d ->
-               Alcotest.(check bool) "allocation attributed" true
-                 (d.Obs.Span.minor_words +. d.Obs.Span.major_words -. d.Obs.Span.promoted_words
-                 >= 100_000.);
-               let summary = Obs.Span.tree_summary spans in
-               Alcotest.(check bool) "summary shows allocation column" true
-                 (try
-                    ignore (Str.search_forward (Str.regexp " w ") summary 0);
-                    true
-                  with Not_found -> false)
-             | None -> Alcotest.fail "gc delta missing")
-           | l -> Alcotest.failf "expected 1 span, got %d" (List.length l)));
+           match boundaries with
+           | [ Obs.Span.Start _; Obs.Span.Stop { gc = Some d; _ } ] ->
+             Alcotest.(check bool) "allocation attributed" true
+               (d.Obs.Span.minor_words +. d.Obs.Span.major_words -. d.Obs.Span.promoted_words
+               >= 100_000.);
+             let summary = Obs.Span.tree_summary tree in
+             Alcotest.(check bool) "summary shows the allocation column, one call" true
+               (Str.string_match (Str.regexp "== span summary ==\nalloc_heavy +1x .* w ") summary 0);
+             (* Perfetto: the GC deltas are args of the E event *)
+             Alcotest.(check bool) "E event carries alloc_words" true
+               (match Testkit.json_exn perfetto with
+                | Obs.Json.Arr [ _; _; _; e ] ->
+                  Obs.Json.member "ph" e = Some (Obs.Json.Str "E")
+                  && Option.bind (Obs.Json.member "args" e) (Obs.Json.member "alloc_words") <> None
+                | _ -> false)
+           | [ _; Obs.Span.Stop { gc = None; _ } ] -> Alcotest.fail "gc delta missing"
+           | l -> Alcotest.failf "expected 1 span (2 boundaries), got %d boundaries" (List.length l)));
     Alcotest.test_case "trace exporter emits valid balanced events" `Quick
       (with_isolated (fun () ->
            Obs.set_enabled true;
-           Obs.Span.start_recording ();
-           let events = ref [] in
-           let sub = Obs.Events.subscribe (fun r -> events := r :: !events) in
-           Obs.Span.span "root" (fun () ->
-               Obs.Span.span "left" (fun () -> ());
-               Obs.Events.emit (Obs.Events.Step_accept { t = 0.5; h = 0.25 });
-               Obs.Span.span "right" (fun () ->
-                   Obs.Events.emit (Obs.Events.Phase_condition { omega = 1.1; t2 = 0.5 })));
-           Obs.Span.span "second_root" (fun () -> ());
-           Obs.Events.unsubscribe sub;
-           let spans = Obs.Span.stop_recording () in
-           let events = List.rev !events in
-           Alcotest.(check int) "instants recorded" 2 (List.length events);
-           let out = Obs.Trace_event.to_string ~spans ~events () in
+           let (), _, _, out =
+             Testkit.traced (fun () ->
+                 Obs.Span.span "root" (fun () ->
+                     Obs.Span.span "left" (fun () -> ());
+                     Obs.Events.emit (Obs.Events.Step_accept { t = 0.5; h = 0.25 });
+                     Obs.Span.span "right" (fun () ->
+                         Obs.Events.emit (Obs.Events.Phase_condition { omega = 1.1; t2 = 0.5 })));
+                 Obs.Span.span "second_root" (fun () -> ()))
+           in
            let trace = check_ok "trace parses" (Obs.Json.parse out) in
-           assert_valid_trace trace;
+           Testkit.assert_valid_trace trace;
            let entries = match trace with Obs.Json.Arr l -> l | _ -> [] in
+           let instants = List.filter (fun e -> Obs.Json.member "ph" e = Some (Obs.Json.Str "i")) entries in
+           Alcotest.(check int) "instants recorded" 2 (List.length instants);
            (* process_name + thread_name (single tid) + B/E pairs + instants *)
            Alcotest.(check int) "4 spans -> 4 B/E pairs + 2 metadata + 2 instants"
              (2 + (2 * 4) + 2)
@@ -286,27 +237,19 @@ let acceptance_tests =
     Alcotest.test_case "envelope run yields valid trace and manifest" `Slow
       (with_isolated (fun () ->
            Obs.set_enabled true;
-           Obs.Span.set_gc_stats true;
-           Obs.Span.start_recording ();
-           let events = ref [] in
-           let instant_sub = Obs.Events.subscribe (fun r -> events := r :: !events) in
            let collector = Obs.Report.collect () in
            let t0 = Obs.now () in
-           ignore (small_envelope_run ());
+           let (), _, _, trace = Testkit.traced ~gc:true (fun () -> ignore (small_envelope_run ())) in
            let wall_s = Obs.now () -. t0 in
            let steps = Obs.Report.finish collector in
-           Obs.Events.unsubscribe instant_sub;
-           let spans = Obs.Span.stop_recording () in
-           let events = List.rev !events in
-           Obs.Span.set_gc_stats false;
            (* (a) the trace validates against the trace-event schema *)
-           let trace_str = Obs.Trace_event.to_string ~spans ~events () in
-           assert_valid_trace (check_ok "trace parses" (Obs.Json.parse trace_str));
+           let trace = check_ok "trace parses" (Obs.Json.parse trace) in
+           Testkit.assert_valid_trace trace;
            Alcotest.(check bool) "accept instants present" true
-             (List.exists
-                (fun r ->
-                  match r.Obs.Events.event with Obs.Events.Step_accept _ -> true | _ -> false)
-                events);
+             (match trace with
+              | Obs.Json.Arr l ->
+                List.exists (fun e -> Obs.Json.member "name" e = Some (Obs.Json.Str "step_accept")) l
+              | _ -> false);
            (* (b) the manifest's scoped counters are consistent *)
            let manifest = Obs.Report.manifest ~subcommand:"envelope" ~wall_s ~steps () in
            check_ok "manifest checks" (Obs.Report.check manifest);
@@ -376,31 +319,21 @@ let prop_tests =
     QCheck_alcotest.to_alcotest
       (Test.make ~name:"trace-event export parses for hostile span names" ~count:200 any_string
          (fun name ->
-           let spans =
-             [
-               {
-                 Obs.Span.id = 0;
-                 parent = None;
-                 name;
-                 attrs = [ ("s", Obs.Span.Str name); ("n", Obs.Span.Int 1) ];
-                 t_start = 0.;
-                 t_stop = 1.;
-                 gc = None;
-                 tid = 1;
-               };
-             ]
-           in
-           let events =
-             [
-               {
-                 Obs.Events.t_s = 0.5;
-                 scope = name;
-                 event = Obs.Events.Step_reject { t = 0.; h = 1.; reason = name };
-               };
-             ]
-           in
-           parses "trace export"
-             (Obs.Trace_event.to_string ~process_name:name ~spans ~events ())));
+           let buf = Buffer.create 256 in
+           let p = Obs.Trace_event.start ~process_name:name (Buffer.add_string buf) in
+           let attrs = [ ("s", Obs.Span.Str name); ("n", Obs.Span.Int 1) ] in
+           Obs.Trace_event.span p
+             (Obs.Span.Start { id = 0; parent = None; name; attrs; t_s = 0.; tid = None });
+           Obs.Trace_event.span p
+             (Obs.Span.Stop { id = 0; name; t_s = 1.; dur_s = 1.; gc = None; tid = None });
+           Obs.Trace_event.instant p
+             {
+               Obs.Events.t_s = 0.5;
+               scope = name;
+               event = Obs.Events.Step_reject { t = 0.; h = 1.; reason = name };
+             };
+           Obs.Trace_event.finish p;
+           parses "trace export" (Buffer.contents buf)));
     QCheck_alcotest.to_alcotest
       (Test.make ~name:"metrics json parses for hostile metric names" ~count:100 any_string
          (fun name ->

@@ -500,6 +500,33 @@ let doctor_tests =
                   with Not_found -> false))
              categories;
            ignore (check_ok "doctor json" (Obs.Json.parse (Obs.Doctor.to_json findings)))));
+    Alcotest.test_case "cost names the dominant macro scope, the warm-up's share apart" `Quick
+      (with_clean (fun () ->
+           Obs.set_enabled true;
+           let cost () =
+             let findings =
+               check_ok "diagnosis"
+                 (Obs.Doctor.diagnose_string (Obs.Report.manifest ~wall_s:1. ~steps:[] ()))
+             in
+             (List.find (fun f -> f.Obs.Doctor.category = "cost") findings).Obs.Doctor.summary
+           in
+           (* Newton iterations, then LU factors (weight 4), per scope *)
+           let work scope newton lu =
+             Obs.Scope.with_scope scope (fun () ->
+                 Obs.Metrics.add (Obs.Metrics.counter "newton.iterations") newton;
+                 Obs.Metrics.add (Obs.Metrics.counter "lu.factor") lu)
+           in
+           work "transient" 848 848;
+           work "oscillator" 5 55;
+           Alcotest.(check string) "a run with no macro scope keeps the whole-run sentence"
+             "dominant cost scope is transient (95% of weighted solver work)" (cost ());
+           (* weighted: 4240 + 225 warm-up, 192 + 8 march *)
+           work "envelope.newton" 156 9;
+           work "quasiperiodic" 8 0;
+           Alcotest.(check string) "a march names its macro scope"
+             "dominant macro scope is envelope.newton (96% of macro-step solver work); the warm-up \
+              (transient + oscillator) is 96% of weighted solver work"
+             (cost ())));
     Alcotest.test_case "stream cross-checks flag malformed and unterminated streams" `Quick
       (with_clean (fun () ->
            Obs.set_enabled true;
@@ -548,7 +575,9 @@ let doctor_tests =
 let perfetto_tests =
   [
     Alcotest.test_case "zero-span trace is still a loadable trace" `Quick (fun () ->
-        let trace = Obs.Trace_event.to_string ~spans:[] ~events:[] () in
+        let buf = Buffer.create 256 in
+        Obs.Trace_event.finish (Obs.Trace_event.start (Buffer.add_string buf));
+        let trace = Buffer.contents buf in
         let j = check_ok "parses" (Obs.Json.parse trace) in
         let entries =
           match j with

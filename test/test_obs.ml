@@ -72,31 +72,30 @@ let tests =
            | _ -> Alcotest.fail "no buckets array"));
     Alcotest.test_case "span nesting, parent ids and tree summary" `Quick
       (with_clean (fun () ->
-           Obs.Span.start_recording ();
-           let result =
-             Obs.Span.span ~attrs:[ ("dim", Obs.Span.Int 4) ] "outer" @@ fun () ->
-             Obs.Span.span "inner" (fun () -> 41) + 1
+           let result, boundaries, tree, _ =
+             Testkit.traced (fun () ->
+                 Obs.Span.span ~attrs:[ ("dim", Obs.Span.Int 4) ] "outer" @@ fun () ->
+                 Obs.Span.span "inner" (fun () -> 41) + 1)
            in
-           let records = Obs.Span.stop_recording () in
            Alcotest.(check int) "thunk result" 42 result;
-           Alcotest.(check int) "two spans" 2 (List.length records);
-           (* completion order: inner closes first *)
-           let inner = List.nth records 0 and outer = List.nth records 1 in
-           Alcotest.(check string) "inner name" "inner" inner.Obs.Span.name;
-           Alcotest.(check string) "outer name" "outer" outer.Obs.Span.name;
-           Alcotest.(check bool) "outer is root" true (outer.Obs.Span.parent = None);
-           Alcotest.(check bool) "inner parented to outer" true
-             (inner.Obs.Span.parent = Some outer.Obs.Span.id);
-           Alcotest.(check bool) "timestamps nest" true
-             (outer.Obs.Span.t_start <= inner.Obs.Span.t_start
-             && inner.Obs.Span.t_stop <= outer.Obs.Span.t_stop);
-           let summary = Obs.Span.tree_summary records in
-           let contains needle =
-             try ignore (Str.search_forward (Str.regexp_string needle) summary 0); true
-             with Not_found -> false
-           in
-           Alcotest.(check bool) "summary lists both spans" true
-             (contains "outer" && contains "inner")));
+           match boundaries with
+           | [
+            Obs.Span.Start { id = outer; parent = outer_parent; name = "outer"; t_s = outer_t0; _ };
+            Obs.Span.Start { id = inner; parent = inner_parent; name = "inner"; t_s = inner_t0; _ };
+            Obs.Span.Stop { id = inner_stop; t_s = inner_t1; _ };
+            Obs.Span.Stop { id = outer_stop; t_s = outer_t1; _ };
+           ] ->
+             Alcotest.(check bool) "outer is root" true (outer_parent = None);
+             Alcotest.(check bool) "inner parented to outer" true (inner_parent = Some outer);
+             (* stop order: inner closes first *)
+             Alcotest.(check (pair int int)) "stops innermost first" (inner, outer)
+               (inner_stop, outer_stop);
+             Alcotest.(check bool) "timestamps nest" true
+               (outer_t0 <= inner_t0 && inner_t1 <= outer_t1);
+             let summary = Obs.Span.tree_summary tree in
+             Alcotest.(check bool) ("summary nests inner under outer, once each: " ^ summary) true
+               (Str.string_match (Str.regexp "== span summary ==\nouter +1x .*\n  inner +1x ") summary 0)
+           | l -> Alcotest.failf "expected 2 spans (4 boundaries), got %d boundaries" (List.length l)));
     Alcotest.test_case "span writer emits JSON lines" `Quick
       (with_clean (fun () ->
            let buf = Buffer.create 256 in
@@ -297,7 +296,11 @@ let tests =
                  | None -> Alcotest.fail "event JSON has no event name"
                in
                begin
-                 let trace = Obs.Trace_event.to_string ~spans:[] ~events:[ r ] () in
+                 let buf = Buffer.create 256 in
+                 let p = Obs.Trace_event.start (Buffer.add_string buf) in
+                 Obs.Trace_event.instant p r;
+                 Obs.Trace_event.finish p;
+                 let trace = Buffer.contents buf in
                  let args =
                    match Obs.Json.parse trace with
                    | Ok (Obs.Json.Arr entries) -> (

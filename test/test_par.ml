@@ -366,38 +366,34 @@ let obs_tests =
         Obs.Metrics.with_isolated (fun () ->
             with_jobs 2 (fun () ->
                 Obs.set_enabled true;
-                Obs.Span.start_recording ();
                 let acc = Array.make 64 0. in
-                Pool.parallel_for 64 (fun i -> acc.(i) <- sqrt (float_of_int (i + 1)));
-                let spans = Obs.Span.stop_recording () in
-                let chunks =
-                  List.filter (fun (s : Obs.Span.record) -> s.name = "pool.chunk") spans
+                let (), boundaries, _, trace =
+                  Testkit.traced (fun () ->
+                      Pool.parallel_for 64 (fun i -> acc.(i) <- sqrt (float_of_int (i + 1))))
                 in
-                Alcotest.(check bool) "pool.chunk spans recorded" true (chunks <> []);
                 let tids =
                   List.sort_uniq compare
-                    (List.map (fun (s : Obs.Span.record) -> s.tid) chunks)
+                    (List.filter_map
+                       (function
+                         | Obs.Span.Start { name = "pool.chunk"; tid = Some t; parent = None; _ } ->
+                           Some t
+                         | Obs.Span.Start { name = "pool.chunk"; _ } ->
+                           Alcotest.fail "a pool chunk with a parent or without its track"
+                         | _ -> None)
+                       boundaries)
                 in
+                Alcotest.(check bool) "pool.chunk spans recorded" true (tids <> []);
                 Alcotest.(check bool)
                   (Printf.sprintf "chunks land on >= 2 worker tracks (got %d)"
                      (List.length tids))
                   true
                   (List.length tids >= 2);
-                List.iter
-                  (fun t -> Alcotest.(check bool) "worker track ids start at 1" true (t >= 1))
+                Alcotest.(check (list int)) "chunk c on tid 1 + c"
+                  (List.init (List.length tids) (fun c -> c + 1))
                   tids;
-                let trace = Obs.Trace_event.to_string ~spans ~events:[] () in
-                match Testkit.json_exn trace with
-                | Obs.Json.Arr evs ->
-                  let str k e = Option.bind (Obs.Json.member k e) Obs.Json.to_str in
-                  let thread_names =
-                    List.filter (fun e -> str "name" e = Some "thread_name") evs
-                  in
-                  Alcotest.(check bool) "one thread_name metadata per track" true
-                    (List.length thread_names >= List.length tids);
-                  let count ph = List.length (List.filter (fun e -> str "ph" e = Some ph) evs) in
-                  Alcotest.(check int) "B/E events balance" (count "B") (count "E")
-                | _ -> Alcotest.fail "trace is not a JSON array")));
+                (* each track named before its first event; B/E
+                   balanced per track *)
+                Testkit.assert_valid_trace (Testkit.json_exn trace))));
   ]
 
 let suites =

@@ -248,3 +248,67 @@ let quasi_long_start dae ~(options : Wampde.Envelope.options) ~p2 ~n2 ~init =
     }
   in
   Wampde.Quasiperiodic.solve dae ~options ~p2 ~n2 ~guess ()
+
+(* [traced ?gc f] runs [f] with the span sink feeding a span tree and a
+   Perfetto writer and an event subscription feeding the same writer,
+   as the CLI's --trace and --trace-perfetto do (telemetry must be on
+   for the instants).  Returns [f]'s result, the span boundaries in
+   emission order, the tree and the closed Perfetto text. *)
+let traced ?(gc = false) f =
+  let module Obs = Wampde_obs in
+  let tree = Obs.Span.tree () and buf = Buffer.create 4096 and seen = ref [] in
+  let p = Obs.Trace_event.start (Buffer.add_string buf) in
+  Obs.Span.set_gc_stats gc;
+  Obs.Span.set_sink
+    (Some
+       (fun e ->
+         seen := e :: !seen;
+         Obs.Span.add tree e;
+         Obs.Trace_event.span p e));
+  let sub = Obs.Events.subscribe (Obs.Trace_event.instant p) in
+  let r =
+    Fun.protect f ~finally:(fun () ->
+        Obs.Events.unsubscribe sub;
+        Obs.Span.set_sink None;
+        Obs.Span.set_gc_stats false;
+        Obs.Trace_event.finish p)
+  in
+  (r, List.rev !seen, tree, Buffer.contents buf)
+
+(* Check a parsed trace-event array in file order: every entry carries
+   name/ph/pid/tid (plus a non-negative ts except on metadata), every
+   tid is named by thread_name metadata before its first event, and on
+   every tid each E closes the latest open B, of the same name, with
+   nothing left open. *)
+let assert_valid_trace (trace : Wampde_obs.Json.t) =
+  let module Json = Wampde_obs.Json in
+  let entries =
+    match trace with Json.Arr (_ :: _ as l) -> l | _ -> Alcotest.fail "no trace events"
+  in
+  let open_by_tid = Hashtbl.create 4 in
+  List.iter
+    (fun e ->
+      let get k conv =
+        match Option.bind (Json.member k e) conv with
+        | Some v -> v
+        | None -> Alcotest.failf "trace event without %s" k
+      in
+      let name = get "name" Json.to_str and ph = get "ph" Json.to_str in
+      let tid = get "tid" Json.to_num in
+      ignore (get "pid" Json.to_num);
+      if ph <> "M" && not (get "ts" Json.to_num >= 0.) then
+        Alcotest.failf "%s %S: negative ts" ph name;
+      match (ph, Hashtbl.find_opt open_by_tid tid) with
+      | "M", None when name = "thread_name" -> Hashtbl.replace open_by_tid tid []
+      | "M", _ -> ()
+      | _, None -> Alcotest.failf "%s %S on tid %g before its thread_name" ph name tid
+      | "B", Some stack -> Hashtbl.replace open_by_tid tid (name :: stack)
+      | "E", Some (top :: rest) when top = name -> Hashtbl.replace open_by_tid tid rest
+      | "E", Some _ -> Alcotest.failf "E %S does not close the latest open B on tid %g" name tid
+      | "i", Some _ -> ()
+      | _ -> Alcotest.failf "unexpected phase %S" ph)
+    entries;
+  Hashtbl.iter
+    (fun tid stack ->
+      if stack <> [] then Alcotest.failf "B %s left open on tid %g" (String.concat ", " stack) tid)
+    open_by_tid
