@@ -25,26 +25,24 @@ let format_version = 1
 
 (* ---------- CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) ---------- *)
 
+(* the table and the running value are plain ints (63 bits hold the
+   32-bit CRC), so the byte loop allocates nothing *)
 let crc_table =
   lazy
     (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
+         let c = ref n in
          for _ = 0 to 7 do
-           let lsb = Int32.logand !c 1l in
-           c := Int32.shift_right_logical !c 1;
-           if lsb = 1l then c := Int32.logxor !c 0xEDB88320l
+           c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
          done;
          !c))
 
 let crc32 bytes =
   let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  Bytes.iter
-    (fun ch ->
-      let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
-      c := Int32.logxor (Int32.shift_right_logical !c 8) table.(idx))
-    bytes;
-  Int32.logxor !c 0xFFFFFFFFl
+  let c = ref 0xFFFFFFFF in
+  for i = 0 to Bytes.length bytes - 1 do
+    c := (!c lsr 8) lxor table.((!c lxor Char.code (Bytes.unsafe_get bytes i)) land 0xFF)
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
 
 (* ---------- encoding ---------- *)
 

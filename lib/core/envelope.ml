@@ -75,8 +75,8 @@ let start_point sd ~t2 states omega =
 
 (* Preallocated per-run Newton vectors, reused across iterations and
    steps instead of re-allocating residuals and iterates, and the GMRES
-   workspace and preconditioner buffers of the Krylov path (built on
-   first use, so dense runs never pay for them). *)
+   workspace of the Krylov path (built on first use, so dense runs
+   never pay for it). *)
 type scratch = {
   sc_r : Vec.t;  (* accepted residual, Dae.Semidisc.size *)
   sc_rt : Vec.t;  (* trial residual *)
@@ -85,7 +85,6 @@ type scratch = {
   sc_guess : Vec.t;  (* Newton's start, see [extrapolate_into] *)
   sc_dy : Vec.t;  (* dense chord direction *)
   sc_gmres : Gmres.workspace Lazy.t;
-  sc_precond : Dae.Semidisc.precond;  (* the Krylov preconditioner's buffers *)
 }
 
 let gmres_restart = 60
@@ -100,7 +99,6 @@ let make_scratch ~size =
     sc_guess = Array.make size 0.;
     sc_dy = Array.make size 0.;
     sc_gmres = lazy (Gmres.workspace ~n:size ~restart:gmres_restart ~max_iter:gmres_max_iter ());
-    sc_precond = Dae.Semidisc.precond ();
   }
 
 (* Newton's start for a theta step to [t]: the Lagrange polynomial
@@ -129,20 +127,21 @@ let extrapolate_into dst ~t ~ts ~grids ~omegas =
 (* Jacobian cache for the chord (stale-Jacobian) Newton iteration on
    the dense path: the collocation Jacobian varies slowly along t2, so
    one factorization typically serves several slow steps.  Refreshed
-   automatically when the iteration stops contracting.  The Krylov
-   path instead rebuilds its cheap structured operator every iteration
-   (true Newton-Krylov).  The cached factorization lives in [jac] and
-   [perm], refilled and factored in place at every refresh; [jac] is
-   built on first use, so Krylov runs never pay for it.  The
-   trust-region rescue's models refill [rescue_jac], also built on
-   first use: a rescue leaves the chord's factorization cached. *)
-type krylov_op = { klin : Dae.Semidisc.lin; m_inv : Vec.t -> Vec.t -> unit }
-
+   automatically when the iteration stops contracting.  The cached
+   factorization lives in [jac] and [perm], refilled and factored in
+   place at every refresh; [jac] is built on first use, so Krylov runs
+   never pay for it.  The trust-region rescue's models refill
+   [rescue_jac], also built on first use: a rescue leaves the chord's
+   factorization cached.  The Krylov path's analogue of [lu] is
+   [precond]: its operator is rebuilt at every iterate, but one
+   preconditioner serves every Newton iteration of a step size within
+   a macro attempt, rebuilt when GMRES does not converge with it. *)
 type jac_cache = {
   mutable lu : Lu.t option;
   jac : Mat.t Lazy.t;
   perm : int array;
   rescue_jac : Mat.t Lazy.t;
+  precond : Dae.Semidisc.precond;
 }
 
 let new_cache ~size =
@@ -151,6 +150,7 @@ let new_cache ~size =
     jac = lazy (Mat.zeros size size);
     perm = Array.make size 0;
     rescue_jac = lazy (Mat.zeros size size);
+    precond = Dae.Semidisc.precond ();
   }
 
 (* The chord refactors at the new iterate once a stale Jacobian
@@ -213,31 +213,24 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
     scratch.sc_dy
   in
   let use_krylov = Structured.use_krylov options.solver ~dim:size in
-  (* Build the matrix-free operator and its DFT-diagonalized
-     averaged-block preconditioner at [y] (the Krylov analogue of
-     [refresh]), bordered by the phase row when omega is unknown, the
-     preconditioner into the buffers [scratch] keeps for the run.  The
-     operator's blocks are evaluated fresh from [y], so it stays valid
-     while [scratch]'s vectors mutate.  Returns [None] if the
-     preconditioner degenerates. *)
-  let refresh_krylov y =
+  (* The Newton direction by GMRES on the matrix-free operator at [y]
+     (the Krylov analogue of [refresh] + [chord_solve]), preconditioned
+     by the kept DFT-diagonalized averaged-block inverse, bordered by
+     the phase row when omega is unknown.  The inner tolerance is the
+     inexact-Newton forcing term: Newton only needs a direction
+     accurate to well below its own contraction rate, not to machine
+     precision.  Returns [None] if a fresh preconditioner degenerates
+     or GMRES stalls with it. *)
+  let krylov_dir y r =
     let lin = Dae.Semidisc.step_linearize sys y in
-    match Dae.Semidisc.m_inv scratch.sc_precond [| lin |] with
-    | exception (Cx.Clu.Singular _ | Structured.Bordered_singular _ | Failure _) -> None
-    | m_inv -> Some { klin = lin; m_inv }
-  in
-  (* GMRES solve against a (possibly stale) cached operator.  The inner
-     tolerance is the inexact-Newton forcing term: the chord iteration
-     only needs a direction accurate to well below its own contraction
-     rate, not to machine precision. *)
-  let krylov_solve kc r =
-    let res =
-      Gmres.solve
-        ~matvec:(Dae.Semidisc.apply_into kc.klin)
-        ~m_inv:kc.m_inv ~ws:(Lazy.force scratch.sc_gmres) ~restart:gmres_restart
-        ~max_iter:gmres_max_iter ~tol:1e-6 r
-    in
-    if res.Gmres.converged then Some res.Gmres.x else None
+    Dae.Semidisc.with_precond cache.precond [| lin |] (fun m_inv ->
+        let res =
+          Gmres.solve
+            ~matvec:(Dae.Semidisc.apply_into lin)
+            ~m_inv ~ws:(Lazy.force scratch.sc_gmres) ~restart:gmres_restart
+            ~max_iter:gmres_max_iter ~tol:1e-6 r
+        in
+        if res.Gmres.converged then Some res.Gmres.x else None)
   in
   let y = ref scratch.sc_y and trial = ref scratch.sc_trial in
   let r = ref scratch.sc_r and rt = ref scratch.sc_rt in
@@ -296,16 +289,12 @@ let step sd ~options ~cache ~scratch ~t2_new ~h2 ~(p : point) ~guess =
        in
        let dy, is_fresh =
          if use_krylov then begin
-           (* true Newton-Krylov: rebuild the (cheap) operator and
-              preconditioner at the current iterate every time, so the
-              outer iteration keeps Newton's quadratic convergence.
-              Chord-style operator reuse is a bad trade here -- it buys
-              back a cheap build but pays extra GMRES solves. *)
-           match refresh_krylov !y with
-           | Some kc -> (
-             match krylov_solve kc !r with
-             | Some dy -> (dy, true)
-             | None -> dense_fallback ())
+           (* Newton-Krylov: the operator is exact at every iterate, so
+              the outer iteration keeps Newton's convergence up to the
+              forcing term; the preconditioner only steers GMRES, and
+              a kept one costs a few GMRES iterations at most *)
+           match krylov_dir !y !r with
+           | Some dy -> (dy, true)
            | None -> dense_fallback ()
          end
          else
@@ -587,9 +576,11 @@ let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?pree
     else begin
       let h_half = h /. 2. and t2_mid = !t2 +. (h /. 2.) in
       (* the half steps solve a different system from the whole step's:
-         the first factors its own Jacobian at [h / 2] rather than reuse
-         the one at [h], and the second reuses that *)
+         the first factors its own Jacobian (or builds its own
+         preconditioner) at [h / 2] rather than reuse the one at [h],
+         and the second reuses that *)
       cache.lu <- None;
+      Dae.Semidisc.drop cache.precond;
       let mid, it2 = take ~t2_new:t2_mid ~h:h_half ~ts:!t2s ~grids:!slices ~omegas:!omegas !cur in
       let fine, it3 =
         take ~t2_new ~h:h_half ~ts:(t2_mid :: !t2s) ~grids:(mid.states :: !slices)
@@ -614,8 +605,10 @@ let run_march sd ~options ~ctrl ~richardson ?checkpoint ?resume ?on_accept ?pree
        Jacobian cache so a resumed run retraces the original
        bit-for-bit (a warm chord cache from the previous step is the
        one piece of state a checkpoint cannot carry); the fixed march
-       keeps it warm across steps *)
+       keeps the factorization warm across steps.  Both start every
+       attempt without a Krylov preconditioner *)
     if richardson then cache.lu <- None;
+    Dae.Semidisc.drop cache.precond;
     match attempt ~options:opts_now ~h with
     | exception ((Newton_failed | Lu.Singular _ | Failure _) as exn) ->
       let reason =

@@ -31,8 +31,10 @@ type options = {
       (** linear-solver path for the collocation Newton systems: dense
           LU, matrix-free preconditioned GMRES, or size-based [Auto]
           (also read by {!Quasiperiodic.solve}).  GMRES's
-          preconditioner is built at every Newton iterate by
-          {!Dae.Semidisc.m_inv}, into buffers kept for the run. *)
+          preconditioner ({!Dae.Semidisc.with_precond}, into buffers
+          kept for the run) is built at a step's first Newton
+          iterate and kept for the macro attempt while the step size
+          stays, rebuilt when GMRES fails with it. *)
   rescue : bool;
       (** when the chord iteration fails a step, cold-start the
           {!Nonlin.Polyalg} trust-region stage on the same step

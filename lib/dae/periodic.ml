@@ -26,30 +26,30 @@ let solve ?cascade sd ~p2 ~d2 ~options ~solver ~label ~fn ~omega slices =
     jac
   in
   let dense_dir y r = Lu.solve (Lu.factor_into (jacobian y) ~perm:(Lazy.force perm)) r in
-  (* GMRES workspace and the preconditioner's buffers (its wavenumber
-     blocks and Schur columns), shared by every Newton iteration of
-     this solve *)
+  (* GMRES workspace and the preconditioner (its wavenumber blocks and
+     Schur columns), built at the first Krylov direction and kept for
+     every later Newton iteration of this solve *)
   let krylov_scratch = lazy (Gmres.workspace ~n:(n2 * bs) ~restart:60 ~max_iter:300 ()) in
   let coupling = lazy (Mat.init n2 n2 (fun m q -> d2.(m).(q) /. p2)) in
   let kept = Semidisc.precond () in
   (* Fully matrix-free Newton direction: the per-slice structured
-     operators and cross-slice slow coupling of [Semidisc],
+     operators and cross-slice slow coupling of [Semidisc] at [y],
      preconditioned by their t1-averaged inverse, which holds the
      (D2/p2) (x) C coupling exactly: one n2 n complex block per t1
      wavenumber, bordered by the slices' omega columns and phase rows
-     through one n2 x n2 Schur complement.  Returns [None] when the
-     preconditioner degenerates or GMRES stalls. *)
+     through one n2 x n2 Schur complement.  The operator is exact at
+     every iterate; the kept preconditioner is rebuilt there only when
+     GMRES does not converge with it.  Returns [None] when a fresh
+     preconditioner degenerates or GMRES stalls with it. *)
   let krylov_dir y r =
     let lins = Semidisc.periodic_linearize sys y in
-    match Semidisc.m_inv ~coupling:(Lazy.force coupling) kept lins with
-    | exception (Cx.Clu.Singular _ | Structured.Bordered_singular _ | Failure _) -> None
-    | m_inv ->
-      let result =
-        Gmres.solve
-          ~matvec:(Semidisc.periodic_apply_into sys lins)
-          ~m_inv ~ws:(Lazy.force krylov_scratch) ~restart:60 ~max_iter:300 ~tol:1e-10 r
-      in
-      if result.Gmres.converged then Some result.Gmres.x else None
+    Semidisc.with_precond ~coupling:(Lazy.force coupling) kept lins (fun m_inv ->
+        let result =
+          Gmres.solve
+            ~matvec:(Semidisc.periodic_apply_into sys lins)
+            ~m_inv ~ws:(Lazy.force krylov_scratch) ~restart:60 ~max_iter:300 ~tol:1e-10 r
+        in
+        if result.Gmres.converged then Some result.Gmres.x else None)
   in
   let linear_solve =
     if Structured.use_krylov solver ~dim:(n2 * bs) then fun y r ->

@@ -23,10 +23,12 @@ val pack : Semidisc.t -> omega:Vec.t -> Vec.t array array -> Vec.t
     [solver], GMRES (relative tolerance 1e-10) preconditioned by
     {!Linalg.Structured.make_precond} over all [n2] slices with the
     [(d2 / p2) (x) C] coupling, bordered by their omega columns and
-    phase rows when omega is unknown: one build per Newton iteration,
-    into buffers kept for the solve.  A singular preconditioner or a
-    GMRES solve that does not converge in 300 iterations falls back to
-    dense LU for that iteration.  [Ok (omega, slices)] holds the
+    phase rows when omega is unknown, built at the first Krylov
+    direction into buffers kept for the solve and kept for its later
+    Newton iterations ({!Semidisc.with_precond}).  A GMRES solve that
+    does not converge in 300 iterations rebuilds it at the current
+    iterate and retries; a singular preconditioner or a second failure
+    falls back to dense LU for that iteration.  [Ok (omega, slices)] holds the
     converged frequency and grid of each slice; [Error] the exhausted
     cascade's outcome. *)
 val solve :

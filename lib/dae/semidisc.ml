@@ -2,16 +2,21 @@ open Linalg
 
 type omega = Unknown of Vec.t | Fixed of float
 
+type border = { col : Vec.t; row : Vec.t }
+type lin = { op : Structured.op; c_blocks : Mat.t array; border : border option }
+
 (* Per-slice scratch: the unpacked grid states, the charges q(X_j)
    (per point as evaluated, and flat as Q, j n + i) and resistive terms
    f(t2, X_j) and the charges' t1 derivative (D Q) at the last
-   evaluated point. *)
+   evaluated point; and the slice's last linearization with its B
+   blocks, whose buffers the next one refills. *)
 type buf = {
   states : Vec.t array;
   qs : Vec.t array;
   fs : Vec.t array;
   q_flat : Vec.t;
   q_t1 : Vec.t;
+  mutable last : (lin * Mat.t array) option;
 }
 
 type t = {
@@ -34,6 +39,7 @@ let new_buf ~n1 ~n =
     fs = Array.init n1 (fun _ -> Array.make n 0.);
     q_flat = Array.make (n1 * n) 0.;
     q_t1 = Array.make (n1 * n) 0.;
+    last = None;
   }
 
 let make dae ~d ~omega ~forcing =
@@ -129,18 +135,20 @@ let g t ~t2 y =
 
 (* ---------- linearization ---------- *)
 
-type border = { col : Vec.t; row : Vec.t }
-type lin = { op : Structured.op; c_blocks : Mat.t array; border : border option }
-
 (* [scale] d/d(X, omega) of g, plus blockdiag(C) when [with_c]:
    op = scale omega (D (x) C) + blockdiag([C +] scale G), border column
-   scale (D Q). *)
+   scale (D Q).  The blocks, the border column and the operator's
+   scratch are the slice's own, refilled at every call: the circuit
+   evaluation overwrites each C and G block whole. *)
 let linearize_at t buf ~t2 ~scale ~with_c y ~off =
   load t buf y ~off;
-  (* the blocks belong to the returned [lin]: Krylov operators and
-     periodic [lin]s outlive this call *)
-  let cs = Array.init t.n1 (fun _ -> Mat.zeros t.n t.n) in
-  let b_blocks = Array.init t.n1 (fun _ -> Mat.zeros t.n t.n) in
+  let cs, b_blocks =
+    match buf.last with
+    | Some (lin, b_blocks) -> (lin.c_blocks, b_blocks)
+    | None ->
+      let blocks () = Array.init t.n1 (fun _ -> Mat.zeros t.n t.n) in
+      (blocks (), blocks ())
+  in
   let bordered = match t.omega with Unknown _ -> true | Fixed _ -> false in
   for j = 0 to t.n1 - 1 do
     let cj = cs.(j) and bj = b_blocks.(j) in
@@ -159,10 +167,25 @@ let linearize_at t buf ~t2 ~scale ~with_c y ~off =
     | Fixed _ -> None
     | Unknown row ->
       charges_t1 t buf;
-      Some { col = Array.map (fun s -> scale *. s) buf.q_t1; row }
+      let col =
+        match buf.last with
+        | Some ({ border = Some b; _ }, _) -> b.col
+        | _ -> Array.make t.nd 0.
+      in
+      for i = 0 to t.nd - 1 do
+        col.(i) <- scale *. buf.q_t1.(i)
+      done;
+      Some { col; row }
   in
   let alpha = scale *. omega_at t y ~off in
-  { op = Structured.make_op ~alpha ~d:t.d ~c_blocks:cs ~b_blocks; c_blocks = cs; border }
+  let op =
+    match buf.last with
+    | Some (lin, _) -> Structured.refill_op lin.op ~alpha
+    | None -> Structured.make_op ~alpha ~d:t.d ~c_blocks:cs ~b_blocks
+  in
+  let lin = { op; c_blocks = cs; border } in
+  buf.last <- Some (lin, b_blocks);
+  lin
 
 (* The slice matrix into the square of [jac] at (off, off), every
    entry of it, the bordered corner included: a buffer the in-place LU
@@ -187,17 +210,24 @@ let apply_into lin v out =
   | None -> Structured.apply_into lin.op v out
   | Some b -> Structured.apply_bordered_into lin.op ~border_col:b.col ~border_row:b.row v out
 
-type precond = { mutable pc : Structured.precond option; mutable bp : Structured.bordered option }
+type precond = {
+  mutable pc : Structured.precond option;
+  mutable bp : Structured.bordered option;
+  mutable apply : (Vec.t -> Vec.t -> unit) option;  (* the kept build's apply *)
+}
 
-let precond () = { pc = None; bp = None }
+let precond () = { pc = None; bp = None; apply = None }
+let drop kept = kept.apply <- None
 
 (* Every slice has a border when the first has: [omega] is one for the
-   whole system. *)
-let m_inv ?coupling kept lins =
+   whole system.  A build that raises keeps no apply: it may have
+   overwritten the buffers part way. *)
+let build ?coupling kept lins =
+  kept.apply <- None;
   let pc = Structured.make_precond ?into:kept.pc ?coupling (Array.map (fun lin -> lin.op) lins) in
   kept.pc <- Some pc;
   match lins.(0).border with
-  | None -> Structured.precond_apply_into pc
+  | None -> kept.apply <- Some (Structured.precond_apply_into pc)
   | Some _ ->
     let border f = Array.map (fun lin -> f (Option.get lin.border)) lins in
     let bp =
@@ -206,7 +236,17 @@ let m_inv ?coupling kept lins =
         ~rows:(border (fun b -> b.row))
     in
     kept.bp <- Some bp;
-    Structured.bordered_apply_into bp
+    kept.apply <- Some (Structured.bordered_apply_into bp)
+
+let with_precond ?coupling kept lins solve =
+  let fresh () =
+    match build ?coupling kept lins with
+    | exception (Cx.Clu.Singular _ | Structured.Bordered_singular _ | Failure _) -> None
+    | () -> Option.bind kept.apply solve
+  in
+  match kept.apply with
+  | None -> fresh ()
+  | Some m_inv -> ( match solve m_inv with Some _ as x -> x | None -> fresh ())
 
 (* ---------- theta step in t2 ---------- *)
 

@@ -58,7 +58,11 @@ val g : t -> t2:float -> Vec.t -> Vec.t
 type border = { col : Vec.t  (** [d/d omega] *); row : Vec.t  (** phase row *) }
 
 (** The slice Jacobian [[J col] [row 0]], [J = alpha (D (x) C) +
-    blockdiag(B)] as one {!Structured.op}. *)
+    blockdiag(B)] as one {!Structured.op}.  Its blocks, its border
+    column and its operator's scratch belong to the slice and are
+    refilled by every linearization of it: a returned [lin] is valid
+    until the next linearization of the same system (a theta step's)
+    or of the same periodic slice. *)
 type lin = {
   op : Structured.op;
   c_blocks : Mat.t array;  (** [C_j = dq(X_j)] *)
@@ -73,23 +77,29 @@ val dense_into : lin -> Mat.t -> unit
 (** [apply_into lin v out] writes [lin v] into [out] (no aliasing). *)
 val apply_into : lin -> Vec.t -> Vec.t -> unit
 
-(** The buffers of a Krylov solve's preconditioner, kept for the run:
-    empty until {!m_inv} first fills them. *)
+(** A Krylov solve's preconditioner, kept from one Newton iteration
+    to the next, and its buffers, kept for the run: empty until
+    {!with_precond} first builds it. *)
 type precond
 
 val precond : unit -> precond
 
-(** [m_inv ?coupling kept lins] builds the preconditioner of the slices
-    [lins] into [kept] and returns its apply [v out]:
-    {!Structured.make_precond} over their operators, with the slow
-    [coupling] when given, bordered by their omega columns and phase
-    rows ({!Structured.make_bordered}) when omega is unknown.  A build
-    of the shape already in [kept] refills its buffers, bitwise what a
-    fresh build gives; another shape allocates new ones.  The apply of
-    an earlier build is stale once [kept] is refilled.  Raises
-    [Cx.Clu.Singular] or {!Structured.Bordered_singular} when the
-    preconditioner degenerates. *)
-val m_inv : ?coupling:Mat.t -> precond -> lin array -> Vec.t -> Vec.t -> unit
+(** [drop kept] forgets the kept build, as a change of the system
+    needs: the next {!with_precond} builds afresh into the same
+    buffers. *)
+val drop : precond -> unit
+
+(** [with_precond ?coupling kept lins solve] is [solve m_inv] for the
+    preconditioner kept in [kept].  With none kept, or when [solve]
+    returns [None] with the kept one, it builds the preconditioner of
+    the slices [lins] into [kept]'s buffers, bitwise a fresh build, and
+    runs [solve] with that: {!Structured.make_precond} over their
+    operators with the slow [coupling] when given, bordered
+    ({!Structured.make_bordered}) when omega is unknown.  [None] when
+    that build degenerates (nothing is kept then) or [solve] fails
+    with it. *)
+val with_precond :
+  ?coupling:Mat.t -> precond -> lin array -> ((Vec.t -> Vec.t -> unit) -> 'a option) -> 'a option
 
 (** {1 Theta step in t2} *)
 

@@ -38,6 +38,8 @@ let make_op ~alpha ~d ~c_blocks ~b_blocks =
     invalid_arg "Structured.make_op: differentiation matrix size mismatch";
   { n; n1; alpha; d; c_blocks; b_blocks; cu = Array.make (n1 * n) 0. }
 
+let refill_op op ~alpha = { op with alpha }
+
 let dim op = op.n1 * op.n
 
 let block_mul_into blocks ~src ~dst =

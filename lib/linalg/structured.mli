@@ -64,6 +64,13 @@ type op
     block matrices are captured by reference, not copied. *)
 val make_op : alpha:float -> d:Mat.t -> c_blocks:Mat.t array -> b_blocks:Mat.t array -> op
 
+(** [refill_op op ~alpha] is the refill form of {!make_op}: the
+    operator over [op]'s blocks, which the caller has refilled in
+    place, with the new [alpha].  It shares [op]'s blocks and apply
+    scratch, so a caller that linearizes again and again allocates
+    them once; [op] is not to be applied afterwards. *)
+val refill_op : op -> alpha:float -> op
+
 (** Number of unknowns [n1 * n] of the block part. *)
 val dim : op -> int
 
@@ -110,8 +117,8 @@ type precond
     [n2 x n2] matrix [K] (default none); the [ops] share one [D].  The
     blocks factor on the {!Par.Pool}.  [?into] reuses the buffers of a
     precond of the same shape (it is refilled, bitwise what a fresh
-    build gives, and returned), so a caller that rebuilds every Newton
-    iteration allocates them once; another shape allocates afresh.
+    build gives, and returned), so a caller that rebuilds again and
+    again allocates them once; another shape allocates afresh.
     Raises [Invalid_argument] on an even [n1] (through
     {!Rdft.of_size}) or mismatched shapes, [Cx.Clu.Singular] on a
     singular block.  Each build bumps [gmres.precond.builds] once and

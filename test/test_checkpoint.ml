@@ -32,6 +32,70 @@ let expect_corrupt what f =
   | exception Checkpoint.Corrupt _ -> ()
   | _ -> Alcotest.fail (what ^ ": expected Checkpoint.Corrupt")
 
+(* The acceptance test for the restart layer: run the VCO-A envelope
+   adaptively, kill it after 3 accepted steps (the checkpoint was
+   written at step 2), resume from the file and require the full
+   history to match the never-killed run to 1e-12.  The bitwise
+   comparison needs a fault-free run, so an ambient WAMPDE_FAULTS
+   schedule is masked. *)
+let envelope_kill_resume ?solver ~file () =
+  Fault.with_armed "" @@ fun () ->
+  let n1 = 15 in
+  let frozen = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
+  let orbit =
+    Steady.Oscillator.find (Circuit.Vco.build frozen) ~n1 ~period_hint:(1. /. 0.75)
+      (Circuit.Vco.initial_state frozen)
+  in
+  let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
+  let options = Wampde.Envelope.default_options ~n1 ?solver () in
+  let control = Step_control.default_options ~rtol:1e-4 ~atol:1e-7 () in
+  let t2_end = 6. in
+  let run ?checkpoint ?resume ?on_accept () =
+    Wampde.Envelope.simulate_controlled dae ~options ~control ~h2_init:0.5 ?checkpoint
+      ?resume ?on_accept ~t2_end ~init:orbit ()
+  in
+  let reference = run () in
+  let path = tmp_path file in
+  let accepts = ref 0 in
+  (match
+     run
+       ~checkpoint:(path, 2)
+       ~on_accept:(fun ~t2:_ ~omega:_ ->
+         incr accepts;
+         if !accepts >= 3 then raise Exit)
+       ()
+   with
+  | exception Exit -> ()
+  | _ -> Alcotest.fail "killed run was expected to stop early");
+  let resumed = run ~resume:path () in
+  let n = Array.length reference.Wampde.Envelope.t2 in
+  Alcotest.(check int) "same number of accepted steps" n
+    (Array.length resumed.Wampde.Envelope.t2);
+  for i = 0 to n - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "t2.(%d)" i)
+      true
+      (Float.abs (reference.Wampde.Envelope.t2.(i) -. resumed.Wampde.Envelope.t2.(i))
+       <= 1e-12);
+    Alcotest.(check bool)
+      (Printf.sprintf "omega.(%d)" i)
+      true
+      (Float.abs
+         (reference.Wampde.Envelope.omega.(i) -. resumed.Wampde.Envelope.omega.(i))
+       <= 1e-12);
+    Array.iteri
+      (fun j slice ->
+        Array.iteri
+          (fun k x ->
+            Alcotest.(check bool)
+              (Printf.sprintf "slices.(%d).(%d).(%d)" i j k)
+              true
+              (Float.abs (x -. resumed.Wampde.Envelope.slices.(i).(j).(k)) <= 1e-12))
+          slice)
+      reference.Wampde.Envelope.slices.(i)
+  done;
+  Sys.remove path
+
 let tests =
   [
     Alcotest.test_case "sections round-trip bitwise" `Quick (fun () ->
@@ -77,6 +141,24 @@ let tests =
         corrupt_byte path 40;
         expect_corrupt "crc" (fun () -> Checkpoint.load ~path);
         Sys.remove path);
+    Alcotest.test_case "crc32 gives the standard check value" `Quick (fun () ->
+        Alcotest.(check int32) "CRC-32 of 123456789" 0xCBF43926l
+          (Checkpoint.crc32 (Bytes.of_string "123456789"));
+        Alcotest.(check int32) "CRC-32 of nothing" 0l (Checkpoint.crc32 Bytes.empty));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:100 ~name:"crc32 equals the bitwise CRC loop" QCheck.string
+         (fun s ->
+           (* one bit at a time, no table: the definition of the
+              reflected CRC-32 *)
+           let c = ref 0xFFFFFFFF in
+           String.iter
+             (fun ch ->
+               c := !c lxor Char.code ch;
+               for _ = 0 to 7 do
+                 c := if !c land 1 = 1 then (!c lsr 1) lxor 0xEDB88320 else !c lsr 1
+               done)
+             s;
+           Checkpoint.crc32 (Bytes.of_string s) = Int32.of_int (!c lxor 0xFFFFFFFF)));
     Alcotest.test_case "truncated and oversized files are rejected" `Quick (fun () ->
         let path = tmp_path "ckpt_trunc.bin" in
         Checkpoint.save ~path sample_sections;
@@ -104,69 +186,13 @@ let tests =
         expect_corrupt "version" (fun () -> Checkpoint.load ~path);
         expect_corrupt "missing file" (fun () -> Checkpoint.load ~path:(tmp_path "ckpt_nope"));
         Sys.remove path);
-    Alcotest.test_case "envelope kill + resume equals uninterrupted run" `Slow (fun () ->
-        (* The acceptance test for the restart layer: run the VCO-A
-           envelope adaptively, kill it after 3 accepted steps (the
-           checkpoint was written at step 2), resume from the file and
-           require the full history to match the never-killed run to
-           1e-12.  The bitwise comparison needs a fault-free run, so
-           an ambient WAMPDE_FAULTS schedule is masked. *)
-        Fault.with_armed "" @@ fun () ->
-        let n1 = 15 in
-        let frozen = Circuit.Vco.default_params ~control:(fun _ -> 1.5) () in
-        let orbit =
-          Steady.Oscillator.find (Circuit.Vco.build frozen) ~n1 ~period_hint:(1. /. 0.75)
-            (Circuit.Vco.initial_state frozen)
-        in
-        let dae = Circuit.Vco.build (Circuit.Vco.vco_a ()) in
-        let options = Wampde.Envelope.default_options ~n1 () in
-        let control = Step_control.default_options ~rtol:1e-4 ~atol:1e-7 () in
-        let t2_end = 6. in
-        let run ?checkpoint ?resume ?on_accept () =
-          Wampde.Envelope.simulate_controlled dae ~options ~control ~h2_init:0.5 ?checkpoint
-            ?resume ?on_accept ~t2_end ~init:orbit ()
-        in
-        let reference = run () in
-        let path = tmp_path "ckpt_envelope.bin" in
-        let accepts = ref 0 in
-        (match
-           run
-             ~checkpoint:(path, 2)
-             ~on_accept:(fun ~t2:_ ~omega:_ ->
-               incr accepts;
-               if !accepts >= 3 then raise Exit)
-             ()
-         with
-        | exception Exit -> ()
-        | _ -> Alcotest.fail "killed run was expected to stop early");
-        let resumed = run ~resume:path () in
-        let n = Array.length reference.Wampde.Envelope.t2 in
-        Alcotest.(check int) "same number of accepted steps" n
-          (Array.length resumed.Wampde.Envelope.t2);
-        for i = 0 to n - 1 do
-          Alcotest.(check bool)
-            (Printf.sprintf "t2.(%d)" i)
-            true
-            (Float.abs (reference.Wampde.Envelope.t2.(i) -. resumed.Wampde.Envelope.t2.(i))
-             <= 1e-12);
-          Alcotest.(check bool)
-            (Printf.sprintf "omega.(%d)" i)
-            true
-            (Float.abs
-               (reference.Wampde.Envelope.omega.(i) -. resumed.Wampde.Envelope.omega.(i))
-             <= 1e-12);
-          Array.iteri
-            (fun j slice ->
-              Array.iteri
-                (fun k x ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "slices.(%d).(%d).(%d)" i j k)
-                    true
-                    (Float.abs (x -. resumed.Wampde.Envelope.slices.(i).(j).(k)) <= 1e-12))
-                slice)
-            reference.Wampde.Envelope.slices.(i)
-        done;
-        Sys.remove path);
+    Alcotest.test_case "envelope kill + resume equals uninterrupted run" `Slow
+      (envelope_kill_resume ~file:"ckpt_envelope.bin");
+    (* n1 = 15 takes the dense path under [auto]: the Krylov path keeps
+       a preconditioner within a step attempt, and a resumed run
+       retraces the original only if every attempt starts without one *)
+    Alcotest.test_case "envelope kill + resume on the Krylov path" `Slow
+      (envelope_kill_resume ~solver:Linalg.Structured.Krylov ~file:"ckpt_envelope_krylov.bin");
     Alcotest.test_case "faulted run resumes to match the uninterrupted run" `Slow (fun () ->
         (* Solver hardening end-to-end: checkpoint every 2 accepted
            steps, then after 3 accepts arm a 100% linear-solve fault

@@ -283,6 +283,51 @@ let unit_tests =
                 (perm <> Array.init dim Fun.id)
             done)
           [ (vco_a, Derivative); (sinh_system, Fixed) ]);
+    Alcotest.test_case "a refilled linearization equals a fresh one bitwise" `Quick (fun () ->
+        (* a system refills one set of blocks, border column and
+           operator scratch per slice: a linearization at B after one
+           at A must keep no entry of A *)
+        List.iter
+          (fun ((name, dae, draw), omega_case) ->
+            let d = Fourier.Series.diff_matrix n1 in
+            let rng = Random.State.make [| 17 |] in
+            let sd () = make_sd dae ~d ~omega_case ~omega:1. in
+            let kept = sd () in
+            let what kind = Printf.sprintf "%s %s: %s" name (omega_name omega_case) kind in
+            let bits = Array.map (Array.map Int64.bits_of_float) in
+            let states0, y0 = draw_slice kept draw rng ~omega:1. in
+            let q0 = Sd.charges kept ~t2:0.3 states0 and g0 = Sd.g kept ~t2:0.2 y0 in
+            let step sd = Sd.step sd ~t2:0.3 ~h:0.1 ~theta:0.5 ~q0 ~g0 in
+            let ya = snd (draw_slice kept draw rng ~omega:0.9)
+            and yb = snd (draw_slice kept draw rng ~omega:1.1) in
+            let st = step kept in
+            ignore (Sd.step_linearize st ya);
+            let refilled = Sd.step_linearize st yb in
+            let fresh = Sd.step_linearize (step (sd ())) yb in
+            Alcotest.(check bool) (what "step dense_into") true
+              (bits (dense refilled) = bits (dense fresh));
+            let v = Vec.init (Sd.size kept) (fun i -> sin (float_of_int i)) in
+            let apply lin =
+              let out = Array.make (Sd.size kept) 0. in
+              Sd.apply_into lin v out;
+              Array.map Int64.bits_of_float out
+            in
+            Alcotest.(check (array int64)) (what "step apply_into") (apply fresh) (apply refilled);
+            let periodic sd = Sd.periodic sd ~p2:20. ~d2:(Fourier.Series.diff_matrix n2) in
+            let draw_y () =
+              Array.concat
+                (List.init n2 (fun m ->
+                     snd (draw_slice kept draw rng ~omega:(1. +. (0.1 *. float_of_int m)))))
+            in
+            let ya = draw_y () and yb = draw_y () in
+            let dim = Array.length yb in
+            let p = periodic kept in
+            ignore (Sd.periodic_linearize p ya);
+            let refilled = periodic_dense p (Sd.periodic_linearize p yb) ~dim in
+            let pf = periodic (sd ()) in
+            let fresh = periodic_dense pf (Sd.periodic_linearize pf yb) ~dim in
+            Alcotest.(check bool) (what "periodic_dense_into") true (bits refilled = bits fresh))
+          [ (vco_a, Derivative); (vco_a, Fourier); (sinh_system, Fixed) ]);
     Alcotest.test_case "make rejects a phase row of the wrong length" `Quick (fun () ->
         let _, dae, _ = vco_a in
         Alcotest.check_raises "row"

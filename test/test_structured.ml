@@ -221,8 +221,8 @@ let unit_tests =
           [ (1, false); (1, true); (3, false); (3, true); (7, false); (7, true) ]);
     Alcotest.test_case "a refill into kept buffers is bitwise a fresh build" `Quick (fun () ->
         (* the periodic and envelope Krylov paths rebuild their
-           preconditioner every Newton iteration into the buffers of the
-           last build: after a build at another iterate, the refill
+           preconditioner into the buffers of the last build: after a
+           build at another iterate, the refill
            must return those buffers and apply exactly as a fresh
            build; a build of another shape must not touch them *)
         let n = 2 in
